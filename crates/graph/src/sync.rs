@@ -51,20 +51,25 @@ pub const RANK_CHECKS_ENABLED: bool = cfg!(debug_assertions);
 ///
 /// See ARCHITECTURE.md ("Static analysis & lock discipline") for the
 /// rationale behind each position; the load-bearing one is
-/// `Durability < DatasetState`: a durable commit holds the durability
-/// mutex across the WAL append while taking the state write lock, and
-/// snapshot rotation holds it while taking the state read lock, so
-/// durability must rank *below* dataset state even though the WAL
-/// device itself ranks last.
+/// `Durability < DatasetState`: a commit holds the durability mutex
+/// from the WAL append to the pointer swap that publishes the successor
+/// state, and snapshot rotation holds it while pinning the state and
+/// cloning its catalog, so durability must rank *below* dataset state
+/// even though the WAL device itself ranks last.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum LockRank {
     /// `DatasetRegistry::map` — the name → dataset table.
     Registry = 0,
-    /// `DatasetEntry::durability` — WAL attachment; held across
-    /// append-fsync-apply and across snapshot rotation.
+    /// `DatasetEntry::durability` — WAL attachment and commit mutex;
+    /// held across append, fsync, building the successor state and its
+    /// publication, and across snapshot rotation. Never taken by
+    /// readers.
     Durability = 1,
-    /// `DatasetEntry::state` — the epoch-versioned graph + catalog.
+    /// `DatasetEntry::current` — the pointer slot publishing the
+    /// dataset's immutable epoch state (held for an `Arc` clone or
+    /// swap) — and each epoch state's catalog lock (held for lookups,
+    /// a fill's inserts, or one clone). The two never nest.
     DatasetState = 2,
     /// `DatasetEntry::pending` — the buffered update delta.
     PendingDelta = 3,

@@ -288,7 +288,7 @@ pub struct FaultStorage {
 impl Default for FaultStorage {
     fn default() -> Self {
         // Rank `Wal`: the simulated device is the innermost lock — its
-        // operations run under the durability/state locks of a commit.
+        // operations run under the durability mutex of a commit.
         FaultStorage {
             inner: Arc::new(OrderedMutex::new(LockRank::Wal, FaultInner::default())),
         }

@@ -2,9 +2,10 @@
 //!
 //! One [`Engine`] per server: it owns the shared [`EstimateCache`] and a
 //! handle to the [`DatasetRegistry`], and turns a batch of queries into a
-//! batch of estimates in three phases — cache lookups, one amortized
-//! catalog fill for all misses, then per-query estimation under a single
-//! read lock. The TCP server, `cegcli`, benches and tests all drive this
+//! batch of estimates against **one pinned epoch** of the dataset, in
+//! three phases — cache lookups, one amortized catalog fill for all
+//! misses, then per-query estimation under a single catalog read lock.
+//! The TCP server, `cegcli`, benches and tests all drive this
 //! same type, so the batched path is measurable without a socket in the
 //! way.
 
@@ -181,8 +182,7 @@ impl Engine {
     /// queries (and is what the overload suite's fairness bound
     /// measures).
     pub fn try_cached(&self, dataset: &str, query: &QueryGraph) -> Option<EstimateOutcome> {
-        let entry = self.registry.get(dataset)?;
-        let epoch = entry.epoch();
+        let epoch = self.registry.get(dataset)?.epoch();
         let hash = query.canonical_hash();
         // A poisoned cache is indistinguishable from a miss here: the
         // request falls through to the full path, which degrades the
@@ -307,9 +307,13 @@ impl Engine {
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
 
-        // The cache is epoch-aware: entries stored before the dataset's
-        // last committed update are tagged with an older epoch and miss.
-        let epoch = entry.epoch();
+        // One estimate, one epoch: the cache tag, the catalog that is
+        // filled and read, and the epoch EXPLAIN and the slow log report
+        // all come from this one pinned state, whatever commits publish
+        // while the batch runs. The cache is epoch-aware: entries stored
+        // under an older epoch miss.
+        let state = entry.pin();
+        let epoch = state.epoch();
         // The WL canonical hash is the expensive part of a cache probe;
         // compute it outside the cache lock so concurrent workers only
         // serialize on the map operations themselves.
@@ -382,12 +386,7 @@ impl Engine {
                 })
                 .flatten();
             let fill_started = Instant::now();
-            // The poison-aware variant: a dataset whose catalog lock was
-            // poisoned by an earlier panic answers with a typed error
-            // (`dataset ... unavailable: ... poisoned`) instead of
-            // propagating the panic into this worker.
-            let ensured =
-                entry.try_ensure_patterns_deadline_stats(&miss_queries, group_deadline)?;
+            let ensured = state.ensure_patterns(&miss_queries, group_deadline, entry.jobs());
             fill_us = fill_started.elapsed().as_micros() as u64;
             self.metrics.record_kernel(&ensured.fill.kernel);
             if let Some(t) = trace.as_deref_mut() {
@@ -418,8 +417,9 @@ impl Engine {
             // make the two passes disagree.
             let estimate_started = Instant::now();
             let mut degenerate = 0u64;
-            let values: Vec<Option<Option<f64>>> = entry.try_with_markov(|table| {
-                let mut est = OptimisticEstimator::recommended(table);
+            let values: Vec<Option<Option<f64>>> = {
+                let table = state.catalog();
+                let mut est = OptimisticEstimator::recommended(&table);
                 miss_queries
                     .iter()
                     .map(|q| {
@@ -451,7 +451,7 @@ impl Engine {
                         }
                     })
                     .collect()
-            })?;
+            };
             estimate_us = estimate_started.elapsed().as_micros() as u64;
             for _ in 0..degenerate {
                 self.metrics.record_estimator_degenerate();

@@ -1,5 +1,5 @@
 //! The dataset registry: load graphs and catalogs once, share forever —
-//! and, since the live-update work, mutate them safely while serving.
+//! and, since the live-update work, replace them safely while serving.
 //!
 //! `cegcli estimate` pays the full cost of loading the graph and building
 //! the Markov catalog on every invocation. The registry is the service's
@@ -8,40 +8,42 @@
 //!
 //! # Live updates
 //!
-//! A dataset's committed state is an **epoch-versioned layering**: an
-//! immutable CSR base graph plus a committed [`GraphDelta`] overlay, with
-//! the Markov catalog kept consistent with the pair. Edge updates buffer
-//! in a *pending* delta ([`DatasetEntry::add_edge`] /
-//! [`DatasetEntry::del_edge`]) that readers never see; a
-//! [`DatasetEntry::commit`] folds it in under the state write lock:
+//! A dataset's committed state is one immutable **epoch state**: a CSR
+//! base graph, a committed [`GraphDelta`] overlay, the epoch number and
+//! the Markov catalog counted on exactly that graph. The entry publishes
+//! it behind an `Arc`; a request *pins* the `Arc` once, on entry, and
+//! reads epoch, cache tag, graph and catalog from that pin for its whole
+//! life, so an estimate is always the paper's number for **one** epoch.
 //!
-//! 1. the pending delta is normalized against the committed view (adds
-//!    of present edges and dels of absent ones are no-ops); an
-//!    effectively empty commit returns without bumping the epoch,
-//! 2. the effective delta merges into the committed overlay; once the
-//!    overlay exceeds the **rebase threshold** it is folded into a fresh
-//!    base CSR ([`ceg_graph::LabeledGraph::rebase`] — only touched
-//!    relations are rebuilt, the rest are `Arc`-shared),
-//! 3. the catalog is **incrementally maintained**
-//!    ([`MarkovTable::refresh_touched`]): only entries naming a touched
-//!    label are recounted, on the overlay or the rebased base,
-//! 4. the epoch is bumped, which invalidates every cached estimate tagged
-//!    with an older epoch (see [`crate::cache::EstimateCache`]).
+//! Edge updates buffer in a *pending* delta ([`DatasetEntry::add_edge`] /
+//! [`DatasetEntry::del_edge`]) that readers never see. A
+//! [`DatasetEntry::commit`] normalizes it against the current state,
+//! logs the effective delta, builds the successor off to the side —
+//! overlay merged or folded into a fresh CSR past the **rebase
+//! threshold**, a *clone* of the catalog recounted for the touched labels
+//! ([`MarkovTable::refresh_touched`]), epoch + 1 — and publishes it by
+//! swapping the pointer, which invalidates every cached estimate tagged
+//! with an older epoch (see [`crate::cache::EstimateCache`]).
 //!
-//! Invariant: **the catalog always describes the committed graph of the
-//! current epoch** — commit holds the write lock across steps 2–4, so an
-//! estimator can never observe a new graph with stale statistics (at the
-//! price of estimates blocking for the touched-label recount, which is
-//! the explicit cost of `COMMIT`, not of `ESTIMATE`).
+//! Commits are serialised by the durability mutex, which no reader
+//! takes. The only locks a reader meets are the pointer slot (held for
+//! an `Arc` clone or swap) and its pin's catalog lock (held for hash-map
+//! lookups and the inserts of a catalog fill) — never across the WAL
+//! fsync, a rebase or a recount.
+//!
+//! Invariant: **a state's catalog describes that state's graph.** Counts
+//! taken on a pinned graph go into that pin's catalog only; a fill the
+//! successor misses is simply recounted on demand at the new epoch
+//! (docs/ARCHITECTURE.md, "Live updates").
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use ceg_catalog::io::load_markov;
 use ceg_catalog::{count_patterns_budgeted_stats, FillStats, MarkovTable};
-use ceg_core::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedRwLock};
+use ceg_core::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock};
 use ceg_graph::io::load_graph;
 use ceg_graph::vfs::{OsStorage, Storage};
 use ceg_graph::wal::{WalOp, WalWriter};
@@ -114,42 +116,233 @@ pub struct RotateOutcome {
     pub wal_bytes_folded: u64,
 }
 
-/// What one [`DatasetEntry::ensure_patterns_deadline_stats`] call did —
-/// the catalog-fill half of an `EXPLAIN_ESTIMATE` breakdown.
+/// What one catalog fill did — the catalog half of an `EXPLAIN_ESTIMATE`
+/// breakdown.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EnsureOutcome {
     /// Patterns inserted into the catalog by this call.
     pub added: usize,
     /// Counting-kernel work done filling them (zero if nothing was
-    /// missing). Accumulated across stale-epoch retries.
+    /// missing).
     pub fill: FillStats,
     /// True if the counts ran on the overlay view (committed delta over
     /// the base CSR) rather than the base CSR directly.
     pub overlay: bool,
 }
 
-/// Committed, epoch-versioned dataset state — everything an estimate
-/// reads, behind one `RwLock` so graph and catalog can never disagree.
-struct DatasetState {
+/// One committed epoch of a dataset — everything an estimate reads.
+/// Once published only the catalog changes: it *grows*, by exact counts
+/// taken on this state's own graph.
+pub(crate) struct EpochState {
     base: Arc<LabeledGraph>,
     /// Committed delta not yet folded into `base` (kept normalized
     /// against it, and below the rebase threshold).
     overlay: GraphDelta,
     epoch: u64,
-    markov: MarkovTable,
+    /// `(num_vertices, num_edges)` of the committed view.
+    summary: (usize, usize),
+    /// Same rank as the slot that publishes this state (the two never
+    /// nest). Held for lookups, a fill's inserts or one clone — never
+    /// across counting or I/O.
+    markov: OrderedRwLock<MarkovTable>,
 }
 
-impl DatasetState {
+impl EpochState {
+    /// Renumber at the door: the stored graph runs in internal
+    /// (degree-descending) numbering, and because the permutation is
+    /// recomputed deterministically from the external graph it never
+    /// needs persisting — a restored snapshot renumbers identically.
+    fn renumbered(graph: &LabeledGraph, epoch: u64, markov: MarkovTable) -> (VertexRemap, Self) {
+        let remap = VertexRemap::degree_descending(graph);
+        let state = EpochState {
+            base: Arc::new(remap.apply(graph)),
+            overlay: GraphDelta::new(),
+            epoch,
+            summary: (graph.num_vertices(), graph.num_edges()),
+            markov: OrderedRwLock::new(LockRank::DatasetState, markov),
+        };
+        (remap, state)
+    }
+
+    /// The epoch this state was committed as.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// This epoch's catalog, read-locked (many readers at once).
+    pub(crate) fn catalog(&self) -> OrderedReadGuard<'_, MarkovTable> {
+        self.markov.read()
+    }
+
     /// Edge presence in the committed view (overlay over base).
     fn has_edge(&self, src: VertexId, dst: VertexId, label: LabelId) -> bool {
         self.overlay
             .edge_override(src, dst, label)
             .unwrap_or_else(|| self.base.has_edge(src, dst, label))
     }
+
+    /// Validate one update op against the committed domain plus the
+    /// growth allowance ([`MAX_UPDATE_VERTEX`] / [`MAX_UPDATE_LABEL`]):
+    /// ids the graph already covers are always legal, growth beyond it
+    /// is bounded.
+    fn check_update(&self, src: VertexId, dst: VertexId, label: LabelId) -> Result<(), String> {
+        let num_vertices = self.summary.0;
+        let num_labels = self
+            .base
+            .num_labels()
+            .max(self.overlay.max_label().map_or(0, |l| l as usize + 1));
+        let vertex_bound = num_vertices.max(MAX_UPDATE_VERTEX as usize + 1);
+        if (src as usize) >= vertex_bound || (dst as usize) >= vertex_bound {
+            return Err(format!(
+                "vertex id out of range (dataset domain is 0..{num_vertices}, \
+                 new vertices are limited to {MAX_UPDATE_VERTEX})"
+            ));
+        }
+        let label_bound = num_labels.max(MAX_UPDATE_LABEL as usize + 1);
+        if (label as usize) >= label_bound {
+            return Err(format!(
+                "label out of range (dataset has {num_labels} labels, \
+                 new labels are limited to {MAX_UPDATE_LABEL})"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The part of `delta` that changes this state's graph: adds of
+    /// absent edges and dels of present ones.
+    fn effective(&self, delta: &GraphDelta) -> GraphDelta {
+        let mut effective = GraphDelta::new();
+        for e in delta.adds() {
+            if !self.has_edge(e.src, e.dst, e.label) {
+                effective.add_edge(e.src, e.dst, e.label);
+            }
+        }
+        for e in delta.dels() {
+            if self.has_edge(e.src, e.dst, e.label) {
+                effective.del_edge(e.src, e.dst, e.label);
+            }
+        }
+        effective
+    }
+
+    /// An unpublished copy to build the successor from.
+    fn fork(&self) -> EpochState {
+        EpochState {
+            base: self.base.clone(),
+            overlay: self.overlay.clone(),
+            epoch: self.epoch,
+            summary: self.summary,
+            markov: OrderedRwLock::new(LockRank::DatasetState, self.catalog().clone()),
+        }
+    }
+
+    /// Advance this (unpublished) state's graph by one commit: merge
+    /// `effective` into the overlay, or fold it into a fresh base CSR at
+    /// `rebase_threshold` (returns true), and bump the epoch. The catalog
+    /// is left for [`EpochState::refresh`].
+    fn apply(&mut self, effective: &GraphDelta, rebase_threshold: usize) -> bool {
+        self.overlay.merge(effective);
+        // Keep the overlay normalized against the base so its length
+        // measures real divergence (an add later deleted collapses away).
+        let (adds, dels) = self.overlay.normalize(&self.base);
+        let grown = self.overlay.max_vertex().map_or(0, |v| v as usize + 1);
+        self.summary = (
+            self.base.num_vertices().max(grown),
+            self.base.num_edges() + adds - dels,
+        );
+        let rebased = self.overlay.len() >= rebase_threshold;
+        if rebased {
+            self.base = Arc::new(self.base.rebase(&self.overlay));
+            self.overlay.clear();
+        }
+        self.epoch += 1;
+        rebased
+    }
+
+    /// Recount this (unpublished) state's catalog entries naming a
+    /// `touched` label on its graph; returns how many were recounted.
+    fn refresh(&mut self, touched: &[LabelId], jobs: usize) -> usize {
+        let markov = self.markov.get_mut();
+        if self.overlay.is_empty() {
+            markov.refresh_touched(&*self.base, touched, jobs)
+        } else {
+            markov.refresh_touched(&OverlayGraph::new(&self.base, &self.overlay), touched, jobs)
+        }
+    }
+
+    /// The committed graph as one standalone CSR (internal numbering).
+    fn folded(&self) -> LabeledGraph {
+        self.base.rebase(&self.overlay)
+    }
+
+    /// Make sure every connected sub-pattern (≤ `h` edges) of `queries`
+    /// is in this epoch's catalog, counting missing ones exactly once per
+    /// batch on up to `jobs` scoped worker threads, with no lock held:
+    /// readers keep estimating while a batch fills gaps. Counts taken on
+    /// this state's graph go into this state's catalog, so a commit
+    /// landing meanwhile cannot make them stale.
+    ///
+    /// Counting stops at `deadline` (mid-pattern, via the kernel's
+    /// [`ceg_exec::CountBudget`] hook) and only *completed* counts are
+    /// inserted: an abandoned fill leaves its patterns missing.
+    pub(crate) fn ensure_patterns(
+        &self,
+        queries: &[QueryGraph],
+        deadline: Option<Instant>,
+        jobs: usize,
+    ) -> EnsureOutcome {
+        let mut outcome = EnsureOutcome {
+            overlay: !self.overlay.is_empty(),
+            ..EnsureOutcome::default()
+        };
+        let missing = {
+            let table = self.catalog();
+            let mut missing: Vec<Pattern> = Vec::new();
+            let mut seen: FxHashSet<Pattern> = FxHashSet::default();
+            for q in queries {
+                for mask in q.connected_subsets_up_to(table.h()) {
+                    let pat = Pattern::of_subquery(q, mask);
+                    if table.card(&pat).is_none() && seen.insert(pat.clone()) {
+                        missing.push(pat);
+                    }
+                }
+            }
+            missing
+        };
+        if missing.is_empty() {
+            return outcome;
+        }
+        let budget = match deadline {
+            Some(d) => ceg_exec::CountBudget::until(d),
+            None => ceg_exec::CountBudget::UNLIMITED,
+        };
+        let (counts, fill) = if self.overlay.is_empty() {
+            count_patterns_budgeted_stats(&*self.base, &missing, jobs, budget)
+        } else {
+            count_patterns_budgeted_stats(
+                &OverlayGraph::new(&self.base, &self.overlay),
+                &missing,
+                jobs,
+                budget,
+            )
+        };
+        outcome.fill = fill;
+        let mut table = self.markov.write();
+        for (pat, card) in missing.into_iter().zip(counts) {
+            // Abandoned counts insert nothing: a partial count must
+            // never enter the catalog as if it were exact.
+            let Some(card) = card else { continue };
+            if table.card(&pat).is_none() {
+                table.insert(pat, card);
+                outcome.added += 1;
+            }
+        }
+        outcome
+    }
 }
 
-/// One registered dataset: the epoch-versioned graph state plus its
-/// shared, growable catalog and the pending (uncommitted) update buffer.
+/// One registered dataset: the published epoch state plus the pending
+/// (uncommitted) update buffer.
 pub struct DatasetEntry {
     name: String,
     h: usize,
@@ -170,17 +363,17 @@ pub struct DatasetEntry {
     /// external numbering (so both are invariant to how any particular
     /// process numbered its vertices).
     remap: VertexRemap,
-    /// Mirror of `state.epoch` for lock-free reads on the estimate path.
-    epoch: AtomicU64,
-    state: OrderedRwLock<DatasetState>,
+    /// The published epoch state. The lock is held for an `Arc` clone
+    /// (a pin) or a pointer swap (the end of a commit), nothing else.
+    current: OrderedRwLock<Arc<EpochState>>,
     pending: OrderedMutex<GraphDelta>,
     /// Crash-safety state, attached by [`DatasetEntry::attach_durability`]
-    /// or [`DatasetEntry::recover`]. Lock order: `durability` is taken
-    /// **before** `state`/`pending`, everywhere — commit holds it across
-    /// the WAL append and the in-memory apply so the log's transaction
-    /// order always matches the epoch order. The `LockRank` order
-    /// (`Durability < DatasetState < PendingDelta`) makes the debug
-    /// build enforce exactly that.
+    /// or [`DatasetEntry::recover`], and the commit mutex: commit holds it
+    /// from taking the pending delta to publishing the successor, so the
+    /// log's transaction order matches the epoch order and the state
+    /// commit pinned is still current when it swaps. Readers never take
+    /// it; it ranks below `current` and `pending`, which commit and
+    /// rotation take under it.
     durability: OrderedMutex<Option<Durability>>,
 }
 
@@ -211,30 +404,26 @@ impl DatasetEntry {
     /// Wrap an already-loaded graph and catalog. Catalog gaps are counted
     /// serially; see [`DatasetEntry::with_jobs`].
     pub fn new(name: impl Into<String>, graph: LabeledGraph, markov: MarkovTable) -> Self {
-        let rebase_threshold = default_rebase_threshold(graph.num_edges());
-        // Renumber at the door: the stored graph runs in internal
-        // (degree-descending) numbering, and because the permutation is
-        // recomputed deterministically from the external graph it never
-        // needs persisting — a restored snapshot renumbers identically.
-        let remap = VertexRemap::degree_descending(&graph);
-        let graph = remap.apply(&graph);
+        let (remap, state) = EpochState::renumbered(&graph, 0, markov);
+        let threshold = default_rebase_threshold(graph.num_edges());
+        Self::from_parts(name.into(), remap, threshold, state)
+    }
+
+    fn from_parts(
+        name: String,
+        remap: VertexRemap,
+        rebase_threshold: usize,
+        state: EpochState,
+    ) -> Self {
+        let h = state.catalog().h();
         DatasetEntry {
-            name: name.into(),
-            h: markov.h(),
+            name,
+            h,
             jobs: 1,
             rebase_threshold,
             pending_cap: MAX_PENDING_OPS,
             remap,
-            epoch: AtomicU64::new(0),
-            state: OrderedRwLock::new(
-                LockRank::DatasetState,
-                DatasetState {
-                    base: Arc::new(graph),
-                    overlay: GraphDelta::new(),
-                    epoch: 0,
-                    markov,
-                },
-            ),
+            current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
             pending: OrderedMutex::new(LockRank::PendingDelta, GraphDelta::new()),
             durability: OrderedMutex::new(LockRank::Durability, None),
         }
@@ -261,20 +450,10 @@ impl DatasetEntry {
         self
     }
 
-    /// Restore the committed epoch (snapshot restore: a restarted server
-    /// must continue the epoch sequence, not restart it, so estimates
-    /// cached against the old process's epochs could never be confused
-    /// with fresh ones).
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        *self.epoch.get_mut() = epoch;
-        self.state.get_mut().epoch = epoch;
-        self
-    }
-
-    /// The typed error a poisoned lock funnels into — same shape as the
-    /// dead-disk errors PR 8 introduced, so one crashed request degrades
-    /// this dataset (`ERR dataset ... poisoned`) instead of killing the
-    /// worker shard that trips over the lock next.
+    /// The typed error a poisoned update-path lock funnels into. The
+    /// durability mutex is held across I/O and a recount, so a panic
+    /// there degrades this dataset's commits (`ERR dataset ... poisoned`)
+    /// instead of killing the connection that trips over the lock next.
     fn poisoned_msg(&self, err: LockPoisoned) -> String {
         format!("dataset `{}` unavailable: {err}", self.name)
     }
@@ -299,9 +478,16 @@ impl DatasetEntry {
         self.h
     }
 
+    /// Pin the current epoch state. Everything a request reads — epoch,
+    /// cache tag, graph, catalog — must come from one pin; it stays
+    /// alive and fillable whatever commits publish meanwhile.
+    pub(crate) fn pin(&self) -> Arc<EpochState> {
+        self.current.read().clone()
+    }
+
     /// Current committed epoch (0 until the first effective commit).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.current.read().epoch
     }
 
     /// Buffered (uncommitted) edge operations.
@@ -311,26 +497,19 @@ impl DatasetEntry {
 
     /// Committed edge operations not yet folded into the base CSR.
     pub fn overlay_len(&self) -> usize {
-        self.state.read().overlay.len()
+        self.current.read().overlay.len()
     }
 
     /// `(num_vertices, num_edges)` of the committed graph.
     pub fn graph_summary(&self) -> (usize, usize) {
-        let st = self.state.read();
-        if st.overlay.is_empty() {
-            (st.base.num_vertices(), st.base.num_edges())
-        } else {
-            let ov = OverlayGraph::new(&st.base, &st.overlay);
-            (ceg_graph::GraphView::num_vertices(&ov), ov.num_edges())
-        }
+        self.current.read().summary
     }
 
     /// Materialize the committed graph as a standalone CSR graph, in
     /// external (wire-visible) numbering. Tests use this to compare a
     /// live server against a cold one loaded with the final graph.
     pub fn materialized_graph(&self) -> LabeledGraph {
-        let st = self.state.read();
-        self.remap.externalize(&st.base.rebase(&st.overlay))
+        self.remap.externalize(&self.pin().folded())
     }
 
     /// The dataset's vertex renumbering (external ↔ internal). Exposed
@@ -338,41 +517,6 @@ impl DatasetEntry {
     /// the translation happens inside the entry.
     pub fn remap(&self) -> &VertexRemap {
         &self.remap
-    }
-
-    /// Validate one update op against the committed domain plus the
-    /// growth allowance ([`MAX_UPDATE_VERTEX`] / [`MAX_UPDATE_LABEL`]):
-    /// ids the graph already covers are always legal, growth beyond it
-    /// is bounded.
-    fn check_update(&self, src: VertexId, dst: VertexId, label: LabelId) -> Result<(), String> {
-        let (num_vertices, num_labels) = {
-            let st = self
-                .state
-                .checked_read()
-                .map_err(|e| self.poisoned_msg(e))?;
-            let base = &st.base;
-            (
-                base.num_vertices()
-                    .max(st.overlay.max_vertex().map_or(0, |v| v as usize + 1)),
-                base.num_labels()
-                    .max(st.overlay.max_label().map_or(0, |l| l as usize + 1)),
-            )
-        };
-        let vertex_bound = num_vertices.max(MAX_UPDATE_VERTEX as usize + 1);
-        if (src as usize) >= vertex_bound || (dst as usize) >= vertex_bound {
-            return Err(format!(
-                "vertex id out of range (dataset domain is 0..{num_vertices}, \
-                 new vertices are limited to {MAX_UPDATE_VERTEX})"
-            ));
-        }
-        let label_bound = num_labels.max(MAX_UPDATE_LABEL as usize + 1);
-        if (label as usize) >= label_bound {
-            return Err(format!(
-                "label out of range (dataset has {num_labels} labels, \
-                 new labels are limited to {MAX_UPDATE_LABEL})"
-            ));
-        }
-        Ok(())
     }
 
     /// Record one bounds-checked op into the pending buffer, enforcing
@@ -386,7 +530,8 @@ impl DatasetEntry {
         label: LabelId,
         del: bool,
     ) -> Result<(u64, usize), String> {
-        self.check_update(src, dst, label)?;
+        let st = self.pin();
+        st.check_update(src, dst, label)?;
         let (src, dst) = (self.remap.to_internal(src), self.remap.to_internal(dst));
         let mut pending = self
             .pending
@@ -405,7 +550,7 @@ impl DatasetEntry {
         } else {
             pending.add_edge(src, dst, label);
         }
-        Ok((self.epoch(), pending.len()))
+        Ok((st.epoch, pending.len()))
     }
 
     /// Buffer an edge insertion; invisible to estimates until
@@ -431,11 +576,12 @@ impl DatasetEntry {
         self.buffer_update(src, dst, label, true)
     }
 
-    /// Apply the pending delta: merge it into the committed state, fold
-    /// the overlay into a fresh CSR past the rebase threshold,
-    /// incrementally recount the touched catalog entries and bump the
-    /// epoch. A commit with no effective change (empty pending buffer, or
-    /// only no-ops) keeps the epoch — cached estimates stay valid.
+    /// Apply the pending delta: build the successor state (delta merged
+    /// into the overlay, or folded into a fresh CSR past the rebase
+    /// threshold; touched catalog entries recounted; epoch bumped) and
+    /// publish it. A commit with no effective change (empty pending
+    /// buffer, or only no-ops) keeps the epoch — cached estimates stay
+    /// valid.
     ///
     /// Panics if a WAL append fails; datasets with durability attached
     /// must call [`DatasetEntry::try_commit`] instead.
@@ -445,12 +591,15 @@ impl DatasetEntry {
     }
 
     /// [`DatasetEntry::commit`], durable. With durability attached the
-    /// effective delta is appended to the WAL and fsynced **before** it
-    /// is applied in memory: after `Ok` the commit survives any crash;
-    /// after `Err` nothing was applied and the taken ops are back in the
-    /// pending buffer (ahead of anything buffered meanwhile), so the
-    /// client sees a failed COMMIT it may retry, never a half-applied
-    /// one.
+    /// effective delta is appended to the WAL and fsynced **before** the
+    /// successor state is built: after `Ok` the commit survives any
+    /// crash; after `Err` nothing was published and the taken ops are
+    /// back in the pending buffer (ahead of anything buffered meanwhile),
+    /// so the client sees a failed COMMIT it may retry, never a
+    /// half-applied one.
+    ///
+    /// Readers are never blocked: until the pointer swap they keep
+    /// pinning, filling and estimating on the current state.
     pub fn try_commit(&self) -> io::Result<CommitOutcome> {
         let mut dur = self
             .durability
@@ -470,24 +619,13 @@ impl DatasetEntry {
                 .checked_lock()
                 .map_err(|e| io::Error::other(self.poisoned_msg(e)))?,
         );
-        let mut st = self
-            .state
-            .checked_write()
-            .map_err(|e| io::Error::other(self.poisoned_msg(e)))?;
-        let mut effective = GraphDelta::new();
-        for e in delta.adds() {
-            if !st.has_edge(e.src, e.dst, e.label) {
-                effective.add_edge(e.src, e.dst, e.label);
-            }
-        }
-        for e in delta.dels() {
-            if st.has_edge(e.src, e.dst, e.label) {
-                effective.del_edge(e.src, e.dst, e.label);
-            }
-        }
+        // Only commits publish, and the durability mutex serialises
+        // them: `cur` stays the current state until this call swaps it.
+        let cur = self.pin();
+        let effective = cur.effective(&delta);
         if effective.is_empty() {
             return Ok(CommitOutcome {
-                epoch: st.epoch,
+                epoch: cur.epoch,
                 added: 0,
                 deleted: 0,
                 recounted: 0,
@@ -496,11 +634,10 @@ impl DatasetEntry {
             });
         }
         // Durability barrier: the effective delta, stamped with the
-        // epoch it will create, must be on disk before any in-memory
-        // state changes. On failure the taken ops are restored to the
-        // pending buffer (merged *under* anything buffered since, so
-        // later client ops still win) and the in-memory state is
-        // untouched.
+        // epoch it will create, must be on disk before a successor is
+        // built. On failure the taken ops are restored to the pending
+        // buffer (merged *under* anything buffered since, so later
+        // client ops still win) and nothing is published.
         //
         // WAL records are written in EXTERNAL numbering: a replay may run
         // under a different remap than the one that appended (snapshot
@@ -525,7 +662,7 @@ impl DatasetEntry {
                     del: true,
                 }))
                 .collect();
-            match d.writer.append_tx(st.epoch + 1, &ops) {
+            match d.writer.append_tx(cur.epoch + 1, &ops) {
                 Ok(n) => {
                     wal_bytes = n;
                     d.commits_since_snapshot += 1;
@@ -534,7 +671,6 @@ impl DatasetEntry {
                     if d.writer.repair(&*d.storage).is_err() {
                         d.poisoned = true;
                     }
-                    drop(st);
                     // Best effort: a lock poisoned at this point cannot
                     // improve on the append error already being returned.
                     if let Ok(mut pending) = self.pending.checked_lock() {
@@ -546,204 +682,45 @@ impl DatasetEntry {
                 }
             }
         }
-        let added = effective.adds().count();
-        let deleted = effective.dels().count();
-        let touched = effective.touched_labels();
-        st.overlay.merge(&effective);
-        // Keep the overlay normalized against the base so its length
-        // measures real divergence (an add later deleted collapses away).
-        {
-            let base = st.base.clone();
-            st.overlay.normalize(&base);
-        }
-        let rebased = st.overlay.len() >= self.rebase_threshold;
-        if rebased {
-            st.base = Arc::new(st.base.rebase(&st.overlay));
-            st.overlay.clear();
-        }
-        let recounted = {
-            let DatasetState {
-                base,
-                overlay,
-                markov,
-                ..
-            } = &mut *st;
-            if overlay.is_empty() {
-                markov.refresh_touched(&**base, &touched, self.jobs)
-            } else {
-                markov.refresh_touched(&OverlayGraph::new(base, overlay), &touched, self.jobs)
-            }
-        };
-        st.epoch += 1;
-        self.epoch.store(st.epoch, Ordering::Release);
+        let mut next = cur.fork();
+        let rebased = next.apply(&effective, self.rebase_threshold);
+        let recounted = next.refresh(&effective.touched_labels(), self.jobs);
+        let epoch = next.epoch;
+        // `cur` outlives the swap, so the superseded state is never freed
+        // under the slot lock; it goes when its last pin does.
+        *self.current.write() = Arc::new(next);
         Ok(CommitOutcome {
-            epoch: st.epoch,
-            added,
-            deleted,
+            epoch,
+            added: effective.adds().count(),
+            deleted: effective.dels().count(),
             recounted,
             rebased,
             wal_bytes,
         })
     }
 
-    /// Run `f` under a read lock on the catalog (many readers at once).
+    /// Run `f` on the current epoch's catalog (tests and diagnostics;
+    /// requests read the catalog of the state they pinned).
     pub fn with_markov<R>(&self, f: impl FnOnce(&MarkovTable) -> R) -> R {
-        f(&self.state.read().markov)
+        f(&self.pin().catalog())
     }
 
-    /// [`DatasetEntry::with_markov`] for request paths: a poisoned state
-    /// lock becomes a typed per-dataset error instead of a panic.
-    pub fn try_with_markov<R>(&self, f: impl FnOnce(&MarkovTable) -> R) -> Result<R, String> {
-        let st = self
-            .state
-            .checked_read()
-            .map_err(|e| self.poisoned_msg(e))?;
-        Ok(f(&st.markov))
-    }
-
-    /// Make sure every connected sub-pattern (≤ `h` edges) of `queries` is
-    /// in the catalog, counting missing ones exactly once per batch.
-    /// Returns how many patterns were added.
-    ///
-    /// The expensive part — exact counting on the graph — runs without any
-    /// lock held, on up to [`DatasetEntry::jobs`] scoped worker threads
-    /// ([`ceg_catalog::count_patterns`]): readers keep estimating while a
-    /// batch fills gaps. Counting races with commits are resolved by
-    /// epoch validation: counts taken against an epoch that changed
-    /// before the insert are discarded and recounted, so a stale count
-    /// can never enter a newer epoch's catalog.
+    /// Make sure every connected sub-pattern (≤ `h` edges) of `queries`
+    /// is in the current epoch's catalog, without a deadline. Returns how
+    /// many patterns were added.
     pub fn ensure_patterns(&self, queries: &[QueryGraph]) -> usize {
-        self.ensure_patterns_deadline(queries, None)
-    }
-
-    /// [`DatasetEntry::ensure_patterns`] under an optional wall-clock
-    /// deadline: counting stops at the deadline (mid-pattern, via the
-    /// kernel's [`ceg_exec::CountBudget`] hook), only *completed* counts
-    /// are inserted, and the stale-epoch retry loop gives up once the
-    /// deadline has passed. Callers check
-    /// [`DatasetEntry::patterns_complete`] afterwards to tell a fully
-    /// provisioned query from one whose fill was abandoned.
-    pub fn ensure_patterns_deadline(
-        &self,
-        queries: &[QueryGraph],
-        deadline: Option<std::time::Instant>,
-    ) -> usize {
-        self.ensure_patterns_deadline_stats(queries, deadline).added
-    }
-
-    /// [`DatasetEntry::ensure_patterns_deadline`] reporting what the fill
-    /// actually did: patterns added, the counting kernel's work
-    /// ([`FillStats`]) and whether the counts ran on the overlay view.
-    /// This is the catalog-side evidence an `EXPLAIN_ESTIMATE` renders.
-    pub fn ensure_patterns_deadline_stats(
-        &self,
-        queries: &[QueryGraph],
-        deadline: Option<std::time::Instant>,
-    ) -> EnsureOutcome {
-        self.ensure_inner(queries, deadline)
-            .unwrap_or_else(|e| e.abort())
-    }
-
-    /// [`DatasetEntry::ensure_patterns_deadline_stats`] for request
-    /// paths: a poisoned state lock becomes a typed per-dataset error.
-    pub fn try_ensure_patterns_deadline_stats(
-        &self,
-        queries: &[QueryGraph],
-        deadline: Option<std::time::Instant>,
-    ) -> Result<EnsureOutcome, String> {
-        self.ensure_inner(queries, deadline)
-            .map_err(|e| self.poisoned_msg(e))
-    }
-
-    fn ensure_inner(
-        &self,
-        queries: &[QueryGraph],
-        deadline: Option<std::time::Instant>,
-    ) -> Result<EnsureOutcome, LockPoisoned> {
-        let mut outcome = EnsureOutcome::default();
-        loop {
-            let (missing, base, overlay, epoch) = {
-                let st = self.state.checked_read()?;
-                let mut missing: Vec<Pattern> = Vec::new();
-                let mut seen: FxHashSet<Pattern> = FxHashSet::default();
-                for q in queries {
-                    for mask in q.connected_subsets_up_to(self.h) {
-                        let pat = Pattern::of_subquery(q, mask);
-                        if st.markov.card(&pat).is_none() && seen.insert(pat.clone()) {
-                            missing.push(pat);
-                        }
-                    }
-                }
-                if missing.is_empty() {
-                    outcome.overlay = !st.overlay.is_empty();
-                    return Ok(outcome);
-                }
-                (missing, st.base.clone(), st.overlay.clone(), st.epoch)
-            };
-            let budget = match deadline {
-                Some(d) => ceg_exec::CountBudget::until(d),
-                None => ceg_exec::CountBudget::UNLIMITED,
-            };
-            outcome.overlay = !overlay.is_empty();
-            let (counts, fill) = if overlay.is_empty() {
-                count_patterns_budgeted_stats(&*base, &missing, self.jobs, budget)
-            } else {
-                count_patterns_budgeted_stats(
-                    &OverlayGraph::new(&base, &overlay),
-                    &missing,
-                    self.jobs,
-                    budget,
-                )
-            };
-            outcome.fill.absorb(&fill);
-            let mut st = self.state.checked_write()?;
-            if st.epoch != epoch {
-                // A commit landed mid-count: the counts may be stale.
-                // Retry — unless the deadline has passed, in which case
-                // the caller is about to time the request out anyway.
-                if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                    return Ok(outcome);
-                }
-                continue;
-            }
-            for (pat, card) in missing.into_iter().zip(counts) {
-                // Abandoned counts insert nothing: a partial count must
-                // never enter the catalog as if it were exact.
-                let Some(card) = card else { continue };
-                if st.markov.card(&pat).is_none() {
-                    st.markov.insert(pat, card);
-                    outcome.added += 1;
-                }
-            }
-            return Ok(outcome);
-        }
-    }
-
-    /// True when every connected sub-pattern (≤ `h` edges) of `query` is
-    /// present in the catalog — i.e. an estimate of `query` needs no
-    /// further counting. A deadline-bounded fill that was abandoned
-    /// leaves this false for the affected queries.
-    pub fn patterns_complete(&self, query: &QueryGraph) -> bool {
-        let st = self.state.read();
-        query
-            .connected_subsets_up_to(self.h)
-            .into_iter()
-            .all(|mask| st.markov.card(&Pattern::of_subquery(query, mask)).is_some())
+        self.pin().ensure_patterns(queries, None, self.jobs).added
     }
 
     /// Catalog size (stored patterns) right now.
     pub fn catalog_len(&self) -> usize {
-        self.state.read().markov.len()
+        self.pin().catalog().len()
     }
 
     /// Persist the committed state — graph (overlay folded in), Markov
     /// catalog, epoch — to a binary `.cegsnap` file. Returns `(epoch,
-    /// bytes written)`. The state read lock is held only long enough to
-    /// clone handles to one consistent committed view (the base is
-    /// `Arc`-shared, the overlay and catalog are small); the expensive
-    /// encode + write + fsync happen **outside** the lock — holding a
-    /// read lock across a disk write would stall every estimate behind
-    /// the first commit that queues for the write lock. The pending
+    /// bytes written)`. One epoch state is pinned and its catalog cloned;
+    /// encode + write + fsync happen with no lock held. The pending
     /// update buffer is not captured.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> io::Result<(u64, u64)> {
         self.write_snapshot_with(&OsStorage, path.as_ref())
@@ -757,26 +734,15 @@ impl DatasetEntry {
         storage: &dyn Storage,
         path: &Path,
     ) -> io::Result<(u64, u64)> {
-        let (base, overlay, markov, epoch) = {
-            let st = self.state.read();
-            (
-                st.base.clone(),
-                st.overlay.clone(),
-                st.markov.clone(),
-                st.epoch,
-            )
-        };
+        let st = self.pin();
+        let markov = st.catalog().clone();
         // Snapshots persist the EXTERNAL view: the permutation is an
         // in-process layout detail, recomputed deterministically on load,
         // so `.cegsnap` bytes are invariant to it (and round-trip
         // byte-identically through a renumbering server).
-        let folded = if overlay.is_empty() {
-            self.remap.externalize(&base)
-        } else {
-            self.remap.externalize(&base.rebase(&overlay))
-        };
-        ceg_catalog::io::write_snapshot_with(storage, path, &folded, &markov, epoch)?;
-        Ok((epoch, storage.len(path)?))
+        let folded = self.remap.externalize(&st.folded());
+        ceg_catalog::io::write_snapshot_with(storage, path, &folded, &markov, st.epoch)?;
+        Ok((st.epoch, storage.len(path)?))
     }
 
     /// Restore an entry from a `.cegsnap` file written by
@@ -785,7 +751,11 @@ impl DatasetEntry {
     /// left off. Corrupt or truncated files are errors, never panics.
     pub fn read_snapshot(name: impl Into<String>, path: impl AsRef<Path>) -> io::Result<Self> {
         let snap = ceg_catalog::io::read_snapshot(path)?;
-        Ok(DatasetEntry::new(name, snap.graph, snap.markov).with_epoch(snap.epoch))
+        // The epoch sequence continues: estimates cached against the old
+        // process's epochs can never be confused with fresh ones.
+        let (remap, state) = EpochState::renumbered(&snap.graph, snap.epoch, snap.markov);
+        let threshold = default_rebase_threshold(snap.graph.num_edges());
+        Ok(Self::from_parts(name.into(), remap, threshold, state))
     }
 
     /// Make this dataset's commits crash-safe: every effective commit is
@@ -838,12 +808,15 @@ impl DatasetEntry {
     }
 
     /// Rebuild a dataset exactly as the last acked commit left it: load
-    /// the snapshot, replay every WAL transaction with a later epoch
-    /// through the normal commit path (so overlay, rebase and catalog
-    /// maintenance all re-run deterministically), then attach the WAL
-    /// for new appends. A torn tail — the fingerprint of a crash mid
-    /// append — is truncated by the scan and reported, never an error:
-    /// by the ack protocol those bytes were never acked.
+    /// the snapshot, apply the effective delta of every WAL transaction
+    /// with a later epoch to the graph (the merge / rebase steps of a live
+    /// commit; a transaction that does not produce its logged epoch is an
+    /// error), recount the catalog **once** over the union of touched
+    /// labels on the final graph — counts are exact, so this equals a
+    /// recount per transaction — then attach the WAL for new appends. A
+    /// torn tail — the fingerprint of a crash mid append — is truncated
+    /// by the scan and reported, never an error: by the ack protocol
+    /// those bytes were never acked.
     pub fn recover(
         name: impl Into<String>,
         storage: Arc<dyn Storage>,
@@ -855,9 +828,8 @@ impl DatasetEntry {
         let wal_path = wal_path.into();
         let snap = ceg_catalog::io::read_snapshot_with(&*storage, &snap_path)?;
         let snapshot_epoch = snap.epoch;
-        let entry = DatasetEntry::new(name, snap.graph, snap.markov)
-            .with_jobs(jobs)
-            .with_epoch(snapshot_epoch);
+        let rebase_threshold = default_rebase_threshold(snap.graph.num_edges());
+        let (remap, mut state) = EpochState::renumbered(&snap.graph, snapshot_epoch, snap.markov);
         let (writer, scan) = WalWriter::open(&*storage, &wal_path)?;
         let mut report = RecoveryReport {
             snapshot_epoch,
@@ -866,37 +838,46 @@ impl DatasetEntry {
             epoch: snapshot_epoch,
             torn_tail: scan.diagnosis.clone(),
         };
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut touched: Vec<LabelId> = Vec::new();
         for tx in &scan.txs {
             // Epochs at or below the snapshot's were already folded in
             // by the rotation that wrote it; skip them.
             if tx.epoch <= snapshot_epoch {
                 continue;
             }
+            let mut delta = GraphDelta::new();
             for op in &tx.ops {
-                entry
-                    .buffer_update(op.src, op.dst, op.label, op.del)
-                    .map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("WAL replay: op rejected: {e}"),
-                        )
-                    })?;
+                state
+                    .check_update(op.src, op.dst, op.label)
+                    .map_err(|e| invalid(format!("WAL replay: op rejected: {e}")))?;
+                let (src, dst) = (remap.to_internal(op.src), remap.to_internal(op.dst));
+                if op.del {
+                    delta.del_edge(src, dst, op.label);
+                } else {
+                    delta.add_edge(src, dst, op.label);
+                }
             }
-            let outcome = entry.commit();
-            if outcome.epoch != tx.epoch {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL replay diverged: transaction for epoch {} \
-                         produced epoch {} — snapshot and log disagree",
-                        tx.epoch, outcome.epoch
-                    ),
-                ));
+            let effective = state.effective(&delta);
+            if !effective.is_empty() {
+                state.apply(&effective, rebase_threshold);
+                touched.extend(effective.touched_labels());
+            }
+            if state.epoch != tx.epoch {
+                return Err(invalid(format!(
+                    "WAL replay diverged: transaction for epoch {} \
+                     produced epoch {} — snapshot and log disagree",
+                    tx.epoch, state.epoch
+                )));
             }
             report.replayed_commits += 1;
             report.replayed_ops += tx.ops.len();
         }
-        report.epoch = entry.epoch();
+        touched.sort_unstable();
+        touched.dedup();
+        state.refresh(&touched, jobs);
+        report.epoch = state.epoch;
+        let entry = Self::from_parts(name.into(), remap, rebase_threshold, state).with_jobs(jobs);
         *entry.durability.lock() = Some(Durability {
             storage,
             snap_path,
@@ -951,12 +932,13 @@ impl DatasetEntry {
         }
     }
 
-    /// The fold itself, under the durability lock. Order matters for
-    /// crash safety: the snapshot is written **atomically first** (tmp +
-    /// rename), the WAL truncated **after**. A crash between the two
-    /// leaves a new snapshot plus a log of now-stale transactions —
-    /// harmless, because replay skips epochs the snapshot already
-    /// covers. The reverse order would lose acked commits.
+    /// The fold itself, under the durability lock (so no commit is in
+    /// flight and the pinned state is the log's last epoch). Order
+    /// matters for crash safety: the snapshot is written **atomically
+    /// first** (tmp + rename), the WAL truncated **after**. A crash
+    /// between the two leaves a new snapshot plus a log of now-stale
+    /// transactions — harmless, because replay skips epochs the snapshot
+    /// already covers. The reverse order would lose acked commits.
     fn rotate_locked(&self, d: &mut Durability) -> io::Result<RotateOutcome> {
         let folded = d
             .writer

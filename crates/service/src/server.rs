@@ -768,9 +768,9 @@ fn serve_connection(
                     );
                 }
             }
-            // SNAPSHOT holds the dataset's state read lock while it
-            // writes the file; answered inline like COMMIT — the client
-            // opted into its latency.
+            // SNAPSHOT pins one epoch state and writes it with no lock
+            // held; answered inline like COMMIT — the client opted into
+            // its latency.
             Ok(Request::Snapshot { dataset, path }) => {
                 let resp = match engine.snapshot(&dataset, &path) {
                     Ok(ack) => Response::Snapshotted(ack),
