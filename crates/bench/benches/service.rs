@@ -1,9 +1,9 @@
-//! Service-layer throughput: batched vs one-at-a-time estimation.
-//!
-//! The service batches requests per dataset so one cache pass, one
-//! catalog fill and one catalog read lock cover the whole batch. These
-//! benches quantify that amortization on the engine directly (no socket
-//! in the way), plus the ceiling set by the LRU cache:
+//! Service-layer throughput on the engine directly (no socket in the
+//! way): what one request of many queries saves over many requests of
+//! one, plus the ceiling set by the LRU cache. Both shapes go through
+//! the same `Engine::estimate_batch`; a request pins the epoch, hashes,
+//! takes the cache lock for its probes and takes its admission permits
+//! once, and runs its misses one after the other:
 //!
 //! * `one-at-a-time/*` — one `Engine::estimate` call per query,
 //! * `batched/*` — one `Engine::estimate_batch` call for the workload,
@@ -55,9 +55,9 @@ fn bench_service(c: &mut Criterion) {
     let single = engine_for(&graph, 0);
     let batched = engine_for(&graph, 0);
     let cached = engine_for(&graph, 4096);
-    single.estimate_batch("bench", &queries).unwrap();
-    batched.estimate_batch("bench", &queries).unwrap();
-    cached.estimate_batch("bench", &queries).unwrap();
+    common::estimate_all(&single, &queries);
+    common::estimate_all(&batched, &queries);
+    common::estimate_all(&cached, &queries);
 
     group.bench_function("one-at-a-time/job", |b| {
         b.iter(|| {
@@ -67,16 +67,10 @@ fn bench_service(c: &mut Criterion) {
         });
     });
     group.bench_function("batched/job", |b| {
-        b.iter(|| {
-            black_box(
-                batched
-                    .estimate_batch("bench", black_box(&queries))
-                    .unwrap(),
-            )
-        });
+        b.iter(|| black_box(common::estimate_all(&batched, black_box(&queries))));
     });
     group.bench_function("cached/job", |b| {
-        b.iter(|| black_box(cached.estimate_batch("bench", black_box(&queries)).unwrap()));
+        b.iter(|| black_box(common::estimate_all(&cached, black_box(&queries))));
     });
     // Tracing overhead, isolated: the same warm-cache traffic answered
     // through `Engine::explain` (a live `Trace` recording every span and
@@ -116,8 +110,6 @@ fn bench_overload(
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 2,
-            batch_max: 8,
             cache_capacity: 0, // every slot takes the admission-controlled path
             queue_cap: 4,
             default_deadline_ms: None,
@@ -142,7 +134,7 @@ fn bench_overload(
         });
     });
     // The same batch already expired on arrival (`DEADLINE_MS=0`): every
-    // admitted slot resolves to a typed TIMEOUT at dequeue — the cost of
+    // admitted slot resolves to a typed TIMEOUT before it runs — the cost of
     // shedding a batch of dead work, and a guaranteed non-zero
     // `timeout_total` in the counter trace.
     group.bench_function("expired_deadline_batch_64/job", |b| {

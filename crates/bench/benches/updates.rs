@@ -68,14 +68,14 @@ fn bench_updates(c: &mut Criterion) {
     let (live, live_entry) = engine_for(&graph, 4096);
     let (churn, churn_entry) = engine_for(&graph, 0);
     for engine in [&steady, &cached, &live, &churn] {
-        engine.estimate_batch("bench", &queries).unwrap();
+        common::estimate_all(engine, &queries);
     }
 
     group.bench_function("estimate_steady/job", |b| {
-        b.iter(|| black_box(steady.estimate_batch("bench", black_box(&queries)).unwrap()));
+        b.iter(|| black_box(common::estimate_all(&steady, black_box(&queries))));
     });
     group.bench_function("estimate_cached_steady/job", |b| {
-        b.iter(|| black_box(cached.estimate_batch("bench", black_box(&queries)).unwrap()));
+        b.iter(|| black_box(common::estimate_all(&cached, black_box(&queries))));
     });
 
     let mut flip = false;
@@ -89,7 +89,7 @@ fn bench_updates(c: &mut Criterion) {
             flip = !flip;
             let outcome = live_entry.commit();
             debug_assert!(outcome.added + outcome.deleted == 1);
-            black_box(live.estimate_batch("bench", black_box(&queries)).unwrap())
+            black_box(common::estimate_all(&live, black_box(&queries)))
         });
     });
 
@@ -113,7 +113,7 @@ fn bench_updates(c: &mut Criterion) {
     let scratch = wal_dir.join(format!("ceg-bench-durable-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).unwrap();
     let (durable, durable_entry) = engine_for(&graph, 0);
-    durable.estimate_batch("bench", &queries).unwrap();
+    common::estimate_all(&durable, &queries);
     durable_entry
         .attach_durability(
             Arc::new(ceg_graph::vfs::OsStorage),

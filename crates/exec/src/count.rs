@@ -421,14 +421,13 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
     /// Precompute the per-depth extension plans for `query` under the
     /// [`variable_order`] heuristic. This form never factorizes — its
     /// binding layout matches the query's variable ids, which
-    /// [`CountPlan::enumerate`] exposes — and reads the intersection
-    /// strategy from the `CEG_FORCE_INTERSECT` test knob.
+    /// [`CountPlan::enumerate`] exposes — and intersects adaptively.
     pub fn new(graph: &'a G, query: &QueryGraph, cons: &VarConstraints) -> Self {
-        Self::with_strategy(graph, query, cons, IntersectStrategy::from_env())
+        Self::with_strategy(graph, query, cons, IntersectStrategy::Adaptive)
     }
 
-    /// [`CountPlan::new`] with an explicit [`IntersectStrategy`] —
-    /// race-free for tests that must not touch the process environment.
+    /// [`CountPlan::new`] with an explicit [`IntersectStrategy`] — how
+    /// the differential tests force each strategy.
     pub fn with_strategy(
         graph: &'a G,
         query: &QueryGraph,
@@ -452,7 +451,7 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
     /// ids); use [`CountPlan::new`] when [`CountPlan::enumerate`] must
     /// report bindings by the original ids.
     pub fn new_counting(graph: &'a G, query: &QueryGraph, cons: &VarConstraints) -> Self {
-        Self::counting_with_strategy(graph, query, cons, IntersectStrategy::from_env())
+        Self::counting_with_strategy(graph, query, cons, IntersectStrategy::Adaptive)
     }
 
     /// [`CountPlan::new_counting`] with an explicit strategy.

@@ -24,9 +24,8 @@ pub use ceg_graph::intersect::{
 /// per-depth bitset path where the plan enabled it from degree stats. The
 /// forced settings pin every pairwise step (and the bitset path on or
 /// off) so tests exercise each strategy even where the crossover would
-/// never pick it. Read once per plan from `CEG_FORCE_INTERSECT`
-/// (`merge` / `gallop` / `bitset`) by [`IntersectStrategy::from_env`], or
-/// injected directly via `CountPlan::with_strategy` for race-free tests.
+/// never pick it; they are injected via `CountPlan::with_strategy` /
+/// `CountPlan::counting_with_strategy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectStrategy {
     #[default]
@@ -38,21 +37,6 @@ pub enum IntersectStrategy {
     /// The bitset path is enabled wherever structurally possible
     /// (ignoring the degree-stat crossover); other steps stay adaptive.
     Bitset,
-}
-
-impl IntersectStrategy {
-    /// The strategy named by `CEG_FORCE_INTERSECT`, default
-    /// [`Adaptive`](IntersectStrategy::Adaptive). Unrecognized values
-    /// fall back to adaptive rather than erroring: the knob is a test
-    /// override, not configuration.
-    pub fn from_env() -> Self {
-        match std::env::var("CEG_FORCE_INTERSECT").as_deref() {
-            Ok("merge") => IntersectStrategy::Merge,
-            Ok("gallop") => IntersectStrategy::Gallop,
-            Ok("bitset") => IntersectStrategy::Bitset,
-            _ => IntersectStrategy::Adaptive,
-        }
-    }
 }
 
 /// Intersect `lists` (each sorted and duplicate-free) into `out`.

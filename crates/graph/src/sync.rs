@@ -78,7 +78,8 @@ pub enum LockRank {
     /// Metrics-adjacent state: slow-query log, admission counters,
     /// catalog fill statistics.
     Metrics = 5,
-    /// Worker-pool shard state and lifecycle/drain signalling.
+    /// The estimate path's run gate (`Engine`'s free-slot counter) and
+    /// lifecycle/drain signalling (`Lifecycle::signal`).
     PoolShard = 6,
     /// `vfs::FaultStorage` interior — the simulated device. Last:
     /// storage calls happen under any of the above.

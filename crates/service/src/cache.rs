@@ -180,37 +180,16 @@ impl EstimateCache {
         }
     }
 
-    /// Look up an estimate for `query` on `dataset` at the dataset's
-    /// current `epoch`. `Some(value)` is a verified hit (the cached query
-    /// is isomorphic **and** the cached epoch matches, so the estimate is
-    /// exactly what the estimator would recompute); `None` is a miss —
-    /// including the case of an entry stranded at an older epoch by a
-    /// committed graph update. Counters are updated either way.
-    pub fn lookup(&mut self, dataset: &str, query: &QueryGraph, epoch: u64) -> Option<Option<f64>> {
-        self.lookup_hashed(dataset, query, query.canonical_hash(), epoch)
-    }
-
-    /// [`EstimateCache::lookup`] with the query's canonical hash already
-    /// computed — callers holding a lock around the cache (the engine)
-    /// hash outside it and probe with this.
-    pub fn lookup_hashed(
-        &mut self,
-        dataset: &str,
-        query: &QueryGraph,
-        canonical_hash: u64,
-        epoch: u64,
-    ) -> Option<Option<f64>> {
-        match self.probe_hashed(dataset, query, canonical_hash, epoch) {
-            ProbeOutcome::Hit(value) => Some(value),
-            ProbeOutcome::StaleMiss | ProbeOutcome::ColdMiss => None,
-        }
-    }
-
-    /// [`EstimateCache::lookup_hashed`] reporting *why* a miss missed: a
-    /// [`ProbeOutcome::StaleMiss`] found an isomorphic entry stranded at
-    /// an older epoch, a [`ProbeOutcome::ColdMiss`] found nothing at all.
-    /// Counters are updated exactly as in `lookup_hashed` (stale misses
-    /// additionally bump their own counter).
+    /// Probe for an estimate of `query` on `dataset` at the dataset's
+    /// current `epoch`, with the query's canonical hash already computed
+    /// (callers hash outside the lock they hold around the cache). A
+    /// [`ProbeOutcome::Hit`] is verified: the cached query is isomorphic
+    /// **and** the cached epoch matches, so the value is exactly what the
+    /// estimator would recompute. A [`ProbeOutcome::StaleMiss`] found an
+    /// isomorphic entry stranded at an older epoch by a committed graph
+    /// update, a [`ProbeOutcome::ColdMiss`] found nothing at all.
+    /// Counters are updated either way (stale misses additionally bump
+    /// their own).
     pub fn probe_hashed(
         &mut self,
         dataset: &str,
@@ -241,46 +220,11 @@ impl EstimateCache {
         }
     }
 
-    /// [`EstimateCache::lookup_hashed`] for the connection handlers' fast
-    /// path: a verified hit counts as a hit, but a miss is **not**
-    /// counted — the request then takes the full engine path, whose own
-    /// lookup records the authoritative hit-or-miss. Without this split a
-    /// fast-path probe plus the engine probe would count one request
-    /// twice.
-    pub fn peek_hashed(
-        &mut self,
-        dataset: &str,
-        query: &QueryGraph,
-        canonical_hash: u64,
-        epoch: u64,
-    ) -> Option<Option<f64>> {
-        let key = bucket_key(dataset, canonical_hash);
-        if let Some(bucket) = self.lru.get(&key) {
-            for entry in bucket {
-                if entry.dataset == dataset
-                    && entry.epoch == epoch
-                    && entry.query.is_isomorphic(query)
-                {
-                    let value = entry.value;
-                    self.hits += 1;
-                    return Some(value);
-                }
-            }
-        }
-        None
-    }
-
     /// Store an estimate computed at `epoch`. Collision buckets stay tiny
     /// (WL collisions need deliberately adversarial regular graphs), so
-    /// the inner scan is a formality.
-    pub fn store(&mut self, dataset: &str, query: &QueryGraph, epoch: u64, value: Option<f64>) {
-        self.store_hashed(dataset, query, query.canonical_hash(), epoch, value)
-    }
-
-    /// [`EstimateCache::store`] with a precomputed canonical hash. An
-    /// existing entry for an isomorphic query is replaced in place —
-    /// including a stale-epoch entry, which is how invalidated estimates
-    /// get refreshed rather than duplicated.
+    /// the inner scan is a formality. An existing entry for an isomorphic
+    /// query is replaced in place — including a stale-epoch entry, which
+    /// is how invalidated estimates get refreshed rather than duplicated.
     pub fn store_hashed(
         &mut self,
         dataset: &str,
@@ -345,6 +289,15 @@ impl EstimateCache {
 mod tests {
     use super::*;
     use ceg_query::templates;
+    use ProbeOutcome::{ColdMiss, Hit, StaleMiss};
+
+    fn probe(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64) -> ProbeOutcome {
+        cache.probe_hashed(dataset, q, q.canonical_hash(), epoch)
+    }
+
+    fn store(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64, v: Option<f64>) {
+        cache.store_hashed(dataset, q, q.canonical_hash(), epoch, v)
+    }
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -395,10 +348,10 @@ mod tests {
     fn estimate_cache_hits_isomorphic_queries() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(3, &[0, 1, 0]);
-        assert_eq!(cache.lookup("ds", &q, 0), None);
-        cache.store("ds", &q, 0, Some(42.0));
+        assert_eq!(probe(&mut cache, "ds", &q, 0), ColdMiss);
+        store(&mut cache, "ds", &q, 0, Some(42.0));
         // Same query: hit.
-        assert_eq!(cache.lookup("ds", &q, 0), Some(Some(42.0)));
+        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(Some(42.0)));
         // Renamed (isomorphic) query: still a hit.
         let renamed = {
             use ceg_query::{QueryEdge, QueryGraph};
@@ -409,7 +362,7 @@ mod tests {
                 .collect();
             QueryGraph::new(4, edges)
         };
-        assert_eq!(cache.lookup("ds", &renamed, 0), Some(Some(42.0)));
+        assert_eq!(probe(&mut cache, "ds", &renamed, 0), Hit(Some(42.0)));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
     }
@@ -418,17 +371,17 @@ mod tests {
     fn estimate_cache_separates_datasets() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        cache.store("a", &q, 0, Some(1.0));
-        assert_eq!(cache.lookup("b", &q, 0), None);
-        assert_eq!(cache.lookup("a", &q, 0), Some(Some(1.0)));
+        store(&mut cache, "a", &q, 0, Some(1.0));
+        assert_eq!(probe(&mut cache, "b", &q, 0), ColdMiss);
+        assert_eq!(probe(&mut cache, "a", &q, 0), Hit(Some(1.0)));
     }
 
     #[test]
     fn estimate_cache_caches_failures() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        cache.store("ds", &q, 0, None);
-        assert_eq!(cache.lookup("ds", &q, 0), Some(None));
+        store(&mut cache, "ds", &q, 0, None);
+        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(None));
         assert_eq!(cache.hits(), 1);
     }
 
@@ -436,17 +389,17 @@ mod tests {
     fn stale_epoch_misses_instead_of_lying() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        cache.store("ds", &q, 0, Some(7.0));
-        assert_eq!(cache.lookup("ds", &q, 0), Some(Some(7.0)));
+        store(&mut cache, "ds", &q, 0, Some(7.0));
+        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(Some(7.0)));
         // The dataset committed an update: epoch 1 probes must miss.
-        assert_eq!(cache.lookup("ds", &q, 1), None);
+        assert_eq!(probe(&mut cache, "ds", &q, 1), StaleMiss);
         assert_eq!(cache.misses(), 1); // the stale probe is a counted miss
                                        // Recomputing at epoch 1 replaces the entry in place.
-        cache.store("ds", &q, 1, Some(9.0));
-        assert_eq!(cache.lookup("ds", &q, 1), Some(Some(9.0)));
+        store(&mut cache, "ds", &q, 1, Some(9.0));
+        assert_eq!(probe(&mut cache, "ds", &q, 1), Hit(Some(9.0)));
         assert_eq!(cache.len(), 1, "replaced, not duplicated");
         // And the old epoch can no longer hit either.
-        assert_eq!(cache.lookup("ds", &q, 0), None);
+        assert_eq!(probe(&mut cache, "ds", &q, 0), StaleMiss);
     }
 
     #[test]
@@ -455,7 +408,7 @@ mod tests {
         let q = templates::path(2, &[0, 1]);
         let h = q.canonical_hash();
         assert_eq!(cache.probe_hashed("ds", &q, h, 0), ProbeOutcome::ColdMiss);
-        cache.store("ds", &q, 0, Some(7.0));
+        store(&mut cache, "ds", &q, 0, Some(7.0));
         assert_eq!(
             cache.probe_hashed("ds", &q, h, 0),
             ProbeOutcome::Hit(Some(7.0))
@@ -475,10 +428,10 @@ mod tests {
     fn late_store_from_old_epoch_cannot_downgrade() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        cache.store("ds", &q, 2, Some(5.0));
+        store(&mut cache, "ds", &q, 2, Some(5.0));
         // A straggler that computed against epoch 1 finishes late.
-        cache.store("ds", &q, 1, Some(4.0));
-        assert_eq!(cache.lookup("ds", &q, 2), Some(Some(5.0)));
-        assert_eq!(cache.lookup("ds", &q, 1), None);
+        store(&mut cache, "ds", &q, 1, Some(4.0));
+        assert_eq!(probe(&mut cache, "ds", &q, 2), Hit(Some(5.0)));
+        assert_eq!(probe(&mut cache, "ds", &q, 1), StaleMiss);
     }
 }

@@ -299,8 +299,8 @@ impl Client {
 
     /// Estimate an ordered batch of queries against one dataset in one
     /// wire round-trip per [`crate::protocol::MAX_BATCH_QUERIES`]-sized
-    /// chunk (`ESTIMATE_BATCH`): the server fans each chunk across its
-    /// worker pool and streams the answers back in request order.
+    /// chunk (`ESTIMATE_BATCH`): the server streams each chunk's answers
+    /// back in request order as it computes them.
     /// Replies line up index-for-index with `queries`. An empty batch
     /// is answered locally without touching the wire.
     pub fn estimate_batch(

@@ -1,20 +1,31 @@
 //! The transport-independent estimation core.
 //!
-//! One [`Engine`] per server: it owns the shared [`EstimateCache`] and a
-//! handle to the [`DatasetRegistry`], and turns a batch of queries into a
-//! batch of estimates against **one pinned epoch** of the dataset, in
-//! three phases — cache lookups, one amortized catalog fill for all
-//! misses, then per-query estimation under a single catalog read lock.
-//! The TCP server, `cegcli`, benches and tests all drive this
-//! same type, so the batched path is measurable without a socket in the
+//! One [`Engine`] per server: it owns the shared [`EstimateCache`], a
+//! handle to the [`DatasetRegistry`] and the overload controls, and has
+//! **one estimate path**, [`Engine::estimate_batch`], which runs start to
+//! finish on the calling thread against one pinned epoch of the dataset:
+//!
+//! 1. hash every query once and probe the cache once — hits are answered
+//!    here, before any admission, so a hit never waits behind cold work;
+//! 2. every miss takes a per-dataset admission permit, all up front
+//!    (`QueueFull` beyond the cap);
+//! 3. in request order, each admitted miss waits for one of a fixed
+//!    number of run slots, re-checks drain and deadline, fills its
+//!    missing catalog patterns, estimates, stores the result, releases
+//!    slot and permit, and only then hands its outcome to the caller.
+//!
+//! The TCP server (`ESTIMATE`, each slot of `ESTIMATE_BATCH`,
+//! `EXPLAIN_ESTIMATE`), benches and tests all drive this same function,
+//! so what a socket client gets is measurable without a socket in the
 //! way.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use ceg_core::sync::{LockRank, OrderedMutex};
+use ceg_core::sync::{self, LockRank, OrderedMutex};
 use ceg_core::trace::Trace;
 use ceg_estimators::{CardinalityEstimator, OptimisticEstimator};
 use ceg_graph::{LabelId, VertexId};
@@ -22,16 +33,16 @@ use ceg_query::{Pattern, QueryGraph};
 
 use crate::cache::{EstimateCache, ProbeOutcome};
 use crate::metrics::Metrics;
-use crate::registry::{CommitOutcome, DatasetRegistry};
+use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EpochState};
 
 /// Entries kept in the slow-query ring buffer (oldest evicted first).
 const SLOWLOG_CAP: usize = 128;
 
-/// Default slow-query threshold: batches slower than this are logged.
+/// Default slow-query threshold: misses slower than this are logged.
 pub const DEFAULT_SLOW_QUERY_THRESHOLD_MS: u64 = 250;
 
-/// One slow-query record: which query was slow, where its batch spent
-/// the time, and the epoch it ran against. Kept in a bounded ring
+/// One slow-query record: which query was slow, where it spent the
+/// time, and the epoch it ran against. Kept in a bounded ring
 /// ([`Engine::slowlog`]) and surfaced by the `SLOWLOG` wire command and
 /// the drain report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +54,8 @@ pub struct SlowQueryEntry {
     pub dataset: String,
     /// Committed epoch at execution time.
     pub epoch: u64,
-    /// Total batch latency in microseconds.
+    /// The miss's latency in microseconds: its request's cache pass,
+    /// its wait for a run slot, its fill and its estimation.
     pub micros: u64,
     /// Microseconds in the cache pass (including cache-lock wait).
     pub cache_us: u64,
@@ -64,16 +76,38 @@ pub struct EstimateOutcome {
     pub cached: bool,
 }
 
-/// The fate of one deadline-bounded query: answered, or abandoned at its
-/// deadline. There is no partial state — a query whose catalog fill was
-/// cut short times out; its half-counted patterns are discarded, never
-/// cached or reported.
+/// The fate of one query: answered, abandoned at its deadline, or
+/// refused by overload control. There is no partial state — a query
+/// whose catalog fill was cut short times out; its half-counted patterns
+/// are discarded, never cached or reported.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryOutcome {
     /// Answered (computed or cache-served).
     Done(EstimateOutcome),
     /// Abandoned: the deadline passed before the answer was ready.
     TimedOut,
+    /// Refused: a miss, and its dataset already had as many misses
+    /// admitted as the cap allows (the wire's `BUSY queue full`).
+    QueueFull,
+    /// Refused: a drain began before the miss got to run (the wire's
+    /// `BUSY server draining`).
+    Draining,
+}
+
+/// What one request carries into [`Engine::estimate_batch`].
+#[derive(Default)]
+pub struct RequestCtx<'a> {
+    /// The server's request id (0 for direct API callers that have
+    /// none); labels slow-query records.
+    pub id: u64,
+    /// When the request's misses stop being worth running (`None` =
+    /// unbounded). Checked after the run-slot wait and between plan
+    /// depths inside the counting kernel; hits are answered regardless.
+    pub deadline: Option<Instant>,
+    /// Records the span/counter breakdown when present — what
+    /// `EXPLAIN_ESTIMATE` adds; it changes what is reported, never what
+    /// is computed.
+    pub trace: Option<&'a mut Trace>,
 }
 
 /// Acknowledgement of one buffered `ADD_EDGE`/`DEL_EDGE`.
@@ -98,6 +132,8 @@ pub struct SnapshotAck {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     pub requests: u64,
+    /// Calls of [`Engine::estimate_batch`]: one per `ESTIMATE`,
+    /// `EXPLAIN_ESTIMATE` or `ESTIMATE_BATCH` request.
     pub batches: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -106,16 +142,113 @@ pub struct EngineStats {
     pub busy: u64,
     /// Requests answered with `TIMEOUT`.
     pub timeouts: u64,
-    /// Estimate jobs currently queued.
+    /// Misses admitted and not yet answered (waiting for a run slot or
+    /// running).
     pub queued: u64,
 }
 
-/// Shared estimation core: registry + cache + counters + metrics.
+/// Overload control on the estimate path: a per-dataset bound on
+/// admitted misses (counted on the [`DatasetEntry`]) and a fixed number
+/// of run slots. Both hand out RAII guards, so neither bound can leak
+/// whatever way a miss ends.
+struct Overload {
+    /// Most misses one dataset may have admitted at once.
+    queue_cap: usize,
+    /// Free run slots, of `max(2, available_parallelism)`: how many
+    /// misses count and estimate at once, however many connections
+    /// there are. `LockRank::PoolShard`: taken with nothing else held,
+    /// for the counter update only.
+    free_slots: OrderedMutex<usize>,
+    slot_freed: Condvar,
+}
+
+impl Overload {
+    fn new(queue_cap: usize) -> Self {
+        let slots = thread::available_parallelism()
+            .map_or(2, |n| n.get())
+            .max(2);
+        Overload {
+            queue_cap,
+            free_slots: OrderedMutex::new(LockRank::PoolShard, slots),
+            slot_freed: Condvar::new(),
+        }
+    }
+
+    /// Admit one miss on `entry`; `None` means the dataset is at its cap
+    /// and the miss must be refused.
+    fn try_admit<'a>(&self, entry: &'a DatasetEntry, metrics: &'a Metrics) -> Option<Permit<'a>> {
+        // Exact bound: a compare-exchange loop never overshoots the cap,
+        // unlike fetch_add-then-undo.
+        let counter = &entry.admitted;
+        let mut cur = counter.load(Ordering::Relaxed);
+        loop {
+            if cur >= self.queue_cap {
+                return None;
+            }
+            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
+            }
+        }
+        metrics.job_enqueued();
+        Some(Permit { counter, metrics })
+    }
+
+    /// Wait for a run slot; `None` means `deadline` passed first.
+    fn run_slot(&self, deadline: Option<Instant>) -> Option<RunSlot<'_>> {
+        let mut free = self.free_slots.lock();
+        while *free == 0 {
+            let wait = match deadline {
+                Some(d) => d.checked_duration_since(Instant::now())?,
+                None => Duration::from_secs(3600),
+            };
+            free = sync::wait_timeout(&self.slot_freed, free, wait).0;
+        }
+        *free -= 1;
+        Some(RunSlot(self))
+    }
+}
+
+/// One admitted miss; dropping it frees the dataset's admission slot.
+struct Permit<'a> {
+    counter: &'a AtomicUsize,
+    metrics: &'a Metrics,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.counter.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.job_finished();
+    }
+}
+
+/// One held run slot; dropping it wakes one waiter.
+struct RunSlot<'a>(&'a Overload);
+
+impl Drop for RunSlot<'_> {
+    fn drop(&mut self) {
+        // `checked_lock`: a drop may run during an unwind and must not
+        // panic; the lock is held for counter updates only, so poison
+        // cannot happen in practice.
+        if let Ok(mut free) = self.0.free_slots.checked_lock() {
+            *free += 1;
+        }
+        self.0.slot_freed.notify_one();
+    }
+}
+
+/// Shared estimation core: registry + cache + overload control +
+/// counters + metrics.
 pub struct Engine {
     registry: Arc<DatasetRegistry>,
     /// `LockRank::Cache`: taken after the registry map and any dataset
     /// locks are released, before the slowlog/metrics rank.
     cache: OrderedMutex<EstimateCache>,
+    overload: Overload,
+    /// Set once by [`Engine::begin_drain`]; misses that have not started
+    /// running are refused from then on.
+    draining: AtomicBool,
     requests: AtomicU64,
     batches: AtomicU64,
     metrics: Arc<Metrics>,
@@ -125,11 +258,24 @@ pub struct Engine {
 
 impl Engine {
     /// An engine over `registry` with an LRU cache of `cache_capacity`
-    /// buckets (0 disables caching).
+    /// buckets (0 disables caching) and no admission cap.
     pub fn new(registry: Arc<DatasetRegistry>, cache_capacity: usize) -> Self {
+        Engine::with_queue_cap(registry, cache_capacity, usize::MAX)
+    }
+
+    /// [`Engine::new`] refusing a dataset's misses beyond `queue_cap`
+    /// admitted at once — how the server applies
+    /// [`crate::ServerConfig::queue_cap`].
+    pub(crate) fn with_queue_cap(
+        registry: Arc<DatasetRegistry>,
+        cache_capacity: usize,
+        queue_cap: usize,
+    ) -> Self {
         Engine {
             registry,
             cache: OrderedMutex::new(LockRank::Cache, EstimateCache::new(cache_capacity)),
+            overload: Overload::new(queue_cap),
+            draining: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             metrics: Arc::new(Metrics::new()),
@@ -138,8 +284,8 @@ impl Engine {
         }
     }
 
-    /// Set the slow-query threshold: batches whose wall-clock latency
-    /// reaches `ms` milliseconds are recorded in the slow-query ring.
+    /// Set the slow-query threshold: misses whose latency reaches `ms`
+    /// milliseconds are recorded in the slow-query ring.
     /// `u64::MAX / 1000` or larger effectively disables the log.
     pub fn set_slow_query_threshold_ms(&self, ms: u64) {
         self.slow_threshold_us
@@ -172,97 +318,29 @@ impl Engine {
         &self.metrics
     }
 
-    /// Fast-path cache probe: answer `query` from the LRU cache without
-    /// touching the worker pool or the catalog. `None` means "not
-    /// cached" and records nothing — the request then takes the full
-    /// path, whose own lookup counts the authoritative hit-or-miss.
-    ///
-    /// Connection handlers call this before enqueueing, which keeps warm
-    /// traffic responsive even when every worker is grinding on cold
-    /// queries (and is what the overload suite's fairness bound
-    /// measures).
-    pub fn try_cached(&self, dataset: &str, query: &QueryGraph) -> Option<EstimateOutcome> {
-        let epoch = self.registry.get(dataset)?.epoch();
-        let hash = query.canonical_hash();
-        // A poisoned cache is indistinguishable from a miss here: the
-        // request falls through to the full path, which degrades the
-        // same way (serves uncached, skips the store).
-        let value = self
-            .cache
-            .checked_lock()
-            .ok()?
-            .peek_hashed(dataset, query, hash, epoch)?;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        Some(EstimateOutcome {
-            value,
-            cached: true,
-        })
+    /// Start refusing estimates: from here on every request, and every
+    /// admitted miss that has not started running, is `Draining`.
+    pub(crate) fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Estimate one query (a batch of one).
+    /// Has [`Engine::begin_drain`] been called?
+    pub(crate) fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Estimate one query (a batch of one, no deadline).
     pub fn estimate(&self, dataset: &str, query: &QueryGraph) -> Result<EstimateOutcome, String> {
-        self.estimate_batch(dataset, std::slice::from_ref(query))?
-            .into_iter()
-            .next()
-            .ok_or_else(|| "internal error: batch of one produced no outcome".to_string())
-    }
-
-    /// Estimate a batch of queries against one dataset.
-    ///
-    /// Phases: (1) one cache pass under the cache lock; (2) one
-    /// `ensure_patterns` call for **all** misses, so overlapping patterns
-    /// across the batch are counted once and the catalog write lock is
-    /// taken at most once; (3) estimation for the misses under a single
-    /// catalog read lock; (4) one cache pass to store the new results.
-    pub fn estimate_batch(
-        &self,
-        dataset: &str,
-        queries: &[QueryGraph],
-    ) -> Result<Vec<EstimateOutcome>, String> {
-        let deadlines = vec![None; queries.len()];
-        Ok(self
-            .estimate_batch_deadline(dataset, queries, &deadlines)?
-            .into_iter()
-            .map(|o| match o {
-                QueryOutcome::Done(outcome) => outcome,
-                QueryOutcome::TimedOut => unreachable!("no deadline, no timeout"),
-            })
-            .collect())
-    }
-
-    /// [`Engine::estimate_batch`] with a per-query deadline (`None` =
-    /// unbounded). A query whose deadline has already passed at entry is
-    /// answered `TimedOut` without any work; the rest take the usual
-    /// cache pass, one shared catalog fill (bounded by the **latest**
-    /// deadline among the misses, so no query's counting outlives every
-    /// waiter), and an estimation pass. A miss whose sub-pattern counts
-    /// did not all complete by its deadline is `TimedOut` — partial
-    /// counts are discarded, never cached, never reported.
-    pub fn estimate_batch_deadline(
-        &self,
-        dataset: &str,
-        queries: &[QueryGraph],
-        deadlines: &[Option<Instant>],
-    ) -> Result<Vec<QueryOutcome>, String> {
-        self.batch_inner(dataset, queries, deadlines, None, None)
-    }
-
-    /// [`Engine::estimate_batch_deadline`] with the server's per-request
-    /// ids attached (they label slow-query records).
-    pub fn estimate_batch_deadline_ids(
-        &self,
-        dataset: &str,
-        queries: &[QueryGraph],
-        deadlines: &[Option<Instant>],
-        ids: &[u64],
-    ) -> Result<Vec<QueryOutcome>, String> {
-        self.batch_inner(dataset, queries, deadlines, Some(ids), None)
+        match self.estimate_one(dataset, query, RequestCtx::default())? {
+            QueryOutcome::Done(outcome) => Ok(outcome),
+            refused => Err(format!("estimate refused: {refused:?}")),
+        }
     }
 
     /// Estimate one query with an **enabled** [`Trace`]: the result is
-    /// bit-identical to [`Engine::estimate`] (same cache, same catalog,
-    /// same estimator), plus the recorded span/counter breakdown. This
-    /// is the handler behind `EXPLAIN_ESTIMATE`.
+    /// bit-identical to [`Engine::estimate`] (same call, same cache,
+    /// same catalog, same estimator), plus the recorded span/counter
+    /// breakdown `EXPLAIN_ESTIMATE` reports.
     pub fn explain(
         &self,
         dataset: &str,
@@ -270,35 +348,48 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<(QueryOutcome, Trace), String> {
         let mut trace = Trace::enabled();
-        let outcomes = self.batch_inner(
-            dataset,
-            std::slice::from_ref(query),
-            &[deadline],
-            None,
-            Some(&mut trace),
-        )?;
-        let outcome = outcomes
-            .into_iter()
-            .next()
-            .ok_or_else(|| "internal error: batch of one produced no outcome".to_string())?;
+        let ctx = RequestCtx {
+            id: 0,
+            deadline,
+            trace: Some(&mut trace),
+        };
+        let outcome = self.estimate_one(dataset, query, ctx)?;
         Ok((outcome, trace))
     }
 
-    /// The one batched estimation path everything above funnels into.
-    /// `ids` (when given) label slow-query records with the server's
-    /// request ids; `trace` (when given) records the span/counter
-    /// breakdown. Both are `None` on the hot path, which then differs
-    /// from the pre-trace code by four `Instant::now` calls per batch.
-    fn batch_inner(
+    /// A batch of one: the single outcome of [`Engine::estimate_batch`].
+    pub(crate) fn estimate_one(
+        &self,
+        dataset: &str,
+        query: &QueryGraph,
+        ctx: RequestCtx<'_>,
+    ) -> Result<QueryOutcome, String> {
+        let mut outcome = None;
+        self.estimate_batch(dataset, std::slice::from_ref(query), ctx, |o| {
+            outcome = Some(o)
+        })?;
+        outcome.ok_or_else(|| "internal error: batch of one produced no outcome".to_string())
+    }
+
+    /// The one estimate path: answer `queries` against one pinned epoch
+    /// of `dataset`, handing each outcome to `reply` in request order as
+    /// soon as it is known (so a caller can stream them). `Err` means
+    /// nothing was answered (unknown dataset) and `reply` was not called.
+    ///
+    /// Every query is hashed once and probed once, under one cache lock;
+    /// hits are final there. Every miss then takes its admission permit
+    /// — all of them before the first one runs, so a wide cold batch
+    /// meets the cap as a whole — and the admitted ones run one after
+    /// the other on this thread (`run_miss`). Overlapping patterns across
+    /// the batch are still counted once: a later miss finds what an
+    /// earlier fill inserted in the pinned catalog.
+    pub fn estimate_batch(
         &self,
         dataset: &str,
         queries: &[QueryGraph],
-        deadlines: &[Option<Instant>],
-        ids: Option<&[u64]>,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<Vec<QueryOutcome>, String> {
-        debug_assert_eq!(queries.len(), deadlines.len());
-        let started = Instant::now();
+        mut ctx: RequestCtx<'_>,
+        mut reply: impl FnMut(QueryOutcome),
+    ) -> Result<(), String> {
         let entry = self
             .registry
             .get(dataset)
@@ -306,6 +397,13 @@ impl Engine {
         self.requests
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
+        if self.draining() {
+            for _ in queries {
+                self.metrics.record_busy();
+                reply(QueryOutcome::Draining);
+            }
+            return Ok(());
+        }
 
         // One estimate, one epoch: the cache tag, the catalog that is
         // filled and read, and the epoch EXPLAIN and the slow log report
@@ -315,230 +413,214 @@ impl Engine {
         let state = entry.pin();
         let epoch = state.epoch();
         // The WL canonical hash is the expensive part of a cache probe;
-        // compute it outside the cache lock so concurrent workers only
+        // compute it outside the cache lock so concurrent requests only
         // serialize on the map operations themselves.
         let hashes: Vec<u64> = queries.iter().map(|q| q.canonical_hash()).collect();
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; queries.len()];
-        let mut miss_indices: Vec<usize> = Vec::new();
-        let (mut hits, mut stale_misses, mut cold_misses) = (0u64, 0u64, 0u64);
         let cache_started = Instant::now();
-        let lock_wait_us;
-        {
-            let now = Instant::now();
-            // A poisoned cache (a panic under the cache lock) must not
-            // take estimation down with it: every query is treated as a
-            // cold miss and answered from the catalog, uncached.
-            let mut cache = self.cache.checked_lock().ok();
-            lock_wait_us = now.elapsed().as_micros() as u64;
-            for (i, q) in queries.iter().enumerate() {
-                if deadlines[i].is_some_and(|d| now >= d) {
-                    self.metrics.record_timeout();
-                    outcomes[i] = Some(QueryOutcome::TimedOut);
-                    continue;
-                }
-                let probe = match cache.as_mut() {
-                    Some(cache) => cache.probe_hashed(dataset, q, hashes[i], epoch),
-                    None => ProbeOutcome::ColdMiss,
-                };
-                match probe {
-                    ProbeOutcome::Hit(value) => {
-                        hits += 1;
-                        outcomes[i] = Some(QueryOutcome::Done(EstimateOutcome {
-                            value,
-                            cached: true,
-                        }));
-                    }
-                    ProbeOutcome::StaleMiss => {
-                        stale_misses += 1;
-                        miss_indices.push(i);
-                    }
-                    ProbeOutcome::ColdMiss => {
-                        cold_misses += 1;
-                        miss_indices.push(i);
-                    }
-                }
-            }
-        }
+        // A poisoned cache (a panic under the cache lock) must not take
+        // estimation down with it: every query is treated as a cold miss
+        // and answered from the catalog, uncached.
+        let mut cache = self.cache.checked_lock().ok();
+        let lock_wait_us = cache_started.elapsed().as_micros() as u64;
+        let probed: Vec<ProbeOutcome> = queries
+            .iter()
+            .zip(&hashes)
+            .map(|(q, &hash)| match cache.as_mut() {
+                Some(cache) => cache.probe_hashed(dataset, q, hash, epoch),
+                None => ProbeOutcome::ColdMiss,
+            })
+            .collect();
+        drop(cache);
         let cache_us = cache_started.elapsed().as_micros() as u64;
-        if let Some(t) = trace.as_deref_mut() {
+        if let Some(t) = ctx.trace.as_deref_mut() {
+            let count =
+                |kind: fn(&ProbeOutcome) -> bool| probed.iter().filter(|p| kind(p)).count() as u64;
             t.counter("epoch", epoch);
             t.record_span_micros("lock_wait", lock_wait_us);
             t.record_span_micros("cache_probe", cache_us);
-            t.counter("cache_hit", hits);
-            t.counter("cache_stale_miss", stale_misses);
-            t.counter("cache_cold_miss", cold_misses);
+            t.counter("cache_hit", count(|p| matches!(p, ProbeOutcome::Hit(_))));
+            t.counter("cache_stale_miss", count(|p| *p == ProbeOutcome::StaleMiss));
+            t.counter("cache_cold_miss", count(|p| *p == ProbeOutcome::ColdMiss));
         }
-        let mut fill_us = 0u64;
-        let mut estimate_us = 0u64;
-        if !miss_indices.is_empty() {
-            let miss_queries: Vec<QueryGraph> =
-                miss_indices.iter().map(|&i| queries[i].clone()).collect();
-            // One shared fill for the whole group, bounded by the latest
-            // miss deadline: counting may only be abandoned once *every*
-            // waiting query's deadline has passed, so an early deadline
-            // can never starve a patient query of its patterns. An
-            // unbounded query in the group lifts the bound entirely.
-            let group_deadline = miss_indices
-                .iter()
-                .map(|&i| deadlines[i])
-                .try_fold(None::<Instant>, |acc, d| {
-                    d.map(|d| Some(acc.map_or(d, |a| a.max(d))))
-                })
-                .flatten();
-            let fill_started = Instant::now();
-            let ensured = state.ensure_patterns(&miss_queries, group_deadline, entry.jobs());
-            fill_us = fill_started.elapsed().as_micros() as u64;
-            self.metrics.record_kernel(&ensured.fill.kernel);
-            if let Some(t) = trace.as_deref_mut() {
-                if ensured.fill.patterns_counted > 0 {
-                    t.record_span_micros("catalog_fill", fill_us);
-                }
-                t.counter("view_overlay", ensured.overlay as u64);
-                t.counter("catalog_patterns_counted", ensured.fill.patterns_counted);
-                t.counter("catalog_patterns_added", ensured.added as u64);
-                t.counter(
-                    "catalog_fill_max_pattern_us",
-                    ensured.fill.max_pattern_micros,
-                );
-                let k = &ensured.fill.kernel;
-                t.counter("kernel_candidates", k.candidates);
-                t.counter("kernel_intersect_merge", k.merge_intersections);
-                t.counter("kernel_intersect_gallop", k.gallop_intersections);
-                t.counter("kernel_intersect_bitset", k.bitset_intersections);
-                t.counter("kernel_suffix_shortcuts", k.suffix_shortcuts);
-                t.counter("kernel_memo_hits", k.memo_hits);
-                t.counter("kernel_budget_consumed", k.budget_consumed);
-                t.counter("kernel_deepest_level", k.deepest_level);
-            }
-            let h = entry.h();
-            // `None` marks a query whose fill was abandoned (incomplete
-            // patterns): completeness is checked under the same catalog
-            // read lock as the estimation, so a concurrent fill cannot
-            // make the two passes disagree.
-            let estimate_started = Instant::now();
-            let mut degenerate = 0u64;
-            let values: Vec<Option<Option<f64>>> = {
-                let table = state.catalog();
-                let mut est = OptimisticEstimator::recommended(&table);
-                miss_queries
-                    .iter()
-                    .map(|q| {
-                        let complete = q
-                            .connected_subsets_up_to(h)
-                            .into_iter()
-                            .all(|mask| table.card(&Pattern::of_subquery(q, mask)).is_some());
-                        if !complete {
-                            return None;
-                        }
-                        // The CEG estimators assume connected, non-empty
-                        // queries; anything else is unanswerable, not a
-                        // panic (wire input is rejected at parse time,
-                        // this guards direct API callers).
-                        if q.num_edges() == 0 || !q.is_connected() {
-                            Some(None)
-                        } else {
-                            // A degenerate catalog (zero-count patterns
-                            // dividing each other) can surface NaN/inf;
-                            // that is "cannot answer", never a number we
-                            // put on the wire.
-                            match est.estimate(q) {
-                                Some(v) if !v.is_finite() => {
-                                    degenerate += 1;
-                                    Some(None)
-                                }
-                                v => Some(v),
-                            }
-                        }
-                    })
-                    .collect()
-            };
-            estimate_us = estimate_started.elapsed().as_micros() as u64;
-            for _ in 0..degenerate {
-                self.metrics.record_estimator_degenerate();
-            }
-            if let Some(t) = trace {
-                t.record_span_micros("estimate", estimate_us);
-                t.counter("estimator_degenerate", degenerate);
-            }
-            // Poisoned cache: the fresh results are still served below,
-            // they just are not stored (next identical query recomputes).
-            let mut cache = self.cache.checked_lock().ok();
-            for (&i, value) in miss_indices.iter().zip(&values) {
-                match value {
-                    Some(value) => {
-                        if let Some(cache) = cache.as_mut() {
-                            cache.store_hashed(dataset, &queries[i], hashes[i], epoch, *value);
-                        }
-                        outcomes[i] = Some(QueryOutcome::Done(EstimateOutcome {
-                            value: *value,
-                            cached: false,
-                        }));
-                    }
-                    None => {
-                        self.metrics.record_timeout();
-                        outcomes[i] = Some(QueryOutcome::TimedOut);
-                    }
-                }
-            }
-        }
-        let total_us = started.elapsed().as_micros() as u64;
-        let threshold_us = self.slow_threshold_us.load(Ordering::Relaxed);
-        if total_us >= threshold_us && !miss_indices.is_empty() {
-            self.record_slow(
-                dataset,
-                epoch,
-                total_us,
-                cache_us,
-                fill_us,
-                estimate_us,
-                queries,
-                &miss_indices,
-                ids,
-            );
-        }
-        // Every slot was filled: hits/timeouts in the cache pass, the
-        // rest in the store pass above.
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("outcome slot left unfilled"))
-            .collect())
-    }
 
-    /// Push one slow-query record per cache-missing query of a batch that
-    /// crossed the threshold (hits were served from the cache and did not
-    /// cause the latency). The ring holds [`SLOWLOG_CAP`] entries.
-    #[allow(clippy::too_many_arguments)]
-    fn record_slow(
-        &self,
-        dataset: &str,
-        epoch: u64,
-        total_us: u64,
-        cache_us: u64,
-        fill_us: u64,
-        estimate_us: u64,
-        queries: &[QueryGraph],
-        miss_indices: &[usize],
-        ids: Option<&[u64]>,
-    ) {
-        // Best-effort: a poisoned ring drops the records, never the batch.
-        let Ok(mut log) = self.slowlog.checked_lock() else {
-            return;
-        };
-        for &i in miss_indices {
-            if log.len() == SLOWLOG_CAP {
-                log.pop_front();
-            }
-            log.push_back(SlowQueryEntry {
-                id: ids.map_or(0, |ids| ids.get(i).copied().unwrap_or(0)),
-                dataset: dataset.to_string(),
-                epoch,
-                micros: total_us,
-                cache_us,
-                fill_us,
-                estimate_us,
-                query: crate::protocol::format_query(&queries[i]),
+        enum Slot<'a> {
+            Ready(QueryOutcome),
+            Admitted(Permit<'a>),
+        }
+        let slots: Vec<Slot<'_>> = probed
+            .into_iter()
+            .map(|probe| match probe {
+                ProbeOutcome::Hit(value) => Slot::Ready(QueryOutcome::Done(EstimateOutcome {
+                    value,
+                    cached: true,
+                })),
+                _ => match self.overload.try_admit(&entry, &self.metrics) {
+                    Some(permit) => Slot::Admitted(permit),
+                    None => {
+                        self.metrics.record_busy();
+                        Slot::Ready(QueryOutcome::QueueFull)
+                    }
+                },
+            })
+            .collect();
+        for ((slot, query), &hash) in slots.into_iter().zip(queries).zip(&hashes) {
+            reply(match slot {
+                Slot::Ready(outcome) => outcome,
+                Slot::Admitted(permit) => {
+                    let outcome = self.run_miss(&entry, &state, cache_us, query, hash, &mut ctx);
+                    // Released before the caller can put the answer on
+                    // the wire: a client that reads it and asks for
+                    // STATS next must see the gauge settled.
+                    drop(permit);
+                    outcome
+                }
             });
         }
+        Ok(())
+    }
+
+    /// Run one admitted miss on the calling thread: wait for a run slot
+    /// (the wait is what `queue_wait` measures), refuse it if a drain
+    /// began or its deadline passed meanwhile, else count its missing
+    /// patterns on the request's pinned `state`, estimate, and store the
+    /// result in the cache. `cache_us` is the request's cache pass,
+    /// charged to the miss's slow-log record.
+    fn run_miss(
+        &self,
+        entry: &DatasetEntry,
+        state: &EpochState,
+        cache_us: u64,
+        query: &QueryGraph,
+        hash: u64,
+        ctx: &mut RequestCtx<'_>,
+    ) -> QueryOutcome {
+        let started = Instant::now();
+        let slot = self.overload.run_slot(ctx.deadline);
+        let waited = started.elapsed();
+        self.metrics.queue_wait().record(waited);
+        if let Some(t) = ctx.trace.as_deref_mut() {
+            t.record_span_micros("queue_wait", waited.as_micros() as u64);
+        }
+        if self.draining() {
+            // A drain overtook the wait: refuse rather than start cold
+            // work the process is trying to finish.
+            self.metrics.record_busy();
+            return QueryOutcome::Draining;
+        }
+        if slot.is_none() || ctx.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Dead before it started — the typed TIMEOUT costs nothing,
+            // running the estimate anyway would.
+            self.metrics.record_timeout();
+            return QueryOutcome::TimedOut;
+        }
+
+        let fill_started = Instant::now();
+        let ensured =
+            state.ensure_patterns(std::slice::from_ref(query), ctx.deadline, entry.jobs());
+        let fill_us = fill_started.elapsed().as_micros() as u64;
+        self.metrics.record_kernel(&ensured.fill.kernel);
+        if let Some(t) = ctx.trace.as_deref_mut() {
+            if ensured.fill.patterns_counted > 0 {
+                t.record_span_micros("catalog_fill", fill_us);
+            }
+            t.counter("view_overlay", ensured.overlay as u64);
+            t.counter("catalog_patterns_counted", ensured.fill.patterns_counted);
+            t.counter("catalog_patterns_added", ensured.added as u64);
+            t.counter(
+                "catalog_fill_max_pattern_us",
+                ensured.fill.max_pattern_micros,
+            );
+            let k = &ensured.fill.kernel;
+            t.counter("kernel_candidates", k.candidates);
+            t.counter("kernel_intersect_merge", k.merge_intersections);
+            t.counter("kernel_intersect_gallop", k.gallop_intersections);
+            t.counter("kernel_intersect_bitset", k.bitset_intersections);
+            t.counter("kernel_suffix_shortcuts", k.suffix_shortcuts);
+            t.counter("kernel_memo_hits", k.memo_hits);
+            t.counter("kernel_budget_consumed", k.budget_consumed);
+            t.counter("kernel_deepest_level", k.deepest_level);
+        }
+        let estimate_started = Instant::now();
+        let mut degenerate = false;
+        // `None` marks a fill that was abandoned at the deadline
+        // (incomplete patterns): completeness is checked under the same
+        // catalog read lock as the estimation, so a concurrent fill
+        // cannot make the two disagree.
+        let value: Option<Option<f64>> = {
+            let table = state.catalog();
+            let complete = query
+                .connected_subsets_up_to(entry.h())
+                .into_iter()
+                .all(|mask| table.card(&Pattern::of_subquery(query, mask)).is_some());
+            if !complete {
+                None
+            } else if query.num_edges() == 0 || !query.is_connected() {
+                // The CEG estimators assume connected, non-empty
+                // queries; anything else is unanswerable, not a panic
+                // (wire input is rejected at parse time, this guards
+                // direct API callers).
+                Some(None)
+            } else {
+                // A degenerate catalog (zero-count patterns dividing
+                // each other) can surface NaN/inf; that is "cannot
+                // answer", never a number we put on the wire.
+                match OptimisticEstimator::recommended(&table).estimate(query) {
+                    Some(v) if !v.is_finite() => {
+                        degenerate = true;
+                        Some(None)
+                    }
+                    v => Some(v),
+                }
+            }
+        };
+        let estimate_us = estimate_started.elapsed().as_micros() as u64;
+        if degenerate {
+            self.metrics.record_estimator_degenerate();
+        }
+        if let Some(t) = ctx.trace.as_deref_mut() {
+            t.record_span_micros("estimate", estimate_us);
+            t.counter("estimator_degenerate", degenerate as u64);
+        }
+        let outcome = match value {
+            Some(value) => {
+                // Poisoned cache: the fresh result is still served, it
+                // just is not stored (the next identical query
+                // recomputes).
+                if let Ok(mut cache) = self.cache.checked_lock() {
+                    cache.store_hashed(entry.name(), query, hash, state.epoch(), value);
+                }
+                QueryOutcome::Done(EstimateOutcome {
+                    value,
+                    cached: false,
+                })
+            }
+            None => {
+                self.metrics.record_timeout();
+                QueryOutcome::TimedOut
+            }
+        };
+        drop(slot);
+        let micros = cache_us + started.elapsed().as_micros() as u64;
+        if micros >= self.slow_threshold_us.load(Ordering::Relaxed) {
+            // Best-effort: a poisoned ring drops the record, never the
+            // estimate.
+            if let Ok(mut log) = self.slowlog.checked_lock() {
+                if log.len() == SLOWLOG_CAP {
+                    log.pop_front();
+                }
+                log.push_back(SlowQueryEntry {
+                    id: ctx.id,
+                    dataset: entry.name().to_string(),
+                    epoch: state.epoch(),
+                    micros,
+                    cache_us,
+                    fill_us,
+                    estimate_us,
+                    query: crate::protocol::format_query(query),
+                });
+            }
+        }
+        outcome
     }
 
     /// Buffer an edge insertion on a dataset (visible after `COMMIT`).
@@ -814,9 +896,14 @@ mod tests {
         let a = templates::path(2, &[0, 1]);
         let b = templates::path(2, &[1, 0]);
         engine.estimate("toy", &a).unwrap();
-        let out = engine.estimate_batch("toy", &[a, b]).unwrap();
-        assert!(out[0].cached);
-        assert!(!out[1].cached);
+        let mut cached = Vec::new();
+        engine
+            .estimate_batch("toy", &[a, b], RequestCtx::default(), |o| match o {
+                QueryOutcome::Done(outcome) => cached.push(outcome.cached),
+                refused => panic!("unbounded engine refused a query: {refused:?}"),
+            })
+            .unwrap();
+        assert_eq!(cached, [true, false]);
     }
 
     #[test]

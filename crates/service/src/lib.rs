@@ -14,25 +14,24 @@
 //!   epoch-versioned base+overlay layering with incremental catalog
 //!   maintenance (only touched-label entries recount) and folds the
 //!   overlay into a fresh CSR past a rebase threshold,
-//! * [`pool`] — a hand-rolled `std::thread` [`WorkerPool`] (the build
-//!   environment has no crates-registry access, so no rayon/tokio): one
-//!   mpsc shard per worker, requests routed by dataset so each worker can
-//!   drain its queue into a per-dataset **batch** and amortize catalog
-//!   locking and pattern counting across requests,
 //! * [`cache`] — an [`EstimateCache`] (LRU) keyed by the renaming-invariant
 //!   [`canonical hash`](ceg_query::canon) from `ceg-query`, verified by
 //!   exact isomorphism so hash collisions can never return a wrong
 //!   estimate; entries are epoch-tagged so estimates cached before a
 //!   committed update miss instead of lying; hit/miss counters are
 //!   exposed through the wire protocol,
-//! * [`engine`] — the transport-independent core: cache lookup → batched
-//!   catalog fill → estimate → cache store,
+//! * [`engine`] — the transport-independent core and its one estimate
+//!   path, [`Engine::estimate_batch`]: hash and probe the cache once
+//!   (hits end there), take a per-dataset admission permit and one of a
+//!   fixed number of run slots for each miss, then fill the catalog,
+//!   estimate and store — all on the calling thread,
 //! * [`protocol`] / [`server`] / [`client`] — a line-delimited text
 //!   protocol over `std::net::TcpListener`, served by `cegcli serve` and
 //!   spoken by `cegcli query` (or a 5-line netcat script). `ESTIMATE`
 //!   answers one query per round-trip; `ESTIMATE_BATCH` ships a whole
-//!   ordered batch in one round-trip, fanned across the worker pool
-//!   ([`Client::estimate_batch`]),
+//!   ordered batch in one round-trip and streams the answers back
+//!   ([`Client::estimate_batch`]). There are no worker threads: the
+//!   connection's own thread runs the engine,
 //! * **durability** — `SNAPSHOT <ds> <path>` persists a dataset's
 //!   committed graph, Markov catalog and epoch as a versioned,
 //!   checksummed binary `.cegsnap` file
@@ -41,8 +40,8 @@
 //!   text parsing and catalog construction, and continues the epoch
 //!   sequence so a restarted server answers exactly like the one that
 //!   wrote the snapshot,
-//! * **multi-tenant hardening** — per-dataset admission control with
-//!   bounded queues (typed `BUSY` beyond [`ServerConfig::queue_cap`]),
+//! * **multi-tenant hardening** — per-dataset admission control (typed
+//!   `BUSY` beyond [`ServerConfig::queue_cap`] admitted misses),
 //!   per-request deadlines (`DEADLINE_MS` or the server default) enforced
 //!   inside the counting kernel with typed `TIMEOUT` replies, a
 //!   lock-free [`metrics`] registry behind the `METRICS` command, and a
@@ -97,7 +96,6 @@ pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -105,11 +103,10 @@ pub mod server;
 pub use cache::{EstimateCache, LruCache, ProbeOutcome};
 pub use client::{Client, ClientConfig, EstimateReply, ExplainReply, QueryReply};
 pub use engine::{
-    Engine, EngineStats, EstimateOutcome, QueryOutcome, SlowQueryEntry, SnapshotAck, UpdateAck,
-    DEFAULT_SLOW_QUERY_THRESHOLD_MS,
+    Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,
+    UpdateAck, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
 pub use metrics::{Command, Histogram, Metrics};
-pub use pool::{run_scoped, WorkerPool};
 pub use protocol::{ExplainItem, Request, Response, MAX_BATCH_QUERIES};
 pub use registry::{
     CommitOutcome, DatasetEntry, DatasetRegistry, RecoveryReport, RotateOutcome, MAX_PENDING_OPS,

@@ -190,7 +190,7 @@ pub struct Metrics {
     /// Wall-clock request latency per command (parse to last reply byte
     /// flushed), recorded by the connection handlers.
     latency: [Histogram; COMMANDS],
-    /// Time estimate jobs spent queued before a worker picked them up.
+    /// Time admitted misses waited for a run slot.
     queue_wait: Histogram,
     /// Requests rejected with `BUSY` (admission control or drain).
     busy: AtomicU64,
@@ -198,8 +198,8 @@ pub struct Metrics {
     timeouts: AtomicU64,
     /// Requests answered with `ERR`.
     errors: AtomicU64,
-    /// Estimate jobs currently queued (admitted, not yet finished by a
-    /// worker).
+    /// Misses admitted and not yet answered (waiting for a run slot or
+    /// running).
     queued: AtomicU64,
     /// High-water mark of `queued`.
     queued_peak: AtomicU64,
@@ -272,7 +272,7 @@ impl Metrics {
         self.latency(cmd).record(latency);
     }
 
-    /// The queue-wait histogram (enqueue to worker dequeue).
+    /// The queue-wait histogram (admission to run slot).
     pub fn queue_wait(&self) -> &Histogram {
         &self.queue_wait
     }
@@ -292,13 +292,13 @@ impl Metrics {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One estimate job was admitted to a queue.
+    /// One miss was admitted.
     pub fn job_enqueued(&self) {
         let now = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
         self.queued_peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// One admitted job finished (answered, BUSY-rejected at dequeue, or
+    /// One admitted miss ended (answered, refused after its wait, or
     /// dropped with its permit).
     pub fn job_finished(&self) {
         self.queued.fetch_sub(1, Ordering::Relaxed);
@@ -381,7 +381,7 @@ impl Metrics {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Estimate jobs currently queued.
+    /// Misses admitted and not yet answered.
     pub fn queued(&self) -> u64 {
         self.queued.load(Ordering::Relaxed)
     }

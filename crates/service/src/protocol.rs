@@ -21,7 +21,7 @@
 //! METRICS                                         METRICS <n>, then n lines: <key> <value>
 //! METRICS_PROM                                    METRICS_PROM <n>, then n Prometheus exposition lines
 //! EXPLAIN_ESTIMATE <ds> [DEADLINE_MS=<ms>] <query>
-//!                                                 EXPLAIN <n>, then the EST (or TIMEOUT) line,
+//!                                                 EXPLAIN <n>, then the EST (or BUSY/TIMEOUT) line,
 //!                                                   then span/counter breakdown lines
 //! SLOWLOG [n]                                     SLOWLOG <n>, then n slow-query record lines
 //! SHUTDOWN                                        DRAINING
@@ -37,9 +37,12 @@
 //! milliseconds from the moment the server parses it; a request that
 //! cannot be answered in time gets a typed `TIMEOUT` reply, never a
 //! partial line. `BUSY` is the admission-control rejection: the
-//! per-dataset queue is full (or the server is draining) and the request
-//! was refused *before* consuming worker time — clients retry with
-//! backoff. `METRICS` dumps the whole metrics registry as `<key> <value>`
+//! dataset already has its cap of cache misses admitted (or the server
+//! is draining) and the request was refused *before* any counting or
+//! estimation — clients retry with backoff. `STATS batches=` counts
+//! engine calls: one per `ESTIMATE`, `EXPLAIN_ESTIMATE` or
+//! `ESTIMATE_BATCH` request, whatever it hit or missed; `queued=` is the
+//! number of misses admitted and not yet answered. `METRICS` dumps the whole metrics registry as `<key> <value>`
 //! lines under a counted header (same framing discipline as `BATCH`).
 //! `SHUTDOWN` asks the server to drain: the reply `DRAINING` confirms,
 //! new work is BUSY-rejected, and the process writes final snapshots and
@@ -251,7 +254,7 @@ fn parse_query_tokens<'a>(
     }
     let query = QueryGraph::new(nv, edges);
     // The estimators assume connected queries (paper §4.2); rejecting
-    // here keeps malformed wire input out of the worker threads.
+    // here keeps malformed wire input out of the engine.
     if !query.is_connected() {
         return Err(format!("{ctx}: query must be connected"));
     }
@@ -812,7 +815,8 @@ pub enum Response {
     /// Result of a `SNAPSHOT`: the persisted epoch and file size.
     Snapshotted(SnapshotAck),
     /// Admission-control rejection: the request was refused before any
-    /// worker time was spent on it (queue full, or server draining).
+    /// counting or estimation was spent on it (queue full, or server
+    /// draining).
     Busy(String),
     /// The request's deadline passed before an answer was produced.
     Timeout {

@@ -38,6 +38,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -375,6 +376,9 @@ pub struct DatasetEntry {
     /// it; it ranks below `current` and `pending`, which commit and
     /// rotation take under it.
     durability: OrderedMutex<Option<Durability>>,
+    /// Cache-missing estimates on this dataset that the engine has
+    /// admitted and not yet answered; its admission budget counts here.
+    pub(crate) admitted: AtomicUsize,
 }
 
 /// Default overlay size at which a commit folds into a fresh CSR: scale
@@ -426,6 +430,7 @@ impl DatasetEntry {
             current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
             pending: OrderedMutex::new(LockRank::PendingDelta, GraphDelta::new()),
             durability: OrderedMutex::new(LockRank::Durability, None),
+            admitted: AtomicUsize::new(0),
         }
     }
 
@@ -955,7 +960,7 @@ impl DatasetEntry {
     }
 }
 
-/// Name → dataset map shared by every connection and worker.
+/// Name → dataset map shared by every connection.
 pub struct DatasetRegistry {
     map: OrderedRwLock<FxHashMap<String, Arc<DatasetEntry>>>,
     /// Catalog-growth worker threads handed to entries registered through

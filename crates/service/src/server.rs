@@ -1,69 +1,64 @@
-//! The TCP front end: accept loop, connection handlers, batching workers,
-//! admission control and the drain lifecycle.
+//! The TCP front end: accept loop, connection handlers and the drain
+//! lifecycle. There are no worker threads: the thread that reads a
+//! request runs it.
 //!
 //! Request lifecycle:
 //!
 //! 1. A connection handler thread reads one protocol line and parses it.
-//! 2. `ESTIMATE` requests first try the estimate cache inline (a cache
-//!    hit never waits behind queued cold work), then pass admission
-//!    control: each dataset has a bounded in-flight budget
-//!    ([`ServerConfig::queue_cap`]) and a full queue answers `BUSY`
-//!    immediately instead of queueing without bound. Admitted jobs are
-//!    spread round-robin over the worker-pool shards, carrying a reply
-//!    channel and their deadline. (Round-robin rather than
-//!    pin-by-dataset: the common deployment serves one dataset, which a
-//!    dataset pin would serialize onto a single worker.)
-//! 3. The shard's worker drains its queue into a batch (up to
-//!    `batch_max`), drops jobs whose deadline already passed (typed
-//!    `TIMEOUT`) or that arrived after a drain began (typed `BUSY`),
-//!    groups the rest by dataset, and runs each group through
-//!    [`Engine::estimate_batch_deadline`] — one cache pass, one catalog
-//!    fill, one estimation pass for the whole group, with the deadline
+//! 2. `ESTIMATE`, `ESTIMATE_BATCH` and `EXPLAIN_ESTIMATE` all call
+//!    [`Engine::estimate_batch`] on the handler thread. It hashes and
+//!    probes once — a cache hit is answered there and never waits behind
+//!    cold work — then applies overload control to the misses: each
+//!    dataset has a bounded budget of admitted misses
+//!    ([`ServerConfig::queue_cap`]; beyond it the answer is `BUSY`
+//!    immediately), and a fixed number of run slots
+//!    (`max(2, available_parallelism)`) bounds how many misses count and
+//!    estimate at once however many connections are open. A miss that
+//!    waited for its slot past its deadline is a typed `TIMEOUT`, one a
+//!    drain overtook a typed `BUSY`; the rest run with the deadline
 //!    checked between plan depths inside the counting kernel.
-//! 4. Each reply flows back over its channel; the handler writes one
-//!    response line. `PING`/`STATS`/`METRICS` are answered inline by the
-//!    handler; `SHUTDOWN` flips the drain flag and answers `DRAINING`.
+//! 3. The handler writes each reply line as its outcome arrives (a batch
+//!    streams its slots in request order). `PING`/`STATS`/`METRICS` are
+//!    answered inline too; `SHUTDOWN` flips the drain flag and answers
+//!    `DRAINING`.
 //!
 //! Every accepted request is answered with exactly one of: an estimate,
 //! a typed `BUSY`, a typed `TIMEOUT`, or an `ERR` — nothing is silently
 //! dropped, which is what makes the overload tests assertable.
 //!
-//! Concurrency discipline: the graph is immutable, the Markov catalog is
-//! behind an `RwLock` written only by batch fills, the cache behind a
-//! `Mutex` held for lookups/stores only — never during counting or
-//! estimation. Admission counters and the metrics registry are plain
+//! Concurrency discipline: a request pins one immutable epoch state, the
+//! Markov catalog is behind an `RwLock` written only by fills, the cache
+//! behind a `Mutex` held for probes/stores only — never during counting
+//! or estimation. Admission counters and the metrics registry are plain
 //! atomics.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ceg_core::sync::{self, LockRank, OrderedMutex};
+use ceg_core::trace::Trace;
 use ceg_query::QueryGraph;
 
-use crate::engine::{Engine, QueryOutcome, SlowQueryEntry, DEFAULT_SLOW_QUERY_THRESHOLD_MS};
+use crate::engine::{
+    Engine, QueryOutcome, RequestCtx, SlowQueryEntry, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
+};
 use crate::metrics::{Command, Metrics};
-use crate::pool::WorkerPool;
 use crate::protocol::{Request, Response};
 use crate::registry::DatasetRegistry;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (= queue shards) for estimation requests.
-    pub workers: usize,
-    /// Maximum requests drained into one worker batch.
-    pub batch_max: usize,
     /// LRU estimate-cache capacity in hash buckets (0 disables caching).
     pub cache_capacity: usize,
-    /// Admission control: maximum estimate jobs in flight (queued or
-    /// running) per dataset. Requests beyond the cap get a typed `BUSY`
-    /// instead of queueing without bound.
+    /// Admission control: maximum cache-missing estimates admitted
+    /// (waiting for a run slot or running) per dataset. Misses beyond
+    /// the cap get a typed `BUSY` instead of waiting without bound.
     pub queue_cap: usize,
     /// Deadline applied to estimates that don't carry their own
     /// `DEADLINE_MS`. `None` means unbounded (seed behaviour).
@@ -71,12 +66,12 @@ pub struct ServerConfig {
     /// Where [`Server::drain`] writes one final `<dataset>.cegsnap` per
     /// dataset. `None` skips the final snapshots.
     pub drain_snapshot_dir: Option<PathBuf>,
-    /// How long [`Server::drain`] waits for admitted jobs to settle
-    /// before abandoning them (they still get typed replies from the
-    /// workers; this just bounds process exit).
+    /// How long [`Server::drain`] waits for admitted misses to settle
+    /// before abandoning them (their connection handlers still answer
+    /// them; this just bounds process exit).
     pub drain_grace_ms: u64,
-    /// Estimate batches at least this slow (wall-clock milliseconds) are
-    /// recorded in the slow-query ring (`SLOWLOG`).
+    /// Misses at least this slow (wall-clock milliseconds) are recorded
+    /// in the slow-query ring (`SLOWLOG`).
     pub slow_query_threshold_ms: u64,
     /// After an acked `COMMIT`, fold a dataset's WAL into a fresh
     /// snapshot once the log reaches this many bytes (0 disables the
@@ -90,10 +85,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: thread::available_parallelism()
-                .map_or(2, |n| n.get())
-                .max(2),
-            batch_max: 32,
             cache_capacity: 4096,
             queue_cap: 1024,
             default_deadline_ms: Some(30_000),
@@ -106,77 +97,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-dataset bounded admission: a job may enter the worker queues only
-/// while the dataset's in-flight count is below the cap. The permit is
-/// RAII — dropping the job (answered, rejected, or abandoned) releases
-/// its slot, so the bound cannot leak.
-struct Admission {
-    cap: usize,
-    /// `LockRank::Metrics`: held only for the map lookup/insert, never
-    /// across the compare-exchange loop or any dataset lock.
-    counters: OrderedMutex<HashMap<String, Arc<AtomicUsize>>>,
-}
-
-impl Admission {
-    fn new(cap: usize) -> Self {
-        Admission {
-            cap,
-            counters: OrderedMutex::new(LockRank::Metrics, HashMap::new()),
-        }
-    }
-
-    /// Try to admit one job for `dataset`; `None` means the queue is
-    /// full and the caller must answer `BUSY`.
-    fn try_admit(&self, dataset: &str, metrics: &Arc<Metrics>) -> Option<AdmissionPermit> {
-        let counter = {
-            let mut map = self.counters.lock();
-            match map.get(dataset) {
-                Some(c) => c.clone(),
-                None => {
-                    let c = Arc::new(AtomicUsize::new(0));
-                    map.insert(dataset.to_string(), c.clone());
-                    c
-                }
-            }
-        };
-        // Exact bound: a compare-exchange loop never overshoots the cap,
-        // unlike fetch_add-then-undo.
-        let mut cur = counter.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.cap {
-                return None;
-            }
-            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        metrics.job_enqueued();
-        Some(AdmissionPermit {
-            counter,
-            metrics: metrics.clone(),
-        })
-    }
-}
-
-/// RAII admission slot: released on drop, wherever the job ends up.
-struct AdmissionPermit {
-    counter: Arc<AtomicUsize>,
-    metrics: Arc<Metrics>,
-}
-
-impl Drop for AdmissionPermit {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
-        self.metrics.job_finished();
-    }
-}
-
-/// The drain flag plus a condvar so `cegcli serve` can block on "has
-/// anyone asked us to shut down?" instead of polling.
+/// A condvar so `cegcli serve` can block on "has anyone asked us to
+/// shut down?" instead of polling. The drain flag itself lives in the
+/// engine, which re-checks it before starting each miss.
 struct Lifecycle {
-    draining: AtomicBool,
     /// `LockRank::PoolShard`: the wait loop parks on this with nothing
     /// else held, and `request_drain` touches only the flag itself.
     signal: OrderedMutex<bool>,
@@ -186,21 +110,16 @@ struct Lifecycle {
 impl Lifecycle {
     fn new() -> Self {
         Lifecycle {
-            draining: AtomicBool::new(false),
             signal: OrderedMutex::new(LockRank::PoolShard, false),
             cv: Condvar::new(),
         }
     }
 
-    fn request_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+    /// Wake everyone blocked in [`Lifecycle::wait_drain_requested`].
+    fn notify(&self) {
         let mut flag = self.signal.lock();
         *flag = true;
         self.cv.notify_all();
-    }
-
-    fn drain_requested(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
     }
 
     fn wait_drain_requested(&self, timeout: Duration) -> bool {
@@ -218,11 +137,9 @@ impl Lifecycle {
     }
 }
 
-/// State shared by the accept loop, every connection handler and the
-/// workers.
+/// State shared by the accept loop and every connection handler.
 struct Shared {
     engine: Arc<Engine>,
-    admission: Admission,
     lifecycle: Lifecycle,
     default_deadline_ms: Option<u64>,
     /// WAL rotation triggers checked after each acked `COMMIT` (see
@@ -236,19 +153,11 @@ struct Shared {
     next_request_id: AtomicU64,
 }
 
-/// One queued estimation request.
-struct EstimateJob {
-    /// The request id assigned when the request was read.
-    id: u64,
-    dataset: String,
-    query: QueryGraph,
-    reply: mpsc::Sender<Response>,
-    /// Absolute deadline plus the millisecond value to echo in `TIMEOUT`.
-    deadline: Option<(Instant, u64)>,
-    enqueued_at: Instant,
-    /// Held for the job's whole queued+running life; dropping it releases
-    /// the dataset's admission slot.
-    _permit: AdmissionPermit,
+impl Shared {
+    fn request_drain(&self) {
+        self.engine.begin_drain();
+        self.lifecycle.notify();
+    }
 }
 
 /// What [`Server::drain`] did.
@@ -256,8 +165,9 @@ struct EstimateJob {
 pub struct DrainReport {
     /// `(dataset, path, bytes)` for each final snapshot written.
     pub snapshots: Vec<(String, PathBuf, u64)>,
-    /// Jobs still in flight when the grace period expired (their typed
-    /// replies are the workers' job; this only bounds process exit).
+    /// Misses still admitted when the grace period expired (their typed
+    /// replies are their connection handlers' job; this only bounds
+    /// process exit).
     pub abandoned: u64,
     /// The slow-query ring at drain time, newest first — slow queries
     /// from the final serving window survive into the shutdown report
@@ -266,11 +176,11 @@ pub struct DrainReport {
 }
 
 /// A running estimation server. [`Server::shutdown`] (or dropping the
-/// server) stops accepting and joins the accept thread; the worker pool
-/// lives until the last open connection is done with it, so in-flight
-/// requests are always answered. [`Server::drain`] is the graceful
-/// variant: flip the drain flag first so in-flight work resolves to
-/// typed replies, then write final snapshots.
+/// server) stops accepting and joins the accept thread; open connections
+/// keep their handler threads, so in-flight requests are always
+/// answered. [`Server::drain`] is the graceful variant: flip the drain
+/// flag first so in-flight work resolves to typed replies, then write
+/// final snapshots.
 pub struct Server {
     engine: Arc<Engine>,
     shared: Arc<Shared>,
@@ -278,7 +188,6 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool<EstimateJob>>>,
 }
 
 impl Server {
@@ -291,29 +200,23 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let engine = Arc::new(Engine::new(registry, config.cache_capacity));
+        let engine = Arc::new(Engine::with_queue_cap(
+            registry,
+            config.cache_capacity,
+            config.queue_cap.max(1),
+        ));
         engine.set_slow_query_threshold_ms(config.slow_query_threshold_ms);
         let shared = Arc::new(Shared {
             engine: engine.clone(),
-            admission: Admission::new(config.queue_cap.max(1)),
             lifecycle: Lifecycle::new(),
             default_deadline_ms: config.default_deadline_ms,
             wal_rotate_bytes: config.wal_rotate_bytes,
             snapshot_interval_commits: config.snapshot_interval_commits,
             next_request_id: AtomicU64::new(1),
         });
-        let pool = {
-            let shared = shared.clone();
-            Arc::new(WorkerPool::new(
-                config.workers,
-                config.batch_max,
-                move |batch| handle_batch(&shared, batch),
-            ))
-        };
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let shared = shared.clone();
-            let pool = pool.clone();
             let stop = stop.clone();
             thread::Builder::new()
                 .name("ceg-accept".into())
@@ -324,16 +227,11 @@ impl Server {
                         }
                         let Ok(stream) = stream else { continue };
                         let shared = shared.clone();
-                        let pool = pool.clone();
-                        // Small stacks: the handler only parses lines and
-                        // shuttles replies, and a fleet of idle
-                        // connections should cost kilobytes, not the 8MB
-                        // Linux default, apiece.
                         let _ = thread::Builder::new()
                             .name("ceg-conn".into())
                             .stack_size(CONN_STACK_BYTES)
                             .spawn(move || {
-                                let _ = serve_connection(stream, &shared, &pool);
+                                let _ = serve_connection(stream, &shared);
                             });
                     }
                 })?
@@ -345,7 +243,6 @@ impl Server {
             addr,
             stop,
             accept: Some(accept),
-            pool: Some(pool),
         })
     }
 
@@ -363,13 +260,13 @@ impl Server {
     /// work is BUSY-rejected from this point on. The caller still owns
     /// the actual teardown via [`Server::drain`].
     pub fn request_drain(&self) {
-        self.shared.lifecycle.request_drain();
+        self.shared.request_drain();
     }
 
     /// Has anyone (wire `SHUTDOWN`, signal handler, or
     /// [`Server::request_drain`]) asked for a drain?
     pub fn drain_requested(&self) -> bool {
-        self.shared.lifecycle.drain_requested()
+        self.engine.draining()
     }
 
     /// Block up to `timeout` for a drain request; `true` if one arrived.
@@ -379,18 +276,14 @@ impl Server {
     }
 
     /// Gracefully drain and stop: reject new work, stop accepting, wait
-    /// up to the grace period for admitted jobs to resolve into typed
+    /// up to the grace period for admitted misses to resolve into typed
     /// replies, then write one final snapshot per dataset into
     /// `drain_snapshot_dir` (if configured).
     pub fn drain(mut self) -> io::Result<DrainReport> {
-        self.shared.lifecycle.request_drain();
+        self.shared.request_drain();
         // Stop accepting before snapshotting; existing connections keep
-        // their typed-reply guarantee via the drained workers.
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        // their handler threads and with them the typed-reply guarantee.
+        self.stop_accepting();
         let grace_until = Instant::now() + Duration::from_millis(self.config.drain_grace_ms);
         let metrics = self.engine.metrics().clone();
         while metrics.queued() > 0 && Instant::now() < grace_until {
@@ -409,8 +302,6 @@ impl Server {
                 snapshots.push((name, path, bytes));
             }
         }
-        // Dropping `self` releases the pool handle; workers exit once the
-        // remaining connection handlers drop theirs.
         Ok(DrainReport {
             snapshots,
             abandoned,
@@ -418,29 +309,26 @@ impl Server {
         })
     }
 
-    /// Stop accepting new connections and join the accept thread. Worker
-    /// threads drain outstanding requests and exit once the last open
-    /// connection releases them.
+    /// Stop accepting new connections and join the accept thread.
+    /// Connection handlers finish the requests they are running and exit
+    /// when their clients disconnect.
     pub fn shutdown(mut self) {
-        self.stop_threads();
+        self.stop_accepting();
     }
 
-    fn stop_threads(&mut self) {
+    fn stop_accepting(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // Release our pool handle; the pool's own Drop joins the workers
-        // once the remaining connection handlers (if any) drop theirs.
-        self.pool.take();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop_accepting();
     }
 }
 
@@ -459,8 +347,15 @@ const STREAM_BUF_BYTES: usize = 4 * 1024;
 /// up to [`MAX_LINE_BYTES`] each.
 const IDLE_LINE_CAP: usize = 1024;
 
-/// Connection-handler stack size. The handler parses lines and shuttles
-/// channel replies — nothing recursive.
+/// Connection-handler stack size. The handler runs the estimate itself:
+/// the counting kernel recurses once per pattern variable (at most the
+/// Markov depth `h` + 1) and the isomorphism search once per query
+/// variable (at most 32). Measured on a debug build, whose frames are
+/// the largest: the maximal 32-edge query needs under 64 KB at `h` = 3
+/// and at `h` = 6 alike, so this keeps a 4x margin;
+/// `tests/service.rs::maximal_query_answers_on_the_connection_thread`
+/// aborts if it stops being enough. A fleet of idle connections should
+/// cost kilobytes apiece, not the 8 MB Linux default.
 const CONN_STACK_BYTES: usize = 256 * 1024;
 
 /// Outcome of reading one capped request line.
@@ -547,24 +442,69 @@ fn write_counted_header(
     writeln!(writer, "{header}")
 }
 
-/// An ordered slot of a batch reply: answered inline (cache hit or
-/// rejection) or still owed by a worker.
-enum Slot {
-    Ready(Response),
-    Pending(mpsc::Receiver<Response>),
+/// The reply line for one estimate outcome. `deadline` is the request's
+/// effective deadline, whose millisecond value a `TIMEOUT` echoes.
+fn outcome_response(
+    engine: &Engine,
+    dataset: &str,
+    outcome: QueryOutcome,
+    deadline: Option<(Instant, u64)>,
+) -> Response {
+    match outcome {
+        QueryOutcome::Done(outcome) => {
+            let stats = engine.stats();
+            Response::Estimate {
+                outcome,
+                hits: stats.cache_hits,
+                misses: stats.cache_misses,
+            }
+        }
+        QueryOutcome::TimedOut => Response::Timeout {
+            deadline_ms: deadline.map_or(0, |(_, ms)| ms),
+        },
+        QueryOutcome::QueueFull => Response::Busy(format!("queue full for dataset `{dataset}`")),
+        QueryOutcome::Draining => Response::Busy("server draining".into()),
+    }
+}
+
+/// Answer `queries` (an `ESTIMATE`, or the slots of an `ESTIMATE_BATCH`
+/// whose header is already written) with one reply line each, written
+/// and flushed as the engine produces it — a batch streams, and a drain
+/// that overtakes it shows up in its later slots.
+fn write_estimates(
+    writer: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+    dataset: &str,
+    queries: &[QueryGraph],
+    deadline_ms: Option<u64>,
+    id: u64,
+) -> io::Result<()> {
+    let engine = &shared.engine;
+    let deadline = effective_deadline(deadline_ms, shared.default_deadline_ms);
+    let ctx = RequestCtx {
+        id,
+        deadline: deadline.map(|(at, _)| at),
+        trace: None,
+    };
+    let mut written = Ok(());
+    let answered = engine.estimate_batch(dataset, queries, ctx, |outcome| {
+        if written.is_ok() {
+            let response = outcome_response(engine, dataset, outcome, deadline);
+            written = write_reply(writer, engine.metrics(), &response, id);
+        }
+    });
+    if let Err(msg) = answered {
+        for _ in queries {
+            write_reply(writer, engine.metrics(), &Response::Error(msg.clone()), id)?;
+        }
+    }
+    written
 }
 
 /// Per-connection loop: one request in, one response out (a batch counts
-/// as one request with one multi-line response). Estimates try the cache
-/// inline, then admission control, then the queue shards; workers regroup
-/// their drained batches by dataset, so same-dataset requests that arrive
-/// together still amortize (and one hot dataset is not pinned to one
-/// worker).
-fn serve_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    pool: &Arc<WorkerPool<EstimateJob>>,
-) -> io::Result<()> {
+/// as one request with one multi-line response). Everything runs on this
+/// thread, estimates included.
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     // One write syscall per response line, and no Nagle delay on it:
     // an unbuffered `writeln!` issues several small writes per line,
     // which interacts with delayed ACKs into ~40ms per round-trip.
@@ -645,7 +585,7 @@ fn serve_connection(
         let parsed = Request::parse(&request_text);
         drop(request_text);
         let cmd = parsed.as_ref().ok().and_then(command_of);
-        let draining = shared.lifecycle.drain_requested();
+        let draining = engine.draining();
         match parsed {
             Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?,
             Ok(Request::Ping) => write_reply(&mut writer, &metrics, &Response::Pong, req_id)?,
@@ -696,8 +636,13 @@ fn serve_connection(
                 writer.flush()?;
             }
             Ok(Request::Shutdown) => {
-                shared.lifecycle.request_drain();
-                write_reply(&mut writer, &metrics, &Response::Draining, req_id)?;
+                // Refuse new work at once, but wake whoever waits for the
+                // drain request (`cegcli serve`, which then exits the
+                // process) only once the DRAINING line is on the wire.
+                engine.begin_drain();
+                let written = write_reply(&mut writer, &metrics, &Response::Draining, req_id);
+                shared.lifecycle.notify();
+                written?;
             }
             Ok(Request::Quit) => {
                 write_reply(&mut writer, &metrics, &Response::Bye, req_id)?;
@@ -705,7 +650,8 @@ fn serve_connection(
             }
             // During a drain every state-touching command is rejected
             // with a typed BUSY: the final snapshots must see a frozen
-            // registry, and estimate queues are being emptied.
+            // registry, and no new estimate may start (a batch gets the
+            // same answer per slot from the engine).
             Ok(
                 Request::AddEdge { .. }
                 | Request::DelEdge { .. }
@@ -722,10 +668,6 @@ fn serve_connection(
                     req_id,
                 )?;
             }
-            // Updates are answered inline by the handler: buffering an
-            // edge is a cheap mutex push, and COMMIT is the explicitly
-            // heavy call whose latency the client opted into — neither
-            // benefits from the estimate batching shards.
             Ok(Request::AddEdge {
                 dataset,
                 src,
@@ -769,8 +711,7 @@ fn serve_connection(
                 }
             }
             // SNAPSHOT pins one epoch state and writes it with no lock
-            // held; answered inline like COMMIT — the client opted into
-            // its latency.
+            // held.
             Ok(Request::Snapshot { dataset, path }) => {
                 let resp = match engine.snapshot(&dataset, &path) {
                     Ok(ack) => Response::Snapshotted(ack),
@@ -778,36 +719,25 @@ fn serve_connection(
                 };
                 write_reply(&mut writer, &metrics, &resp, req_id)?;
             }
-            // EXPLAIN_ESTIMATE runs inline on the handler thread (like
-            // COMMIT: the client explicitly opted into its latency) so
-            // the trace covers the complete request with no queue in the
-            // way. The estimate is computed by the exact same engine
-            // path as ESTIMATE.
+            // EXPLAIN_ESTIMATE is ESTIMATE with a live trace: the same
+            // engine call, under the same admission and run-slot bounds,
+            // so the trace covers what a plain estimate would have done.
             Ok(Request::ExplainEstimate {
                 dataset,
                 query,
                 deadline_ms,
             }) => {
                 let deadline = effective_deadline(deadline_ms, shared.default_deadline_ms);
-                match engine.explain(&dataset, &query, deadline.map(|(at, _)| at)) {
+                let mut trace = Trace::enabled();
+                let ctx = RequestCtx {
+                    id: req_id,
+                    deadline: deadline.map(|(at, _)| at),
+                    trace: Some(&mut trace),
+                };
+                match engine.estimate_one(&dataset, &query, ctx) {
                     Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?,
-                    Ok((outcome, mut trace)) => {
-                        // Inline execution has no worker queue; the span
-                        // is recorded (as zero) so the breakdown's span
-                        // set is the same shape queued requests report
-                        // in the slow-query log.
-                        trace.record_span_micros("queue_wait", 0);
-                        let stats = engine.stats();
-                        let first = match outcome {
-                            QueryOutcome::Done(outcome) => Response::Estimate {
-                                outcome,
-                                hits: stats.cache_hits,
-                                misses: stats.cache_misses,
-                            },
-                            QueryOutcome::TimedOut => Response::Timeout {
-                                deadline_ms: deadline.map_or(0, |(_, ms)| ms),
-                            },
-                        };
+                    Ok(outcome) => {
+                        let first = outcome_response(engine, &dataset, outcome, deadline);
                         let n = 1 + trace.spans().len() + trace.counters().len();
                         write_counted_header(
                             &mut writer,
@@ -841,199 +771,39 @@ fn serve_connection(
                     }
                 }
             }
-            // A batch fans its cache misses across the pool shards (each
-            // worker still regroups by dataset) and streams the answers
-            // back in request order under a BATCH header — one wire
-            // round-trip, pool-level parallelism. Cache hits and
-            // admission rejections are resolved inline so they never
-            // wait behind queued cold work.
+            // A batch answers in request order under a BATCH header —
+            // one wire round-trip. The header goes out first and every
+            // slot is flushed as it resolves, so answers stream back;
+            // they are not held until the whole batch completes.
             Ok(Request::EstimateBatch {
                 dataset,
                 queries,
                 deadline_ms,
             }) => {
-                let slots: Vec<Slot> = queries
-                    .into_iter()
-                    .map(|query| {
-                        if draining {
-                            metrics.record_busy();
-                            return Slot::Ready(Response::Busy("server draining".into()));
-                        }
-                        if let Some(outcome) = engine.try_cached(&dataset, &query) {
-                            let stats = engine.stats();
-                            return Slot::Ready(Response::Estimate {
-                                outcome,
-                                hits: stats.cache_hits,
-                                misses: stats.cache_misses,
-                            });
-                        }
-                        match shared.admission.try_admit(&dataset, &metrics) {
-                            None => {
-                                metrics.record_busy();
-                                Slot::Ready(Response::Busy(format!(
-                                    "queue full for dataset `{dataset}`"
-                                )))
-                            }
-                            Some(permit) => {
-                                let (tx, rx) = mpsc::channel();
-                                pool.submit(EstimateJob {
-                                    id: req_id,
-                                    dataset: dataset.clone(),
-                                    query,
-                                    reply: tx,
-                                    deadline: effective_deadline(
-                                        deadline_ms,
-                                        shared.default_deadline_ms,
-                                    ),
-                                    enqueued_at: Instant::now(),
-                                    _permit: permit,
-                                });
-                                Slot::Pending(rx)
-                            }
-                        }
-                    })
-                    .collect();
                 write_counted_header(
                     &mut writer,
-                    crate::protocol::batch_response_header(slots.len()),
+                    crate::protocol::batch_response_header(queries.len()),
                     req_id,
                 )?;
-                // Flush per line: answers stream back as workers finish,
-                // they are not held until the whole batch completes.
                 writer.flush()?;
-                for slot in slots {
-                    let reply = match slot {
-                        Slot::Ready(resp) => resp,
-                        Slot::Pending(rx) => rx
-                            .recv()
-                            .unwrap_or_else(|_| Response::Error("server shutting down".into())),
-                    };
-                    write_reply(&mut writer, &metrics, &reply, req_id)?;
-                }
+                write_estimates(&mut writer, shared, &dataset, &queries, deadline_ms, req_id)?;
             }
             Ok(Request::Estimate {
                 dataset,
                 query,
                 deadline_ms,
-            }) => {
-                let resp = if let Some(outcome) = engine.try_cached(&dataset, &query) {
-                    let stats = engine.stats();
-                    Response::Estimate {
-                        outcome,
-                        hits: stats.cache_hits,
-                        misses: stats.cache_misses,
-                    }
-                } else {
-                    match shared.admission.try_admit(&dataset, &metrics) {
-                        None => {
-                            metrics.record_busy();
-                            Response::Busy(format!("queue full for dataset `{dataset}`"))
-                        }
-                        Some(permit) => {
-                            let (tx, rx) = mpsc::channel();
-                            pool.submit(EstimateJob {
-                                id: req_id,
-                                dataset,
-                                query,
-                                reply: tx,
-                                deadline: effective_deadline(
-                                    deadline_ms,
-                                    shared.default_deadline_ms,
-                                ),
-                                enqueued_at: Instant::now(),
-                                _permit: permit,
-                            });
-                            rx.recv()
-                                .unwrap_or_else(|_| Response::Error("server shutting down".into()))
-                        }
-                    }
-                };
-                write_reply(&mut writer, &metrics, &resp, req_id)?;
-            }
+            }) => write_estimates(
+                &mut writer,
+                shared,
+                &dataset,
+                std::slice::from_ref(&query),
+                deadline_ms,
+                req_id,
+            )?,
         };
         if let Some(c) = cmd {
             metrics.record_latency(c, started.elapsed());
         }
     }
     Ok(())
-}
-
-/// Send a job its reply, releasing the admission slot *first*: once the
-/// reply line is observable on the wire, the client's very next request
-/// (a sequential STATS, say) must already see the queue gauge settled.
-fn respond(job: EstimateJob, response: Response) {
-    let EstimateJob {
-        reply,
-        _permit: permit,
-        ..
-    } = job;
-    drop(permit);
-    let _ = reply.send(response);
-}
-
-/// Worker handler: resolve drained jobs whose deadline already passed or
-/// that a drain overtook, then group the rest by dataset and estimate
-/// each group in one engine call.
-fn handle_batch(shared: &Shared, batch: Vec<EstimateJob>) {
-    let engine = &shared.engine;
-    let metrics = engine.metrics();
-    let now = Instant::now();
-    let draining = shared.lifecycle.drain_requested();
-    // Group while preserving arrival order within each dataset.
-    let mut groups: Vec<(String, Vec<EstimateJob>)> = Vec::new();
-    for job in batch {
-        metrics
-            .queue_wait()
-            .record(now.saturating_duration_since(job.enqueued_at));
-        if draining {
-            // A drain raced the queue: reject rather than start cold
-            // work the process is trying to finish.
-            metrics.record_busy();
-            respond(job, Response::Busy("server draining".into()));
-            continue;
-        }
-        if let Some((at, ms)) = job.deadline {
-            if now >= at {
-                // Dead on arrival at dequeue — the typed TIMEOUT costs
-                // nothing, running the estimate anyway would.
-                metrics.record_timeout();
-                respond(job, Response::Timeout { deadline_ms: ms });
-                continue;
-            }
-        }
-        match groups.iter_mut().find(|(ds, _)| *ds == job.dataset) {
-            Some((_, jobs)) => jobs.push(job),
-            None => groups.push((job.dataset.clone(), vec![job])),
-        }
-    }
-    for (dataset, jobs) in groups {
-        let queries: Vec<QueryGraph> = jobs.iter().map(|j| j.query.clone()).collect();
-        let deadlines: Vec<Option<Instant>> =
-            jobs.iter().map(|j| j.deadline.map(|(at, _)| at)).collect();
-        let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
-        match engine.estimate_batch_deadline_ids(&dataset, &queries, &deadlines, &ids) {
-            Ok(outcomes) => {
-                let stats = engine.stats();
-                for (job, outcome) in jobs.into_iter().zip(outcomes) {
-                    let reply = match outcome {
-                        QueryOutcome::Done(outcome) => Response::Estimate {
-                            outcome,
-                            hits: stats.cache_hits,
-                            misses: stats.cache_misses,
-                        },
-                        // The engine already counted this timeout.
-                        QueryOutcome::TimedOut => Response::Timeout {
-                            deadline_ms: job.deadline.map_or(0, |(_, ms)| ms),
-                        },
-                    };
-                    respond(job, reply);
-                }
-            }
-            Err(msg) => {
-                for job in jobs {
-                    respond(job, Response::Error(msg.clone()));
-                }
-            }
-        }
-    }
 }

@@ -1,10 +1,13 @@
 //! Experiment driver: run estimators over a workload, collect q-error
 //! distributions and timings, render report tables.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 use std::time::Instant;
 
 use ceg_catalog::MarkovTable;
 use ceg_estimators::CardinalityEstimator;
+use ceg_graph::sync::{LockRank, OrderedMutex};
 use ceg_graph::LabeledGraph;
 
 use crate::qerror::{signed_log_qerror, QErrorSummary};
@@ -67,15 +70,56 @@ pub fn run_estimators(
         .collect()
 }
 
+/// Run `jobs` across at most `parallelism` ephemeral threads and return
+/// their results **in job order** regardless of completion order. The
+/// threads are scoped, so jobs may borrow from the caller's stack
+/// (estimators borrow catalogs that live on the caller's frame). With
+/// `parallelism <= 1` the jobs run inline on the calling thread.
+fn run_scoped<T, F>(parallelism: usize, jobs: Vec<F>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    if parallelism <= 1 || jobs.len() <= 1 {
+        return jobs.into_iter().map(|f| f()).collect();
+    }
+    let n = jobs.len();
+    // Both locks are held only for the take/store instants — never
+    // while a job runs.
+    let queue: OrderedMutex<Vec<Option<F>>> =
+        OrderedMutex::new(LockRank::PoolShard, jobs.into_iter().map(Some).collect());
+    let results: OrderedMutex<Vec<Option<T>>> =
+        OrderedMutex::new(LockRank::PoolShard, (0..n).map(|_| None).collect());
+    let cursor = AtomicUsize::new(0);
+    thread::scope(|scope| {
+        for _ in 0..parallelism.min(n) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let job = queue.lock()[i].take().expect("job taken twice");
+                let out = job();
+                results.lock()[i] = Some(out);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .into_iter()
+        .map(|r| r.expect("worker thread panicked before storing its result"))
+        .collect()
+}
+
 /// Run each estimator over the workload with up to `parallelism` worker
 /// threads (a `parallelism` of 0 or 1 is the serial path).
 ///
 /// Queries are split into contiguous chunks; each worker builds its own
 /// estimator set via `make_estimators` and processes one chunk at a time
-/// on the shared scoped worker pool (`ceg_service::pool`). Per-query
-/// results are merged back **in workload order**, so for deterministic
-/// estimators the q-error summaries — and therefore the rendered report
-/// tables — are byte-identical to [`run_estimators`] at any parallelism.
+/// on scoped threads (`run_scoped`). Per-query results are merged back
+/// **in workload order**, so for deterministic estimators the q-error
+/// summaries — and therefore the rendered report tables — are
+/// byte-identical to [`run_estimators`] at any parallelism.
 /// (Sampling estimators carry their own RNG; a fresh instance per chunk
 /// means their per-query draws differ from the serial path, but the
 /// output remains deterministic for a fixed `parallelism`.) Timings are
@@ -119,7 +163,7 @@ pub fn run_estimators_parallel<'a>(
             }
         })
         .collect();
-    let per_chunk = ceg_service::pool::run_scoped(parallelism, jobs);
+    let per_chunk = run_scoped(parallelism, jobs);
     // Merge chunk results in chunk (= workload) order, per estimator.
     let num_estimators = per_chunk.first().map_or(0, |c| c.len());
     (0..num_estimators)
@@ -296,6 +340,34 @@ mod tests {
         assert!(table.contains("fixed-50"));
         assert!(table.contains("failing"));
         assert!(table.contains("demo"));
+    }
+
+    #[test]
+    fn run_scoped_preserves_order() {
+        let inputs: Vec<usize> = (0..50).collect();
+        let jobs: Vec<_> = inputs
+            .iter()
+            .map(|&i| move || i * 2) // borrows nothing, returns in-order marker
+            .collect();
+        let out = run_scoped(4, jobs);
+        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_scoped_borrows_caller_state() {
+        let data = [1u64, 2, 3, 4, 5];
+        let jobs: Vec<_> = data
+            .chunks(2)
+            .map(|chunk| move || chunk.iter().sum::<u64>())
+            .collect();
+        let out = run_scoped(2, jobs);
+        assert_eq!(out, vec![3, 7, 5]);
+    }
+
+    #[test]
+    fn run_scoped_serial_fallback_matches() {
+        let jobs: Vec<_> = (0..5).map(|i| move || i + 1).collect();
+        assert_eq!(run_scoped(1, jobs), vec![1, 2, 3, 4, 5]);
     }
 }
 

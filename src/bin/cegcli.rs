@@ -751,14 +751,12 @@ fn serve(args: &[String]) -> CmdResult {
     let (num_vertices, num_edges) = entry.graph_summary();
     println!(
         "serving `default` ({} vertices, {} edges, {} catalog entries, epoch {}) on {} \
-         [{} workers, batch<={}, cache {} buckets, {} catalog jobs{}]",
+         [estimates run on their connection's thread, cache {} buckets, {} catalog jobs{}]",
         num_vertices,
         num_edges,
         entry.catalog_len(),
         entry.epoch(),
         server.local_addr(),
-        config.workers,
-        config.batch_max,
         config.cache_capacity,
         entry.jobs(),
         boot_note,

@@ -37,9 +37,9 @@ fn dense_graph() -> LabeledGraph {
     b.build()
 }
 
-/// 16 distinct 4-edge queries: with `workers: 1`, `batch_max: 1` and the
-/// cache disabled, each is a separate cold job, so the batch occupies the
-/// single worker long enough for a SHUTDOWN to overtake it.
+/// 16 distinct 4-edge queries: with the cache disabled each slot is a
+/// separate cold miss run in turn on the connection's thread, so the
+/// batch is busy long enough for a SHUTDOWN to overtake it.
 fn long_cold_batch() -> Vec<QueryGraph> {
     let mut queries = Vec::new();
     for a in 0..LABELS {
@@ -69,8 +69,6 @@ fn shutdown_mid_batch_gives_typed_replies_and_a_restorable_snapshot() {
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 1,
-            batch_max: 1,
             cache_capacity: 0,
             queue_cap: 32,
             default_deadline_ms: None,
@@ -241,8 +239,6 @@ fn drain_on_idle_server_snapshots_every_dataset() {
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 1,
-            batch_max: 4,
             cache_capacity: 64,
             drain_snapshot_dir: Some(snap_dir.clone()),
             drain_grace_ms: 1_000,

@@ -105,8 +105,6 @@ fn thousand_idle_connections_do_not_pin_grown_read_buffers() {
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 1,
-            batch_max: 4,
             cache_capacity: 64,
             ..ServerConfig::default()
         },

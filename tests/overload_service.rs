@@ -67,8 +67,6 @@ fn start_two_tenant_server() -> Server {
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 2,
-            batch_max: 8,
             cache_capacity: 8192,
             queue_cap: 4,
             default_deadline_ms: Some(10_000),
@@ -246,6 +244,157 @@ fn flood_and_trickle_do_not_starve_the_well_behaved_tenant() {
         );
     }
     tenant.quit().expect("quit");
+    server.shutdown();
+}
+
+/// One dataset, deep (`h` = 3) so cold fills stay expensive, behind a
+/// two-permit admission budget.
+fn start_tight_server(cache_capacity: usize) -> Server {
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.insert_graph("d", dense_graph(0xD), 3);
+    Server::start(
+        registry,
+        "127.0.0.1:0",
+        ServerConfig {
+            cache_capacity,
+            queue_cap: 2,
+            default_deadline_ms: Some(10_000),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// `EXPLAIN_ESTIMATE` is under the same overload control as `ESTIMATE`:
+/// a flood of cold explains from several connections against a
+/// two-permit budget is refused with typed `BUSY` lines, never runs more
+/// than two at once, and leaves the gauge at zero.
+#[test]
+fn explain_flood_meets_admission_control() {
+    // No cache: every explain is a miss and needs a permit.
+    let server = start_tight_server(0);
+    let addr = server.local_addr();
+    let busy_seen = AtomicBool::new(false);
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let (est, busy) = std::thread::scope(|scope| {
+        let floods: Vec<_> = (0..6u64)
+            .map(|seed| {
+                let busy_seen = &busy_seen;
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xE0 + seed);
+                    let mut client = Client::connect(addr).expect("flood connect");
+                    let (mut est, mut busy) = (0u64, 0u64);
+                    while !busy_seen.load(Ordering::Relaxed) && Instant::now() < give_up {
+                        let q = random_cold_query(&mut rng);
+                        match client.explain("d", &q, None).expect("typed reply").reply {
+                            QueryReply::Estimate(_) => est += 1,
+                            QueryReply::Busy(msg) => {
+                                assert!(msg.contains("queue full"), "unexpected BUSY: {msg}");
+                                busy += 1;
+                                busy_seen.store(true, Ordering::Relaxed);
+                            }
+                            QueryReply::Timeout { .. } => panic!("10 s deadline cannot expire"),
+                        }
+                    }
+                    client.quit().expect("quit");
+                    (est, busy)
+                })
+            })
+            .collect();
+        floods
+            .into_iter()
+            .map(|f| f.join().expect("flood thread"))
+            .fold((0, 0), |(e, b), (de, db)| (e + de, b + db))
+    });
+    assert!(est > 0, "the flood must still get some real answers");
+    assert!(
+        busy >= 1,
+        "six connections of cold EXPLAIN_ESTIMATEs against queue_cap=2 must trip admission control"
+    );
+
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(metric(&mut client, "busy_total") >= busy);
+    assert!(
+        metric(&mut client, "queued_peak") <= 2,
+        "explains ran outside the admission budget"
+    );
+    assert_eq!(metric(&mut client, "queued"), 0, "queue depth must settle");
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+/// Fairness inside one dataset: hits are answered before admission, so
+/// while a cold flood holds the dataset at its cap, a client whose
+/// working set is cached sees only cache-hit estimates — never `BUSY`.
+#[test]
+fn warmed_client_of_a_flooded_dataset_never_sees_busy() {
+    let server = start_tight_server(8192);
+    let addr = server.local_addr();
+    let warm_queries: Vec<QueryGraph> = vec![
+        templates::path(2, &[0, 1]),
+        templates::star(2, &[1, 4]),
+        templates::path(3, &[0, 1, 2]),
+        templates::cycle(3, &[1, 2, 3]),
+    ];
+    let mut warm = Client::connect(addr).expect("warm connect");
+    for q in &warm_queries {
+        warm.estimate("d", q).expect("warm");
+    }
+
+    let (stop, at_cap) = (AtomicBool::new(false), AtomicBool::new(false));
+    let flood_busy = std::thread::scope(|scope| {
+        let floods: Vec<_> = (0..2u64)
+            .map(|seed| {
+                let (stop, at_cap) = (&stop, &at_cap);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xF0 + seed);
+                    let mut client = Client::connect(addr).expect("flood connect");
+                    let mut busy = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let batch: Vec<QueryGraph> =
+                            (0..16).map(|_| random_cold_query(&mut rng)).collect();
+                        let replies = client
+                            .estimate_batch_with_deadline("d", &batch, None)
+                            .expect("flood batch must get typed replies");
+                        busy += replies
+                            .iter()
+                            .filter(|r| matches!(r, QueryReply::Busy(_)))
+                            .count() as u64;
+                        if busy > 0 {
+                            at_cap.store(true, Ordering::Relaxed);
+                        }
+                    }
+                    busy
+                })
+            })
+            .collect();
+        // Start only once the flood has been refused at least once: from
+        // then on its 16-wide cold batches keep the dataset at its cap.
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !at_cap.load(Ordering::Relaxed) && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 0..400 {
+            let q = &warm_queries[i % warm_queries.len()];
+            match warm
+                .estimate_with_deadline("d", q, None)
+                .expect("warm estimate")
+            {
+                QueryReply::Estimate(est) => assert!(est.cached, "warm query {i} was recomputed"),
+                other => panic!("warm query {i} on a flooded dataset got {other:?}"),
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        floods
+            .into_iter()
+            .map(|f| f.join().expect("flooder"))
+            .sum::<u64>()
+    });
+    assert!(
+        flood_busy > 0,
+        "the flood never held the dataset at its cap, so the test proved nothing"
+    );
+    warm.quit().expect("quit");
     server.shutdown();
 }
 

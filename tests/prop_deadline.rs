@@ -140,8 +140,6 @@ proptest! {
             registry(),
             "127.0.0.1:0",
             ServerConfig {
-                workers: 2,
-                batch_max: 4,
                 cache_capacity: 64,
                 default_deadline_ms: Some(10_000),
                 ..ServerConfig::default()
@@ -179,8 +177,6 @@ proptest! {
             registry(),
             "127.0.0.1:0",
             ServerConfig {
-                workers: 2,
-                batch_max: 4,
                 cache_capacity: 64,
                 default_deadline_ms: Some(10_000),
                 ..ServerConfig::default()
@@ -232,8 +228,6 @@ fn zero_deadline_batch_times_out_cleanly() {
         registry(),
         "127.0.0.1:0",
         ServerConfig {
-            workers: 1,
-            batch_max: 4,
             cache_capacity: 0, // no cache: every slot must take the queued path
             default_deadline_ms: None,
             ..ServerConfig::default()

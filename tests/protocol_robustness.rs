@@ -25,8 +25,6 @@ fn start_server() -> Server {
         registry,
         "127.0.0.1:0",
         ServerConfig {
-            workers: 2,
-            batch_max: 4,
             cache_capacity: 64,
             ..ServerConfig::default()
         },

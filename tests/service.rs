@@ -7,7 +7,7 @@ use std::thread;
 use cegraph::service::{Client, DatasetEntry, DatasetRegistry, QueryReply, Server, ServerConfig};
 use cegraph::workload::{Dataset, Workload, WorkloadQuery};
 
-fn start_server(workers: usize) -> (Server, Vec<WorkloadQuery>) {
+fn start_server() -> (Server, Vec<WorkloadQuery>) {
     let graph = Dataset::Hetionet.generate(4);
     let queries = Workload::Job.build(&graph, 1, 4);
     assert!(!queries.is_empty());
@@ -18,8 +18,6 @@ fn start_server(workers: usize) -> (Server, Vec<WorkloadQuery>) {
         cegraph::catalog::MarkovTable::empty(2),
     ));
     let config = ServerConfig {
-        workers,
-        batch_max: 16,
         cache_capacity: 1024,
         ..ServerConfig::default()
     };
@@ -32,7 +30,7 @@ fn start_server(workers: usize) -> (Server, Vec<WorkloadQuery>) {
 /// and afterwards a repeated query must be a verified cache hit.
 #[test]
 fn concurrent_clients_get_identical_estimates_and_cache_hits() {
-    let (server, queries) = start_server(4);
+    let (server, queries) = start_server();
     let addr = server.local_addr();
 
     const CLIENTS: usize = 5;
@@ -86,7 +84,7 @@ fn concurrent_clients_get_identical_estimates_and_cache_hits() {
 /// cache hit with the identical estimate.
 #[test]
 fn isomorphic_queries_share_cache_entries() {
-    let (server, queries) = start_server(2);
+    let (server, queries) = start_server();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
 
@@ -120,7 +118,7 @@ fn isomorphic_queries_share_cache_entries() {
 fn errors_are_reported_and_connection_survives() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (server, queries) = start_server(2);
+    let (server, queries) = start_server();
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -281,7 +279,6 @@ fn slowlog_records_misses_and_prom_exposition_is_served() {
         cegraph::catalog::MarkovTable::empty(2),
     ));
     let config = ServerConfig {
-        workers: 2,
         slow_query_threshold_ms: 0,
         ..ServerConfig::default()
     };
@@ -342,5 +339,130 @@ fn slowlog_records_misses_and_prom_exposition_is_served() {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap();
     assert!(count >= 2, "estimate latency histogram must have samples");
+    server.shutdown();
+}
+
+/// `ESTIMATE`, a slot of `ESTIMATE_BATCH` and `EXPLAIN_ESTIMATE` are one
+/// engine call: sent the same cold query against the same state, each
+/// computes the bit-identical value, and `EXPLAIN` names the stages with
+/// the span names clients and `cegbench` parse.
+#[test]
+fn one_query_through_the_three_commands_is_bit_equal() {
+    let graph = Dataset::Hetionet.generate(4);
+    let queries = Workload::Cyclic.build(&graph, 1, 4);
+    let start = || {
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.insert(DatasetEntry::new(
+            "default",
+            graph.clone(),
+            cegraph::catalog::MarkovTable::empty(3),
+        ));
+        // No cache: every command computes its answer from the catalog.
+        let config = ServerConfig {
+            cache_capacity: 0,
+            ..ServerConfig::default()
+        };
+        Server::start(registry, "127.0.0.1:0", config).expect("bind")
+    };
+    for wq in &queries {
+        let q = &wq.query;
+        // A fresh server per command, so all three start from the same
+        // empty catalog and none rides on another's fill.
+        let bits = |reply: QueryReply| match reply {
+            QueryReply::Estimate(est) => {
+                assert!(!est.cached);
+                est.value.map(f64::to_bits)
+            }
+            other => panic!("expected an estimate, got {other:?}"),
+        };
+        let (single, batched, explained) = {
+            let (a, b, c) = (start(), start(), start());
+            let single = Client::connect(a.local_addr())
+                .expect("connect")
+                .estimate_with_deadline("default", q, None)
+                .expect("estimate");
+            let mut batch = Client::connect(b.local_addr())
+                .expect("connect")
+                .estimate_batch_with_deadline("default", std::slice::from_ref(q), None)
+                .expect("batch");
+            let explained = Client::connect(c.local_addr())
+                .expect("connect")
+                .explain("default", q, None)
+                .expect("explain");
+            for server in [a, b, c] {
+                server.shutdown();
+            }
+            (single, batch.remove(0), explained)
+        };
+        let mut names: Vec<&str> = explained.spans.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "cache_probe",
+                "catalog_fill",
+                "estimate",
+                "lock_wait",
+                "queue_wait"
+            ],
+            "span names of a cold EXPLAIN_ESTIMATE"
+        );
+        let want = bits(single);
+        assert_eq!(bits(batched), want, "ESTIMATE_BATCH diverged on {q}");
+        assert_eq!(
+            bits(explained.reply),
+            want,
+            "EXPLAIN_ESTIMATE diverged on {q}"
+        );
+    }
+}
+
+/// The connection thread runs the counting kernel, the isomorphism
+/// search and the CEG construction itself, so its stack must hold the
+/// largest legal query — 32 edges — in an unoptimized build too. This
+/// test is what holds `CONN_STACK_BYTES`: a stack overflow aborts the
+/// test process.
+#[test]
+fn maximal_query_answers_on_the_connection_thread() {
+    use cegraph::query::templates;
+
+    let graph = Dataset::Hetionet.generate(4);
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.insert(DatasetEntry::new(
+        "default",
+        graph,
+        cegraph::catalog::MarkovTable::empty(3),
+    ));
+    let config = ServerConfig {
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(registry, "127.0.0.1:0", config).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // A cycle, not a path: 32 edges over 32 variables, the most both
+    // `EdgeMask` and the variable bit sets hold.
+    let labels: Vec<u16> = (0..32).map(|i| i % 3).collect();
+    let q = templates::cycle(32, &labels);
+    assert_eq!((q.num_edges(), q.num_vars()), (32, 32));
+
+    let single = client
+        .estimate_with_deadline("default", &q, None)
+        .expect("ESTIMATE");
+    let batched = client
+        .estimate_batch_with_deadline("default", std::slice::from_ref(&q), None)
+        .expect("ESTIMATE_BATCH")
+        .remove(0);
+    let explained = client
+        .explain("default", &q, None)
+        .expect("EXPLAIN_ESTIMATE")
+        .reply;
+    // Cache off, same catalog: three computations of the same value.
+    let value = |reply: &QueryReply| match reply {
+        QueryReply::Estimate(est) => est.value.map(f64::to_bits),
+        other => panic!("expected an estimate, got {other:?}"),
+    };
+    assert_eq!(value(&batched), value(&single));
+    assert_eq!(value(&explained), value(&single));
+    client.quit().expect("quit");
     server.shutdown();
 }

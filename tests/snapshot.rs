@@ -27,8 +27,6 @@ fn toy_registry() -> Arc<DatasetRegistry> {
 
 fn config() -> ServerConfig {
     ServerConfig {
-        workers: 2,
-        batch_max: 8,
         cache_capacity: 256,
         ..ServerConfig::default()
     }

@@ -66,8 +66,6 @@ fn concurrent_mixed_workload_keeps_every_invariant() {
         registry.clone(),
         "127.0.0.1:0",
         ServerConfig {
-            workers: 4,
-            batch_max: 8,
             cache_capacity: 512,
             ..ServerConfig::default()
         },
