@@ -67,37 +67,45 @@ pub fn count_tree_dp(graph: &LabeledGraph, query: &QueryGraph) -> Option<f64> {
         let Some(pei) = parent_edge else { continue };
         let e = query.edge(pei);
         let parent = e.other(v);
-        // propagate down[v] to the parent through edge e:
+        // propagate down[v] to the parent through edge e (out-neighbours
+        // when parent -e-> v, in-neighbours when v -e-> parent):
         // parent_val[u] *= Σ_{u' adj} down[v][u']
         let child_vals = std::mem::take(&mut down[v as usize]);
-        let parent_vals = &mut down[parent as usize];
-        if e.src == parent {
-            // parent -e-> v: sum over out-neighbours
-            for (u, pv) in parent_vals.iter_mut().enumerate() {
-                if *pv == 0.0 {
-                    continue;
-                }
+        let rows = graph.rows(e.label, e.src != parent);
+        scale_by_rows(&mut down[parent as usize], rows, |pv, nbrs| {
+            if *pv != 0.0 {
                 let mut s = 0.0;
-                for &u2 in graph.out_neighbors(u as VertexId, e.label) {
+                for &u2 in nbrs {
                     s += child_vals[u2 as usize];
                 }
                 *pv *= s;
             }
-        } else {
-            // v -e-> parent: sum over in-neighbours
-            for (u, pv) in parent_vals.iter_mut().enumerate() {
-                if *pv == 0.0 {
-                    continue;
-                }
-                let mut s = 0.0;
-                for &u2 in graph.in_neighbors(u as VertexId, e.label) {
-                    s += child_vals[u2 as usize];
-                }
-                *pv *= s;
-            }
-        }
+            Some(())
+        });
     }
     Some(down[root as usize].iter().sum())
+}
+
+/// One DP step over every vertex `u`: `vals[u]` is scaled by a sum over
+/// `u`'s neighbours under one query edge. `scale` does that for a vertex
+/// that has neighbours; a vertex between two `rows` has none, its sum is
+/// empty and its value becomes zero. Walking the relation's rows and
+/// zero-filling the gaps replaces probing the whole domain. `None` as
+/// soon as `scale` gives up (an overflow).
+fn scale_by_rows<'g, T: Copy + Default>(
+    vals: &mut [T],
+    rows: impl Iterator<Item = (VertexId, &'g [VertexId])>,
+    mut scale: impl FnMut(&mut T, &[VertexId]) -> Option<()>,
+) -> Option<()> {
+    let mut next = 0usize;
+    for (u, nbrs) in rows {
+        let u = u as usize;
+        vals[next..u].fill(T::default());
+        scale(&mut vals[u], nbrs)?;
+        next = u + 1;
+    }
+    vals[next..].fill(T::default());
+    Some(())
 }
 
 /// The factorized form of a cyclic query: its cyclic core plus the exact
@@ -198,27 +206,23 @@ pub(crate) fn factorize<G: GraphView>(
         let parent = e.other(v as VarId) as usize;
         let child = weights[v].take();
         let pw = weights[parent].get_or_insert_with(|| vec![1u64; n].into_boxed_slice());
-        for u in 0..n {
-            if pw[u] == 0 {
-                continue;
-            }
-            let nbrs = if e.src == parent as VarId {
-                graph.out_neighbors(u as VertexId, e.label)
-            } else {
-                graph.in_neighbors(u as VertexId, e.label)
-            };
-            let s = match &child {
-                None => nbrs.len() as u64,
-                Some(cw) => {
-                    let mut s = 0u64;
-                    for &u2 in nbrs {
-                        s = s.checked_add(cw[u2 as usize])?;
+        let rows = graph.rows(e.label, e.src != parent as VarId);
+        scale_by_rows(pw, rows, |w, nbrs| {
+            if *w != 0 {
+                let s = match &child {
+                    None => nbrs.len() as u64,
+                    Some(cw) => {
+                        let mut s = 0u64;
+                        for &u2 in nbrs {
+                            s = s.checked_add(cw[u2 as usize])?;
+                        }
+                        s
                     }
-                    s
-                }
-            };
-            pw[u] = pw[u].checked_mul(s)?;
-        }
+                };
+                *w = w.checked_mul(s)?;
+            }
+            Some(())
+        })?;
     }
 
     // Compact the surviving variables and remap edges + constraints.

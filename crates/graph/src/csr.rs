@@ -4,21 +4,49 @@
 //! direction: `neighbors(v)` returns the sorted list of endpoints reachable
 //! from `v` through edges of that relation. Sorted neighbour slices give
 //! O(log d) membership tests and allow merge-intersection during matching.
+//!
+//! Only the *active* vertices — those with at least one neighbour — own a
+//! row. A relation of a labeled graph typically touches a few percent of
+//! the vertex domain, so a dense `|V| + 1` offset array per relation and
+//! direction would dwarf the edges it indexes. The row directory is
+//! instead a presence bitmap (one bit per vertex) with a running rank per
+//! 64-bit word: `neighbors(v)` is a bit test, one `count_ones` and two
+//! offset reads — still O(1), and a single word load for the common probe
+//! of a vertex the relation does not touch. Everything that used to sweep
+//! the domain walks [`Csr::rows`] instead.
 
 use crate::VertexId;
 
 /// CSR index over one direction of one relation.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
-    /// `offsets[v]..offsets[v + 1]` indexes into `targets` for vertex `v`.
+    /// Size of the vertex domain the index was built over.
+    num_vertices: usize,
+    /// Bit `v % 64` of word `v / 64` is set iff vertex `v` has a row.
+    /// Spans the domain, or is empty for a relation without edges.
+    present: Vec<u64>,
+    /// `rank[w]` = number of rows owned by vertices below `64 * w`.
+    rank: Vec<u32>,
+    /// `offsets[r]..offsets[r + 1]` indexes into `targets` for the `r`-th
+    /// active vertex in id order; rows are never empty. No entries at all
+    /// for a relation without edges.
     offsets: Vec<u32>,
     /// Concatenated, per-vertex-sorted neighbour lists.
     targets: Vec<VertexId>,
     /// Cached maximum degree (the index is immutable after construction;
     /// pessimistic bounds and matcher buffer sizing query this hot).
     max_degree: u32,
-    /// Cached `|π_X R|` — number of vertices with non-zero degree.
-    num_active: u32,
+}
+
+/// The set bit positions of `word`, ascending.
+fn bits_of(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros();
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 impl Csr {
@@ -27,44 +55,70 @@ impl Csr {
     /// Pairs may arrive in any order; duplicates must already be removed by
     /// the caller (the [`crate::GraphBuilder`] does this).
     pub fn from_pairs(num_vertices: usize, pairs: &[(VertexId, VertexId)]) -> Self {
-        let mut counts = vec![0u32; num_vertices + 1];
-        for &(f, _) in pairs {
-            counts[f as usize + 1] += 1;
+        // Lexicographic order groups each source's targets, already
+        // sorted, into one run per row.
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable();
+        let mut csr = Csr::with_domain(num_vertices, pairs.len());
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            csr.targets.extend(run.iter().map(|p| p.1));
+            csr.seal_row(run[0].0);
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut targets = vec![0 as VertexId; pairs.len()];
-        let mut cursor = counts;
-        for &(f, t) in pairs {
-            let c = &mut cursor[f as usize];
-            targets[*c as usize] = t;
-            *c += 1;
-        }
-        // Sort each neighbour list for binary-search membership tests and
-        // merge/gallop intersection; cache the degree aggregates.
-        let mut max_degree = 0u32;
-        let mut num_active = 0u32;
-        for v in 0..num_vertices {
-            let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-            targets[s..e].sort_unstable();
-            let d = (e - s) as u32;
-            max_degree = max_degree.max(d);
-            num_active += (d > 0) as u32;
-        }
+        csr.finish()
+    }
+
+    /// An index over `num_vertices` with no rows yet, to be filled in
+    /// ascending vertex order: append a row's neighbours to `targets`,
+    /// [`seal_row`](Self::seal_row) it, and [`finish`](Self::finish).
+    fn with_domain(num_vertices: usize, edge_capacity: usize) -> Csr {
         Csr {
-            offsets,
-            targets,
-            max_degree,
-            num_active,
+            num_vertices,
+            targets: Vec::with_capacity(edge_capacity),
+            ..Csr::default()
         }
+    }
+
+    /// Close the neighbours appended to `targets` since the last sealed
+    /// row as the row of `v`. Appending nothing seals nothing: an empty
+    /// row is simply absent from the directory.
+    fn seal_row(&mut self, v: VertexId) {
+        let start = self.offsets.last().map_or(0, |&o| o as usize);
+        if self.targets.len() == start {
+            return;
+        }
+        assert!((v as usize) < self.num_vertices, "row outside the domain");
+        if self.present.is_empty() {
+            // First row: a relation without edges never pays for a
+            // directory.
+            self.present = vec![0u64; self.num_vertices.div_ceil(64)];
+            self.offsets.push(0);
+        }
+        self.present[v as usize >> 6] |= 1u64 << (v & 63);
+        self.offsets.push(self.targets.len() as u32);
+        self.max_degree = self.max_degree.max((self.targets.len() - start) as u32);
+    }
+
+    /// Derive the per-word ranks once every row is sealed.
+    fn finish(mut self) -> Csr {
+        let mut rows = 0u32;
+        self.rank = self
+            .present
+            .iter()
+            .map(|w| {
+                let before = rows;
+                rows += w.count_ones();
+                before
+            })
+            .collect();
+        self.offsets.shrink_to_fit();
+        self.targets.shrink_to_fit();
+        self
     }
 
     /// Number of vertices in the domain.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.num_vertices
     }
 
     /// Total number of stored edges.
@@ -73,14 +127,22 @@ impl Csr {
         self.targets.len()
     }
 
+    /// Position of `v`'s row among the active rows, if it has one.
+    #[inline]
+    pub(crate) fn row_index(&self, v: VertexId) -> Option<usize> {
+        let w = v as usize >> 6;
+        let word = *self.present.get(w)?;
+        let bit = 1u64 << (v & 63);
+        (word & bit != 0).then(|| self.rank[w] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
     /// Sorted neighbours of `v`. Empty slice if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let v = v as usize;
-        if v + 1 >= self.offsets.len() {
-            return &[];
+        match self.row_index(v) {
+            Some(r) => &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize],
+            None => &[],
         }
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Degree of `v` in this direction.
@@ -103,19 +165,42 @@ impl Csr {
     }
 
     /// Number of vertices with non-zero degree (`|π_X R|` for this side).
-    /// O(1): cached at construction.
+    /// O(1): the number of rows.
     #[inline]
     pub fn num_active(&self) -> usize {
-        self.num_active as usize
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Iterate the vertices with non-zero degree, in increasing id order.
     /// The matcher seeds unconstrained root variables from this list
     /// instead of scanning the whole domain.
     pub fn active_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.num_vertices())
-            .filter(move |&v| self.offsets[v] < self.offsets[v + 1])
-            .map(|v| v as VertexId)
+        self.present
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| bits_of(word).map(move |b| (w * 64) as VertexId + b))
+    }
+
+    /// Iterate `(vertex, neighbours)` over the active vertices, in
+    /// increasing id order; no slice is empty. This is how a relation is
+    /// swept — edge iteration, rebase, transposition checks, the tree-DP
+    /// folds — at a cost of its rows, not of the vertex domain.
+    pub fn rows(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        self.active_vertices()
+            .zip(self.offsets.windows(2))
+            .map(|(v, o)| (v, &self.targets[o[0] as usize..o[1] as usize]))
+    }
+
+    /// Iterate `(from, to)` pairs in vertex order.
+    pub fn iter_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        self.rows()
+            .flat_map(|(v, row)| row.iter().map(move |&t| (v, t)))
+    }
+
+    /// Bytes of heap the index holds: directory, offsets and targets.
+    pub fn heap_bytes(&self) -> usize {
+        self.present.capacity() * 8
+            + (self.rank.capacity() + self.offsets.capacity() + self.targets.capacity()) * 4
     }
 
     /// Append the common neighbours of `u` and `v` (in this direction) to
@@ -131,9 +216,9 @@ impl Csr {
     }
 
     /// Fold a delta into a fresh CSR over a (possibly larger) domain of
-    /// `num_vertices`: one merge walk per vertex over the base neighbour
-    /// list, the insertions and the deletions — O(|base| + |delta|), no
-    /// per-vertex sort.
+    /// `num_vertices`: one merge walk over the base rows and the delta's
+    /// source groups — O(|base| + |delta|), untouched rows copied
+    /// wholesale, no per-vertex sort and no pass over the domain.
     ///
     /// `adds` and `dels` are `(from, to)` pairs, sorted lexicographically
     /// and duplicate-free, and normalized against this CSR: every add is
@@ -147,107 +232,104 @@ impl Csr {
     ) -> Csr {
         debug_assert!(adds.is_sorted() && dels.is_sorted());
         debug_assert!(num_vertices >= self.num_vertices());
-        let mut offsets = vec![0u32; num_vertices + 1];
-        let mut targets =
-            Vec::with_capacity((self.num_edges() + adds.len()).saturating_sub(dels.len()));
-        let mut max_degree = 0u32;
-        let mut num_active = 0u32;
+        let mut out = Csr::with_domain(
+            num_vertices,
+            (self.num_edges() + adds.len()).saturating_sub(dels.len()),
+        );
+        let mut base = self.rows().peekable();
         let (mut ai, mut di) = (0usize, 0usize);
         let (mut scratch_a, mut scratch_d) = (Vec::new(), Vec::new());
-        for v in 0..num_vertices {
-            let row_start = targets.len();
-            let base = self.neighbors(v as VertexId);
+        // Every del names a base edge, so the sources to visit are the
+        // base rows and the sources of the adds.
+        while let Some(v) = match (base.peek(), adds.get(ai)) {
+            (Some(&(b, _)), Some(&(a, _))) => Some(b.min(a)),
+            (Some(&(b, _)), None) => Some(b),
+            (None, add) => add.map(|&(a, _)| a),
+        } {
+            let row = base.next_if(|&(b, _)| b == v).map_or(&[][..], |(_, r)| r);
             let a0 = ai;
-            while ai < adds.len() && adds[ai].0 == v as VertexId {
+            while ai < adds.len() && adds[ai].0 == v {
                 ai += 1;
             }
             let d0 = di;
-            while di < dels.len() && dels[di].0 == v as VertexId {
+            while di < dels.len() && dels[di].0 == v {
                 di += 1;
             }
-            scratch_a.clear();
-            scratch_a.extend(adds[a0..ai].iter().map(|p| p.1));
-            scratch_d.clear();
-            scratch_d.extend(dels[d0..di].iter().map(|p| p.1));
-            merge_row_into(base, &scratch_a, &scratch_d, &mut targets);
-            offsets[v + 1] = targets.len() as u32;
-            let d = (targets.len() - row_start) as u32;
-            max_degree = max_degree.max(d);
-            num_active += (d > 0) as u32;
+            if a0 == ai && d0 == di {
+                out.targets.extend_from_slice(row);
+            } else {
+                scratch_a.clear();
+                scratch_a.extend(adds[a0..ai].iter().map(|p| p.1));
+                scratch_d.clear();
+                scratch_d.extend(dels[d0..di].iter().map(|p| p.1));
+                merge_row_into(row, &scratch_a, &scratch_d, &mut out.targets);
+            }
+            out.seal_row(v);
         }
-        debug_assert_eq!(ai, adds.len(), "adds must stay within the domain");
-        debug_assert_eq!(di, dels.len(), "dels must stay within the domain");
-        Csr {
-            offsets,
-            targets,
-            max_degree,
-            num_active,
-        }
+        debug_assert_eq!(di, dels.len(), "every del must name a base edge");
+        out.finish()
     }
 
-    /// The raw CSR arrays `(offsets, targets)` — the exact bytes binary
-    /// persistence writes ([`crate::snapshot`]).
+    /// The arrays binary persistence writes ([`crate::snapshot`]): the
+    /// offsets of the active rows and the targets they index. The row ids
+    /// themselves are [`Csr::active_vertices`].
     pub(crate) fn raw_parts(&self) -> (&[u32], &[VertexId]) {
         (&self.offsets, &self.targets)
     }
 
-    /// Rebuild a CSR from raw arrays, re-deriving the cached aggregates
-    /// and validating every structural invariant the matcher relies on —
-    /// monotone offsets ending at `targets.len()`, strictly sorted
-    /// (duplicate-free) rows — so a corrupt snapshot surfaces as an error
+    /// Rebuild a CSR over `num_vertices` from the persisted arrays — the
+    /// ids of the active rows, their `rows.len() + 1` offsets and the
+    /// targets — validating every structural invariant the matcher relies
+    /// on: row ids strictly increasing and inside the domain, offsets
+    /// from 0 to `targets.len()` with no empty row, strictly sorted
+    /// (duplicate-free) rows. A corrupt snapshot surfaces as an error
     /// here instead of as misbehavior (or a panic) deep in a traversal.
-    pub(crate) fn from_raw_parts(offsets: Vec<u32>, targets: Vec<VertexId>) -> Result<Csr, String> {
-        if offsets.is_empty() {
-            // The empty (default) index: legal — `LabeledGraph::rebase`
-            // leaves gap labels as default CSRs — but only with no
-            // targets.
-            if targets.is_empty() {
-                return Ok(Csr::default());
-            }
-            return Err("CSR with no offsets cannot store targets".into());
+    pub(crate) fn from_raw_parts(
+        num_vertices: usize,
+        rows: &[VertexId],
+        offsets: &[u32],
+        targets: &[VertexId],
+    ) -> Result<Csr, String> {
+        if offsets.len() != rows.len() + 1 {
+            return Err(format!(
+                "CSR has {} rows but {} offsets",
+                rows.len(),
+                offsets.len()
+            ));
         }
         if offsets[0] != 0 {
             return Err("CSR offsets must start at 0".into());
         }
-        if *offsets.last().unwrap() as usize != targets.len() {
+        if offsets[rows.len()] as usize != targets.len() {
             return Err(format!(
                 "CSR offsets end at {} but {} targets are stored",
-                offsets.last().unwrap(),
+                offsets[rows.len()],
                 targets.len()
             ));
         }
-        let mut max_degree = 0u32;
-        let mut num_active = 0u32;
-        for v in 0..offsets.len() - 1 {
-            let (s, e) = (offsets[v], offsets[v + 1]);
-            if s > e {
-                return Err(format!("CSR offsets decrease at vertex {v}"));
-            }
-            let row = &targets[s as usize..e as usize];
+        if rows.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("CSR row ids are not strictly increasing".into());
+        }
+        if rows.last().is_some_and(|&v| v as usize >= num_vertices) {
+            return Err(format!(
+                "CSR row id outside the domain of {num_vertices} vertices"
+            ));
+        }
+        let mut csr = Csr::with_domain(num_vertices, targets.len());
+        for (&v, o) in rows.iter().zip(offsets.windows(2)) {
+            let row = targets
+                .get(o[0] as usize..o[1] as usize)
+                .filter(|row| !row.is_empty())
+                .ok_or_else(|| format!("CSR row of vertex {v} is empty or out of bounds"))?;
             if row.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!(
                     "CSR neighbour list of vertex {v} is not strictly sorted"
                 ));
             }
-            let d = e - s;
-            max_degree = max_degree.max(d);
-            num_active += (d > 0) as u32;
+            csr.targets.extend_from_slice(row);
+            csr.seal_row(v);
         }
-        Ok(Csr {
-            offsets,
-            targets,
-            max_degree,
-            num_active,
-        })
-    }
-
-    /// Iterate `(from, to)` pairs in vertex order.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_vertices()).flat_map(move |v| {
-            self.neighbors(v as VertexId)
-                .iter()
-                .map(move |&t| (v as VertexId, t))
-        })
+        Ok(csr.finish())
     }
 }
 

@@ -42,9 +42,7 @@ impl LabeledGraph {
 
     /// Assemble a graph directly from per-label CSR pairs (the binary
     /// snapshot codec's constructor; the CSRs are already validated by
-    /// [`Csr::from_raw_parts`]). A relation's domain may be smaller than
-    /// `num_vertices`: [`LabeledGraph::rebase`] leaves untouched relations
-    /// at their original domain, and every accessor tolerates that.
+    /// [`Csr::from_raw_parts`]).
     pub(crate) fn from_csr_pairs(num_vertices: usize, pairs: Vec<(Csr, Csr)>) -> Self {
         let (fwd, bwd) = pairs.into_iter().unzip();
         LabeledGraph::new(num_vertices, fwd, bwd)
@@ -135,19 +133,27 @@ impl LabeledGraph {
     /// Iterate the distinct sources of label `l` (vertices with at least
     /// one out-edge under `l`), in increasing id order.
     pub fn sources(&self, l: LabelId) -> impl Iterator<Item = VertexId> + '_ {
-        self.fwd
-            .get(l as usize)
-            .into_iter()
-            .flat_map(|c| c.active_vertices())
+        self.rows(l, false).map(|(v, _)| v)
     }
 
     /// Iterate the distinct destinations of label `l`, in increasing id
     /// order.
     pub fn targets(&self, l: LabelId) -> impl Iterator<Item = VertexId> + '_ {
-        self.bwd
-            .get(l as usize)
-            .into_iter()
-            .flat_map(|c| c.active_vertices())
+        self.rows(l, true).map(|(v, _)| v)
+    }
+
+    /// Iterate `(vertex, neighbours)` over the non-empty adjacency lists
+    /// of label `l`, in increasing vertex order: each source with its
+    /// out-neighbours, or with `backward` each destination with its
+    /// in-neighbours. Costs the relation's rows, not the vertex domain
+    /// (see [`Csr::rows`]).
+    pub fn rows(
+        &self,
+        l: LabelId,
+        backward: bool,
+    ) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
+        let dir = if backward { &self.bwd } else { &self.fwd };
+        dir.get(l as usize).into_iter().flat_map(|c| c.rows())
     }
 
     /// Iterate the edges of one relation.
@@ -164,6 +170,15 @@ impl LabeledGraph {
             self.edges(l)
                 .map(move |(src, dst)| Edge { src, dst, label: l })
         })
+    }
+
+    /// Bytes of heap held by the adjacency indexes of every relation in
+    /// both directions — O(|E|) plus 3/16 byte per vertex for each
+    /// non-empty relation and direction, never a word per vertex.
+    pub fn heap_bytes(&self) -> usize {
+        self.csr_pairs()
+            .map(|(f, b)| f.heap_bytes() + b.heap_bytes())
+            .sum()
     }
 
     /// Build a sub-graph keeping only edges accepted by `keep`.
@@ -185,10 +200,11 @@ impl LabeledGraph {
 
     /// Fold `delta` into a fresh graph. Only the relations the delta
     /// touches are rebuilt ([`Csr::rebase`], one O(|R_l| + |delta_l|)
-    /// merge walk per direction); every other relation is shared with
-    /// `self` via `Arc`, so rebasing a small delta over a large graph
-    /// costs only the touched relations. The domain grows to cover any
-    /// new vertex or label ids the delta mentions.
+    /// merge walk over rows per direction; the only domain-sized work is
+    /// the new directory's bit per vertex); every other relation is
+    /// shared with `self` via `Arc`, so rebasing a small delta over a
+    /// large graph costs only the touched relations. The domain grows to
+    /// cover any new vertex or label ids the delta mentions.
     pub fn rebase(&self, delta: &GraphDelta) -> LabeledGraph {
         let num_vertices = self
             .num_vertices

@@ -161,35 +161,6 @@ impl<'a> OverlayGraph<'a> {
             .map(|l| GraphView::label_count(self, l))
             .sum()
     }
-
-    fn dir_sources_into(&self, l: LabelId, backward: bool, out: &mut Vec<VertexId>) {
-        let start = out.len();
-        match self.patch(l) {
-            None => {
-                if backward {
-                    out.extend(self.base.targets(l));
-                } else {
-                    out.extend(self.base.sources(l));
-                }
-            }
-            Some(p) => {
-                let dp = if backward { &p.bwd } else { &p.fwd };
-                let base_iter: Box<dyn Iterator<Item = VertexId>> = if backward {
-                    Box::new(self.base.targets(l))
-                } else {
-                    Box::new(self.base.sources(l))
-                };
-                out.extend(base_iter.filter(|v| !dp.lists.contains_key(v)));
-                out.extend(
-                    dp.lists
-                        .iter()
-                        .filter(|(_, list)| !list.is_empty())
-                        .map(|(&v, _)| v),
-                );
-                out[start..].sort_unstable();
-            }
-        }
-    }
 }
 
 impl GraphView for OverlayGraph<'_> {
@@ -252,12 +223,30 @@ impl GraphView for OverlayGraph<'_> {
         }
     }
 
-    fn sources_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
-        self.dir_sources_into(l, false, out);
-    }
-
-    fn targets_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
-        self.dir_sources_into(l, true, out);
+    fn rows(&self, l: LabelId, backward: bool) -> impl Iterator<Item = (VertexId, &[VertexId])> {
+        // The base rows the delta left alone, merged in vertex order with
+        // the patched lists that are still non-empty.
+        let lists = self
+            .patch(l)
+            .map(|p| if backward { &p.bwd.lists } else { &p.fwd.lists });
+        let mut patched: Vec<(VertexId, &[VertexId])> = lists
+            .into_iter()
+            .flatten()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(&v, list)| (v, list.as_slice()))
+            .collect();
+        patched.sort_unstable_by_key(|&(v, _)| v);
+        let mut patched = patched.into_iter().peekable();
+        let mut base = self
+            .base
+            .rows(l, backward)
+            .filter(move |(v, _)| lists.is_none_or(|m| !m.contains_key(v)))
+            .peekable();
+        std::iter::from_fn(move || match (base.peek(), patched.peek()) {
+            (Some(b), Some(p)) if p.0 < b.0 => patched.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => patched.next(),
+        })
     }
 }
 

@@ -1,13 +1,14 @@
 //! Versioned binary snapshot framing and the graph section codec.
 //!
 //! A `.cegsnap` file is a sequence of checksummed sections behind a fixed
-//! header, designed so a restart can skip text parsing and CSR
-//! construction entirely — the persisted bytes *are* the in-memory
-//! arrays:
+//! header, designed so a restart can skip text parsing and neighbour-list
+//! sorting entirely — the persisted offsets and targets *are* the
+//! in-memory arrays, and the row ids next to them are what the row
+//! directory is rebuilt from:
 //!
 //! ```text
 //! magic   8 bytes  b"CEGSNAP\0"
-//! version u32 LE   format version (currently 1)
+//! version u32 LE   format version (currently 2)
 //! section*:
 //!   tag      4 bytes   b"GRPH" | b"MRKV" | b"EPOC" | future tags
 //!   len      u64 LE    payload length in bytes
@@ -35,8 +36,10 @@ use crate::{LabeledGraph, VertexId};
 /// File magic: identifies a `.cegsnap` container.
 pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 
-/// Current container format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current container format version. Version 2 changed the `GRPH`
+/// payload to the sparse row layout of [`encode_graph`]; there is no
+/// reader for version 1 (re-bootstrap from the `.edges` file).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section tag: the rebased CSR relations of a [`LabeledGraph`].
 pub const TAG_GRAPH: [u8; 4] = *b"GRPH";
@@ -336,15 +339,16 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Encode a graph as a `GRPH` payload: the raw CSR arrays of every
-/// relation in both directions. A relation may span a smaller domain than
-/// the graph ([`LabeledGraph::rebase`] shares untouched relations at
-/// their original size), so each CSR records its own offset count.
+/// Encode a graph as a `GRPH` payload: per relation and direction, the
+/// ids of the active rows, their offsets and the targets — what
+/// [`Csr`] holds, with the row directory spelled out as ids so the file
+/// costs the edges and rows, never the vertex domain.
 ///
 /// ```text
 /// u64 num_vertices, u64 num_labels
 /// per label: fwd CSR, bwd CSR
-/// CSR: u64 num_offsets, u64 num_targets, offsets u32*, targets u32*
+/// CSR: u64 num_rows, u64 num_targets,
+///      rows u32*num_rows, offsets u32*(num_rows+1), targets u32*num_targets
 /// ```
 pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -353,8 +357,14 @@ pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
     for (fwd, bwd) in graph.csr_pairs() {
         for csr in [fwd, bwd] {
             let (offsets, targets) = csr.raw_parts();
-            put_u64(&mut buf, offsets.len() as u64);
+            // A relation without edges keeps no offsets in memory; on
+            // disk it has the one entry of any other row-less array.
+            let offsets: &[u32] = if offsets.is_empty() { &[0] } else { offsets };
+            put_u64(&mut buf, csr.num_active() as u64);
             put_u64(&mut buf, targets.len() as u64);
+            for v in csr.active_vertices() {
+                put_u32(&mut buf, v);
+            }
             for &o in offsets {
                 put_u32(&mut buf, o);
             }
@@ -370,33 +380,18 @@ pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
 const MAX_LABELS: usize = u16::MAX as usize + 1;
 
 /// Decode a `GRPH` payload, validating every structural invariant
-/// (bounded domain, monotone offsets, sorted rows, in-range targets) so a
-/// corrupt or hostile snapshot is rejected with an error.
+/// (bounded domain and counts, strictly increasing in-domain row ids, no
+/// empty row, offsets ending at the target count, sorted rows, in-range
+/// targets, exact transpose) so a corrupt or hostile snapshot is
+/// rejected with an error.
 pub fn decode_graph(payload: &[u8]) -> io::Result<LabeledGraph> {
     let mut r = PayloadReader::new(payload);
     let num_vertices = r.count("num_vertices", VertexId::MAX as usize + 1)?;
     let num_labels = r.count("num_labels", MAX_LABELS)?;
     let mut pairs = Vec::with_capacity(num_labels);
     for label in 0..num_labels {
-        let mut directions = Vec::with_capacity(2);
-        for dir in ["forward", "backward"] {
-            let what = format!("label {label} {dir} CSR");
-            let num_offsets = r.count(&what, num_vertices + 1)?;
-            // Bound the declared target count by the bytes actually
-            // remaining (4 per entry) — a hostile count fails here, it
-            // never reaches an allocation or an overflowing multiply.
-            let num_targets = r.count(&what, r.remaining() / 4)?;
-            let offsets = r.u32_array(num_offsets, &what)?;
-            let targets = r.u32_array(num_targets, &what)?;
-            if targets.iter().any(|&t| t as usize >= num_vertices) {
-                return Err(bad(format!("{what}: target vertex out of range")));
-            }
-            directions.push(
-                Csr::from_raw_parts(offsets, targets).map_err(|e| bad(format!("{what}: {e}")))?,
-            );
-        }
-        let bwd = directions.pop().unwrap();
-        let fwd = directions.pop().unwrap();
+        let fwd = decode_csr(&mut r, num_vertices, &format!("label {label} forward CSR"))?;
+        let bwd = decode_csr(&mut r, num_vertices, &format!("label {label} backward CSR"))?;
         // The backward index must be exactly the transpose of the
         // forward one. Without this, an internally inconsistent (but
         // checksum-valid) file would load and silently answer wrong
@@ -417,44 +412,50 @@ pub fn decode_graph(payload: &[u8]) -> io::Result<LabeledGraph> {
     Ok(LabeledGraph::from_csr_pairs(num_vertices, pairs))
 }
 
-/// Exact transpose check in O(V + E): rebuild the expected backward
-/// arrays from the forward CSR with a counting pass (iterating sources
-/// in ascending order appends each reverse row already sorted — no
-/// comparison sort) and compare them to the stored ones byte-for-byte.
-/// An order of magnitude cheaper than per-edge binary searches, which
+/// Decode one direction of one relation. Both declared counts are
+/// bounded by the bytes actually remaining (4 per entry) and the row
+/// count by the domain as well — a hostile count fails here, it never
+/// reaches an allocation or an overflowing multiply.
+fn decode_csr(r: &mut PayloadReader<'_>, num_vertices: usize, what: &str) -> io::Result<Csr> {
+    let num_rows = r.count(what, num_vertices.min(r.remaining() / 4))?;
+    let num_targets = r.count(what, r.remaining() / 4)?;
+    let rows = r.u32_array(num_rows, what)?;
+    let offsets = r.u32_array(num_rows + 1, what)?;
+    let targets = r.u32_array(num_targets, what)?;
+    if targets.iter().any(|&t| t as usize >= num_vertices) {
+        return Err(bad(format!("{what}: target vertex out of range")));
+    }
+    Csr::from_raw_parts(num_vertices, &rows, &offsets, &targets)
+        .map_err(|e| bad(format!("{what}: {e}")))
+}
+
+/// Exact transpose check in O(E): the forward edges arrive in `(src,
+/// dst)` order, so the sources of one destination arrive ascending — the
+/// order its backward row stores them in. Each forward edge must
+/// therefore be the next unread entry of its destination's backward row;
+/// with equal edge counts that is a bijection, so the two indexes hold
+/// the same relation. One cursor per backward *row*, nothing per vertex,
+/// and an order of magnitude cheaper than per-edge binary searches, which
 /// would eat into the snapshot-restore win this module exists for.
 fn is_transpose(fwd: &Csr, bwd: &Csr) -> bool {
     if fwd.num_edges() != bwd.num_edges() {
         return false;
     }
-    if fwd.num_edges() == 0 {
-        // Both empty: any offset shapes (including the offset-less
-        // default CSR) represent the same empty relation.
-        return true;
-    }
-    let n = bwd.num_vertices();
     let (b_offsets, b_targets) = bwd.raw_parts();
-    let mut offsets = vec![0u32; n + 1];
-    for (_, dst) in fwd.iter_edges() {
-        if dst as usize >= n {
-            return false; // bwd's domain cannot hold this reverse entry
-        }
-        offsets[dst as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    if offsets != b_offsets {
-        return false;
-    }
-    let mut targets = vec![0 as VertexId; fwd.num_edges()];
-    let mut cursor = offsets;
+    let mut cursor = b_offsets.to_vec();
     for (src, dst) in fwd.iter_edges() {
-        let c = &mut cursor[dst as usize];
-        targets[*c as usize] = src;
-        *c += 1;
+        let Some(row) = bwd.row_index(dst) else {
+            return false;
+        };
+        let (Some(next), Some(&end)) = (cursor.get_mut(row), b_offsets.get(row + 1)) else {
+            return false;
+        };
+        if *next >= end || b_targets.get(*next as usize) != Some(&src) {
+            return false;
+        }
+        *next += 1;
     }
-    targets == b_targets
+    true
 }
 
 /// Encode an `EPOC` payload.
@@ -642,6 +643,168 @@ mod tests {
         let n = bad_target.len();
         bad_target[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_graph(&bad_target).is_err());
+    }
+
+    /// One direction of one relation in the `GRPH` layout, field by
+    /// field, so a test can lie in any of them.
+    fn csr_bytes(
+        num_rows: u64,
+        num_targets: u64,
+        rows: &[u32],
+        offsets: &[u32],
+        targets: &[u32],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, num_rows);
+        put_u64(&mut buf, num_targets);
+        for &x in rows.iter().chain(offsets).chain(targets) {
+            put_u32(&mut buf, x);
+        }
+        buf
+    }
+
+    /// A one-label `GRPH` payload over `num_vertices` from two
+    /// [`csr_bytes`].
+    fn one_label_payload(num_vertices: u64, fwd: &[u8], bwd: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, num_vertices);
+        put_u64(&mut buf, 1);
+        buf.extend_from_slice(fwd);
+        buf.extend_from_slice(bwd);
+        buf
+    }
+
+    /// Decoding must fail with `InvalidData`, naming label 0 and `dir`.
+    fn assert_rejected(payload: &[u8], dir: &str, because: &str) {
+        let err = decode_graph(payload).expect_err(because);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{because}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("label 0") && msg.contains(dir),
+            "{because}: error must name the label and the {dir} direction: {msg}"
+        );
+    }
+
+    #[test]
+    fn hostile_row_directories_are_rejected() {
+        // The honest relation {0->1, 0->2, 3->1} over five vertices.
+        let fwd = csr_bytes(2, 3, &[0, 3], &[0, 2, 3], &[1, 2, 1]);
+        let bwd = csr_bytes(2, 3, &[1, 2], &[0, 2, 3], &[0, 3, 0]);
+        let g = decode_graph(&one_label_payload(5, &fwd, &bwd)).unwrap();
+        assert_eq!(g.out_neighbors(0, 0), &[1, 2]);
+        assert_eq!(g.in_neighbors(1, 0), &[0, 3]);
+
+        let lies = [
+            (
+                csr_bytes(2, 3, &[0, 5], &[0, 2, 3], &[1, 2, 1]),
+                "a row id at num_vertices",
+            ),
+            (
+                csr_bytes(2, 3, &[3, 3], &[0, 2, 3], &[1, 2, 1]),
+                "a repeated row id",
+            ),
+            (
+                csr_bytes(2, 3, &[3, 0], &[0, 2, 3], &[1, 2, 1]),
+                "descending row ids",
+            ),
+            (
+                csr_bytes(3, 3, &[0, 2, 3], &[0, 2, 2, 3], &[1, 2, 1]),
+                "an empty row",
+            ),
+            (
+                csr_bytes(2, 3, &[0, 3], &[0, 3, 2], &[1, 2, 1]),
+                "a reversed row that still ends at num_targets",
+            ),
+            (
+                csr_bytes(2, 3, &[0, 3], &[0, 2, 2], &[1, 2, 1]),
+                "offsets that stop short of num_targets",
+            ),
+            (
+                csr_bytes(2, 3, &[0, 3], &[0, 2, 4], &[1, 2, 1]),
+                "offsets that run past num_targets",
+            ),
+            (
+                csr_bytes(2, 3, &[0, 3], &[1, 2, 3], &[1, 2, 1]),
+                "offsets that do not start at 0",
+            ),
+            (
+                csr_bytes(
+                    6,
+                    3,
+                    &[0, 1, 2, 3, 4, 5],
+                    &[0, 1, 2, 3, 3, 3, 3],
+                    &[1, 2, 1],
+                ),
+                "more rows than vertices",
+            ),
+        ];
+        for (bad_fwd, because) in &lies {
+            assert_rejected(&one_label_payload(5, bad_fwd, &bwd), "forward", because);
+        }
+        // The same lies told by the backward index name that direction.
+        let bad_bwd = csr_bytes(2, 3, &[1, 1], &[0, 2, 3], &[0, 3, 0]);
+        assert_rejected(
+            &one_label_payload(5, &fwd, &bad_bwd),
+            "backward",
+            "a repeated backward row id",
+        );
+    }
+
+    #[test]
+    fn hostile_row_count_cannot_force_allocation() {
+        // A domain of 2^32 vertices makes every row count "in range":
+        // the bytes actually remaining must bound it instead, before
+        // anything is allocated for it.
+        for num_rows in [1u64 << 31, u32::MAX as u64 + 1, 6] {
+            let fwd = csr_bytes(num_rows, 0, &[], &[0], &[]);
+            let bwd = csr_bytes(0, 0, &[], &[0], &[]);
+            assert_rejected(
+                &one_label_payload(1 << 32, &fwd, &bwd),
+                "forward",
+                "a row count larger than the payload",
+            );
+        }
+    }
+
+    #[test]
+    fn well_formed_backward_index_that_is_not_the_transpose_is_rejected() {
+        // Forward {0->1}; the backward index repeats it instead of
+        // holding {1->0}. Each CSR is valid on its own.
+        let fwd = csr_bytes(1, 1, &[0], &[0, 1], &[1]);
+        assert!(decode_graph(&one_label_payload(
+            2,
+            &fwd,
+            &csr_bytes(1, 1, &[1], &[0, 1], &[0])
+        ))
+        .is_ok());
+        assert_rejected(
+            &one_label_payload(2, &fwd, &fwd),
+            "backward",
+            "a backward index that is not the transpose",
+        );
+        // Right rows, wrong order inside one: {0->2, 1->2} transposed is
+        // 2 -> [0, 1]; a backward CSR cannot store [1, 0] (unsorted), so
+        // the nearest well-formed lie swaps a source for another vertex.
+        let fwd = csr_bytes(2, 2, &[0, 1], &[0, 1, 2], &[2, 2]);
+        let bwd = csr_bytes(1, 2, &[2], &[0, 2], &[0, 2]);
+        assert_rejected(
+            &one_label_payload(3, &fwd, &bwd),
+            "backward",
+            "a backward row naming the wrong source",
+        );
+    }
+
+    #[test]
+    fn version_1_header_is_refused() {
+        let mut file = Vec::from(MAGIC);
+        file.extend_from_slice(&1u32.to_le_bytes());
+        let err = SnapshotReader::new(&file[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("snapshot format version 1 is not supported"),
+            "{err}"
+        );
     }
 
     #[test]

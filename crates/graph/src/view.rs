@@ -50,11 +50,22 @@ pub trait GraphView {
     /// `|π_dst R_l|` — number of distinct destinations of label `l`.
     fn distinct_targets(&self, l: LabelId) -> usize;
 
+    /// Iterate `(vertex, neighbours)` over the non-empty adjacency lists
+    /// of label `l`, in increasing vertex order: each source with its
+    /// out-neighbours, or with `backward` each destination with its
+    /// in-neighbours. The way to sweep a relation: it costs the
+    /// relation's rows, where probing `0..num_vertices` costs the domain.
+    fn rows(&self, l: LabelId, backward: bool) -> impl Iterator<Item = (VertexId, &[VertexId])>;
+
     /// Append the distinct sources of label `l` to `out`, sorted.
-    fn sources_into(&self, l: LabelId, out: &mut Vec<VertexId>);
+    fn sources_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
+        out.extend(self.rows(l, false).map(|(v, _)| v));
+    }
 
     /// Append the distinct destinations of label `l` to `out`, sorted.
-    fn targets_into(&self, l: LabelId, out: &mut Vec<VertexId>);
+    fn targets_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
+        out.extend(self.rows(l, true).map(|(v, _)| v));
+    }
 }
 
 impl GraphView for crate::LabeledGraph {
@@ -108,12 +119,8 @@ impl GraphView for crate::LabeledGraph {
         crate::LabeledGraph::distinct_targets(self, l)
     }
 
-    fn sources_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
-        out.extend(self.sources(l));
-    }
-
-    fn targets_into(&self, l: LabelId, out: &mut Vec<VertexId>) {
-        out.extend(self.targets(l));
+    fn rows(&self, l: LabelId, backward: bool) -> impl Iterator<Item = (VertexId, &[VertexId])> {
+        crate::LabeledGraph::rows(self, l, backward)
     }
 }
 

@@ -40,8 +40,9 @@ impl QueryEdge {
 
 /// An edge-labeled subgraph query over variables `0..num_vars`.
 ///
-/// Queries are restricted to at most 32 edges so that edge subsets fit in a
-/// [`EdgeMask`] bitmask; the paper's largest workload query has 12 edges.
+/// Queries are restricted to at most 32 edges and 32 variables so that
+/// edge subsets fit in an [`EdgeMask`] and variable sets in a `u32`
+/// bitmask; the paper's largest workload query has 12 edges.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryGraph {
     num_vars: VarId,
@@ -49,10 +50,22 @@ pub struct QueryGraph {
 }
 
 impl QueryGraph {
+    /// Most edges a query may have: an edge subset is an [`EdgeMask`].
+    pub const MAX_EDGES: usize = 32;
+    /// Most variables a query may have: a variable set is a `u32` mask.
+    pub const MAX_VARS: VarId = 32;
+
     /// Build a query; panics on malformed input (self-loops are allowed,
-    /// out-of-range variables and >32 edges are not).
+    /// out-of-range variables, >32 edges and >32 variables are not).
     pub fn new(num_vars: VarId, edges: Vec<QueryEdge>) -> Self {
-        assert!(edges.len() <= 32, "queries are limited to 32 edges");
+        assert!(
+            edges.len() <= Self::MAX_EDGES,
+            "queries are limited to 32 edges"
+        );
+        assert!(
+            num_vars <= Self::MAX_VARS,
+            "queries are limited to 32 variables"
+        );
         for e in &edges {
             assert!(
                 e.src < num_vars && e.dst < num_vars,
@@ -174,33 +187,30 @@ impl QueryGraph {
     }
 
     /// Enumerate all connected non-empty edge subsets, in increasing
-    /// cardinality order. These are the CEG_O vertices (Section 4.2).
+    /// cardinality order (and increasing mask order within one
+    /// cardinality). These are the CEG_O vertices (Section 4.2).
     pub fn connected_subsets(&self) -> Vec<EdgeMask> {
-        let m = self.num_edges();
         let mut out: Vec<EdgeMask> = Vec::new();
-        let mut seen = vec![false; 1usize << m];
-        // BFS over subsets: start from singletons, extend by adjacent edges.
-        let mut frontier: Vec<EdgeMask> = (0..m).map(EdgeMask::single).collect();
-        for &f in &frontier {
-            seen[f.bits() as usize] = true;
-        }
-        while let Some(mask) = frontier.pop() {
-            out.push(mask);
-            let vars = self.vars_of(mask);
-            for (i, e) in self.edges.iter().enumerate() {
-                if mask.contains(i) {
-                    continue;
-                }
-                if vars & ((1 << e.src) | (1 << e.dst)) != 0 {
-                    let next = mask.insert(i);
-                    if !seen[next.bits() as usize] {
-                        seen[next.bits() as usize] = true;
-                        frontier.push(next);
+        // Level by level: the connected subsets of k + 1 edges are those
+        // of k edges extended by one adjacent edge, each reached once per
+        // edge it can shed, so a sort + dedup per level is the "seen" set.
+        // Memory follows the answer, never 2^m.
+        let mut level: Vec<EdgeMask> = (0..self.num_edges()).map(EdgeMask::single).collect();
+        while !level.is_empty() {
+            out.extend_from_slice(&level);
+            let mut next = Vec::new();
+            for &mask in &level {
+                let vars = self.vars_of(mask);
+                for (i, e) in self.edges.iter().enumerate() {
+                    if !mask.contains(i) && vars & ((1 << e.src) | (1 << e.dst)) != 0 {
+                        next.push(mask.insert(i));
                     }
                 }
             }
+            next.sort_unstable();
+            next.dedup();
+            level = next;
         }
-        out.sort_by_key(|m| (m.len(), m.bits()));
         out
     }
 
@@ -349,6 +359,23 @@ mod tests {
     #[should_panic(expected = "references a variable")]
     fn out_of_range_var_panics() {
         QueryGraph::new(2, vec![QueryEdge::new(0, 5, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 variables")]
+    fn more_variables_than_mask_bits_panics() {
+        let edges = (0..32).map(|i| QueryEdge::new(i, i + 1, 0)).collect();
+        QueryGraph::new(33, edges);
+    }
+
+    #[test]
+    fn connected_subsets_cost_the_answer_not_two_to_the_edges() {
+        // The longest path the masks hold: 31 edges over 32 variables. Its
+        // connected subsets are its 31 * 32 / 2 contiguous runs; a table
+        // indexed by mask would be 2^31 entries.
+        let q = QueryGraph::new(32, (0..31).map(|i| QueryEdge::new(i, i + 1, 0)).collect());
+        assert!(q.is_connected());
+        assert_eq!(q.connected_subsets().len(), 31 * 32 / 2);
     }
 
     #[test]

@@ -38,6 +38,17 @@ use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EpochState};
 /// Entries kept in the slow-query ring buffer (oldest evicted first).
 const SLOWLOG_CAP: usize = 128;
 
+/// A per-dataset gauge: what `METRICS` calls `dataset_<name>_<gauge>` and
+/// `METRICS_PROM` calls `ceg_dataset_<gauge>{dataset="<name>"}`.
+type DatasetGauge = (&'static str, fn(&DatasetEntry) -> u64);
+
+const DATASET_GAUGES: [DatasetGauge; 4] = [
+    ("epoch", |e| e.epoch()),
+    ("pending_ops", |e| e.pending_len() as u64),
+    ("catalog_entries", |e| e.catalog_len() as u64),
+    ("graph_bytes", |e| e.graph_bytes() as u64),
+];
+
 /// Default slow-query threshold: misses slower than this are logged.
 pub const DEFAULT_SLOW_QUERY_THRESHOLD_MS: u64 = 250;
 
@@ -782,15 +793,9 @@ impl Engine {
         out.push(("datasets".into(), self.registry.len() as u64));
         for name in self.registry.names() {
             if let Some(entry) = self.registry.get(&name) {
-                out.push((format!("dataset_{name}_epoch"), entry.epoch()));
-                out.push((
-                    format!("dataset_{name}_pending_ops"),
-                    entry.pending_len() as u64,
-                ));
-                out.push((
-                    format!("dataset_{name}_catalog_entries"),
-                    entry.catalog_len() as u64,
-                ));
+                for (gauge, get) in DATASET_GAUGES {
+                    out.push((format!("dataset_{name}_{gauge}"), get(&entry)));
+                }
             }
         }
         out
@@ -835,20 +840,12 @@ impl Engine {
         // exposition (and our own checker rejects it).
         let names = self.registry.names();
         if !names.is_empty() {
-            for (family, get) in [
-                ("ceg_dataset_epoch", 0usize),
-                ("ceg_dataset_pending_ops", 1),
-                ("ceg_dataset_catalog_entries", 2),
-            ] {
-                out.push(format!("# TYPE {family} gauge"));
+            for (gauge, get) in DATASET_GAUGES {
+                out.push(format!("# TYPE ceg_dataset_{gauge} gauge"));
                 for name in &names {
                     if let Some(entry) = self.registry.get(name) {
-                        let value = match get {
-                            0 => entry.epoch(),
-                            1 => entry.pending_len() as u64,
-                            _ => entry.catalog_len() as u64,
-                        };
-                        out.push(format!("{family}{{dataset=\"{name}\"}} {value}"));
+                        let value = get(&entry);
+                        out.push(format!("ceg_dataset_{gauge}{{dataset=\"{name}\"}} {value}"));
                     }
                 }
             }

@@ -219,7 +219,13 @@ fn parse_query_tokens<'a>(
         .ok_or(format!("{ctx}: missing num_edges"))?
         .parse()
         .map_err(|_| format!("{ctx}: bad num_edges"))?;
-    if ne > 32 {
+    // Edge subsets and variable sets are `u32` bitmasks downstream
+    // (`EdgeMask`, `QueryGraph::vars_of`): a query that outgrows either
+    // stops here, not in a shift.
+    if nv > QueryGraph::MAX_VARS {
+        return Err(format!("{ctx}: queries are limited to 32 variables"));
+    }
+    if ne > QueryGraph::MAX_EDGES {
         return Err(format!("{ctx}: queries are limited to 32 edges"));
     }
     let mut edges = Vec::with_capacity(ne);

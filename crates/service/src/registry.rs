@@ -510,6 +510,13 @@ impl DatasetEntry {
         self.current.read().summary
     }
 
+    /// Heap bytes of the base graph's adjacency indexes
+    /// ([`LabeledGraph::heap_bytes`]); divided by the edge count it is the
+    /// storage cost per edge, which must not depend on the vertex domain.
+    pub fn graph_bytes(&self) -> usize {
+        self.pin().base.heap_bytes()
+    }
+
     /// Materialize the committed graph as a standalone CSR graph, in
     /// external (wire-visible) numbering. Tests use this to compare a
     /// live server against a cold one loaded with the final graph.

@@ -286,6 +286,30 @@ mod tests {
         }
     }
 
+    /// The ceiling that keeps graph storage O(|E|): on the benchmark's
+    /// `g100k` shape (32 labels, a relation touches ~2 % of the domain)
+    /// both the in-memory indexes and the `GRPH` payload stay within a few
+    /// words per edge. A per-label, per-direction array over the vertex
+    /// domain costs ~140 B/edge here and fails both bounds.
+    #[test]
+    fn graph_storage_stays_proportional_to_edges() {
+        let spec = DatasetSpec {
+            num_vertices: 90_000,
+            num_edges: 220_000,
+            ..Dataset::Imdb.spec()
+        };
+        let g = spec.generate(2022);
+        let edges = g.num_edges();
+        assert!(edges > 150_000, "{edges} edges");
+        let heap = g.heap_bytes();
+        let encoded = ceg_graph::snapshot::encode_graph(&g).len();
+        assert!(heap / edges <= 24, "{heap} heap bytes for {edges} edges");
+        assert!(
+            encoded / edges <= 20,
+            "{encoded} payload bytes for {edges} edges"
+        );
+    }
+
     #[test]
     fn zipf_sampler_is_skewed() {
         let z = ZipfSampler::new(100, 1.0);

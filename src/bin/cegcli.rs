@@ -1273,6 +1273,8 @@ mod tests {
             "ceg_requests_total 42",
             "# TYPE ceg_dataset_epoch gauge",
             "ceg_dataset_epoch{dataset=\"default\"} 3",
+            "# TYPE ceg_dataset_graph_bytes gauge",
+            "ceg_dataset_graph_bytes{dataset=\"default\"} 2977816",
             "# TYPE ceg_latency_estimate_us histogram",
             "ceg_latency_estimate_us_bucket{le=\"1\"} 0",
             "ceg_latency_estimate_us_bucket{le=\"2\"} 2",
@@ -1280,7 +1282,7 @@ mod tests {
             "ceg_latency_estimate_us_sum 900",
             "ceg_latency_estimate_us_count 5",
         ]);
-        assert_eq!(check_exposition(&lines), Ok((3, 7)));
+        assert_eq!(check_exposition(&lines), Ok((4, 8)));
     }
 
     #[test]

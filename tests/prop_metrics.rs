@@ -13,7 +13,8 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use cegraph::service::{Histogram, Metrics};
+use cegraph::graph::GraphBuilder;
+use cegraph::service::{DatasetRegistry, Engine, Histogram, Metrics};
 use proptest::prelude::*;
 
 /// The true quantile of a sorted sample set: the smallest value with at
@@ -157,9 +158,52 @@ fn metrics_snapshot_keys_are_stable() {
     assert_eq!(got, expected);
 }
 
+/// The exact per-dataset gauges the engine adds to both dumps, and the
+/// one that makes storage cost readable from outside the process:
+/// `graph_bytes` over the edge count is bytes per edge.
+#[test]
+fn dataset_gauges_are_stable() {
+    let mut b = GraphBuilder::new(300);
+    b.add_edge(0, 1, 0);
+    b.add_edge(1, 299, 1);
+    let registry = std::sync::Arc::new(DatasetRegistry::new());
+    registry.insert_graph("toy", b.build(), 2);
+    let engine = Engine::new(registry, 16);
+
+    let snapshot = engine.metrics_snapshot();
+    let got: BTreeSet<&str> = snapshot
+        .iter()
+        .filter_map(|(k, _)| k.strip_prefix("dataset_toy_"))
+        .collect();
+    let gauges = ["epoch", "pending_ops", "catalog_entries", "graph_bytes"];
+    assert_eq!(got, BTreeSet::from(gauges));
+
+    let prom = engine.metrics_prom();
+    let families: BTreeSet<&str> = prom
+        .iter()
+        .filter_map(|l| l.strip_prefix("# TYPE ceg_dataset_"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(families, BTreeSet::from(gauges));
+
+    // Two one-edge relations over 300 vertices: per relation and
+    // direction 5 bitmap words, 5 ranks, 2 offsets and 1 target.
+    let bytes = |line: Option<&str>| line.and_then(|v| v.parse::<u64>().ok());
+    let want = Some(4 * (5 * 8 + 5 * 4 + 2 * 4 + 4));
+    let from_snapshot = snapshot
+        .iter()
+        .find(|(k, _)| k == "dataset_toy_graph_bytes")
+        .map(|(_, v)| *v);
+    assert_eq!(from_snapshot, want);
+    let from_prom = prom
+        .iter()
+        .find_map(|l| l.strip_prefix("ceg_dataset_graph_bytes{dataset=\"toy\"} "));
+    assert_eq!(bytes(from_prom), want);
+}
+
 /// The exact set of `# TYPE`d family names in the metrics-owned part of
-/// the Prometheus exposition (the engine appends cache/dataset families
-/// on top; those are covered by the service integration tests).
+/// the Prometheus exposition (the engine appends cache families on top;
+/// the per-dataset ones are pinned by `dataset_gauges_are_stable`).
 #[test]
 fn metrics_prom_families_are_stable() {
     let lines = Metrics::new().prom_lines();

@@ -114,6 +114,40 @@ fn scripted_malformed_lines_get_err_and_connection_survives() {
     server.shutdown();
 }
 
+/// A query must fit the `u32` masks it is analysed with: 32 edges *and*
+/// 32 variables. A 33-variable path and a 32-edge star (33 variables,
+/// 2^32 connected subsets) each earn one typed `ERR` on every command
+/// that carries a query, and the connection keeps serving.
+#[test]
+fn queries_that_outgrow_the_masks_get_one_typed_err() {
+    let path: String = (0..32).map(|i| format!(" {i} {} 0", i + 1)).collect();
+    let star: String = (1..=32).map(|i| format!(" 0 {i} 0")).collect();
+    let server = start_server();
+    let mut conn = RawConn::connect(server.local_addr());
+    for edges in [path, star] {
+        for request in [
+            format!("ESTIMATE default 33 32{edges}"),
+            format!("EXPLAIN_ESTIMATE default 33 32{edges}"),
+            format!("ESTIMATE_BATCH default 2\n2 1 0 1 0\n33 32{edges}"),
+        ] {
+            conn.send(format!("{request}\n").as_bytes());
+            let reply = conn.read_line().expect("server must answer, not drop");
+            assert!(
+                reply.starts_with("ERR ") && reply.contains("32 variables"),
+                "{request:?} should earn the variable-limit ERR, got {reply:?}"
+            );
+            conn.send(b"PING\n");
+            assert_eq!(conn.read_line().as_deref(), Some("PONG"));
+        }
+    }
+    // The largest query the masks do hold still parses and is answered.
+    let path31: String = (0..31).map(|i| format!(" {i} {} 0", i + 1)).collect();
+    conn.send(format!("ESTIMATE default 32 31{path31}\n").as_bytes());
+    let reply = conn.read_line().expect("server must answer");
+    assert!(reply.starts_with("EST "), "{reply:?}");
+    server.shutdown();
+}
+
 /// Framing violations that cannot be re-synchronized — an oversized
 /// line, a garbage batch count — answer one `ERR` and drop only that
 /// connection; the server itself keeps accepting.
