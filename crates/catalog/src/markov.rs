@@ -8,7 +8,79 @@
 
 use ceg_exec::VarConstraints;
 use ceg_graph::{FxHashMap, GraphView, LabelId, LabeledGraph};
-use ceg_query::{EdgeMask, Pattern, QueryGraph};
+use ceg_query::{Canonicalizer, EdgeMask, Pattern, QueryGraph};
+
+/// One query's sub-queries resolved against one [`MarkovTable`]: the
+/// CEG_O node set (`∅` and every connected edge subset) and, for the
+/// subsets of at most `h` edges, the stored cardinality of each one's
+/// pattern. Everything an estimate asks the catalog is answered here —
+/// what is still to be counted, whether the catalog is complete for the
+/// query, and every `|E|` and `|I|` CEG_O divides — from one pass that
+/// canonicalizes each sub-pattern once.
+#[derive(Debug, Clone)]
+pub struct ResolvedCards {
+    h: usize,
+    /// `∅`, then the connected subsets by size, then by mask
+    /// ([`QueryGraph::connected_subsets`] order).
+    nodes: Vec<EdgeMask>,
+    /// `cards[i]` belongs to `nodes[i]`; covers exactly the nodes of at
+    /// most `h` edges. `None`: the table lacks the pattern.
+    cards: Vec<Option<u64>>,
+    /// The distinct patterns the table lacks, in first-appearance order.
+    missing: Vec<Pattern>,
+}
+
+impl ResolvedCards {
+    /// The size `h` of the table this was resolved against.
+    pub fn h(&self) -> usize {
+        self.h
+    }
+
+    /// The CEG_O node set: `∅` first, the full query last.
+    pub fn nodes(&self) -> &[EdgeMask] {
+        &self.nodes
+    }
+
+    /// The node set, given up to the CEG built from it.
+    pub fn into_nodes(self) -> Vec<EdgeMask> {
+        self.nodes
+    }
+
+    /// Cardinalities aligned with the first nodes: `cards()[i]` is the
+    /// stored `|nodes()[i]|`, for every node of at most `h` edges.
+    pub fn cards(&self) -> &[Option<u64>] {
+        &self.cards
+    }
+
+    /// Position of `mask` among the nodes; `None` if it is not a
+    /// connected subset of the query.
+    pub fn node_index(&self, mask: EdgeMask) -> Option<usize> {
+        index_of(&self.nodes, mask)
+    }
+
+    /// What [`MarkovTable::card_of_subquery`] answers for a connected
+    /// `mask` of at most `h` edges; `None` for any other mask.
+    pub fn card(&self, mask: EdgeMask) -> Option<u64> {
+        self.cards[index_of(&self.nodes[..self.cards.len()], mask)?]
+    }
+
+    /// The patterns to count before the query can be estimated.
+    pub fn missing(&self) -> &[Pattern] {
+        &self.missing
+    }
+
+    /// True if the table held every sub-pattern of at most `h` edges.
+    pub fn is_complete(&self) -> bool {
+        self.missing.is_empty()
+    }
+}
+
+/// Position of `mask` in `nodes`, which are sorted by size, then by mask.
+fn index_of(nodes: &[EdgeMask], mask: EdgeMask) -> Option<usize> {
+    nodes
+        .binary_search_by_key(&(mask.len(), mask), |m| (m.len(), *m))
+        .ok()
+}
 
 /// Cardinalities of connected patterns with at most `h` edges.
 #[derive(Debug, Clone)]
@@ -128,6 +200,34 @@ impl MarkovTable {
         self.card(&Pattern::of_subquery(query, mask))
     }
 
+    /// Resolve `query` against this table (see [`ResolvedCards`]). `None`
+    /// if the query has more than
+    /// [`QueryGraph::MAX_CONNECTED_SUBSETS`] connected sub-queries: CEG_O
+    /// has a node for each, so such a query is not estimated at all.
+    pub fn resolve(&self, query: &QueryGraph) -> Option<ResolvedCards> {
+        let mut nodes = query.connected_subsets_within_limit()?;
+        nodes.insert(0, EdgeMask::empty());
+        let small = nodes.partition_point(|m| m.len() <= self.h);
+        let mut cards = Vec::with_capacity(small);
+        cards.push(Some(1)); // the empty join has one (empty) tuple
+        let mut missing: Vec<Pattern> = Vec::new();
+        let mut canon = Canonicalizer::default();
+        for &mask in &nodes[1..small] {
+            let pattern = canon.of_subquery(query, mask);
+            let card = self.card(pattern);
+            if card.is_none() && !missing.contains(pattern) {
+                missing.push(pattern.clone());
+            }
+            cards.push(card);
+        }
+        Some(ResolvedCards {
+            h: self.h,
+            nodes,
+            cards,
+            missing,
+        })
+    }
+
     /// True if the pattern for `mask` is stored (or computable: empty mask).
     pub fn contains_subquery(&self, query: &QueryGraph, mask: EdgeMask) -> bool {
         self.card_of_subquery(query, mask).is_some()
@@ -159,11 +259,13 @@ impl MarkovTable {
 fn dedupe_subpatterns(queries: &[QueryGraph], max_edges: usize) -> Vec<Pattern> {
     let mut seen: ceg_graph::FxHashSet<Pattern> = ceg_graph::FxHashSet::default();
     let mut work: Vec<Pattern> = Vec::new();
+    let mut canon = Canonicalizer::default();
     for q in queries {
         for mask in q.connected_subsets_up_to(max_edges) {
-            let pat = Pattern::of_subquery(q, mask);
-            if seen.insert(pat.clone()) {
-                work.push(pat);
+            let pat = canon.of_subquery(q, mask);
+            if !seen.contains(pat) {
+                seen.insert(pat.clone());
+                work.push(pat.clone());
             }
         }
     }

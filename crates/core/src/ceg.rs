@@ -106,10 +106,10 @@ pub struct Ceg {
     bottom: u32,
     top: u32,
     edges: Vec<CegEdge>,
-    /// Incoming edge indices per node.
-    incoming: Vec<Vec<u32>>,
-    /// Outgoing edge indices per node.
-    outgoing: Vec<Vec<u32>>,
+    /// Outgoing adjacency, flat: node `v`'s outgoing edge indices are
+    /// `out_edges[out_start[v]..out_start[v + 1]]`, ascending.
+    out_start: Vec<u32>,
+    out_edges: Vec<u32>,
     /// Topological order (bottom first).
     topo: Vec<u32>,
 }
@@ -117,27 +117,37 @@ pub struct Ceg {
 impl Ceg {
     /// Build a CEG from raw edges. Panics if the edge set is cyclic.
     pub fn new(num_nodes: usize, bottom: u32, top: u32, edges: Vec<CegEdge>) -> Self {
-        let mut incoming = vec![Vec::new(); num_nodes];
-        let mut outgoing = vec![Vec::new(); num_nodes];
-        for (i, e) in edges.iter().enumerate() {
+        // Counting sort of the edge indices by source node.
+        let mut out_start = vec![0u32; num_nodes + 1];
+        let mut indeg = vec![0u32; num_nodes];
+        for e in &edges {
             assert!((e.from as usize) < num_nodes && (e.to as usize) < num_nodes);
             assert!(e.rate >= 0.0, "extension rates must be non-negative");
-            incoming[e.to as usize].push(i as u32);
-            outgoing[e.from as usize].push(i as u32);
+            out_start[e.from as usize + 1] += 1;
+            indeg[e.to as usize] += 1;
+        }
+        for v in 0..num_nodes {
+            out_start[v + 1] += out_start[v];
+        }
+        let mut out_edges = vec![0u32; edges.len()];
+        let mut next = out_start.clone();
+        for (i, e) in edges.iter().enumerate() {
+            out_edges[next[e.from as usize] as usize] = i as u32;
+            next[e.from as usize] += 1;
         }
         // Kahn topological sort.
-        let mut indeg: Vec<usize> = incoming.iter().map(Vec::len).collect();
-        let mut queue: Vec<u32> = (0..num_nodes as u32)
+        let mut stack: Vec<u32> = (0..num_nodes as u32)
             .filter(|&v| indeg[v as usize] == 0)
             .collect();
         let mut topo = Vec::with_capacity(num_nodes);
-        while let Some(v) = queue.pop() {
+        while let Some(v) = stack.pop() {
             topo.push(v);
-            for &ei in &outgoing[v as usize] {
+            let (lo, hi) = (out_start[v as usize], out_start[v as usize + 1]);
+            for &ei in &out_edges[lo as usize..hi as usize] {
                 let to = edges[ei as usize].to as usize;
                 indeg[to] -= 1;
                 if indeg[to] == 0 {
-                    queue.push(to as u32);
+                    stack.push(to as u32);
                 }
             }
         }
@@ -147,8 +157,8 @@ impl Ceg {
             bottom,
             top,
             edges,
-            incoming,
-            outgoing,
+            out_start,
+            out_edges,
             topo,
         }
     }
@@ -173,14 +183,13 @@ impl Ceg {
         &self.edges
     }
 
-    /// Indices of the edges entering `node` (diagnostics / rendering).
-    pub fn incoming_edges(&self, node: u32) -> &[u32] {
-        &self.incoming[node as usize]
-    }
-
     /// Indices of the edges leaving `node`.
     pub fn outgoing_edges(&self, node: u32) -> &[u32] {
-        &self.outgoing[node as usize]
+        let (lo, hi) = (
+            self.out_start[node as usize],
+            self.out_start[node as usize + 1],
+        );
+        &self.out_edges[lo as usize..hi as usize]
     }
 
     /// Hop count (number of edges) of the longest bottom-to-top path;
@@ -199,7 +208,7 @@ impl Ceg {
         d[self.bottom as usize] = Some(0);
         for &v in &self.topo {
             let Some(dv) = d[v as usize] else { continue };
-            for &ei in &self.outgoing[v as usize] {
+            for &ei in self.outgoing_edges(v) {
                 let to = self.edges[ei as usize].to as usize;
                 let cand = dv + 1;
                 let better = match d[to] {
@@ -246,7 +255,7 @@ impl Ceg {
                     let Some(base) = val[v as usize] else {
                         continue;
                     };
-                    for &ei in &self.outgoing[v as usize] {
+                    for &ei in self.outgoing_edges(v) {
                         let e = self.edges[ei as usize];
                         let cand = base * e.rate;
                         let slot = &mut val[e.to as usize];
@@ -277,7 +286,7 @@ impl Ceg {
                     if cnt[v as usize] == 0.0 {
                         continue;
                     }
-                    for &ei in &self.outgoing[v as usize] {
+                    for &ei in self.outgoing_edges(v) {
                         let e = self.edges[ei as usize];
                         sum[e.to as usize] += sum[v as usize] * e.rate;
                         cnt[e.to as usize] += cnt[v as usize];
@@ -290,24 +299,23 @@ impl Ceg {
     }
 
     fn estimate_fixed_hops(&self, aggr: Aggr, target: usize) -> Option<f64> {
+        // One flat (node, depth) table: `at(v, depth)`.
         let d = target + 1;
+        let at = |v: u32, depth: usize| v as usize * d + depth;
         match aggr {
             Aggr::Max | Aggr::Min => {
                 let maximize = aggr == Aggr::Max;
-                let mut val = vec![vec![None::<f64>; d]; self.num_nodes];
-                val[self.bottom as usize][0] = Some(1.0);
+                let mut val = vec![None::<f64>; self.num_nodes * d];
+                val[at(self.bottom, 0)] = Some(1.0);
                 for &v in &self.topo {
-                    for depth in 0..d {
-                        let Some(base) = val[v as usize][depth] else {
+                    for depth in 0..target {
+                        let Some(base) = val[at(v, depth)] else {
                             continue;
                         };
-                        if depth + 1 > target {
-                            continue;
-                        }
-                        for &ei in &self.outgoing[v as usize] {
+                        for &ei in self.outgoing_edges(v) {
                             let e = self.edges[ei as usize];
                             let cand = base * e.rate;
-                            let slot = &mut val[e.to as usize][depth + 1];
+                            let slot = &mut val[at(e.to, depth + 1)];
                             let better = match *slot {
                                 None => true,
                                 Some(cur) => {
@@ -324,29 +332,26 @@ impl Ceg {
                         }
                     }
                 }
-                val[self.top as usize][target]
+                val[at(self.top, target)]
             }
             Aggr::Avg => {
-                let mut sum = vec![vec![0.0f64; d]; self.num_nodes];
-                let mut cnt = vec![vec![0.0f64; d]; self.num_nodes];
-                sum[self.bottom as usize][0] = 1.0;
-                cnt[self.bottom as usize][0] = 1.0;
+                let mut sum = vec![0.0f64; self.num_nodes * d];
+                let mut cnt = vec![0.0f64; self.num_nodes * d];
+                sum[at(self.bottom, 0)] = 1.0;
+                cnt[at(self.bottom, 0)] = 1.0;
                 for &v in &self.topo {
-                    for depth in 0..d.saturating_sub(1) {
-                        if cnt[v as usize][depth] == 0.0 {
+                    for depth in 0..target {
+                        if cnt[at(v, depth)] == 0.0 {
                             continue;
                         }
-                        for &ei in &self.outgoing[v as usize] {
+                        for &ei in self.outgoing_edges(v) {
                             let e = self.edges[ei as usize];
-                            sum[e.to as usize][depth + 1] += sum[v as usize][depth] * e.rate;
-                            cnt[e.to as usize][depth + 1] += cnt[v as usize][depth];
+                            sum[at(e.to, depth + 1)] += sum[at(v, depth)] * e.rate;
+                            cnt[at(e.to, depth + 1)] += cnt[at(v, depth)];
                         }
                     }
                 }
-                let (s, c) = (
-                    sum[self.top as usize][target],
-                    cnt[self.top as usize][target],
-                );
+                let (s, c) = (sum[at(self.top, target)], cnt[at(self.top, target)]);
                 (c > 0.0).then(|| s / c)
             }
         }
@@ -373,7 +378,7 @@ impl Ceg {
                 let Some(base) = val[v as usize][depth] else {
                     continue;
                 };
-                for &ei in &self.outgoing[v as usize] {
+                for &ei in self.outgoing_edges(v) {
                     let e = self.edges[ei as usize];
                     let cand = base * e.rate;
                     let slot = &mut val[e.to as usize][depth + 1];
@@ -452,7 +457,7 @@ impl Ceg {
                 .iter()
                 .map(|&b| f64::from_bits(b))
                 .collect();
-            for &ei in &self.outgoing[v as usize] {
+            for &ei in self.outgoing_edges(v) {
                 let e = self.edges[ei as usize];
                 let to = e.to as usize;
                 for &x in &vals {

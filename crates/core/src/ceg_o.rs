@@ -12,8 +12,7 @@
 //! 2. *early cycle closing*: if any extension of `S` closes a cycle, only
 //!    cycle-closing extensions of `S` are kept.
 
-use ceg_catalog::MarkovTable;
-use ceg_graph::FxHashMap;
+use ceg_catalog::{MarkovTable, ResolvedCards};
 use ceg_query::cycles::cyclomatic_number;
 use ceg_query::{EdgeMask, QueryGraph};
 
@@ -62,7 +61,9 @@ pub struct CegO {
 
 impl CegO {
     /// Build the CEG_O of `query` given a Markov table of size `h =
-    /// table.h()`.
+    /// table.h()`. Panics if the query has more than
+    /// [`QueryGraph::MAX_CONNECTED_SUBSETS`] connected sub-queries
+    /// ([`MarkovTable::resolve`] is the check that returns instead).
     pub fn build(query: &QueryGraph, table: &MarkovTable) -> Self {
         Self::build_with_weights(query, table, |_, _| None)
     }
@@ -73,7 +74,7 @@ impl CegO {
         table: &MarkovTable,
         options: CegOOptions,
     ) -> Self {
-        Self::build_full(query, table, options, |_, _| None)
+        Self::build_full(query, resolve(query, table), options, |_, _| None)
     }
 
     /// Build with an optional per-edge weight override: `override_fn(S,
@@ -85,43 +86,48 @@ impl CegO {
         table: &MarkovTable,
         override_fn: impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
     ) -> Self {
-        Self::build_full(query, table, CegOOptions::default(), override_fn)
+        Self::build_full(
+            query,
+            resolve(query, table),
+            CegOOptions::default(),
+            override_fn,
+        )
+    }
+
+    /// [`CegO::build`] from cards already resolved: the build reads the
+    /// table through `resolved` only, so a caller holding a lock on the
+    /// table can drop it first.
+    pub fn from_resolved(query: &QueryGraph, resolved: ResolvedCards) -> Self {
+        Self::build_full(query, resolved, CegOOptions::default(), |_, _| None)
     }
 
     fn build_full(
         query: &QueryGraph,
-        table: &MarkovTable,
+        resolved: ResolvedCards,
         options: CegOOptions,
         mut override_fn: impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
     ) -> Self {
-        let h = table.h();
+        let h = resolved.h();
         let m = query.num_edges();
         assert!(m >= 1, "queries must have at least one edge");
 
-        // Node set: ∅ + all connected subsets, in cardinality order.
-        let mut nodes: Vec<EdgeMask> = vec![EdgeMask::empty()];
-        nodes.extend(query.connected_subsets());
-        let index: FxHashMap<EdgeMask, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &mask)| (mask, i as u32))
-            .collect();
+        // Node set: ∅ + all connected subsets, in cardinality order; the
+        // candidate extension patterns are the nodes of 1..=h edges, and
+        // their cards sit beside them.
+        let nodes = resolved.nodes();
+        let cards = resolved.cards();
         let top_mask = query.full_mask();
-        let top = index[&top_mask];
-
-        // Candidate extension patterns: connected subsets of ≤ h edges.
-        let ext_candidates = query.connected_subsets_up_to(h);
+        let top = (nodes.len() - 1) as u32;
+        assert_eq!(nodes[top as usize], top_mask, "queries must be connected");
+        let cyc: Vec<usize> = nodes.iter().map(|&s| cyclomatic_number(query, s)).collect();
 
         let mut edges: Vec<CegEdge> = Vec::new();
         let mut ext_info: Vec<ExtInfo> = Vec::new();
+        let mut candidate_edges: Vec<(CegEdge, ExtInfo)> = Vec::new();
 
-        for (si, &s) in nodes.iter().enumerate() {
-            if s == top_mask {
-                continue;
-            }
-            let cyc_s = cyclomatic_number(query, s);
-            let mut candidate_edges: Vec<(CegEdge, ExtInfo)> = Vec::new();
-            for &e_mask in &ext_candidates {
+        for (si, &s) in nodes[..top as usize].iter().enumerate() {
+            candidate_edges.clear();
+            for (e_mask, card_e) in nodes[1..cards.len()].iter().zip(&cards[1..]) {
                 let d = e_mask.difference(s);
                 if d.is_empty() {
                     continue;
@@ -143,24 +149,22 @@ impl CegO {
                 if options.size_h_numerators && e_mask.len() != required {
                     continue;
                 }
+                // E must be stored; I must be connected (a resolved node)
+                // and stored.
+                let Some(card_e) = *card_e else {
+                    continue;
+                };
+                let Some(card_i) = resolved.card(i_mask) else {
+                    continue;
+                };
                 // S′ must be a connected sub-query (a CEG node).
-                let Some(&to) = index.get(&s_next) else {
-                    continue;
-                };
-                // I must be connected and stored; E must be stored.
-                if !query.is_connected_mask(i_mask) {
-                    continue;
-                }
-                let Some(card_e) = table.card_of_subquery(query, e_mask) else {
-                    continue;
-                };
-                let Some(card_i) = table.card_of_subquery(query, i_mask) else {
+                let Some(to) = resolved.node_index(s_next) else {
                     continue;
                 };
                 let info = ExtInfo {
-                    ext: e_mask,
+                    ext: *e_mask,
                     inter: i_mask,
-                    closes_cycle: cyclomatic_number(query, s_next) > cyc_s,
+                    closes_cycle: cyc[to] > cyc[si],
                 };
                 let default_rate = if card_e == 0 {
                     0.0
@@ -171,7 +175,7 @@ impl CegO {
                 candidate_edges.push((
                     CegEdge {
                         from: si as u32,
-                        to,
+                        to: to as u32,
                         rate,
                         tag: 0, // assigned below
                     },
@@ -181,7 +185,7 @@ impl CegO {
             // Rule 2: early cycle closing.
             let any_closing =
                 options.early_cycle_closing && candidate_edges.iter().any(|(_, i)| i.closes_cycle);
-            for (mut ce, info) in candidate_edges {
+            for &(mut ce, info) in &candidate_edges {
                 if any_closing && !info.closes_cycle {
                     continue;
                 }
@@ -194,7 +198,7 @@ impl CegO {
         let ceg = Ceg::new(nodes.len(), 0, top, edges);
         CegO {
             ceg,
-            nodes,
+            nodes: resolved.into_nodes(),
             ext_info,
         }
     }
@@ -218,6 +222,17 @@ impl CegO {
     pub fn nodes(&self) -> &[EdgeMask] {
         &self.nodes
     }
+}
+
+/// The cards of `query`'s sub-patterns, or the documented panic past the
+/// connected-subset limit.
+fn resolve(query: &QueryGraph, table: &MarkovTable) -> ResolvedCards {
+    table.resolve(query).unwrap_or_else(|| {
+        panic!(
+            "query has more than {} connected sub-queries",
+            QueryGraph::MAX_CONNECTED_SUBSETS
+        )
+    })
 }
 
 #[cfg(test)]

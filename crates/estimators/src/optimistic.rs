@@ -54,8 +54,11 @@ impl<'a> OptimisticEstimator<'a> {
     }
 
     /// The paper's recommended default: `max-hop-max` (Section 6.2).
+    pub const RECOMMENDED: Heuristic = Heuristic::new(PathLen::MaxHop, Aggr::Max);
+
+    /// Estimator on CEG_O with the [`Self::RECOMMENDED`] heuristic.
     pub fn recommended(table: &'a MarkovTable) -> Self {
-        Self::new(table, Heuristic::new(PathLen::MaxHop, Aggr::Max))
+        Self::new(table, Self::RECOMMENDED)
     }
 
     fn build_ceg(&self, query: &QueryGraph) -> CegO {

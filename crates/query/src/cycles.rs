@@ -17,8 +17,9 @@ pub fn cyclomatic_number(query: &QueryGraph, mask: EdgeMask) -> usize {
     if e == 0 {
         return 0;
     }
-    // Count vertices and components with a union-find over variables.
-    let mut parent: Vec<VarId> = (0..query.num_vars()).collect();
+    // Count vertices and components with a union-find over variables,
+    // on the stack: CEG_O construction calls this once per node.
+    let mut parent: [VarId; QueryGraph::MAX_VARS as usize] = std::array::from_fn(|v| v as VarId);
     fn find(parent: &mut [VarId], v: VarId) -> VarId {
         let mut v = v;
         while parent[v as usize] != v {
@@ -37,13 +38,11 @@ pub fn cyclomatic_number(query: &QueryGraph, mask: EdgeMask) -> usize {
         }
     }
     let nv = vars.count_ones() as usize;
-    let mut roots = std::collections::BTreeSet::new();
-    for v in 0..query.num_vars() {
-        if vars & (1 << v) != 0 {
-            roots.insert(find(&mut parent, v));
-        }
-    }
-    e + roots.len() - nv
+    // Every component of the touched variables has exactly one root.
+    let components = (0..query.num_vars())
+        .filter(|&v| vars & (1 << v) != 0 && parent[v as usize] == v)
+        .count();
+    e + components - nv
 }
 
 /// True if the whole query is acyclic (a forest / tree).

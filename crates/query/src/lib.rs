@@ -25,7 +25,7 @@ pub mod templates;
 pub mod vertex_labels;
 
 pub use mask::EdgeMask;
-pub use pattern::{Pattern, PatternKey};
+pub use pattern::{Canonicalizer, Pattern, PatternKey};
 pub use query::{QueryEdge, QueryGraph};
 pub use vertex_labels::VertexLabelSpace;
 

@@ -20,7 +20,7 @@ use crate::VarId;
 const MAX_CANON_VARS: usize = 8;
 
 /// A small connected pattern in canonical form.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pattern {
     num_vars: VarId,
     /// Canonical, sorted edge list.
@@ -43,72 +43,22 @@ impl Pattern {
     /// (e.g. small-join degree statistics, Section 5.1.1) are translated
     /// through this map.
     pub fn canonical_with_map(edges: &[QueryEdge]) -> (Self, Vec<(VarId, VarId)>) {
-        // Collect distinct variables.
-        let mut vars: Vec<VarId> = Vec::new();
-        for e in edges {
-            for v in [e.src, e.dst] {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        vars.sort_unstable();
-        let k = vars.len();
-        assert!(
-            k <= MAX_CANON_VARS,
-            "pattern with {k} variables exceeds canonicalization limit"
-        );
-        if k == 0 {
-            return (
-                Pattern {
-                    num_vars: 0,
-                    edges: Vec::new(),
-                },
-                Vec::new(),
-            );
-        }
-
-        // Dense renumber first so permutations are over 0..k.
-        let dense = |v: VarId| vars.iter().position(|&x| x == v).unwrap() as VarId;
-        let dense_edges: Vec<QueryEdge> = edges
-            .iter()
-            .map(|e| QueryEdge::new(dense(e.src), dense(e.dst), e.label))
-            .collect();
-
-        // Brute-force minimum over permutations of variables.
-        let mut perm: Vec<VarId> = (0..k as VarId).collect();
-        let mut best: Option<(Vec<QueryEdge>, Vec<VarId>)> = None;
-        permute(&mut perm, 0, &mut |p| {
-            let mut candidate: Vec<QueryEdge> = dense_edges
-                .iter()
-                .map(|e| QueryEdge::new(p[e.src as usize], p[e.dst as usize], e.label))
-                .collect();
-            candidate.sort_unstable();
-            candidate.dedup();
-            match &best {
-                Some((b, _)) if *b <= candidate => {}
-                _ => best = Some((candidate, p.to_vec())),
-            }
-        });
-        let (edges_canon, perm) = best.unwrap();
+        let mut canon = Canonicalizer::default();
+        let (vars, perm) = canon.run(edges.iter().copied());
         let map = vars
             .iter()
-            .enumerate()
-            .map(|(dense_idx, &orig)| (orig, perm[dense_idx]))
+            .zip(&perm)
+            .take(canon.pattern.num_vars as usize)
+            .map(|(&orig, &to)| (orig, to))
             .collect();
-        (
-            Pattern {
-                num_vars: k as VarId,
-                edges: edges_canon,
-            },
-            map,
-        )
+        (canon.pattern, map)
     }
 
     /// Canonical form of the sub-query of `query` induced by an edge subset.
     pub fn of_subquery(query: &QueryGraph, mask: crate::EdgeMask) -> Self {
-        let edges: Vec<QueryEdge> = mask.iter().map(|i| query.edge(i)).collect();
-        Pattern::canonical(&edges)
+        let mut canon = Canonicalizer::default();
+        canon.of_subquery(query, mask);
+        canon.pattern
     }
 
     /// Number of variables.
@@ -149,6 +99,89 @@ impl fmt::Display for Pattern {
             write!(f, "{}-{}->{}", e.src, e.label, e.dst)?;
         }
         write!(f, "]")
+    }
+}
+
+/// Canonicalizes one pattern after another into the same buffers: a
+/// caller that resolves all of a query's sub-patterns (a dozen per
+/// estimate) touches the allocator for the first of them only.
+#[derive(Debug, Default)]
+pub struct Canonicalizer {
+    /// The latest canonical form.
+    pattern: Pattern,
+    /// The input with its variables renumbered densely.
+    dense: Vec<QueryEdge>,
+    /// The permutation under trial.
+    candidate: Vec<QueryEdge>,
+}
+
+impl Canonicalizer {
+    /// Canonical form of the sub-query of `query` induced by `mask`,
+    /// valid until the next call.
+    pub fn of_subquery(&mut self, query: &QueryGraph, mask: crate::EdgeMask) -> &Pattern {
+        self.run(mask.iter().map(|i| query.edge(i)));
+        &self.pattern
+    }
+
+    /// Leave the canonical form of `edges` in `self.pattern`; returns the
+    /// pattern's original variables (sorted) and, aligned with them, the
+    /// canonical variable each maps to.
+    fn run(
+        &mut self,
+        edges: impl Iterator<Item = QueryEdge>,
+    ) -> ([VarId; MAX_CANON_VARS], [VarId; MAX_CANON_VARS]) {
+        // Collect the distinct variables, sorted.
+        let mut vars = [0 as VarId; MAX_CANON_VARS];
+        let mut k = 0;
+        self.dense.clear();
+        for e in edges {
+            for v in [e.src, e.dst] {
+                if !vars[..k].contains(&v) {
+                    assert!(
+                        k < MAX_CANON_VARS,
+                        "pattern with more than {MAX_CANON_VARS} variables exceeds canonicalization limit"
+                    );
+                    vars[k] = v;
+                    k += 1;
+                }
+            }
+            self.dense.push(e);
+        }
+        vars[..k].sort_unstable();
+        // Dense renumber first so permutations are over 0..k.
+        let dense_var = |v: VarId| vars[..k].iter().position(|&x| x == v).unwrap() as VarId;
+        for e in &mut self.dense {
+            *e = QueryEdge::new(dense_var(e.src), dense_var(e.dst), e.label);
+        }
+
+        // Brute-force minimum over permutations of variables; the first
+        // permutation reaching the minimum is the one reported.
+        let mut perm: [VarId; MAX_CANON_VARS] = std::array::from_fn(|v| v as VarId);
+        let mut best_perm = perm;
+        let mut found = false;
+        let Canonicalizer {
+            pattern,
+            dense,
+            candidate,
+        } = self;
+        pattern.num_vars = k as VarId;
+        pattern.edges.clear();
+        permute(&mut perm[..k], 0, &mut |p| {
+            candidate.clear();
+            candidate.extend(
+                dense
+                    .iter()
+                    .map(|e| QueryEdge::new(p[e.src as usize], p[e.dst as usize], e.label)),
+            );
+            candidate.sort_unstable();
+            candidate.dedup();
+            if !found || *candidate < pattern.edges {
+                found = true;
+                std::mem::swap(&mut pattern.edges, candidate);
+                best_perm[..k].copy_from_slice(p);
+            }
+        });
+        (vars, best_perm)
     }
 }
 
@@ -227,6 +260,24 @@ mod tests {
         let p = Pattern::canonical(&[]);
         assert_eq!(p.num_edges(), 0);
         assert_eq!(p.num_vars(), 0);
+    }
+
+    #[test]
+    fn a_reused_canonicalizer_agrees_with_fresh_ones() {
+        // One set of buffers across sub-queries of different sizes, in an
+        // order that shrinks and grows them: every result must equal the
+        // one-shot canonical form, and a 2-edge pattern must not keep a
+        // third edge from the call before.
+        let q = crate::templates::square_two_triangles(&[0, 1, 0, 2, 1, 0, 2, 1]);
+        let mut canon = Canonicalizer::default();
+        for h in [3, 1, 2] {
+            for mask in q.connected_subsets_up_to(h) {
+                let edges: Vec<QueryEdge> = mask.iter().map(|i| q.edge(i)).collect();
+                let fresh = Pattern::canonical(&edges);
+                assert_eq!(*canon.of_subquery(&q, mask), fresh, "mask {mask}");
+                assert_eq!(Pattern::of_subquery(&q, mask), fresh);
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,11 @@ impl QueryGraph {
     pub const MAX_EDGES: usize = 32;
     /// Most variables a query may have: a variable set is a `u32` mask.
     pub const MAX_VARS: VarId = 32;
+    /// Most connected edge subsets a query may have and still be
+    /// estimated: CEG_O has one node per connected subset, and 32 edges
+    /// admit up to 2^32 of them. The paper's largest query has 12 edges
+    /// (at most 4,095 subsets); a 16-edge star has 65,535.
+    pub const MAX_CONNECTED_SUBSETS: usize = 1 << 16;
 
     /// Build a query; panics on malformed input (self-loops are allowed,
     /// out-of-range variables, >32 edges and >32 variables are not).
@@ -190,36 +195,75 @@ impl QueryGraph {
     /// cardinality order (and increasing mask order within one
     /// cardinality). These are the CEG_O vertices (Section 4.2).
     pub fn connected_subsets(&self) -> Vec<EdgeMask> {
-        let mut out: Vec<EdgeMask> = Vec::new();
-        // Level by level: the connected subsets of k + 1 edges are those
-        // of k edges extended by one adjacent edge, each reached once per
-        // edge it can shed, so a sort + dedup per level is the "seen" set.
-        // Memory follows the answer, never 2^m.
-        let mut level: Vec<EdgeMask> = (0..self.num_edges()).map(EdgeMask::single).collect();
-        while !level.is_empty() {
-            out.extend_from_slice(&level);
-            let mut next = Vec::new();
-            for &mask in &level {
+        self.enumerate_connected(self.num_edges(), usize::MAX)
+            .expect("no limit was set")
+    }
+
+    /// The connected subsets of at most `max_edges` edges, in the order
+    /// of [`QueryGraph::connected_subsets`] — the enumeration stops after
+    /// level `max_edges` instead of filtering the full answer.
+    pub fn connected_subsets_up_to(&self, max_edges: usize) -> Vec<EdgeMask> {
+        self.enumerate_connected(max_edges, usize::MAX)
+            .expect("no limit was set")
+    }
+
+    /// [`QueryGraph::connected_subsets`], or `None` once the query turns
+    /// out to have more than [`QueryGraph::MAX_CONNECTED_SUBSETS`] of
+    /// them. The enumeration gives up as it passes the limit, so a
+    /// hostile 24-edge star costs milliseconds and a few megabytes, not
+    /// 2^24 CEG_O nodes.
+    pub fn connected_subsets_within_limit(&self) -> Option<Vec<EdgeMask>> {
+        self.enumerate_connected(self.num_edges(), Self::MAX_CONNECTED_SUBSETS)
+    }
+
+    /// Level by level: the connected subsets of k + 1 edges are those of
+    /// k edges extended by one adjacent edge, each reached once per edge
+    /// it can shed while staying connected, so a sort + dedup per level
+    /// is the "seen" set. One buffer holds the answer and the level
+    /// under construction at its tail; memory follows the answer, never
+    /// 2^m. `None` as soon as more than `limit` subsets exist.
+    fn enumerate_connected(&self, max_edges: usize, limit: usize) -> Option<Vec<EdgeMask>> {
+        if max_edges == 0 {
+            return Some(Vec::new());
+        }
+        let mut out: Vec<EdgeMask> = (0..self.num_edges()).map(EdgeMask::single).collect();
+        // `out[level_start..]` is the level of `size`-edge subsets.
+        let (mut level_start, mut size) = (0, 1);
+        loop {
+            let level_end = out.len();
+            if level_end > limit {
+                return None;
+            }
+            if size == max_edges || level_start == level_end {
+                return Some(out);
+            }
+            // A subset of `size + 1` edges is pushed at most `size + 1`
+            // times, so a tail longer than this already holds more
+            // distinct subsets than the limit leaves room for.
+            let tail_cap = (limit - level_end).saturating_mul(size + 1);
+            for at in level_start..level_end {
+                let mask = out[at];
                 let vars = self.vars_of(mask);
                 for (i, e) in self.edges.iter().enumerate() {
                     if !mask.contains(i) && vars & ((1 << e.src) | (1 << e.dst)) != 0 {
-                        next.push(mask.insert(i));
+                        out.push(mask.insert(i));
                     }
                 }
+                if out.len() - level_end > tail_cap {
+                    return None;
+                }
             }
-            next.sort_unstable();
-            next.dedup();
-            level = next;
+            out[level_end..].sort_unstable();
+            let mut kept = level_end;
+            for at in level_end..out.len() {
+                if at == level_end || out[at] != out[kept - 1] {
+                    out[kept] = out[at];
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+            (level_start, size) = (level_end, size + 1);
         }
-        out
-    }
-
-    /// Enumerate connected subsets of at most `max_edges` edges.
-    pub fn connected_subsets_up_to(&self, max_edges: usize) -> Vec<EdgeMask> {
-        self.connected_subsets()
-            .into_iter()
-            .filter(|m| m.len() <= max_edges)
-            .collect()
     }
 
     /// Extract the sub-query induced by `mask` as a standalone query with
@@ -391,5 +435,55 @@ mod tests {
         let q = triangle();
         let subs = q.connected_subsets_up_to(2);
         assert_eq!(subs.len(), 6); // 3 singletons + 3 pairs
+    }
+
+    #[test]
+    fn connected_subsets_up_to_is_the_filtered_full_enumeration_on_every_template() {
+        use crate::templates as t;
+        let l = [0u16, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3];
+        let mut queries = vec![
+            t::path(1, &l[..1]),
+            t::path(7, &l[..7]),
+            t::star(6, &l[..6]),
+            t::q5f(&l[..5]),
+            t::cycle(3, &l[..3]),
+            t::cycle(6, &l[..6]),
+            t::diamond_cross(&l[..5]),
+            t::clique4(&l[..6]),
+            t::two_triangles(&l[..6]),
+            t::square_triangle(&l[..7]),
+            t::square_two_triangles(&l[..8]),
+            t::petal(3, 2, &l[..6]),
+            t::petal(3, 3, &l[..9]),
+            t::flower(&l[..6]),
+        ];
+        for k in [6usize, 7, 8] {
+            queries.extend((2..=k).map(|d| t::tree_depth(k, d, &l[..k])));
+        }
+        queries.extend((0..7).map(|i| t::job_template(i, &l[..t::job_template_size(i)])));
+        for q in &queries {
+            let all = q.connected_subsets();
+            assert_eq!(q.connected_subsets_within_limit().as_ref(), Some(&all));
+            for h in 0..=q.num_edges() + 1 {
+                let filtered: Vec<EdgeMask> =
+                    all.iter().copied().filter(|m| m.len() <= h).collect();
+                assert_eq!(q.connected_subsets_up_to(h), filtered, "{q} h={h}");
+            }
+        }
+    }
+
+    #[test]
+    fn enumeration_gives_up_past_the_connected_subset_limit() {
+        let star = |k: usize| crate::templates::star(k, &vec![0; k]);
+        // 2^16 - 1 non-empty subsets: the widest star still enumerated.
+        let widest = star(16).connected_subsets_within_limit();
+        assert_eq!(widest.map(|s| s.len()), Some((1 << 16) - 1));
+        assert_eq!(star(17).connected_subsets_within_limit(), None);
+        assert_eq!(star(24).connected_subsets_within_limit(), None);
+        // The limit is on the answer, not the edge count: the longest
+        // path has 496 subsets, and its first levels stay available.
+        let path = QueryGraph::new(32, (0..31).map(|i| QueryEdge::new(i, i + 1, 0)).collect());
+        assert!(path.connected_subsets_within_limit().is_some());
+        assert_eq!(star(24).connected_subsets_up_to(2).len(), 24 + 276);
     }
 }

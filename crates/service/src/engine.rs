@@ -27,9 +27,10 @@ use std::time::{Duration, Instant};
 
 use ceg_core::sync::{self, LockRank, OrderedMutex};
 use ceg_core::trace::Trace;
-use ceg_estimators::{CardinalityEstimator, OptimisticEstimator};
+use ceg_core::CegO;
+use ceg_estimators::OptimisticEstimator;
 use ceg_graph::{LabelId, VertexId};
-use ceg_query::{Pattern, QueryGraph};
+use ceg_query::QueryGraph;
 
 use crate::cache::{EstimateCache, ProbeOutcome};
 use crate::metrics::Metrics;
@@ -103,6 +104,10 @@ pub enum QueryOutcome {
     /// Refused: a drain began before the miss got to run (the wire's
     /// `BUSY server draining`).
     Draining,
+    /// Rejected: the query has more than
+    /// [`QueryGraph::MAX_CONNECTED_SUBSETS`] connected sub-queries, and
+    /// CEG_O has a node for each (the wire's `ERR`, naming the limit).
+    TooWide,
 }
 
 /// What one request carries into [`Engine::estimate_batch`].
@@ -525,9 +530,22 @@ impl Engine {
             return QueryOutcome::TimedOut;
         }
 
+        // Resolve: the one pass over the query's sub-patterns. The
+        // catalog read lock is held for the resolve alone — not across
+        // the fill, the CEG build or the path choice.
         let fill_started = Instant::now();
-        let ensured =
-            state.ensure_patterns(std::slice::from_ref(query), ctx.deadline, entry.jobs());
+        let Some(mut resolved) = state.catalog().resolve(query) else {
+            return QueryOutcome::TooWide;
+        };
+        let ensured = state.fill(resolved.missing(), ctx.deadline, entry.jobs());
+        if !resolved.is_complete() {
+            // Cold path: read back what the fill (or a concurrent one)
+            // inserted. A fill cut short at the deadline stays incomplete.
+            let Some(refreshed) = state.catalog().resolve(query) else {
+                return QueryOutcome::TooWide;
+            };
+            resolved = refreshed;
+        }
         let fill_us = fill_started.elapsed().as_micros() as u64;
         self.metrics.record_kernel(&ensured.fill.kernel);
         if let Some(t) = ctx.trace.as_deref_mut() {
@@ -554,34 +572,29 @@ impl Engine {
         let estimate_started = Instant::now();
         let mut degenerate = false;
         // `None` marks a fill that was abandoned at the deadline
-        // (incomplete patterns): completeness is checked under the same
-        // catalog read lock as the estimation, so a concurrent fill
-        // cannot make the two disagree.
-        let value: Option<Option<f64>> = {
-            let table = state.catalog();
-            let complete = query
-                .connected_subsets_up_to(entry.h())
-                .into_iter()
-                .all(|mask| table.card(&Pattern::of_subquery(query, mask)).is_some());
-            if !complete {
-                None
-            } else if query.num_edges() == 0 || !query.is_connected() {
-                // The CEG estimators assume connected, non-empty
-                // queries; anything else is unanswerable, not a panic
-                // (wire input is rejected at parse time, this guards
-                // direct API callers).
-                Some(None)
-            } else {
-                // A degenerate catalog (zero-count patterns dividing
-                // each other) can surface NaN/inf; that is "cannot
-                // answer", never a number we put on the wire.
-                match OptimisticEstimator::recommended(&table).estimate(query) {
-                    Some(v) if !v.is_finite() => {
-                        degenerate = true;
-                        Some(None)
-                    }
-                    v => Some(v),
+        // (incomplete patterns). Completeness and every cardinality the
+        // estimate divides come from the same resolved snapshot, so a
+        // concurrent fill cannot make the two disagree.
+        let value: Option<Option<f64>> = if !resolved.is_complete() {
+            None
+        } else if query.num_edges() == 0 || !query.is_connected() {
+            // The CEG estimators assume connected, non-empty queries;
+            // anything else is unanswerable, not a panic (wire input is
+            // rejected at parse time, this guards direct API callers).
+            Some(None)
+        } else {
+            // A degenerate catalog (zero-count patterns dividing each
+            // other) can surface NaN/inf; that is "cannot answer", never
+            // a number we put on the wire.
+            match CegO::from_resolved(query, resolved)
+                .ceg()
+                .estimate(OptimisticEstimator::RECOMMENDED)
+            {
+                Some(v) if !v.is_finite() => {
+                    degenerate = true;
+                    Some(None)
                 }
+                v => Some(v),
             }
         };
         let estimate_us = estimate_started.elapsed().as_micros() as u64;

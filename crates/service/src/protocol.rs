@@ -29,6 +29,7 @@
 //! (estimate rejected by admission/drain)          BUSY <message>
 //! (estimate abandoned at its deadline)            TIMEOUT deadline_ms=<ms>
 //! (anything malformed)                            ERR <message>
+//! (query too wide to estimate)                    ERR query has more than 65536 connected sub-queries
 //! ```
 //!
 //! # Overload & lifecycle commands
@@ -47,6 +48,15 @@
 //! `SHUTDOWN` asks the server to drain: the reply `DRAINING` confirms,
 //! new work is BUSY-rejected, and the process writes final snapshots and
 //! exits once in-flight work settles (see `cegcli serve`).
+//!
+//! A query is limited to 32 edges and 32 variables (it is analysed with
+//! `u32` masks) and to `QueryGraph::MAX_CONNECTED_SUBSETS` = 65,536
+//! connected edge subsets: CEG_O has one node per subset, so a 24-edge
+//! star — a valid line — would ask for 16.7 M nodes. The first two
+//! limits are syntax and fail the request (a whole batch) at parse
+//! time; the third is found when the miss resolves its sub-patterns and
+//! answers `ERR` for that query alone: the `ESTIMATE` or
+//! `EXPLAIN_ESTIMATE` reply, or that slot of an `ESTIMATE_BATCH`.
 //!
 //! `ESTIMATE_BATCH` is the only multi-line request: its header announces
 //! how many query lines follow (each the `<nv> <ne> <triples>` tail of an

@@ -276,39 +276,25 @@ impl EpochState {
         self.base.rebase(&self.overlay)
     }
 
-    /// Make sure every connected sub-pattern (≤ `h` edges) of `queries`
-    /// is in this epoch's catalog, counting missing ones exactly once per
-    /// batch on up to `jobs` scoped worker threads, with no lock held:
-    /// readers keep estimating while a batch fills gaps. Counts taken on
-    /// this state's graph go into this state's catalog, so a commit
-    /// landing meanwhile cannot make them stale.
+    /// Count `missing` — patterns this epoch's catalog lacked when a
+    /// query was resolved against it ([`MarkovTable::resolve`]) — on up
+    /// to `jobs` scoped worker threads, with no lock held: readers keep
+    /// estimating while a fill runs. Counts taken on this state's graph
+    /// go into this state's catalog, so a commit landing meanwhile cannot
+    /// make them stale.
     ///
     /// Counting stops at `deadline` (mid-pattern, via the kernel's
     /// [`ceg_exec::CountBudget`] hook) and only *completed* counts are
     /// inserted: an abandoned fill leaves its patterns missing.
-    pub(crate) fn ensure_patterns(
+    pub(crate) fn fill(
         &self,
-        queries: &[QueryGraph],
+        missing: &[Pattern],
         deadline: Option<Instant>,
         jobs: usize,
     ) -> EnsureOutcome {
         let mut outcome = EnsureOutcome {
             overlay: !self.overlay.is_empty(),
             ..EnsureOutcome::default()
-        };
-        let missing = {
-            let table = self.catalog();
-            let mut missing: Vec<Pattern> = Vec::new();
-            let mut seen: FxHashSet<Pattern> = FxHashSet::default();
-            for q in queries {
-                for mask in q.connected_subsets_up_to(table.h()) {
-                    let pat = Pattern::of_subquery(q, mask);
-                    if table.card(&pat).is_none() && seen.insert(pat.clone()) {
-                        missing.push(pat);
-                    }
-                }
-            }
-            missing
         };
         if missing.is_empty() {
             return outcome;
@@ -318,23 +304,23 @@ impl EpochState {
             None => ceg_exec::CountBudget::UNLIMITED,
         };
         let (counts, fill) = if self.overlay.is_empty() {
-            count_patterns_budgeted_stats(&*self.base, &missing, jobs, budget)
+            count_patterns_budgeted_stats(&*self.base, missing, jobs, budget)
         } else {
             count_patterns_budgeted_stats(
                 &OverlayGraph::new(&self.base, &self.overlay),
-                &missing,
+                missing,
                 jobs,
                 budget,
             )
         };
         outcome.fill = fill;
         let mut table = self.markov.write();
-        for (pat, card) in missing.into_iter().zip(counts) {
+        for (pat, card) in missing.iter().zip(counts) {
             // Abandoned counts insert nothing: a partial count must
             // never enter the catalog as if it were exact.
             let Some(card) = card else { continue };
-            if table.card(&pat).is_none() {
-                table.insert(pat, card);
+            if table.card(pat).is_none() {
+                table.insert(pat.clone(), card);
                 outcome.added += 1;
             }
         }
@@ -721,7 +707,20 @@ impl DatasetEntry {
     /// is in the current epoch's catalog, without a deadline. Returns how
     /// many patterns were added.
     pub fn ensure_patterns(&self, queries: &[QueryGraph]) -> usize {
-        self.pin().ensure_patterns(queries, None, self.jobs).added
+        let state = self.pin();
+        // One fill for the batch: a pattern several queries share is
+        // counted once. A query past the connected-subset limit resolves
+        // to nothing and is skipped — it would not be estimated either.
+        let mut missing: Vec<Pattern> = Vec::new();
+        let mut seen: FxHashSet<Pattern> = FxHashSet::default();
+        for resolved in queries.iter().filter_map(|q| state.catalog().resolve(q)) {
+            for pat in resolved.missing() {
+                if seen.insert(pat.clone()) {
+                    missing.push(pat.clone());
+                }
+            }
+        }
+        state.fill(&missing, None, self.jobs).added
     }
 
     /// Catalog size (stored patterns) right now.

@@ -464,6 +464,10 @@ fn outcome_response(
         },
         QueryOutcome::QueueFull => Response::Busy(format!("queue full for dataset `{dataset}`")),
         QueryOutcome::Draining => Response::Busy("server draining".into()),
+        QueryOutcome::TooWide => Response::Error(format!(
+            "query has more than {} connected sub-queries",
+            QueryGraph::MAX_CONNECTED_SUBSETS
+        )),
     }
 }
 
@@ -736,6 +740,12 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 };
                 match engine.estimate_one(&dataset, &query, ctx) {
                     Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?,
+                    // A rejected query has no breakdown: one ERR line,
+                    // as from ESTIMATE.
+                    Ok(QueryOutcome::TooWide) => {
+                        let err = outcome_response(engine, &dataset, QueryOutcome::TooWide, None);
+                        write_reply(&mut writer, &metrics, &err, req_id)?;
+                    }
                     Ok(outcome) => {
                         let first = outcome_response(engine, &dataset, outcome, deadline);
                         let n = 1 + trace.spans().len() + trace.counters().len();

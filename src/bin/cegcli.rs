@@ -1121,7 +1121,9 @@ fn shutdown_cmd(args: &[String]) -> CmdResult {
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     client.shutdown_server().map_err(CmdError::runtime)?;
     println!("server at {addr} is draining");
-    client.quit().map_err(CmdError::runtime)?;
+    // No QUIT: `DRAINING` is the whole contract. The server process may
+    // exit the moment that line is on the wire, and a farewell sent to a
+    // closed socket would turn a successful shutdown into exit code 1.
     Ok(())
 }
 

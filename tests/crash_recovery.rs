@@ -486,8 +486,19 @@ fn kill_dash_nine_loses_no_acked_commit() {
     // A commit after recovery continues the epoch sequence.
     client.add_edge("default", 5, 6, 0).unwrap();
     assert_eq!(client.commit("default").unwrap().epoch, last_acked + 1);
-    client.shutdown_server().unwrap();
     drop(client);
+    // `cegcli shutdown` succeeds even though the server may be gone by
+    // the time the CLI would say goodbye: DRAINING is all it waits for.
+    let shutdown = Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        .args(["shutdown", &addr])
+        .output()
+        .expect("run cegcli shutdown");
+    assert!(
+        shutdown.status.success(),
+        "cegcli shutdown must exit 0: {:?}, stderr: {}",
+        shutdown.status,
+        String::from_utf8_lossy(&shutdown.stderr)
+    );
     let status = child.wait().unwrap();
     assert!(status.success(), "drained server exits 0: {status:?}");
     let _ = std::fs::remove_dir_all(&dir);

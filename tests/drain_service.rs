@@ -19,15 +19,17 @@ use cegraph::service::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Dense on purpose: each cold 4-edge count must cost enough that a
-// 16-job backlog comfortably outlives the SHUTDOWN round-trip racing it.
-const VERTICES: u32 = 128;
+// Dense on purpose (about 65 out-edges per vertex and label): counting
+// one fresh 3-edge pattern costs milliseconds, so a backlog of 15 such
+// slots outlives the SHUTDOWN round-trip racing it by a wide margin even
+// when the sending thread is descheduled for a while.
+const VERTICES: u32 = 512;
 const LABELS: u16 = 3;
 
 fn dense_graph() -> LabeledGraph {
     let mut rng = StdRng::seed_from_u64(0xD7A1);
     let mut b = GraphBuilder::with_labels(VERTICES as usize, LABELS as usize);
-    for _ in 0..2500 {
+    for _ in 0..100_000 {
         b.add_edge(
             rng.random_range(0..VERTICES),
             rng.random_range(0..VERTICES),
@@ -37,19 +39,28 @@ fn dense_graph() -> LabeledGraph {
     b.build()
 }
 
-/// 16 distinct 4-edge queries: with the cache disabled each slot is a
-/// separate cold miss run in turn on the connection's thread, so the
-/// batch is busy long enough for a SHUTDOWN to overtake it.
+/// 16 distinct 4-edge paths, each with a 3-edge sub-path (a label
+/// triple) no earlier slot has: with the cache disabled and an h = 3
+/// catalog, every slot must count a pattern of its own with the kernel.
+/// The backlog's length is therefore kernel work per slot — not
+/// estimator speed, which a warm catalog would reduce it to — and a
+/// SHUTDOWN sent after the first reply overtakes it.
 fn long_cold_batch() -> Vec<QueryGraph> {
     let mut queries = Vec::new();
-    for a in 0..LABELS {
-        for b in 0..LABELS {
-            for c in 0..LABELS {
-                queries.push(templates::path(4, &[a, b, c, (a + b) % LABELS]));
-                if queries.len() == 16 {
-                    return queries;
-                }
-            }
+    let mut seen: Vec<[u16; 3]> = Vec::new();
+    for code in 0..LABELS.pow(4) {
+        let l: Vec<u16> = (0..4)
+            .rev()
+            .map(|i| code / LABELS.pow(i) % LABELS)
+            .collect();
+        let triples = [[l[0], l[1], l[2]], [l[1], l[2], l[3]]];
+        if triples.iter().all(|t| seen.contains(t)) {
+            continue;
+        }
+        seen.extend(triples);
+        queries.push(templates::path(4, &l));
+        if queries.len() == 16 {
+            return queries;
         }
     }
     unreachable!("27 label triples cover 16 queries before running out")
@@ -64,7 +75,7 @@ fn shutdown_mid_batch_gives_typed_replies_and_a_restorable_snapshot() {
     let snap_dir = scratch_dir("mid-batch");
     let _ = std::fs::remove_dir_all(&snap_dir);
     let registry = Arc::new(DatasetRegistry::new());
-    registry.insert_graph("default", dense_graph(), 2);
+    registry.insert_graph("default", dense_graph(), 3);
     let server = Server::start(
         registry,
         "127.0.0.1:0",
