@@ -1,6 +1,8 @@
-//! Counting-kernel benchmarks: the exact homomorphism counter and the
+//! Counting benchmarks: the exact homomorphism counter and the
 //! Markov-catalog construction built on it. `markov_build_h3_serial` is
-//! the before/after evidence for kernel changes (`BENCH_counting.json`).
+//! the before/after evidence for kernel changes, `markov_fill_h2_g100k`
+//! for the cost of filling a catalog of acyclic patterns on the wire
+//! benchmark's large graph (`BENCH_counting.json`).
 //!
 //! Set `CEG_BENCH_SMOKE=1` to run with tiny sample counts (the CI smoke
 //! step does this); set `CRITERION_JSON=<path>` to capture the means.
@@ -13,7 +15,7 @@ use ceg_catalog::MarkovTable;
 use ceg_exec::count;
 use ceg_graph::VertexRemap;
 use ceg_query::templates;
-use ceg_workload::{Dataset, Workload};
+use ceg_workload::{Dataset, DatasetSpec, Workload};
 
 fn bench_counting(c: &mut Criterion) {
     let smoke = std::env::var("CEG_BENCH_SMOKE").is_ok();
@@ -51,6 +53,26 @@ fn bench_counting(c: &mut Criterion) {
     });
     group.bench_function("markov_build_h3_jobs4", |b| {
         b.iter(|| black_box(MarkovTable::build_parallel(black_box(&graph), &qs, 3, 4)));
+    });
+
+    // A cold catalog fill at the service's depth on `bench/`'s g100k
+    // rung (the IMDb stand-in scaled ten times, seed 7): every pattern
+    // is a tree of one or two edges over relations that touch a few
+    // percent of the 90k vertices.
+    let g100k = DatasetSpec {
+        num_vertices: 90_000,
+        num_edges: 220_000,
+        ..Dataset::Imdb.spec()
+    }
+    .generate(7);
+    let pool: Vec<_> = [Workload::Job, Workload::Acyclic]
+        .iter()
+        .flat_map(|w| w.build(&g100k, 4, 7))
+        .map(|q| q.query)
+        .collect();
+    let g100k = VertexRemap::degree_descending(&g100k).apply(&g100k);
+    group.bench_function("markov_fill_h2_g100k", |b| {
+        b.iter(|| black_box(MarkovTable::build(black_box(&g100k), &pool, 2)));
     });
     group.finish();
 }

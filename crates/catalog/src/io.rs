@@ -116,7 +116,12 @@ pub struct Snapshot {
 pub fn encode_markov(table: &MarkovTable) -> Vec<u8> {
     let mut entries: Vec<(&Pattern, u64)> = table.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
-    let mut buf = Vec::new();
+    let len = 16
+        + entries
+            .iter()
+            .map(|(p, _)| 10 + 4 * p.num_edges())
+            .sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
     put_u64(&mut buf, table.h() as u64);
     put_u64(&mut buf, entries.len() as u64);
     for (p, c) in entries {

@@ -601,6 +601,33 @@ mod tests {
         assert_eq!(stats.patterns_counted, 0);
     }
 
+    /// A deadline that passes while a fill is under way: the patterns
+    /// counted before it keep their exact counts, the one it interrupts
+    /// and every pattern after it are missing, and nothing in between.
+    #[test]
+    fn deadline_expiring_mid_fill_leaves_the_rest_missing() {
+        // A ring of 40k rows per direction, so every sweep crosses the
+        // counter's clock-read interval, and seconds of work in the fill.
+        let n = 40_000u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for i in 0..n {
+            b.add_edge(i, (i + 1) % n, 0);
+        }
+        let g = b.build();
+        let q = templates::path(2, &[0, 0]);
+        let pat = Pattern::of_subquery(&q, q.full_mask());
+        let pats = vec![pat; 20_000];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(250);
+        let (counts, stats) =
+            count_patterns_budgeted_stats(&g, &pats, 1, ceg_exec::CountBudget::until(deadline));
+        let counted = counts.iter().take_while(|c| c.is_some()).count();
+        assert!(counted > 0, "250 ms count at least one pattern");
+        assert!(counted < pats.len(), "the fill outlasts the deadline");
+        assert!(counts[..counted].iter().all(|&c| c == Some(n as u64)));
+        assert!(counts[counted..].iter().all(|c| c.is_none()));
+        assert_eq!(stats.patterns_counted, counted as u64);
+    }
+
     #[test]
     fn default_parallelism_is_sane() {
         let p = default_build_parallelism();

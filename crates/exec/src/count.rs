@@ -24,15 +24,19 @@ use crate::intersect::{
     refine_in_place_merge, IntersectStrategy, GALLOP_RATIO,
 };
 use crate::order::variable_order;
-use crate::tree_count::factorize;
+use crate::tree_count::{count_tree, factorize};
 
 /// Profiling counters from one counting run. Plain `u64` fields bumped
 /// inline by the kernel — no allocation, no atomics, no globals — so the
 /// cost over an unprofiled run is a handful of register increments per
-/// candidate, and `tests/alloc_guard.rs` still holds.
+/// candidate, and `tests/alloc_guard.rs` still holds. A run of the tree
+/// DP ([`crate::tree_count`]) reports `candidates` and `budget_consumed`
+/// only; the rest are kernel concepts and stay 0.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Candidate vertices tried (each one charged against the budget).
+    /// The work done, in the budget's unit: candidate vertices tried by
+    /// the kernel, relation rows swept by the tree DP (each one charged
+    /// against the budget).
     pub candidates: u64,
     /// Pairwise intersection steps that ran as a linear two-pointer merge.
     pub merge_intersections: u64,
@@ -70,7 +74,8 @@ impl KernelStats {
 }
 
 /// Work budget for a counting run: the maximum number of candidate
-/// extensions the matcher may try, plus an optional wall-clock deadline.
+/// extensions the matcher may try (of relation rows the tree DP may
+/// sweep), plus an optional wall-clock deadline.
 /// Exceeding either aborts the count (the paper's baselines also time out
 /// on hard queries, Section 6.4).
 #[derive(Debug, Clone, Copy)]
@@ -119,15 +124,15 @@ pub const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 /// The mutable budget accounting threaded through the recursion: the
 /// remaining expansion allowance plus the (optional) deadline and its
 /// check countdown.
-struct BudgetState {
+pub(crate) struct BudgetState {
     remaining: u64,
     deadline: Option<std::time::Instant>,
     until_check: u32,
-    stats: KernelStats,
+    pub(crate) stats: KernelStats,
 }
 
 impl BudgetState {
-    fn new(budget: CountBudget) -> Self {
+    pub(crate) fn new(budget: CountBudget) -> Self {
         BudgetState {
             remaining: budget.max_expansions,
             deadline: budget.deadline,
@@ -138,7 +143,7 @@ impl BudgetState {
 
     /// True when the deadline (if any) has already passed — callers use
     /// this to skip plan execution entirely.
-    fn expired_at_entry(&self) -> bool {
+    pub(crate) fn expired_at_entry(&self) -> bool {
         self.deadline
             .is_some_and(|d| std::time::Instant::now() >= d)
     }
@@ -161,7 +166,7 @@ impl BudgetState {
     /// overrun bound stays [`DEADLINE_CHECK_INTERVAL`] candidates) per
     /// list. `false` aborts the run.
     #[inline]
-    fn charge_list(&mut self, n: u64) -> bool {
+    pub(crate) fn charge_list(&mut self, n: u64) -> bool {
         if self.remaining < n {
             // The run aborts here: report the allowance as spent so an
             // aborted run still accounts for the budget that stopped it.
@@ -228,7 +233,7 @@ impl BudgetState {
 /// Count the homomorphisms of `query` in `graph` (join semantics: distinct
 /// variables may map to the same vertex).
 ///
-/// Generic over [`GraphView`]: the same kernel counts on an immutable
+/// Generic over [`GraphView`]: the same code counts on an immutable
 /// [`ceg_graph::LabeledGraph`] or on a base-plus-delta
 /// [`ceg_graph::OverlayGraph`] while updates are pending.
 pub fn count<G: GraphView>(graph: &G, query: &QueryGraph) -> u64 {
@@ -241,7 +246,8 @@ pub fn count_constrained<G: GraphView>(
     query: &QueryGraph,
     cons: &VarConstraints,
 ) -> u64 {
-    CountPlan::new_counting(graph, query, cons).count()
+    count_with_limit(graph, query, cons, CountBudget::UNLIMITED)
+        .expect("unlimited budget cannot be exhausted")
 }
 
 /// Count with a work budget; `None` when the budget is exhausted.
@@ -251,17 +257,29 @@ pub fn count_with_limit<G: GraphView>(
     cons: &VarConstraints,
     budget: CountBudget,
 ) -> Option<u64> {
-    CountPlan::new_counting(graph, query, cons).count_with_limit(budget)
+    count_with_limit_stats(graph, query, cons, budget).0
 }
 
-/// [`count_with_limit`] that also returns the kernel's profiling
-/// counters for the run (collected either way; this form reports them).
+/// [`count_with_limit`] that also returns the profiling counters of the
+/// run (collected either way; this form reports them).
+///
+/// Which code counts is read off the input: a connected, acyclic,
+/// unconstrained query goes to the sparse tree DP
+/// ([`crate::tree_count`]), whose budget unit is a relation row swept;
+/// everything else — cyclic queries, constrained bound-sketch counts, a
+/// tree whose weights overflow `u64` — to the backtracking kernel
+/// ([`CountPlan::new_counting`]), whose unit is a candidate binding.
 pub fn count_with_limit_stats<G: GraphView>(
     graph: &G,
     query: &QueryGraph,
     cons: &VarConstraints,
     budget: CountBudget,
 ) -> (Option<u64>, KernelStats) {
+    if cons.is_trivial() {
+        if let Some(counted) = count_tree(graph, query, budget) {
+            return counted;
+        }
+    }
     CountPlan::new_counting(graph, query, cons).count_with_limit_stats(budget)
 }
 
@@ -1533,12 +1551,17 @@ mod tests {
         assert_eq!(count(&g, &q), 3 * 2);
     }
 
+    /// The kernel's own counters, read off the plan: the free functions
+    /// send acyclic queries to the tree DP, whose accounting
+    /// `tree_count`'s tests pin.
     #[test]
     fn kernel_stats_reflect_the_work_done() {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let cons = VarConstraints::none(3);
-        let (count, stats) = count_with_limit_stats(&g, &q, &cons, CountBudget::UNLIMITED);
+        let kernel =
+            |g, q, budget| CountPlan::new_counting(g, q, &cons).count_with_limit_stats(budget);
+        let (count, stats) = kernel(&g, &q, CountBudget::UNLIMITED);
         assert_eq!(count, Some(2));
         assert!(stats.candidates > 0, "candidates were visited");
         assert!(stats.budget_consumed >= stats.candidates);
@@ -1548,14 +1571,13 @@ mod tests {
         // A 2-star's leaves form an independent suffix: the product
         // shortcut must fire and charge in bulk.
         let star = templates::star(2, &[0, 0]);
-        let cons = VarConstraints::none(3);
-        let (count, stats) = count_with_limit_stats(&g, &star, &cons, CountBudget::UNLIMITED);
+        let (count, stats) = kernel(&g, &star, CountBudget::UNLIMITED);
         assert!(count.is_some());
         assert!(stats.suffix_shortcuts > 0, "independent suffix shortcut");
         assert!(stats.budget_consumed >= stats.candidates);
 
         // An aborted run still reports the work done before the trip.
-        let (aborted, stats) = count_with_limit_stats(&g, &q, &cons, CountBudget::new(1));
+        let (aborted, stats) = kernel(&g, &q, CountBudget::new(1));
         assert!(aborted.is_none());
         assert_eq!(stats.budget_consumed, 1);
 
@@ -1566,7 +1588,6 @@ mod tests {
         b.add_edge(1, 2, 0);
         b.add_edge(2, 0, 0);
         let tg = b.build();
-        let cons = VarConstraints::none(3);
         let (count, stats) = count_with_limit_stats(&tg, &tri, &cons, CountBudget::UNLIMITED);
         assert_eq!(count, Some(3));
         assert!(

@@ -9,7 +9,10 @@
 //!   hash-bucket predicates, Section 5.2.1),
 //! * degree statistics of small joins for MOLP (Section 5.1.1).
 //!
-//! The algorithm is a worst-case-optimal-style backtracking matcher: query
+//! An unconstrained tree-shaped query — every Markov pattern of two
+//! edges — is counted by a sparse dynamic program over the rows of the
+//! relations it names ([`tree_count`]). Everything else goes through a
+//! worst-case-optimal-style backtracking matcher: query
 //! variables are bound one at a time in a connectivity-aware order, and the
 //! candidate set for each new variable is the k-way merge/galloping
 //! intersection ([`intersect`]) of the sorted CSR neighbour lists induced

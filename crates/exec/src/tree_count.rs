@@ -3,22 +3,35 @@
 //!
 //! The backtracking matcher enumerates matches one by one, which is
 //! hopeless for, e.g., a 12-edge star on a skewed graph (counts reach
-//! 10²⁰). For acyclic (tree-shaped) queries the homomorphism count
+//! 10²⁰), and even where it shortcuts it plans per query over the vertex
+//! domain. For acyclic (tree-shaped) queries the homomorphism count
 //! factorizes: rooting the query tree anywhere,
 //!
 //! ```text
 //!   down[v][u] = Π_{child c of v} Σ_{u' ∈ nbrs_e(u)} down[c][u']
 //! ```
 //!
-//! and the total is `Σ_u down[root][u]` — one pass per query edge, `O(|E|)`
-//! each. Counts are returned as `f64` (they routinely exceed `u64`).
+//! and the total is `Σ_u down[root][u]`. `fold_tree` evaluates that
+//! bottom-up over **sparse** vectors: `down[v]` holds only the vertices
+//! with a non-zero weight, sorted by id. A leaf's message to its parent is
+//! the row lengths of the edge's relation; an inner child's message sums
+//! its vector over each row's neighbours; siblings combine by a merge-join
+//! on vertex id. Time and memory are the rows and edges of the relations
+//! the query names — nothing is sized, filled or swept by
+//! `num_vertices()`.
+//!
+//! One walk serves two arithmetics (`Weight`): checked `u64` for the
+//! Markov-table counts ([`mod@crate::count`]'s free functions take it for
+//! every unconstrained tree query, charging the rows of each relation
+//! swept against the [`CountBudget`]), and `f64` for truths that exceed
+//! `u64` ([`count_tree_dp`]).
 //!
 //! The same factorization powers the crate-private `factorize` pass: for a
 //! *cyclic* query with acyclic sub-structures hanging off its cyclic core,
-//! the pendant trees
-//! are peeled into exact per-vertex weight vectors and only the core is
-//! enumerated, each core binding contributing the product of its weights
-//! in closed form. `CountPlan::new_counting` wires this into the kernel,
+//! the pendant trees are peeled into exact per-vertex weight vectors
+//! (dense ones: a cyclic core is already known to survive) and only the
+//! core is enumerated, each core binding contributing the product of its
+//! weights in closed form. `CountPlan::new_counting` wires this into the kernel,
 //! extending the independent-suffix shortcut from "count the suffix sets"
 //! to "sum their subtree weights".
 
@@ -27,17 +40,168 @@ use ceg_query::cycles::is_acyclic;
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
+use crate::count::{BudgetState, CountBudget, KernelStats};
+use crate::intersect::gallop;
 
-/// Exact homomorphism count of an acyclic connected query, or `None` if
-/// the query is cyclic or disconnected (use the backtracking counter).
-pub fn count_tree_dp(graph: &LabeledGraph, query: &QueryGraph) -> Option<f64> {
-    if query.num_edges() == 0 || !query.is_connected() || !is_acyclic(query) {
-        return None;
+/// The arithmetic a tree walk runs in.
+trait Weight: Copy + PartialEq {
+    const ZERO: Self;
+    /// The weight of `n` unit-weight neighbours.
+    fn of_len(n: usize) -> Self;
+    /// `None` on overflow.
+    fn add(self, other: Self) -> Option<Self>;
+    /// `None` on overflow.
+    fn mul(self, other: Self) -> Option<Self>;
+}
+
+impl Weight for u64 {
+    const ZERO: u64 = 0;
+    fn of_len(n: usize) -> u64 {
+        n as u64
     }
-    let n = graph.num_vertices();
-    let root: VarId = 0;
+    fn add(self, other: u64) -> Option<u64> {
+        self.checked_add(other)
+    }
+    fn mul(self, other: u64) -> Option<u64> {
+        self.checked_mul(other)
+    }
+}
 
-    // DFS order from the root over the query tree.
+impl Weight for f64 {
+    const ZERO: f64 = 0.0;
+    fn of_len(n: usize) -> f64 {
+        n as f64
+    }
+    fn add(self, other: f64) -> Option<f64> {
+        Some(self + other)
+    }
+    fn mul(self, other: f64) -> Option<f64> {
+        Some(self * other)
+    }
+}
+
+/// Why a tree walk stopped without a count.
+enum Stop {
+    /// The [`CountBudget`] ran out (expansions or deadline).
+    Budget,
+    /// A sum or product left the arithmetic's range.
+    Overflow,
+}
+
+/// A sparse weight vector over the vertex domain: `vals[i]` is the
+/// non-zero weight of vertex `keys[i]`, keys ascending; every other
+/// vertex weighs zero.
+struct Sparse<T> {
+    keys: Vec<VertexId>,
+    vals: Vec<T>,
+}
+
+impl<T: Weight> Sparse<T> {
+    /// `Σ self[u]` over the sorted `nbrs`, added in ascending order.
+    fn sum_over(&self, nbrs: &[VertexId]) -> Option<T> {
+        let mut sum = T::ZERO;
+        let mut at = 0;
+        for &u in nbrs {
+            at += gallop(&self.keys[at..], u);
+            match self.keys.get(at) {
+                None => break,
+                Some(&k) if k == u => sum = sum.add(self.vals[at])?,
+                Some(_) => {}
+            }
+        }
+        Some(sum)
+    }
+}
+
+/// Fold one child into its parent over the rows of the edge's relation:
+/// `acc[u] *= Σ_{u' ∈ nbrs(u)} child[u']`. `child = None` is the all-ones
+/// vector of a leaf (the sum is the row's length, no lookup); `acc = None`
+/// is the all-ones vector of a parent nothing was folded into yet, so the
+/// message itself is materialised, in one allocation of at most
+/// `num_rows` entries. Otherwise `acc` is merge-joined with the rows in
+/// place, and a row `acc` has no weight for is skipped before its sum is
+/// taken. `None` on overflow.
+fn fold_child<'g, T: Weight>(
+    acc: Option<Sparse<T>>,
+    child: Option<&Sparse<T>>,
+    rows: impl Iterator<Item = (VertexId, &'g [VertexId])>,
+    num_rows: usize,
+) -> Option<Sparse<T>> {
+    let sum = |nbrs: &[VertexId]| match child {
+        None => Some(T::of_len(nbrs.len())),
+        Some(c) => c.sum_over(nbrs),
+    };
+    let Some(mut acc) = acc else {
+        let mut keys = Vec::with_capacity(num_rows);
+        let mut vals = Vec::with_capacity(num_rows);
+        for (u, nbrs) in rows {
+            let s = sum(nbrs)?;
+            if s != T::ZERO {
+                keys.push(u);
+                vals.push(s);
+            }
+        }
+        return Some(Sparse { keys, vals });
+    };
+    let (mut read, mut kept) = (0, 0);
+    for (u, nbrs) in rows {
+        while acc.keys.get(read).is_some_and(|&k| k < u) {
+            read += 1;
+        }
+        match acc.keys.get(read) {
+            None => break,
+            Some(&k) if k == u => {
+                let s = sum(nbrs)?;
+                if s != T::ZERO {
+                    acc.keys[kept] = u;
+                    acc.vals[kept] = acc.vals[read].mul(s)?;
+                    kept += 1;
+                }
+                read += 1;
+            }
+            Some(_) => {}
+        }
+    }
+    acc.keys.truncate(kept);
+    acc.vals.truncate(kept);
+    Some(acc)
+}
+
+/// True for the queries the tree DP counts: connected, acyclic (hence
+/// free of self-loops and parallel edges) and with at least one edge.
+fn is_tree(query: &QueryGraph) -> bool {
+    query.num_edges() > 0 && query.is_connected() && is_acyclic(query)
+}
+
+/// The homomorphism count of the tree `query` rooted at `root`, every
+/// relation sweep charged its rows against `budget` before it runs.
+///
+/// Variables are visited in a DFS order from the root and folded
+/// children-first in its reverse, each sum running over ascending
+/// neighbours: for a given root the floating-point instance performs the
+/// operations of a dense `|V|`-vector DP in the same order (zeros left
+/// out), so its result has the same bits.
+fn fold_tree<G: GraphView, T: Weight>(
+    graph: &G,
+    query: &QueryGraph,
+    root: VarId,
+    budget: &mut BudgetState,
+) -> Result<T, Stop> {
+    let num_rows = |label, backward| {
+        if backward {
+            graph.distinct_targets(label)
+        } else {
+            graph.distinct_sources(label)
+        }
+    };
+    if let [e] = query.edges() {
+        // Σ of the row lengths, without the sweep.
+        if !budget.charge_list(num_rows(e.label, false) as u64) {
+            return Err(Stop::Budget);
+        }
+        return Ok(T::of_len(graph.label_count(e.label)));
+    }
+
     let nv = query.num_vars() as usize;
     let mut order: Vec<(VarId, Option<usize>)> = Vec::with_capacity(nv); // (var, edge to parent)
     let mut visited = vec![false; nv];
@@ -49,41 +213,99 @@ pub fn count_tree_dp(graph: &LabeledGraph, query: &QueryGraph) -> Option<f64> {
         visited[v as usize] = true;
         order.push((v, pe));
         for i in query.edges_at(v) {
-            let e = query.edge(i);
-            let o = e.other(v);
+            let o = query.edge(i).other(v);
             if !visited[o as usize] {
                 stack.push((o, Some(i)));
             }
         }
     }
-    if order.len() != nv {
-        return None; // disconnected (defensive; checked above)
-    }
 
-    // Bottom-up accumulation: down[v] starts as all-ones and children
-    // multiply their propagated sums in.
-    let mut down: Vec<Vec<f64>> = vec![vec![1.0; n]; nv];
+    // `None` is the all-ones vector of a variable no child was folded
+    // into yet.
+    let mut down: Vec<Option<Sparse<T>>> = (0..nv).map(|_| None).collect();
     for &(v, parent_edge) in order.iter().rev() {
         let Some(pei) = parent_edge else { continue };
         let e = query.edge(pei);
         let parent = e.other(v);
-        // propagate down[v] to the parent through edge e (out-neighbours
-        // when parent -e-> v, in-neighbours when v -e-> parent):
-        // parent_val[u] *= Σ_{u' adj} down[v][u']
-        let child_vals = std::mem::take(&mut down[v as usize]);
-        let rows = graph.rows(e.label, e.src != parent);
-        scale_by_rows(&mut down[parent as usize], rows, |pv, nbrs| {
-            if *pv != 0.0 {
-                let mut s = 0.0;
-                for &u2 in nbrs {
-                    s += child_vals[u2 as usize];
-                }
-                *pv *= s;
-            }
-            Some(())
-        });
+        // Out-neighbours when parent -e-> v, in-neighbours when
+        // v -e-> parent.
+        let backward = e.src != parent;
+        let swept = num_rows(e.label, backward);
+        if !budget.charge_list(swept as u64) {
+            return Err(Stop::Budget);
+        }
+        let child = down[v as usize].take();
+        let folded = fold_child(
+            down[parent as usize].take(),
+            child.as_ref(),
+            graph.rows(e.label, backward),
+            swept,
+        )
+        .ok_or(Stop::Overflow)?;
+        if folded.keys.is_empty() {
+            return Ok(T::ZERO);
+        }
+        down[parent as usize] = Some(folded);
     }
-    Some(down[root as usize].iter().sum())
+    let at_root = down[root as usize]
+        .take()
+        .expect("a tree with an edge folds a child into its root");
+    at_root
+        .vals
+        .iter()
+        .try_fold(T::ZERO, |a, &x| a.add(x))
+        .ok_or(Stop::Overflow)
+}
+
+/// The centre of the query tree — the variable of least height as a
+/// root, lowest id on a tie — so messages travel the fewest hops.
+fn centre(query: &QueryGraph) -> VarId {
+    fn height(query: &QueryGraph, v: VarId, from: Option<usize>) -> usize {
+        query
+            .edges_at(v)
+            .filter(|&i| Some(i) != from)
+            .map(|i| 1 + height(query, query.edge(i).other(v), Some(i)))
+            .max()
+            .unwrap_or(0)
+    }
+    (0..query.num_vars())
+        .min_by_key(|&v| height(query, v, None))
+        .expect("a tree has a variable")
+}
+
+/// Count an unconstrained tree query in exact `u64` under `budget`:
+/// `(None, _)` when the budget stops it. The stats carry the rows swept
+/// as `candidates`. The outer `None` hands the query to the backtracking
+/// kernel: it is not a tree, or a weight overflowed `u64`.
+pub(crate) fn count_tree<G: GraphView>(
+    graph: &G,
+    query: &QueryGraph,
+    budget: CountBudget,
+) -> Option<(Option<u64>, KernelStats)> {
+    if !is_tree(query) {
+        return None;
+    }
+    let mut state = BudgetState::new(budget);
+    if state.expired_at_entry() {
+        return Some((None, state.stats));
+    }
+    match fold_tree::<G, u64>(graph, query, centre(query), &mut state) {
+        Ok(count) => Some((Some(count), state.stats)),
+        Err(Stop::Budget) => Some((None, state.stats)),
+        Err(Stop::Overflow) => None,
+    }
+}
+
+/// Exact homomorphism count of an acyclic connected query as `f64`
+/// (counts routinely exceed `u64`), or `None` if the query is cyclic or
+/// disconnected (use the backtracking counter). The floating-point
+/// instance of the sparse walk, rooted at variable 0.
+pub fn count_tree_dp<G: GraphView>(graph: &G, query: &QueryGraph) -> Option<f64> {
+    if !is_tree(query) {
+        return None;
+    }
+    let mut unlimited = BudgetState::new(CountBudget::UNLIMITED);
+    fold_tree::<G, f64>(graph, query, 0, &mut unlimited).ok()
 }
 
 /// One DP step over every vertex `u`: `vals[u]` is scaled by a sum over
@@ -280,9 +502,53 @@ pub fn exact_count(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::{count, CountBudget};
+    use crate::count::{count, count_with_limit_stats, CountBudget, CountPlan};
     use ceg_graph::GraphBuilder;
     use ceg_query::templates;
+
+    /// The dense tree DP this module used to run for [`count_tree_dp`]:
+    /// one `|V|`-vector per variable, rooted at variable 0. Kept as the
+    /// oracle the sparse walk's `f64` instance must match bit for bit.
+    fn count_tree_dp_dense(graph: &LabeledGraph, query: &QueryGraph) -> f64 {
+        let n = graph.num_vertices();
+        let root: VarId = 0;
+        let nv = query.num_vars() as usize;
+        let mut order: Vec<(VarId, Option<usize>)> = Vec::with_capacity(nv);
+        let mut visited = vec![false; nv];
+        let mut stack = vec![(root, None)];
+        while let Some((v, pe)) = stack.pop() {
+            if visited[v as usize] {
+                continue;
+            }
+            visited[v as usize] = true;
+            order.push((v, pe));
+            for i in query.edges_at(v) {
+                let o = query.edge(i).other(v);
+                if !visited[o as usize] {
+                    stack.push((o, Some(i)));
+                }
+            }
+        }
+        let mut down: Vec<Vec<f64>> = vec![vec![1.0; n]; nv];
+        for &(v, parent_edge) in order.iter().rev() {
+            let Some(pei) = parent_edge else { continue };
+            let e = query.edge(pei);
+            let parent = e.other(v);
+            let child_vals = std::mem::take(&mut down[v as usize]);
+            let rows = graph.rows(e.label, e.src != parent);
+            scale_by_rows(&mut down[parent as usize], rows, |pv, nbrs| {
+                if *pv != 0.0 {
+                    let mut s = 0.0;
+                    for &u2 in nbrs {
+                        s += child_vals[u2 as usize];
+                    }
+                    *pv *= s;
+                }
+                Some(())
+            });
+        }
+        down[root as usize].iter().sum()
+    }
 
     fn toy() -> LabeledGraph {
         let mut b = GraphBuilder::new(20);
@@ -292,6 +558,23 @@ mod tests {
             b.add_edge(12 + (i % 4), 16 + (i % 3), 2);
         }
         b.build()
+    }
+
+    /// A hub with `degree` out-edges under label 0.
+    fn hub(degree: u32) -> LabeledGraph {
+        let mut b = GraphBuilder::new(degree as usize + 1);
+        for i in 1..=degree {
+            b.add_edge(0, i, 0);
+        }
+        b.build()
+    }
+
+    fn unconstrained(
+        g: &LabeledGraph,
+        q: &QueryGraph,
+        budget: CountBudget,
+    ) -> (Option<u64>, KernelStats) {
+        count_with_limit_stats(g, q, &VarConstraints::none(q.num_vars()), budget)
     }
 
     #[test]
@@ -305,10 +588,32 @@ mod tests {
             templates::q5f(&[0, 1, 2, 2, 2]),
             templates::tree_depth(4, 3, &[0, 1, 2, 1]),
         ] {
+            let cons = VarConstraints::none(q.num_vars());
+            let kernel = CountPlan::new_counting(&g, &q, &cons).count();
+            assert_eq!(count(&g, &q), kernel, "u64 mismatch on {q}");
             let dp = count_tree_dp(&g, &q).unwrap();
-            let bt = count(&g, &q) as f64;
-            assert_eq!(dp, bt, "mismatch on {q}");
+            assert_eq!(dp, kernel as f64, "f64 mismatch on {q}");
+            assert_eq!(dp.to_bits(), count_tree_dp_dense(&g, &q).to_bits());
         }
+    }
+
+    /// The `f64` instance reproduces the dense DP's bits on the acyclic
+    /// workload pools (their truths were recorded with the dense DP).
+    #[test]
+    fn f64_instance_matches_the_dense_oracle_on_the_workload_pools() {
+        use ceg_workload::{Dataset, Workload};
+        let g = Dataset::Imdb.generate(42);
+        let mut checked = 0;
+        for w in [Workload::Job, Workload::Acyclic, Workload::GCareAcyclic] {
+            for wq in w.build(&g, 2, 7) {
+                let sparse = count_tree_dp(&g, &wq.query).expect("acyclic pool");
+                let dense = count_tree_dp_dense(&g, &wq.query);
+                assert_eq!(sparse.to_bits(), dense.to_bits(), "{}", wq.query);
+                assert_eq!(sparse.to_bits(), wq.truth.to_bits());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 60, "pools shrank to {checked} queries");
     }
 
     #[test]
@@ -316,20 +621,82 @@ mod tests {
         let g = toy();
         let q = templates::cycle(3, &[0, 1, 2]);
         assert_eq!(count_tree_dp(&g, &q), None);
+        assert!(count_tree(&g, &q, CountBudget::UNLIMITED).is_none());
     }
 
     #[test]
     fn huge_star_counts_do_not_explode() {
         // hub with 200 out-edges; a 8-star has 200^8 ≈ 2.6e18 homs —
         // enumeration would never finish, the DP is instant.
-        let mut b = GraphBuilder::new(202);
-        for i in 1..=200u32 {
-            b.add_edge(0, i, 0);
-        }
-        let g = b.build();
+        let g = hub(200);
         let q = templates::star(8, &[0; 8]);
         let c = count_tree_dp(&g, &q).unwrap();
         assert_eq!(c, 200f64.powi(8));
+        assert_eq!(count(&g, &q), 200u64.pow(8));
+    }
+
+    /// 200⁹ does not fit `u64`: the DP hands the query to the kernel and
+    /// the caller gets exactly what the kernel gives.
+    #[test]
+    fn u64_overflow_falls_through_to_the_kernel() {
+        let g = hub(200);
+        let q = templates::star(9, &[0; 9]);
+        assert!(count_tree(&g, &q, CountBudget::UNLIMITED).is_none());
+        let budget = CountBudget::new(100_000);
+        let cons = VarConstraints::none(q.num_vars());
+        let kernel = CountPlan::new_counting(&g, &q, &cons).count_with_limit_stats(budget);
+        assert_eq!(unconstrained(&g, &q, budget), kernel);
+        assert_eq!(count_tree_dp(&g, &q), Some(200f64.powi(9)));
+    }
+
+    /// The DP's budget unit is a relation row swept, charged per sweep
+    /// before it runs.
+    #[test]
+    fn candidates_are_the_rows_swept() {
+        let g = toy();
+        // One edge: the sources of the relation, without the sweep.
+        let (c, stats) = unconstrained(&g, &templates::path(1, &[0]), CountBudget::UNLIMITED);
+        assert_eq!(c, Some(6));
+        assert_eq!(stats.candidates, g.distinct_sources(0) as u64);
+        // a0 -0-> a1 -1-> a2 is rooted at a1: the targets of label 0 and
+        // the sources of label 1.
+        let path = templates::path(2, &[0, 1]);
+        let rows = (g.distinct_targets(0) + g.distinct_sources(1)) as u64;
+        let (c, stats) = unconstrained(&g, &path, CountBudget::UNLIMITED);
+        assert_eq!(c, Some(6));
+        assert_eq!(stats.candidates, rows);
+        assert_eq!(stats.budget_consumed, rows);
+        assert_eq!((stats.memo_hits, stats.suffix_shortcuts), (0, 0));
+        // The exact boundary, and one short of it.
+        assert_eq!(unconstrained(&g, &path, CountBudget::new(rows)).0, Some(6));
+        let (c, stats) = unconstrained(&g, &path, CountBudget::new(rows - 1));
+        assert_eq!(c, None);
+        assert_eq!(stats.budget_consumed, rows - 1, "the allowance is spent");
+        // An empty relation sweeps nothing and counts nothing.
+        let g4 = {
+            let mut b = GraphBuilder::with_labels(20, 4);
+            b.add_edge(0, 1, 0);
+            b.build()
+        };
+        let (c, stats) = unconstrained(&g4, &templates::path(1, &[3]), CountBudget::UNLIMITED);
+        assert_eq!((c, stats.candidates), (Some(0), 0));
+    }
+
+    #[test]
+    fn expired_deadline_sweeps_nothing() {
+        let g = toy();
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        let (c, stats) = unconstrained(&g, &templates::path(2, &[0, 1]), CountBudget::until(past));
+        assert_eq!(c, None);
+        assert_eq!(stats, KernelStats::default());
+    }
+
+    #[test]
+    fn the_centre_roots_the_walk() {
+        assert_eq!(centre(&templates::path(1, &[0])), 0);
+        assert_eq!(centre(&templates::path(2, &[0, 0])), 1);
+        assert_eq!(centre(&templates::path(4, &[0; 4])), 2);
+        assert_eq!(centre(&templates::star(5, &[0; 5])), 0);
     }
 
     #[test]
@@ -353,5 +720,6 @@ mod tests {
         let g = toy();
         let q = templates::path(2, &[2, 0]); // label 2 targets have no 0-out
         assert_eq!(count_tree_dp(&g, &q), Some(0.0));
+        assert_eq!(count(&g, &q), 0);
     }
 }

@@ -9,18 +9,19 @@
 //! boundary budget, so a future kernel refactor that silently changes
 //! the accounting again fails loudly here instead of shifting every
 //! caller's effective timeout.
+//!
+//! The plan is driven directly: the free functions count an
+//! unconstrained acyclic query with the sparse tree DP, whose unit is a
+//! relation row swept — that contract is pinned at the end of this file
+//! and in `tree_count`'s unit tests.
 
-use ceg_exec::{count_with_limit, CountBudget, VarConstraints};
+use ceg_exec::{count_with_limit, CountBudget, CountPlan, VarConstraints};
 use ceg_graph::{GraphBuilder, LabeledGraph};
 use ceg_query::{templates, QueryEdge, QueryGraph};
 
 fn counts(graph: &LabeledGraph, query: &QueryGraph, budget: u64) -> Option<u64> {
-    count_with_limit(
-        graph,
-        query,
-        &VarConstraints::none(query.num_vars()),
-        CountBudget::new(budget),
-    )
+    CountPlan::new_counting(graph, query, &VarConstraints::none(query.num_vars()))
+        .count_with_limit(CountBudget::new(budget))
 }
 
 /// Star query, hub with 4 out-edges: the two leaves form an independent
@@ -89,4 +90,22 @@ fn mid_count_exhaustion_returns_none_not_partial() {
     // count must not leak out as a completed result.
     assert_eq!(counts(&g, &q, 2), None);
     assert_eq!(counts(&g, &q, 0), None, "zero budget can count nothing");
+}
+
+/// The same star through the free function takes the tree DP: one sweep
+/// of the relation's single row per leaf — 2 units, not the kernel's 17.
+#[test]
+fn acyclic_queries_are_charged_the_rows_swept() {
+    let mut b = GraphBuilder::new(5);
+    for d in 1..5 {
+        b.add_edge(0, d, 0);
+    }
+    let g = b.build();
+    let q = templates::star(2, &[0, 0]);
+    let cons = VarConstraints::none(q.num_vars());
+    assert_eq!(
+        count_with_limit(&g, &q, &cons, CountBudget::new(2)),
+        Some(16)
+    );
+    assert_eq!(count_with_limit(&g, &q, &cons, CountBudget::new(1)), None);
 }

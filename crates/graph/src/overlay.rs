@@ -25,6 +25,9 @@ use crate::{FxHashMap, LabelId, LabeledGraph, VertexId};
 struct DirPatch {
     /// Fully merged, sorted neighbour lists for the touched vertices.
     lists: FxHashMap<VertexId, Vec<VertexId>>,
+    /// The keys of `lists`, ascending: what [`GraphView::rows`] merges
+    /// the base rows with (point lookups go through the map).
+    touched: Vec<VertexId>,
     /// Upper bound on the maximum degree (base bound ∨ patched lists).
     max_degree: usize,
     /// Exact number of vertices with non-zero degree.
@@ -127,7 +130,7 @@ impl<'a> OverlayGraph<'a> {
             num_active: base_active,
             ..Default::default()
         };
-        for v in touched {
+        for &v in &touched {
             let mut a = add_by.remove(&v).unwrap_or_default();
             let mut d = del_by.remove(&v).unwrap_or_default();
             a.sort_unstable();
@@ -143,6 +146,7 @@ impl<'a> OverlayGraph<'a> {
             }
             patch.lists.insert(v, merged);
         }
+        patch.touched = touched;
         patch
     }
 
@@ -224,28 +228,33 @@ impl GraphView for OverlayGraph<'_> {
     }
 
     fn rows(&self, l: LabelId, backward: bool) -> impl Iterator<Item = (VertexId, &[VertexId])> {
-        // The base rows the delta left alone, merged in vertex order with
-        // the patched lists that are still non-empty.
-        let lists = self
+        // A two-way merge in vertex order: the base rows, and the patched
+        // lists, which replace the base row of the same vertex and are
+        // left out where the delta emptied them.
+        let patch = self
             .patch(l)
-            .map(|p| if backward { &p.bwd.lists } else { &p.fwd.lists });
-        let mut patched: Vec<(VertexId, &[VertexId])> = lists
+            .map(|p| if backward { &p.bwd } else { &p.fwd });
+        let mut patched = patch
             .into_iter()
-            .flatten()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(&v, list)| (v, list.as_slice()))
-            .collect();
-        patched.sort_unstable_by_key(|&(v, _)| v);
-        let mut patched = patched.into_iter().peekable();
-        let mut base = self
-            .base
-            .rows(l, backward)
-            .filter(move |(v, _)| lists.is_none_or(|m| !m.contains_key(v)))
-            .peekable();
-        std::iter::from_fn(move || match (base.peek(), patched.peek()) {
-            (Some(b), Some(p)) if p.0 < b.0 => patched.next(),
-            (Some(_), _) => base.next(),
-            (None, _) => patched.next(),
+            .flat_map(|p| p.touched.iter().map(|v| (*v, p.lists[v].as_slice())));
+        let mut base = self.base.rows(l, backward);
+        let mut next_patched = patched.next();
+        // A base row read past the next patched vertex.
+        let mut held = None;
+        std::iter::from_fn(move || loop {
+            let Some(p) = next_patched else {
+                return held.take().or_else(|| base.next());
+            };
+            match held.take().or_else(|| base.next()) {
+                Some(b) if b.0 < p.0 => return Some(b),
+                b => {
+                    held = b.filter(|b| b.0 != p.0);
+                    next_patched = patched.next();
+                    if !p.1.is_empty() {
+                        return Some(p);
+                    }
+                }
+            }
         })
     }
 }
@@ -311,6 +320,40 @@ mod tests {
         }
     }
 
+    /// `rows` over patched and untouched relations, both directions,
+    /// yields exactly the rebased graph's rows.
+    fn assert_rows_equivalence(ov: &OverlayGraph<'_>, want: &LabeledGraph) {
+        for l in 0..want.num_labels() as LabelId + 1 {
+            for backward in [false, true] {
+                let got: Vec<_> = GraphView::rows(ov, l, backward).collect();
+                let want: Vec<_> = want.rows(l, backward).collect();
+                assert_eq!(got, want, "rows({l}, {backward})");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_merge_patched_lists_with_base_rows() {
+        // Label 0 rows at 0, 2, 4, 6, 8; label 1 untouched.
+        let mut b = GraphBuilder::new(10);
+        for v in [0, 2, 4, 6, 8] {
+            b.add_edge(v, v + 1, 0);
+        }
+        b.add_edge(3, 4, 1);
+        let g = b.build();
+        let mut d = GraphDelta::new();
+        d.del_edge(0, 1, 0); // the first row emptied
+        d.add_edge(2, 9, 0); // a row grown
+        d.add_edge(3, 0, 0); // a row between two base rows
+        d.del_edge(8, 9, 0); // the last row emptied...
+        d.add_edge(9, 0, 0); // ...and a new one past it
+        d.add_edge(12, 2, 0); // and one past the base domain
+        let ov = OverlayGraph::new(&g, &d);
+        assert_rows_equivalence(&ov, &g.rebase(&d));
+        let sources: Vec<VertexId> = GraphView::rows(&ov, 0, false).map(|r| r.0).collect();
+        assert_eq!(sources, [2, 3, 4, 6, 9, 12]);
+    }
+
     #[test]
     fn overlay_matches_rebased_graph() {
         let g = base();
@@ -318,6 +361,7 @@ mod tests {
         let ov = OverlayGraph::new(&g, &d);
         let want = g.rebase(&d);
         assert_view_equivalence(&ov, &want);
+        assert_rows_equivalence(&ov, &want);
         assert_eq!(ov.num_edges(), want.num_edges());
     }
 

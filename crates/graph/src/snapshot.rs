@@ -69,9 +69,10 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Write a file atomically: `fill` produces the bytes, which land in a
-/// unique temp file next to `path`, are synced to disk, and are renamed
-/// over `path` only once complete. A crash, a full disk, or a concurrent
+/// Write a file atomically: `fill` streams the bytes through a buffered
+/// writer into a unique temp file next to `path`, which is synced to disk
+/// and renamed over `path` only once complete — the file is never held
+/// in memory. A crash, a full disk, or a concurrent
 /// writer therefore can never leave a truncated or interleaved file at
 /// `path` — at worst the old file survives untouched (plus a stray
 /// `.tmp.*` sibling from a hard crash, which [`sweep_orphan_temps`]
@@ -80,7 +81,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 /// feature destroy the very state it exists to protect.
 pub fn atomic_write(
     path: &std::path::Path,
-    fill: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     atomic_write_with(&crate::vfs::OsStorage, path, fill)
 }
@@ -91,7 +92,7 @@ pub fn atomic_write(
 pub fn atomic_write_with(
     storage: &dyn crate::vfs::Storage,
     path: &std::path::Path,
-    fill: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -106,10 +107,9 @@ pub fn atomic_write_with(
     ));
     let tmp = path.with_file_name(name);
     let result = (|| {
-        let mut bytes = Vec::new();
-        fill(&mut bytes)?;
-        let mut f = storage.create(&tmp)?;
-        f.write_all(&bytes)?;
+        let mut w = io::BufWriter::with_capacity(WRITE_BUFFER, FileWriter(storage.create(&tmp)?));
+        fill(&mut w)?;
+        let FileWriter(mut f) = w.into_inner().map_err(io::IntoInnerError::into_error)?;
         f.sync()?;
         storage.rename(&tmp, path)?;
         // The rename's directory entry must reach disk too, or a power
@@ -124,6 +124,23 @@ pub fn atomic_write_with(
         let _ = storage.remove(&tmp);
     }
     result
+}
+
+/// Bytes [`atomic_write_with`] gathers before each write to the file.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// [`io::Write`] over a storage handle, which only appends whole buffers.
+struct FileWriter(Box<dyn crate::vfs::StorageFile>);
+
+impl Write for FileWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write_all(buf)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Delete orphaned `.cegsnap.tmp.*` / `.cegwal.tmp.*` siblings that a
@@ -351,7 +368,15 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 ///      rows u32*num_rows, offsets u32*(num_rows+1), targets u32*num_targets
 /// ```
 pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
-    let mut buf = Vec::new();
+    // The length is known up front: the one allocation is exact, where
+    // growing by doubling would hold up to three times the payload.
+    let len = 16
+        + graph
+            .csr_pairs()
+            .flat_map(|(fwd, bwd)| [fwd, bwd])
+            .map(|csr| 16 + 4 * (2 * csr.num_active() + 1 + csr.num_edges()))
+            .sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
     put_u64(&mut buf, graph.num_vertices() as u64);
     put_u64(&mut buf, graph.num_labels() as u64);
     for (fwd, bwd) in graph.csr_pairs() {
@@ -373,6 +398,7 @@ pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
             }
         }
     }
+    debug_assert_eq!(buf.len(), len);
     buf
 }
 
@@ -812,7 +838,6 @@ mod tests {
         let path = std::env::temp_dir().join(format!("ceg-atomic-{}.cegsnap", std::process::id()));
         std::fs::write(&path, b"precious previous snapshot").unwrap();
         let err = atomic_write(&path, |f| {
-            use std::io::Write;
             f.write_all(b"partial garbage")?;
             Err(bad("simulated crash mid-write"))
         });
@@ -832,11 +857,7 @@ mod tests {
             .count();
         assert_eq!(strays, 0, "temp file must be cleaned up");
         // And a successful write replaces it.
-        atomic_write(&path, |f| {
-            use std::io::Write;
-            f.write_all(b"new snapshot")
-        })
-        .unwrap();
+        atomic_write(&path, |f| f.write_all(b"new snapshot")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new snapshot");
         std::fs::remove_file(&path).unwrap();
     }
@@ -890,10 +911,7 @@ mod tests {
             crash_after: Some(2),
             ..Default::default()
         });
-        let err = atomic_write_with(&fs, path, |f| {
-            use std::io::Write;
-            f.write_all(b"new snapshot bytes")
-        });
+        let err = atomic_write_with(&fs, path, |f| f.write_all(b"new snapshot bytes"));
         assert!(err.is_err());
         fs.reboot(usize::MAX);
         // The good snapshot survived; a torn orphan sits next to it.
@@ -904,6 +922,53 @@ mod tests {
             fs.list(Path::new("/data")).unwrap(),
             vec![path.to_path_buf()]
         );
+    }
+
+    /// A file larger than the write buffer reaches storage in several
+    /// writes; a crash at any of them, or at the sync, rename or
+    /// directory sync after, leaves the old or the new file — never a
+    /// blend — and the sweep clears what the crash left.
+    #[test]
+    fn streamed_write_survives_a_crash_at_every_step() {
+        use crate::vfs::{FaultPlan, FaultStorage, Storage};
+        use std::path::Path;
+        let path = Path::new("/data/ds.cegsnap");
+        let old = b"old good snapshot".to_vec();
+        let new: Vec<u8> = (0..3 * WRITE_BUFFER + 17).map(|i| i as u8).collect();
+        let write = |fs: &FaultStorage| {
+            atomic_write_with(fs, path, |f| {
+                new.chunks(1000).try_for_each(|c| f.write_all(c))
+            })
+        };
+
+        let fs = FaultStorage::new();
+        fs.install(path, old.clone());
+        write(&fs).unwrap();
+        let ops = fs.op_count();
+        assert!(ops >= 7, "create, 4 writes, sync, rename, sync_dir: {ops}");
+        assert_eq!(fs.read(path).unwrap(), new);
+
+        for crash_at in 0..ops {
+            for keep_unsynced in [0, 1, usize::MAX] {
+                let fs = FaultStorage::new();
+                fs.install(path, old.clone());
+                fs.set_plan(FaultPlan::default().crash_after(crash_at));
+                // Only the directory sync can fail after the rename landed.
+                let _ = write(&fs);
+                fs.reboot(keep_unsynced);
+                let on_disk = fs.read(path).unwrap();
+                assert!(
+                    on_disk == old || on_disk == new,
+                    "crash at op {crash_at}: {} bytes on disk",
+                    on_disk.len()
+                );
+                sweep_orphan_temps(&fs, Path::new("/data")).unwrap();
+                assert_eq!(
+                    fs.list(Path::new("/data")).unwrap(),
+                    vec![path.to_path_buf()]
+                );
+            }
+        }
     }
 
     #[test]
