@@ -97,7 +97,7 @@ use ceg_graph::LabeledGraph;
 /// Everything a service dataset needs to come back after a restart.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// The committed graph (overlay already folded in by the writer).
+    /// The committed graph.
     pub graph: LabeledGraph,
     /// The Markov catalog, byte-identical to the persisted original.
     pub markov: MarkovTable,

@@ -328,9 +328,12 @@ mod tests {
         assert!(r.has_edge(2, 1, 0));
         assert!(!r.has_edge(0, 1, 0));
         assert_eq!(r.num_edges(), g.num_edges());
-        // label 1 untouched: the CSR is the same allocation.
+        // label 1 untouched: the CSR is the same allocation, in both
+        // directions.
         assert!(Arc::ptr_eq(&g.fwd[1], &r.fwd[1]));
+        assert!(Arc::ptr_eq(&g.bwd[1], &r.bwd[1]));
         assert!(!Arc::ptr_eq(&g.fwd[0], &r.fwd[0]));
+        assert!(!Arc::ptr_eq(&g.bwd[0], &r.bwd[0]));
         // forward and backward indexes stay consistent.
         assert_eq!(r.in_neighbors(1, 0), &[2]);
         assert_eq!(r.out_neighbors(0, 0), &[2]);

@@ -552,7 +552,6 @@ impl Engine {
             if ensured.fill.patterns_counted > 0 {
                 t.record_span_micros("catalog_fill", fill_us);
             }
-            t.counter("view_overlay", ensured.overlay as u64);
             t.counter("catalog_patterns_counted", ensured.fill.patterns_counted);
             t.counter("catalog_patterns_added", ensured.added as u64);
             t.counter(

@@ -10,10 +10,10 @@
 //!   loads its Markov catalog once, and shares both across requests via
 //!   `Arc`; catalogs grow incrementally as unseen query patterns arrive.
 //!   Datasets are **live**: `ADD_EDGE`/`DEL_EDGE` buffer into a pending
-//!   [`ceg_graph::GraphDelta`], `COMMIT` applies it under an
-//!   epoch-versioned base+overlay layering with incremental catalog
-//!   maintenance (only touched-label entries recount) and folds the
-//!   overlay into a fresh CSR past a rebase threshold,
+//!   [`ceg_graph::GraphDelta`], `COMMIT` folds it into a fresh CSR
+//!   graph (touched relations rebuilt, the rest shared) published as
+//!   the next epoch, with incremental catalog maintenance (only
+//!   touched-label entries recount) — one committed graph per epoch,
 //! * [`cache`] — an [`EstimateCache`] (LRU) keyed by the renaming-invariant
 //!   [`canonical hash`](ceg_query::canon) from `ceg-query`, verified by
 //!   exact isomorphism so hash collisions can never return a wrong

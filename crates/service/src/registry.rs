@@ -8,22 +8,24 @@
 //!
 //! # Live updates
 //!
-//! A dataset's committed state is one immutable **epoch state**: a CSR
-//! base graph, a committed [`GraphDelta`] overlay, the epoch number and
-//! the Markov catalog counted on exactly that graph. The entry publishes
-//! it behind an `Arc`; a request *pins* the `Arc` once, on entry, and
-//! reads epoch, cache tag, graph and catalog from that pin for its whole
-//! life, so an estimate is always the paper's number for **one** epoch.
+//! A dataset's committed state is one immutable **epoch state**: one CSR
+//! graph, the epoch number and the Markov catalog counted on exactly that
+//! graph. The entry publishes it behind an `Arc`; a request *pins* the
+//! `Arc` once, on entry, and reads epoch, cache tag, graph and catalog
+//! from that pin for its whole life, so an estimate is always the paper's
+//! number for **one** epoch.
 //!
 //! Edge updates buffer in a *pending* delta ([`DatasetEntry::add_edge`] /
 //! [`DatasetEntry::del_edge`]) that readers never see. A
-//! [`DatasetEntry::commit`] normalizes it against the current state,
-//! logs the effective delta, builds the successor off to the side —
-//! overlay merged or folded into a fresh CSR past the **rebase
-//! threshold**, a *clone* of the catalog recounted for the touched labels
-//! ([`MarkovTable::refresh_touched`]), epoch + 1 — and publishes it by
-//! swapping the pointer, which invalidates every cached estimate tagged
-//! with an older epoch (see [`crate::cache::EstimateCache`]).
+//! [`DatasetEntry::commit`] reduces it to the part that changes the
+//! current graph, logs that effective delta, builds the successor off to
+//! the side — the delta folded into a fresh CSR
+//! ([`LabeledGraph::rebase`]: the touched relations are rebuilt, every
+//! other one is shared with the predecessor), a *clone* of the catalog
+//! recounted for the touched labels ([`MarkovTable::refresh_touched`]),
+//! epoch + 1 — and publishes it by swapping the pointer, which
+//! invalidates every cached estimate tagged with an older epoch (see
+//! [`crate::cache::EstimateCache`]).
 //!
 //! Commits are serialised by the durability mutex, which no reader
 //! takes. The only locks a reader meets are the pointer slot (held for
@@ -49,7 +51,7 @@ use ceg_graph::io::load_graph;
 use ceg_graph::vfs::{OsStorage, Storage};
 use ceg_graph::wal::{WalOp, WalWriter};
 use ceg_graph::{
-    FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, OverlayGraph, VertexId, VertexRemap,
+    Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId, VertexRemap,
 };
 use ceg_query::{Pattern, QueryGraph};
 
@@ -64,7 +66,8 @@ pub struct CommitOutcome {
     pub deleted: usize,
     /// Catalog entries recounted by incremental maintenance.
     pub recounted: usize,
-    /// True if the overlay was folded into a fresh base CSR.
+    /// True if the commit changed the graph (its delta was folded into a
+    /// fresh CSR); false for a no-op commit.
     pub rebased: bool,
     /// WAL bytes appended (and fsynced) for this commit before it was
     /// applied — 0 for no-op commits and for datasets running without
@@ -126,22 +129,15 @@ pub struct EnsureOutcome {
     /// Counting-kernel work done filling them (zero if nothing was
     /// missing).
     pub fill: FillStats,
-    /// True if the counts ran on the overlay view (committed delta over
-    /// the base CSR) rather than the base CSR directly.
-    pub overlay: bool,
 }
 
 /// One committed epoch of a dataset — everything an estimate reads.
 /// Once published only the catalog changes: it *grows*, by exact counts
 /// taken on this state's own graph.
 pub(crate) struct EpochState {
-    base: Arc<LabeledGraph>,
-    /// Committed delta not yet folded into `base` (kept normalized
-    /// against it, and below the rebase threshold).
-    overlay: GraphDelta,
+    /// The committed graph, in internal numbering.
+    graph: Arc<LabeledGraph>,
     epoch: u64,
-    /// `(num_vertices, num_edges)` of the committed view.
-    summary: (usize, usize),
     /// Same rank as the slot that publishes this state (the two never
     /// nest). Held for lookups, a fill's inserts or one clone — never
     /// across counting or I/O.
@@ -156,10 +152,8 @@ impl EpochState {
     fn renumbered(graph: &LabeledGraph, epoch: u64, markov: MarkovTable) -> (VertexRemap, Self) {
         let remap = VertexRemap::degree_descending(graph);
         let state = EpochState {
-            base: Arc::new(remap.apply(graph)),
-            overlay: GraphDelta::new(),
+            graph: Arc::new(remap.apply(graph)),
             epoch,
-            summary: (graph.num_vertices(), graph.num_edges()),
             markov: OrderedRwLock::new(LockRank::DatasetState, markov),
         };
         (remap, state)
@@ -175,23 +169,13 @@ impl EpochState {
         self.markov.read()
     }
 
-    /// Edge presence in the committed view (overlay over base).
-    fn has_edge(&self, src: VertexId, dst: VertexId, label: LabelId) -> bool {
-        self.overlay
-            .edge_override(src, dst, label)
-            .unwrap_or_else(|| self.base.has_edge(src, dst, label))
-    }
-
     /// Validate one update op against the committed domain plus the
     /// growth allowance ([`MAX_UPDATE_VERTEX`] / [`MAX_UPDATE_LABEL`]):
     /// ids the graph already covers are always legal, growth beyond it
     /// is bounded.
     fn check_update(&self, src: VertexId, dst: VertexId, label: LabelId) -> Result<(), String> {
-        let num_vertices = self.summary.0;
-        let num_labels = self
-            .base
-            .num_labels()
-            .max(self.overlay.max_label().map_or(0, |l| l as usize + 1));
+        let num_vertices = self.graph.num_vertices();
+        let num_labels = self.graph.num_labels();
         let vertex_bound = num_vertices.max(MAX_UPDATE_VERTEX as usize + 1);
         if (src as usize) >= vertex_bound || (dst as usize) >= vertex_bound {
             return Err(format!(
@@ -209,71 +193,26 @@ impl EpochState {
         Ok(())
     }
 
-    /// The part of `delta` that changes this state's graph: adds of
-    /// absent edges and dels of present ones.
-    fn effective(&self, delta: &GraphDelta) -> GraphDelta {
-        let mut effective = GraphDelta::new();
-        for e in delta.adds() {
-            if !self.has_edge(e.src, e.dst, e.label) {
-                effective.add_edge(e.src, e.dst, e.label);
-            }
-        }
-        for e in delta.dels() {
-            if self.has_edge(e.src, e.dst, e.label) {
-                effective.del_edge(e.src, e.dst, e.label);
-            }
-        }
-        effective
-    }
-
-    /// An unpublished copy to build the successor from.
+    /// An unpublished copy to build the successor from: the graph is
+    /// shared, the catalog cloned.
     fn fork(&self) -> EpochState {
         EpochState {
-            base: self.base.clone(),
-            overlay: self.overlay.clone(),
+            graph: self.graph.clone(),
             epoch: self.epoch,
-            summary: self.summary,
             markov: OrderedRwLock::new(LockRank::DatasetState, self.catalog().clone()),
         }
     }
 
-    /// Advance this (unpublished) state's graph by one commit: merge
-    /// `effective` into the overlay, or fold it into a fresh base CSR at
-    /// `rebase_threshold` (returns true), and bump the epoch. The catalog
-    /// is left for [`EpochState::refresh`].
-    fn apply(&mut self, effective: &GraphDelta, rebase_threshold: usize) -> bool {
-        self.overlay.merge(effective);
-        // Keep the overlay normalized against the base so its length
-        // measures real divergence (an add later deleted collapses away).
-        let (adds, dels) = self.overlay.normalize(&self.base);
-        let grown = self.overlay.max_vertex().map_or(0, |v| v as usize + 1);
-        self.summary = (
-            self.base.num_vertices().max(grown),
-            self.base.num_edges() + adds - dels,
-        );
-        let rebased = self.overlay.len() >= rebase_threshold;
-        if rebased {
-            self.base = Arc::new(self.base.rebase(&self.overlay));
-            self.overlay.clear();
-        }
-        self.epoch += 1;
-        rebased
-    }
-
-    /// Recount this (unpublished) state's catalog entries naming a
-    /// `touched` label on its graph; returns how many were recounted.
-    fn refresh(&mut self, touched: &[LabelId], jobs: usize) -> usize {
-        let markov = self.markov.get_mut();
-        if self.overlay.is_empty() {
-            markov.refresh_touched(&*self.base, touched, jobs)
-        } else {
-            markov.refresh_touched(&OverlayGraph::new(&self.base, &self.overlay), touched, jobs)
-        }
-    }
-
-    /// The committed graph as one standalone CSR (internal numbering).
-    fn folded(&self) -> LabeledGraph {
-        self.base.rebase(&self.overlay)
+    /// Advance this (unpublished) state to `epoch`: fold `delta` into a
+    /// fresh CSR (untouched relations stay shared with the predecessor)
+    /// and recount the catalog entries naming a label it touches on that
+    /// graph. Returns how many were recounted.
+    fn advance(&mut self, delta: &GraphDelta, epoch: u64, jobs: usize) -> usize {
+        self.graph = Arc::new(self.graph.rebase(delta));
+        self.epoch = epoch;
+        self.markov
+            .get_mut()
+            .refresh_touched(&*self.graph, &delta.touched_labels(), jobs)
     }
 
     /// Count `missing` — patterns this epoch's catalog lacked when a
@@ -292,10 +231,7 @@ impl EpochState {
         deadline: Option<Instant>,
         jobs: usize,
     ) -> EnsureOutcome {
-        let mut outcome = EnsureOutcome {
-            overlay: !self.overlay.is_empty(),
-            ..EnsureOutcome::default()
-        };
+        let mut outcome = EnsureOutcome::default();
         if missing.is_empty() {
             return outcome;
         }
@@ -303,16 +239,7 @@ impl EpochState {
             Some(d) => ceg_exec::CountBudget::until(d),
             None => ceg_exec::CountBudget::UNLIMITED,
         };
-        let (counts, fill) = if self.overlay.is_empty() {
-            count_patterns_budgeted_stats(&*self.base, missing, jobs, budget)
-        } else {
-            count_patterns_budgeted_stats(
-                &OverlayGraph::new(&self.base, &self.overlay),
-                missing,
-                jobs,
-                budget,
-            )
-        };
+        let (counts, fill) = count_patterns_budgeted_stats(&*self.graph, missing, jobs, budget);
         outcome.fill = fill;
         let mut table = self.markov.write();
         for (pat, card) in missing.iter().zip(counts) {
@@ -328,6 +255,19 @@ impl EpochState {
     }
 }
 
+/// The part of `delta` that changes a graph whose edge presence is
+/// `present`: adds of absent edges and dels of present ones.
+fn effective_delta(delta: &GraphDelta, present: impl Fn(Edge) -> bool) -> GraphDelta {
+    let mut effective = GraphDelta::new();
+    for e in delta.adds().filter(|&e| !present(e)) {
+        effective.add_edge(e.src, e.dst, e.label);
+    }
+    for e in delta.dels().filter(|&e| present(e)) {
+        effective.del_edge(e.src, e.dst, e.label);
+    }
+    effective
+}
+
 /// One registered dataset: the published epoch state plus the pending
 /// (uncommitted) update buffer.
 pub struct DatasetEntry {
@@ -336,9 +276,6 @@ pub struct DatasetEntry {
     /// Worker threads used when counting patterns (catalog growth and
     /// commit-time recounts).
     jobs: usize,
-    /// Fold the committed overlay into a fresh base CSR once it holds at
-    /// least this many edge operations.
-    rebase_threshold: usize,
     /// Refuse to buffer more than this many uncommitted operations.
     pending_cap: usize,
     /// Degree-descending vertex renumbering applied to the stored graph
@@ -367,13 +304,6 @@ pub struct DatasetEntry {
     pub(crate) admitted: AtomicUsize,
 }
 
-/// Default overlay size at which a commit folds into a fresh CSR: scale
-/// with the base so small datasets rebase eagerly (cheap anyway) and big
-/// ones amortize.
-fn default_rebase_threshold(num_edges: usize) -> usize {
-    (num_edges / 8).max(256)
-}
-
 /// Largest vertex id an update may introduce **beyond** the dataset's
 /// current domain. Vertices the graph already has are always updatable
 /// (a 45M-vertex dataset accepts updates across its whole domain); this
@@ -395,22 +325,15 @@ impl DatasetEntry {
     /// serially; see [`DatasetEntry::with_jobs`].
     pub fn new(name: impl Into<String>, graph: LabeledGraph, markov: MarkovTable) -> Self {
         let (remap, state) = EpochState::renumbered(&graph, 0, markov);
-        let threshold = default_rebase_threshold(graph.num_edges());
-        Self::from_parts(name.into(), remap, threshold, state)
+        Self::from_parts(name.into(), remap, state)
     }
 
-    fn from_parts(
-        name: String,
-        remap: VertexRemap,
-        rebase_threshold: usize,
-        state: EpochState,
-    ) -> Self {
+    fn from_parts(name: String, remap: VertexRemap, state: EpochState) -> Self {
         let h = state.catalog().h();
         DatasetEntry {
             name,
             h,
             jobs: 1,
-            rebase_threshold,
             pending_cap: MAX_PENDING_OPS,
             remap,
             current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
@@ -424,14 +347,6 @@ impl DatasetEntry {
     /// when the catalog grows (`cegcli serve --jobs` lands here).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Override the overlay size at which a commit folds the committed
-    /// delta into a fresh base CSR (tests use tiny values to exercise
-    /// both layering regimes).
-    pub fn with_rebase_threshold(mut self, threshold: usize) -> Self {
-        self.rebase_threshold = threshold.max(1);
         self
     }
 
@@ -452,11 +367,6 @@ impl DatasetEntry {
     /// Worker threads used for catalog growth.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Overlay size at which commits rebase.
-    pub fn rebase_threshold(&self) -> usize {
-        self.rebase_threshold
     }
 
     /// Dataset name (the wire-protocol identifier).
@@ -486,28 +396,24 @@ impl DatasetEntry {
         self.pending.lock().len()
     }
 
-    /// Committed edge operations not yet folded into the base CSR.
-    pub fn overlay_len(&self) -> usize {
-        self.current.read().overlay.len()
-    }
-
     /// `(num_vertices, num_edges)` of the committed graph.
     pub fn graph_summary(&self) -> (usize, usize) {
-        self.current.read().summary
+        let st = self.pin();
+        (st.graph.num_vertices(), st.graph.num_edges())
     }
 
-    /// Heap bytes of the base graph's adjacency indexes
+    /// Heap bytes of the committed graph's adjacency indexes
     /// ([`LabeledGraph::heap_bytes`]); divided by the edge count it is the
     /// storage cost per edge, which must not depend on the vertex domain.
     pub fn graph_bytes(&self) -> usize {
-        self.pin().base.heap_bytes()
+        self.pin().graph.heap_bytes()
     }
 
     /// Materialize the committed graph as a standalone CSR graph, in
     /// external (wire-visible) numbering. Tests use this to compare a
     /// live server against a cold one loaded with the final graph.
     pub fn materialized_graph(&self) -> LabeledGraph {
-        self.remap.externalize(&self.pin().folded())
+        self.remap.externalize(&self.pin().graph)
     }
 
     /// The dataset's vertex renumbering (external ↔ internal). Exposed
@@ -520,7 +426,7 @@ impl DatasetEntry {
     /// Record one bounds-checked op into the pending buffer, enforcing
     /// the pending cap. `src`/`dst` are external (wire) ids; they are
     /// translated to internal numbering here, so everything below this
-    /// point — pending, overlay, base — speaks internal ids only.
+    /// point — pending delta, committed graph — speaks internal ids only.
     fn buffer_update(
         &self,
         src: VertexId,
@@ -574,10 +480,9 @@ impl DatasetEntry {
         self.buffer_update(src, dst, label, true)
     }
 
-    /// Apply the pending delta: build the successor state (delta merged
-    /// into the overlay, or folded into a fresh CSR past the rebase
-    /// threshold; touched catalog entries recounted; epoch bumped) and
-    /// publish it. A commit with no effective change (empty pending
+    /// Apply the pending delta: build the successor state (delta folded
+    /// into a fresh CSR; touched catalog entries recounted; epoch bumped)
+    /// and publish it. A commit with no effective change (empty pending
     /// buffer, or only no-ops) keeps the epoch — cached estimates stay
     /// valid.
     ///
@@ -620,7 +525,7 @@ impl DatasetEntry {
         // Only commits publish, and the durability mutex serialises
         // them: `cur` stays the current state until this call swaps it.
         let cur = self.pin();
-        let effective = cur.effective(&delta);
+        let effective = effective_delta(&delta, |e| cur.graph.has_edge(e.src, e.dst, e.label));
         if effective.is_empty() {
             return Ok(CommitOutcome {
                 epoch: cur.epoch,
@@ -631,6 +536,7 @@ impl DatasetEntry {
                 wal_bytes: 0,
             });
         }
+        let epoch = cur.epoch + 1;
         // Durability barrier: the effective delta, stamped with the
         // epoch it will create, must be on disk before a successor is
         // built. On failure the taken ops are restored to the pending
@@ -660,7 +566,7 @@ impl DatasetEntry {
                     del: true,
                 }))
                 .collect();
-            match d.writer.append_tx(cur.epoch + 1, &ops) {
+            match d.writer.append_tx(epoch, &ops) {
                 Ok(n) => {
                     wal_bytes = n;
                     d.commits_since_snapshot += 1;
@@ -681,9 +587,7 @@ impl DatasetEntry {
             }
         }
         let mut next = cur.fork();
-        let rebased = next.apply(&effective, self.rebase_threshold);
-        let recounted = next.refresh(&effective.touched_labels(), self.jobs);
-        let epoch = next.epoch;
+        let recounted = next.advance(&effective, epoch, self.jobs);
         // `cur` outlives the swap, so the superseded state is never freed
         // under the slot lock; it goes when its last pin does.
         *self.current.write() = Arc::new(next);
@@ -692,7 +596,7 @@ impl DatasetEntry {
             added: effective.adds().count(),
             deleted: effective.dels().count(),
             recounted,
-            rebased,
+            rebased: true,
             wal_bytes,
         })
     }
@@ -728,11 +632,11 @@ impl DatasetEntry {
         self.pin().catalog().len()
     }
 
-    /// Persist the committed state — graph (overlay folded in), Markov
-    /// catalog, epoch — to a binary `.cegsnap` file. Returns `(epoch,
-    /// bytes written)`. One epoch state is pinned and its catalog cloned;
-    /// encode + write + fsync happen with no lock held. The pending
-    /// update buffer is not captured.
+    /// Persist the committed state — graph, Markov catalog, epoch — to a
+    /// binary `.cegsnap` file. Returns `(epoch, bytes written)`. One
+    /// epoch state is pinned and its catalog cloned; encode + write +
+    /// fsync happen with no lock held. The pending update buffer is not
+    /// captured.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> io::Result<(u64, u64)> {
         self.write_snapshot_with(&OsStorage, path.as_ref())
     }
@@ -751,8 +655,8 @@ impl DatasetEntry {
         // in-process layout detail, recomputed deterministically on load,
         // so `.cegsnap` bytes are invariant to it (and round-trip
         // byte-identically through a renumbering server).
-        let folded = self.remap.externalize(&st.folded());
-        ceg_catalog::io::write_snapshot_with(storage, path, &folded, &markov, st.epoch)?;
+        let graph = self.remap.externalize(&st.graph);
+        ceg_catalog::io::write_snapshot_with(storage, path, &graph, &markov, st.epoch)?;
         Ok((st.epoch, storage.len(path)?))
     }
 
@@ -765,8 +669,7 @@ impl DatasetEntry {
         // The epoch sequence continues: estimates cached against the old
         // process's epochs can never be confused with fresh ones.
         let (remap, state) = EpochState::renumbered(&snap.graph, snap.epoch, snap.markov);
-        let threshold = default_rebase_threshold(snap.graph.num_edges());
-        Ok(Self::from_parts(name.into(), remap, threshold, state))
+        Ok(Self::from_parts(name.into(), remap, state))
     }
 
     /// Make this dataset's commits crash-safe: every effective commit is
@@ -819,15 +722,15 @@ impl DatasetEntry {
     }
 
     /// Rebuild a dataset exactly as the last acked commit left it: load
-    /// the snapshot, apply the effective delta of every WAL transaction
-    /// with a later epoch to the graph (the merge / rebase steps of a live
-    /// commit; a transaction that does not produce its logged epoch is an
-    /// error), recount the catalog **once** over the union of touched
-    /// labels on the final graph — counts are exact, so this equals a
-    /// recount per transaction — then attach the WAL for new appends. A
-    /// torn tail — the fingerprint of a crash mid append — is truncated
-    /// by the scan and reported, never an error: by the ack protocol
-    /// those bytes were never acked.
+    /// the snapshot, merge the effective delta of every WAL transaction
+    /// with a later epoch into one delta (a transaction that does not
+    /// produce its logged epoch is an error), then do what one live
+    /// commit does with it — fold it into the graph **once** and recount
+    /// the catalog **once** over the union of touched labels; counts are
+    /// exact, so this equals a fold and a recount per transaction — and
+    /// attach the WAL for new appends. A torn tail — the fingerprint of a
+    /// crash mid append — is truncated by the scan and reported, never an
+    /// error: by the ack protocol those bytes were never acked.
     pub fn recover(
         name: impl Into<String>,
         storage: Arc<dyn Storage>,
@@ -839,7 +742,6 @@ impl DatasetEntry {
         let wal_path = wal_path.into();
         let snap = ceg_catalog::io::read_snapshot_with(&*storage, &snap_path)?;
         let snapshot_epoch = snap.epoch;
-        let rebase_threshold = default_rebase_threshold(snap.graph.num_edges());
         let (remap, mut state) = EpochState::renumbered(&snap.graph, snapshot_epoch, snap.markov);
         let (writer, scan) = WalWriter::open(&*storage, &wal_path)?;
         let mut report = RecoveryReport {
@@ -850,7 +752,9 @@ impl DatasetEntry {
             torn_tail: scan.diagnosis.clone(),
         };
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut touched: Vec<LabelId> = Vec::new();
+        // Every replayed transaction, merged: with the snapshot graph
+        // under it, the committed view the next transaction applies to.
+        let mut replayed = GraphDelta::new();
         for tx in &scan.txs {
             // Epochs at or below the snapshot's were already folded in
             // by the rotation that wrote it; skip them.
@@ -869,26 +773,27 @@ impl DatasetEntry {
                     delta.add_edge(src, dst, op.label);
                 }
             }
-            let effective = state.effective(&delta);
+            let effective = effective_delta(&delta, |e| {
+                replayed
+                    .edge_override(e.src, e.dst, e.label)
+                    .unwrap_or_else(|| state.graph.has_edge(e.src, e.dst, e.label))
+            });
             if !effective.is_empty() {
-                state.apply(&effective, rebase_threshold);
-                touched.extend(effective.touched_labels());
+                replayed.merge(&effective);
+                report.epoch += 1;
             }
-            if state.epoch != tx.epoch {
+            if report.epoch != tx.epoch {
                 return Err(invalid(format!(
                     "WAL replay diverged: transaction for epoch {} \
                      produced epoch {} — snapshot and log disagree",
-                    tx.epoch, state.epoch
+                    tx.epoch, report.epoch
                 )));
             }
             report.replayed_commits += 1;
             report.replayed_ops += tx.ops.len();
         }
-        touched.sort_unstable();
-        touched.dedup();
-        state.refresh(&touched, jobs);
-        report.epoch = state.epoch;
-        let entry = Self::from_parts(name.into(), remap, rebase_threshold, state).with_jobs(jobs);
+        state.advance(&replayed, report.epoch, jobs);
+        let entry = Self::from_parts(name.into(), remap, state).with_jobs(jobs);
         *entry.durability.lock() = Some(Durability {
             storage,
             snap_path,
@@ -1288,18 +1193,12 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ceg-registry-snap-{}.cegsnap", std::process::id()));
         let registry = DatasetRegistry::with_jobs(2);
-        let entry = registry.insert(
-            DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2))
-                // Keep a live overlay at snapshot time: the writer must
-                // fold it into the persisted graph.
-                .with_rebase_threshold(usize::MAX),
-        );
+        let entry = registry.insert(DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2)));
         let q = templates::path(2, &[0, 1]);
         entry.ensure_patterns(std::slice::from_ref(&q));
         entry.add_edge(4, 0, 1).unwrap();
         entry.commit();
         assert_eq!(entry.epoch(), 1);
-        assert!(entry.overlay_len() > 0);
         // Pending ops must NOT be captured.
         entry.add_edge(2, 2, 0).unwrap();
 
@@ -1385,42 +1284,33 @@ mod tests {
     }
 
     #[test]
-    fn overlay_and_rebase_regimes_agree() {
-        // Same update stream against a rebase-eager and a rebase-never
-        // entry: identical epochs, catalogs and materialized graphs.
-        let eager =
-            DatasetEntry::new("e", toy_graph(), MarkovTable::empty(2)).with_rebase_threshold(1);
-        let lazy = DatasetEntry::new("l", toy_graph(), MarkovTable::empty(2))
-            .with_rebase_threshold(usize::MAX);
-        let q = templates::path(2, &[0, 1]);
-        for entry in [&eager, &lazy] {
-            entry.ensure_patterns(std::slice::from_ref(&q));
-        }
-        for (src, dst, label, add) in [
-            (0u32, 3u32, 0u16, true),
-            (4, 0, 1, true),
-            (1, 2, 1, false),
-            (2, 2, 0, true),
-        ] {
-            for entry in [&eager, &lazy] {
-                if add {
-                    entry.add_edge(src, dst, label).unwrap();
-                } else {
-                    entry.del_edge(src, dst, label).unwrap();
-                }
-                entry.commit();
-            }
-        }
-        assert_eq!(eager.epoch(), lazy.epoch());
-        assert_eq!(eager.overlay_len(), 0);
-        assert!(lazy.overlay_len() > 0);
-        assert_eq!(eager.graph_summary(), lazy.graph_summary());
-        assert_catalogs_equal(&eager, &lazy);
-        let (ge, gl) = (eager.materialized_graph(), lazy.materialized_graph());
-        assert_eq!(ge.num_edges(), gl.num_edges());
-        for e in ge.all_edges() {
-            assert!(gl.has_edge(e.src, e.dst, e.label), "{e:?}");
-        }
+    fn commit_shares_untouched_relations_with_the_predecessor() {
+        // What keeps a commit's cost and peak memory proportional to the
+        // relations it touches: the successor's CSR for every other label
+        // is the predecessor's allocation, in both directions.
+        let entry = DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2));
+        let before = entry.pin();
+        entry.add_edge(0, 3, 0).unwrap();
+        assert!(entry.commit().rebased);
+        let after = entry.pin();
+        assert_eq!(after.epoch(), before.epoch() + 1);
+        let v = |external| entry.remap().to_internal(external);
+        let (old, new) = (&before.graph, &after.graph);
+        assert!(std::ptr::eq(
+            old.out_neighbors(v(1), 1),
+            new.out_neighbors(v(1), 1)
+        ));
+        assert!(std::ptr::eq(
+            old.in_neighbors(v(2), 1),
+            new.in_neighbors(v(2), 1)
+        ));
+        // Label 0 was rebuilt beside the pinned predecessor's.
+        assert_eq!(old.out_neighbors(v(0), 0).len(), 1);
+        assert_eq!(new.out_neighbors(v(0), 0).len(), 2);
+        assert!(!std::ptr::eq(
+            old.out_neighbors(v(3), 0).as_ptr(),
+            new.out_neighbors(v(3), 0).as_ptr()
+        ));
     }
 
     mod durability {

@@ -879,7 +879,7 @@ fn query_cmd(args: &[String]) -> CmdResult {
 /// Stream a scripted `.upd` update file to a running server: `add`/`del`
 /// lines buffer into the dataset's pending delta, each `commit` applies
 /// the batch and prints what it did (epoch, effective adds/dels, catalog
-/// entries recounted, whether the overlay was folded into a fresh CSR).
+/// entries recounted, whether the commit changed the graph).
 fn update_cmd(args: &[String]) -> CmdResult {
     use cegraph::workload::updates::{load_updates, UpdateOp};
     let addr = arg(args, 0, "server address")?;

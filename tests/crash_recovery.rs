@@ -35,6 +35,7 @@ use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, Heuristic, PathLen};
 use cegraph::estimators::{CardinalityEstimator, OptimisticEstimator};
 use cegraph::graph::vfs::{FaultPlan, FaultStorage, Storage};
+use cegraph::graph::wal::{WalOp, WalWriter};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::templates;
 use cegraph::query::QueryGraph;
@@ -325,6 +326,94 @@ fn transient_failures_and_short_writes_never_lose_acked_commits() {
             assert_matches_control(&recovered, workload().len());
         }
     }
+}
+
+/// Replay checks every transaction against the view the ones before it
+/// left: a log that re-adds an edge already present — in the snapshot,
+/// or added by an earlier transaction of the same log — cannot produce
+/// its logged epoch, so recovery refuses it instead of serving a dataset
+/// at the wrong epoch.
+#[test]
+fn a_log_that_disagrees_with_its_snapshot_is_refused() {
+    let add = |src, dst, label| WalOp {
+        src,
+        dst,
+        label,
+        del: false,
+    };
+    // (0, 1, 0) is in the base graph; (8, 9, 0) is not.
+    for log in [
+        vec![(1, vec![add(0, 1, 0)])],
+        vec![(1, vec![add(8, 9, 0)]), (2, vec![add(8, 9, 0)])],
+    ] {
+        let fs = FaultStorage::new();
+        let storage: Arc<dyn Storage> = Arc::new(fs.clone());
+        plain_entry("default")
+            .attach_durability(storage.clone(), SNAP, WAL)
+            .unwrap();
+        let (mut writer, _) = WalWriter::open(&fs, Path::new(WAL)).unwrap();
+        for (epoch, ops) in &log {
+            writer.append_tx(*epoch, ops).unwrap();
+        }
+        drop(writer);
+        let err = match DatasetEntry::recover("default", storage, SNAP, WAL, 1) {
+            Ok((entry, _)) => panic!("recovered to epoch {} from {log:?}", entry.epoch()),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("WAL replay diverged"), "{err}");
+    }
+}
+
+/// Replay folds the whole log into the snapshot graph at once; the
+/// result must be what the live entry built one commit at a time, even
+/// when the log adds, deletes and re-adds one edge and grows the vertex
+/// domain and the label set on the way — including growth by an edge a
+/// later transaction deletes again (a committed domain never shrinks).
+#[test]
+fn a_log_that_revisits_an_edge_and_grows_the_domain_recovers_identically() {
+    let (grown_vertex, grown_label) = (VERTICES as u32 + 4, LABELS as u16 + 1);
+    let (gone_vertex, gone_label) = (grown_vertex + 2, grown_label + 1);
+    let txs: Vec<Vec<Op>> = vec![
+        vec![
+            (8, grown_vertex, grown_label, false),
+            (8, gone_vertex, gone_label, false),
+        ],
+        vec![
+            (8, grown_vertex, grown_label, true),
+            (8, gone_vertex, gone_label, true),
+        ],
+        vec![(8, grown_vertex, grown_label, false), (0, 1, 0, true)],
+        vec![(1, 2, 1, true), (grown_vertex, 8, 1, false)],
+    ];
+    let fs = FaultStorage::new();
+    let storage: Arc<dyn Storage> = Arc::new(fs.clone());
+    let live = plain_entry("default");
+    live.attach_durability(storage.clone(), SNAP, WAL).unwrap();
+    assert_eq!(drive(&live, &txs), txs.len());
+
+    let (recovered, report) = DatasetEntry::recover("default", storage, SNAP, WAL, 1).unwrap();
+    assert_eq!(report.snapshot_epoch, 0);
+    assert_eq!(report.replayed_commits, txs.len());
+    assert_eq!(recovered.epoch(), live.epoch());
+    assert_eq!(
+        recovered.with_markov(table_bytes),
+        live.with_markov(table_bytes)
+    );
+    let (a, b) = (recovered.materialized_graph(), live.materialized_graph());
+    assert_eq!(a.num_vertices(), gone_vertex as usize + 1);
+    assert_eq!(a.num_labels(), gone_label as usize + 1);
+    assert!(a.has_edge(8, grown_vertex, grown_label));
+    assert!(!a.has_edge(8, gone_vertex, gone_label));
+    // Same graph and catalog down to the persisted bytes.
+    assert_eq!(
+        (a.num_vertices(), a.num_labels()),
+        (b.num_vertices(), b.num_labels())
+    );
+    let (snap_a, snap_b) = (Path::new("/cmp/a.cegsnap"), Path::new("/cmp/b.cegsnap"));
+    recovered.write_snapshot_with(&fs, snap_a).unwrap();
+    live.write_snapshot_with(&fs, snap_b).unwrap();
+    assert_eq!(fs.dump(snap_a).unwrap(), fs.dump(snap_b).unwrap());
 }
 
 /// End to end over the wire: when the disk dies under a live server,

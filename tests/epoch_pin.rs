@@ -10,10 +10,10 @@
 //!    fills), `EXPLAIN_ESTIMATE`, `ADD_EDGE` and `SNAPSHOT` all complete
 //!    and report the old epoch; the interleaving is forced with channels,
 //!    not sleeps.
-//! 2. **One estimate, one epoch.** Under readers racing a committer, in
-//!    both layering regimes, every reply's `(epoch, value)` is bit-equal
-//!    to the paper's estimator over a from-scratch Markov table on the
-//!    model graph of exactly that epoch — never a blend of two.
+//! 2. **One estimate, one epoch.** Under readers racing a committer,
+//!    every reply's `(epoch, value)` is bit-equal to the paper's
+//!    estimator over a from-scratch Markov table on the model graph of
+//!    exactly that epoch — never a blend of two.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -198,12 +198,7 @@ fn readers_do_not_wait_on_a_commit_parked_in_fdatasync() {
     });
 
     let registry = Arc::new(DatasetRegistry::new());
-    let entry = registry.insert(
-        DatasetEntry::new("ds", base.clone(), MarkovTable::empty(2))
-            // Keep the committed edge in the overlay, so the snapshot
-            // taken below also has to fold a pinned overlay.
-            .with_rebase_threshold(usize::MAX),
-    );
+    let entry = registry.insert(DatasetEntry::new("ds", base.clone(), MarkovTable::empty(2)));
     entry
         .attach_durability(storage, "/data/ds.cegsnap", "/data/ds.cegwal")
         .unwrap();
@@ -325,7 +320,7 @@ fn model(
 
 /// Readers race a committer over one scripted stream; every reply must
 /// be the model's answer for the epoch the reply names.
-fn check_interleaving(seed: u64, ops: usize, rebase_threshold: usize) {
+fn check_interleaving(seed: u64, ops: usize) {
     let queries = workload_queries();
     let mut rng = StdRng::seed_from_u64(seed);
     let base = random_graph(&mut rng, 40);
@@ -333,10 +328,7 @@ fn check_interleaving(seed: u64, ops: usize, rebase_threshold: usize) {
     let expected = model(&base, &stream, &queries);
 
     let registry = Arc::new(DatasetRegistry::new());
-    let entry = registry.insert(
-        DatasetEntry::new("ds", base, MarkovTable::empty(2))
-            .with_rebase_threshold(rebase_threshold),
-    );
+    let entry = registry.insert(DatasetEntry::new("ds", base, MarkovTable::empty(2)));
     // Smaller than the query set: hits, stale misses, cold misses and
     // evictions all occur.
     let engine = Engine::new(registry, 4);
@@ -402,7 +394,7 @@ fn check_interleaving(seed: u64, ops: usize, rebase_threshold: usize) {
             .unwrap_or_else(|| panic!("seed {seed}: reply names unknown epoch {epoch}"));
         assert_eq!(
             value, want[qi],
-            "seed {seed}, threshold {rebase_threshold}: query {qi} answered at epoch {epoch} \
+            "seed {seed}: query {qi} answered at epoch {epoch} \
              with a value that is not that epoch's"
         );
         epochs_seen[epoch as usize] = true;
@@ -413,16 +405,10 @@ fn check_interleaving(seed: u64, ops: usize, rebase_threshold: usize) {
     );
 }
 
-/// Rebase thresholds: fold every commit, keep everything in the overlay,
-/// and cross the boundary every few commits.
-const REGIMES: [usize; 3] = [1, usize::MAX, 4];
-
 #[test]
 fn every_reply_is_the_answer_of_the_epoch_it_names() {
-    for seed in 0..3 {
-        for threshold in REGIMES {
-            check_interleaving(seed, 24, threshold);
-        }
+    for seed in 0..9 {
+        check_interleaving(seed, 24);
     }
 }
 
@@ -432,8 +418,6 @@ fn every_reply_is_the_answer_of_the_epoch_it_names() {
 #[ignore = "long seed budget; run by the nightly soak"]
 fn every_reply_is_the_answer_of_the_epoch_it_names_soak() {
     for seed in 100..500 {
-        for threshold in REGIMES {
-            check_interleaving(seed, 90, threshold);
-        }
+        check_interleaving(seed, 90);
     }
 }

@@ -28,7 +28,7 @@ const LABELS: u16 = 3;
 /// One random edge operation: `(src, dst, label, is_add)`.
 type Op = (u32, u32, u16, bool);
 
-fn arb_case() -> impl Strategy<Value = (Vec<(u32, u32, u16)>, Vec<Op>, bool)> {
+fn arb_case() -> impl Strategy<Value = (Vec<(u32, u32, u16)>, Vec<Op>)> {
     (
         prop::collection::vec((0u32..VERTICES, 0u32..VERTICES, 0u16..LABELS), 5..40),
         prop::collection::vec(
@@ -40,8 +40,6 @@ fn arb_case() -> impl Strategy<Value = (Vec<(u32, u32, u16)>, Vec<Op>, bool)> {
             ),
             1..25,
         ),
-        // Eager-rebase vs overlay-kept layering regime.
-        (0u8..2).prop_map(|b| b == 1),
     )
 }
 
@@ -67,10 +65,8 @@ fn scratch_path(stem: &str) -> std::path::PathBuf {
 }
 
 /// Drive one random case into a committed entry with a warm catalog.
-fn committed_entry(base_edges: &[(u32, u32, u16)], ops: &[Op], eager: bool) -> DatasetEntry {
-    let threshold = if eager { 1 } else { usize::MAX };
-    let entry = DatasetEntry::new("ds", build_graph(base_edges), MarkovTable::empty(2))
-        .with_rebase_threshold(threshold);
+fn committed_entry(base_edges: &[(u32, u32, u16)], ops: &[Op]) -> DatasetEntry {
+    let entry = DatasetEntry::new("ds", build_graph(base_edges), MarkovTable::empty(2));
     let queries = [
         templates::path(2, &[0, 1]),
         templates::star(2, &[1, 2]),
@@ -93,9 +89,9 @@ proptest! {
 
     #[test]
     fn snapshot_roundtrip_preserves_graph_catalog_and_epoch(
-        (base_edges, ops, eager) in arb_case()
+        (base_edges, ops) in arb_case()
     ) {
-        let entry = committed_entry(&base_edges, &ops, eager);
+        let entry = committed_entry(&base_edges, &ops);
         let path = scratch_path("prop-roundtrip");
         let (epoch, bytes) = entry.write_snapshot(&path).unwrap();
         prop_assert!(bytes > 0);
@@ -136,11 +132,11 @@ proptest! {
 
     #[test]
     fn every_truncation_and_byte_flip_is_rejected(
-        (base_edges, ops, eager) in arb_case(),
+        (base_edges, ops) in arb_case(),
         cut_frac in 0.0f64..1.0,
         flip_frac in 0.0f64..1.0,
     ) {
-        let entry = committed_entry(&base_edges, &ops, eager);
+        let entry = committed_entry(&base_edges, &ops);
         let path = scratch_path("prop-corrupt");
         entry.write_snapshot(&path).unwrap();
         let good = std::fs::read(&path).unwrap();

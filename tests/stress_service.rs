@@ -52,16 +52,11 @@ fn probe_queries() -> Vec<QueryGraph> {
 #[test]
 fn concurrent_mixed_workload_keeps_every_invariant() {
     let registry = Arc::new(DatasetRegistry::new());
-    // A small rebase threshold so the stress crosses the overlay→rebase
-    // boundary many times while threads race.
-    let entry = registry.insert(
-        DatasetEntry::new(
-            "default",
-            base_graph(),
-            cegraph::catalog::MarkovTable::empty(2),
-        )
-        .with_rebase_threshold(4),
-    );
+    let entry = registry.insert(DatasetEntry::new(
+        "default",
+        base_graph(),
+        cegraph::catalog::MarkovTable::empty(2),
+    ));
     let server = Server::start(
         registry.clone(),
         "127.0.0.1:0",

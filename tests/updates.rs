@@ -5,7 +5,6 @@
 //!
 //! 1. the incrementally maintained Markov catalog is **byte-identical**
 //!    (persisted form) to a from-scratch rebuild on the rebased graph,
-//!    in both layering regimes (overlay kept vs. eagerly folded),
 //! 2. estimates served after `COMMIT` match a cold server loaded with
 //!    the final graph,
 //! 3. cache entries from before an update can no longer hit (epoch
@@ -74,7 +73,7 @@ fn drive(entry: &DatasetEntry, stream: &[UpdateOp]) -> u64 {
 
 /// (1) Incremental catalog maintenance == from-scratch rebuild on the
 /// rebased graph, byte-identical in persisted form, across random
-/// graphs × random streams × both rebase regimes.
+/// graphs × random streams.
 #[test]
 fn incremental_catalog_is_byte_identical_to_rebuild() {
     let queries = workload_queries();
@@ -86,33 +85,26 @@ fn incremental_catalog_is_byte_identical_to_rebuild() {
         let want_table = MarkovTable::build(&want_graph, &queries, 2);
         let want_bytes = table_bytes(&want_table);
 
-        for (regime, threshold) in [("eager-rebase", 1usize), ("overlay", usize::MAX)] {
-            let entry = DatasetEntry::new("ds", base.clone(), MarkovTable::empty(2))
-                .with_rebase_threshold(threshold);
-            // Seed the catalog with the workload's patterns pre-update,
-            // so incremental maintenance has real entries to carry over
-            // and to recount.
-            entry.ensure_patterns(&queries);
-            let epochs = drive(&entry, &stream);
-            assert!(epochs > 0, "seed {seed}: stream should commit something");
-            let live_bytes = entry.with_markov(table_bytes);
-            assert_eq!(
-                live_bytes, want_bytes,
-                "seed {seed}, {regime}: incremental catalog diverged from rebuild"
+        let entry = DatasetEntry::new("ds", base.clone(), MarkovTable::empty(2));
+        // Seed the catalog with the workload's patterns pre-update, so
+        // incremental maintenance has real entries to carry over and to
+        // recount.
+        entry.ensure_patterns(&queries);
+        let epochs = drive(&entry, &stream);
+        assert!(epochs > 0, "seed {seed}: stream should commit something");
+        let live_bytes = entry.with_markov(table_bytes);
+        assert_eq!(
+            live_bytes, want_bytes,
+            "seed {seed}: incremental catalog diverged from rebuild"
+        );
+        // The materialized graph agrees with folding the stream.
+        let live = entry.materialized_graph();
+        assert_eq!(live.num_edges(), want_graph.num_edges(), "seed {seed}");
+        for e in want_graph.all_edges() {
+            assert!(
+                live.has_edge(e.src, e.dst, e.label),
+                "seed {seed}: missing {e:?}"
             );
-            // The materialized graph agrees with folding the stream.
-            let live = entry.materialized_graph();
-            assert_eq!(
-                live.num_edges(),
-                want_graph.num_edges(),
-                "seed {seed}, {regime}"
-            );
-            for e in want_graph.all_edges() {
-                assert!(
-                    live.has_edge(e.src, e.dst, e.label),
-                    "seed {seed}: missing {e:?}"
-                );
-            }
         }
     }
 }
