@@ -155,8 +155,7 @@ pub fn optimistic_sketch_estimate(
     k: u32,
 ) -> Option<f64> {
     let ceg = CegO::build(query, table);
-    let path = ceg.ceg().best_path(path_len, maximize)?;
-    let direct = path_estimate(&ceg, &path);
+    let (direct, path) = ceg.ceg().best_valued_path(path_len, maximize)?;
     if k <= 1 {
         return Some(direct);
     }
@@ -239,12 +238,6 @@ pub fn optimistic_sketch_estimate(
             i += 1;
         }
     }
-}
-
-fn path_estimate(ceg: &CegO, path: &[u32]) -> f64 {
-    path.iter()
-        .map(|&ei| ceg.ceg().edges()[ei as usize].rate)
-        .product()
 }
 
 /// Per-edge statistics grouped by endpoint bucket pair. Unpartitioned

@@ -5,17 +5,32 @@
 //! bottom-to-top path is one estimation formula: the estimate is the
 //! product of extension rates along the path. Concrete CEGs (CEG_O,
 //! CEG_OCR; CEG_M is handled implicitly for scalability) build this
-//! structure and the aggregation machinery below turns it into estimates.
+//! structure and the pass below turns it into estimates.
 //!
-//! All aggregators are computed with dynamic programming over the DAG —
-//! never by materializing the (potentially exponential) path set:
+//! An optimistic estimator is a choice of paths along two independent
+//! axes (Section 4.2): which hop counts count ([`PathLen`]) and how the
+//! chosen paths' estimates are combined ([`Aggr`]). One forward pass over
+//! the topological order (`Ceg::fold`) answers both with one
+//! `(hops, aggregate)` slot per node, never a `(node, depth)` table or the
+//! (potentially exponential) path set: a candidate arriving over an edge
+//! *replaces* the slot when `PathLen` prefers its hop count, is *merged*
+//! into the slot when the hop counts tie, and is dropped otherwise. The
+//! nine heuristics, the hop counts and best-path extraction (for bound
+//! sketches; the aggregate carries the winning edge) are instances.
 //!
-//! * `max`/`min`/`avg` over all paths,
-//! * the same restricted to maximum-hop or minimum-hop paths
-//!   ((node, depth)-indexed DP),
-//! * best-path extraction with parent pointers (for bound sketches),
-//! * a capped, per-node-deduplicated enumeration of distinct path
-//!   estimates for the P* oracle (Section 6.2.3).
+//! One slot is exact because a node on a max-hop (min-hop) bottom-to-top
+//! path is reached on it at the node's *own* maximum (minimum) hop count:
+//! otherwise splicing in its longer (shorter) prefix would beat the
+//! extremal path. So the prefixes a slot drops never reach the top's.
+//!
+//! Left alone on purpose: Kahn's order in [`Ceg::new`] (the addition order
+//! of the `avg` heuristics, whose bits `tests/golden_ceg_o.rs` pins);
+//! [`Ceg::path_estimates`], the capped set of distinct path estimates
+//! behind the P* oracle (Section 6.2.3), whose contents at the cap depend
+//! on insertion order; and the MOLP Dijkstra in `ceg_m.rs` (implicit
+//! graph; its predecessor tie-breaks feed the bound sketches).
+
+use std::cmp::Ordering;
 
 use ceg_graph::FxHashSet;
 
@@ -40,6 +55,19 @@ pub enum PathLen {
     MinHop,
     /// Every bottom-to-top path.
     AllHops,
+}
+
+impl PathLen {
+    /// How a candidate reaching a node in `cand` hops ranks against the
+    /// `cur` hops of the paths the node already holds: `Greater` replaces
+    /// them, `Equal` joins them, `Less` is not considered.
+    fn rank(self, cand: usize, cur: usize) -> Ordering {
+        match self {
+            PathLen::MaxHop => cand.cmp(&cur),
+            PathLen::MinHop => cur.cmp(&cand),
+            PathLen::AllHops => Ordering::Equal,
+        }
+    }
 }
 
 /// How the considered paths' estimates are combined (Section 4.2).
@@ -195,164 +223,75 @@ impl Ceg {
     /// Hop count (number of edges) of the longest bottom-to-top path;
     /// `None` when the top is unreachable.
     pub fn max_hops(&self) -> Option<usize> {
-        self.hops(true)
+        self.hop_count(PathLen::MaxHop)
     }
 
     /// Hop count of the shortest bottom-to-top path.
     pub fn min_hops(&self) -> Option<usize> {
-        self.hops(false)
+        self.hop_count(PathLen::MinHop)
     }
 
-    fn hops(&self, maximize: bool) -> Option<usize> {
-        let mut d = vec![None::<usize>; self.num_nodes];
-        d[self.bottom as usize] = Some(0);
+    fn hop_count(&self, path_len: PathLen) -> Option<usize> {
+        self.fold(path_len, (), |_, _, _| (), |_, _| ())[self.top as usize].map(|(hops, _)| hops)
+    }
+
+    /// The one pass behind every heuristic, hop count and best path.
+    ///
+    /// A node holds `Some((hops, aggregate))` once a kept path reaches it;
+    /// the bottom starts at `(0, init)`. In topological order, each edge
+    /// out of a reached node offers its head `(hops + 1, extend(aggregate,
+    /// edge index, edge))`, which replaces the head's slot (aggregate and
+    /// all) when `path_len` prefers its hop count, is merged into it on a
+    /// tie (always, under `AllHops`) and is dropped otherwise. `merge` gets
+    /// `None` for an empty or replaced slot, so an aggregate's first
+    /// contribution is spelled beside the later ones.
+    pub(crate) fn fold<A: Copy>(
+        &self,
+        path_len: PathLen,
+        init: A,
+        extend: impl Fn(A, u32, &CegEdge) -> A,
+        merge: impl Fn(Option<A>, A) -> A,
+    ) -> Vec<Option<(usize, A)>> {
+        let mut slots = vec![None; self.num_nodes];
+        slots[self.bottom as usize] = Some((0, init));
         for &v in &self.topo {
-            let Some(dv) = d[v as usize] else { continue };
+            let Some((hops, acc)) = slots[v as usize] else {
+                continue;
+            };
             for &ei in self.outgoing_edges(v) {
-                let to = self.edges[ei as usize].to as usize;
-                let cand = dv + 1;
-                let better = match d[to] {
-                    None => true,
-                    Some(cur) => {
-                        if maximize {
-                            cand > cur
-                        } else {
-                            cand < cur
-                        }
-                    }
+                let e = &self.edges[ei as usize];
+                let slot = &mut slots[e.to as usize];
+                let kept = match *slot {
+                    None => None,
+                    Some((h, cur)) => match path_len.rank(hops + 1, h) {
+                        Ordering::Greater => None,
+                        Ordering::Equal => Some(cur),
+                        Ordering::Less => continue,
+                    },
                 };
-                if better {
-                    d[to] = Some(cand);
-                }
+                *slot = Some((hops + 1, merge(kept, extend(acc, ei, e))));
             }
         }
-        d[self.top as usize]
+        slots
     }
 
     /// Estimate under one of the nine heuristics; `None` if the top node is
     /// unreachable from the bottom (no complete formula exists).
     pub fn estimate(&self, h: Heuristic) -> Option<f64> {
-        match h.path_len {
-            PathLen::AllHops => self.estimate_all_hops(h.aggr),
-            PathLen::MaxHop => {
-                let target = self.max_hops()?;
-                self.estimate_fixed_hops(h.aggr, target)
-            }
-            PathLen::MinHop => {
-                let target = self.min_hops()?;
-                self.estimate_fixed_hops(h.aggr, target)
-            }
-        }
-    }
-
-    fn estimate_all_hops(&self, aggr: Aggr) -> Option<f64> {
-        match aggr {
+        let top = self.top as usize;
+        match h.aggr {
             Aggr::Max | Aggr::Min => {
-                let maximize = aggr == Aggr::Max;
-                let mut val = vec![None::<f64>; self.num_nodes];
-                val[self.bottom as usize] = Some(1.0);
-                for &v in &self.topo {
-                    let Some(base) = val[v as usize] else {
-                        continue;
-                    };
-                    for &ei in self.outgoing_edges(v) {
-                        let e = self.edges[ei as usize];
-                        let cand = base * e.rate;
-                        let slot = &mut val[e.to as usize];
-                        let better = match *slot {
-                            None => true,
-                            Some(cur) => {
-                                if maximize {
-                                    cand > cur
-                                } else {
-                                    cand < cur
-                                }
-                            }
-                        };
-                        if better {
-                            *slot = Some(cand);
-                        }
-                    }
-                }
-                val[self.top as usize]
+                let best = extremum(h.aggr == Aggr::Max, |x| x);
+                self.fold(h.path_len, 1.0, |x, _, e| x * e.rate, best)[top].map(|(_, x)| x)
             }
             Aggr::Avg => {
-                // sum of path products and path counts
-                let mut sum = vec![0.0f64; self.num_nodes];
-                let mut cnt = vec![0.0f64; self.num_nodes];
-                sum[self.bottom as usize] = 1.0;
-                cnt[self.bottom as usize] = 1.0;
-                for &v in &self.topo {
-                    if cnt[v as usize] == 0.0 {
-                        continue;
-                    }
-                    for &ei in self.outgoing_edges(v) {
-                        let e = self.edges[ei as usize];
-                        sum[e.to as usize] += sum[v as usize] * e.rate;
-                        cnt[e.to as usize] += cnt[v as usize];
-                    }
-                }
-                let (s, c) = (sum[self.top as usize], cnt[self.top as usize]);
-                (c > 0.0).then(|| s / c)
-            }
-        }
-    }
-
-    fn estimate_fixed_hops(&self, aggr: Aggr, target: usize) -> Option<f64> {
-        // One flat (node, depth) table: `at(v, depth)`.
-        let d = target + 1;
-        let at = |v: u32, depth: usize| v as usize * d + depth;
-        match aggr {
-            Aggr::Max | Aggr::Min => {
-                let maximize = aggr == Aggr::Max;
-                let mut val = vec![None::<f64>; self.num_nodes * d];
-                val[at(self.bottom, 0)] = Some(1.0);
-                for &v in &self.topo {
-                    for depth in 0..target {
-                        let Some(base) = val[at(v, depth)] else {
-                            continue;
-                        };
-                        for &ei in self.outgoing_edges(v) {
-                            let e = self.edges[ei as usize];
-                            let cand = base * e.rate;
-                            let slot = &mut val[at(e.to, depth + 1)];
-                            let better = match *slot {
-                                None => true,
-                                Some(cur) => {
-                                    if maximize {
-                                        cand > cur
-                                    } else {
-                                        cand < cur
-                                    }
-                                }
-                            };
-                            if better {
-                                *slot = Some(cand);
-                            }
-                        }
-                    }
-                }
-                val[at(self.top, target)]
-            }
-            Aggr::Avg => {
-                let mut sum = vec![0.0f64; self.num_nodes * d];
-                let mut cnt = vec![0.0f64; self.num_nodes * d];
-                sum[at(self.bottom, 0)] = 1.0;
-                cnt[at(self.bottom, 0)] = 1.0;
-                for &v in &self.topo {
-                    for depth in 0..target {
-                        if cnt[at(v, depth)] == 0.0 {
-                            continue;
-                        }
-                        for &ei in self.outgoing_edges(v) {
-                            let e = self.edges[ei as usize];
-                            sum[at(e.to, depth + 1)] += sum[at(v, depth)] * e.rate;
-                            cnt[at(e.to, depth + 1)] += cnt[at(v, depth)];
-                        }
-                    }
-                }
-                let (s, c) = (sum[at(self.top, target)], cnt[at(self.top, target)]);
-                (c > 0.0).then(|| s / c)
+                // Sum of the kept paths' products beside their count.
+                let add = |cur: Option<(f64, f64)>, (sum, cnt)| {
+                    let (s, c) = cur.unwrap_or((0.0, 0.0));
+                    (s + sum, c + cnt)
+                };
+                self.fold(h.path_len, (1.0, 1.0), |(s, c), _, e| (s * e.rate, c), add)[top]
+                    .map(|(_, (sum, cnt))| sum / cnt)
             }
         }
     }
@@ -360,86 +299,38 @@ impl Ceg {
     /// The concrete best (max or min) path under a hop restriction,
     /// returned as edge indices bottom → top. Used by the bound-sketch
     /// optimization, which needs the path itself. `None` if unreachable.
+    ///
+    /// Its rate product equals `estimate` under the same hop class and
+    /// `max` / `min`. Among equal-valued paths under [`PathLen::AllHops`]
+    /// it is the first found in topological order, which need not be the
+    /// one with the fewest hops.
     pub fn best_path(&self, path_len: PathLen, maximize: bool) -> Option<Vec<u32>> {
-        // (node, depth) DP with parent pointers; AllHops uses depth 0 only
-        // conceptually but we reuse the layered DP with every depth valid.
-        let max_depth = self.max_hops()?;
-        let target = match path_len {
-            PathLen::MaxHop => Some(max_depth),
-            PathLen::MinHop => Some(self.min_hops()?),
-            PathLen::AllHops => None,
-        };
-        let d = max_depth + 1;
-        let mut val = vec![vec![None::<f64>; d + 1]; self.num_nodes];
-        let mut parent = vec![vec![None::<u32>; d + 1]; self.num_nodes];
-        val[self.bottom as usize][0] = Some(1.0);
-        for &v in &self.topo {
-            for depth in 0..=max_depth {
-                let Some(base) = val[v as usize][depth] else {
-                    continue;
-                };
-                for &ei in self.outgoing_edges(v) {
-                    let e = self.edges[ei as usize];
-                    let cand = base * e.rate;
-                    let slot = &mut val[e.to as usize][depth + 1];
-                    let better = match *slot {
-                        None => true,
-                        Some(cur) => {
-                            if maximize {
-                                cand > cur
-                            } else {
-                                cand < cur
-                            }
-                        }
-                    };
-                    if better {
-                        *slot = Some(cand);
-                        parent[e.to as usize][depth + 1] = Some(ei);
-                    }
-                }
-            }
-        }
-        // pick the ending depth
-        let top = self.top as usize;
-        let end_depth = match target {
-            Some(t) => {
-                val[top][t]?;
-                t
-            }
-            None => {
-                let mut best: Option<(f64, usize)> = None;
-                for (depth, v) in val[top].iter().enumerate() {
-                    if let Some(x) = v {
-                        let better = match best {
-                            None => true,
-                            Some((bx, _)) => {
-                                if maximize {
-                                    *x > bx
-                                } else {
-                                    *x < bx
-                                }
-                            }
-                        };
-                        if better {
-                            best = Some((*x, depth));
-                        }
-                    }
-                }
-                best?.1
-            }
-        };
-        // walk parents back
-        let mut path = Vec::with_capacity(end_depth);
-        let (mut node, mut depth) = (self.top, end_depth);
-        while depth > 0 {
-            let ei = parent[node as usize][depth].expect("parent chain broken");
+        self.best_valued_path(path_len, maximize).map(|(_, p)| p)
+    }
+
+    /// [`Self::best_path`] beside the path's estimate.
+    pub(crate) fn best_valued_path(
+        &self,
+        path_len: PathLen,
+        maximize: bool,
+    ) -> Option<(f64, Vec<u32>)> {
+        // The aggregate carries the edge its value arrived over.
+        let slots = self.fold(
+            path_len,
+            (1.0, None),
+            |(x, _), ei, e| (x * e.rate, Some(ei)),
+            extremum(maximize, |(x, _)| x),
+        );
+        let (_, (value, _)) = slots[self.top as usize]?;
+        let mut path = Vec::new();
+        let mut node = self.top;
+        while let Some((_, (_, Some(ei)))) = slots[node as usize] {
             path.push(ei);
             node = self.edges[ei as usize].from;
-            depth -= 1;
         }
         debug_assert_eq!(node, self.bottom);
         path.reverse();
-        Some(path)
+        Some((value, path))
     }
 
     /// Distinct path estimates (deduplicated per node, capped at
@@ -477,6 +368,23 @@ impl Ceg {
             .collect();
         out.sort_by(f64::total_cmp);
         out
+    }
+}
+
+/// `max` / `min` as a merge rule: the candidate wins only when its `key`
+/// is strictly larger (smaller), so the slot survives a tie or a NaN.
+pub(crate) fn extremum<A: Copy>(
+    maximize: bool,
+    key: impl Fn(A) -> f64,
+) -> impl Fn(Option<A>, A) -> A {
+    let wins = if maximize {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    };
+    move |cur, cand| match cur {
+        Some(cur) if key(cand).partial_cmp(&key(cur)) != Some(wins) => cur,
+        _ => cand,
     }
 }
 

@@ -15,22 +15,17 @@
 use ceg_catalog::DegreeStats;
 use ceg_query::QueryGraph;
 
+use crate::ceg::{extremum, Ceg, CegEdge, PathLen};
 use crate::ceg_m::AttrMask;
 use crate::dbplp::CoverAttrs;
 
-/// One CEG_D edge: `from → from ∪ ext` with weight `ln deg`.
-#[derive(Debug, Clone, Copy)]
-pub struct CegDEdge {
-    pub from: AttrMask,
-    pub to: AttrMask,
-    pub weight_ln: f64,
-}
-
-/// Explicit CEG_D for a query under a cover.
+/// Explicit CEG_D for a query under a cover: a generic [`Ceg`] whose node
+/// ids are attribute masks (bottom `∅`, top `A`) and whose edges `W → W ∪
+/// ext` carry the weight `ln deg` in `rate`, summed along a path rather
+/// than multiplied.
 #[derive(Debug, Clone)]
 pub struct CegD {
-    num_vars: u8,
-    edges: Vec<CegDEdge>,
+    ceg: Ceg,
 }
 
 impl CegD {
@@ -69,22 +64,22 @@ impl CegD {
                 // the constraints of a path, which requires their
                 // variable sets to be pairwise disjoint.
                 if aprime & !w == 0 && newattrs & w == 0 {
-                    edges.push(CegDEdge {
+                    edges.push(CegEdge {
                         from: w,
                         to: w | newattrs,
-                        weight_ln,
+                        rate: weight_ln,
+                        tag: 0,
                     });
                 }
             }
         }
         CegD {
-            num_vars: nv,
-            edges,
+            ceg: Ceg::new(n, 0, n as u32 - 1, edges),
         }
     }
 
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.ceg.num_edges()
     }
 
     /// Weight of the longest `(∅, A)` path (ln space); `None` if the full
@@ -98,38 +93,13 @@ impl CegD {
         self.path_ln(false)
     }
 
+    /// The optimistic heuristics' pass, adding weights over every path.
     fn path_ln(&self, maximize: bool) -> Option<f64> {
-        let n = 1usize << self.num_vars;
-        let full = n - 1;
-        // DP over masks in increasing popcount order (edges only add bits)
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|m| m.count_ones());
-        let mut val = vec![None::<f64>; n];
-        val[0] = Some(0.0);
-        for &w in &order {
-            let Some(base) = val[w] else { continue };
-            for e in &self.edges {
-                if e.from as usize != w {
-                    continue;
-                }
-                let cand = base + e.weight_ln;
-                let slot = &mut val[e.to as usize];
-                let better = match *slot {
-                    None => true,
-                    Some(cur) => {
-                        if maximize {
-                            cand > cur
-                        } else {
-                            cand < cur
-                        }
-                    }
-                };
-                if better {
-                    *slot = Some(cand);
-                }
-            }
-        }
-        val[full]
+        let best = extremum(maximize, |w| w);
+        let slots = self
+            .ceg
+            .fold(PathLen::AllHops, 0.0, |w, _, e| w + e.rate, best);
+        slots[self.ceg.top() as usize].map(|(_, w)| w)
     }
 }
 

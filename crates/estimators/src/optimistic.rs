@@ -136,7 +136,9 @@ impl<'a> SketchedOptimistic<'a> {
 
 impl CardinalityEstimator for SketchedOptimistic<'_> {
     fn name(&self) -> String {
-        format!("max-hop-max+bs{}", self.k)
+        let aggr = if self.maximize { Aggr::Max } else { Aggr::Min };
+        let base = Heuristic::new(self.path_len, aggr).name();
+        format!("{base}+bs{}", self.k)
     }
 
     fn estimate(&mut self, query: &QueryGraph) -> Option<f64> {
@@ -217,6 +219,14 @@ mod tests {
         let q = templates::path(3, &[0, 1, 2]);
         let t = MarkovTable::build_for_query(&g, &q, 2);
         let mut sk = SketchedOptimistic::max_hop_max(&g, &t, 1);
+        assert_eq!(
+            SketchedOptimistic::max_hop_max(&g, &t, 4).name(),
+            "max-hop-max+bs4"
+        );
+        assert_eq!(
+            SketchedOptimistic::new(&g, &t, PathLen::MinHop, false, 16).name(),
+            "min-hop-min+bs16"
+        );
         let mut plain = OptimisticEstimator::recommended(&t);
         let a = sk.estimate(&q).unwrap();
         let b = plain.estimate(&q).unwrap();

@@ -11,9 +11,8 @@
 //!   templates with ground-truth cardinalities,
 //! * [`qerror`] — signed log q-errors and the distribution summaries the
 //!   paper's box plots report,
-//! * [`runner`] — drives a set of estimators over a workload (serially or
-//!   across a worker pool via a `parallelism` knob) and renders the
-//!   result tables,
+//! * [`runner`] — drives a set of estimators over a workload and renders
+//!   the result tables,
 //! * [`updates`] — scripted update streams (seeded add/del/commit
 //!   generators plus the `.upd` text format) for exercising the
 //!   service's live-update path.
@@ -27,6 +26,6 @@ pub mod workloads;
 
 pub use datasets::{Dataset, DatasetSpec};
 pub use qerror::{signed_log_qerror, QErrorSummary};
-pub use runner::{run_estimators, run_estimators_parallel, EstimatorReport};
+pub use runner::{run_estimators, EstimatorReport};
 pub use updates::{generate_update_stream, UpdateOp};
 pub use workloads::{Workload, WorkloadQuery};

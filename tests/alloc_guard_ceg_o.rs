@@ -10,6 +10,11 @@
 //! build made two `Vec`s per node and several per canonicalization:
 //! more than 50,000 calls on `star(8)`.
 //!
+//! Choosing a path over the built CEG is one forward pass with one
+//! `(hops, aggregate)` slot per node: `Ceg::estimate` makes exactly one
+//! allocator call, again whatever the node count (a hop pre-pass or a
+//! `(node, depth)` table would each be one more).
+//!
 //! A single test lives here so no concurrent test case can pollute the
 //! counter (see `tests/alloc_guard.rs`).
 
@@ -18,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cegraph::catalog::MarkovTable;
 use cegraph::core::CegO;
+use cegraph::estimators::OptimisticEstimator;
 use cegraph::graph::GraphBuilder;
 use cegraph::query::templates;
 
@@ -72,5 +78,11 @@ fn ceg_o_build_allocates_a_constant_number_of_times() {
             calls <= MAX_ALLOCS_PER_BUILD,
             "CegO::build on star({k}) made {calls} allocator calls"
         );
+
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let estimate = ceg.ceg().estimate(OptimisticEstimator::RECOMMENDED);
+        let calls = ALLOCS.load(Ordering::SeqCst) - before;
+        assert!(estimate.is_some(), "star({k})");
+        assert_eq!(calls, 1, "Ceg::estimate on star({k})");
     }
 }
