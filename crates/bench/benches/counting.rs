@@ -13,18 +13,12 @@ use std::hint::black_box;
 use ceg_bench::common;
 use ceg_catalog::MarkovTable;
 use ceg_exec::count;
-use ceg_graph::VertexRemap;
 use ceg_query::templates;
 use ceg_workload::{Dataset, DatasetSpec, Workload};
 
 fn bench_counting(c: &mut Criterion) {
     let smoke = std::env::var("CEG_BENCH_SMOKE").is_ok();
     let (graph, queries) = common::setup(Dataset::Hetionet, Workload::Acyclic, 1);
-    // Degree-descending renumbering, exactly as the service applies at
-    // load time (common::setup bypasses the registry): hub ids cluster
-    // into few bitset words, which the cycle benchmark's closing
-    // intersection depends on.
-    let graph = VertexRemap::degree_descending(&graph).apply(&graph);
     let qs: Vec<_> = queries.iter().map(|q| q.query.clone()).collect();
 
     let mut group = c.benchmark_group("counting");
@@ -70,7 +64,6 @@ fn bench_counting(c: &mut Criterion) {
         .flat_map(|w| w.build(&g100k, 4, 7))
         .map(|q| q.query)
         .collect();
-    let g100k = VertexRemap::degree_descending(&g100k).apply(&g100k);
     group.bench_function("markov_fill_h2_g100k", |b| {
         b.iter(|| black_box(MarkovTable::build(black_box(&g100k), &pool, 2)));
     });

@@ -233,9 +233,9 @@ impl BudgetState {
 /// Count the homomorphisms of `query` in `graph` (join semantics: distinct
 /// variables may map to the same vertex).
 ///
-/// Generic over [`GraphView`]: the same code counts on an immutable
-/// [`ceg_graph::LabeledGraph`] or on a base-plus-delta
-/// [`ceg_graph::OverlayGraph`] while updates are pending.
+/// Generic over [`GraphView`]: the service counts on the committed
+/// [`ceg_graph::LabeledGraph`] of one epoch; the differential tests run
+/// the same code over a base-plus-delta [`ceg_graph::OverlayGraph`].
 pub fn count<G: GraphView>(graph: &G, query: &QueryGraph) -> u64 {
     count_constrained(graph, query, &VarConstraints::none(query.num_vars()))
 }

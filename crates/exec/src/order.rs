@@ -60,13 +60,9 @@ pub fn variable_order<G: GraphView>(graph: &G, query: &QueryGraph) -> Vec<VarId>
                 best = Some(key);
             }
         }
-        let (connections, _, v) = best.unwrap();
-        if connections == 0 {
-            // Disconnected query: just take the variable (cartesian step).
-            push(&mut order, &mut bound, v);
-        } else {
-            push(&mut order, &mut bound, v);
-        }
+        // `connections == 0` is a disconnected query: a cartesian step.
+        let (_, _, v) = best.unwrap();
+        push(&mut order, &mut bound, v);
     }
     order
 }
@@ -187,6 +183,4 @@ mod tests {
         let q = QueryGraph::new(0, vec![]);
         assert!(variable_order(&g, &q).is_empty());
     }
-
-    use ceg_query::QueryGraph;
 }

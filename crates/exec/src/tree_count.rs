@@ -352,9 +352,11 @@ pub(crate) struct Factorization {
 /// it, it carries no constraint and no self-loop. Peeling to a fixpoint
 /// strips every pendant tree; what remains is the 2-core. Returns `None`
 /// — meaning "count the query unfactorized" — when nothing peels, when
-/// the remainder has no edges (the query was acyclic: the classic kernel
-/// with its suffix shortcut already handles trees well and `enumerate`
-/// semantics must not change), or when a weight overflows `u64`.
+/// the remainder has no edges (the query was acyclic: [`count_tree`] takes
+/// unconstrained trees before a plan is built, so through `count` only a
+/// constrained tree or one whose DP overflowed gets here, and the
+/// kernel's independent-suffix shortcut counts those), or when a weight
+/// overflows `u64`.
 pub(crate) fn factorize<G: GraphView>(
     graph: &G,
     query: &QueryGraph,

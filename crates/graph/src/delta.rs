@@ -158,26 +158,6 @@ impl GraphDelta {
         by_label
     }
 
-    /// The delta with every vertex id passed through `f` (labels and
-    /// add/delete polarity unchanged). Used by the service to translate a
-    /// delta between wire-visible (external) ids and the renumbered
-    /// (internal) ids of [`crate::VertexRemap`]; under a bijection the
-    /// op count is preserved.
-    pub fn map_vertices(&self, f: impl Fn(VertexId) -> VertexId) -> GraphDelta {
-        let mut out = GraphDelta::new();
-        for (&e, &add) in &self.ops {
-            out.ops.insert(
-                Edge {
-                    src: f(e.src),
-                    dst: f(e.dst),
-                    label: e.label,
-                },
-                add,
-            );
-        }
-        out
-    }
-
     /// Drop operations that are no-ops relative to `base`, returning how
     /// many insertions and deletions remain.
     pub fn normalize(&mut self, base: &LabeledGraph) -> (usize, usize) {
@@ -270,19 +250,6 @@ mod tests {
         assert_eq!(older.edge_override(1, 2, 0), Some(false));
         assert_eq!(older.edge_override(2, 3, 1), Some(true));
         assert_eq!(older.len(), 3);
-    }
-
-    #[test]
-    fn map_vertices_translates_ids_and_keeps_polarity() {
-        let mut d = GraphDelta::new();
-        d.add_edge(0, 1, 0);
-        d.del_edge(2, 3, 1);
-        let swapped = d.map_vertices(|v| 3 - v);
-        assert_eq!(swapped.len(), 2);
-        assert_eq!(swapped.edge_override(3, 2, 0), Some(true));
-        assert_eq!(swapped.edge_override(1, 0, 1), Some(false));
-        // An involution round-trips.
-        assert_eq!(swapped.map_vertices(|v| 3 - v), d);
     }
 
     #[test]

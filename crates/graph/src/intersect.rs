@@ -172,7 +172,8 @@ pub fn refine_in_place_gallop(buf: &mut Vec<VertexId>, other: &[VertexId]) {
 /// neighbour list of a *stable* bound variable (one whose binding changes
 /// rarely), then ANDs the remaining neighbour lists against it word-at-a-
 /// time: each probe is a shift and mask, and a run of probes landing in a
-/// zero word is skipped in one comparison. [`reset`](Self::reset) zeroes
+/// zero word is skipped in one comparison — so the skip rate depends on
+/// how the candidate ids cluster. [`reset`](Self::reset) zeroes
 /// only the word range the previous members occupied, so repeated resets
 /// stay O(|members|) rather than O(|domain|), and no method allocates
 /// after construction.

@@ -50,7 +50,6 @@ pub mod hash;
 pub mod intersect;
 pub mod io;
 pub mod overlay;
-pub mod renumber;
 pub mod snapshot;
 pub mod stats;
 pub mod sync;
@@ -65,7 +64,6 @@ pub use graph::{Edge, LabeledGraph};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intersect::{gallop, intersect_into, refine_in_place, VertexBitset};
 pub use overlay::OverlayGraph;
-pub use renumber::VertexRemap;
 pub use stats::LabelStats;
 pub use view::GraphView;
 

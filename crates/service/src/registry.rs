@@ -50,9 +50,7 @@ use ceg_core::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, Ord
 use ceg_graph::io::load_graph;
 use ceg_graph::vfs::{OsStorage, Storage};
 use ceg_graph::wal::{WalOp, WalWriter};
-use ceg_graph::{
-    Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId, VertexRemap,
-};
+use ceg_graph::{Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
 use ceg_query::{Pattern, QueryGraph};
 
 /// What one [`DatasetEntry::commit`] did, echoed over the wire.
@@ -135,7 +133,7 @@ pub struct EnsureOutcome {
 /// Once published only the catalog changes: it *grows*, by exact counts
 /// taken on this state's own graph.
 pub(crate) struct EpochState {
-    /// The committed graph, in internal numbering.
+    /// The committed graph, in the ids the client sent.
     graph: Arc<LabeledGraph>,
     epoch: u64,
     /// Same rank as the slot that publishes this state (the two never
@@ -145,18 +143,13 @@ pub(crate) struct EpochState {
 }
 
 impl EpochState {
-    /// Renumber at the door: the stored graph runs in internal
-    /// (degree-descending) numbering, and because the permutation is
-    /// recomputed deterministically from the external graph it never
-    /// needs persisting — a restored snapshot renumbers identically.
-    fn renumbered(graph: &LabeledGraph, epoch: u64, markov: MarkovTable) -> (VertexRemap, Self) {
-        let remap = VertexRemap::degree_descending(graph);
-        let state = EpochState {
-            graph: Arc::new(remap.apply(graph)),
+    /// `graph` as committed epoch `epoch`, moved in as loaded.
+    fn new(graph: LabeledGraph, epoch: u64, markov: MarkovTable) -> Self {
+        EpochState {
+            graph: Arc::new(graph),
             epoch,
             markov: OrderedRwLock::new(LockRank::DatasetState, markov),
-        };
-        (remap, state)
+        }
     }
 
     /// The epoch this state was committed as.
@@ -278,15 +271,6 @@ pub struct DatasetEntry {
     jobs: usize,
     /// Refuse to buffer more than this many uncommitted operations.
     pending_cap: usize,
-    /// Degree-descending vertex renumbering applied to the stored graph
-    /// so the counting kernel's bitsets see hub ids clustered into few
-    /// words. Computed once from the graph at construction; ids
-    /// introduced later by updates map to themselves. All wire-visible
-    /// ids stay **external**: updates translate external→internal at the
-    /// buffering boundary, WAL records and snapshots are written in
-    /// external numbering (so both are invariant to how any particular
-    /// process numbered its vertices).
-    remap: VertexRemap,
     /// The published epoch state. The lock is held for an `Arc` clone
     /// (a pin) or a pointer swap (the end of a commit), nothing else.
     current: OrderedRwLock<Arc<EpochState>>,
@@ -324,18 +308,16 @@ impl DatasetEntry {
     /// Wrap an already-loaded graph and catalog. Catalog gaps are counted
     /// serially; see [`DatasetEntry::with_jobs`].
     pub fn new(name: impl Into<String>, graph: LabeledGraph, markov: MarkovTable) -> Self {
-        let (remap, state) = EpochState::renumbered(&graph, 0, markov);
-        Self::from_parts(name.into(), remap, state)
+        Self::from_state(name.into(), EpochState::new(graph, 0, markov))
     }
 
-    fn from_parts(name: String, remap: VertexRemap, state: EpochState) -> Self {
+    fn from_state(name: String, state: EpochState) -> Self {
         let h = state.catalog().h();
         DatasetEntry {
             name,
             h,
             jobs: 1,
             pending_cap: MAX_PENDING_OPS,
-            remap,
             current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
             pending: OrderedMutex::new(LockRank::PendingDelta, GraphDelta::new()),
             durability: OrderedMutex::new(LockRank::Durability, None),
@@ -403,30 +385,22 @@ impl DatasetEntry {
     }
 
     /// Heap bytes of the committed graph's adjacency indexes
-    /// ([`LabeledGraph::heap_bytes`]); divided by the edge count it is the
+    /// ([`LabeledGraph::heap_bytes`]) — everything the dataset keeps
+    /// resident for its graph; divided by the edge count it is the
     /// storage cost per edge, which must not depend on the vertex domain.
     pub fn graph_bytes(&self) -> usize {
         self.pin().graph.heap_bytes()
     }
 
-    /// Materialize the committed graph as a standalone CSR graph, in
-    /// external (wire-visible) numbering. Tests use this to compare a
-    /// live server against a cold one loaded with the final graph.
+    /// A copy of the committed graph (its relations stay shared). Tests
+    /// use this to compare a live server against a cold one loaded with
+    /// the final graph.
     pub fn materialized_graph(&self) -> LabeledGraph {
-        self.remap.externalize(&self.pin().graph)
-    }
-
-    /// The dataset's vertex renumbering (external ↔ internal). Exposed
-    /// for tests and diagnostics; request paths never need it because
-    /// the translation happens inside the entry.
-    pub fn remap(&self) -> &VertexRemap {
-        &self.remap
+        (*self.pin().graph).clone()
     }
 
     /// Record one bounds-checked op into the pending buffer, enforcing
-    /// the pending cap. `src`/`dst` are external (wire) ids; they are
-    /// translated to internal numbering here, so everything below this
-    /// point — pending delta, committed graph — speaks internal ids only.
+    /// the pending cap; ids are buffered as the client sent them.
     fn buffer_update(
         &self,
         src: VertexId,
@@ -436,7 +410,6 @@ impl DatasetEntry {
     ) -> Result<(u64, usize), String> {
         let st = self.pin();
         st.check_update(src, dst, label)?;
-        let (src, dst) = (self.remap.to_internal(src), self.remap.to_internal(dst));
         let mut pending = self
             .pending
             .checked_lock()
@@ -541,17 +514,11 @@ impl DatasetEntry {
         // epoch it will create, must be on disk before a successor is
         // built. On failure the taken ops are restored to the pending
         // buffer (merged *under* anything buffered since, so later
-        // client ops still win) and nothing is published.
-        //
-        // WAL records are written in EXTERNAL numbering: a replay may run
-        // under a different remap than the one that appended (snapshot
-        // rotation folds commits into the externalized snapshot, and the
-        // recovered entry recomputes its permutation from that graph), so
-        // only numbering-invariant ids are safe to persist.
+        // client ops still win) and nothing is published. The log holds
+        // the same ids as the wire, the CSR and the snapshot.
         let mut wal_bytes = 0;
         if let Some(d) = dur.as_mut() {
-            let wire = effective.map_vertices(|v| self.remap.to_external(v));
-            let ops: Vec<WalOp> = wire
+            let ops: Vec<WalOp> = effective
                 .adds()
                 .map(|e| WalOp {
                     src: e.src,
@@ -559,7 +526,7 @@ impl DatasetEntry {
                     label: e.label,
                     del: false,
                 })
-                .chain(wire.dels().map(|e| WalOp {
+                .chain(effective.dels().map(|e| WalOp {
                     src: e.src,
                     dst: e.dst,
                     label: e.label,
@@ -634,8 +601,8 @@ impl DatasetEntry {
 
     /// Persist the committed state — graph, Markov catalog, epoch — to a
     /// binary `.cegsnap` file. Returns `(epoch, bytes written)`. One
-    /// epoch state is pinned and its catalog cloned; encode + write +
-    /// fsync happen with no lock held. The pending update buffer is not
+    /// epoch state is pinned, its catalog cloned and its graph encoded in
+    /// place; encode + write + fsync happen with no lock held. The pending update buffer is not
     /// captured.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> io::Result<(u64, u64)> {
         self.write_snapshot_with(&OsStorage, path.as_ref())
@@ -651,12 +618,7 @@ impl DatasetEntry {
     ) -> io::Result<(u64, u64)> {
         let st = self.pin();
         let markov = st.catalog().clone();
-        // Snapshots persist the EXTERNAL view: the permutation is an
-        // in-process layout detail, recomputed deterministically on load,
-        // so `.cegsnap` bytes are invariant to it (and round-trip
-        // byte-identically through a renumbering server).
-        let graph = self.remap.externalize(&st.graph);
-        ceg_catalog::io::write_snapshot_with(storage, path, &graph, &markov, st.epoch)?;
+        ceg_catalog::io::write_snapshot_with(storage, path, &st.graph, &markov, st.epoch)?;
         Ok((st.epoch, storage.len(path)?))
     }
 
@@ -668,8 +630,8 @@ impl DatasetEntry {
         let snap = ceg_catalog::io::read_snapshot(path)?;
         // The epoch sequence continues: estimates cached against the old
         // process's epochs can never be confused with fresh ones.
-        let (remap, state) = EpochState::renumbered(&snap.graph, snap.epoch, snap.markov);
-        Ok(Self::from_parts(name.into(), remap, state))
+        let state = EpochState::new(snap.graph, snap.epoch, snap.markov);
+        Ok(Self::from_state(name.into(), state))
     }
 
     /// Make this dataset's commits crash-safe: every effective commit is
@@ -742,7 +704,7 @@ impl DatasetEntry {
         let wal_path = wal_path.into();
         let snap = ceg_catalog::io::read_snapshot_with(&*storage, &snap_path)?;
         let snapshot_epoch = snap.epoch;
-        let (remap, mut state) = EpochState::renumbered(&snap.graph, snapshot_epoch, snap.markov);
+        let mut state = EpochState::new(snap.graph, snapshot_epoch, snap.markov);
         let (writer, scan) = WalWriter::open(&*storage, &wal_path)?;
         let mut report = RecoveryReport {
             snapshot_epoch,
@@ -766,11 +728,10 @@ impl DatasetEntry {
                 state
                     .check_update(op.src, op.dst, op.label)
                     .map_err(|e| invalid(format!("WAL replay: op rejected: {e}")))?;
-                let (src, dst) = (remap.to_internal(op.src), remap.to_internal(op.dst));
                 if op.del {
-                    delta.del_edge(src, dst, op.label);
+                    delta.del_edge(op.src, op.dst, op.label);
                 } else {
-                    delta.add_edge(src, dst, op.label);
+                    delta.add_edge(op.src, op.dst, op.label);
                 }
             }
             let effective = effective_delta(&delta, |e| {
@@ -793,7 +754,7 @@ impl DatasetEntry {
             report.replayed_ops += tx.ops.len();
         }
         state.advance(&replayed, report.epoch, jobs);
-        let entry = Self::from_parts(name.into(), remap, state).with_jobs(jobs);
+        let entry = Self::from_state(name.into(), state).with_jobs(jobs);
         *entry.durability.lock() = Some(Durability {
             storage,
             snap_path,
@@ -1223,23 +1184,10 @@ mod tests {
     }
 
     #[test]
-    fn renumbered_dataset_is_invisible_on_the_wire() {
-        // The entry renumbers internally (toy_graph's hub 1 gets internal
-        // id 0), but every visible surface is in external numbering.
+    fn wire_ids_address_edges_and_snapshot_bytes_round_trip() {
         let entry = DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2));
-        assert!(!entry.remap().is_identity(), "toy graph has a hub");
-        assert_eq!(entry.remap().to_internal(1), 0);
 
-        // The materialized graph is the external graph.
-        let external = entry.materialized_graph();
-        let mut want: Vec<_> = toy_graph().all_edges().collect();
-        let mut got: Vec<_> = external.all_edges().collect();
-        want.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(want, got);
-
-        // Updates are addressed by external ids: deleting 1 -1-> 2 (which
-        // internally is a different pair) must remove exactly that edge.
+        // An update addresses exactly the edge whose ids the client sent.
         entry.del_edge(1, 2, 1).unwrap();
         entry.add_edge(4, 0, 1).unwrap();
         entry.commit();
@@ -1248,9 +1196,9 @@ mod tests {
         assert!(after.has_edge(4, 0, 1));
         assert!(after.has_edge(1, 3, 1), "untouched edges survive");
 
-        // Snapshot round-trip: bytes written by the live (renumbered)
-        // entry restore into an entry that writes the identical bytes,
-        // and estimates agree between the live and the cold server.
+        // Snapshot round-trip: bytes written by the live entry restore
+        // into an entry that writes the identical bytes, and estimates
+        // agree between the live and the cold server.
         let q = templates::path(2, &[0, 1]);
         entry.ensure_patterns(std::slice::from_ref(&q));
         let dir = std::env::temp_dir();
@@ -1294,22 +1242,18 @@ mod tests {
         assert!(entry.commit().rebased);
         let after = entry.pin();
         assert_eq!(after.epoch(), before.epoch() + 1);
-        let v = |external| entry.remap().to_internal(external);
         let (old, new) = (&before.graph, &after.graph);
         assert!(std::ptr::eq(
-            old.out_neighbors(v(1), 1),
-            new.out_neighbors(v(1), 1)
+            old.out_neighbors(1, 1),
+            new.out_neighbors(1, 1)
         ));
-        assert!(std::ptr::eq(
-            old.in_neighbors(v(2), 1),
-            new.in_neighbors(v(2), 1)
-        ));
+        assert!(std::ptr::eq(old.in_neighbors(2, 1), new.in_neighbors(2, 1)));
         // Label 0 was rebuilt beside the pinned predecessor's.
-        assert_eq!(old.out_neighbors(v(0), 0).len(), 1);
-        assert_eq!(new.out_neighbors(v(0), 0).len(), 2);
+        assert_eq!(old.out_neighbors(0, 0).len(), 1);
+        assert_eq!(new.out_neighbors(0, 0).len(), 2);
         assert!(!std::ptr::eq(
-            old.out_neighbors(v(3), 0).as_ptr(),
-            new.out_neighbors(v(3), 0).as_ptr()
+            old.out_neighbors(3, 0).as_ptr(),
+            new.out_neighbors(3, 0).as_ptr()
         ));
     }
 

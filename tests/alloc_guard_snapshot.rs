@@ -8,6 +8,11 @@
 //! buffer before the first byte was written — more than twice the file
 //! at the peak.
 //!
+//! A dataset entry adds nothing to that: it stores the graph it is
+//! handed (no second copy beside it) and its snapshot encodes that graph
+//! in place, so the only thing it holds beyond the section being written
+//! is the catalog clone it takes to release the catalog lock.
+//!
 //! A single test lives here so no concurrent test case can pollute the
 //! counters (see `tests/alloc_guard.rs`).
 
@@ -19,6 +24,7 @@ use cegraph::catalog::MarkovTable;
 use cegraph::graph::snapshot::encode_graph;
 use cegraph::graph::GraphBuilder;
 use cegraph::query::{Pattern, QueryEdge};
+use cegraph::service::DatasetEntry;
 
 struct PeakTrackingAlloc;
 
@@ -76,11 +82,16 @@ fn write_snapshot_holds_one_section_not_the_file() {
     let catalog_section = encode_markov(&table).len();
     assert!(graph_section > 2_000_000 && catalog_section > 400_000);
 
+    /// Peak live bytes `f` holds beyond what was live when it started.
+    fn held_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = LIVE.load(Ordering::SeqCst);
+        PEAK.store(before, Ordering::SeqCst);
+        let r = f();
+        (r, PEAK.load(Ordering::SeqCst) - before)
+    }
+
     let path = std::env::temp_dir().join(format!("ceg-alloc-guard-{}.cegsnap", std::process::id()));
-    let before = LIVE.load(Ordering::SeqCst);
-    PEAK.store(before, Ordering::SeqCst);
-    write_snapshot(&path, &graph, &table, 7).unwrap();
-    let held = PEAK.load(Ordering::SeqCst) - before;
+    let ((), held) = held_by(|| write_snapshot(&path, &graph, &table, 7).unwrap());
 
     let file = std::fs::metadata(&path).unwrap().len() as usize;
     std::fs::remove_file(&path).unwrap();
@@ -93,5 +104,26 @@ fn write_snapshot_holds_one_section_not_the_file() {
     assert!(
         graph_section + SLACK < file,
         "the bound tells the two apart"
+    );
+
+    // The entry moves the graph and the catalog in: no second graph, no
+    // edge list, nothing per vertex.
+    let (clone, catalog_clone) = held_by(|| table.clone());
+    drop(clone);
+    let (entry, held) = held_by(|| DatasetEntry::new("guard", graph, table));
+    assert!(
+        held < SLACK,
+        "DatasetEntry::new held {held} bytes beyond the graph and catalog it was handed"
+    );
+
+    // Its snapshot encodes the pinned graph in place, beside the one
+    // catalog clone taken under the catalog lock.
+    let (written, held) = held_by(|| entry.write_snapshot(&path));
+    written.unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(
+        held <= catalog_clone + graph_section + SLACK,
+        "DatasetEntry::write_snapshot held {held} bytes: more than a catalog clone \
+         ({catalog_clone}) and the graph section ({graph_section})"
     );
 }
