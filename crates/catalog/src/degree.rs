@@ -7,10 +7,9 @@
 //! treated as additional ternary relations so that MOLP uses a strict
 //! superset of the statistics available to the optimistic estimators.
 
-use ceg_exec::{enumerate, VarConstraints};
 use ceg_graph::stats::{all_label_stats, LabelStats};
 use ceg_graph::{FxHashMap, LabelId, LabeledGraph};
-use ceg_query::{Pattern, QueryGraph, VarId};
+use ceg_query::{Pattern, QueryEdge, QueryGraph, VarId};
 
 /// Attribute-subset mask within a small pattern (≤ 8 variables).
 pub type AttrMaskSmall = u8;
@@ -36,13 +35,7 @@ impl JoinStats {
         let k = q.num_vars();
         assert!(k <= 4, "join statistics limited to small patterns");
         let mut matches: Vec<[u32; 4]> = Vec::new();
-        let complete = enumerate(graph, &q, &VarConstraints::none(k), &mut |b| {
-            let mut row = [0u32; 4];
-            row[..b.len()].copy_from_slice(b);
-            matches.push(row);
-            (matches.len() as u64) < budget
-        });
-        if !complete {
+        if !join_edges(graph, q.edges(), 0, &mut [0; 4], &mut matches, budget) {
             return None;
         }
 
@@ -114,6 +107,49 @@ impl JoinStats {
     /// All stored `(x, y, deg)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (AttrMaskSmall, AttrMaskSmall, u64)> + '_ {
         self.deg.iter().map(|(&(x, y), &d)| (x, y, d))
+    }
+}
+
+/// Materialize a small join edge by edge: extend `row` (the variables
+/// of `bound` are set) over `edges` — through a neighbour list when one
+/// endpoint of the next edge is bound, a membership check when both
+/// are, the whole relation when neither is — and push every completed
+/// row. `false` as soon as `out` holds `budget` rows.
+fn join_edges(
+    graph: &LabeledGraph,
+    edges: &[QueryEdge],
+    bound: AttrMaskSmall,
+    row: &mut [u32; 4],
+    out: &mut Vec<[u32; 4]>,
+    budget: u64,
+) -> bool {
+    let Some((e, rest)) = edges.split_first() else {
+        out.push(*row);
+        return (out.len() as u64) < budget;
+    };
+    let (s, d) = (e.src as usize, e.dst as usize);
+    let after = bound | 1 << s | 1 << d;
+    match (bound & 1 << s != 0, bound & 1 << d != 0) {
+        (true, true) => {
+            !graph.has_edge(row[s], row[d], e.label)
+                || join_edges(graph, rest, after, row, out, budget)
+        }
+        (true, false) => graph.out_neighbors(row[s], e.label).iter().all(|&v| {
+            row[d] = v;
+            join_edges(graph, rest, after, row, out, budget)
+        }),
+        (false, true) => graph.in_neighbors(row[d], e.label).iter().all(|&u| {
+            row[s] = u;
+            join_edges(graph, rest, after, row, out, budget)
+        }),
+        (false, false) => graph.edges(e.label).all(|(u, v)| {
+            // A self-loop edge binds one variable: only `u -> u` rows.
+            if s == d && u != v {
+                return true;
+            }
+            (row[s], row[d]) = (u, v);
+            join_edges(graph, rest, after, row, out, budget)
+        }),
     }
 }
 
@@ -217,6 +253,39 @@ mod tests {
         let js = JoinStats::compute(&g, &pat, 1 << 20).unwrap();
         assert_eq!(js.cardinality(), 2);
         assert_eq!(js.num_vars(), 3);
+    }
+
+    /// The join is materialized here, not by the counting kernel: every
+    /// way two edges can meet (chain, fan-out, fan-in, parallel pair,
+    /// self-loop) yields exactly the rows the kernel counts.
+    #[test]
+    fn join_rows_match_the_exact_count() {
+        let mut b = GraphBuilder::new(5);
+        for (s, d, l) in [(0, 1, 0), (0, 2, 0), (1, 2, 0), (2, 2, 0), (3, 0, 0)] {
+            b.add_edge(s, d, l);
+        }
+        for (s, d, l) in [(0, 1, 1), (1, 2, 1), (2, 2, 1), (2, 4, 1), (1, 1, 1)] {
+            b.add_edge(s, d, l);
+        }
+        let g = b.build();
+        let e = QueryEdge::new;
+        for edges in [
+            vec![e(0, 1, 0), e(1, 2, 1)],
+            vec![e(0, 1, 0), e(0, 2, 1)],
+            vec![e(0, 2, 1), e(1, 2, 0)],
+            vec![e(0, 1, 0), e(0, 1, 1)],
+            vec![e(0, 1, 1), e(1, 0, 0)],
+            vec![e(0, 0, 0), e(0, 1, 1)],
+            vec![e(0, 1, 0), e(1, 1, 1)],
+        ] {
+            let pat = Pattern::canonical(&edges);
+            let js = JoinStats::compute(&g, &pat, 1 << 20).unwrap();
+            assert_eq!(
+                js.cardinality(),
+                ceg_exec::count(&g, &pat.to_query()),
+                "{pat:?}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub use ccr::{CcrKey, CcrTable};
 pub use charsets::CharacteristicSets;
 pub use degree::{DegreeStats, JoinStats};
 pub use markov::{
-    count_patterns, count_patterns_budgeted, count_patterns_budgeted_stats,
-    default_build_parallelism, FillStats, MarkovTable, ResolvedCards,
+    count_patterns, default_build_parallelism, FillStats, MarkovTable, ResolvedCards,
 };
 pub use summary::SummaryGraph;

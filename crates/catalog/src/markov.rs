@@ -120,12 +120,9 @@ impl MarkovTable {
         h: usize,
         parallelism: usize,
     ) -> Self {
-        assert!(h >= 2, "Markov tables need h >= 2");
-        let work = dedupe_subpatterns(queries, h);
-        let counts = count_patterns(graph, &work, parallelism);
-        let mut entries: FxHashMap<Pattern, u64> = FxHashMap::default();
-        entries.extend(work.into_iter().zip(counts));
-        MarkovTable { h, entries }
+        let mut table = MarkovTable::empty(h);
+        table.recount(graph, dedupe_subpatterns(queries, h), parallelism);
+        table
     }
 
     /// Build a table for a single query (convenience for examples/tests).
@@ -163,11 +160,24 @@ impl MarkovTable {
             .collect();
         // Deterministic work order (the map iterates in hash order).
         affected.sort_unstable();
-        let counts = count_patterns(graph, &affected, parallelism);
-        let recounted = affected.len();
-        for (pat, card) in affected.into_iter().zip(counts) {
-            self.entries.insert(pat, card);
-        }
+        self.recount(graph, affected, parallelism)
+    }
+
+    /// Count `patterns` on `graph` without a budget and store (or
+    /// overwrite) each one's entry; returns how many were counted.
+    fn recount(
+        &mut self,
+        graph: &(impl GraphView + Sync),
+        patterns: Vec<Pattern>,
+        parallelism: usize,
+    ) -> usize {
+        let budget = ceg_exec::CountBudget::UNLIMITED;
+        let (counts, _) = count_patterns(graph, &patterns, parallelism, budget);
+        let counts = counts
+            .into_iter()
+            .map(|c| c.expect("unlimited budget cannot be exhausted"));
+        let recounted = patterns.len();
+        self.entries.extend(patterns.into_iter().zip(counts));
         recounted
     }
 
@@ -272,35 +282,10 @@ fn dedupe_subpatterns(queries: &[QueryGraph], max_edges: usize) -> Vec<Pattern> 
     work
 }
 
-/// Exactly count each pattern's homomorphisms in `graph`, on up to
-/// `parallelism` scoped worker threads (`std::thread::scope`; 0 or 1 runs
-/// inline). Workers claim patterns off a shared atomic cursor — cheap
-/// single-edge patterns and expensive `h`-edge ones interleave, so the
-/// partition balances itself — and write into disjoint slots, keeping
-/// `counts[i]` aligned with `patterns[i]` regardless of schedule. This is
-/// the shared parallel path under [`MarkovTable::build_parallel`] and the
-/// service registry's incremental catalog growth.
-pub fn count_patterns(
-    graph: &(impl GraphView + Sync),
-    patterns: &[Pattern],
-    parallelism: usize,
-) -> Vec<u64> {
-    count_patterns_budgeted(
-        graph,
-        patterns,
-        parallelism,
-        ceg_exec::CountBudget::UNLIMITED,
-    )
-    .into_iter()
-    .map(|c| c.expect("unlimited budget cannot be exhausted"))
-    .collect()
-}
-
 /// Profiling summary of one catalog fill: how many patterns were
 /// counted, where the time went, and the counting kernel's aggregated
-/// [`ceg_exec::KernelStats`]. Collected by
-/// [`count_patterns_budgeted_stats`]; the estimation service surfaces it
-/// through `EXPLAIN_ESTIMATE`.
+/// [`ceg_exec::KernelStats`]. Collected by [`count_patterns`]; the
+/// estimation service surfaces it through `EXPLAIN_ESTIMATE`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FillStats {
     /// Patterns whose count completed (abandoned patterns excluded).
@@ -325,100 +310,69 @@ impl FillStats {
     }
 }
 
-/// [`count_patterns`] under a [`ceg_exec::CountBudget`] (expansion cap
-/// and/or wall-clock deadline, applied per pattern): `counts[i]` is `None`
-/// when pattern `i`'s count was abandoned. The estimation service uses the
-/// deadline form so a client-bounded request stops counting mid-catalog
-/// fill instead of finishing arbitrarily late work nobody will read.
-pub fn count_patterns_budgeted(
-    graph: &(impl GraphView + Sync),
-    patterns: &[Pattern],
-    parallelism: usize,
-    budget: ceg_exec::CountBudget,
-) -> Vec<Option<u64>> {
-    count_patterns_budgeted_stats(graph, patterns, parallelism, budget).0
-}
-
-/// [`count_patterns_budgeted`] that also reports the fill's
-/// [`FillStats`] (per-pattern fill times and aggregated kernel
-/// counters).
-pub fn count_patterns_budgeted_stats(
+/// Exactly count each pattern's homomorphisms in `graph` under `budget`
+/// (expansion cap and/or wall-clock deadline, applied per pattern):
+/// `counts[i]` belongs to `patterns[i]` and is `None` when that count was
+/// abandoned. The estimation service passes a deadline so a
+/// client-bounded request stops counting mid-fill instead of finishing
+/// arbitrarily late work nobody will read.
+///
+/// Workers claim patterns off a shared atomic cursor — cheap single-edge
+/// patterns and expensive `h`-edge ones interleave, so the partition
+/// balances itself — on up to `parallelism` scoped threads
+/// (`std::thread::scope`); with a `parallelism` of 0 or 1 the calling
+/// thread is the one worker. This is the one fill path: under
+/// [`MarkovTable::build_parallel`], [`MarkovTable::refresh_touched`] and
+/// the service registry's incremental catalog growth.
+pub fn count_patterns(
     graph: &(impl GraphView + Sync),
     patterns: &[Pattern],
     parallelism: usize,
     budget: ceg_exec::CountBudget,
 ) -> (Vec<Option<u64>>, FillStats) {
-    let count_one = |pat: &Pattern| {
-        let pq = pat.to_query();
-        let started = std::time::Instant::now();
-        let (count, kernel) = ceg_exec::count_with_limit_stats(
-            graph,
-            &pq,
-            &VarConstraints::none(pq.num_vars()),
-            budget,
-        );
-        (count, kernel, started.elapsed().as_micros() as u64)
-    };
-    if parallelism <= 1 || patterns.len() <= 1 {
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let worker = || {
+        let mut counted: Vec<(usize, u64)> = Vec::new();
         let mut stats = FillStats::default();
-        let counts = patterns
-            .iter()
-            .map(|pat| {
-                let (count, kernel, micros) = count_one(pat);
-                stats.kernel.absorb(&kernel);
-                stats.total_micros += micros;
-                stats.max_pattern_micros = stats.max_pattern_micros.max(micros);
-                if count.is_some() {
-                    stats.patterns_counted += 1;
-                }
-                count
-            })
-            .collect();
-        return (counts, stats);
-    }
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    let counts: Vec<AtomicU64> = (0..patterns.len()).map(|_| AtomicU64::new(0)).collect();
-    let done: Vec<AtomicBool> = (0..patterns.len())
-        .map(|_| AtomicBool::new(false))
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    // LockRank::Metrics: leaf bookkeeping — merged into once per worker
-    // at exit, never held while counting. (`ceg_graph::sync` is the
-    // physical home of `ceg_core::sync`; this crate sits below ceg-core
-    // in the dependency graph.)
-    let stats = ceg_graph::sync::OrderedMutex::new(
-        ceg_graph::sync::LockRank::Metrics,
-        FillStats::default(),
-    );
-    std::thread::scope(|scope| {
-        for _ in 0..parallelism.min(patterns.len()) {
-            scope.spawn(|| {
-                // Workers accumulate locally and merge once at exit, so
-                // the stats mutex is off the counting path.
-                let mut local = FillStats::default();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(pat) = patterns.get(i) else { break };
-                    let (count, kernel, micros) = count_one(pat);
-                    local.kernel.absorb(&kernel);
-                    local.total_micros += micros;
-                    local.max_pattern_micros = local.max_pattern_micros.max(micros);
-                    if let Some(c) = count {
-                        local.patterns_counted += 1;
-                        counts[i].store(c, Ordering::Relaxed);
-                        done[i].store(true, Ordering::Relaxed);
-                    }
-                }
-                stats.lock().absorb(&local);
-            });
+        loop {
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(pat) = patterns.get(i) else { break };
+            let pq = pat.to_query();
+            let started = std::time::Instant::now();
+            let cons = VarConstraints::none(pq.num_vars());
+            let (count, kernel) = ceg_exec::count_budgeted(graph, &pq, &cons, budget);
+            let micros = started.elapsed().as_micros() as u64;
+            stats.kernel.absorb(&kernel);
+            stats.total_micros += micros;
+            stats.max_pattern_micros = stats.max_pattern_micros.max(micros);
+            if let Some(c) = count {
+                stats.patterns_counted += 1;
+                counted.push((i, c));
+            }
         }
-    });
-    let counts = counts
-        .into_iter()
-        .zip(done)
-        .map(|(c, d)| d.into_inner().then(|| c.into_inner()))
-        .collect();
-    (counts, stats.into_inner())
+        (counted, stats)
+    };
+    let workers = parallelism.min(patterns.len());
+    let finished = if workers <= 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a counting worker panicked"))
+                .collect()
+        })
+    };
+    let mut counts = vec![None; patterns.len()];
+    let mut stats = FillStats::default();
+    for (counted, local) in finished {
+        stats.absorb(&local);
+        for (i, c) in counted {
+            counts[i] = Some(c);
+        }
+    }
+    (counts, stats)
 }
 
 /// Default worker count for catalog construction when the caller has no
@@ -561,11 +515,12 @@ mod tests {
             .into_iter()
             .map(|m| Pattern::of_subquery(&q, m))
             .collect();
-        let serial = count_patterns(&g, &pats, 1);
-        let par = count_patterns(&g, &pats, 4);
+        let unlimited = ceg_exec::CountBudget::UNLIMITED;
+        let (serial, _) = count_patterns(&g, &pats, 1, unlimited);
+        let (par, _) = count_patterns(&g, &pats, 4, unlimited);
         assert_eq!(serial, par);
         for (pat, &c) in pats.iter().zip(&serial) {
-            assert_eq!(c, count(&g, &pat.to_query()), "pattern {pat}");
+            assert_eq!(c, Some(count(&g, &pat.to_query())), "pattern {pat}");
         }
     }
 
@@ -579,24 +534,15 @@ mod tests {
             .map(|m| Pattern::of_subquery(&q, m))
             .collect();
         for parallelism in [1, 4] {
-            let (counts, stats) = count_patterns_budgeted_stats(
-                &g,
-                &pats,
-                parallelism,
-                ceg_exec::CountBudget::UNLIMITED,
-            );
+            let (counts, stats) =
+                count_patterns(&g, &pats, parallelism, ceg_exec::CountBudget::UNLIMITED);
             assert!(counts.iter().all(|c| c.is_some()));
             assert_eq!(stats.patterns_counted, pats.len() as u64);
             assert!(stats.kernel.candidates > 0, "kernel visited candidates");
             assert!(stats.max_pattern_micros <= stats.total_micros);
-            assert_eq!(
-                counts,
-                count_patterns_budgeted(&g, &pats, parallelism, ceg_exec::CountBudget::UNLIMITED,)
-            );
         }
         // An exhausted budget counts nothing but still reports the work.
-        let (counts, stats) =
-            count_patterns_budgeted_stats(&g, &pats, 1, ceg_exec::CountBudget::new(0));
+        let (counts, stats) = count_patterns(&g, &pats, 1, ceg_exec::CountBudget::new(0));
         assert!(counts.iter().all(|c| c.is_none()));
         assert_eq!(stats.patterns_counted, 0);
     }
@@ -618,8 +564,7 @@ mod tests {
         let pat = Pattern::of_subquery(&q, q.full_mask());
         let pats = vec![pat; 20_000];
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(250);
-        let (counts, stats) =
-            count_patterns_budgeted_stats(&g, &pats, 1, ceg_exec::CountBudget::until(deadline));
+        let (counts, stats) = count_patterns(&g, &pats, 1, ceg_exec::CountBudget::until(deadline));
         let counted = counts.iter().take_while(|c| c.is_some()).count();
         assert!(counted > 0, "250 ms count at least one pattern");
         assert!(counted < pats.len(), "the fill outlasts the deadline");

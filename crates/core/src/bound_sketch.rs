@@ -16,7 +16,7 @@
 //!   pre-stores them in the Markov table, Section 5.2.2 — same values).
 
 use ceg_catalog::MarkovTable;
-use ceg_exec::{count_constrained, VarConstraint, VarConstraints};
+use ceg_exec::{count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use ceg_graph::hash::bucket_of;
 use ceg_graph::{FxHashMap, LabeledGraph};
 use ceg_query::{EdgeMask, QueryGraph, VarId};
@@ -201,7 +201,9 @@ pub fn optimistic_sketch_estimate(
                     );
                 }
             }
-            count_constrained(graph, &sub, &cons)
+            count_budgeted(graph, &sub, &cons, CountBudget::UNLIMITED)
+                .0
+                .expect("unlimited budget cannot be exhausted")
         })
     };
 

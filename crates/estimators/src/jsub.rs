@@ -9,7 +9,7 @@
 //! sampler families. The paper compares against WanderJoin as the best
 //! of these; we include JSUB for completeness.
 
-use ceg_exec::{count_with_limit, CountBudget, VarConstraint, VarConstraints};
+use ceg_exec::{count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use ceg_graph::{LabeledGraph, VertexId};
 use ceg_query::QueryGraph;
 use rand::rngs::StdRng;
@@ -73,12 +73,8 @@ impl CardinalityEstimator for JsubEstimator<'_> {
             let mut cons = VarConstraints::none(query.num_vars());
             cons.set(e.src, VarConstraint::Fixed(s));
             cons.set(e.dst, VarConstraint::Fixed(d));
-            match count_with_limit(
-                self.graph,
-                query,
-                &cons,
-                CountBudget::new(self.per_sample_budget),
-            ) {
+            let budget = CountBudget::new(self.per_sample_budget);
+            match count_budgeted(self.graph, query, &cons, budget).0 {
                 Some(c) => {
                     total += c as f64;
                     completed += 1;

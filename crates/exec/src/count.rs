@@ -20,11 +20,11 @@ use ceg_query::{QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
 use crate::intersect::{
-    intersect_into_gallop, intersect_k_into, intersect_k_into_strategy, refine_in_place_gallop,
+    intersect_into_gallop, intersect_k_into_strategy, refine_in_place_gallop,
     refine_in_place_merge, IntersectStrategy, GALLOP_RATIO,
 };
 use crate::order::variable_order;
-use crate::tree_count::{count_tree, factorize};
+use crate::tree_count::{count_tree, factorize, Factorization};
 
 /// Profiling counters from one counting run. Plain `u64` fields bumped
 /// inline by the kernel — no allocation, no atomics, no globals — so the
@@ -148,23 +148,10 @@ impl BudgetState {
             .is_some_and(|d| std::time::Instant::now() >= d)
     }
 
-    /// Charge one candidate expansion; `false` aborts the run.
-    #[inline]
-    fn charge_one(&mut self) -> bool {
-        if self.remaining == 0 {
-            return false;
-        }
-        self.remaining -= 1;
-        self.stats.candidates += 1;
-        self.stats.budget_consumed += 1;
-        self.check_deadline()
-    }
-
-    /// Charge a whole candidate list up front — the counting kernel's
-    /// batched form of [`BudgetState::charge_one`]: one budget touch and
-    /// one deadline countdown (weighted by the list length, so the
-    /// overrun bound stays [`DEADLINE_CHECK_INTERVAL`] candidates) per
-    /// list. `false` aborts the run.
+    /// Charge a whole candidate list up front: one budget touch and one
+    /// deadline countdown (weighted by the list length, so the overrun
+    /// bound stays [`DEADLINE_CHECK_INTERVAL`] candidates) per list.
+    /// `false` aborts the run.
     #[inline]
     pub(crate) fn charge_list(&mut self, n: u64) -> bool {
         if self.remaining < n {
@@ -237,39 +224,23 @@ impl BudgetState {
 /// [`ceg_graph::LabeledGraph`] of one epoch; the differential tests run
 /// the same code over a base-plus-delta [`ceg_graph::OverlayGraph`].
 pub fn count<G: GraphView>(graph: &G, query: &QueryGraph) -> u64 {
-    count_constrained(graph, query, &VarConstraints::none(query.num_vars()))
-}
-
-/// Count homomorphisms subject to per-variable constraints.
-pub fn count_constrained<G: GraphView>(
-    graph: &G,
-    query: &QueryGraph,
-    cons: &VarConstraints,
-) -> u64 {
-    count_with_limit(graph, query, cons, CountBudget::UNLIMITED)
+    let cons = VarConstraints::none(query.num_vars());
+    count_budgeted(graph, query, &cons, CountBudget::UNLIMITED)
+        .0
         .expect("unlimited budget cannot be exhausted")
 }
 
-/// Count with a work budget; `None` when the budget is exhausted.
-pub fn count_with_limit<G: GraphView>(
-    graph: &G,
-    query: &QueryGraph,
-    cons: &VarConstraints,
-    budget: CountBudget,
-) -> Option<u64> {
-    count_with_limit_stats(graph, query, cons, budget).0
-}
-
-/// [`count_with_limit`] that also returns the profiling counters of the
-/// run (collected either way; this form reports them).
+/// Count homomorphisms subject to per-variable constraints and a work
+/// budget: `None` when the budget is exhausted, with the profiling
+/// counters of the run either way.
 ///
 /// Which code counts is read off the input: a connected, acyclic,
 /// unconstrained query goes to the sparse tree DP
 /// ([`crate::tree_count`]), whose budget unit is a relation row swept;
 /// everything else — cyclic queries, constrained bound-sketch counts, a
 /// tree whose weights overflow `u64` — to the backtracking kernel
-/// ([`CountPlan::new_counting`]), whose unit is a candidate binding.
-pub fn count_with_limit_stats<G: GraphView>(
+/// ([`CountPlan`]), whose unit is a candidate binding.
+pub fn count_budgeted<G: GraphView>(
     graph: &G,
     query: &QueryGraph,
     cons: &VarConstraints,
@@ -280,19 +251,7 @@ pub fn count_with_limit_stats<G: GraphView>(
             return counted;
         }
     }
-    CountPlan::new_counting(graph, query, cons).count_with_limit_stats(budget)
-}
-
-/// Enumerate homomorphisms, invoking `visit` with the binding indexed by
-/// variable id; `visit` returns `false` to stop early. Returns `false` if
-/// enumeration was stopped (by the visitor or the budget).
-pub fn enumerate<G: GraphView>(
-    graph: &G,
-    query: &QueryGraph,
-    cons: &VarConstraints,
-    visit: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    CountPlan::new(graph, query, cons).enumerate(visit)
+    CountPlan::new(graph, query, cons, IntersectStrategy::Adaptive).count(budget)
 }
 
 /// Upper bound on query edges (mirrors [`QueryGraph`]'s 32-edge cap); the
@@ -332,7 +291,7 @@ struct DepthPlan {
     self_loops: Vec<LabelId>,
     root: RootGen,
     /// Pendant-tree weight of each binding (`None` ⇒ 1 everywhere); set
-    /// only by the factorized counting constructor.
+    /// where the plan factorized a pendant tree off this variable.
     weight: Option<Box<[u64]>>,
     /// For a weighted root depth, `Σ weight` over its (plan-time fixed)
     /// candidate list — what the suffix product uses instead of the list
@@ -403,10 +362,10 @@ struct MemoSlot {
     count: u64,
 }
 
-/// A reusable, allocation-free matcher for one `(graph, query, cons)`
-/// triple. Building the plan allocates; [`CountPlan::count`] /
-/// [`CountPlan::enumerate`] then run without touching the allocator, which
-/// `tests/alloc_guard.rs` asserts with a counting global allocator.
+/// A reusable, allocation-free counter for one `(graph, query, cons)`
+/// triple. Building the plan allocates; [`CountPlan::count`] then runs
+/// without touching the allocator, which `tests/alloc_guard.rs` asserts
+/// with a counting global allocator.
 pub struct CountPlan<'a, G: GraphView> {
     graph: &'a G,
     cons: VarConstraints,
@@ -436,62 +395,30 @@ pub struct CountPlan<'a, G: GraphView> {
 }
 
 impl<'a, G: GraphView> CountPlan<'a, G> {
-    /// Precompute the per-depth extension plans for `query` under the
-    /// [`variable_order`] heuristic. This form never factorizes — its
-    /// binding layout matches the query's variable ids, which
-    /// [`CountPlan::enumerate`] exposes — and intersects adaptively.
-    pub fn new(graph: &'a G, query: &QueryGraph, cons: &VarConstraints) -> Self {
-        Self::with_strategy(graph, query, cons, IntersectStrategy::Adaptive)
-    }
-
-    /// [`CountPlan::new`] with an explicit [`IntersectStrategy`] — how
-    /// the differential tests force each strategy.
-    pub fn with_strategy(
-        graph: &'a G,
-        query: &QueryGraph,
-        cons: &VarConstraints,
-        strategy: IntersectStrategy,
-    ) -> Self {
-        let nv = query.num_vars() as usize;
-        Self::build(
-            graph,
-            query,
-            cons.clone(),
-            (0..nv).map(|_| None).collect(),
-            strategy,
-        )
-    }
-
-    /// The counting-only constructor: factorizes pendant trees off a
-    /// cyclic core ([`crate::tree_count`]) before planning, so acyclic
+    /// Precompute the per-depth extension plans under the
+    /// [`variable_order`] heuristic. Pendant trees are factorized off a
+    /// cyclic core first ([`crate::tree_count`]), so acyclic
     /// sub-structures contribute closed-form weight products instead of
-    /// being enumerated. The binding layout is internal (core variable
-    /// ids); use [`CountPlan::new`] when [`CountPlan::enumerate`] must
-    /// report bindings by the original ids.
-    pub fn new_counting(graph: &'a G, query: &QueryGraph, cons: &VarConstraints) -> Self {
-        Self::counting_with_strategy(graph, query, cons, IntersectStrategy::Adaptive)
-    }
-
-    /// [`CountPlan::new_counting`] with an explicit strategy.
-    pub fn counting_with_strategy(
+    /// being enumerated and the plan binds the core's variables only; a
+    /// query nothing peels off is planned as given. Production callers
+    /// pass [`IntersectStrategy::Adaptive`]; the differential tests force
+    /// each of the others.
+    pub fn new(
         graph: &'a G,
         query: &QueryGraph,
         cons: &VarConstraints,
         strategy: IntersectStrategy,
     ) -> Self {
-        match factorize(graph, query, cons) {
-            Some(f) => Self::build(graph, &f.core, f.cons, f.weights, strategy),
-            None => Self::with_strategy(graph, query, cons, strategy),
-        }
-    }
-
-    fn build(
-        graph: &'a G,
-        query: &QueryGraph,
-        cons: VarConstraints,
-        mut weights: Vec<Option<Box<[u64]>>>,
-        strategy: IntersectStrategy,
-    ) -> Self {
+        let Factorization {
+            core,
+            cons,
+            mut weights,
+        } = factorize(graph, query, cons).unwrap_or_else(|| Factorization {
+            core: query.clone(),
+            cons: cons.clone(),
+            weights: vec![None; query.num_vars() as usize],
+        });
+        let query = &core;
         let order = variable_order(graph, query);
         let num_vars = query.num_vars() as usize;
         let mut pos = vec![usize::MAX; num_vars];
@@ -701,27 +628,15 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
         }
     }
 
-    /// Count all homomorphisms.
-    pub fn count(&mut self) -> u64 {
-        self.count_with_limit(CountBudget::UNLIMITED)
-            .expect("unlimited budget cannot be exhausted")
-    }
-
-    /// Count with a work budget; `None` when the budget is exhausted.
+    /// Count under a work budget: `None` when it is exhausted, with the
+    /// run's [`KernelStats`] either way (an aborted run reports the work
+    /// done before the budget tripped).
     ///
-    /// Unlike [`CountPlan::enumerate`], counting never materializes the
-    /// bindings of an independent suffix: once the remaining variables
-    /// only reference the bound prefix, their contribution is the product
-    /// of candidate-set sizes (charged against the budget in one step).
-    pub fn count_with_limit(&mut self, budget: CountBudget) -> Option<u64> {
-        self.count_with_limit_stats(budget).0
-    }
-
-    /// [`CountPlan::count_with_limit`] that also reports the kernel's
-    /// [`KernelStats`] for the run (meaningful for complete and aborted
-    /// runs alike — an aborted run reports the work done before the
-    /// budget tripped).
-    pub fn count_with_limit_stats(&mut self, budget: CountBudget) -> (Option<u64>, KernelStats) {
+    /// The bindings of an independent suffix are never materialized:
+    /// once the remaining variables only reference the bound prefix,
+    /// their contribution is the product of candidate-set sizes (charged
+    /// against the budget in one step).
+    pub fn count(&mut self, budget: CountBudget) -> (Option<u64>, KernelStats) {
         let mut total = 0u64;
         let mut state = BudgetState::new(budget);
         if state.expired_at_entry() {
@@ -744,130 +659,13 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
         );
         (complete.then_some(total), state.stats)
     }
-
-    /// Enumerate homomorphisms; see [`enumerate`].
-    pub fn enumerate(&mut self, visit: &mut dyn FnMut(&[VertexId]) -> bool) -> bool {
-        self.enumerate_with_limit(CountBudget::UNLIMITED, visit)
-    }
-
-    /// Enumerate under a budget. Returns `false` when stopped early by the
-    /// budget or the visitor.
-    pub fn enumerate_with_limit(
-        &mut self,
-        budget: CountBudget,
-        visit: &mut dyn FnMut(&[VertexId]) -> bool,
-    ) -> bool {
-        let mut state = BudgetState::new(budget);
-        if state.expired_at_entry() {
-            return false;
-        }
-        recurse(
-            self.graph,
-            &self.cons,
-            &self.depths,
-            &mut self.bufs,
-            &mut self.binding,
-            &mut state,
-            visit,
-        )
-    }
 }
 
-/// One recursion step: generate the candidates of `depths[0]` and extend
-/// the binding through each. Returns `false` when stopped early.
-fn recurse<G: GraphView>(
-    graph: &G,
-    cons: &VarConstraints,
-    depths: &[DepthPlan],
-    bufs: &mut [Vec<VertexId>],
-    binding: &mut [VertexId],
-    state: &mut BudgetState,
-    visit: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    let Some((dp, rest_depths)) = depths.split_first() else {
-        return visit(binding);
-    };
-    let (buf, rest_bufs) = bufs.split_first_mut().expect("one buffer per depth");
-
-    match dp.edges.len() {
-        0 => match &dp.root {
-            RootGen::Fixed(u) => extend_all(
-                std::iter::once(*u),
-                graph,
-                cons,
-                dp,
-                rest_depths,
-                rest_bufs,
-                binding,
-                state,
-                visit,
-            ),
-            RootGen::List(list) => extend_all(
-                list.iter().copied(),
-                graph,
-                cons,
-                dp,
-                rest_depths,
-                rest_bufs,
-                binding,
-                state,
-                visit,
-            ),
-            RootGen::Scan => extend_all(
-                0..graph.num_vertices() as VertexId,
-                graph,
-                cons,
-                dp,
-                rest_depths,
-                rest_bufs,
-                binding,
-                state,
-                visit,
-            ),
-            RootGen::Bound => unreachable!("Bound root with no planned edges"),
-        },
-        1 => {
-            // Single bound neighbour: iterate its sorted slice directly,
-            // no copy into the buffer.
-            let list = neighbor_slice(graph, &dp.edges[0], binding);
-            extend_all(
-                list.iter().copied(),
-                graph,
-                cons,
-                dp,
-                rest_depths,
-                rest_bufs,
-                binding,
-                state,
-                visit,
-            )
-        }
-        k => {
-            let mut lists: [&[VertexId]; MAX_QUERY_EDGES] = [&[]; MAX_QUERY_EDGES];
-            for (i, pe) in dp.edges.iter().enumerate() {
-                lists[i] = neighbor_slice(graph, pe, binding);
-            }
-            intersect_k_into(&mut lists[..k], buf);
-            extend_all(
-                buf.iter().copied(),
-                graph,
-                cons,
-                dp,
-                rest_depths,
-                rest_bufs,
-                binding,
-                state,
-                visit,
-            )
-        }
-    }
-}
-
-/// Counting twin of [`recurse`]: no visitor, and an independent suffix is
-/// tallied as a product of candidate-set sizes (weighted by pendant-tree
-/// weights where the plan is factorized) instead of being enumerated.
-/// `wprod` is the running product of the bound prefix's weights. Returns
-/// `false` when the budget stops the count.
+/// One recursion step: tally the completions of the bound prefix, an
+/// independent suffix as a product of candidate-set sizes (weighted by
+/// pendant-tree weights where the plan is factorized) instead of
+/// binding by binding. `wprod` is the running product of the bound
+/// prefix's weights. Returns `false` when the budget stops the count.
 ///
 /// This entry point consults the depth's [`SuffixMemo`] (when the plan
 /// built one): a valid entry answers the whole suffix in O(1); a miss
@@ -1296,46 +1094,17 @@ fn neighbor_slice<'g, G: GraphView>(
     }
 }
 
-/// Try every candidate: budget, constraint and self-loop checks, then
-/// recurse. Returns `false` when stopped early.
-#[allow(clippy::too_many_arguments)]
-fn extend_all<G: GraphView>(
-    candidates: impl Iterator<Item = VertexId>,
-    graph: &G,
-    cons: &VarConstraints,
-    dp: &DepthPlan,
-    rest_depths: &[DepthPlan],
-    rest_bufs: &mut [Vec<VertexId>],
-    binding: &mut [VertexId],
-    state: &mut BudgetState,
-    visit: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    let vc = cons.get(dp.var);
-    'cand: for c in candidates {
-        if !state.charge_one() {
-            return false;
-        }
-        if !vc.admits(c) {
-            continue;
-        }
-        for &l in &dp.self_loops {
-            if !graph.has_edge(c, c, l) {
-                continue 'cand;
-            }
-        }
-        binding[dp.var as usize] = c;
-        if !recurse(graph, cons, rest_depths, rest_bufs, binding, state, visit) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ceg_graph::{GraphBuilder, LabeledGraph};
     use ceg_query::{templates, QueryEdge};
+
+    fn constrained(g: &LabeledGraph, q: &QueryGraph, cons: &VarConstraints) -> u64 {
+        count_budgeted(g, q, cons, CountBudget::UNLIMITED)
+            .0
+            .unwrap()
+    }
 
     /// Graph: label 0 = path edges 0->1->2->3; label 1 = 1->3, 3->3 (loop).
     fn sample() -> LabeledGraph {
@@ -1421,7 +1190,7 @@ mod tests {
                     bucket: b0,
                 },
             );
-            sum += count_constrained(&g, &q, &cons);
+            sum += constrained(&g, &q, &cons);
         }
         assert_eq!(sum, total);
     }
@@ -1432,14 +1201,14 @@ mod tests {
         let q = templates::path(1, &[0]);
         let mut cons = VarConstraints::none(2);
         cons.set(0, VarConstraint::Fixed(1));
-        assert_eq!(count_constrained(&g, &q, &cons), 1); // 1 -> 2
+        assert_eq!(constrained(&g, &q, &cons), 1); // 1 -> 2
     }
 
     #[test]
     fn budget_exhaustion_returns_none() {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
-        let res = count_with_limit(&g, &q, &VarConstraints::none(3), CountBudget::new(1));
+        let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::new(1));
         assert!(res.is_none());
     }
 
@@ -1448,47 +1217,21 @@ mod tests {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let res = count_with_limit(&g, &q, &VarConstraints::none(3), CountBudget::until(past));
+        let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::until(past));
         assert!(res.is_none());
         // A comfortably distant deadline changes nothing.
         let future = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let res = count_with_limit(&g, &q, &VarConstraints::none(3), CountBudget::until(future));
+        let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::until(future));
         assert_eq!(res, Some(2));
         // Deadlines compose with expansion budgets: whichever trips first
         // aborts.
-        let res = count_with_limit(
+        let (res, _) = count_budgeted(
             &g,
             &q,
             &VarConstraints::none(3),
             CountBudget::new(1).with_deadline(future),
         );
         assert!(res.is_none());
-    }
-
-    #[test]
-    fn enumerate_visits_every_match() {
-        let g = sample();
-        let q = templates::path(2, &[0, 0]);
-        let mut seen = Vec::new();
-        enumerate(&g, &q, &VarConstraints::none(3), &mut |b| {
-            seen.push((b[0], b[1], b[2]));
-            true
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 1, 2), (1, 2, 3)]);
-    }
-
-    #[test]
-    fn enumerate_early_stop() {
-        let g = sample();
-        let q = templates::path(2, &[0, 0]);
-        let mut n = 0;
-        let finished = enumerate(&g, &q, &VarConstraints::none(3), &mut |_| {
-            n += 1;
-            false
-        });
-        assert!(!finished);
-        assert_eq!(n, 1);
     }
 
     #[test]
@@ -1519,14 +1262,14 @@ mod tests {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let cons = VarConstraints::none(3);
-        let mut plan = CountPlan::new(&g, &q, &cons);
-        let first = plan.count();
-        assert_eq!(first, 2);
+        let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
+        let first = plan.count(CountBudget::UNLIMITED).0;
+        assert_eq!(first, Some(2));
         for _ in 0..3 {
-            assert_eq!(plan.count(), first);
+            assert_eq!(plan.count(CountBudget::UNLIMITED).0, first);
         }
-        assert_eq!(plan.count_with_limit(CountBudget::new(1)), None);
-        assert_eq!(plan.count(), first); // budget run leaves no residue
+        assert_eq!(plan.count(CountBudget::new(1)).0, None);
+        assert_eq!(plan.count(CountBudget::UNLIMITED).0, first); // budget run leaves no residue
     }
 
     #[test]
@@ -1560,7 +1303,7 @@ mod tests {
         let q = templates::path(2, &[0, 0]);
         let cons = VarConstraints::none(3);
         let kernel =
-            |g, q, budget| CountPlan::new_counting(g, q, &cons).count_with_limit_stats(budget);
+            |g, q, budget| CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive).count(budget);
         let (count, stats) = kernel(&g, &q, CountBudget::UNLIMITED);
         assert_eq!(count, Some(2));
         assert!(stats.candidates > 0, "candidates were visited");
@@ -1588,7 +1331,7 @@ mod tests {
         b.add_edge(1, 2, 0);
         b.add_edge(2, 0, 0);
         let tg = b.build();
-        let (count, stats) = count_with_limit_stats(&tg, &tri, &cons, CountBudget::UNLIMITED);
+        let (count, stats) = count_budgeted(&tg, &tri, &cons, CountBudget::UNLIMITED);
         assert_eq!(count, Some(3));
         assert!(
             stats.merge_intersections + stats.gallop_intersections > 0,
@@ -1607,7 +1350,7 @@ mod tests {
         ] {
             let cons = VarConstraints::none(q.num_vars());
             assert_eq!(
-                count_constrained(&g, &q, &cons),
+                constrained(&g, &q, &cons),
                 crate::naive::count_naive(&g, &q, &cons),
                 "mismatch on {q}"
             );

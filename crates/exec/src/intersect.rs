@@ -24,8 +24,7 @@ pub use ceg_graph::intersect::{
 /// per-depth bitset path where the plan enabled it from degree stats. The
 /// forced settings pin every pairwise step (and the bitset path on or
 /// off) so tests exercise each strategy even where the crossover would
-/// never pick it; they are injected via `CountPlan::with_strategy` /
-/// `CountPlan::counting_with_strategy`.
+/// never pick it; they are the fourth argument of `CountPlan::new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectStrategy {
     #[default]
@@ -39,39 +38,19 @@ pub enum IntersectStrategy {
     Bitset,
 }
 
-/// Intersect `lists` (each sorted and duplicate-free) into `out`.
+/// Intersect `lists` (each sorted and duplicate-free) into `out`, counting
+/// each pairwise step under `merges` (two-pointer) or `gallops`.
 ///
 /// `out` is cleared first; `lists` is reordered (sorted by length so the
 /// smallest pair seeds the buffer). With zero lists the result is empty —
 /// the caller owns the "no constraint" case; with one list the slice is
-/// copied verbatim (callers on the hot path iterate a single slice
-/// directly instead).
-pub fn intersect_k_into(lists: &mut [&[VertexId]], out: &mut Vec<VertexId>) {
-    let (mut merges, mut gallops) = (0u64, 0u64);
-    intersect_k_into_profiled(lists, out, &mut merges, &mut gallops);
-}
-
-/// [`intersect_k_into`] that also counts each pairwise step by the
-/// strategy the two-slice primitives will pick for it: `merges` for
-/// linear two-pointer merges, `gallops` for galloping (length ratio at
-/// least [`GALLOP_RATIO`]). The classification mirrors the dispatch in
-/// [`intersect_into`] / [`refine_in_place`] exactly, so profiling adds
-/// one length compare per pairwise step and nothing to the element loop.
-pub fn intersect_k_into_profiled(
-    lists: &mut [&[VertexId]],
-    out: &mut Vec<VertexId>,
-    merges: &mut u64,
-    gallops: &mut u64,
-) {
-    intersect_k_into_strategy(lists, out, IntersectStrategy::Adaptive, merges, gallops);
-}
-
-/// [`intersect_k_into_profiled`] under a pinned [`IntersectStrategy`]:
-/// `Merge` / `Gallop` force every pairwise step onto that primitive
-/// (counted under the matching counter); `Adaptive` and `Bitset` use the
-/// ratio crossover — the bitset path itself lives a level up, in the
-/// kernel's per-depth caches, so at the pairwise level `Bitset` behaves
-/// adaptively.
+/// copied verbatim (the kernel iterates a single slice directly instead).
+///
+/// `Merge` / `Gallop` force every pairwise step onto that primitive;
+/// `Adaptive` and `Bitset` use the [`GALLOP_RATIO`] crossover, exactly as
+/// [`intersect_into`] / [`refine_in_place`] dispatch — the bitset path
+/// itself lives a level up, in the kernel's per-depth caches, so at the
+/// pairwise level `Bitset` behaves adaptively.
 pub fn intersect_k_into_strategy(
     lists: &mut [&[VertexId]],
     out: &mut Vec<VertexId>,
@@ -142,10 +121,19 @@ fn pairwise(strategy: IntersectStrategy, small: usize, large: usize) -> Pairwise
 mod tests {
     use super::*;
 
+    fn adaptive(
+        lists: &mut [&[VertexId]],
+        out: &mut Vec<VertexId>,
+        merges: &mut u64,
+        gallops: &mut u64,
+    ) {
+        intersect_k_into_strategy(lists, out, IntersectStrategy::Adaptive, merges, gallops);
+    }
+
     fn kway(lists: &[&[VertexId]]) -> Vec<VertexId> {
         let mut ls: Vec<&[VertexId]> = lists.to_vec();
         let mut out = vec![99]; // pre-seeded: must be cleared
-        intersect_k_into(&mut ls, &mut out);
+        adaptive(&mut ls, &mut out, &mut 0, &mut 0);
         out
     }
 
@@ -198,18 +186,18 @@ mod tests {
         // Comparable lengths: one merge, no gallop.
         let (mut m, mut g) = (0, 0);
         let mut ls: Vec<&[VertexId]> = vec![&[1, 2, 3], &[2, 3, 4]];
-        intersect_k_into_profiled(&mut ls, &mut out, &mut m, &mut g);
+        adaptive(&mut ls, &mut out, &mut m, &mut g);
         assert_eq!((m, g), (1, 0));
         assert_eq!(out, vec![2, 3]);
         // Skewed pair: classified as a gallop.
         let (mut m, mut g) = (0, 0);
         let mut ls: Vec<&[VertexId]> = vec![&[500], &large];
-        intersect_k_into_profiled(&mut ls, &mut out, &mut m, &mut g);
+        adaptive(&mut ls, &mut out, &mut m, &mut g);
         assert_eq!((m, g), (0, 1));
         // Three-way with a skewed refine: one merge seed + one gallop.
         let (mut m, mut g) = (0, 0);
         let mut ls: Vec<&[VertexId]> = vec![&[2, 500], &[2, 500, 501], &large];
-        intersect_k_into_profiled(&mut ls, &mut out, &mut m, &mut g);
+        adaptive(&mut ls, &mut out, &mut m, &mut g);
         assert_eq!((m, g), (1, 1));
         assert_eq!(out, vec![2, 500]);
     }
@@ -220,7 +208,7 @@ mod tests {
         let cap = out.capacity();
         for _ in 0..10 {
             let mut ls: Vec<&[VertexId]> = vec![&[1, 2, 3, 5], &[2, 3, 5, 8], &[3, 5]];
-            intersect_k_into(&mut ls, &mut out);
+            adaptive(&mut ls, &mut out, &mut 0, &mut 0);
             assert_eq!(out, vec![3, 5]);
         }
         assert_eq!(out.capacity(), cap);

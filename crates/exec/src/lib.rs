@@ -29,11 +29,8 @@ pub mod order;
 pub mod tree_count;
 
 pub use constraints::{VarConstraint, VarConstraints};
-pub use count::{
-    count, count_constrained, count_with_limit, count_with_limit_stats, enumerate, CountBudget,
-    CountPlan, KernelStats,
-};
-pub use intersect::{intersect_k_into, intersect_k_into_profiled, IntersectStrategy};
+pub use count::{count, count_budgeted, CountBudget, CountPlan, KernelStats};
+pub use intersect::IntersectStrategy;
 pub use naive::count_naive;
 pub use order::variable_order;
 pub use tree_count::{count_tree_dp, exact_count};

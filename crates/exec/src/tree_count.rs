@@ -26,16 +26,17 @@
 //! swept against the [`CountBudget`]), and `f64` for truths that exceed
 //! `u64` ([`count_tree_dp`]).
 //!
-//! The same factorization powers the crate-private `factorize` pass: for a
+//! The same fold powers the crate-private `factorize` pass: for a
 //! *cyclic* query with acyclic sub-structures hanging off its cyclic core,
 //! the pendant trees are peeled into exact per-vertex weight vectors
-//! (dense ones: a cyclic core is already known to survive) and only the
-//! core is enumerated, each core binding contributing the product of its
-//! weights in closed form. `CountPlan::new_counting` wires this into the kernel,
-//! extending the independent-suffix shortcut from "count the suffix sets"
-//! to "sum their subtree weights".
+//! (folded sparse like any other tree, then laid out once per core
+//! variable as the `|V|`-vector the kernel's hot loop indexes) and only
+//! the core is enumerated, each core binding contributing the product of
+//! its weights in closed form. `CountPlan::new` wires this into the
+//! kernel, extending the independent-suffix shortcut from "count the
+//! suffix sets" to "sum their subtree weights".
 
-use ceg_graph::{GraphView, LabeledGraph, VertexId};
+use ceg_graph::{GraphView, LabelId, LabeledGraph, VertexId};
 use ceg_query::cycles::is_acyclic;
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
@@ -167,6 +168,16 @@ fn fold_child<'g, T: Weight>(
     Some(acc)
 }
 
+/// The rows [`GraphView::rows`] yields for `label`: its distinct sources,
+/// or its distinct targets when walked `backward`.
+fn num_rows<G: GraphView>(graph: &G, label: LabelId, backward: bool) -> usize {
+    if backward {
+        graph.distinct_targets(label)
+    } else {
+        graph.distinct_sources(label)
+    }
+}
+
 /// True for the queries the tree DP counts: connected, acyclic (hence
 /// free of self-loops and parallel edges) and with at least one edge.
 fn is_tree(query: &QueryGraph) -> bool {
@@ -187,16 +198,9 @@ fn fold_tree<G: GraphView, T: Weight>(
     root: VarId,
     budget: &mut BudgetState,
 ) -> Result<T, Stop> {
-    let num_rows = |label, backward| {
-        if backward {
-            graph.distinct_targets(label)
-        } else {
-            graph.distinct_sources(label)
-        }
-    };
     if let [e] = query.edges() {
         // Σ of the row lengths, without the sweep.
-        if !budget.charge_list(num_rows(e.label, false) as u64) {
+        if !budget.charge_list(num_rows(graph, e.label, false) as u64) {
             return Err(Stop::Budget);
         }
         return Ok(T::of_len(graph.label_count(e.label)));
@@ -230,7 +234,7 @@ fn fold_tree<G: GraphView, T: Weight>(
         // Out-neighbours when parent -e-> v, in-neighbours when
         // v -e-> parent.
         let backward = e.src != parent;
-        let swept = num_rows(e.label, backward);
+        let swept = num_rows(graph, e.label, backward);
         if !budget.charge_list(swept as u64) {
             return Err(Stop::Budget);
         }
@@ -308,31 +312,9 @@ pub fn count_tree_dp<G: GraphView>(graph: &G, query: &QueryGraph) -> Option<f64>
     fold_tree::<G, f64>(graph, query, 0, &mut unlimited).ok()
 }
 
-/// One DP step over every vertex `u`: `vals[u]` is scaled by a sum over
-/// `u`'s neighbours under one query edge. `scale` does that for a vertex
-/// that has neighbours; a vertex between two `rows` has none, its sum is
-/// empty and its value becomes zero. Walking the relation's rows and
-/// zero-filling the gaps replaces probing the whole domain. `None` as
-/// soon as `scale` gives up (an overflow).
-fn scale_by_rows<'g, T: Copy + Default>(
-    vals: &mut [T],
-    rows: impl Iterator<Item = (VertexId, &'g [VertexId])>,
-    mut scale: impl FnMut(&mut T, &[VertexId]) -> Option<()>,
-) -> Option<()> {
-    let mut next = 0usize;
-    for (u, nbrs) in rows {
-        let u = u as usize;
-        vals[next..u].fill(T::default());
-        scale(&mut vals[u], nbrs)?;
-        next = u + 1;
-    }
-    vals[next..].fill(T::default());
-    Some(())
-}
-
 /// The factorized form of a cyclic query: its cyclic core plus the exact
 /// weight vectors of the pendant trees peeled off it. Produced by
-/// [`factorize`], consumed by `CountPlan::new_counting`.
+/// [`factorize`], consumed by `CountPlan::new`.
 pub(crate) struct Factorization {
     /// The core query over compacted variable ids (every simple cycle of
     /// the original query, plus any self-loops and constrained stubs).
@@ -363,7 +345,6 @@ pub(crate) fn factorize<G: GraphView>(
     cons: &VarConstraints,
 ) -> Option<Factorization> {
     let nv = query.num_vars() as usize;
-    let n = graph.num_vertices();
     let mut removed_edge = vec![false; query.num_edges()];
     let mut removed_var = vec![false; nv];
     let mut degree = vec![0usize; nv]; // non-loop incident edges remaining
@@ -381,10 +362,9 @@ pub(crate) fn factorize<G: GraphView>(
         degree[v] == 1 && !has_self_loop[v] && matches!(cons.get(v as VarId), VarConstraint::Any)
     };
     // Phase 1: peel with degree bookkeeping only — O(query) — and record
-    // the order. The expensive O(|V|) weight folding below runs only once
-    // we know a non-empty core actually survives; acyclic queries (whose
-    // core is empty, and which every `count()` call probes) abandon here
-    // for free.
+    // the order. The relation sweeps below run only once we know a
+    // non-empty core actually survives; a constrained tree (whose core is
+    // empty) abandons here for free.
     let mut peel_order: Vec<(usize, usize)> = Vec::new(); // (var, edge)
     let mut queue: Vec<usize> = (0..nv).filter(|&v| peelable(v, &degree)).collect();
     while let Some(v) = queue.pop() {
@@ -420,43 +400,40 @@ pub(crate) fn factorize<G: GraphView>(
     }
 
     // Phase 2: replay the peel order, folding each variable's subtree
-    // weight into its parent:
-    //   w_parent[u] *= Σ_{u' ∈ nbrs_e(u)} w_v[u']
-    // (w_v = None is the all-ones leaf weight, so the sum is the
-    // degree). Exact u64 with overflow ⇒ abandon factorization.
-    let mut weights: Vec<Option<Box<[u64]>>> = (0..nv).map(|_| None).collect();
+    // weight into its parent ([`fold_child`], exact u64; an overflow
+    // abandons the factorization).
+    let mut weights: Vec<Option<Sparse<u64>>> = (0..nv).map(|_| None).collect();
     for &(v, ei) in &peel_order {
         let e = query.edge(ei);
         let parent = e.other(v as VarId) as usize;
+        let backward = e.src != parent as VarId;
         let child = weights[v].take();
-        let pw = weights[parent].get_or_insert_with(|| vec![1u64; n].into_boxed_slice());
-        let rows = graph.rows(e.label, e.src != parent as VarId);
-        scale_by_rows(pw, rows, |w, nbrs| {
-            if *w != 0 {
-                let s = match &child {
-                    None => nbrs.len() as u64,
-                    Some(cw) => {
-                        let mut s = 0u64;
-                        for &u2 in nbrs {
-                            s = s.checked_add(cw[u2 as usize])?;
-                        }
-                        s
-                    }
-                };
-                *w = w.checked_mul(s)?;
-            }
-            Some(())
-        })?;
+        weights[parent] = Some(fold_child(
+            weights[parent].take(),
+            child.as_ref(),
+            graph.rows(e.label, backward),
+            num_rows(graph, e.label, backward),
+        )?);
     }
 
-    // Compact the surviving variables and remap edges + constraints.
+    // Compact the surviving variables; remap constraints, weights, edges.
+    let ncore = (nv - peel_order.len()) as VarId;
     let mut to_core = vec![VarId::MAX; nv];
-    let mut ncore: VarId = 0;
-    for v in 0..nv {
-        if !removed_var[v] {
-            to_core[v] = ncore;
-            ncore += 1;
-        }
+    let mut core_cons = VarConstraints::none(ncore);
+    let mut core_weights = Vec::with_capacity(ncore as usize);
+    for v in (0..nv).filter(|&v| !removed_var[v]) {
+        let cv = core_weights.len() as VarId;
+        to_core[v] = cv;
+        core_cons.set(cv, cons.get(v as VarId));
+        // The kernel indexes a weight by candidate binding: lay the
+        // sparse vector out over the domain, once per core variable.
+        core_weights.push(weights[v].take().map(|sparse| {
+            let mut dense = vec![0u64; graph.num_vertices()].into_boxed_slice();
+            for (&u, &w) in sparse.keys.iter().zip(&sparse.vals) {
+                dense[u as usize] = w;
+            }
+            dense
+        }));
     }
     let core_edges: Vec<QueryEdge> = query
         .edges()
@@ -465,16 +442,6 @@ pub(crate) fn factorize<G: GraphView>(
         .filter(|&(i, _)| !removed_edge[i])
         .map(|(_, e)| QueryEdge::new(to_core[e.src as usize], to_core[e.dst as usize], e.label))
         .collect();
-    let mut core_cons = VarConstraints::none(ncore);
-    let mut core_weights: Vec<Option<Box<[u64]>>> = (0..ncore).map(|_| None).collect();
-    for v in 0..nv {
-        if removed_var[v] {
-            continue;
-        }
-        let cv = to_core[v];
-        core_cons.set(cv, cons.get(v as VarId));
-        core_weights[cv as usize] = weights[v].take();
-    }
     Some(Factorization {
         core: QueryGraph::new(ncore, core_edges),
         cons: core_cons,
@@ -484,29 +451,45 @@ pub(crate) fn factorize<G: GraphView>(
 
 /// Exact truth for any connected query: tree DP when acyclic, otherwise
 /// backtracking with the given budget. `None` when the budget runs out.
-pub fn exact_count(
-    graph: &LabeledGraph,
-    query: &QueryGraph,
-    budget: crate::count::CountBudget,
-) -> Option<f64> {
+pub fn exact_count(graph: &LabeledGraph, query: &QueryGraph, budget: CountBudget) -> Option<f64> {
     if let Some(c) = count_tree_dp(graph, query) {
         return Some(c);
     }
-    crate::count::count_with_limit(
-        graph,
-        query,
-        &crate::constraints::VarConstraints::none(query.num_vars()),
-        budget,
-    )
-    .map(|c| c as f64)
+    let cons = VarConstraints::none(query.num_vars());
+    crate::count::count_budgeted(graph, query, &cons, budget)
+        .0
+        .map(|c| c as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::{count, count_with_limit_stats, CountBudget, CountPlan};
+    use crate::count::{count, count_budgeted, CountPlan};
+    use crate::intersect::IntersectStrategy;
     use ceg_graph::GraphBuilder;
     use ceg_query::templates;
+
+    /// One DP step over every vertex `u`: `vals[u]` is scaled by a sum over
+    /// `u`'s neighbours under one query edge. `scale` does that for a vertex
+    /// that has neighbours; a vertex between two `rows` has none, its sum is
+    /// empty and its value becomes zero. Walking the relation's rows and
+    /// zero-filling the gaps replaces probing the whole domain. `None` as
+    /// soon as `scale` gives up (an overflow).
+    fn scale_by_rows<'g, T: Copy + Default>(
+        vals: &mut [T],
+        rows: impl Iterator<Item = (VertexId, &'g [VertexId])>,
+        mut scale: impl FnMut(&mut T, &[VertexId]) -> Option<()>,
+    ) -> Option<()> {
+        let mut next = 0usize;
+        for (u, nbrs) in rows {
+            let u = u as usize;
+            vals[next..u].fill(T::default());
+            scale(&mut vals[u], nbrs)?;
+            next = u + 1;
+        }
+        vals[next..].fill(T::default());
+        Some(())
+    }
 
     /// The dense tree DP this module used to run for [`count_tree_dp`]:
     /// one `|V|`-vector per variable, rooted at variable 0. Kept as the
@@ -576,7 +559,7 @@ mod tests {
         q: &QueryGraph,
         budget: CountBudget,
     ) -> (Option<u64>, KernelStats) {
-        count_with_limit_stats(g, q, &VarConstraints::none(q.num_vars()), budget)
+        count_budgeted(g, q, &VarConstraints::none(q.num_vars()), budget)
     }
 
     #[test]
@@ -591,7 +574,9 @@ mod tests {
             templates::tree_depth(4, 3, &[0, 1, 2, 1]),
         ] {
             let cons = VarConstraints::none(q.num_vars());
-            let kernel = CountPlan::new_counting(&g, &q, &cons).count();
+            let (kernel, _) = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive)
+                .count(CountBudget::UNLIMITED);
+            let kernel = kernel.expect("unlimited");
             assert_eq!(count(&g, &q), kernel, "u64 mismatch on {q}");
             let dp = count_tree_dp(&g, &q).unwrap();
             assert_eq!(dp, kernel as f64, "f64 mismatch on {q}");
@@ -646,7 +631,7 @@ mod tests {
         assert!(count_tree(&g, &q, CountBudget::UNLIMITED).is_none());
         let budget = CountBudget::new(100_000);
         let cons = VarConstraints::none(q.num_vars());
-        let kernel = CountPlan::new_counting(&g, &q, &cons).count_with_limit_stats(budget);
+        let kernel = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive).count(budget);
         assert_eq!(unconstrained(&g, &q, budget), kernel);
         assert_eq!(count_tree_dp(&g, &q), Some(200f64.powi(9)));
     }

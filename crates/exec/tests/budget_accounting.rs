@@ -15,13 +15,16 @@
 //! relation row swept — that contract is pinned at the end of this file
 //! and in `tree_count`'s unit tests.
 
-use ceg_exec::{count_with_limit, CountBudget, CountPlan, VarConstraints};
+use ceg_exec::{count_budgeted, CountBudget, CountPlan, IntersectStrategy, VarConstraints};
 use ceg_graph::{GraphBuilder, LabeledGraph};
 use ceg_query::{templates, QueryEdge, QueryGraph};
+use ceg_workload::{Dataset, Workload};
 
 fn counts(graph: &LabeledGraph, query: &QueryGraph, budget: u64) -> Option<u64> {
-    CountPlan::new_counting(graph, query, &VarConstraints::none(query.num_vars()))
-        .count_with_limit(CountBudget::new(budget))
+    let cons = VarConstraints::none(query.num_vars());
+    CountPlan::new(graph, query, &cons, IntersectStrategy::Adaptive)
+        .count(CountBudget::new(budget))
+        .0
 }
 
 /// Star query, hub with 4 out-edges: the two leaves form an independent
@@ -104,8 +107,48 @@ fn acyclic_queries_are_charged_the_rows_swept() {
     let q = templates::star(2, &[0, 0]);
     let cons = VarConstraints::none(q.num_vars());
     assert_eq!(
-        count_with_limit(&g, &q, &cons, CountBudget::new(2)),
+        count_budgeted(&g, &q, &cons, CountBudget::new(2)).0,
         Some(16)
     );
-    assert_eq!(count_with_limit(&g, &q, &cons, CountBudget::new(1)), None);
+    assert_eq!(count_budgeted(&g, &q, &cons, CountBudget::new(1)).0, None);
+}
+
+/// A factorized plan's accounting, as a golden: the three petals of the
+/// G-CARE flower are peeled into weights and the triangle is counted
+/// under them. `budget_consumed` decides which instances
+/// `Workload::build` keeps, so the pool it draws on this graph is pinned
+/// with it (recorded on the build before PR 20).
+#[test]
+fn factorized_plan_accounting_is_pinned() {
+    let g = Dataset::Hetionet.generate(7);
+    let e = QueryEdge::new;
+    // a0-3->a1, a1-6->a2, a2-1->a0 and a petal a0-1->a3, a1-1->a4, a2-1->a5.
+    let triangle = [e(0, 1, 3), e(1, 2, 6), e(2, 0, 1)];
+    let petals = [e(0, 3, 1), e(1, 4, 1), e(2, 5, 1)];
+    let flower = QueryGraph::new(6, [triangle, petals].concat());
+    let cons = VarConstraints::none(6);
+    let (count, stats) = count_budgeted(&g, &flower, &cons, CountBudget::UNLIMITED);
+    assert_eq!(count, Some(795_275));
+    assert_eq!(stats.budget_consumed, 18_943);
+    assert_eq!(stats.candidates, 458);
+    assert_eq!((stats.memo_hits, stats.suffix_shortcuts), (0, 168));
+
+    let pool: Vec<(String, f64)> = Workload::GCareCyclic
+        .build(&g, 3, 7)
+        .into_iter()
+        .map(|wq| (wq.template, wq.truth))
+        .collect();
+    let recorded = [
+        ("cycle-6", [8_089.0, 264_100.0, 16_431.0]),
+        ("cycle-9", [7_721_324.0, 2_215_377.0, 3_828_724.0]),
+        ("clique4", [289.0, 190.0, 15.0]),
+        ("flower-6", [795_275.0, 2_360_046.0, 4_885_442.0]),
+        ("petal-6", [4_734.0, 8_279.0, 129_905.0]),
+        ("petal-9", [2_534_744.0, 13_823.0, 16_956.0]),
+    ];
+    let recorded: Vec<(String, f64)> = recorded
+        .iter()
+        .flat_map(|(t, truths)| truths.iter().map(|&c| (t.to_string(), c)))
+        .collect();
+    assert_eq!(pool, recorded);
 }

@@ -9,7 +9,7 @@
 //! the loop: base, overlay and rebased representations are
 //! indistinguishable to the counting kernel.
 
-use ceg_exec::{count, count_naive, enumerate, VarConstraints};
+use ceg_exec::{count, count_naive, VarConstraints};
 use ceg_graph::{GraphBuilder, GraphDelta, LabeledGraph, OverlayGraph};
 use ceg_query::{templates, QueryEdge, QueryGraph};
 use proptest::prelude::*;
@@ -85,34 +85,5 @@ proptest! {
         prop_assert_eq!(on_overlay, on_rebased, "overlay vs rebased on {}", &q);
         let cons = VarConstraints::none(q.num_vars());
         prop_assert_eq!(on_rebased, count_naive(&rebased, &q, &cons), "kernel vs naive on {}", &q);
-    }
-
-    /// Enumeration on the overlay yields exactly the bindings valid in
-    /// the rebased graph.
-    #[test]
-    fn overlay_enumeration_is_sound_and_complete(
-        (g, d, q) in (arb_graph(), arb_delta(), arb_query())
-    ) {
-        let rebased = g.rebase(&d);
-        let overlay = OverlayGraph::new(&g, &d);
-        let cons = VarConstraints::none(q.num_vars());
-        let mut seen = Vec::new();
-        enumerate(&overlay, &q, &cons, &mut |b| {
-            seen.push(b.to_vec());
-            true
-        });
-        for b in &seen {
-            for e in q.edges() {
-                prop_assert!(
-                    rebased.has_edge(b[e.src as usize], b[e.dst as usize], e.label),
-                    "binding {:?} violates {:?} of {}", b, e, &q
-                );
-            }
-        }
-        let n = seen.len() as u64;
-        seen.sort();
-        seen.dedup();
-        prop_assert_eq!(seen.len() as u64, n, "duplicates from {}", &q);
-        prop_assert_eq!(n, count_naive(&rebased, &q, &cons), "completeness on {}", &q);
     }
 }

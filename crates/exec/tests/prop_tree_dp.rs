@@ -5,7 +5,7 @@
 //! (`MarkovTable::build`) goes through the same functions — so nothing
 //! downstream can see a wrong DP. These properties pin it against the
 //! two counters that share no code with it: the naive reference matcher
-//! and the backtracking kernel (`CountPlan::new_counting`, which the free
+//! and the backtracking kernel (`CountPlan::new`, which the free
 //! functions no longer reach for these queries). On random skewed graphs
 //! with empty relations, random trees with random edge directions and
 //! repeated labels, on a `LabeledGraph` and through an `OverlayGraph`.
@@ -13,7 +13,9 @@
 //! The `f64` instance's bit-equality with the retained dense DP is a unit
 //! test of `tree_count` (the oracle is `#[cfg(test)]` there).
 
-use ceg_exec::{count, count_naive, count_tree_dp, CountPlan, VarConstraints};
+use ceg_exec::{
+    count, count_naive, count_tree_dp, CountBudget, CountPlan, IntersectStrategy, VarConstraints,
+};
 use ceg_graph::{GraphBuilder, GraphDelta, LabeledGraph, OverlayGraph};
 use ceg_query::{QueryEdge, QueryGraph};
 use proptest::prelude::*;
@@ -85,7 +87,11 @@ fn arb_tree() -> impl Strategy<Value = QueryGraph> {
 }
 
 fn kernel(g: &LabeledGraph, q: &QueryGraph) -> u64 {
-    CountPlan::new_counting(g, q, &VarConstraints::none(q.num_vars())).count()
+    let cons = VarConstraints::none(q.num_vars());
+    CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive)
+        .count(CountBudget::UNLIMITED)
+        .0
+        .expect("unlimited budget cannot be exhausted")
 }
 
 proptest! {

@@ -276,47 +276,63 @@ impl<R: Read> SnapshotReader<R> {
 /// bounds-checked against the bytes actually present, so decoding a
 /// corrupt payload errors instead of panicking or over-allocating.
 pub struct PayloadReader<'a> {
+    /// The bytes not yet consumed.
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> PayloadReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
+        PayloadReader { buf }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len()
     }
 
     /// True once every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+        self.buf.is_empty()
+    }
+
+    fn truncated(&self, n: usize, what: &str) -> io::Error {
+        bad(format!(
+            "truncated payload: {what} needs {n} bytes, {} remain",
+            self.buf.len()
+        ))
     }
 
     fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(bad(format!(
-                "truncated payload: {what} needs {n} bytes, {} remain",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
+            return Err(self.truncated(n, what));
+        };
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// The one fixed-width read every integer below decodes from.
+    fn take_array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
+            return Err(self.truncated(N, what));
+        };
+        self.buf = rest;
+        Ok(*head)
     }
 
     pub fn u8(&mut self, what: &str) -> io::Result<u8> {
-        Ok(self.take(1, what)?[0])
+        Ok(u8::from_le_bytes(self.take_array(what)?))
     }
 
     pub fn u16(&mut self, what: &str) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take_array(what)?))
+    }
+
+    pub fn u32(&mut self, what: &str) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.take_array(what)?))
     }
 
     pub fn u64(&mut self, what: &str) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array(what)?))
     }
 
     /// A `u64` that must fit a (bounded) in-memory count.
@@ -335,11 +351,8 @@ impl<'a> PayloadReader<'a> {
         let bytes = n
             .checked_mul(4)
             .ok_or_else(|| bad(format!("{what}: element count {n} overflows")))?;
-        let raw = self.take(bytes, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let (words, _) = self.take(bytes, what)?.as_chunks::<4>();
+        Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 }
 

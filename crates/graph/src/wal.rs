@@ -47,6 +47,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::snapshot::PayloadReader;
 use crate::vfs::{Storage, StorageFile};
 use crate::{LabelId, VertexId};
 
@@ -172,21 +173,22 @@ fn decode_u64(payload: &[u8]) -> Option<u64> {
 }
 
 fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
-    let count = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
-    let body = &payload[4..];
-    if body.len() != count.checked_mul(OP_BYTES)? {
+    let mut r = PayloadReader::new(payload);
+    let count = r.u32("op count").ok()? as usize;
+    if r.remaining() != count.checked_mul(OP_BYTES)? {
         return None;
     }
     let mut ops = Vec::with_capacity(count);
-    for chunk in body.chunks_exact(OP_BYTES) {
-        if chunk[0] > 1 {
+    for _ in 0..count {
+        let flags = r.u8("op flags").ok()?;
+        if flags > 1 {
             return None; // flags other than the del bit are not in v1
         }
         ops.push(WalOp {
-            del: chunk[0] == 1,
-            src: u32::from_le_bytes(chunk[1..5].try_into().unwrap()),
-            dst: u32::from_le_bytes(chunk[5..9].try_into().unwrap()),
-            label: u16::from_le_bytes(chunk[9..11].try_into().unwrap()),
+            del: flags == 1,
+            src: r.u32("op src").ok()?,
+            dst: r.u32("op dst").ok()?,
+            label: r.u16("op label").ok()?,
         });
     }
     Some(ops)

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ceg_catalog::io::load_markov;
-use ceg_catalog::{count_patterns_budgeted_stats, FillStats, MarkovTable};
+use ceg_catalog::{count_patterns, FillStats, MarkovTable};
 use ceg_core::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock};
 use ceg_graph::io::load_graph;
 use ceg_graph::vfs::{OsStorage, Storage};
@@ -232,7 +232,7 @@ impl EpochState {
             Some(d) => ceg_exec::CountBudget::until(d),
             None => ceg_exec::CountBudget::UNLIMITED,
         };
-        let (counts, fill) = count_patterns_budgeted_stats(&*self.graph, missing, jobs, budget);
+        let (counts, fill) = count_patterns(&*self.graph, missing, jobs, budget);
         outcome.fill = fill;
         let mut table = self.markov.write();
         for (pat, card) in missing.iter().zip(counts) {

@@ -53,17 +53,12 @@ fn six_edge_cycle_counts_without_post_setup_allocations() {
     let cons = VarConstraints::none(q.num_vars());
 
     // Setup (allocates: plans, root list, buffers) …
-    let mut plan = CountPlan::new(&g, &q, &cons);
+    let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
 
-    // … then counting and enumeration run allocation-free.
+    // … then counting runs allocation-free, to completion or to a trip.
     let before = ALLOCS.load(Ordering::SeqCst);
-    let total = plan.count();
-    let mut visited = 0u64;
-    let complete = plan.enumerate(&mut |_| {
-        visited += 1;
-        true
-    });
-    let budgeted = plan.count_with_limit(CountBudget::new(3));
+    let (total, _) = plan.count(CountBudget::UNLIMITED);
+    let (budgeted, _) = plan.count(CountBudget::new(3));
     let after = ALLOCS.load(Ordering::SeqCst);
 
     assert_eq!(
@@ -71,20 +66,18 @@ fn six_edge_cycle_counts_without_post_setup_allocations() {
         0,
         "counting a 6-edge cycle allocated post-setup"
     );
-    assert_eq!(total, 6, "each rotation of the label-0 ring matches");
-    assert!(complete);
-    assert_eq!(visited, total);
+    assert_eq!(total, Some(6), "each rotation of the label-0 ring matches");
     assert_eq!(budgeted, None, "budget of 3 must exhaust");
 
     // The bitset path must hold the same invariant: its per-depth
     // bitsets are plan-time allocations, lazily reset (never reallocated)
     // as the stable binding moves, so a forced-bitset counting plan also
     // runs allocation-free — across repeated reuses of the same plan.
-    let mut bitset_plan =
-        CountPlan::counting_with_strategy(&g, &q, &cons, IntersectStrategy::Bitset);
+    let mut bitset_plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Bitset);
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..3 {
-        assert_eq!(bitset_plan.count(), 6, "bitset path agrees with merge");
+        let (count, _) = bitset_plan.count(CountBudget::UNLIMITED);
+        assert_eq!(count, Some(6), "bitset path agrees with merge");
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(

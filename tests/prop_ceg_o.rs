@@ -6,7 +6,7 @@ use cegraph::catalog::MarkovTable;
 use cegraph::core::oracle::qerror;
 use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
 use cegraph::estimators::pstar_estimate;
-use cegraph::exec::{count, count_constrained, VarConstraint, VarConstraints};
+use cegraph::exec::{count, count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryGraph};
 use proptest::prelude::*;
@@ -126,7 +126,7 @@ proptest! {
         for bucket in 0..buckets {
             let mut cons = VarConstraints::none(q.num_vars());
             cons.set(var, VarConstraint::HashBucket { buckets, bucket });
-            sum += count_constrained(&g, &q, &cons);
+            sum += count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED).0.unwrap();
         }
         prop_assert_eq!(sum, total);
     }

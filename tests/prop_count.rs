@@ -6,9 +6,7 @@
 //! retained naive reference matcher (`cegraph::exec::count_naive`) on
 //! random graphs, random queries and random per-variable constraints.
 
-use cegraph::exec::{
-    count_naive, count_with_limit, enumerate, CountBudget, VarConstraint, VarConstraints,
-};
+use cegraph::exec::{count_budgeted, count_naive, CountBudget, VarConstraint, VarConstraints};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryEdge, QueryGraph};
 use proptest::prelude::*;
@@ -70,7 +68,7 @@ proptest! {
     #[test]
     fn kernel_matches_naive((g, q) in (arb_graph(), arb_query())) {
         let cons = VarConstraints::none(q.num_vars());
-        let fast = count_with_limit(&g, &q, &cons, CountBudget::UNLIMITED).unwrap();
+        let fast = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED).0.unwrap();
         let naive = count_naive(&g, &q, &cons);
         prop_assert_eq!(fast, naive, "query {}", q);
     }
@@ -85,34 +83,9 @@ proptest! {
         if q.num_vars() > 1 {
             cons.set(1, c1);
         }
-        let fast = count_with_limit(&g, &q, &cons, CountBudget::UNLIMITED).unwrap();
+        let fast = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED).0.unwrap();
         let naive = count_naive(&g, &q, &cons);
         prop_assert_eq!(fast, naive, "query {}", q);
-    }
-
-    /// Enumeration visits exactly the homomorphisms the count promises,
-    /// each binding valid edge-by-edge, with no duplicates.
-    #[test]
-    fn enumerate_is_sound_complete_and_duplicate_free((g, q) in (arb_graph(), arb_query())) {
-        let cons = VarConstraints::none(q.num_vars());
-        let mut seen: Vec<Vec<u32>> = Vec::new();
-        enumerate(&g, &q, &cons, &mut |b| {
-            seen.push(b.to_vec());
-            true
-        });
-        for b in &seen {
-            for e in q.edges() {
-                prop_assert!(
-                    g.has_edge(b[e.src as usize], b[e.dst as usize], e.label),
-                    "binding {b:?} violates edge {e:?} of {q}"
-                );
-            }
-        }
-        let n = seen.len() as u64;
-        seen.sort();
-        seen.dedup();
-        prop_assert_eq!(seen.len() as u64, n, "duplicate bindings from {}", q);
-        prop_assert_eq!(n, count_naive(&g, &q, &cons), "query {}", q);
     }
 
     /// A budget never changes a completed count, and exhaustion is the
@@ -120,9 +93,9 @@ proptest! {
     #[test]
     fn budget_only_truncates((g, q) in (arb_graph(), arb_query())) {
         let cons = VarConstraints::none(q.num_vars());
-        let full = count_with_limit(&g, &q, &cons, CountBudget::UNLIMITED).unwrap();
+        let full = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED).0.unwrap();
         // None means the budget was exhausted and no count is claimed.
-        if let Some(c) = count_with_limit(&g, &q, &cons, CountBudget::new(50)) {
+        if let Some(c) = count_budgeted(&g, &q, &cons, CountBudget::new(50)).0 {
             prop_assert_eq!(c, full);
         }
     }
