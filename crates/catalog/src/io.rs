@@ -19,9 +19,7 @@ use crate::markov::MarkovTable;
 pub fn write_markov<W: Write>(table: &MarkovTable, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "markov h={}", table.h())?;
-    let mut entries: Vec<(&Pattern, u64)> = table.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    for (p, c) in entries {
+    for (p, c) in sorted_entries(table) {
         write!(w, "{} {}", c, p.num_edges())?;
         for e in p.edges() {
             write!(w, " {} {} {}", e.src, e.dst, e.label)?;
@@ -89,8 +87,7 @@ pub fn load_markov(path: impl AsRef<Path>) -> io::Result<MarkovTable> {
 // ---------------------------------------------------------------------------
 
 use ceg_graph::snapshot::{
-    decode_epoch, decode_graph, encode_epoch, encode_graph, put_u16, put_u64, PayloadReader,
-    SnapshotReader, SnapshotWriter, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
+    read_sections, write_graph_sections, PayloadReader, SnapshotWriter, TAG_MARKOV,
 };
 use ceg_graph::LabeledGraph;
 
@@ -105,35 +102,50 @@ pub struct Snapshot {
     pub epoch: u64,
 }
 
-/// Encode a Markov table as a `MRKV` payload, entries sorted by pattern
-/// so the encoding (like [`write_markov`]) is canonical:
+/// The table's entries sorted by pattern: the order both persisted forms
+/// list them in, so each is canonical. The patterns are the keys of a
+/// map, so no two are equal and the unstable sort — which, unlike the
+/// stable one, allocates nothing — has one result.
+fn sorted_entries(table: &MarkovTable) -> Vec<(&Pattern, u64)> {
+    let mut entries: Vec<(&Pattern, u64)> = table.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries
+}
+
+/// Exact length in bytes of the `MRKV` payload [`write_markov_payload`]
+/// writes for `entries`.
+fn markov_payload_len(entries: &[(&Pattern, u64)]) -> u64 {
+    16 + entries
+        .iter()
+        .map(|(p, _)| 10 + 4 * p.num_edges() as u64)
+        .sum::<u64>()
+}
+
+/// Write a Markov table of hop bound `h` as a `MRKV` payload, entry by
+/// entry in the order given ([`sorted_entries`]: the encoding, like
+/// [`write_markov`], is canonical):
 ///
 /// ```text
 /// u64 h, u64 count
 /// per entry: u64 cardinality, u16 num_edges,
 ///            per edge: u8 src, u8 dst, u16 label
 /// ```
-pub fn encode_markov(table: &MarkovTable) -> Vec<u8> {
-    let mut entries: Vec<(&Pattern, u64)> = table.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    let len = 16
-        + entries
-            .iter()
-            .map(|(p, _)| 10 + 4 * p.num_edges())
-            .sum::<usize>();
-    let mut buf = Vec::with_capacity(len);
-    put_u64(&mut buf, table.h() as u64);
-    put_u64(&mut buf, entries.len() as u64);
+fn write_markov_payload(
+    h: usize,
+    entries: &[(&Pattern, u64)],
+    out: &mut impl Write,
+) -> io::Result<()> {
+    out.write_all(&(h as u64).to_le_bytes())?;
+    out.write_all(&(entries.len() as u64).to_le_bytes())?;
     for (p, c) in entries {
-        put_u64(&mut buf, c);
-        put_u16(&mut buf, p.num_edges() as u16);
+        out.write_all(&c.to_le_bytes())?;
+        out.write_all(&(p.num_edges() as u16).to_le_bytes())?;
         for e in p.edges() {
-            buf.push(e.src);
-            buf.push(e.dst);
-            put_u16(&mut buf, e.label);
+            out.write_all(&[e.src, e.dst])?;
+            out.write_all(&e.label.to_le_bytes())?;
         }
     }
-    buf
+    Ok(())
 }
 
 fn bad_snap(msg: impl Into<String>) -> io::Error {
@@ -144,26 +156,27 @@ fn bad_snap(msg: impl Into<String>) -> io::Error {
 /// so even a hand-edited payload cannot plant a non-canonical key; every
 /// structural violation is an error, never a panic.
 ///
-/// Acceptance mirrors what [`encode_markov`] can produce: any `h ≥ 2`
-/// (the [`MarkovTable::empty`] precondition — there is no upper bound at
-/// write time, so none at read time either) and any per-entry edge
-/// count the payload actually holds; the one hard structural cap is the
-/// 8-variable canonicalization ceiling, which would otherwise panic.
-pub fn decode_markov(payload: &[u8]) -> io::Result<MarkovTable> {
-    let mut r = PayloadReader::new(payload);
+/// Acceptance mirrors what [`write_snapshot`] can produce: any
+/// `h ≥ 2` (the [`MarkovTable::empty`] precondition — there is no upper
+/// bound at write time, so none at read time either) and any per-entry
+/// edge count the payload actually holds; the one hard structural cap is
+/// the 8-variable canonicalization ceiling, which would otherwise panic.
+pub fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<MarkovTable> {
     let h = r.u64("markov h")?;
     if h < 2 {
         return Err(bad_snap(format!("markov h={h} out of range (h >= 2)")));
     }
-    let count = r.count("markov entry count", payload.len())?;
+    // An entry is its cardinality, its edge count and at least one edge.
+    let count = r.count("markov entry count", r.room_for(14))?;
     let mut table = MarkovTable::empty(h.min(usize::MAX as u64) as usize);
+    table.reserve(count);
     for i in 0..count {
         let card = r.u64("entry cardinality")?;
         let m = r.u16("entry edge count")? as usize;
         if m == 0 {
             return Err(bad_snap(format!("markov entry {i}: zero-edge pattern")));
         }
-        let mut edges = Vec::with_capacity(m);
+        let mut edges = Vec::with_capacity(m.min(r.room_for(4)));
         let mut vars: Vec<u8> = Vec::new();
         for _ in 0..m {
             let src = r.u8("edge src")?;
@@ -205,7 +218,10 @@ pub fn decode_markov(payload: &[u8]) -> io::Result<MarkovTable> {
 /// target, are synced to disk, and are renamed over `path` only once
 /// complete — a crash, disk-full, or concurrent snapshot can never
 /// leave a truncated or interleaved file where a good snapshot used to
-/// be ([`ceg_graph::snapshot::atomic_write`]).
+/// be ([`ceg_graph::snapshot::atomic_write`]). It is **streamed**: the
+/// graph's arrays and the table's entries go to the file through its
+/// 64 KiB buffer, and the one thing built for the write is the sorted
+/// index of the table's entries.
 pub fn write_snapshot(
     path: impl AsRef<Path>,
     graph: &LabeledGraph,
@@ -234,9 +250,11 @@ pub fn write_snapshot_with(
 ) -> io::Result<()> {
     ceg_graph::snapshot::atomic_write_with(storage, path, |f| {
         let mut w = SnapshotWriter::new(f)?;
-        w.write_section(TAG_EPOCH, &encode_epoch(epoch))?;
-        w.write_section(TAG_GRAPH, &encode_graph(graph))?;
-        w.write_section(TAG_MARKOV, &encode_markov(table))?;
+        write_graph_sections(&mut w, graph, epoch)?;
+        let entries = sorted_entries(table);
+        w.section(TAG_MARKOV, markov_payload_len(&entries), |body| {
+            write_markov_payload(table.h(), &entries, body)
+        })?;
         w.finish()?;
         Ok(())
     })
@@ -244,35 +262,29 @@ pub fn write_snapshot_with(
 
 /// Read a full service snapshot back. Unknown sections are skipped
 /// (forward compatibility); a missing graph, catalog or epoch section —
-/// and any corruption or truncation — is an `InvalidData` error.
+/// and any corruption or truncation — is an `InvalidData` (or
+/// `UnexpectedEof`) error.
 pub fn read_snapshot(path: impl AsRef<Path>) -> io::Result<Snapshot> {
     read_snapshot_with(&ceg_graph::vfs::OsStorage, path.as_ref())
 }
 
 /// [`read_snapshot`] through an explicit [`ceg_graph::vfs::Storage`]
 /// (recovery reads the snapshot through the same seam it was written
-/// through).
+/// through). The file is streamed: each section is decoded from the
+/// read buffer into the value returned, and what fails its checksum is
+/// dropped, not returned.
 pub fn read_snapshot_with(
     storage: &dyn ceg_graph::vfs::Storage,
     path: &Path,
 ) -> io::Result<Snapshot> {
-    let bytes = storage.read(path)?;
-    let mut r = SnapshotReader::new(&bytes[..])?;
-    let mut graph = None;
-    let mut markov = None;
-    let mut epoch = None;
-    while let Some((tag, payload)) = r.next_section()? {
-        match tag {
-            TAG_GRAPH => graph = Some(decode_graph(&payload)?),
-            TAG_MARKOV => markov = Some(decode_markov(&payload)?),
-            TAG_EPOCH => epoch = Some(decode_epoch(&payload)?),
-            _ => {} // unknown section: skip
-        }
-    }
+    // A closure, not the function item: the body's type borrows the file
+    // for one section, and only a closure is general over that lifetime.
+    #[allow(clippy::redundant_closure)]
+    let (graph, epoch, markov) = read_sections(storage, path, |body| decode_markov(body))?;
     Ok(Snapshot {
-        graph: graph.ok_or_else(|| bad_snap("snapshot has no graph section"))?,
+        graph,
         markov: markov.ok_or_else(|| bad_snap("snapshot has no markov section"))?,
-        epoch: epoch.ok_or_else(|| bad_snap("snapshot has no epoch section"))?,
+        epoch,
     })
 }
 
@@ -334,10 +346,46 @@ mod tests {
         buf
     }
 
+    /// The `MRKV` payload built whole, in memory, field by field as the
+    /// format lists them: the oracle [`write_markov_payload`] is held to.
+    fn encode_markov(table: &MarkovTable) -> Vec<u8> {
+        let mut entries: Vec<(&Pattern, u64)> = table.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(table.h() as u64).to_le_bytes());
+        buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (p, c) in entries {
+            buf.extend_from_slice(&c.to_le_bytes());
+            buf.extend_from_slice(&(p.num_edges() as u16).to_le_bytes());
+            for e in p.edges() {
+                buf.push(e.src);
+                buf.push(e.dst);
+                buf.extend_from_slice(&e.label.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    fn decode(payload: &[u8]) -> io::Result<MarkovTable> {
+        decode_markov(&mut PayloadReader::new(payload))
+    }
+
+    #[test]
+    fn streamed_markov_payload_is_the_oracle_payload() {
+        for t in [table(), MarkovTable::empty(3)] {
+            let want = encode_markov(&t);
+            let entries = sorted_entries(&t);
+            assert_eq!(markov_payload_len(&entries), want.len() as u64);
+            let mut got = Vec::new();
+            write_markov_payload(t.h(), &entries, &mut got).unwrap();
+            assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn markov_payload_roundtrips_byte_identically() {
         let t = table();
-        let t2 = decode_markov(&encode_markov(&t)).unwrap();
+        let t2 = decode(&encode_markov(&t)).unwrap();
         assert_eq!(text_bytes(&t), text_bytes(&t2));
         // And the binary encoding itself is canonical (sorted entries).
         assert_eq!(encode_markov(&t), encode_markov(&t2));
@@ -347,19 +395,19 @@ mod tests {
     fn corrupt_markov_payloads_are_rejected() {
         let good = encode_markov(&table());
         for cut in 0..good.len() {
-            assert!(decode_markov(&good[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         }
         let mut long = good.clone();
         long.push(0);
-        assert!(decode_markov(&long).is_err());
+        assert!(decode(&long).is_err());
         // h < 2 violates the MarkovTable precondition...
         let mut bad_h = good.clone();
         bad_h[0] = 1;
-        assert!(decode_markov(&bad_h).is_err());
+        assert!(decode(&bad_h).is_err());
         // ...but any h the writer could run with restores fine — the
         // reader accepts everything the writer can produce.
         bad_h[0] = 99;
-        assert_eq!(decode_markov(&bad_h).unwrap().h(), 99);
+        assert_eq!(decode(&bad_h).unwrap().h(), 99);
     }
 
     #[test]
@@ -399,5 +447,61 @@ mod tests {
         let err = read_snapshot(&path).unwrap_err();
         std::fs::remove_file(&path).unwrap();
         assert!(err.to_string().contains("no markov section"), "{err}");
+    }
+
+    /// Every truncation and every single-bit flip of a small file with
+    /// all three sections is an error of the two documented kinds — and
+    /// an `Err` carries no graph, so nothing half-decoded gets out. So is
+    /// a storage failure at any step of the read.
+    #[test]
+    fn every_truncation_bit_flip_and_read_failure_of_a_full_snapshot_errors() {
+        use ceg_graph::vfs::{FaultPlan, FaultStorage};
+        let mut b = GraphBuilder::new(6);
+        b.add_edge(0, 1, 0);
+        b.add_edge(1, 2, 1);
+        b.add_edge(1, 3, 1);
+        let g = b.build();
+        let t = MarkovTable::build_for_query(&g, &templates::path(2, &[0, 1]), 2);
+        let path = Path::new("/data/ds.cegsnap");
+        let fs = FaultStorage::new();
+        write_snapshot_with(&fs, path, &g, &t, 5).unwrap();
+        let good = fs.dump(path).unwrap();
+        fs.reboot(usize::MAX); // forget the write's operations
+        let snap = read_snapshot_with(&fs, path).unwrap();
+        assert_eq!((snap.epoch, snap.graph.num_edges()), (5, 3));
+        assert_eq!(text_bytes(&snap.markov), text_bytes(&t));
+        let read_ops = fs.op_count();
+
+        let rejected = |bytes: Vec<u8>, what: String| {
+            let fs = FaultStorage::new();
+            fs.install(path, bytes);
+            let err = read_snapshot_with(&fs, path).expect_err(&what);
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{what}: {err}"
+            );
+        };
+        for cut in 0..good.len() {
+            rejected(good[..cut].to_vec(), format!("cut at {cut}"));
+        }
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            rejected(flipped, format!("bit {bit} flipped"));
+        }
+        for at in 0..read_ops {
+            for plan in [
+                FaultPlan::default().fail_at(at, io::ErrorKind::Other),
+                FaultPlan::default().crash_after(at),
+            ] {
+                let fs = FaultStorage::new();
+                fs.install(path, good.clone());
+                fs.set_plan(plan);
+                assert!(read_snapshot_with(&fs, path).is_err(), "read op {at}");
+            }
+        }
     }
 }

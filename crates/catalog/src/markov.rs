@@ -249,6 +249,13 @@ impl MarkovTable {
         self.entries.insert(pattern, card);
     }
 
+    /// Make room for `additional` more entries in one allocation (a
+    /// loader that knows its entry count skips the doubling, which holds
+    /// the old and the new table at once).
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
     /// Iterate entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&Pattern, u64)> {
         self.entries.iter().map(|(p, &c)| (p, c))

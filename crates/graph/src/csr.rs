@@ -197,6 +197,18 @@ impl Csr {
             .flat_map(|(v, row)| row.iter().map(move |&t| (v, t)))
     }
 
+    /// The `k`-th pair of [`Csr::iter_edges`], found by binary search over
+    /// the offsets and the directory's ranks instead of a walk.
+    pub fn nth_edge(&self, k: usize) -> Option<(VertexId, VertexId)> {
+        let to = *self.targets.get(k)?;
+        // The row whose offset range holds `k`; its vertex is the
+        // `row`-th set bit of the directory.
+        let row = self.offsets.partition_point(|&o| o as usize <= k) - 1;
+        let w = self.rank.partition_point(|&r| r as usize <= row) - 1;
+        let bit = bits_of(self.present[w]).nth(row - self.rank[w] as usize)?;
+        Some(((w * 64) as VertexId + bit, to))
+    }
+
     /// Bytes of heap the index holds: directory, offsets and targets.
     pub fn heap_bytes(&self) -> usize {
         self.present.capacity() * 8
@@ -284,11 +296,13 @@ impl Csr {
     /// from 0 to `targets.len()` with no empty row, strictly sorted
     /// (duplicate-free) rows. A corrupt snapshot surfaces as an error
     /// here instead of as misbehavior (or a panic) deep in a traversal.
+    /// `offsets` and `targets` are moved in, not copied: a restore holds
+    /// each relation once.
     pub(crate) fn from_raw_parts(
         num_vertices: usize,
         rows: &[VertexId],
-        offsets: &[u32],
-        targets: &[VertexId],
+        offsets: Vec<u32>,
+        targets: Vec<VertexId>,
     ) -> Result<Csr, String> {
         if offsets.len() != rows.len() + 1 {
             return Err(format!(
@@ -315,7 +329,7 @@ impl Csr {
                 "CSR row id outside the domain of {num_vertices} vertices"
             ));
         }
-        let mut csr = Csr::with_domain(num_vertices, targets.len());
+        let mut max_degree = 0;
         for (&v, o) in rows.iter().zip(offsets.windows(2)) {
             let row = targets
                 .get(o[0] as usize..o[1] as usize)
@@ -326,9 +340,24 @@ impl Csr {
                     "CSR neighbour list of vertex {v} is not strictly sorted"
                 ));
             }
-            csr.targets.extend_from_slice(row);
-            csr.seal_row(v);
+            max_degree = max_degree.max(row.len() as u32);
         }
+        if rows.is_empty() {
+            // A relation without edges keeps no directory and no offsets.
+            return Ok(Csr::with_domain(num_vertices, 0));
+        }
+        let mut present = vec![0u64; num_vertices.div_ceil(64)];
+        for &v in rows {
+            present[v as usize >> 6] |= 1u64 << (v & 63);
+        }
+        let csr = Csr {
+            num_vertices,
+            present,
+            rank: Vec::new(),
+            offsets,
+            targets,
+            max_degree,
+        };
         Ok(csr.finish())
     }
 }
@@ -414,6 +443,21 @@ mod tests {
         let mut edges: Vec<_> = c.iter_edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1), (0, 2), (2, 3), (2, 4), (4, 0)]);
+    }
+
+    #[test]
+    fn nth_edge_is_the_nth_of_iter_edges() {
+        // Rows in three directory words, with empty words between them.
+        let pairs: Vec<(VertexId, VertexId)> = [0u32, 2, 63, 64, 200, 201, 449]
+            .iter()
+            .flat_map(|&v| (0..1 + v % 3).map(move |t| (v, t)))
+            .collect();
+        let c = Csr::from_pairs(450, &pairs);
+        for (k, e) in c.iter_edges().enumerate() {
+            assert_eq!(c.nth_edge(k), Some(e), "edge {k}");
+        }
+        assert_eq!(c.nth_edge(c.num_edges()), None);
+        assert_eq!(Csr::default().nth_edge(0), None);
     }
 
     #[test]

@@ -164,6 +164,12 @@ impl LabeledGraph {
             .flat_map(|c| c.iter_edges())
     }
 
+    /// The `k`-th edge of [`LabeledGraph::edges`], without the walk to it
+    /// ([`Csr::nth_edge`]).
+    pub fn nth_edge(&self, l: LabelId, k: usize) -> Option<(VertexId, VertexId)> {
+        self.fwd.get(l as usize)?.nth_edge(k)
+    }
+
     /// Iterate every edge in the graph.
     pub fn all_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         (0..self.num_labels() as LabelId).flat_map(move |l| {

@@ -67,41 +67,23 @@ pub fn save_graph(graph: &LabeledGraph, path: impl AsRef<Path>) -> io::Result<()
 /// catalog + epoch) is written by `ceg-catalog::io::write_snapshot` in
 /// the same container.
 pub fn write_snapshot(path: impl AsRef<Path>, graph: &LabeledGraph, epoch: u64) -> io::Result<()> {
-    use crate::snapshot::{
-        atomic_write, encode_epoch, encode_graph, SnapshotWriter, TAG_EPOCH, TAG_GRAPH,
-    };
+    use crate::snapshot::{atomic_write, write_graph_sections, SnapshotWriter};
     atomic_write(path.as_ref(), |f| {
         let mut w = SnapshotWriter::new(f)?;
-        w.write_section(TAG_EPOCH, &encode_epoch(epoch))?;
-        w.write_section(TAG_GRAPH, &encode_graph(graph))?;
+        write_graph_sections(&mut w, graph, epoch)?;
         w.finish()?;
         Ok(())
     })
 }
 
-/// Read the graph and epoch out of any `.cegsnap` snapshot, skipping
-/// sections this crate does not know (a full service snapshot restores
-/// fine; its catalog section is ignored here). Corrupt or truncated
-/// files are rejected with `InvalidData` errors, never panics.
+/// Read the graph and epoch out of any `.cegsnap` snapshot: the full
+/// reader ([`crate::snapshot::read_sections`]) with nothing made of the
+/// catalog section, which is skipped like the sections this crate does
+/// not know. Corrupt or truncated files are rejected with errors, never
+/// panics.
 pub fn read_snapshot(path: impl AsRef<Path>) -> io::Result<(LabeledGraph, u64)> {
-    use crate::snapshot::{decode_epoch, decode_graph, SnapshotReader, TAG_EPOCH, TAG_GRAPH};
-    let f = std::fs::File::open(path)?;
-    let mut r = SnapshotReader::new(io::BufReader::new(f))?;
-    let mut graph = None;
-    let mut epoch = None;
-    while let Some((tag, payload)) = r.next_section()? {
-        match tag {
-            TAG_GRAPH => graph = Some(decode_graph(&payload)?),
-            TAG_EPOCH => epoch = Some(decode_epoch(&payload)?),
-            _ => {} // unknown section: skip (forward compatibility)
-        }
-    }
-    let graph = graph.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "snapshot has no graph section")
-    })?;
-    let epoch = epoch.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "snapshot has no epoch section")
-    })?;
+    let (graph, epoch, _) =
+        crate::snapshot::read_sections(&crate::vfs::OsStorage, path.as_ref(), |_| Ok(()))?;
     Ok((graph, epoch))
 }
 

@@ -16,28 +16,48 @@
 //!   checksum u64 LE    length-seeded FxHash64 of the payload
 //! ```
 //!
+//! Both directions stream. A section's length is computed before its
+//! first byte is written ([`graph_payload_len`]), so the writer emits
+//! `tag, len`, lets the encoder write the payload through a
+//! [`Checksummed`] adapter and appends the sum — no payload buffer
+//! exists. The reader hands a decoder the payload as a length-limited,
+//! checksumming [`Read`] ([`SectionBody`]) and the decoder fills the
+//! in-memory arrays from it; the stored sum is compared once the payload
+//! has passed, before the decoded value is handed on, so a file that
+//! fails its checksum never yields a graph. What is resident is the
+//! 64 KiB file buffer and the value being built, never the file or a
+//! section of it.
+//!
 //! Compatibility rules: an unknown *tag* is skipped (a newer writer can
 //! add sections without breaking older readers), an unknown *version* is
 //! rejected (the section payloads themselves may have changed shape).
 //! Every decode error — bad magic, truncation, checksum mismatch, a
 //! structurally invalid payload — surfaces as `io::ErrorKind::InvalidData`
 //! (or `UnexpectedEof`), never as a panic: snapshot files cross process
-//! boundaries and must be treated as untrusted input.
+//! boundaries and must be treated as untrusted input. Length first: the
+//! reader knows how many bytes the file holds, a section may not declare
+//! more than remain, and a count inside a payload may not declare more
+//! than its section has left — each is checked before anything is
+//! allocated for it.
 //!
 //! This module owns the container plus the `GRPH`/`EPOC` payload codecs;
 //! `ceg-catalog::io` adds the `MRKV` codec and the combined
 //! graph+catalog+epoch snapshot used by the service.
 
+use std::hash::Hasher;
 use std::io::{self, Read, Write};
+use std::path::Path;
 
 use crate::csr::Csr;
+use crate::hash::FxHasher;
+use crate::vfs::Storage;
 use crate::{LabeledGraph, VertexId};
 
 /// File magic: identifies a `.cegsnap` container.
 pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 
 /// Current container format version. Version 2 changed the `GRPH`
-/// payload to the sparse row layout of [`encode_graph`]; there is no
+/// payload to the sparse row layout of [`write_graph`]; there is no
 /// reader for version 1 (re-bootstrap from the `.edges` file).
 pub const FORMAT_VERSION: u32 = 2;
 
@@ -50,19 +70,118 @@ pub const TAG_MARKOV: [u8; 4] = *b"MRKV";
 /// Section tag: the dataset epoch (a bare `u64`).
 pub const TAG_EPOCH: [u8; 4] = *b"EPOC";
 
+/// Bytes before the first section: magic and version.
+const HEADER: u64 = 8 + 4;
+
+/// Bytes framing a section's payload: tag, length, checksum.
+const SECTION_FRAME: u64 = 4 + 8 + 8;
+
 /// Section checksum: the workspace's word-at-a-time FxHash over the
 /// payload, seeded with the payload length so a truncated-but-zero tail
 /// cannot collide. Cheap (≈8 bytes/multiply, an order of magnitude
 /// faster than byte-serial FNV — it sits on the restore hot path) and
 /// sufficient to catch the accidental corruption (truncation, bit rot,
 /// partial writes) snapshots are exposed to. Not a cryptographic
-/// integrity check.
+/// integrity check. This is the definition over a whole payload;
+/// [`RunningChecksum`] is what the snapshot paths compute.
 pub fn section_checksum(bytes: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::hash::FxHasher::default();
+    let mut h = FxHasher::default();
     h.write_u64(bytes.len() as u64);
     h.write(bytes);
     h.finish()
+}
+
+/// [`section_checksum`] of a payload that arrives in pieces. The hash
+/// folds little-endian 8-byte words, so the bytes since the last word
+/// boundary are carried between calls: the sum depends on the payload,
+/// not on how it was cut into writes or reads.
+#[derive(Clone, Copy)]
+pub struct RunningChecksum {
+    hash: FxHasher,
+    /// The `fed % 8` bytes since the last word boundary, little-endian
+    /// in the low bytes; the high bytes are zero — the padding the
+    /// payload's last word gets.
+    partial: u64,
+    /// Payload bytes folded in so far.
+    fed: u64,
+}
+
+impl RunningChecksum {
+    /// The checksum of a payload of `len` bytes, none of them seen yet.
+    pub fn new(len: u64) -> Self {
+        let mut hash = FxHasher::default();
+        hash.write_u64(len);
+        RunningChecksum {
+            hash,
+            partial: 0,
+            fed: 0,
+        }
+    }
+
+    fn push_byte(&mut self, b: u8) {
+        self.partial |= u64::from(b) << (8 * (self.fed % 8));
+        self.fed += 1;
+        if self.fed.is_multiple_of(8) {
+            self.hash.write_u64(self.partial);
+            self.partial = 0;
+        }
+    }
+
+    /// Fold in the next bytes of the payload.
+    pub fn update(&mut self, bytes: &[u8]) {
+        // Up to 7 bytes complete the word in progress, whole words
+        // follow, up to 7 bytes start the next one.
+        let to_boundary = (8 - self.fed % 8) % 8;
+        let (head, rest) = bytes.split_at(bytes.len().min(to_boundary as usize));
+        head.iter().for_each(|&b| self.push_byte(b));
+        let (words, tail) = rest.as_chunks::<8>();
+        for w in words {
+            self.hash.write_u64(u64::from_le_bytes(*w));
+        }
+        self.fed += 8 * words.len() as u64;
+        tail.iter().for_each(|&b| self.push_byte(b));
+    }
+
+    /// Payload bytes folded in so far.
+    pub fn fed(&self) -> u64 {
+        self.fed
+    }
+
+    /// The checksum of the bytes folded in so far.
+    pub fn finish(&self) -> u64 {
+        let mut hash = self.hash;
+        if !self.fed.is_multiple_of(8) {
+            hash.write_u64(self.partial);
+        }
+        hash.finish()
+    }
+}
+
+/// The payload side of one section: a [`Write`] or [`Read`] that folds
+/// every byte passing through it into the section's [`RunningChecksum`].
+pub struct Checksummed<'a, T> {
+    inner: &'a mut T,
+    sum: RunningChecksum,
+}
+
+impl<T: Write> Write for Checksummed<'_, T> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sum.update(buf.get(..n).unwrap_or(buf));
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<T: Read> Read for Checksummed<'_, T> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.sum.update(buf.get(..n).unwrap_or(buf));
+        Ok(n)
+    }
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -126,7 +245,8 @@ pub fn atomic_write_with(
     result
 }
 
-/// Bytes [`atomic_write_with`] gathers before each write to the file.
+/// Bytes [`atomic_write_with`] gathers before each write to the file,
+/// and [`read_sections`] fetches with each read from it.
 const WRITE_BUFFER: usize = 64 * 1024;
 
 /// [`io::Write`] over a storage handle, which only appends whole buffers.
@@ -179,15 +299,37 @@ impl<W: Write> SnapshotWriter<W> {
         Ok(SnapshotWriter { inner })
     }
 
-    /// Append one checksummed section.
-    pub fn write_section(&mut self, tag: [u8; 4], payload: &[u8]) -> io::Result<()> {
+    /// Append one checksummed section whose payload is the `len` bytes
+    /// `fill` writes. The length goes out before the payload, so it must
+    /// be exact: a `fill` that writes more or fewer bytes is an error
+    /// (and, under [`atomic_write`], no file).
+    pub fn section(
+        &mut self,
+        tag: [u8; 4],
+        len: u64,
+        fill: impl FnOnce(&mut Checksummed<'_, W>) -> io::Result<()>,
+    ) -> io::Result<()> {
         self.inner.write_all(&tag)?;
-        self.inner
-            .write_all(&(payload.len() as u64).to_le_bytes())?;
-        self.inner.write_all(payload)?;
-        self.inner
-            .write_all(&section_checksum(payload).to_le_bytes())?;
-        Ok(())
+        self.inner.write_all(&len.to_le_bytes())?;
+        let mut body = Checksummed {
+            inner: &mut self.inner,
+            sum: RunningChecksum::new(len),
+        };
+        fill(&mut body)?;
+        let sum = body.sum;
+        if sum.fed() != len {
+            return Err(bad(format!(
+                "snapshot section {} declared {len} bytes, {} were written",
+                String::from_utf8_lossy(&tag),
+                sum.fed()
+            )));
+        }
+        self.inner.write_all(&sum.finish().to_le_bytes())
+    }
+
+    /// [`SnapshotWriter::section`] for a payload already in memory.
+    pub fn write_section(&mut self, tag: [u8; 4], payload: &[u8]) -> io::Result<()> {
+        self.section(tag, payload.len() as u64, |body| body.write_all(payload))
     }
 
     /// Flush and hand back the underlying writer.
@@ -197,17 +339,23 @@ impl<W: Write> SnapshotWriter<W> {
     }
 }
 
+/// What a section decoder reads: the section's payload and no byte
+/// more, every byte folded into the section's checksum on its way.
+pub type SectionBody<'a, R> = PayloadReader<Checksummed<'a, R>>;
+
 /// Reads the container header, then sections one at a time.
 #[derive(Debug)]
 pub struct SnapshotReader<R: Read> {
     inner: R,
+    /// Bytes of the source after the last section read.
+    left: u64,
 }
 
 impl<R: Read> SnapshotReader<R> {
-    /// Check the magic + version header. A version this build does not
-    /// know is an error (payload layouts may differ), not a best-effort
-    /// read.
-    pub fn new(mut inner: R) -> io::Result<Self> {
+    /// Check the magic + version header of a source holding `len` bytes.
+    /// A version this build does not know is an error (payload layouts
+    /// may differ), not a best-effort read.
+    pub fn new(mut inner: R, len: u64) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         inner
             .read_exact(&mut magic)
@@ -225,98 +373,130 @@ impl<R: Read> SnapshotReader<R> {
                 "snapshot format version {version} is not supported (this build reads {FORMAT_VERSION})"
             )));
         }
-        Ok(SnapshotReader { inner })
+        Ok(SnapshotReader {
+            inner,
+            left: len.saturating_sub(HEADER),
+        })
     }
 
-    /// Read the next section, verifying its checksum. `Ok(None)` at a
-    /// clean end of file; truncation anywhere inside a section is an
-    /// error. The payload buffer grows with the bytes actually present,
-    /// so a corrupt length field cannot force a giant allocation.
-    pub fn next_section(&mut self) -> io::Result<Option<([u8; 4], Vec<u8>)>> {
-        let mut tag = [0u8; 4];
-        match self.inner.read(&mut tag)? {
-            0 => return Ok(None),
-            4 => {}
-            n => {
-                // A short first read may still be a valid tag split across
-                // reads; finish it, treating EOF as truncation.
-                self.inner
-                    .read_exact(&mut tag[n..])
-                    .map_err(|_| bad("truncated snapshot: partial section tag"))?;
-            }
+    /// Hand the next section's tag and payload to `decode` and return
+    /// what it built, once the payload has passed its checksum;
+    /// `Ok(None)` at a clean end of file. Whatever `decode` leaves
+    /// unread is skipped (that is how an unknown tag is passed over),
+    /// still under the checksum. The declared length is checked against
+    /// the bytes the source holds before `decode` runs, so no length
+    /// `decode` reads from the body can exceed the file; truncation
+    /// anywhere inside a section is an error.
+    pub fn next_section<T>(
+        &mut self,
+        decode: impl FnOnce([u8; 4], &mut SectionBody<'_, R>) -> io::Result<T>,
+    ) -> io::Result<Option<T>> {
+        if self.left == 0 {
+            return Ok(None);
         }
+        let room = self
+            .left
+            .checked_sub(SECTION_FRAME)
+            .ok_or_else(|| bad("truncated snapshot: partial section header"))?;
+        let mut tag = [0u8; 4];
+        self.inner.read_exact(&mut tag)?;
         let mut len = [0u8; 8];
-        self.inner
-            .read_exact(&mut len)
-            .map_err(|_| bad("truncated snapshot: missing section length"))?;
+        self.inner.read_exact(&mut len)?;
         let len = u64::from_le_bytes(len);
-        let mut payload = Vec::new();
-        let got = (&mut self.inner).take(len).read_to_end(&mut payload)?;
-        if got as u64 != len {
+        let name = String::from_utf8_lossy(&tag);
+        if len > room {
             return Err(bad(format!(
-                "truncated snapshot: section {} claims {len} bytes, file holds {got}",
-                String::from_utf8_lossy(&tag)
+                "truncated snapshot: section {name} claims {len} bytes, file holds {room}"
             )));
+        }
+        let mut body = PayloadReader {
+            inner: Checksummed {
+                inner: &mut self.inner,
+                sum: RunningChecksum::new(len),
+            }
+            .take(len),
+        };
+        let value = decode(tag, &mut body)?;
+        io::copy(&mut body, &mut io::sink())?;
+        let sum = body.inner.into_inner().sum;
+        if sum.fed() != len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!(
+                    "truncated snapshot: section {name} ends after {} of {len} bytes",
+                    sum.fed()
+                ),
+            ));
         }
         let mut checksum = [0u8; 8];
-        self.inner
-            .read_exact(&mut checksum)
-            .map_err(|_| bad("truncated snapshot: missing section checksum"))?;
-        if u64::from_le_bytes(checksum) != section_checksum(&payload) {
-            return Err(bad(format!(
-                "snapshot section {} failed its checksum",
-                String::from_utf8_lossy(&tag)
-            )));
+        self.inner.read_exact(&mut checksum)?;
+        if u64::from_le_bytes(checksum) != sum.finish() {
+            return Err(bad(format!("snapshot section {name} failed its checksum")));
         }
-        Ok(Some((tag, payload)))
+        self.left = room - len;
+        Ok(Some(value))
     }
 }
 
-/// Little-endian cursor over a section payload. Every read is
-/// bounds-checked against the bytes actually present, so decoding a
-/// corrupt payload errors instead of panicking or over-allocating.
-pub struct PayloadReader<'a> {
-    /// The bytes not yet consumed.
-    buf: &'a [u8],
+/// Little-endian cursor over a payload: a section's, streamed from the
+/// file ([`SectionBody`]), or a WAL record's, in memory. Every read is
+/// checked against the bytes the payload has left, so decoding a corrupt
+/// payload errors instead of panicking or over-allocating.
+pub struct PayloadReader<R> {
+    /// The payload bytes not yet consumed, and no byte past them.
+    inner: io::Take<R>,
 }
 
-impl<'a> PayloadReader<'a> {
+impl<'a> PayloadReader<&'a [u8]> {
+    /// A cursor over a payload already in memory.
     pub fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf }
+        PayloadReader {
+            inner: buf.take(buf.len() as u64),
+        }
     }
+}
 
+impl<R: Read> Read for PayloadReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl<R: Read> PayloadReader<R> {
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
+    pub fn remaining(&self) -> u64 {
+        self.inner.limit()
     }
 
     /// True once every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
-        self.buf.is_empty()
+        self.remaining() == 0
     }
 
-    fn truncated(&self, n: usize, what: &str) -> io::Error {
-        bad(format!(
-            "truncated payload: {what} needs {n} bytes, {} remain",
-            self.buf.len()
-        ))
+    /// How many `width`-byte entries the unread bytes can hold: the
+    /// ceiling for any count read from the payload.
+    pub fn room_for(&self, width: u64) -> usize {
+        usize::try_from(self.remaining() / width).unwrap_or(usize::MAX)
     }
 
-    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        let Some((head, rest)) = self.buf.split_at_checked(n) else {
-            return Err(self.truncated(n, what));
-        };
-        self.buf = rest;
-        Ok(head)
+    /// The next `n` bytes must exist before anything is read (or
+    /// allocated) for them.
+    fn ensure(&self, n: u64, what: &str) -> io::Result<()> {
+        if n > self.remaining() {
+            return Err(bad(format!(
+                "truncated payload: {what} needs {n} bytes, {} remain",
+                self.remaining()
+            )));
+        }
+        Ok(())
     }
 
     /// The one fixed-width read every integer below decodes from.
     fn take_array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
-        let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
-            return Err(self.truncated(N, what));
-        };
-        self.buf = rest;
-        Ok(*head)
+        self.ensure(N as u64, what)?;
+        let mut bytes = [0u8; N];
+        self.inner.read_exact(&mut bytes)?;
+        Ok(bytes)
     }
 
     pub fn u8(&mut self, what: &str) -> io::Result<u8> {
@@ -344,35 +524,71 @@ impl<'a> PayloadReader<'a> {
         Ok(n as usize)
     }
 
-    /// Read `n` little-endian `u32`s. `n` is multiplied with overflow
-    /// checking — a hostile count cannot wrap into a short read (or a
-    /// debug-build panic).
+    /// Read `n` little-endian `u32`s into one exact allocation. `n` is
+    /// multiplied with overflow checking and held against the bytes that
+    /// remain first — a hostile count cannot wrap into a short read (or a
+    /// debug-build panic), nor reserve memory the payload cannot fill.
     pub fn u32_array(&mut self, n: usize, what: &str) -> io::Result<Vec<u32>> {
-        let bytes = n
+        let bytes = (n as u64)
             .checked_mul(4)
             .ok_or_else(|| bad(format!("{what}: element count {n} overflows")))?;
-        let (words, _) = self.take(bytes, what)?.as_chunks::<4>();
-        Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
+        self.ensure(bytes, what)?;
+        let mut out = Vec::with_capacity(n);
+        let mut chunk = [0u8; ARRAY_CHUNK];
+        while out.len() < n {
+            let (chunk, _) = chunk.split_at_mut(ARRAY_CHUNK.min(4 * (n - out.len())));
+            self.inner.read_exact(chunk)?;
+            let (words, _) = chunk.as_chunks::<4>();
+            out.extend(words.iter().map(|&w| u32::from_le_bytes(w)));
+        }
+        Ok(out)
     }
 }
 
-/// Append little-endian integers to a payload buffer.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Bytes of a `u32` array converted per read or write: the arrays go
+/// between their in-memory and little-endian forms through a stack
+/// buffer of this size, never through a second array.
+const ARRAY_CHUNK: usize = 4096;
+
+/// Write `values` as little-endian `u32`s.
+fn write_u32s(out: &mut impl Write, values: impl IntoIterator<Item = u32>) -> io::Result<()> {
+    let mut values = values.into_iter();
+    let mut chunk = [0u8; ARRAY_CHUNK];
+    loop {
+        let mut filled = 0;
+        // The slots lead the zip: a full chunk ends it without taking a
+        // value that has no slot.
+        for (slot, v) in chunk.as_chunks_mut::<4>().0.iter_mut().zip(&mut values) {
+            *slot = v.to_le_bytes();
+            filled += 4;
+        }
+        if filled == 0 {
+            return Ok(());
+        }
+        out.write_all(chunk.split_at(filled).0)?;
+    }
 }
 
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// What one direction of one relation writes, after its two counts.
+fn csr_words(csr: &Csr) -> usize {
+    2 * csr.num_active() + 1 + csr.num_edges()
 }
 
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Exact length in bytes of the `GRPH` payload [`write_graph`] writes
+/// for `graph`.
+pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
+    16 + graph
+        .csr_pairs()
+        .flat_map(|(fwd, bwd)| [fwd, bwd])
+        .map(|csr| 16 + 4 * csr_words(csr) as u64)
+        .sum::<u64>()
 }
 
-/// Encode a graph as a `GRPH` payload: per relation and direction, the
+/// Write a graph as a `GRPH` payload: per relation and direction, the
 /// ids of the active rows, their offsets and the targets — what
 /// [`Csr`] holds, with the row directory spelled out as ids so the file
-/// costs the edges and rows, never the vertex domain.
+/// costs the edges and rows, never the vertex domain. The arrays are
+/// read in place; nothing the size of the graph is built.
 ///
 /// ```text
 /// u64 num_vertices, u64 num_labels
@@ -380,67 +596,81 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// CSR: u64 num_rows, u64 num_targets,
 ///      rows u32*num_rows, offsets u32*(num_rows+1), targets u32*num_targets
 /// ```
-pub fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
-    // The length is known up front: the one allocation is exact, where
-    // growing by doubling would hold up to three times the payload.
-    let len = 16
-        + graph
-            .csr_pairs()
-            .flat_map(|(fwd, bwd)| [fwd, bwd])
-            .map(|csr| 16 + 4 * (2 * csr.num_active() + 1 + csr.num_edges()))
-            .sum::<usize>();
-    let mut buf = Vec::with_capacity(len);
-    put_u64(&mut buf, graph.num_vertices() as u64);
-    put_u64(&mut buf, graph.num_labels() as u64);
+pub fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
+    out.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
+    out.write_all(&(graph.num_labels() as u64).to_le_bytes())?;
     for (fwd, bwd) in graph.csr_pairs() {
         for csr in [fwd, bwd] {
             let (offsets, targets) = csr.raw_parts();
             // A relation without edges keeps no offsets in memory; on
             // disk it has the one entry of any other row-less array.
             let offsets: &[u32] = if offsets.is_empty() { &[0] } else { offsets };
-            put_u64(&mut buf, csr.num_active() as u64);
-            put_u64(&mut buf, targets.len() as u64);
-            for v in csr.active_vertices() {
-                put_u32(&mut buf, v);
-            }
-            for &o in offsets {
-                put_u32(&mut buf, o);
-            }
-            for &t in targets {
-                put_u32(&mut buf, t);
-            }
+            out.write_all(&(csr.num_active() as u64).to_le_bytes())?;
+            out.write_all(&(targets.len() as u64).to_le_bytes())?;
+            write_u32s(out, csr.active_vertices())?;
+            write_u32s(out, offsets.iter().copied())?;
+            write_u32s(out, targets.iter().copied())?;
         }
     }
-    debug_assert_eq!(buf.len(), len);
-    buf
+    Ok(())
+}
+
+/// Append the `EPOC` and `GRPH` sections of a snapshot — the part of the
+/// file the graph-only and the full service snapshot share.
+pub fn write_graph_sections<W: Write>(
+    w: &mut SnapshotWriter<W>,
+    graph: &LabeledGraph,
+    epoch: u64,
+) -> io::Result<()> {
+    w.write_section(TAG_EPOCH, &epoch.to_le_bytes())?;
+    w.section(TAG_GRAPH, graph_payload_len(graph), |body| {
+        write_graph(graph, body)
+    })
 }
 
 /// Largest label count a `GRPH` payload may declare (`LabelId` is `u16`).
 const MAX_LABELS: usize = u16::MAX as usize + 1;
 
-/// Decode a `GRPH` payload, validating every structural invariant
-/// (bounded domain and counts, strictly increasing in-domain row ids, no
-/// empty row, offsets ending at the target count, sorted rows, in-range
-/// targets, exact transpose) so a corrupt or hostile snapshot is
-/// rejected with an error.
-pub fn decode_graph(payload: &[u8]) -> io::Result<LabeledGraph> {
-    let mut r = PayloadReader::new(payload);
+/// One direction of one relation, as the file lists it.
+struct CsrArrays {
+    rows: Vec<VertexId>,
+    offsets: Vec<u32>,
+    targets: Vec<VertexId>,
+}
+
+/// A `GRPH` payload read into the arrays the graph will keep, not yet
+/// checked and not yet trusted: [`decode_graph`] makes it from bytes that
+/// have not passed their checksum, [`GraphArrays::into_graph`] turns it
+/// into a graph once they have.
+pub struct GraphArrays {
+    num_vertices: usize,
+    /// Per label, the forward and the backward direction.
+    relations: Vec<[CsrArrays; 2]>,
+}
+
+/// Read a `GRPH` payload. Every count is bounded by the bytes the
+/// payload has left before anything is allocated for it (and the row
+/// count by the domain as well), so what this allocates the payload
+/// fills: a hostile count fails here, it never reaches an allocation or
+/// an overflowing multiply. Nothing sized by a *value* is built — that
+/// is [`GraphArrays::into_graph`], after the checksum.
+pub fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays> {
     let num_vertices = r.count("num_vertices", VertexId::MAX as usize + 1)?;
     let num_labels = r.count("num_labels", MAX_LABELS)?;
-    let mut pairs = Vec::with_capacity(num_labels);
+    // Two directions of two counts and one offset: a label costs 40 bytes.
+    let mut relations = Vec::with_capacity(num_labels.min(r.room_for(40)));
     for label in 0..num_labels {
-        let fwd = decode_csr(&mut r, num_vertices, &format!("label {label} forward CSR"))?;
-        let bwd = decode_csr(&mut r, num_vertices, &format!("label {label} backward CSR"))?;
-        // The backward index must be exactly the transpose of the
-        // forward one. Without this, an internally inconsistent (but
-        // checksum-valid) file would load and silently answer wrong
-        // counts whenever an estimator walks the backward direction.
-        if !is_transpose(&fwd, &bwd) {
-            return Err(bad(format!(
-                "label {label}: backward index is not the transpose of the forward index"
-            )));
-        }
-        pairs.push((fwd, bwd));
+        let mut read = |dir: &str| {
+            let what = format!("label {label} {dir} CSR");
+            let num_rows = r.count(&what, num_vertices.min(r.room_for(4)))?;
+            let num_targets = r.count(&what, r.room_for(4))?;
+            io::Result::Ok(CsrArrays {
+                rows: r.u32_array(num_rows, &what)?,
+                offsets: r.u32_array(num_rows + 1, &what)?,
+                targets: r.u32_array(num_targets, &what)?,
+            })
+        };
+        relations.push([read("forward")?, read("backward")?]);
     }
     if !r.is_exhausted() {
         return Err(bad(format!(
@@ -448,24 +678,49 @@ pub fn decode_graph(payload: &[u8]) -> io::Result<LabeledGraph> {
             r.remaining()
         )));
     }
-    Ok(LabeledGraph::from_csr_pairs(num_vertices, pairs))
+    Ok(GraphArrays {
+        num_vertices,
+        relations,
+    })
 }
 
-/// Decode one direction of one relation. Both declared counts are
-/// bounded by the bytes actually remaining (4 per entry) and the row
-/// count by the domain as well — a hostile count fails here, it never
-/// reaches an allocation or an overflowing multiply.
-fn decode_csr(r: &mut PayloadReader<'_>, num_vertices: usize, what: &str) -> io::Result<Csr> {
-    let num_rows = r.count(what, num_vertices.min(r.remaining() / 4))?;
-    let num_targets = r.count(what, r.remaining() / 4)?;
-    let rows = r.u32_array(num_rows, what)?;
-    let offsets = r.u32_array(num_rows + 1, what)?;
-    let targets = r.u32_array(num_targets, what)?;
-    if targets.iter().any(|&t| t as usize >= num_vertices) {
-        return Err(bad(format!("{what}: target vertex out of range")));
+impl GraphArrays {
+    /// Validate every structural invariant (strictly increasing
+    /// in-domain row ids, no empty row, offsets ending at the target
+    /// count, sorted rows, in-range targets, exact transpose) and build
+    /// the row directories, relation by relation; the offsets and targets
+    /// move into the graph, they are not copied. A corrupt or hostile
+    /// snapshot is rejected with an error. Call this once the payload has
+    /// passed its checksum: the directory is a bit per vertex of the
+    /// declared domain — the one allocation sized by a value in the file
+    /// instead of by the file's length — and must not be made for a
+    /// domain bit rot invented.
+    pub fn into_graph(self) -> io::Result<LabeledGraph> {
+        let num_vertices = self.num_vertices;
+        let mut pairs = Vec::with_capacity(self.relations.len());
+        for (label, [fwd, bwd]) in self.relations.into_iter().enumerate() {
+            let build = |arrays: CsrArrays, dir: &str| {
+                let what = format!("label {label} {dir} CSR");
+                if arrays.targets.iter().any(|&t| t as usize >= num_vertices) {
+                    return Err(bad(format!("{what}: target vertex out of range")));
+                }
+                Csr::from_raw_parts(num_vertices, &arrays.rows, arrays.offsets, arrays.targets)
+                    .map_err(|e| bad(format!("{what}: {e}")))
+            };
+            let (fwd, bwd) = (build(fwd, "forward")?, build(bwd, "backward")?);
+            // The backward index must be exactly the transpose of the
+            // forward one. Without this, an internally inconsistent (but
+            // checksum-valid) file would load and silently answer wrong
+            // counts whenever an estimator walks the backward direction.
+            if !is_transpose(&fwd, &bwd) {
+                return Err(bad(format!(
+                    "label {label}: backward index is not the transpose of the forward index"
+                )));
+            }
+            pairs.push((fwd, bwd));
+        }
+        Ok(LabeledGraph::from_csr_pairs(num_vertices, pairs))
     }
-    Csr::from_raw_parts(num_vertices, &rows, &offsets, &targets)
-        .map_err(|e| bad(format!("{what}: {e}")))
 }
 
 /// Exact transpose check in O(E): the forward edges arrive in `(src,
@@ -497,14 +752,8 @@ fn is_transpose(fwd: &Csr, bwd: &Csr) -> bool {
     true
 }
 
-/// Encode an `EPOC` payload.
-pub fn encode_epoch(epoch: u64) -> Vec<u8> {
-    epoch.to_le_bytes().to_vec()
-}
-
 /// Decode an `EPOC` payload.
-pub fn decode_epoch(payload: &[u8]) -> io::Result<u64> {
-    let mut r = PayloadReader::new(payload);
+pub fn decode_epoch<R: Read>(r: &mut PayloadReader<R>) -> io::Result<u64> {
     let epoch = r.u64("epoch")?;
     if !r.is_exhausted() {
         return Err(bad("epoch payload has trailing bytes"));
@@ -512,10 +761,99 @@ pub fn decode_epoch(payload: &[u8]) -> io::Result<u64> {
     Ok(epoch)
 }
 
+/// The source [`read_sections`] decodes from: a file of a
+/// [`Storage`], behind the one read buffer.
+pub type SnapshotFile = io::BufReader<Box<dyn Read + Send>>;
+
+/// Read a `.cegsnap` through `storage`, section by section: the graph
+/// and the epoch, which every snapshot must hold, and what `markov`
+/// makes of the `MRKV` section if there is one — a `markov` that reads
+/// nothing skips it, like the sections of unknown tag. The file is
+/// streamed; what this holds beside its results is the read buffer.
+pub fn read_sections<M>(
+    storage: &dyn Storage,
+    path: &Path,
+    mut markov: impl FnMut(&mut SectionBody<'_, SnapshotFile>) -> io::Result<M>,
+) -> io::Result<(LabeledGraph, u64, Option<M>)> {
+    let (file, len) = storage.open(path)?;
+    let mut r = SnapshotReader::new(io::BufReader::with_capacity(WRITE_BUFFER, file), len)?;
+    let (mut arrays, mut graph, mut epoch, mut catalog) = (None, None, None, None);
+    while r
+        .next_section(|tag, body| {
+            match tag {
+                TAG_GRAPH => arrays = Some(decode_graph(body)?),
+                TAG_EPOCH => epoch = Some(decode_epoch(body)?),
+                TAG_MARKOV => catalog = Some(markov(body)?),
+                _ => {} // unknown section: skip (forward compatibility)
+            }
+            Ok(())
+        })?
+        .is_some()
+    {
+        // The section has passed its checksum: its arrays may be believed.
+        if let Some(arrays) = arrays.take() {
+            graph = Some(arrays.into_graph()?);
+        }
+    }
+    let graph = graph.ok_or_else(|| bad("snapshot has no graph section"))?;
+    let epoch = epoch.ok_or_else(|| bad("snapshot has no epoch section"))?;
+    Ok((graph, epoch, catalog))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{GraphBuilder, GraphDelta};
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// The `GRPH` payload built whole, in memory, field by field as the
+    /// format lists them: the oracle [`write_graph`] is held to.
+    fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, graph.num_vertices() as u64);
+        put_u64(&mut buf, graph.num_labels() as u64);
+        for (fwd, bwd) in graph.csr_pairs() {
+            for csr in [fwd, bwd] {
+                let (offsets, targets) = csr.raw_parts();
+                let offsets: &[u32] = if offsets.is_empty() { &[0] } else { offsets };
+                put_u64(&mut buf, csr.num_active() as u64);
+                put_u64(&mut buf, targets.len() as u64);
+                for v in csr.active_vertices() {
+                    put_u32(&mut buf, v);
+                }
+                for &x in offsets.iter().chain(targets) {
+                    put_u32(&mut buf, x);
+                }
+            }
+        }
+        buf
+    }
+
+    fn decode(payload: &[u8]) -> io::Result<LabeledGraph> {
+        decode_graph(&mut PayloadReader::new(payload))?.into_graph()
+    }
+
+    fn reader(file: &[u8]) -> io::Result<SnapshotReader<&[u8]>> {
+        SnapshotReader::new(file, file.len() as u64)
+    }
+
+    /// The next section as its tag and its whole payload.
+    fn next_raw<R: Read>(r: &mut SnapshotReader<R>) -> io::Result<Option<([u8; 4], Vec<u8>)>> {
+        r.next_section(|tag, body| {
+            let mut payload = Vec::new();
+            body.read_to_end(&mut payload)?;
+            Ok((tag, payload))
+        })
+    }
 
     fn sample() -> LabeledGraph {
         let mut b = GraphBuilder::new(5);
@@ -536,7 +874,7 @@ mod tests {
     #[test]
     fn graph_payload_roundtrips() {
         let g = sample();
-        let g2 = decode_graph(&encode_graph(&g)).unwrap();
+        let g2 = decode(&encode_graph(&g)).unwrap();
         assert!(graphs_equal(&g, &g2));
         // The decoded CSRs carry correct cached aggregates.
         assert_eq!(g2.max_out_degree(0), g.max_out_degree(0));
@@ -554,7 +892,7 @@ mod tests {
         d.add_edge(6, 1, 0);
         let r = g.rebase(&d);
         assert_eq!(r.num_vertices(), 7);
-        let r2 = decode_graph(&encode_graph(&r)).unwrap();
+        let r2 = decode(&encode_graph(&r)).unwrap();
         assert!(graphs_equal(&r, &r2));
         assert_eq!(r2.out_neighbors(6, 0), &[1]);
         assert_eq!(r2.out_neighbors(2, 1), &[3]);
@@ -570,7 +908,7 @@ mod tests {
         let r = g.rebase(&d);
         assert_eq!(r.num_labels(), 5);
         assert_eq!(r.label_count(3), 0);
-        let r2 = decode_graph(&encode_graph(&r)).unwrap();
+        let r2 = decode(&encode_graph(&r)).unwrap();
         assert!(graphs_equal(&r, &r2));
         assert_eq!(r2.label_count(3), 0);
         assert!(r2.has_edge(0, 1, 4));
@@ -579,7 +917,7 @@ mod tests {
     #[test]
     fn empty_graph_roundtrips() {
         let g = GraphBuilder::new(0).build();
-        let g2 = decode_graph(&encode_graph(&g)).unwrap();
+        let g2 = decode(&encode_graph(&g)).unwrap();
         assert_eq!(g2.num_vertices(), 0);
         assert_eq!(g2.num_labels(), 0);
         assert_eq!(g2.num_edges(), 0);
@@ -590,26 +928,33 @@ mod tests {
         let mut file = Vec::new();
         let mut w = SnapshotWriter::new(&mut file).unwrap();
         w.write_section(*b"XTRA", b"future section").unwrap();
-        w.write_section(TAG_EPOCH, &encode_epoch(42)).unwrap();
+        w.write_section(TAG_EPOCH, &42u64.to_le_bytes()).unwrap();
         w.finish().unwrap();
 
-        let mut r = SnapshotReader::new(&file[..]).unwrap();
-        let (tag, payload) = r.next_section().unwrap().unwrap();
+        let mut r = reader(&file).unwrap();
+        let (tag, payload) = next_raw(&mut r).unwrap().unwrap();
         assert_eq!(tag, *b"XTRA");
         assert_eq!(payload, b"future section");
-        let (tag, payload) = r.next_section().unwrap().unwrap();
-        assert_eq!(tag, TAG_EPOCH);
-        assert_eq!(decode_epoch(&payload).unwrap(), 42);
-        assert!(r.next_section().unwrap().is_none());
+        // A decoder that reads nothing skips the section, checksum and all.
+        let mut r = reader(&file).unwrap();
+        assert_eq!(r.next_section(|tag, _| Ok(tag)).unwrap(), Some(*b"XTRA"));
+        let epoch = r
+            .next_section(|tag, body| {
+                assert_eq!(tag, TAG_EPOCH);
+                decode_epoch(body)
+            })
+            .unwrap();
+        assert_eq!(epoch, Some(42));
+        assert!(next_raw(&mut r).unwrap().is_none());
     }
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        assert!(SnapshotReader::new(&b"NOTSNAPX\x01\0\0\0"[..]).is_err());
-        assert!(SnapshotReader::new(&b"CEG"[..]).is_err());
+        assert!(reader(b"NOTSNAPX\x01\0\0\0").is_err());
+        assert!(reader(b"CEG").is_err());
         let mut file = Vec::from(MAGIC);
         file.extend_from_slice(&99u32.to_le_bytes());
-        let err = SnapshotReader::new(&file[..]).unwrap_err();
+        let err = reader(&file).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
     }
 
@@ -617,20 +962,20 @@ mod tests {
     fn every_truncation_of_a_section_file_errors() {
         let mut file = Vec::new();
         let mut w = SnapshotWriter::new(&mut file).unwrap();
-        w.write_section(TAG_EPOCH, &encode_epoch(7)).unwrap();
+        w.write_section(TAG_EPOCH, &7u64.to_le_bytes()).unwrap();
         w.finish().unwrap();
         // Cuts inside the header fail at `new`; cuts inside the section
         // fail at `next_section`. The one boundary cut (exactly the
         // 12-byte header) is a legal empty snapshot, so start past it.
         for cut in 1..12 {
             assert!(
-                SnapshotReader::new(&file[..cut]).is_err(),
+                reader(&file[..cut]).is_err(),
                 "header truncation at {cut} bytes must error"
             );
         }
         for cut in 13..file.len() {
-            let r = SnapshotReader::new(&file[..cut])
-                .and_then(|mut r| r.next_section())
+            let r = reader(&file[..cut])
+                .and_then(|mut r| next_raw(&mut r))
                 .map(|_| ());
             assert!(r.is_err(), "truncation at {cut} bytes must error");
         }
@@ -640,14 +985,11 @@ mod tests {
     fn corrupted_payload_fails_checksum() {
         let mut file = Vec::new();
         let mut w = SnapshotWriter::new(&mut file).unwrap();
-        w.write_section(TAG_EPOCH, &encode_epoch(7)).unwrap();
+        w.write_section(TAG_EPOCH, &7u64.to_le_bytes()).unwrap();
         w.finish().unwrap();
         // Flip one payload byte (header is 12 bytes, tag+len 12 more).
         file[25] ^= 0xFF;
-        let err = SnapshotReader::new(&file[..])
-            .unwrap()
-            .next_section()
-            .unwrap_err();
+        let err = next_raw(&mut reader(&file).unwrap()).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
@@ -658,10 +1000,7 @@ mod tests {
         file.extend_from_slice(b"GRPH");
         file.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd length
         file.extend_from_slice(b"tiny");
-        let err = SnapshotReader::new(&file[..])
-            .unwrap()
-            .next_section()
-            .unwrap_err();
+        let err = next_raw(&mut reader(&file).unwrap()).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
@@ -671,17 +1010,17 @@ mod tests {
         let good = encode_graph(&g);
         // Truncations at every byte boundary.
         for cut in 0..good.len() {
-            assert!(decode_graph(&good[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
         }
         // Trailing garbage.
         let mut long = good.clone();
         long.push(0);
-        assert!(decode_graph(&long).is_err());
+        assert!(decode(&long).is_err());
         // An out-of-range target vertex.
         let mut bad_target = good.clone();
         let n = bad_target.len();
         bad_target[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_graph(&bad_target).is_err());
+        assert!(decode(&bad_target).is_err());
     }
 
     /// One direction of one relation in the `GRPH` layout, field by
@@ -715,7 +1054,7 @@ mod tests {
 
     /// Decoding must fail with `InvalidData`, naming label 0 and `dir`.
     fn assert_rejected(payload: &[u8], dir: &str, because: &str) {
-        let err = decode_graph(payload).expect_err(because);
+        let err = decode(payload).expect_err(because);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{because}: {err}");
         let msg = err.to_string();
         assert!(
@@ -729,7 +1068,7 @@ mod tests {
         // The honest relation {0->1, 0->2, 3->1} over five vertices.
         let fwd = csr_bytes(2, 3, &[0, 3], &[0, 2, 3], &[1, 2, 1]);
         let bwd = csr_bytes(2, 3, &[1, 2], &[0, 2, 3], &[0, 3, 0]);
-        let g = decode_graph(&one_label_payload(5, &fwd, &bwd)).unwrap();
+        let g = decode(&one_label_payload(5, &fwd, &bwd)).unwrap();
         assert_eq!(g.out_neighbors(0, 0), &[1, 2]);
         assert_eq!(g.in_neighbors(1, 0), &[0, 3]);
 
@@ -810,7 +1149,7 @@ mod tests {
         // Forward {0->1}; the backward index repeats it instead of
         // holding {1->0}. Each CSR is valid on its own.
         let fwd = csr_bytes(1, 1, &[0], &[0, 1], &[1]);
-        assert!(decode_graph(&one_label_payload(
+        assert!(decode(&one_label_payload(
             2,
             &fwd,
             &csr_bytes(1, 1, &[1], &[0, 1], &[0])
@@ -837,7 +1176,7 @@ mod tests {
     fn version_1_header_is_refused() {
         let mut file = Vec::from(MAGIC);
         file.extend_from_slice(&1u32.to_le_bytes());
-        let err = SnapshotReader::new(&file[..]).unwrap_err();
+        let err = reader(&file).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string()
@@ -940,17 +1279,23 @@ mod tests {
     /// A file larger than the write buffer reaches storage in several
     /// writes; a crash at any of them, or at the sync, rename or
     /// directory sync after, leaves the old or the new file — never a
-    /// blend — and the sweep clears what the crash left.
+    /// blend — and the sweep clears what the crash left. Read back, the
+    /// file arrives in several reads; a failure or a crash at any of
+    /// them, or at the open, is an error — never a short payload.
     #[test]
     fn streamed_write_survives_a_crash_at_every_step() {
         use crate::vfs::{FaultPlan, FaultStorage, Storage};
         use std::path::Path;
         let path = Path::new("/data/ds.cegsnap");
         let old = b"old good snapshot".to_vec();
-        let new: Vec<u8> = (0..3 * WRITE_BUFFER + 17).map(|i| i as u8).collect();
+        let payload: Vec<u8> = (0..3 * WRITE_BUFFER + 17).map(|i| i as u8).collect();
         let write = |fs: &FaultStorage| {
             atomic_write_with(fs, path, |f| {
-                new.chunks(1000).try_for_each(|c| f.write_all(c))
+                let mut w = SnapshotWriter::new(f)?;
+                w.section(*b"BLOB", payload.len() as u64, |body| {
+                    payload.chunks(1000).try_for_each(|c| body.write_all(c))
+                })?;
+                w.finish().map(drop)
             })
         };
 
@@ -959,7 +1304,11 @@ mod tests {
         write(&fs).unwrap();
         let ops = fs.op_count();
         assert!(ops >= 7, "create, 4 writes, sync, rename, sync_dir: {ops}");
-        assert_eq!(fs.read(path).unwrap(), new);
+        let new = fs.read(path).unwrap();
+        assert_eq!(
+            new.len() as u64,
+            HEADER + SECTION_FRAME + payload.len() as u64
+        );
 
         for crash_at in 0..ops {
             for keep_unsynced in [0, 1, usize::MAX] {
@@ -982,6 +1331,136 @@ mod tests {
                 );
             }
         }
+
+        let read = |fs: &FaultStorage| {
+            let (file, len) = fs.open(path)?;
+            let file = io::BufReader::with_capacity(WRITE_BUFFER, file);
+            next_raw(&mut SnapshotReader::new(file, len)?)
+        };
+        let fs = FaultStorage::new();
+        fs.install(path, new.clone());
+        assert_eq!(read(&fs).unwrap(), Some((*b"BLOB", payload.clone())));
+        let ops = fs.op_count();
+        assert!(ops >= 5, "open, 4 reads: {ops}");
+        for at in 0..ops {
+            for plan in [
+                FaultPlan::default().fail_at(at, io::ErrorKind::Other),
+                FaultPlan::default().crash_after(at),
+            ] {
+                let fs = FaultStorage::new();
+                fs.install(path, new.clone());
+                fs.set_plan(plan);
+                assert!(read(&fs).is_err(), "failure at read op {at} went unnoticed");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fill_that_misses_its_declared_length_is_an_error_and_no_file() {
+        use crate::vfs::{FaultStorage, Storage};
+        use std::path::Path;
+        let path = Path::new("/data/ds.cegsnap");
+        for (declared, written) in [(8u64, 7usize), (8, 9), (0, 1), (1, 0)] {
+            let fs = FaultStorage::new();
+            let err = atomic_write_with(&fs, path, |f| {
+                let mut w = SnapshotWriter::new(f)?;
+                w.section(*b"BLOB", declared, |body| {
+                    body.write_all(&[7u8; 9][..written])
+                })?;
+                w.finish().map(drop)
+            })
+            .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("declared"), "{err}");
+            assert!(!fs.exists(path), "a short section left a file behind");
+            assert_eq!(fs.list(Path::new("/data")).unwrap(), Vec::<PathBuf>::new());
+        }
+    }
+
+    #[test]
+    fn streamed_graph_payload_is_the_oracle_payload() {
+        let g = sample();
+        let mut grown = GraphDelta::new();
+        grown.add_edge(6, 1, 0); // rebased: mixed domains
+        grown.add_edge(0, 1, 4); // a gap label: an empty relation
+        let graphs = [
+            g.clone(),
+            g.rebase(&grown),
+            GraphBuilder::new(0).build(),
+            GraphBuilder::with_labels(3, 2).build(),
+        ];
+        for g in &graphs {
+            let want = encode_graph(g);
+            assert_eq!(graph_payload_len(g), want.len() as u64);
+            let mut got = Vec::new();
+            write_graph(g, &mut got).unwrap();
+            assert_eq!(got, want);
+            // One byte per write: the chunking a writer sees is not the
+            // chunking the encoder chose.
+            let mut file = Vec::new();
+            let mut w = SnapshotWriter::new(&mut file).unwrap();
+            w.section(TAG_GRAPH, want.len() as u64, |body| {
+                want.iter().try_for_each(|b| body.write_all(&[*b]))
+            })
+            .unwrap();
+            let mut whole = Vec::new();
+            let mut w = SnapshotWriter::new(&mut whole).unwrap();
+            w.write_section(TAG_GRAPH, &want).unwrap();
+            assert_eq!(file, whole);
+            assert_eq!(
+                file[file.len() - 8..],
+                section_checksum(&want).to_le_bytes()
+            );
+        }
+    }
+
+    /// A payload wider than one conversion chunk, so `u32_array` and
+    /// `write_u32s` both cross a chunk boundary.
+    #[test]
+    fn arrays_longer_than_a_chunk_roundtrip() {
+        let n = (ARRAY_CHUNK / 4 * 3 + 5) as u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            b.add_edge(v, (v * 7 + 1) % n, 0);
+        }
+        let g = b.build();
+        let mut payload = Vec::new();
+        write_graph(&g, &mut payload).unwrap();
+        assert_eq!(payload, encode_graph(&g));
+        assert!(graphs_equal(&g, &decode(&payload).unwrap()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The running checksum is the checksum of the payload, however
+        /// the payload is cut: 1-byte pieces, pieces that are no multiple
+        /// of 8, cuts inside a word, empty pieces.
+        #[test]
+        fn running_checksum_ignores_how_the_payload_is_cut(
+            payload in prop::collection::vec(0u8..=255, 0..300),
+            cuts in prop::collection::vec(0usize..20, 0..60),
+        ) {
+            let want = section_checksum(&payload);
+            let mut whole = RunningChecksum::new(payload.len() as u64);
+            whole.update(&payload);
+            prop_assert_eq!(whole.finish(), want);
+
+            let mut bytewise = RunningChecksum::new(payload.len() as u64);
+            payload.iter().for_each(|b| bytewise.update(&[*b]));
+            prop_assert_eq!(bytewise.finish(), want);
+
+            let mut pieces = RunningChecksum::new(payload.len() as u64);
+            let mut rest = &payload[..];
+            for cut in cuts {
+                let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                pieces.update(piece);
+                rest = tail;
+            }
+            pieces.update(rest);
+            prop_assert_eq!(pieces.fed(), payload.len() as u64);
+            prop_assert_eq!(pieces.finish(), want);
+        }
     }
 
     #[test]
@@ -994,7 +1473,7 @@ mod tests {
         let mut skewed = good.clone();
         let n = skewed.len();
         skewed[n - 4..].copy_from_slice(&3u32.to_le_bytes());
-        let err = decode_graph(&skewed).unwrap_err();
+        let err = decode(&skewed).unwrap_err();
         assert!(err.to_string().contains("transpose"), "{err}");
     }
 

@@ -55,8 +55,15 @@ pub trait StorageFile: Send {
 /// against: open/read/write/fsync/rename plus the few namespace
 /// operations recovery needs (truncate, remove, list).
 pub trait Storage: Send + Sync {
-    /// Read a whole file.
+    /// Read a whole file (the WAL: bounded by its rotation threshold and
+    /// scanned as one buffer).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+
+    /// Open a file for reading front to back: the reader and the file's
+    /// length in bytes. Snapshots are restored through this — a file the
+    /// size of the graph is never held whole — and the length lets the
+    /// reader bound every length field it meets by the bytes that exist.
+    fn open(&self, path: &Path) -> io::Result<(Box<dyn io::Read + Send>, u64)>;
 
     /// Create (truncating) a file for writing.
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>>;
@@ -111,6 +118,12 @@ impl StorageFile for OsFile {
 impl Storage for OsStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
+    }
+
+    fn open(&self, path: &Path) -> io::Result<(Box<dyn io::Read + Send>, u64)> {
+        let f = std::fs::File::open(path)?;
+        let len = f.metadata()?.len();
+        Ok((Box::new(f), len))
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
@@ -390,6 +403,30 @@ impl StorageFile for FaultHandle {
     }
 }
 
+/// A streaming read of one file: every `read` call is an operation the
+/// fault plan can fail, so a crash sweep covers each step of a restore.
+struct FaultReader {
+    inner: Arc<OrderedMutex<FaultInner>>,
+    path: PathBuf,
+    pos: usize,
+}
+
+impl io::Read for FaultReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut inner = self.inner.lock();
+        inner.step(None)?;
+        let file = inner
+            .files
+            .get(&self.path)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fault storage: not found"))?;
+        let rest = file.bytes.get(self.pos..).unwrap_or(&[]);
+        let n = rest.len().min(buf.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
 impl Storage for FaultStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut inner = self.inner.lock();
@@ -399,6 +436,22 @@ impl Storage for FaultStorage {
             .get(path)
             .map(|f| f.bytes.clone())
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fault storage: not found"))
+    }
+
+    fn open(&self, path: &Path) -> io::Result<(Box<dyn io::Read + Send>, u64)> {
+        let mut inner = self.inner.lock();
+        inner.step(None)?;
+        let len = inner
+            .files
+            .get(path)
+            .map(|f| f.bytes.len() as u64)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fault storage: not found"))?;
+        let reader = FaultReader {
+            inner: self.inner.clone(),
+            path: path.to_path_buf(),
+            pos: 0,
+        };
+        Ok((Box::new(reader), len))
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {

@@ -175,7 +175,7 @@ fn decode_u64(payload: &[u8]) -> Option<u64> {
 fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
     let mut r = PayloadReader::new(payload);
     let count = r.u32("op count").ok()? as usize;
-    if r.remaining() != count.checked_mul(OP_BYTES)? {
+    if r.remaining() != count.checked_mul(OP_BYTES)? as u64 {
         return None;
     }
     let mut ops = Vec::with_capacity(count);

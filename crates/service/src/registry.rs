@@ -601,8 +601,11 @@ impl DatasetEntry {
 
     /// Persist the committed state — graph, Markov catalog, epoch — to a
     /// binary `.cegsnap` file. Returns `(epoch, bytes written)`. One
-    /// epoch state is pinned, its catalog cloned and its graph encoded in
-    /// place; encode + write + fsync happen with no lock held. The pending update buffer is not
+    /// epoch state is pinned and its catalog cloned; the pinned graph's
+    /// arrays and the clone's entries are then streamed to the file
+    /// through its write buffer — no copy of the graph is made, here, at
+    /// a first boot's baseline or at a WAL rotation — and write + fsync
+    /// happen with no lock held. The pending update buffer is not
     /// captured.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> io::Result<(u64, u64)> {
         self.write_snapshot_with(&OsStorage, path.as_ref())

@@ -302,7 +302,7 @@ mod tests {
         let edges = g.num_edges();
         assert!(edges > 150_000, "{edges} edges");
         let heap = g.heap_bytes();
-        let encoded = ceg_graph::snapshot::encode_graph(&g).len();
+        let encoded = ceg_graph::snapshot::graph_payload_len(&g) as usize;
         assert!(heap / edges <= 24, "{heap} heap bytes for {edges} edges");
         assert!(
             encoded / edges <= 20,

@@ -66,6 +66,9 @@ impl Workload {
             graph,
             rng: &mut rng,
             budget,
+            binding: Vec::new(),
+            labels: Vec::new(),
+            cands: Vec::new(),
         };
         match self {
             Workload::Job => {
@@ -141,6 +144,13 @@ struct InstanceGen<'a> {
     graph: &'a LabeledGraph,
     rng: &'a mut StdRng,
     budget: CountBudget,
+    /// Buffers of [`InstanceGen::sample_embedding_labels`], kept across
+    /// its up to `40 x 400 x want` tries per template: the data vertex
+    /// bound to each variable, the label matched by each template edge,
+    /// and the extensions of the edge being matched.
+    binding: Vec<VertexId>,
+    labels: Vec<LabelId>,
+    cands: Vec<(LabelId, VertexId)>,
 }
 
 impl InstanceGen<'_> {
@@ -156,16 +166,19 @@ impl InstanceGen<'_> {
         let mut made = 0;
         let mut attempts = 0;
         let max_attempts = want * 400;
+        // The unlabeled template and the order its edges are matched in
+        // are the same for every attempt.
+        let shape = build(&vec![0; num_labels]);
+        let order = edge_walk_order(&shape);
         while made < want && attempts < max_attempts {
             attempts += 1;
             // instantiate by random embedding: match the (unlabeled)
             // template one edge at a time in the data; this guarantees a
             // non-empty instance with data-driven label combinations
-            let shape = build(&vec![0; num_labels]);
-            let Some(labels) = self.sample_embedding_labels(&shape) else {
+            if !self.sample_embedding_labels(&shape, &order) {
                 continue;
-            };
-            let q = build(&labels);
+            }
+            let q = build(&self.labels);
             let Some(truth) = exact_count(self.graph, &q, self.budget) else {
                 continue; // ground truth too expensive; skip instance
             };
@@ -182,17 +195,19 @@ impl InstanceGen<'_> {
     }
 
     /// Randomly embed `shape` (ignoring its labels) into the data graph,
-    /// returning the matched edges' labels in template-edge order.
-    fn sample_embedding_labels(&mut self, shape: &QueryGraph) -> Option<Vec<LabelId>> {
+    /// matching its edges in `order`; on success `self.labels` holds the
+    /// matched edges' labels in template-edge order.
+    fn sample_embedding_labels(&mut self, shape: &QueryGraph, order: &[usize]) -> bool {
         let nl = self.graph.num_labels() as LabelId;
         if nl == 0 {
-            return None;
+            return false;
         }
         'retry: for _ in 0..40 {
-            let mut binding = vec![0 as VertexId; shape.num_vars() as usize];
+            self.binding.clear();
+            self.binding.resize(shape.num_vars() as usize, 0);
+            self.labels.clear();
+            self.labels.resize(shape.num_edges(), 0);
             let mut bound = 0u32;
-            let mut labels = vec![0 as LabelId; shape.num_edges()];
-            let order = edge_walk_order(shape);
             for (step, &ei) in order.iter().enumerate() {
                 let e = shape.edge(ei);
                 let sb = bound & (1 << e.src) != 0;
@@ -206,14 +221,14 @@ impl InstanceGen<'_> {
                             continue;
                         }
                         let k = self.rng.random_range(0..c);
-                        if let Some((s, d)) = self.graph.edges(l).nth(k) {
+                        if let Some((s, d)) = self.graph.nth_edge(l, k) {
                             if s == d && e.src != e.dst {
                                 continue;
                             }
-                            binding[e.src as usize] = s;
-                            binding[e.dst as usize] = d;
+                            self.binding[e.src as usize] = s;
+                            self.binding[e.dst as usize] = d;
                             bound |= (1 << e.src) | (1 << e.dst);
-                            labels[ei] = l;
+                            self.labels[ei] = l;
                             break;
                         }
                     }
@@ -223,56 +238,48 @@ impl InstanceGen<'_> {
                     continue;
                 }
                 // pick a random (label, neighbour) extension
-                let mut cands: Vec<(LabelId, VertexId)> = Vec::new();
+                self.cands.clear();
+                let (s, d) = (self.binding[e.src as usize], self.binding[e.dst as usize]);
                 match (sb, db) {
                     (true, true) => {
-                        let (s, d) = (binding[e.src as usize], binding[e.dst as usize]);
                         for l in 0..nl {
                             if self.graph.has_edge(s, d, l) {
-                                cands.push((l, d));
+                                self.cands.push((l, d));
                             }
                         }
-                        if cands.is_empty() {
-                            continue 'retry;
-                        }
-                        labels[ei] = cands[self.rng.random_range(0..cands.len())].0;
                     }
                     (true, false) => {
-                        let s = binding[e.src as usize];
                         for l in 0..nl {
-                            for &d in self.graph.out_neighbors(s, l) {
-                                cands.push((l, d));
-                            }
+                            let row = self.graph.out_neighbors(s, l);
+                            self.cands.extend(row.iter().map(|&d| (l, d)));
                         }
-                        if cands.is_empty() {
-                            continue 'retry;
-                        }
-                        let (l, d) = cands[self.rng.random_range(0..cands.len())];
-                        labels[ei] = l;
-                        binding[e.dst as usize] = d;
-                        bound |= 1 << e.dst;
                     }
                     (false, true) => {
-                        let d = binding[e.dst as usize];
                         for l in 0..nl {
-                            for &s in self.graph.in_neighbors(d, l) {
-                                cands.push((l, s));
-                            }
+                            let row = self.graph.in_neighbors(d, l);
+                            self.cands.extend(row.iter().map(|&s| (l, s)));
                         }
-                        if cands.is_empty() {
-                            continue 'retry;
-                        }
-                        let (l, s) = cands[self.rng.random_range(0..cands.len())];
-                        labels[ei] = l;
-                        binding[e.src as usize] = s;
-                        bound |= 1 << e.src;
                     }
                     (false, false) => continue 'retry,
                 }
+                if self.cands.is_empty() {
+                    continue 'retry;
+                }
+                let (l, v) = self.cands[self.rng.random_range(0..self.cands.len())];
+                self.labels[ei] = l;
+                // The neighbour binds whichever end was free; with both
+                // bound it is `d` again.
+                if sb {
+                    self.binding[e.dst as usize] = v;
+                    bound |= 1 << e.dst;
+                } else {
+                    self.binding[e.src as usize] = v;
+                    bound |= 1 << e.src;
+                }
             }
-            return Some(labels);
+            return true;
         }
-        None
+        false
     }
 }
 

@@ -144,6 +144,9 @@ impl Storage for GatedStorage {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.inner.read(path)
     }
+    fn open(&self, path: &Path) -> io::Result<(Box<dyn io::Read + Send>, u64)> {
+        self.inner.open(path)
+    }
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
         Ok(self.gated(self.inner.create(path)?))
     }

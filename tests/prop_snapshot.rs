@@ -12,11 +12,19 @@
 //! snapshot file is rejected with an error (truncation can never produce
 //! a silently different dataset), as is any snapshot with a flipped
 //! graph-payload byte (checksum).
+//!
+//! Plus the format property: the file the streaming writer produces is,
+//! byte for byte, the file an in-memory encoder written here from the
+//! format's description produces — for graphs with gap labels, empty
+//! relations and relations left at an older, smaller domain by a rebase.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cegraph::catalog::io::write_markov;
 use cegraph::catalog::MarkovTable;
+use cegraph::graph::snapshot::{
+    section_checksum, FORMAT_VERSION, MAGIC, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
+};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::templates;
 use cegraph::service::DatasetEntry;
@@ -55,6 +63,71 @@ fn table_bytes(t: &MarkovTable) -> Vec<u8> {
     let mut buf = Vec::new();
     write_markov(t, &mut buf).unwrap();
     buf
+}
+
+/// The `GRPH` payload, built whole from what the graph's public
+/// accessors say: `u64 num_vertices, u64 num_labels`, then per label and
+/// direction `u64 num_rows, u64 num_targets`, the row ids, the
+/// `num_rows + 1` offsets and the targets, all `u32` little-endian.
+fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&(g.num_labels() as u64).to_le_bytes());
+    for l in 0..g.num_labels() as u16 {
+        for backward in [false, true] {
+            let rows: Vec<(u32, &[u32])> = g.rows(l, backward).collect();
+            let num_targets: usize = rows.iter().map(|(_, r)| r.len()).sum();
+            buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&(num_targets as u64).to_le_bytes());
+            let ids = rows.iter().map(|&(v, _)| v);
+            let offsets = std::iter::once(0).chain(rows.iter().scan(0u32, |end, (_, r)| {
+                *end += r.len() as u32;
+                Some(*end)
+            }));
+            let targets = rows.iter().flat_map(|(_, r)| r.iter().copied());
+            for x in ids.chain(offsets).chain(targets) {
+                buf.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+    }
+    buf
+}
+
+/// The `MRKV` payload, built whole: `u64 h, u64 count`, then per entry in
+/// pattern order `u64 cardinality, u16 num_edges` and per edge
+/// `u8 src, u8 dst, u16 label`.
+fn oracle_markov_payload(t: &MarkovTable) -> Vec<u8> {
+    let mut entries: Vec<_> = t.iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(b.0));
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(t.h() as u64).to_le_bytes());
+    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (p, c) in entries {
+        buf.extend_from_slice(&c.to_le_bytes());
+        buf.extend_from_slice(&(p.num_edges() as u16).to_le_bytes());
+        for e in p.edges() {
+            buf.extend_from_slice(&[e.src, e.dst]);
+            buf.extend_from_slice(&e.label.to_le_bytes());
+        }
+    }
+    buf
+}
+
+/// The whole container around the three payloads.
+fn oracle_file(entry: &DatasetEntry) -> Vec<u8> {
+    let mut file = Vec::from(MAGIC);
+    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    for (tag, payload) in [
+        (TAG_EPOCH, entry.epoch().to_le_bytes().to_vec()),
+        (TAG_GRAPH, oracle_graph_payload(&entry.materialized_graph())),
+        (TAG_MARKOV, entry.with_markov(oracle_markov_payload)),
+    ] {
+        file.extend_from_slice(&tag);
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&payload);
+        file.extend_from_slice(&section_checksum(&payload).to_le_bytes());
+    }
+    file
 }
 
 /// A unique scratch path per proptest case (cases run in one process).
@@ -158,4 +231,23 @@ proptest! {
 
         std::fs::remove_file(&path).unwrap();
     }
+
+    #[test]
+    fn streamed_file_is_the_oracle_encoding(
+        base_edges in prop::collection::vec((0u32..VERTICES, 0u32..VERTICES, 0u16..LABELS), 0..40),
+        // Vertices past the base domain grow it for the relations the
+        // commit touches only; labels past the base's leave gaps.
+        ops in prop::collection::vec(
+            (0u32..2 * VERTICES, 0u32..2 * VERTICES, 0u16..3 * LABELS, (0u8..4).prop_map(|b| b > 0)),
+            0..25,
+        ),
+    ) {
+        let entry = committed_entry(&base_edges, &ops);
+        let path = scratch_path("prop-oracle");
+        entry.write_snapshot(&path).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        prop_assert_eq!(written, oracle_file(&entry));
+    }
+
 }
