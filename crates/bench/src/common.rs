@@ -10,7 +10,7 @@ use ceg_query::QueryGraph;
 use ceg_service::{Engine, QueryOutcome, RequestCtx};
 use ceg_workload::qerror::{signed_log_qerror, QErrorSummary};
 use ceg_workload::runner::EstimatorReport;
-use ceg_workload::workloads::WorkloadQuery;
+use ceg_workload::workloads::{TemplateReport, WorkloadQuery};
 use ceg_workload::{Dataset, Workload};
 
 /// Deterministic seed used by every harness (documented in EXPERIMENTS.md).
@@ -21,15 +21,21 @@ pub const SEED: u64 = 2022;
 pub fn setup(ds: Dataset, wl: Workload, per_template: usize) -> (LabeledGraph, Vec<WorkloadQuery>) {
     let t0 = Instant::now();
     let graph = ds.generate(SEED);
-    let queries = wl.build(&graph, per_template, SEED);
+    let (queries, reports) = wl.build_reported(&graph, per_template, SEED);
+    let total = |field: fn(&TemplateReport) -> usize| reports.iter().map(field).sum::<usize>();
     eprintln!(
-        "[setup] {} / {}: |V|={} |E|={} labels={} queries={} ({:.1?})",
+        "[setup] {} / {}: |V|={} |E|={} labels={} queries={} of {} \
+         ({} over budget, {} empty, {} attempts) ({:.1?})",
         ds.name(),
         wl.name(),
         graph.num_vertices(),
         graph.num_edges(),
         graph.num_labels(),
         queries.len(),
+        total(|r| r.want),
+        total(|r| r.over_budget),
+        total(|r| r.empty),
+        total(|r| r.attempts),
         t0.elapsed()
     );
     (graph, queries)

@@ -306,17 +306,6 @@ pub struct FillStats {
     pub kernel: ceg_exec::KernelStats,
 }
 
-impl FillStats {
-    /// Fold another fill's stats into this one (sums everywhere except
-    /// `max_pattern_micros`, which takes the max).
-    pub fn absorb(&mut self, other: &FillStats) {
-        self.patterns_counted += other.patterns_counted;
-        self.total_micros += other.total_micros;
-        self.max_pattern_micros = self.max_pattern_micros.max(other.max_pattern_micros);
-        self.kernel.absorb(&other.kernel);
-    }
-}
-
 /// Exactly count each pattern's homomorphisms in `graph` under `budget`
 /// (expansion cap and/or wall-clock deadline, applied per pattern):
 /// `counts[i]` belongs to `patterns[i]` and is `None` when that count was
@@ -324,11 +313,11 @@ impl FillStats {
 /// client-bounded request stops counting mid-fill instead of finishing
 /// arbitrarily late work nobody will read.
 ///
-/// Workers claim patterns off a shared atomic cursor — cheap single-edge
-/// patterns and expensive `h`-edge ones interleave, so the partition
-/// balances itself — on up to `parallelism` scoped threads
-/// (`std::thread::scope`); with a `parallelism` of 0 or 1 the calling
-/// thread is the one worker. This is the one fill path: under
+/// Patterns are counted through [`ceg_exec::map_ordered`] on up to
+/// `parallelism` threads, the caller's among them — cheap single-edge
+/// patterns and expensive `h`-edge ones interleave off its shared cursor,
+/// so the partition balances itself; with a `parallelism` of 0 or 1 the
+/// calling thread is the one worker. This is the one fill path: under
 /// [`MarkovTable::build_parallel`], [`MarkovTable::refresh_touched`] and
 /// the service registry's incremental catalog growth.
 pub fn count_patterns(
@@ -337,47 +326,21 @@ pub fn count_patterns(
     parallelism: usize,
     budget: ceg_exec::CountBudget,
 ) -> (Vec<Option<u64>>, FillStats) {
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let worker = || {
-        let mut counted: Vec<(usize, u64)> = Vec::new();
-        let mut stats = FillStats::default();
-        loop {
-            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(pat) = patterns.get(i) else { break };
-            let pq = pat.to_query();
-            let started = std::time::Instant::now();
-            let cons = VarConstraints::none(pq.num_vars());
-            let (count, kernel) = ceg_exec::count_budgeted(graph, &pq, &cons, budget);
-            let micros = started.elapsed().as_micros() as u64;
-            stats.kernel.absorb(&kernel);
-            stats.total_micros += micros;
-            stats.max_pattern_micros = stats.max_pattern_micros.max(micros);
-            if let Some(c) = count {
-                stats.patterns_counted += 1;
-                counted.push((i, c));
-            }
-        }
-        (counted, stats)
-    };
-    let workers = parallelism.min(patterns.len());
-    let finished = if workers <= 1 {
-        vec![worker()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a counting worker panicked"))
-                .collect()
-        })
-    };
-    let mut counts = vec![None; patterns.len()];
+    let counted = ceg_exec::map_ordered(patterns, parallelism, |pat| {
+        let pq = pat.to_query();
+        let started = std::time::Instant::now();
+        let cons = VarConstraints::none(pq.num_vars());
+        let (count, kernel) = ceg_exec::count_budgeted(graph, &pq, &cons, budget);
+        (count, kernel, started.elapsed().as_micros() as u64)
+    });
     let mut stats = FillStats::default();
-    for (counted, local) in finished {
-        stats.absorb(&local);
-        for (i, c) in counted {
-            counts[i] = Some(c);
-        }
+    let mut counts = Vec::with_capacity(counted.len());
+    for (count, kernel, micros) in counted {
+        stats.kernel.absorb(&kernel);
+        stats.total_micros += micros;
+        stats.max_pattern_micros = stats.max_pattern_micros.max(micros);
+        stats.patterns_counted += u64::from(count.is_some());
+        counts.push(count);
     }
     (counts, stats)
 }

@@ -19,13 +19,16 @@
 //! by its already-bound neighbours. Per-depth extension plans are
 //! precomputed once per query ([`count::CountPlan`]) so the recursion is
 //! allocation-free; [`naive::count_naive`] retains the unoptimized matcher
-//! as the reference for differential testing.
+//! as the reference for differential testing. Counting many queries at
+//! once — a catalog fill, a workload's ground truths — shares one
+//! work loop, [`par::map_ordered`].
 
 pub mod constraints;
 pub mod count;
 pub mod intersect;
 pub mod naive;
 pub mod order;
+pub mod par;
 pub mod tree_count;
 
 pub use constraints::{VarConstraint, VarConstraints};
@@ -33,4 +36,5 @@ pub use count::{count, count_budgeted, CountBudget, CountPlan, KernelStats};
 pub use intersect::IntersectStrategy;
 pub use naive::count_naive;
 pub use order::variable_order;
+pub use par::map_ordered;
 pub use tree_count::{count_tree_dp, exact_count};

@@ -28,4 +28,4 @@ pub use datasets::{Dataset, DatasetSpec};
 pub use qerror::{signed_log_qerror, QErrorSummary};
 pub use runner::{run_estimators, EstimatorReport};
 pub use updates::{generate_update_stream, UpdateOp};
-pub use workloads::{Workload, WorkloadQuery};
+pub use workloads::{TemplateReport, Workload, WorkloadQuery};

@@ -49,7 +49,9 @@ pub fn run_estimators(
                 let t0 = Instant::now();
                 let e = est.estimate(&wq.query);
                 total_time += t0.elapsed().as_secs_f64() * 1e6;
-                match e {
+                // A non-finite estimate is "cannot answer", as in the
+                // engine: as a q-error it would be a NaN maximum.
+                match e.filter(|v| v.is_finite()) {
                     Some(v) => errors.push(signed_log_qerror(v, wq.truth)),
                     None => failures += 1,
                 }
@@ -205,6 +207,24 @@ mod tests {
         assert_eq!(reports[0].summary.min, -1.0);
         assert_eq!(reports[1].summary.failures, 2);
         assert_eq!(reports[1].summary.count, 0);
+    }
+
+    #[test]
+    fn a_non_finite_estimate_is_a_failure() {
+        let w = workload();
+        let mut ests: Vec<Box<dyn CardinalityEstimator>> = vec![
+            Box::new(Fixed(f64::NAN)),
+            Box::new(Fixed(f64::INFINITY)),
+            Box::new(Fixed(10.0)),
+        ];
+        let reports = run_estimators(&w, &mut ests);
+        for r in &reports[..2] {
+            assert_eq!(r.summary.failures, 2, "{}", r.name);
+            assert_eq!(r.summary.count, 0, "{}", r.name);
+        }
+        // The box-plot span is the finite estimator's alone.
+        let table = render_table("demo", &reports);
+        assert!(table.contains("in [-1, 1]"), "{table}");
     }
 
     #[test]

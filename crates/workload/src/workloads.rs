@@ -11,7 +11,7 @@
 //! * **G-CARE-Cyclic** — 6/9-edge cycles, 6-edge clique, flower, 6/9-edge
 //!   petals.
 
-use ceg_exec::{exact_count, CountBudget};
+use ceg_exec::{exact_count, map_ordered, CountBudget};
 use ceg_graph::{LabelId, LabeledGraph, VertexId};
 use ceg_query::{templates, QueryEdge, QueryGraph, VarId};
 use rand::rngs::StdRng;
@@ -27,8 +27,71 @@ pub struct WorkloadQuery {
     pub truth: f64,
 }
 
-/// Named template constructor used by the cyclic workload tables.
-type TemplateSpec = (&'static str, usize, fn(&[LabelId]) -> QueryGraph);
+/// What became of one template's share of a [`Workload::build`]:
+/// `sampled = over_budget + empty + kept`, and a template is short
+/// (`kept < want`) only when `attempts` reached its cap of `400 x want`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TemplateReport {
+    pub template: String,
+    /// Instances asked for (`per_template`).
+    pub want: usize,
+    /// Tries at embedding the template in the data.
+    pub attempts: usize,
+    /// Tries that found an embedding, so an instance to count.
+    pub sampled: usize,
+    /// Instances dropped because their truth ran out of [`TRUTH_BUDGET`].
+    pub over_budget: usize,
+    /// Instances dropped because their truth was not positive.
+    pub empty: usize,
+    /// Instances in the pool.
+    pub kept: usize,
+}
+
+/// Expansions the backtracking matcher may spend on one cyclic instance's
+/// truth before the instance is dropped (G-CARE's convention).
+pub const TRUTH_BUDGET: CountBudget = CountBudget {
+    max_expansions: 30_000_000,
+    deadline: None,
+};
+
+/// Instances x data edges a round of truths must bring for each thread
+/// beyond the caller's. A truth sweeps the relations its query names, at
+/// about 3 ns per instance and edge, so this is ~3 ms of counting; a
+/// smaller round (14 instances on 22k edges are 1 ms) loses more to
+/// starting a thread than a second core gives back.
+const ROUND_WORK_PER_WORKER: usize = 1_000_000;
+
+/// A template as a function of its edge labels.
+type MakeQuery = Box<dyn Fn(&[LabelId]) -> QueryGraph>;
+
+/// One template of a family: `make` turns one label per edge into the
+/// query, and the sampler matches `shape`'s edges in `order`.
+#[doc(hidden)]
+pub struct Template {
+    pub name: String,
+    make: MakeQuery,
+    /// The unlabeled template and the order its edges are matched in, the
+    /// same for every attempt.
+    shape: QueryGraph,
+    order: Vec<usize>,
+}
+
+impl Template {
+    fn new(
+        name: impl Into<String>,
+        num_labels: usize,
+        make: impl Fn(&[LabelId]) -> QueryGraph + 'static,
+    ) -> Self {
+        let shape = make(&vec![0; num_labels]);
+        let order = edge_walk_order(&shape);
+        Template {
+            name: name.into(),
+            make: Box::new(make),
+            shape,
+            order,
+        }
+    }
+}
 
 /// The five workload families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,139 +122,191 @@ impl Workload {
         per_template: usize,
         seed: u64,
     ) -> Vec<WorkloadQuery> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd_ef01);
+        self.build_reported(graph, per_template, seed).0
+    }
+
+    /// [`Workload::build`] and, per template in generation order, what the
+    /// attempt cap and the truth budget made of it.
+    pub fn build_reported(
+        &self,
+        graph: &LabeledGraph,
+        per_template: usize,
+        seed: u64,
+    ) -> (Vec<WorkloadQuery>, Vec<TemplateReport>) {
+        let cores = ceg_catalog::default_build_parallelism();
+        let workers =
+            |round: usize| cores.min(1 + round * graph.num_edges() / ROUND_WORK_PER_WORKER);
+        self.build_with(graph, per_template, seed, &workers, TRUTH_BUDGET)
+    }
+
+    /// [`Workload::build_reported`] counting each round of `n` instances
+    /// on up to `workers(n)` threads under `budget`. The pool does not
+    /// depend on `workers`; `tests/prop_workload_parallel.rs` holds it to
+    /// that.
+    #[doc(hidden)]
+    pub fn build_with(
+        &self,
+        graph: &LabeledGraph,
+        per_template: usize,
+        seed: u64,
+        workers: &dyn Fn(usize) -> usize,
+        budget: CountBudget,
+    ) -> (Vec<WorkloadQuery>, Vec<TemplateReport>) {
+        let mut sampler = EmbeddingSampler::new(graph, seed);
         let mut out = Vec::new();
-        let budget = CountBudget::new(30_000_000);
-        let mut gen = InstanceGen {
-            graph,
-            rng: &mut rng,
-            budget,
-            binding: Vec::new(),
-            labels: Vec::new(),
-            cands: Vec::new(),
+        let reports = self
+            .templates()
+            .iter()
+            .map(|t| generate(&mut sampler, t, per_template, workers, budget, &mut out))
+            .collect();
+        (out, reports)
+    }
+
+    /// The family's templates, in generation order.
+    #[doc(hidden)]
+    pub fn templates(&self) -> Vec<Template> {
+        let tree = |k: usize, d: usize| {
+            Template::new(format!("tree-{k}-d{d}"), k, move |l| {
+                templates::tree_depth(k, d, l)
+            })
         };
         match self {
-            Workload::Job => {
-                for idx in 0..7usize {
+            Workload::Job => (0..7usize)
+                .map(|idx| {
                     let n = templates::job_template_size(idx);
-                    gen.generate(&format!("job-{idx}"), n, per_template, &mut out, |labels| {
-                        templates::job_template(idx, labels)
-                    });
-                }
-            }
-            Workload::Acyclic => {
-                for k in [6usize, 7, 8] {
-                    for d in 2..=k {
-                        gen.generate(
-                            &format!("tree-{k}-d{d}"),
-                            k,
-                            per_template,
-                            &mut out,
-                            |labels| templates::tree_depth(k, d, labels),
-                        );
-                    }
-                }
-            }
-            Workload::Cyclic => {
-                let temps: Vec<TemplateSpec> = vec![
-                    ("cycle-4", 4, |l| templates::cycle(4, l)),
-                    ("diamond-x", 5, templates::diamond_cross),
-                    ("cycle-6", 6, |l| templates::cycle(6, l)),
-                    ("clique4", 6, templates::clique4),
-                    ("two-triangles", 6, templates::two_triangles),
-                    ("square-triangle", 7, templates::square_triangle),
-                    ("square-2triangles", 8, templates::square_two_triangles),
-                ];
-                for (name, n, f) in temps {
-                    gen.generate(name, n, per_template, &mut out, f);
-                }
-            }
-            Workload::GCareAcyclic => {
-                for k in [3usize, 6, 9, 12] {
-                    gen.generate(&format!("star-{k}"), k, per_template, &mut out, |l| {
-                        templates::star(k, l)
-                    });
-                    gen.generate(&format!("path-{k}"), k, per_template, &mut out, |l| {
-                        templates::path(k, l)
-                    });
+                    Template::new(format!("job-{idx}"), n, move |l| {
+                        templates::job_template(idx, l)
+                    })
+                })
+                .collect(),
+            Workload::Acyclic => [6usize, 7, 8]
+                .into_iter()
+                .flat_map(|k| (2..=k).map(move |d| tree(k, d)))
+                .collect(),
+            Workload::Cyclic => vec![
+                Template::new("cycle-4", 4, |l| templates::cycle(4, l)),
+                Template::new("diamond-x", 5, templates::diamond_cross),
+                Template::new("cycle-6", 6, |l| templates::cycle(6, l)),
+                Template::new("clique4", 6, templates::clique4),
+                Template::new("two-triangles", 6, templates::two_triangles),
+                Template::new("square-triangle", 7, templates::square_triangle),
+                Template::new("square-2triangles", 8, templates::square_two_triangles),
+            ],
+            Workload::GCareAcyclic => [3usize, 6, 9, 12]
+                .into_iter()
+                .flat_map(|k| {
+                    let star =
+                        Template::new(format!("star-{k}"), k, move |l| templates::star(k, l));
+                    let path =
+                        Template::new(format!("path-{k}"), k, move |l| templates::path(k, l));
+                    let mut temps = vec![star, path];
                     if k >= 6 {
-                        let d = k / 2;
-                        gen.generate(&format!("tree-{k}-d{d}"), k, per_template, &mut out, |l| {
-                            templates::tree_depth(k, d, l)
-                        });
+                        temps.push(tree(k, k / 2));
                     }
-                }
-            }
-            Workload::GCareCyclic => {
-                let temps: Vec<TemplateSpec> = vec![
-                    ("cycle-6", 6, |l| templates::cycle(6, l)),
-                    ("cycle-9", 9, |l| templates::cycle(9, l)),
-                    ("clique4", 6, templates::clique4),
-                    ("flower-6", 6, templates::flower),
-                    ("petal-6", 6, |l| templates::petal(3, 2, l)),
-                    ("petal-9", 9, |l| templates::petal(3, 3, l)),
-                ];
-                for (name, n, f) in temps {
-                    gen.generate(name, n, per_template, &mut out, f);
-                }
-            }
+                    temps
+                })
+                .collect(),
+            Workload::GCareCyclic => vec![
+                Template::new("cycle-6", 6, |l| templates::cycle(6, l)),
+                Template::new("cycle-9", 9, |l| templates::cycle(9, l)),
+                Template::new("clique4", 6, templates::clique4),
+                Template::new("flower-6", 6, templates::flower),
+                Template::new("petal-6", 6, |l| templates::petal(3, 2, l)),
+                Template::new("petal-9", 9, |l| templates::petal(3, 3, l)),
+            ],
         }
-        out
     }
 }
 
-struct InstanceGen<'a> {
-    graph: &'a LabeledGraph,
-    rng: &'a mut StdRng,
+/// Generate up to `want` non-empty instances of one template, in rounds:
+/// draw as many embeddings as are still wanted, one after the other from
+/// the sampler's RNG; count their truths together; keep the positive,
+/// in-budget ones in draw order. Only sampling consumes the RNG, and a
+/// round never holds more instances than are still wanted, so it never
+/// draws past the point where counting each instance before drawing the
+/// next would have stopped: the pool is the same at any `workers`.
+fn generate(
+    sampler: &mut EmbeddingSampler,
+    template: &Template,
+    want: usize,
+    workers: &dyn Fn(usize) -> usize,
     budget: CountBudget,
-    /// Buffers of [`InstanceGen::sample_embedding_labels`], kept across
-    /// its up to `40 x 400 x want` tries per template: the data vertex
-    /// bound to each variable, the label matched by each template edge,
-    /// and the extensions of the edge being matched.
+    out: &mut Vec<WorkloadQuery>,
+) -> TemplateReport {
+    let mut report = TemplateReport {
+        template: template.name.clone(),
+        want,
+        attempts: 0,
+        sampled: 0,
+        over_budget: 0,
+        empty: 0,
+        kept: 0,
+    };
+    let graph = sampler.graph;
+    let max_attempts = want * 400;
+    let mut round: Vec<QueryGraph> = Vec::new();
+    while report.kept < want && report.attempts < max_attempts {
+        while round.len() < want - report.kept && report.attempts < max_attempts {
+            report.attempts += 1;
+            // instantiate by random embedding: match the (unlabeled)
+            // template one edge at a time in the data; this guarantees a
+            // non-empty instance with data-driven label combinations
+            round.extend(sampler.sample(template));
+        }
+        report.sampled += round.len();
+        let truths = map_ordered(&round, workers(round.len()), |q| {
+            exact_count(graph, q, budget)
+        });
+        for (query, truth) in round.drain(..).zip(truths) {
+            match truth {
+                None => report.over_budget += 1, // ground truth too expensive
+                Some(truth) if truth <= 0.0 => report.empty += 1,
+                Some(truth) => {
+                    report.kept += 1;
+                    out.push(WorkloadQuery {
+                        query,
+                        template: template.name.clone(),
+                        truth,
+                    });
+                }
+            }
+        }
+    }
+    report
+}
+
+/// Draws instances of a template by embedding it at random in the data.
+/// One seeded RNG serves a whole [`Workload::build`], template after
+/// template.
+#[doc(hidden)]
+pub struct EmbeddingSampler<'a> {
+    graph: &'a LabeledGraph,
+    rng: StdRng,
+    /// Buffers kept across the up to `40 x 400 x want` tries per
+    /// template: the data vertex bound to each variable, the label
+    /// matched by each template edge, and the extensions of the edge
+    /// being matched.
     binding: Vec<VertexId>,
     labels: Vec<LabelId>,
     cands: Vec<(LabelId, VertexId)>,
 }
 
-impl InstanceGen<'_> {
-    /// Generate up to `want` non-empty instances of one template.
-    fn generate(
-        &mut self,
-        name: &str,
-        num_labels: usize,
-        want: usize,
-        out: &mut Vec<WorkloadQuery>,
-        build: impl Fn(&[LabelId]) -> QueryGraph,
-    ) {
-        let mut made = 0;
-        let mut attempts = 0;
-        let max_attempts = want * 400;
-        // The unlabeled template and the order its edges are matched in
-        // are the same for every attempt.
-        let shape = build(&vec![0; num_labels]);
-        let order = edge_walk_order(&shape);
-        while made < want && attempts < max_attempts {
-            attempts += 1;
-            // instantiate by random embedding: match the (unlabeled)
-            // template one edge at a time in the data; this guarantees a
-            // non-empty instance with data-driven label combinations
-            if !self.sample_embedding_labels(&shape, &order) {
-                continue;
-            }
-            let q = build(&self.labels);
-            let Some(truth) = exact_count(self.graph, &q, self.budget) else {
-                continue; // ground truth too expensive; skip instance
-            };
-            if truth <= 0.0 {
-                continue;
-            }
-            out.push(WorkloadQuery {
-                query: q,
-                template: name.to_string(),
-                truth,
-            });
-            made += 1;
+impl<'a> EmbeddingSampler<'a> {
+    pub fn new(graph: &'a LabeledGraph, seed: u64) -> Self {
+        EmbeddingSampler {
+            graph,
+            rng: StdRng::seed_from_u64(seed ^ 0xabcd_ef01),
+            binding: Vec::new(),
+            labels: Vec::new(),
+            cands: Vec::new(),
         }
+    }
+
+    /// One attempt at an instance of `template`: the template labeled by
+    /// a random embedding, `None` when 40 tries found none.
+    pub fn sample(&mut self, template: &Template) -> Option<QueryGraph> {
+        self.sample_embedding_labels(&template.shape, &template.order)
+            .then(|| (template.make)(&self.labels))
     }
 
     /// Randomly embed `shape` (ignoring its labels) into the data graph,

@@ -41,6 +41,11 @@
 //! file holds (committed transactions, epoch range, any torn tail)
 //! without needing a server.
 //!
+//! `workload` writes the same file for the same graph, count and seed
+//! whatever the machine; for each template that ends short of
+//! `<per-template>` instances it prints `# <template> kept k of want (b
+//! over budget, e empty, a attempts)` on stderr.
+//!
 //! Exit discipline: argument errors print the offending subcommand's
 //! usage on stderr and exit 2; runtime failures (I/O, server errors)
 //! print only the message and exit 1; success exits 0.
@@ -411,7 +416,13 @@ fn workload(args: &[String]) -> CmdResult {
     let seed: u64 = arg(args, 3, "seed")?.parse().map_err(|_| "bad seed")?;
     let out = arg(args, 4, "output path")?;
     let g = load_graph(graph_path).map_err(CmdError::runtime)?;
-    let queries = wl.build(&g, per, seed);
+    let (queries, reports) = wl.build_reported(&g, per, seed);
+    for r in reports.iter().filter(|r| r.kept < r.want) {
+        eprintln!(
+            "# {} kept {} of {} ({} over budget, {} empty, {} attempts)",
+            r.template, r.kept, r.want, r.over_budget, r.empty, r.attempts
+        );
+    }
     save_workload(&queries, out).map_err(CmdError::runtime)?;
     println!("{}: {} queries -> {out}", wl.name(), queries.len());
     Ok(())
