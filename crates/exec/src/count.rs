@@ -71,6 +71,23 @@ impl KernelStats {
         self.budget_consumed = self.budget_consumed.saturating_add(other.budget_consumed);
         self.deepest_level = self.deepest_level.max(other.deepest_level);
     }
+
+    /// Every field with the name it is reported under (the counter names
+    /// of an `EXPLAIN_ESTIMATE` breakdown; the service's `METRICS` totals
+    /// are `<name>_total`), in declaration order: the seven sums, then
+    /// the maximum `deepest_level`.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("kernel_candidates", self.candidates),
+            ("kernel_intersect_merge", self.merge_intersections),
+            ("kernel_intersect_gallop", self.gallop_intersections),
+            ("kernel_intersect_bitset", self.bitset_intersections),
+            ("kernel_suffix_shortcuts", self.suffix_shortcuts),
+            ("kernel_memo_hits", self.memo_hits),
+            ("kernel_budget_consumed", self.budget_consumed),
+            ("kernel_deepest_level", self.deepest_level),
+        ]
+    }
 }
 
 /// Work budget for a counting run: the maximum number of candidate

@@ -13,9 +13,7 @@ use ceg_query::QueryGraph;
 
 use crate::engine::{EngineStats, SlowQueryEntry, SnapshotAck, UpdateAck};
 use crate::protocol::{
-    parse_batch_response_header, parse_explain_response_header, parse_metric_line,
-    parse_metrics_prom_response_header, parse_metrics_response_header, parse_slowlog_entry,
-    parse_slowlog_response_header, split_id, ExplainItem, Request, Response,
+    parse_metric_line, parse_slowlog_entry, split_id, ExplainItem, Request, Response,
 };
 use crate::registry::CommitOutcome;
 
@@ -49,6 +47,25 @@ pub enum QueryReply {
         /// The enforced deadline in milliseconds.
         deadline_ms: u64,
     },
+}
+
+impl QueryReply {
+    /// The estimate, or the overload rejection as an `io::Error` of kind
+    /// `WouldBlock` (`Busy`) / `TimedOut` (`Timeout`) — what the
+    /// non-typed client methods return.
+    pub fn into_estimate(self) -> io::Result<EstimateReply> {
+        match self {
+            QueryReply::Estimate(reply) => Ok(reply),
+            QueryReply::Busy(msg) => Err(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("server busy: {msg}"),
+            )),
+            QueryReply::Timeout { deadline_ms } => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("estimate exceeded its {deadline_ms}ms deadline"),
+            )),
+        }
+    }
 }
 
 /// The answer to one `EXPLAIN_ESTIMATE` request: the same typed outcome
@@ -172,11 +189,8 @@ impl Client {
         Err(last_err.unwrap_or_else(|| io::Error::other("no connect attempts made")))
     }
 
-    /// Read one reply line, trimmed, without its ` id=<n>` tail. The
-    /// server stamps every reply line (and counted-reply header) with the
-    /// request id; parsers reject trailing tokens, so the tail is split
-    /// off here, once, for every read path.
-    fn read_reply_line(&mut self) -> io::Result<(String, Option<u64>)> {
+    /// Read one line as the server sent it, minus the line ending.
+    fn read_line(&mut self) -> io::Result<String> {
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(io::Error::new(
@@ -184,15 +198,56 @@ impl Client {
                 "server closed the connection",
             ));
         }
-        let (body, id) = split_id(line.trim_end());
-        Ok((body.to_string(), id))
+        line.truncate(line.trim_end().len());
+        Ok(line)
+    }
+
+    /// Send `request` and read the head of its reply, with the request id
+    /// the server stamped on it. The head of any reply is a [`Response`]:
+    /// the whole reply, or the [`Response::Counted`] line that announces
+    /// how many body lines follow.
+    fn roundtrip_id(&mut self, request: &Request) -> io::Result<(Response, Option<u64>)> {
+        writeln!(self.writer, "{}", request.format())?;
+        self.writer.flush()?;
+        let line = self.read_line()?;
+        let (body, id) = split_id(&line);
+        Ok((Response::parse(body).map_err(invalid)?, id))
     }
 
     fn roundtrip(&mut self, request: &Request) -> io::Result<Response> {
-        writeln!(self.writer, "{}", request.format())?;
-        self.writer.flush()?;
-        let (body, _id) = self.read_reply_line()?;
-        Response::parse(&body).map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))
+        Ok(self.roundtrip_id(request)?.0)
+    }
+
+    /// [`Client::roundtrip_id`] for a command answered with a counted
+    /// reply: under the counted head of that command, also read the body
+    /// lines it announces — all of them, as they are, so no parse error
+    /// further up leaves lines in the stream. A request refused as a
+    /// whole is a single `ERR`, `BUSY` or `TIMEOUT` line: that head comes
+    /// back alone.
+    fn roundtrip_counted(
+        &mut self,
+        request: &Request,
+    ) -> io::Result<(Response, Option<u64>, Vec<String>)> {
+        let (head, id) = self.roundtrip_id(request)?;
+        let mut body = Vec::new();
+        if let Response::Counted { kind, n } = head {
+            if kind != request.command() {
+                return Err(Self::protocol_error(head));
+            }
+            for _ in 0..n {
+                body.push(self.read_line()?);
+            }
+        }
+        Ok((head, id, body))
+    }
+
+    /// The body of a counted reply, for the commands that can make
+    /// nothing of a refusal but an error.
+    fn counted_body(&mut self, request: &Request) -> io::Result<Vec<String>> {
+        match self.roundtrip_counted(request)? {
+            (Response::Counted { .. }, _, body) => Ok(body),
+            (other, ..) => Err(Self::protocol_error(other)),
+        }
     }
 
     fn protocol_error(response: Response) -> io::Error {
@@ -203,27 +258,30 @@ impl Client {
         io::Error::other(msg)
     }
 
+    /// The typed outcome an estimate's reply line stands for.
+    fn query_reply(response: Response) -> io::Result<QueryReply> {
+        match response {
+            Response::Estimate {
+                outcome,
+                hits,
+                misses,
+            } => Ok(QueryReply::Estimate(EstimateReply {
+                value: outcome.value,
+                cached: outcome.cached,
+                hits,
+                misses,
+            })),
+            Response::Busy(msg) => Ok(QueryReply::Busy(msg)),
+            Response::Timeout { deadline_ms } => Ok(QueryReply::Timeout { deadline_ms }),
+            other => Err(Self::protocol_error(other)),
+        }
+    }
+
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<()> {
         match self.roundtrip(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(Self::protocol_error(other)),
-        }
-    }
-
-    /// Map an overload rejection onto the matching `io::ErrorKind` for
-    /// the legacy (non-typed) client methods.
-    fn overload_error(reply: &QueryReply) -> Option<io::Error> {
-        match reply {
-            QueryReply::Estimate(_) => None,
-            QueryReply::Busy(msg) => Some(io::Error::new(
-                io::ErrorKind::WouldBlock,
-                format!("server busy: {msg}"),
-            )),
-            QueryReply::Timeout { deadline_ms } => Some(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("estimate exceeded its {deadline_ms}ms deadline"),
-            )),
         }
     }
 
@@ -233,10 +291,8 @@ impl Client {
     /// `WouldBlock`/`TimedOut`; use [`Client::estimate_with_deadline`]
     /// for the typed outcomes.
     pub fn estimate(&mut self, dataset: &str, query: &QueryGraph) -> io::Result<EstimateReply> {
-        match self.estimate_with_deadline(dataset, query, None)? {
-            QueryReply::Estimate(reply) => Ok(reply),
-            other => Err(Self::overload_error(&other).expect("non-estimate reply")),
-        }
+        self.estimate_with_deadline(dataset, query, None)?
+            .into_estimate()
     }
 
     /// [`Client::estimate_with_deadline`] under the client's retry
@@ -251,18 +307,16 @@ impl Client {
         query: &QueryGraph,
         deadline_ms: Option<u64>,
     ) -> io::Result<QueryReply> {
-        let retries = self.config.busy_retries;
-        for attempt in 0..=retries {
+        let mut attempt = 0;
+        loop {
             match self.estimate_with_deadline(dataset, query, deadline_ms)? {
-                QueryReply::Busy(msg) if attempt < retries => {
-                    let delay = backoff_delay(&self.config, attempt, &mut self.jitter);
-                    let _ = msg;
-                    std::thread::sleep(delay);
+                QueryReply::Busy(_) if attempt < self.config.busy_retries => {
+                    std::thread::sleep(backoff_delay(&self.config, attempt, &mut self.jitter));
+                    attempt += 1;
                 }
                 reply => return Ok(reply),
             }
         }
-        unreachable!("loop returns on the last attempt")
     }
 
     /// Estimate `query`, optionally bounding the server's work to
@@ -280,21 +334,7 @@ impl Client {
             query: query.clone(),
             deadline_ms,
         };
-        match self.roundtrip(&request)? {
-            Response::Estimate {
-                outcome,
-                hits,
-                misses,
-            } => Ok(QueryReply::Estimate(EstimateReply {
-                value: outcome.value,
-                cached: outcome.cached,
-                hits,
-                misses,
-            })),
-            Response::Busy(msg) => Ok(QueryReply::Busy(msg)),
-            Response::Timeout { deadline_ms } => Ok(QueryReply::Timeout { deadline_ms }),
-            other => Err(Self::protocol_error(other)),
-        }
+        Self::query_reply(self.roundtrip(&request)?)
     }
 
     /// Estimate an ordered batch of queries against one dataset in one
@@ -309,22 +349,7 @@ impl Client {
         queries: &[QueryGraph],
     ) -> io::Result<Vec<EstimateReply>> {
         let replies = self.estimate_batch_with_deadline(dataset, queries, None)?;
-        let mut out = Vec::with_capacity(replies.len());
-        let mut first_error: Option<io::Error> = None;
-        for reply in replies {
-            match reply {
-                QueryReply::Estimate(r) => out.push(r),
-                other => {
-                    first_error.get_or_insert_with(|| {
-                        Self::overload_error(&other).expect("non-estimate reply")
-                    });
-                }
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
+        replies.into_iter().map(QueryReply::into_estimate).collect()
     }
 
     /// Like [`Client::estimate_batch`], but with an optional whole-batch
@@ -358,53 +383,19 @@ impl Client {
             queries: queries.to_vec(),
             deadline_ms,
         };
-        writeln!(self.writer, "{}", request.format())?;
-        self.writer.flush()?;
-        let (header, _id) = self.read_reply_line()?;
-        if let Some(msg) = header.strip_prefix("ERR") {
-            return Err(io::Error::other(msg.trim().to_string()));
+        let body = self.counted_body(&request)?;
+        if body.len() != queries.len() {
+            return Err(invalid(format!(
+                "batch of {} answered with {} replies",
+                queries.len(),
+                body.len()
+            )));
         }
-        let n = parse_batch_response_header(&header)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        if n != queries.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("batch of {} answered with {n} replies", queries.len()),
-            ));
-        }
-        // Always consume all n announced lines — returning early on a
-        // per-query error would leave the rest in the stream and desync
-        // every later request on this connection.
-        let mut replies = Vec::with_capacity(n);
-        let mut first_error: Option<io::Error> = None;
-        for _ in 0..n {
-            let (text, _id) = self.read_reply_line()?;
-            match Response::parse(&text)
-                .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?
-            {
-                Response::Estimate {
-                    outcome,
-                    hits,
-                    misses,
-                } => replies.push(QueryReply::Estimate(EstimateReply {
-                    value: outcome.value,
-                    cached: outcome.cached,
-                    hits,
-                    misses,
-                })),
-                Response::Busy(msg) => replies.push(QueryReply::Busy(msg)),
-                Response::Timeout { deadline_ms } => {
-                    replies.push(QueryReply::Timeout { deadline_ms })
-                }
-                other => {
-                    first_error.get_or_insert_with(|| Self::protocol_error(other));
-                }
-            }
-        }
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(replies),
-        }
+        // A slot is an estimate, a BUSY or a TIMEOUT; anything else (a
+        // per-query ERR) fails the batch with the first such line.
+        let slot =
+            |line: &String| Self::query_reply(Response::parse(split_id(line).0).map_err(invalid)?);
+        body.iter().map(slot).collect()
     }
 
     /// Ask the server to persist the dataset's committed graph, catalog
@@ -486,23 +477,9 @@ impl Client {
     /// `METRICS` command) — latency histogram quantiles per command,
     /// queue depths, and the BUSY/timeout/error counters.
     pub fn metrics(&mut self) -> io::Result<Vec<(String, u64)>> {
-        writeln!(self.writer, "{}", Request::Metrics.format())?;
-        self.writer.flush()?;
-        let (header, _id) = self.read_reply_line()?;
-        if let Some(msg) = header.strip_prefix("ERR") {
-            return Err(io::Error::other(msg.trim().to_string()));
-        }
-        let n = parse_metrics_response_header(&header)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (text, _id) = self.read_reply_line()?;
-            pairs.push(
-                parse_metric_line(&text)
-                    .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?,
-            );
-        }
-        Ok(pairs)
+        let body = self.counted_body(&Request::Metrics)?;
+        let pairs = body.iter().map(|line| parse_metric_line(line));
+        pairs.collect::<Result<_, _>>().map_err(invalid)
     }
 
     /// Estimate one query and return the outcome **plus** the server-side
@@ -521,106 +498,47 @@ impl Client {
             query: query.clone(),
             deadline_ms,
         };
-        writeln!(self.writer, "{}", request.format())?;
-        self.writer.flush()?;
-        let (header, id) = self.read_reply_line()?;
-        if let Some(msg) = header.strip_prefix("ERR") {
-            return Err(io::Error::other(msg.trim().to_string()));
-        }
-        let n = parse_explain_response_header(&header)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "EXPLAIN reply announced zero lines",
-            ));
-        }
-        let (first, _id) = self.read_reply_line()?;
-        let reply = match Response::parse(&first)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?
-        {
-            Response::Estimate {
-                outcome,
-                hits,
-                misses,
-            } => QueryReply::Estimate(EstimateReply {
-                value: outcome.value,
-                cached: outcome.cached,
-                hits,
-                misses,
-            }),
-            Response::Timeout { deadline_ms } => QueryReply::Timeout { deadline_ms },
-            Response::Busy(msg) => QueryReply::Busy(msg),
-            other => return Err(Self::protocol_error(other)),
+        let (head, id, body) = self.roundtrip_counted(&request)?;
+        let (first, items) = match head {
+            Response::Counted { .. } => {
+                let (first, items) = body
+                    .split_first()
+                    .ok_or_else(|| invalid("EXPLAIN reply announced zero lines".into()))?;
+                (Response::parse(first).map_err(invalid)?, items)
+            }
+            // A refused explain is one typed line and has no breakdown.
+            refused => (refused, Default::default()),
         };
-        let mut spans = Vec::new();
-        let mut counters = Vec::new();
-        for _ in 1..n {
-            let (text, _id) = self.read_reply_line()?;
-            match ExplainItem::parse(&text)
-                .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?
-            {
-                ExplainItem::Span { name, micros } => spans.push((name, micros)),
-                ExplainItem::Counter { name, value } => counters.push((name, value)),
+        let mut explained = ExplainReply {
+            reply: Self::query_reply(first)?,
+            id,
+            spans: Vec::new(),
+            counters: Vec::new(),
+        };
+        for line in items {
+            match ExplainItem::parse(line).map_err(invalid)? {
+                ExplainItem::Span { name, micros } => explained.spans.push((name, micros)),
+                ExplainItem::Counter { name, value } => explained.counters.push((name, value)),
             }
         }
-        Ok(ExplainReply {
-            reply,
-            id,
-            spans,
-            counters,
-        })
+        Ok(explained)
     }
 
     /// Fetch the most recent slow-query log entries, newest first (the
     /// `SLOWLOG` command). `n` bounds the count; `None` returns the whole
     /// ring (at most the server's ring capacity).
     pub fn slowlog(&mut self, n: Option<usize>) -> io::Result<Vec<SlowQueryEntry>> {
-        writeln!(self.writer, "{}", Request::SlowLog { n }.format())?;
-        self.writer.flush()?;
-        let (header, _id) = self.read_reply_line()?;
-        if let Some(msg) = header.strip_prefix("ERR") {
-            return Err(io::Error::other(msg.trim().to_string()));
-        }
-        let count = parse_slowlog_response_header(&header)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (text, _id) = self.read_reply_line()?;
-            entries.push(
-                parse_slowlog_entry(&text)
-                    .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?,
-            );
-        }
-        Ok(entries)
+        let body = self.counted_body(&Request::SlowLog { n })?;
+        let entries = body.iter().map(|line| parse_slowlog_entry(line));
+        entries.collect::<Result<_, _>>().map_err(invalid)
     }
 
     /// Fetch the metrics registry in Prometheus text exposition format
     /// (the `METRICS_PROM` command), one exposition line per element.
     pub fn metrics_prom(&mut self) -> io::Result<Vec<String>> {
-        writeln!(self.writer, "{}", Request::MetricsProm.format())?;
-        self.writer.flush()?;
-        let (header, _id) = self.read_reply_line()?;
-        if let Some(msg) = header.strip_prefix("ERR") {
-            return Err(io::Error::other(msg.trim().to_string()));
-        }
-        let n = parse_metrics_prom_response_header(&header)
-            .map_err(|msg| io::Error::new(io::ErrorKind::InvalidData, msg))?;
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Exposition lines are served verbatim (no id tail): read
-            // raw rather than through `read_reply_line`, which would
-            // mangle a label value that happened to end in ` id=<n>`.
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection mid-exposition",
-                ));
-            }
-            lines.push(line.trim_end().to_string());
-        }
-        Ok(lines)
+        // Exposition lines come back verbatim: a label value may end in
+        // ` id=<n>`, and nothing here splits it off.
+        self.counted_body(&Request::MetricsProm)
     }
 
     /// Ask the server to drain and shut down (the `SHUTDOWN` command).
@@ -640,6 +558,10 @@ impl Client {
             other => Err(Self::protocol_error(other)),
         }
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// The sleep before retry `attempt` (0-based): `backoff * 2^attempt`,

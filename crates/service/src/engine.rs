@@ -33,7 +33,7 @@ use ceg_graph::{LabelId, VertexId};
 use ceg_query::QueryGraph;
 
 use crate::cache::{EstimateCache, ProbeOutcome};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Series};
 use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EpochState};
 
 /// Entries kept in the slow-query ring buffer (oldest evicted first).
@@ -265,8 +265,6 @@ pub struct Engine {
     /// Set once by [`Engine::begin_drain`]; misses that have not started
     /// running are refused from then on.
     draining: AtomicBool,
-    requests: AtomicU64,
-    batches: AtomicU64,
     metrics: Arc<Metrics>,
     slowlog: OrderedMutex<VecDeque<SlowQueryEntry>>,
     slow_threshold_us: AtomicU64,
@@ -292,8 +290,6 @@ impl Engine {
             cache: OrderedMutex::new(LockRank::Cache, EstimateCache::new(cache_capacity)),
             overload: Overload::new(queue_cap),
             draining: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             metrics: Arc::new(Metrics::new()),
             slowlog: OrderedMutex::new(LockRank::Metrics, VecDeque::new()),
             slow_threshold_us: AtomicU64::new(DEFAULT_SLOW_QUERY_THRESHOLD_MS * 1000),
@@ -410,12 +406,11 @@ impl Engine {
             .registry
             .get(dataset)
             .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        self.requests
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Series::Requests, queries.len() as u64);
+        self.metrics.inc(Series::Batches);
         if self.draining() {
             for _ in queries {
-                self.metrics.record_busy();
+                self.metrics.inc(Series::Busy);
                 reply(QueryOutcome::Draining);
             }
             return Ok(());
@@ -473,7 +468,7 @@ impl Engine {
                 _ => match self.overload.try_admit(&entry, &self.metrics) {
                     Some(permit) => Slot::Admitted(permit),
                     None => {
-                        self.metrics.record_busy();
+                        self.metrics.inc(Series::Busy);
                         Slot::Ready(QueryOutcome::QueueFull)
                     }
                 },
@@ -513,20 +508,20 @@ impl Engine {
         let started = Instant::now();
         let slot = self.overload.run_slot(ctx.deadline);
         let waited = started.elapsed();
-        self.metrics.queue_wait().record(waited);
+        self.metrics.queue_wait.record(waited);
         if let Some(t) = ctx.trace.as_deref_mut() {
             t.record_span_micros("queue_wait", waited.as_micros() as u64);
         }
         if self.draining() {
             // A drain overtook the wait: refuse rather than start cold
             // work the process is trying to finish.
-            self.metrics.record_busy();
+            self.metrics.inc(Series::Busy);
             return QueryOutcome::Draining;
         }
         if slot.is_none() || ctx.deadline.is_some_and(|d| Instant::now() >= d) {
             // Dead before it started — the typed TIMEOUT costs nothing,
             // running the estimate anyway would.
-            self.metrics.record_timeout();
+            self.metrics.inc(Series::Timeout);
             return QueryOutcome::TimedOut;
         }
 
@@ -558,15 +553,9 @@ impl Engine {
                 "catalog_fill_max_pattern_us",
                 ensured.fill.max_pattern_micros,
             );
-            let k = &ensured.fill.kernel;
-            t.counter("kernel_candidates", k.candidates);
-            t.counter("kernel_intersect_merge", k.merge_intersections);
-            t.counter("kernel_intersect_gallop", k.gallop_intersections);
-            t.counter("kernel_intersect_bitset", k.bitset_intersections);
-            t.counter("kernel_suffix_shortcuts", k.suffix_shortcuts);
-            t.counter("kernel_memo_hits", k.memo_hits);
-            t.counter("kernel_budget_consumed", k.budget_consumed);
-            t.counter("kernel_deepest_level", k.deepest_level);
+            for (name, value) in ensured.fill.kernel.fields() {
+                t.counter(name, value);
+            }
         }
         let estimate_started = Instant::now();
         let mut degenerate = false;
@@ -598,7 +587,7 @@ impl Engine {
         };
         let estimate_us = estimate_started.elapsed().as_micros() as u64;
         if degenerate {
-            self.metrics.record_estimator_degenerate();
+            self.metrics.inc(Series::Degenerate);
         }
         if let Some(t) = ctx.trace.as_deref_mut() {
             t.record_span_micros("estimate", estimate_us);
@@ -618,7 +607,7 @@ impl Engine {
                 })
             }
             None => {
-                self.metrics.record_timeout();
+                self.metrics.inc(Series::Timeout);
                 QueryOutcome::TimedOut
             }
         };
@@ -692,12 +681,13 @@ impl Engine {
         match entry.try_commit() {
             Ok(outcome) => {
                 if outcome.wal_bytes > 0 {
-                    self.metrics.record_wal_commit(outcome.wal_bytes);
+                    self.metrics.inc(Series::WalCommits);
+                    self.metrics.add(Series::WalBytes, outcome.wal_bytes);
                 }
                 Ok(outcome)
             }
             Err(e) => {
-                self.metrics.record_wal_error();
+                self.metrics.inc(Series::WalErrors);
                 Err(format!("commit not durable: {e}"))
             }
         }
@@ -723,7 +713,7 @@ impl Engine {
             .maybe_rotate(rotate_bytes, snapshot_interval_commits)
             .map_err(|e| format!("WAL rotation failed: {e}"))?;
         if rotated.is_some() {
-            self.metrics.record_wal_rotation();
+            self.metrics.inc(Series::WalRotations);
         }
         Ok(rotated)
     }
@@ -732,8 +722,11 @@ impl Engine {
     /// into the metrics (`cegcli serve --data-dir` calls this per
     /// recovered dataset).
     pub fn record_recovery(&self, report: &crate::registry::RecoveryReport) {
-        self.metrics
-            .record_wal_recovery(report.replayed_commits as u64, report.torn_tail.is_some());
+        let replayed = report.replayed_commits as u64;
+        self.metrics.add(Series::WalRecoveredCommits, replayed);
+        if report.torn_tail.is_some() {
+            self.metrics.inc(Series::WalTornTails);
+        }
     }
 
     /// Persist a dataset's committed graph, Markov catalog and epoch to
@@ -768,22 +761,21 @@ impl Engine {
             Err(_) => (0, 0),
         };
         EngineStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            requests: self.metrics.get(Series::Requests),
+            batches: self.metrics.get(Series::Batches),
             cache_hits,
             cache_misses,
             datasets: self.registry.len() as u64,
-            busy: self.metrics.busy(),
-            timeouts: self.metrics.timeouts(),
-            queued: self.metrics.queued(),
+            busy: self.metrics.get(Series::Busy),
+            timeouts: self.metrics.get(Series::Timeout),
+            queued: self.metrics.get(Series::Queued),
         }
     }
 
-    /// The full metrics dump behind the `METRICS` wire command: every
-    /// [`Metrics::snapshot`] counter plus engine-level cache and
-    /// per-dataset epoch/pending gauges, as stable `(key, value)` pairs.
-    pub fn metrics_snapshot(&self) -> Vec<(String, u64)> {
-        let mut out = self.metrics.snapshot();
+    /// Copy the cache's and the registry's own counts into their series,
+    /// so a dump reads every scalar from the one table. A poisoned cache
+    /// reports zeros, as in [`Engine::stats`].
+    fn sample(&self) {
         let (hits, misses, stale, entries) = match self.cache.checked_lock() {
             Ok(cache) => (
                 cache.hits(),
@@ -793,16 +785,22 @@ impl Engine {
             ),
             Err(_) => (0, 0, 0, 0),
         };
-        out.push((
-            "requests_total".into(),
-            self.requests.load(Ordering::Relaxed),
-        ));
-        out.push(("batches_total".into(), self.batches.load(Ordering::Relaxed)));
-        out.push(("cache_hits".into(), hits));
-        out.push(("cache_misses".into(), misses));
-        out.push(("cache_stale_misses".into(), stale));
-        out.push(("cache_entries".into(), entries));
-        out.push(("datasets".into(), self.registry.len() as u64));
+        self.metrics.set(Series::CacheHits, hits);
+        self.metrics.set(Series::CacheMisses, misses);
+        self.metrics.set(Series::CacheStaleMisses, stale);
+        self.metrics.set(Series::CacheEntries, entries);
+        self.metrics
+            .set(Series::Datasets, self.registry.len() as u64);
+    }
+
+    /// The full metrics dump behind the `METRICS` wire command: every
+    /// [`Metrics::snapshot`] pair, the engine's own series (requests,
+    /// cache) and the per-dataset gauges, as stable `(key, value)` pairs.
+    pub fn metrics_snapshot(&self) -> Vec<(String, u64)> {
+        self.sample();
+        let mut out = self.metrics.snapshot();
+        let engine_rows = self.metrics.rows(true);
+        out.extend(engine_rows.map(|(&(_, key, ..), v)| (key.to_string(), v)));
         for name in self.registry.names() {
             if let Some(entry) = self.registry.get(&name) {
                 for (gauge, get) in DATASET_GAUGES {
@@ -813,40 +811,14 @@ impl Engine {
         out
     }
 
-    /// The Prometheus text-exposition dump behind `METRICS_PROM`: every
-    /// [`Metrics::prom_lines`] family plus engine-level cache counters
-    /// and per-dataset gauges (dataset names become label values, so the
-    /// family set is stable regardless of what is registered).
+    /// The Prometheus text-exposition dump behind `METRICS_PROM`: the
+    /// same series as [`Engine::metrics_snapshot`] (dataset names become
+    /// label values, so the family set is stable regardless of what is
+    /// registered).
     pub fn metrics_prom(&self) -> Vec<String> {
+        self.sample();
         let mut out = self.metrics.prom_lines();
-        let (hits, misses, stale, entries) = match self.cache.checked_lock() {
-            Ok(cache) => (
-                cache.hits(),
-                cache.misses(),
-                cache.stale_misses(),
-                cache.len() as u64,
-            ),
-            Err(_) => (0, 0, 0, 0),
-        };
-        let counters = [
-            ("ceg_requests_total", self.requests.load(Ordering::Relaxed)),
-            ("ceg_batches_total", self.batches.load(Ordering::Relaxed)),
-            ("ceg_cache_hits_total", hits),
-            ("ceg_cache_misses_total", misses),
-            ("ceg_cache_stale_misses_total", stale),
-        ];
-        for (name, value) in counters {
-            out.push(format!("# TYPE {name} counter"));
-            out.push(format!("{name} {value}"));
-        }
-        let gauges = [
-            ("ceg_cache_entries", entries),
-            ("ceg_datasets", self.registry.len() as u64),
-        ];
-        for (name, value) in gauges {
-            out.push(format!("# TYPE {name} gauge"));
-            out.push(format!("{name} {value}"));
-        }
+        self.metrics.scalar_prom(true, &mut out);
         // Per-dataset families are omitted entirely when no dataset is
         // registered — a `# TYPE` line with zero samples is invalid
         // exposition (and our own checker rejects it).

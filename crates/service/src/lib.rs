@@ -106,8 +106,8 @@ pub use engine::{
     Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,
     UpdateAck, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
-pub use metrics::{Command, Histogram, Metrics};
-pub use protocol::{ExplainItem, Request, Response, MAX_BATCH_QUERIES};
+pub use metrics::{Histogram, Metrics, Series};
+pub use protocol::{Command, ExplainItem, Request, Response, MAX_BATCH_QUERIES};
 pub use registry::{
     CommitOutcome, DatasetEntry, DatasetRegistry, RecoveryReport, RotateOutcome, MAX_PENDING_OPS,
     MAX_UPDATE_LABEL, MAX_UPDATE_VERTEX,

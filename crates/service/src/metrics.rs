@@ -1,5 +1,6 @@
-//! Lock-free service metrics: latency histograms per wire command, queue
-//! depths, and overload counters.
+//! Lock-free service metrics: latency histograms per wire command, and a
+//! table of scalar series (queue depths, overload, kernel, WAL and cache
+//! counters).
 //!
 //! Everything here is plain atomics — recording a sample on the request
 //! path is a handful of relaxed `fetch_add`s, never a lock — so the
@@ -14,6 +15,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use crate::protocol::Command;
 
 /// Number of log2 microsecond buckets: bucket `i` covers latencies in
 /// `[2^(i-1), 2^i)` µs (bucket 0 is `< 1µs`), so bucket 31 tops out
@@ -123,136 +126,96 @@ impl Histogram {
     }
 }
 
-/// The wire commands we track latency for, one histogram each.
+/// The scalar series; a series' one row in the `SERIES` table is all of its declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Command {
-    Estimate,
-    EstimateBatch,
-    ExplainEstimate,
-    AddEdge,
-    DelEdge,
-    Commit,
-    Snapshot,
-    Stats,
-    Metrics,
-    MetricsProm,
-    SlowLog,
-    Ping,
-}
-
-/// Number of tracked commands (the latency-histogram array size).
-const COMMANDS: usize = 12;
-
-impl Command {
-    const ALL: [Command; COMMANDS] = [
-        Command::Estimate,
-        Command::EstimateBatch,
-        Command::ExplainEstimate,
-        Command::AddEdge,
-        Command::DelEdge,
-        Command::Commit,
-        Command::Snapshot,
-        Command::Stats,
-        Command::Metrics,
-        Command::MetricsProm,
-        Command::SlowLog,
-        Command::Ping,
-    ];
-
-    /// The snake_case metrics-key fragment for this command.
-    pub fn key(self) -> &'static str {
-        match self {
-            Command::Estimate => "estimate",
-            Command::EstimateBatch => "estimate_batch",
-            Command::ExplainEstimate => "explain_estimate",
-            Command::AddEdge => "add_edge",
-            Command::DelEdge => "del_edge",
-            Command::Commit => "commit",
-            Command::Snapshot => "snapshot",
-            Command::Stats => "stats",
-            Command::Metrics => "metrics",
-            Command::MetricsProm => "metrics_prom",
-            Command::SlowLog => "slowlog",
-            Command::Ping => "ping",
-        }
-    }
-
-    /// This command's slot in the per-command arrays: [`Command::ALL`]
-    /// lists the variants in declaration order.
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// The service-wide metrics registry.
-pub struct Metrics {
-    /// Wall-clock request latency per command (parse to last reply byte
-    /// flushed), recorded by the connection handlers.
-    latency: [Histogram; COMMANDS],
-    /// Time admitted misses waited for a run slot.
-    queue_wait: Histogram,
-    /// Requests rejected with `BUSY` (admission control or drain).
-    busy: AtomicU64,
-    /// Requests answered with `TIMEOUT` (deadline exceeded).
-    timeouts: AtomicU64,
-    /// Requests answered with `ERR`.
-    errors: AtomicU64,
-    /// Misses admitted and not yet answered (waiting for a run slot or
-    /// running).
-    queued: AtomicU64,
-    /// High-water mark of `queued`.
-    queued_peak: AtomicU64,
+pub enum Series {
+    /// Replies sent: `BUSY` (admission control or drain), `TIMEOUT`, `ERR`.
+    Busy,
+    Timeout,
+    Error,
     /// Estimates clamped because an estimator produced `NaN`/`inf` on a
     /// degenerate catalog (answered `none` instead of garbage).
-    degenerate: AtomicU64,
-    /// Counting-kernel totals, aggregated over every catalog fill.
-    kernel_candidates: AtomicU64,
-    kernel_merge: AtomicU64,
-    kernel_gallop: AtomicU64,
-    kernel_bitset: AtomicU64,
-    kernel_suffix: AtomicU64,
-    kernel_memo_hits: AtomicU64,
-    kernel_budget: AtomicU64,
-    /// Durable commits appended (and fsynced) to a WAL.
-    wal_commits: AtomicU64,
-    /// WAL bytes appended across those commits.
-    wal_bytes: AtomicU64,
-    /// WAL-append failures (the commit was refused, nothing applied).
-    wal_errors: AtomicU64,
-    /// Log rotations: WAL folded into a snapshot and truncated.
-    wal_rotations: AtomicU64,
-    /// Committed transactions replayed from WAL tails at boot.
-    wal_recovered_commits: AtomicU64,
-    /// Recoveries that found (and truncated) a torn WAL tail.
-    wal_torn_tails: AtomicU64,
+    Degenerate,
+    /// Misses admitted and not yet answered, and the high-water mark of that.
+    Queued,
+    QueuedPeak,
+    /// Counting-kernel totals over every catalog fill: the summed fields
+    /// of [`ceg_exec::KernelStats`], in its field order.
+    KernelCandidates,
+    KernelMerge,
+    KernelGallop,
+    KernelBitset,
+    KernelSuffix,
+    KernelMemoHits,
+    KernelBudget,
+    /// Durable commits appended (and fsynced) to a WAL, the bytes appended
+    /// across them, refused commits (the append failed), and rotations
+    /// (the log folded into a snapshot and truncated).
+    WalCommits,
+    WalBytes,
+    WalErrors,
+    WalRotations,
+    /// Commits replayed from WAL tails at boot; recoveries that truncated a torn tail.
+    WalRecoveredCommits,
+    WalTornTails,
+    /// Queries and `estimate_batch` calls. From here on the series are the
+    /// engine's: it counts these two and samples the rest before a dump.
+    Requests,
+    Batches,
+    CacheHits,
+    CacheMisses,
+    CacheStaleMisses,
+    CacheEntries,
+    Datasets,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            latency: Default::default(),
-            queue_wait: Histogram::new(),
-            busy: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            queued_peak: AtomicU64::new(0),
-            degenerate: AtomicU64::new(0),
-            kernel_candidates: AtomicU64::new(0),
-            kernel_merge: AtomicU64::new(0),
-            kernel_gallop: AtomicU64::new(0),
-            kernel_bitset: AtomicU64::new(0),
-            kernel_suffix: AtomicU64::new(0),
-            kernel_memo_hits: AtomicU64::new(0),
-            kernel_budget: AtomicU64::new(0),
-            wal_commits: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
-            wal_errors: AtomicU64::new(0),
-            wal_rotations: AtomicU64::new(0),
-            wal_recovered_commits: AtomicU64::new(0),
-            wal_torn_tails: AtomicU64::new(0),
-        }
-    }
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+
+/// One row per scalar series, in [`Series`] order: the series, its
+/// `METRICS` key, its Prometheus family where that is not `ceg_<key>`, and
+/// its Prometheus type. `METRICS` lists a group of rows as they stand here,
+/// `METRICS_PROM` its counters, then its gauges; a new series is one row.
+type Row = (Series, &'static str, Option<&'static str>, &'static str);
+
+#[rustfmt::skip]
+const SERIES: [Row; 26] = [
+    (Series::Busy, "busy_total", None, COUNTER),
+    (Series::Timeout, "timeout_total", None, COUNTER),
+    (Series::Error, "error_total", None, COUNTER),
+    (Series::Degenerate, "estimator_degenerate_total", None, COUNTER),
+    (Series::Queued, "queued", None, GAUGE),
+    (Series::QueuedPeak, "queued_peak", None, GAUGE),
+    (Series::KernelCandidates, "kernel_candidates_total", None, COUNTER),
+    (Series::KernelMerge, "kernel_intersect_merge_total", None, COUNTER),
+    (Series::KernelGallop, "kernel_intersect_gallop_total", None, COUNTER),
+    (Series::KernelBitset, "kernel_intersect_bitset_total", None, COUNTER),
+    (Series::KernelSuffix, "kernel_suffix_shortcuts_total", None, COUNTER),
+    (Series::KernelMemoHits, "kernel_memo_hits_total", None, COUNTER),
+    (Series::KernelBudget, "kernel_budget_consumed_total", None, COUNTER),
+    (Series::WalCommits, "wal_commits_total", None, COUNTER),
+    (Series::WalBytes, "wal_bytes_total", None, COUNTER),
+    (Series::WalErrors, "wal_errors_total", None, COUNTER),
+    (Series::WalRotations, "wal_rotations_total", None, COUNTER),
+    (Series::WalRecoveredCommits, "wal_recovered_commits_total", None, COUNTER),
+    (Series::WalTornTails, "wal_torn_tails_total", None, COUNTER),
+    (Series::Requests, "requests_total", None, COUNTER),
+    (Series::Batches, "batches_total", None, COUNTER),
+    (Series::CacheHits, "cache_hits", Some("ceg_cache_hits_total"), COUNTER),
+    (Series::CacheMisses, "cache_misses", Some("ceg_cache_misses_total"), COUNTER),
+    (Series::CacheStaleMisses, "cache_stale_misses", Some("ceg_cache_stale_misses_total"), COUNTER),
+    (Series::CacheEntries, "cache_entries", None, GAUGE),
+    (Series::Datasets, "datasets", None, GAUGE),
+];
+
+/// The service-wide metrics registry: one cell per [`Series`] and the wall-clock
+/// latency of each served command (parse to last reply byte flushed).
+#[derive(Default)]
+pub struct Metrics {
+    values: [AtomicU64; SERIES.len()],
+    latency: [Histogram; Command::TRACKED],
+    /// Time admitted misses waited for a run slot.
+    pub(crate) queue_wait: Histogram,
 }
 
 impl Metrics {
@@ -261,317 +224,114 @@ impl Metrics {
         Self::default()
     }
 
-    /// The latency histogram of one command.
-    pub fn latency(&self, cmd: Command) -> &Histogram {
-        &self.latency[cmd.index()]
+    fn cell(&self, series: Series) -> &AtomicU64 {
+        &self.values[series as usize]
     }
 
-    /// Record one request's wall-clock latency.
-    pub fn record_latency(&self, cmd: Command, latency: Duration) {
-        self.latency(cmd).record(latency);
+    /// Count one event on `series`.
+    pub fn inc(&self, series: Series) {
+        self.add(series, 1);
     }
 
-    /// The queue-wait histogram (admission to run slot).
-    pub fn queue_wait(&self) -> &Histogram {
-        &self.queue_wait
+    /// Add `n` to `series`.
+    pub fn add(&self, series: Series, n: u64) {
+        self.cell(series).fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count one `BUSY` rejection.
-    pub fn record_busy(&self) {
-        self.busy.fetch_add(1, Ordering::Relaxed);
+    /// Overwrite `series` with a level read elsewhere.
+    pub fn set(&self, series: Series, value: u64) {
+        self.cell(series).store(value, Ordering::Relaxed);
     }
 
-    /// Count one `TIMEOUT` reply.
-    pub fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+    /// The current value of `series`.
+    pub fn get(&self, series: Series) -> u64 {
+        self.cell(series).load(Ordering::Relaxed)
     }
 
-    /// Count one `ERR` reply.
-    pub fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+    /// The latency histogram of one command; `None` for `SHUTDOWN` and
+    /// `QUIT`, which are lifecycle events rather than served commands.
+    pub fn latency(&self, cmd: Command) -> Option<&Histogram> {
+        self.latency.get(cmd as usize)
     }
 
     /// One miss was admitted.
     pub fn job_enqueued(&self) {
-        let now = self.queued.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queued_peak.fetch_max(now, Ordering::Relaxed);
+        let now = self.cell(Series::Queued).fetch_add(1, Ordering::Relaxed) + 1;
+        let peak = self.cell(Series::QueuedPeak);
+        peak.fetch_max(now, Ordering::Relaxed);
     }
 
     /// One admitted miss ended (answered, refused after its wait, or
     /// dropped with its permit).
     pub fn job_finished(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.cell(Series::Queued).fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Count one degenerate (`NaN`/`inf`) estimate clamped to `none`.
-    pub fn record_estimator_degenerate(&self) {
-        self.degenerate.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one counting run's [`ceg_exec::KernelStats`] into the global
-    /// kernel totals (a handful of relaxed `fetch_add`s per catalog
-    /// fill, not per candidate).
+    /// Fold one counting run's [`ceg_exec::KernelStats`] into the kernel
+    /// totals: its summed fields have a series each, in field order up to
+    /// where the WAL series begin (`deepest_level`, a maximum, has none).
     pub fn record_kernel(&self, stats: &ceg_exec::KernelStats) {
-        self.kernel_candidates
-            .fetch_add(stats.candidates, Ordering::Relaxed);
-        self.kernel_merge
-            .fetch_add(stats.merge_intersections, Ordering::Relaxed);
-        self.kernel_gallop
-            .fetch_add(stats.gallop_intersections, Ordering::Relaxed);
-        self.kernel_bitset
-            .fetch_add(stats.bitset_intersections, Ordering::Relaxed);
-        self.kernel_suffix
-            .fetch_add(stats.suffix_shortcuts, Ordering::Relaxed);
-        self.kernel_memo_hits
-            .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        self.kernel_budget
-            .fetch_add(stats.budget_consumed, Ordering::Relaxed);
-    }
-
-    /// Count one durable commit: `wal_bytes` appended + fsynced before
-    /// the ack.
-    pub fn record_wal_commit(&self, wal_bytes: u64) {
-        self.wal_commits.fetch_add(1, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(wal_bytes, Ordering::Relaxed);
-    }
-
-    /// Count one refused commit (WAL append failed; nothing applied).
-    pub fn record_wal_error(&self) {
-        self.wal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one WAL rotation (log folded into a snapshot).
-    pub fn record_wal_rotation(&self) {
-        self.wal_rotations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one boot-time recovery into the totals: `commits` replayed,
-    /// plus whether a torn tail was found and truncated.
-    pub fn record_wal_recovery(&self, commits: u64, torn_tail: bool) {
-        self.wal_recovered_commits
-            .fetch_add(commits, Ordering::Relaxed);
-        if torn_tail {
-            self.wal_torn_tails.fetch_add(1, Ordering::Relaxed);
+        let kernel = Series::KernelCandidates as usize..Series::WalCommits as usize;
+        let cells = self.values.iter().take(kernel.end).skip(kernel.start);
+        for (cell, (_, value)) in cells.zip(stats.fields()) {
+            cell.fetch_add(value, Ordering::Relaxed);
         }
     }
 
-    /// Durable commits so far.
-    pub fn wal_commits(&self) -> u64 {
-        self.wal_commits.load(Ordering::Relaxed)
+    /// The rows of one group with their current values: the engine's
+    /// ([`Series::Requests`] on), or the ones recorded here.
+    pub(crate) fn rows(&self, engine: bool) -> impl Iterator<Item = (&'static Row, u64)> + '_ {
+        let split = Series::Requests as usize;
+        let rows = SERIES.iter().zip(&self.values);
+        rows.filter(move |((series, ..), _)| (*series as usize >= split) == engine)
+            .map(|(row, cell)| (row, cell.load(Ordering::Relaxed)))
     }
 
-    /// Degenerate estimates clamped so far.
-    pub fn estimator_degenerate(&self) -> u64 {
-        self.degenerate.load(Ordering::Relaxed)
+    /// Append one group's Prometheus families, counters before gauges.
+    pub(crate) fn scalar_prom(&self, engine: bool, out: &mut Vec<String>) {
+        for prom_type in [COUNTER, GAUGE] {
+            let of_type = self.rows(engine).filter(|((.., t), _)| *t == prom_type);
+            for (&(_, key, family, _), v) in of_type {
+                let family = family.map_or_else(|| format!("ceg_{key}"), String::from);
+                out.push(format!("# TYPE {family} {prom_type}"));
+                out.push(format!("{family} {v}"));
+            }
+        }
     }
 
-    /// `BUSY` rejections so far.
-    pub fn busy(&self) -> u64 {
-        self.busy.load(Ordering::Relaxed)
+    /// Every histogram with the stem of its names: `queue_wait`, then
+    /// `latency_<command keyword in lower case>` per served command.
+    fn histograms(&self) -> impl Iterator<Item = (String, &Histogram)> {
+        let latency = Command::ALL.iter().zip(&self.latency);
+        let latency = latency.map(|((_, name, _), h)| (name.to_ascii_lowercase(), h));
+        std::iter::once(("queue_wait".to_string(), &self.queue_wait))
+            .chain(latency.map(|(key, h)| (format!("latency_{key}"), h)))
     }
 
-    /// `TIMEOUT` replies so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// `ERR` replies so far.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Misses admitted and not yet answered.
-    pub fn queued(&self) -> u64 {
-        self.queued.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of the queue gauge.
-    pub fn queued_peak(&self) -> u64 {
-        self.queued_peak.load(Ordering::Relaxed)
-    }
-
-    /// Dump every counter as sorted-stable `(key, value)` pairs — the
-    /// payload of the `METRICS` wire reply. Keys are snake_case and
-    /// stable across releases; values are plain integers (latencies in
-    /// microseconds).
+    /// Everything recorded here as `(key, value)` pairs in a stable order —
+    /// the first part of the `METRICS` wire reply (the engine appends its
+    /// own series and the per-dataset gauges). Keys are snake_case and
+    /// stable across releases; latencies are in microseconds.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = vec![
-            ("busy_total".into(), self.busy()),
-            ("timeout_total".into(), self.timeouts()),
-            ("error_total".into(), self.errors()),
-            (
-                "estimator_degenerate_total".into(),
-                self.estimator_degenerate(),
-            ),
-            ("queued".into(), self.queued()),
-            ("queued_peak".into(), self.queued_peak()),
-            (
-                "kernel_candidates_total".into(),
-                self.kernel_candidates.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_intersect_merge_total".into(),
-                self.kernel_merge.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_intersect_gallop_total".into(),
-                self.kernel_gallop.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_intersect_bitset_total".into(),
-                self.kernel_bitset.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_suffix_shortcuts_total".into(),
-                self.kernel_suffix.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_memo_hits_total".into(),
-                self.kernel_memo_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "kernel_budget_consumed_total".into(),
-                self.kernel_budget.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_commits_total".into(),
-                self.wal_commits.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_bytes_total".into(),
-                self.wal_bytes.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_errors_total".into(),
-                self.wal_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_rotations_total".into(),
-                self.wal_rotations.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_recovered_commits_total".into(),
-                self.wal_recovered_commits.load(Ordering::Relaxed),
-            ),
-            (
-                "wal_torn_tails_total".into(),
-                self.wal_torn_tails.load(Ordering::Relaxed),
-            ),
-            ("queue_wait_count".into(), self.queue_wait.count()),
-            ("queue_wait_sum_us".into(), self.queue_wait.sum_micros()),
-            (
-                "queue_wait_p50_us".into(),
-                self.queue_wait.quantile_micros(0.50),
-            ),
-            (
-                "queue_wait_p99_us".into(),
-                self.queue_wait.quantile_micros(0.99),
-            ),
-        ];
-        for cmd in Command::ALL {
-            let h = self.latency(cmd);
-            let k = cmd.key();
-            out.push((format!("latency_{k}_count"), h.count()));
-            out.push((format!("latency_{k}_sum_us"), h.sum_micros()));
-            out.push((format!("latency_{k}_p50_us"), h.quantile_micros(0.50)));
-            out.push((format!("latency_{k}_p99_us"), h.quantile_micros(0.99)));
+        let key_value = |(&(_, key, ..), v): (&Row, u64)| (key.to_string(), v);
+        let mut out: Vec<_> = self.rows(false).map(key_value).collect();
+        for (stem, h) in self.histograms() {
+            out.push((format!("{stem}_count"), h.count()));
+            out.push((format!("{stem}_sum_us"), h.sum_micros()));
+            out.push((format!("{stem}_p50_us"), h.quantile_micros(0.50)));
+            out.push((format!("{stem}_p99_us"), h.quantile_micros(0.99)));
         }
         out
     }
 
-    /// Render the metrics-owned families in Prometheus text exposition
-    /// format: one `counter`/`gauge` family per scalar, one `histogram`
-    /// family per latency histogram. The engine appends its own families
+    /// The same series in Prometheus text exposition format, a family per
+    /// scalar and per histogram; the engine appends its own families
     /// (cache, datasets) for the full `METRICS_PROM` payload.
     pub fn prom_lines(&self) -> Vec<String> {
         let mut out = Vec::new();
-        let counter = |out: &mut Vec<String>, name: &str, v: u64| {
-            out.push(format!("# TYPE {name} counter"));
-            out.push(format!("{name} {v}"));
-        };
-        let gauge = |out: &mut Vec<String>, name: &str, v: u64| {
-            out.push(format!("# TYPE {name} gauge"));
-            out.push(format!("{name} {v}"));
-        };
-        counter(&mut out, "ceg_busy_total", self.busy());
-        counter(&mut out, "ceg_timeout_total", self.timeouts());
-        counter(&mut out, "ceg_error_total", self.errors());
-        counter(
-            &mut out,
-            "ceg_estimator_degenerate_total",
-            self.estimator_degenerate(),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_candidates_total",
-            self.kernel_candidates.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_intersect_merge_total",
-            self.kernel_merge.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_intersect_gallop_total",
-            self.kernel_gallop.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_intersect_bitset_total",
-            self.kernel_bitset.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_suffix_shortcuts_total",
-            self.kernel_suffix.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_memo_hits_total",
-            self.kernel_memo_hits.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_kernel_budget_consumed_total",
-            self.kernel_budget.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_commits_total",
-            self.wal_commits.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_bytes_total",
-            self.wal_bytes.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_errors_total",
-            self.wal_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_rotations_total",
-            self.wal_rotations.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_recovered_commits_total",
-            self.wal_recovered_commits.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "ceg_wal_torn_tails_total",
-            self.wal_torn_tails.load(Ordering::Relaxed),
-        );
-        gauge(&mut out, "ceg_queued", self.queued());
-        gauge(&mut out, "ceg_queued_peak", self.queued_peak());
-        self.queue_wait.prom_into("ceg_queue_wait_micros", &mut out);
-        for cmd in Command::ALL {
-            self.latency(cmd)
-                .prom_into(&format!("ceg_latency_{}_micros", cmd.key()), &mut out);
+        self.scalar_prom(false, &mut out);
+        for (stem, h) in self.histograms() {
+            h.prom_into(&format!("ceg_{stem}_micros"), &mut out);
         }
         out
     }
@@ -666,23 +426,23 @@ mod tests {
         m.job_enqueued();
         m.job_finished();
         m.job_enqueued();
-        assert_eq!(m.queued(), 2);
-        assert_eq!(m.queued_peak(), 2);
+        assert_eq!(m.get(Series::Queued), 2);
+        assert_eq!(m.get(Series::QueuedPeak), 2);
         m.job_finished();
         m.job_finished();
-        assert_eq!(m.queued(), 0);
-        assert_eq!(m.queued_peak(), 2);
+        assert_eq!(m.get(Series::Queued), 0);
+        assert_eq!(m.get(Series::QueuedPeak), 2);
     }
 
     #[test]
     fn wal_counters_surface_in_snapshot_and_prom() {
         let m = Metrics::new();
-        m.record_wal_commit(128);
-        m.record_wal_commit(64);
-        m.record_wal_error();
-        m.record_wal_rotation();
-        m.record_wal_recovery(3, true);
-        m.record_wal_recovery(2, false);
+        m.add(Series::WalCommits, 2);
+        m.add(Series::WalBytes, 128 + 64);
+        m.inc(Series::WalErrors);
+        m.inc(Series::WalRotations);
+        m.add(Series::WalRecoveredCommits, 3 + 2);
+        m.inc(Series::WalTornTails);
         let snap = m.snapshot();
         let get = |k: &str| {
             snap.iter()
@@ -705,9 +465,11 @@ mod tests {
     #[test]
     fn snapshot_has_stable_parseable_keys() {
         let m = Metrics::new();
-        m.record_busy();
-        m.record_timeout();
-        m.record_latency(Command::Estimate, Duration::from_micros(50));
+        m.inc(Series::Busy);
+        m.inc(Series::Timeout);
+        let estimate = m.latency(Command::Estimate).expect("a served command");
+        estimate.record(Duration::from_micros(50));
+        assert!(m.latency(Command::Quit).is_none());
         let snap = m.snapshot();
         let get = |k: &str| {
             snap.iter()
@@ -724,9 +486,39 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), snap.len());
-        // A command's histogram is found by discriminant.
-        for (i, cmd) in Command::ALL.into_iter().enumerate() {
-            assert_eq!(cmd.index(), i, "{cmd:?} is out of declaration order in ALL");
+    }
+
+    #[test]
+    fn every_series_has_its_row_and_the_kernel_rows_follow_kernel_stats() {
+        // A series' cell and row are found by discriminant.
+        for (i, (series, ..)) in SERIES.iter().enumerate() {
+            assert_eq!(*series as usize, i, "{series:?} is out of order in SERIES");
         }
+        // `record_kernel` pairs rows with `KernelStats::fields` by
+        // position; the names say it pairs them right.
+        let stats = ceg_exec::KernelStats {
+            candidates: 1,
+            merge_intersections: 2,
+            gallop_intersections: 3,
+            bitset_intersections: 4,
+            suffix_shortcuts: 5,
+            memo_hits: 6,
+            budget_consumed: 7,
+            deepest_level: 8,
+        };
+        let m = Metrics::new();
+        m.record_kernel(&stats);
+        let snap = m.snapshot();
+        for (name, value) in stats.fields().into_iter().take(7) {
+            let key = format!("{name}_total");
+            assert!(snap.contains(&(key.clone(), value)), "{key} != {value}");
+        }
+        assert_eq!(m.get(Series::WalCommits), 0, "deepest_level has no series");
+        // The two groups partition the table.
+        assert_eq!(m.rows(false).count() + m.rows(true).count(), SERIES.len());
+        assert_eq!(
+            m.rows(true).next().map(|(row, _)| row.1),
+            Some("requests_total")
+        );
     }
 }

@@ -28,7 +28,7 @@
 //! QUIT                                            BYE
 //! (estimate rejected by admission/drain)          BUSY <message>
 //! (estimate abandoned at its deadline)            TIMEOUT deadline_ms=<ms>
-//! (anything malformed)                            ERR <message>
+//! (anything malformed; `PING x`, `COMMIT d x` are) ERR <message>
 //! (query too wide to estimate)                    ERR query has more than 65536 connected sub-queries
 //! ```
 //!
@@ -43,8 +43,13 @@
 //! estimation — clients retry with backoff. `STATS batches=` counts
 //! engine calls: one per `ESTIMATE`, `EXPLAIN_ESTIMATE` or
 //! `ESTIMATE_BATCH` request, whatever it hit or missed; `queued=` is the
-//! number of misses admitted and not yet answered. `METRICS` dumps the whole metrics registry as `<key> <value>`
-//! lines under a counted header (same framing discipline as `BATCH`).
+//! number of misses admitted and not yet answered. `METRICS` dumps the
+//! whole metrics registry as `<key> <value>` lines. The `BATCH`,
+//! `EXPLAIN`, `METRICS`, `METRICS_PROM` and `SLOWLOG` replies share one
+//! framing: a head line `<KEYWORD> <n>` ([`Response::Counted`]), then
+//! exactly `n` body lines; a request refused as a whole (`ERR`, or `BUSY`
+//! during a drain) is that single typed line in place of the head.
+//! Tokens after a complete request are an error for every command.
 //! `SHUTDOWN` asks the server to drain: the reply `DRAINING` confirms,
 //! new work is BUSY-rejected, and the process writes final snapshots and
 //! exits once in-flight work settles (see `cegcli serve`).
@@ -108,16 +113,84 @@
 //! allowance ([`crate::registry::MAX_UPDATE_VERTEX`]) and enforces the
 //! pending-buffer cap, answering violations with `ERR`.
 
+use std::iter::Peekable;
+use std::str::{FromStr, SplitWhitespace};
+
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
-use crate::engine::{EngineStats, EstimateOutcome, SnapshotAck, UpdateAck};
+use crate::engine::{EngineStats, EstimateOutcome, SlowQueryEntry, SnapshotAck, UpdateAck};
 use crate::registry::CommitOutcome;
 
 /// Largest number of queries one `ESTIMATE_BATCH` may carry. Big enough
 /// for any sane client batch, small enough that a hostile header cannot
 /// make the server buffer unbounded lines.
 pub const MAX_BATCH_QUERIES: usize = 1024;
+
+/// The wire commands. [`Command::ALL`] is the one place a command's
+/// keyword is written: [`Request::parse`] and [`Request::format`] read it
+/// from there, and the metrics key of a command (`latency_<key>_count`,
+/// `ceg_latency_<key>_micros`) is that keyword in lower case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    Estimate,
+    EstimateBatch,
+    ExplainEstimate,
+    AddEdge,
+    DelEdge,
+    Commit,
+    Snapshot,
+    Stats,
+    Metrics,
+    MetricsProm,
+    SlowLog,
+    Ping,
+    Shutdown,
+    Quit,
+}
+
+impl Command {
+    /// Every command in declaration order (a command's discriminant is
+    /// its position here) with its wire keyword and, for the five
+    /// answered with a counted reply, the keyword of that reply's head.
+    #[rustfmt::skip]
+    pub const ALL: [(Command, &'static str, Option<&'static str>); 14] = [
+        (Command::Estimate, "ESTIMATE", None),
+        (Command::EstimateBatch, "ESTIMATE_BATCH", Some("BATCH")),
+        (Command::ExplainEstimate, "EXPLAIN_ESTIMATE", Some("EXPLAIN")),
+        (Command::AddEdge, "ADD_EDGE", None),
+        (Command::DelEdge, "DEL_EDGE", None),
+        (Command::Commit, "COMMIT", None),
+        (Command::Snapshot, "SNAPSHOT", None),
+        (Command::Stats, "STATS", None),
+        (Command::Metrics, "METRICS", Some("METRICS")),
+        (Command::MetricsProm, "METRICS_PROM", Some("METRICS_PROM")),
+        (Command::SlowLog, "SLOWLOG", Some("SLOWLOG")),
+        (Command::Ping, "PING", None),
+        (Command::Shutdown, "SHUTDOWN", None),
+        (Command::Quit, "QUIT", None),
+    ];
+
+    /// The leading commands of [`Command::ALL`] that are served and so
+    /// have a latency histogram; `SHUTDOWN` and `QUIT` after them are
+    /// lifecycle events.
+    pub const TRACKED: usize = 12;
+
+    /// The wire keyword.
+    pub fn name(self) -> &'static str {
+        Self::ALL.get(self as usize).map_or("", |row| row.1)
+    }
+
+    fn from_name(word: &str) -> Option<Command> {
+        Self::ALL.iter().find(|row| row.1 == word).map(|row| row.0)
+    }
+
+    /// The keyword that heads this command's counted reply.
+    fn head(self) -> &'static str {
+        let head = Self::ALL.get(self as usize).and_then(|&(.., head)| head);
+        head.unwrap_or(self.name())
+    }
+}
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,54 +254,76 @@ pub enum Request {
     Quit,
 }
 
-/// Parse the tail of an `ADD_EDGE`/`DEL_EDGE` line: `<ds> <src> <dst>
-/// <label>` (syntax only; domain/growth bounds are the registry's job).
-fn parse_update<'a>(
-    cmd: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<(String, VertexId, VertexId, LabelId), String> {
-    let dataset = it
-        .next()
-        .ok_or(format!("{cmd}: missing dataset"))?
-        .to_string();
-    let src: VertexId = it
-        .next()
-        .ok_or(format!("{cmd}: missing src"))?
-        .parse()
-        .map_err(|_| format!("{cmd}: bad src"))?;
-    let dst: VertexId = it
-        .next()
-        .ok_or(format!("{cmd}: missing dst"))?
-        .parse()
-        .map_err(|_| format!("{cmd}: bad dst"))?;
-    let label: LabelId = it
-        .next()
-        .ok_or(format!("{cmd}: missing label"))?
-        .parse()
-        .map_err(|_| format!("{cmd}: bad label"))?;
-    if it.next().is_some() {
-        return Err(format!("{cmd}: trailing tokens"));
+/// The one token reader behind every line grammar of this module: it
+/// walks a line's whitespace-separated tokens and words the three
+/// failures — a token that is absent, one that does not parse, one too
+/// many — the same way everywhere. `ctx` prefixes the message (the
+/// command or reply keyword).
+struct Cursor<'a>(Peekable<SplitWhitespace<'a>>);
+
+impl<'a> Cursor<'a> {
+    fn new(line: &'a str) -> Self {
+        Cursor(line.split_whitespace().peekable())
     }
-    Ok((dataset, src, dst, label))
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+
+    /// The next positional token parsed as `T`, `None` at the end of the
+    /// line; `<ctx>: bad <name>` if it does not parse.
+    fn opt<T: FromStr>(&mut self, ctx: &str, name: &str) -> Result<Option<T>, String> {
+        let parsed = self.next().map(str::parse::<T>).transpose();
+        parsed.map_err(|_| format!("{ctx}: bad {name}"))
+    }
+
+    /// [`Cursor::opt`] for a token that must be there: `<ctx>: missing
+    /// <name>` otherwise.
+    fn field<T: FromStr>(&mut self, ctx: &str, name: &str) -> Result<T, String> {
+        self.opt(ctx, name)?
+            .ok_or_else(|| format!("{ctx}: missing {name}"))
+    }
+
+    /// The value of the next token, which must read `<key>=<value>`.
+    fn kv_str(&mut self, key: &str) -> Result<&'a str, String> {
+        let tok = self.next().ok_or_else(|| format!("missing {key}=…"))?;
+        tok.strip_prefix(key)
+            .and_then(|rest| rest.strip_prefix('='))
+            .ok_or_else(|| format!("expected {key}=…, got `{tok}`"))
+    }
+
+    /// [`Cursor::kv_str`] parsed as `T`; `<ctx>: bad <key>` if the value
+    /// does not parse.
+    fn kv<T: FromStr>(&mut self, ctx: &str, key: &str) -> Result<T, String> {
+        let value = self.kv_str(key)?;
+        value.parse().map_err(|_| format!("{ctx}: bad {key}"))
+    }
+
+    /// Consume an optional `DEADLINE_MS=<ms>` token. A next token that is
+    /// not a deadline attribute is left for the caller (it starts the
+    /// query encoding, or is a trailing token).
+    fn deadline(&mut self, ctx: &str) -> Result<Option<u64>, String> {
+        let Some(value) = self.0.peek().and_then(|t| t.strip_prefix("DEADLINE_MS=")) else {
+            return Ok(None);
+        };
+        self.0.next();
+        let bad = |_| format!("{ctx}: bad DEADLINE_MS value");
+        Ok(Some(value.parse().map_err(bad)?))
+    }
+
+    /// The line must end here: `<ctx>: trailing tokens` otherwise.
+    fn end(&mut self, ctx: &str) -> Result<(), String> {
+        let trailing = self.next().map(|_| format!("{ctx}: trailing tokens"));
+        trailing.map_or(Ok(()), Err)
+    }
 }
 
-/// Parse a query encoding `<nv> <ne> (<src> <dst> <lbl>)*` from a token
-/// stream — the tail of an `ESTIMATE` line, or one full `ESTIMATE_BATCH`
-/// query line. `ctx` prefixes error messages.
-fn parse_query_tokens<'a>(
-    ctx: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<QueryGraph, String> {
-    let nv: VarId = it
-        .next()
-        .ok_or(format!("{ctx}: missing num_vars"))?
-        .parse()
-        .map_err(|_| format!("{ctx}: bad num_vars"))?;
-    let ne: usize = it
-        .next()
-        .ok_or(format!("{ctx}: missing num_edges"))?
-        .parse()
-        .map_err(|_| format!("{ctx}: bad num_edges"))?;
+/// Parse a query encoding `<nv> <ne> (<src> <dst> <lbl>)*` up to the end
+/// of the line — the tail of an `ESTIMATE` line, or one full
+/// `ESTIMATE_BATCH` query line. `ctx` prefixes error messages.
+fn parse_query(ctx: &str, cur: &mut Cursor<'_>) -> Result<QueryGraph, String> {
+    let nv: VarId = cur.field(ctx, "num_vars")?;
+    let ne: usize = cur.field(ctx, "num_edges")?;
     // Edge subsets and variable sets are `u32` bitmasks downstream
     // (`EdgeMask`, `QueryGraph::vars_of`): a query that outgrows either
     // stops here, not in a shift.
@@ -240,21 +335,10 @@ fn parse_query_tokens<'a>(
     }
     let mut edges = Vec::with_capacity(ne);
     for _ in 0..ne {
-        let src: VarId = it
-            .next()
-            .ok_or(format!("{ctx}: truncated edge list"))?
-            .parse()
-            .map_err(|_| format!("{ctx}: bad src"))?;
-        let dst: VarId = it
-            .next()
-            .ok_or(format!("{ctx}: truncated edge list"))?
-            .parse()
-            .map_err(|_| format!("{ctx}: bad dst"))?;
-        let label: u16 = it
-            .next()
-            .ok_or(format!("{ctx}: truncated edge list"))?
-            .parse()
-            .map_err(|_| format!("{ctx}: bad label"))?;
+        let truncated = || format!("{ctx}: truncated edge list");
+        let src: VarId = cur.opt(ctx, "src")?.ok_or_else(truncated)?;
+        let dst: VarId = cur.opt(ctx, "dst")?.ok_or_else(truncated)?;
+        let label: u16 = cur.opt(ctx, "label")?.ok_or_else(truncated)?;
         if src >= nv || dst >= nv {
             return Err(format!(
                 "{ctx}: edge endpoint out of range (vars are 0..{nv})"
@@ -262,9 +346,7 @@ fn parse_query_tokens<'a>(
         }
         edges.push(QueryEdge::new(src, dst, label));
     }
-    if it.next().is_some() {
-        return Err(format!("{ctx}: trailing tokens after edge list"));
-    }
+    cur.end(ctx).map_err(|e| format!("{e} after edge list"))?;
     if edges.is_empty() {
         return Err(format!("{ctx}: query must have at least one edge"));
     }
@@ -275,20 +357,6 @@ fn parse_query_tokens<'a>(
         return Err(format!("{ctx}: query must be connected"));
     }
     Ok(query)
-}
-
-/// Parse an optional `DEADLINE_MS=<ms>` token. Returns `Ok(None)` if the
-/// token is absent (`tok` was `None` or not a deadline attribute — the
-/// caller decides what the token means then), `Ok(Some(ms))` on a valid
-/// deadline, and an error on a malformed value.
-fn parse_deadline_token(ctx: &str, tok: Option<&str>) -> Result<Option<u64>, String> {
-    match tok.and_then(|t| t.strip_prefix("DEADLINE_MS=")) {
-        None => Ok(None),
-        Some(rest) => rest
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{ctx}: bad DEADLINE_MS value")),
-    }
 }
 
 /// Append a query in its wire encoding `<nv> <ne> (<src> <dst> <lbl>)*`.
@@ -334,82 +402,44 @@ pub fn split_id(line: &str) -> (&str, Option<u64>) {
 /// this to learn how many query lines to read before it can hand the
 /// whole text to [`Request::parse`].
 pub fn parse_batch_header(line: &str) -> Result<(String, usize, Option<u64>), String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("ESTIMATE_BATCH") => {}
-        _ => return Err("not an ESTIMATE_BATCH header".into()),
+    let ctx = Command::EstimateBatch.name();
+    let mut cur = Cursor::new(line);
+    if cur.next() != Some(ctx) {
+        return Err("not an ESTIMATE_BATCH header".into());
     }
-    let dataset = it
-        .next()
-        .ok_or("ESTIMATE_BATCH: missing dataset")?
-        .to_string();
-    let n: usize = it
-        .next()
-        .ok_or("ESTIMATE_BATCH: missing query count")?
-        .parse()
-        .map_err(|_| "ESTIMATE_BATCH: bad query count")?;
-    let tail = it.next();
-    let deadline_ms = parse_deadline_token("ESTIMATE_BATCH", tail)?;
-    if (tail.is_some() && deadline_ms.is_none()) || it.next().is_some() {
-        return Err("ESTIMATE_BATCH: trailing tokens".into());
-    }
+    let dataset = cur.field(ctx, "dataset")?;
+    let n: usize = cur.field(ctx, "query count")?;
+    let deadline_ms = cur.deadline(ctx)?;
+    cur.end(ctx)?;
     if n == 0 {
-        return Err("ESTIMATE_BATCH: query count must be at least 1".into());
+        return Err(format!("{ctx}: query count must be at least 1"));
     }
     if n > MAX_BATCH_QUERIES {
         return Err(format!(
-            "ESTIMATE_BATCH: query count {n} exceeds the limit of {MAX_BATCH_QUERIES}"
+            "{ctx}: query count {n} exceeds the limit of {MAX_BATCH_QUERIES}"
         ));
     }
     Ok((dataset, n, deadline_ms))
 }
 
-/// Render the `BATCH <n>` response header that precedes a batch's `n`
-/// ordered response lines.
-pub fn batch_response_header(n: usize) -> String {
-    format!("BATCH {n}")
+/// The count of a counted reply head of the given kind.
+fn counted_header(line: &str, kind: Command) -> Result<usize, String> {
+    match Response::parse(line)? {
+        Response::Counted { kind: k, n } if k == kind => Ok(n),
+        _ => Err(format!("expected {} header, got `{line}`", kind.head())),
+    }
 }
 
-/// Parse a `BATCH <n>` response header.
+/// Parse a `BATCH <n>` response header (kept for `bench/src/wire.rs`;
+/// everything else reads the head of a reply through [`Response::parse`]).
 pub fn parse_batch_response_header(line: &str) -> Result<usize, String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("BATCH") => {}
-        _ => return Err(format!("expected BATCH header, got `{line}`")),
-    }
-    let n: usize = it
-        .next()
-        .ok_or("BATCH: missing count")?
-        .parse()
-        .map_err(|_| "BATCH: bad count")?;
-    if it.next().is_some() {
-        return Err("BATCH: trailing tokens".into());
-    }
-    Ok(n)
+    counted_header(line, Command::EstimateBatch)
 }
 
-/// Render the `METRICS <n>` response header that precedes `n`
-/// `<key> <value>` lines.
-pub fn metrics_response_header(n: usize) -> String {
-    format!("METRICS {n}")
-}
-
-/// Parse a `METRICS <n>` response header.
-pub fn parse_metrics_response_header(line: &str) -> Result<usize, String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("METRICS") => {}
-        _ => return Err(format!("expected METRICS header, got `{line}`")),
-    }
-    let n: usize = it
-        .next()
-        .ok_or("METRICS: missing count")?
-        .parse()
-        .map_err(|_| "METRICS: bad count")?;
-    if it.next().is_some() {
-        return Err("METRICS: trailing tokens".into());
-    }
-    Ok(n)
+/// Parse an `EXPLAIN <n>` response header (kept for `bench/src/wire.rs`,
+/// as [`parse_batch_response_header`] is).
+pub fn parse_explain_response_header(line: &str) -> Result<usize, String> {
+    counted_header(line, Command::ExplainEstimate)
 }
 
 /// Render one `<key> <value>` line of a `METRICS` reply body — the
@@ -419,52 +449,13 @@ pub fn format_metric_line(key: &str, value: u64) -> String {
     format!("{key} {value}")
 }
 
-/// One Prometheus text-exposition line of a `METRICS_PROM` reply body.
-/// The engine already renders full exposition lines; this pass-through
-/// exists so every byte a connection handler writes still flows through
-/// a `protocol::` constructor (the typed-reply lint keys on that).
-pub fn format_prom_line(line: &str) -> &str {
-    line
-}
-
 /// Parse one `<key> <value>` line of a `METRICS` reply body.
 pub fn parse_metric_line(line: &str) -> Result<(String, u64), String> {
-    let mut it = line.split_whitespace();
-    let key = it.next().ok_or("metric line: missing key")?.to_string();
-    let value: u64 = it
-        .next()
-        .ok_or("metric line: missing value")?
-        .parse()
-        .map_err(|_| format!("metric line: bad value for `{key}`"))?;
-    if it.next().is_some() {
-        return Err("metric line: trailing tokens".into());
-    }
-    Ok((key, value))
-}
-
-/// Render the `EXPLAIN <n>` response header that precedes the EST (or
-/// TIMEOUT) line and the span/counter breakdown of an
-/// `EXPLAIN_ESTIMATE`.
-pub fn explain_response_header(n: usize) -> String {
-    format!("EXPLAIN {n}")
-}
-
-/// Parse an `EXPLAIN <n>` response header.
-pub fn parse_explain_response_header(line: &str) -> Result<usize, String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("EXPLAIN") => {}
-        _ => return Err(format!("expected EXPLAIN header, got `{line}`")),
-    }
-    let n: usize = it
-        .next()
-        .ok_or("EXPLAIN: missing count")?
-        .parse()
-        .map_err(|_| "EXPLAIN: bad count")?;
-    if it.next().is_some() {
-        return Err("EXPLAIN: trailing tokens".into());
-    }
-    Ok(n)
+    let ctx = "metric line";
+    let mut cur = Cursor::new(line);
+    let pair = (cur.field(ctx, "key")?, cur.field(ctx, "value")?);
+    cur.end(ctx)?;
+    Ok(pair)
 }
 
 /// One line of an `EXPLAIN` breakdown body (after the leading EST line):
@@ -488,20 +479,11 @@ impl ExplainItem {
 
     /// Parse one breakdown line.
     pub fn parse(line: &str) -> Result<ExplainItem, String> {
-        let mut it = line.split_whitespace();
-        let kind = it.next().ok_or("explain line: empty")?;
-        let name = it
-            .next()
-            .ok_or(format!("explain line: missing name in `{line}`"))?
-            .to_string();
-        let value: u64 = it
-            .next()
-            .ok_or(format!("explain line: missing value in `{line}`"))?
-            .parse()
-            .map_err(|_| format!("explain line: bad value in `{line}`"))?;
-        if it.next().is_some() {
-            return Err(format!("explain line: trailing tokens in `{line}`"));
-        }
+        let ctx = "explain line";
+        let mut cur = Cursor::new(line);
+        let kind = cur.next().ok_or("explain line: empty")?;
+        let (name, value) = (cur.field(ctx, "name")?, cur.field(ctx, "value")?);
+        cur.end(ctx)?;
         match kind {
             "span" => Ok(ExplainItem::Span {
                 name,
@@ -513,34 +495,10 @@ impl ExplainItem {
     }
 }
 
-/// Render the `SLOWLOG <n>` response header that precedes `n` slow-query
-/// record lines.
-pub fn slowlog_response_header(n: usize) -> String {
-    format!("SLOWLOG {n}")
-}
-
-/// Parse a `SLOWLOG <n>` response header.
-pub fn parse_slowlog_response_header(line: &str) -> Result<usize, String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("SLOWLOG") => {}
-        _ => return Err(format!("expected SLOWLOG header, got `{line}`")),
-    }
-    let n: usize = it
-        .next()
-        .ok_or("SLOWLOG: missing count")?
-        .parse()
-        .map_err(|_| "SLOWLOG: bad count")?;
-    if it.next().is_some() {
-        return Err("SLOWLOG: trailing tokens".into());
-    }
-    Ok(n)
-}
-
 /// Render one slow-query record as a wire line. The query encoding goes
 /// **last** because it contains spaces; every other field is a fixed
 /// `key=value` token.
-pub fn format_slowlog_entry(e: &crate::engine::SlowQueryEntry) -> String {
+pub fn format_slowlog_entry(e: &SlowQueryEntry) -> String {
     format!(
         "id={} dataset={} epoch={} micros={} cache_us={} fill_us={} estimate_us={} query={}",
         e.id, e.dataset, e.epoch, e.micros, e.cache_us, e.fill_us, e.estimate_us, e.query
@@ -548,216 +506,180 @@ pub fn format_slowlog_entry(e: &crate::engine::SlowQueryEntry) -> String {
 }
 
 /// Parse one slow-query record line.
-pub fn parse_slowlog_entry(line: &str) -> Result<crate::engine::SlowQueryEntry, String> {
-    let mut it = line.split_whitespace();
-    let id = kv(it.next(), "id")?
-        .parse()
-        .map_err(|_| "slowlog: bad id")?;
-    let dataset = kv(it.next(), "dataset")?.to_string();
-    let epoch = kv(it.next(), "epoch")?
-        .parse()
-        .map_err(|_| "slowlog: bad epoch")?;
-    let micros = kv(it.next(), "micros")?
-        .parse()
-        .map_err(|_| "slowlog: bad micros")?;
-    let cache_us = kv(it.next(), "cache_us")?
-        .parse()
-        .map_err(|_| "slowlog: bad cache_us")?;
-    let fill_us = kv(it.next(), "fill_us")?
-        .parse()
-        .map_err(|_| "slowlog: bad fill_us")?;
-    let estimate_us = kv(it.next(), "estimate_us")?
-        .parse()
-        .map_err(|_| "slowlog: bad estimate_us")?;
-    let first = kv(it.next(), "query")?;
-    let mut query = first.to_string();
-    for tok in it {
-        query.push(' ');
-        query.push_str(tok);
+pub fn parse_slowlog_entry(line: &str) -> Result<SlowQueryEntry, String> {
+    let ctx = "slowlog";
+    let mut cur = Cursor::new(line);
+    let mut entry = SlowQueryEntry {
+        id: cur.kv(ctx, "id")?,
+        dataset: cur.kv(ctx, "dataset")?,
+        epoch: cur.kv(ctx, "epoch")?,
+        micros: cur.kv(ctx, "micros")?,
+        cache_us: cur.kv(ctx, "cache_us")?,
+        fill_us: cur.kv(ctx, "fill_us")?,
+        estimate_us: cur.kv(ctx, "estimate_us")?,
+        query: cur.kv_str("query")?.to_string(),
+    };
+    while let Some(tok) = cur.next() {
+        entry.query.push(' ');
+        entry.query.push_str(tok);
     }
-    Ok(crate::engine::SlowQueryEntry {
-        id,
-        dataset,
-        epoch,
-        micros,
-        cache_us,
-        fill_us,
-        estimate_us,
-        query,
-    })
-}
-
-/// Render the `METRICS_PROM <n>` response header that precedes `n`
-/// Prometheus text-exposition lines.
-pub fn metrics_prom_response_header(n: usize) -> String {
-    format!("METRICS_PROM {n}")
-}
-
-/// Parse a `METRICS_PROM <n>` response header.
-pub fn parse_metrics_prom_response_header(line: &str) -> Result<usize, String> {
-    let mut it = line.split_whitespace();
-    match it.next() {
-        Some("METRICS_PROM") => {}
-        _ => return Err(format!("expected METRICS_PROM header, got `{line}`")),
-    }
-    let n: usize = it
-        .next()
-        .ok_or("METRICS_PROM: missing count")?
-        .parse()
-        .map_err(|_| "METRICS_PROM: bad count")?;
-    if it.next().is_some() {
-        return Err("METRICS_PROM: trailing tokens".into());
-    }
-    Ok(n)
+    Ok(entry)
 }
 
 impl Request {
+    /// The command this request is an instance of.
+    pub fn command(&self) -> Command {
+        match self {
+            Request::Ping => Command::Ping,
+            Request::Stats => Command::Stats,
+            Request::Metrics => Command::Metrics,
+            Request::MetricsProm => Command::MetricsProm,
+            Request::SlowLog { .. } => Command::SlowLog,
+            Request::Estimate { .. } => Command::Estimate,
+            Request::ExplainEstimate { .. } => Command::ExplainEstimate,
+            Request::EstimateBatch { .. } => Command::EstimateBatch,
+            Request::AddEdge { .. } => Command::AddEdge,
+            Request::DelEdge { .. } => Command::DelEdge,
+            Request::Commit { .. } => Command::Commit,
+            Request::Snapshot { .. } => Command::Snapshot,
+            Request::Shutdown => Command::Shutdown,
+            Request::Quit => Command::Quit,
+        }
+    }
+
     /// Parse one request. Input is a single line for every command except
     /// `ESTIMATE_BATCH`, whose header line is followed by the announced
     /// number of query lines (the server assembles them before calling
-    /// this).
+    /// this). Tokens after a complete request are an error for every
+    /// command.
     pub fn parse(input: &str) -> Result<Request, String> {
         let mut lines = input.lines();
         let line = lines.next().unwrap_or("");
-        if line.split_whitespace().next() == Some("ESTIMATE_BATCH") {
-            let (dataset, n, deadline_ms) = parse_batch_header(line)?;
-            let mut queries = Vec::with_capacity(n);
-            for i in 0..n {
-                let qline = lines
-                    .next()
-                    .ok_or(format!("ESTIMATE_BATCH: missing query line {}", i + 1))?;
-                let ctx = format!("ESTIMATE_BATCH query {}", i + 1);
-                queries.push(parse_query_tokens(&ctx, &mut qline.split_whitespace())?);
+        let mut cur = Cursor::new(line);
+        let word = cur.next().ok_or("empty request")?;
+        let cmd = Command::from_name(word).ok_or_else(|| format!("unknown command `{word}`"))?;
+        let ctx = cmd.name();
+        let request = match cmd {
+            Command::EstimateBatch => {
+                let (dataset, n, deadline_ms) = parse_batch_header(line)?;
+                let mut queries = Vec::with_capacity(n);
+                for i in 1..=n {
+                    let qline = lines
+                        .next()
+                        .ok_or(format!("{ctx}: missing query line {i}"))?;
+                    let qctx = format!("{ctx} query {i}");
+                    queries.push(parse_query(&qctx, &mut Cursor::new(qline))?);
+                }
+                if lines.next().is_some() {
+                    return Err(format!("{ctx}: trailing lines after the batch"));
+                }
+                return Ok(Request::EstimateBatch {
+                    dataset,
+                    queries,
+                    deadline_ms,
+                });
             }
-            if lines.next().is_some() {
-                return Err("ESTIMATE_BATCH: trailing lines after the batch".into());
+            Command::Ping => Request::Ping,
+            Command::Stats => Request::Stats,
+            Command::Metrics => Request::Metrics,
+            Command::MetricsProm => Request::MetricsProm,
+            Command::Shutdown => Request::Shutdown,
+            Command::Quit => Request::Quit,
+            Command::SlowLog => Request::SlowLog {
+                n: cur.opt(ctx, "entry count")?,
+            },
+            Command::Commit => Request::Commit {
+                dataset: cur.field(ctx, "dataset")?,
+            },
+            // Syntax only; domain and growth bounds are the registry's job.
+            Command::AddEdge | Command::DelEdge => {
+                let dataset = cur.field(ctx, "dataset")?;
+                let src = cur.field(ctx, "src")?;
+                let dst = cur.field(ctx, "dst")?;
+                let label = cur.field(ctx, "label")?;
+                if cmd == Command::AddEdge {
+                    Request::AddEdge {
+                        dataset,
+                        src,
+                        dst,
+                        label,
+                    }
+                } else {
+                    Request::DelEdge {
+                        dataset,
+                        src,
+                        dst,
+                        label,
+                    }
+                }
             }
-            return Ok(Request::EstimateBatch {
-                dataset,
-                queries,
-                deadline_ms,
-            });
-        }
-        let request = Self::parse_single_line(&mut line.split_whitespace())?;
+            Command::Estimate | Command::ExplainEstimate => {
+                let dataset = cur.field(ctx, "dataset")?;
+                let deadline_ms = cur.deadline(ctx)?;
+                let query = parse_query(ctx, &mut cur)?;
+                if cmd == Command::Estimate {
+                    Request::Estimate {
+                        dataset,
+                        query,
+                        deadline_ms,
+                    }
+                } else {
+                    Request::ExplainEstimate {
+                        dataset,
+                        query,
+                        deadline_ms,
+                    }
+                }
+            }
+            Command::Snapshot => {
+                let dataset = cur.field(ctx, "dataset")?;
+                let path = cur.field(ctx, "path")?;
+                cur.end(ctx)
+                    .map_err(|e| format!("{e} (paths cannot contain spaces)"))?;
+                Request::Snapshot { dataset, path }
+            }
+        };
+        cur.end(ctx)?;
         if lines.next().is_some() {
             return Err("trailing lines after a single-line request".into());
         }
         Ok(request)
     }
 
-    /// Parse a single-line request (everything but `ESTIMATE_BATCH`,
-    /// which [`Request::parse`] assembles from its follow-up lines).
-    fn parse_single_line<'a>(
-        mut it: &mut impl Iterator<Item = &'a str>,
-    ) -> Result<Request, String> {
-        match it.next() {
-            Some("PING") => Ok(Request::Ping),
-            Some("STATS") => Ok(Request::Stats),
-            Some("METRICS") => Ok(Request::Metrics),
-            Some("METRICS_PROM") => {
-                if it.next().is_some() {
-                    return Err("METRICS_PROM: trailing tokens".into());
-                }
-                Ok(Request::MetricsProm)
-            }
-            Some("SLOWLOG") => {
-                let n = match it.next() {
-                    None => None,
-                    Some(tok) => Some(
-                        tok.parse::<usize>()
-                            .map_err(|_| "SLOWLOG: bad entry count".to_string())?,
-                    ),
-                };
-                if it.next().is_some() {
-                    return Err("SLOWLOG: trailing tokens".into());
-                }
-                Ok(Request::SlowLog { n })
-            }
-            Some("SHUTDOWN") => Ok(Request::Shutdown),
-            Some("QUIT") => Ok(Request::Quit),
-            Some("ADD_EDGE") => {
-                let (dataset, src, dst, label) = parse_update("ADD_EDGE", &mut it)?;
-                Ok(Request::AddEdge {
-                    dataset,
-                    src,
-                    dst,
-                    label,
-                })
-            }
-            Some("DEL_EDGE") => {
-                let (dataset, src, dst, label) = parse_update("DEL_EDGE", &mut it)?;
-                Ok(Request::DelEdge {
-                    dataset,
-                    src,
-                    dst,
-                    label,
-                })
-            }
-            Some("COMMIT") => {
-                let dataset = it.next().ok_or("COMMIT: missing dataset")?.to_string();
-                if it.next().is_some() {
-                    return Err("COMMIT: trailing tokens".into());
-                }
-                Ok(Request::Commit { dataset })
-            }
-            Some(cmd @ ("ESTIMATE" | "EXPLAIN_ESTIMATE")) => {
-                let dataset = it
-                    .next()
-                    .ok_or(format!("{cmd}: missing dataset"))?
-                    .to_string();
-                // The deadline attribute is optional; if the next token
-                // isn't one, it is the start of the query encoding.
-                let first = it.next().ok_or(format!("{cmd}: missing num_vars"))?;
-                let deadline_ms = parse_deadline_token(cmd, Some(first))?;
-                let query = if deadline_ms.is_some() {
-                    parse_query_tokens(cmd, it)?
-                } else {
-                    parse_query_tokens(cmd, &mut std::iter::once(first).chain(it))?
-                };
-                if cmd == "EXPLAIN_ESTIMATE" {
-                    Ok(Request::ExplainEstimate {
-                        dataset,
-                        query,
-                        deadline_ms,
-                    })
-                } else {
-                    Ok(Request::Estimate {
-                        dataset,
-                        query,
-                        deadline_ms,
-                    })
-                }
-            }
-            Some("SNAPSHOT") => {
-                let dataset = it.next().ok_or("SNAPSHOT: missing dataset")?.to_string();
-                let path = it.next().ok_or("SNAPSHOT: missing path")?.to_string();
-                if it.next().is_some() {
-                    return Err("SNAPSHOT: trailing tokens (paths cannot contain spaces)".into());
-                }
-                Ok(Request::Snapshot { dataset, path })
-            }
-            Some(other) => Err(format!("unknown command `{other}`")),
-            None => Err("empty request".into()),
-        }
-    }
-
     /// Render the request in wire form (no trailing newline). Every
     /// request is one line except `ESTIMATE_BATCH`, which renders as its
     /// header followed by one line per query.
     pub fn format(&self) -> String {
+        let name = self.command().name();
         match self {
-            Request::Ping => "PING".into(),
-            Request::Stats => "STATS".into(),
-            Request::Metrics => "METRICS".into(),
-            Request::Shutdown => "SHUTDOWN".into(),
-            Request::Quit => "QUIT".into(),
-            Request::Snapshot { dataset, path } => format!("SNAPSHOT {dataset} {path}"),
+            Request::Ping
+            | Request::Stats
+            | Request::Metrics
+            | Request::MetricsProm
+            | Request::Shutdown
+            | Request::Quit
+            | Request::SlowLog { n: None } => name.into(),
+            Request::SlowLog { n: Some(n) } => format!("{name} {n}"),
+            Request::Commit { dataset } => format!("{name} {dataset}"),
+            Request::Snapshot { dataset, path } => format!("{name} {dataset} {path}"),
+            Request::AddEdge {
+                dataset,
+                src,
+                dst,
+                label,
+            }
+            | Request::DelEdge {
+                dataset,
+                src,
+                dst,
+                label,
+            } => format!("{name} {dataset} {src} {dst} {label}"),
             Request::EstimateBatch {
                 dataset,
                 queries,
                 deadline_ms,
             } => {
-                let mut text = format!("ESTIMATE_BATCH {dataset} {}", queries.len());
+                let mut text = format!("{name} {dataset} {}", queries.len());
                 if let Some(ms) = deadline_ms {
                     text.push_str(&format!(" DEADLINE_MS={ms}"));
                 }
@@ -767,48 +689,23 @@ impl Request {
                 }
                 text
             }
-            Request::AddEdge {
-                dataset,
-                src,
-                dst,
-                label,
-            } => format!("ADD_EDGE {dataset} {src} {dst} {label}"),
-            Request::DelEdge {
-                dataset,
-                src,
-                dst,
-                label,
-            } => format!("DEL_EDGE {dataset} {src} {dst} {label}"),
-            Request::Commit { dataset } => format!("COMMIT {dataset}"),
             Request::Estimate {
                 dataset,
                 query,
                 deadline_ms,
-            } => {
-                let mut line = format!("ESTIMATE {dataset} ");
-                if let Some(ms) = deadline_ms {
-                    line.push_str(&format!("DEADLINE_MS={ms} "));
-                }
-                format_query_tokens(&mut line, query);
-                line
             }
-            Request::ExplainEstimate {
+            | Request::ExplainEstimate {
                 dataset,
                 query,
                 deadline_ms,
             } => {
-                let mut line = format!("EXPLAIN_ESTIMATE {dataset} ");
+                let mut line = format!("{name} {dataset} ");
                 if let Some(ms) = deadline_ms {
                     line.push_str(&format!("DEADLINE_MS={ms} "));
                 }
                 format_query_tokens(&mut line, query);
                 line
             }
-            Request::SlowLog { n } => match n {
-                Some(n) => format!("SLOWLOG {n}"),
-                None => "SLOWLOG".into(),
-            },
-            Request::MetricsProm => "METRICS_PROM".into(),
         }
     }
 }
@@ -830,6 +727,13 @@ pub enum Response {
     Committed(CommitOutcome),
     /// Result of a `SNAPSHOT`: the persisted epoch and file size.
     Snapshotted(SnapshotAck),
+    /// The head of a counted reply — `BATCH`, `EXPLAIN`, `METRICS`,
+    /// `METRICS_PROM` or `SLOWLOG <n>` — which `n` body lines follow.
+    /// `kind` is the command being answered, one of those five.
+    Counted {
+        kind: Command,
+        n: usize,
+    },
     /// Admission-control rejection: the request was refused before any
     /// counting or estimation was spent on it (queue full, or server
     /// draining).
@@ -855,6 +759,7 @@ impl Response {
             Response::Draining => "DRAINING".into(),
             Response::Error(msg) => format!("ERR {msg}"),
             Response::Busy(msg) => format!("BUSY {msg}"),
+            Response::Counted { kind, n } => format!("{} {n}", kind.head()),
             Response::Timeout { deadline_ms } => {
                 format!("TIMEOUT deadline_ms={deadline_ms}")
             }
@@ -897,147 +802,79 @@ impl Response {
 
     /// Parse one response line.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("PONG") => Ok(Response::Pong),
-            Some("BYE") => Ok(Response::Bye),
-            Some("DRAINING") => Ok(Response::Draining),
-            Some("ERR") => {
-                let rest = line.trim_start();
-                Ok(Response::Error(
-                    rest.strip_prefix("ERR").unwrap_or(rest).trim().to_string(),
-                ))
-            }
-            Some("BUSY") => {
-                let rest = line.trim_start();
-                Ok(Response::Busy(
-                    rest.strip_prefix("BUSY").unwrap_or(rest).trim().to_string(),
-                ))
-            }
-            Some("TIMEOUT") => {
-                let deadline_ms = kv(it.next(), "deadline_ms")?
-                    .parse()
-                    .map_err(|_| "TIMEOUT: bad deadline_ms")?;
-                Ok(Response::Timeout { deadline_ms })
-            }
-            Some("EST") => {
-                let value_tok = it.next().ok_or("EST: missing value")?;
-                let value = match value_tok {
+        let mut cur = Cursor::new(line);
+        let ctx = cur.next().ok_or("empty response")?;
+        // `ERR` and `BUSY` carry free text: everything after the keyword.
+        let message = || {
+            let rest = line.trim_start();
+            rest.strip_prefix(ctx).unwrap_or(rest).trim().to_string()
+        };
+        Ok(match ctx {
+            "PONG" => Response::Pong,
+            "BYE" => Response::Bye,
+            "DRAINING" => Response::Draining,
+            "ERR" => Response::Error(message()),
+            "BUSY" => Response::Busy(message()),
+            "TIMEOUT" => Response::Timeout {
+                deadline_ms: cur.kv(ctx, "deadline_ms")?,
+            },
+            "EST" => {
+                let value = match cur.next().ok_or("EST: missing value")? {
                     "none" => None,
                     v => Some(v.parse::<f64>().map_err(|_| "EST: bad value")?),
                 };
-                let cached = match kv(it.next(), "cache")? {
+                let cached = match cur.kv_str("cache")? {
                     "hit" => true,
                     "miss" => false,
                     other => return Err(format!("EST: bad cache flag `{other}`")),
                 };
-                let hits = kv(it.next(), "hits")?
-                    .parse()
-                    .map_err(|_| "EST: bad hits")?;
-                let misses = kv(it.next(), "misses")?
-                    .parse()
-                    .map_err(|_| "EST: bad misses")?;
-                Ok(Response::Estimate {
+                Response::Estimate {
                     outcome: EstimateOutcome { value, cached },
-                    hits,
-                    misses,
-                })
+                    hits: cur.kv(ctx, "hits")?,
+                    misses: cur.kv(ctx, "misses")?,
+                }
             }
-            Some("OK") => {
-                let epoch = kv(it.next(), "epoch")?
-                    .parse()
-                    .map_err(|_| "OK: bad epoch")?;
-                let pending = kv(it.next(), "pending")?
-                    .parse()
-                    .map_err(|_| "OK: bad pending")?;
-                Ok(Response::Updated(UpdateAck { epoch, pending }))
-            }
-            Some("COMMITTED") => {
-                let epoch = kv(it.next(), "epoch")?
-                    .parse()
-                    .map_err(|_| "COMMITTED: bad epoch")?;
-                let added = kv(it.next(), "added")?
-                    .parse()
-                    .map_err(|_| "COMMITTED: bad added")?;
-                let deleted = kv(it.next(), "deleted")?
-                    .parse()
-                    .map_err(|_| "COMMITTED: bad deleted")?;
-                let recounted = kv(it.next(), "recounted")?
-                    .parse()
-                    .map_err(|_| "COMMITTED: bad recounted")?;
-                let rebased = match kv(it.next(), "rebased")? {
+            "OK" => Response::Updated(UpdateAck {
+                epoch: cur.kv(ctx, "epoch")?,
+                pending: cur.kv(ctx, "pending")?,
+            }),
+            "COMMITTED" => Response::Committed(CommitOutcome {
+                epoch: cur.kv(ctx, "epoch")?,
+                added: cur.kv(ctx, "added")?,
+                deleted: cur.kv(ctx, "deleted")?,
+                recounted: cur.kv(ctx, "recounted")?,
+                rebased: match cur.kv_str("rebased")? {
                     "0" => false,
                     "1" => true,
                     other => return Err(format!("COMMITTED: bad rebased flag `{other}`")),
-                };
-                Ok(Response::Committed(CommitOutcome {
-                    epoch,
-                    added,
-                    deleted,
-                    recounted,
-                    rebased,
-                    // Not part of the wire format: a server-side detail
-                    // the client cannot observe.
-                    wal_bytes: 0,
-                }))
+                },
+                // Not part of the wire format: a server-side detail
+                // the client cannot observe.
+                wal_bytes: 0,
+            }),
+            "SNAPSHOTTED" => Response::Snapshotted(SnapshotAck {
+                epoch: cur.kv(ctx, "epoch")?,
+                bytes: cur.kv(ctx, "bytes")?,
+            }),
+            "STATS" => Response::Stats(EngineStats {
+                requests: cur.kv(ctx, "requests")?,
+                batches: cur.kv(ctx, "batches")?,
+                cache_hits: cur.kv(ctx, "hits")?,
+                cache_misses: cur.kv(ctx, "misses")?,
+                datasets: cur.kv(ctx, "datasets")?,
+                busy: cur.kv(ctx, "busy")?,
+                timeouts: cur.kv(ctx, "timeouts")?,
+                queued: cur.kv(ctx, "queued")?,
+            }),
+            other => {
+                let row = Command::ALL.iter().find(|(.., head)| *head == Some(other));
+                let &(kind, ..) = row.ok_or_else(|| format!("unknown response `{other}`"))?;
+                let n = cur.field(ctx, "count")?;
+                cur.end(ctx)?;
+                Response::Counted { kind, n }
             }
-            Some("SNAPSHOTTED") => {
-                let epoch = kv(it.next(), "epoch")?
-                    .parse()
-                    .map_err(|_| "SNAPSHOTTED: bad epoch")?;
-                let bytes = kv(it.next(), "bytes")?
-                    .parse()
-                    .map_err(|_| "SNAPSHOTTED: bad bytes")?;
-                Ok(Response::Snapshotted(SnapshotAck { epoch, bytes }))
-            }
-            Some("STATS") => {
-                let requests = kv(it.next(), "requests")?
-                    .parse()
-                    .map_err(|_| "STATS: bad requests")?;
-                let batches = kv(it.next(), "batches")?
-                    .parse()
-                    .map_err(|_| "STATS: bad batches")?;
-                let cache_hits = kv(it.next(), "hits")?
-                    .parse()
-                    .map_err(|_| "STATS: bad hits")?;
-                let cache_misses = kv(it.next(), "misses")?
-                    .parse()
-                    .map_err(|_| "STATS: bad misses")?;
-                let datasets = kv(it.next(), "datasets")?
-                    .parse()
-                    .map_err(|_| "STATS: bad datasets")?;
-                let busy = kv(it.next(), "busy")?
-                    .parse()
-                    .map_err(|_| "STATS: bad busy")?;
-                let timeouts = kv(it.next(), "timeouts")?
-                    .parse()
-                    .map_err(|_| "STATS: bad timeouts")?;
-                let queued = kv(it.next(), "queued")?
-                    .parse()
-                    .map_err(|_| "STATS: bad queued")?;
-                Ok(Response::Stats(EngineStats {
-                    requests,
-                    batches,
-                    cache_hits,
-                    cache_misses,
-                    datasets,
-                    busy,
-                    timeouts,
-                    queued,
-                }))
-            }
-            Some(other) => Err(format!("unknown response `{other}`")),
-            None => Err("empty response".into()),
-        }
+        })
     }
-}
-
-/// Extract the value of a `key=value` token, checking the key.
-fn kv<'a>(tok: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    let tok = tok.ok_or_else(|| format!("missing {key}=…"))?;
-    tok.strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| format!("expected {key}=…, got `{tok}`"))
 }
 
 #[cfg(test)]
@@ -1101,9 +938,36 @@ mod tests {
             "ESTIMATE ds 3 99 0 1 0",      // too many edges
             "ESTIMATE ds 1 0",             // zero edges
             "ESTIMATE ds 4 2 0 1 0 2 3 1", // disconnected
+            // Tokens after a bare command are an error like any other.
+            "PING x",
+            "STATS x",
+            "METRICS x",
+            "SHUTDOWN please-dont",
+            "QUIT x",
         ] {
             assert!(Request::parse(line).is_err(), "should reject: {line:?}");
         }
+        assert_eq!(
+            Request::parse("SHUTDOWN please-dont"),
+            Err("SHUTDOWN: trailing tokens".into())
+        );
+    }
+
+    #[test]
+    fn command_keywords_are_declared_in_discriminant_order() {
+        let mut counted = 0;
+        for (i, (cmd, name, head)) in Command::ALL.into_iter().enumerate() {
+            assert_eq!(cmd as usize, i, "{cmd:?} is out of declaration order");
+            assert_eq!(cmd.name(), name);
+            assert_eq!(Command::from_name(name), Some(cmd));
+            if let Some(head) = head {
+                counted += 1;
+                let reply = Response::Counted { kind: cmd, n: 3 };
+                assert_eq!(reply.format(), format!("{head} 3"));
+                assert_eq!(Response::parse(&reply.format()).unwrap(), reply);
+            }
+        }
+        assert_eq!(counted, 5);
     }
 
     #[test]
@@ -1237,7 +1101,12 @@ mod tests {
 
     #[test]
     fn batch_response_header_roundtrips() {
-        assert_eq!(batch_response_header(7), "BATCH 7");
+        let head = Response::Counted {
+            kind: Command::EstimateBatch,
+            n: 7,
+        };
+        assert_eq!(head.format(), "BATCH 7");
+        assert_eq!(Response::parse("BATCH 7").unwrap(), head);
         assert_eq!(parse_batch_response_header("BATCH 7").unwrap(), 7);
         for line in ["BATCH", "BATCH x", "BATCH 1 2", "EST 1 cache=hit"] {
             assert!(parse_batch_response_header(line).is_err(), "{line:?}");
@@ -1316,10 +1185,18 @@ mod tests {
 
     #[test]
     fn metrics_response_header_roundtrips() {
-        assert_eq!(metrics_response_header(12), "METRICS 12");
-        assert_eq!(parse_metrics_response_header("METRICS 12").unwrap(), 12);
-        for line in ["METRICS", "METRICS x", "METRICS 1 2", "BATCH 3"] {
-            assert!(parse_metrics_response_header(line).is_err(), "{line:?}");
+        let head = Response::Counted {
+            kind: Command::Metrics,
+            n: 12,
+        };
+        assert_eq!(head.format(), "METRICS 12");
+        assert_eq!(Response::parse("METRICS 12").unwrap(), head);
+        for (line, err) in [
+            ("METRICS", "METRICS: missing count"),
+            ("METRICS x", "METRICS: bad count"),
+            ("METRICS 1 2", "METRICS: trailing tokens"),
+        ] {
+            assert_eq!(Response::parse(line), Err(err.into()));
         }
         assert_eq!(
             parse_metric_line("busy_total 7").unwrap(),
@@ -1363,7 +1240,11 @@ mod tests {
 
     #[test]
     fn explain_headers_and_items_roundtrip() {
-        assert_eq!(explain_response_header(9), "EXPLAIN 9");
+        let head = Response::Counted {
+            kind: Command::ExplainEstimate,
+            n: 9,
+        };
+        assert_eq!(head.format(), "EXPLAIN 9");
         assert_eq!(parse_explain_response_header("EXPLAIN 9").unwrap(), 9);
         assert!(parse_explain_response_header("EXPLAIN").is_err());
         assert!(parse_explain_response_header("BATCH 9").is_err());
@@ -1405,19 +1286,24 @@ mod tests {
              fill_us=300000 estimate_us=400 query=3 2 0 1 3 1 2 4"
         );
         assert_eq!(parse_slowlog_entry(&line).unwrap(), e);
-        assert_eq!(slowlog_response_header(2), "SLOWLOG 2");
-        assert_eq!(parse_slowlog_response_header("SLOWLOG 2").unwrap(), 2);
+        let head = Response::Counted {
+            kind: Command::SlowLog,
+            n: 2,
+        };
+        assert_eq!(head.format(), "SLOWLOG 2");
+        assert_eq!(Response::parse("SLOWLOG 2").unwrap(), head);
         assert!(parse_slowlog_entry("id=1 dataset=x").is_err());
     }
 
     #[test]
     fn metrics_prom_header_roundtrips() {
-        assert_eq!(metrics_prom_response_header(40), "METRICS_PROM 40");
-        assert_eq!(
-            parse_metrics_prom_response_header("METRICS_PROM 40").unwrap(),
-            40
-        );
-        assert!(parse_metrics_prom_response_header("METRICS 40").is_err());
+        let head = Response::Counted {
+            kind: Command::MetricsProm,
+            n: 40,
+        };
+        assert_eq!(head.format(), "METRICS_PROM 40");
+        assert_eq!(Response::parse("METRICS_PROM 40").unwrap(), head);
+        assert_ne!(Response::parse("METRICS 40").unwrap(), head);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use ceg_query::QueryGraph;
 use crate::engine::{
     Engine, QueryOutcome, RequestCtx, SlowQueryEntry, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
-use crate::metrics::{Command, Metrics};
-use crate::protocol::{Request, Response};
+use crate::metrics::{Metrics, Series};
+use crate::protocol::{self, Command, ExplainItem, Request, Response};
 use crate::registry::DatasetRegistry;
 
 /// Server tuning knobs.
@@ -286,10 +286,10 @@ impl Server {
         self.stop_accepting();
         let grace_until = Instant::now() + Duration::from_millis(self.config.drain_grace_ms);
         let metrics = self.engine.metrics().clone();
-        while metrics.queued() > 0 && Instant::now() < grace_until {
+        while metrics.get(Series::Queued) > 0 && Instant::now() < grace_until {
             thread::sleep(Duration::from_millis(1));
         }
-        let abandoned = metrics.queued();
+        let abandoned = metrics.get(Series::Queued);
         let mut snapshots = Vec::new();
         if let Some(dir) = self.config.drain_snapshot_dir.clone() {
             std::fs::create_dir_all(&dir)?;
@@ -382,26 +382,6 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io
     Ok(LineRead::Line)
 }
 
-/// The latency bucket a request is recorded under (`None` for `QUIT` and
-/// `SHUTDOWN`, which are lifecycle events rather than served commands).
-fn command_of(req: &Request) -> Option<Command> {
-    Some(match req {
-        Request::Ping => Command::Ping,
-        Request::Stats => Command::Stats,
-        Request::Metrics => Command::Metrics,
-        Request::MetricsProm => Command::MetricsProm,
-        Request::SlowLog { .. } => Command::SlowLog,
-        Request::Estimate { .. } => Command::Estimate,
-        Request::ExplainEstimate { .. } => Command::ExplainEstimate,
-        Request::EstimateBatch { .. } => Command::EstimateBatch,
-        Request::AddEdge { .. } => Command::AddEdge,
-        Request::DelEdge { .. } => Command::DelEdge,
-        Request::Commit { .. } => Command::Commit,
-        Request::Snapshot { .. } => Command::Snapshot,
-        Request::Quit | Request::Shutdown => return None,
-    })
-}
-
 /// Resolve a request's effective deadline: its own `DEADLINE_MS`, else
 /// the server default, else unbounded. A value so large the clock cannot
 /// represent it is treated as unbounded rather than panicking.
@@ -411,35 +391,29 @@ fn effective_deadline(request_ms: Option<u64>, default_ms: Option<u64>) -> Optio
     Some((at, ms))
 }
 
-/// Write one reply line — stamped with the request's ` id=<n>` tail —
-/// and flush. The single funnel for `ERR` accounting: every error
-/// actually sent to a client is counted exactly once here, no matter
-/// which layer produced it.
+/// Write one reply and flush: the head line `response` — stamped with
+/// the request's ` id=<n>` tail — then, under a [`Response::Counted`]
+/// head, its `body` lines as they are (their grammar owns the whole
+/// line). The single funnel every byte a handler sends goes through, and
+/// so the place `ERR` is counted: every error actually sent to a client
+/// is counted exactly once here, no matter which layer produced it.
 fn write_reply(
     writer: &mut BufWriter<TcpStream>,
     metrics: &Metrics,
     response: &Response,
+    body: &[String],
     id: u64,
 ) -> io::Result<()> {
     if matches!(response, Response::Error(_)) {
-        metrics.record_error();
+        metrics.inc(Series::Error);
     }
     let mut line = response.format();
-    crate::protocol::append_id(&mut line, id);
+    protocol::append_id(&mut line, id);
     writeln!(writer, "{line}")?;
+    for line in body {
+        writeln!(writer, "{line}")?;
+    }
     writer.flush()
-}
-
-/// Write a counted-reply header line with the request's id tail. The
-/// `n` body lines that follow are *not* stamped — their grammar owns
-/// the whole line.
-fn write_counted_header(
-    writer: &mut BufWriter<TcpStream>,
-    mut header: String,
-    id: u64,
-) -> io::Result<()> {
-    crate::protocol::append_id(&mut header, id);
-    writeln!(writer, "{header}")
 }
 
 /// The reply line for one estimate outcome. `deadline` is the request's
@@ -494,15 +468,195 @@ fn write_estimates(
     let answered = engine.estimate_batch(dataset, queries, ctx, |outcome| {
         if written.is_ok() {
             let response = outcome_response(engine, dataset, outcome, deadline);
-            written = write_reply(writer, engine.metrics(), &response, id);
+            written = write_reply(writer, engine.metrics(), &response, &[], id);
         }
     });
     if let Err(msg) = answered {
         for _ in queries {
-            write_reply(writer, engine.metrics(), &Response::Error(msg.clone()), id)?;
+            let err = Response::Error(msg.clone());
+            write_reply(writer, engine.metrics(), &err, &[], id)?;
         }
     }
     written
+}
+
+/// Run `EXPLAIN_ESTIMATE`: `ESTIMATE` with a live trace — the same engine
+/// call, under the same admission and run-slot bounds, so the trace
+/// covers what a plain estimate would have done. The reply is a counted
+/// breakdown, returned as its body lines (the estimate's own reply line,
+/// then the spans and counters); a rejected query has none and gets the
+/// one `ERR` line `ESTIMATE` would send.
+fn explain(
+    shared: &Shared,
+    dataset: &str,
+    query: &QueryGraph,
+    deadline_ms: Option<u64>,
+    id: u64,
+) -> Result<Vec<String>, Response> {
+    let engine = &shared.engine;
+    let deadline = effective_deadline(deadline_ms, shared.default_deadline_ms);
+    let mut trace = Trace::enabled();
+    let ctx = RequestCtx {
+        id,
+        deadline: deadline.map(|(at, _)| at),
+        trace: Some(&mut trace),
+    };
+    let first = match engine.estimate_one(dataset, query, ctx) {
+        Err(msg) => Response::Error(msg),
+        Ok(outcome) => outcome_response(engine, dataset, outcome, deadline),
+    };
+    if matches!(first, Response::Error(_)) {
+        return Err(first);
+    }
+    let mut body = vec![first.format()];
+    body.extend(trace.spans().iter().map(|&(name, micros)| {
+        let name = name.into();
+        ExplainItem::Span { name, micros }.format()
+    }));
+    body.extend(trace.counters().iter().map(|&(name, value)| {
+        let name = name.into();
+        ExplainItem::Counter { name, value }.format()
+    }));
+    Ok(body)
+}
+
+/// Answer one parsed request; `Ok(false)` closes the connection (`QUIT`).
+fn serve_request(
+    writer: &mut BufWriter<TcpStream>,
+    shared: &Shared,
+    request: Request,
+    id: u64,
+) -> io::Result<bool> {
+    let engine = &shared.engine;
+    let metrics = engine.metrics();
+    let kind = request.command();
+    let mut body = Vec::new();
+    let result = |r: Result<Response, String>| r.unwrap_or_else(Response::Error);
+    // The head of a counted reply to this request, over `body`.
+    let counted = |body: &[String]| {
+        let n = body.len();
+        Response::Counted { kind, n }
+    };
+    let response = match request {
+        Request::Ping => Response::Pong,
+        Request::Stats => Response::Stats(engine.stats()),
+        Request::Metrics => {
+            let pairs = engine.metrics_snapshot().into_iter();
+            body.extend(pairs.map(|(key, v)| protocol::format_metric_line(&key, v)));
+            counted(&body)
+        }
+        Request::MetricsProm => {
+            body = engine.metrics_prom();
+            counted(&body)
+        }
+        Request::SlowLog { n } => {
+            let entries = engine.slowlog(n.unwrap_or(usize::MAX));
+            body.extend(entries.iter().map(protocol::format_slowlog_entry));
+            counted(&body)
+        }
+        Request::Shutdown => {
+            // Refuse new work at once, but wake whoever waits for the
+            // drain request (`cegcli serve`, which then exits the
+            // process) only once the DRAINING line is on the wire.
+            engine.begin_drain();
+            let written = write_reply(writer, metrics, &Response::Draining, &[], id);
+            shared.lifecycle.notify();
+            return written.map(|()| true);
+        }
+        Request::Quit => {
+            write_reply(writer, metrics, &Response::Bye, &[], id)?;
+            return Ok(false);
+        }
+        // A batch answers in request order under a BATCH header — one
+        // wire round-trip. The header goes out first and every slot is
+        // flushed as it resolves, so answers stream back; they are not
+        // held until the whole batch completes. During a drain the
+        // engine answers each slot BUSY.
+        Request::EstimateBatch {
+            dataset,
+            queries,
+            deadline_ms,
+        } => {
+            let n = queries.len();
+            write_reply(writer, metrics, &Response::Counted { kind, n }, &[], id)?;
+            write_estimates(writer, shared, &dataset, &queries, deadline_ms, id)?;
+            return Ok(true);
+        }
+        // During a drain every other state-touching command is rejected
+        // with a typed BUSY: the final snapshots must see a frozen
+        // registry, and no new estimate may start.
+        _ if engine.draining() => {
+            metrics.inc(Series::Busy);
+            Response::Busy("server draining".into())
+        }
+        Request::Estimate {
+            dataset,
+            query,
+            deadline_ms,
+        } => {
+            let queries = std::slice::from_ref(&query);
+            write_estimates(writer, shared, &dataset, queries, deadline_ms, id)?;
+            return Ok(true);
+        }
+        Request::ExplainEstimate {
+            dataset,
+            query,
+            deadline_ms,
+        } => match explain(shared, &dataset, &query, deadline_ms, id) {
+            Err(refusal) => refusal,
+            Ok(lines) => {
+                body = lines;
+                counted(&body)
+            }
+        },
+        Request::AddEdge {
+            dataset,
+            src,
+            dst,
+            label,
+        } => result(
+            engine
+                .add_edge(&dataset, src, dst, label)
+                .map(Response::Updated),
+        ),
+        Request::DelEdge {
+            dataset,
+            src,
+            dst,
+            label,
+        } => result(
+            engine
+                .del_edge(&dataset, src, dst, label)
+                .map(Response::Updated),
+        ),
+        // SNAPSHOT pins one epoch state and writes it with no lock held.
+        Request::Snapshot { dataset, path } => {
+            result(engine.snapshot(&dataset, &path).map(Response::Snapshotted))
+        }
+        Request::Commit { dataset } => {
+            let response = result(engine.commit(&dataset).map(Response::Committed));
+            write_reply(writer, metrics, &response, &[], id)?;
+            // Rotation runs *after* the ack went out: the client's
+            // COMMIT latency never includes the snapshot fold, and a
+            // rotation failure cannot un-ack a durable commit — the
+            // log just keeps growing until a later fold succeeds.
+            if matches!(response, Response::Committed(o) if o.wal_bytes > 0) {
+                let _ = engine.maybe_rotate(
+                    &dataset,
+                    shared.wal_rotate_bytes,
+                    shared.snapshot_interval_commits,
+                );
+            }
+            return Ok(true);
+        }
+    };
+    write_reply(writer, metrics, &response, &body, id)?;
+    Ok(true)
+}
+
+/// The refusal of a line past [`MAX_LINE_BYTES`].
+fn too_long() -> Response {
+    Response::Error("request line too long".into())
 }
 
 /// Per-connection loop: one request in, one response out (a batch counts
@@ -513,8 +667,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     // an unbuffered `writeln!` issues several small writes per line,
     // which interacts with delayed ACKs into ~40ms per round-trip.
     stream.set_nodelay(true)?;
-    let engine = &shared.engine;
-    let metrics = engine.metrics().clone();
+    let metrics = shared.engine.metrics().clone();
     let mut writer = BufWriter::with_capacity(STREAM_BUF_BYTES, stream.try_clone()?);
     let mut reader = BufReader::with_capacity(STREAM_BUF_BYTES, stream);
     let mut line = String::new();
@@ -525,12 +678,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 // Overlong line: refuse and drop the connection — the
                 // rest of the stream is the same unterminated line.
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-                write_reply(
-                    &mut writer,
-                    &metrics,
-                    &Response::Error("request line too long".into()),
-                    id,
-                )?;
+                write_reply(&mut writer, &metrics, &too_long(), &[], id)?;
                 break;
             }
             LineRead::Line => {}
@@ -550,10 +698,10 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         // follow-up line count unknowable, so — like an overlong line —
         // it closes the connection instead of desynchronizing it.
         let mut request_text = std::mem::take(&mut line);
-        if request_text.split_whitespace().next() == Some("ESTIMATE_BATCH") {
-            match crate::protocol::parse_batch_header(&request_text) {
+        if request_text.split_whitespace().next() == Some(Command::EstimateBatch.name()) {
+            match protocol::parse_batch_header(&request_text) {
                 Err(msg) => {
-                    write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?;
+                    write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?;
                     break;
                 }
                 Ok((_, n, _)) => {
@@ -561,12 +709,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                         match read_request_line(&mut reader, &mut line)? {
                             LineRead::Eof => return Ok(()),
                             LineRead::TooLong => {
-                                write_reply(
-                                    &mut writer,
-                                    &metrics,
-                                    &Response::Error("request line too long".into()),
-                                    req_id,
-                                )?;
+                                write_reply(&mut writer, &metrics, &too_long(), &[], req_id)?;
                                 return Ok(());
                             }
                             LineRead::Line => {
@@ -588,231 +731,18 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         }
         let parsed = Request::parse(&request_text);
         drop(request_text);
-        let cmd = parsed.as_ref().ok().and_then(command_of);
-        let draining = engine.draining();
         match parsed {
-            Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?,
-            Ok(Request::Ping) => write_reply(&mut writer, &metrics, &Response::Pong, req_id)?,
-            Ok(Request::Stats) => write_reply(
-                &mut writer,
-                &metrics,
-                &Response::Stats(engine.stats()),
-                req_id,
-            )?,
-            Ok(Request::Metrics) => {
-                let snap = engine.metrics_snapshot();
-                write_counted_header(
-                    &mut writer,
-                    crate::protocol::metrics_response_header(snap.len()),
-                    req_id,
-                )?;
-                for (key, value) in snap {
-                    writeln!(
-                        writer,
-                        "{}",
-                        crate::protocol::format_metric_line(&key, value)
-                    )?;
+            Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?,
+            Ok(request) => {
+                let latency = metrics.latency(request.command());
+                let open = serve_request(&mut writer, shared, request, req_id)?;
+                if let Some(histogram) = latency {
+                    histogram.record(started.elapsed());
                 }
-                writer.flush()?;
-            }
-            Ok(Request::MetricsProm) => {
-                let lines = engine.metrics_prom();
-                write_counted_header(
-                    &mut writer,
-                    crate::protocol::metrics_prom_response_header(lines.len()),
-                    req_id,
-                )?;
-                for l in lines {
-                    writeln!(writer, "{}", crate::protocol::format_prom_line(&l))?;
-                }
-                writer.flush()?;
-            }
-            Ok(Request::SlowLog { n }) => {
-                let entries = engine.slowlog(n.unwrap_or(usize::MAX));
-                write_counted_header(
-                    &mut writer,
-                    crate::protocol::slowlog_response_header(entries.len()),
-                    req_id,
-                )?;
-                for e in &entries {
-                    writeln!(writer, "{}", crate::protocol::format_slowlog_entry(e))?;
-                }
-                writer.flush()?;
-            }
-            Ok(Request::Shutdown) => {
-                // Refuse new work at once, but wake whoever waits for the
-                // drain request (`cegcli serve`, which then exits the
-                // process) only once the DRAINING line is on the wire.
-                engine.begin_drain();
-                let written = write_reply(&mut writer, &metrics, &Response::Draining, req_id);
-                shared.lifecycle.notify();
-                written?;
-            }
-            Ok(Request::Quit) => {
-                write_reply(&mut writer, &metrics, &Response::Bye, req_id)?;
-                break;
-            }
-            // During a drain every state-touching command is rejected
-            // with a typed BUSY: the final snapshots must see a frozen
-            // registry, and no new estimate may start (a batch gets the
-            // same answer per slot from the engine).
-            Ok(
-                Request::AddEdge { .. }
-                | Request::DelEdge { .. }
-                | Request::Commit { .. }
-                | Request::Snapshot { .. }
-                | Request::Estimate { .. }
-                | Request::ExplainEstimate { .. },
-            ) if draining => {
-                metrics.record_busy();
-                write_reply(
-                    &mut writer,
-                    &metrics,
-                    &Response::Busy("server draining".into()),
-                    req_id,
-                )?;
-            }
-            Ok(Request::AddEdge {
-                dataset,
-                src,
-                dst,
-                label,
-            }) => {
-                let resp = match engine.add_edge(&dataset, src, dst, label) {
-                    Ok(ack) => Response::Updated(ack),
-                    Err(msg) => Response::Error(msg),
-                };
-                write_reply(&mut writer, &metrics, &resp, req_id)?;
-            }
-            Ok(Request::DelEdge {
-                dataset,
-                src,
-                dst,
-                label,
-            }) => {
-                let resp = match engine.del_edge(&dataset, src, dst, label) {
-                    Ok(ack) => Response::Updated(ack),
-                    Err(msg) => Response::Error(msg),
-                };
-                write_reply(&mut writer, &metrics, &resp, req_id)?;
-            }
-            Ok(Request::Commit { dataset }) => {
-                let resp = match engine.commit(&dataset) {
-                    Ok(outcome) => Response::Committed(outcome),
-                    Err(msg) => Response::Error(msg),
-                };
-                write_reply(&mut writer, &metrics, &resp, req_id)?;
-                // Rotation runs *after* the ack went out: the client's
-                // COMMIT latency never includes the snapshot fold, and a
-                // rotation failure cannot un-ack a durable commit — the
-                // log just keeps growing until a later fold succeeds.
-                if matches!(resp, Response::Committed(o) if o.wal_bytes > 0) {
-                    let _ = engine.maybe_rotate(
-                        &dataset,
-                        shared.wal_rotate_bytes,
-                        shared.snapshot_interval_commits,
-                    );
+                if !open {
+                    break;
                 }
             }
-            // SNAPSHOT pins one epoch state and writes it with no lock
-            // held.
-            Ok(Request::Snapshot { dataset, path }) => {
-                let resp = match engine.snapshot(&dataset, &path) {
-                    Ok(ack) => Response::Snapshotted(ack),
-                    Err(msg) => Response::Error(msg),
-                };
-                write_reply(&mut writer, &metrics, &resp, req_id)?;
-            }
-            // EXPLAIN_ESTIMATE is ESTIMATE with a live trace: the same
-            // engine call, under the same admission and run-slot bounds,
-            // so the trace covers what a plain estimate would have done.
-            Ok(Request::ExplainEstimate {
-                dataset,
-                query,
-                deadline_ms,
-            }) => {
-                let deadline = effective_deadline(deadline_ms, shared.default_deadline_ms);
-                let mut trace = Trace::enabled();
-                let ctx = RequestCtx {
-                    id: req_id,
-                    deadline: deadline.map(|(at, _)| at),
-                    trace: Some(&mut trace),
-                };
-                match engine.estimate_one(&dataset, &query, ctx) {
-                    Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), req_id)?,
-                    // A rejected query has no breakdown: one ERR line,
-                    // as from ESTIMATE.
-                    Ok(QueryOutcome::TooWide) => {
-                        let err = outcome_response(engine, &dataset, QueryOutcome::TooWide, None);
-                        write_reply(&mut writer, &metrics, &err, req_id)?;
-                    }
-                    Ok(outcome) => {
-                        let first = outcome_response(engine, &dataset, outcome, deadline);
-                        let n = 1 + trace.spans().len() + trace.counters().len();
-                        write_counted_header(
-                            &mut writer,
-                            crate::protocol::explain_response_header(n),
-                            req_id,
-                        )?;
-                        writeln!(writer, "{}", first.format())?;
-                        for &(name, micros) in trace.spans() {
-                            writeln!(
-                                writer,
-                                "{}",
-                                crate::protocol::ExplainItem::Span {
-                                    name: name.into(),
-                                    micros
-                                }
-                                .format()
-                            )?;
-                        }
-                        for &(name, value) in trace.counters() {
-                            writeln!(
-                                writer,
-                                "{}",
-                                crate::protocol::ExplainItem::Counter {
-                                    name: name.into(),
-                                    value
-                                }
-                                .format()
-                            )?;
-                        }
-                        writer.flush()?;
-                    }
-                }
-            }
-            // A batch answers in request order under a BATCH header —
-            // one wire round-trip. The header goes out first and every
-            // slot is flushed as it resolves, so answers stream back;
-            // they are not held until the whole batch completes.
-            Ok(Request::EstimateBatch {
-                dataset,
-                queries,
-                deadline_ms,
-            }) => {
-                write_counted_header(
-                    &mut writer,
-                    crate::protocol::batch_response_header(queries.len()),
-                    req_id,
-                )?;
-                writer.flush()?;
-                write_estimates(&mut writer, shared, &dataset, &queries, deadline_ms, req_id)?;
-            }
-            Ok(Request::Estimate {
-                dataset,
-                query,
-                deadline_ms,
-            }) => write_estimates(
-                &mut writer,
-                shared,
-                &dataset,
-                std::slice::from_ref(&query),
-                deadline_ms,
-                req_id,
-            )?,
-        };
-        if let Some(c) = cmd {
-            metrics.record_latency(c, started.elapsed());
         }
     }
     Ok(())

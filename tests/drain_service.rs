@@ -272,3 +272,34 @@ fn drain_on_idle_server_snapshots_every_dataset() {
     }
     std::fs::remove_dir_all(&snap_dir).unwrap();
 }
+
+/// `EXPLAIN_ESTIMATE` against a draining server is answered with the one
+/// line `BUSY server draining` where the `EXPLAIN <n>` head would be. The
+/// client hands that back as the typed `QueryReply::Busy` its doc
+/// promises — it used to fail with `expected EXPLAIN header` — and the
+/// connection keeps serving.
+#[test]
+fn explain_against_a_draining_server_is_a_typed_busy() {
+    let mut b = GraphBuilder::new(3);
+    b.add_edge(0, 1, 0);
+    b.add_edge(1, 2, 1);
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.insert_graph("default", b.build(), 2);
+    let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let query = templates::path(2, &[0, 1]);
+    let served = client.explain("default", &query, None).expect("explain");
+    assert!(matches!(served.reply, QueryReply::Estimate(_)));
+    assert!(!served.counters.is_empty());
+
+    server.request_drain();
+    let refused = client
+        .explain("default", &query, None)
+        .expect("typed reply");
+    assert_eq!(refused.reply, QueryReply::Busy("server draining".into()));
+    assert!(refused.id.is_some());
+    assert!(refused.spans.is_empty() && refused.counters.is_empty());
+    client.ping().expect("the connection still answers PING");
+    let drained = server.drain().expect("drain");
+    assert_eq!(drained.abandoned, 0);
+}

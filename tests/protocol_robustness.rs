@@ -100,6 +100,13 @@ fn scripted_malformed_lines_get_err_and_connection_survives() {
         "ESTIMATE_BATCH default 1\n2 1 0 1",              // truncated query line
         "ESTIMATE_BATCH default 2\n2 1 0 1 0\n2 1 0 5 0", // bad 2nd query
         "\u{1}\u{2}\u{3} binary garbage",
+        // Tokens after a bare command: an error, not a PONG, a drain or
+        // a closed connection.
+        "PING x",
+        "STATS x",
+        "METRICS x",
+        "SHUTDOWN please-dont",
+        "QUIT x",
     ] {
         conn.send(format!("{line}\n").as_bytes());
         let reply = conn.read_line().expect("server must answer, not drop");
@@ -111,6 +118,11 @@ fn scripted_malformed_lines_get_err_and_connection_survives() {
         conn.send(b"PING\n");
         assert_eq!(conn.read_line().as_deref(), Some("PONG"));
     }
+    // `SHUTDOWN please-dont` did not start a drain.
+    assert!(!server.drain_requested());
+    conn.send(b"ESTIMATE default 2 1 0 1 0\n");
+    let reply = conn.read_line().expect("server must answer");
+    assert!(reply.starts_with("EST "), "{reply:?}");
     server.shutdown();
 }
 
