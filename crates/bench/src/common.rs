@@ -6,8 +6,6 @@ use ceg_catalog::{CcrTable, MarkovTable};
 use ceg_core::Heuristic;
 use ceg_estimators::{pstar_estimate, CardinalityEstimator, OptimisticEstimator};
 use ceg_graph::LabeledGraph;
-use ceg_query::QueryGraph;
-use ceg_service::{Engine, QueryOutcome, RequestCtx};
 use ceg_workload::qerror::{signed_log_qerror, QErrorSummary};
 use ceg_workload::runner::EstimatorReport;
 use ceg_workload::workloads::{TemplateReport, WorkloadQuery};
@@ -129,18 +127,6 @@ pub fn filter_queries(
     pred: impl Fn(&WorkloadQuery) -> bool,
 ) -> Vec<WorkloadQuery> {
     queries.iter().filter(|q| pred(q)).cloned().collect()
-}
-
-/// Answer `queries` on the engine's `bench` dataset through its one
-/// estimate path, as one request with no deadline.
-pub fn estimate_all(engine: &Engine, queries: &[QueryGraph]) -> Vec<QueryOutcome> {
-    let mut outcomes = Vec::with_capacity(queries.len());
-    engine
-        .estimate_batch("bench", queries, RequestCtx::default(), |o| {
-            outcomes.push(o)
-        })
-        .expect("bench dataset is registered");
-    outcomes
 }
 
 #[cfg(test)]

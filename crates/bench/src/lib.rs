@@ -15,7 +15,10 @@
 //! | `fig14`  | WanderJoin ratios vs max-hop-max, with timings |
 //! | `fig15`  | plan quality through the DP optimizer |
 //!
-//! Criterion benches (`cargo bench`) cover estimation latency, CEG
-//! construction and the executor.
+//! `ablation` (the CEG_O construction rules one at a time), `extensions`
+//! (MaxEnt, JSUB) and `templates` (the nine estimators per template)
+//! complete the twelve. Time is measured elsewhere: every latency and
+//! cost number is a per-layer metric of the wire benchmark in `bench/`
+//! (`cegbench`).
 
 pub mod common;

@@ -122,10 +122,9 @@ impl WalScan {
 
 /// The 12-byte header a fresh log starts with.
 pub fn header_bytes() -> [u8; WAL_HEADER_LEN as usize] {
-    let mut h = [0u8; WAL_HEADER_LEN as usize];
-    h[..8].copy_from_slice(&WAL_MAGIC);
-    h[8..].copy_from_slice(&WAL_VERSION.to_le_bytes());
-    h
+    let [m0, m1, m2, m3, m4, m5, m6, m7] = WAL_MAGIC;
+    let [v0, v1, v2, v3] = WAL_VERSION.to_le_bytes();
+    [m0, m1, m2, m3, m4, m5, m6, m7, v0, v1, v2, v3]
 }
 
 /// Record checksum: the same length-seeded FxHash64 as

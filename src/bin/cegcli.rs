@@ -1,26 +1,7 @@
 //! `cegcli` — command-line front end for the cegraph library.
 //!
-//! ```text
-//! cegcli generate <imdb|yago|dblp|watdiv|hetionet|epinions> <seed> <out.edges>
-//! cegcli workload <graph.edges> <job|acyclic|cyclic|gcare-acyclic|gcare-cyclic>
-//!                 <per-template> <seed> <out.wl>
-//! cegcli stats    <graph.edges> <queries.wl> <h> <out.markov>
-//! cegcli estimate <graph.edges> <queries.wl> [markov.file] [heuristic]
-//! cegcli molp     <graph.edges> <queries.wl>
-//! cegcli explain  <graph.edges> <queries.wl> <query-index>   # CEG_O as DOT
-//! cegcli explain  <addr> <queries.wl> <query-index> [dataset] [--deadline-ms N]
-//! cegcli serve    <addr> <graph.edges> [markov.file|-] [h]   # estimation server
-//! cegcli serve    <addr> --snapshot <file.cegsnap>           # restore from snapshot
-//! cegcli serve    <addr> [graph.edges ...] --data-dir <dir>  # crash-safe commits
-//! cegcli query    <addr> <queries.wl> [dataset] [--batch] [--deadline-ms N]
-//! cegcli update   <addr> <updates.upd> [dataset]             # live graph updates
-//! cegcli snapshot <addr> <out.cegsnap> [dataset]             # persist server state
-//! cegcli metrics  <addr>                                     # dump metrics registry
-//! cegcli prom     <addr> [--check]                           # Prometheus exposition
-//! cegcli slowlog  <addr> [n]                                 # slow-query log
-//! cegcli shutdown <addr>                                     # graceful drain
-//! cegcli wal      <file.cegwal>                              # inspect a write-ahead log
-//! ```
+//! Run `cegcli` with no arguments for the usage block: one line per row
+//! of [`COMMANDS`], the table every subcommand is declared in.
 //!
 //! `explain` has two forms, told apart by the first argument: a graph
 //! file renders the query's CEG_O locally as DOT; a server address
@@ -97,33 +78,26 @@ enum ErrorKind {
     Runtime,
 }
 
-/// A CLI failure: the kind, the message, and (when known) which
-/// subcommand's usage to print for usage errors.
+/// A CLI failure: the kind, the message, and (once `run` has found the
+/// subcommand's row) whose usage to print for usage errors.
 #[derive(Debug)]
-struct CliError {
+struct CmdError {
     cmd: Option<&'static str>,
     kind: ErrorKind,
     msg: String,
 }
 
-impl CliError {
+impl CmdError {
     fn exit_code(&self) -> u8 {
         match self.kind {
             ErrorKind::Usage => 2,
             ErrorKind::Runtime => 1,
         }
     }
-}
 
-/// A subcommand failure before the error is tagged with its subcommand.
-struct CmdError {
-    kind: ErrorKind,
-    msg: String,
-}
-
-impl CmdError {
     fn usage(msg: impl Into<String>) -> CmdError {
         CmdError {
+            cmd: None,
             kind: ErrorKind::Usage,
             msg: msg.into(),
         }
@@ -131,6 +105,7 @@ impl CmdError {
 
     fn runtime(msg: impl ToString) -> CmdError {
         CmdError {
+            cmd: None,
             kind: ErrorKind::Runtime,
             msg: msg.to_string(),
         }
@@ -159,101 +134,99 @@ impl From<std::io::Error> for CmdError {
 
 type CmdResult = Result<(), CmdError>;
 
-/// Subcommand name → usage line. One source of truth for both the full
-/// usage block and per-subcommand errors.
-const USAGE_LINES: &[(&str, &str)] = &[
-    (
-        "generate",
-        "cegcli generate <imdb|yago|dblp|watdiv|hetionet|epinions> <seed> <out.edges>",
-    ),
-    (
-        "workload",
-        "cegcli workload <graph.edges> <job|acyclic|cyclic|gcare-acyclic|gcare-cyclic> <per-template> <seed> <out.wl>",
-    ),
-    (
-        "stats",
-        "cegcli stats <graph.edges> <queries.wl> <h> <out.markov> [--jobs N]",
-    ),
-    (
-        "estimate",
-        "cegcli estimate <graph.edges> <queries.wl> [markov.file] [heuristic] [--jobs N]",
-    ),
-    ("molp", "cegcli molp <graph.edges> <queries.wl>"),
-    (
-        "explain",
-        "cegcli explain (<graph.edges> | <addr>) <queries.wl> <query-index> [dataset] [--deadline-ms N]",
-    ),
-    (
-        "serve",
-        "cegcli serve <addr> (<graph.edges> [markov.file|-] [h] | --snapshot <file.cegsnap>) [--data-dir <dir>] [--wal-rotate-bytes N] [--snapshot-every N] [--jobs N] [--drain-dir <dir>]",
-    ),
-    (
-        "query",
-        "cegcli query <addr> <queries.wl> [dataset] [--batch] [--deadline-ms N]",
-    ),
-    ("update", "cegcli update <addr> <updates.upd> [dataset]"),
-    ("snapshot", "cegcli snapshot <addr> <out.cegsnap> [dataset]"),
-    ("metrics", "cegcli metrics <addr>"),
-    ("prom", "cegcli prom <addr> [--check]"),
-    ("slowlog", "cegcli slowlog <addr> [n]"),
-    ("shutdown", "cegcli shutdown <addr>"),
-    ("wal", "cegcli wal <file.cegwal>"),
-    ("lint", "cegcli lint"),
+/// One subcommand: its name; its positional arguments as the usage line
+/// shows them; the `--flag`s its handler strips, as the usage line shows
+/// them (one written `--name <placeholder>` takes a value); the most
+/// arguments that may be left once those are stripped; the handler.
+type Row = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    usize,
+    fn(&[String]) -> CmdResult,
+);
+
+#[rustfmt::skip]
+const COMMANDS: &[Row] = &[
+    ("generate", "<imdb|yago|dblp|watdiv|hetionet|epinions> <seed> <out.edges>", &[], 3, generate),
+    ("workload", "<graph.edges> <job|acyclic|cyclic|gcare-acyclic|gcare-cyclic> <per-template> <seed> <out.wl>", &[], 5, workload),
+    ("stats", "<graph.edges> <queries.wl> <h> <out.markov>", &["--jobs N"], 4, stats),
+    ("estimate", "<graph.edges> <queries.wl> [markov.file] [heuristic]", &["--jobs N"], 4, estimate),
+    ("molp", "<graph.edges> <queries.wl>", &[], 2, molp),
+    // A graph file renders the query's CEG_O as DOT; a server address
+    // prints the estimate and the server-side trace behind it.
+    ("explain", "(<graph.edges> | <addr>) <queries.wl> <query-index> [dataset]", &["--deadline-ms N"], 4, explain),
+    ("serve", "<addr> [<graph.edges> [markov.file|-] [h]]",
+     &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--wal-rotate-bytes N", "--snapshot-every N", "--jobs N", "--drain-dir <dir>"],
+     4, serve),
+    ("query", "<addr> <queries.wl> [dataset]", &["--batch", "--deadline-ms N"], 3, query_cmd),
+    ("update", "<addr> <updates.upd> [dataset]", &[], 3, update_cmd),
+    ("snapshot", "<addr> <out.cegsnap> [dataset]", &[], 3, snapshot_cmd),
+    ("metrics", "<addr>", &[], 1, metrics_cmd),
+    ("prom", "<addr>", &["--check"], 1, prom_cmd),
+    ("slowlog", "<addr> [n]", &[], 2, slowlog_cmd),
+    ("shutdown", "<addr>", &[], 1, shutdown_cmd),
+    ("wal", "<file.cegwal>", &[], 1, wal_cmd),
+    // The same pass as `cargo xtask lint`; the exit code carries the
+    // verdict (0 clean, 1 diagnostics, 2 could not run).
+    ("lint", "", &[], 0, |_| std::process::exit(ceg_lint::lint_main())),
 ];
 
-fn usage_for(cmd: &str) -> Option<&'static str> {
-    USAGE_LINES
-        .iter()
-        .find(|(name, _)| *name == cmd)
-        .map(|(_, usage)| *usage)
+fn usage_line(&(name, args, flags, ..): &Row) -> String {
+    let mut line = format!("cegcli {name} {args}");
+    for flag in flags {
+        line.push_str(&format!(" [{flag}]"));
+    }
+    // `lint` takes nothing.
+    line.trim_end().to_string()
+}
+
+fn usage_for(cmd: &str) -> Option<String> {
+    COMMANDS.iter().find(|row| row.0 == cmd).map(usage_line)
 }
 
 fn full_usage() -> String {
     let mut out = String::from("usage:\n");
-    for (_, line) in USAGE_LINES {
+    for row in COMMANDS {
         out.push_str("  ");
-        out.push_str(line);
+        out.push_str(&usage_line(row));
         out.push('\n');
     }
     out
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    let top = |msg: String| CliError {
-        cmd: None,
-        kind: ErrorKind::Usage,
-        msg,
-    };
-    let cmd = args.first().ok_or_else(|| top("missing command".into()))?;
-    let rest = &args[1..];
-    let in_cmd = |name: &'static str, result: CmdResult| {
-        result.map_err(|e| CliError {
-            cmd: Some(name),
-            kind: e.kind,
-            msg: e.msg,
-        })
-    };
-    match cmd.as_str() {
-        "generate" => in_cmd("generate", generate(rest)),
-        "workload" => in_cmd("workload", workload(rest)),
-        "stats" => in_cmd("stats", stats(rest)),
-        "estimate" => in_cmd("estimate", estimate(rest)),
-        "molp" => in_cmd("molp", molp(rest)),
-        "explain" => in_cmd("explain", explain(rest)),
-        "serve" => in_cmd("serve", serve(rest)),
-        "query" => in_cmd("query", query_cmd(rest)),
-        "update" => in_cmd("update", update_cmd(rest)),
-        "snapshot" => in_cmd("snapshot", snapshot_cmd(rest)),
-        "metrics" => in_cmd("metrics", metrics_cmd(rest)),
-        "prom" => in_cmd("prom", prom_cmd(rest)),
-        "slowlog" => in_cmd("slowlog", slowlog_cmd(rest)),
-        "shutdown" => in_cmd("shutdown", shutdown_cmd(rest)),
-        "wal" => in_cmd("wal", wal_cmd(rest)),
-        // The same pass as `cargo xtask lint`; the exit code carries the
-        // verdict (0 clean, 1 diagnostics, 2 could not run).
-        "lint" => std::process::exit(ceg_lint::lint_main()),
-        other => Err(top(format!("unknown command `{other}`"))),
+/// Strip the subcommand's `flags` from `args`: more than `max` arguments
+/// left is an error here, for every subcommand, before its handler opens
+/// a file or a socket.
+fn check_positionals(args: &[String], flags: &[&str], max: usize) -> Result<(), String> {
+    let mut rest = args.to_vec();
+    for flag in flags {
+        rest = match flag.split_once(' ') {
+            Some((valued, _)) => take_opt(&rest, valued.trim_start_matches('-'))?.0,
+            None => take_flag(&rest, flag.trim_start_matches('-')).0,
+        };
     }
+    if rest.len() > max {
+        return Err("unexpected extra arguments".into());
+    }
+    Ok(())
+}
+
+fn run(args: &[String]) -> CmdResult {
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| CmdError::usage("missing command"))?;
+    let &(name, _, flags, max, handler) = COMMANDS
+        .iter()
+        .find(|row| row.0 == cmd)
+        .ok_or_else(|| CmdError::usage(format!("unknown command `{cmd}`")))?;
+    check_positionals(rest, flags, max)
+        .map_err(CmdError::from)
+        .and_then(|()| handler(rest))
+        .map_err(|e| CmdError {
+            cmd: Some(name),
+            ..e
+        })
 }
 
 fn parse_dataset(name: &str) -> Result<Dataset, String> {
@@ -294,52 +267,33 @@ fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> 
         .ok_or_else(|| format!("missing {what}"))
 }
 
-/// Strip a `--jobs N` flag from the argument list and return the
-/// remaining positional arguments plus the worker count. `--jobs 0` means
-/// "use every available core"; without the flag the count is 1 (serial,
-/// the pre-flag behaviour). A repeated `--jobs` is an error (a silent
-/// last-one-wins hides typos in scripts), and a flag-shaped token after
-/// `--jobs` is rejected explicitly so `--jobs --foo` reports the missing
-/// value instead of a confusing parse failure.
+/// Strip `--jobs N` (see [`take_opt`]) and return the worker count:
+/// 1 (serial) without the flag, every available core for `--jobs 0`.
 fn take_jobs(args: &[String]) -> Result<(Vec<String>, usize), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut jobs: Option<usize> = None;
-    let mut set = |n: usize| -> Result<(), String> {
-        if jobs.replace(n).is_some() {
-            return Err("duplicate --jobs flag".into());
-        }
-        Ok(())
+    let (rest, value) = take_opt(args, "jobs")?;
+    let jobs = match value {
+        None => 1,
+        Some(n) => match n.parse().map_err(|_| format!("bad --jobs value `{n}`"))? {
+            // Explicit "all cores": uncapped, unlike the conservative
+            // default_build_parallelism() used by implicit callers.
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs => jobs,
+        },
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let n = it.next().ok_or("missing value after --jobs")?;
-            if n.starts_with('-') {
-                return Err(format!(
-                    "--jobs needs a worker count, got the flag-like token `{n}`"
-                ));
-            }
-            set(n.parse().map_err(|_| format!("bad --jobs value `{n}`"))?)?;
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            if n.starts_with('-') {
-                return Err(format!(
-                    "--jobs needs a worker count, got the flag-like token `{n}`"
-                ));
-            }
-            set(n.parse().map_err(|_| format!("bad --jobs value `{n}`"))?)?;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    let mut jobs = jobs.unwrap_or(1);
-    if jobs == 0 {
-        // Explicit "all cores": uncapped, unlike the conservative
-        // default_build_parallelism() used by implicit callers.
-        jobs = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-    }
     Ok((rest, jobs))
+}
+
+/// Strip `--deadline-ms N` (see [`take_opt`]): the per-request deadline
+/// of `query` and wire `explain`.
+fn take_deadline_ms(args: &[String]) -> Result<(Vec<String>, Option<u64>), String> {
+    let (rest, value) = take_opt(args, "deadline-ms")?;
+    let deadline_ms = value
+        .map(|s| {
+            s.parse()
+                .map_err(|_| format!("bad --deadline-ms value `{s}`"))
+        })
+        .transpose()?;
+    Ok((rest, deadline_ms))
 }
 
 /// Strip a boolean `--<name>` flag from the argument list. A repeated
@@ -352,8 +306,9 @@ fn take_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
 }
 
 /// Strip a valued `--<name> <value>` / `--<name>=<value>` option from the
-/// argument list. Mirrors [`take_jobs`]' strictness: duplicates and
-/// flag-shaped values are errors.
+/// argument list. A repeated option is an error (a silent last-one-wins
+/// hides typos in scripts), and so is a flag-shaped value, so `--jobs
+/// --foo` reports the missing value instead of a confusing parse failure.
 fn take_opt(args: &[String], name: &str) -> Result<(Vec<String>, Option<String>), String> {
     let flag = format!("--{name}");
     let prefix = format!("--{name}=");
@@ -511,6 +466,11 @@ fn explain(args: &[String]) -> CmdResult {
     if arg(args, 0, "graph path or server address")?.contains(':') {
         return explain_wire(args);
     }
+    if args.len() > 3 {
+        return Err(CmdError::usage(
+            "a graph file takes neither [dataset] nor --deadline-ms",
+        ));
+    }
     // Arguments first, filesystem second (see `workload`).
     let graph_path = arg(args, 0, "graph path")?;
     let workload_path = arg(args, 1, "workload path")?;
@@ -531,13 +491,7 @@ fn explain(args: &[String]) -> CmdResult {
 /// (named wall-clock spans and counters) that produced it.
 fn explain_wire(args: &[String]) -> CmdResult {
     use cegraph::service::QueryReply;
-    let (args, deadline) = take_opt(args, "deadline-ms")?;
-    let deadline_ms: Option<u64> = deadline
-        .map(|s| {
-            s.parse()
-                .map_err(|_| format!("bad --deadline-ms value `{s}`"))
-        })
-        .transpose()?;
+    let (args, deadline_ms) = take_deadline_ms(args)?;
     // Arguments first, filesystem second (see `workload`).
     let addr = arg(&args, 0, "server address")?;
     let workload_path = arg(&args, 1, "workload path")?;
@@ -545,9 +499,6 @@ fn explain_wire(args: &[String]) -> CmdResult {
         .parse()
         .map_err(|_| "bad index")?;
     let dataset = args.get(3).map(String::as_str).unwrap_or("default");
-    if args.len() > 4 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
     let wq = queries.get(idx).ok_or("query index out of range")?;
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
@@ -808,20 +759,11 @@ fn serve(args: &[String]) -> CmdResult {
 fn query_cmd(args: &[String]) -> CmdResult {
     use cegraph::service::QueryReply;
     let (args, batch) = take_flag(args, "batch");
-    let (args, deadline) = take_opt(&args, "deadline-ms")?;
-    let deadline_ms: Option<u64> = deadline
-        .map(|s| {
-            s.parse()
-                .map_err(|_| format!("bad --deadline-ms value `{s}`"))
-        })
-        .transpose()?;
+    let (args, deadline_ms) = take_deadline_ms(&args)?;
     // Arguments first, filesystem second (see `workload`).
     let addr = arg(&args, 0, "server address")?;
     let workload_path = arg(&args, 1, "workload path")?;
     let dataset = args.get(2).map(String::as_str).unwrap_or("default");
-    if args.len() > 3 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     let replies: Vec<QueryReply> = if batch {
@@ -937,9 +879,6 @@ fn snapshot_cmd(args: &[String]) -> CmdResult {
     let addr = arg(args, 0, "server address")?;
     let path = arg(args, 1, "snapshot output path")?;
     let dataset = args.get(2).map(String::as_str).unwrap_or("default");
-    if args.len() > 3 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     let ack = client.snapshot(dataset, path).map_err(CmdError::runtime)?;
     println!(
@@ -955,9 +894,6 @@ fn snapshot_cmd(args: &[String]) -> CmdResult {
 /// lines — grep-friendly for dashboards and CI smoke checks.
 fn metrics_cmd(args: &[String]) -> CmdResult {
     let addr = arg(args, 0, "server address")?;
-    if args.len() > 1 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     let pairs = client.metrics().map_err(CmdError::runtime)?;
     for (key, value) in &pairs {
@@ -976,9 +912,6 @@ fn metrics_cmd(args: &[String]) -> CmdResult {
 fn prom_cmd(args: &[String]) -> CmdResult {
     let (args, check) = take_flag(args, "check");
     let addr = arg(&args, 0, "server address")?;
-    if args.len() > 1 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     let lines = client.metrics_prom().map_err(CmdError::runtime)?;
     for line in &lines {
@@ -1103,9 +1036,6 @@ fn slowlog_cmd(args: &[String]) -> CmdResult {
         .get(1)
         .map(|s| s.parse().map_err(|_| format!("bad entry count `{s}`")))
         .transpose()?;
-    if args.len() > 2 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     let entries = client.slowlog(n).map_err(CmdError::runtime)?;
     if entries.is_empty() {
@@ -1126,9 +1056,6 @@ fn slowlog_cmd(args: &[String]) -> CmdResult {
 /// snapshots (if configured with `--drain-dir`) and exits 0.
 fn shutdown_cmd(args: &[String]) -> CmdResult {
     let addr = arg(args, 0, "server address")?;
-    if args.len() > 1 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let mut client = Client::connect(addr).map_err(CmdError::runtime)?;
     client.shutdown_server().map_err(CmdError::runtime)?;
     println!("server at {addr} is draining");
@@ -1146,9 +1073,6 @@ fn shutdown_cmd(args: &[String]) -> CmdResult {
 fn wal_cmd(args: &[String]) -> CmdResult {
     use cegraph::graph::wal::scan_bytes;
     let path = arg(args, 0, "WAL path")?;
-    if args.len() > 1 {
-        return Err(CmdError::usage("unexpected extra arguments"));
-    }
     let bytes = std::fs::read(path).map_err(CmdError::runtime)?;
     let scan = scan_bytes(&bytes).map_err(CmdError::runtime)?;
     println!(
@@ -1222,26 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn take_jobs_rejects_duplicates() {
-        let err = take_jobs(&strs(&["--jobs", "2", "--jobs", "3"])).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        let err = take_jobs(&strs(&["--jobs=2", "--jobs", "2"])).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-        let err = take_jobs(&strs(&["--jobs=2", "--jobs=4"])).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn take_jobs_rejects_flag_shaped_values() {
-        let err = take_jobs(&strs(&["--jobs", "--verbose"])).unwrap_err();
-        assert!(err.contains("flag-like"), "{err}");
-        let err = take_jobs(&strs(&["--jobs=-2"])).unwrap_err();
-        assert!(err.contains("flag-like"), "{err}");
-        assert!(take_jobs(&strs(&["--jobs"])).is_err());
-        assert!(take_jobs(&strs(&["--jobs", "x"])).is_err());
-    }
-
-    #[test]
     fn take_flag_strips_every_occurrence() {
         let (rest, on) = take_flag(&strs(&["a", "--batch", "b"]), "batch");
         assert_eq!(rest, strs(&["a", "b"]));
@@ -1267,8 +1171,15 @@ mod tests {
         assert_eq!(v, None);
         assert!(take_opt(&strs(&["--snapshot"]), "snapshot").is_err());
         assert!(take_opt(&strs(&["--snapshot", "--x"]), "snapshot").is_err());
-        let err = take_opt(&strs(&["--snapshot=a", "--snapshot", "b"]), "snapshot").unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
+        assert!(take_opt(&strs(&["--snapshot=-2"]), "snapshot").is_err());
+        for twice in [
+            ["--snapshot=a", "--snapshot", "b"].as_slice(),
+            &["--snapshot=a", "--snapshot=b"],
+            &["--snapshot", "a", "--snapshot", "b"],
+        ] {
+            let err = take_opt(&strs(twice), "snapshot").unwrap_err();
+            assert!(err.contains("duplicate"), "{err}");
+        }
     }
 
     // --- Prometheus exposition checker ------------------------------------
@@ -1347,9 +1258,9 @@ mod tests {
     // (usage block on stderr, exit 2), failures doing the work are
     // Runtime errors (message only, exit 1) — never mixed.
 
-    use super::{run, usage_for, CliError, ErrorKind};
+    use super::{run, usage_for, CmdError, ErrorKind, COMMANDS};
 
-    fn fail(args: &[&str]) -> CliError {
+    fn fail(args: &[&str]) -> CmdError {
         run(&strs(args)).expect_err("should fail")
     }
 
@@ -1366,24 +1277,50 @@ mod tests {
 
     #[test]
     fn missing_arguments_are_usage_errors_tagged_with_the_subcommand() {
-        for (args, cmd) in [
-            (vec!["stats"], "stats"),
-            (vec!["generate"], "generate"),
-            (vec!["generate", "hetionet"], "generate"),
-            (vec!["serve"], "serve"),
-            (vec!["query"], "query"),
-            (vec!["snapshot"], "snapshot"),
-            (vec!["explain", "g", "w"], "explain"),
-            (vec!["explain", "127.0.0.1:0", "w"], "explain"),
-            (vec!["prom"], "prom"),
-            (vec!["slowlog"], "slowlog"),
-            (vec!["slowlog", "127.0.0.1:0", "zero"], "slowlog"),
+        // `lint` takes no arguments (and exits the process).
+        for &(name, ..) in COMMANDS.iter().filter(|row| row.0 != "lint") {
+            let err = fail(&[name]);
+            assert_eq!(err.kind, ErrorKind::Usage, "{name}: {}", err.msg);
+            assert_eq!(err.cmd, Some(name));
+            assert_eq!(err.exit_code(), 2);
+            let usage = usage_for(name).expect("every row has a usage line");
+            assert!(usage.starts_with(&format!("cegcli {name} ")), "{usage}");
+        }
+        for args in [
+            vec!["generate", "hetionet"],
+            vec!["explain", "g", "w"],
+            vec!["explain", "127.0.0.1:0", "w"],
+            vec!["slowlog", "127.0.0.1:0", "zero"],
         ] {
             let err = fail(&args);
             assert_eq!(err.kind, ErrorKind::Usage, "{args:?}: {}", err.msg);
-            assert_eq!(err.cmd, Some(cmd), "{args:?}");
-            assert_eq!(err.exit_code(), 2);
-            assert!(usage_for(cmd).is_some(), "usage line exists for {cmd}");
+            assert_eq!(err.cmd, Some(args[0]), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn one_positional_too_many_is_a_usage_error_before_any_io() {
+        // Every row, flags or not: nothing listens on the address and no
+        // path exists, so an error of the other kind means the handler ran.
+        for &(name, _, flags, max, _) in COMMANDS {
+            let mut args = vec![name.to_string()];
+            args.extend(vec!["127.0.0.1:1".to_string(); max + 1]);
+            args.extend(flags.iter().map(|flag| match flag.split_once(' ') {
+                Some((valued, _)) => format!("{valued}=1"),
+                None => flag.to_string(),
+            }));
+            let err = run(&args).expect_err("should fail");
+            assert_eq!(err.kind, ErrorKind::Usage, "{args:?}: {}", err.msg);
+            assert_eq!(err.msg, "unexpected extra arguments", "{args:?}");
+            assert_eq!(err.cmd, Some(name), "{args:?}");
+        }
+        // The local form of `explain` takes one positional fewer than the
+        // wire form, and no deadline.
+        for args in [
+            vec!["explain", "g", "w", "0", "default"],
+            vec!["explain", "g", "w", "0", "--deadline-ms=5"],
+        ] {
+            assert_eq!(fail(&args).kind, ErrorKind::Usage, "{args:?}");
         }
     }
 
