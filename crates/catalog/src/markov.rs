@@ -6,6 +6,8 @@
 //! connected sub-patterns of the workload's queries, which keeps tables at
 //! a fraction of a megabyte.
 
+use std::ops::Range;
+
 use ceg_exec::VarConstraints;
 use ceg_graph::{FxHashMap, GraphView, LabelId, LabeledGraph};
 use ceg_query::{Canonicalizer, EdgeMask, Pattern, QueryGraph};
@@ -23,6 +25,8 @@ pub struct ResolvedCards {
     /// `∅`, then the connected subsets by size, then by mask
     /// ([`QueryGraph::connected_subsets`] order).
     nodes: Vec<EdgeMask>,
+    /// The nodes of `k` edges are `nodes[levels[k]..levels[k + 1]]`.
+    levels: [u32; QueryGraph::MAX_EDGES + 2],
     /// `cards[i]` belongs to `nodes[i]`; covers exactly the nodes of at
     /// most `h` edges. `None`: the table lacks the pattern.
     cards: Vec<Option<u64>>,
@@ -52,16 +56,31 @@ impl ResolvedCards {
         &self.cards
     }
 
+    /// Positions of the nodes of `size` edges (empty past the query's
+    /// edge count).
+    pub fn level(&self, size: usize) -> Range<usize> {
+        match self.levels.get(size..size + 2) {
+            Some(&[lo, hi]) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
     /// Position of `mask` among the nodes; `None` if it is not a
-    /// connected subset of the query.
+    /// connected subset of the query. A binary search within `mask`'s
+    /// size level.
     pub fn node_index(&self, mask: EdgeMask) -> Option<usize> {
-        index_of(&self.nodes, mask)
+        let level = self.level(mask.len());
+        let at = self.nodes[level.clone()].binary_search(&mask).ok()?;
+        Some(level.start + at)
     }
 
     /// What [`MarkovTable::card_of_subquery`] answers for a connected
     /// `mask` of at most `h` edges; `None` for any other mask.
     pub fn card(&self, mask: EdgeMask) -> Option<u64> {
-        self.cards[index_of(&self.nodes[..self.cards.len()], mask)?]
+        if mask.len() > self.h {
+            return None;
+        }
+        self.cards[self.node_index(mask)?]
     }
 
     /// The patterns to count before the query can be estimated.
@@ -73,13 +92,6 @@ impl ResolvedCards {
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
     }
-}
-
-/// Position of `mask` in `nodes`, which are sorted by size, then by mask.
-fn index_of(nodes: &[EdgeMask], mask: EdgeMask) -> Option<usize> {
-    nodes
-        .binary_search_by_key(&(mask.len(), mask), |m| (m.len(), *m))
-        .ok()
 }
 
 /// Cardinalities of connected patterns with at most `h` edges.
@@ -217,6 +229,7 @@ impl MarkovTable {
     pub fn resolve(&self, query: &QueryGraph) -> Option<ResolvedCards> {
         let mut nodes = query.connected_subsets_within_limit()?;
         nodes.insert(0, EdgeMask::empty());
+        let levels = std::array::from_fn(|size| nodes.partition_point(|m| m.len() < size) as u32);
         let small = nodes.partition_point(|m| m.len() <= self.h);
         let mut cards = Vec::with_capacity(small);
         cards.push(Some(1)); // the empty join has one (empty) tuple
@@ -233,6 +246,7 @@ impl MarkovTable {
         Some(ResolvedCards {
             h: self.h,
             nodes,
+            levels,
             cards,
             missing,
         })

@@ -260,16 +260,8 @@ impl Ceg {
             };
             for &ei in self.outgoing_edges(v) {
                 let e = &self.edges[ei as usize];
-                let slot = &mut slots[e.to as usize];
-                let kept = match *slot {
-                    None => None,
-                    Some((h, cur)) => match path_len.rank(hops + 1, h) {
-                        Ordering::Greater => None,
-                        Ordering::Equal => Some(cur),
-                        Ordering::Less => continue,
-                    },
-                };
-                *slot = Some((hops + 1, merge(kept, extend(acc, ei, e))));
+                let cand = extend(acc, ei, e);
+                relax(&mut slots[e.to as usize], path_len, hops + 1, cand, &merge);
             }
         }
         slots
@@ -371,8 +363,33 @@ impl Ceg {
     }
 }
 
-/// `max` / `min` as a merge rule: the candidate wins only when its `key`
-/// is strictly larger (smaller), so the slot survives a tie or a NaN.
+/// The rule behind [`Ceg::fold`]: offer `slot` a path reaching it in
+/// `hops` hops with aggregate `cand`. The path replaces the slot
+/// (aggregate and all) when `path_len` prefers its hop count, is merged
+/// into it on a tie (always, under `AllHops`) and is dropped otherwise.
+#[inline]
+pub(crate) fn relax<A: Copy>(
+    slot: &mut Option<(usize, A)>,
+    path_len: PathLen,
+    hops: usize,
+    cand: A,
+    merge: impl Fn(Option<A>, A) -> A,
+) {
+    let kept = match *slot {
+        None => None,
+        Some((h, cur)) => match path_len.rank(hops, h) {
+            Ordering::Greater => None,
+            Ordering::Equal => Some(cur),
+            Ordering::Less => return,
+        },
+    };
+    *slot = Some((hops, merge(kept, cand)));
+}
+
+/// `max` / `min` as a merge rule: the candidate wins when its `key` is
+/// strictly larger (smaller), so the slot survives a tie. A NaN `key`
+/// absorbs from either side, so the merge commutes and a fold's answer
+/// does not depend on which topological order it visits.
 pub(crate) fn extremum<A: Copy>(
     maximize: bool,
     key: impl Fn(A) -> f64,
@@ -383,7 +400,7 @@ pub(crate) fn extremum<A: Copy>(
         Ordering::Less
     };
     move |cur, cand| match cur {
-        Some(cur) if key(cand).partial_cmp(&key(cur)) != Some(wins) => cur,
+        Some(cur) if !key(cand).is_nan() && key(cand).partial_cmp(&key(cur)) != Some(wins) => cur,
         _ => cand,
     }
 }
@@ -512,6 +529,37 @@ mod tests {
             tag: 0,
         };
         Ceg::new(2, 0, 1, vec![e(0, 1), e(1, 0)]);
+    }
+
+    /// A NaN path (`inf * 0`, what a zero-count intersection under a
+    /// zero-count extension gives) beside a finite one: max and min are
+    /// NaN whichever reaches the top first. Listing the bottom's edges the
+    /// other way round flips Kahn's order, and with it the arrival order.
+    #[test]
+    fn nan_absorbs_in_either_arrival_order() {
+        let e = |from, to, rate| CegEdge {
+            from,
+            to,
+            rate,
+            tag: 0,
+        };
+        let nan_path = [e(0, 1, f64::INFINITY), e(1, 3, 0.0)];
+        let finite_path = [e(0, 2, 2.0), e(2, 3, 3.0)];
+        for edges in [
+            [nan_path[0], finite_path[0], nan_path[1], finite_path[1]],
+            [finite_path[0], nan_path[0], nan_path[1], finite_path[1]],
+        ] {
+            let c = Ceg::new(4, 0, 3, edges.to_vec());
+            for aggr in [Aggr::Max, Aggr::Min] {
+                let est = c.estimate(Heuristic::new(PathLen::AllHops, aggr));
+                assert!(est.is_some_and(f64::is_nan), "{aggr:?}: {est:?}");
+            }
+        }
+        for maximize in [true, false] {
+            let merge = extremum(maximize, |x: f64| x);
+            assert!(merge(Some(f64::NAN), 1.0).is_nan());
+            assert!(merge(Some(1.0), f64::NAN).is_nan());
+        }
     }
 
     #[test]

@@ -11,12 +11,23 @@
 //!    on the largest joins the table stores;
 //! 2. *early cycle closing*: if any extension of `S` closes a cycle, only
 //!    cycle-closing extensions of `S` are kept.
+//!
+//! The edges come from one generator, node by node: it visits, for `S`,
+//! only the extension patterns that share an edge with `S` (an index
+//! from each query edge to the patterns containing it) and looks `S ∪ E`
+//! and `E ∩ S` up within their size level. Two consumers read it:
+//! [`CegO::build`] materialises the graph (figures, CEG_OCR, P*, best
+//! paths), and [`CegO::estimate_resolved`] folds each node's edges into
+//! one slot per node as they are generated — the serving path, which
+//! keeps no edge list.
+
+use std::time::Instant;
 
 use ceg_catalog::{MarkovTable, ResolvedCards};
-use ceg_query::cycles::cyclomatic_number;
+use ceg_query::cycles::{cyclomatic_number, is_acyclic};
 use ceg_query::{EdgeMask, QueryGraph};
 
-use crate::ceg::{Ceg, CegEdge};
+use crate::ceg::{extremum, relax, Aggr, Ceg, CegEdge, Heuristic};
 
 /// Metadata of one CEG_O edge: which extension pattern produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,113 +105,80 @@ impl CegO {
         )
     }
 
-    /// [`CegO::build`] from cards already resolved: the build reads the
-    /// table through `resolved` only, so a caller holding a lock on the
-    /// table can drop it first.
-    pub fn from_resolved(query: &QueryGraph, resolved: ResolvedCards) -> Self {
-        Self::build_full(query, resolved, CegOOptions::default(), |_, _| None)
-    }
-
     fn build_full(
         query: &QueryGraph,
         resolved: ResolvedCards,
         options: CegOOptions,
         mut override_fn: impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
     ) -> Self {
-        let h = resolved.h();
-        let m = query.num_edges();
-        assert!(m >= 1, "queries must have at least one edge");
-
-        // Node set: ∅ + all connected subsets, in cardinality order; the
-        // candidate extension patterns are the nodes of 1..=h edges, and
-        // their cards sit beside them.
-        let nodes = resolved.nodes();
-        let cards = resolved.cards();
-        let top_mask = query.full_mask();
-        let top = (nodes.len() - 1) as u32;
-        assert_eq!(nodes[top as usize], top_mask, "queries must be connected");
-        let cyc: Vec<usize> = nodes.iter().map(|&s| cyclomatic_number(query, s)).collect();
-
+        let num_nodes = resolved.nodes().len();
+        let top = num_nodes - 1;
         let mut edges: Vec<CegEdge> = Vec::new();
         let mut ext_info: Vec<ExtInfo> = Vec::new();
-        let mut candidate_edges: Vec<(CegEdge, ExtInfo)> = Vec::new();
-
-        for (si, &s) in nodes[..top as usize].iter().enumerate() {
-            candidate_edges.clear();
-            for (e_mask, card_e) in nodes[1..cards.len()].iter().zip(&cards[1..]) {
-                let d = e_mask.difference(s);
-                if d.is_empty() {
-                    continue;
-                }
-                let i_mask = e_mask.intersect(s);
-                if s.is_empty() != i_mask.is_empty() {
-                    // non-empty S must condition on a non-empty intersection
-                    continue;
-                }
-                let s_next = s.union(d);
-                // Rule 1: numerators use the largest joins available — the
-                // first hop goes straight to a min(h, |Q|)-size sub-query,
-                // later hops use exactly-h extension patterns.
-                let required = if s.is_empty() {
-                    h.min(m)
-                } else {
-                    h.min(s_next.len())
-                };
-                if options.size_h_numerators && e_mask.len() != required {
-                    continue;
-                }
-                // E must be stored; I must be connected (a resolved node)
-                // and stored.
-                let Some(card_e) = *card_e else {
-                    continue;
-                };
-                let Some(card_i) = resolved.card(i_mask) else {
-                    continue;
-                };
-                // S′ must be a connected sub-query (a CEG node).
-                let Some(to) = resolved.node_index(s_next) else {
-                    continue;
-                };
-                let info = ExtInfo {
-                    ext: *e_mask,
-                    inter: i_mask,
-                    closes_cycle: cyc[to] > cyc[si],
-                };
-                let default_rate = if card_e == 0 {
-                    0.0
-                } else {
-                    card_e as f64 / card_i as f64
-                };
-                let rate = override_fn(s, &info).unwrap_or(default_rate);
-                candidate_edges.push((
-                    CegEdge {
-                        from: si as u32,
-                        to: to as u32,
-                        rate,
-                        tag: 0, // assigned below
-                    },
-                    info,
-                ));
-            }
-            // Rule 2: early cycle closing.
-            let any_closing =
-                options.early_cycle_closing && candidate_edges.iter().any(|(_, i)| i.closes_cycle);
-            for &(mut ce, info) in &candidate_edges {
-                if any_closing && !info.closes_cycle {
-                    continue;
-                }
-                ce.tag = ext_info.len() as u32;
-                ext_info.push(info);
-                edges.push(ce);
+        let mut gen = EdgeGen::new(query, &resolved, options);
+        for si in 0..top {
+            for out in gen.edges_from(si, &mut override_fn) {
+                edges.push(CegEdge {
+                    from: si as u32,
+                    to: out.to,
+                    rate: out.rate,
+                    tag: ext_info.len() as u32,
+                });
+                ext_info.push(out.info);
             }
         }
-
-        let ceg = Ceg::new(nodes.len(), 0, top, edges);
         CegO {
-            ceg,
+            ceg: Ceg::new(num_nodes, 0, top as u32, edges),
             nodes: resolved.into_nodes(),
             ext_info,
         }
+    }
+
+    /// The estimate `CegO::build(query, table).ceg().estimate(heuristic)`
+    /// gives, bit for bit, from cards already resolved and without
+    /// building the graph: nodes are visited in index order — topological,
+    /// since an edge always leads to a larger subset and the nodes are
+    /// sorted by size — and each reached node's edges are folded into one
+    /// `(hops, value)` slot per node as they are generated. Max and min
+    /// merges commute, so the visit order does not move a bit.
+    ///
+    /// `Err` once `deadline` has passed; it is checked before each size
+    /// level, so the overrun is at most one level's work.
+    ///
+    /// # Panics
+    ///
+    /// On [`Aggr::Avg`]: an average adds its paths in the materialised
+    /// CEG's Kahn order, which only [`CegO::build`] has.
+    pub fn estimate_resolved(
+        query: &QueryGraph,
+        resolved: &ResolvedCards,
+        heuristic: Heuristic,
+        deadline: Option<Instant>,
+    ) -> Result<Option<f64>, DeadlinePassed> {
+        assert!(
+            heuristic.aggr != Aggr::Avg,
+            "the streamed pass serves max and min only"
+        );
+        let best = extremum(heuristic.aggr == Aggr::Max, |x| x);
+        let mut gen = EdgeGen::new(query, resolved, CegOOptions::default());
+        let mut slots: Vec<Option<(usize, f64)>> = vec![None; resolved.nodes().len()];
+        slots[0] = Some((0, 1.0));
+        // The top (the one node of `m` edges) has no edges out.
+        for size in 0..query.num_edges() {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(DeadlinePassed);
+            }
+            for si in resolved.level(size) {
+                let Some((hops, x)) = slots[si] else {
+                    continue;
+                };
+                for out in gen.edges_from(si, &mut |_, _| None) {
+                    let slot = &mut slots[out.to as usize];
+                    relax(slot, heuristic.path_len, hops + 1, x * out.rate, &best);
+                }
+            }
+        }
+        Ok(slots[slots.len() - 1].map(|(_, x)| x))
     }
 
     /// The underlying CEG (aggregation entry point).
@@ -233,6 +211,169 @@ fn resolve(query: &QueryGraph, table: &MarkovTable) -> ResolvedCards {
             QueryGraph::MAX_CONNECTED_SUBSETS
         )
     })
+}
+
+/// [`CegO::estimate_resolved`] stopped: its deadline passed first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadlinePassed;
+
+/// One kept CEG_O edge out of the node last asked for.
+#[derive(Debug, Clone, Copy)]
+struct OutEdge {
+    /// The extension pattern's node index: edges leave a node in its
+    /// ascending order.
+    pattern: u32,
+    to: u32,
+    rate: f64,
+    info: ExtInfo,
+}
+
+/// The one enumeration of CEG_O's edges, a node at a time.
+///
+/// The candidate extension patterns are the nodes of `1..=h` edges whose
+/// card is stored. For `S = ∅` every candidate is offered. For any other
+/// `S`, a candidate must meet `S` (`I = E ∩ S` is non-empty), so only the
+/// patterns listed under an edge `f ∈ S` are visited, and a pattern is
+/// taken from `f` only when `f` is the lowest edge of `I`, so it is
+/// offered once. Lookups stay within a size level, and the kept edges
+/// leave in ascending pattern order with `override_fn` called in that
+/// order: the edge order, and so the Kahn order and the `avg` bits, that
+/// `tests/golden_ceg_o.rs` pins.
+struct EdgeGen<'r> {
+    resolved: &'r ResolvedCards,
+    options: CegOOptions,
+    h: usize,
+    m: usize,
+    /// Cyclomatic number per node; empty for an acyclic query, where no
+    /// extension closes a cycle.
+    cyc: Vec<u8>,
+    /// The candidates containing query edge `f` are
+    /// `by_edge[by_edge_start[f]..by_edge_start[f + 1]]`, ascending.
+    by_edge_start: [u32; QueryGraph::MAX_EDGES + 1],
+    by_edge: Vec<u32>,
+    /// The last node's kept edges; a node has at most one per candidate.
+    out: Vec<OutEdge>,
+}
+
+impl<'r> EdgeGen<'r> {
+    fn new(query: &QueryGraph, resolved: &'r ResolvedCards, options: CegOOptions) -> Self {
+        let m = query.num_edges();
+        assert!(m >= 1, "queries must have at least one edge");
+        let nodes = resolved.nodes();
+        assert_eq!(
+            nodes[nodes.len() - 1],
+            query.full_mask(),
+            "queries must be connected"
+        );
+        let cyc = if is_acyclic(query) {
+            Vec::new()
+        } else {
+            nodes
+                .iter()
+                .map(|&s| cyclomatic_number(query, s) as u8)
+                .collect()
+        };
+        // A candidate has at most `h` edges, so one allocation holds them all.
+        let cards = resolved.cards();
+        let mut by_edge = Vec::with_capacity(resolved.h() * cards.len());
+        let mut by_edge_start = [0u32; QueryGraph::MAX_EDGES + 1];
+        for f in 0..m {
+            let has_f = |&p: &usize| cards[p].is_some() && nodes[p].contains(f);
+            by_edge.extend((1..cards.len()).filter(has_f).map(|p| p as u32));
+            by_edge_start[f + 1] = by_edge.len() as u32;
+        }
+        EdgeGen {
+            resolved,
+            options,
+            h: resolved.h(),
+            m,
+            cyc,
+            by_edge_start,
+            by_edge,
+            out: Vec::with_capacity(resolved.cards().len()),
+        }
+    }
+
+    /// The kept edges out of node `si`, in ascending pattern order.
+    /// `override_fn(S, info)` may replace an edge's `|E| / |I|` rate; it
+    /// sees every candidate, before rule 2 drops any.
+    fn edges_from(
+        &mut self,
+        si: usize,
+        override_fn: &mut impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
+    ) -> &[OutEdge] {
+        self.out.clear();
+        let s = self.resolved.nodes()[si];
+        if s.is_empty() {
+            for p in 1..self.resolved.cards().len() {
+                self.out.extend(self.edge(si, s, p));
+            }
+        } else {
+            for f in s.iter() {
+                let (lo, hi) = (self.by_edge_start[f], self.by_edge_start[f + 1]);
+                for &p in &self.by_edge[lo as usize..hi as usize] {
+                    let i_mask = self.resolved.nodes()[p as usize].intersect(s);
+                    if i_mask.bits().trailing_zeros() as usize == f {
+                        self.out.extend(self.edge(si, s, p as usize));
+                    }
+                }
+            }
+            self.out.sort_unstable_by_key(|e| e.pattern);
+        }
+        let mut any_closing = false;
+        for e in &mut self.out {
+            e.rate = override_fn(s, &e.info).unwrap_or(e.rate);
+            any_closing |= e.info.closes_cycle;
+        }
+        // Rule 2: early cycle closing.
+        if any_closing && self.options.early_cycle_closing {
+            self.out.retain(|e| e.info.closes_cycle);
+        }
+        &self.out
+    }
+
+    /// The edge candidate `p` gives node `si` = `s`, if there is one.
+    fn edge(&self, si: usize, s: EdgeMask, p: usize) -> Option<OutEdge> {
+        let resolved = self.resolved;
+        let e_mask = resolved.nodes()[p];
+        let d = e_mask.difference(s);
+        if d.is_empty() {
+            return None;
+        }
+        let s_next = s.union(d);
+        // Rule 1: numerators use the largest joins available — the first
+        // hop goes straight to a min(h, |Q|)-size sub-query, later hops
+        // use exactly-h extension patterns.
+        let required = if s.is_empty() {
+            self.h.min(self.m)
+        } else {
+            self.h.min(s_next.len())
+        };
+        if self.options.size_h_numerators && e_mask.len() != required {
+            return None;
+        }
+        // E must be stored; I must be connected (a resolved node) and
+        // stored; S′ must be a connected sub-query (a CEG node).
+        let card_e = resolved.cards()[p]?;
+        let i_mask = e_mask.intersect(s);
+        let card_i = resolved.card(i_mask)?;
+        let to = resolved.node_index(s_next)?;
+        let closes_cycle = !self.cyc.is_empty() && self.cyc[to] > self.cyc[si];
+        Some(OutEdge {
+            pattern: p as u32,
+            to: to as u32,
+            rate: if card_e == 0 {
+                0.0
+            } else {
+                card_e as f64 / card_i as f64
+            },
+            info: ExtInfo {
+                ext: e_mask,
+                inter: i_mask,
+                closes_cycle,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +537,22 @@ mod tests {
             .estimate(Heuristic::new(PathLen::AllHops, Aggr::Max))
             .unwrap();
         assert_eq!(est, 1.0);
+    }
+
+    #[test]
+    fn streamed_pass_answers_the_built_ceg_or_stops_at_its_deadline() {
+        let g = toy();
+        let q = templates::q5f(&[0, 1, 2, 3, 4]);
+        let t = MarkovTable::build_for_query(&g, &q, 2);
+        let resolved = t.resolve(&q).unwrap();
+        let h = Heuristic::new(PathLen::MaxHop, Aggr::Max);
+        let built = CegO::build(&q, &t).ceg().estimate(h);
+        assert_eq!(CegO::estimate_resolved(&q, &resolved, h, None), Ok(built));
+        let passed = Some(std::time::Instant::now());
+        assert_eq!(
+            CegO::estimate_resolved(&q, &resolved, h, passed),
+            Err(DeadlinePassed)
+        );
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ceg_core::ceg_o::DeadlinePassed;
 use ceg_core::sync::{self, LockRank, OrderedMutex};
 use ceg_core::trace::Trace;
 use ceg_core::CegO;
@@ -117,8 +118,9 @@ pub struct RequestCtx<'a> {
     /// none); labels slow-query records.
     pub id: u64,
     /// When the request's misses stop being worth running (`None` =
-    /// unbounded). Checked after the run-slot wait and between plan
-    /// depths inside the counting kernel; hits are answered regardless.
+    /// unbounded). Checked after the run-slot wait, between plan depths
+    /// inside the counting kernel and before each size level of the
+    /// CEG_O pass; hits are answered regardless.
     pub deadline: Option<Instant>,
     /// Records the span/counter breakdown when present — what
     /// `EXPLAIN_ESTIMATE` adds; it changes what is reported, never what
@@ -559,10 +561,10 @@ impl Engine {
         }
         let estimate_started = Instant::now();
         let mut degenerate = false;
-        // `None` marks a fill that was abandoned at the deadline
-        // (incomplete patterns). Completeness and every cardinality the
-        // estimate divides come from the same resolved snapshot, so a
-        // concurrent fill cannot make the two disagree.
+        // `None` marks a miss abandoned at the deadline: in the fill
+        // (incomplete patterns) or in the estimate. Completeness and every
+        // cardinality the estimate divides come from the same resolved
+        // snapshot, so a concurrent fill cannot make the two disagree.
         let value: Option<Option<f64>> = if !resolved.is_complete() {
             None
         } else if query.num_edges() == 0 || !query.is_connected() {
@@ -574,15 +576,14 @@ impl Engine {
             // A degenerate catalog (zero-count patterns dividing each
             // other) can surface NaN/inf; that is "cannot answer", never
             // a number we put on the wire.
-            match CegO::from_resolved(query, resolved)
-                .ceg()
-                .estimate(OptimisticEstimator::RECOMMENDED)
-            {
-                Some(v) if !v.is_finite() => {
+            let recommended = OptimisticEstimator::RECOMMENDED;
+            match CegO::estimate_resolved(query, &resolved, recommended, ctx.deadline) {
+                Err(DeadlinePassed) => None,
+                Ok(Some(v)) if !v.is_finite() => {
                     degenerate = true;
                     Some(None)
                 }
-                v => Some(v),
+                Ok(v) => Some(v),
             }
         };
         let estimate_us = estimate_started.elapsed().as_micros() as u64;

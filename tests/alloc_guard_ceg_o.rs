@@ -2,18 +2,21 @@
 //!
 //! `CegO::build` resolves the query's sub-patterns through one reused
 //! canonicalization buffer and builds flat arrays: the node set, the
-//! cards beside it, one cyclomatic number per node, the edge and
-//! metadata lists, and the CEG's offset + index adjacency. None of that
-//! is per node or per sub-pattern, so the number of allocator calls is a
-//! small constant (plus the doublings of the growing lists) — the same
-//! bound holds for a 64-node and a 1,024-node CEG. Before the rewrite a
-//! build made two `Vec`s per node and several per canonicalization:
-//! more than 50,000 calls on `star(8)`.
+//! cards beside it, the pattern-by-query-edge index (and one cyclomatic
+//! number per node for a cyclic query), the edge and metadata lists, and
+//! the CEG's offset + index adjacency. None of that is per node or per
+//! sub-pattern, so the number of allocator calls is a small constant
+//! (plus the doublings of the growing lists) — the same bound holds for a
+//! 64-node and a 1,024-node CEG. Before the rewrite a build made two
+//! `Vec`s per node and several per canonicalization: more than 50,000
+//! calls on `star(8)`.
 //!
 //! Choosing a path over the built CEG is one forward pass with one
 //! `(hops, aggregate)` slot per node: `Ceg::estimate` makes exactly one
 //! allocator call, again whatever the node count (a hop pre-pass or a
-//! `(node, depth)` table would each be one more).
+//! `(node, depth)` table would each be one more). The server skips the
+//! build: `CegO::estimate_resolved` folds each node's edges as they are
+//! generated, in a fixed number of allocator calls.
 //!
 //! A single test lives here so no concurrent test case can pollute the
 //! counter (see `tests/alloc_guard.rs`).
@@ -51,9 +54,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocator calls one `CegO::build` may make, whatever the node count
-/// (38, 47 and 57 on the three stars below: the difference is `Vec`
+/// (36, 44 and 53 on the three stars below: the difference is `Vec`
 /// doublings of the node, edge and metadata lists).
 const MAX_ALLOCS_PER_BUILD: u64 = 64;
+
+/// Allocator calls of the streamed pass the server runs, exactly, on
+/// every star: the pattern index, the per-node edge buffer (sized once to
+/// the pattern count) and the slots. No edge list, so no doublings.
+const ALLOCS_PER_STREAMED_PASS: u64 = 3;
 
 #[test]
 fn ceg_o_build_allocates_a_constant_number_of_times() {
@@ -84,5 +92,16 @@ fn ceg_o_build_allocates_a_constant_number_of_times() {
         let calls = ALLOCS.load(Ordering::SeqCst) - before;
         assert!(estimate.is_some(), "star({k})");
         assert_eq!(calls, 1, "Ceg::estimate on star({k})");
+
+        let resolved = table.resolve(&q).expect("far below the subset limit");
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let streamed =
+            CegO::estimate_resolved(&q, &resolved, OptimisticEstimator::RECOMMENDED, None);
+        let calls = ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(streamed, Ok(estimate), "star({k})");
+        assert_eq!(
+            calls, ALLOCS_PER_STREAMED_PASS,
+            "CegO::estimate_resolved on star({k})"
+        );
     }
 }

@@ -1,6 +1,6 @@
-//! Property tests of the optimistic CEG machinery: exactness inside the
-//! Markov table, aggregator orderings, oracle dominance, and statistics
-//! consistency.
+//! Property tests of the optimistic CEG machinery: the streamed pass
+//! against the built graph, exactness inside the Markov table, aggregator
+//! orderings, oracle dominance, and statistics consistency.
 
 use cegraph::catalog::MarkovTable;
 use cegraph::core::oracle::qerror;
@@ -8,7 +8,7 @@ use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
 use cegraph::estimators::pstar_estimate;
 use cegraph::exec::{count, count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
-use cegraph::query::{templates, QueryGraph};
+use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use proptest::prelude::*;
 
 const LABELS: u16 = 3;
@@ -32,8 +32,81 @@ fn arb_acyclic_query() -> impl Strategy<Value = QueryGraph> {
     ]
 }
 
+/// A connected query of 1..=8 edges, cycles included: every edge hangs
+/// off a variable an earlier edge introduced and either opens a new
+/// variable or closes back onto an old one (parallel edges and self-loops
+/// too); or a plain cycle of 3..=6 edges.
+fn arb_connected_query() -> impl Strategy<Value = QueryGraph> {
+    let grown =
+        prop::collection::vec((0u8..8, 0u8..16, 0u16..LABELS, 0u8..2), 1..=8).prop_map(|steps| {
+            let mut num_vars = 1u8;
+            let mut edges = Vec::new();
+            for (from, to, label, flip) in steps {
+                let a = from % num_vars;
+                let b = if to < 8 {
+                    to % num_vars
+                } else {
+                    num_vars += 1;
+                    num_vars - 1
+                };
+                let (src, dst) = if flip == 0 { (a, b) } else { (b, a) };
+                edges.push(QueryEdge::new(src, dst, label));
+            }
+            QueryGraph::new(num_vars, edges)
+        });
+    let cycle =
+        prop::collection::vec(0u16..LABELS, 3..=6).prop_map(|ls| templates::cycle(ls.len(), &ls));
+    prop_oneof![grown, cycle, arb_acyclic_query()]
+}
+
+/// A table for `q` at size `h` on `g` whose entries are, by `fate`,
+/// dropped (0), stored as zero (1) or stored exactly (2..).
+fn partial_table(g: &LabeledGraph, q: &QueryGraph, h: usize, fate: &[u8]) -> MarkovTable {
+    let mut entries: Vec<(Pattern, u64)> = MarkovTable::build_for_query(g, q, h)
+        .iter()
+        .map(|(p, c)| (p.clone(), c))
+        .collect();
+    entries.sort();
+    let mut table = MarkovTable::empty(h);
+    for (i, (pattern, card)) in entries.into_iter().enumerate() {
+        match fate[i % fate.len()] {
+            0 => {}
+            1 => table.insert(pattern, 0),
+            _ => table.insert(pattern, card),
+        }
+    }
+    table
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The streamed pass the server runs answers what the materialised
+    /// CEG_O answers, bit for bit, under every max / min heuristic — on
+    /// acyclic and cyclic queries, and on tables that lack patterns or
+    /// store zero counts (where `inf` and NaN paths appear).
+    #[test]
+    fn streamed_pass_is_the_built_estimate(
+        (g, q) in (arb_graph(), arb_connected_query()),
+        h in 2usize..=3,
+        fate in prop::collection::vec(0u8..6, 64),
+    ) {
+        let table = partial_table(&g, &q, h, &fate);
+        let resolved = table.resolve(&q).expect("8 edges are far below the subset limit");
+        let ceg = CegO::build(&q, &table);
+        for heuristic in Heuristic::all() {
+            if heuristic.aggr == Aggr::Avg {
+                continue;
+            }
+            let streamed = CegO::estimate_resolved(&q, &resolved, heuristic, None)
+                .expect("no deadline");
+            prop_assert_eq!(
+                streamed.map(f64::to_bits),
+                ceg.ceg().estimate(heuristic).map(f64::to_bits),
+                "{}", heuristic.name()
+            );
+        }
+    }
 
     /// Queries that fit in the Markov table are answered exactly by every
     /// heuristic (no independence assumption is needed).

@@ -9,6 +9,9 @@
 
 use std::sync::Arc;
 
+use cegraph::catalog::MarkovTable;
+use cegraph::core::CegO;
+use cegraph::estimators::OptimisticEstimator;
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryGraph};
 use cegraph::service::{Client, DatasetRegistry, Engine, QueryReply, Server, ServerConfig};
@@ -217,6 +220,48 @@ proptest! {
         client.quit().unwrap();
         server.shutdown();
     }
+}
+
+/// The widest query the wire admits, a 16-edge star (65,536 CEG_O nodes,
+/// 3.9 M edges), on a warm catalog: nothing is left to count, so only the
+/// estimate itself can see the deadline. It checks once per size level,
+/// so a 5 ms deadline is a `TIMEOUT`, not an `EST` a second later; and a
+/// deadline-free retry answers the materialised CEG_O's bits.
+#[test]
+fn a_sixteen_edge_star_times_out_inside_the_estimate() {
+    let server = Server::start(
+        registry(),
+        "127.0.0.1:0",
+        ServerConfig {
+            cache_capacity: 0,
+            default_deadline_ms: None,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let star = templates::star(16, &[0; 16]);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // Its one edge and its one 2-star are every pattern the 16-star has.
+    let warm = templates::star(2, &[0; 2]);
+    client.estimate("default", &warm).expect("warm-up estimate");
+
+    let reply = client
+        .estimate_with_deadline("default", &star, Some(5))
+        .expect("typed reply");
+    assert_eq!(reply, QueryReply::Timeout { deadline_ms: 5 });
+
+    let table = MarkovTable::build_for_query(&toy_graph(), &star, 2);
+    let materialised = CegO::build(&star, &table)
+        .ceg()
+        .estimate(OptimisticEstimator::RECOMMENDED);
+    match client.estimate_with_deadline("default", &star, None) {
+        Ok(QueryReply::Estimate(est)) => {
+            assert_eq!(est.value.map(f64::to_bits), materialised.map(f64::to_bits));
+        }
+        other => panic!("deadline-free retry must answer, got {other:?}"),
+    }
+    client.quit().unwrap();
+    server.shutdown();
 }
 
 /// Deterministic regression: a whole batch sent with `DEADLINE_MS=0`

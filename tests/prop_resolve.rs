@@ -85,12 +85,21 @@ proptest! {
         prop_assert_eq!(resolved.missing(), &expect_missing[..]);
         prop_assert_eq!(resolved.is_complete(), expect_missing.is_empty());
 
+        // Every node is found at its position, within its size level.
+        for (i, &mask) in resolved.nodes().iter().enumerate() {
+            prop_assert!(resolved.level(mask.len()).contains(&i), "mask {}", mask);
+            prop_assert_eq!(resolved.node_index(mask), Some(i), "mask {}", mask);
+        }
         // Nothing else resolves: disconnected masks and masks of more
-        // than h edges have no card here.
+        // than h edges have no card here, and no mask outside the node set
+        // has a position.
         for bits in 1..(1u32 << q.num_edges()) {
             let mask = EdgeMask::from_bits(bits);
             if !small.contains(&mask) {
                 prop_assert_eq!(resolved.card(mask), None, "mask {}", mask);
+            }
+            if !resolved.nodes().contains(&mask) {
+                prop_assert_eq!(resolved.node_index(mask), None, "mask {}", mask);
             }
         }
     }
