@@ -14,11 +14,16 @@
 //! and the total is `Σ_u down[root][u]`. `fold_tree` evaluates that
 //! bottom-up over **sparse** vectors: `down[v]` holds only the vertices
 //! with a non-zero weight, sorted by id. A leaf's message to its parent is
-//! the row lengths of the edge's relation; an inner child's message sums
-//! its vector over each row's neighbours; siblings combine by a merge-join
-//! on vertex id. Time and memory are the rows and edges of the relations
-//! the query names — nothing is sized, filled or swept by
-//! `num_vertices()`.
+//! the row lengths of the edge's relation. An inner child's message sums
+//! its vector over each row's neighbours, read by vertex id: the child is
+//! scattered into a zeroed scratch of `num_vertices()` weights for the
+//! fold and its keys are zeroed again after it. The first child folded
+//! into a parent sweeps the relation's rows; every later one probes only
+//! the rows of the parent's own keys. Time is the rows and edges of the
+//! relations the query names. Memory is that too, plus the one scratch,
+//! which a walk allocates the first time it folds an inner child — never
+//! for a pattern of at most two edges (every child of the centre is then
+//! a leaf), so an `h = 2` catalog fill allocates nothing domain-sized.
 //!
 //! One walk serves two arithmetics (`Weight`): checked `u64` for the
 //! Markov-table counts ([`mod@crate::count`]'s free functions take it for
@@ -42,7 +47,6 @@ use ceg_query::{QueryEdge, QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
 use crate::count::{BudgetState, CountBudget, KernelStats};
-use crate::intersect::gallop;
 
 /// The arithmetic a tree walk runs in.
 trait Weight: Copy + PartialEq {
@@ -97,45 +101,88 @@ struct Sparse<T> {
     vals: Vec<T>,
 }
 
-impl<T: Weight> Sparse<T> {
-    /// `Σ self[u]` over the sorted `nbrs`, added in ascending order.
-    fn sum_over(&self, nbrs: &[VertexId]) -> Option<T> {
-        let mut sum = T::ZERO;
-        let mut at = 0;
-        for &u in nbrs {
-            at += gallop(&self.keys[at..], u);
-            match self.keys.get(at) {
-                None => break,
-                Some(&k) if k == u => sum = sum.add(self.vals[at])?,
-                Some(_) => {}
-            }
+/// One query edge as its parent sees it: the relation, and whether the
+/// parent's rows are its in-neighbour lists (`v -label-> parent`).
+#[derive(Clone, Copy)]
+struct Relation {
+    label: LabelId,
+    backward: bool,
+}
+
+impl Relation {
+    /// The rows [`GraphView::rows`] yields: the relation's distinct
+    /// sources, or its distinct targets when walked `backward`.
+    fn num_rows<G: GraphView>(self, graph: &G) -> usize {
+        if self.backward {
+            graph.distinct_targets(self.label)
+        } else {
+            graph.distinct_sources(self.label)
         }
-        Some(sum)
+    }
+
+    /// The row of vertex `u`, empty when it has none.
+    fn row<G: GraphView>(self, graph: &G, u: VertexId) -> &[VertexId] {
+        if self.backward {
+            graph.in_neighbors(u, self.label)
+        } else {
+            graph.out_neighbors(u, self.label)
+        }
     }
 }
 
-/// Fold one child into its parent over the rows of the edge's relation:
+/// Fold one child into its parent over the edge's relation:
 /// `acc[u] *= Σ_{u' ∈ nbrs(u)} child[u']`. `child = None` is the all-ones
-/// vector of a leaf (the sum is the row's length, no lookup); `acc = None`
-/// is the all-ones vector of a parent nothing was folded into yet, so the
-/// message itself is materialised, in one allocation of at most
-/// `num_rows` entries. Otherwise `acc` is merge-joined with the rows in
-/// place, and a row `acc` has no weight for is skipped before its sum is
-/// taken. `None` on overflow.
-fn fold_child<'g, T: Weight>(
+/// vector of a leaf: the sum is the row's length, no lookup. An inner
+/// child is scattered into `scratch` — the walk's one `num_vertices()`
+/// weight array, allocated here the first time it is needed and all
+/// zero between folds — so each row sums by direct index, in ascending
+/// neighbour order, skipping zeros; the scattered keys are zeroed again
+/// before returning, overflow or not. `acc = None` is the all-ones vector
+/// of a parent nothing was folded into yet: the relation's rows are swept
+/// and the message materialised, in one allocation of at most its row
+/// count. Otherwise the parent probes the row of each of its own keys and
+/// keeps, in place, those whose sum is non-zero. `None` on overflow.
+fn fold_child<G: GraphView, T: Weight>(
+    graph: &G,
+    rel: Relation,
     acc: Option<Sparse<T>>,
     child: Option<&Sparse<T>>,
-    rows: impl Iterator<Item = (VertexId, &'g [VertexId])>,
-    num_rows: usize,
+    scratch: &mut Vec<T>,
 ) -> Option<Sparse<T>> {
-    let sum = |nbrs: &[VertexId]| match child {
-        None => Some(T::of_len(nbrs.len())),
-        Some(c) => c.sum_over(nbrs),
+    let Some(child) = child else {
+        return fold_rows(graph, rel, acc, |nbrs| Some(T::of_len(nbrs.len())));
     };
+    if scratch.is_empty() {
+        scratch.resize(graph.num_vertices(), T::ZERO);
+    }
+    for (&u, &w) in child.keys.iter().zip(&child.vals) {
+        scratch[u as usize] = w;
+    }
+    let weights = &scratch[..];
+    let folded = fold_rows(graph, rel, acc, |nbrs| {
+        nbrs.iter()
+            .map(|&u| weights[u as usize])
+            .filter(|&w| w != T::ZERO)
+            .try_fold(T::ZERO, T::add)
+    });
+    for &u in &child.keys {
+        scratch[u as usize] = T::ZERO;
+    }
+    folded
+}
+
+/// [`fold_child`]'s two loops, for a row sum `sum`.
+fn fold_rows<G: GraphView, T: Weight>(
+    graph: &G,
+    rel: Relation,
+    acc: Option<Sparse<T>>,
+    sum: impl Fn(&[VertexId]) -> Option<T>,
+) -> Option<Sparse<T>> {
     let Some(mut acc) = acc else {
+        let num_rows = rel.num_rows(graph);
         let mut keys = Vec::with_capacity(num_rows);
         let mut vals = Vec::with_capacity(num_rows);
-        for (u, nbrs) in rows {
+        for (u, nbrs) in graph.rows(rel.label, rel.backward) {
             let s = sum(nbrs)?;
             if s != T::ZERO {
                 keys.push(u);
@@ -144,38 +191,23 @@ fn fold_child<'g, T: Weight>(
         }
         return Some(Sparse { keys, vals });
     };
-    let (mut read, mut kept) = (0, 0);
-    for (u, nbrs) in rows {
-        while acc.keys.get(read).is_some_and(|&k| k < u) {
-            read += 1;
+    let mut kept = 0;
+    for read in 0..acc.keys.len() {
+        let u = acc.keys[read];
+        let nbrs = rel.row(graph, u);
+        if nbrs.is_empty() {
+            continue;
         }
-        match acc.keys.get(read) {
-            None => break,
-            Some(&k) if k == u => {
-                let s = sum(nbrs)?;
-                if s != T::ZERO {
-                    acc.keys[kept] = u;
-                    acc.vals[kept] = acc.vals[read].mul(s)?;
-                    kept += 1;
-                }
-                read += 1;
-            }
-            Some(_) => {}
+        let s = sum(nbrs)?;
+        if s != T::ZERO {
+            acc.keys[kept] = u;
+            acc.vals[kept] = acc.vals[read].mul(s)?;
+            kept += 1;
         }
     }
     acc.keys.truncate(kept);
     acc.vals.truncate(kept);
     Some(acc)
-}
-
-/// The rows [`GraphView::rows`] yields for `label`: its distinct sources,
-/// or its distinct targets when walked `backward`.
-fn num_rows<G: GraphView>(graph: &G, label: LabelId, backward: bool) -> usize {
-    if backward {
-        graph.distinct_targets(label)
-    } else {
-        graph.distinct_sources(label)
-    }
 }
 
 /// True for the queries the tree DP counts: connected, acyclic (hence
@@ -185,7 +217,9 @@ fn is_tree(query: &QueryGraph) -> bool {
 }
 
 /// The homomorphism count of the tree `query` rooted at `root`, every
-/// relation sweep charged its rows against `budget` before it runs.
+/// fold charged its relation's rows against `budget` before it runs.
+/// `scratch` is all zero on entry and is left so, whatever the outcome;
+/// [`fold_child`] sizes it on the walk's first inner child.
 ///
 /// Variables are visited in a DFS order from the root and folded
 /// children-first in its reverse, each sum running over ascending
@@ -197,10 +231,11 @@ fn fold_tree<G: GraphView, T: Weight>(
     query: &QueryGraph,
     root: VarId,
     budget: &mut BudgetState,
+    scratch: &mut Vec<T>,
 ) -> Result<T, Stop> {
     if let [e] = query.edges() {
         // Σ of the row lengths, without the sweep.
-        if !budget.charge_list(num_rows(graph, e.label, false) as u64) {
+        if !budget.charge_list(graph.distinct_sources(e.label) as u64) {
             return Err(Stop::Budget);
         }
         return Ok(T::of_len(graph.label_count(e.label)));
@@ -233,17 +268,20 @@ fn fold_tree<G: GraphView, T: Weight>(
         let parent = e.other(v);
         // Out-neighbours when parent -e-> v, in-neighbours when
         // v -e-> parent.
-        let backward = e.src != parent;
-        let swept = num_rows(graph, e.label, backward);
-        if !budget.charge_list(swept as u64) {
+        let rel = Relation {
+            label: e.label,
+            backward: e.src != parent,
+        };
+        if !budget.charge_list(rel.num_rows(graph) as u64) {
             return Err(Stop::Budget);
         }
         let child = down[v as usize].take();
         let folded = fold_child(
+            graph,
+            rel,
             down[parent as usize].take(),
             child.as_ref(),
-            graph.rows(e.label, backward),
-            swept,
+            scratch,
         )
         .ok_or(Stop::Overflow)?;
         if folded.keys.is_empty() {
@@ -293,7 +331,7 @@ pub(crate) fn count_tree<G: GraphView>(
     if state.expired_at_entry() {
         return Some((None, state.stats));
     }
-    match fold_tree::<G, u64>(graph, query, centre(query), &mut state) {
+    match fold_tree::<G, u64>(graph, query, centre(query), &mut state, &mut Vec::new()) {
         Ok(count) => Some((Some(count), state.stats)),
         Err(Stop::Budget) => Some((None, state.stats)),
         Err(Stop::Overflow) => None,
@@ -309,7 +347,7 @@ pub fn count_tree_dp<G: GraphView>(graph: &G, query: &QueryGraph) -> Option<f64>
         return None;
     }
     let mut unlimited = BudgetState::new(CountBudget::UNLIMITED);
-    fold_tree::<G, f64>(graph, query, 0, &mut unlimited).ok()
+    fold_tree::<G, f64>(graph, query, 0, &mut unlimited, &mut Vec::new()).ok()
 }
 
 /// The factorized form of a cyclic query: its cyclic core plus the exact
@@ -403,16 +441,21 @@ pub(crate) fn factorize<G: GraphView>(
     // weight into its parent ([`fold_child`], exact u64; an overflow
     // abandons the factorization).
     let mut weights: Vec<Option<Sparse<u64>>> = (0..nv).map(|_| None).collect();
+    let mut scratch = Vec::new();
     for &(v, ei) in &peel_order {
         let e = query.edge(ei);
         let parent = e.other(v as VarId) as usize;
-        let backward = e.src != parent as VarId;
+        let rel = Relation {
+            label: e.label,
+            backward: e.src != parent as VarId,
+        };
         let child = weights[v].take();
         weights[parent] = Some(fold_child(
+            graph,
+            rel,
             weights[parent].take(),
             child.as_ref(),
-            graph.rows(e.label, backward),
-            num_rows(graph, e.label, backward),
+            &mut scratch,
         )?);
     }
 
@@ -585,14 +628,20 @@ mod tests {
     }
 
     /// The `f64` instance reproduces the dense DP's bits on the acyclic
-    /// workload pools (their truths were recorded with the dense DP).
+    /// workload pools (their truths were recorded with the dense DP), on
+    /// the wire benchmark's `g10k` graph and seed.
     #[test]
     fn f64_instance_matches_the_dense_oracle_on_the_workload_pools() {
-        use ceg_workload::{Dataset, Workload};
-        let g = Dataset::Imdb.generate(42);
+        use ceg_workload::{Dataset, DatasetSpec, Workload};
+        let g = DatasetSpec {
+            num_vertices: 9_000,
+            num_edges: 22_000,
+            ..Dataset::Imdb.spec()
+        }
+        .generate(2022);
         let mut checked = 0;
         for w in [Workload::Job, Workload::Acyclic, Workload::GCareAcyclic] {
-            for wq in w.build(&g, 2, 7) {
+            for wq in w.build(&g, 20, 2022) {
                 let sparse = count_tree_dp(&g, &wq.query).expect("acyclic pool");
                 let dense = count_tree_dp_dense(&g, &wq.query);
                 assert_eq!(sparse.to_bits(), dense.to_bits(), "{}", wq.query);
@@ -600,7 +649,85 @@ mod tests {
                 checked += 1;
             }
         }
-        assert!(checked >= 60, "pools shrank to {checked} queries");
+        // 36 templates: 7 JOB, 18 Acyclic, 11 G-CARE-Acyclic.
+        assert_eq!(checked, 36 * 20, "a template came up short");
+    }
+
+    /// A walk that stops early — on an empty intermediate, a `u64`
+    /// overflow or the budget — after folding an inner child leaves its
+    /// scratch all zero, so the next walk handed the same scratch counts
+    /// what a fresh one would.
+    #[test]
+    fn a_walk_stopping_early_leaves_nothing_behind() {
+        // Eight hubs with 200 out-edges each under label 0; vertex 2000
+        // points at every hub under label 1; label 3 is one edge that
+        // touches none of them.
+        let mut b = GraphBuilder::with_labels(3002, 4);
+        for hub in 0..8 {
+            for i in 0..200 {
+                b.add_edge(hub, 100 + 200 * hub + i, 0);
+            }
+            b.add_edge(2000, hub, 1);
+        }
+        b.add_edge(3000, 3001, 3);
+        let g = b.build();
+        let q = |edges: &[(VarId, VarId, LabelId)]| {
+            let edges: Vec<QueryEdge> = edges
+                .iter()
+                .map(|&(s, d, l)| QueryEdge::new(s, d, l))
+                .collect();
+            QueryGraph::new(edges.len() as VarId + 1, edges)
+        };
+        let walk = |query: &QueryGraph, budget: CountBudget, scratch: &mut Vec<u64>| match fold_tree::<
+            _,
+            u64,
+        >(
+            &g,
+            query,
+            0,
+            &mut BudgetState::new(budget),
+            scratch,
+        ) {
+            Ok(count) => format!("count {count}"),
+            Err(Stop::Budget) => "budget".to_string(),
+            Err(Stop::Overflow) => "overflow".to_string(),
+        };
+        // Rooted at x = 0: the inner child y = 1 holds weights on the hubs.
+        let overflow = {
+            // y carries 8 leaves, 200^8 per hub; their sum over x's row
+            // of 8 hubs passes u64::MAX.
+            let mut edges = vec![(0, 1, 1)];
+            edges.extend((2..10).map(|z| (1, z, 0)));
+            q(&edges)
+        };
+        // x's other child t has no row at vertex 2000.
+        let empty = q(&[(0, 1, 1), (1, 2, 0), (0, 3, 3)]);
+        // Rows: 8 for z into y, 1 for y into x, then 1 for y2 into x;
+        // 200 z per hub times 8 y2.
+        let three_folds = q(&[(0, 1, 1), (1, 2, 0), (0, 3, 1)]);
+        // y's only weight is at vertex 3000: zero on every hub x reaches.
+        let next = q(&[(0, 1, 1), (1, 2, 3)]);
+
+        for (query, budget, stop) in [
+            (&overflow, CountBudget::UNLIMITED, "overflow"),
+            (&empty, CountBudget::UNLIMITED, "count 0"),
+            (&three_folds, CountBudget::new(9), "budget"),
+        ] {
+            let mut scratch = Vec::new();
+            assert_eq!(walk(query, budget, &mut scratch), stop, "{query}");
+            assert_eq!(
+                scratch.len(),
+                g.num_vertices(),
+                "{query} folds an inner child"
+            );
+            assert!(
+                scratch.iter().all(|&w| w == 0),
+                "{query} left weights behind"
+            );
+            assert_eq!(walk(&next, CountBudget::UNLIMITED, &mut scratch), "count 0");
+            let full = walk(&three_folds, CountBudget::UNLIMITED, &mut scratch);
+            assert_eq!(full, format!("count {}", 8 * 200 * 8));
+        }
     }
 
     #[test]

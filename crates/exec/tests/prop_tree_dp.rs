@@ -16,7 +16,7 @@
 use ceg_exec::{
     count, count_naive, count_tree_dp, CountBudget, CountPlan, IntersectStrategy, VarConstraints,
 };
-use ceg_graph::{GraphBuilder, GraphDelta, LabeledGraph, OverlayGraph};
+use ceg_graph::{GraphBuilder, GraphDelta, GraphView, LabeledGraph, OverlayGraph};
 use ceg_query::{QueryEdge, QueryGraph};
 use proptest::prelude::*;
 
@@ -86,7 +86,45 @@ fn arb_tree() -> impl Strategy<Value = QueryGraph> {
     })
 }
 
-fn kernel(g: &LabeledGraph, q: &QueryGraph) -> u64 {
+/// A tree whose root, variable 0 — the centre, so the root of both the
+/// `u64` and the `f64` walk — has two or three inner children (arms of two
+/// or three edges) between two leaves. Whichever end its children are
+/// folded from, a leaf comes after an inner child, inner children follow
+/// one another, and every child after the first folds into a parent that
+/// already holds weights. Directions and labels are random per edge.
+fn arb_spider() -> impl Strategy<Value = QueryGraph> {
+    const LABEL_OF: [u16; 8] = [0, 0, 0, 1, 1, 1, 2, 3];
+    (
+        prop::collection::vec(2usize..=3, 2..=3),
+        prop::collection::vec((0u8..2, 0usize..8), 11),
+    )
+        .prop_map(|(arms, spec)| {
+            let mut spec = spec.into_iter();
+            let mut edges = Vec::new();
+            let mut hang = |edges: &mut Vec<QueryEdge>, parent: u8| {
+                let child = edges.len() as u8 + 1;
+                let (flip, l) = spec.next().expect("one draw per edge");
+                let l = LABEL_OF[l];
+                edges.push(if flip == 1 {
+                    QueryEdge::new(child, parent, l)
+                } else {
+                    QueryEdge::new(parent, child, l)
+                });
+                child
+            };
+            hang(&mut edges, 0);
+            for &len in &arms {
+                let mut at = 0;
+                for _ in 0..len {
+                    at = hang(&mut edges, at);
+                }
+            }
+            hang(&mut edges, 0);
+            QueryGraph::new(edges.len() as u8 + 1, edges)
+        })
+}
+
+fn kernel<G: GraphView>(g: &G, q: &QueryGraph) -> u64 {
     let cons = VarConstraints::none(q.num_vars());
     CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive)
         .count(CountBudget::UNLIMITED)
@@ -118,6 +156,29 @@ proptest! {
         let dp = count(&overlay, &q);
         prop_assert_eq!(dp, count(&rebased, &q));
         prop_assert_eq!(dp, kernel(&rebased, &q));
+        prop_assert_eq!(count_tree_dp(&overlay, &q), Some(dp as f64));
+    }
+
+    #[test]
+    fn inner_siblings_and_late_leaves_match_kernel_and_naive(
+        (g, d, q) in (arb_graph(), arb_delta(), arb_spider())
+    ) {
+        let naive = |g: &LabeledGraph| count_naive(g, &q, &VarConstraints::none(q.num_vars()));
+        let dp = count(&g, &q);
+        prop_assert_eq!(dp, kernel(&g, &q), "kernel disagrees on {}", q);
+        if dp <= 50_000 {
+            prop_assert_eq!(dp, naive(&g), "naive disagrees on {}", q);
+        }
+        prop_assert_eq!(count_tree_dp(&g, &q), Some(dp as f64));
+
+        let overlay = OverlayGraph::new(&g, &d);
+        let rebased = g.rebase(&d);
+        let dp = count(&overlay, &q);
+        prop_assert_eq!(dp, kernel(&overlay, &q), "kernel disagrees on the overlay, {}", q);
+        prop_assert_eq!(dp, count(&rebased, &q));
+        if dp <= 50_000 {
+            prop_assert_eq!(dp, naive(&rebased), "naive disagrees on the overlay, {}", q);
+        }
         prop_assert_eq!(count_tree_dp(&overlay, &q), Some(dp as f64));
     }
 }

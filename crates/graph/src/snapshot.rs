@@ -454,6 +454,19 @@ impl<'a> PayloadReader<&'a [u8]> {
             inner: buf.take(buf.len() as u64),
         }
     }
+
+    /// The next `n` bytes, borrowed from the payload instead of copied.
+    pub fn slice(&mut self, n: u64, what: &str) -> io::Result<&'a [u8]> {
+        self.ensure(n, what)?;
+        let rest = self.inner.get_mut();
+        let (head, tail) = usize::try_from(n)
+            .ok()
+            .and_then(|n| rest.split_at_checked(n))
+            .ok_or_else(|| bad(format!("{what}: {n} bytes are past the buffer")))?;
+        *rest = tail;
+        self.inner.set_limit(self.remaining() - n);
+        Ok(head)
+    }
 }
 
 impl<R: Read> Read for PayloadReader<R> {
@@ -491,8 +504,9 @@ impl<R: Read> PayloadReader<R> {
         Ok(())
     }
 
-    /// The one fixed-width read every integer below decodes from.
-    fn take_array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+    /// The one fixed-width read every integer below decodes from; a tag
+    /// or a magic number is read with it as is.
+    pub fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
         self.ensure(N as u64, what)?;
         let mut bytes = [0u8; N];
         self.inner.read_exact(&mut bytes)?;
@@ -500,19 +514,19 @@ impl<R: Read> PayloadReader<R> {
     }
 
     pub fn u8(&mut self, what: &str) -> io::Result<u8> {
-        Ok(u8::from_le_bytes(self.take_array(what)?))
+        Ok(u8::from_le_bytes(self.array(what)?))
     }
 
     pub fn u16(&mut self, what: &str) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array(what)?))
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
     pub fn u32(&mut self, what: &str) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take_array(what)?))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     pub fn u64(&mut self, what: &str) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take_array(what)?))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     /// A `u64` that must fit a (bounded) in-memory count.

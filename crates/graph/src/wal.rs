@@ -212,10 +212,11 @@ pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
         }
         return Err(bad("not a WAL: file shorter than the header"));
     }
-    if bytes[..8] != WAL_MAGIC {
+    let mut r = PayloadReader::new(bytes);
+    if r.array("WAL magic")? != WAL_MAGIC {
         return Err(bad("not a WAL: bad magic"));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = r.u32("WAL version")?;
     if version != WAL_VERSION {
         return Err(bad(format!(
             "WAL format version {version} is not supported (this build reads {WAL_VERSION})"
@@ -231,10 +232,11 @@ pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
     // The transaction being assembled: Some((epoch, ops)) between a
     // BEGN and its CMIT.
     let mut open: Option<(u64, Vec<WalOp>)> = None;
-    let mut off = WAL_HEADER_LEN as usize;
     let stop = |scan: &mut WalScan, msg: String| scan.diagnosis = Some(msg);
     loop {
-        if off == bytes.len() {
+        // The byte the next record starts at.
+        let off = bytes.len() as u64 - r.remaining();
+        if r.is_exhausted() {
             if open.is_some() {
                 stop(
                     &mut scan,
@@ -243,29 +245,23 @@ pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
             }
             return Ok(scan);
         }
-        let rest = &bytes[off..];
-        if rest.len() < 12 {
+        if r.remaining() < 12 {
             stop(&mut scan, format!("torn record header at byte {off}"));
             return Ok(scan);
         }
-        let tag: [u8; 4] = rest[..4].try_into().unwrap();
-        let len = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-        // A hostile or torn length cannot allocate or index past the
+        let tag = r.array("record tag")?;
+        let len = r.u64("record length")?;
+        // A hostile or torn length cannot allocate or read past the
         // bytes that exist.
-        let Some(record_end) = len
-            .checked_add(20)
-            .filter(|&end| end <= rest.len() as u64)
-            .map(|end| end as usize)
-        else {
+        if len.checked_add(8).is_none_or(|rest| rest > r.remaining()) {
             stop(
                 &mut scan,
                 format!("record at byte {off} overruns the file (len={len})"),
             );
             return Ok(scan);
-        };
-        let payload = &rest[12..12 + len as usize];
-        let checksum = u64::from_le_bytes(rest[record_end - 8..record_end].try_into().unwrap());
-        if checksum != record_checksum(tag, payload) {
+        }
+        let payload = r.slice(len, "record payload")?;
+        if r.u64("record checksum")? != record_checksum(tag, payload) {
             stop(&mut scan, format!("checksum mismatch at byte {off}"));
             return Ok(scan);
         }
@@ -319,7 +315,7 @@ pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
                     return Ok(scan);
                 }
                 scan.txs.push(WalTx { epoch, ops });
-                scan.valid_len = (off + record_end) as u64;
+                scan.valid_len = bytes.len() as u64 - r.remaining();
             }
             _ => {
                 // Unknown tag with a valid checksum: a future record
@@ -327,7 +323,6 @@ pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
                 // follows (valid_len does not advance here).
             }
         }
-        off += record_end;
     }
 }
 

@@ -55,11 +55,13 @@ pub const TRUTH_BUDGET: CountBudget = CountBudget {
 };
 
 /// Instances x data edges a round of truths must bring for each thread
-/// beyond the caller's. A truth sweeps the relations its query names, at
-/// about 3 ns per instance and edge, so this is ~3 ms of counting; a
-/// smaller round (14 instances on 22k edges are 1 ms) loses more to
-/// starting a thread than a second core gives back.
-const ROUND_WORK_PER_WORKER: usize = 1_000_000;
+/// beyond the caller's. A tree truth costs about 1.4 ns per instance and
+/// edge (22-29 us each on the IMDb stand-in at 9,000 vertices and 18,660
+/// edges, 2 vCPU), so this is ~0.7 ms of counting. Measured there, a
+/// second thread pays from ~8 instances (150k) when its core is idle but
+/// only past ~70 (1.3M) when the core is busy, and where it does not pay
+/// it costs 10-30 us; half a million sits between the two.
+const ROUND_WORK_PER_WORKER: usize = 500_000;
 
 /// A template as a function of its edge labels.
 type MakeQuery = Box<dyn Fn(&[LabelId]) -> QueryGraph>;
@@ -283,12 +285,10 @@ pub struct EmbeddingSampler<'a> {
     graph: &'a LabeledGraph,
     rng: StdRng,
     /// Buffers kept across the up to `40 x 400 x want` tries per
-    /// template: the data vertex bound to each variable, the label
-    /// matched by each template edge, and the extensions of the edge
-    /// being matched.
+    /// template: the data vertex bound to each variable and the label
+    /// matched by each template edge.
     binding: Vec<VertexId>,
     labels: Vec<LabelId>,
-    cands: Vec<(LabelId, VertexId)>,
 }
 
 impl<'a> EmbeddingSampler<'a> {
@@ -298,7 +298,6 @@ impl<'a> EmbeddingSampler<'a> {
             rng: StdRng::seed_from_u64(seed ^ 0xabcd_ef01),
             binding: Vec::new(),
             labels: Vec::new(),
-            cands: Vec::new(),
         }
     }
 
@@ -353,34 +352,19 @@ impl<'a> EmbeddingSampler<'a> {
                     continue;
                 }
                 // pick a random (label, neighbour) extension
-                self.cands.clear();
                 let (s, d) = (self.binding[e.src as usize], self.binding[e.dst as usize]);
-                match (sb, db) {
-                    (true, true) => {
-                        for l in 0..nl {
-                            if self.graph.has_edge(s, d, l) {
-                                self.cands.push((l, d));
-                            }
-                        }
-                    }
-                    (true, false) => {
-                        for l in 0..nl {
-                            let row = self.graph.out_neighbors(s, l);
-                            self.cands.extend(row.iter().map(|&d| (l, d)));
-                        }
-                    }
-                    (false, true) => {
-                        for l in 0..nl {
-                            let row = self.graph.in_neighbors(d, l);
-                            self.cands.extend(row.iter().map(|&s| (l, s)));
-                        }
-                    }
+                let (graph, rng) = (self.graph, &mut self.rng);
+                let only_d = std::slice::from_ref(&d);
+                let edge_to_d = |l| if graph.has_edge(s, d, l) { only_d } else { &[] };
+                let picked = match (sb, db) {
+                    (true, true) => draw_extension(rng, nl, edge_to_d),
+                    (true, false) => draw_extension(rng, nl, |l| graph.out_neighbors(s, l)),
+                    (false, true) => draw_extension(rng, nl, |l| graph.in_neighbors(d, l)),
                     (false, false) => continue 'retry,
-                }
-                if self.cands.is_empty() {
+                };
+                let Some((l, v)) = picked else {
                     continue 'retry;
-                }
-                let (l, v) = self.cands[self.rng.random_range(0..self.cands.len())];
+                };
                 self.labels[ei] = l;
                 // The neighbour binds whichever end was free; with both
                 // bound it is `d` again.
@@ -396,6 +380,31 @@ impl<'a> EmbeddingSampler<'a> {
         }
         false
     }
+}
+
+/// One uniform draw from the (label, vertex) extensions that `row(l)`
+/// lists label by label: a single `random_range` over their total, walked
+/// to the pick without copying them out. `None` when there are none.
+fn draw_extension<'g>(
+    rng: &mut StdRng,
+    num_labels: LabelId,
+    row: impl Fn(LabelId) -> &'g [VertexId],
+) -> Option<(LabelId, VertexId)> {
+    let total: usize = (0..num_labels).map(|l| row(l).len()).sum();
+    if total == 0 {
+        return None;
+    }
+    let mut k = rng.random_range(0..total);
+    (0..num_labels).find_map(|l| {
+        let r = row(l);
+        match r.get(k) {
+            Some(&v) => Some((l, v)),
+            None => {
+                k -= r.len();
+                None
+            }
+        }
+    })
 }
 
 /// Order template edges so each one (after the first) touches a
