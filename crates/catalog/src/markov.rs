@@ -9,7 +9,7 @@
 use std::ops::Range;
 
 use ceg_exec::VarConstraints;
-use ceg_graph::{FxHashMap, GraphView, LabelId, LabeledGraph};
+use ceg_graph::{FxHashMap, LabelId, LabeledGraph};
 use ceg_query::{Canonicalizer, EdgeMask, Pattern, QueryGraph};
 
 /// One query's sub-queries resolved against one [`MarkovTable`]: the
@@ -116,7 +116,7 @@ impl MarkovTable {
     /// of the given workload queries, with exact counts from `graph`.
     /// Serial; see [`MarkovTable::build_parallel`] for the worker-pool
     /// variant.
-    pub fn build(graph: &(impl GraphView + Sync), queries: &[QueryGraph], h: usize) -> Self {
+    pub fn build(graph: &LabeledGraph, queries: &[QueryGraph], h: usize) -> Self {
         Self::build_parallel(graph, queries, h, 1)
     }
 
@@ -127,7 +127,7 @@ impl MarkovTable {
     /// exact, so the resulting table is identical at every `parallelism`
     /// (a `parallelism` of 0 or 1 counts inline on the calling thread).
     pub fn build_parallel(
-        graph: &(impl GraphView + Sync),
+        graph: &LabeledGraph,
         queries: &[QueryGraph],
         h: usize,
         parallelism: usize,
@@ -138,7 +138,7 @@ impl MarkovTable {
     }
 
     /// Build a table for a single query (convenience for examples/tests).
-    pub fn build_for_query(graph: &(impl GraphView + Sync), query: &QueryGraph, h: usize) -> Self {
+    pub fn build_for_query(graph: &LabeledGraph, query: &QueryGraph, h: usize) -> Self {
         Self::build(graph, std::slice::from_ref(query), h)
     }
 
@@ -157,7 +157,7 @@ impl MarkovTable {
     /// `tests/updates.rs`).
     pub fn refresh_touched(
         &mut self,
-        graph: &(impl GraphView + Sync),
+        graph: &LabeledGraph,
         touched: &[LabelId],
         parallelism: usize,
     ) -> usize {
@@ -179,7 +179,7 @@ impl MarkovTable {
     /// overwrite) each one's entry; returns how many were counted.
     fn recount(
         &mut self,
-        graph: &(impl GraphView + Sync),
+        graph: &LabeledGraph,
         patterns: Vec<Pattern>,
         parallelism: usize,
     ) -> usize {
@@ -335,7 +335,7 @@ pub struct FillStats {
 /// [`MarkovTable::build_parallel`], [`MarkovTable::refresh_touched`] and
 /// the service registry's incremental catalog growth.
 pub fn count_patterns(
-    graph: &(impl GraphView + Sync),
+    graph: &LabeledGraph,
     patterns: &[Pattern],
     parallelism: usize,
     budget: ceg_exec::CountBudget,
@@ -606,21 +606,40 @@ mod tests {
         assert_eq!(table.refresh_touched(&g, &[7], 1), 0);
     }
 
+    /// A fresh CSR of the edges an overlay reads: every row of every label.
+    fn built_from(ov: &ceg_graph::OverlayGraph<'_>) -> LabeledGraph {
+        let mut b = GraphBuilder::with_labels(ov.num_vertices(), ov.num_labels());
+        for l in 0..ov.num_labels() as LabelId {
+            for (v, row) in ov.rows(l, false) {
+                for &t in row {
+                    b.add_edge(v, t, l);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The rebased graph (CSRs over differing domains) and a fresh build
+    /// of what the overlay of the same delta reads refresh to the same
+    /// table, at different worker counts, and both equal a rebuild.
     #[test]
     fn refresh_on_overlay_matches_refresh_on_rebased() {
         use ceg_graph::{GraphDelta, OverlayGraph};
         let g = toy();
         let queries = [templates::path(3, &[0, 1, 2]), templates::star(2, &[1, 2])];
         let base_table = MarkovTable::build(&g, &queries, 3);
+        // Touch labels 1 and 2 and grow the vertex domain.
         let mut d = GraphDelta::new();
         d.add_edge(2, 7, 1);
         d.del_edge(4, 7, 1);
         d.add_edge(7, 9, 2);
+        d.add_edge(9, 11, 2);
         let rebased = g.rebase(&d);
         let mut via_rebase = base_table.clone();
-        via_rebase.refresh_touched(&rebased, &d.touched_labels(), 1);
+        assert!(via_rebase.refresh_touched(&rebased, &d.touched_labels(), 1) > 0);
+        let overlaid = built_from(&OverlayGraph::new(&g, &d));
         let mut via_overlay = base_table.clone();
-        via_overlay.refresh_touched(&OverlayGraph::new(&g, &d), &d.touched_labels(), 2);
+        via_overlay.refresh_touched(&overlaid, &d.touched_labels(), 2);
         assert_eq!(bytes_of(&via_rebase), bytes_of(&via_overlay));
         assert_eq!(
             bytes_of(&via_rebase),

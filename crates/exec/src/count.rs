@@ -15,7 +15,7 @@
 //! endpoint list (`graph.sources(l)` / `targets(l)`) instead of the whole
 //! vertex domain; truly isolated variables still scan the domain.
 
-use ceg_graph::{GraphView, LabelId, VertexBitset, VertexId};
+use ceg_graph::{LabelId, LabeledGraph, VertexBitset, VertexId};
 use ceg_query::{QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
@@ -235,12 +235,9 @@ impl BudgetState {
 }
 
 /// Count the homomorphisms of `query` in `graph` (join semantics: distinct
-/// variables may map to the same vertex).
-///
-/// Generic over [`GraphView`]: the service counts on the committed
-/// [`ceg_graph::LabeledGraph`] of one epoch; the differential tests run
-/// the same code over a base-plus-delta [`ceg_graph::OverlayGraph`].
-pub fn count<G: GraphView>(graph: &G, query: &QueryGraph) -> u64 {
+/// variables may map to the same vertex). The service counts on the
+/// committed [`LabeledGraph`] of one pinned epoch.
+pub fn count(graph: &LabeledGraph, query: &QueryGraph) -> u64 {
     let cons = VarConstraints::none(query.num_vars());
     count_budgeted(graph, query, &cons, CountBudget::UNLIMITED)
         .0
@@ -257,8 +254,8 @@ pub fn count<G: GraphView>(graph: &G, query: &QueryGraph) -> u64 {
 /// everything else — cyclic queries, constrained bound-sketch counts, a
 /// tree whose weights overflow `u64` — to the backtracking kernel
 /// ([`CountPlan`]), whose unit is a candidate binding.
-pub fn count_budgeted<G: GraphView>(
-    graph: &G,
+pub fn count_budgeted(
+    graph: &LabeledGraph,
     query: &QueryGraph,
     cons: &VarConstraints,
     budget: CountBudget,
@@ -383,8 +380,8 @@ struct MemoSlot {
 /// triple. Building the plan allocates; [`CountPlan::count`] then runs
 /// without touching the allocator, which `tests/alloc_guard.rs` asserts
 /// with a counting global allocator.
-pub struct CountPlan<'a, G: GraphView> {
-    graph: &'a G,
+pub struct CountPlan<'a> {
+    graph: &'a LabeledGraph,
     cons: VarConstraints,
     depths: Vec<DepthPlan>,
     /// `indep[d]` is true when every depth `e >= d` constrains only
@@ -411,7 +408,7 @@ pub struct CountPlan<'a, G: GraphView> {
     strategy: IntersectStrategy,
 }
 
-impl<'a, G: GraphView> CountPlan<'a, G> {
+impl<'a> CountPlan<'a> {
     /// Precompute the per-depth extension plans under the
     /// [`variable_order`] heuristic. Pendant trees are factorized off a
     /// cyclic core first ([`crate::tree_count`]), so acyclic
@@ -421,7 +418,7 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
     /// pass [`IntersectStrategy::Adaptive`]; the differential tests force
     /// each of the others.
     pub fn new(
-        graph: &'a G,
+        graph: &'a LabeledGraph,
         query: &QueryGraph,
         cons: &VarConstraints,
         strategy: IntersectStrategy,
@@ -485,13 +482,11 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
                 // so the relation's endpoint projection is a sound and
                 // complete seed set — typically far smaller than the
                 // domain.
-                let mut list = Vec::new();
-                if is_src {
-                    graph.sources_into(label, &mut list);
+                RootGen::List(if is_src {
+                    graph.sources(label).collect()
                 } else {
-                    graph.targets_into(label, &mut list);
-                }
-                RootGen::List(list)
+                    graph.targets(label).collect()
+                })
             } else {
                 RootGen::Scan
             };
@@ -689,8 +684,8 @@ impl<'a, G: GraphView> CountPlan<'a, G> {
 /// computes the suffix through [`recurse_count_inner`] with the prefix
 /// weight factored out, stores it, then scales by `wprod`.
 #[allow(clippy::too_many_arguments)]
-fn recurse_count<G: GraphView>(
-    graph: &G,
+fn recurse_count(
+    graph: &LabeledGraph,
     cons: &VarConstraints,
     depths: &[DepthPlan],
     indep: &[bool],
@@ -765,8 +760,8 @@ fn recurse_count<G: GraphView>(
 /// `depths[0]`, with the independent-suffix product shortcut. Never
 /// called with empty `depths`.
 #[allow(clippy::too_many_arguments)]
-fn recurse_count_inner<G: GraphView>(
-    graph: &G,
+fn recurse_count_inner(
+    graph: &LabeledGraph,
     cons: &VarConstraints,
     depths: &[DepthPlan],
     indep: &[bool],
@@ -962,8 +957,8 @@ fn bitset_fill(
 /// Candidate-set size product of a fully independent suffix — with
 /// pendant-tree weights, the product of per-depth weight *sums* — or
 /// `None` on u64 overflow.
-fn suffix_product<G: GraphView>(
-    graph: &G,
+fn suffix_product(
+    graph: &LabeledGraph,
     depths: &[DepthPlan],
     bufs: &mut [Vec<VertexId>],
     caches: &mut [Option<BitsetCache>],
@@ -1098,8 +1093,8 @@ fn bitset_count(
 
 /// The neighbour slice a planned edge induces under the current binding.
 #[inline]
-fn neighbor_slice<'g, G: GraphView>(
-    graph: &'g G,
+fn neighbor_slice<'g>(
+    graph: &'g LabeledGraph,
     pe: &PlannedEdge,
     binding: &[VertexId],
 ) -> &'g [VertexId] {

@@ -1,6 +1,6 @@
 //! Variable-ordering heuristic for the backtracking matcher.
 
-use ceg_graph::GraphView;
+use ceg_graph::LabeledGraph;
 use ceg_query::{QueryGraph, VarId};
 
 /// Choose a binding order for the query variables.
@@ -9,10 +9,9 @@ use ceg_query::{QueryGraph, VarId};
 /// candidate set), then repeatedly pick the unbound variable with the most
 /// edges into the bound set (maximum pruning), breaking ties toward rarer
 /// labels. Every prefix of the order induces a connected sub-query when
-/// the query is connected, which the matcher relies on. Generic over
-/// [`GraphView`] like the kernel itself (only label cardinalities are
-/// consulted).
-pub fn variable_order<G: GraphView>(graph: &G, query: &QueryGraph) -> Vec<VarId> {
+/// the query is connected, which the matcher relies on. Only the graph's
+/// label cardinalities are consulted.
+pub fn variable_order(graph: &LabeledGraph, query: &QueryGraph) -> Vec<VarId> {
     let n = query.num_vars();
     if n == 0 {
         return Vec::new();

@@ -41,7 +41,7 @@
 //! kernel, extending the independent-suffix shortcut from "count the
 //! suffix sets" to "sum their subtree weights".
 
-use ceg_graph::{GraphView, LabelId, LabeledGraph, VertexId};
+use ceg_graph::{LabelId, LabeledGraph, VertexId};
 use ceg_query::cycles::is_acyclic;
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
@@ -110,9 +110,9 @@ struct Relation {
 }
 
 impl Relation {
-    /// The rows [`GraphView::rows`] yields: the relation's distinct
+    /// The rows [`LabeledGraph::rows`] yields: the relation's distinct
     /// sources, or its distinct targets when walked `backward`.
-    fn num_rows<G: GraphView>(self, graph: &G) -> usize {
+    fn num_rows(self, graph: &LabeledGraph) -> usize {
         if self.backward {
             graph.distinct_targets(self.label)
         } else {
@@ -121,7 +121,7 @@ impl Relation {
     }
 
     /// The row of vertex `u`, empty when it has none.
-    fn row<G: GraphView>(self, graph: &G, u: VertexId) -> &[VertexId] {
+    fn row(self, graph: &LabeledGraph, u: VertexId) -> &[VertexId] {
         if self.backward {
             graph.in_neighbors(u, self.label)
         } else {
@@ -142,8 +142,8 @@ impl Relation {
 /// and the message materialised, in one allocation of at most its row
 /// count. Otherwise the parent probes the row of each of its own keys and
 /// keeps, in place, those whose sum is non-zero. `None` on overflow.
-fn fold_child<G: GraphView, T: Weight>(
-    graph: &G,
+fn fold_child<T: Weight>(
+    graph: &LabeledGraph,
     rel: Relation,
     acc: Option<Sparse<T>>,
     child: Option<&Sparse<T>>,
@@ -172,8 +172,8 @@ fn fold_child<G: GraphView, T: Weight>(
 }
 
 /// [`fold_child`]'s two loops, for a row sum `sum`.
-fn fold_rows<G: GraphView, T: Weight>(
-    graph: &G,
+fn fold_rows<T: Weight>(
+    graph: &LabeledGraph,
     rel: Relation,
     acc: Option<Sparse<T>>,
     sum: impl Fn(&[VertexId]) -> Option<T>,
@@ -226,8 +226,8 @@ fn is_tree(query: &QueryGraph) -> bool {
 /// neighbours: for a given root the floating-point instance performs the
 /// operations of a dense `|V|`-vector DP in the same order (zeros left
 /// out), so its result has the same bits.
-fn fold_tree<G: GraphView, T: Weight>(
-    graph: &G,
+fn fold_tree<T: Weight>(
+    graph: &LabeledGraph,
     query: &QueryGraph,
     root: VarId,
     budget: &mut BudgetState,
@@ -319,8 +319,8 @@ fn centre(query: &QueryGraph) -> VarId {
 /// `(None, _)` when the budget stops it. The stats carry the rows swept
 /// as `candidates`. The outer `None` hands the query to the backtracking
 /// kernel: it is not a tree, or a weight overflowed `u64`.
-pub(crate) fn count_tree<G: GraphView>(
-    graph: &G,
+pub(crate) fn count_tree(
+    graph: &LabeledGraph,
     query: &QueryGraph,
     budget: CountBudget,
 ) -> Option<(Option<u64>, KernelStats)> {
@@ -331,7 +331,7 @@ pub(crate) fn count_tree<G: GraphView>(
     if state.expired_at_entry() {
         return Some((None, state.stats));
     }
-    match fold_tree::<G, u64>(graph, query, centre(query), &mut state, &mut Vec::new()) {
+    match fold_tree::<u64>(graph, query, centre(query), &mut state, &mut Vec::new()) {
         Ok(count) => Some((Some(count), state.stats)),
         Err(Stop::Budget) => Some((None, state.stats)),
         Err(Stop::Overflow) => None,
@@ -342,12 +342,12 @@ pub(crate) fn count_tree<G: GraphView>(
 /// (counts routinely exceed `u64`), or `None` if the query is cyclic or
 /// disconnected (use the backtracking counter). The floating-point
 /// instance of the sparse walk, rooted at variable 0.
-pub fn count_tree_dp<G: GraphView>(graph: &G, query: &QueryGraph) -> Option<f64> {
+pub fn count_tree_dp(graph: &LabeledGraph, query: &QueryGraph) -> Option<f64> {
     if !is_tree(query) {
         return None;
     }
     let mut unlimited = BudgetState::new(CountBudget::UNLIMITED);
-    fold_tree::<G, f64>(graph, query, 0, &mut unlimited, &mut Vec::new()).ok()
+    fold_tree::<f64>(graph, query, 0, &mut unlimited, &mut Vec::new()).ok()
 }
 
 /// The factorized form of a cyclic query: its cyclic core plus the exact
@@ -377,8 +377,8 @@ pub(crate) struct Factorization {
 /// constrained tree or one whose DP overflowed gets here, and the
 /// kernel's independent-suffix shortcut counts those), or when a weight
 /// overflows `u64`.
-pub(crate) fn factorize<G: GraphView>(
-    graph: &G,
+pub(crate) fn factorize(
+    graph: &LabeledGraph,
     query: &QueryGraph,
     cons: &VarConstraints,
 ) -> Option<Factorization> {
@@ -678,10 +678,7 @@ mod tests {
                 .collect();
             QueryGraph::new(edges.len() as VarId + 1, edges)
         };
-        let walk = |query: &QueryGraph, budget: CountBudget, scratch: &mut Vec<u64>| match fold_tree::<
-            _,
-            u64,
-        >(
+        let walk = |query: &QueryGraph, budget: CountBudget, scratch: &mut Vec<u64>| match fold_tree(
             &g,
             query,
             0,

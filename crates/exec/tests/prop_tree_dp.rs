@@ -8,7 +8,10 @@
 //! and the backtracking kernel (`CountPlan::new`, which the free
 //! functions no longer reach for these queries). On random skewed graphs
 //! with empty relations, random trees with random edge directions and
-//! repeated labels, on a `LabeledGraph` and through an `OverlayGraph`.
+//! repeated labels, on built graphs and on graphs a random delta was
+//! folded into (`LabeledGraph::rebase`: relations over differing CSR
+//! domains, labels the base never had), and on a fresh build of what an
+//! `OverlayGraph` of the same delta reads.
 //!
 //! The `f64` instance's bit-equality with the retained dense DP is a unit
 //! test of `tree_count` (the oracle is `#[cfg(test)]` there).
@@ -16,7 +19,7 @@
 use ceg_exec::{
     count, count_naive, count_tree_dp, CountBudget, CountPlan, IntersectStrategy, VarConstraints,
 };
-use ceg_graph::{GraphBuilder, GraphDelta, GraphView, LabeledGraph, OverlayGraph};
+use ceg_graph::{GraphBuilder, GraphDelta, LabelId, LabeledGraph, OverlayGraph};
 use ceg_query::{QueryEdge, QueryGraph};
 use proptest::prelude::*;
 
@@ -31,7 +34,7 @@ fn skew(x: u32) -> u32 {
 
 /// Up to 200 skewed edges over the first `used` of the 4 labels; the
 /// relations past `used` stay empty.
-fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
+fn arb_built() -> impl Strategy<Value = LabeledGraph> {
     (
         2u16..=LABELS,
         prop::collection::vec((0u32..VERTICES, 0u32..VERTICES, 0u16..LABELS), 0..200),
@@ -45,6 +48,15 @@ fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
         })
 }
 
+/// A built graph, or one with a random delta folded in.
+fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
+    prop_oneof![
+        arb_built(),
+        (arb_built(), arb_delta()).prop_map(|(g, d)| g.rebase(&d)),
+    ]
+}
+
+/// Random deltas that grow the vertex domain, including no-ops.
 fn arb_delta() -> impl Strategy<Value = GraphDelta> {
     prop::collection::vec(
         (0u8..2, 0u32..VERTICES + 4, 0u32..VERTICES + 4, 0u16..LABELS),
@@ -124,12 +136,26 @@ fn arb_spider() -> impl Strategy<Value = QueryGraph> {
         })
 }
 
-fn kernel<G: GraphView>(g: &G, q: &QueryGraph) -> u64 {
+fn kernel(g: &LabeledGraph, q: &QueryGraph) -> u64 {
     let cons = VarConstraints::none(q.num_vars());
     CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive)
         .count(CountBudget::UNLIMITED)
         .0
         .expect("unlimited budget cannot be exhausted")
+}
+
+/// A fresh CSR of the edges an overlay reads: every row of every label,
+/// over one vertex domain for every relation.
+fn built_from(ov: &OverlayGraph<'_>) -> LabeledGraph {
+    let mut b = GraphBuilder::with_labels(ov.num_vertices(), ov.num_labels());
+    for l in 0..ov.num_labels() as LabelId {
+        for (v, row) in ov.rows(l, false) {
+            for &t in row {
+                b.add_edge(v, t, l);
+            }
+        }
+    }
+    b.build()
 }
 
 proptest! {
@@ -151,34 +177,27 @@ proptest! {
     fn dp_on_an_overlay_matches_the_rebased_graph(
         (g, d, q) in (arb_graph(), arb_delta(), arb_tree())
     ) {
-        let overlay = OverlayGraph::new(&g, &d);
+        let overlaid = built_from(&OverlayGraph::new(&g, &d));
         let rebased = g.rebase(&d);
-        let dp = count(&overlay, &q);
+        let dp = count(&overlaid, &q);
         prop_assert_eq!(dp, count(&rebased, &q));
         prop_assert_eq!(dp, kernel(&rebased, &q));
-        prop_assert_eq!(count_tree_dp(&overlay, &q), Some(dp as f64));
+        prop_assert_eq!(count_tree_dp(&overlaid, &q), Some(dp as f64));
     }
 
     #[test]
     fn inner_siblings_and_late_leaves_match_kernel_and_naive(
         (g, d, q) in (arb_graph(), arb_delta(), arb_spider())
     ) {
-        let naive = |g: &LabeledGraph| count_naive(g, &q, &VarConstraints::none(q.num_vars()));
-        let dp = count(&g, &q);
-        prop_assert_eq!(dp, kernel(&g, &q), "kernel disagrees on {}", q);
-        if dp <= 50_000 {
-            prop_assert_eq!(dp, naive(&g), "naive disagrees on {}", q);
-        }
-        prop_assert_eq!(count_tree_dp(&g, &q), Some(dp as f64));
-
-        let overlay = OverlayGraph::new(&g, &d);
         let rebased = g.rebase(&d);
-        let dp = count(&overlay, &q);
-        prop_assert_eq!(dp, kernel(&overlay, &q), "kernel disagrees on the overlay, {}", q);
-        prop_assert_eq!(dp, count(&rebased, &q));
-        if dp <= 50_000 {
-            prop_assert_eq!(dp, naive(&rebased), "naive disagrees on the overlay, {}", q);
+        for g in [&g, &rebased] {
+            let dp = count(g, &q);
+            prop_assert_eq!(dp, kernel(g, &q), "kernel disagrees on {}", q);
+            if dp <= 50_000 {
+                let naive = count_naive(g, &q, &VarConstraints::none(q.num_vars()));
+                prop_assert_eq!(dp, naive, "naive disagrees on {}", q);
+            }
+            prop_assert_eq!(count_tree_dp(g, &q), Some(dp as f64));
         }
-        prop_assert_eq!(count_tree_dp(&overlay, &q), Some(dp as f64));
     }
 }

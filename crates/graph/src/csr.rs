@@ -215,18 +215,6 @@ impl Csr {
             + (self.rank.capacity() + self.offsets.capacity() + self.targets.capacity()) * 4
     }
 
-    /// Append the common neighbours of `u` and `v` (in this direction) to
-    /// `out` — a slice-level building block for multi-way intersection.
-    pub fn intersect_neighbors_into(&self, u: VertexId, v: VertexId, out: &mut Vec<VertexId>) {
-        crate::intersect::intersect_into(self.neighbors(u), self.neighbors(v), out);
-    }
-
-    /// Append the intersection of `v`'s neighbour list with an arbitrary
-    /// sorted duplicate-free slice to `out`.
-    pub fn intersect_with_into(&self, v: VertexId, other: &[VertexId], out: &mut Vec<VertexId>) {
-        crate::intersect::intersect_into(self.neighbors(v), other, out);
-    }
-
     /// Fold a delta into a fresh CSR over a (possibly larger) domain of
     /// `num_vertices`: one merge walk over the base rows and the delta's
     /// source groups — O(|base| + |delta|), untouched rows copied
@@ -363,7 +351,7 @@ impl Csr {
 }
 
 /// Append `base ∪ adds ∖ dels` to `out` — the canonical sorted-row merge
-/// shared by [`Csr::rebase`] and [`crate::OverlayGraph`]'s patched
+/// of [`Csr::rebase`], also used for [`crate::OverlayGraph`]'s patched
 /// lists, so the subtle tie/advance invariants live in exactly one
 /// place.
 ///
@@ -527,19 +515,5 @@ mod tests {
         assert_eq!(r.neighbors(0), &[2]);
         assert_eq!(r.neighbors(2), &[1]);
         assert_eq!(r.num_edges(), 2);
-    }
-
-    #[test]
-    fn neighbor_intersection_helpers() {
-        let c = Csr::from_pairs(6, &[(0, 1), (0, 3), (0, 5), (2, 3), (2, 4), (2, 5)]);
-        let mut out = Vec::new();
-        c.intersect_neighbors_into(0, 2, &mut out);
-        assert_eq!(out, vec![3, 5]);
-        out.clear();
-        c.intersect_with_into(0, &[1, 2, 5], &mut out);
-        assert_eq!(out, vec![1, 5]);
-        out.clear();
-        c.intersect_neighbors_into(1, 2, &mut out); // vertex 1 has no edges
-        assert!(out.is_empty());
     }
 }

@@ -5,13 +5,13 @@
 //! overlays: they describe the desired presence of each touched edge
 //! relative to some base graph, so re-adding an edge the base already has
 //! (or deleting one it lacks) is a recorded no-op that normalization
-//! ([`GraphDelta::effective`]) strips at apply time. Two layering
-//! operations consume a delta:
+//! ([`GraphDelta::effective`]) strips at apply time.
 //!
-//! * [`crate::LabeledGraph::rebase`] folds it into a fresh CSR graph,
-//!   rebuilding only the touched relations and sharing the rest,
-//! * [`crate::OverlayGraph`] lays it over the base without rebuilding,
-//!   patching only the touched neighbour lists.
+//! [`crate::LabeledGraph::rebase`] folds a delta into a fresh CSR graph,
+//! rebuilding only the touched relations and sharing the rest: every
+//! commit the service makes goes through it, and the counting kernel
+//! reads only the result. [`crate::OverlayGraph`] lays the same delta
+//! over the base without rebuilding; nothing counts on it.
 
 use std::collections::BTreeMap;
 

@@ -11,11 +11,11 @@
 //!
 //! The crate also provides:
 //! * [`GraphBuilder`] — incremental construction with duplicate removal,
-//! * [`GraphDelta`] / [`OverlayGraph`] / [`LabeledGraph::rebase`] — the
-//!   live-update layer: batched edge insertions/deletions overlaid on the
-//!   immutable CSR, folded into a fresh graph once a delta grows large,
-//! * [`GraphView`] — the read-access trait the counting kernel is generic
-//!   over, implemented by both the CSR graph and the overlay,
+//! * [`GraphDelta`] / [`LabeledGraph::rebase`] — the live-update layer:
+//!   batched edge insertions/deletions folded into a fresh graph that
+//!   shares every untouched relation with its base,
+//! * [`OverlayGraph`] — the same delta read through the base without a
+//!   rebuild; nothing counts on it,
 //! * [`hash`] — a small FxHash-style hasher used throughout the workspace,
 //! * [`io`] — plain-text edge-list persistence,
 //! * [`stats`] — per-label summary statistics used by estimators,
@@ -54,7 +54,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod sync;
 pub mod vfs;
-pub mod view;
 pub mod wal;
 
 pub use builder::GraphBuilder;
@@ -65,7 +64,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intersect::{gallop, intersect_into, refine_in_place, VertexBitset};
 pub use overlay::OverlayGraph;
 pub use stats::LabelStats;
-pub use view::GraphView;
 
 /// Identifier of a data vertex. Kept at 32 bits: the paper's largest dataset
 /// has 45M vertices and our simulated stand-ins are far smaller.

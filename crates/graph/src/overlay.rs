@@ -1,23 +1,23 @@
-//! Base-plus-delta overlay: run the counting kernel on an updated graph
-//! without rebuilding any CSR.
+//! Base-plus-delta overlay: an updated graph's adjacency without
+//! rebuilding any CSR.
 //!
 //! An [`OverlayGraph`] lays a [`GraphDelta`] over an immutable
 //! [`LabeledGraph`]. Construction merges, for each touched `(label,
 //! vertex, direction)` triple only, the base neighbour slice with the
 //! delta's insertions/deletions into a small patched list; every
-//! untouched list is served straight from the base CSR. Because the
-//! patched lists are sorted `&[VertexId]` slices like the base's, the
-//! whole [`GraphView`] surface — including the merge/galloping
-//! intersection the PR 3 kernel is built on — works unchanged.
+//! untouched list is served straight from the base CSR. The read methods
+//! mirror [`LabeledGraph`]'s, and the unit tests hold every one of them
+//! equal to [`LabeledGraph::rebase`]'s graph.
+//!
+//! Nothing counts on an overlay: the service folds every effective
+//! commit into a fresh CSR with [`LabeledGraph::rebase`], and the
+//! counting kernel takes `&LabeledGraph`. The type stays only because
+//! the benchmark times its constructor (`graph.overlay_build_us`).
 //!
 //! Cost model: building the overlay is O(Δ · d) where `d` is the degree
-//! of the touched vertices — independent of graph size — so it is the
-//! right representation for a small delta over a big graph. Once a delta
-//! grows past a threshold, fold it with [`LabeledGraph::rebase`] and
-//! start a fresh overlay (the service registry does exactly this).
+//! of the touched vertices — independent of graph size.
 
 use crate::delta::GraphDelta;
-use crate::view::GraphView;
 use crate::{FxHashMap, LabelId, LabeledGraph, VertexId};
 
 /// Patched adjacency of one relation in one direction.
@@ -25,7 +25,7 @@ use crate::{FxHashMap, LabelId, LabeledGraph, VertexId};
 struct DirPatch {
     /// Fully merged, sorted neighbour lists for the touched vertices.
     lists: FxHashMap<VertexId, Vec<VertexId>>,
-    /// The keys of `lists`, ascending: what [`GraphView::rows`] merges
+    /// The keys of `lists`, ascending: what [`OverlayGraph::rows`] merges
     /// the base rows with (point lookups go through the map).
     touched: Vec<VertexId>,
     /// Upper bound on the maximum degree (base bound ∨ patched lists).
@@ -43,7 +43,7 @@ struct LabelPatch {
     bwd: DirPatch,
 }
 
-/// A [`GraphView`] over `base` with `delta` applied, no CSR rebuilt.
+/// `base` with `delta` applied, no CSR rebuilt.
 #[derive(Debug)]
 pub struct OverlayGraph<'a> {
     base: &'a LabeledGraph,
@@ -162,72 +162,85 @@ impl<'a> OverlayGraph<'a> {
     /// Total number of edges across all labels.
     pub fn num_edges(&self) -> usize {
         (0..self.num_labels as LabelId)
-            .map(|l| GraphView::label_count(self, l))
+            .map(|l| self.label_count(l))
             .sum()
     }
-}
 
-impl GraphView for OverlayGraph<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
+    /// Number of vertices in the domain: the base's, grown by the delta.
+    pub fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
-    #[inline]
-    fn num_labels(&self) -> usize {
+    /// Number of distinct edge labels: the base's, grown by the delta.
+    pub fn num_labels(&self) -> usize {
         self.num_labels
     }
 
-    fn label_count(&self, l: LabelId) -> usize {
+    /// Cardinality `|R_l|` of one relation after the delta.
+    pub fn label_count(&self, l: LabelId) -> usize {
         match self.patch(l) {
             Some(p) => p.label_count,
             None => self.base.label_count(l),
         }
     }
 
-    fn out_neighbors(&self, v: VertexId, l: LabelId) -> &[VertexId] {
+    /// Out-neighbours of `v` through label `l`, sorted.
+    pub fn out_neighbors(&self, v: VertexId, l: LabelId) -> &[VertexId] {
         match self.patch(l).and_then(|p| p.fwd.lists.get(&v)) {
             Some(list) => list,
             None => self.base.out_neighbors(v, l),
         }
     }
 
-    fn in_neighbors(&self, v: VertexId, l: LabelId) -> &[VertexId] {
+    /// In-neighbours of `v` through label `l`, sorted.
+    pub fn in_neighbors(&self, v: VertexId, l: LabelId) -> &[VertexId] {
         match self.patch(l).and_then(|p| p.bwd.lists.get(&v)) {
             Some(list) => list,
             None => self.base.in_neighbors(v, l),
         }
     }
 
-    fn max_out_degree(&self, l: LabelId) -> usize {
+    /// Upper bound on the out-degree of label `l`: deletions can strand a
+    /// stale maximum.
+    pub fn max_out_degree(&self, l: LabelId) -> usize {
         match self.patch(l) {
             Some(p) => p.fwd.max_degree,
             None => self.base.max_out_degree(l),
         }
     }
 
-    fn max_in_degree(&self, l: LabelId) -> usize {
+    /// Upper bound on the in-degree of label `l` (see
+    /// [`OverlayGraph::max_out_degree`]).
+    pub fn max_in_degree(&self, l: LabelId) -> usize {
         match self.patch(l) {
             Some(p) => p.bwd.max_degree,
             None => self.base.max_in_degree(l),
         }
     }
 
-    fn distinct_sources(&self, l: LabelId) -> usize {
+    /// `|π_src R_l|` after the delta.
+    pub fn distinct_sources(&self, l: LabelId) -> usize {
         match self.patch(l) {
             Some(p) => p.fwd.num_active,
             None => self.base.distinct_sources(l),
         }
     }
 
-    fn distinct_targets(&self, l: LabelId) -> usize {
+    /// `|π_dst R_l|` after the delta.
+    pub fn distinct_targets(&self, l: LabelId) -> usize {
         match self.patch(l) {
             Some(p) => p.bwd.num_active,
             None => self.base.distinct_targets(l),
         }
     }
 
-    fn rows(&self, l: LabelId, backward: bool) -> impl Iterator<Item = (VertexId, &[VertexId])> {
+    /// The non-empty rows of label `l` in increasing vertex order, like
+    /// [`LabeledGraph::rows`].
+    pub fn rows(
+        &self,
+        l: LabelId,
+        backward: bool,
+    ) -> impl Iterator<Item = (VertexId, &[VertexId])> {
         // A two-way merge in vertex order: the base rows, and the patched
         // lists, which replace the base row of the same vertex and are
         // left out where the delta emptied them.
@@ -282,42 +295,31 @@ mod tests {
         d
     }
 
-    /// Every GraphView observable must agree between the overlay and the
-    /// rebased (fully materialized) graph.
+    /// Every observable must agree between the overlay and the rebased
+    /// (fully materialized) graph.
     fn assert_view_equivalence(ov: &OverlayGraph<'_>, want: &LabeledGraph) {
-        assert_eq!(GraphView::num_vertices(ov), want.num_vertices());
-        assert_eq!(GraphView::num_labels(ov), want.num_labels());
+        assert_eq!(ov.num_vertices(), want.num_vertices());
+        assert_eq!(ov.num_labels(), want.num_labels());
         for l in 0..want.num_labels() as LabelId {
-            assert_eq!(
-                GraphView::label_count(ov, l),
-                want.label_count(l),
-                "|R_{l}|"
-            );
+            assert_eq!(ov.label_count(l), want.label_count(l), "|R_{l}|");
             assert_eq!(ov.distinct_sources(l), want.distinct_sources(l));
             assert_eq!(ov.distinct_targets(l), want.distinct_targets(l));
             assert!(ov.max_out_degree(l) >= want.max_out_degree(l));
             assert!(ov.max_in_degree(l) >= want.max_in_degree(l));
-            let (mut s_ov, mut s_want) = (Vec::new(), Vec::new());
-            ov.sources_into(l, &mut s_ov);
-            want.sources_into(l, &mut s_want);
-            assert_eq!(s_ov, s_want, "sources of {l}");
-            let (mut t_ov, mut t_want) = (Vec::new(), Vec::new());
-            ov.targets_into(l, &mut t_ov);
-            want.targets_into(l, &mut t_want);
-            assert_eq!(t_ov, t_want, "targets of {l}");
             for v in 0..want.num_vertices() as VertexId {
                 assert_eq!(
-                    GraphView::out_neighbors(ov, v, l),
+                    ov.out_neighbors(v, l),
                     want.out_neighbors(v, l),
                     "out({v}, {l})"
                 );
                 assert_eq!(
-                    GraphView::in_neighbors(ov, v, l),
+                    ov.in_neighbors(v, l),
                     want.in_neighbors(v, l),
                     "in({v}, {l})"
                 );
             }
         }
+        assert_rows_equivalence(ov, want);
     }
 
     /// `rows` over patched and untouched relations, both directions,
@@ -325,7 +327,7 @@ mod tests {
     fn assert_rows_equivalence(ov: &OverlayGraph<'_>, want: &LabeledGraph) {
         for l in 0..want.num_labels() as LabelId + 1 {
             for backward in [false, true] {
-                let got: Vec<_> = GraphView::rows(ov, l, backward).collect();
+                let got: Vec<_> = ov.rows(l, backward).collect();
                 let want: Vec<_> = want.rows(l, backward).collect();
                 assert_eq!(got, want, "rows({l}, {backward})");
             }
@@ -350,7 +352,7 @@ mod tests {
         d.add_edge(12, 2, 0); // and one past the base domain
         let ov = OverlayGraph::new(&g, &d);
         assert_rows_equivalence(&ov, &g.rebase(&d));
-        let sources: Vec<VertexId> = GraphView::rows(&ov, 0, false).map(|r| r.0).collect();
+        let sources: Vec<VertexId> = ov.rows(0, false).map(|r| r.0).collect();
         assert_eq!(sources, [2, 3, 4, 6, 9, 12]);
     }
 
@@ -361,7 +363,6 @@ mod tests {
         let ov = OverlayGraph::new(&g, &d);
         let want = g.rebase(&d);
         assert_view_equivalence(&ov, &want);
-        assert_rows_equivalence(&ov, &want);
         assert_eq!(ov.num_edges(), want.num_edges());
     }
 
@@ -374,8 +375,8 @@ mod tests {
         let ov = OverlayGraph::new(&g, &d);
         let want = g.rebase(&d);
         assert_view_equivalence(&ov, &want);
-        assert!(ov.has_edge(4, 5, 2));
-        assert_eq!(GraphView::out_neighbors(&ov, 0, 0), &[1, 2, 4]);
+        assert_eq!(ov.out_neighbors(4, 2), &[5]);
+        assert_eq!(ov.out_neighbors(0, 0), &[1, 2, 4]);
     }
 
     #[test]
@@ -397,7 +398,7 @@ mod tests {
         let ov = OverlayGraph::new(&g, &d);
         let want = g.rebase(&d);
         assert_view_equivalence(&ov, &want);
-        assert_eq!(GraphView::label_count(&ov, 1), 0);
+        assert_eq!(ov.label_count(1), 0);
         assert_eq!(ov.distinct_sources(1), 0);
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Edge updates buffer in a *pending* delta ([`DatasetEntry::add_edge`] /
 //! [`DatasetEntry::del_edge`]) that readers never see. A
-//! [`DatasetEntry::commit`] reduces it to the part that changes the
+//! [`DatasetEntry::try_commit`] reduces it to the part that changes the
 //! current graph, logs that effective delta, builds the successor off to
 //! the side — the delta folded into a fresh CSR
 //! ([`LabeledGraph::rebase`]: the touched relations are rebuilt, every
@@ -53,7 +53,7 @@ use ceg_graph::wal::{WalOp, WalWriter};
 use ceg_graph::{Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
 use ceg_query::{Pattern, QueryGraph};
 
-/// What one [`DatasetEntry::commit`] did, echoed over the wire.
+/// What one [`DatasetEntry::try_commit`] did, echoed over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitOutcome {
     /// Epoch after the commit (unchanged if the commit was a no-op).
@@ -205,7 +205,7 @@ impl EpochState {
         self.epoch = epoch;
         self.markov
             .get_mut()
-            .refresh_touched(&*self.graph, &delta.touched_labels(), jobs)
+            .refresh_touched(&self.graph, &delta.touched_labels(), jobs)
     }
 
     /// Count `missing` — patterns this epoch's catalog lacked when a
@@ -232,7 +232,7 @@ impl EpochState {
             Some(d) => ceg_exec::CountBudget::until(d),
             None => ceg_exec::CountBudget::UNLIMITED,
         };
-        let (counts, fill) = count_patterns(&*self.graph, missing, jobs, budget);
+        let (counts, fill) = count_patterns(&self.graph, missing, jobs, budget);
         outcome.fill = fill;
         let mut table = self.markov.write();
         for (pat, card) in missing.iter().zip(counts) {
@@ -431,7 +431,7 @@ impl DatasetEntry {
     }
 
     /// Buffer an edge insertion; invisible to estimates until
-    /// [`DatasetEntry::commit`]. Returns `(current epoch, pending ops)`,
+    /// [`DatasetEntry::try_commit`]. Returns `(current epoch, pending ops)`,
     /// or an error if the op is out of bounds or the pending buffer is
     /// at its cap.
     pub fn add_edge(
@@ -459,20 +459,13 @@ impl DatasetEntry {
     /// buffer, or only no-ops) keeps the epoch — cached estimates stay
     /// valid.
     ///
-    /// Panics if a WAL append fails; datasets with durability attached
-    /// must call [`DatasetEntry::try_commit`] instead.
-    pub fn commit(&self) -> CommitOutcome {
-        self.try_commit()
-            .expect("commit cannot fail without attached durability")
-    }
-
-    /// [`DatasetEntry::commit`], durable. With durability attached the
-    /// effective delta is appended to the WAL and fsynced **before** the
-    /// successor state is built: after `Ok` the commit survives any
-    /// crash; after `Err` nothing was published and the taken ops are
-    /// back in the pending buffer (ahead of anything buffered meanwhile),
-    /// so the client sees a failed COMMIT it may retry, never a
-    /// half-applied one.
+    /// With durability attached the effective delta is appended to the
+    /// WAL and fsynced **before** the successor state is built: after
+    /// `Ok` the commit survives any crash; after `Err` nothing was
+    /// published and the taken ops are back in the pending buffer (ahead
+    /// of anything buffered meanwhile), so the client sees a failed
+    /// COMMIT it may retry, never a half-applied one. Without durability
+    /// only a poisoned lock makes it fail.
     ///
     /// Readers are never blocked: until the pointer swap they keep
     /// pinning, filling and estimating on the current state.
@@ -802,16 +795,6 @@ impl DatasetEntry {
         Self::rotate_locked(self, d).map(Some)
     }
 
-    /// Fold the WAL into a fresh snapshot and truncate it,
-    /// unconditionally (no-op without durability or on an empty log).
-    pub fn rotate(&self) -> io::Result<Option<RotateOutcome>> {
-        let mut dur = self.durability.lock();
-        match dur.as_mut() {
-            Some(d) if !d.writer.is_empty() => Self::rotate_locked(self, d).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// The fold itself, under the durability lock (so no commit is in
     /// flight and the pinned state is the log's last epoch). Order
     /// matters for crash safety: the snapshot is written **atomically
@@ -1061,7 +1044,7 @@ mod tests {
         );
         assert_eq!(entry.epoch(), 0);
 
-        let outcome = entry.commit();
+        let outcome = entry.try_commit().unwrap();
         assert_eq!(outcome.epoch, 1);
         assert_eq!(outcome.added, 1);
         assert_eq!(outcome.deleted, 0);
@@ -1075,7 +1058,7 @@ mod tests {
         );
         // A structural change that feeds the path: 4 -1-> 0 extends 3->4.
         entry.add_edge(4, 0, 1).unwrap();
-        let outcome = entry.commit();
+        let outcome = entry.try_commit().unwrap();
         assert_eq!(outcome.epoch, 2);
         assert_eq!(
             entry.with_markov(|t| t.card_of_subquery(&q, q.full_mask())),
@@ -1096,7 +1079,7 @@ mod tests {
         entry.del_edge(0, 2, 0).unwrap();
         assert_eq!(entry.pending_len(), 2);
         // COMMIT drains the buffer and new updates flow again.
-        entry.commit();
+        entry.try_commit().unwrap();
         entry.add_edge(0, 4, 0).unwrap();
     }
 
@@ -1116,7 +1099,7 @@ mod tests {
         // committed domain, ids inside it stay updatable — a dataset
         // larger than the allowance is never locked out of its own
         // vertices.
-        entry.commit();
+        entry.try_commit().unwrap();
         assert!(entry.add_edge(MAX_UPDATE_VERTEX, 1, 0).is_ok());
     }
 
@@ -1124,10 +1107,10 @@ mod tests {
     fn noop_commit_keeps_epoch() {
         let registry = DatasetRegistry::new();
         let entry = registry.insert_graph("toy", toy_graph(), 2);
-        assert_eq!(entry.commit().epoch, 0); // empty pending buffer
+        assert_eq!(entry.try_commit().unwrap().epoch, 0); // empty pending buffer
         entry.add_edge(0, 1, 0).unwrap(); // already present
         entry.del_edge(2, 0, 1).unwrap(); // absent
-        let outcome = entry.commit();
+        let outcome = entry.try_commit().unwrap();
         assert_eq!(outcome.epoch, 0);
         assert_eq!((outcome.added, outcome.deleted), (0, 0));
         assert_eq!(entry.epoch(), 0);
@@ -1139,11 +1122,11 @@ mod tests {
         let entry = registry.insert_graph("toy", toy_graph(), 2);
         entry.add_edge(2, 4, 0).unwrap();
         entry.del_edge(2, 4, 0).unwrap();
-        let outcome = entry.commit();
+        let outcome = entry.try_commit().unwrap();
         assert_eq!(outcome.epoch, 0, "last-writer-wins: net no-op");
         entry.del_edge(0, 1, 0).unwrap();
         entry.add_edge(0, 1, 0).unwrap();
-        assert_eq!(entry.commit().epoch, 0);
+        assert_eq!(entry.try_commit().unwrap().epoch, 0);
     }
 
     #[test]
@@ -1161,7 +1144,7 @@ mod tests {
         let q = templates::path(2, &[0, 1]);
         entry.ensure_patterns(std::slice::from_ref(&q));
         entry.add_edge(4, 0, 1).unwrap();
-        entry.commit();
+        entry.try_commit().unwrap();
         assert_eq!(entry.epoch(), 1);
         // Pending ops must NOT be captured.
         entry.add_edge(2, 2, 0).unwrap();
@@ -1183,7 +1166,7 @@ mod tests {
         assert_eq!(live_bytes, restored_bytes);
         // The epoch sequence continues, it does not restart.
         restored.add_edge(2, 2, 0).unwrap();
-        assert_eq!(restored.commit().epoch, 2);
+        assert_eq!(restored.try_commit().unwrap().epoch, 2);
     }
 
     #[test]
@@ -1193,7 +1176,7 @@ mod tests {
         // An update addresses exactly the edge whose ids the client sent.
         entry.del_edge(1, 2, 1).unwrap();
         entry.add_edge(4, 0, 1).unwrap();
-        entry.commit();
+        entry.try_commit().unwrap();
         let after = entry.materialized_graph();
         assert!(!after.has_edge(1, 2, 1));
         assert!(after.has_edge(4, 0, 1));
@@ -1242,7 +1225,7 @@ mod tests {
         let entry = DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2));
         let before = entry.pin();
         entry.add_edge(0, 3, 0).unwrap();
-        assert!(entry.commit().rebased);
+        assert!(entry.try_commit().unwrap().rebased);
         let after = entry.pin();
         assert_eq!(after.epoch(), before.epoch() + 1);
         let (old, new) = (&before.graph, &after.graph);
@@ -1404,7 +1387,10 @@ mod tests {
             entry.try_commit().unwrap();
             entry.add_edge(2, 3, 0).unwrap();
             entry.try_commit().unwrap();
-            let out = entry.rotate().unwrap().expect("log was non-empty");
+            let out = entry
+                .maybe_rotate(1, 0)
+                .unwrap()
+                .expect("log was non-empty");
             assert_eq!(out.epoch, 2);
             assert!(out.wal_bytes_folded > 0);
             assert_eq!(entry.wal_len(), Some(ceg_graph::wal::WAL_HEADER_LEN));

@@ -615,9 +615,6 @@ fn serve(args: &[String]) -> CmdResult {
                 Some(s) => s.parse().map_err(|_| "bad h")?,
                 None => 2,
             };
-            if args.len() > 4 {
-                return Err(CmdError::usage("unexpected extra arguments"));
-            }
             let entry = registry
                 .load_files("default", graph_path, markov_path, h)
                 .map_err(CmdError::runtime)?;

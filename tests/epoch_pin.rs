@@ -376,7 +376,7 @@ fn check_interleaving(seed: u64, ops: usize) {
                 }
                 UpdateOp::Commit => {
                     observe();
-                    epoch = entry.commit().epoch;
+                    epoch = entry.try_commit().unwrap().epoch;
                 }
             }
         }

@@ -5,16 +5,18 @@
 //! independent-suffix products — must return exactly the counts of the
 //! retained naive reference matcher (`cegraph::exec::count_naive`) on
 //! random graphs, random queries and random per-variable constraints.
+//! Half the graphs have a random delta folded in (`LabeledGraph::rebase`),
+//! so relations over differing CSR domains meet the kernel.
 
 use cegraph::exec::{count_budgeted, count_naive, CountBudget, VarConstraint, VarConstraints};
-use cegraph::graph::{GraphBuilder, LabeledGraph};
+use cegraph::graph::{GraphBuilder, GraphDelta, LabeledGraph};
 use cegraph::query::{templates, QueryEdge, QueryGraph};
 use proptest::prelude::*;
 
 const LABELS: u16 = 3;
 const VERTICES: u32 = 14;
 
-fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
+fn arb_built() -> impl Strategy<Value = LabeledGraph> {
     // up to 60 edges over 14 vertices and 3 labels; self-loops included
     prop::collection::vec((0u32..VERTICES, 0u32..VERTICES, 0u16..LABELS), 0..60).prop_map(|edges| {
         let mut b = GraphBuilder::with_labels(VERTICES as usize, LABELS as usize);
@@ -23,6 +25,40 @@ fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
         }
         b.build()
     })
+}
+
+/// Random deltas, including ops on vertices and a label beyond the base
+/// domain and deliberate no-ops (adds of present edges, dels of absent
+/// ones) that normalization must strip.
+fn arb_delta() -> impl Strategy<Value = GraphDelta> {
+    prop::collection::vec(
+        (
+            0u8..2,
+            0u32..VERTICES + 3,
+            0u32..VERTICES + 3,
+            0u16..LABELS + 1,
+        ),
+        0..30,
+    )
+    .prop_map(|ops| {
+        let mut d = GraphDelta::new();
+        for (add, s, t, l) in ops {
+            if add == 1 {
+                d.add_edge(s, t, l);
+            } else {
+                d.del_edge(s, t, l);
+            }
+        }
+        d
+    })
+}
+
+/// A built graph, or one with a random delta folded in.
+fn arb_graph() -> impl Strategy<Value = LabeledGraph> {
+    prop_oneof![
+        arb_built(),
+        (arb_built(), arb_delta()).prop_map(|(g, d)| g.rebase(&d)),
+    ]
 }
 
 /// Template queries plus free-form connected-ish edge lists (including

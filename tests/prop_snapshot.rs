@@ -153,7 +153,7 @@ fn committed_entry(base_edges: &[(u32, u32, u16)], ops: &[Op]) -> DatasetEntry {
             entry.del_edge(s, d, l).unwrap();
         }
     }
-    entry.commit();
+    entry.try_commit().unwrap();
     entry
 }
 
@@ -199,7 +199,7 @@ proptest! {
         restored.add_edge(0, 1, 0).unwrap();
         restored.del_edge(0, 1, 0).unwrap();
         restored.add_edge(1, 0, 1).unwrap();
-        let outcome = restored.commit();
+        let outcome = restored.try_commit().unwrap();
         prop_assert!(outcome.epoch == before || outcome.epoch == before + 1);
     }
 

@@ -64,7 +64,7 @@ fn drive(entry: &DatasetEntry, stream: &[UpdateOp]) -> u64 {
                 entry.del_edge(src, dst, label).unwrap();
             }
             UpdateOp::Commit => {
-                entry.commit();
+                entry.try_commit().unwrap();
             }
         }
     }
