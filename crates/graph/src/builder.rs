@@ -56,18 +56,22 @@ impl GraphBuilder {
         self.len() == 0
     }
 
-    /// Finalize into an immutable [`LabeledGraph`].
-    pub fn build(mut self) -> LabeledGraph {
+    /// Finalize into an immutable [`LabeledGraph`]: per label one sort of
+    /// the pairs for the forward index, and the backward index its
+    /// [`Csr::transpose`].
+    pub fn build(self) -> LabeledGraph {
         let n = self.num_vertices;
-        let mut fwd = Vec::with_capacity(self.per_label.len());
-        let mut bwd = Vec::with_capacity(self.per_label.len());
-        for pairs in &mut self.per_label {
-            pairs.sort_unstable();
-            pairs.dedup();
-            fwd.push(Csr::from_pairs(n, pairs));
-            let rev: Vec<(VertexId, VertexId)> = pairs.iter().map(|&(s, d)| (d, s)).collect();
-            bwd.push(Csr::from_pairs(n, &rev));
-        }
+        let (fwd, bwd) = self
+            .per_label
+            .into_iter()
+            .map(|mut pairs| {
+                pairs.sort_unstable();
+                pairs.dedup();
+                let fwd = Csr::from_pairs(n, &pairs);
+                let bwd = fwd.transpose();
+                (fwd, bwd)
+            })
+            .unzip();
         LabeledGraph::new(n, fwd, bwd)
     }
 }

@@ -18,7 +18,7 @@
 use crate::VertexId;
 
 /// CSR index over one direction of one relation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Csr {
     /// Size of the vertex domain the index was built over.
     num_vertices: usize,
@@ -183,8 +183,9 @@ impl Csr {
 
     /// Iterate `(vertex, neighbours)` over the active vertices, in
     /// increasing id order; no slice is empty. This is how a relation is
-    /// swept — edge iteration, rebase, transposition checks, the tree-DP
-    /// folds — at a cost of its rows, not of the vertex domain.
+    /// swept — edge iteration, rebase, transposition, the snapshot
+    /// encoder, the tree-DP folds — at a cost of its rows, not of the
+    /// vertex domain.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
         self.active_vertices()
             .zip(self.offsets.windows(2))
@@ -270,83 +271,91 @@ impl Csr {
         out.finish()
     }
 
-    /// The arrays binary persistence writes ([`crate::snapshot`]): the
-    /// offsets of the active rows and the targets they index. The row ids
-    /// themselves are [`Csr::active_vertices`].
-    pub(crate) fn raw_parts(&self) -> (&[u32], &[VertexId]) {
-        (&self.offsets, &self.targets)
+    /// The reverse relation over the same domain: row `t` of the result
+    /// lists every `v` with `t` in `neighbors(v)`, ascending. One counting
+    /// pass and one scatter over the targets; the rows come out sorted
+    /// because the scatter walks the sources in id order. The only
+    /// scratch is the result's own arrays: its directory is set from the
+    /// targets, its `offsets` hold the row counts, then each row's write
+    /// cursor, and end as the offsets. Equal, array for array and in
+    /// [`Csr::heap_bytes`], to [`Csr::from_pairs`] of the reversed pairs.
+    pub fn transpose(&self) -> Csr {
+        let mut out = Csr::with_domain(self.num_vertices, 0);
+        if self.targets.is_empty() {
+            return out.finish();
+        }
+        out.present = vec![0u64; self.num_vertices.div_ceil(64)];
+        for &t in &self.targets {
+            out.present[t as usize >> 6] |= 1u64 << (t & 63);
+        }
+        let mut out = out.finish();
+        let row_of = |out: &Csr, t: VertexId| out.row_index(t).expect("every target has a row");
+        // `offsets[r + 1]` counts row r's entries, then becomes its
+        // start and, advanced per entry written, its end.
+        let rows = out
+            .present
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        out.offsets = vec![0u32; rows + 1];
+        for &t in &self.targets {
+            let r = row_of(&out, t);
+            out.offsets[r + 1] += 1;
+        }
+        let mut start = 0u32;
+        for o in &mut out.offsets[1..] {
+            let count = *o;
+            out.max_degree = out.max_degree.max(count);
+            *o = start;
+            start += count;
+        }
+        out.targets = vec![0; self.targets.len()];
+        for (v, row) in self.rows() {
+            for &t in row {
+                let cursor = row_of(&out, t) + 1;
+                out.targets[out.offsets[cursor] as usize] = v;
+                out.offsets[cursor] += 1;
+            }
+        }
+        out
     }
 
-    /// Rebuild a CSR over `num_vertices` from the persisted arrays — the
+    /// Rebuild a CSR over `num_vertices` from its persisted arrays — the
     /// ids of the active rows, their `rows.len() + 1` offsets and the
-    /// targets — validating every structural invariant the matcher relies
-    /// on: row ids strictly increasing and inside the domain, offsets
-    /// from 0 to `targets.len()` with no empty row, strictly sorted
-    /// (duplicate-free) rows. A corrupt snapshot surfaces as an error
-    /// here instead of as misbehavior (or a panic) deep in a traversal.
-    /// `offsets` and `targets` are moved in, not copied: a restore holds
-    /// each relation once.
+    /// targets — building the directory. The snapshot decoder makes
+    /// these arrays from gaps, so the invariants the matcher relies on
+    /// hold by construction: row ids strictly increasing and inside the
+    /// domain, offsets from 0 to `targets.len()` with no empty row,
+    /// strictly sorted rows. `offsets` and `targets` are moved in, not
+    /// copied, and the row ids are freed once the directory holds them:
+    /// a restore holds each relation once.
     pub(crate) fn from_raw_parts(
         num_vertices: usize,
-        rows: &[VertexId],
+        rows: Vec<VertexId>,
         offsets: Vec<u32>,
         targets: Vec<VertexId>,
-    ) -> Result<Csr, String> {
-        if offsets.len() != rows.len() + 1 {
-            return Err(format!(
-                "CSR has {} rows but {} offsets",
-                rows.len(),
-                offsets.len()
-            ));
-        }
-        if offsets[0] != 0 {
-            return Err("CSR offsets must start at 0".into());
-        }
-        if offsets[rows.len()] as usize != targets.len() {
-            return Err(format!(
-                "CSR offsets end at {} but {} targets are stored",
-                offsets[rows.len()],
-                targets.len()
-            ));
-        }
-        if rows.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("CSR row ids are not strictly increasing".into());
-        }
-        if rows.last().is_some_and(|&v| v as usize >= num_vertices) {
-            return Err(format!(
-                "CSR row id outside the domain of {num_vertices} vertices"
-            ));
-        }
-        let mut max_degree = 0;
-        for (&v, o) in rows.iter().zip(offsets.windows(2)) {
-            let row = targets
-                .get(o[0] as usize..o[1] as usize)
-                .filter(|row| !row.is_empty())
-                .ok_or_else(|| format!("CSR row of vertex {v} is empty or out of bounds"))?;
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!(
-                    "CSR neighbour list of vertex {v} is not strictly sorted"
-                ));
-            }
-            max_degree = max_degree.max(row.len() as u32);
-        }
+    ) -> Csr {
+        debug_assert_eq!(offsets.len(), rows.len() + 1);
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
+        debug_assert!(rows.is_sorted_by(|a, b| a < b));
         if rows.is_empty() {
             // A relation without edges keeps no directory and no offsets.
-            return Ok(Csr::with_domain(num_vertices, 0));
+            return Csr::with_domain(num_vertices, 0).finish();
         }
         let mut present = vec![0u64; num_vertices.div_ceil(64)];
-        for &v in rows {
+        for v in rows {
             present[v as usize >> 6] |= 1u64 << (v & 63);
         }
-        let csr = Csr {
+        let max_degree = offsets.windows(2).map(|o| o[1] - o[0]).max().unwrap_or(0);
+        Csr {
             num_vertices,
             present,
             rank: Vec::new(),
             offsets,
             targets,
             max_degree,
-        };
-        Ok(csr.finish())
+        }
+        .finish()
     }
 }
 

@@ -41,8 +41,8 @@ impl LabeledGraph {
     }
 
     /// Assemble a graph directly from per-label CSR pairs (the binary
-    /// snapshot codec's constructor; the CSRs are already validated by
-    /// [`Csr::from_raw_parts`]).
+    /// snapshot codec's constructor: a forward index rebuilt by
+    /// [`Csr::from_raw_parts`] and its [`Csr::transpose`]).
     pub(crate) fn from_csr_pairs(num_vertices: usize, pairs: Vec<(Csr, Csr)>) -> Self {
         let (fwd, bwd) = pairs.into_iter().unzip();
         LabeledGraph::new(num_vertices, fwd, bwd)

@@ -288,9 +288,11 @@ mod tests {
 
     /// The ceiling that keeps graph storage O(|E|): on the benchmark's
     /// `g100k` shape (32 labels, a relation touches ~2 % of the domain)
-    /// both the in-memory indexes and the `GRPH` payload stay within a few
-    /// words per edge. A per-label, per-direction array over the vertex
-    /// domain costs ~140 B/edge here and fails both bounds.
+    /// the in-memory indexes stay within a few words per edge and the
+    /// `GRPH` payload (each relation once, gap-coded: ~2.6 B/edge) within
+    /// one. A per-label, per-direction array over the vertex domain costs
+    /// ~140 B/edge here and fails both bounds; raw `u32` ids in both
+    /// directions (~13.6) fail the second.
     #[test]
     fn graph_storage_stays_proportional_to_edges() {
         let spec = DatasetSpec {
@@ -305,7 +307,7 @@ mod tests {
         let encoded = ceg_graph::snapshot::graph_payload_len(&g) as usize;
         assert!(heap / edges <= 24, "{heap} heap bytes for {edges} edges");
         assert!(
-            encoded / edges <= 20,
+            encoded <= 4 * edges,
             "{encoded} payload bytes for {edges} edges"
         );
     }

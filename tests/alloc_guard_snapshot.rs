@@ -6,11 +6,12 @@
 //! under a running checksum: beyond that buffer it holds the sorted
 //! index of the catalog's entries and nothing that grows with the graph.
 //! `read_snapshot` decodes each section from the read buffer into the
-//! arrays the graph keeps: at its peak it holds the graph and catalog it
-//! returns plus less than one relation (the ids of the rows being
-//! turned into a directory). Before, the writer materialised each
-//! section's payload (a second copy of the graph) and the reader held
-//! the file, a copy of the section and the decoded arrays at once.
+//! arrays the graph keeps and derives each backward index from its
+//! forward one: at its peak it holds the graph and catalog it returns
+//! plus less than one relation (the ids of the rows not yet turned into
+//! a directory). Before, the writer materialised each section's payload
+//! (a second copy of the graph) and the reader held the file, a copy of
+//! the section and the decoded arrays at once.
 //!
 //! A dataset entry adds nothing to that: it stores the graph it is
 //! handed (no second copy beside it) and its snapshot streams that graph
@@ -75,9 +76,10 @@ fn held_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
 
 #[test]
 fn snapshot_write_and_read_hold_a_buffer_not_a_section() {
-    // A 3.6 MB graph section (150k edges) beside a 0.4 MB catalog
-    // section (30k single-edge entries).
-    let n = 50_000u32;
+    // A 2.2 MB graph section (450k edges, gap-coded: ids up to 150k
+    // take 3 bytes) beside a 0.4 MB catalog section (30k single-edge
+    // entries).
+    let n = 150_000u32;
     let mut b = GraphBuilder::with_labels(n as usize, 3);
     for i in 0..n {
         for l in 0..3u32 {
@@ -130,10 +132,13 @@ fn snapshot_write_and_read_hold_a_buffer_not_a_section() {
     );
     drop(snap);
 
-    // Bit rot in the declared domain (5e4 -> 2^31 + 5e4 vertices; every
-    // id stays in range) is caught by the checksum before a directory —
-    // a bit per declared vertex, per relation and direction — is built
-    // for it.
+    // Bit rot in the declared domain (1.5e5 -> 2^31 + 1.5e5 vertices;
+    // every id stays in range) is caught by the checksum before a
+    // directory — a bit per declared vertex, per relation and direction,
+    // 256 MiB each — is built for it. Before the checksum the decoder
+    // holds the forward arrays it has read, which the section's bytes
+    // bound: a row costs at least 2 bytes and 8 of arrays, an edge at
+    // least 1 byte and 4 of arrays.
     let mut rotten = std::fs::read(&path).unwrap();
     let num_vertices_at = 12 + 28 + 12; // header, EPOC section, GRPH tag + length
     assert_eq!(
@@ -147,9 +152,13 @@ fn snapshot_write_and_read_hold_a_buffer_not_a_section() {
     let err = refused.expect_err("a flipped bit must fail the restore");
     assert!(err.to_string().contains("checksum"), "{err}");
     assert!(
-        held <= graph_section + SLACK,
+        held <= 4 * graph_section + SLACK,
         "a rotten domain reached an allocation: {held} bytes held, \
          the section's bytes fill {graph_section}"
+    );
+    assert!(
+        4 * graph_section + SLACK < (1 << 31) / 8,
+        "the bound tells the arrays the section fills from one directory"
     );
     std::fs::remove_file(&path).unwrap();
 

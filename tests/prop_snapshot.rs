@@ -65,28 +65,38 @@ fn table_bytes(t: &MarkovTable) -> Vec<u8> {
     buf
 }
 
+/// Unsigned LEB128: seven bits per byte, least significant group
+/// first, the high bit set on every byte but the last.
+fn leb128(buf: &mut Vec<u8>, value: u32) {
+    let groups = (0..5).map(|i| (value >> (7 * i)) & 0x7f);
+    let len = 1 + (1..5).filter(|&i| value >> (7 * i) != 0).count();
+    for (i, group) in groups.take(len).enumerate() {
+        let more = if i + 1 < len { 0x80 } else { 0 };
+        buf.push(group as u8 | more);
+    }
+}
+
 /// The `GRPH` payload, built whole from what the graph's public
-/// accessors say: `u64 num_vertices, u64 num_labels`, then per label and
-/// direction `u64 num_rows, u64 num_targets`, the row ids, the
-/// `num_rows + 1` offsets and the targets, all `u32` little-endian.
+/// accessors say: `u64 num_vertices, u64 num_labels`, then per label
+/// `u64 num_rows, u64 num_edges` (little-endian) and per forward row,
+/// ascending, the LEB128 of the row id's gap, of the degree less one
+/// and of each target's gap. A gap is the id less the one before it
+/// less one; before a relation's first row id, and before a row's first
+/// target, it is the id itself. No backward index is written.
 fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
     buf.extend_from_slice(&(g.num_labels() as u64).to_le_bytes());
     for l in 0..g.num_labels() as u16 {
-        for backward in [false, true] {
-            let rows: Vec<(u32, &[u32])> = g.rows(l, backward).collect();
-            let num_targets: usize = rows.iter().map(|(_, r)| r.len()).sum();
-            buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&(num_targets as u64).to_le_bytes());
-            let ids = rows.iter().map(|&(v, _)| v);
-            let offsets = std::iter::once(0).chain(rows.iter().scan(0u32, |end, (_, r)| {
-                *end += r.len() as u32;
-                Some(*end)
-            }));
-            let targets = rows.iter().flat_map(|(_, r)| r.iter().copied());
-            for x in ids.chain(offsets).chain(targets) {
-                buf.extend_from_slice(&x.to_le_bytes());
+        let rows: Vec<(u32, &[u32])> = g.rows(l, false).collect();
+        buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(g.label_count(l) as u64).to_le_bytes());
+        for (i, &(v, targets)) in rows.iter().enumerate() {
+            let row_gap = if i == 0 { v } else { v - rows[i - 1].0 - 1 };
+            leb128(&mut buf, row_gap);
+            leb128(&mut buf, targets.len() as u32 - 1);
+            for (j, &t) in targets.iter().enumerate() {
+                leb128(&mut buf, if j == 0 { t } else { t - targets[j - 1] - 1 });
             }
         }
     }
