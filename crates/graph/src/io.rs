@@ -7,7 +7,7 @@
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
 
-use crate::{GraphBuilder, LabeledGraph};
+use crate::{GraphBuilder, LabelId, LabeledGraph, VertexId};
 
 /// Parse a graph from a reader in `src dst label` format.
 pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<LabeledGraph> {
@@ -18,18 +18,31 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<LabeledGraph> {
         if line.is_empty() {
             continue;
         }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>, what: &str| -> io::Result<u64> {
-            tok.ok_or_else(|| bad_line(lineno, what, "missing"))?
-                .parse::<u64>()
-                .map_err(|_| bad_line(lineno, what, "not an integer"))
-        };
-        let src = parse(it.next(), "src")? as u32;
-        let dst = parse(it.next(), "dst")? as u32;
-        let label = parse(it.next(), "label")? as u16;
+        let (src, dst, label) = parse_edge(lineno, line)?;
         b.add_edge(src, dst, label);
     }
     Ok(b.build())
+}
+
+/// The edge on line `lineno` (0-based) of an edge list, comments
+/// stripped: each field an integer that fits its id type.
+fn parse_edge(lineno: usize, line: &str) -> io::Result<(VertexId, VertexId, LabelId)> {
+    let mut it = line.split_whitespace();
+    let mut parse = |what: &str, max: u64| -> io::Result<u64> {
+        let n = it
+            .next()
+            .ok_or_else(|| bad_line(lineno, what, "missing"))?
+            .parse::<u64>()
+            .map_err(|_| bad_line(lineno, what, "not an integer"))?;
+        if n > max {
+            return Err(bad_line(lineno, what, "out of range"));
+        }
+        Ok(n)
+    };
+    let src = parse("src", VertexId::MAX as u64)? as VertexId;
+    let dst = parse("dst", VertexId::MAX as u64)? as VertexId;
+    let label = parse("label", LabelId::MAX as u64)? as LabelId;
+    Ok((src, dst, label))
 }
 
 fn bad_line(lineno: usize, field: &str, why: &str) -> io::Error {
@@ -45,13 +58,42 @@ pub fn load_graph(path: impl AsRef<Path>) -> io::Result<LabeledGraph> {
     read_edge_list(io::BufReader::new(f))
 }
 
-/// Write a graph as an edge list.
+/// Write a graph as an edge list: `src dst label` per line, in
+/// [`LabeledGraph::all_edges`] order. Each line is formatted by hand into
+/// one buffer and written at once, the bytes being those of
+/// `writeln!(w, "{} {} {}", ..)` in about half its time.
 pub fn write_edge_list<W: Write>(graph: &LabeledGraph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
+    // Two `u32` ids and a `u16` label, at most 10 + 10 + 5 digits, three
+    // separators.
+    let mut line = [0u8; 28];
     for e in graph.all_edges() {
-        writeln!(w, "{} {} {}", e.src, e.dst, e.label)?;
+        let mut end = 0;
+        for (value, sep) in [(e.src, b' '), (e.dst, b' '), (u32::from(e.label), b'\n')] {
+            end += write_decimal(value, &mut line[end..]);
+            line[end] = sep;
+            end += 1;
+        }
+        w.write_all(&line[..end])?;
     }
     w.flush()
+}
+
+/// `n` in decimal at the start of `out`; returns the digit count.
+fn write_decimal(mut n: u32, out: &mut [u8]) -> usize {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let len = digits.len() - i;
+    out[..len].copy_from_slice(&digits[i..]);
+    len
 }
 
 /// Save a graph to a file path.
@@ -108,6 +150,31 @@ mod tests {
         assert!(g2.has_edge(3, 0, 0));
     }
 
+    /// The hand-formatted lines are `writeln!`'s bytes.
+    #[test]
+    fn edge_list_bytes_are_the_formatted_lines() {
+        let mut buf = [0u8; 10];
+        for n in [0, 7, 9, 10, 99, 100, 65_535, 1_000_000_000, u32::MAX] {
+            let len = write_decimal(n, &mut buf);
+            assert_eq!(&buf[..len], n.to_string().as_bytes());
+        }
+        let mut b = GraphBuilder::new(0);
+        for (s, d, l) in [(0, 0, 0), (9, 10, 300), (123_456, 7, 99), (5, 100_000, 1)] {
+            b.add_edge(s, d, l);
+        }
+        let g = b.build();
+        let mut got = Vec::new();
+        write_edge_list(&g, &mut got).unwrap();
+        let mut want = Vec::new();
+        for e in g.all_edges() {
+            writeln!(want, "{} {} {}", e.src, e.dst, e.label).unwrap();
+        }
+        assert_eq!(
+            String::from_utf8(got).unwrap(),
+            String::from_utf8(want).unwrap()
+        );
+    }
+
     #[test]
     fn comments_and_blank_lines_are_skipped() {
         let text = "# header\n\n0 1 0 # trailing comment\n1 2 0\n";
@@ -128,6 +195,32 @@ mod tests {
         let text = "0 x 1\n";
         let err = read_edge_list(io::BufReader::new(text.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("dst"));
+    }
+
+    /// Ids are checked against their type, never truncated into it: the
+    /// largest vertex id parses (a graph over that domain is not built
+    /// here, it would need gigabytes), one past it and label 65536 are
+    /// refused by the reader with the field named.
+    #[test]
+    fn ids_past_their_type_are_out_of_range() {
+        let max = u32::MAX;
+        assert_eq!(
+            parse_edge(0, &format!("{max} {max} 65535")).unwrap(),
+            (max, max, 65535)
+        );
+        for (text, field) in [
+            ("0 1 0\n4294967296 1 0\n", "src"),
+            ("0 4294967296 0\n", "dst"),
+            ("0 1 65536\n", "label"),
+        ] {
+            let err = read_edge_list(io::BufReader::new(text.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            let line = text.lines().count();
+            assert_eq!(
+                err.to_string(),
+                format!("line {line}: field `{field}` out of range")
+            );
+        }
     }
 
     #[test]

@@ -140,17 +140,21 @@ impl DatasetSpec {
     pub fn generate(&self, seed: u64) -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut b = GraphBuilder::with_labels(self.num_vertices, self.num_labels);
+        // Edges added so far, duplicates included (`b.len()` without
+        // summing every label's list per draw).
+        let mut added = 0;
 
         if self.communities == 0 {
             // Epinions-style: a skewed random graph, labels uniform —
             // guaranteed label-independence.
             let zipf = ZipfSampler::new(self.num_vertices, self.skew);
-            while b.len() < self.num_edges {
+            while added < self.num_edges {
                 let s = zipf.sample(&mut rng);
                 let d = rng.random_range(0..self.num_vertices as VertexId);
                 let l = rng.random_range(0..self.num_labels as LabelId);
                 if s != d {
                     b.add_edge(s, d, l);
+                    added += 1;
                 }
             }
             return b.build();
@@ -166,7 +170,7 @@ impl DatasetSpec {
             .collect();
         // labels are themselves Zipf-popular, like real label frequencies
         let label_zipf = ZipfSampler::new(self.num_labels, 0.8);
-        while b.len() < self.num_edges {
+        while added < self.num_edges {
             let l = label_zipf.sample(&mut rng) as usize;
             let (mut sc, mut dc) = lanes[l];
             // 20% of edges leave the lane: cross-community noise
@@ -180,15 +184,30 @@ impl DatasetSpec {
             let d = (dc * comm_size) as VertexId + zipf.sample(&mut rng);
             if s != d {
                 b.add_edge(s, d, l as LabelId);
+                added += 1;
             }
         }
         b.build()
     }
 }
 
-/// Inverse-CDF Zipf sampler over `0..n` with exponent `alpha`.
+/// Inverse-CDF Zipf sampler over `0..n` with exponent `alpha`, searched
+/// through a guide table (Chen & Asau, 1974).
+///
+/// A draw `u` maps to the first `i` with `cdf[i] >= u`, clamped to
+/// `n - 1`. With `bucket(x) = min(⌊x·n⌋, n)`, `guide[j]` is the first `i`
+/// with `bucket(cdf[i]) >= j`. Because `bucket` is monotone, the answer
+/// `p` for `u` has `bucket(cdf[p]) >= bucket(u)`, so `guide[bucket(u)] <=
+/// p`, and every `cdf[i]` between the two is below `u`: stepping forward
+/// while `cdf[i] < u` stops exactly at `p`. That is the index
+/// `binary_search_by` returns on the strictly increasing cdf, so every
+/// draw (and every generated graph) is the same as with a binary search.
+/// The buckets hold `n` entries between them and each is hit with
+/// probability `1/n`, so a draw takes O(1) expected steps instead of two
+/// dozen probes; the table costs `4 (n + 1)` bytes.
 struct ZipfSampler {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -204,15 +223,36 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf }
+        let mut guide = Vec::with_capacity(n + 1);
+        for (i, &p) in cdf.iter().enumerate() {
+            while guide.len() <= bucket(p, n) {
+                guide.push(i as u32);
+            }
+        }
+        // Buckets past the last cdf entry fall to the clamp.
+        guide.resize(n + 1, (n - 1) as u32);
+        ZipfSampler { cdf, guide }
     }
 
     fn sample(&self, rng: &mut StdRng) -> VertexId {
-        let u: f64 = rng.random();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
-            Ok(i) | Err(i) => (i.min(self.cdf.len() - 1)) as VertexId,
-        }
+        self.index_of(rng.random())
     }
+
+    /// The first `i` with `cdf[i] >= u`, or `n - 1` when there is none.
+    fn index_of(&self, u: f64) -> VertexId {
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[bucket(u, self.cdf.len())] as usize;
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i as VertexId
+    }
+}
+
+/// The guide-table bucket of a probability over `n` entries:
+/// `min(⌊x·n⌋, n)`, monotone in `x`.
+fn bucket(x: f64, n: usize) -> usize {
+    ((x * n as f64) as usize).min(n)
 }
 
 #[cfg(test)]
@@ -321,5 +361,25 @@ mod tests {
             counts[z.sample(&mut rng) as usize] += 1;
         }
         assert!(counts[0] > counts[50] * 5);
+    }
+
+    /// The guide-table search returns what a binary search of the cdf
+    /// returns: at every entry, on either side of it, and at random `u`.
+    #[test]
+    fn guide_table_search_equals_binary_search() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for n in [1, 2, 32, 5_625, 62_500] {
+            for alpha in [0.8, 1.1] {
+                let z = ZipfSampler::new(n, alpha);
+                let binary = |u: f64| match z.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+                    Ok(i) | Err(i) => i.min(n - 1) as VertexId,
+                };
+                let at_entries = z.cdf.iter().flat_map(|&p| [p, p.next_down(), p.next_up()]);
+                let random = (0..100_000).map(|_| rng.random::<f64>());
+                for u in [0.0].into_iter().chain(at_entries).chain(random) {
+                    assert_eq!(z.index_of(u), binary(u), "n {n}, alpha {alpha}, u {u}");
+                }
+            }
+        }
     }
 }

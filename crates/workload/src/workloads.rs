@@ -74,8 +74,8 @@ pub struct Template {
     make: MakeQuery,
     /// The unlabeled template and the order its edges are matched in, the
     /// same for every attempt.
-    shape: QueryGraph,
-    order: Vec<usize>,
+    pub shape: QueryGraph,
+    pub order: Vec<usize>,
 }
 
 impl Template {
@@ -92,6 +92,11 @@ impl Template {
             shape,
             order,
         }
+    }
+
+    /// The template with `labels[i]` on its edge `i`.
+    pub fn instantiate(&self, labels: &[LabelId]) -> QueryGraph {
+        (self.make)(labels)
     }
 }
 
@@ -280,10 +285,25 @@ fn generate(
 /// Draws instances of a template by embedding it at random in the data.
 /// One seeded RNG serves a whole [`Workload::build`], template after
 /// template.
+///
+/// Each extension step draws uniformly from the (label, neighbour) pairs
+/// of a bound vertex across all labels, so the sampler builds, once, an
+/// all-label adjacency index per direction (`AllLabelRows`: two
+/// counting passes over the relations, about 12 B per edge and 8 B per
+/// vertex for both). A one-bound step is then one `random_range` over a
+/// vertex's list and one index into it, and a closing edge a binary
+/// search per label run of the shorter of the source's out-list and the
+/// target's in-list. Every draw is the
+/// `random_range` call, with the same bound, that a walk over the
+/// per-label rows makes, and resolves to the same pick, so the RNG
+/// stream, and with it every pool, is the one that walk gives.
 #[doc(hidden)]
 pub struct EmbeddingSampler<'a> {
     graph: &'a LabeledGraph,
     rng: StdRng,
+    /// Every vertex's out-edges and in-edges across all labels.
+    out: AllLabelRows,
+    inn: AllLabelRows,
     /// Buffers kept across the up to `40 x 400 x want` tries per
     /// template: the data vertex bound to each variable and the label
     /// matched by each template edge.
@@ -296,6 +316,8 @@ impl<'a> EmbeddingSampler<'a> {
         EmbeddingSampler {
             graph,
             rng: StdRng::seed_from_u64(seed ^ 0xabcd_ef01),
+            out: AllLabelRows::new(graph, false),
+            inn: AllLabelRows::new(graph, true),
             binding: Vec::new(),
             labels: Vec::new(),
         }
@@ -305,7 +327,7 @@ impl<'a> EmbeddingSampler<'a> {
     /// a random embedding, `None` when 40 tries found none.
     pub fn sample(&mut self, template: &Template) -> Option<QueryGraph> {
         self.sample_embedding_labels(&template.shape, &template.order)
-            .then(|| (template.make)(&self.labels))
+            .then(|| template.instantiate(&self.labels))
     }
 
     /// Randomly embed `shape` (ignoring its labels) into the data graph,
@@ -353,13 +375,11 @@ impl<'a> EmbeddingSampler<'a> {
                 }
                 // pick a random (label, neighbour) extension
                 let (s, d) = (self.binding[e.src as usize], self.binding[e.dst as usize]);
-                let (graph, rng) = (self.graph, &mut self.rng);
-                let only_d = std::slice::from_ref(&d);
-                let edge_to_d = |l| if graph.has_edge(s, d, l) { only_d } else { &[] };
+                let rng = &mut self.rng;
                 let picked = match (sb, db) {
-                    (true, true) => draw_extension(rng, nl, edge_to_d),
-                    (true, false) => draw_extension(rng, nl, |l| graph.out_neighbors(s, l)),
-                    (false, true) => draw_extension(rng, nl, |l| graph.in_neighbors(d, l)),
+                    (true, true) => draw_closing(&self.out, &self.inn, rng, s, d).map(|l| (l, d)),
+                    (true, false) => self.out.draw(rng, s),
+                    (false, true) => self.inn.draw(rng, d),
                     (false, false) => continue 'retry,
                 };
                 let Some((l, v)) = picked else {
@@ -382,29 +402,115 @@ impl<'a> EmbeddingSampler<'a> {
     }
 }
 
-/// One uniform draw from the (label, vertex) extensions that `row(l)`
-/// lists label by label: a single `random_range` over their total, walked
-/// to the pick without copying them out. `None` when there are none.
-fn draw_extension<'g>(
+/// Every vertex's edges in one direction across all labels, in (label,
+/// neighbour) order: `v`'s rows under labels `0, 1, ...` laid end to end,
+/// as parallel label and neighbour arrays.
+struct AllLabelRows {
+    /// `offsets[v]..offsets[v + 1]` indexes `v`'s entries.
+    offsets: Vec<u32>,
+    labels: Vec<LabelId>,
+    neighbours: Vec<VertexId>,
+}
+
+impl AllLabelRows {
+    /// Two counting passes over the relations' rows (forward, or with
+    /// `backward` the in-edges): one for the per-vertex totals, one to
+    /// scatter. `offsets[v + 1]` counts `v`'s entries, then becomes its
+    /// start and, advanced per row written, its end; labels are visited
+    /// in order and each row is sorted, so each vertex's list comes out
+    /// in (label, neighbour) order.
+    fn new(graph: &LabeledGraph, backward: bool) -> Self {
+        assert!(
+            graph.num_edges() <= u32::MAX as usize,
+            "the sampler's offsets are u32"
+        );
+        let all_labels = || 0..graph.num_labels() as LabelId;
+        let mut offsets = vec![0u32; graph.num_vertices() + 1];
+        for l in all_labels() {
+            for (v, row) in graph.rows(l, backward) {
+                offsets[v as usize + 1] += row.len() as u32;
+            }
+        }
+        let mut start = 0u32;
+        for o in &mut offsets[1..] {
+            let count = *o;
+            *o = start;
+            start += count;
+        }
+        let mut labels = vec![0; start as usize];
+        let mut neighbours = vec![0; start as usize];
+        for l in all_labels() {
+            for (v, row) in graph.rows(l, backward) {
+                let cursor = &mut offsets[v as usize + 1];
+                let at = *cursor as usize..*cursor as usize + row.len();
+                labels[at.clone()].fill(l);
+                neighbours[at].copy_from_slice(row);
+                *cursor += row.len() as u32;
+            }
+        }
+        AllLabelRows {
+            offsets,
+            labels,
+            neighbours,
+        }
+    }
+
+    /// `v`'s labels and neighbours, in (label, neighbour) order.
+    fn of(&self, v: VertexId) -> (&[LabelId], &[VertexId]) {
+        let r = self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize;
+        (&self.labels[r.clone()], &self.neighbours[r])
+    }
+
+    /// One uniform draw from `v`'s (label, neighbour) pairs: a single
+    /// `random_range` over their count. `None`, without a draw, when
+    /// there are none.
+    fn draw(&self, rng: &mut StdRng, v: VertexId) -> Option<(LabelId, VertexId)> {
+        let (labels, neighbours) = self.of(v);
+        if labels.is_empty() {
+            return None;
+        }
+        let k = rng.random_range(0..labels.len());
+        Some((labels[k], neighbours[k]))
+    }
+}
+
+/// One uniform draw from the labels `l` with an edge `s -l-> d`, in
+/// label order: a binary search for the other end in each label run of
+/// the shorter of `s`'s out-list and `d`'s in-list counts them, a single
+/// `random_range` picks one. `None`, without a draw, when there are none.
+fn draw_closing(
+    out: &AllLabelRows,
+    inn: &AllLabelRows,
     rng: &mut StdRng,
-    num_labels: LabelId,
-    row: impl Fn(LabelId) -> &'g [VertexId],
-) -> Option<(LabelId, VertexId)> {
-    let total: usize = (0..num_labels).map(|l| row(l).len()).sum();
+    s: VertexId,
+    d: VertexId,
+) -> Option<LabelId> {
+    let (from_s, from_d) = (out.of(s), inn.of(d));
+    let ((labels, neighbours), other) = if from_s.0.len() <= from_d.0.len() {
+        (from_s, d)
+    } else {
+        (from_d, s)
+    };
+    let closing = || {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            while i < labels.len() {
+                let l = labels[i];
+                let end = i + labels[i..].partition_point(|&x| x == l);
+                let found = neighbours[i..end].binary_search(&other).is_ok();
+                i = end;
+                if found {
+                    return Some(l);
+                }
+            }
+            None
+        })
+    };
+    let total = closing().count();
     if total == 0 {
         return None;
     }
-    let mut k = rng.random_range(0..total);
-    (0..num_labels).find_map(|l| {
-        let r = row(l);
-        match r.get(k) {
-            Some(&v) => Some((l, v)),
-            None => {
-                k -= r.len();
-                None
-            }
-        }
-    })
+    closing().nth(rng.random_range(0..total))
 }
 
 /// Order template edges so each one (after the first) touches a

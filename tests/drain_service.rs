@@ -12,24 +12,26 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cegraph::graph::{GraphBuilder, LabeledGraph};
-use cegraph::query::{templates, QueryGraph};
+use cegraph::query::{templates, QueryEdge, QueryGraph};
 use cegraph::service::{
     Client, DatasetEntry, DatasetRegistry, Engine, QueryReply, Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-// Dense on purpose (about 65 out-edges per vertex and label): counting
-// one fresh 3-edge pattern costs milliseconds, so a backlog of 15 such
-// slots outlives the SHUTDOWN round-trip racing it by a wide margin even
-// when the sending thread is descheduled for a while.
+// Dense on purpose (about 115 out-edges per vertex and label): the kernel
+// counts one fresh labeled triangle in 13-20 ms in a release build (2
+// vCPU), so the 15 slots behind the first reply last about 0.2 s. The
+// SHUTDOWN round trip racing them took 0.1-3.6 ms there, with the other
+// tests of this file running beside it: the backlog outlives it more than
+// 50 times over even when the sending thread is descheduled for a while.
 const VERTICES: u32 = 512;
 const LABELS: u16 = 3;
 
 fn dense_graph() -> LabeledGraph {
     let mut rng = StdRng::seed_from_u64(0xD7A1);
     let mut b = GraphBuilder::with_labels(VERTICES as usize, LABELS as usize);
-    for _ in 0..100_000 {
+    for _ in 0..200_000 {
         b.add_edge(
             rng.random_range(0..VERTICES),
             rng.random_range(0..VERTICES),
@@ -39,31 +41,30 @@ fn dense_graph() -> LabeledGraph {
     b.build()
 }
 
-/// 16 distinct 4-edge paths, each with a 3-edge sub-path (a label
-/// triple) no earlier slot has: with the cache disabled and an h = 3
-/// catalog, every slot must count a pattern of its own with the kernel.
-/// The backlog's length is therefore kernel work per slot — not
-/// estimator speed, which a warm catalog would reduce it to — and a
-/// SHUTDOWN sent after the first reply overtakes it.
+/// 16 distinct labeled transitive triangles (`0 -a-> 1 -b-> 2` and
+/// `0 -c-> 2`; the shape has no automorphism, so distinct label triples
+/// are distinct patterns). With the cache disabled and an h = 3 catalog,
+/// every slot must count a cyclic pattern of its own, and only the kernel
+/// counts cyclic patterns (acyclic ones go to the tree DP, which answers
+/// a 3-edge path on this graph in well under a millisecond). The
+/// backlog's length is therefore kernel work per slot — not estimator
+/// speed, which a warm catalog would reduce it to — and a SHUTDOWN sent
+/// after the first reply overtakes it.
 fn long_cold_batch() -> Vec<QueryGraph> {
-    let mut queries = Vec::new();
-    let mut seen: Vec<[u16; 3]> = Vec::new();
-    for code in 0..LABELS.pow(4) {
-        let l: Vec<u16> = (0..4)
-            .rev()
-            .map(|i| code / LABELS.pow(i) % LABELS)
-            .collect();
-        let triples = [[l[0], l[1], l[2]], [l[1], l[2], l[3]]];
-        if triples.iter().all(|t| seen.contains(t)) {
-            continue;
-        }
-        seen.extend(triples);
-        queries.push(templates::path(4, &l));
-        if queries.len() == 16 {
-            return queries;
-        }
-    }
-    unreachable!("27 label triples cover 16 queries before running out")
+    (0..LABELS.pow(3))
+        .take(16)
+        .map(|code| {
+            let [a, b, c] = [code / 9, code / 3 % 3, code % 3];
+            QueryGraph::new(
+                3,
+                vec![
+                    QueryEdge::new(0, 1, a),
+                    QueryEdge::new(1, 2, b),
+                    QueryEdge::new(0, 2, c),
+                ],
+            )
+        })
+        .collect()
 }
 
 fn scratch_dir(stem: &str) -> std::path::PathBuf {

@@ -186,3 +186,23 @@ fn vertex_labels_flow_through_estimation() {
     let e2 = est2.estimate(&labeled).unwrap();
     assert!(e2 > 0.0 && e2.is_finite());
 }
+
+/// An edge-list id past its type is refused where the file is read, not
+/// truncated into the type: `cegcli serve` exits 1 and names the line and
+/// field instead of booting `4294967296 1 0` as an edge out of vertex 0.
+#[test]
+fn serve_refuses_an_edge_list_with_an_id_past_its_type() {
+    let path = std::env::temp_dir().join(format!("ceg-wide-id-{}.edges", std::process::id()));
+    std::fs::write(&path, "0 1 0\n4294967296 1 0\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        .args(["serve", "127.0.0.1:0", path.to_str().unwrap()])
+        .output()
+        .expect("run cegcli serve");
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 2: field `src` out of range"),
+        "stderr: {stderr}"
+    );
+}
