@@ -6,11 +6,13 @@
 //! forward, as LEB128 gaps between sorted ids ([`write_graph`]); the
 //! decoder fills the offsets and targets the graph keeps straight from
 //! them, rebuilds the row directory from the row ids, and derives the
-//! backward index by one counting [`Csr::transpose`]:
+//! backward index by one counting [`Csr::transpose`]. The catalog section
+//! (`ceg-catalog::io`) is coded with the same LEB128 varints, through the
+//! same [`ChunkedWriter`] and [`ChunkedReader`]:
 //!
 //! ```text
 //! magic   8 bytes  b"CEGSNAP\0"
-//! version u32 LE   format version (currently 3)
+//! version u32 LE   format version (currently 4)
 //! section*:
 //!   tag      4 bytes   b"GRPH" | b"MRKV" | b"EPOC" | future tags
 //!   len      u64 LE    payload length in bytes
@@ -42,9 +44,10 @@
 //! than its section has left — each is checked before anything is
 //! allocated for it.
 //!
-//! This module owns the container plus the `GRPH`/`EPOC` payload codecs;
-//! `ceg-catalog::io` adds the `MRKV` codec and the combined
-//! graph+catalog+epoch snapshot used by the service.
+//! This module owns the container, the varint codec every payload is
+//! coded with and the `GRPH`/`EPOC` payload codecs; `ceg-catalog::io`
+//! adds the `MRKV` codec and the combined graph+catalog+epoch snapshot
+//! used by the service.
 
 use std::convert::Infallible;
 use std::hash::Hasher;
@@ -62,9 +65,11 @@ pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 /// Current container format version. Version 2 stored each relation's
 /// rows, offsets and targets as raw `u32`s in both directions; version 3
 /// stores each relation once, forward, as the LEB128 gaps of
-/// [`write_graph`] (about a quarter of the bytes). There is no reader
-/// for versions 1 and 2: re-bootstrap from the `.edges` file.
-pub const FORMAT_VERSION: u32 = 3;
+/// [`write_graph`] (about a quarter of the bytes); version 4 codes the
+/// `MRKV` catalog entries as LEB128 varints too, each against the
+/// leading edges it shares with the entry before it. There is no reader
+/// for versions 1 to 3: re-bootstrap from the `.edges` file.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Section tag: the rebased CSR relations of a [`LabeledGraph`].
 pub const TAG_GRAPH: [u8; 4] = *b"GRPH";
@@ -545,16 +550,67 @@ impl<R: Read> PayloadReader<R> {
 }
 
 /// Bytes of varints converted per read or write: they go between their
-/// in-memory and encoded forms through a stack buffer of this size,
-/// never through a buffer the size of a section.
+/// in-memory and encoded forms through a buffer of this size, never
+/// through a buffer the size of a section.
 const CHUNK: usize = 4096;
 
-/// The longest LEB128 encoding of a `u32`.
-const MAX_VARINT: usize = 5;
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT: usize = 10;
 
 /// Bytes of the LEB128 encoding of `v`: seven bits per byte.
-fn varint_len(v: u32) -> u64 {
-    u64::from(u32::BITS - (v | 1).leading_zeros()).div_ceil(7)
+pub fn varint_len(v: u64) -> u64 {
+    u64::from(u64::BITS - (v | 1).leading_zeros()).div_ceil(7)
+}
+
+/// The writing half of the payload codec: little-endian `u64`s and
+/// LEB128 varints, encoded into a chunk and written to the payload a
+/// chunk at a time. Call [`ChunkedWriter::finish`] to write the last
+/// chunk; a payload cut short is caught by the section's declared
+/// length.
+pub struct ChunkedWriter<'w, W: ?Sized> {
+    out: &'w mut W,
+    chunk: Vec<u8>,
+}
+
+impl<'w, W: Write + ?Sized> ChunkedWriter<'w, W> {
+    pub fn new(out: &'w mut W) -> Self {
+        ChunkedWriter {
+            out,
+            chunk: Vec::with_capacity(CHUNK),
+        }
+    }
+
+    pub fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.chunk.extend_from_slice(&v.to_le_bytes());
+        self.spill()
+    }
+
+    /// LEB128: seven bits per byte, low bits first, the high bit set on
+    /// every byte but the last.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) -> io::Result<()> {
+        while v >= 0x80 {
+            self.chunk.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.chunk.push(v as u8);
+        self.spill()
+    }
+
+    /// Write the chunk once another value might not fit it.
+    #[inline]
+    fn spill(&mut self) -> io::Result<()> {
+        if self.chunk.len() > CHUNK - MAX_VARINT {
+            self.out.write_all(&self.chunk)?;
+            self.chunk.clear();
+        }
+        Ok(())
+    }
+
+    /// Write what the chunk holds.
+    pub fn finish(self) -> io::Result<()> {
+        self.out.write_all(&self.chunk)
+    }
 }
 
 /// Hand `f` the varints one relation writes after its two counts, in
@@ -586,7 +642,7 @@ pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
     for (fwd, _) in graph.csr_pairs() {
         len += 16;
         let Ok(()) = relation_varints::<Infallible>(fwd, |v| {
-            len += varint_len(v);
+            len += varint_len(v.into());
             Ok(())
         });
     }
@@ -607,31 +663,15 @@ pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
 ///       id and before each row's first target)
 /// ```
 pub fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
-    out.write_all(&(graph.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(graph.num_labels() as u64).to_le_bytes())?;
-    // The varints are encoded into a chunk and written a chunk at a time.
-    let mut chunk = Vec::with_capacity(CHUNK);
+    let mut w = ChunkedWriter::new(out);
+    w.u64(graph.num_vertices() as u64)?;
+    w.u64(graph.num_labels() as u64)?;
     for (fwd, _) in graph.csr_pairs() {
-        out.write_all(&(fwd.num_active() as u64).to_le_bytes())?;
-        out.write_all(&(fwd.num_edges() as u64).to_le_bytes())?;
-        relation_varints(fwd, |mut v| -> io::Result<()> {
-            // LEB128: seven bits per byte, low bits first, the high bit
-            // set on every byte but the last.
-            while v >= 0x80 {
-                chunk.push(v as u8 | 0x80);
-                v >>= 7;
-            }
-            chunk.push(v as u8);
-            if chunk.len() > CHUNK - MAX_VARINT {
-                out.write_all(&chunk)?;
-                chunk.clear();
-            }
-            Ok(())
-        })?;
-        out.write_all(&chunk)?;
-        chunk.clear();
+        w.u64(fwd.num_active() as u64)?;
+        w.u64(fwd.num_edges() as u64)?;
+        relation_varints(fwd, |v| w.varint(v.into()))?;
     }
-    Ok(())
+    w.finish()
 }
 
 /// Append the `EPOC` and `GRPH` sections of a snapshot — the part of the
@@ -667,10 +707,10 @@ pub struct GraphArrays {
     relations: Vec<Relation>,
 }
 
-/// The integers and varints of a payload, read into a stack buffer a
-/// chunk at a time (a varint is decoded from the buffer, not read
-/// byte by byte from the file).
-struct Chunked<'r, R> {
+/// The reading half of the payload codec: the `u64`s and varints of a
+/// payload, read into a stack buffer a chunk at a time (a varint is
+/// decoded from the buffer, not read byte by byte from the file).
+pub struct ChunkedReader<'r, R> {
     r: &'r mut PayloadReader<R>,
     buf: [u8; CHUNK],
     /// `buf[at..end]` has been read from the payload, not yet decoded.
@@ -678,9 +718,19 @@ struct Chunked<'r, R> {
     end: usize,
 }
 
-impl<R: Read> Chunked<'_, R> {
+impl<'r, R: Read> ChunkedReader<'r, R> {
+    /// Decode the rest of `r`'s payload.
+    pub fn new(r: &'r mut PayloadReader<R>) -> Self {
+        ChunkedReader {
+            r,
+            buf: [0; CHUNK],
+            at: 0,
+            end: 0,
+        }
+    }
+
     /// Bytes of the payload not yet decoded.
-    fn remaining(&self) -> u64 {
+    pub fn remaining(&self) -> u64 {
         (self.end - self.at) as u64 + self.r.remaining()
     }
 
@@ -705,19 +755,20 @@ impl<R: Read> Chunked<'_, R> {
         Ok(self.buf.get(self.at..self.end).unwrap_or_default())
     }
 
-    fn u64(&mut self, what: &str) -> io::Result<u64> {
+    pub fn u64(&mut self, what: &str) -> io::Result<u64> {
         let word = self.fill(8)?.first_chunk::<8>().copied();
         let word = word.ok_or_else(|| bad(format!("truncated payload: {what} needs 8 bytes")))?;
         self.at += 8;
         Ok(u64::from_le_bytes(word))
     }
 
-    /// One LEB128 `u32`: at most five bytes, and no longer than its
-    /// value needs (a last byte of zero after another is overlong), so a
-    /// graph has exactly one encoding.
+    /// One LEB128 varint of a `T` (`u8` to `u64`): at most as many bytes
+    /// as `T`'s bits need, holding a value `T` can hold, and no longer
+    /// than that value needs (a last byte of zero after another is
+    /// overlong), so a payload has exactly one encoding.
     #[inline]
-    fn varint(&mut self, what: &str) -> io::Result<u32> {
-        // Most gaps fit one byte: take it straight from the buffer.
+    pub fn varint<T: From<u8> + TryFrom<u64>>(&mut self, what: &str) -> io::Result<T> {
+        // Most values fit one byte: take it straight from the buffer.
         if let Some(&b) = self.buf.get(self.at..self.end).and_then(<[u8]>::first) {
             if b < 0x80 {
                 self.at += 1;
@@ -727,27 +778,33 @@ impl<R: Read> Chunked<'_, R> {
         self.long_varint(what)
     }
 
-    /// [`Chunked::varint`] past its one-byte case. Kept out of line so
-    /// the decode loops stay small: inlined, it made the decode of the
-    /// `g100k` graph section ~1.3x slower (2.4 ms against 1.8 on a
-    /// 2 vCPU Xeon).
+    /// [`ChunkedReader::varint`] past its one-byte case. Kept out of
+    /// line so the decode loops stay small: inlined, it made the decode
+    /// of the `g100k` graph section ~1.3x slower (2.4 ms against 1.8 on
+    /// a 2 vCPU Xeon).
     #[inline(never)]
-    fn long_varint(&mut self, what: &str) -> io::Result<u32> {
-        let bytes = self.fill(MAX_VARINT)?;
+    fn long_varint<T: TryFrom<u64>>(&mut self, what: &str) -> io::Result<T> {
+        let bits = 8 * std::mem::size_of::<T>();
+        let max_len = bits.div_ceil(7);
+        let bytes = self.fill(max_len)?;
         let mut value = 0u64;
-        for (i, &b) in bytes.iter().take(MAX_VARINT).enumerate() {
+        for (i, &b) in bytes.iter().take(max_len).enumerate() {
             value |= u64::from(b & 0x7f) << (7 * i);
             if b < 0x80 {
                 if b == 0 && i > 0 {
                     return Err(bad(format!("{what}: overlong varint")));
                 }
-                let value = u32::try_from(value)
-                    .map_err(|_| bad(format!("{what}: varint {value} is past u32")))?;
+                // The tenth byte of a `u64` holds its top bit alone: a
+                // higher one would have been shifted out.
+                let value = (i < 9 || b == 1)
+                    .then_some(value)
+                    .and_then(|v| T::try_from(v).ok())
+                    .ok_or_else(|| bad(format!("{what}: varint is past u{bits}")))?;
                 self.at += i + 1;
                 return Ok(value);
             }
         }
-        Err(if bytes.len() < MAX_VARINT {
+        Err(if bytes.len() < max_len {
             bad(format!("truncated payload: {what} ends inside a varint"))
         } else {
             bad(format!("{what}: overlong varint"))
@@ -780,13 +837,13 @@ impl<R: Read> Chunked<'_, R> {
         let mut targets = Vec::with_capacity(num_edges as usize);
         let mut next_row = 0u64;
         for _ in 0..num_rows {
-            let v = next_row + u64::from(self.varint(&what)?);
+            let v = next_row + u64::from(self.varint::<u32>(&what)?);
             if v >= num_vertices {
                 return Err(bad(format!(
                     "{what}: row id {v} is past the domain of {num_vertices}"
                 )));
             }
-            let degree = u64::from(self.varint(&what)?) + 1;
+            let degree = u64::from(self.varint::<u32>(&what)?) + 1;
             if targets.len() as u64 + degree > num_edges {
                 return Err(bad(format!(
                     "{what}: degree {degree} of row {v} overruns num_edges {num_edges}"
@@ -794,7 +851,7 @@ impl<R: Read> Chunked<'_, R> {
             }
             let mut next = 0u64;
             for _ in 0..degree {
-                let t = next + u64::from(self.varint(&what)?);
+                let t = next + u64::from(self.varint::<u32>(&what)?);
                 if t >= num_vertices {
                     return Err(bad(format!(
                         "{what}: target {t} is past the domain of {num_vertices}"
@@ -832,12 +889,7 @@ pub fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays
     let num_vertices = r.count("num_vertices", VertexId::MAX as usize + 1)?;
     // Two counts: a label costs at least 16 bytes.
     let num_labels = r.count("num_labels", MAX_LABELS.min(r.room_for(16)))?;
-    let mut r = Chunked {
-        r,
-        buf: [0; CHUNK],
-        at: 0,
-        end: 0,
-    };
+    let mut r = ChunkedReader::new(r);
     let relations = (0..num_labels)
         .map(|label| r.relation(label, num_vertices as u64))
         .collect::<io::Result<Vec<_>>>()?;
@@ -1316,30 +1368,82 @@ mod tests {
         assert!(err.to_string().contains("1 trailing bytes"), "{err}");
     }
 
-    #[test]
-    fn version_1_header_is_refused() {
+    /// A header of an older format version is refused with the typed
+    /// message that names both versions.
+    fn assert_version_refused(version: u32) {
         let mut file = Vec::from(MAGIC);
-        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&version.to_le_bytes());
         let err = reader(&file).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("snapshot format version 1 is not supported"),
-            "{err}"
+        assert_eq!(
+            err.to_string(),
+            format!("snapshot format version {version} is not supported (this build reads 4)")
         );
     }
 
     #[test]
+    fn version_1_header_is_refused() {
+        assert_version_refused(1);
+    }
+
+    #[test]
     fn version_2_header_is_refused() {
-        let mut file = Vec::from(MAGIC);
-        file.extend_from_slice(&2u32.to_le_bytes());
-        let err = reader(&file).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("snapshot format version 2 is not supported (this build reads 3)"),
-            "{err}"
-        );
+        assert_version_refused(2);
+    }
+
+    #[test]
+    fn version_3_header_is_refused() {
+        assert_eq!(FORMAT_VERSION, 4);
+        assert_version_refused(3);
+    }
+
+    /// Every width round-trips its extremes and the values around each
+    /// seven-bit boundary, through the writer and back, and refuses a
+    /// value one past its type.
+    #[test]
+    fn varints_of_every_width_roundtrip_and_refuse_overflow() {
+        let mut values: Vec<u64> = (0..64).flat_map(|b| [(1 << b) - 1, 1 << b]).collect();
+        values.push(u64::MAX);
+        let mut payload = Vec::new();
+        let mut w = ChunkedWriter::new(&mut payload);
+        values.iter().try_for_each(|&v| w.varint(v)).unwrap();
+        w.finish().unwrap();
+        let want: u64 = values.iter().map(|&v| varint_len(v)).sum();
+        assert_eq!(payload.len() as u64, want);
+        assert_eq!(varint_len(u64::MAX), MAX_VARINT as u64);
+
+        fn each<T: From<u8> + TryFrom<u64>>(payload: &[u8], values: &[u64]) -> Vec<Option<T>> {
+            let mut r = PayloadReader::new(payload);
+            let mut r = ChunkedReader::new(&mut r);
+            values
+                .iter()
+                .map(|&v| {
+                    let got = r.varint::<T>("v").ok();
+                    if got.is_none() {
+                        // Skip the refused value's bytes.
+                        r.at += varint_len(v) as usize;
+                    }
+                    got
+                })
+                .collect()
+        }
+        fn fits<T: TryFrom<u64>>(values: &[u64]) -> Vec<Option<T>> {
+            values.iter().map(|&v| T::try_from(v).ok()).collect()
+        }
+        assert_eq!(each::<u8>(&payload, &values), fits::<u8>(&values));
+        assert_eq!(each::<u16>(&payload, &values), fits::<u16>(&values));
+        assert_eq!(each::<u32>(&payload, &values), fits::<u32>(&values));
+        assert_eq!(each::<u64>(&payload, &values), fits::<u64>(&values));
+
+        // Ten bytes whose last carries more than bit 63, and eleven.
+        for hostile in [
+            [&[0xff; 9][..], &[0x02]].concat(),
+            [&[0x80; 10][..], &[0x01]].concat(),
+        ] {
+            let mut r = PayloadReader::new(&hostile);
+            let err = ChunkedReader::new(&mut r).varint::<u64>("v").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]
@@ -1572,7 +1676,7 @@ mod tests {
     }
 
     /// A relation wider than several conversion chunks, so
-    /// `write_varints` and the decoder's buffer both cross chunk
+    /// `ChunkedWriter` and the decoder's buffer both cross chunk
     /// boundaries, inside a varint too — whether the source hands over
     /// the payload whole or one byte per read.
     #[test]

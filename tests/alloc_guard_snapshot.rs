@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::MarkovTable;
-use cegraph::graph::snapshot::graph_payload_len;
+use cegraph::graph::snapshot::{graph_payload_len, varint_len};
 use cegraph::graph::GraphBuilder;
 use cegraph::query::{Pattern, QueryEdge};
 use cegraph::service::DatasetEntry;
@@ -77,8 +77,10 @@ fn held_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
 #[test]
 fn snapshot_write_and_read_hold_a_buffer_not_a_section() {
     // A 2.2 MB graph section (450k edges, gap-coded: ids up to 150k
-    // take 3 bytes) beside a 0.4 MB catalog section (30k single-edge
-    // entries).
+    // take 3 bytes) beside a 0.2 MB catalog section (30k single-edge
+    // entries, `0 -l-> 1` of cardinality `l`: one byte each for the
+    // shared-edge count and the variables, a varint each for the
+    // cardinality and the label).
     let n = 150_000u32;
     let mut b = GraphBuilder::with_labels(n as usize, 3);
     for i in 0..n {
@@ -93,13 +95,20 @@ fn snapshot_write_and_read_hold_a_buffer_not_a_section() {
     }
     let graph_section = graph_payload_len(&graph) as usize;
     assert!(graph_section > 2_000_000);
+    let catalog_section = 16 + (0..30_000).map(|l| 2 + 2 * varint_len(l)).sum::<u64>() as usize;
+    assert_eq!(catalog_section, 206_992);
     // What the writer sorts to list the catalog canonically.
     let catalog_index = table.len() * std::mem::size_of::<(&Pattern, u64)>();
 
     let path = std::env::temp_dir().join(format!("ceg-alloc-guard-{}.cegsnap", std::process::id()));
     let ((), held) = held_by(|| write_snapshot(&path, &graph, &table, 7).unwrap());
     let file = std::fs::metadata(&path).unwrap().len() as usize;
-    assert!(file > graph_section + 400_000, "both sections are in");
+    // Header, three section frames, the epoch and both sections.
+    assert_eq!(
+        file,
+        12 + 3 * 20 + 8 + graph_section + catalog_section,
+        "both sections are in"
+    );
     assert!(
         held <= catalog_index + SLACK,
         "write_snapshot held {held} bytes: more than the sorted catalog index \

@@ -16,17 +16,19 @@
 //! Plus the format property: the file the streaming writer produces is,
 //! byte for byte, the file an in-memory encoder written here from the
 //! format's description produces — for graphs with gap labels, empty
-//! relations and relations left at an older, smaller domain by a rebase.
+//! relations and relations left at an older, smaller domain by a rebase,
+//! and for random catalogs, which also read back to an equal table that
+//! writes the same bytes again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cegraph::catalog::io::write_markov;
+use cegraph::catalog::io::{read_snapshot, write_markov, write_snapshot};
 use cegraph::catalog::MarkovTable;
 use cegraph::graph::snapshot::{
     section_checksum, FORMAT_VERSION, MAGIC, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
 };
 use cegraph::graph::{GraphBuilder, LabeledGraph};
-use cegraph::query::templates;
+use cegraph::query::{templates, Pattern, QueryEdge};
 use cegraph::service::DatasetEntry;
 use proptest::prelude::*;
 
@@ -67,9 +69,10 @@ fn table_bytes(t: &MarkovTable) -> Vec<u8> {
 
 /// Unsigned LEB128: seven bits per byte, least significant group
 /// first, the high bit set on every byte but the last.
-fn leb128(buf: &mut Vec<u8>, value: u32) {
-    let groups = (0..5).map(|i| (value >> (7 * i)) & 0x7f);
-    let len = 1 + (1..5).filter(|&i| value >> (7 * i) != 0).count();
+fn leb128(buf: &mut Vec<u8>, value: impl Into<u64>) {
+    let value: u64 = value.into();
+    let groups = (0..10).map(|i| (value >> (7 * i)) & 0x7f);
+    let len = 1 + (1..10).filter(|&i| value >> (7 * i) != 0).count();
     for (i, group) in groups.take(len).enumerate() {
         let more = if i + 1 < len { 0x80 } else { 0 };
         buf.push(group as u8 | more);
@@ -103,34 +106,46 @@ fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
     buf
 }
 
-/// The `MRKV` payload, built whole: `u64 h, u64 count`, then per entry in
-/// pattern order `u64 cardinality, u16 num_edges` and per edge
-/// `u8 src, u8 dst, u16 label`.
+/// The `MRKV` payload, built whole: `u64 h, u64 count` (little-endian),
+/// then per entry in pattern order the LEB128 of the number of leading
+/// edges it has in common with the entry before it (none before the
+/// first) and of its cardinality, then per edge past the common ones the
+/// LEB128 of `8 * src + dst`, plus 64 on the entry's last edge, and of
+/// the label.
 fn oracle_markov_payload(t: &MarkovTable) -> Vec<u8> {
     let mut entries: Vec<_> = t.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     let mut buf = Vec::new();
     buf.extend_from_slice(&(t.h() as u64).to_le_bytes());
     buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (p, c) in entries {
-        buf.extend_from_slice(&c.to_le_bytes());
-        buf.extend_from_slice(&(p.num_edges() as u16).to_le_bytes());
-        for e in p.edges() {
-            buf.extend_from_slice(&[e.src, e.dst]);
-            buf.extend_from_slice(&e.label.to_le_bytes());
+    for (i, &(p, c)) in entries.iter().enumerate() {
+        let before = if i == 0 {
+            &[][..]
+        } else {
+            entries[i - 1].0.edges()
+        };
+        let common = (0..p.num_edges())
+            .take_while(|&k| before.get(k) == p.edges().get(k))
+            .count();
+        leb128(&mut buf, common as u64);
+        leb128(&mut buf, c);
+        for (k, e) in p.edges().iter().enumerate().skip(common) {
+            let last = if k + 1 == p.num_edges() { 64 } else { 0 };
+            leb128(&mut buf, last + 8 * e.src + e.dst);
+            leb128(&mut buf, e.label);
         }
     }
     buf
 }
 
 /// The whole container around the three payloads.
-fn oracle_file(entry: &DatasetEntry) -> Vec<u8> {
+fn oracle_file(epoch: u64, g: &LabeledGraph, t: &MarkovTable) -> Vec<u8> {
     let mut file = Vec::from(MAGIC);
     file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     for (tag, payload) in [
-        (TAG_EPOCH, entry.epoch().to_le_bytes().to_vec()),
-        (TAG_GRAPH, oracle_graph_payload(&entry.materialized_graph())),
-        (TAG_MARKOV, entry.with_markov(oracle_markov_payload)),
+        (TAG_EPOCH, epoch.to_le_bytes().to_vec()),
+        (TAG_GRAPH, oracle_graph_payload(g)),
+        (TAG_MARKOV, oracle_markov_payload(t)),
     ] {
         file.extend_from_slice(&tag);
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -257,7 +272,53 @@ proptest! {
         entry.write_snapshot(&path).unwrap();
         let written = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        prop_assert_eq!(written, oracle_file(&entry));
+        let (epoch, graph) = (entry.epoch(), entry.materialized_graph());
+        prop_assert_eq!(written, entry.with_markov(|t| oracle_file(epoch, &graph, t)));
+    }
+
+    /// Random catalogs — patterns of one to three edges, small labels
+    /// (so sorted neighbours share leading edges) and labels and
+    /// cardinalities of every varint width — are written as the oracle
+    /// lays them out, read back to an equal table, and written again to
+    /// the same bytes.
+    #[test]
+    fn random_catalogs_write_read_write_byte_identically(
+        h in 2usize..5,
+        entries in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u8..8, 0u8..8, prop_oneof![0u16..4, 0u16..=u16::MAX]),
+                    1..4,
+                ),
+                prop_oneof![0u64..300, 0u64..=u64::MAX],
+            ),
+            0..40,
+        ),
+        epoch in 0u64..1 << 40,
+    ) {
+        let mut table = MarkovTable::empty(h);
+        for (edges, card) in &entries {
+            let edges: Vec<QueryEdge> =
+                edges.iter().map(|&(s, d, l)| QueryEdge::new(s, d, l)).collect();
+            table.insert(Pattern::canonical(&edges), *card);
+        }
+        let graph = build_graph(&[(0, 1, 0), (1, 2, 1), (2, 0, 2)]);
+        let path = scratch_path("prop-catalog");
+        write_snapshot(&path, &graph, &table, epoch).unwrap();
+        let first = std::fs::read(&path).unwrap();
+        prop_assert_eq!(&first, &oracle_file(epoch, &graph, &table));
+
+        let back = read_snapshot(&path).unwrap();
+        prop_assert_eq!(back.epoch, epoch);
+        prop_assert_eq!(back.markov.h(), h);
+        prop_assert_eq!(back.markov.len(), table.len());
+        for (p, card) in table.iter() {
+            prop_assert_eq!(back.markov.card(p), Some(card), "{}", p);
+        }
+        write_snapshot(&path, &back.graph, &back.markov, back.epoch).unwrap();
+        let second = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        prop_assert_eq!(first, second);
     }
 
 }
