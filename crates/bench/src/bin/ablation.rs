@@ -10,9 +10,9 @@
 //! our datasets.
 
 use ceg_bench::common;
-use ceg_catalog::DegreeStats;
 use ceg_core::ceg_o::{CegO, CegOOptions};
-use ceg_core::{molp_bound, Aggr, Heuristic, MolpInstance, PathLen};
+use ceg_core::{Aggr, Heuristic, PathLen};
+use ceg_estimators::{molp_bound, DegreeStats, MolpInstance};
 use ceg_workload::qerror::{signed_log_qerror, QErrorSummary};
 use ceg_workload::{Dataset, Workload};
 

@@ -9,8 +9,8 @@
 //!   max-hop-max under exact vs sampled tables.
 
 use ceg_bench::common;
-use ceg_catalog::MarkovTable;
 use ceg_core::{Aggr, Heuristic, PathLen};
+use ceg_estimators::markov::build_sampled;
 use ceg_estimators::{
     CardinalityEstimator, JsubEstimator, MaxEntEstimator, OptimisticEstimator, WanderJoinEstimator,
 };
@@ -30,7 +30,7 @@ fn main() {
         }
         let table = common::markov_for(&graph, &queries, 2);
         let qs: Vec<_> = queries.iter().map(|q| q.query.clone()).collect();
-        let sampled = MarkovTable::build_sampled(&graph, &qs, 2, 2000, common::SEED);
+        let sampled = build_sampled(&graph, &qs, 2, 2000, common::SEED);
 
         let mhm = Heuristic::new(PathLen::MaxHop, Aggr::Max);
         let mut ests: Vec<Box<dyn CardinalityEstimator>> = vec![

@@ -9,10 +9,10 @@
 //! out (counted in the failures column).
 
 use ceg_bench::common;
-use ceg_catalog::{CharacteristicSets, DegreeStats, SummaryGraph};
 use ceg_core::{Aggr, Heuristic, PathLen};
 use ceg_estimators::{
-    CardinalityEstimator, CsEstimator, MolpEstimator, OptimisticEstimator, SumRdfEstimator,
+    CardinalityEstimator, CharacteristicSets, CsEstimator, DegreeStats, MolpEstimator,
+    OptimisticEstimator, SumRdfEstimator, SummaryGraph,
 };
 use ceg_workload::runner::{render_table, run_estimators};
 use ceg_workload::{Dataset, Workload};

@@ -15,8 +15,8 @@
 
 use ceg_bench::common;
 use ceg_core::Heuristic;
+use ceg_estimators::planner::{execute_plan, optimize};
 use ceg_estimators::{OptimisticEstimator, Rdf3xDefaultEstimator};
-use ceg_planner::{execute_plan, optimize};
 use ceg_workload::qerror::QErrorSummary;
 use ceg_workload::{Dataset, Workload};
 

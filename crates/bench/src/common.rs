@@ -2,9 +2,9 @@
 
 use std::time::Instant;
 
-use ceg_catalog::{CcrTable, MarkovTable};
+use ceg_catalog::MarkovTable;
 use ceg_core::Heuristic;
-use ceg_estimators::{pstar_estimate, CardinalityEstimator, OptimisticEstimator};
+use ceg_estimators::{pstar_estimate, CardinalityEstimator, CcrTable, OptimisticEstimator};
 use ceg_graph::LabeledGraph;
 use ceg_workload::qerror::{signed_log_qerror, QErrorSummary};
 use ceg_workload::runner::EstimatorReport;

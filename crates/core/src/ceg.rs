@@ -27,8 +27,9 @@
 //! of the `avg` heuristics, whose bits `tests/golden_ceg_o.rs` pins);
 //! [`Ceg::path_estimates`], the capped set of distinct path estimates
 //! behind the P* oracle (Section 6.2.3), whose contents at the cap depend
-//! on insertion order; and the MOLP Dijkstra in `ceg_m.rs` (implicit
-//! graph; its predecessor tie-breaks feed the bound sketches).
+//! on insertion order; and the MOLP Dijkstra in `ceg-estimators`'
+//! `ceg_m.rs` (implicit graph; its predecessor tie-breaks feed the bound
+//! sketches).
 
 use std::cmp::Ordering;
 
@@ -90,6 +91,10 @@ pub struct Heuristic {
 }
 
 impl Heuristic {
+    /// The paper's recommended default: `max-hop-max` (Section 6.2), the
+    /// one heuristic the estimation service answers with.
+    pub const RECOMMENDED: Heuristic = Heuristic::new(PathLen::MaxHop, Aggr::Max);
+
     pub const fn new(path_len: PathLen, aggr: Aggr) -> Self {
         Heuristic { path_len, aggr }
     }
@@ -245,7 +250,7 @@ impl Ceg {
     /// tie (always, under `AllHops`) and is dropped otherwise. `merge` gets
     /// `None` for an empty or replaced slot, so an aggregate's first
     /// contribution is spelled beside the later ones.
-    pub(crate) fn fold<A: Copy>(
+    pub fn fold<A: Copy>(
         &self,
         path_len: PathLen,
         init: A,
@@ -301,11 +306,7 @@ impl Ceg {
     }
 
     /// [`Self::best_path`] beside the path's estimate.
-    pub(crate) fn best_valued_path(
-        &self,
-        path_len: PathLen,
-        maximize: bool,
-    ) -> Option<(f64, Vec<u32>)> {
+    pub fn best_valued_path(&self, path_len: PathLen, maximize: bool) -> Option<(f64, Vec<u32>)> {
         // The aggregate carries the edge its value arrived over.
         let slots = self.fold(
             path_len,
@@ -390,10 +391,7 @@ pub(crate) fn relax<A: Copy>(
 /// strictly larger (smaller), so the slot survives a tie. A NaN `key`
 /// absorbs from either side, so the merge commutes and a fold's answer
 /// does not depend on which topological order it visits.
-pub(crate) fn extremum<A: Copy>(
-    maximize: bool,
-    key: impl Fn(A) -> f64,
-) -> impl Fn(Option<A>, A) -> A {
+pub fn extremum<A: Copy>(maximize: bool, key: impl Fn(A) -> f64) -> impl Fn(Option<A>, A) -> A {
     let wins = if maximize {
         Ordering::Greater
     } else {

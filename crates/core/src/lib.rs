@@ -1,38 +1,29 @@
 //! # ceg-core
 //!
-//! The paper's primary contribution: the **Cardinality Estimation Graph**
-//! framework unifying optimistic and pessimistic cardinality estimators.
+//! The paper's primary contribution as the estimation service runs it:
+//! the **Cardinality Estimation Graph** over Markov-table statistics.
 //!
 //! * [`ceg`] — the generic CEG DAG, hop heuristics and aggregators
 //!   (Section 3, 4.2),
 //! * [`ceg_o`] — CEG_O, the optimistic CEG over Markov-table statistics
 //!   (Section 4.2),
-//! * [`ceg_ocr`] — CEG_OCR, the cycle-closing-rate variant for queries
-//!   with large cycles (Section 4.3),
-//! * [`ceg_m`] — CEG_M and the MOLP bound as a shortest path (Theorem
-//!   5.1), plus the literal LP for verification,
-//! * [`cbs`] — the CBS pessimistic estimator (bounding formulas over
-//!   coverages; Section 5.2 and Appendices B–C),
-//! * [`dbplp`] — the DBPLP bound (Appendix D),
-//! * [`agm`] — the AGM fractional-edge-cover bound,
-//! * [`bound_sketch`] — the bound-sketch partitioning optimization applied
-//!   to both pessimistic and optimistic estimators (Sections 5.2.1–5.2.2),
-//! * [`oracle`] — the P* oracle that picks the best path per query
-//!   (Section 6.2.3),
-//! * [`lp`] — a small simplex solver backing the literal LPs,
 //! * [`trace`] — the per-request span/counter recorder the estimation
 //!   service threads through the pipeline (zero-alloc when disabled).
 //!
+//! The pessimistic CEGs (CEG_M / MOLP, CBS, DBPLP, AGM), CEG_OCR, the
+//! bound sketches and the P* oracle are offline evaluation tools and live
+//! in `ceg-estimators`.
+//!
 //! # Example
 //!
-//! Build a graph, a Markov table, the query's CEG_O, and compare the
-//! paper's recommended `max-hop-max` estimate with the MOLP bound:
+//! Build a graph, a Markov table and the query's CEG_O, and take the
+//! paper's recommended `max-hop-max` estimate:
 //!
 //! ```
 //! use ceg_graph::GraphBuilder;
 //! use ceg_query::templates;
 //! use ceg_catalog::MarkovTable;
-//! use ceg_core::{CegO, Heuristic, PathLen, Aggr, MolpInstance, molp_bound};
+//! use ceg_core::{CegO, Heuristic};
 //!
 //! let mut b = GraphBuilder::new(6);
 //! b.add_edge(0, 1, 0);
@@ -45,29 +36,12 @@
 //! let query = templates::path(3, &[0, 1, 2]); // a0 -0-> a1 -1-> a2 -2-> a3
 //! let table = MarkovTable::build_for_query(&graph, &query, 2);
 //! let ceg = CegO::build(&query, &table);
-//! let estimate = ceg
-//!     .ceg()
-//!     .estimate(Heuristic::new(PathLen::MaxHop, Aggr::Max))
-//!     .unwrap();
-//!
-//! let bound = molp_bound(&MolpInstance::from_graph(&graph, &query));
-//! let truth = ceg_exec::count(&graph, &query) as f64;
-//! assert!(estimate > 0.0);
-//! assert!(bound >= truth); // MOLP is pessimistic (Prop. 5.1)
+//! let estimate = ceg.ceg().estimate(Heuristic::RECOMMENDED).unwrap();
+//! assert_eq!(estimate, 2.0); // two a0 -> a3 paths, one a3 -> a4 edge
 //! ```
 
-pub mod agm;
-pub mod bound_sketch;
-pub mod cbs;
 pub mod ceg;
-pub mod ceg_d;
-pub mod ceg_m;
 pub mod ceg_o;
-pub mod ceg_ocr;
-pub mod dbplp;
-pub mod lp;
-pub mod oracle;
-pub mod render;
 pub mod trace;
 
 /// The storage seam (`trait Storage` + `OsStorage`/`FaultStorage`) the
@@ -79,13 +53,12 @@ pub use ceg_graph::vfs;
 
 /// Ranked lock wrappers (`OrderedMutex`/`OrderedRwLock` + `LockRank`)
 /// enforcing the workspace-wide lock acquisition order; the only lock
-/// primitives the `ceg-lint` lock-discipline pass permits outside this
-/// crate. Physically lives in `ceg-graph` for the same dependency-order
-/// reason as [`vfs`], re-exported here as the framework-level name.
+/// primitives the `ceg-lint` lock-discipline pass permits outside the
+/// module itself. Physically lives in `ceg-graph` for the same
+/// dependency-order reason as [`vfs`], re-exported here as the
+/// framework-level name.
 pub use ceg_graph::sync;
 
 pub use ceg::{Aggr, Ceg, CegEdge, Heuristic, PathLen};
-pub use ceg_m::{molp_bound, molp_lp_bound, molp_min_path, MolpInstance};
 pub use ceg_o::CegO;
-pub use ceg_ocr::build_ceg_ocr;
 pub use trace::{SpanStart, Trace};

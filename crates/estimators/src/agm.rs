@@ -10,10 +10,10 @@
 //! MOLP refines AGM with degree information, so `MOLP ≤ AGM` always
 //! (verified by tests). Solved through the covering dual in [`crate::lp`].
 
-use ceg_catalog::DegreeStats;
 use ceg_query::QueryGraph;
 
 use crate::lp;
+use crate::DegreeStats;
 
 /// The AGM bound in linear space.
 pub fn agm_bound(query: &QueryGraph, stats: &DegreeStats) -> f64 {

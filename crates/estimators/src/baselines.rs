@@ -1,11 +1,11 @@
 //! Baseline summary-based estimators: Characteristic Sets, SumRDF-style
 //! summaries, and the RDF-3X default estimator (Sections 6.4, 6.6).
 
-use ceg_catalog::{CharacteristicSets, SummaryGraph};
 use ceg_graph::LabelId;
 use ceg_query::{QueryGraph, VarId};
 
 use crate::traits::CardinalityEstimator;
+use crate::{CharacteristicSets, SummaryGraph};
 
 /// Characteristic Sets estimator (Neumann & Moerkotte).
 ///

@@ -16,14 +16,14 @@
 //!   pre-stores them in the Markov table, Section 5.2.2 — same values).
 
 use ceg_catalog::MarkovTable;
+use ceg_core::ceg::PathLen;
+use ceg_core::ceg_o::CegO;
 use ceg_exec::{count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use ceg_graph::hash::bucket_of;
 use ceg_graph::{FxHashMap, LabeledGraph};
 use ceg_query::{EdgeMask, QueryGraph, VarId};
 
-use crate::ceg::PathLen;
 use crate::ceg_m::{molp_bound, molp_min_path, AttrMask, BaseDeg, MolpInstance};
-use crate::ceg_o::CegO;
 
 /// Mask of join variables (variables incident to ≥ 2 query edges).
 fn join_vars_mask(query: &QueryGraph) -> AttrMask {
@@ -302,7 +302,7 @@ impl EdgePartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ceg::{Aggr, Heuristic};
+    use ceg_core::ceg::{Aggr, Heuristic};
     use ceg_exec::count;
     use ceg_graph::GraphBuilder;
     use rand::rngs::StdRng;

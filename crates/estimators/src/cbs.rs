@@ -12,8 +12,9 @@
 //! (Appendix C gives a counterexample, reproduced in our tests). Both
 //! facts are verified in this module's test suite.
 
-use ceg_catalog::DegreeStats;
 use ceg_query::{QueryGraph, VarId};
+
+use crate::DegreeStats;
 
 /// One coverage: for each query edge, which of its attributes it covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,12 +12,12 @@
 //! This module materializes CEG_D explicitly (query attribute counts are
 //! tiny) and verifies both theorems.
 
-use ceg_catalog::DegreeStats;
+use ceg_core::ceg::{extremum, Ceg, CegEdge, PathLen};
 use ceg_query::QueryGraph;
 
-use crate::ceg::{extremum, Ceg, CegEdge, PathLen};
 use crate::ceg_m::AttrMask;
 use crate::dbplp::CoverAttrs;
+use crate::DegreeStats;
 
 /// Explicit CEG_D for a query under a cover: a generic [`Ceg`] whose node
 /// ids are attribute masks (bottom `∅`, top `A`) and whose edges `W → W ∪

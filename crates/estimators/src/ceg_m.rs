@@ -14,12 +14,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use ceg_catalog::DegreeStats;
 use ceg_exec::VarConstraints;
 use ceg_graph::{FxHashMap, LabeledGraph};
 use ceg_query::{Pattern, QueryGraph, VarId};
 
 use crate::lp;
+use crate::DegreeStats;
 
 /// Subset of query attributes (variables), bit `v` = variable `v`.
 pub type AttrMask = u32;
@@ -546,7 +546,7 @@ mod tests {
         let g = toy();
         let q = templates::path(3, &[0, 1, 2]);
         let queries = [q.clone()];
-        let stats = ceg_catalog::DegreeStats::build_with_joins(&g, &queries, 1 << 20);
+        let stats = crate::DegreeStats::build_with_joins(&g, &queries, 1 << 20);
         let base_inst = MolpInstance::from_stats(&q, &stats, false);
         let join_inst = MolpInstance::from_stats(&q, &stats, true);
         let base_bound = molp_bound(&base_inst);
@@ -578,7 +578,7 @@ mod tests {
         let g = toy();
         let q = templates::path(3, &[0, 1, 2]);
         let queries = [q.clone()];
-        let stats = ceg_catalog::DegreeStats::build_with_joins(&g, &queries, 1 << 20);
+        let stats = crate::DegreeStats::build_with_joins(&g, &queries, 1 << 20);
         let inst = MolpInstance::from_stats(&q, &stats, true);
         let dij = molp_bound(&inst);
         let lp = molp_lp_bound(&inst, false);

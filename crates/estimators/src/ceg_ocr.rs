@@ -7,11 +7,12 @@
 //! rate with the sampled closing probability `P(E_{i-1} * E_{i+1} | E_i)`
 //! from a [`CcrTable`].
 
-use ceg_catalog::{CcrTable, MarkovTable};
+use ceg_catalog::MarkovTable;
+use ceg_core::ceg_o::CegO;
 use ceg_query::cycles::simple_cycles;
 use ceg_query::{EdgeMask, QueryGraph};
 
-use crate::ceg_o::CegO;
+use crate::CcrTable;
 
 /// Build the CEG_OCR of `query`. Cycle-closing single-edge extensions that
 /// close a cycle longer than `table.h()` take their rate from `ccr`;
@@ -70,8 +71,8 @@ pub fn closing_edges(query: &QueryGraph, h: usize) -> EdgeMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ceg::{Aggr, Heuristic, PathLen};
-    use crate::ceg_o::CegO;
+    use ceg_core::ceg::{Aggr, Heuristic, PathLen};
+    use ceg_core::ceg_o::CegO;
     use ceg_exec::count;
     use ceg_graph::{GraphBuilder, LabeledGraph};
     use ceg_query::templates;

@@ -14,10 +14,10 @@
 //! We solve the LP through its covering dual (see [`crate::lp`]) and test
 //! the corollary.
 
-use ceg_catalog::DegreeStats;
 use ceg_query::{QueryGraph, VarId};
 
 use crate::lp;
+use crate::DegreeStats;
 
 /// A DBPLP cover: per query edge, which of its attributes participate.
 /// (`None` = the relation is outside the cover.)

@@ -149,7 +149,7 @@ fn hash_join(l: &Table, r: &Table, row_budget: usize) -> Option<Table> {
 mod tests {
     use super::*;
     use crate::optimizer::{optimize, Plan};
-    use ceg_estimators::CardinalityEstimator;
+    use crate::CardinalityEstimator;
     use ceg_exec::count;
     use ceg_graph::GraphBuilder;
     use ceg_query::templates;

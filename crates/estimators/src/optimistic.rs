@@ -1,14 +1,14 @@
 //! The optimistic estimators: CEG_O / CEG_OCR heuristics, the bound-sketch
 //! variant, and the P* oracle.
 
-use ceg_catalog::{CcrTable, MarkovTable};
-use ceg_core::ceg_ocr::build_ceg_ocr;
-use ceg_core::{bound_sketch, oracle, Aggr, CegO, Heuristic, PathLen};
+use ceg_catalog::MarkovTable;
+use ceg_core::{Aggr, CegO, Heuristic, PathLen};
 use ceg_graph::LabeledGraph;
 use ceg_query::cycles::has_large_cycle;
 use ceg_query::QueryGraph;
 
 use crate::traits::CardinalityEstimator;
+use crate::{bound_sketch, build_ceg_ocr, oracle, CcrTable};
 
 /// One of the nine optimistic estimators over CEG_O (or CEG_OCR when the
 /// query has a cycle longer than the Markov table and closing rates are
@@ -53,12 +53,9 @@ impl<'a> OptimisticEstimator<'a> {
         }
     }
 
-    /// The paper's recommended default: `max-hop-max` (Section 6.2).
-    pub const RECOMMENDED: Heuristic = Heuristic::new(PathLen::MaxHop, Aggr::Max);
-
-    /// Estimator on CEG_O with the [`Self::RECOMMENDED`] heuristic.
+    /// Estimator on CEG_O with the [`Heuristic::RECOMMENDED`] heuristic.
     pub fn recommended(table: &'a MarkovTable) -> Self {
-        Self::new(table, Self::RECOMMENDED)
+        Self::new(table, Heuristic::RECOMMENDED)
     }
 
     fn build_ceg(&self, query: &QueryGraph) -> CegO {
@@ -197,7 +194,7 @@ mod tests {
         let t = MarkovTable::build_for_query(&g, &q, 2);
         let truth = count(&g, &q) as f64;
         let star = pstar_estimate(&q, &t, None, truth).unwrap();
-        let star_err = ceg_core::oracle::qerror(star, truth);
+        let star_err = crate::oracle::qerror(star, truth);
         for h in Heuristic::all() {
             if h.aggr == Aggr::Avg {
                 continue; // avg is not a single-path estimate
@@ -205,7 +202,7 @@ mod tests {
             let mut e = OptimisticEstimator::new(&t, h);
             if let Some(v) = e.estimate(&q) {
                 assert!(
-                    star_err <= ceg_core::oracle::qerror(v, truth) + 1e-9,
+                    star_err <= crate::oracle::qerror(v, truth) + 1e-9,
                     "P* {star} beaten by {} = {v} (truth {truth})",
                     h.name()
                 );

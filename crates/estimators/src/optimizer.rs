@@ -6,7 +6,7 @@
 //! of all intermediate (non-leaf) results — the metric reference \[12\] of
 //! the paper showed rewards accurate estimators.
 
-use ceg_estimators::CardinalityEstimator;
+use crate::CardinalityEstimator;
 use ceg_graph::FxHashMap;
 use ceg_query::{EdgeMask, QueryGraph};
 

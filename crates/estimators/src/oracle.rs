@@ -5,7 +5,7 @@
 //! closest (in q-error) to the true cardinality. Real estimators cannot do
 //! this — P* is the lower envelope any path-picking heuristic could reach.
 
-use crate::ceg::Ceg;
+use ceg_core::ceg::Ceg;
 
 /// Default cap on distinct per-node estimates during enumeration.
 pub const DEFAULT_CAP: usize = 100_000;
@@ -38,7 +38,7 @@ pub fn qerror(estimate: f64, truth: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ceg::CegEdge;
+    use ceg_core::ceg::CegEdge;
 
     fn diamond() -> Ceg {
         let e = |from, to, rate| CegEdge {
@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn oracle_dominates_every_heuristic() {
-        use crate::ceg::Heuristic;
+        use ceg_core::ceg::Heuristic;
         let c = diamond();
         for truth in [1.0, 6.0, 12.0, 50.0] {
             let star = qerror(oracle_estimate(&c, truth, 100).unwrap(), truth);
@@ -79,7 +79,7 @@ mod tests {
                 if let Some(est) = c.estimate(h) {
                     // avg-aggr may produce a value not on any single path,
                     // so compare only against the path-valued aggregators
-                    if h.aggr != crate::ceg::Aggr::Avg {
+                    if h.aggr != ceg_core::ceg::Aggr::Avg {
                         assert!(
                             star <= qerror(est, truth) + 1e-12,
                             "oracle beaten by {} at truth {truth}",

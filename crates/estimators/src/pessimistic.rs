@@ -1,11 +1,10 @@
 //! The pessimistic estimators: MOLP, CBS, and the sketched MOLP.
 
-use ceg_catalog::DegreeStats;
-use ceg_core::{bound_sketch, cbs, molp_bound, MolpInstance};
 use ceg_graph::LabeledGraph;
 use ceg_query::QueryGraph;
 
 use crate::traits::CardinalityEstimator;
+use crate::{bound_sketch, cbs, molp_bound, DegreeStats, MolpInstance};
 
 /// The MOLP bound as an estimator (Section 5.1). With `use_joins` the
 /// instance includes 2-edge-join degree statistics — a strict superset of

@@ -3,10 +3,10 @@
 //! The paper communicates its framework through CEG drawings (Figures 3,
 //! 4, 6, 7); this module produces the same pictures from live objects.
 
+use ceg_core::ceg_o::CegO;
 use ceg_query::QueryGraph;
 
 use crate::ceg_m::{MolpStep, RelRef};
-use crate::ceg_o::CegO;
 
 /// Graphviz DOT of a CEG_O (or CEG_OCR — same structure). Nodes are
 /// labeled with their sub-query edge sets, edges with their rates.

@@ -1,15 +1,16 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint` (or `cegcli lint`). Four lints, each enforcing an
+//! `cargo xtask lint` (or `cegcli lint`). Five lints, each enforcing an
 //! invariant the service's PRs established by convention:
 //!
 //! | lint | invariant |
 //! |---|---|
-//! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `ceg-core`/`vendor` — all locks carry a `ceg_core::sync::LockRank` |
+//! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `vendor` — all locks carry a `ceg_core::sync::LockRank` |
 //! | `panic-path` | no `unwrap`/`expect`/panic macros/indexing in non-test request-path code |
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-service` — writes go through `vfs::Storage` |
+//! | `service-closure` | `ceg-service` links only the served crates (see [`closure`]) |
 //!
 //! Exceptions live in `ceg-lint.allow` at the repo root; every entry
 //! needs a justification comment and entries that stop suppressing
@@ -20,6 +21,7 @@
 //! offline with the rest of the workspace.
 
 pub mod allowlist;
+pub mod closure;
 pub mod lexer;
 pub mod lints;
 
@@ -32,9 +34,8 @@ pub const ALLOW_FILE: &str = "ceg-lint.allow";
 
 /// Which lints apply to a repo-relative (forward-slash) path.
 ///
-/// * `lock-discipline` — everywhere except `ceg-core` (whose `sync`
-///   module physically lives in `crates/graph/src/sync.rs` and is
-///   allowlisted there) and the vendored stand-ins;
+/// * `lock-discipline` — everywhere except the vendored stand-ins (the
+///   `sync` module that wraps the std primitives is allowlisted);
 /// * `panic-path` — the service crate (handlers, protocol/client
 ///   parsers) plus the WAL and snapshot codecs that parse on-disk
 ///   bytes;
@@ -45,7 +46,7 @@ pub fn classify(rel: &str) -> LintSet {
         return LintSet::default();
     }
     LintSet {
-        lock: !rel.starts_with("crates/core/") && !rel.starts_with("vendor/"),
+        lock: !rel.starts_with("vendor/"),
         panic: rel.starts_with("crates/service/src/")
             || rel == "crates/graph/src/wal.rs"
             || rel == "crates/graph/src/snapshot.rs",
@@ -61,7 +62,9 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 }
 
 /// Run the whole-tree lint from `root`. Returns the surviving
-/// diagnostics (empty = clean) and the number of files scanned.
+/// diagnostics (empty = clean) and the number of files scanned. The
+/// `service-closure` diagnostics bypass the allowlist: the boundary has
+/// no exceptions.
 pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let allow_text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
     let allow = allowlist::parse(ALLOW_FILE, &allow_text);
@@ -85,6 +88,7 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
         raw.extend(lints::lint_source(&rel, &src, set));
     }
     let mut out = allowlist::apply(ALLOW_FILE, &allow, raw, true);
+    out.extend(closure::check(root)?);
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok((out, scanned))
 }

@@ -31,7 +31,8 @@ impl LintSet {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Lint identifier (`lock-discipline`, `panic-path`, `typed-reply`,
-    /// `durability-seam`, or `allowlist` for allowlist hygiene).
+    /// `durability-seam`, `service-closure`, or `allowlist` for
+    /// allowlist hygiene).
     pub lint: &'static str,
     /// Repo-relative path of the offending file.
     pub path: String,
@@ -61,6 +62,7 @@ pub const LOCK: &str = "lock-discipline";
 pub const PANIC: &str = "panic-path";
 pub const TYPED_REPLY: &str = "typed-reply";
 pub const DURABILITY: &str = "durability-seam";
+pub const SERVICE_CLOSURE: &str = "service-closure";
 pub const ALLOWLIST: &str = "allowlist";
 
 /// Keywords that may legally precede a `[` without it being an index
@@ -276,8 +278,8 @@ fn run_matchers(
             out.push(diag(
                 LOCK,
                 format!(
-                    "raw `std::sync::{name}` outside `ceg-core`; use \
-                     `ceg_core::sync::Ordered{name}` with a declared `LockRank`"
+                    "raw `std::sync::{name}`; use `ceg_core::sync::Ordered{name}` \
+                     with a declared `LockRank`"
                 ),
             ));
         }

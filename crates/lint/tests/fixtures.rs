@@ -170,6 +170,21 @@ fn typed_reply_only_applies_to_connection_handlers() {
     );
 }
 
+#[test]
+fn service_closure_catches_an_offline_dependency() {
+    // Served keys in both spellings pass; the offline crate in a comment
+    // and under `[dev-dependencies]` does not fire, under
+    // `[dependencies]` it does, once.
+    let diags = ceg_lint::closure::lint_manifest(
+        "crates/service/Cargo.toml",
+        include_str!("fixtures/service_closure.toml"),
+    );
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].lint, "service-closure");
+    assert_eq!(diags[0].line, 9, "{}", diags[0]);
+    assert!(diags[0].msg.contains("`ceg-estimators`"), "{}", diags[0]);
+}
+
 // ---- allowlist hygiene -------------------------------------------------
 
 #[test]

@@ -28,8 +28,7 @@ use std::time::{Duration, Instant};
 use ceg_core::ceg_o::DeadlinePassed;
 use ceg_core::sync::{self, LockRank, OrderedMutex};
 use ceg_core::trace::Trace;
-use ceg_core::CegO;
-use ceg_estimators::OptimisticEstimator;
+use ceg_core::{CegO, Heuristic};
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::QueryGraph;
 
@@ -576,7 +575,7 @@ impl Engine {
             // A degenerate catalog (zero-count patterns dividing each
             // other) can surface NaN/inf; that is "cannot answer", never
             // a number we put on the wire.
-            let recommended = OptimisticEstimator::RECOMMENDED;
+            let recommended = Heuristic::RECOMMENDED;
             match CegO::estimate_resolved(query, &resolved, recommended, ctx.deadline) {
                 Err(DeadlinePassed) => None,
                 Ok(Some(v)) if !v.is_finite() => {

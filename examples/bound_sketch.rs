@@ -7,8 +7,8 @@
 //! ```
 
 use cegraph::catalog::MarkovTable;
-use cegraph::core::bound_sketch::{molp_sketch_bound, optimistic_sketch_estimate};
 use cegraph::core::PathLen;
+use cegraph::estimators::bound_sketch::{molp_sketch_bound, optimistic_sketch_estimate};
 use cegraph::exec::count;
 use cegraph::query::templates;
 use cegraph::workload::Dataset;

@@ -6,9 +6,10 @@
 //! cargo run --example cyclic_queries
 //! ```
 
-use cegraph::catalog::{CcrTable, MarkovTable};
-use cegraph::core::ceg_ocr::build_ceg_ocr;
+use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
+use cegraph::estimators::ceg_ocr::build_ceg_ocr;
+use cegraph::estimators::CcrTable;
 use cegraph::exec::count;
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::templates;

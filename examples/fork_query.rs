@@ -6,8 +6,9 @@
 //! cargo run --example fork_query
 //! ```
 
-use cegraph::catalog::{DegreeStats, MarkovTable};
-use cegraph::core::{molp_bound, molp_lp_bound, Aggr, CegO, Heuristic, MolpInstance, PathLen};
+use cegraph::catalog::MarkovTable;
+use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
+use cegraph::estimators::{molp_bound, molp_lp_bound, DegreeStats, MolpInstance};
 use cegraph::exec::count;
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::templates;

@@ -7,8 +7,8 @@
 
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, Heuristic, PathLen};
+use cegraph::estimators::planner::{execute_plan, optimize};
 use cegraph::estimators::{OptimisticEstimator, Rdf3xDefaultEstimator};
-use cegraph::planner::{execute_plan, optimize};
 use cegraph::query::templates;
 use cegraph::workload::Dataset;
 

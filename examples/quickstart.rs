@@ -70,6 +70,6 @@ fn main() {
     println!("true cardinality:     {truth}");
     println!(
         "q-error:              {:.2}",
-        cegraph::core::oracle::qerror(estimate, truth as f64)
+        cegraph::estimators::oracle::qerror(estimate, truth as f64)
     );
 }

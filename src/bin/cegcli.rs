@@ -36,9 +36,9 @@ use std::sync::Arc;
 
 use cegraph::catalog::io::{load_markov, save_markov};
 use cegraph::catalog::MarkovTable;
-use cegraph::core::render::{ceg_o_to_dot, molp_path_to_string};
-use cegraph::core::{molp_min_path, Aggr, CegO, Heuristic, MolpInstance, PathLen};
-use cegraph::estimators::{CardinalityEstimator, OptimisticEstimator};
+use cegraph::core::{CegO, Heuristic};
+use cegraph::estimators::render::{ceg_o_to_dot, molp_path_to_string};
+use cegraph::estimators::{molp_min_path, CardinalityEstimator, MolpInstance, OptimisticEstimator};
 use cegraph::graph::io::{load_graph, save_graph};
 use cegraph::service::{Client, DatasetRegistry, Server, ServerConfig};
 use cegraph::workload::io::{load_workload, save_workload};
@@ -412,7 +412,7 @@ fn estimate(args: &[String]) -> CmdResult {
     let workload_path = arg(args, 1, "workload path")?;
     let heuristic = match args.get(3) {
         Some(name) => parse_heuristic(name)?,
-        None => Heuristic::new(PathLen::MaxHop, Aggr::Max),
+        None => Heuristic::RECOMMENDED,
     };
     let g = load_graph(graph_path).map_err(CmdError::runtime)?;
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;

@@ -12,7 +12,6 @@ pub use ceg_core as core;
 pub use ceg_estimators as estimators;
 pub use ceg_exec as exec;
 pub use ceg_graph as graph;
-pub use ceg_planner as planner;
 pub use ceg_query as query;
 pub use ceg_service as service;
 pub use ceg_workload as workload;

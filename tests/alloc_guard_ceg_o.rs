@@ -25,8 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cegraph::catalog::MarkovTable;
-use cegraph::core::CegO;
-use cegraph::estimators::OptimisticEstimator;
+use cegraph::core::{CegO, Heuristic};
 use cegraph::graph::GraphBuilder;
 use cegraph::query::templates;
 
@@ -88,15 +87,14 @@ fn ceg_o_build_allocates_a_constant_number_of_times() {
         );
 
         let before = ALLOCS.load(Ordering::SeqCst);
-        let estimate = ceg.ceg().estimate(OptimisticEstimator::RECOMMENDED);
+        let estimate = ceg.ceg().estimate(Heuristic::RECOMMENDED);
         let calls = ALLOCS.load(Ordering::SeqCst) - before;
         assert!(estimate.is_some(), "star({k})");
         assert_eq!(calls, 1, "Ceg::estimate on star({k})");
 
         let resolved = table.resolve(&q).expect("far below the subset limit");
         let before = ALLOCS.load(Ordering::SeqCst);
-        let streamed =
-            CegO::estimate_resolved(&q, &resolved, OptimisticEstimator::RECOMMENDED, None);
+        let streamed = CegO::estimate_resolved(&q, &resolved, Heuristic::RECOMMENDED, None);
         let calls = ALLOCS.load(Ordering::SeqCst) - before;
         assert_eq!(streamed, Ok(estimate), "star({k})");
         assert_eq!(

@@ -15,9 +15,9 @@
 
 use std::fmt::Write as _;
 
-use cegraph::catalog::{CcrTable, MarkovTable};
+use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
-use cegraph::estimators::{pstar_estimate, CardinalityEstimator, OptimisticEstimator};
+use cegraph::estimators::{pstar_estimate, CardinalityEstimator, CcrTable, OptimisticEstimator};
 use cegraph::workload::{Dataset, Workload};
 
 const FIXTURE: &str = concat!(

@@ -2,13 +2,14 @@
 //! statistics → every estimator → report rendering, plus cross-crate
 //! invariants the paper's evaluation relies on.
 
-use cegraph::catalog::{CharacteristicSets, DegreeStats, MarkovTable, SummaryGraph};
+use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, Heuristic, PathLen};
+use cegraph::estimators::planner::{execute_plan, optimize};
 use cegraph::estimators::{
-    CardinalityEstimator, CbsEstimator, CsEstimator, MolpEstimator, OptimisticEstimator,
-    Rdf3xDefaultEstimator, SketchedMolp, SketchedOptimistic, SumRdfEstimator, WanderJoinEstimator,
+    CardinalityEstimator, CbsEstimator, CharacteristicSets, CsEstimator, DegreeStats,
+    MolpEstimator, OptimisticEstimator, Rdf3xDefaultEstimator, SketchedMolp, SketchedOptimistic,
+    SumRdfEstimator, SummaryGraph, WanderJoinEstimator,
 };
-use cegraph::planner::{execute_plan, optimize};
 use cegraph::workload::runner::{render_table, run_estimators};
 use cegraph::workload::{Dataset, Workload};
 
@@ -87,8 +88,8 @@ fn max_hop_max_beats_min_hop_min_on_acyclic() {
         let (Some(a), Some(b)) = (mm.estimate(&wq.query), nn.estimate(&wq.query)) else {
             continue;
         };
-        mm_err += cegraph::core::oracle::qerror(a, wq.truth).log10();
-        nn_err += cegraph::core::oracle::qerror(b, wq.truth).log10();
+        mm_err += cegraph::estimators::oracle::qerror(a, wq.truth).log10();
+        nn_err += cegraph::estimators::oracle::qerror(b, wq.truth).log10();
         n += 1;
     }
     assert!(n > 0);
@@ -205,4 +206,34 @@ fn serve_refuses_an_edge_list_with_an_id_past_its_type() {
         stderr.contains("line 2: field `src` out of range"),
         "stderr: {stderr}"
     );
+}
+
+/// A workload line whose edge names a variable past `num_vars` is refused
+/// where the file is read: `cegcli estimate` exits 1 with the line, not a
+/// panic out of `QueryGraph::new`.
+#[test]
+fn estimate_refuses_a_workload_edge_outside_its_variables() {
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let edges = dir.join(format!("ceg-bad-wl-{tag}.edges"));
+    let workload = dir.join(format!("ceg-bad-wl-{tag}.wl"));
+    std::fs::write(&edges, "0 1 0\n1 2 0\n").unwrap();
+    std::fs::write(&workload, "ok 1 2 1 0 1 0\nt 5 2 1 0 7 0\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        .args([
+            "estimate",
+            edges.to_str().unwrap(),
+            workload.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run cegcli estimate");
+    std::fs::remove_file(&edges).unwrap();
+    std::fs::remove_file(&workload).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 2: variable 7 outside 0..2"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

@@ -2,12 +2,11 @@
 //! Theorem 5.1, Proposition 5.1, Observation 3, Appendix B equivalence,
 //! Corollary D.1 and the AGM relationships.
 
-use cegraph::catalog::DegreeStats;
-use cegraph::core::agm::agm_bound;
-use cegraph::core::bound_sketch::molp_sketch_bound;
-use cegraph::core::cbs::cbs_bound;
-use cegraph::core::dbplp::dbplp_bound_default;
-use cegraph::core::{molp_bound, molp_lp_bound, MolpInstance};
+use cegraph::estimators::agm::agm_bound;
+use cegraph::estimators::bound_sketch::molp_sketch_bound;
+use cegraph::estimators::cbs::cbs_bound;
+use cegraph::estimators::dbplp::dbplp_bound_default;
+use cegraph::estimators::{molp_bound, molp_lp_bound, DegreeStats, MolpInstance};
 use cegraph::exec::count;
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::cycles::is_acyclic;

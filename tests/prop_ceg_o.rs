@@ -3,8 +3,8 @@
 //! orderings, oracle dominance, and statistics consistency.
 
 use cegraph::catalog::MarkovTable;
-use cegraph::core::oracle::qerror;
 use cegraph::core::{Aggr, CegO, Heuristic, PathLen};
+use cegraph::estimators::oracle::qerror;
 use cegraph::estimators::pstar_estimate;
 use cegraph::exec::{count, count_budgeted, CountBudget, VarConstraint, VarConstraints};
 use cegraph::graph::{GraphBuilder, LabeledGraph};

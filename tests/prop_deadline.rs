@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use cegraph::catalog::MarkovTable;
-use cegraph::core::CegO;
-use cegraph::estimators::OptimisticEstimator;
+use cegraph::core::{CegO, Heuristic};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryGraph};
 use cegraph::service::{Client, DatasetRegistry, Engine, QueryReply, Server, ServerConfig};
@@ -253,7 +252,7 @@ fn a_sixteen_edge_star_times_out_inside_the_estimate() {
     let table = MarkovTable::build_for_query(&toy_graph(), &star, 2);
     let materialised = CegO::build(&star, &table)
         .ceg()
-        .estimate(OptimisticEstimator::RECOMMENDED);
+        .estimate(Heuristic::RECOMMENDED);
     match client.estimate_with_deadline("default", &star, None) {
         Ok(QueryReply::Estimate(est)) => {
             assert_eq!(est.value.map(f64::to_bits), materialised.map(f64::to_bits));

@@ -2,10 +2,10 @@
 //! estimator must execute to the same (correct) output, and the DP
 //! optimizer is cost-optimal within its search space.
 
+use cegraph::estimators::planner::{execute_plan, optimize, optimize_greedy, optimize_left_deep};
 use cegraph::estimators::CardinalityEstimator;
 use cegraph::exec::count;
 use cegraph::graph::{GraphBuilder, LabeledGraph};
-use cegraph::planner::{execute_plan, optimize, optimize_greedy, optimize_left_deep};
 use cegraph::query::{templates, QueryGraph};
 use proptest::prelude::*;
 
