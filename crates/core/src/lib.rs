@@ -44,21 +44,6 @@ pub mod ceg;
 pub mod ceg_o;
 pub mod trace;
 
-/// The storage seam (`trait Storage` + `OsStorage`/`FaultStorage`) the
-/// snapshot and WAL paths are written against. The module physically
-/// lives in `ceg-graph` — next to the codecs that consume it, below
-/// this crate in the dependency order — and is re-exported here as the
-/// framework-level name.
-pub use ceg_graph::vfs;
-
-/// Ranked lock wrappers (`OrderedMutex`/`OrderedRwLock` + `LockRank`)
-/// enforcing the workspace-wide lock acquisition order; the only lock
-/// primitives the `ceg-lint` lock-discipline pass permits outside the
-/// module itself. Physically lives in `ceg-graph` for the same
-/// dependency-order reason as [`vfs`], re-exported here as the
-/// framework-level name.
-pub use ceg_graph::sync;
-
 pub use ceg::{Aggr, Ceg, CegEdge, Heuristic, PathLen};
 pub use ceg_o::CegO;
 pub use trace::{SpanStart, Trace};

@@ -32,9 +32,18 @@
 //! 64 KiB file buffer and the value being built, never the file or a
 //! section of it.
 //!
-//! Compatibility rules: an unknown *tag* is skipped (a newer writer can
-//! add sections without breaking older readers), an unknown *version* is
-//! rejected (the section payloads themselves may have changed shape).
+//! The `.cegwal` write-ahead log is the same container under its own
+//! [`Header`] (see [`crate::wal`]): one section per committed
+//! transaction, written with [`SnapshotWriter::appending`] and read with
+//! [`SnapshotReader::next_section`]. The frame and its checksum are
+//! defined here once; the header a reader checks and the name its errors
+//! use are passed in as data.
+//!
+//! Compatibility rules: an unknown *tag* is skipped by the snapshot
+//! reader (a newer writer can add sections without breaking older
+//! readers; the log, with one record kind, stops at one instead), an
+//! unknown *version* is rejected (the section payloads themselves may
+//! have changed shape).
 //! Every decode error — bad magic, truncation, checksum mismatch, a
 //! structurally invalid payload — surfaces as `io::ErrorKind::InvalidData`
 //! (or `UnexpectedEof`), never as a panic: snapshot files cross process
@@ -81,7 +90,36 @@ pub const TAG_MARKOV: [u8; 4] = *b"MRKV";
 pub const TAG_EPOCH: [u8; 4] = *b"EPOC";
 
 /// Bytes before the first section: magic and version.
-const HEADER: u64 = 8 + 4;
+pub const HEADER_LEN: u64 = 8 + 4;
+
+/// What a container's header says it is: the magic and format version
+/// it starts with, and the name its errors call it by. The frame code
+/// writes and reads every container this crate keeps from this
+/// description alone.
+pub struct Header {
+    /// The first 8 bytes of the file.
+    pub magic: [u8; 8],
+    /// The format version this build writes and reads, the next 4.
+    pub version: u32,
+    /// What errors call the file (`"snapshot"`, `"WAL"`).
+    pub kind: &'static str,
+}
+
+impl Header {
+    /// The header as it is on disk: the magic, then the version.
+    pub fn bytes(&self) -> [u8; HEADER_LEN as usize] {
+        let [m0, m1, m2, m3, m4, m5, m6, m7] = self.magic;
+        let [v0, v1, v2, v3] = self.version.to_le_bytes();
+        [m0, m1, m2, m3, m4, m5, m6, m7, v0, v1, v2, v3]
+    }
+}
+
+/// The header of a `.cegsnap`.
+pub const SNAPSHOT: Header = Header {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+    kind: "snapshot",
+};
 
 /// Bytes framing a section's payload: tag, length, checksum.
 const SECTION_FRAME: u64 = 4 + 8 + 8;
@@ -194,7 +232,7 @@ impl<T: Read> Read for Checksummed<'_, T> {
     }
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -302,11 +340,16 @@ pub struct SnapshotWriter<W: Write> {
 }
 
 impl<W: Write> SnapshotWriter<W> {
-    /// Write the magic + version header and return the section writer.
+    /// Write the `.cegsnap` header and return the section writer.
     pub fn new(mut inner: W) -> io::Result<Self> {
-        inner.write_all(&MAGIC)?;
-        inner.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        Ok(SnapshotWriter { inner })
+        inner.write_all(&SNAPSHOT.bytes())?;
+        Ok(SnapshotWriter::appending(inner))
+    }
+
+    /// A section writer for bytes that go after a header already in
+    /// place: the records the write-ahead log appends.
+    pub fn appending(inner: W) -> Self {
+        SnapshotWriter { inner }
     }
 
     /// Append one checksummed section whose payload is the `len` bytes
@@ -329,7 +372,7 @@ impl<W: Write> SnapshotWriter<W> {
         let sum = body.sum;
         if sum.fed() != len {
             return Err(bad(format!(
-                "snapshot section {} declared {len} bytes, {} were written",
+                "section {} declared {len} bytes, {} were written",
                 String::from_utf8_lossy(&tag),
                 sum.fed()
             )));
@@ -359,34 +402,50 @@ pub struct SnapshotReader<R: Read> {
     inner: R,
     /// Bytes of the source after the last section read.
     left: u64,
+    /// What errors call the file: [`Header::kind`].
+    kind: &'static str,
 }
 
 impl<R: Read> SnapshotReader<R> {
-    /// Check the magic + version header of a source holding `len` bytes.
-    /// A version this build does not know is an error (payload layouts
-    /// may differ), not a best-effort read.
-    pub fn new(mut inner: R, len: u64) -> io::Result<Self> {
+    /// Check the `.cegsnap` header of a source holding `len` bytes.
+    pub fn new(inner: R, len: u64) -> io::Result<Self> {
+        SnapshotReader::with_header(inner, len, &SNAPSHOT)
+    }
+
+    /// Check that a source holding `len` bytes starts with `header`. A
+    /// version this build does not know is an error (payload layouts may
+    /// differ), not a best-effort read.
+    pub fn with_header(mut inner: R, len: u64, header: &Header) -> io::Result<Self> {
+        let kind = header.kind;
         let mut magic = [0u8; 8];
         inner
             .read_exact(&mut magic)
-            .map_err(|_| bad("not a snapshot: file shorter than the magic"))?;
-        if magic != MAGIC {
-            return Err(bad("not a snapshot: bad magic"));
+            .map_err(|_| bad(format!("not a {kind}: file shorter than the magic")))?;
+        if magic != header.magic {
+            return Err(bad(format!("not a {kind}: bad magic")));
         }
         let mut version = [0u8; 4];
         inner
             .read_exact(&mut version)
-            .map_err(|_| bad("truncated snapshot: missing format version"))?;
+            .map_err(|_| bad(format!("truncated {kind}: missing format version")))?;
         let version = u32::from_le_bytes(version);
-        if version != FORMAT_VERSION {
+        if version != header.version {
             return Err(bad(format!(
-                "snapshot format version {version} is not supported (this build reads {FORMAT_VERSION})"
+                "{kind} format version {version} is not supported (this build reads {})",
+                header.version
             )));
         }
         Ok(SnapshotReader {
             inner,
-            left: len.saturating_sub(HEADER),
+            left: len.saturating_sub(HEADER_LEN),
+            kind,
         })
+    }
+
+    /// Bytes of the source after the last section read: where the next
+    /// one starts is the source's length less this.
+    pub fn left(&self) -> u64 {
+        self.left
     }
 
     /// Hand the next section's tag and payload to `decode` and return
@@ -404,10 +463,11 @@ impl<R: Read> SnapshotReader<R> {
         if self.left == 0 {
             return Ok(None);
         }
+        let kind = self.kind;
         let room = self
             .left
             .checked_sub(SECTION_FRAME)
-            .ok_or_else(|| bad("truncated snapshot: partial section header"))?;
+            .ok_or_else(|| bad(format!("truncated {kind}: partial section header")))?;
         let mut tag = [0u8; 4];
         self.inner.read_exact(&mut tag)?;
         let mut len = [0u8; 8];
@@ -416,7 +476,7 @@ impl<R: Read> SnapshotReader<R> {
         let name = String::from_utf8_lossy(&tag);
         if len > room {
             return Err(bad(format!(
-                "truncated snapshot: section {name} claims {len} bytes, file holds {room}"
+                "truncated {kind}: section {name} claims {len} bytes, file holds {room}"
             )));
         }
         let mut body = PayloadReader {
@@ -433,7 +493,7 @@ impl<R: Read> SnapshotReader<R> {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 format!(
-                    "truncated snapshot: section {name} ends after {} of {len} bytes",
+                    "truncated {kind}: section {name} ends after {} of {len} bytes",
                     sum.fed()
                 ),
             ));
@@ -441,17 +501,17 @@ impl<R: Read> SnapshotReader<R> {
         let mut checksum = [0u8; 8];
         self.inner.read_exact(&mut checksum)?;
         if u64::from_le_bytes(checksum) != sum.finish() {
-            return Err(bad(format!("snapshot section {name} failed its checksum")));
+            return Err(bad(format!("{kind} section {name} failed its checksum")));
         }
         self.left = room - len;
         Ok(Some(value))
     }
 }
 
-/// Little-endian cursor over a payload: a section's, streamed from the
-/// file ([`SectionBody`]), or a WAL record's, in memory. Every read is
-/// checked against the bytes the payload has left, so decoding a corrupt
-/// payload errors instead of panicking or over-allocating.
+/// Little-endian cursor over one section's payload ([`SectionBody`]).
+/// Every read is checked against the bytes the payload has left, so
+/// decoding a corrupt payload errors instead of panicking or
+/// over-allocating.
 pub struct PayloadReader<R> {
     /// The payload bytes not yet consumed, and no byte past them.
     inner: io::Take<R>,
@@ -463,19 +523,6 @@ impl<'a> PayloadReader<&'a [u8]> {
         PayloadReader {
             inner: buf.take(buf.len() as u64),
         }
-    }
-
-    /// The next `n` bytes, borrowed from the payload instead of copied.
-    pub fn slice(&mut self, n: u64, what: &str) -> io::Result<&'a [u8]> {
-        self.ensure(n, what)?;
-        let rest = self.inner.get_mut();
-        let (head, tail) = usize::try_from(n)
-            .ok()
-            .and_then(|n| rest.split_at_checked(n))
-            .ok_or_else(|| bad(format!("{what}: {n} bytes are past the buffer")))?;
-        *rest = tail;
-        self.inner.set_limit(self.remaining() - n);
-        Ok(head)
     }
 }
 
@@ -502,41 +549,18 @@ impl<R: Read> PayloadReader<R> {
         usize::try_from(self.remaining() / width).unwrap_or(usize::MAX)
     }
 
-    /// The next `n` bytes must exist before anything is read (or
-    /// allocated) for them.
-    fn ensure(&self, n: u64, what: &str) -> io::Result<()> {
-        if n > self.remaining() {
+    /// The next 8 bytes as a little-endian `u64`; they must exist before
+    /// any is read.
+    pub fn u64(&mut self, what: &str) -> io::Result<u64> {
+        if self.remaining() < 8 {
             return Err(bad(format!(
-                "truncated payload: {what} needs {n} bytes, {} remain",
+                "truncated payload: {what} needs 8 bytes, {} remain",
                 self.remaining()
             )));
         }
-        Ok(())
-    }
-
-    /// The one fixed-width read every integer below decodes from; a tag
-    /// or a magic number is read with it as is.
-    pub fn array<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
-        self.ensure(N as u64, what)?;
-        let mut bytes = [0u8; N];
+        let mut bytes = [0u8; 8];
         self.inner.read_exact(&mut bytes)?;
-        Ok(bytes)
-    }
-
-    pub fn u8(&mut self, what: &str) -> io::Result<u8> {
-        Ok(u8::from_le_bytes(self.array(what)?))
-    }
-
-    pub fn u16(&mut self, what: &str) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.array(what)?))
-    }
-
-    pub fn u32(&mut self, what: &str) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.array(what)?))
-    }
-
-    pub fn u64(&mut self, what: &str) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.array(what)?))
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// A `u64` that must fit a (bounded) in-memory count.
@@ -1568,7 +1592,7 @@ mod tests {
         let new = fs.read(path).unwrap();
         assert_eq!(
             new.len() as u64,
-            HEADER + SECTION_FRAME + payload.len() as u64
+            HEADER_LEN + SECTION_FRAME + payload.len() as u64
         );
 
         for crash_at in 0..ops {

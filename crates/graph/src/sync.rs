@@ -17,10 +17,9 @@
 //! `rank_checks_compile_out`), and `lock()`/`read()`/`write()` reduce
 //! to the std call plus a poison check.
 //!
-//! Like [`crate::vfs`], this module physically lives in `ceg-graph` —
-//! the root of the workspace dependency graph, so every crate can use
-//! it — and is re-exported as `ceg_core::sync`, the framework-level
-//! name the rest of the codebase imports.
+//! Like [`crate::vfs`], this module lives in `ceg-graph` — the root of
+//! the workspace dependency graph, so every crate can use it — and the
+//! rest of the codebase imports it from here as `ceg_graph::sync`.
 //!
 //! Poisoning: `lock()`/`read()`/`write()` panic on a poisoned lock
 //! (matching the `.lock().unwrap()` idiom they replace), while the
@@ -172,7 +171,7 @@ mod checker {
                     panic!(
                         "lock-rank violation: acquiring {} at {} while \
                          holding {} acquired at {}; locks must be taken in \
-                         strictly ascending LockRank order (ceg_core::sync)",
+                         strictly ascending LockRank order (ceg_graph::sync)",
                         rank, site, worst.rank, worst.site
                     );
                 }

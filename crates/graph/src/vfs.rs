@@ -29,9 +29,9 @@
 //! only re-test `atomic_write`'s dir-fsync line, not the recovery
 //! logic.
 //!
-//! `ceg-core` re-exports this module as `ceg_core::vfs` (the dependency
-//! arrow points graph ← core, and the snapshot/WAL codecs that consume
-//! the seam live here in `ceg-graph`).
+//! The module lives in `ceg-graph`, next to the snapshot and WAL codecs
+//! that consume the seam, and every crate imports it from here as
+//! `ceg_graph::vfs`.
 
 use std::collections::BTreeMap;
 use std::io;

@@ -1,78 +1,66 @@
-//! The commit write-ahead log: an append-only `.cegwal` record log that
-//! makes an acked `COMMITTED` reply survive a crash.
+//! The commit write-ahead log: an append-only `.cegwal` file that makes
+//! an acked `COMMITTED` reply survive a crash.
 //!
-//! The file reuses the `.cegsnap` section idiom (see
-//! [`crate::snapshot`]) — a fixed header followed by checksummed,
-//! length-prefixed records:
+//! The file is the `.cegsnap` container (see [`crate::snapshot`]) under
+//! its own header, written and read by the same frame code — one
+//! checksummed section per committed transaction:
 //!
 //! ```text
 //! magic   8 bytes  b"CEGWAL\0\0"
-//! version u32 LE   format version (currently 1)
+//! version u32 LE   format version (currently 2)
 //! record*:
-//!   tag      4 bytes   b"BEGN" | b"EOPS" | b"CMIT" | future tags
+//!   tag      4 bytes   b"TXN "
 //!   len      u64 LE    payload length in bytes
-//!   payload  len bytes
-//!   checksum u64 LE    length-seeded FxHash64 of tag + payload
+//!   payload  len bytes u64 LE epoch, varint(op count), then per op
+//!                      varint(src) varint(dst) varint(label * 2 + del)
+//!   checksum u64 LE    length-seeded FxHash64 of the payload
 //! ```
 //!
-//! Unlike a snapshot section, the record checksum covers the **tag**
-//! too: a snapshot reader cross-checks its required-section set, but
-//! the WAL's only integrity story is the per-record checksum, and a
-//! bit-flipped tag must stop the scan rather than silently reclassify
-//! a record (e.g. turning `EOPS` into an ignorable unknown tag and
-//! committing a transaction without its operations).
-//!
-//! One committed transaction is the record run `BEGN(epoch)`,
-//! `EOPS(ops)`, `CMIT(epoch)` — the *effective* edge operations a
-//! commit applied, stamped with the epoch that commit produced. The
-//! writer appends all three records with one buffered write and one
-//! `fdatasync` per commit (fsync batched per `COMMIT`, never per op),
-//! and only after the sync returns does the server ack.
+//! A record holds the *effective* edge operations one commit applied,
+//! stamped with the epoch that commit produced. The writer appends it
+//! with one write and one `fdatasync` per commit (never per op), and only
+//! after the sync returns does the server ack.
 //!
 //! Reading is **prefix recovery**, not all-or-nothing like a snapshot:
-//! a crash legitimately leaves a torn or half-written tail, so
-//! [`scan`] walks records until the first sign of damage (truncation,
-//! checksum mismatch, a malformed payload, an out-of-order record, an
-//! epoch regression) and returns every transaction whose `CMIT` landed
-//! before it, plus the byte offset at which the file stops being
-//! trustworthy ([`WalScan::valid_len`]) and a human-readable diagnosis.
-//! A transaction missing its `CMIT` is *not* returned — its commit was
-//! never acked. Unknown record tags with valid checksums are skipped
-//! (same forward-compatibility rule as snapshot sections). Damage is
-//! never a panic, and a hostile length field can never force an
-//! allocation: the scanner only slices bytes that are actually present.
+//! a crash legitimately leaves a torn tail, so [`scan_bytes`] reads
+//! records until the first sign of damage (truncation, a checksum
+//! mismatch, a malformed payload, an unknown tag, an epoch regression)
+//! and returns every record before it, the byte offset at which the file
+//! stops being trustworthy ([`WalScan::valid_len`]) and a diagnosis
+//! naming that offset. With one record kind an unknown tag is damage,
+//! never a record to skip, so a flipped tag stops the scan without being
+//! in the checksum. Damage is never a panic, and a hostile length or op
+//! count can never force an allocation: each is held to the bytes the
+//! file has left first.
 //!
-//! [`scan`]: scan_bytes
+//! A log of any other version, 1 included, is refused and left as it
+//! is: this build has no reader for it.
 
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
-use crate::snapshot::PayloadReader;
+use crate::snapshot::{
+    bad, ChunkedReader, ChunkedWriter, Header, SectionBody, SnapshotReader, SnapshotWriter,
+    HEADER_LEN,
+};
 use crate::vfs::{Storage, StorageFile};
 use crate::{LabelId, VertexId};
 
-/// File magic: identifies a `.cegwal` log.
-pub const WAL_MAGIC: [u8; 8] = *b"CEGWAL\0\0";
-
-/// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+/// The header of a `.cegwal`.
+pub const WAL_HEADER: Header = Header {
+    magic: *b"CEGWAL\0\0",
+    version: 2,
+    kind: "WAL",
+};
 
 /// Header length: magic + version.
-pub const WAL_HEADER_LEN: u64 = 12;
+pub const WAL_HEADER_LEN: u64 = HEADER_LEN;
 
-/// Record tag: transaction start, payload = `u64` epoch.
-pub const TAG_BEGIN: [u8; 4] = *b"BEGN";
+/// Record tag: one committed transaction.
+pub const TAG_TX: [u8; 4] = *b"TXN ";
 
-/// Record tag: edge-operation run, payload = `u32` count + ops.
-pub const TAG_OPS: [u8; 4] = *b"EOPS";
-
-/// Record tag: transaction commit, payload = `u64` epoch (must equal
-/// the opening `BEGN`'s).
-pub const TAG_COMMIT: [u8; 4] = *b"CMIT";
-
-/// Encoded size of one edge operation: flags(1) + src(4) + dst(4) +
-/// label(2).
-const OP_BYTES: usize = 11;
+/// The fewest bytes an op is coded in: three one-byte varints.
+const MIN_OP_LEN: u64 = 3;
 
 /// One logged edge operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,17 +85,15 @@ pub struct WalTx {
 }
 
 /// What a [`scan_bytes`] recovered.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalScan {
-    /// Complete (`CMIT`-terminated) transactions, in log order.
+    /// Complete transactions, in log order.
     pub txs: Vec<WalTx>,
     /// Bytes of the file that are trustworthy: the header plus every
-    /// record up to and including the last complete transaction.
-    /// Re-opening for append truncates the file here. `0` means even
-    /// the header is torn (a crash during creation).
+    /// record up to and including the last good one. Re-opening for
+    /// append truncates the file here. `0` means even the header is torn
+    /// (a crash during creation).
     pub valid_len: u64,
-    /// Raw records scanned successfully (incl. skipped unknown tags).
-    pub records: usize,
     /// Why scanning stopped before the end of the file; `None` when
     /// every byte was consumed cleanly.
     pub diagnosis: Option<String>,
@@ -120,207 +106,92 @@ impl WalScan {
     }
 }
 
-/// The 12-byte header a fresh log starts with.
-pub fn header_bytes() -> [u8; WAL_HEADER_LEN as usize] {
-    let [m0, m1, m2, m3, m4, m5, m6, m7] = WAL_MAGIC;
-    let [v0, v1, v2, v3] = WAL_VERSION.to_le_bytes();
-    [m0, m1, m2, m3, m4, m5, m6, m7, v0, v1, v2, v3]
-}
-
-/// Record checksum: the same length-seeded FxHash64 as
-/// [`crate::snapshot::section_checksum`], but folding in the tag (see
-/// the module docs for why).
-pub fn record_checksum(tag: [u8; 4], payload: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = crate::hash::FxHasher::default();
-    h.write_u64(payload.len() as u64);
-    h.write(&tag);
-    h.write(payload);
-    h.finish()
-}
-
-fn put_record(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&record_checksum(tag, payload).to_le_bytes());
-}
-
-/// Encode one transaction as its three records (no header).
-pub fn encode_tx(epoch: u64, ops: &[WalOp]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + ops.len() * OP_BYTES);
-    body.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+/// Encode one transaction as its record (no header).
+pub fn encode_tx(epoch: u64, ops: &[WalOp]) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    let mut w = ChunkedWriter::new(&mut payload);
+    w.u64(epoch)?;
+    w.varint(ops.len() as u64)?;
     for op in ops {
-        body.push(op.del as u8);
-        body.extend_from_slice(&op.src.to_le_bytes());
-        body.extend_from_slice(&op.dst.to_le_bytes());
-        body.extend_from_slice(&op.label.to_le_bytes());
+        w.varint(op.src.into())?;
+        w.varint(op.dst.into())?;
+        w.varint(u64::from(op.label) * 2 + u64::from(op.del))?;
     }
-    let mut out = Vec::with_capacity(3 * 24 + body.len());
-    put_record(&mut out, TAG_BEGIN, &epoch.to_le_bytes());
-    put_record(&mut out, TAG_OPS, &body);
-    put_record(&mut out, TAG_COMMIT, &epoch.to_le_bytes());
-    out
+    w.finish()?;
+    let mut record = SnapshotWriter::appending(Vec::new());
+    record.write_section(TAG_TX, &payload)?;
+    record.finish()
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn decode_u64(payload: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(payload.try_into().ok()?))
-}
-
-fn decode_ops(payload: &[u8]) -> Option<Vec<WalOp>> {
-    let mut r = PayloadReader::new(payload);
-    let count = r.u32("op count").ok()? as usize;
-    if r.remaining() != count.checked_mul(OP_BYTES)? as u64 {
-        return None;
+/// Decode one record. The op count is held to the bytes left before
+/// anything is allocated for it.
+fn decode_tx<R: Read>(tag: [u8; 4], body: &mut SectionBody<'_, R>) -> io::Result<WalTx> {
+    if tag != TAG_TX {
+        let tag = String::from_utf8_lossy(&tag);
+        return Err(bad(format!("unknown record tag `{tag}`")));
     }
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        let flags = r.u8("op flags").ok()?;
-        if flags > 1 {
-            return None; // flags other than the del bit are not in v1
-        }
-        ops.push(WalOp {
-            del: flags == 1,
-            src: r.u32("op src").ok()?,
-            dst: r.u32("op dst").ok()?,
-            label: r.u16("op label").ok()?,
-        });
+    let mut r = ChunkedReader::new(body);
+    let epoch = r.u64("epoch")?;
+    let count = r.varint::<u64>("op count")?;
+    if count > r.remaining() / MIN_OP_LEN {
+        return Err(bad(format!(
+            "op count {count} does not fit the {} bytes left",
+            r.remaining()
+        )));
     }
-    Some(ops)
+    let ops = (0..count)
+        .map(|_| {
+            let src = r.varint("op src")?;
+            let dst = r.varint("op dst")?;
+            let code = r.varint::<u32>("op label")?;
+            let label = LabelId::try_from(code / 2)
+                .map_err(|_| bad(format!("op label {} is past u16", code / 2)))?;
+            let del = code % 2 == 1;
+            Ok(WalOp {
+                src,
+                dst,
+                label,
+                del,
+            })
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    if r.remaining() != 0 {
+        return Err(bad(format!("record has {} trailing bytes", r.remaining())));
+    }
+    Ok(WalTx { epoch, ops })
 }
 
 /// Scan a `.cegwal` image, recovering the valid committed-transaction
 /// prefix. Damage mid-log is a *diagnosis*, not an error — that is the
 /// normal post-crash state. The only `Err` is a file that is not a WAL
-/// at all: a complete header with the wrong magic or an unsupported
-/// version (truncated headers are a crash during creation and scan to
-/// an empty log with `valid_len == 0`).
+/// this build reads: a header with the wrong magic or another version
+/// (a strict prefix of the header is a crash during creation and scans
+/// to an empty log with `valid_len == 0`).
 pub fn scan_bytes(bytes: &[u8]) -> io::Result<WalScan> {
-    let header = header_bytes();
-    if bytes.len() < header.len() {
-        if header.starts_with(bytes) {
-            return Ok(WalScan {
-                txs: Vec::new(),
-                valid_len: 0,
-                records: 0,
-                diagnosis: Some("torn header (crash during log creation)".into()),
-            });
-        }
-        return Err(bad("not a WAL: file shorter than the header"));
+    let len = bytes.len() as u64;
+    let mut scan = WalScan::default();
+    if len < WAL_HEADER_LEN && WAL_HEADER.bytes().starts_with(bytes) {
+        scan.diagnosis = Some("torn header (crash during log creation)".into());
+        return Ok(scan);
     }
-    let mut r = PayloadReader::new(bytes);
-    if r.array("WAL magic")? != WAL_MAGIC {
-        return Err(bad("not a WAL: bad magic"));
-    }
-    let version = r.u32("WAL version")?;
-    if version != WAL_VERSION {
-        return Err(bad(format!(
-            "WAL format version {version} is not supported (this build reads {WAL_VERSION})"
-        )));
-    }
-
-    let mut scan = WalScan {
-        txs: Vec::new(),
-        valid_len: WAL_HEADER_LEN,
-        records: 0,
-        diagnosis: None,
-    };
-    // The transaction being assembled: Some((epoch, ops)) between a
-    // BEGN and its CMIT.
-    let mut open: Option<(u64, Vec<WalOp>)> = None;
-    let stop = |scan: &mut WalScan, msg: String| scan.diagnosis = Some(msg);
+    let mut r = SnapshotReader::with_header(bytes, len, &WAL_HEADER)?;
     loop {
-        // The byte the next record starts at.
-        let off = bytes.len() as u64 - r.remaining();
-        if r.is_exhausted() {
-            if open.is_some() {
-                stop(
-                    &mut scan,
-                    "log ends inside a transaction (commit was never acked)".into(),
-                );
-            }
-            return Ok(scan);
-        }
-        if r.remaining() < 12 {
-            stop(&mut scan, format!("torn record header at byte {off}"));
-            return Ok(scan);
-        }
-        let tag = r.array("record tag")?;
-        let len = r.u64("record length")?;
-        // A hostile or torn length cannot allocate or read past the
-        // bytes that exist.
-        if len.checked_add(8).is_none_or(|rest| rest > r.remaining()) {
-            stop(
-                &mut scan,
-                format!("record at byte {off} overruns the file (len={len})"),
-            );
-            return Ok(scan);
-        }
-        let payload = r.slice(len, "record payload")?;
-        if r.u64("record checksum")? != record_checksum(tag, payload) {
-            stop(&mut scan, format!("checksum mismatch at byte {off}"));
-            return Ok(scan);
-        }
-        scan.records += 1;
-        match tag {
-            TAG_BEGIN => {
-                if open.is_some() {
-                    stop(
-                        &mut scan,
-                        format!("BEGN inside an open transaction at byte {off}"),
-                    );
+        scan.valid_len = len - r.left();
+        let off = scan.valid_len;
+        match r.next_section(decode_tx) {
+            Ok(None) => return Ok(scan),
+            Ok(Some(tx)) => match scan.last_epoch() {
+                Some(last) if tx.epoch <= last => {
+                    let epoch = tx.epoch;
+                    let why = format!("epoch regression at byte {off}: {epoch} after {last}");
+                    scan.diagnosis = Some(why);
                     return Ok(scan);
                 }
-                let Some(epoch) = decode_u64(payload) else {
-                    stop(&mut scan, format!("malformed BEGN payload at byte {off}"));
-                    return Ok(scan);
-                };
-                if scan.txs.last().is_some_and(|t| epoch <= t.epoch) {
-                    stop(&mut scan, format!("epoch regression at byte {off}"));
-                    return Ok(scan);
-                }
-                open = Some((epoch, Vec::new()));
-            }
-            TAG_OPS => {
-                let Some((_, ops)) = open.as_mut() else {
-                    stop(
-                        &mut scan,
-                        format!("EOPS outside a transaction at byte {off}"),
-                    );
-                    return Ok(scan);
-                };
-                let Some(mut decoded) = decode_ops(payload) else {
-                    stop(&mut scan, format!("malformed EOPS payload at byte {off}"));
-                    return Ok(scan);
-                };
-                ops.append(&mut decoded);
-            }
-            TAG_COMMIT => {
-                let Some((epoch, ops)) = open.take() else {
-                    stop(
-                        &mut scan,
-                        format!("CMIT outside a transaction at byte {off}"),
-                    );
-                    return Ok(scan);
-                };
-                if decode_u64(payload) != Some(epoch) {
-                    stop(
-                        &mut scan,
-                        format!("CMIT epoch does not match its BEGN at byte {off}"),
-                    );
-                    return Ok(scan);
-                }
-                scan.txs.push(WalTx { epoch, ops });
-                scan.valid_len = bytes.len() as u64 - r.remaining();
-            }
-            _ => {
-                // Unknown tag with a valid checksum: a future record
-                // kind. Skip it, but only count it durable once a CMIT
-                // follows (valid_len does not advance here).
+                _ => scan.txs.push(tx),
+            },
+            Err(e) => {
+                scan.diagnosis = Some(format!("record at byte {off}: {e}"));
+                return Ok(scan);
             }
         }
     }
@@ -340,7 +211,8 @@ impl WalWriter {
     /// Existing bytes are scanned first; everything past the valid
     /// committed prefix — a torn tail — is truncated away, so the
     /// returned [`WalScan`] is exactly what a replay must apply and the
-    /// on-disk file ends where new appends begin.
+    /// on-disk file ends where new appends begin. A log this build does
+    /// not read is an error, and its bytes are left as they are.
     pub fn open(storage: &dyn Storage, path: &Path) -> io::Result<(WalWriter, WalScan)> {
         let scan = if storage.exists(path) {
             let bytes = storage.read(path)?;
@@ -350,19 +222,14 @@ impl WalWriter {
             }
             scan
         } else {
-            WalScan {
-                txs: Vec::new(),
-                valid_len: 0,
-                records: 0,
-                diagnosis: None,
-            }
+            WalScan::default()
         };
         let (file, len) = if scan.valid_len == 0 {
             // Missing, or so torn even the header is incomplete: start
             // a fresh log (there is nothing to preserve — no complete
             // record ever hit the disk).
             let mut file = storage.create(path)?;
-            file.write_all(&header_bytes())?;
+            file.write_all(&WAL_HEADER.bytes())?;
             file.sync()?;
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 storage.sync_dir(dir)?;
@@ -381,13 +248,13 @@ impl WalWriter {
         ))
     }
 
-    /// Append one transaction and sync it to disk: one buffered write,
-    /// one `fdatasync`. Returns the bytes appended. After an `Ok` the
+    /// Append one transaction and sync it to disk: one write, one
+    /// `fdatasync`. Returns the bytes appended. After an `Ok` the
     /// commit is durable and may be acked; after an `Err` the caller
     /// must treat the commit as failed (the file may hold a torn tail,
     /// which the next [`WalWriter::open`] truncates).
     pub fn append_tx(&mut self, epoch: u64, ops: &[WalOp]) -> io::Result<u64> {
-        let bytes = encode_tx(epoch, ops);
+        let bytes = encode_tx(epoch, ops)?;
         self.file.write_all(&bytes)?;
         self.file.sync()?;
         self.len += bytes.len() as u64;
@@ -446,12 +313,52 @@ mod tests {
             .collect()
     }
 
+    fn header() -> Vec<u8> {
+        WAL_HEADER.bytes().to_vec()
+    }
+
+    fn tx(epoch: u64, n: u64) -> Vec<u8> {
+        encode_tx(epoch, &ops(n)).unwrap()
+    }
+
     fn full_log(txs: &[(u64, u64)]) -> Vec<u8> {
-        let mut bytes = header_bytes().to_vec();
+        let mut bytes = header();
         for &(epoch, n) in txs {
-            bytes.extend(encode_tx(epoch, &ops(n)));
+            bytes.extend(tx(epoch, n));
         }
         bytes
+    }
+
+    /// One record of `tag` around `payload`, under a valid checksum: what
+    /// the scan sees is what the decoder makes of the payload.
+    fn record(tag: [u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut w = SnapshotWriter::appending(Vec::new());
+        w.write_section(tag, payload).unwrap();
+        w.finish().unwrap()
+    }
+
+    /// A `TXN ` payload: the epoch, then `varints` as they are.
+    fn payload(epoch: u64, varints: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = ChunkedWriter::new(&mut out);
+        w.u64(epoch).unwrap();
+        varints.iter().for_each(|&v| w.varint(v).unwrap());
+        w.finish().unwrap();
+        out
+    }
+
+    /// Scan one good transaction followed by `tail`: the scan keeps the
+    /// transaction, stops at the byte `tail` starts at and names it.
+    fn assert_stops_at_tail(tail: &[u8], because: &str) -> String {
+        let mut bytes = full_log(&[(1, 2)]);
+        let off = bytes.len() as u64;
+        bytes.extend(tail);
+        let scan = scan_bytes(&bytes).unwrap();
+        assert_eq!(scan.txs.len(), 1, "{because}");
+        assert_eq!(scan.valid_len, off, "{because}");
+        let why = scan.diagnosis.expect(because);
+        assert!(why.contains(&format!("at byte {off}")), "{because}: {why}");
+        why
     }
 
     #[test]
@@ -460,18 +367,17 @@ mod tests {
         let scan = scan_bytes(&bytes).unwrap();
         assert_eq!(scan.diagnosis, None);
         assert_eq!(scan.valid_len, bytes.len() as u64);
-        assert_eq!(scan.records, 9);
         assert_eq!(scan.last_epoch(), Some(5));
-        let mut re = header_bytes().to_vec();
+        let mut re = header();
         for tx in &scan.txs {
-            re.extend(encode_tx(tx.epoch, &tx.ops));
+            re.extend(encode_tx(tx.epoch, &tx.ops).unwrap());
         }
         assert_eq!(re, bytes);
     }
 
     #[test]
     fn empty_log_scans_clean() {
-        let scan = scan_bytes(&header_bytes()).unwrap();
+        let scan = scan_bytes(&header()).unwrap();
         assert!(scan.txs.is_empty());
         assert_eq!(scan.valid_len, WAL_HEADER_LEN);
         assert_eq!(scan.diagnosis, None);
@@ -483,7 +389,7 @@ mod tests {
         let bytes = full_log(&txs);
         let clean = scan_bytes(&bytes).unwrap();
         // Boundaries where a cut is *not* damage: exactly at the end of
-        // a committed transaction (or the bare header).
+        // a record (or the bare header).
         for cut in 0..bytes.len() {
             let scan = scan_bytes(&bytes[..cut]).unwrap();
             assert!(
@@ -502,7 +408,7 @@ mod tests {
             assert_eq!(
                 scan.diagnosis.is_none(),
                 at_boundary,
-                "cut={cut}: diagnosis iff mid-record/mid-tx"
+                "cut={cut}: diagnosis iff mid-record"
             );
         }
     }
@@ -530,69 +436,98 @@ mod tests {
     }
 
     #[test]
-    fn missing_commit_record_drops_the_open_transaction() {
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend(encode_tx(1, &ops(2)));
-        let keep = bytes.len();
-        bytes.extend(encode_tx(2, &ops(1)));
-        // Chop the CMIT record (28 bytes: tag+len+8-byte payload+sum).
-        bytes.truncate(bytes.len() - 28);
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.txs.len(), 1);
-        assert_eq!(scan.valid_len, keep as u64);
-        assert!(scan.diagnosis.unwrap().contains("never acked"));
-    }
-
-    #[test]
     fn hostile_length_cannot_allocate_or_panic() {
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend(TAG_BEGIN);
+        let mut bytes = header();
+        bytes.extend(TAG_TX);
         bytes.extend(u64::MAX.to_le_bytes());
         bytes.extend([0xAA; 16]);
         let scan = scan_bytes(&bytes).unwrap();
         assert!(scan.txs.is_empty());
-        assert!(scan.diagnosis.unwrap().contains("overruns"));
+        assert!(scan.diagnosis.unwrap().contains("claims"));
     }
 
     #[test]
     fn epoch_regression_and_order_violations_stop_the_scan() {
-        // CMIT with no BEGN.
-        let mut bytes = header_bytes().to_vec();
-        put_record(&mut bytes, TAG_COMMIT, &1u64.to_le_bytes());
-        assert!(scan_bytes(&bytes)
-            .unwrap()
-            .diagnosis
-            .unwrap()
-            .contains("outside a transaction"));
-        // Epoch going backwards between transactions.
-        let mut bytes = full_log(&[(5, 1)]);
-        bytes.extend(encode_tx(5, &ops(1)));
-        let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.txs.len(), 1);
-        assert!(scan.diagnosis.unwrap().contains("epoch regression"));
+        // An epoch going backwards, and one repeated.
+        for next in [4, 5] {
+            let mut bytes = full_log(&[(5, 1)]);
+            bytes.extend(tx(next, 1));
+            let scan = scan_bytes(&bytes).unwrap();
+            assert_eq!(scan.txs.len(), 1);
+            let why = scan.diagnosis.unwrap();
+            assert!(why.contains("epoch regression"), "{why}");
+            assert_eq!(scan.valid_len, (bytes.len() - tx(next, 1).len()) as u64);
+        }
     }
 
     #[test]
-    fn unknown_tags_are_skipped() {
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend(encode_tx(1, &ops(1)));
-        put_record(&mut bytes, *b"XTRA", b"future payload");
-        bytes.extend(encode_tx(2, &ops(2)));
+    fn unknown_or_flipped_tags_stop_the_scan_at_their_record() {
+        let why = assert_stops_at_tail(&record(*b"XTRA", b"future payload"), "unknown tag");
+        assert!(why.contains("unknown record tag `XTRA`"), "{why}");
+        // A good record whose tag lost a bit, followed by another good
+        // record: the scan stops at the flipped one, not after it.
+        for bit in 0..32 {
+            let mut tail = tx(2, 3);
+            tail[bit / 8] ^= 1 << (bit % 8);
+            tail.extend(tx(3, 1));
+            assert_stops_at_tail(&tail, &format!("tag bit {bit}"));
+        }
+    }
+
+    #[test]
+    fn hostile_op_counts_are_a_diagnosis() {
+        for count in [1 << 32, u64::MAX, 3] {
+            // Two ops' worth of bytes behind a count that claims more.
+            let tail = record(TAG_TX, &payload(2, &[count, 1, 2, 0, 3, 4, 0]));
+            let why = assert_stops_at_tail(&tail, "hostile op count");
+            assert!(why.contains(&format!("op count {count}")), "{why}");
+        }
+    }
+
+    #[test]
+    fn labels_past_u16_and_trailing_bytes_are_rejected() {
+        let past = (u64::from(u16::MAX) + 1) * 2;
+        let tail = record(TAG_TX, &payload(2, &[1, 0, 1, past]));
+        let why = assert_stops_at_tail(&tail, "label past u16");
+        assert!(why.contains("op label 65536 is past u16"), "{why}");
+        // The largest label still decodes.
+        let mut bytes = full_log(&[(1, 2)]);
+        bytes.extend(record(TAG_TX, &payload(2, &[1, 0, 1, past - 1])));
         let scan = scan_bytes(&bytes).unwrap();
-        assert_eq!(scan.txs.len(), 2);
         assert_eq!(scan.diagnosis, None);
-        assert_eq!(scan.valid_len, bytes.len() as u64);
+        let op = scan.txs[1].ops[0];
+        assert_eq!((op.label, op.del), (u16::MAX, true));
+
+        let tail = record(TAG_TX, &payload(2, &[1, 0, 1, 0, 0]));
+        let why = assert_stops_at_tail(&tail, "trailing bytes");
+        assert!(why.contains("1 trailing bytes"), "{why}");
     }
 
     #[test]
     fn non_wal_files_are_errors_not_empty_scans() {
         assert!(scan_bytes(b"CEGSNAP\0junkjunk").is_err());
-        let mut wrong_version = header_bytes().to_vec();
+        let mut wrong_version = header();
         wrong_version[8] = 9;
         assert!(scan_bytes(&wrong_version).is_err());
         // A strict prefix of the correct header is a torn creation.
-        let scan = scan_bytes(&header_bytes()[..5]).unwrap();
+        let scan = scan_bytes(&header()[..5]).unwrap();
         assert_eq!(scan.valid_len, 0);
+    }
+
+    #[test]
+    fn version_1_log_is_refused_and_left_as_it_is() {
+        let mut v1 = b"CEGWAL\0\0".to_vec();
+        v1.extend(1u32.to_le_bytes());
+        v1.extend(b"BEGN");
+        let want = "WAL format version 1 is not supported (this build reads 2)";
+        assert_eq!(scan_bytes(&v1).unwrap_err().to_string(), want);
+        let fs = FaultStorage::new();
+        let path = Path::new("/wal/ds.cegwal");
+        fs.install(path, v1.clone());
+        let err = WalWriter::open(&fs, path).err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), want);
+        assert_eq!(fs.dump(path).unwrap(), v1);
     }
 
     #[test]
@@ -607,7 +542,7 @@ mod tests {
         drop(w);
 
         // Tear the tail: append half a transaction's bytes by hand.
-        let tail = encode_tx(3, &ops(2));
+        let tail = tx(3, 2);
         let mut bytes = fs.dump(path).unwrap();
         bytes.extend(&tail[..tail.len() / 2]);
         fs.install(path, bytes);
@@ -649,7 +584,7 @@ mod tests {
     fn writer_restarts_a_log_with_a_torn_header() {
         let fs = FaultStorage::new();
         let path = Path::new("/wal/ds.cegwal");
-        fs.install(path, header_bytes()[..7].to_vec());
+        fs.install(path, header()[..7].to_vec());
         let (mut w, scan) = WalWriter::open(&fs, path).unwrap();
         assert!(scan.txs.is_empty());
         w.append_tx(1, &ops(1)).unwrap();

@@ -6,7 +6,7 @@
 //!
 //! | lint | invariant |
 //! |---|---|
-//! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `vendor` — all locks carry a `ceg_core::sync::LockRank` |
+//! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `vendor` — all locks carry a `ceg_graph::sync::LockRank` |
 //! | `panic-path` | no `unwrap`/`expect`/panic macros/indexing in non-test request-path code |
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-service` — writes go through `vfs::Storage` |

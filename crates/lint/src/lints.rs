@@ -149,7 +149,7 @@ pub fn lint_source(path: &str, src: &str, set: LintSet) -> Vec<Diagnostic> {
                         // Cheap over-approximation: both idents seen
                         // anywhere in one `use` statement. The only
                         // workspace path that is not `std::sync` but
-                        // matches is `ceg_core::sync`, which exports no
+                        // matches is `ceg_graph::sync`, which exports no
                         // `Mutex`/`RwLock` names.
                         st.use_saw_std |= name == "std";
                         st.use_saw_sync |= name == "sync";
@@ -278,7 +278,7 @@ fn run_matchers(
             out.push(diag(
                 LOCK,
                 format!(
-                    "raw `std::sync::{name}`; use `ceg_core::sync::Ordered{name}` \
+                    "raw `std::sync::{name}`; use `ceg_graph::sync::Ordered{name}` \
                      with a declared `LockRank`"
                 ),
             ));

@@ -26,9 +26,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ceg_core::ceg_o::DeadlinePassed;
-use ceg_core::sync::{self, LockRank, OrderedMutex};
 use ceg_core::trace::Trace;
 use ceg_core::{CegO, Heuristic};
+use ceg_graph::sync::{self, LockRank, OrderedMutex};
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::QueryGraph;
 
@@ -353,16 +353,19 @@ impl Engine {
     /// Estimate one query with an **enabled** [`Trace`]: the result is
     /// bit-identical to [`Engine::estimate`] (same call, same cache,
     /// same catalog, same estimator), plus the recorded span/counter
-    /// breakdown `EXPLAIN_ESTIMATE` reports.
+    /// breakdown `EXPLAIN_ESTIMATE` reports. `id` is
+    /// [`RequestCtx::id`]: the server's request id, 0 for a caller that
+    /// has none.
     pub fn explain(
         &self,
         dataset: &str,
         query: &QueryGraph,
         deadline: Option<Instant>,
+        id: u64,
     ) -> Result<(QueryOutcome, Trace), String> {
         let mut trace = Trace::enabled();
         let ctx = RequestCtx {
-            id: 0,
+            id,
             deadline,
             trace: Some(&mut trace),
         };

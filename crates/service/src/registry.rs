@@ -46,8 +46,8 @@ use std::time::Instant;
 
 use ceg_catalog::io::load_markov;
 use ceg_catalog::{count_patterns, FillStats, MarkovTable};
-use ceg_core::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock};
 use ceg_graph::io::load_graph;
+use ceg_graph::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock};
 use ceg_graph::vfs::{OsStorage, Storage};
 use ceg_graph::wal::{WalOp, WalWriter};
 use ceg_graph::{Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};

@@ -40,8 +40,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ceg_core::sync::{self, LockRank, OrderedMutex};
-use ceg_core::trace::Trace;
+use ceg_graph::sync::{self, LockRank, OrderedMutex};
 use ceg_query::QueryGraph;
 
 use crate::engine::{
@@ -495,16 +494,10 @@ fn explain(
 ) -> Result<Vec<String>, Response> {
     let engine = &shared.engine;
     let deadline = effective_deadline(deadline_ms, shared.default_deadline_ms);
-    let mut trace = Trace::enabled();
-    let ctx = RequestCtx {
-        id,
-        deadline: deadline.map(|(at, _)| at),
-        trace: Some(&mut trace),
-    };
-    let first = match engine.estimate_one(dataset, query, ctx) {
-        Err(msg) => Response::Error(msg),
-        Ok(outcome) => outcome_response(engine, dataset, outcome, deadline),
-    };
+    let (outcome, trace) = engine
+        .explain(dataset, query, deadline.map(|(at, _)| at), id)
+        .map_err(Response::Error)?;
+    let first = outcome_response(engine, dataset, outcome, deadline);
     if matches!(first, Response::Error(_)) {
         return Err(first);
     }

@@ -1073,9 +1073,8 @@ fn wal_cmd(args: &[String]) -> CmdResult {
     let bytes = std::fs::read(path).map_err(CmdError::runtime)?;
     let scan = scan_bytes(&bytes).map_err(CmdError::runtime)?;
     println!(
-        "{path}: {} bytes, {} records, {} committed transactions",
+        "{path}: {} bytes, {} committed transactions",
         bytes.len(),
-        scan.records,
         scan.txs.len()
     );
     for tx in &scan.txs {

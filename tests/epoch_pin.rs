@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cegraph::catalog::MarkovTable;
-use cegraph::core::sync::{LockRank, OrderedMutex};
 use cegraph::estimators::{CardinalityEstimator, OptimisticEstimator};
+use cegraph::graph::sync::{LockRank, OrderedMutex};
 use cegraph::graph::vfs::{FaultStorage, Storage, StorageFile};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryGraph};
@@ -73,7 +73,7 @@ fn reference(graph: &LabeledGraph, queries: &[QueryGraph]) -> Vec<Option<u64>> {
 
 /// `(epoch, value bits)` of one `EXPLAIN_ESTIMATE`, plus its counters.
 fn explain(engine: &Engine, q: &QueryGraph) -> (u64, Option<u64>, Vec<(&'static str, u64)>) {
-    let (outcome, trace) = engine.explain("ds", q, None).unwrap();
+    let (outcome, trace) = engine.explain("ds", q, None, 0).unwrap();
     let QueryOutcome::Done(outcome) = outcome else {
         panic!("no deadline was set, yet the query timed out");
     };

@@ -8,11 +8,10 @@
 //! 2. **Truncation** — *every* strict prefix of a valid log scans to a
 //!    valid whole-transaction prefix of the original sequence, never an
 //!    error, never a partial transaction.
-//! 3. **Bit rot** — flipping any single bit of the record area yields
-//!    either the original sequence (the flip landed beyond `valid_len`
-//!    semantics: impossible here, the file is fully valid) or a shorter
-//!    whole-transaction prefix; a flipped header is refused outright as
-//!    "not a WAL" / unsupported version, never misread.
+//! 3. **Bit rot** — flipping any single bit of a record yields a
+//!    whole-transaction prefix that stops before the flipped record; a
+//!    flipped header is refused outright as "not a WAL" / unsupported
+//!    version, never misread.
 
 use cegraph::graph::vfs::{FaultStorage, Storage};
 use cegraph::graph::wal::{scan_bytes, WalOp, WalTx, WalWriter, WAL_HEADER_LEN};
@@ -135,14 +134,14 @@ proptest! {
         rotted[idx] ^= 1 << bit;
         if idx < WAL_HEADER_LEN as usize {
             // Magic or version damage: refused as not-a-WAL, never
-            // misinterpreted. (A flip inside the version field could in
-            // principle still be version 1 — it cannot, a flip always
-            // changes the u32.)
+            // misinterpreted (a flip always changes the version, so it
+            // is never 2 again).
             prop_assert!(scan_bytes(&rotted).is_err());
         } else {
-            // Record damage: the checksum (which covers the tag) stops
-            // the scan at the flipped record, so the result is a whole-
-            // transaction prefix of the original.
+            // Record damage: the checksum, or for a flipped tag the one
+            // tag the log knows, stops the scan at the flipped record,
+            // so the result is a whole-transaction prefix of the
+            // original.
             let scan = scan_bytes(&rotted).unwrap();
             prop_assert!(scan.txs.len() <= txs.len());
             prop_assert_eq!(&scan.txs[..], &txs[..scan.txs.len()]);
