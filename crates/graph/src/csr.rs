@@ -1,4 +1,4 @@
-//! Compressed sparse row adjacency index.
+//! Compressed sparse row adjacency index, in pages.
 //!
 //! One [`Csr`] stores the adjacency of a single relation in a single
 //! direction: `neighbors(v)` returns the sorted list of endpoints reachable
@@ -6,35 +6,62 @@
 //! O(log d) membership tests and allow merge-intersection during matching.
 //!
 //! Only the *active* vertices — those with at least one neighbour — own a
-//! row. A relation of a labeled graph typically touches a few percent of
-//! the vertex domain, so a dense `|V| + 1` offset array per relation and
-//! direction would dwarf the edges it indexes. The row directory is
-//! instead a presence bitmap (one bit per vertex) with a running rank per
-//! 64-bit word: `neighbors(v)` is a bit test, one `count_ones` and two
-//! offset reads — still O(1), and a single word load for the common probe
-//! of a vertex the relation does not touch. Everything that used to sweep
-//! the domain walks [`Csr::rows`] instead.
+//! row. The vertex domain is cut into pages of [`Csr::PAGE_SIZE`]
+//! consecutive ids, and each page that holds a row is a self-contained,
+//! `Arc`-shared mini-CSR: a presence bitmap (one bit per id of the page)
+//! with a page-local `u16` rank per 64-bit word, `u32` offsets and the
+//! targets. The page table is only as long as the last occupied page and
+//! holds `None` for an empty one. `neighbors(v)` is a page lookup, a bit
+//! test, one `count_ones` and two offset reads — O(1), and a page pointer
+//! and one word load for the common probe of a vertex the relation does
+//! not touch.
+//!
+//! A relation costs its edges and rows plus 640 B of directory per
+//! occupied page, never a bit per vertex of the domain: a vertex id far
+//! past the others costs one page and a longer page table. And
+//! [`Csr::rebase`] rebuilds only the pages its delta touches; every other
+//! page is the predecessor's allocation, shared. Everything that used to
+//! sweep the domain walks [`Csr::rows`] instead.
+
+use std::sync::Arc;
 
 use crate::VertexId;
 
-/// CSR index over one direction of one relation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Csr {
-    /// Size of the vertex domain the index was built over.
-    num_vertices: usize,
-    /// Bit `v % 64` of word `v / 64` is set iff vertex `v` has a row.
-    /// Spans the domain, or is empty for a relation without edges.
-    present: Vec<u64>,
-    /// `rank[w]` = number of rows owned by vertices below `64 * w`.
-    rank: Vec<u32>,
-    /// `offsets[r]..offsets[r + 1]` indexes into `targets` for the `r`-th
-    /// active vertex in id order; rows are never empty. No entries at all
-    /// for a relation without edges.
-    offsets: Vec<u32>,
-    /// Concatenated, per-vertex-sorted neighbour lists.
-    targets: Vec<VertexId>,
-    /// Cached maximum degree (the index is immutable after construction;
-    /// pessimistic bounds and matcher buffer sizing query this hot).
+/// log2 of [`Csr::PAGE_SIZE`].
+const PAGE_BITS: u32 = 12;
+
+/// Directory words per page: a page-local rank is below 4,096 and fits
+/// a `u16`.
+const WORDS: usize = 1 << (PAGE_BITS - 6);
+
+/// The page of vertex `v`.
+#[inline]
+fn page_of(v: VertexId) -> usize {
+    (v >> PAGE_BITS) as usize
+}
+
+/// The first vertex id of page `p`.
+#[inline]
+fn page_base(p: usize) -> VertexId {
+    (p << PAGE_BITS) as VertexId
+}
+
+/// The rows of [`Csr::PAGE_SIZE`] consecutive vertex ids, at least one
+/// of them non-empty: a CSR over the page alone.
+#[derive(Debug, PartialEq, Eq)]
+struct Page {
+    /// Bit `i % 64` of word `i / 64` is set iff the page's `i`-th vertex
+    /// has a row.
+    present: [u64; WORDS],
+    /// `rank[w]` = number of the page's rows owned by vertices below its
+    /// `64 * w`-th.
+    rank: [u16; WORDS],
+    /// The `rows + 1` offsets, then the concatenated, per-vertex-sorted
+    /// neighbour lists they index: the page's `r`-th row in id order is
+    /// `data[data[r]..data[r + 1]]` (so `data[0] = rows + 1`), and rows
+    /// are never empty. One allocation beside the page's own.
+    data: Box<[u32]>,
+    /// The page's largest row.
     max_degree: u32,
 }
 
@@ -49,7 +76,270 @@ fn bits_of(mut word: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+/// Number of rows a presence bitmap marks.
+fn rows_in(present: &[u64; WORDS]) -> usize {
+    present.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Page-local ranks of a presence bitmap.
+fn ranks(present: &[u64; WORDS]) -> [u16; WORDS] {
+    let mut rank = [0u16; WORDS];
+    let mut rows = 0u16;
+    for (r, w) in rank.iter_mut().zip(present) {
+        *r = rows;
+        rows += w.count_ones() as u16;
+    }
+    rank
+}
+
+impl Page {
+    /// A page with no rows yet, for [`Csr::transpose`] to fill in place.
+    fn empty() -> Box<Page> {
+        Box::new(Page {
+            present: [0; WORDS],
+            rank: [0; WORDS],
+            data: Box::default(),
+            max_degree: 0,
+        })
+    }
+
+    /// The offsets: row `r` is `data[offsets[r]..offsets[r + 1]]`.
+    #[inline]
+    fn offsets(&self) -> &[u32] {
+        &self.data[..self.data[0] as usize]
+    }
+
+    /// The neighbour lists, concatenated.
+    #[inline]
+    fn targets(&self) -> &[VertexId] {
+        &self.data[self.data[0] as usize..]
+    }
+
+    /// Number of rows.
+    #[inline]
+    fn num_rows(&self) -> usize {
+        self.data[0] as usize - 1
+    }
+
+    /// Position of the row of the page's `i`-th vertex, if it has one.
+    #[inline]
+    fn row_index(&self, i: u32) -> Option<usize> {
+        let w = (i as usize >> 6) % WORDS;
+        let word = self.present[w];
+        let bit = 1u64 << (i & 63);
+        (word & bit != 0).then(|| self.rank[w] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// Sorted neighbours of the page's `i`-th vertex.
+    #[inline]
+    fn neighbors(&self, i: u32) -> &[VertexId] {
+        match self.row_index(i) {
+            Some(r) => &self.data[self.data[r] as usize..self.data[r + 1] as usize],
+            None => &[],
+        }
+    }
+
+    /// `(vertex, neighbours)` over the rows, ascending, for a page
+    /// starting at `base`.
+    fn rows(&self, base: VertexId) -> Rows<'_> {
+        let mut rows = Rows::new(&[]);
+        rows.enter(self, base);
+        rows
+    }
+
+    /// Bytes of the page's allocations: the `Arc` with its counts, and
+    /// the offsets with the targets.
+    fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Page>() + self.data.len() * 4
+    }
+}
+
+/// The rows of a run of pages, ascending: one word of a page's
+/// directory at a time, one set bit at a time, beside the page's
+/// offsets. One flat iterator rather than nested adaptors: a sweep of a
+/// relation is the tree DP's inner loop.
+struct Rows<'a> {
+    /// The page slots still to walk, with their page numbers.
+    rest: std::iter::Enumerate<std::slice::Iter<'a, Option<Arc<Page>>>>,
+    /// The page being walked: its directory and first vertex id, the
+    /// directory word being walked and what is left of it.
+    present: &'a [u64; WORDS],
+    base: VertexId,
+    w: usize,
+    word: u64,
+    /// The page's offsets from the next row's on, and the array they
+    /// index.
+    offsets: &'a [u32],
+    data: &'a [u32],
+}
+
+impl<'a> Rows<'a> {
+    /// The rows of `pages`, page `p` holding ids `p * PAGE_SIZE ..`.
+    fn new(pages: &'a [Option<Arc<Page>>]) -> Rows<'a> {
+        static NO_ROWS: [u64; WORDS] = [0; WORDS];
+        Rows {
+            rest: pages.iter().enumerate(),
+            present: &NO_ROWS,
+            base: 0,
+            w: 0,
+            word: 0,
+            offsets: &[],
+            data: &[],
+        }
+    }
+
+    /// Start walking `page`, whose first vertex id is `base`.
+    fn enter(&mut self, page: &'a Page, base: VertexId) {
+        self.present = &page.present;
+        self.base = base;
+        self.w = 0;
+        self.word = page.present[0];
+        self.offsets = page.offsets();
+        self.data = &page.data;
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (VertexId, &'a [VertexId]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.offsets.len() < 2 {
+            let (p, page) = self
+                .rest
+                .find_map(|(p, page)| Some((p, page.as_deref()?)))?;
+            self.enter(page, page_base(p));
+        }
+        while self.word == 0 {
+            self.w += 1;
+            self.word = self.present[self.w % WORDS];
+        }
+        let b = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        let (start, end) = (self.offsets[0] as usize, self.offsets[1] as usize);
+        self.offsets = &self.offsets[1..];
+        let v = self.base + (self.w * 64) as VertexId + b;
+        Some((v, &self.data[start..end]))
+    }
+}
+
+/// CSR index over one direction of one relation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Csr {
+    /// Size of the vertex domain the index was built over.
+    num_vertices: usize,
+    /// Page `p` holds the rows of vertices `p * PAGE_SIZE ..`; `None`
+    /// for a page without rows. Ends at the last occupied page.
+    pages: Vec<Option<Arc<Page>>>,
+    /// `edges_before[p]` = number of edges in the pages below `p`.
+    edges_before: Vec<u32>,
+    /// Cached totals over the pages (the index is immutable after
+    /// construction; pessimistic bounds and matcher buffer sizing query
+    /// these hot).
+    num_edges: usize,
+    num_active: usize,
+    max_degree: u32,
+}
+
+/// Builds a [`Csr`] in ascending vertex order: rows are appended to the
+/// open page, whose arrays are scratch reused from page to page and
+/// copied out at their exact size when it is sealed, and whole pages
+/// can be shared from another index.
+struct Builder {
+    num_vertices: usize,
+    pages: Vec<Option<Arc<Page>>>,
+    /// The page the scratch below fills.
+    open: usize,
+    present: [u64; WORDS],
+    /// Starts at `[0]`: one offset per row appended to the open page.
+    offsets: Vec<u32>,
+    targets: Vec<VertexId>,
+    max_degree: u32,
+}
+
+impl Builder {
+    fn new(num_vertices: usize) -> Builder {
+        Builder {
+            num_vertices,
+            pages: Vec::new(),
+            open: 0,
+            present: [0; WORDS],
+            offsets: vec![0],
+            targets: Vec::new(),
+            max_degree: 0,
+        }
+    }
+
+    /// Append the row of `v`, which is above every row appended so far:
+    /// `fill` pushes its neighbours, ascending. A row `fill` leaves
+    /// empty is simply absent.
+    fn row(&mut self, v: VertexId, fill: impl FnOnce(&mut Vec<VertexId>)) {
+        assert!((v as usize) < self.num_vertices, "row outside the domain");
+        let p = page_of(v);
+        if p != self.open {
+            debug_assert!(p > self.open || self.targets.is_empty());
+            self.seal();
+            self.open = p;
+        }
+        let start = self.targets.len();
+        fill(&mut self.targets);
+        let degree = self.targets.len() - start;
+        if degree == 0 {
+            return;
+        }
+        let i = v as usize % Csr::PAGE_SIZE;
+        self.present[i >> 6] |= 1u64 << (i & 63);
+        self.offsets.push(self.targets.len() as u32);
+        self.max_degree = self.max_degree.max(degree as u32);
+    }
+
+    /// Put `page`, unchanged, in slot `p`, above every row appended so
+    /// far.
+    fn share(&mut self, p: usize, page: &Arc<Page>) {
+        self.seal();
+        debug_assert!(p >= self.pages.len());
+        *self.slot(p) = Some(Arc::clone(page));
+        self.open = p + 1;
+    }
+
+    /// Slot `p` of the page table, grown to reach it.
+    fn slot(&mut self, p: usize) -> &mut Option<Arc<Page>> {
+        if self.pages.len() <= p {
+            self.pages.resize(p + 1, None);
+        }
+        &mut self.pages[p]
+    }
+
+    /// Close the open page; one without rows leaves its slot `None`.
+    fn seal(&mut self) {
+        if self.targets.is_empty() {
+            return;
+        }
+        let shift = self.offsets.len() as u32;
+        let offsets = self.offsets.iter().map(|&o| o + shift);
+        let page = Page {
+            present: self.present,
+            rank: ranks(&self.present),
+            data: offsets.chain(self.targets.iter().copied()).collect(),
+            max_degree: self.max_degree,
+        };
+        *self.slot(self.open) = Some(Arc::new(page));
+        self.present = [0; WORDS];
+        self.offsets.truncate(1);
+        self.targets.clear();
+        self.max_degree = 0;
+    }
+
+    fn finish(mut self) -> Csr {
+        self.seal();
+        Csr::from_pages(self.num_vertices, self.pages)
+    }
+}
+
 impl Csr {
+    /// Consecutive vertex ids per page: 64 directory words.
+    pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
+
     /// Build a CSR from `(from, to)` pairs over a domain of `num_vertices`.
     ///
     /// Pairs may arrive in any order; duplicates must already be removed by
@@ -59,60 +349,48 @@ impl Csr {
         // sorted, into one run per row.
         let mut pairs = pairs.to_vec();
         pairs.sort_unstable();
-        let mut csr = Csr::with_domain(num_vertices, pairs.len());
+        let mut out = Builder::new(num_vertices);
         for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-            csr.targets.extend(run.iter().map(|p| p.1));
-            csr.seal_row(run[0].0);
+            out.row(run[0].0, |t| t.extend(run.iter().map(|p| p.1)));
         }
-        csr.finish()
+        out.finish()
     }
 
-    /// An index over `num_vertices` with no rows yet, to be filled in
-    /// ascending vertex order: append a row's neighbours to `targets`,
-    /// [`seal_row`](Self::seal_row) it, and [`finish`](Self::finish).
-    fn with_domain(num_vertices: usize, edge_capacity: usize) -> Csr {
-        Csr {
+    /// The index over `pages`, its trailing empty slots dropped, with its
+    /// totals summed once.
+    fn from_pages(num_vertices: usize, mut pages: Vec<Option<Arc<Page>>>) -> Csr {
+        while pages.last().is_some_and(Option::is_none) {
+            pages.pop();
+        }
+        pages.shrink_to_fit();
+        let mut csr = Csr {
             num_vertices,
-            targets: Vec::with_capacity(edge_capacity),
+            edges_before: Vec::with_capacity(pages.len()),
             ..Csr::default()
+        };
+        for page in &pages {
+            csr.edges_before.push(csr.num_edges as u32);
+            if let Some(page) = page {
+                csr.num_edges += page.targets().len();
+                csr.num_active += page.num_rows();
+                csr.max_degree = csr.max_degree.max(page.max_degree);
+            }
         }
+        csr.pages = pages;
+        csr
     }
 
-    /// Close the neighbours appended to `targets` since the last sealed
-    /// row as the row of `v`. Appending nothing seals nothing: an empty
-    /// row is simply absent from the directory.
-    fn seal_row(&mut self, v: VertexId) {
-        let start = self.offsets.last().map_or(0, |&o| o as usize);
-        if self.targets.len() == start {
-            return;
-        }
-        assert!((v as usize) < self.num_vertices, "row outside the domain");
-        if self.present.is_empty() {
-            // First row: a relation without edges never pays for a
-            // directory.
-            self.present = vec![0u64; self.num_vertices.div_ceil(64)];
-            self.offsets.push(0);
-        }
-        self.present[v as usize >> 6] |= 1u64 << (v & 63);
-        self.offsets.push(self.targets.len() as u32);
-        self.max_degree = self.max_degree.max((self.targets.len() - start) as u32);
+    /// Page `p`, if it is occupied.
+    fn page(&self, p: usize) -> Option<&Arc<Page>> {
+        self.pages.get(p)?.as_ref()
     }
 
-    /// Derive the per-word ranks once every row is sealed.
-    fn finish(mut self) -> Csr {
-        let mut rows = 0u32;
-        self.rank = self
-            .present
+    /// The occupied pages with their first vertex id, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (VertexId, &Page)> + '_ {
+        self.pages
             .iter()
-            .map(|w| {
-                let before = rows;
-                rows += w.count_ones();
-                before
-            })
-            .collect();
-        self.offsets.shrink_to_fit();
-        self.targets.shrink_to_fit();
-        self
+            .enumerate()
+            .filter_map(|(p, page)| Some((page_base(p), page.as_deref()?)))
     }
 
     /// Number of vertices in the domain.
@@ -121,27 +399,18 @@ impl Csr {
         self.num_vertices
     }
 
-    /// Total number of stored edges.
+    /// Total number of stored edges. O(1): cached at construction.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Position of `v`'s row among the active rows, if it has one.
-    #[inline]
-    pub(crate) fn row_index(&self, v: VertexId) -> Option<usize> {
-        let w = v as usize >> 6;
-        let word = *self.present.get(w)?;
-        let bit = 1u64 << (v & 63);
-        (word & bit != 0).then(|| self.rank[w] as usize + (word & (bit - 1)).count_ones() as usize)
+        self.num_edges
     }
 
     /// Sorted neighbours of `v`. Empty slice if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match self.row_index(v) {
-            Some(r) => &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize],
-            None => &[],
+        match self.pages.get(page_of(v)) {
+            Some(Some(page)) => page.neighbors(v % Csr::PAGE_SIZE as VertexId),
+            _ => &[],
         }
     }
 
@@ -165,31 +434,26 @@ impl Csr {
     }
 
     /// Number of vertices with non-zero degree (`|π_X R|` for this side).
-    /// O(1): the number of rows.
+    /// O(1): cached at construction.
     #[inline]
     pub fn num_active(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.num_active
     }
 
     /// Iterate the vertices with non-zero degree, in increasing id order.
     /// The matcher seeds unconstrained root variables from this list
     /// instead of scanning the whole domain.
     pub fn active_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.present
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| bits_of(word).map(move |b| (w * 64) as VertexId + b))
+        self.rows().map(|(v, _)| v)
     }
 
     /// Iterate `(vertex, neighbours)` over the active vertices, in
     /// increasing id order; no slice is empty. This is how a relation is
     /// swept — edge iteration, rebase, transposition, the snapshot
-    /// encoder, the tree-DP folds — at a cost of its rows, not of the
-    /// vertex domain.
+    /// encoder, the tree-DP folds — at a cost of its rows and occupied
+    /// pages, not of the vertex domain.
     pub fn rows(&self) -> impl Iterator<Item = (VertexId, &[VertexId])> + '_ {
-        self.active_vertices()
-            .zip(self.offsets.windows(2))
-            .map(|(v, o)| (v, &self.targets[o[0] as usize..o[1] as usize]))
+        Rows::new(&self.pages)
     }
 
     /// Iterate `(from, to)` pairs in vertex order.
@@ -199,27 +463,51 @@ impl Csr {
     }
 
     /// The `k`-th pair of [`Csr::iter_edges`], found by binary search over
-    /// the offsets and the directory's ranks instead of a walk.
+    /// the pages' edge counts, then the page's offsets and ranks, instead
+    /// of a walk.
     pub fn nth_edge(&self, k: usize) -> Option<(VertexId, VertexId)> {
-        let to = *self.targets.get(k)?;
+        if k >= self.num_edges {
+            return None;
+        }
+        // The last page starting at or below `k` holds it: an empty page
+        // starts where the next one does.
+        let p = self.edges_before.partition_point(|&e| e as usize <= k) - 1;
+        let page = self.pages[p].as_deref()?;
+        let k = page.data[0] as usize + k - self.edges_before[p] as usize;
+        let to = page.data[k];
         // The row whose offset range holds `k`; its vertex is the
-        // `row`-th set bit of the directory.
-        let row = self.offsets.partition_point(|&o| o as usize <= k) - 1;
-        let w = self.rank.partition_point(|&r| r as usize <= row) - 1;
-        let bit = bits_of(self.present[w]).nth(row - self.rank[w] as usize)?;
-        Some(((w * 64) as VertexId + bit, to))
+        // `row`-th set bit of the page's directory.
+        let row = page.offsets().partition_point(|&o| o as usize <= k) - 1;
+        let w = page.rank.partition_point(|&r| r as usize <= row) - 1;
+        let bit = bits_of(page.present[w]).nth(row - page.rank[w] as usize)?;
+        Some((page_base(p) + (w * 64) as VertexId + bit, to))
     }
 
-    /// Bytes of heap the index holds: directory, offsets and targets.
+    /// Bytes of heap the index holds: its page table and every occupied
+    /// page — a page shared with another index counts in both.
     pub fn heap_bytes(&self) -> usize {
-        self.present.capacity() * 8
-            + (self.rank.capacity() + self.offsets.capacity() + self.targets.capacity()) * 4
+        self.pages.capacity() * std::mem::size_of::<Option<Arc<Page>>>()
+            + self.edges_before.capacity() * 4
+            + self.occupied().map(|(_, p)| p.heap_bytes()).sum::<usize>()
+    }
+
+    /// Whether page `p` is the same allocation in `self` and in `other`
+    /// (or empty in both). Exposed for the tests of [`Csr::rebase`]'s
+    /// sharing.
+    #[doc(hidden)]
+    pub fn shares_page(&self, other: &Csr, p: usize) -> bool {
+        match (self.page(p), other.page(p)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
     /// Fold a delta into a fresh CSR over a (possibly larger) domain of
-    /// `num_vertices`: one merge walk over the base rows and the delta's
-    /// source groups — O(|base| + |delta|), untouched rows copied
-    /// wholesale, no per-vertex sort and no pass over the domain.
+    /// `num_vertices`. A page that holds no source of the delta is shared
+    /// with `self` as it is; one that does is rebuilt by one merge walk
+    /// over its rows and the delta's source groups in it — O(|delta| x
+    /// page), untouched rows copied wholesale, no per-vertex sort and no
+    /// pass over the domain. A page the delta empties is left `None`.
     ///
     /// `adds` and `dels` are `(from, to)` pairs, sorted lexicographically
     /// and duplicate-free, and normalized against this CSR: every add is
@@ -233,102 +521,151 @@ impl Csr {
     ) -> Csr {
         debug_assert!(adds.is_sorted() && dels.is_sorted());
         debug_assert!(num_vertices >= self.num_vertices());
-        let mut out = Csr::with_domain(
-            num_vertices,
-            (self.num_edges() + adds.len()).saturating_sub(dels.len()),
-        );
-        let mut base = self.rows().peekable();
-        let (mut ai, mut di) = (0usize, 0usize);
-        let (mut scratch_a, mut scratch_d) = (Vec::new(), Vec::new());
-        // Every del names a base edge, so the sources to visit are the
-        // base rows and the sources of the adds.
-        while let Some(v) = match (base.peek(), adds.get(ai)) {
-            (Some(&(b, _)), Some(&(a, _))) => Some(b.min(a)),
-            (Some(&(b, _)), None) => Some(b),
-            (None, add) => add.map(|&(a, _)| a),
-        } {
-            let row = base.next_if(|&(b, _)| b == v).map_or(&[][..], |(_, r)| r);
-            let a0 = ai;
-            while ai < adds.len() && adds[ai].0 == v {
-                ai += 1;
-            }
-            let d0 = di;
-            while di < dels.len() && dels[di].0 == v {
-                di += 1;
-            }
-            if a0 == ai && d0 == di {
-                out.targets.extend_from_slice(row);
-            } else {
-                scratch_a.clear();
-                scratch_a.extend(adds[a0..ai].iter().map(|p| p.1));
-                scratch_d.clear();
-                scratch_d.extend(dels[d0..di].iter().map(|p| p.1));
-                merge_row_into(row, &scratch_a, &scratch_d, &mut out.targets);
-            }
-            out.seal_row(v);
+        let last = [adds.last(), dels.last()]
+            .into_iter()
+            .flatten()
+            .map(|&(v, _)| page_of(v) + 1);
+        let num_pages = last.fold(self.pages.len(), usize::max);
+        /// Split off the pairs whose source is in page `p`.
+        fn take<'a>(
+            pairs: &mut &'a [(VertexId, VertexId)],
+            p: usize,
+        ) -> &'a [(VertexId, VertexId)] {
+            let (here, rest) = pairs.split_at(pairs.partition_point(|&(v, _)| page_of(v) == p));
+            *pairs = rest;
+            here
         }
-        debug_assert_eq!(di, dels.len(), "every del must name a base edge");
+        let mut out = Builder::new(num_vertices);
+        let (mut rest_adds, mut rest_dels) = (adds, dels);
+        let (mut scratch_a, mut scratch_d) = (Vec::new(), Vec::new());
+        for p in 0..num_pages {
+            let (adds, dels) = (take(&mut rest_adds, p), take(&mut rest_dels, p));
+            let base = self.page(p);
+            if adds.is_empty() && dels.is_empty() {
+                if let Some(page) = base {
+                    out.share(p, page);
+                }
+                continue;
+            }
+            // Every del names a base edge, so the sources to visit are
+            // the page's rows and the sources of its adds.
+            let mut base = base
+                .into_iter()
+                .flat_map(|page| page.rows(page_base(p)))
+                .peekable();
+            let (mut ai, mut di) = (0usize, 0usize);
+            while let Some(v) = match (base.peek(), adds.get(ai)) {
+                (Some(&(b, _)), Some(&(a, _))) => Some(b.min(a)),
+                (Some(&(b, _)), None) => Some(b),
+                (None, add) => add.map(|&(a, _)| a),
+            } {
+                let row = base.next_if(|&(b, _)| b == v).map_or(&[][..], |(_, r)| r);
+                let a0 = ai;
+                while ai < adds.len() && adds[ai].0 == v {
+                    ai += 1;
+                }
+                let d0 = di;
+                while di < dels.len() && dels[di].0 == v {
+                    di += 1;
+                }
+                out.row(v, |targets| {
+                    if a0 == ai && d0 == di {
+                        targets.extend_from_slice(row);
+                    } else {
+                        scratch_a.clear();
+                        scratch_a.extend(adds[a0..ai].iter().map(|p| p.1));
+                        scratch_d.clear();
+                        scratch_d.extend(dels[d0..di].iter().map(|p| p.1));
+                        merge_row_into(row, &scratch_a, &scratch_d, targets);
+                    }
+                });
+            }
+            debug_assert_eq!(di, dels.len(), "every del must name a base edge");
+        }
         out.finish()
     }
 
     /// The reverse relation over the same domain: row `t` of the result
-    /// lists every `v` with `t` in `neighbors(v)`, ascending. One counting
-    /// pass and one scatter over the targets; the rows come out sorted
-    /// because the scatter walks the sources in id order. The only
-    /// scratch is the result's own arrays: its directory is set from the
-    /// targets, its `offsets` hold the row counts, then each row's write
-    /// cursor, and end as the offsets. Equal, array for array and in
-    /// [`Csr::heap_bytes`], to [`Csr::from_pairs`] of the reversed pairs.
+    /// lists every `v` with `t` in `neighbors(v)`, ascending. Three passes
+    /// over the targets, each filling the result's pages in place: the
+    /// first sets their directories and counts their edges, so that each
+    /// page's array is allocated once at its size; the second counts each
+    /// row's entries into its offset slot (row `r`'s count in
+    /// `data[r + 1]`, which then becomes its write cursor and ends as its
+    /// end); the third scatters the sources — in id order, so the rows
+    /// come out sorted. The only scratch is an edge count per page and
+    /// the boxes the pages are filled in. Equal, page for page and in
+    /// [`Csr::heap_bytes`], to [`Csr::from_pairs`] of the reversed
+    /// pairs.
     pub fn transpose(&self) -> Csr {
-        let mut out = Csr::with_domain(self.num_vertices, 0);
-        if self.targets.is_empty() {
-            return out.finish();
-        }
-        out.present = vec![0u64; self.num_vertices.div_ceil(64)];
-        for &t in &self.targets {
-            out.present[t as usize >> 6] |= 1u64 << (t & 63);
-        }
-        let mut out = out.finish();
-        let row_of = |out: &Csr, t: VertexId| out.row_index(t).expect("every target has a row");
-        // `offsets[r + 1]` counts row r's entries, then becomes its
-        // start and, advanced per entry written, its end.
-        let rows = out
-            .present
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>();
-        out.offsets = vec![0u32; rows + 1];
-        for &t in &self.targets {
-            let r = row_of(&out, t);
-            out.offsets[r + 1] += 1;
-        }
-        let mut start = 0u32;
-        for o in &mut out.offsets[1..] {
-            let count = *o;
-            out.max_degree = out.max_degree.max(count);
-            *o = start;
-            start += count;
-        }
-        out.targets = vec![0; self.targets.len()];
-        for (v, row) in self.rows() {
-            for &t in row {
-                let cursor = row_of(&out, t) + 1;
-                out.targets[out.offsets[cursor] as usize] = v;
-                out.offsets[cursor] += 1;
+        // Rows are sorted: the largest target ends one of them.
+        let Some(last) = self.rows().map(|(_, row)| row[row.len() - 1]).max() else {
+            return Csr::from_pages(self.num_vertices, Vec::new());
+        };
+        let mut pages: Vec<Option<Box<Page>>> = Vec::new();
+        pages.resize_with(page_of(last) + 1, || None);
+        let mut edges = vec![0u32; pages.len()];
+        for (_, from) in self.occupied() {
+            for &t in from.targets() {
+                let page = pages[page_of(t)].get_or_insert_with(Page::empty);
+                let i = t as usize % Csr::PAGE_SIZE;
+                page.present[i >> 6] |= 1u64 << (i & 63);
+                edges[page_of(t)] += 1;
             }
         }
-        out
+        for (page, &edges) in pages.iter_mut().zip(&edges) {
+            if let Some(page) = page {
+                page.rank = ranks(&page.present);
+                page.data = vec![0; rows_in(&page.present) + 1 + edges as usize].into_boxed_slice();
+            }
+        }
+        /// The page of `t` and the offset slot of its row.
+        fn cursor(pages: &mut [Option<Box<Page>>], t: VertexId) -> (&mut Page, usize) {
+            let page = pages[page_of(t)]
+                .as_deref_mut()
+                .expect("every target has a page");
+            let r = page
+                .row_index(t % Csr::PAGE_SIZE as VertexId)
+                .expect("every target has a row");
+            (page, r + 1)
+        }
+        for (_, from) in self.occupied() {
+            for &t in from.targets() {
+                let (page, c) = cursor(&mut pages, t);
+                page.data[c] += 1;
+            }
+        }
+        for page in pages.iter_mut().flatten() {
+            let rows = rows_in(&page.present);
+            let mut start = rows as u32 + 1;
+            page.data[0] = start;
+            for o in &mut page.data[1..=rows] {
+                let count = *o;
+                page.max_degree = page.max_degree.max(count);
+                *o = start;
+                start += count;
+            }
+        }
+        for (v, row) in self.rows() {
+            for &t in row {
+                let (page, c) = cursor(&mut pages, t);
+                let at = page.data[c] as usize;
+                page.data[at] = v;
+                page.data[c] += 1;
+            }
+        }
+        let pages = pages.into_iter().map(|p| p.map(Arc::from)).collect();
+        Csr::from_pages(self.num_vertices, pages)
     }
 
     /// Rebuild a CSR over `num_vertices` from its persisted arrays — the
     /// ids of the active rows, their `rows.len() + 1` offsets and the
-    /// targets — building the directory. The snapshot decoder makes
-    /// these arrays from gaps, so the invariants the matcher relies on
-    /// hold by construction: row ids strictly increasing and inside the
-    /// domain, offsets from 0 to `targets.len()` with no empty row,
-    /// strictly sorted rows. `offsets` and `targets` are moved in, not
-    /// copied, and the row ids are freed once the directory holds them:
-    /// a restore holds each relation once.
+    /// targets — page by page. The snapshot decoder makes these arrays
+    /// from gaps, so the invariants the matcher relies on hold by
+    /// construction: row ids strictly increasing and inside the domain,
+    /// offsets from 0 to `targets.len()` with no empty row, strictly
+    /// sorted rows. The arrays are freed once the pages hold their rows:
+    /// a restore holds at most one relation beyond the pages it returns.
     pub(crate) fn from_raw_parts(
         num_vertices: usize,
         rows: Vec<VertexId>,
@@ -338,24 +675,13 @@ impl Csr {
         debug_assert_eq!(offsets.len(), rows.len() + 1);
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
         debug_assert!(rows.is_sorted_by(|a, b| a < b));
-        if rows.is_empty() {
-            // A relation without edges keeps no directory and no offsets.
-            return Csr::with_domain(num_vertices, 0).finish();
+        let mut out = Builder::new(num_vertices);
+        for (&v, o) in rows.iter().zip(offsets.windows(2)) {
+            out.row(v, |t| {
+                t.extend_from_slice(&targets[o[0] as usize..o[1] as usize])
+            });
         }
-        let mut present = vec![0u64; num_vertices.div_ceil(64)];
-        for v in rows {
-            present[v as usize >> 6] |= 1u64 << (v & 63);
-        }
-        let max_degree = offsets.windows(2).map(|o| o[1] - o[0]).max().unwrap_or(0);
-        Csr {
-            num_vertices,
-            present,
-            rank: Vec::new(),
-            offsets,
-            targets,
-            max_degree,
-        }
-        .finish()
+        out.finish()
     }
 }
 
@@ -515,6 +841,73 @@ mod tests {
         assert_eq!(r.num_edges(), 0);
         assert_eq!(r.max_degree(), 0);
         assert_eq!(r.num_active(), 0);
+    }
+
+    /// Rows on both sides of two page boundaries, page 2 empty between
+    /// occupied pages 1 and 3.
+    fn paged() -> Csr {
+        let pairs = [
+            (4095, 1),
+            (4096, 2),
+            (4096, 4097),
+            (4097, 0),
+            (12_297, 4095),
+        ];
+        Csr::from_pairs(12_298, &pairs)
+    }
+
+    #[test]
+    fn rows_cross_page_boundaries() {
+        let c = paged();
+        assert_eq!(c.neighbors(4095), &[1]);
+        assert_eq!(c.neighbors(4096), &[2, 4097]);
+        assert_eq!(c.neighbors(4097), &[0]);
+        assert_eq!(c.neighbors(8192), &[] as &[VertexId]);
+        assert_eq!(c.neighbors(12_297), &[4095]);
+        assert_eq!(
+            c.active_vertices().collect::<Vec<_>>(),
+            [4095, 4096, 4097, 12_297]
+        );
+        assert_eq!((c.num_active(), c.num_edges(), c.max_degree()), (4, 5, 2));
+        for (k, e) in c.iter_edges().enumerate() {
+            assert_eq!(c.nth_edge(k), Some(e), "edge {k}");
+        }
+        assert_eq!(c.pages.len(), 4);
+        assert!(c.pages[2].is_none());
+        let t = c.transpose();
+        assert_eq!(t.neighbors(4095), &[12_297]);
+        assert_eq!(t.neighbors(4097), &[4096]);
+        assert_eq!(t.pages.len(), 2, "the table ends at the last occupied page");
+    }
+
+    #[test]
+    fn rebase_shares_the_pages_it_does_not_touch() {
+        let c = paged();
+        let r = c.rebase(c.num_vertices(), &[(4095, 7)], &[(12_297, 4095)]);
+        assert_eq!(r.neighbors(4095), &[1, 7]);
+        assert!(!r.shares_page(&c, 0));
+        assert!(r.shares_page(&c, 1));
+        assert!(r.shares_page(&c, 2), "empty in both");
+        // The delta emptied page 3: the table ends at page 1.
+        assert_eq!(r.pages.len(), 2);
+        assert_eq!(
+            r,
+            Csr::from_pairs(c.num_vertices(), &r.iter_edges().collect::<Vec<_>>())
+        );
+    }
+
+    #[test]
+    fn a_far_vertex_costs_a_page_and_a_page_table() {
+        let c = sample();
+        let far = (1 << 24) - 1;
+        let r = c.rebase(far as usize + 1, &[(far, 0)], &[]);
+        assert_eq!(r.neighbors(far), &[0]);
+        // A table of 4,096 slots instead of 1, and a page of one row:
+        // two offsets and a target.
+        let slot = std::mem::size_of::<Option<Arc<Page>>>() + 4;
+        let page = Page::empty().heap_bytes() + 3 * 4;
+        assert_eq!(r.heap_bytes(), c.heap_bytes() + 4095 * slot + page);
+        assert!(r.shares_page(&c, 0));
     }
 
     #[test]

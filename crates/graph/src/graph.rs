@@ -20,9 +20,10 @@ pub struct Edge {
 /// `R_l(src, dst)` holds the edges with label `l` (Section 2). Each relation
 /// is indexed both forward (`src → dst`) and backward (`dst → src`).
 ///
-/// Relations are held behind `Arc` so that [`LabeledGraph::rebase`] can
-/// produce a successor graph rebuilding only the relations a delta
-/// touches, sharing the untouched indexes byte-for-byte.
+/// Relations are held behind `Arc`, and each relation's pages behind
+/// another (see [`Csr`]), so that [`LabeledGraph::rebase`] can produce a
+/// successor graph rebuilding only the pages a delta touches, sharing
+/// the untouched relations and pages byte-for-byte.
 #[derive(Debug, Clone, Default)]
 pub struct LabeledGraph {
     num_vertices: usize,
@@ -179,8 +180,9 @@ impl LabeledGraph {
     }
 
     /// Bytes of heap held by the adjacency indexes of every relation in
-    /// both directions — O(|E|) plus 3/16 byte per vertex for each
-    /// non-empty relation and direction, never a word per vertex.
+    /// both directions: their pages and page tables — O(|E|) plus 640 B
+    /// of directory per occupied page, never a bit per vertex of the
+    /// domain.
     pub fn heap_bytes(&self) -> usize {
         self.csr_pairs()
             .map(|(f, b)| f.heap_bytes() + b.heap_bytes())
@@ -204,13 +206,14 @@ impl LabeledGraph {
         b.build()
     }
 
-    /// Fold `delta` into a fresh graph. Only the relations the delta
-    /// touches are rebuilt ([`Csr::rebase`], one O(|R_l| + |delta_l|)
-    /// merge walk over rows per direction; the only domain-sized work is
-    /// the new directory's bit per vertex); every other relation is
+    /// Fold `delta` into a fresh graph. Only the pages the delta touches
+    /// are rebuilt ([`Csr::rebase`], per direction one merge walk over
+    /// the rows of each page that holds a delta row: O(|delta| x page));
+    /// every other page, and every relation the delta does not name, is
     /// shared with `self` via `Arc`, so rebasing a small delta over a
-    /// large graph costs only the touched relations. The domain grows to
-    /// cover any new vertex or label ids the delta mentions.
+    /// large graph costs the touched pages and the touched relations'
+    /// page tables. The domain grows to cover any new vertex or label
+    /// ids the delta mentions.
     pub fn rebase(&self, delta: &GraphDelta) -> LabeledGraph {
         let num_vertices = self
             .num_vertices

@@ -4,8 +4,8 @@
 //! header, designed so a restart can skip text parsing and neighbour-list
 //! sorting entirely. The graph section stores each relation once,
 //! forward, as LEB128 gaps between sorted ids ([`write_graph`]); the
-//! decoder fills the offsets and targets the graph keeps straight from
-//! them, rebuilds the row directory from the row ids, and derives the
+//! decoder reads them into one relation's row ids, offsets and targets
+//! at a time, cuts those into the pages the graph keeps, and derives the
 //! backward index by one counting [`Csr::transpose`]. The catalog section
 //! (`ceg-catalog::io`) is coded with the same LEB128 varints, through the
 //! same [`ChunkedWriter`] and [`ChunkedReader`]:
@@ -930,14 +930,14 @@ pub fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays
 }
 
 impl GraphArrays {
-    /// Build the graph, relation by relation: the row directory of the
-    /// forward index (its offsets and targets move in, they are not
-    /// copied), then the backward index as its [`Csr::transpose`] — the
-    /// file holds no second copy that could disagree with the first.
-    /// Call this once the payload has passed its checksum: a directory
-    /// is a bit per vertex of the declared domain — the one allocation
-    /// sized by a value in the file instead of by the file's length —
-    /// and must not be made for a domain bit rot invented.
+    /// Build the graph, relation by relation: the pages of the forward
+    /// index (its arrays are freed once the pages hold them), then the
+    /// backward index as its [`Csr::transpose`] — the file holds no
+    /// second copy that could disagree with the first. Call this once
+    /// the payload has passed its checksum: a page table reaches the
+    /// largest id the file names — sized by values in the file, not by
+    /// the file's length — and must not be made for ids bit rot
+    /// invented.
     pub fn into_graph(self) -> LabeledGraph {
         let num_vertices = self.num_vertices;
         let pairs = self
@@ -1348,8 +1348,8 @@ mod tests {
             "a varint the payload ends inside",
         );
         // The largest value a `u32` varint holds still decodes (the
-        // arrays only: a graph over 2^32 vertices has 512 MiB of
-        // directory per relation).
+        // arrays only: the graph would be one page at the end of a
+        // page table of 2^20 slots per relation and direction).
         let max = one_label(1 << 32, 1, 1, &lebs(&[u64::from(u32::MAX), 0, 0]));
         assert!(decode_graph(&mut PayloadReader::new(&max)).is_ok());
     }
@@ -1774,18 +1774,22 @@ mod tests {
         }
 
         /// `Csr::transpose` is `Csr::from_pairs` of the reversed pairs —
-        /// directory, ranks, offsets, targets, maximum degree and
-        /// capacities — on random relations over domains around the
-        /// directory's word boundaries, and on the same relations rebased
-        /// (edges added and deleted) over a grown domain.
+        /// page table, every page's directory, ranks, offsets and
+        /// targets, the cached totals and the capacities — on random
+        /// relations over domains around the directory's word boundaries
+        /// and ids across several pages, and on the same relations
+        /// rebased (edges added and deleted) over a grown domain.
         #[test]
         fn transpose_is_from_pairs_of_the_reversed_pairs(
             n in 1usize..140,
+            wide in (0u8..2).prop_map(|b| b == 1),
             pairs in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..120),
             grow in 0usize..70,
             adds in prop::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..40),
             del_every in 1usize..6,
         ) {
+            // A wide domain spreads the ids over up to four pages.
+            let (n, grow) = if wide { (n * 97, grow * 97) } else { (n, grow) };
             let reversed_from_pairs = |csr: &Csr| {
                 let rev: Vec<(VertexId, VertexId)> = csr.iter_edges().map(|(s, d)| (d, s)).collect();
                 Csr::from_pairs(csr.num_vertices(), &rev)

@@ -290,9 +290,15 @@ pub struct DatasetEntry {
 
 /// Largest vertex id an update may introduce **beyond** the dataset's
 /// current domain. Vertices the graph already has are always updatable
-/// (a 45M-vertex dataset accepts updates across its whole domain); this
-/// bound only stops a hostile id from forcing a giant domain allocation
-/// at rebase time.
+/// (a 45M-vertex dataset accepts updates across its whole domain).
+///
+/// A far id costs the graph little: each relation-direction it lands in
+/// pays one page and, at this bound, a page table of at most 4,096 slots
+/// (48 KiB; see [`ceg_graph::Csr`]). The bound protects what is sized by
+/// `num_vertices()` rather than by the edges: the tree DP's scratch (one
+/// weight per vertex, 128 MiB of `u64` at 2^24 ids), the kernel's bitset
+/// (a bit per vertex), and the page tables, which an id near `u32::MAX`
+/// would take to 2^20 slots (12 MiB) per touched relation-direction.
 pub const MAX_UPDATE_VERTEX: VertexId = (1 << 24) - 1;
 
 /// Largest label an update may introduce beyond the dataset's current

@@ -187,9 +187,11 @@ fn dataset_gauges_are_stable() {
     assert_eq!(families, BTreeSet::from(gauges));
 
     // Two one-edge relations over 300 vertices: per relation and
-    // direction 5 bitmap words, 5 ranks, 2 offsets and 1 target.
+    // direction a page table of one slot and one edge count, and one
+    // page — its `Arc` counts, 64 bitmap words, 64 `u16` ranks, a boxed
+    // slice and the maximum degree (664 B), then 2 offsets and 1 target.
     let bytes = |line: Option<&str>| line.and_then(|v| v.parse::<u64>().ok());
-    let want = Some(4 * (5 * 8 + 5 * 4 + 2 * 4 + 4));
+    let want = Some(4 * (8 + 4 + 16 + 664 + 2 * 4 + 4));
     let from_snapshot = snapshot
         .iter()
         .find(|(k, _)| k == "dataset_toy_graph_bytes")
