@@ -9,31 +9,42 @@ use std::path::Path;
 
 use crate::{GraphBuilder, LabelId, LabeledGraph, VertexId};
 
-/// Parse a graph from a reader in `src dst label` format.
-pub fn read_edge_list<R: BufRead>(reader: R) -> io::Result<LabeledGraph> {
+/// Parse a graph from a reader in `src dst label` format: one edge a
+/// line, `#` to the end of the line a comment, blank lines skipped. Each
+/// line is read as bytes into one reused buffer (never the whole input)
+/// and split on ASCII whitespace. A missing field, one that is not a
+/// decimal integer of its id type, or a fourth token refuses the input
+/// with the line number.
+pub fn read_edge_list<R: BufRead>(mut reader: R) -> io::Result<LabeledGraph> {
     let mut b = GraphBuilder::new(0);
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+    let mut line = Vec::new();
+    for lineno in 0.. {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            break;
         }
-        let (src, dst, label) = parse_edge(lineno, line)?;
-        b.add_edge(src, dst, label);
+        let text = line.split(|&c| c == b'#').next().unwrap_or_default();
+        if let Some((src, dst, label)) = parse_edge(lineno, text)? {
+            b.add_edge(src, dst, label);
+        }
     }
     Ok(b.build())
 }
 
 /// The edge on line `lineno` (0-based) of an edge list, comments
-/// stripped: each field an integer that fits its id type.
-fn parse_edge(lineno: usize, line: &str) -> io::Result<(VertexId, VertexId, LabelId)> {
-    let mut it = line.split_whitespace();
+/// stripped: `None` if the line is blank, else exactly three fields, each
+/// an integer that fits its id type.
+fn parse_edge(lineno: usize, line: &[u8]) -> io::Result<Option<(VertexId, VertexId, LabelId)>> {
+    let mut it = line
+        .split(|&c| matches!(c, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r'))
+        .filter(|token| !token.is_empty())
+        .peekable();
+    if it.peek().is_none() {
+        return Ok(None);
+    }
     let mut parse = |what: &str, max: u64| -> io::Result<u64> {
-        let n = it
-            .next()
-            .ok_or_else(|| bad_line(lineno, what, "missing"))?
-            .parse::<u64>()
-            .map_err(|_| bad_line(lineno, what, "not an integer"))?;
+        let token = it.next().ok_or_else(|| bad_line(lineno, what, "missing"))?;
+        let n = parse_u64(token).ok_or_else(|| bad_line(lineno, what, "not an integer"))?;
         if n > max {
             return Err(bad_line(lineno, what, "out of range"));
         }
@@ -42,7 +53,29 @@ fn parse_edge(lineno: usize, line: &str) -> io::Result<(VertexId, VertexId, Labe
     let src = parse("src", VertexId::MAX as u64)? as VertexId;
     let dst = parse("dst", VertexId::MAX as u64)? as VertexId;
     let label = parse("label", LabelId::MAX as u64)? as LabelId;
-    Ok((src, dst, label))
+    if it.next().is_some() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line {}: tokens after the label", lineno + 1),
+        ));
+    }
+    Ok(Some((src, dst, label)))
+}
+
+/// `token` as `str::parse::<u64>` reads it: an optional `+`, then one or
+/// more decimal digits; `None` for anything else or past `u64::MAX`.
+fn parse_u64(token: &[u8]) -> Option<u64> {
+    let digits = token.strip_prefix(b"+").unwrap_or(token);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &c| {
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(digit))
+    })
 }
 
 fn bad_line(lineno: usize, field: &str, why: &str) -> io::Error {
@@ -205,8 +238,8 @@ mod tests {
     fn ids_past_their_type_are_out_of_range() {
         let max = u32::MAX;
         assert_eq!(
-            parse_edge(0, &format!("{max} {max} 65535")).unwrap(),
-            (max, max, 65535)
+            parse_edge(0, format!("{max} {max} 65535").as_bytes()).unwrap(),
+            Some((max, max, 65535))
         );
         for (text, field) in [
             ("0 1 0\n4294967296 1 0\n", "src"),
@@ -220,6 +253,137 @@ mod tests {
                 err.to_string(),
                 format!("line {line}: field `{field}` out of range")
             );
+        }
+    }
+
+    /// A fourth token is refused like any other malformed field, with
+    /// the line number; in a comment it is a comment.
+    #[test]
+    fn a_fourth_token_is_refused() {
+        let text = "0 1 0\n1 2 3 4\n";
+        let err = read_edge_list(io::BufReader::new(text.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 2: tokens after the label");
+        let g = read_edge_list(io::BufReader::new("1 2 3 # 4\n".as_bytes())).unwrap();
+        assert!(g.has_edge(1, 2, 3));
+    }
+
+    /// The reader before it parsed bytes, verbatim: a `String` per line,
+    /// Unicode whitespace, and no check after the label.
+    fn str_read_edge_list<R: BufRead>(reader: R) -> io::Result<LabeledGraph> {
+        let mut b = GraphBuilder::new(0);
+        for (lineno, line) in reader.lines().enumerate() {
+            let line = line?;
+            let line = line.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let (src, dst, label) = str_parse_edge(lineno, line)?;
+            b.add_edge(src, dst, label);
+        }
+        Ok(b.build())
+    }
+
+    fn str_parse_edge(lineno: usize, line: &str) -> io::Result<(VertexId, VertexId, LabelId)> {
+        let mut it = line.split_whitespace();
+        let mut parse = |what: &str, max: u64| -> io::Result<u64> {
+            let n = it
+                .next()
+                .ok_or_else(|| bad_line(lineno, what, "missing"))?
+                .parse::<u64>()
+                .map_err(|_| bad_line(lineno, what, "not an integer"))?;
+            if n > max {
+                return Err(bad_line(lineno, what, "out of range"));
+            }
+            Ok(n)
+        };
+        let src = parse("src", VertexId::MAX as u64)? as VertexId;
+        let dst = parse("dst", VertexId::MAX as u64)? as VertexId;
+        let label = parse("label", LabelId::MAX as u64)? as LabelId;
+        Ok((src, dst, label))
+    }
+
+    /// What a reader made of `text`: the graph's vertex count and edges,
+    /// or the error's message.
+    type Read = Result<(usize, Vec<crate::Edge>), String>;
+
+    fn outcome(read: io::Result<LabeledGraph>) -> Read {
+        read.map(|g| (g.num_vertices(), g.all_edges().collect()))
+            .map_err(|e| e.to_string())
+    }
+
+    /// What the byte reader must make of ASCII `text`: the oracle's
+    /// outcome, except that the first line with a fourth token is refused
+    /// unless the oracle fails first (on an earlier line or on that line's
+    /// first three tokens).
+    fn expected(text: &str) -> Read {
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for (k, line) in lines.iter().enumerate() {
+            let tokens: Vec<&str> = line.split('#').next().unwrap().split_whitespace().collect();
+            if tokens.len() > 3 {
+                let head = lines[..k].concat() + &tokens[..3].join(" ");
+                return match str_read_edge_list(head.as_bytes()) {
+                    Err(e) => Err(e.to_string()),
+                    Ok(_) => Err(format!("line {}: tokens after the label", k + 1)),
+                };
+            }
+        }
+        outcome(str_read_edge_list(text.as_bytes()))
+    }
+
+    /// Tokens and separators an ASCII edge list is drawn from. Vertex ids
+    /// stay small enough to build (`4294967295` would be a 2^32-vertex
+    /// domain); the range checks see `65536` as a label and `4294967296`.
+    const TOKENS: [&str; 19] = [
+        "0",
+        "1",
+        "2",
+        "7",
+        "42",
+        "65535",
+        "65536",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "+3",
+        "+",
+        "-1",
+        "x",
+        "007",
+        "1x",
+        "#",
+        "#9",
+        "0#",
+    ];
+    const SEPARATORS: [&str; 7] = [" ", "\t", "  ", "\x0B", "\x0C", "\r", " \t "];
+    const ENDS: [&str; 3] = ["\n", "\r\n", ""];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// On ASCII input the byte reader accepts and refuses what the
+        /// `String` reader did, with the same message and the same graph,
+        /// but for a fourth token, which it refuses.
+        #[test]
+        fn reads_like_the_str_parser_on_ascii(
+            lines in proptest::collection::vec(
+                (proptest::collection::vec((0usize..7, 0usize..19), 0..6), 0usize..3, 0usize..7),
+                0..10,
+            )
+        ) {
+            let mut text = String::new();
+            for (tokens, end, lead) in &lines {
+                text.push_str(SEPARATORS[*lead]);
+                for (i, &(sep, token)) in tokens.iter().enumerate() {
+                    if i > 0 {
+                        text.push_str(SEPARATORS[sep]);
+                    }
+                    text.push_str(TOKENS[token]);
+                }
+                text.push_str(ENDS[*end]);
+            }
+            let got = outcome(read_edge_list(io::BufReader::new(text.as_bytes())));
+            proptest::prop_assert_eq!(got, expected(&text), "input {:?}", text);
         }
     }
 

@@ -1,122 +1,24 @@
-//! LRU estimate cache keyed by renaming-invariant canonical query hashes.
+//! The service's estimate cache, keyed by [`QueryGraph::canonical_hash`]
+//! (renaming-invariant) hashed with the dataset name. Every hit is checked
+//! by the exact [`QueryGraph::is_isomorphic`]: a WL collision is two entries.
 //!
-//! Repeated traffic is dominated by the same (or isomorphic) queries; a
-//! warm service should answer those without touching the catalog at all.
-//! The cache key is [`QueryGraph::canonical_hash`] (stable under variable
-//! renaming), and every hit is verified with the exact
-//! [`QueryGraph::is_isomorphic`] check so the rare WL hash collision can
-//! never surface a wrong estimate — it just shares a bucket.
+//! One slab of entries, reserved at capacity so untouched slots are never
+//! resident; a store at capacity overwrites the evicted slot, edge buffer
+//! included, without allocating. Recency is an intrusive list of `u32` slot
+//! ids: a probe that finds an isomorphic entry (hit or stale) and every
+//! store move it to the front, eviction takes the back. Lookup is an
+//! open-addressing table of slot ids (2 x capacity, a power of two): linear
+//! probing, backward-shift deletion. Dataset names are interned (`u16` ids).
 
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 
 use ceg_graph::hash::FxHasher;
-use ceg_graph::FxHashMap;
 use ceg_query::QueryGraph;
 
-/// A plain LRU map: capacity-bounded, least-recently-*used* eviction.
-///
-/// Recency is tracked with a monotonically increasing stamp per entry and
-/// a queue of `(key, stamp)` observations; stale observations (the entry
-/// was touched again later) are skipped during eviction, and the queue is
-/// compacted when it grows past four times the capacity, keeping both
-/// `get` and `insert` amortized O(1).
-pub struct LruCache<K, V> {
-    capacity: usize,
-    map: FxHashMap<K, (V, u64)>,
-    order: VecDeque<(K, u64)>,
-    tick: u64,
-}
-
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// An empty cache holding at most `capacity` entries. Capacity 0 is a
-    /// valid always-miss cache (used to disable caching in benchmarks).
-    pub fn new(capacity: usize) -> Self {
-        LruCache {
-            capacity,
-            map: FxHashMap::default(),
-            order: VecDeque::new(),
-            tick: 0,
-        }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn touch(&mut self, key: &K) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, stamp)) = self.map.get_mut(key) {
-            *stamp = tick;
-        }
-        self.order.push_back((key.clone(), tick));
-        if self.order.len() > 4 * self.capacity.max(1) {
-            self.compact();
-        }
-    }
-
-    /// Drop stale recency observations (entries touched again later, or
-    /// already evicted).
-    fn compact(&mut self) {
-        let map = &self.map;
-        self.order
-            .retain(|(k, stamp)| map.get(k).is_some_and(|(_, s)| s == stamp));
-    }
-
-    /// Look up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        if !self.map.contains_key(key) {
-            return None;
-        }
-        self.touch(key);
-        self.map.get(key).map(|(v, _)| v)
-    }
-
-    /// Look up `key` mutably, marking it most recently used on a hit.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if !self.map.contains_key(key) {
-            return None;
-        }
-        self.touch(key);
-        self.map.get_mut(key).map(|(v, _)| v)
-    }
-
-    /// Insert or replace `key`, evicting least-recently-used entries if
-    /// the cache is over capacity.
-    pub fn insert(&mut self, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        self.map.insert(key.clone(), (value, self.tick));
-        self.order.push_back((key, self.tick));
-        while self.map.len() > self.capacity {
-            match self.order.pop_front() {
-                Some((k, stamp)) => {
-                    if self.map.get(&k).is_some_and(|(_, s)| *s == stamp) {
-                        self.map.remove(&k);
-                    }
-                }
-                None => break, // unreachable: map non-empty implies queued stamps
-            }
-        }
-        if self.order.len() > 4 * self.capacity {
-            self.compact();
-        }
-    }
-}
+/// Slot 0 holds no entry. It closes the recency list into a ring (`next`
+/// most, `prev` least recently used); in the index it marks an empty place.
+const SENTINEL: u32 = 0;
 
 /// What a cache probe found — the distinction `EXPLAIN_ESTIMATE` and the
 /// metrics surface: a verified hit, a miss caused *only* by a stale epoch
@@ -133,30 +35,32 @@ pub enum ProbeOutcome {
     ColdMiss,
 }
 
-/// One cached estimate: the dataset it belongs to, the query it answers
-/// (kept for exact verification), the dataset **epoch** the estimate was
-/// computed against, and the estimator's result — `None` is cached too,
-/// so a query the estimator cannot answer does not hammer the catalog on
-/// every retry.
-struct CachedEstimate {
-    dataset: String,
-    query: QueryGraph,
+/// One cached estimate at the dataset **epoch** it was computed against.
+/// `None` is cached too, so a query the estimator cannot answer does not
+/// hammer the catalog on every retry.
+#[derive(Default)]
+struct Slot {
+    key: u64,
     epoch: u64,
     value: Option<f64>,
+    query: QueryGraph,
+    dataset: u16,
+    prev: u32,
+    next: u32,
 }
 
-/// The service's estimate cache: LRU over canonical-hash buckets with
-/// exact isomorphism verification and hit/miss counters (exposed through
-/// the wire protocol so cache behavior is observable end to end).
-///
-/// Entries are tagged with the dataset epoch they were computed at; a
-/// lookup presents the *current* epoch and an entry from an older epoch
-/// **misses instead of lying** — committing a graph update invalidates
-/// every prior estimate for that dataset without the cache having to
-/// enumerate them. Stale entries are replaced in place on the next store
-/// and otherwise age out of the LRU.
+/// LRU over isomorphism classes of queries, with hit/miss counters (the
+/// wire exposes them). A probe presents the *current* epoch and an entry
+/// from an older one **misses instead of lying**, so a commit invalidates
+/// every prior estimate of its dataset without enumerating them; stale
+/// entries are refreshed in place by the next store or age out.
 pub struct EstimateCache {
-    lru: LruCache<u64, Vec<CachedEstimate>>,
+    capacity: usize,
+    /// The [`SENTINEL`], then one slot per entry.
+    slots: Vec<Slot>,
+    /// Slot ids by key, [`SENTINEL`] where empty; at most half full.
+    index: Vec<u32>,
+    names: Vec<Box<str>>,
     hits: u64,
     misses: u64,
     stale_misses: u64,
@@ -170,26 +74,29 @@ fn bucket_key(dataset: &str, canonical_hash: u64) -> u64 {
 }
 
 impl EstimateCache {
-    /// A cache holding at most `capacity` hash buckets.
+    /// A cache of at most `capacity` entries (0: every probe misses; > 2^30 panics).
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity <= 1 << 30, "cache capacity past 2^30");
+        let mut slots = Vec::with_capacity(capacity + 1);
+        slots.push(Slot::default());
         EstimateCache {
-            lru: LruCache::new(capacity),
+            capacity,
+            slots,
+            index: vec![SENTINEL; (2 * capacity).next_power_of_two().max(2)],
+            names: Vec::new(),
             hits: 0,
             misses: 0,
             stale_misses: 0,
         }
     }
 
-    /// Probe for an estimate of `query` on `dataset` at the dataset's
-    /// current `epoch`, with the query's canonical hash already computed
-    /// (callers hash outside the lock they hold around the cache). A
-    /// [`ProbeOutcome::Hit`] is verified: the cached query is isomorphic
-    /// **and** the cached epoch matches, so the value is exactly what the
-    /// estimator would recompute. A [`ProbeOutcome::StaleMiss`] found an
-    /// isomorphic entry stranded at an older epoch by a committed graph
-    /// update, a [`ProbeOutcome::ColdMiss`] found nothing at all.
-    /// Counters are updated either way (stale misses additionally bump
-    /// their own).
+    /// Probe for an estimate of `query` on `dataset` at its current
+    /// `epoch`, the canonical hash computed by the caller (outside the
+    /// lock it holds around the cache). A [`ProbeOutcome::Hit`] is an
+    /// isomorphic query **and** the same epoch, so the value is exactly
+    /// what the estimator would recompute; [`ProbeOutcome::StaleMiss`]
+    /// found one stranded at another epoch by a commit. Counters are
+    /// updated either way.
     pub fn probe_hashed(
         &mut self,
         dataset: &str,
@@ -198,33 +105,25 @@ impl EstimateCache {
         epoch: u64,
     ) -> ProbeOutcome {
         let key = bucket_key(dataset, canonical_hash);
-        let mut stale = false;
-        if let Some(bucket) = self.lru.get(&key) {
-            for entry in bucket {
-                if entry.dataset == dataset && entry.query.is_isomorphic(query) {
-                    if entry.epoch == epoch {
-                        let value = entry.value;
-                        self.hits += 1;
-                        return ProbeOutcome::Hit(value);
-                    }
-                    stale = true;
-                }
-            }
+        let found = self.find(key, dataset, query).and_then(|id| self.touch(id));
+        let Some((cached, value)) = found.map(|slot| (slot.epoch, slot.value)) else {
+            self.misses += 1;
+            return ProbeOutcome::ColdMiss;
+        };
+        if cached == epoch {
+            self.hits += 1;
+            return ProbeOutcome::Hit(value);
         }
         self.misses += 1;
-        if stale {
-            self.stale_misses += 1;
-            ProbeOutcome::StaleMiss
-        } else {
-            ProbeOutcome::ColdMiss
-        }
+        self.stale_misses += 1;
+        ProbeOutcome::StaleMiss
     }
 
-    /// Store an estimate computed at `epoch`. Collision buckets stay tiny
-    /// (WL collisions need deliberately adversarial regular graphs), so
-    /// the inner scan is a formality. An existing entry for an isomorphic
-    /// query is replaced in place — including a stale-epoch entry, which
-    /// is how invalidated estimates get refreshed rather than duplicated.
+    /// Store an estimate computed at `epoch`. An existing entry for an
+    /// isomorphic query is updated in place — including a stale-epoch
+    /// entry, which is how invalidated estimates get refreshed rather
+    /// than duplicated. At capacity the least recently used entry's slot
+    /// is reused.
     pub fn store_hashed(
         &mut self,
         dataset: &str,
@@ -234,28 +133,120 @@ impl EstimateCache {
         value: Option<f64>,
     ) {
         let key = bucket_key(dataset, canonical_hash);
-        let entry = CachedEstimate {
-            dataset: dataset.to_string(),
-            query: query.clone(),
-            epoch,
-            value,
+        let slot = match self.find(key, dataset, query) {
+            Some(id) => self.touch(id),
+            None => self.insert(key, dataset, query),
         };
-        if let Some(bucket) = self.lru.get_mut(&key) {
-            for existing in bucket.iter_mut() {
-                if existing.dataset == dataset && existing.query.is_isomorphic(query) {
-                    // A racing slow computation from a pre-commit epoch
-                    // must not downgrade a fresher entry.
-                    if epoch >= existing.epoch {
-                        existing.epoch = epoch;
-                        existing.value = value;
-                    }
-                    return;
-                }
-            }
-            bucket.push(entry);
-            return;
+        // A racing slow computation from a pre-commit epoch must not
+        // downgrade a fresher entry.
+        if let Some(slot) = slot.filter(|slot| epoch >= slot.epoch) {
+            (slot.epoch, slot.value) = (epoch, value);
         }
-        self.lru.insert(key, vec![entry]);
+    }
+
+    /// A slot for a new entry at epoch 0, most recently used: a fresh one
+    /// or, at capacity, the least recently used entry's.
+    fn insert(&mut self, key: u64, dataset: &str, query: &QueryGraph) -> Option<&mut Slot> {
+        if self.capacity == 0 {
+            return None;
+        }
+        let ds = self.intern(dataset)?;
+        let id = if self.slots.len() <= self.capacity {
+            self.slots.push(Slot::default());
+            self.slots.len() as u32 - 1
+        } else {
+            let id = self.slots.first()?.prev;
+            self.unlink(id)?;
+            self.unindex(id)?;
+            id
+        };
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(key);
+        while *self.index.get(pos)? != SENTINEL {
+            pos = (pos + 1) & mask;
+        }
+        *self.index.get_mut(pos)? = id;
+        self.push_front(id)?;
+        let slot = self.slots.get_mut(id as usize)?;
+        slot.query.clone_from(query);
+        (slot.key, slot.dataset, slot.epoch) = (key, ds, 0);
+        Some(slot)
+    }
+
+    /// Where `key`'s probe run starts: its top bits, the ones Fx mixes best.
+    fn home(&self, key: u64) -> usize {
+        (key >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The slot of `dataset` holding a query isomorphic to `query` under
+    /// `key`, searched up to the empty place that ends `key`'s run.
+    fn find(&self, key: u64, dataset: &str, query: &QueryGraph) -> Option<u32> {
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(key);
+        loop {
+            let id = *self.index.get(pos)?;
+            let slot = self.slots.get(id as usize).filter(|_| id != SENTINEL)?;
+            let name = self.names.get(usize::from(slot.dataset))?;
+            if slot.key == key && **name == *dataset && slot.query.is_isomorphic(query) {
+                return Some(id);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Take `id` out of the index, shifting the rest of its probe run
+    /// back over the hole so every id stays reachable from its home.
+    fn unindex(&mut self, id: u32) -> Option<()> {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(self.slots.get(id as usize)?.key);
+        while *self.index.get(hole)? != id {
+            hole = (hole + 1) & mask;
+        }
+        let mut pos = (hole + 1) & mask;
+        while let Some(&moved) = self.index.get(pos).filter(|&&id| id != SENTINEL) {
+            // `moved` may fill the hole iff the hole is on its way from home.
+            let home = self.home(self.slots.get(moved as usize)?.key);
+            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
+                *self.index.get_mut(hole)? = moved;
+                hole = pos;
+            }
+            pos = (pos + 1) & mask;
+        }
+        *self.index.get_mut(hole)? = SENTINEL;
+        Some(())
+    }
+
+    /// Make `id` the most recently used entry.
+    fn touch(&mut self, id: u32) -> Option<&mut Slot> {
+        self.unlink(id)?;
+        self.push_front(id)?;
+        self.slots.get_mut(id as usize)
+    }
+
+    fn unlink(&mut self, id: u32) -> Option<()> {
+        let &Slot { prev, next, .. } = self.slots.get(id as usize)?;
+        self.slots.get_mut(prev as usize)?.next = next;
+        self.slots.get_mut(next as usize)?.prev = prev;
+        Some(())
+    }
+
+    fn push_front(&mut self, id: u32) -> Option<()> {
+        let first = self.slots.first()?.next;
+        let slot = self.slots.get_mut(id as usize)?;
+        (slot.prev, slot.next) = (SENTINEL, first);
+        self.slots.get_mut(first as usize)?.prev = id;
+        self.slots.first_mut()?.next = id;
+        Some(())
+    }
+
+    /// `name`'s id, interned on first sight; `None` once 2^16 names are.
+    fn intern(&mut self, name: &str) -> Option<u16> {
+        if let Some(id) = self.names.iter().position(|n| **n == *name) {
+            return Some(id as u16);
+        }
+        let id = u16::try_from(self.names.len()).ok()?;
+        self.names.push(name.into());
+        Some(id)
     }
 
     /// Verified hits so far.
@@ -274,14 +265,23 @@ impl EstimateCache {
         self.stale_misses
     }
 
-    /// Number of cached hash buckets.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.slots.len() - 1
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the cache holds on the heap: the slab and the index at their
+    /// reserved size, every cached query's edges, the interned names.
+    pub fn heap_bytes(&self) -> usize {
+        let edges: usize = self.slots.iter().map(|s| s.query.heap_bytes()).sum();
+        let names: usize = self.names.iter().map(|n| n.len()).sum();
+        let table = self.slots.capacity() * size_of::<Slot>() + self.index.capacity() * 4;
+        table + self.names.capacity() * size_of::<Box<str>>() + edges + names
     }
 }
 
@@ -299,49 +299,76 @@ mod tests {
         cache.store_hashed(dataset, q, q.canonical_hash(), epoch, v)
     }
 
+    /// Distinct (non-isomorphic) queries: paths over distinct labels.
+    fn q(i: u16) -> QueryGraph {
+        templates::path(2, &[i, i + 100])
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        assert_eq!(c.get(&1), Some(&10)); // 1 is now most recent
-        c.insert(3, 30); // evicts 2
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&1), Some(&10));
-        assert_eq!(c.get(&3), Some(&30));
+        let mut c = EstimateCache::new(2);
+        store(&mut c, "ds", &q(1), 0, Some(10.0));
+        store(&mut c, "ds", &q(2), 0, Some(20.0));
+        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(10.0))); // 1 is now most recent
+        store(&mut c, "ds", &q(3), 0, Some(30.0)); // evicts 2
+        assert_eq!(probe(&mut c, "ds", &q(2), 0), ColdMiss);
+        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(10.0)));
+        assert_eq!(probe(&mut c, "ds", &q(3), 0), Hit(Some(30.0)));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn lru_replaces_in_place() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(1, 11);
+        let mut c = EstimateCache::new(2);
+        store(&mut c, "ds", &q(1), 0, Some(10.0));
+        store(&mut c, "ds", &q(1), 0, Some(11.0));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&1), Some(&11));
+        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(11.0)));
     }
 
     #[test]
     fn lru_zero_capacity_never_stores() {
-        let mut c: LruCache<u32, u32> = LruCache::new(0);
-        c.insert(1, 10);
-        assert_eq!(c.get(&1), None);
+        let mut c = EstimateCache::new(0);
+        store(&mut c, "ds", &q(1), 0, Some(10.0));
+        assert_eq!(probe(&mut c, "ds", &q(1), 0), ColdMiss);
         assert!(c.is_empty());
+        assert_eq!(c.misses(), 1);
     }
 
+    /// Far more touches than capacity, then an eviction: the touched
+    /// entry is the most recent, never the one evicted. A stale probe
+    /// touches too.
     #[test]
     fn lru_survives_many_touches() {
-        // Exercises queue compaction: far more touches than capacity.
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
+        let mut c = EstimateCache::new(4);
         for i in 0..4 {
-            c.insert(i, i);
+            store(&mut c, "ds", &q(i), 0, Some(f64::from(i)));
         }
         for _ in 0..1000 {
-            assert_eq!(c.get(&0), Some(&0));
+            assert_eq!(probe(&mut c, "ds", &q(0), 0), Hit(Some(0.0)));
         }
-        c.insert(100, 100); // must evict one of 1..=3, never 0
-        assert_eq!(c.get(&0), Some(&0));
+        assert_eq!(probe(&mut c, "ds", &q(1), 1), StaleMiss);
+        store(&mut c, "ds", &q(100), 0, Some(100.0)); // evicts 2, the least recent
+        assert_eq!(probe(&mut c, "ds", &q(0), 0), Hit(Some(0.0)));
+        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(1.0)));
+        assert_eq!(probe(&mut c, "ds", &q(2), 0), ColdMiss);
         assert_eq!(c.len(), 4);
+    }
+
+    /// Two non-isomorphic queries under one key (a WL collision, here
+    /// forced) are two entries, counted against capacity as two, in one
+    /// probe run; evicting the first leaves the second reachable.
+    #[test]
+    fn colliding_keys_share_a_run_and_survive_eviction() {
+        let mut c = EstimateCache::new(2);
+        c.store_hashed("ds", &q(1), 7, 0, Some(1.0));
+        c.store_hashed("ds", &q(2), 7, 0, Some(2.0));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.probe_hashed("ds", &q(2), 7, 0), Hit(Some(2.0)));
+        c.store_hashed("ds", &q(3), 8, 0, Some(3.0)); // evicts q(1)
+        assert_eq!(c.probe_hashed("ds", &q(2), 7, 0), Hit(Some(2.0)));
+        assert_eq!(c.probe_hashed("ds", &q(1), 7, 0), ColdMiss);
+        assert_eq!(c.probe_hashed("ds", &q(3), 8, 0), Hit(Some(3.0)));
     }
 
     #[test]

@@ -273,7 +273,7 @@ pub struct Engine {
 
 impl Engine {
     /// An engine over `registry` with an LRU cache of `cache_capacity`
-    /// buckets (0 disables caching) and no admission cap.
+    /// entries (0 disables caching) and no admission cap.
     pub fn new(registry: Arc<DatasetRegistry>, cache_capacity: usize) -> Self {
         Engine::with_queue_cap(registry, cache_capacity, usize::MAX)
     }
@@ -779,19 +779,21 @@ impl Engine {
     /// so a dump reads every scalar from the one table. A poisoned cache
     /// reports zeros, as in [`Engine::stats`].
     fn sample(&self) {
-        let (hits, misses, stale, entries) = match self.cache.checked_lock() {
+        let (hits, misses, stale, entries, bytes) = match self.cache.checked_lock() {
             Ok(cache) => (
                 cache.hits(),
                 cache.misses(),
                 cache.stale_misses(),
                 cache.len() as u64,
+                cache.heap_bytes() as u64,
             ),
-            Err(_) => (0, 0, 0, 0),
+            Err(_) => (0, 0, 0, 0, 0),
         };
         self.metrics.set(Series::CacheHits, hits);
         self.metrics.set(Series::CacheMisses, misses);
         self.metrics.set(Series::CacheStaleMisses, stale);
         self.metrics.set(Series::CacheEntries, entries);
+        self.metrics.set(Series::CacheBytes, bytes);
         self.metrics
             .set(Series::Datasets, self.registry.len() as u64);
     }

@@ -100,7 +100,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use cache::{EstimateCache, LruCache, ProbeOutcome};
+pub use cache::{EstimateCache, ProbeOutcome};
 pub use client::{Client, ClientConfig, EstimateReply, ExplainReply, QueryReply};
 pub use engine::{
     Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,

@@ -166,6 +166,7 @@ pub enum Series {
     CacheMisses,
     CacheStaleMisses,
     CacheEntries,
+    CacheBytes,
     Datasets,
 }
 
@@ -179,7 +180,7 @@ const GAUGE: &str = "gauge";
 type Row = (Series, &'static str, Option<&'static str>, &'static str);
 
 #[rustfmt::skip]
-const SERIES: [Row; 26] = [
+const SERIES: [Row; 27] = [
     (Series::Busy, "busy_total", None, COUNTER),
     (Series::Timeout, "timeout_total", None, COUNTER),
     (Series::Error, "error_total", None, COUNTER),
@@ -205,6 +206,7 @@ const SERIES: [Row; 26] = [
     (Series::CacheMisses, "cache_misses", Some("ceg_cache_misses_total"), COUNTER),
     (Series::CacheStaleMisses, "cache_stale_misses", Some("ceg_cache_stale_misses_total"), COUNTER),
     (Series::CacheEntries, "cache_entries", None, GAUGE),
+    (Series::CacheBytes, "cache_bytes", None, GAUGE),
     (Series::Datasets, "datasets", None, GAUGE),
 ];
 

@@ -53,7 +53,10 @@ use crate::registry::DatasetRegistry;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// LRU estimate-cache capacity in hash buckets (0 disables caching).
+    /// LRU estimate-cache capacity in entries, one per isomorphism class
+    /// of query and dataset (0 disables caching). Entries, not hash
+    /// buckets: the two differ only under a WL hash collision, whose two
+    /// classes take two entries.
     pub cache_capacity: usize,
     /// Admission control: maximum cache-missing estimates admitted
     /// (waiting for a run slot or running) per dataset. Misses beyond

@@ -710,7 +710,7 @@ fn serve(args: &[String]) -> CmdResult {
     let (num_vertices, num_edges) = entry.graph_summary();
     println!(
         "serving `default` ({} vertices, {} edges, {} catalog entries, epoch {}) on {} \
-         [estimates run on their connection's thread, cache {} buckets, {} catalog jobs{}]",
+         [estimates run on their connection's thread, cache {} entries, {} catalog jobs{}]",
         num_vertices,
         num_edges,
         entry.catalog_len(),

@@ -1,74 +1,143 @@
-//! Model-based property test of the service's `LruCache`.
+//! Model-based property test of the service's `EstimateCache`.
 //!
-//! The cache tracks recency with per-entry stamps plus a lazily compacted
-//! observation queue — an O(1)-amortized scheme whose subtle failure mode
-//! is recency ties: if two touches could ever share a stamp, eviction
-//! would fall back to queue order and a recently `get` key could be
-//! evicted first. The reference model below is the textbook list-based
-//! LRU (most recent at the back, no stamps at all); driving both with the
-//! same random operation sequences pins the optimized implementation to
-//! the semantics, including the tick bump on every `touch`.
+//! The cache keeps its entries in one slab, recency as an intrusive list
+//! of slot ids and lookup as an open-addressing index with backward-shift
+//! deletion. The reference model below is the textbook LRU: a vector
+//! ordered least to most recently used, holding `(dataset, query, epoch,
+//! value)`, where a query matches by `is_isomorphic` and nothing else.
+//! Random scripts of probes and stores drive both, and every step compares
+//! the `ProbeOutcome`, `len`, `hits`, `misses` and `stale_misses`.
+//!
+//! The scripts force what a hash table gets wrong: renamed isomorphic
+//! copies (one entry, two spellings), non-isomorphic queries stored under
+//! one canonical hash (as the wire benchmark does with fresh `u64`s), and
+//! the WL pair of two triangles vs a 6-cycle, whose real hashes collide.
+//! Such keys share a probe run, so eviction must close the run's hole: an
+//! index removal that only clears the evicted id's place instead of
+//! shifting the rest of the run back strands later entries, and this test
+//! fails on it within its first cases.
 
-use cegraph::service::LruCache;
+use cegraph::query::{templates, QueryEdge, QueryGraph};
+use cegraph::service::{EstimateCache, ProbeOutcome};
 use proptest::prelude::*;
 
-/// Textbook reference LRU: a vector ordered least → most recently used.
-struct RefLru {
-    capacity: usize,
-    entries: Vec<(u8, u32)>,
+/// The canonical hash every "forced" shape is stored and probed under.
+const FORCED: u64 = 0x5eed;
+
+/// The query shapes a script draws from, each with the hash it is always
+/// presented under. Isomorphic shapes share a hash (the real one), forced
+/// ones share [`FORCED`] and are pairwise non-isomorphic.
+fn shapes() -> Vec<(QueryGraph, u64)> {
+    let rename = |q: &QueryGraph, perm: &[u8]| {
+        let edges = q
+            .edges()
+            .iter()
+            .map(|e| QueryEdge::new(perm[e.src as usize], perm[e.dst as usize], e.label))
+            .collect();
+        QueryGraph::new(q.num_vars(), edges)
+    };
+    let path = templates::path(3, &[0, 1, 0]);
+    let two_triangles = QueryGraph::new(
+        6,
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+            .iter()
+            .map(|&(s, d)| QueryEdge::new(s, d, 0))
+            .collect(),
+    );
+    let hexagon = templates::cycle(6, &[0; 6]);
+    let real = |q: QueryGraph| {
+        let h = q.canonical_hash();
+        (q, h)
+    };
+    vec![
+        real(path.clone()),
+        real(rename(&path, &[3, 2, 1, 0])),
+        real(two_triangles.clone()),
+        real(hexagon.clone()),
+        real(rename(&hexagon, &[2, 3, 4, 5, 0, 1])),
+        (templates::path(2, &[0, 1]), FORCED),
+        (templates::path(2, &[1, 0]), FORCED),
+        (templates::star(2, &[0, 1]), FORCED),
+    ]
 }
 
-impl RefLru {
-    fn new(capacity: usize) -> Self {
-        RefLru {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
+/// Textbook reference: a vector ordered least → most recently used.
+struct Model {
+    capacity: usize,
+    entries: Vec<(u8, QueryGraph, u64, Option<f64>)>,
+    hits: u64,
+    misses: u64,
+    stale_misses: u64,
+}
 
-    fn get(&mut self, key: u8) -> Option<u32> {
-        let i = self.entries.iter().position(|&(k, _)| k == key)?;
+impl Model {
+    /// Move the entry isomorphic to `query` on `dataset` to the back and
+    /// return it.
+    fn touch(
+        &mut self,
+        dataset: u8,
+        query: &QueryGraph,
+    ) -> Option<&mut (u8, QueryGraph, u64, Option<f64>)> {
+        let i = self
+            .entries
+            .iter()
+            .position(|(d, q, ..)| *d == dataset && q.is_isomorphic(query))?;
         let entry = self.entries.remove(i);
-        let value = entry.1;
         self.entries.push(entry);
-        Some(value)
+        self.entries.last_mut()
     }
 
-    fn insert(&mut self, key: u8, value: u32) {
+    fn probe(&mut self, dataset: u8, query: &QueryGraph, epoch: u64) -> ProbeOutcome {
+        let outcome = match self.touch(dataset, query) {
+            Some((_, _, e, value)) if *e == epoch => ProbeOutcome::Hit(*value),
+            Some(_) => ProbeOutcome::StaleMiss,
+            None => ProbeOutcome::ColdMiss,
+        };
+        match outcome {
+            ProbeOutcome::Hit(_) => self.hits += 1,
+            ProbeOutcome::StaleMiss => {
+                self.misses += 1;
+                self.stale_misses += 1;
+            }
+            ProbeOutcome::ColdMiss => self.misses += 1,
+        }
+        outcome
+    }
+
+    fn store(&mut self, dataset: u8, query: &QueryGraph, epoch: u64, value: Option<f64>) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
-            self.entries.remove(i);
+        if let Some(entry) = self.touch(dataset, query) {
+            if epoch >= entry.2 {
+                (entry.2, entry.3) = (epoch, value);
+            }
+            return;
         }
-        self.entries.push((key, value));
+        self.entries.push((dataset, query.clone(), epoch, value));
         if self.entries.len() > self.capacity {
             self.entries.remove(0);
         }
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
-/// One scripted cache operation over a deliberately small key space (so
-/// sequences revisit keys, exercising touches, replacement and eviction).
+/// One scripted operation: probe or store `(dataset, shape, epoch)`.
 #[derive(Debug, Clone, Copy)]
-enum Op {
-    Insert(u8),
-    Get(u8),
+struct Op {
+    store: bool,
+    dataset: u8,
+    shape: usize,
+    epoch: u64,
 }
 
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..2, 0u8..10), 0..300).prop_map(|raw| {
+fn arb_ops(shapes: usize) -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..2, 0u8..2, 0..shapes, 0u64..4), 0..200).prop_map(|raw| {
         raw.into_iter()
-            .map(|(kind, key)| {
-                if kind == 0 {
-                    Op::Insert(key)
-                } else {
-                    Op::Get(key)
-                }
+            .map(|(kind, dataset, shape, epoch)| Op {
+                store: kind == 0,
+                dataset,
+                shape,
+                epoch,
             })
             .collect()
     })
@@ -77,45 +146,56 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every `get` observes the same value (and presence) in the real
-    /// cache and the model, after any interleaving of inserts and gets —
-    /// in particular, a key touched by `get` must survive eviction
-    /// exactly as long as the model says it does.
+    /// After any script, the cache and the model agree on every probe's
+    /// outcome, on the entry count and on the three counters.
     #[test]
     fn lru_matches_reference_model(
-        (capacity, ops) in (0usize..6, arb_ops())
+        (capacity, ops) in (0usize..7, arb_ops(8))
     ) {
-        let mut real: LruCache<u8, u32> = LruCache::new(capacity);
-        let mut model = RefLru::new(capacity);
-        // Values are a running counter so stale entries are detectable.
-        let mut next_value = 0u32;
+        let shapes = shapes();
+        let names = ["a", "b"];
+        let mut real = EstimateCache::new(capacity);
+        let mut model = Model { capacity, entries: Vec::new(), hits: 0, misses: 0, stale_misses: 0 };
+        // Values are a running counter (every 5th a cached failure), so a
+        // value served from the wrong entry or epoch is caught.
         for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Insert(key) => {
-                    next_value += 1;
-                    real.insert(key, next_value);
-                    model.insert(key, next_value);
-                }
-                Op::Get(key) => {
-                    prop_assert_eq!(
-                        real.get(&key).copied(),
-                        model.get(key),
-                        "step {}: get({}) diverged (capacity {})",
-                        step, key, capacity
-                    );
-                }
+            let (query, hash) = &shapes[op.shape];
+            let dataset = names[op.dataset as usize];
+            if op.store {
+                let value = (step % 5 != 0).then_some(step as f64);
+                real.store_hashed(dataset, query, *hash, op.epoch, value);
+                model.store(op.dataset, query, op.epoch, value);
+            } else {
+                prop_assert_eq!(
+                    real.probe_hashed(dataset, query, *hash, op.epoch),
+                    model.probe(op.dataset, query, op.epoch),
+                    "step {}: {:?} diverged (capacity {})", step, op, capacity
+                );
             }
-            prop_assert_eq!(real.len(), model.len(), "step {step}: len diverged");
+            prop_assert_eq!(real.len(), model.entries.len(), "step {}: len", step);
+            prop_assert_eq!(real.hits(), model.hits, "step {}: hits", step);
+            prop_assert_eq!(real.misses(), model.misses, "step {}: misses", step);
+            prop_assert_eq!(real.stale_misses(), model.stale_misses, "step {}: stale", step);
         }
-        // Final sweep: membership must agree key by key. (Probing mutates
-        // recency identically on both sides, so the comparison stays fair
-        // as the sweep advances.)
-        for key in 0u8..10 {
-            prop_assert_eq!(
-                real.get(&key).copied(),
-                model.get(key),
-                "final sweep: get({}) diverged", key
-            );
+    }
+}
+
+/// The shapes mean what the script relies on: renamed copies are
+/// isomorphic with equal real hashes, the WL pair collides without being
+/// isomorphic, and the forced shapes are pairwise distinct.
+#[test]
+fn shapes_collide_as_intended() {
+    let s = shapes();
+    assert!(s[0].0.is_isomorphic(&s[1].0) && s[0].1 == s[1].1);
+    assert!(s[3].0.is_isomorphic(&s[4].0) && s[3].1 == s[4].1);
+    assert_eq!(
+        s[2].1, s[3].1,
+        "two triangles and the hexagon share a WL hash"
+    );
+    assert!(!s[2].0.is_isomorphic(&s[3].0));
+    for i in 5..8 {
+        for j in 5..8 {
+            assert_eq!(s[i].0.is_isomorphic(&s[j].0), i == j, "{i} vs {j}");
         }
     }
 }
