@@ -39,7 +39,7 @@ pub fn write_markov<W: Write>(table: &MarkovTable, writer: W) -> io::Result<()> 
 /// variables freely; a field that does not fit its type, an entry with
 /// no edge or more than 8 variables, and tokens after an entry's last
 /// edge are `InvalidData` errors naming the line.
-pub fn read_markov<R: BufRead>(reader: R) -> io::Result<MarkovTable> {
+fn read_markov<R: BufRead>(reader: R) -> io::Result<MarkovTable> {
     let mut lines = reader.lines();
     let header = lines.next().ok_or_else(|| bad("missing header"))??;
     let h: usize = header
@@ -239,7 +239,7 @@ fn write_markov_payload(
 /// The entry count is held to the bytes left before anything is reserved
 /// for it (an entry costs at least four bytes), and an entry's edges grow
 /// only as its bytes are read (two or more per edge).
-pub fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<MarkovTable> {
+fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<MarkovTable> {
     let mut r = ChunkedReader::new(r);
     let h = r.u64("markov h")?;
     if h < 2 {
@@ -322,7 +322,7 @@ pub fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<Markov
 /// target, are synced to disk, and are renamed over `path` only once
 /// complete — a crash, disk-full, or concurrent snapshot can never
 /// leave a truncated or interleaved file where a good snapshot used to
-/// be ([`ceg_graph::snapshot::atomic_write`]). It is **streamed**: the
+/// be ([`ceg_graph::snapshot::atomic_write_with`]). It is **streamed**: the
 /// graph's arrays and the table's entries go to the file through its
 /// 64 KiB buffer, and the one thing built for the write is the sorted
 /// index of the table's entries.

@@ -252,11 +252,6 @@ impl MarkovTable {
         })
     }
 
-    /// True if the pattern for `mask` is stored (or computable: empty mask).
-    pub fn contains_subquery(&self, query: &QueryGraph, mask: EdgeMask) -> bool {
-        self.card_of_subquery(query, mask).is_some()
-    }
-
     /// Insert or overwrite an entry (used by tests and by bound-sketch
     /// partition-local tables).
     pub fn insert(&mut self, pattern: Pattern, card: u64) {
@@ -266,7 +261,7 @@ impl MarkovTable {
     /// Make room for `additional` more entries in one allocation (a
     /// loader that knows its entry count skips the doubling, which holds
     /// the old and the new table at once).
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.entries.reserve(additional);
     }
 

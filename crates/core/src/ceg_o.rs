@@ -186,11 +186,6 @@ impl CegO {
         &self.ceg
     }
 
-    /// Node id → edge-subset mask.
-    pub fn node_mask(&self, node: u32) -> EdgeMask {
-        self.nodes[node as usize]
-    }
-
     /// Extension metadata of an edge tag.
     pub fn ext_info(&self, tag: u32) -> &ExtInfo {
         &self.ext_info[tag as usize]

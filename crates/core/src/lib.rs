@@ -8,7 +8,8 @@
 //! * [`ceg_o`] — CEG_O, the optimistic CEG over Markov-table statistics
 //!   (Section 4.2),
 //! * [`trace`] — the per-request span/counter recorder the estimation
-//!   service threads through the pipeline (zero-alloc when disabled).
+//!   service threads through the pipeline (as an `Option`, `None`
+//!   unless a request asks for the breakdown).
 //!
 //! The pessimistic CEGs (CEG_M / MOLP, CBS, DBPLP, AGM), CEG_OCR, the
 //! bound sketches and the P* oracle are offline evaluation tools and live
@@ -46,4 +47,4 @@ pub mod trace;
 
 pub use ceg::{Aggr, Ceg, CegEdge, Heuristic, PathLen};
 pub use ceg_o::CegO;
-pub use trace::{SpanStart, Trace};
+pub use trace::Trace;

@@ -2,107 +2,43 @@
 //! through the estimation pipeline and back out.
 //!
 //! A [`Trace`] is a plain struct — no globals, no thread-locals, no
-//! channels — carried by the request that owns it. Spans are measured on
-//! the monotonic clock ([`std::time::Instant`]) and recorded in
+//! channels — carried by the request that owns it. Spans are recorded in
 //! microseconds; counters are plain `u64` values. Both carry `&'static
 //! str` names so recording never formats or allocates strings.
 //!
-//! **Zero-alloc when disabled.** The common path (every plain `ESTIMATE`)
-//! runs with [`Trace::disabled`]: `begin()` skips the clock read,
-//! `end()`/`counter()` return before touching the vectors, and the
-//! vectors themselves start with zero capacity — a disabled trace never
-//! allocates and costs one branch per instrumentation point. Only
-//! `EXPLAIN_ESTIMATE` constructs an enabled trace.
+//! **Nothing when not asked for.** The pipeline takes an
+//! `Option<&mut Trace>`: every plain `ESTIMATE` passes `None`, which
+//! costs one branch per instrumentation point and no allocation. Only
+//! `EXPLAIN_ESTIMATE` constructs a trace.
 //!
 //! ```
 //! use ceg_core::trace::Trace;
 //!
-//! let mut t = Trace::enabled();
-//! let s = t.begin();
-//! // ... the work being measured ...
-//! t.end("catalog_fill", s);
-//! t.counter("kernel_candidates", 42);
-//! assert_eq!(t.spans().len(), 1);
+//! let mut t = Trace::default();
+//! t.record_span_micros("catalog_fill", 17);
+//! t.counter("kernel_candidates", 40);
+//! t.counter("kernel_candidates", 2);
+//! assert_eq!(t.spans(), &[("catalog_fill", 17)]);
 //! assert_eq!(t.counters(), &[("kernel_candidates", 42)]);
-//!
-//! let mut off = Trace::disabled();
-//! let s = off.begin();
-//! off.end("catalog_fill", s);
-//! assert!(off.spans().is_empty()); // and nothing was allocated
 //! ```
 
-use std::time::Instant;
-
-/// The start of a span: an [`Instant`] captured only when the owning
-/// trace is enabled. Obtained from [`Trace::begin`], consumed by
-/// [`Trace::end`].
-#[derive(Debug, Clone, Copy)]
-pub struct SpanStart(Option<Instant>);
-
 /// A per-request span/counter recorder. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Trace {
-    enabled: bool,
     spans: Vec<(&'static str, u64)>,
     counters: Vec<(&'static str, u64)>,
 }
 
 impl Trace {
-    /// A recording trace.
-    pub fn enabled() -> Self {
-        Trace {
-            enabled: true,
-            spans: Vec::new(),
-            counters: Vec::new(),
-        }
-    }
-
-    /// A no-op trace: every recording call returns immediately and the
-    /// struct never allocates.
-    pub const fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            spans: Vec::new(),
-            counters: Vec::new(),
-        }
-    }
-
-    /// Is this trace recording?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Start a span. On a disabled trace this skips the clock read.
-    #[inline]
-    pub fn begin(&self) -> SpanStart {
-        SpanStart(self.enabled.then(Instant::now))
-    }
-
-    /// Finish a span started with [`Trace::begin`], recording its
-    /// duration in microseconds under `name`. No-op on a disabled trace.
-    #[inline]
-    pub fn end(&mut self, name: &'static str, start: SpanStart) {
-        if let Some(at) = start.0 {
-            self.record_span_micros(name, at.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// Record a span with an explicit duration (for durations measured
-    /// elsewhere, e.g. queue wait). No-op on a disabled trace.
+    /// Record a span of `micros` microseconds under `name`.
     #[inline]
     pub fn record_span_micros(&mut self, name: &'static str, micros: u64) {
-        if self.enabled {
-            self.spans.push((name, micros));
-        }
+        self.spans.push((name, micros));
     }
 
     /// Add `value` to the counter `name` (created at 0 on first use).
-    /// No-op on a disabled trace.
     #[inline]
     pub fn counter(&mut self, name: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
         match self.counters.iter_mut().find(|(n, _)| *n == name) {
             Some((_, v)) => *v += value,
             None => self.counters.push((name, value)),
@@ -126,10 +62,8 @@ mod tests {
 
     #[test]
     fn enabled_trace_records_spans_and_counters() {
-        let mut t = Trace::enabled();
-        assert!(t.is_enabled());
-        let s = t.begin();
-        t.end("phase_a", s);
+        let mut t = Trace::default();
+        t.record_span_micros("phase_a", 3);
         t.record_span_micros("phase_b", 17);
         t.counter("widgets", 2);
         t.counter("widgets", 3);
@@ -137,31 +71,5 @@ mod tests {
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.spans()[1], ("phase_b", 17));
         assert_eq!(t.counters(), &[("widgets", 5), ("gadgets", 1)]);
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing_and_never_allocates() {
-        let mut t = Trace::disabled();
-        assert!(!t.is_enabled());
-        let s = t.begin();
-        t.end("phase", s);
-        t.record_span_micros("phase", 9);
-        t.counter("c", 1);
-        assert!(t.spans().is_empty());
-        assert!(t.counters().is_empty());
-        // Zero capacity == zero allocation: the vectors were never grown.
-        assert_eq!(t.spans.capacity(), 0);
-        assert_eq!(t.counters.capacity(), 0);
-    }
-
-    #[test]
-    fn span_start_is_inert_when_disabled() {
-        let off = Trace::disabled();
-        let s = off.begin();
-        // Moving a disabled SpanStart into an *enabled* trace's `end`
-        // still records nothing: the clock was never read.
-        let mut on = Trace::enabled();
-        on.end("cross", s);
-        assert!(on.spans().is_empty());
     }
 }

@@ -62,7 +62,7 @@ impl VarConstraints {
     }
 
     /// True if no variable is constrained.
-    pub fn is_trivial(&self) -> bool {
+    pub(crate) fn is_trivial(&self) -> bool {
         self.per_var.iter().all(|c| matches!(c, VarConstraint::Any))
     }
 }

@@ -124,12 +124,6 @@ impl CountBudget {
             deadline: Some(deadline),
         }
     }
-
-    /// Attach a wall-clock deadline to this budget.
-    pub fn with_deadline(mut self, deadline: std::time::Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// Charged expansions between wall-clock reads when a deadline is set:
@@ -410,7 +404,7 @@ pub struct CountPlan<'a> {
 
 impl<'a> CountPlan<'a> {
     /// Precompute the per-depth extension plans under the
-    /// [`variable_order`] heuristic. Pendant trees are factorized off a
+    /// `variable_order` heuristic. Pendant trees are factorized off a
     /// cyclic core first ([`crate::tree_count`]), so acyclic
     /// sub-structures contribute closed-form weight products instead of
     /// being enumerated and the plan binds the core's variables only; a
@@ -1241,7 +1235,10 @@ mod tests {
             &g,
             &q,
             &VarConstraints::none(3),
-            CountBudget::new(1).with_deadline(future),
+            CountBudget {
+                max_expansions: 1,
+                deadline: Some(future),
+            },
         );
         assert!(res.is_none());
     }

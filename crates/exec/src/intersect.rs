@@ -51,7 +51,7 @@ pub enum IntersectStrategy {
 /// [`intersect_into`] / [`refine_in_place`] dispatch — the bitset path
 /// itself lives a level up, in the kernel's per-depth caches, so at the
 /// pairwise level `Bitset` behaves adaptively.
-pub fn intersect_k_into_strategy(
+pub(crate) fn intersect_k_into_strategy(
     lists: &mut [&[VertexId]],
     out: &mut Vec<VertexId>,
     strategy: IntersectStrategy,

@@ -27,7 +27,7 @@ pub mod constraints;
 pub mod count;
 pub mod intersect;
 pub mod naive;
-pub mod order;
+mod order;
 pub mod par;
 pub mod tree_count;
 
@@ -35,6 +35,5 @@ pub use constraints::{VarConstraint, VarConstraints};
 pub use count::{count, count_budgeted, CountBudget, CountPlan, KernelStats};
 pub use intersect::IntersectStrategy;
 pub use naive::count_naive;
-pub use order::variable_order;
 pub use par::map_ordered;
 pub use tree_count::{count_tree_dp, exact_count};

@@ -11,7 +11,7 @@ use ceg_query::{QueryGraph, VarId};
 /// labels. Every prefix of the order induces a connected sub-query when
 /// the query is connected, which the matcher relies on. Only the graph's
 /// label cardinalities are consulted.
-pub fn variable_order(graph: &LabeledGraph, query: &QueryGraph) -> Vec<VarId> {
+pub(crate) fn variable_order(graph: &LabeledGraph, query: &QueryGraph) -> Vec<VarId> {
     let n = query.num_vars();
     if n == 0 {
         return Vec::new();

@@ -88,12 +88,12 @@ impl GraphDelta {
     }
 
     /// Largest vertex id mentioned by any operation.
-    pub fn max_vertex(&self) -> Option<VertexId> {
+    pub(crate) fn max_vertex(&self) -> Option<VertexId> {
         self.ops.keys().map(|e| e.src.max(e.dst)).max()
     }
 
     /// Largest label mentioned by any operation.
-    pub fn max_label(&self) -> Option<LabelId> {
+    pub(crate) fn max_label(&self) -> Option<LabelId> {
         self.ops.keys().map(|e| e.label).max()
     }
 
@@ -134,7 +134,7 @@ impl GraphDelta {
     /// [`crate::OverlayGraph`] consume — one scan of the delta instead of
     /// one per touched label.
     #[allow(clippy::type_complexity)]
-    pub fn effective_by_label(
+    pub(crate) fn effective_by_label(
         &self,
         base: &LabeledGraph,
     ) -> std::collections::BTreeMap<LabelId, (Vec<(VertexId, VertexId)>, Vec<(VertexId, VertexId)>)>
@@ -156,15 +156,6 @@ impl GraphDelta {
             }
         }
         by_label
-    }
-
-    /// Drop operations that are no-ops relative to `base`, returning how
-    /// many insertions and deletions remain.
-    pub fn normalize(&mut self, base: &LabeledGraph) -> (usize, usize) {
-        self.ops
-            .retain(|e, &mut add| add != base.has_edge(e.src, e.dst, e.label));
-        let adds = self.ops.values().filter(|&&a| a).count();
-        (adds, self.ops.len() - adds)
     }
 }
 
@@ -232,9 +223,6 @@ mod tests {
                 label: 0
             }
         );
-        let mut d2 = d.clone();
-        assert_eq!(d2.normalize(&g), (1, 1));
-        assert_eq!(d2.len(), 2);
     }
 
     #[test]

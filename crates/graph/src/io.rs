@@ -15,7 +15,7 @@ use crate::{GraphBuilder, LabelId, LabeledGraph, VertexId};
 /// and split on ASCII whitespace. A missing field, one that is not a
 /// decimal integer of its id type, or a fourth token refuses the input
 /// with the line number.
-pub fn read_edge_list<R: BufRead>(mut reader: R) -> io::Result<LabeledGraph> {
+fn read_edge_list<R: BufRead>(mut reader: R) -> io::Result<LabeledGraph> {
     let mut b = GraphBuilder::new(0);
     let mut line = Vec::new();
     for lineno in 0.. {

@@ -55,7 +55,7 @@ pub struct OverlayGraph<'a> {
 
 impl<'a> OverlayGraph<'a> {
     /// Lay `delta` over `base`. The delta is normalized and grouped per
-    /// label in one pass ([`GraphDelta::effective_by_label`]), so
+    /// label in one pass (`GraphDelta::effective_by_label`), so
     /// recorded no-ops cost nothing beyond that pass and a label's
     /// operations are never re-scanned for other labels.
     pub fn new(base: &'a LabeledGraph, delta: &GraphDelta) -> Self {

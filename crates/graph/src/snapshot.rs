@@ -3,7 +3,7 @@
 //! A `.cegsnap` file is a sequence of checksummed sections behind a fixed
 //! header, designed so a restart can skip text parsing and neighbour-list
 //! sorting entirely. The graph section stores each relation once,
-//! forward, as LEB128 gaps between sorted ids ([`write_graph`]); the
+//! forward, as LEB128 gaps between sorted ids (`write_graph`); the
 //! decoder reads them into one relation's row ids, offsets and targets
 //! at a time, cuts those into the pages the graph keeps, and derives the
 //! backward index by one counting [`Csr::transpose`]. The catalog section
@@ -34,7 +34,7 @@
 //!
 //! The `.cegwal` write-ahead log is the same container under its own
 //! [`Header`] (see [`crate::wal`]): one section per committed
-//! transaction, written with [`SnapshotWriter::appending`] and read with
+//! transaction, written with `SnapshotWriter::appending` and read with
 //! [`SnapshotReader::next_section`]. The frame and its checksum are
 //! defined here once; the header a reader checks and the name its errors
 //! use are passed in as data.
@@ -74,7 +74,7 @@ pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 /// Current container format version. Version 2 stored each relation's
 /// rows, offsets and targets as raw `u32`s in both directions; version 3
 /// stores each relation once, forward, as the LEB128 gaps of
-/// [`write_graph`] (about a quarter of the bytes); version 4 codes the
+/// `write_graph` (about a quarter of the bytes); version 4 codes the
 /// `MRKV` catalog entries as LEB128 varints too, each against the
 /// leading edges it shares with the entry before it. There is no reader
 /// for versions 1 to 3: re-bootstrap from the `.edges` file.
@@ -176,7 +176,7 @@ impl RunningChecksum {
     }
 
     /// Fold in the next bytes of the payload.
-    pub fn update(&mut self, bytes: &[u8]) {
+    fn update(&mut self, bytes: &[u8]) {
         // Up to 7 bytes complete the word in progress, whole words
         // follow, up to 7 bytes start the next one.
         let to_boundary = (8 - self.fed % 8) % 8;
@@ -191,7 +191,7 @@ impl RunningChecksum {
     }
 
     /// Payload bytes folded in so far.
-    pub fn fed(&self) -> u64 {
+    fn fed(&self) -> u64 {
         self.fed
     }
 
@@ -246,14 +246,14 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
 /// deletes on the next startup). Snapshots are recovery artifacts;
 /// overwriting the only good copy in place would let the durability
 /// feature destroy the very state it exists to protect.
-pub fn atomic_write(
+pub(crate) fn atomic_write(
     path: &std::path::Path,
     fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     atomic_write_with(&crate::vfs::OsStorage, path, fill)
 }
 
-/// [`atomic_write`] through an explicit [`crate::vfs::Storage`] — the
+/// `atomic_write` through an explicit [`crate::vfs::Storage`] — the
 /// fault-injection seam: tests swap in a
 /// [`crate::vfs::FaultStorage`] to crash the write at every step.
 pub fn atomic_write_with(
@@ -312,7 +312,7 @@ impl Write for FileWriter {
 }
 
 /// Delete orphaned `.cegsnap.tmp.*` / `.cegwal.tmp.*` siblings that a
-/// hard crash mid-[`atomic_write`] left behind in a dataset directory.
+/// hard crash mid-`atomic_write` left behind in a dataset directory.
 /// Returns the paths removed. Call this when the directory is first
 /// opened, **before** any writer is live — a temp file in use by a
 /// concurrent writer must never be swept.
@@ -348,14 +348,14 @@ impl<W: Write> SnapshotWriter<W> {
 
     /// A section writer for bytes that go after a header already in
     /// place: the records the write-ahead log appends.
-    pub fn appending(inner: W) -> Self {
+    pub(crate) fn appending(inner: W) -> Self {
         SnapshotWriter { inner }
     }
 
     /// Append one checksummed section whose payload is the `len` bytes
     /// `fill` writes. The length goes out before the payload, so it must
     /// be exact: a `fill` that writes more or fewer bytes is an error
-    /// (and, under [`atomic_write`], no file).
+    /// (and, under `atomic_write`, no file).
     pub fn section(
         &mut self,
         tag: [u8; 4],
@@ -381,7 +381,7 @@ impl<W: Write> SnapshotWriter<W> {
     }
 
     /// [`SnapshotWriter::section`] for a payload already in memory.
-    pub fn write_section(&mut self, tag: [u8; 4], payload: &[u8]) -> io::Result<()> {
+    pub(crate) fn write_section(&mut self, tag: [u8; 4], payload: &[u8]) -> io::Result<()> {
         self.section(tag, payload.len() as u64, |body| body.write_all(payload))
     }
 
@@ -415,7 +415,7 @@ impl<R: Read> SnapshotReader<R> {
     /// Check that a source holding `len` bytes starts with `header`. A
     /// version this build does not know is an error (payload layouts may
     /// differ), not a best-effort read.
-    pub fn with_header(mut inner: R, len: u64, header: &Header) -> io::Result<Self> {
+    pub(crate) fn with_header(mut inner: R, len: u64, header: &Header) -> io::Result<Self> {
         let kind = header.kind;
         let mut magic = [0u8; 8];
         inner
@@ -539,13 +539,13 @@ impl<R: Read> PayloadReader<R> {
     }
 
     /// True once every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
     /// How many `width`-byte entries the unread bytes can hold: the
     /// ceiling for any count read from the payload.
-    pub fn room_for(&self, width: u64) -> usize {
+    fn room_for(&self, width: u64) -> usize {
         usize::try_from(self.remaining() / width).unwrap_or(usize::MAX)
     }
 
@@ -659,7 +659,7 @@ fn relation_varints<E>(csr: &Csr, mut f: impl FnMut(u32) -> Result<(), E>) -> Re
     Ok(())
 }
 
-/// Exact length in bytes of the `GRPH` payload [`write_graph`] writes
+/// Exact length in bytes of the `GRPH` payload `write_graph` writes
 /// for `graph`: one sizing pass over the varints it will write.
 pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
     let mut len = 16;
@@ -686,7 +686,7 @@ pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
 /// gap = value - previous value - 1 (previous = -1 before the first row
 ///       id and before each row's first target)
 /// ```
-pub fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
+fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
     let mut w = ChunkedWriter::new(out);
     w.u64(graph.num_vertices() as u64)?;
     w.u64(graph.num_labels() as u64)?;
@@ -722,8 +722,8 @@ struct Relation {
 }
 
 /// A `GRPH` payload read into the arrays the graph will keep, checked
-/// but not yet trusted: [`decode_graph`] makes it from bytes that have
-/// not passed their checksum, [`GraphArrays::into_graph`] turns it into
+/// but not yet trusted: `decode_graph` makes it from bytes that have
+/// not passed their checksum, `GraphArrays::into_graph` turns it into
 /// a graph once they have.
 pub struct GraphArrays {
     num_vertices: usize,
@@ -908,8 +908,8 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
 /// fills: a hostile count fails here, it never reaches an allocation or
 /// an overflowing multiply. Every varint, row id and target is checked
 /// as it is decoded. Nothing sized by a *value* is built — that is
-/// [`GraphArrays::into_graph`], after the checksum.
-pub fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays> {
+/// `GraphArrays::into_graph`, after the checksum.
+fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays> {
     let num_vertices = r.count("num_vertices", VertexId::MAX as usize + 1)?;
     // Two counts: a label costs at least 16 bytes.
     let num_labels = r.count("num_labels", MAX_LABELS.min(r.room_for(16)))?;
@@ -938,7 +938,7 @@ impl GraphArrays {
     /// largest id the file names — sized by values in the file, not by
     /// the file's length — and must not be made for ids bit rot
     /// invented.
-    pub fn into_graph(self) -> LabeledGraph {
+    fn into_graph(self) -> LabeledGraph {
         let num_vertices = self.num_vertices;
         let pairs = self
             .relations
@@ -954,7 +954,7 @@ impl GraphArrays {
 }
 
 /// Decode an `EPOC` payload.
-pub fn decode_epoch<R: Read>(r: &mut PayloadReader<R>) -> io::Result<u64> {
+fn decode_epoch<R: Read>(r: &mut PayloadReader<R>) -> io::Result<u64> {
     let epoch = r.u64("epoch")?;
     if !r.is_exhausted() {
         return Err(bad("epoch payload has trailing bytes"));
@@ -1026,7 +1026,7 @@ mod tests {
     }
 
     /// The `GRPH` payload built whole, in memory, field by field as the
-    /// format lists them: the oracle [`write_graph`] is held to.
+    /// format lists them: the oracle `write_graph` is held to.
     fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, graph.num_vertices() as u64);

@@ -33,24 +33,6 @@ impl LabelStats {
             max_in_degree: graph.max_in_degree(label),
         }
     }
-
-    /// Average out-degree over active sources (0 if the relation is empty).
-    pub fn avg_out_degree(&self) -> f64 {
-        if self.distinct_sources == 0 {
-            0.0
-        } else {
-            self.cardinality as f64 / self.distinct_sources as f64
-        }
-    }
-
-    /// Average in-degree over active targets (0 if the relation is empty).
-    pub fn avg_in_degree(&self) -> f64 {
-        if self.distinct_targets == 0 {
-            0.0
-        } else {
-            self.cardinality as f64 / self.distinct_targets as f64
-        }
-    }
 }
 
 /// Statistics for every label of `graph`.
@@ -79,17 +61,15 @@ mod tests {
         assert_eq!(s.distinct_targets, 3);
         assert_eq!(s.max_out_degree, 3);
         assert_eq!(s.max_in_degree, 1);
-        assert!((s.avg_out_degree() - 3.0).abs() < 1e-12);
-        assert!((s.avg_in_degree() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_relation_has_zero_averages() {
+    fn empty_relation_has_zero_stats() {
         let g = GraphBuilder::with_labels(3, 2).build();
         let s = LabelStats::compute(&g, 1);
         assert_eq!(s.cardinality, 0);
-        assert_eq!(s.avg_out_degree(), 0.0);
-        assert_eq!(s.avg_in_degree(), 0.0);
+        assert_eq!((s.distinct_sources, s.distinct_targets), (0, 0));
+        assert_eq!((s.max_out_degree, s.max_in_degree), (0, 0));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! rest of the codebase imports it from here as `ceg_graph::sync`.
 //!
 //! Poisoning: `lock()`/`read()`/`write()` panic on a poisoned lock
-//! (matching the `.lock().unwrap()` idiom they replace), while the
-//! `checked_*` variants surface [`LockPoisoned`] so request paths can
-//! degrade one dataset instead of killing a worker shard.
+//! (matching the `.lock().unwrap()` idiom they replace), while
+//! `OrderedMutex::checked_lock` surfaces [`LockPoisoned`] so request
+//! paths can degrade one dataset instead of killing a worker shard.
 
 // This module is the one place allowed to name the raw std primitives
 // it wraps — mirrored by the `lock-discipline` entry for this file in
@@ -108,7 +108,7 @@ impl fmt::Display for LockRank {
 }
 
 /// A lock acquisition failed because another thread panicked while
-/// holding the lock. Returned by the `checked_*` methods; the plain
+/// holding the lock. Returned by `OrderedMutex::checked_lock`; the plain
 /// `lock()`/`read()`/`write()` methods panic on it instead.
 #[derive(Clone, Copy, Debug)]
 pub struct LockPoisoned {
@@ -126,17 +126,6 @@ impl fmt::Display for LockPoisoned {
         );
         #[cfg(not(debug_assertions))]
         write!(f, "lock poisoned: a thread panicked while holding it")
-    }
-}
-
-impl LockPoisoned {
-    /// Escalate to a panic — for infallible APIs with no error channel.
-    /// Lives here so the panic-path lint's request-path files stay free
-    /// of panic tokens: the decision to die is ceg-core's, the caller
-    /// only names it.
-    #[track_caller]
-    pub fn abort(self) -> ! {
-        panic!("{self}")
     }
 }
 
@@ -163,7 +152,7 @@ mod checker {
     /// strictly above every rank this thread already holds. Returns a
     /// token the matching guard passes back to [`release`] on drop (by
     /// token, not stack order: guards may be dropped out of order).
-    pub fn acquire(rank: LockRank, site: &'static Location<'static>) -> u64 {
+    pub(super) fn acquire(rank: LockRank, site: &'static Location<'static>) -> u64 {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(worst) = held.iter().max_by_key(|h| h.rank) {
@@ -186,7 +175,7 @@ mod checker {
         })
     }
 
-    pub fn release(token: u64) {
+    pub(super) fn release(token: u64) {
         // May run during unwinding from an unrelated panic; never
         // panics itself (a missing token is simply ignored).
         let _ = HELD.try_with(|held| {
@@ -396,7 +385,7 @@ impl<T> OrderedRwLock<T> {
 
     /// Shared acquire, surfacing poison as an error.
     #[track_caller]
-    pub fn checked_read(&self) -> Result<OrderedReadGuard<'_, T>, LockPoisoned> {
+    fn checked_read(&self) -> Result<OrderedReadGuard<'_, T>, LockPoisoned> {
         #[cfg(debug_assertions)]
         let token = checker::acquire(self.rank, Location::caller());
         match self.inner.read() {
@@ -418,7 +407,7 @@ impl<T> OrderedRwLock<T> {
 
     /// Exclusive acquire, surfacing poison as an error.
     #[track_caller]
-    pub fn checked_write(&self) -> Result<OrderedWriteGuard<'_, T>, LockPoisoned> {
+    fn checked_write(&self) -> Result<OrderedWriteGuard<'_, T>, LockPoisoned> {
         #[cfg(debug_assertions)]
         let token = checker::acquire(self.rank, Location::caller());
         match self.inner.write() {

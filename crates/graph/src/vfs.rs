@@ -326,11 +326,6 @@ impl FaultStorage {
         self.inner.lock().ops
     }
 
-    /// True once a `crash_after` point has tripped.
-    pub fn crashed(&self) -> bool {
-        self.inner.lock().crashed
-    }
-
     /// Simulate the machine coming back up: for every file, bytes past
     /// the synced prefix survive only up to `keep_unsynced` of them
     /// (sweep `0`, `1`, and `usize::MAX` to model "page cache lost",
@@ -351,14 +346,6 @@ impl FaultStorage {
     /// Current contents of a file (tests inspect what "disk" holds).
     pub fn dump(&self, path: &Path) -> Option<Vec<u8>> {
         self.inner.lock().files.get(path).map(|f| f.bytes.clone())
-    }
-
-    /// Flip one bit of a stored file in place (bit-rot injection).
-    /// Panics if the path or offset does not exist — a test bug.
-    pub fn flip_bit(&self, path: &Path, byte: usize, bit: u8) {
-        let mut inner = self.inner.lock();
-        let f = inner.files.get_mut(path).expect("flip_bit: no such file");
-        f.bytes[byte] ^= 1 << (bit & 7);
     }
 
     /// Replace a file's contents wholesale, marked fully synced (tests
@@ -644,7 +631,6 @@ mod tests {
         let mut f = fs.create(&p("/w")).unwrap(); // op 0
         f.write_all(b"keep").unwrap(); // op 1
         f.sync().unwrap_err(); // op 2: crash trips (sync fails, nothing synced)
-        assert!(fs.crashed());
         assert!(fs.read(&p("/w")).is_err(), "storage is dead after crash");
         // Reboot with no unsynced survivors: the file exists (creation
         // was a namespace op) but the never-synced bytes are gone.
@@ -671,14 +657,6 @@ mod tests {
             b"old!abc",
             "already synced by first reboot"
         );
-    }
-
-    #[test]
-    fn flip_bit_corrupts_in_place() {
-        let fs = FaultStorage::new();
-        fs.install(&p("/w"), b"\x00".to_vec());
-        fs.flip_bit(&p("/w"), 0, 3);
-        assert_eq!(fs.read(&p("/w")).unwrap(), b"\x08");
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl WalScan {
 }
 
 /// Encode one transaction as its record (no header).
-pub fn encode_tx(epoch: u64, ops: &[WalOp]) -> io::Result<Vec<u8>> {
+fn encode_tx(epoch: u64, ops: &[WalOp]) -> io::Result<Vec<u8>> {
     let mut payload = Vec::new();
     let mut w = ChunkedWriter::new(&mut payload);
     w.u64(epoch)?;

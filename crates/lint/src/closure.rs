@@ -24,6 +24,15 @@ const SERVED: &[&str] = &[
 /// Where the walk starts.
 const SERVICE_MANIFEST: &str = "crates/service/Cargo.toml";
 
+/// The `src/` directories of `ceg-service` and of every crate in
+/// [`SERVED`]: the code the service compiles, which `unused-pub` scans.
+pub(crate) fn served_src_dirs() -> Vec<String> {
+    std::iter::once("ceg-service")
+        .chain(SERVED.iter().copied())
+        .map(|name| format!("crates/{}/src/", &name["ceg-".len()..]))
+        .collect()
+}
+
 /// Check the service's manifest and, transitively, the manifest of each
 /// served crate it names (`ceg-x` lives in `crates/x`).
 pub(crate) fn check(root: &Path) -> std::io::Result<Vec<Diagnostic>> {

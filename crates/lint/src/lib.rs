@@ -1,7 +1,7 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint` (or `cegcli lint`). Five lints, each enforcing an
+//! `cargo xtask lint` (or `cegcli lint`). Six lints, each enforcing an
 //! invariant the service's PRs established by convention:
 //!
 //! | lint | invariant |
@@ -11,6 +11,7 @@
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-service` — writes go through `vfs::Storage` |
 //! | `service-closure` | `ceg-service` links only the served crates (see [`closure`]) |
+//! | `unused-pub` | a served crate's `pub fn` is named by some other file of the workspace (see [`unused_pub`]) |
 //!
 //! Exceptions live in `ceg-lint.allow` at the repo root; every entry
 //! needs a justification comment and entries that stop suppressing
@@ -24,6 +25,7 @@ pub mod allowlist;
 pub mod closure;
 pub mod lexer;
 pub mod lints;
+pub mod unused_pub;
 
 use std::path::{Path, PathBuf};
 
@@ -63,30 +65,38 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 
 /// Run the whole-tree lint from `root`. Returns the surviving
 /// diagnostics (empty = clean) and the number of files scanned. The
-/// `service-closure` diagnostics bypass the allowlist: the boundary has
-/// no exceptions.
+/// per-file lints run file by file; `unused-pub` runs once over the
+/// whole walk, and both go through the allowlist. The `service-closure`
+/// diagnostics bypass it: the boundary has no exceptions.
 pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let allow_text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
     let allow = allowlist::parse(ALLOW_FILE, &allow_text);
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort();
-    let mut raw = Vec::new();
-    let mut scanned = 0usize;
+    let mut sources = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let set = classify(&rel);
-        if !set.any() {
-            continue;
-        }
-        let src = std::fs::read_to_string(path)?;
-        scanned += 1;
-        raw.extend(lints::lint_source(&rel, &src, set));
+        sources.push((rel, std::fs::read_to_string(path)?));
     }
+    let mut raw = Vec::new();
+    let mut scanned = 0usize;
+    for (rel, src) in &sources {
+        let set = classify(rel);
+        if set.any() {
+            scanned += 1;
+            raw.extend(lints::lint_source(rel, src, set));
+        }
+    }
+    let pairs: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    raw.extend(unused_pub::check(&pairs));
     let mut out = allowlist::apply(ALLOW_FILE, &allow, raw, true);
     out.extend(closure::check(root)?);
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

@@ -1,5 +1,5 @@
-//! The four project-specific lints, run in one forward pass over a
-//! file's token stream.
+//! The four per-file lints, run in one forward pass over a file's
+//! token stream.
 //!
 //! Scope tracking (brace depth, enclosing function, `#[cfg(test)]` /
 //! `#[test]` exemption) is shared by all lints; which lints apply to a
@@ -31,8 +31,8 @@ impl LintSet {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Lint identifier (`lock-discipline`, `panic-path`, `typed-reply`,
-    /// `durability-seam`, `service-closure`, or `allowlist` for
-    /// allowlist hygiene).
+    /// `durability-seam`, `service-closure`, `unused-pub`, or
+    /// `allowlist` for allowlist hygiene).
     pub lint: &'static str,
     /// Repo-relative path of the offending file.
     pub path: String,
@@ -63,6 +63,7 @@ pub const PANIC: &str = "panic-path";
 pub const TYPED_REPLY: &str = "typed-reply";
 pub const DURABILITY: &str = "durability-seam";
 pub const SERVICE_CLOSURE: &str = "service-closure";
+pub const UNUSED_PUB: &str = "unused-pub";
 pub const ALLOWLIST: &str = "allowlist";
 
 /// Keywords that may legally precede a `[` without it being an index
@@ -213,7 +214,7 @@ impl Scope {
 /// attribute marks test-only code (`test` appears without `not`, so
 /// `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, unix))]` count and
 /// `#[cfg(not(test))]` does not).
-fn scan_attribute(toks: &[Spanned], open: usize) -> (usize, bool) {
+pub(crate) fn scan_attribute(toks: &[Spanned], open: usize) -> (usize, bool) {
     let mut depth = 0i32;
     let mut saw_test = false;
     let mut saw_not = false;

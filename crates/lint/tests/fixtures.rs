@@ -1,8 +1,8 @@
 //! The lint acceptance corpus: every file in `tests/fixtures/` is a
 //! known-bad (or deliberately mixed) snippet that must fire **exactly
 //! one** diagnostic of a specific lint when scanned as if it lived at a
-//! request-path location — plus allowlist-hygiene cases and the
-//! whole-repo clean run.
+//! request-path location (`unused-pub` scans a pair of files together)
+//! — plus allowlist-hygiene cases and the whole-repo clean run.
 //!
 //! The fixtures are excluded from the real tree walk (see
 //! `ceg_lint::run`), so they never dirty `cargo xtask lint` itself.
@@ -183,6 +183,31 @@ fn service_closure_catches_an_offline_dependency() {
     assert_eq!(diags[0].lint, "service-closure");
     assert_eq!(diags[0].line, 9, "{}", diags[0]);
     assert!(diags[0].msg.contains("`ceg-estimators`"), "{}", diags[0]);
+}
+
+#[test]
+fn unused_pub_fires_on_the_fn_no_other_file_names() {
+    // Silent on the `pub fn` the other file calls, on `pub(crate)` and on
+    // a `pub fn` under `#[cfg(test)]`; the defining file's own test and
+    // the other file's comment and string do not count as mentions.
+    let files = [
+        (
+            "crates/graph/src/fixture.rs",
+            include_str!("fixtures/unused_pub_lib.rs"),
+        ),
+        (
+            "tests/fixture.rs",
+            include_str!("fixtures/unused_pub_caller.rs"),
+        ),
+    ];
+    let diags = ceg_lint::unused_pub::check(&files);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].lint, "unused-pub");
+    assert_eq!(diags[0].func, "only_in_comment", "{}", diags[0]);
+    assert_eq!(diags[0].line, 8, "{}", diags[0]);
+    // Outside a served crate's `src/` the same file is not checked.
+    let unserved = [("crates/estimators/src/fixture.rs", files[0].1), files[1]];
+    assert!(ceg_lint::unused_pub::check(&unserved).is_empty());
 }
 
 // ---- allowlist hygiene -------------------------------------------------

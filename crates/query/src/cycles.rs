@@ -50,24 +50,6 @@ pub fn is_acyclic(query: &QueryGraph) -> bool {
     cyclomatic_number(query, query.full_mask()) == 0
 }
 
-/// Length of the longest *chordless* simple cycle in the query, 0 if
-/// acyclic. Query graphs are tiny (≤ 12 edges) so a DFS enumeration of
-/// simple cycles is fine.
-pub fn largest_cycle(query: &QueryGraph) -> usize {
-    all_simple_cycle_lengths(query)
-        .into_iter()
-        .max()
-        .unwrap_or(0)
-}
-
-/// Length of the shortest simple cycle (the girth), 0 if acyclic.
-pub fn girth(query: &QueryGraph) -> usize {
-    all_simple_cycle_lengths(query)
-        .into_iter()
-        .min()
-        .unwrap_or(0)
-}
-
 /// True if the query has at least one cycle strictly longer than `h` that
 /// does not contain a smaller cycle within its vertex set (Section 4.3:
 /// such queries need CEG_OCR; large cycles containing smaller cycles are
@@ -86,12 +68,6 @@ pub fn has_large_cycle(query: &QueryGraph, h: usize) -> bool {
 pub fn only_triangles(query: &QueryGraph) -> bool {
     let lens = chordless_cycle_lengths(query);
     !lens.is_empty() && lens.iter().all(|&l| l == 3)
-}
-
-/// Lengths of all simple cycles (undirected, ignoring direction; parallel
-/// edges between the same pair count as 2-cycles).
-pub fn all_simple_cycle_lengths(query: &QueryGraph) -> Vec<usize> {
-    simple_cycles(query).into_iter().map(|c| c.len()).collect()
 }
 
 /// Lengths of chordless simple cycles.
@@ -203,12 +179,18 @@ mod tests {
     use crate::query::QueryEdge;
     use crate::templates;
 
+    /// Lengths of all simple cycles, ascending.
+    fn lengths(query: &QueryGraph) -> Vec<usize> {
+        let mut lens: Vec<usize> = simple_cycles(query).iter().map(|c| c.len()).collect();
+        lens.sort_unstable();
+        lens
+    }
+
     #[test]
     fn path_is_acyclic() {
         let q = templates::path(4, &[0, 1, 2, 3]);
         assert!(is_acyclic(&q));
-        assert_eq!(largest_cycle(&q), 0);
-        assert_eq!(girth(&q), 0);
+        assert!(lengths(&q).is_empty());
         assert!(!has_large_cycle(&q, 3));
     }
 
@@ -216,7 +198,7 @@ mod tests {
     fn triangle_cycles() {
         let q = templates::cycle(3, &[0, 1, 2]);
         assert!(!is_acyclic(&q));
-        assert_eq!(largest_cycle(&q), 3);
+        assert_eq!(lengths(&q), [3]);
         assert!(only_triangles(&q));
         assert!(!has_large_cycle(&q, 3));
         assert!(has_large_cycle(&q, 2));
@@ -225,8 +207,7 @@ mod tests {
     #[test]
     fn square_cycle() {
         let q = templates::cycle(4, &[0, 1, 2, 3]);
-        assert_eq!(largest_cycle(&q), 4);
-        assert_eq!(girth(&q), 4);
+        assert_eq!(lengths(&q), [4]);
         assert!(has_large_cycle(&q, 3));
         assert!(!only_triangles(&q));
     }
@@ -252,7 +233,7 @@ mod tests {
     #[test]
     fn antiparallel_pair_is_a_two_cycle() {
         let q = QueryGraph::new(2, vec![QueryEdge::new(0, 1, 0), QueryEdge::new(1, 0, 1)]);
-        assert_eq!(girth(&q), 2);
+        assert_eq!(lengths(&q), [2]);
         assert!(!is_acyclic(&q));
     }
 

@@ -103,12 +103,6 @@ impl EdgeMask {
         self.0 & !other.0 == 0
     }
 
-    /// True if `self ⊂ other`.
-    #[inline]
-    pub const fn is_proper_subset_of(self, other: Self) -> bool {
-        self.is_subset_of(other) && self.0 != other.0
-    }
-
     /// Iterate the edge indices in the subset, ascending.
     #[inline]
     pub fn iter(self) -> BitIter {
@@ -170,9 +164,7 @@ mod tests {
         let a = EdgeMask::from_bits(0b0010);
         let b = EdgeMask::from_bits(0b0110);
         assert!(a.is_subset_of(b));
-        assert!(a.is_proper_subset_of(b));
         assert!(b.is_subset_of(b));
-        assert!(!b.is_proper_subset_of(b));
         assert!(!b.is_subset_of(a));
     }
 

@@ -289,7 +289,8 @@ mod tests {
     #[test]
     fn cycle_shape() {
         let q = cycle(6, &[0; 6]);
-        assert_eq!(cycles::largest_cycle(&q), 6);
+        assert!(cycles::has_large_cycle(&q, 5));
+        assert!(!cycles::has_large_cycle(&q, 6));
         assert_eq!(q.num_vars(), 6);
     }
 

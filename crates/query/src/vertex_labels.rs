@@ -34,7 +34,7 @@ impl VertexLabelSpace {
     }
 
     /// The edge label encoding vertex label `vl`.
-    pub fn encode(&self, vl: LabelId) -> LabelId {
+    fn encode(&self, vl: LabelId) -> LabelId {
         self.base + vl
     }
 
@@ -54,14 +54,6 @@ impl VertexLabelSpace {
         let mut edges = query.edges().to_vec();
         edges.push(QueryEdge::new(var, var, self.encode(vl)));
         QueryGraph::new(query.num_vars(), edges)
-    }
-
-    /// True if the query contains any vertex-label loops from this space.
-    pub fn has_vertex_labels(&self, query: &QueryGraph) -> bool {
-        query
-            .edges()
-            .iter()
-            .any(|e| e.src == e.dst && self.decode(e.label).is_some())
     }
 }
 
@@ -86,8 +78,7 @@ mod tests {
         assert_eq!(q2.num_edges(), 3);
         let e = q2.edge(2);
         assert_eq!((e.src, e.dst, e.label), (1, 1, 6));
-        assert!(s.has_vertex_labels(&q2));
-        assert!(!s.has_vertex_labels(&q));
+        assert_eq!(s.decode(e.label), Some(2));
     }
 
     #[test]

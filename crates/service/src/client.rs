@@ -6,7 +6,6 @@
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::QueryGraph;
@@ -32,9 +31,9 @@ pub struct EstimateReply {
 
 /// The typed outcome of one estimate slot: an answer, or one of the
 /// overload rejections the server may send instead. The deadline-aware
-/// client methods return these so callers can distinguish "retry with
-/// backoff" (`Busy`) from "the work exceeded its budget" (`Timeout`)
-/// without string-matching error text.
+/// client methods return these so callers can distinguish "refused
+/// before any work, safe to resend" (`Busy`) from "the work exceeded
+/// its budget" (`Timeout`) without string-matching error text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryReply {
     /// A normal estimate reply.
@@ -53,7 +52,7 @@ impl QueryReply {
     /// The estimate, or the overload rejection as an `io::Error` of kind
     /// `WouldBlock` (`Busy`) / `TimedOut` (`Timeout`) — what the
     /// non-typed client methods return.
-    pub fn into_estimate(self) -> io::Result<EstimateReply> {
+    fn into_estimate(self) -> io::Result<EstimateReply> {
         match self {
             QueryReply::Estimate(reply) => Ok(reply),
             QueryReply::Busy(msg) => Err(io::Error::new(
@@ -101,46 +100,6 @@ impl ExplainReply {
     }
 }
 
-/// Retry policy for [`Client::connect_with`] and the `*_retry` request
-/// methods. The defaults reproduce the historical client exactly: one
-/// connect attempt, no retries.
-///
-/// Retries are **bounded and idempotent-only**: connection attempts and
-/// `BUSY`-rejected read-only requests (estimates) are retried with
-/// exponential backoff plus deterministic jitter. `COMMIT` is *never*
-/// retried by this policy — a commit whose reply was lost may have been
-/// durably applied, and blindly resending it would double-apply the
-/// delta. Callers own commit retries, checking the epoch first.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientConfig {
-    /// TCP connect attempts before giving up (minimum 1).
-    pub connect_attempts: u32,
-    /// Retries after a `BUSY` reply to an idempotent request (0 = the
-    /// historical fail-fast behaviour).
-    pub busy_retries: u32,
-    /// Base backoff: attempt `i` sleeps about `backoff * 2^i`, jittered
-    /// to avoid retry convoys from many clients at once.
-    pub backoff: Duration,
-    /// Cap on any single backoff sleep.
-    pub backoff_max: Duration,
-    /// Seed for the deterministic jitter stream (tests pin it; real
-    /// clients can leave the default, distinct client *instances* still
-    /// de-correlate via their attempt timing).
-    pub jitter_seed: u64,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            connect_attempts: 1,
-            busy_retries: 0,
-            backoff: Duration::from_millis(25),
-            backoff_max: Duration::from_secs(1),
-            jitter_seed: 0x5DEE_CE66_D123_4567,
-        }
-    }
-}
-
 /// One connection to a running estimation server.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -148,45 +107,17 @@ pub struct Client {
     /// unbuffered `writeln!` issues several small writes, which Nagle +
     /// delayed ACKs stretch into ~40ms per round-trip.
     writer: BufWriter<TcpStream>,
-    config: ClientConfig,
-    /// xorshift64 jitter state (the service crate deliberately has no
-    /// RNG dependency; retry jitter needs spread, not randomness).
-    jitter: u64,
 }
 
 impl Client {
-    /// Connect to a server at `addr` (single attempt, no retries — the
-    /// historical behaviour; see [`Client::connect_with`]).
+    /// Connect to a server at `addr` (one attempt, no retries).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Self::connect_with(addr, ClientConfig::default())
-    }
-
-    /// Connect under a retry policy: up to
-    /// [`ClientConfig::connect_attempts`] TCP connects, sleeping a
-    /// jittered exponential backoff between failures. Returns the last
-    /// connect error if every attempt fails.
-    pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> io::Result<Client> {
-        let mut jitter = config.jitter_seed.max(1);
-        let attempts = config.connect_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff_delay(&config, attempt - 1, &mut jitter));
-            }
-            match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    return Ok(Client {
-                        writer: BufWriter::new(stream.try_clone()?),
-                        reader: BufReader::new(stream),
-                        config,
-                        jitter,
-                    });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| io::Error::other("no connect attempts made")))
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client {
+            writer: BufWriter::new(stream.try_clone()?),
+            reader: BufReader::new(stream),
+        })
     }
 
     /// Read one line as the server sent it, minus the line ending.
@@ -293,30 +224,6 @@ impl Client {
     pub fn estimate(&mut self, dataset: &str, query: &QueryGraph) -> io::Result<EstimateReply> {
         self.estimate_with_deadline(dataset, query, None)?
             .into_estimate()
-    }
-
-    /// [`Client::estimate_with_deadline`] under the client's retry
-    /// policy: a `BUSY` reply is retried up to
-    /// [`ClientConfig::busy_retries`] times with jittered exponential
-    /// backoff (estimates are idempotent — re-asking an overloaded
-    /// server is always safe). The final `BUSY` is returned typed, so an
-    /// exhausted budget is still distinguishable from a timeout.
-    pub fn estimate_with_retry(
-        &mut self,
-        dataset: &str,
-        query: &QueryGraph,
-        deadline_ms: Option<u64>,
-    ) -> io::Result<QueryReply> {
-        let mut attempt = 0;
-        loop {
-            match self.estimate_with_deadline(dataset, query, deadline_ms)? {
-                QueryReply::Busy(_) if attempt < self.config.busy_retries => {
-                    std::thread::sleep(backoff_delay(&self.config, attempt, &mut self.jitter));
-                    attempt += 1;
-                }
-                reply => return Ok(reply),
-            }
-        }
     }
 
     /// Estimate `query`, optionally bounding the server's work to
@@ -564,186 +471,17 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// The sleep before retry `attempt` (0-based): `backoff * 2^attempt`,
-/// capped at `backoff_max`, with the top half jittered by an xorshift64
-/// step of `state` — deterministic per seed, de-correlated across
-/// retries.
-fn backoff_delay(config: &ClientConfig, attempt: u32, state: &mut u64) -> Duration {
-    let base = config
-        .backoff
-        .checked_mul(1u32 << attempt.min(16))
-        .unwrap_or(config.backoff_max)
-        .min(config.backoff_max);
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    let nanos = base.as_nanos().min(u64::MAX as u128) as u64;
-    // Keep at least half the exponential step so retries still spread
-    // over time; jitter the other half.
-    Duration::from_nanos(nanos / 2 + x % (nanos / 2).max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EstimateOutcome;
     use std::net::TcpListener;
 
-    fn fast_config() -> ClientConfig {
-        ClientConfig {
-            connect_attempts: 20,
-            busy_retries: 3,
-            backoff: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(20),
-            jitter_seed: 42,
-        }
-    }
-
     #[test]
-    fn backoff_grows_is_capped_and_jittered() {
-        let config = ClientConfig {
-            backoff: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(100),
-            ..ClientConfig::default()
-        };
-        let mut state = 7u64;
-        let d0 = backoff_delay(&config, 0, &mut state);
-        let d3 = backoff_delay(&config, 3, &mut state);
-        let d9 = backoff_delay(&config, 9, &mut state);
-        assert!(d0 >= Duration::from_millis(5) && d0 <= Duration::from_millis(10));
-        assert!(d3 >= Duration::from_millis(40) && d3 <= Duration::from_millis(80));
-        assert!(d9 >= Duration::from_millis(50) && d9 <= Duration::from_millis(100));
-        // Same seed → same stream (deterministic for tests)…
-        let (mut a, mut b) = (42u64, 42u64);
-        assert_eq!(
-            backoff_delay(&config, 1, &mut a),
-            backoff_delay(&config, 1, &mut b)
-        );
-        // …and consecutive steps of one stream jitter differently.
-        assert_ne!(
-            backoff_delay(&config, 1, &mut a),
-            backoff_delay(&config, 1, &mut a)
-        );
-    }
-
-    #[test]
-    fn connect_with_retries_until_the_listener_appears() {
-        // Learn a free port, leave it unbound, and only start listening
-        // after a delay — the flaky-listener scenario (server still
-        // booting, or restarting after a crash).
+    fn connect_to_a_closed_port_errors() {
+        // Learn a free port and leave it unbound: one attempt, no retry.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
-        let server = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let listener = TcpListener::bind(addr).expect("rebind");
-            let (_stream, _) = listener.accept().expect("accept");
-            // Hold the stream open long enough for the client to finish
-            // its connect handshake.
-            std::thread::sleep(Duration::from_millis(20));
-        });
-        let client = Client::connect_with(addr, fast_config());
-        assert!(client.is_ok(), "{:?}", client.err());
-        drop(client);
-        server.join().unwrap();
-
-        // A single attempt against the now-dead port fails fast.
         assert!(Client::connect(addr).is_err());
-    }
-
-    #[test]
-    fn estimate_retries_through_busy_and_never_gives_up_early() {
-        // A fake server that answers the first two ESTIMATEs with BUSY
-        // and the third with a real estimate — the client must retry
-        // exactly through the BUSYs and surface the answer.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            let mut estimates = 0;
-            let mut line = String::new();
-            loop {
-                line.clear();
-                if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                    return;
-                }
-                let resp = if line.starts_with("ESTIMATE") {
-                    estimates += 1;
-                    if estimates <= 2 {
-                        Response::Busy("queue full".into())
-                    } else {
-                        Response::Estimate {
-                            outcome: EstimateOutcome {
-                                value: Some(8.0),
-                                cached: false,
-                            },
-                            hits: 0,
-                            misses: 1,
-                        }
-                    }
-                } else {
-                    Response::Bye
-                };
-                writeln!(writer, "{}", resp.format()).unwrap();
-                writer.flush().unwrap();
-                if matches!(resp, Response::Bye) {
-                    return;
-                }
-            }
-        });
-        let mut client = Client::connect_with(addr, fast_config()).unwrap();
-        let q = ceg_query::templates::path(1, &[0]);
-        let reply = client.estimate_with_retry("toy", &q, None).unwrap();
-        assert_eq!(
-            reply,
-            QueryReply::Estimate(EstimateReply {
-                value: Some(8.0),
-                cached: false,
-                hits: 0,
-                misses: 1,
-            })
-        );
-        let _ = client.quit();
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn busy_retries_are_bounded_and_the_final_busy_is_typed() {
-        // A server that is BUSY forever: the client must stop after its
-        // configured budget and hand back the typed BUSY, not loop.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = BufWriter::new(stream);
-            let mut answered = 0usize;
-            let mut line = String::new();
-            while reader.read_line(&mut line).unwrap_or(0) > 0 {
-                if !line.starts_with("ESTIMATE") {
-                    break;
-                }
-                answered += 1;
-                writeln!(writer, "{}", Response::Busy("drain".into()).format()).unwrap();
-                writer.flush().unwrap();
-                line.clear();
-            }
-            answered
-        });
-        let config = ClientConfig {
-            busy_retries: 2,
-            ..fast_config()
-        };
-        let mut client = Client::connect_with(addr, config).unwrap();
-        let q = ceg_query::templates::path(1, &[0]);
-        let reply = client.estimate_with_retry("toy", &q, None).unwrap();
-        assert_eq!(reply, QueryReply::Busy("drain".into()));
-        drop(client);
-        // 1 initial try + 2 retries, not one more.
-        assert_eq!(server.join().unwrap(), 3);
     }
 }

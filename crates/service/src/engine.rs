@@ -300,7 +300,7 @@ impl Engine {
     /// Set the slow-query threshold: misses whose latency reaches `ms`
     /// milliseconds are recorded in the slow-query ring.
     /// `u64::MAX / 1000` or larger effectively disables the log.
-    pub fn set_slow_query_threshold_ms(&self, ms: u64) {
+    pub(crate) fn set_slow_query_threshold_ms(&self, ms: u64) {
         self.slow_threshold_us
             .store(ms.saturating_mul(1000), Ordering::Relaxed);
     }
@@ -350,7 +350,7 @@ impl Engine {
         }
     }
 
-    /// Estimate one query with an **enabled** [`Trace`]: the result is
+    /// Estimate one query with a [`Trace`]: the result is
     /// bit-identical to [`Engine::estimate`] (same call, same cache,
     /// same catalog, same estimator), plus the recorded span/counter
     /// breakdown `EXPLAIN_ESTIMATE` reports. `id` is
@@ -363,7 +363,7 @@ impl Engine {
         deadline: Option<Instant>,
         id: u64,
     ) -> Result<(QueryOutcome, Trace), String> {
-        let mut trace = Trace::enabled();
+        let mut trace = Trace::default();
         let ctx = RequestCtx {
             id,
             deadline,
@@ -702,7 +702,7 @@ impl Engine {
     /// acked `COMMIT`. Rotation failures are reported but change no
     /// committed state — the log keeps growing and the next trigger
     /// retries.
-    pub fn maybe_rotate(
+    pub(crate) fn maybe_rotate(
         &self,
         dataset: &str,
         rotate_bytes: u64,

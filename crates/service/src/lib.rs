@@ -54,8 +54,8 @@
 //!   request can be correlated across the wire, the slow-query log and
 //!   the drain report; `EXPLAIN_ESTIMATE` answers like `ESTIMATE` and
 //!   appends the span/counter trace that produced the estimate
-//!   ([`Client::explain`]) via the zero-alloc-when-disabled
-//!   [`ceg_core::trace::Trace`] recorder; a ring-buffer slow-query log
+//!   ([`Client::explain`]) via the [`ceg_core::trace::Trace`] recorder,
+//!   which a plain `ESTIMATE` never allocates; a ring-buffer slow-query log
 //!   (`SLOWLOG`, threshold [`ServerConfig::slow_query_threshold_ms`])
 //!   captures over-threshold misses; `METRICS_PROM` exports the whole
 //!   metrics registry in Prometheus text exposition format.
@@ -101,7 +101,7 @@ pub mod registry;
 pub mod server;
 
 pub use cache::{EstimateCache, ProbeOutcome};
-pub use client::{Client, ClientConfig, EstimateReply, ExplainReply, QueryReply};
+pub use client::{Client, EstimateReply, ExplainReply, QueryReply};
 pub use engine::{
     Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,
     UpdateAck, DEFAULT_SLOW_QUERY_THRESHOLD_MS,

@@ -95,7 +95,7 @@ impl Histogram {
     /// One relaxed load per bucket, in bucket order — the raw counts
     /// behind [`Histogram::quantile_micros`] and the Prometheus
     /// `_bucket` series.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
         let mut counts = [0u64; BUCKETS];
         for (c, b) in counts.iter_mut().zip(&self.buckets) {
             *c = b.load(Ordering::Relaxed);
@@ -231,7 +231,7 @@ impl Metrics {
     }
 
     /// Count one event on `series`.
-    pub fn inc(&self, series: Series) {
+    pub(crate) fn inc(&self, series: Series) {
         self.add(series, 1);
     }
 
@@ -252,12 +252,12 @@ impl Metrics {
 
     /// The latency histogram of one command; `None` for `SHUTDOWN` and
     /// `QUIT`, which are lifecycle events rather than served commands.
-    pub fn latency(&self, cmd: Command) -> Option<&Histogram> {
+    pub(crate) fn latency(&self, cmd: Command) -> Option<&Histogram> {
         self.latency.get(cmd as usize)
     }
 
     /// One miss was admitted.
-    pub fn job_enqueued(&self) {
+    pub(crate) fn job_enqueued(&self) {
         let now = self.cell(Series::Queued).fetch_add(1, Ordering::Relaxed) + 1;
         let peak = self.cell(Series::QueuedPeak);
         peak.fetch_max(now, Ordering::Relaxed);
@@ -265,14 +265,14 @@ impl Metrics {
 
     /// One admitted miss ended (answered, refused after its wait, or
     /// dropped with its permit).
-    pub fn job_finished(&self) {
+    pub(crate) fn job_finished(&self) {
         self.cell(Series::Queued).fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Fold one counting run's [`ceg_exec::KernelStats`] into the kernel
     /// totals: its summed fields have a series each, in field order up to
     /// where the WAL series begin (`deepest_level`, a maximum, has none).
-    pub fn record_kernel(&self, stats: &ceg_exec::KernelStats) {
+    pub(crate) fn record_kernel(&self, stats: &ceg_exec::KernelStats) {
         let kernel = Series::KernelCandidates as usize..Series::WalCommits as usize;
         let cells = self.values.iter().take(kernel.end).skip(kernel.start);
         for (cell, (_, value)) in cells.zip(stats.fields()) {

@@ -40,7 +40,7 @@
 //! partial line. `BUSY` is the admission-control rejection: the
 //! dataset already has its cap of cache misses admitted (or the server
 //! is draining) and the request was refused *before* any counting or
-//! estimation — clients retry with backoff. `STATS batches=` counts
+//! estimation, so it is safe to resend. `STATS batches=` counts
 //! engine calls: one per `ESTIMATE`, `EXPLAIN_ESTIMATE` or
 //! `ESTIMATE_BATCH` request, whatever it hit or missed; `queued=` is the
 //! number of misses admitted and not yet answered. `METRICS` dumps the
@@ -380,7 +380,7 @@ pub fn format_query(query: &QueryGraph) -> String {
 /// correlate replies with its requests and server-side slow-query
 /// records. Counted *body* lines (metric/span/slowlog lines under a
 /// header) are never stamped — their grammar has no id tail.
-pub fn append_id(line: &mut String, id: u64) {
+pub(crate) fn append_id(line: &mut String, id: u64) {
     line.push_str(&format!(" id={id}"));
 }
 
@@ -401,7 +401,7 @@ pub fn split_id(line: &str) -> (&str, Option<u64>) {
 /// validating the count against [`MAX_BATCH_QUERIES`]. The server uses
 /// this to learn how many query lines to read before it can hand the
 /// whole text to [`Request::parse`].
-pub fn parse_batch_header(line: &str) -> Result<(String, usize, Option<u64>), String> {
+pub(crate) fn parse_batch_header(line: &str) -> Result<(String, usize, Option<u64>), String> {
     let ctx = Command::EstimateBatch.name();
     let mut cur = Cursor::new(line);
     if cur.next() != Some(ctx) {
@@ -445,12 +445,12 @@ pub fn parse_explain_response_header(line: &str) -> Result<usize, String> {
 /// Render one `<key> <value>` line of a `METRICS` reply body — the
 /// counterpart of [`parse_metric_line`], so the body grammar has exactly
 /// one owner on each side of the wire.
-pub fn format_metric_line(key: &str, value: u64) -> String {
+pub(crate) fn format_metric_line(key: &str, value: u64) -> String {
     format!("{key} {value}")
 }
 
 /// Parse one `<key> <value>` line of a `METRICS` reply body.
-pub fn parse_metric_line(line: &str) -> Result<(String, u64), String> {
+pub(crate) fn parse_metric_line(line: &str) -> Result<(String, u64), String> {
     let ctx = "metric line";
     let mut cur = Cursor::new(line);
     let pair = (cur.field(ctx, "key")?, cur.field(ctx, "value")?);
@@ -498,7 +498,7 @@ impl ExplainItem {
 /// Render one slow-query record as a wire line. The query encoding goes
 /// **last** because it contains spaces; every other field is a fixed
 /// `key=value` token.
-pub fn format_slowlog_entry(e: &SlowQueryEntry) -> String {
+pub(crate) fn format_slowlog_entry(e: &SlowQueryEntry) -> String {
     format!(
         "id={} dataset={} epoch={} micros={} cache_us={} fill_us={} estimate_us={} query={}",
         e.id, e.dataset, e.epoch, e.micros, e.cache_us, e.fill_us, e.estimate_us, e.query
@@ -506,7 +506,7 @@ pub fn format_slowlog_entry(e: &SlowQueryEntry) -> String {
 }
 
 /// Parse one slow-query record line.
-pub fn parse_slowlog_entry(line: &str) -> Result<SlowQueryEntry, String> {
+pub(crate) fn parse_slowlog_entry(line: &str) -> Result<SlowQueryEntry, String> {
     let ctx = "slowlog";
     let mut cur = Cursor::new(line);
     let mut entry = SlowQueryEntry {
@@ -528,7 +528,7 @@ pub fn parse_slowlog_entry(line: &str) -> Result<SlowQueryEntry, String> {
 
 impl Request {
     /// The command this request is an instance of.
-    pub fn command(&self) -> Command {
+    pub(crate) fn command(&self) -> Command {
         match self {
             Request::Ping => Command::Ping,
             Request::Stats => Command::Stats,

@@ -338,12 +338,6 @@ impl DatasetEntry {
         self
     }
 
-    /// Override the pending-operation cap (tests use tiny values).
-    pub fn with_pending_cap(mut self, cap: usize) -> Self {
-        self.pending_cap = cap.max(1);
-        self
-    }
-
     /// The typed error a poisoned update-path lock funnels into. The
     /// durability mutex is held across I/O and a recount, so a panic
     /// there degrades this dataset's commits (`ERR dataset ... poisoned`)
@@ -773,17 +767,12 @@ impl DatasetEntry {
         self.durability.lock().is_some()
     }
 
-    /// Current WAL length in bytes (`None` without durability).
-    pub fn wal_len(&self) -> Option<u64> {
-        self.durability.lock().as_ref().map(|d| d.writer.len())
-    }
-
     /// Fold the WAL into a fresh snapshot and truncate it, if either
     /// trigger fires: the log reached `rotate_bytes` (0 disables), or
     /// `snapshot_interval_commits` effective commits landed since the
     /// last fold (0 disables). Returns `Ok(None)` when neither fired or
     /// the log is already empty.
-    pub fn maybe_rotate(
+    pub(crate) fn maybe_rotate(
         &self,
         rotate_bytes: u64,
         snapshot_interval_commits: u64,
@@ -845,11 +834,6 @@ impl DatasetRegistry {
             map: OrderedRwLock::new(LockRank::Registry, FxHashMap::default()),
             default_jobs: jobs.max(1),
         }
-    }
-
-    /// Catalog-growth worker threads applied to registered datasets.
-    pub fn default_jobs(&self) -> usize {
-        self.default_jobs
     }
 
     /// Register a prepared entry, replacing any previous dataset with the
@@ -993,8 +977,8 @@ mod tests {
     fn parallel_growth_matches_serial_catalog() {
         let serial = DatasetRegistry::new();
         let parallel = DatasetRegistry::with_jobs(4);
-        assert_eq!(serial.default_jobs(), 1);
-        assert_eq!(parallel.default_jobs(), 4);
+        assert_eq!(serial.default_jobs, 1);
+        assert_eq!(parallel.default_jobs, 4);
         let es = serial.insert_graph("toy", toy_graph(), 2);
         let ep = parallel.insert_graph("toy", toy_graph(), 2);
         assert_eq!(ep.jobs(), 4);
@@ -1074,8 +1058,8 @@ mod tests {
 
     #[test]
     fn pending_buffer_is_capped() {
-        let entry =
-            DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2)).with_pending_cap(2);
+        let mut entry = DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2));
+        entry.pending_cap = 2;
         entry.add_edge(0, 2, 0).unwrap();
         entry.add_edge(0, 3, 0).unwrap();
         let err = entry.add_edge(0, 4, 0).unwrap_err();
@@ -1120,6 +1104,15 @@ mod tests {
         assert_eq!(outcome.epoch, 0);
         assert_eq!((outcome.added, outcome.deleted), (0, 0));
         assert_eq!(entry.epoch(), 0);
+        // Mixed with effective ops, the no-ops are stripped and only the
+        // rest is counted.
+        entry.add_edge(0, 1, 0).unwrap(); // already present
+        entry.add_edge(4, 0, 0).unwrap(); // genuinely new
+        entry.del_edge(1, 2, 1).unwrap(); // genuinely deleted
+        entry.del_edge(2, 0, 1).unwrap(); // absent
+        let outcome = entry.try_commit().unwrap();
+        assert_eq!(outcome.epoch, 1);
+        assert_eq!((outcome.added, outcome.deleted), (1, 1));
     }
 
     #[test]
@@ -1288,7 +1281,7 @@ mod tests {
             let (snap, wal) = paths();
             assert!(entry.durable());
             assert!(fs.exists(&snap));
-            assert_eq!(entry.wal_len(), Some(ceg_graph::wal::WAL_HEADER_LEN));
+            assert_eq!(fs.len(&wal).unwrap(), ceg_graph::wal::WAL_HEADER_LEN);
             assert!(fs.exists(&wal));
         }
 
@@ -1318,13 +1311,14 @@ mod tests {
         fn noop_commit_appends_nothing() {
             let fs = FaultStorage::new();
             let entry = durable_entry(&fs);
-            let before = entry.wal_len().unwrap();
+            let (_, wal) = paths();
+            let before = fs.len(&wal).unwrap();
             // Adding an edge the graph already has is effectively empty.
             entry.add_edge(0, 1, 0).unwrap();
             let out = entry.try_commit().unwrap();
             assert_eq!(out.epoch, 0);
             assert_eq!(out.wal_bytes, 0);
-            assert_eq!(entry.wal_len().unwrap(), before);
+            assert_eq!(fs.len(&wal).unwrap(), before);
         }
 
         #[test]
@@ -1399,11 +1393,11 @@ mod tests {
                 .expect("log was non-empty");
             assert_eq!(out.epoch, 2);
             assert!(out.wal_bytes_folded > 0);
-            assert_eq!(entry.wal_len(), Some(ceg_graph::wal::WAL_HEADER_LEN));
+            let (snap, wal) = paths();
+            assert_eq!(fs.len(&wal).unwrap(), ceg_graph::wal::WAL_HEADER_LEN);
             // Post-rotation commits land in the fresh log.
             entry.del_edge(0, 1, 0).unwrap();
             entry.try_commit().unwrap();
-            let (snap, wal) = paths();
             let (recovered, report) =
                 DatasetEntry::recover("toy", Arc::new(fs.clone()), snap, wal, 1).unwrap();
             assert_eq!(report.snapshot_epoch, 2);

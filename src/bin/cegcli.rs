@@ -261,6 +261,15 @@ fn parse_heuristic(name: &str) -> Result<Heuristic, String> {
     Err(format!("unknown heuristic `{name}` (try max-hop-max)"))
 }
 
+/// A Markov table's hop depth: a number, at least 2, as `MarkovTable`
+/// requires.
+fn parse_h(s: &str) -> Result<usize, String> {
+    match s.parse() {
+        Ok(h) if h >= 2 => Ok(h),
+        _ => Err(format!("bad h `{s}`: a Markov table needs h >= 2")),
+    }
+}
+
 fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> {
     args.get(i)
         .map(String::as_str)
@@ -388,7 +397,7 @@ fn stats(args: &[String]) -> CmdResult {
     // Arguments first, filesystem second (see `workload`).
     let graph_path = arg(&args, 0, "graph path")?;
     let workload_path = arg(&args, 1, "workload path")?;
-    let h: usize = arg(&args, 2, "h")?.parse().map_err(|_| "bad h")?;
+    let h = parse_h(arg(&args, 2, "h")?)?;
     let out = arg(&args, 3, "output path")?;
     let g = load_graph(graph_path).map_err(CmdError::runtime)?;
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
@@ -578,6 +587,7 @@ fn serve(args: &[String]) -> CmdResult {
     let (args, rotate_bytes) = take_opt(&args, "wal-rotate-bytes")?;
     let (args, snapshot_every) = take_opt(&args, "snapshot-every")?;
     let args = &args[..];
+    let explicit_h = args.get(3).map(|s| parse_h(s)).transpose()?;
     let defaults = ServerConfig::default();
     let parse_u64 = |name: &str, v: &Option<String>, default: u64| -> Result<u64, CmdError> {
         match v {
@@ -611,16 +621,13 @@ fn serve(args: &[String]) -> CmdResult {
         |args: &[String]| -> Result<Arc<cegraph::service::DatasetEntry>, CmdError> {
             let graph_path = arg(args, 1, "graph path")?;
             let markov_path = args.get(2).map(String::as_str).filter(|p| *p != "-");
-            let h: usize = match args.get(3) {
-                Some(s) => s.parse().map_err(|_| "bad h")?,
-                None => 2,
-            };
+            let h = explicit_h.unwrap_or(2);
             let entry = registry
                 .load_files("default", graph_path, markov_path, h)
                 .map_err(CmdError::runtime)?;
             // A persisted catalog carries its own hop depth; refuse a
             // contradictory explicit h instead of silently ignoring it.
-            if args.get(3).is_some() && entry.h() != h {
+            if explicit_h.is_some() && entry.h() != h {
                 return Err(CmdError::usage(format!(
                     "markov file was built at h={}, which contradicts the requested h={h}",
                     entry.h()

@@ -208,6 +208,40 @@ fn serve_refuses_an_edge_list_with_an_id_past_its_type() {
     );
 }
 
+/// A hop depth below 2 is a usage error for both commands that take one,
+/// refused before any file is read: exit 2 and a message, not the panic
+/// `MarkovTable` raises for it.
+#[test]
+fn a_hop_depth_below_two_is_a_usage_error() {
+    let dir = std::env::temp_dir();
+    let tag = std::process::id();
+    let edges = dir.join(format!("ceg-low-h-{tag}.edges"));
+    let workload = dir.join(format!("ceg-low-h-{tag}.wl"));
+    let markov = dir.join(format!("ceg-low-h-{tag}.markov"));
+    std::fs::write(&edges, "0 1 0\n1 2 0\n").unwrap();
+    std::fs::write(&workload, "ok 1 2 1 0 1 0\n").unwrap();
+    let (edges_s, workload_s) = (edges.to_str().unwrap(), workload.to_str().unwrap());
+    for h in ["1", "0"] {
+        let runs = [
+            vec!["serve", "127.0.0.1:0", edges_s, "-", h],
+            vec!["stats", edges_s, workload_s, h, markov.to_str().unwrap()],
+        ];
+        for args in runs {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+                .args(&args)
+                .output()
+                .expect("run cegcli");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("h >= 2"), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(!markov.exists(), "no table was written");
+    std::fs::remove_file(&edges).unwrap();
+    std::fs::remove_file(&workload).unwrap();
+}
+
 /// A workload line whose edge names a variable past `num_vars` is refused
 /// where the file is read: `cegcli estimate` exits 1 with the line, not a
 /// panic out of `QueryGraph::new`.

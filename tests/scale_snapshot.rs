@@ -1,5 +1,5 @@
 //! Nightly scale check of the snapshot paths (`cargo test --release --
-//! --ignored`): at 10^6 edges — the scale ROADMAP item 3(a) asks for and
+//! --ignored`): at 10^6 edges — the scale ROADMAP item 1(a) asks for and
 //! twice the paper's smallest graph — a snapshot write holds no copy of
 //! the graph and a read holds one, by the process's own peak resident
 //! set. Alone in its file: the peak is the process's, and no other test
