@@ -3,8 +3,9 @@
 //! The counting kernel generates the candidate set of a query variable as
 //! the intersection of the CSR neighbour lists induced by its already-bound
 //! neighbours. This module supplies the k-way step on top of the two-slice
-//! adaptive primitives in [`ceg_graph::intersect`] (linear merge for
-//! comparable lengths, galloping for skewed ones): the two smallest lists
+//! primitives in [`ceg_graph::intersect`], choosing per step between a
+//! linear merge for comparable lengths and galloping for skewed ones
+//! ([`GALLOP_RATIO`]): the two smallest lists
 //! are merged into a reusable buffer, then each remaining list refines the
 //! buffer in place. Total cost is bounded by the smallest list — the
 //! worst-case-optimal-join access pattern — and the buffer is the only
@@ -13,8 +14,8 @@
 use ceg_graph::VertexId;
 
 pub use ceg_graph::intersect::{
-    gallop, intersect_into, intersect_into_gallop, intersect_into_merge, refine_in_place,
-    refine_in_place_gallop, refine_in_place_merge, VertexBitset, GALLOP_RATIO,
+    gallop, intersect_into_gallop, intersect_into_merge, refine_in_place_gallop,
+    refine_in_place_merge, VertexBitset, GALLOP_RATIO,
 };
 
 /// Which intersection strategy the counting kernel uses.
@@ -47,10 +48,10 @@ pub enum IntersectStrategy {
 /// copied verbatim (the kernel iterates a single slice directly instead).
 ///
 /// `Merge` / `Gallop` force every pairwise step onto that primitive;
-/// `Adaptive` and `Bitset` use the [`GALLOP_RATIO`] crossover, exactly as
-/// [`intersect_into`] / [`refine_in_place`] dispatch — the bitset path
-/// itself lives a level up, in the kernel's per-depth caches, so at the
-/// pairwise level `Bitset` behaves adaptively.
+/// `Adaptive` and `Bitset` pick by the [`GALLOP_RATIO`] crossover
+/// ([`pairwise`]) — the bitset path itself lives a level up, in the
+/// kernel's per-depth caches, so at the pairwise level `Bitset` behaves
+/// adaptively.
 pub(crate) fn intersect_k_into_strategy(
     lists: &mut [&[VertexId]],
     out: &mut Vec<VertexId>,

@@ -106,31 +106,26 @@ impl GraphDelta {
         }
     }
 
-    /// Normalize against `base`: the insertions the base actually lacks
-    /// and the deletions it actually has, each sorted. These two sets are
-    /// disjoint and are what [`LabeledGraph::rebase`] /
-    /// [`crate::OverlayGraph`] physically apply; everything else in the
-    /// delta is a no-op relative to `base`.
-    pub fn effective(&self, base: &LabeledGraph) -> (Vec<Edge>, Vec<Edge>) {
-        let mut adds = Vec::new();
-        let mut dels = Vec::new();
-        for (&e, &add) in &self.ops {
-            let present = base.has_edge(e.src, e.dst, e.label);
-            match (add, present) {
-                (true, false) => adds.push(e),
-                (false, true) => dels.push(e),
-                _ => {}
-            }
+    /// The part of this delta that changes a graph whose edge presence is
+    /// `present`: the insertions of absent edges and the deletions of
+    /// present ones. Everything else is a no-op relative to that graph.
+    pub fn effective(&self, present: impl Fn(Edge) -> bool) -> GraphDelta {
+        GraphDelta {
+            ops: self
+                .ops
+                .iter()
+                .filter(|&(&e, &add)| add != present(e))
+                .map(|(&e, &add)| (e, add))
+                .collect(),
         }
-        (adds, dels)
     }
 
-    /// [`GraphDelta::effective`] grouped per label in one pass: for each
-    /// touched label (ascending), its effective insertions and deletions
-    /// as `(src, dst)` pairs, each list sorted (the per-label
-    /// subsequences of the `(src, dst, label)`-ordered op map). Labels
-    /// whose operations are all no-ops relative to `base` produce no
-    /// entry. This is what [`LabeledGraph::rebase`] and
+    /// [`GraphDelta::effective`] against `base`, grouped per label in one
+    /// pass: for each touched label (ascending), its effective insertions
+    /// and deletions as `(src, dst)` pairs, each list sorted (the
+    /// per-label subsequences of the `(src, dst, label)`-ordered op map).
+    /// Labels whose operations are all no-ops relative to `base` produce
+    /// no entry. This is what [`LabeledGraph::rebase`] and
     /// [`crate::OverlayGraph`] consume — one scan of the delta instead of
     /// one per touched label.
     #[allow(clippy::type_complexity)]
@@ -204,7 +199,9 @@ mod tests {
         d.add_edge(3, 0, 0); // genuinely new
         d.del_edge(1, 2, 0); // genuinely deleted
         d.del_edge(0, 3, 1); // absent: no-op
-        let (adds, dels) = d.effective(&g);
+        let effective = d.effective(|e| g.has_edge(e.src, e.dst, e.label));
+        let (adds, dels): (Vec<Edge>, Vec<Edge>) =
+            (effective.adds().collect(), effective.dels().collect());
         assert_eq!(adds.len(), 1);
         assert_eq!(
             adds[0],
@@ -245,8 +242,9 @@ mod tests {
         let g = base();
         let d = GraphDelta::new();
         assert!(d.is_empty());
-        let (adds, dels) = d.effective(&g);
-        assert!(adds.is_empty() && dels.is_empty());
+        assert!(d
+            .effective(|e| g.has_edge(e.src, e.dst, e.label))
+            .is_empty());
         assert!(d.touched_labels().is_empty());
         assert_eq!(d.max_vertex(), None);
     }

@@ -10,18 +10,18 @@
 //!   longer slice visits O(small · log(large / small)) elements, the
 //!   classic worst-case-optimal-join access pattern.
 //!
-//! [`intersect_into`] and [`refine_in_place`] switch between the two on a
-//! length-ratio crossover ([`GALLOP_RATIO`]). Inputs must be sorted and
-//! duplicate-free; outputs then are too.
+//! Each regime has its own pair of functions (`*_merge`, `*_gallop`); the
+//! caller picks one per step by the length-ratio crossover
+//! [`GALLOP_RATIO`] (the counting kernel's k-way intersection in
+//! `ceg-exec` does). Inputs must be sorted and duplicate-free; outputs
+//! then are too.
 //!
 //! A third regime — **dense candidate sets probed many times** — is served
 //! by [`VertexBitset`]: build a u64-word bitset over the candidate set
 //! once, then AND neighbour lists against it word-at-a-time. Each probe
 //! costs one shift and mask, runs of probes falling into a zero word are
 //! skipped wholesale, and the bitset is rebuilt only when the candidate
-//! set changes. The forced variants ([`intersect_into_merge`],
-//! [`intersect_into_gallop`]) exist so tests can pin each strategy
-//! independently of the adaptive crossover.
+//! set changes.
 
 use crate::VertexId;
 
@@ -53,23 +53,8 @@ pub fn gallop(a: &[VertexId], target: VertexId) -> usize {
         }
 }
 
-/// Append the intersection of sorted duplicate-free `a` and `b` to `out`.
-/// Adaptive: linear merge for comparable lengths, galloping when one side
-/// is more than [`GALLOP_RATIO`] times longer.
-pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return;
-    }
-    if large.len() / small.len() >= GALLOP_RATIO {
-        intersect_into_gallop(small, large, out);
-    } else {
-        intersect_into_merge(small, large, out);
-    }
-}
-
-/// [`intersect_into`] pinned to the linear two-pointer merge, regardless
-/// of the length ratio.
+/// Append the intersection of sorted duplicate-free `a` and `b` to `out`
+/// by a linear two-pointer merge.
 pub fn intersect_into_merge(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -86,8 +71,8 @@ pub fn intersect_into_merge(a: &[VertexId], b: &[VertexId], out: &mut Vec<Vertex
     }
 }
 
-/// [`intersect_into`] pinned to galloping: the shorter slice is probed
-/// through the longer one by exponential search, regardless of the ratio.
+/// [`intersect_into_merge`] by galloping: the shorter slice is probed
+/// through the longer one by exponential search.
 pub fn intersect_into_gallop(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
@@ -109,24 +94,9 @@ pub fn intersect_into_gallop(a: &[VertexId], b: &[VertexId], out: &mut Vec<Verte
 }
 
 /// Retain only the elements of `buf` that also occur in sorted
-/// duplicate-free `other`, in place and allocation-free. `buf` must be
-/// sorted and duplicate-free (as produced by [`intersect_into`]).
-pub fn refine_in_place(buf: &mut Vec<VertexId>, other: &[VertexId]) {
-    if buf.is_empty() {
-        return;
-    }
-    if other.is_empty() {
-        buf.clear();
-        return;
-    }
-    if other.len() / buf.len() >= GALLOP_RATIO {
-        refine_in_place_gallop(buf, other);
-    } else {
-        refine_in_place_merge(buf, other);
-    }
-}
-
-/// [`refine_in_place`] pinned to the linear merge walk.
+/// duplicate-free `other`, in place and allocation-free, by a linear
+/// merge walk. `buf` must be sorted and duplicate-free (as produced by
+/// [`intersect_into_merge`]).
 pub fn refine_in_place_merge(buf: &mut Vec<VertexId>, other: &[VertexId]) {
     let mut write = 0usize;
     let mut j = 0usize;
@@ -147,7 +117,7 @@ pub fn refine_in_place_merge(buf: &mut Vec<VertexId>, other: &[VertexId]) {
     buf.truncate(write);
 }
 
-/// [`refine_in_place`] pinned to galloping through `other`.
+/// [`refine_in_place_merge`] by galloping through `other`.
 pub fn refine_in_place_gallop(buf: &mut Vec<VertexId>, other: &[VertexId]) {
     let mut write = 0usize;
     let mut from = 0usize; // cursor into `other`, monotone
@@ -296,10 +266,22 @@ impl VertexBitset {
 mod tests {
     use super::*;
 
+    /// The intersection by both strategies, which must agree.
     fn isect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
         let mut out = Vec::new();
-        intersect_into(a, b, &mut out);
+        intersect_into_merge(a, b, &mut out);
+        let mut galloped = Vec::new();
+        intersect_into_gallop(a, b, &mut galloped);
+        assert_eq!(galloped, out, "a={a:?} b={b:?}");
         out
+    }
+
+    /// `buf` refined by `other` through both strategies, which must agree.
+    fn refine(buf: &mut Vec<VertexId>, other: &[VertexId]) {
+        let mut galloped = buf.clone();
+        refine_in_place_gallop(&mut galloped, other);
+        refine_in_place_merge(buf, other);
+        assert_eq!(*buf, galloped, "other={other:?}");
     }
 
     #[test]
@@ -322,9 +304,9 @@ mod tests {
 
     #[test]
     fn merge_and_gallop_regimes_agree() {
-        // comparable lengths → merge path
+        // comparable lengths
         assert_eq!(isect(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), vec![3, 7]);
-        // skewed lengths → gallop path (ratio ≥ GALLOP_RATIO)
+        // skewed lengths (ratio ≥ GALLOP_RATIO)
         let large: Vec<VertexId> = (0..200).map(|i| i * 2).collect();
         assert_eq!(isect(&[5, 40, 41, 398], &large), vec![40, 398]);
         assert_eq!(isect(&large, &[5, 40, 41, 398]), vec![40, 398]);
@@ -340,9 +322,9 @@ mod tests {
     #[test]
     fn refine_keeps_common_elements() {
         let mut buf = vec![1, 4, 6, 9, 12];
-        refine_in_place(&mut buf, &[0, 4, 5, 9, 13]);
+        refine(&mut buf, &[0, 4, 5, 9, 13]);
         assert_eq!(buf, vec![4, 9]);
-        refine_in_place(&mut buf, &[]);
+        refine(&mut buf, &[]);
         assert!(buf.is_empty());
     }
 
@@ -350,7 +332,7 @@ mod tests {
     fn refine_gallop_regime() {
         let other: Vec<VertexId> = (0..500).map(|i| i * 3).collect();
         let mut buf = vec![3, 4, 299, 300, 1497];
-        refine_in_place(&mut buf, &other);
+        refine(&mut buf, &other);
         assert_eq!(buf, vec![3, 300, 1497]);
     }
 
@@ -365,13 +347,8 @@ mod tests {
                 let want: Vec<VertexId> = a.iter().copied().filter(|x| b.contains(x)).collect();
                 assert_eq!(got, want, "a={a:?} b={b:?}");
                 let mut refined = a.clone();
-                refine_in_place(&mut refined, &b);
+                refine(&mut refined, &b);
                 assert_eq!(refined, want, "refine a={a:?} b={b:?}");
-                for f in [intersect_into_merge, intersect_into_gallop] {
-                    let mut forced = Vec::new();
-                    f(&a, &b, &mut forced);
-                    assert_eq!(forced, want, "forced a={a:?} b={b:?}");
-                }
             }
         }
     }

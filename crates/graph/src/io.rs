@@ -135,33 +135,6 @@ pub fn save_graph(graph: &LabeledGraph, path: impl AsRef<Path>) -> io::Result<()
     write_edge_list(graph, f)
 }
 
-/// Write a graph-only `.cegsnap` binary snapshot: the raw CSR relations
-/// plus an epoch, in the checksummed section container of
-/// [`crate::snapshot`]. Restoring skips text parsing and CSR
-/// construction entirely. The full service snapshot (graph + Markov
-/// catalog + epoch) is written by `ceg-catalog::io::write_snapshot` in
-/// the same container.
-pub fn write_snapshot(path: impl AsRef<Path>, graph: &LabeledGraph, epoch: u64) -> io::Result<()> {
-    use crate::snapshot::{atomic_write, write_graph_sections, SnapshotWriter};
-    atomic_write(path.as_ref(), |f| {
-        let mut w = SnapshotWriter::new(f)?;
-        write_graph_sections(&mut w, graph, epoch)?;
-        w.finish()?;
-        Ok(())
-    })
-}
-
-/// Read the graph and epoch out of any `.cegsnap` snapshot: the full
-/// reader ([`crate::snapshot::read_sections`]) with nothing made of the
-/// catalog section, which is skipped like the sections this crate does
-/// not know. Corrupt or truncated files are rejected with errors, never
-/// panics.
-pub fn read_snapshot(path: impl AsRef<Path>) -> io::Result<(LabeledGraph, u64)> {
-    let (graph, epoch, _) =
-        crate::snapshot::read_sections(&crate::vfs::OsStorage, path.as_ref(), |_| Ok(()))?;
-    Ok((graph, epoch))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,33 +358,5 @@ mod tests {
             let got = outcome(read_edge_list(io::BufReader::new(text.as_bytes())));
             proptest::prop_assert_eq!(got, expected(&text), "input {:?}", text);
         }
-    }
-
-    #[test]
-    fn binary_snapshot_roundtrips_through_a_file() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 0);
-        b.add_edge(1, 2, 1);
-        b.add_edge(3, 0, 0);
-        let g = b.build();
-        let path = std::env::temp_dir().join(format!("ceg-io-snap-{}.cegsnap", std::process::id()));
-        write_snapshot(&path, &g, 9).unwrap();
-        let (g2, epoch) = read_snapshot(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(epoch, 9);
-        assert_eq!(g2.num_vertices(), g.num_vertices());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for e in g.all_edges() {
-            assert!(g2.has_edge(e.src, e.dst, e.label), "{e:?}");
-        }
-    }
-
-    #[test]
-    fn snapshot_of_garbage_file_is_an_error() {
-        let path = std::env::temp_dir().join(format!("ceg-io-junk-{}.cegsnap", std::process::id()));
-        std::fs::write(&path, b"this is not a snapshot").unwrap();
-        let err = read_snapshot(&path).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

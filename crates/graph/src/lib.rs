@@ -61,7 +61,7 @@ pub use csr::Csr;
 pub use delta::GraphDelta;
 pub use graph::{Edge, LabeledGraph};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use intersect::{gallop, intersect_into, refine_in_place, VertexBitset};
+pub use intersect::{gallop, VertexBitset};
 pub use overlay::OverlayGraph;
 pub use stats::LabelStats;
 

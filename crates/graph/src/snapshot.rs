@@ -236,7 +236,9 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Write a file atomically: `fill` streams the bytes through a buffered
+/// Write a file atomically through `storage` (tests swap in a
+/// [`crate::vfs::FaultStorage`] to crash the write at every step): `fill`
+/// streams the bytes through a buffered
 /// writer into a unique temp file next to `path`, which is synced to disk
 /// and renamed over `path` only once complete — the file is never held
 /// in memory. A crash, a full disk, or a concurrent
@@ -246,16 +248,6 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
 /// deletes on the next startup). Snapshots are recovery artifacts;
 /// overwriting the only good copy in place would let the durability
 /// feature destroy the very state it exists to protect.
-pub(crate) fn atomic_write(
-    path: &std::path::Path,
-    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
-    atomic_write_with(&crate::vfs::OsStorage, path, fill)
-}
-
-/// `atomic_write` through an explicit [`crate::vfs::Storage`] — the
-/// fault-injection seam: tests swap in a
-/// [`crate::vfs::FaultStorage`] to crash the write at every step.
 pub fn atomic_write_with(
     storage: &dyn crate::vfs::Storage,
     path: &std::path::Path,
@@ -312,7 +304,7 @@ impl Write for FileWriter {
 }
 
 /// Delete orphaned `.cegsnap.tmp.*` / `.cegwal.tmp.*` siblings that a
-/// hard crash mid-`atomic_write` left behind in a dataset directory.
+/// hard crash mid-`atomic_write_with` left behind in a dataset directory.
 /// Returns the paths removed. Call this when the directory is first
 /// opened, **before** any writer is live — a temp file in use by a
 /// concurrent writer must never be swept.
@@ -355,7 +347,7 @@ impl<W: Write> SnapshotWriter<W> {
     /// Append one checksummed section whose payload is the `len` bytes
     /// `fill` writes. The length goes out before the payload, so it must
     /// be exact: a `fill` that writes more or fewer bytes is an error
-    /// (and, under `atomic_write`, no file).
+    /// (and, under `atomic_write_with`, no file).
     pub fn section(
         &mut self,
         tag: [u8; 4],
@@ -1004,6 +996,7 @@ pub fn read_sections<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsStorage;
     use crate::{GraphBuilder, GraphDelta};
     use proptest::prelude::*;
     use std::path::PathBuf;
@@ -1474,7 +1467,7 @@ mod tests {
     fn atomic_write_preserves_the_old_file_on_failure() {
         let path = std::env::temp_dir().join(format!("ceg-atomic-{}.cegsnap", std::process::id()));
         std::fs::write(&path, b"precious previous snapshot").unwrap();
-        let err = atomic_write(&path, |f| {
+        let err = atomic_write_with(&OsStorage, &path, |f| {
             f.write_all(b"partial garbage")?;
             Err(bad("simulated crash mid-write"))
         });
@@ -1494,7 +1487,7 @@ mod tests {
             .count();
         assert_eq!(strays, 0, "temp file must be cleaned up");
         // And a successful write replaces it.
-        atomic_write(&path, |f| f.write_all(b"new snapshot")).unwrap();
+        atomic_write_with(&OsStorage, &path, |f| f.write_all(b"new snapshot")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new snapshot");
         std::fs::remove_file(&path).unwrap();
     }
@@ -1509,7 +1502,7 @@ mod tests {
         fs.install(&dir.join("default.cegsnap"), b"snap".to_vec());
         fs.install(&dir.join("default.cegwal"), b"wal".to_vec());
         fs.install(&dir.join("notes.txt"), b"keep".to_vec());
-        // ...and the orphans a hard crash mid-atomic_write leaves.
+        // ...and the orphans a hard crash mid-atomic_write_with leaves.
         fs.install(&dir.join("default.cegsnap.tmp.123.0"), b"torn".to_vec());
         fs.install(&dir.join("default.cegwal.tmp.123.1"), b"torn".to_vec());
         let mut removed = sweep_orphan_temps(&fs, dir).unwrap();

@@ -26,7 +26,7 @@
 //! simplification is safe because the real code always pairs a rename
 //! with [`Storage::sync_dir`] — the atomic-rename guarantee is the one
 //! the code actually relies on, and modelling a *lost* rename would
-//! only re-test `atomic_write`'s dir-fsync line, not the recovery
+//! only re-test `atomic_write_with`'s dir-fsync line, not the recovery
 //! logic.
 //!
 //! The module lives in `ceg-graph`, next to the snapshot and WAL codecs

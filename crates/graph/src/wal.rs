@@ -261,8 +261,8 @@ impl WalWriter {
         Ok(bytes.len() as u64)
     }
 
-    /// Current log length in bytes (header included) — the rotation
-    /// trigger compares this against `wal_rotate_bytes`.
+    /// Current log length in bytes (header included) — the service folds
+    /// the log once its bytes past the header reach its snapshot's size.
     pub fn len(&self) -> u64 {
         self.len
     }

@@ -3,7 +3,8 @@
 //! non-test code of a served crate's `src/` is a diagnostic when its name
 //! is an identifier token in no *other* walked file (`crates/`, `src/`,
 //! `tests/`, `examples/`, `bench/src/`). Comments and strings are not
-//! mentions (the lexer drops them), and neither is anything in the
+//! mentions (the lexer drops them), nor are the names inside a `use …;`
+//! declaration (a re-export is not a caller), nor is anything in the
 //! defining file, its unit tests included. `pub(crate)` items and items
 //! under `#[cfg(test)]` are out of scope.
 
@@ -27,13 +28,7 @@ pub fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     // How many files name each identifier (each file counts once).
     let mut files_naming: HashMap<&str, usize> = HashMap::new();
     for (_, toks) in &lexed {
-        let mut names: Vec<&str> = toks
-            .iter()
-            .filter_map(|s| match &s.tok {
-                Tok::Ident(name) => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
+        let mut names = mentions(toks);
         names.sort_unstable();
         names.dedup();
         for name in names {
@@ -62,6 +57,21 @@ pub fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// The identifiers of `toks` outside `use …;` declarations.
+fn mentions(toks: &[Spanned]) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut in_use = false;
+    for s in toks {
+        match &s.tok {
+            Tok::Ident(kw) if kw == "use" => in_use = true,
+            Tok::Punct(';') => in_use = false,
+            Tok::Ident(name) if !in_use => names.push(name.as_str()),
+            _ => {}
+        }
+    }
+    names
 }
 
 /// `(name, line)` of every `pub fn` outside `#[cfg(test)]` / `#[test]`

@@ -210,6 +210,26 @@ fn unused_pub_fires_on_the_fn_no_other_file_names() {
     assert!(ceg_lint::unused_pub::check(&unserved).is_empty());
 }
 
+#[test]
+fn unused_pub_does_not_count_a_use_declaration_as_a_mention() {
+    // A re-export is not a caller: the fn another file only `pub use`s
+    // fires; the one it also calls does not.
+    let files = [
+        (
+            "crates/graph/src/fixture.rs",
+            include_str!("fixtures/unused_pub_reexported.rs"),
+        ),
+        (
+            "crates/exec/src/fixture.rs",
+            include_str!("fixtures/unused_pub_reexporter.rs"),
+        ),
+    ];
+    let diags = ceg_lint::unused_pub::check(&files);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].func, "reexported_only", "{}", diags[0]);
+    assert_eq!(diags[0].path, "crates/graph/src/fixture.rs", "{}", diags[0]);
+}
+
 // ---- allowlist hygiene -------------------------------------------------
 
 #[test]

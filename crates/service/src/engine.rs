@@ -297,6 +297,14 @@ impl Engine {
         }
     }
 
+    /// The registered dataset `dataset`, or the wire's
+    /// ``unknown dataset `…` `` error.
+    fn entry(&self, dataset: &str) -> Result<Arc<DatasetEntry>, String> {
+        self.registry
+            .get(dataset)
+            .ok_or_else(|| format!("unknown dataset `{dataset}`"))
+    }
+
     /// Set the slow-query threshold: misses whose latency reaches `ms`
     /// milliseconds are recorded in the slow-query ring.
     /// `u64::MAX / 1000` or larger effectively disables the log.
@@ -406,10 +414,7 @@ impl Engine {
         mut ctx: RequestCtx<'_>,
         mut reply: impl FnMut(QueryOutcome),
     ) -> Result<(), String> {
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
+        let entry = self.entry(dataset)?;
         self.metrics.add(Series::Requests, queries.len() as u64);
         self.metrics.inc(Series::Batches);
         if self.draining() {
@@ -646,11 +651,7 @@ impl Engine {
         dst: VertexId,
         label: LabelId,
     ) -> Result<UpdateAck, String> {
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        let (epoch, pending) = entry.add_edge(src, dst, label)?;
+        let (epoch, pending) = self.entry(dataset)?.add_edge(src, dst, label)?;
         Ok(UpdateAck { epoch, pending })
     }
 
@@ -662,11 +663,7 @@ impl Engine {
         dst: VertexId,
         label: LabelId,
     ) -> Result<UpdateAck, String> {
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        let (epoch, pending) = entry.del_edge(src, dst, label)?;
+        let (epoch, pending) = self.entry(dataset)?.del_edge(src, dst, label)?;
         Ok(UpdateAck { epoch, pending })
     }
 
@@ -677,11 +674,7 @@ impl Engine {
     /// applied; a WAL failure refuses the commit with nothing applied
     /// and the ops still pending.
     pub fn commit(&self, dataset: &str) -> Result<CommitOutcome, String> {
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        match entry.try_commit() {
+        match self.entry(dataset)?.try_commit() {
             Ok(outcome) => {
                 if outcome.wal_bytes > 0 {
                     self.metrics.inc(Series::WalCommits);
@@ -696,24 +689,19 @@ impl Engine {
         }
     }
 
-    /// Rotate a dataset's WAL if either configured trigger fires (see
+    /// Fold a dataset's WAL into its snapshot once the log has grown as
+    /// large as the snapshot (see
     /// [`crate::registry::DatasetEntry::maybe_rotate`]); the server calls
-    /// this after each
-    /// acked `COMMIT`. Rotation failures are reported but change no
-    /// committed state — the log keeps growing and the next trigger
-    /// retries.
+    /// this after each acked `COMMIT`. Rotation failures are reported but
+    /// change no committed state — the log keeps growing and the next
+    /// commit's call retries.
     pub(crate) fn maybe_rotate(
         &self,
         dataset: &str,
-        rotate_bytes: u64,
-        snapshot_interval_commits: u64,
     ) -> Result<Option<crate::registry::RotateOutcome>, String> {
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        let rotated = entry
-            .maybe_rotate(rotate_bytes, snapshot_interval_commits)
+        let rotated = self
+            .entry(dataset)?
+            .maybe_rotate()
             .map_err(|e| format!("WAL rotation failed: {e}"))?;
         if rotated.is_some() {
             self.metrics.inc(Series::WalRotations);
@@ -746,11 +734,8 @@ impl Engine {
         if !path.ends_with(".cegsnap") {
             return Err("snapshot path must end in .cegsnap".into());
         }
-        let entry = self
-            .registry
-            .get(dataset)
-            .ok_or_else(|| format!("unknown dataset `{dataset}`"))?;
-        let (epoch, bytes) = entry
+        let (epoch, bytes) = self
+            .entry(dataset)?
             .write_snapshot(path)
             .map_err(|e| format!("snapshot failed: {e}"))?;
         Ok(SnapshotAck { epoch, bytes })

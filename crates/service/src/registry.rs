@@ -50,7 +50,7 @@ use ceg_graph::io::load_graph;
 use ceg_graph::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedReadGuard, OrderedRwLock};
 use ceg_graph::vfs::{OsStorage, Storage};
 use ceg_graph::wal::{WalOp, WalWriter};
-use ceg_graph::{Edge, FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
+use ceg_graph::{FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
 use ceg_query::{Pattern, QueryGraph};
 
 /// What one [`DatasetEntry::try_commit`] did, echoed over the wire.
@@ -74,15 +74,16 @@ pub struct CommitOutcome {
 }
 
 /// Durable-commit state of one dataset: the open WAL appender plus the
-/// storage and snapshot path rotation folds it into. Absent (the common
-/// test configuration) a dataset commits in memory only.
+/// storage and snapshot path rotation folds it into, and that
+/// snapshot's size, which decides when the fold happens
+/// ([`DatasetEntry::maybe_rotate`]). Absent (the common test
+/// configuration) a dataset commits in memory only.
 struct Durability {
     storage: Arc<dyn Storage>,
     snap_path: PathBuf,
     writer: WalWriter,
-    /// Effective commits appended since the last snapshot fold — the
-    /// `snapshot_interval_commits` rotation trigger.
-    commits_since_snapshot: u64,
+    /// Bytes of the snapshot the log replays onto.
+    snapshot_bytes: u64,
     /// Set when a failed append could not be repaired (torn bytes may
     /// follow the durable prefix). Every later commit is refused: a new
     /// record after torn bytes would be invisible to recovery.
@@ -246,19 +247,6 @@ impl EpochState {
         }
         outcome
     }
-}
-
-/// The part of `delta` that changes a graph whose edge presence is
-/// `present`: adds of absent edges and dels of present ones.
-fn effective_delta(delta: &GraphDelta, present: impl Fn(Edge) -> bool) -> GraphDelta {
-    let mut effective = GraphDelta::new();
-    for e in delta.adds().filter(|&e| !present(e)) {
-        effective.add_edge(e.src, e.dst, e.label);
-    }
-    for e in delta.dels().filter(|&e| present(e)) {
-        effective.del_edge(e.src, e.dst, e.label);
-    }
-    effective
 }
 
 /// One registered dataset: the published epoch state plus the pending
@@ -491,7 +479,7 @@ impl DatasetEntry {
         // Only commits publish, and the durability mutex serialises
         // them: `cur` stays the current state until this call swaps it.
         let cur = self.pin();
-        let effective = effective_delta(&delta, |e| cur.graph.has_edge(e.src, e.dst, e.label));
+        let effective = delta.effective(|e| cur.graph.has_edge(e.src, e.dst, e.label));
         if effective.is_empty() {
             return Ok(CommitOutcome {
                 epoch: cur.epoch,
@@ -527,10 +515,7 @@ impl DatasetEntry {
                 }))
                 .collect();
             match d.writer.append_tx(epoch, &ops) {
-                Ok(n) => {
-                    wal_bytes = n;
-                    d.commits_since_snapshot += 1;
-                }
+                Ok(n) => wal_bytes = n,
                 Err(e) => {
                     if d.writer.repair(&*d.storage).is_err() {
                         d.poisoned = true;
@@ -653,9 +638,11 @@ impl DatasetEntry {
                 "durability already attached",
             ));
         }
-        if !storage.exists(&snap_path) {
-            self.write_snapshot_with(&*storage, &snap_path)?;
-        }
+        let snapshot_bytes = if storage.exists(&snap_path) {
+            storage.len(&snap_path)?
+        } else {
+            self.write_snapshot_with(&*storage, &snap_path)?.1
+        };
         let (writer, scan) = WalWriter::open(&*storage, &wal_path)?;
         if scan.last_epoch().is_some_and(|e| e > self.epoch()) {
             return Err(io::Error::new(
@@ -673,7 +660,7 @@ impl DatasetEntry {
             storage,
             snap_path,
             writer,
-            commits_since_snapshot: 0,
+            snapshot_bytes,
             poisoned: false,
         });
         Ok(())
@@ -699,6 +686,7 @@ impl DatasetEntry {
         let snap_path = snap_path.into();
         let wal_path = wal_path.into();
         let snap = ceg_catalog::io::read_snapshot_with(&*storage, &snap_path)?;
+        let snapshot_bytes = storage.len(&snap_path)?;
         let snapshot_epoch = snap.epoch;
         let mut state = EpochState::new(snap.graph, snapshot_epoch, snap.markov);
         let (writer, scan) = WalWriter::open(&*storage, &wal_path)?;
@@ -730,7 +718,7 @@ impl DatasetEntry {
                     delta.add_edge(op.src, op.dst, op.label);
                 }
             }
-            let effective = effective_delta(&delta, |e| {
+            let effective = delta.effective(|e| {
                 replayed
                     .edge_override(e.src, e.dst, e.label)
                     .unwrap_or_else(|| state.graph.has_edge(e.src, e.dst, e.label))
@@ -755,36 +743,32 @@ impl DatasetEntry {
             storage,
             snap_path,
             writer,
-            commits_since_snapshot: report.replayed_commits as u64,
+            snapshot_bytes,
             poisoned: false,
         });
         Ok((entry, report))
     }
 
-    /// True once [`DatasetEntry::attach_durability`] /
-    /// [`DatasetEntry::recover`] have run.
-    pub fn durable(&self) -> bool {
-        self.durability.lock().is_some()
-    }
-
-    /// Fold the WAL into a fresh snapshot and truncate it, if either
-    /// trigger fires: the log reached `rotate_bytes` (0 disables), or
-    /// `snapshot_interval_commits` effective commits landed since the
-    /// last fold (0 disables). Returns `Ok(None)` when neither fired or
-    /// the log is already empty.
-    pub(crate) fn maybe_rotate(
-        &self,
-        rotate_bytes: u64,
-        snapshot_interval_commits: u64,
-    ) -> io::Result<Option<RotateOutcome>> {
+    /// Fold the WAL into a fresh snapshot and truncate it once the log's
+    /// bytes past its header reach the size of the snapshot it replays
+    /// onto. Returns `Ok(None)` when the log is still shorter, or when
+    /// no durability is attached.
+    ///
+    /// The rule is worked out from the data, not set: the log never
+    /// outgrows its snapshot, so recovery reads at most about twice the
+    /// snapshot's bytes; and a fold rewrites S snapshot bytes only after
+    /// at least S log bytes arrived, so writes are at most doubled at
+    /// any graph size.
+    pub(crate) fn maybe_rotate(&self) -> io::Result<Option<RotateOutcome>> {
         let mut dur = self.durability.lock();
         let Some(d) = dur.as_mut() else {
             return Ok(None);
         };
-        let by_bytes = rotate_bytes > 0 && d.writer.len() >= rotate_bytes;
-        let by_commits =
-            snapshot_interval_commits > 0 && d.commits_since_snapshot >= snapshot_interval_commits;
-        if d.writer.is_empty() || (!by_bytes && !by_commits) {
+        if d.writer
+            .len()
+            .saturating_sub(ceg_graph::wal::WAL_HEADER_LEN)
+            < d.snapshot_bytes
+        {
             return Ok(None);
         }
         Self::rotate_locked(self, d).map(Some)
@@ -804,7 +788,7 @@ impl DatasetEntry {
             .saturating_sub(ceg_graph::wal::WAL_HEADER_LEN);
         let (epoch, snapshot_bytes) = self.write_snapshot_with(&*d.storage, &d.snap_path)?;
         d.writer.reset(&*d.storage)?;
-        d.commits_since_snapshot = 0;
+        d.snapshot_bytes = snapshot_bytes;
         Ok(RotateOutcome {
             epoch,
             snapshot_bytes,
@@ -1279,10 +1263,10 @@ mod tests {
             let fs = FaultStorage::new();
             let entry = durable_entry(&fs);
             let (snap, wal) = paths();
-            assert!(entry.durable());
             assert!(fs.exists(&snap));
             assert_eq!(fs.len(&wal).unwrap(), ceg_graph::wal::WAL_HEADER_LEN);
-            assert!(fs.exists(&wal));
+            entry.add_edge(0, 4, 1).unwrap();
+            assert!(entry.try_commit().unwrap().wal_bytes > 0);
         }
 
         #[test]
@@ -1379,51 +1363,64 @@ mod tests {
             assert!(!recovered.materialized_graph().has_edge(2, 3, 0));
         }
 
+        /// Buffer and commit one new edge `(i, i + 1)` among the ids the
+        /// toy graph lacks, so every commit is effective.
+        fn commit_new_edge(entry: &DatasetEntry, i: u32) {
+            entry.add_edge(10 + i, 11 + i, 0).unwrap();
+            assert!(entry.try_commit().unwrap().wal_bytes > 0);
+        }
+
         #[test]
         fn rotation_folds_the_log_and_recovery_still_matches() {
             let fs = FaultStorage::new();
             let entry = durable_entry(&fs);
-            entry.add_edge(0, 4, 1).unwrap();
-            entry.try_commit().unwrap();
-            entry.add_edge(2, 3, 0).unwrap();
-            entry.try_commit().unwrap();
-            let out = entry
-                .maybe_rotate(1, 0)
-                .unwrap()
-                .expect("log was non-empty");
-            assert_eq!(out.epoch, 2);
-            assert!(out.wal_bytes_folded > 0);
             let (snap, wal) = paths();
+            let baseline = fs.len(&snap).unwrap();
+            let mut commits = 0;
+            let out = loop {
+                assert!(commits < 64, "the log never outgrew its snapshot");
+                commit_new_edge(&entry, commits);
+                commits += 1;
+                if let Some(out) = entry.maybe_rotate().unwrap() {
+                    break out;
+                }
+            };
+            assert_eq!(out.epoch, u64::from(commits));
+            assert!(out.wal_bytes_folded >= baseline);
+            assert_eq!(out.snapshot_bytes, fs.len(&snap).unwrap());
             assert_eq!(fs.len(&wal).unwrap(), ceg_graph::wal::WAL_HEADER_LEN);
             // Post-rotation commits land in the fresh log.
             entry.del_edge(0, 1, 0).unwrap();
             entry.try_commit().unwrap();
             let (recovered, report) =
                 DatasetEntry::recover("toy", Arc::new(fs.clone()), snap, wal, 1).unwrap();
-            assert_eq!(report.snapshot_epoch, 2);
+            assert_eq!(report.snapshot_epoch, u64::from(commits));
             assert_eq!(report.replayed_commits, 1);
             assert_same_committed(&entry, &recovered);
         }
 
         #[test]
-        fn maybe_rotate_honors_both_triggers() {
+        fn maybe_rotate_folds_once_the_log_reaches_its_snapshot() {
             let fs = FaultStorage::new();
             let entry = durable_entry(&fs);
-            assert!(entry.maybe_rotate(1, 1).unwrap().is_none(), "empty log");
-            entry.add_edge(0, 4, 1).unwrap();
-            entry.try_commit().unwrap();
-            assert!(entry.maybe_rotate(0, 0).unwrap().is_none(), "disabled");
-            assert!(
-                entry.maybe_rotate(1 << 20, 8).unwrap().is_none(),
-                "below both"
-            );
-            assert!(
-                entry.maybe_rotate(0, 1).unwrap().is_some(),
-                "commit trigger"
-            );
-            entry.add_edge(2, 3, 0).unwrap();
-            entry.try_commit().unwrap();
-            assert!(entry.maybe_rotate(1, 0).unwrap().is_some(), "byte trigger");
+            let (snap, wal) = paths();
+            let logged = || fs.len(&wal).unwrap() - ceg_graph::wal::WAL_HEADER_LEN;
+            assert!(entry.maybe_rotate().unwrap().is_none(), "empty log");
+            commit_new_edge(&entry, 0);
+            assert!(logged() < fs.len(&snap).unwrap());
+            assert!(entry.maybe_rotate().unwrap().is_none(), "shorter log");
+            let mut i = 1;
+            while logged() < fs.len(&snap).unwrap() {
+                commit_new_edge(&entry, i);
+                i += 1;
+            }
+            let before = logged();
+            let out = entry.maybe_rotate().unwrap().expect("log as long");
+            assert_eq!(out.wal_bytes_folded, before);
+            assert_eq!(logged(), 0);
+            // The next fold waits for the log to reach the new snapshot.
+            commit_new_edge(&entry, i);
+            assert!(entry.maybe_rotate().unwrap().is_none(), "fresh log");
         }
 
         #[test]

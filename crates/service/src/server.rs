@@ -75,13 +75,6 @@ pub struct ServerConfig {
     /// Misses at least this slow (wall-clock milliseconds) are recorded
     /// in the slow-query ring (`SLOWLOG`).
     pub slow_query_threshold_ms: u64,
-    /// After an acked `COMMIT`, fold a dataset's WAL into a fresh
-    /// snapshot once the log reaches this many bytes (0 disables the
-    /// byte trigger). Only affects datasets with durability attached.
-    pub wal_rotate_bytes: u64,
-    /// Commit-count rotation trigger: fold the WAL after this many
-    /// effective commits since the last snapshot (0 disables).
-    pub snapshot_interval_commits: u64,
 }
 
 impl Default for ServerConfig {
@@ -93,8 +86,6 @@ impl Default for ServerConfig {
             drain_snapshot_dir: None,
             drain_grace_ms: 5_000,
             slow_query_threshold_ms: DEFAULT_SLOW_QUERY_THRESHOLD_MS,
-            wal_rotate_bytes: 1 << 22,
-            snapshot_interval_commits: 0,
         }
     }
 }
@@ -144,11 +135,6 @@ struct Shared {
     engine: Arc<Engine>,
     lifecycle: Lifecycle,
     default_deadline_ms: Option<u64>,
-    /// WAL rotation triggers checked after each acked `COMMIT` (see
-    /// [`ServerConfig::wal_rotate_bytes`] /
-    /// [`ServerConfig::snapshot_interval_commits`]).
-    wal_rotate_bytes: u64,
-    snapshot_interval_commits: u64,
     /// Per-request id source: every request a connection handler reads
     /// gets the next id, echoed as the ` id=<n>` reply tail and stamped
     /// on slow-query records.
@@ -212,8 +198,6 @@ impl Server {
             engine: engine.clone(),
             lifecycle: Lifecycle::new(),
             default_deadline_ms: config.default_deadline_ms,
-            wal_rotate_bytes: config.wal_rotate_bytes,
-            snapshot_interval_commits: config.snapshot_interval_commits,
             next_request_id: AtomicU64::new(1),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -637,11 +621,7 @@ fn serve_request(
             // rotation failure cannot un-ack a durable commit — the
             // log just keeps growing until a later fold succeeds.
             if matches!(response, Response::Committed(o) if o.wal_bytes > 0) {
-                let _ = engine.maybe_rotate(
-                    &dataset,
-                    shared.wal_rotate_bytes,
-                    shared.snapshot_interval_commits,
-                );
+                let _ = engine.maybe_rotate(&dataset);
             }
             return Ok(true);
         }

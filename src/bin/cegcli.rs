@@ -14,13 +14,12 @@
 //!
 //! `serve --data-dir <dir>` makes commits crash-safe: every `COMMIT` is
 //! fsynced to `<dir>/default.cegwal` before it is acked, and the log is
-//! periodically folded into `<dir>/default.cegsnap` (tune with
-//! `--wal-rotate-bytes N` / `--snapshot-every N`). When the directory
-//! already holds a snapshot, boot recovers from snapshot + WAL instead
-//! of the graph arguments — a restart after `kill -9` resumes exactly
-//! where the last acked commit left off. `cegcli wal` prints what a log
-//! file holds (committed transactions, epoch range, any torn tail)
-//! without needing a server.
+//! folded into `<dir>/default.cegsnap` once it has grown as large as
+//! that snapshot. When the directory already holds a snapshot, boot
+//! recovers from snapshot + WAL instead of the graph arguments — a
+//! restart after `kill -9` resumes exactly where the last acked commit
+//! left off. `cegcli wal` prints what a log file holds (committed
+//! transactions, epoch range, any torn tail) without needing a server.
 //!
 //! `workload` writes the same file for the same graph, count and seed
 //! whatever the machine; for each template that ends short of
@@ -157,7 +156,7 @@ const COMMANDS: &[Row] = &[
     // prints the estimate and the server-side trace behind it.
     ("explain", "(<graph.edges> | <addr>) <queries.wl> <query-index> [dataset]", &["--deadline-ms N"], 4, explain),
     ("serve", "<addr> [<graph.edges> [markov.file|-] [h]]",
-     &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--wal-rotate-bytes N", "--snapshot-every N", "--jobs N", "--drain-dir <dir>"],
+     &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--jobs N", "--drain-dir <dir>"],
      4, serve),
     ("query", "<addr> <queries.wl> [dataset]", &["--batch", "--deadline-ms N"], 3, query_cmd),
     ("update", "<addr> <updates.upd> [dataset]", &[], 3, update_cmd),
@@ -195,9 +194,10 @@ fn full_usage() -> String {
     out
 }
 
-/// Strip the subcommand's `flags` from `args`: more than `max` arguments
-/// left is an error here, for every subcommand, before its handler opens
-/// a file or a socket.
+/// Strip the subcommand's `flags` from `args`: a `--` argument left over
+/// names no flag the subcommand has, and more than `max` arguments left
+/// is one too many. Both are errors here, for every subcommand, before
+/// its handler opens a file or a socket. A bare `-` is a positional.
 fn check_positionals(args: &[String], flags: &[&str], max: usize) -> Result<(), String> {
     let mut rest = args.to_vec();
     for flag in flags {
@@ -205,6 +205,9 @@ fn check_positionals(args: &[String], flags: &[&str], max: usize) -> Result<(), 
             Some((valued, _)) => take_opt(&rest, valued.trim_start_matches('-'))?.0,
             None => take_flag(&rest, flag.trim_start_matches('-')).0,
         };
+    }
+    if let Some(unknown) = rest.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{unknown}`"));
     }
     if rest.len() > max {
         return Err("unexpected extra arguments".into());
@@ -584,30 +587,8 @@ fn serve(args: &[String]) -> CmdResult {
     let (args, snapshot_path) = take_opt(&args, "snapshot")?;
     let (args, drain_dir) = take_opt(&args, "drain-dir")?;
     let (args, data_dir) = take_opt(&args, "data-dir")?;
-    let (args, rotate_bytes) = take_opt(&args, "wal-rotate-bytes")?;
-    let (args, snapshot_every) = take_opt(&args, "snapshot-every")?;
     let args = &args[..];
     let explicit_h = args.get(3).map(|s| parse_h(s)).transpose()?;
-    let defaults = ServerConfig::default();
-    let parse_u64 = |name: &str, v: &Option<String>, default: u64| -> Result<u64, CmdError> {
-        match v {
-            Some(s) => s
-                .parse()
-                .map_err(|_| CmdError::usage(format!("bad --{name} value `{s}`"))),
-            None => Ok(default),
-        }
-    };
-    let wal_rotate_bytes = parse_u64("wal-rotate-bytes", &rotate_bytes, defaults.wal_rotate_bytes)?;
-    let snapshot_interval_commits = parse_u64(
-        "snapshot-every",
-        &snapshot_every,
-        defaults.snapshot_interval_commits,
-    )?;
-    if data_dir.is_none() && (rotate_bytes.is_some() || snapshot_every.is_some()) {
-        return Err(CmdError::usage(
-            "--wal-rotate-bytes / --snapshot-every tune the write-ahead log, which needs --data-dir",
-        ));
-    }
     if data_dir.is_some() && snapshot_path.is_some() {
         return Err(CmdError::usage(
             "--data-dir and --snapshot both pick the boot state; use one",
@@ -706,8 +687,6 @@ fn serve(args: &[String]) -> CmdResult {
     };
     let config = ServerConfig {
         drain_snapshot_dir: drain_dir.map(std::path::PathBuf::from),
-        wal_rotate_bytes,
-        snapshot_interval_commits,
         ..ServerConfig::default()
     };
     let server = Server::start(registry, addr, config.clone()).map_err(CmdError::runtime)?;
@@ -1339,9 +1318,10 @@ mod tests {
 
     #[test]
     fn durability_flags_are_validated_before_any_io() {
-        // The WAL tuning knobs are meaningless without a data dir, and
-        // two boot-state sources contradict each other; both must fail
-        // as usage errors without touching the filesystem or network.
+        // `serve` has no WAL tuning flags (the log folds itself once it
+        // outgrows its snapshot), so those are unknown flags; and two
+        // boot-state sources contradict each other. Both must fail as
+        // usage errors without touching the filesystem or network.
         for args in [
             vec!["serve", "addr", "g", "--wal-rotate-bytes", "4096"],
             vec!["serve", "addr", "g", "--snapshot-every", "8"],

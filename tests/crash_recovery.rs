@@ -35,7 +35,7 @@ use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, Heuristic, PathLen};
 use cegraph::estimators::{CardinalityEstimator, OptimisticEstimator};
 use cegraph::graph::vfs::{FaultPlan, FaultStorage, Storage};
-use cegraph::graph::wal::{WalOp, WalWriter};
+use cegraph::graph::wal::{WalOp, WalWriter, WAL_HEADER_LEN};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::templates;
 use cegraph::query::QueryGraph;
@@ -468,6 +468,64 @@ fn a_dead_disk_refuses_commits_and_a_restart_recovers_the_acked_state() {
     let g = recovered.materialized_graph();
     assert!(g.has_edge(8, 9, 0) && g.has_edge(9, 10, 1));
     assert!(!g.has_edge(10, 11, 2), "an unacked commit half-applied");
+}
+
+/// The WAL folds itself once its bytes past the header reach the size of
+/// the snapshot it replays onto. A server committing one-edge
+/// transactions rotates whenever the log catches up, the log never stays
+/// as long as the snapshot after a commit's fold, and a restart recovers
+/// the last acked epoch from the folded snapshot plus the log's tail.
+#[test]
+fn the_log_folds_once_it_reaches_the_size_of_its_snapshot() {
+    let fs = FaultStorage::new();
+    let registry = Arc::new(DatasetRegistry::new());
+    let entry = registry.insert(plain_entry("default"));
+    entry
+        .attach_durability(Arc::new(fs.clone()), SNAP, WAL)
+        .unwrap();
+    let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rotations = |client: &mut Client| {
+        let metrics = client.metrics().unwrap();
+        metrics
+            .iter()
+            .find(|(key, _)| key == "wal_rotations_total")
+            .map(|&(_, v)| v)
+            .expect("METRICS reports wal_rotations_total")
+    };
+
+    let mut acked = 0;
+    while rotations(&mut client) < 2 {
+        assert!(acked < 64, "64 commits and the log folded fewer than twice");
+        // Each commit adds one edge past the graph's domain: always new.
+        let v = VERTICES as u32 + acked as u32;
+        client
+            .add_edge("default", v, v + 1, (acked % 3) as u16)
+            .unwrap();
+        acked = client.commit("default").unwrap().epoch;
+        // Served after the post-ack fold on this connection finished.
+        client.ping().unwrap();
+        let logged = fs.len(Path::new(WAL)).unwrap() - WAL_HEADER_LEN;
+        let snapshot = fs.len(Path::new(SNAP)).unwrap();
+        assert!(
+            logged < snapshot,
+            "after commit {acked} the log holds {logged} B against a {snapshot} B snapshot"
+        );
+    }
+    drop(client);
+    server.shutdown();
+
+    fs.reboot(0);
+    let (recovered, report) =
+        DatasetEntry::recover("default", Arc::new(fs.clone()), SNAP, WAL, 1).unwrap();
+    assert_eq!(recovered.epoch(), acked);
+    assert!(report.snapshot_epoch > 0, "{report:?}");
+    let scratch = FaultStorage::new();
+    let (live, back) = (Path::new("/x/live.cegsnap"), Path::new("/x/back.cegsnap"));
+    entry.write_snapshot_with(&scratch, live).unwrap();
+    recovered.write_snapshot_with(&scratch, back).unwrap();
+    let bytes = |path| scratch.dump(path).expect("the snapshot was written");
+    assert_eq!(bytes(live), bytes(back));
 }
 
 // ---------------------------------------------------------------------

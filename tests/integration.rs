@@ -271,3 +271,34 @@ fn estimate_refuses_a_workload_edge_outside_its_variables() {
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// An argument shaped like a flag the subcommand does not declare is a
+/// usage error raised before any I/O: exit 2 naming the flag, never a
+/// positional path (`generate` used to write its graph to a file named
+/// `--bogus`).
+#[test]
+fn an_unknown_flag_is_a_usage_error_before_any_io() {
+    let dir = std::env::temp_dir().join(format!("ceg-unknown-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for args in [
+        vec!["generate", "imdb", "1", "--bogus"],
+        vec!["serve", "127.0.0.1:0", "g.edges", "--bogus"],
+        vec!["query", "127.0.0.1:1", "w.wl", "--bogus=1"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+            .current_dir(&dir)
+            .args(&args)
+            .output()
+            .expect("run cegcli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args.last().unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "files were written: {written:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

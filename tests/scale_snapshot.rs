@@ -7,7 +7,8 @@
 
 #![cfg(target_os = "linux")]
 
-use cegraph::graph::io::{read_snapshot, write_snapshot};
+use cegraph::catalog::io::{read_snapshot, write_snapshot};
+use cegraph::catalog::MarkovTable;
 use cegraph::workload::{Dataset, DatasetSpec};
 
 /// A `VmHWM` / `VmRSS` line of `/proc/self/status`, in bytes.
@@ -51,7 +52,7 @@ fn million_edge_snapshot_roundtrip_holds_one_graph() {
     let heap = graph.heap_bytes();
 
     let path = std::env::temp_dir().join(format!("ceg-scale-{}.cegsnap", std::process::id()));
-    let (written, grew) = peak_growth(|| write_snapshot(&path, &graph, 3));
+    let (written, grew) = peak_growth(|| write_snapshot(&path, &graph, &MarkovTable::empty(2), 3));
     written.unwrap();
     eprintln!(
         "{} edges, {heap} heap bytes: the write raised the peak by {grew} bytes",
@@ -64,8 +65,9 @@ fn million_edge_snapshot_roundtrip_holds_one_graph() {
 
     let (read, grew) = peak_growth(|| read_snapshot(&path));
     std::fs::remove_file(&path).unwrap();
-    let (back, epoch) = read.unwrap();
-    assert_eq!(epoch, 3);
+    let snap = read.unwrap();
+    assert_eq!(snap.epoch, 3);
+    let back = snap.graph;
     eprintln!(
         "the read raised the peak by {grew} bytes ({:.3} x heap)",
         grew as f64 / heap as f64
