@@ -48,9 +48,9 @@ pub fn markov_for(graph: &LabeledGraph, queries: &[WorkloadQuery], h: usize) -> 
     let jobs = ceg_catalog::default_build_parallelism();
     let table = ceg_workload::runner::build_markov_parallel(graph, queries, h, jobs);
     eprintln!(
-        "[setup] Markov table h={h}: {} entries, ~{:.2} KB ({jobs} jobs, {:.1?})",
+        "[setup] Markov table h={h}: {} entries, {:.2} KiB ({jobs} jobs, {:.1?})",
         table.len(),
-        table.approx_bytes() as f64 / 1024.0,
+        table.heap_bytes() as f64 / 1024.0,
         t0.elapsed()
     );
     table

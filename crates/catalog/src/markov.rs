@@ -270,13 +270,45 @@ impl MarkovTable {
         self.entries.iter().map(|(p, &c)| (p, c))
     }
 
-    /// Approximate memory footprint in bytes (for Table-2-style reporting).
-    pub fn approx_bytes(&self) -> usize {
-        self.entries
-            .keys()
-            .map(|p| 24 + p.num_edges() * std::mem::size_of::<ceg_query::QueryEdge>() + 8)
-            .sum()
+    /// Heap bytes this table holds: the hash table's one allocation (a
+    /// slot per bucket, live or not, and its control bytes) and each
+    /// stored pattern's edge buffer.
+    pub fn heap_bytes(&self) -> usize {
+        let patterns: usize = self.entries.keys().map(Pattern::heap_bytes).sum();
+        patterns + hash_table_bytes::<(Pattern, u64)>(self.entries.capacity())
     }
+}
+
+/// Width of a SwissTable probe group: 16 control bytes where SSE2 is
+/// there, a word otherwise.
+const GROUP_WIDTH: usize = if cfg!(all(
+    any(target_arch = "x86", target_arch = "x86_64"),
+    target_feature = "sse2"
+)) {
+    16
+} else {
+    std::mem::size_of::<usize>()
+};
+
+/// Bytes of the one allocation behind a `std` hash map of `T` entries
+/// whose `capacity()` is `capacity`, and which has never had an entry
+/// removed (a removal can leave a tombstone that lowers `capacity()`):
+/// a slot per bucket, padded to the control bytes' alignment, a control
+/// byte per bucket and one probe group more. The bucket count is the
+/// power of two whose load limit is `capacity` — all buckets but one
+/// below 8, else 7/8 of them.
+fn hash_table_bytes<T>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    };
+    let align = std::mem::align_of::<T>().max(GROUP_WIDTH);
+    let slots = (buckets * std::mem::size_of::<T>()).next_multiple_of(align);
+    slots + buckets + GROUP_WIDTH
 }
 
 /// Dedupe the connected sub-patterns (≤ `max_edges` edges) of `queries`
@@ -459,11 +491,26 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_is_positive() {
+    fn heap_bytes_count_the_table_and_every_pattern() {
+        assert_eq!(MarkovTable::empty(2).heap_bytes(), 0);
         let g = toy();
         let q = templates::path(2, &[0, 1]);
         let t = MarkovTable::build_for_query(&g, &q, 2);
-        assert!(t.approx_bytes() > 0);
+        let patterns: usize = t.iter().map(|(p, _)| p.heap_bytes()).sum();
+        assert_eq!(
+            patterns,
+            (1 + 1 + 2) * std::mem::size_of::<ceg_query::QueryEdge>()
+        );
+        // Three entries fit 4 buckets: 4 slots of 40 B, 4 control bytes
+        // and one probe group.
+        let slot = std::mem::size_of::<(Pattern, u64)>();
+        assert_eq!(t.heap_bytes(), patterns + 4 * slot + 4 + GROUP_WIDTH);
+        // Past its load limit the table doubles, and the gauge with it.
+        let mut grown = t.clone();
+        for l in 2..8 {
+            grown.insert(Pattern::canonical(&[ceg_query::QueryEdge::new(0, 1, l)]), 1);
+        }
+        assert!(grown.heap_bytes() > t.heap_bytes() + 4 * slot);
     }
 
     #[test]

@@ -76,6 +76,11 @@ impl Pattern {
         &self.edges
     }
 
+    /// Bytes the edge buffer holds on the heap (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.edges.capacity() * std::mem::size_of::<QueryEdge>()
+    }
+
     /// View the pattern as a standalone query graph (for execution).
     pub fn to_query(&self) -> QueryGraph {
         QueryGraph::new(self.num_vars, self.edges.clone())

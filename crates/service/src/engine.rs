@@ -43,11 +43,12 @@ const SLOWLOG_CAP: usize = 128;
 /// `METRICS_PROM` calls `ceg_dataset_<gauge>{dataset="<name>"}`.
 type DatasetGauge = (&'static str, fn(&DatasetEntry) -> u64);
 
-const DATASET_GAUGES: [DatasetGauge; 4] = [
+const DATASET_GAUGES: [DatasetGauge; 5] = [
     ("epoch", |e| e.epoch()),
     ("pending_ops", |e| e.pending_len() as u64),
     ("catalog_entries", |e| e.catalog_len() as u64),
     ("graph_bytes", |e| e.graph_bytes() as u64),
+    ("catalog_bytes", |e| e.catalog_bytes() as u64),
 ];
 
 /// Default slow-query threshold: misses slower than this are logged.
@@ -760,9 +761,10 @@ impl Engine {
         }
     }
 
-    /// Copy the cache's and the registry's own counts into their series,
-    /// so a dump reads every scalar from the one table. A poisoned cache
-    /// reports zeros, as in [`Engine::stats`].
+    /// Copy the cache's and the registry's own counts, and the process's
+    /// resident set, into their series, so a dump reads every scalar from
+    /// the one table. A poisoned cache reports zeros, as in
+    /// [`Engine::stats`].
     fn sample(&self) {
         let (hits, misses, stale, entries, bytes) = match self.cache.checked_lock() {
             Ok(cache) => (
@@ -781,6 +783,19 @@ impl Engine {
         self.metrics.set(Series::CacheBytes, bytes);
         self.metrics
             .set(Series::Datasets, self.registry.len() as u64);
+
+        let status_bytes = |field| crate::memory::proc_status(field).map_or(0, |kb| kb * 1024);
+        let anon = status_bytes("RssAnon");
+        self.metrics.set(Series::RssAnonBytes, anon);
+        self.metrics
+            .set(Series::RssFileBytes, status_bytes("RssFile"));
+        self.metrics.set(Series::HwmBytes, status_bytes("VmHWM"));
+        let names = self.registry.names();
+        let entries = names.iter().filter_map(|name| self.registry.get(name));
+        let datasets: usize = entries.map(|e| e.graph_bytes() + e.catalog_bytes()).sum();
+        let accounted = bytes.saturating_add(datasets as u64);
+        self.metrics
+            .set(Series::UnaccountedBytes, anon.saturating_sub(accounted));
     }
 
     /// The full metrics dump behind the `METRICS` wire command: every

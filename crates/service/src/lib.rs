@@ -58,7 +58,11 @@
 //!   which a plain `ESTIMATE` never allocates; a ring-buffer slow-query log
 //!   (`SLOWLOG`, threshold [`ServerConfig::slow_query_threshold_ms`])
 //!   captures over-threshold misses; `METRICS_PROM` exports the whole
-//!   metrics registry in Prometheus text exposition format.
+//!   metrics registry in Prometheus text exposition format,
+//! * **memory** — [`memory`] reads the process's resident set from
+//!   `/proc/self/status` for the `rss_*` / `hwm_bytes` /
+//!   `unaccounted_bytes` gauges, and hands the heap a commit freed back
+//!   to the OS once the commit is acked.
 //!
 //! # Example
 //!
@@ -95,6 +99,7 @@
 pub mod cache;
 pub mod client;
 pub mod engine;
+pub mod memory;
 pub mod metrics;
 pub mod protocol;
 pub mod registry;
@@ -106,6 +111,7 @@ pub use engine::{
     Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,
     UpdateAck, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
+pub use memory::proc_status;
 pub use metrics::{Histogram, Metrics, Series};
 pub use protocol::{Command, ExplainItem, Request, Response, MAX_BATCH_QUERIES};
 pub use registry::{

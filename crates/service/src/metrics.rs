@@ -168,6 +168,15 @@ pub enum Series {
     CacheEntries,
     CacheBytes,
     Datasets,
+    /// The process's resident set from `/proc/self/status` (0 where it is
+    /// absent): anonymous pages (`RssAnon`), file-backed pages
+    /// (`RssFile`) and the peak (`VmHWM`), in bytes; then the anonymous
+    /// bytes no gauge accounts for — `RssAnon` minus every dataset's
+    /// graph and catalog bytes and the cache's, saturating at 0.
+    RssAnonBytes,
+    RssFileBytes,
+    HwmBytes,
+    UnaccountedBytes,
 }
 
 const COUNTER: &str = "counter";
@@ -180,7 +189,7 @@ const GAUGE: &str = "gauge";
 type Row = (Series, &'static str, Option<&'static str>, &'static str);
 
 #[rustfmt::skip]
-const SERIES: [Row; 27] = [
+const SERIES: [Row; 31] = [
     (Series::Busy, "busy_total", None, COUNTER),
     (Series::Timeout, "timeout_total", None, COUNTER),
     (Series::Error, "error_total", None, COUNTER),
@@ -208,6 +217,10 @@ const SERIES: [Row; 27] = [
     (Series::CacheEntries, "cache_entries", None, GAUGE),
     (Series::CacheBytes, "cache_bytes", None, GAUGE),
     (Series::Datasets, "datasets", None, GAUGE),
+    (Series::RssAnonBytes, "rss_anon_bytes", None, GAUGE),
+    (Series::RssFileBytes, "rss_file_bytes", None, GAUGE),
+    (Series::HwmBytes, "hwm_bytes", None, GAUGE),
+    (Series::UnaccountedBytes, "unaccounted_bytes", None, GAUGE),
 ];
 
 /// The service-wide metrics registry: one cell per [`Series`] and the wall-clock

@@ -577,6 +577,12 @@ impl DatasetEntry {
         self.pin().catalog().len()
     }
 
+    /// Heap bytes of the committed catalog right now
+    /// ([`MarkovTable::heap_bytes`]).
+    pub fn catalog_bytes(&self) -> usize {
+        self.pin().catalog().heap_bytes()
+    }
+
     /// Persist the committed state — graph, Markov catalog, epoch — to a
     /// binary `.cegsnap` file. Returns `(epoch, bytes written)`. One
     /// epoch state is pinned and its catalog cloned; the pinned graph's

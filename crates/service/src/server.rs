@@ -620,8 +620,14 @@ fn serve_request(
             // COMMIT latency never includes the snapshot fold, and a
             // rotation failure cannot un-ack a durable commit — the
             // log just keeps growing until a later fold succeeds.
-            if matches!(response, Response::Committed(o) if o.wal_bytes > 0) {
-                let _ = engine.maybe_rotate(&dataset);
+            if let Response::Committed(outcome) = &response {
+                if outcome.wal_bytes > 0 {
+                    let _ = engine.maybe_rotate(&dataset);
+                }
+                // The predecessor epoch's pages and catalog clone were
+                // freed into this thread's arena, which glibc keeps
+                // resident; hand them back, after the ack like the fold.
+                crate::memory::release_freed_heap();
             }
             return Ok(true);
         }

@@ -407,9 +407,9 @@ fn stats(args: &[String]) -> CmdResult {
     let table = build_markov_parallel(&g, &queries, h, jobs);
     save_markov(&table, out).map_err(CmdError::runtime)?;
     println!(
-        "markov table h={h}: {} entries (~{:.1} KB, {jobs} jobs) -> {out}",
+        "markov table h={h}: {} entries ({:.1} KiB, {jobs} jobs) -> {out}",
         table.len(),
-        table.approx_bytes() as f64 / 1024.0
+        table.heap_bytes() as f64 / 1024.0
     );
     Ok(())
 }

@@ -13,7 +13,8 @@
 //! 2. `== METRICS` / `== METRICS_PROM`: the full text of
 //!    `Engine::metrics_snapshot()` and `Engine::metrics_prom()` for a
 //!    fresh engine holding one two-edge dataset — key order, `# TYPE`
-//!    lines and the bucket layout.
+//!    lines and the bucket layout. The resident-set gauges keep their
+//!    names and have the value masked with `*`.
 //! 3. `== changed by PR 23`: the one intended wire change, kept apart so
 //!    everything above it is the recording of the parent, byte for byte.
 //!    The five bare commands ignored what followed the keyword
@@ -37,6 +38,14 @@ const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_wire.txt"
 );
+
+/// The `METRICS` keys whose values are the process's resident set.
+const PROCESS_GAUGES: [&str; 4] = [
+    "rss_anon_bytes",
+    "rss_file_bytes",
+    "hwm_bytes",
+    "unaccounted_bytes",
+];
 
 /// The heading of the block PR 23 changed on purpose.
 const CHANGED: &str = "== changed by PR 23: trailing tokens on the bare commands";
@@ -318,13 +327,23 @@ fn render() -> (String, String) {
     let registry = Arc::new(DatasetRegistry::new());
     registry.insert_graph("toy", b.build(), 2);
     let engine = Engine::new(registry, 16);
+    let process_gauge = |key: &str| PROCESS_GAUGES.contains(&key);
     out.push_str("== METRICS\n");
     for (key, value) in engine.metrics_snapshot() {
-        writeln!(out, "{key} {value}").unwrap();
+        if process_gauge(&key) {
+            writeln!(out, "{key} *").unwrap();
+        } else {
+            writeln!(out, "{key} {value}").unwrap();
+        }
     }
     out.push_str("== METRICS_PROM\n");
     for line in engine.metrics_prom() {
-        writeln!(out, "{line}").unwrap();
+        let family = line.strip_prefix("ceg_").and_then(|l| l.split_once(' '));
+        if family.is_some_and(|(key, _)| process_gauge(key)) {
+            writeln!(out, "{}", mask_last(&line)).unwrap();
+        } else {
+            writeln!(out, "{line}").unwrap();
+        }
     }
 
     let mut changed = format!("{CHANGED}\n");

@@ -16,27 +16,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cegraph::graph::GraphBuilder;
-use cegraph::service::{DatasetRegistry, Server, ServerConfig};
+use cegraph::service::{proc_status, DatasetRegistry, Server, ServerConfig};
 
 /// Per-connection RSS allowance (KB) once idle: 4 KB read + 4 KB write
 /// stream buffers, the shrunk 1 KB line buffer, a couple of touched
 /// 4 KB stack/TCB pages, allocator slack.
 const IDLE_KB_PER_CONN: u64 = 24;
-
-fn read_proc_status_kb(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            return rest
-                .trim_start_matches(':')
-                .split_whitespace()
-                .next()?
-                .parse()
-                .ok();
-        }
-    }
-    None
-}
 
 /// Soft open-file limit from `/proc/self/limits`; `None` off-Linux.
 fn soft_fd_limit() -> Option<u64> {
@@ -86,7 +71,7 @@ fn thousand_idle_connections_do_not_pin_grown_read_buffers() {
         eprintln!("skipping: /proc/self/limits unavailable (non-Linux)");
         return;
     };
-    if read_proc_status_kb("VmRSS").is_none() {
+    if proc_status("VmRSS").is_none() {
         eprintln!("skipping: /proc/self/status has no VmRSS");
         return;
     }
@@ -120,7 +105,7 @@ fn thousand_idle_connections_do_not_pin_grown_read_buffers() {
     for conn in &mut conns {
         assert_eq!(conn.roundtrip(b"PING\n"), "PONG");
     }
-    let rss_before = read_proc_status_kb("VmRSS").unwrap();
+    let rss_before = proc_status("VmRSS").unwrap();
 
     // One ~56 KB garbage line per connection: under the 64 KB framing
     // cap, so the server answers `ERR` and keeps the connection — but
@@ -141,7 +126,7 @@ fn thousand_idle_connections_do_not_pin_grown_read_buffers() {
     }
     std::thread::sleep(Duration::from_millis(200));
 
-    let rss_after = read_proc_status_kb("VmRSS").unwrap();
+    let rss_after = proc_status("VmRSS").unwrap();
     let delta_kb = rss_after.saturating_sub(rss_before);
     let bound_kb = (n as u64) * IDLE_KB_PER_CONN;
     assert!(

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, QueryGraph};
-use cegraph::service::{Client, DatasetRegistry, QueryReply, Server, ServerConfig};
+use cegraph::service::{proc_status, Client, DatasetRegistry, QueryReply, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,21 +76,6 @@ fn start_two_tenant_server() -> Server {
     .unwrap()
 }
 
-fn read_proc_status_field(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let rest = rest.trim_start_matches(':').trim();
-            return rest.split_whitespace().next()?.parse().ok();
-        }
-    }
-    None
-}
-
-fn thread_count() -> Option<u64> {
-    read_proc_status_field("Threads")
-}
-
 fn p99(samples: &mut [Duration]) -> Duration {
     assert!(!samples.is_empty());
     samples.sort_unstable();
@@ -123,7 +108,7 @@ fn tenant_round_trips(client: &mut Client, queries: &[QueryGraph], rounds: usize
 fn flood_and_trickle_do_not_starve_the_well_behaved_tenant() {
     let server = start_two_tenant_server();
     let addr = server.local_addr();
-    let baseline_threads = thread_count();
+    let baseline_threads = proc_status("Threads");
 
     // The tenant's working set, warmed so contended round-trips ride the
     // inline cache fast path (the fairness mechanism under test).
@@ -231,12 +216,12 @@ fn flood_and_trickle_do_not_starve_the_well_behaved_tenant() {
     // Thread count returns to (near) baseline once the storm's
     // connections are gone. The tenant connection and a settling
     // conn-handler or two are the allowed slack.
-    if let (Some(before), Some(_)) = (baseline_threads, thread_count()) {
+    if let (Some(before), Some(_)) = (baseline_threads, proc_status("Threads")) {
         let until = Instant::now() + Duration::from_secs(5);
-        let mut now = thread_count().unwrap();
+        let mut now = proc_status("Threads").unwrap();
         while now > before + 2 && Instant::now() < until {
             std::thread::sleep(Duration::from_millis(20));
-            now = thread_count().unwrap();
+            now = proc_status("Threads").unwrap();
         }
         assert!(
             now <= before + 2,

@@ -14,7 +14,8 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use cegraph::graph::GraphBuilder;
-use cegraph::service::{DatasetRegistry, Engine, Histogram, Metrics};
+use cegraph::query::templates;
+use cegraph::service::{proc_status, DatasetRegistry, Engine, Histogram, Metrics};
 use proptest::prelude::*;
 
 /// The true quantile of a sorted sample set: the smallest value with at
@@ -175,7 +176,13 @@ fn dataset_gauges_are_stable() {
         .iter()
         .filter_map(|(k, _)| k.strip_prefix("dataset_toy_"))
         .collect();
-    let gauges = ["epoch", "pending_ops", "catalog_entries", "graph_bytes"];
+    let gauges = [
+        "epoch",
+        "pending_ops",
+        "catalog_entries",
+        "graph_bytes",
+        "catalog_bytes",
+    ];
     assert_eq!(got, BTreeSet::from(gauges));
 
     let prom = engine.metrics_prom();
@@ -201,6 +208,76 @@ fn dataset_gauges_are_stable() {
         .iter()
         .find_map(|l| l.strip_prefix("ceg_dataset_graph_bytes{dataset=\"toy\"} "));
     assert_eq!(bytes(from_prom), want);
+}
+
+/// The resident-memory gauges: each key appears once in `METRICS` and
+/// as one `# TYPE`d gauge family in `METRICS_PROM`; the part of the
+/// anonymous resident set no gauge accounts for never exceeds it; and
+/// the catalog's bytes grow with its entries.
+#[test]
+fn resident_memory_gauges_add_up() {
+    let mut b = GraphBuilder::new(300);
+    b.add_edge(0, 1, 0);
+    b.add_edge(1, 299, 1);
+    b.add_edge(299, 2, 0);
+    let registry = std::sync::Arc::new(DatasetRegistry::new());
+    registry.insert_graph("toy", b.build(), 2);
+    let engine = Engine::new(registry, 16);
+
+    let process = [
+        "rss_anon_bytes",
+        "rss_file_bytes",
+        "hwm_bytes",
+        "unaccounted_bytes",
+    ];
+    let get = |snapshot: &[(String, u64)], key: &str| -> u64 {
+        let mut values = snapshot.iter().filter(|(k, _)| k == key).map(|(_, v)| *v);
+        let value = values.next().unwrap_or_else(|| panic!("no `{key}`"));
+        assert_eq!(values.next(), None, "`{key}` twice");
+        value
+    };
+    let before = engine.metrics_snapshot();
+    for key in process {
+        get(&before, key);
+    }
+    let prom = engine.metrics_prom();
+    for key in process {
+        let type_line = format!("# TYPE ceg_{key} gauge");
+        assert_eq!(prom.iter().filter(|l| **l == type_line).count(), 1, "{key}");
+        let sample = format!("ceg_{key} ");
+        assert_eq!(
+            prom.iter().filter(|l| l.starts_with(&sample)).count(),
+            1,
+            "{key}"
+        );
+    }
+    let catalog_type = "# TYPE ceg_dataset_catalog_bytes gauge";
+    assert_eq!(prom.iter().filter(|l| *l == catalog_type).count(), 1);
+
+    let anon = get(&before, "rss_anon_bytes");
+    assert!(get(&before, "unaccounted_bytes") <= anon);
+    if proc_status("RssAnon").is_some() {
+        assert!(anon > 0);
+        assert!(get(&before, "hwm_bytes") >= anon);
+    } else {
+        eprintln!("no RssAnon in /proc/self/status: the resident gauges read 0");
+    }
+
+    assert_eq!(get(&before, "dataset_toy_catalog_entries"), 0);
+    assert_eq!(get(&before, "dataset_toy_catalog_bytes"), 0);
+    let mut last = (0, 0);
+    for query in [templates::path(2, &[0, 1]), templates::path(3, &[0, 1, 0])] {
+        engine.estimate("toy", &query).unwrap();
+        let after = engine.metrics_snapshot();
+        let now = (
+            get(&after, "dataset_toy_catalog_entries"),
+            get(&after, "dataset_toy_catalog_bytes"),
+        );
+        assert!(now.0 > last.0, "the estimate filled the catalog");
+        assert!(now.1 > last.1, "catalog_bytes {} -> {}", last.1, now.1);
+        assert!(get(&after, "unaccounted_bytes") <= get(&after, "rss_anon_bytes"));
+        last = now;
+    }
 }
 
 /// The exact set of `# TYPE`d family names in the metrics-owned part of

@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use cegraph::graph::GraphBuilder;
-use cegraph::service::{Client, DatasetRegistry, Server, ServerConfig};
+use cegraph::service::{proc_status, Client, DatasetRegistry, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,12 +162,7 @@ fn queries_that_outgrow_the_masks_get_one_typed_err() {
 
 /// This process's peak resident set (`VmHWM`), in KiB.
 fn peak_rss_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .expect("VmHWM line");
-    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    proc_status("VmHWM").expect("procfs has a VmHWM line")
 }
 
 /// CEG_O has one node per connected subset, and a star's subsets are all

@@ -9,17 +9,13 @@
 
 use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::MarkovTable;
+use cegraph::service::proc_status;
 use cegraph::workload::{Dataset, DatasetSpec};
 
 /// A `VmHWM` / `VmRSS` line of `/proc/self/status`, in bytes.
 fn status_bytes(key: &str) -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let kb: usize = status
-        .lines()
-        .find_map(|l| l.strip_prefix(key))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .expect("the status line parses");
-    kb * 1024
+    let kb = proc_status(key).expect("procfs is mounted and the status line parses");
+    kb as usize * 1024
 }
 
 /// Peak resident bytes `f` adds to what is resident when it starts: the
@@ -27,13 +23,13 @@ fn status_bytes(key: &str) -> usize {
 /// (`clear_refs` 5), so an earlier, higher peak cannot hide `f`'s.
 fn peak_growth<R>(f: impl FnOnce() -> R) -> (R, usize) {
     std::fs::write("/proc/self/clear_refs", "5").expect("the peak resets (Linux >= 4.0)");
-    let before = status_bytes("VmHWM:");
+    let before = status_bytes("VmHWM");
     assert!(
-        before <= status_bytes("VmRSS:") + (1 << 20),
+        before <= status_bytes("VmRSS") + (1 << 20),
         "the reset took"
     );
     let r = f();
-    (r, status_bytes("VmHWM:").saturating_sub(before))
+    (r, status_bytes("VmHWM").saturating_sub(before))
 }
 
 #[test]
