@@ -24,7 +24,7 @@
 //! Poisoning: `lock()`/`read()`/`write()` panic on a poisoned lock
 //! (matching the `.lock().unwrap()` idiom they replace), while
 //! `OrderedMutex::checked_lock` surfaces [`LockPoisoned`] so request
-//! paths can degrade one dataset instead of killing a worker shard.
+//! paths can degrade one dataset instead of killing a connection thread.
 
 // This module is the one place allowed to name the raw std primitives
 // it wraps — mirrored by the `lock-discipline` entry for this file in
@@ -63,7 +63,7 @@ pub enum LockRank {
     /// `DatasetEntry::durability` — WAL attachment and commit mutex;
     /// held across append, fsync, building the successor state and its
     /// publication, and across snapshot rotation. Never taken by
-    /// readers.
+    /// readers; `SNAPSHOT` takes it alone, to compare its path.
     Durability = 1,
     /// `DatasetEntry::current` — the pointer slot publishing the
     /// dataset's immutable epoch state (held for an `Arc` clone or
@@ -79,7 +79,7 @@ pub enum LockRank {
     Metrics = 5,
     /// The estimate path's run gate (`Engine`'s free-slot counter) and
     /// lifecycle/drain signalling (`Lifecycle::signal`).
-    PoolShard = 6,
+    RunGate = 6,
     /// `vfs::FaultStorage` interior — the simulated device. Last:
     /// storage calls happen under any of the above.
     Wal = 7,
@@ -95,7 +95,7 @@ impl LockRank {
             LockRank::PendingDelta => "pending-delta",
             LockRank::Cache => "cache",
             LockRank::Metrics => "metrics",
-            LockRank::PoolShard => "pool-shard",
+            LockRank::RunGate => "run-gate",
             LockRank::Wal => "wal",
         }
     }
@@ -616,7 +616,7 @@ mod tests {
 
     #[test]
     fn condvar_wait_timeout_round_trips_guard() {
-        let m = OrderedMutex::new(LockRank::PoolShard, false);
+        let m = OrderedMutex::new(LockRank::RunGate, false);
         let cv = Condvar::new();
         let guard = m.lock();
         let (guard, result) = wait_timeout(&cv, guard, Duration::from_millis(5));

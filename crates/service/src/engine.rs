@@ -174,7 +174,7 @@ struct Overload {
     queue_cap: usize,
     /// Free run slots, of `max(2, available_parallelism)`: how many
     /// misses count and estimate at once, however many connections
-    /// there are. `LockRank::PoolShard`: taken with nothing else held,
+    /// there are. `LockRank::RunGate`: taken with nothing else held,
     /// for the counter update only.
     free_slots: OrderedMutex<usize>,
     slot_freed: Condvar,
@@ -187,7 +187,7 @@ impl Overload {
             .max(2);
         Overload {
             queue_cap,
-            free_slots: OrderedMutex::new(LockRank::PoolShard, slots),
+            free_slots: OrderedMutex::new(LockRank::RunGate, slots),
             slot_freed: Condvar::new(),
         }
     }
@@ -668,12 +668,9 @@ impl Engine {
         Ok(UpdateAck { epoch, pending })
     }
 
-    /// Commit a dataset's pending updates: apply the delta, incrementally
-    /// maintain the catalog and bump the epoch (which invalidates the
-    /// dataset's cached estimates). On a dataset with durability
-    /// attached the effective delta hits the WAL (fsynced) before it is
-    /// applied; a WAL failure refuses the commit with nothing applied
-    /// and the ops still pending.
+    /// Commit a dataset's pending updates ([`DatasetEntry::try_commit`]):
+    /// the next epoch invalidates the dataset's cached estimates. A WAL
+    /// failure refuses the commit with nothing applied, the ops pending.
     pub fn commit(&self, dataset: &str) -> Result<CommitOutcome, String> {
         match self.entry(dataset)?.try_commit() {
             Ok(outcome) => {
@@ -690,12 +687,9 @@ impl Engine {
         }
     }
 
-    /// Fold a dataset's WAL into its snapshot once the log has grown as
-    /// large as the snapshot (see
-    /// [`crate::registry::DatasetEntry::maybe_rotate`]); the server calls
-    /// this after each acked `COMMIT`. Rotation failures are reported but
-    /// change no committed state — the log keeps growing and the next
-    /// commit's call retries.
+    /// Fold a dataset's WAL into its snapshot once the log is as large
+    /// ([`DatasetEntry::maybe_rotate`]), after each acked `COMMIT`. A
+    /// failure changes no committed state: the next commit retries.
     pub(crate) fn maybe_rotate(
         &self,
         dataset: &str,
@@ -730,10 +724,20 @@ impl Engine {
     /// command, i.e. a remote-triggered filesystem write. The path must
     /// end in `.cegsnap`, so a client can only (atomically) replace
     /// snapshot files — never clobber arbitrary files the server
-    /// process can write.
+    /// process can write — and not the snapshot a durable dataset's log
+    /// replays onto, which only its fold may replace.
     pub fn snapshot(&self, dataset: &str, path: &str) -> Result<SnapshotAck, String> {
         if !path.ends_with(".cegsnap") {
             return Err("snapshot path must end in .cegsnap".into());
+        }
+        for entry in self.registry.entries() {
+            let owned = entry.owns_snapshot(path.as_ref());
+            if owned.map_err(|e| e.to_string())? {
+                return Err(format!(
+                    "snapshot path {path} is the durable snapshot of dataset `{}`",
+                    entry.name()
+                ));
+            }
         }
         let (epoch, bytes) = self
             .entry(dataset)?
@@ -790,9 +794,8 @@ impl Engine {
         self.metrics
             .set(Series::RssFileBytes, status_bytes("RssFile"));
         self.metrics.set(Series::HwmBytes, status_bytes("VmHWM"));
-        let names = self.registry.names();
-        let entries = names.iter().filter_map(|name| self.registry.get(name));
-        let datasets: usize = entries.map(|e| e.graph_bytes() + e.catalog_bytes()).sum();
+        let resident = |e: &Arc<DatasetEntry>| e.graph_bytes() + e.catalog_bytes();
+        let datasets: usize = self.registry.entries().iter().map(resident).sum();
         let accounted = bytes.saturating_add(datasets as u64);
         self.metrics
             .set(Series::UnaccountedBytes, anon.saturating_sub(accounted));
@@ -806,11 +809,9 @@ impl Engine {
         let mut out = self.metrics.snapshot();
         let engine_rows = self.metrics.rows(true);
         out.extend(engine_rows.map(|(&(_, key, ..), v)| (key.to_string(), v)));
-        for name in self.registry.names() {
-            if let Some(entry) = self.registry.get(&name) {
-                for (gauge, get) in DATASET_GAUGES {
-                    out.push((format!("dataset_{name}_{gauge}"), get(&entry)));
-                }
+        for entry in self.registry.entries() {
+            for (gauge, get) in DATASET_GAUGES {
+                out.push((format!("dataset_{}_{gauge}", entry.name()), get(&entry)));
             }
         }
         out
@@ -827,15 +828,13 @@ impl Engine {
         // Per-dataset families are omitted entirely when no dataset is
         // registered — a `# TYPE` line with zero samples is invalid
         // exposition (and our own checker rejects it).
-        let names = self.registry.names();
-        if !names.is_empty() {
+        let entries = self.registry.entries();
+        if !entries.is_empty() {
             for (gauge, get) in DATASET_GAUGES {
                 out.push(format!("# TYPE ceg_dataset_{gauge} gauge"));
-                for name in &names {
-                    if let Some(entry) = self.registry.get(name) {
-                        let value = get(&entry);
-                        out.push(format!("ceg_dataset_{gauge}{{dataset=\"{name}\"}} {value}"));
-                    }
+                for entry in &entries {
+                    let (name, value) = (entry.name(), get(entry));
+                    out.push(format!("ceg_dataset_{gauge}{{dataset=\"{name}\"}} {value}"));
                 }
             }
         }
@@ -940,5 +939,36 @@ mod tests {
             // And the verdict is cached like any other result.
             assert!(engine.estimate("toy", &q).unwrap().cached);
         }
+    }
+
+    #[test]
+    fn snapshot_refuses_the_durable_snapshot_of_any_dataset() {
+        use ceg_graph::vfs::OsStorage;
+        let engine = engine();
+        let dir = std::env::temp_dir().join(format!("ceg-engine-owned-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let snap = dir.join("toy.cegsnap");
+        let entry = engine.registry.get("toy").unwrap();
+        entry
+            .attach_durability(Arc::new(OsStorage), &snap, dir.join("toy.cegwal"))
+            .unwrap();
+        // The dataset moves past the baseline, so a write would change
+        // the file's bytes.
+        engine.add_edge("toy", 4, 0, 1).unwrap();
+        engine.commit("toy").unwrap();
+        let before = std::fs::read(&snap).unwrap();
+        let d = dir.display();
+        for path in [
+            format!("{d}/toy.cegsnap"),
+            format!("{d}/./toy.cegsnap"),
+            format!("{d}/sub/../toy.cegsnap"),
+        ] {
+            let err = engine.snapshot("toy", &path).unwrap_err();
+            assert!(err.contains("durable snapshot of dataset `toy`"), "{err}");
+        }
+        let sibling = format!("{d}/copy.cegsnap");
+        assert_eq!(engine.snapshot("toy", &sibling).unwrap().epoch, 1);
+        assert_eq!(std::fs::read(&snap).unwrap(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

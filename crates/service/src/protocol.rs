@@ -73,17 +73,11 @@
 //!
 //! `SNAPSHOT` writes the dataset's committed graph, Markov catalog and
 //! epoch to `<path>` **on the server's filesystem** as a binary
-//! `.cegsnap` file (see `ceg_graph::snapshot`); `cegcli serve
+//! `.cegsnap` file, atomically (temp file + sync + rename); `cegcli serve
 //! --snapshot <path>` restores from it at boot. Because this is a
-//! remote-triggered filesystem write, the path must end in `.cegsnap`
-//! (a client can only replace snapshot files, never truncate arbitrary
-//! server-writable files), and the write is atomic (temp file + sync +
-//! rename), so a failed or concurrent snapshot never destroys the
-//! previous good one.
-//!
-//! The query encoding (`num_vars num_edges` then `src dst label` triples)
-//! matches the persisted workload format of `ceg-workload::io`, so a
-//! workload file line maps 1:1 onto an `ESTIMATE` line.
+//! remote-triggered write, the path must end in `.cegsnap` and must not
+//! be the snapshot a durable dataset's log replays onto, which only the
+//! log's fold replaces (`ERR … is the durable snapshot of dataset …`).
 //!
 //! # Observability commands
 //!

@@ -6,17 +6,10 @@
 //!
 //! 1. A connection handler thread reads one protocol line and parses it.
 //! 2. `ESTIMATE`, `ESTIMATE_BATCH` and `EXPLAIN_ESTIMATE` all call
-//!    [`Engine::estimate_batch`] on the handler thread. It hashes and
-//!    probes once — a cache hit is answered there and never waits behind
-//!    cold work — then applies overload control to the misses: each
-//!    dataset has a bounded budget of admitted misses
-//!    ([`ServerConfig::queue_cap`]; beyond it the answer is `BUSY`
-//!    immediately), and a fixed number of run slots
-//!    (`max(2, available_parallelism)`) bounds how many misses count and
-//!    estimate at once however many connections are open. A miss that
-//!    waited for its slot past its deadline is a typed `TIMEOUT`, one a
-//!    drain overtook a typed `BUSY`; the rest run with the deadline
-//!    checked between plan depths inside the counting kernel.
+//!    [`Engine::estimate_batch`] on the handler thread: cache hits are
+//!    answered at once; a miss needs an admission permit
+//!    ([`ServerConfig::queue_cap`], else `BUSY`) and a run slot before
+//!    its deadline (else `TIMEOUT`).
 //! 3. The handler writes each reply line as its outcome arrives (a batch
 //!    streams its slots in request order). `PING`/`STATS`/`METRICS` are
 //!    answered inline too; `SHUTDOWN` flips the drain flag and answers
@@ -94,7 +87,7 @@ impl Default for ServerConfig {
 /// shut down?" instead of polling. The drain flag itself lives in the
 /// engine, which re-checks it before starting each miss.
 struct Lifecycle {
-    /// `LockRank::PoolShard`: the wait loop parks on this with nothing
+    /// `LockRank::RunGate`: the wait loop parks on this with nothing
     /// else held, and `request_drain` touches only the flag itself.
     signal: OrderedMutex<bool>,
     cv: Condvar,
@@ -103,7 +96,7 @@ struct Lifecycle {
 impl Lifecycle {
     fn new() -> Self {
         Lifecycle {
-            signal: OrderedMutex::new(LockRank::PoolShard, false),
+            signal: OrderedMutex::new(LockRank::RunGate, false),
             cv: Condvar::new(),
         }
     }
@@ -279,13 +272,10 @@ impl Server {
         let mut snapshots = Vec::new();
         if let Some(dir) = self.config.drain_snapshot_dir.clone() {
             std::fs::create_dir_all(&dir)?;
-            for name in self.engine.registry().names() {
-                let Some(entry) = self.engine.registry().get(&name) else {
-                    continue;
-                };
-                let path = dir.join(format!("{name}.cegsnap"));
+            for entry in self.engine.registry().entries() {
+                let path = dir.join(format!("{}.cegsnap", entry.name()));
                 let (_epoch, bytes) = entry.write_snapshot(&path)?;
-                snapshots.push((name, path, bytes));
+                snapshots.push((entry.name().to_string(), path, bytes));
             }
         }
         Ok(DrainReport {
