@@ -278,9 +278,17 @@ impl EstimateCache {
     /// Bytes the cache holds on the heap: the slab and the index at their
     /// reserved size, every cached query's edges, the interned names.
     pub fn heap_bytes(&self) -> usize {
+        let reserve = self.slots.capacity() - self.slots.len();
+        self.written_bytes() + reserve * size_of::<Slot>()
+    }
+
+    /// The part of [`EstimateCache::heap_bytes`] the cache has written:
+    /// the slab's filled slots, not its untouched (and so not resident)
+    /// reserve, plus the index, every cached query's edges and the names.
+    pub(crate) fn written_bytes(&self) -> usize {
         let edges: usize = self.slots.iter().map(|s| s.query.heap_bytes()).sum();
         let names: usize = self.names.iter().map(|n| n.len()).sum();
-        let table = self.slots.capacity() * size_of::<Slot>() + self.index.capacity() * 4;
+        let table = self.slots.len() * size_of::<Slot>() + self.index.capacity() * 4;
         table + self.names.capacity() * size_of::<Box<str>>() + edges + names
     }
 }

@@ -770,15 +770,16 @@ impl Engine {
     /// the one table. A poisoned cache reports zeros, as in
     /// [`Engine::stats`].
     fn sample(&self) {
-        let (hits, misses, stale, entries, bytes) = match self.cache.checked_lock() {
+        let (hits, misses, stale, entries, bytes, written) = match self.cache.checked_lock() {
             Ok(cache) => (
                 cache.hits(),
                 cache.misses(),
                 cache.stale_misses(),
                 cache.len() as u64,
                 cache.heap_bytes() as u64,
+                cache.written_bytes() as u64,
             ),
-            Err(_) => (0, 0, 0, 0, 0),
+            Err(_) => (0, 0, 0, 0, 0, 0),
         };
         self.metrics.set(Series::CacheHits, hits);
         self.metrics.set(Series::CacheMisses, misses);
@@ -794,9 +795,13 @@ impl Engine {
         self.metrics
             .set(Series::RssFileBytes, status_bytes("RssFile"));
         self.metrics.set(Series::HwmBytes, status_bytes("VmHWM"));
+        let threads = crate::memory::proc_status("Threads").unwrap_or(0);
+        self.metrics.set(Series::Threads, threads);
+        // The cache's written bytes, not `cache_bytes`: the slab's
+        // untouched reserve is allocated but never resident.
         let resident = |e: &Arc<DatasetEntry>| e.graph_bytes() + e.catalog_bytes();
         let datasets: usize = self.registry.entries().iter().map(resident).sum();
-        let accounted = bytes.saturating_add(datasets as u64);
+        let accounted = written.saturating_add(datasets as u64);
         self.metrics
             .set(Series::UnaccountedBytes, anon.saturating_sub(accounted));
     }

@@ -170,12 +170,14 @@ pub enum Series {
     Datasets,
     /// The process's resident set from `/proc/self/status` (0 where it is
     /// absent): anonymous pages (`RssAnon`), file-backed pages
-    /// (`RssFile`) and the peak (`VmHWM`), in bytes; then the anonymous
-    /// bytes no gauge accounts for — `RssAnon` minus every dataset's
-    /// graph and catalog bytes and the cache's, saturating at 0.
+    /// (`RssFile`) and the peak (`VmHWM`), in bytes; the thread count
+    /// (`Threads`); then the anonymous bytes no gauge accounts for —
+    /// `RssAnon` minus every dataset's graph and catalog bytes and the
+    /// cache's written ones, saturating at 0.
     RssAnonBytes,
     RssFileBytes,
     HwmBytes,
+    Threads,
     UnaccountedBytes,
 }
 
@@ -189,7 +191,7 @@ const GAUGE: &str = "gauge";
 type Row = (Series, &'static str, Option<&'static str>, &'static str);
 
 #[rustfmt::skip]
-const SERIES: [Row; 31] = [
+const SERIES: [Row; 32] = [
     (Series::Busy, "busy_total", None, COUNTER),
     (Series::Timeout, "timeout_total", None, COUNTER),
     (Series::Error, "error_total", None, COUNTER),
@@ -220,6 +222,7 @@ const SERIES: [Row; 31] = [
     (Series::RssAnonBytes, "rss_anon_bytes", None, GAUGE),
     (Series::RssFileBytes, "rss_file_bytes", None, GAUGE),
     (Series::HwmBytes, "hwm_bytes", None, GAUGE),
+    (Series::Threads, "threads", None, GAUGE),
     (Series::UnaccountedBytes, "unaccounted_bytes", None, GAUGE),
 ];
 

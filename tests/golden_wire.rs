@@ -13,8 +13,8 @@
 //! 2. `== METRICS` / `== METRICS_PROM`: the full text of
 //!    `Engine::metrics_snapshot()` and `Engine::metrics_prom()` for a
 //!    fresh engine holding one two-edge dataset — key order, `# TYPE`
-//!    lines and the bucket layout. The resident-set gauges keep their
-//!    names and have the value masked with `*`.
+//!    lines and the bucket layout. The resident-set and thread gauges
+//!    keep their names and have the value masked with `*`.
 //! 3. `== changed by PR 23`: the one intended wire change, kept apart so
 //!    everything above it is the recording of the parent, byte for byte.
 //!    The five bare commands ignored what followed the keyword
@@ -39,11 +39,13 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/golden_wire.txt"
 );
 
-/// The `METRICS` keys whose values are the process's resident set.
-const PROCESS_GAUGES: [&str; 4] = [
+/// The `METRICS` keys whose values are the process's resident set and
+/// thread count.
+const PROCESS_GAUGES: [&str; 5] = [
     "rss_anon_bytes",
     "rss_file_bytes",
     "hwm_bytes",
+    "threads",
     "unaccounted_bytes",
 ];
 
