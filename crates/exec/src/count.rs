@@ -29,9 +29,10 @@ use crate::tree_count::{count_tree, factorize, Factorization};
 /// Profiling counters from one counting run. Plain `u64` fields bumped
 /// inline by the kernel — no allocation, no atomics, no globals — so the
 /// cost over an unprofiled run is a handful of register increments per
-/// candidate, and `tests/alloc_guard.rs` still holds. A run of the tree
-/// DP ([`crate::tree_count`]) reports `candidates` and `budget_consumed`
-/// only; the rest are kernel concepts and stay 0.
+/// candidate, and the `kernel` scenario of `tests/cost/mod.rs` still
+/// holds. A run of the tree DP ([`crate::tree_count`]) reports
+/// `candidates` and `budget_consumed` only; the rest are kernel concepts
+/// and stay 0.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// The work done, in the budget's unit: candidate vertices tried by
@@ -372,8 +373,8 @@ struct MemoSlot {
 
 /// A reusable, allocation-free counter for one `(graph, query, cons)`
 /// triple. Building the plan allocates; [`CountPlan::count`] then runs
-/// without touching the allocator, which `tests/alloc_guard.rs` asserts
-/// with a counting global allocator.
+/// without touching the allocator, which the `kernel` scenario of
+/// `tests/cost/mod.rs` asserts with a counting global allocator.
 pub struct CountPlan<'a> {
     graph: &'a LabeledGraph,
     cons: VarConstraints,
