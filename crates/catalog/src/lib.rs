@@ -5,7 +5,7 @@
 //! * [`MarkovTable`] — cardinalities of small joins up to size `h`
 //!   (Markov tables / graph summaries / graph catalogue, Section 4.1);
 //!   feeds the optimistic CEG_O,
-//! * [`io`] — the text form `cegcli stats` writes and the service loads.
+//! * [`io`] — the text form `cegtool stats` writes and the service loads.
 //!
 //! The statistics only the offline estimators read (degree stats,
 //! cycle-closing rates, CS and SumRDF summaries, sampled Markov tables)

@@ -1,7 +1,7 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint` (or `cegcli lint`). Six lints, each enforcing an
+//! `cargo xtask lint` (or `cegtool lint`). Six lints, each enforcing an
 //! invariant the service's PRs established by convention:
 //!
 //! | lint | invariant |
@@ -10,7 +10,7 @@
 //! | `panic-path` | no `unwrap`/`expect`/panic macros/indexing in non-test request-path code |
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-service` — writes go through `vfs::Storage` |
-//! | `service-closure` | `ceg-service` links only the served crates (see [`closure`]) |
+//! | `service-closure` | `ceg-service` and the server binary `cegcli` link only the served crates (see [`closure`]) |
 //! | `unused-pub` | a served crate's `pub fn` is named by some other file of the workspace (see [`unused_pub`]) |
 //!
 //! Exceptions live in `ceg-lint.allow` at the repo root; every entry
@@ -147,7 +147,7 @@ pub fn find_repo_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// CLI entry point shared by `cargo xtask lint` and `cegcli lint`:
+/// CLI entry point shared by `cargo xtask lint` and `cegtool lint`:
 /// prints diagnostics to stderr and returns the process exit code
 /// (0 = clean, 1 = diagnostics, 2 = could not run).
 pub fn lint_main() -> i32 {

@@ -186,6 +186,26 @@ fn service_closure_catches_an_offline_dependency() {
 }
 
 #[test]
+fn service_closure_catches_an_offline_path_in_the_server_binary() {
+    // The server binary shares a package with `cegtool`, so its source,
+    // not a manifest, is the boundary: served paths pass, the offline
+    // module named inside a grouped import fires, once.
+    let diags = ceg_lint::closure::lint_server_source(
+        "src/bin/cegcli.rs",
+        include_str!("fixtures/server_binary.rs"),
+    );
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].lint, "service-closure");
+    assert_eq!(diags[0].path, "src/bin/cegcli.rs");
+    assert_eq!(diags[0].line, 11, "{}", diags[0]);
+    assert!(
+        diags[0].msg.contains("`cegraph::estimators`"),
+        "{}",
+        diags[0]
+    );
+}
+
+#[test]
 fn unused_pub_fires_on_the_fn_no_other_file_names() {
     // Silent on the `pub fn` the other file calls, on `pub(crate)` and on
     // a `pub fn` under `#[cfg(test)]`; the defining file's own test and

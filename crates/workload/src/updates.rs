@@ -7,7 +7,7 @@
 //! produces a seeded random stream against a concrete graph (deletions
 //! sample real edges, insertions sample the existing domain and label
 //! set, so a realistic fraction of operations is effective rather than
-//! no-op); the `.upd` text format persists streams for `cegcli update`
+//! no-op); the `.upd` text format persists streams for `cegtool update`
 //! and the CI smoke script:
 //!
 //! ```text

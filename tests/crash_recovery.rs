@@ -634,15 +634,15 @@ fn kill_dash_nine_loses_no_acked_commit() {
     client.add_edge("default", 5, 6, 0).unwrap();
     assert_eq!(client.commit("default").unwrap().epoch, last_acked + 1);
     drop(client);
-    // `cegcli shutdown` succeeds even though the server may be gone by
+    // `cegtool shutdown` succeeds even though the server may be gone by
     // the time the CLI would say goodbye: DRAINING is all it waits for.
-    let shutdown = Command::new(env!("CARGO_BIN_EXE_cegcli"))
+    let shutdown = Command::new(env!("CARGO_BIN_EXE_cegtool"))
         .args(["shutdown", &addr])
         .output()
-        .expect("run cegcli shutdown");
+        .expect("run cegtool shutdown");
     assert!(
         shutdown.status.success(),
-        "cegcli shutdown must exit 0: {:?}, stderr: {}",
+        "cegtool shutdown must exit 0: {:?}, stderr: {}",
         shutdown.status,
         String::from_utf8_lossy(&shutdown.stderr)
     );

@@ -223,14 +223,20 @@ fn a_hop_depth_below_two_is_a_usage_error() {
     let (edges_s, workload_s) = (edges.to_str().unwrap(), workload.to_str().unwrap());
     for h in ["1", "0"] {
         let runs = [
-            vec!["serve", "127.0.0.1:0", edges_s, "-", h],
-            vec!["stats", edges_s, workload_s, h, markov.to_str().unwrap()],
+            (
+                env!("CARGO_BIN_EXE_cegcli"),
+                vec!["serve", "127.0.0.1:0", edges_s, "-", h],
+            ),
+            (
+                env!("CARGO_BIN_EXE_cegtool"),
+                vec!["stats", edges_s, workload_s, h, markov.to_str().unwrap()],
+            ),
         ];
-        for args in runs {
-            let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        for (bin, args) in runs {
+            let out = std::process::Command::new(bin)
                 .args(&args)
                 .output()
-                .expect("run cegcli");
+                .expect("run the binary");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
             assert!(stderr.contains("h >= 2"), "{args:?}: {stderr}");
@@ -243,7 +249,7 @@ fn a_hop_depth_below_two_is_a_usage_error() {
 }
 
 /// A workload line whose edge names a variable past `num_vars` is refused
-/// where the file is read: `cegcli estimate` exits 1 with the line, not a
+/// where the file is read: `cegtool estimate` exits 1 with the line, not a
 /// panic out of `QueryGraph::new`.
 #[test]
 fn estimate_refuses_a_workload_edge_outside_its_variables() {
@@ -253,14 +259,14 @@ fn estimate_refuses_a_workload_edge_outside_its_variables() {
     let workload = dir.join(format!("ceg-bad-wl-{tag}.wl"));
     std::fs::write(&edges, "0 1 0\n1 2 0\n").unwrap();
     std::fs::write(&workload, "ok 1 2 1 0 1 0\nt 5 2 1 0 7 0\n").unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegtool"))
         .args([
             "estimate",
             edges.to_str().unwrap(),
             workload.to_str().unwrap(),
         ])
         .output()
-        .expect("run cegcli estimate");
+        .expect("run cegtool estimate");
     std::fs::remove_file(&edges).unwrap();
     std::fs::remove_file(&workload).unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -280,16 +286,25 @@ fn estimate_refuses_a_workload_edge_outside_its_variables() {
 fn an_unknown_flag_is_a_usage_error_before_any_io() {
     let dir = std::env::temp_dir().join(format!("ceg-unknown-flag-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for args in [
-        vec!["generate", "imdb", "1", "--bogus"],
-        vec!["serve", "127.0.0.1:0", "g.edges", "--bogus"],
-        vec!["query", "127.0.0.1:1", "w.wl", "--bogus=1"],
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_cegtool"),
+            vec!["generate", "imdb", "1", "--bogus"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_cegcli"),
+            vec!["serve", "127.0.0.1:0", "g.edges", "--bogus"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_cegtool"),
+            vec!["query", "127.0.0.1:1", "w.wl", "--bogus=1"],
+        ),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        let out = std::process::Command::new(bin)
             .current_dir(&dir)
             .args(&args)
             .output()
-            .expect("run cegcli");
+            .expect("run the binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         let flag = args.last().unwrap();
@@ -297,6 +312,44 @@ fn an_unknown_flag_is_a_usage_error_before_any_io() {
             stderr.contains(&format!("unknown flag `{flag}`")),
             "{args:?}: {stderr}"
         );
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "files were written: {written:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each command lives in one binary: the server binary refuses a tool
+/// command, and the tool refuses `serve`, as usage errors raised before
+/// any I/O (exit 2, not the exit 1 of a missing file or a refused
+/// connection), each naming the binary that has the command.
+#[test]
+fn a_command_of_the_other_binary_is_a_usage_error_naming_it() {
+    let dir = std::env::temp_dir().join(format!("ceg-other-bin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (bin, args, hint) in [
+        (
+            env!("CARGO_BIN_EXE_cegcli"),
+            ["query", "127.0.0.1:1", "w.wl"],
+            "`cegtool`",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cegtool"),
+            ["serve", "127.0.0.1:0", "g.edges"],
+            "`cegcli serve`",
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("run the binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown command `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(hint), "{args:?}: {stderr}");
     }
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(written.is_empty(), "files were written: {written:?}");

@@ -369,7 +369,7 @@ fn metrics_prom_families_are_stable() {
     assert_eq!(got, expected);
 
     // Every sample line belongs to a declared family: the exposition the
-    // server serves must pass the same structural checks `cegcli prom
+    // server serves must pass the same structural checks `cegtool prom
     // --check` applies.
     for line in &lines {
         if line.starts_with('#') {
