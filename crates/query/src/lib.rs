@@ -10,8 +10,8 @@
 //!   ([`EdgeMask`]) utilities used to enumerate sub-queries (CEG vertices),
 //! * [`Pattern`] / [`PatternKey`] — canonicalized small patterns used as
 //!   Markov-table keys,
-//! * [`canon`] — renaming-invariant canonical hashing and exact
-//!   isomorphism for whole queries (service-layer cache keys),
+//! * [`canon`] — [`Certificate`], the canonical form of a whole query
+//!   (the service's cache key), and its renaming-invariant hash,
 //! * [`cycles`] — cycle structure analysis (acyclicity, largest cycle,
 //!   cyclomatic number) driving the CEG_O vs CEG_OCR choice,
 //! * [`templates`] — every query template used in the paper's evaluation.
@@ -24,6 +24,7 @@ pub mod query;
 pub mod templates;
 pub mod vertex_labels;
 
+pub use canon::Certificate;
 pub use mask::EdgeMask;
 pub use pattern::{Canonicalizer, Pattern, PatternKey};
 pub use query::{QueryEdge, QueryGraph};

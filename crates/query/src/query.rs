@@ -8,7 +8,7 @@ use crate::mask::EdgeMask;
 use crate::VarId;
 
 /// One query edge: `src -label-> dst` between two query variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryEdge {
     pub src: VarId,
     pub dst: VarId,
@@ -43,27 +43,10 @@ impl QueryEdge {
 /// Queries are restricted to at most 32 edges and 32 variables so that
 /// edge subsets fit in an [`EdgeMask`] and variable sets in a `u32`
 /// bitmask; the paper's largest workload query has 12 edges.
-#[derive(Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct QueryGraph {
     num_vars: VarId,
     edges: Vec<QueryEdge>,
-}
-
-/// By hand because `#[derive(Clone)]` keeps the default `clone_from`,
-/// which allocates a fresh edge buffer; this one reuses `self`'s when it
-/// is long enough (the estimate cache overwrites evicted entries so).
-impl Clone for QueryGraph {
-    fn clone(&self) -> Self {
-        QueryGraph {
-            num_vars: self.num_vars,
-            edges: self.edges.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.num_vars = source.num_vars;
-        self.edges.clone_from(&source.edges);
-    }
 }
 
 impl QueryGraph {
@@ -115,11 +98,6 @@ impl QueryGraph {
     #[inline]
     pub fn edges(&self) -> &[QueryEdge] {
         &self.edges
-    }
-
-    /// Bytes the edge buffer holds on the heap (its capacity, not its length).
-    pub fn heap_bytes(&self) -> usize {
-        self.edges.capacity() * std::mem::size_of::<QueryEdge>()
     }
 
     /// Edge at position `i`.
@@ -344,17 +322,6 @@ mod tests {
                 QueryEdge::new(2, 0, 2),
             ],
         )
-    }
-
-    /// `clone_from` writes into the target's edge buffer when it fits.
-    #[test]
-    fn clone_from_reuses_the_edge_buffer() {
-        let mut target = triangle();
-        let buffer = target.edges().as_ptr();
-        target.clone_from(&path3());
-        assert_eq!(target, path3());
-        assert_eq!(target.edges().as_ptr(), buffer);
-        assert_eq!(target.heap_bytes(), 3 * std::mem::size_of::<QueryEdge>());
     }
 
     #[test]

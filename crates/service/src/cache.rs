@@ -1,24 +1,32 @@
-//! The service's estimate cache, keyed by [`QueryGraph::canonical_hash`]
-//! (renaming-invariant) hashed with the dataset name. Every hit is checked
-//! by the exact [`QueryGraph::is_isomorphic`]: a WL collision is two entries.
+//! The service's estimate cache, keyed by a query's [`Certificate`] (its
+//! canonical form up to variable renaming) and dataset. A hit is a hash
+//! probe and a byte compare of certificates: isomorphic queries share an
+//! entry, and a WL hash collision (two triangles vs a 6-cycle) is two
+//! entries under one key.
 //!
-//! One slab of entries, reserved at capacity so untouched slots are never
-//! resident; a store at capacity overwrites the evicted slot, edge buffer
-//! included, without allocating. Recency is an intrusive list of `u32` slot
-//! ids: a probe that finds an isomorphic entry (hit or stale) and every
-//! store move it to the front, eviction takes the back. Lookup is an
-//! open-addressing table of slot ids (2 x capacity, a power of two): linear
-//! probing, backward-shift deletion. Dataset names are interned (`u16` ids).
+//! One slab of 80 B slots, reserved at capacity so untouched slots are
+//! never resident. A slot holds its certificate's edges inline up to 12
+//! (the paper's largest query); a longer certificate spills to one boxed
+//! slice beside the slab. A store at capacity overwrites the evicted slot
+//! without allocating. Recency is an intrusive list of `u32` slot ids: a
+//! probe that finds an entry (hit or stale) and every store move it to
+//! the front, eviction takes the back. Lookup is an open-addressing table
+//! of slot ids (2 x capacity, a power of two): linear probing,
+//! backward-shift deletion. Dataset names are interned (`u16` ids).
 
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 
 use ceg_graph::hash::FxHasher;
-use ceg_query::QueryGraph;
+use ceg_query::{Certificate, QueryEdge, QueryGraph, VarId};
 
 /// Slot 0 holds no entry. It closes the recency list into a ring (`next`
 /// most, `prev` least recently used); in the index it marks an empty place.
 const SENTINEL: u32 = 0;
+
+/// Certificate edges a slot holds without allocating: the paper's largest
+/// query has 12.
+const INLINE_EDGES: usize = 12;
 
 /// What a cache probe found — the distinction `EXPLAIN_ESTIMATE` and the
 /// metrics surface: a verified hit, a miss caused *only* by a stale epoch
@@ -35,18 +43,42 @@ pub enum ProbeOutcome {
     ColdMiss,
 }
 
-/// One cached estimate at the dataset **epoch** it was computed against.
-/// `None` is cached too, so a query the estimator cannot answer does not
-/// hammer the catalog on every retry.
+/// Marks a slot whose value is an estimate; a failed estimate is cached
+/// too, so a query the estimator cannot answer does not hammer the
+/// catalog on every retry.
+const ANSWERED: u8 = 0x80;
+
+/// One cached estimate at the dataset **epoch** it was computed against,
+/// in 80 B.
 #[derive(Default)]
 struct Slot {
-    key: u64,
     epoch: u64,
-    value: Option<f64>,
-    query: QueryGraph,
-    dataset: u16,
+    value: f64,
+    /// The certificate's edges, if it has at most [`INLINE_EDGES`]; a
+    /// longer one's are in [`EstimateCache::long`].
+    edges: [QueryEdge; INLINE_EDGES],
+    /// The top half of the entry's key, which holds the bits the index
+    /// reads.
+    key: u32,
     prev: u32,
     next: u32,
+    dataset: u16,
+    num_vars: VarId,
+    /// The certificate's edge count, with [`ANSWERED`] set if `value` is
+    /// an estimate.
+    len: u8,
+}
+
+impl Slot {
+    fn value(&self) -> Option<f64> {
+        (self.len & ANSWERED != 0).then_some(self.value)
+    }
+
+    fn answer(&mut self, epoch: u64, value: Option<f64>) {
+        self.epoch = epoch;
+        self.value = value.unwrap_or_default();
+        self.len = self.len & !ANSWERED | if value.is_some() { ANSWERED } else { 0 };
+    }
 }
 
 /// LRU over isomorphism classes of queries, with hit/miss counters (the
@@ -60,17 +92,22 @@ pub struct EstimateCache {
     slots: Vec<Slot>,
     /// Slot ids by key, [`SENTINEL`] where empty; at most half full.
     index: Vec<u32>,
+    /// The edges of certificates longer than [`INLINE_EDGES`], by slot
+    /// id; empty until the first one is stored.
+    long: Vec<Option<Box<[QueryEdge]>>>,
     names: Vec<Box<str>>,
     hits: u64,
     misses: u64,
     stale_misses: u64,
 }
 
-fn bucket_key(dataset: &str, canonical_hash: u64) -> u64 {
+/// An entry's key: the top half of a hash of the dataset name and the
+/// query's hash. It picks the probe run; the certificate decides the hit.
+fn bucket_key(dataset: &str, hash: u64) -> u32 {
     let mut h = FxHasher::default();
     dataset.hash(&mut h);
-    h.write_u64(canonical_hash);
-    h.finish()
+    h.write_u64(hash);
+    (h.finish() >> 32) as u32
 }
 
 impl EstimateCache {
@@ -83,6 +120,7 @@ impl EstimateCache {
             capacity,
             slots,
             index: vec![SENTINEL; (2 * capacity).next_power_of_two().max(2)],
+            long: Vec::new(),
             names: Vec::new(),
             hits: 0,
             misses: 0,
@@ -90,13 +128,41 @@ impl EstimateCache {
         }
     }
 
-    /// Probe for an estimate of `query` on `dataset` at its current
-    /// `epoch`, the canonical hash computed by the caller (outside the
-    /// lock it holds around the cache). A [`ProbeOutcome::Hit`] is an
-    /// isomorphic query **and** the same epoch, so the value is exactly
-    /// what the estimator would recompute; [`ProbeOutcome::StaleMiss`]
-    /// found one stranded at another epoch by a commit. Counters are
-    /// updated either way.
+    /// Probe for an estimate of the query with `certificate` on `dataset`
+    /// at its current `epoch`, the certificate computed by the caller
+    /// (outside the lock it holds around the cache). A
+    /// [`ProbeOutcome::Hit`] is an isomorphic query **and** the same
+    /// epoch, so the value is exactly what the estimator would recompute;
+    /// [`ProbeOutcome::StaleMiss`] found one stranded at another epoch by
+    /// a commit. Counters are updated either way.
+    pub fn probe(&mut self, dataset: &str, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
+        self.probe_keyed(
+            bucket_key(dataset, certificate.hash()),
+            dataset,
+            certificate,
+            epoch,
+        )
+    }
+
+    /// Store an estimate computed at `epoch`. An existing entry for an
+    /// isomorphic query is updated in place — including a stale-epoch
+    /// entry, which is how invalidated estimates get refreshed rather
+    /// than duplicated. At capacity the least recently used entry's slot
+    /// is reused.
+    pub fn store(
+        &mut self,
+        dataset: &str,
+        certificate: &Certificate,
+        epoch: u64,
+        value: Option<f64>,
+    ) {
+        let key = bucket_key(dataset, certificate.hash());
+        self.store_keyed(key, dataset, certificate, epoch, value);
+    }
+
+    /// [`EstimateCache::probe`] of `query` under `canonical_hash`, which
+    /// need not be the query's own: with `dataset` it picks the key, and a
+    /// hit is an isomorphic query stored under the same key.
     pub fn probe_hashed(
         &mut self,
         dataset: &str,
@@ -105,8 +171,34 @@ impl EstimateCache {
         epoch: u64,
     ) -> ProbeOutcome {
         let key = bucket_key(dataset, canonical_hash);
-        let found = self.find(key, dataset, query).and_then(|id| self.touch(id));
-        let Some((cached, value)) = found.map(|slot| (slot.epoch, slot.value)) else {
+        self.probe_keyed(key, dataset, &query.certificate(), epoch)
+    }
+
+    /// [`EstimateCache::store`] of `query` under `canonical_hash` (see
+    /// [`EstimateCache::probe_hashed`]).
+    pub fn store_hashed(
+        &mut self,
+        dataset: &str,
+        query: &QueryGraph,
+        canonical_hash: u64,
+        epoch: u64,
+        value: Option<f64>,
+    ) {
+        let key = bucket_key(dataset, canonical_hash);
+        self.store_keyed(key, dataset, &query.certificate(), epoch, value);
+    }
+
+    fn probe_keyed(
+        &mut self,
+        key: u32,
+        dataset: &str,
+        certificate: &Certificate,
+        epoch: u64,
+    ) -> ProbeOutcome {
+        let found = self
+            .find(key, dataset, certificate)
+            .and_then(|id| self.touch(id));
+        let Some((cached, value)) = found.map(|slot| (slot.epoch, slot.value())) else {
             self.misses += 1;
             return ProbeOutcome::ColdMiss;
         };
@@ -119,34 +211,28 @@ impl EstimateCache {
         ProbeOutcome::StaleMiss
     }
 
-    /// Store an estimate computed at `epoch`. An existing entry for an
-    /// isomorphic query is updated in place — including a stale-epoch
-    /// entry, which is how invalidated estimates get refreshed rather
-    /// than duplicated. At capacity the least recently used entry's slot
-    /// is reused.
-    pub fn store_hashed(
+    fn store_keyed(
         &mut self,
+        key: u32,
         dataset: &str,
-        query: &QueryGraph,
-        canonical_hash: u64,
+        certificate: &Certificate,
         epoch: u64,
         value: Option<f64>,
     ) {
-        let key = bucket_key(dataset, canonical_hash);
-        let slot = match self.find(key, dataset, query) {
+        let slot = match self.find(key, dataset, certificate) {
             Some(id) => self.touch(id),
-            None => self.insert(key, dataset, query),
+            None => self.insert(key, dataset, certificate),
         };
         // A racing slow computation from a pre-commit epoch must not
         // downgrade a fresher entry.
         if let Some(slot) = slot.filter(|slot| epoch >= slot.epoch) {
-            (slot.epoch, slot.value) = (epoch, value);
+            slot.answer(epoch, value);
         }
     }
 
     /// A slot for a new entry at epoch 0, most recently used: a fresh one
     /// or, at capacity, the least recently used entry's.
-    fn insert(&mut self, key: u64, dataset: &str, query: &QueryGraph) -> Option<&mut Slot> {
+    fn insert(&mut self, key: u32, dataset: &str, certificate: &Certificate) -> Option<&mut Slot> {
         if self.capacity == 0 {
             return None;
         }
@@ -167,30 +253,56 @@ impl EstimateCache {
         }
         *self.index.get_mut(pos)? = id;
         self.push_front(id)?;
+        let edges = certificate.edges();
         let slot = self.slots.get_mut(id as usize)?;
-        slot.query.clone_from(query);
+        let long = match slot.edges.get_mut(..edges.len()) {
+            Some(inline) => {
+                inline.copy_from_slice(edges);
+                None
+            }
+            None => Some(Box::from(edges)),
+        };
         (slot.key, slot.dataset, slot.epoch) = (key, ds, 0);
-        Some(slot)
+        (slot.num_vars, slot.len) = (certificate.num_vars(), edges.len() as u8);
+        if long.is_some() && self.long.is_empty() {
+            self.long.resize_with(self.capacity + 1, || None);
+        }
+        if let Some(place) = self.long.get_mut(id as usize) {
+            *place = long;
+        }
+        self.slots.get_mut(id as usize)
     }
 
     /// Where `key`'s probe run starts: its top bits, the ones Fx mixes best.
-    fn home(&self, key: u64) -> usize {
-        (key >> (64 - self.index.len().trailing_zeros())) as usize
+    fn home(&self, key: u32) -> usize {
+        (key >> (32 - self.index.len().trailing_zeros())) as usize
     }
 
-    /// The slot of `dataset` holding a query isomorphic to `query` under
-    /// `key`, searched up to the empty place that ends `key`'s run.
-    fn find(&self, key: u64, dataset: &str, query: &QueryGraph) -> Option<u32> {
+    /// The slot of `dataset` holding `certificate` under `key`, searched
+    /// up to the empty place that ends `key`'s run.
+    fn find(&self, key: u32, dataset: &str, certificate: &Certificate) -> Option<u32> {
         let mask = self.index.len() - 1;
         let mut pos = self.home(key);
         loop {
             let id = *self.index.get(pos)?;
             let slot = self.slots.get(id as usize).filter(|_| id != SENTINEL)?;
             let name = self.names.get(usize::from(slot.dataset))?;
-            if slot.key == key && **name == *dataset && slot.query.is_isomorphic(query) {
+            if slot.key == key
+                && **name == *dataset
+                && slot.num_vars == certificate.num_vars()
+                && self.edges_of(id, slot) == Some(certificate.edges())
+            {
                 return Some(id);
             }
             pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The certificate edges slot `id` holds.
+    fn edges_of<'a>(&'a self, id: u32, slot: &'a Slot) -> Option<&'a [QueryEdge]> {
+        match slot.edges.get(..usize::from(slot.len & !ANSWERED)) {
+            Some(inline) => Some(inline),
+            None => self.long.get(id as usize)?.as_deref(),
         }
     }
 
@@ -276,7 +388,7 @@ impl EstimateCache {
     }
 
     /// Bytes the cache holds on the heap: the slab and the index at their
-    /// reserved size, every cached query's edges, the interned names.
+    /// reserved size, the spilled certificates, the interned names.
     pub fn heap_bytes(&self) -> usize {
         let reserve = self.slots.capacity() - self.slots.len();
         self.written_bytes() + reserve * size_of::<Slot>()
@@ -284,12 +396,13 @@ impl EstimateCache {
 
     /// The part of [`EstimateCache::heap_bytes`] the cache has written:
     /// the slab's filled slots, not its untouched (and so not resident)
-    /// reserve, plus the index, every cached query's edges and the names.
+    /// reserve, plus the index, the spilled certificates and the names.
     pub(crate) fn written_bytes(&self) -> usize {
-        let edges: usize = self.slots.iter().map(|s| s.query.heap_bytes()).sum();
+        let long: usize = self.long.iter().flatten().map(|e| size_of_val(&**e)).sum();
+        let long = long + self.long.capacity() * size_of::<Option<Box<[QueryEdge]>>>();
         let names: usize = self.names.iter().map(|n| n.len()).sum();
         let table = self.slots.len() * size_of::<Slot>() + self.index.capacity() * 4;
-        table + self.names.capacity() * size_of::<Box<str>>() + edges + names
+        table + self.names.capacity() * size_of::<Box<str>>() + long + names
     }
 }
 
@@ -300,11 +413,56 @@ mod tests {
     use ProbeOutcome::{ColdMiss, Hit, StaleMiss};
 
     fn probe(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64) -> ProbeOutcome {
-        cache.probe_hashed(dataset, q, q.canonical_hash(), epoch)
+        cache.probe(dataset, &q.certificate(), epoch)
     }
 
     fn store(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64, v: Option<f64>) {
-        cache.store_hashed(dataset, q, q.canonical_hash(), epoch, v)
+        cache.store(dataset, &q.certificate(), epoch, v)
+    }
+
+    /// `q` with every variable `v` renamed `n - 1 - v`.
+    fn reversed(q: &QueryGraph) -> QueryGraph {
+        let n = q.num_vars();
+        let edges = q
+            .edges()
+            .iter()
+            .map(|e| QueryEdge::new(n - 1 - e.src, n - 1 - e.dst, e.label))
+            .collect();
+        QueryGraph::new(n, edges)
+    }
+
+    #[test]
+    fn a_slot_is_at_most_96_bytes() {
+        assert!(size_of::<Slot>() <= 96, "{} B", size_of::<Slot>());
+        assert_eq!(
+            size_of::<Slot>(),
+            80,
+            "the `cache_bytes` golden_wire records"
+        );
+    }
+
+    /// A certificate longer than [`INLINE_EDGES`] spills to the heap and
+    /// is still cached exactly; one that fits takes no heap.
+    #[test]
+    fn a_query_longer_than_twelve_edges_is_cached() {
+        let star = |k: usize| templates::star(k, &vec![0; k]);
+        let mut c = EstimateCache::new(4);
+        let inline = c.heap_bytes();
+        store(&mut c, "ds", &star(16), 0, Some(16.0));
+        let spilled = c.heap_bytes();
+        assert!(spilled >= inline + 16 * size_of::<QueryEdge>());
+        assert_eq!(
+            probe(&mut c, "ds", &reversed(&star(16)), 0),
+            Hit(Some(16.0))
+        );
+        assert_eq!(probe(&mut c, "ds", &star(15), 0), ColdMiss);
+        store(&mut c, "ds", &star(12), 0, Some(12.0));
+        assert_eq!(c.heap_bytes(), spilled, "12 edges fit inline");
+        assert_eq!(
+            probe(&mut c, "ds", &reversed(&star(12)), 0),
+            Hit(Some(12.0))
+        );
+        assert_eq!(probe(&mut c, "ds", &star(16), 0), Hit(Some(16.0)));
     }
 
     /// Distinct (non-isomorphic) queries: paths over distinct labels.
@@ -388,16 +546,7 @@ mod tests {
         // Same query: hit.
         assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(Some(42.0)));
         // Renamed (isomorphic) query: still a hit.
-        let renamed = {
-            use ceg_query::{QueryEdge, QueryGraph};
-            let edges = q
-                .edges()
-                .iter()
-                .map(|e| QueryEdge::new(3 - e.src, 3 - e.dst, e.label))
-                .collect();
-            QueryGraph::new(4, edges)
-        };
-        assert_eq!(probe(&mut cache, "ds", &renamed, 0), Hit(Some(42.0)));
+        assert_eq!(probe(&mut cache, "ds", &reversed(&q), 0), Hit(Some(42.0)));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
     }

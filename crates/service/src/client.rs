@@ -1,6 +1,6 @@
 //! A small blocking client for the wire protocol.
 //!
-//! Used by `cegcli query`, the integration tests and the CI smoke script;
+//! Used by `cegtool query`, the integration tests and the CI smoke script;
 //! anything that can write lines to a TCP socket (netcat included) speaks
 //! the same protocol.
 

@@ -30,7 +30,7 @@ use ceg_core::trace::Trace;
 use ceg_core::{CegO, Heuristic};
 use ceg_graph::sync::{self, LockRank, OrderedMutex};
 use ceg_graph::{LabelId, VertexId};
-use ceg_query::QueryGraph;
+use ceg_query::{Certificate, QueryGraph};
 
 use crate::cache::{EstimateCache, ProbeOutcome};
 use crate::metrics::{Metrics, Series};
@@ -401,13 +401,13 @@ impl Engine {
     /// soon as it is known (so a caller can stream them). `Err` means
     /// nothing was answered (unknown dataset) and `reply` was not called.
     ///
-    /// Every query is hashed once and probed once, under one cache lock;
-    /// hits are final there. Every miss then takes its admission permit
-    /// — all of them before the first one runs, so a wide cold batch
-    /// meets the cap as a whole — and the admitted ones run one after
-    /// the other on this thread (`run_miss`). Overlapping patterns across
-    /// the batch are still counted once: a later miss finds what an
-    /// earlier fill inserted in the pinned catalog.
+    /// Every query gets one certificate (outside the cache lock) and one
+    /// probe (all under one lock); hits are final there. Every miss then
+    /// takes its admission permit — all of them before the first one
+    /// runs, so a wide cold batch meets the cap as a whole — and the
+    /// admitted ones run one after the other on this thread (`run_miss`).
+    /// Overlapping patterns across the batch are still counted once: a
+    /// later miss finds what an earlier fill inserted in the pinned catalog.
     pub fn estimate_batch(
         &self,
         dataset: &str,
@@ -433,21 +433,20 @@ impl Engine {
         // under an older epoch miss.
         let state = entry.pin();
         let epoch = state.epoch();
-        // The WL canonical hash is the expensive part of a cache probe;
-        // compute it outside the cache lock so concurrent requests only
-        // serialize on the map operations themselves.
-        let hashes: Vec<u64> = queries.iter().map(|q| q.canonical_hash()).collect();
+        // The certificate is the expensive part of a cache probe; compute
+        // it outside the cache lock so concurrent requests only serialize
+        // on the map operations themselves.
+        let certificates: Vec<Certificate> = queries.iter().map(QueryGraph::certificate).collect();
         let cache_started = Instant::now();
         // A poisoned cache (a panic under the cache lock) must not take
         // estimation down with it: every query is treated as a cold miss
         // and answered from the catalog, uncached.
         let mut cache = self.cache.checked_lock().ok();
         let lock_wait_us = cache_started.elapsed().as_micros() as u64;
-        let probed: Vec<ProbeOutcome> = queries
+        let probed: Vec<ProbeOutcome> = certificates
             .iter()
-            .zip(&hashes)
-            .map(|(q, &hash)| match cache.as_mut() {
-                Some(cache) => cache.probe_hashed(dataset, q, hash, epoch),
+            .map(|certificate| match cache.as_mut() {
+                Some(cache) => cache.probe(dataset, certificate, epoch),
                 None => ProbeOutcome::ColdMiss,
             })
             .collect();
@@ -484,11 +483,12 @@ impl Engine {
                 },
             })
             .collect();
-        for ((slot, query), &hash) in slots.into_iter().zip(queries).zip(&hashes) {
+        for ((slot, query), certificate) in slots.into_iter().zip(queries).zip(&certificates) {
             reply(match slot {
                 Slot::Ready(outcome) => outcome,
                 Slot::Admitted(permit) => {
-                    let outcome = self.run_miss(&entry, &state, cache_us, query, hash, &mut ctx);
+                    let outcome =
+                        self.run_miss(&entry, &state, cache_us, query, certificate, &mut ctx);
                     // Released before the caller can put the answer on
                     // the wire: a client that reads it and asks for
                     // STATS next must see the gauge settled.
@@ -512,7 +512,7 @@ impl Engine {
         state: &EpochState,
         cache_us: u64,
         query: &QueryGraph,
-        hash: u64,
+        certificate: &Certificate,
         ctx: &mut RequestCtx<'_>,
     ) -> QueryOutcome {
         let started = Instant::now();
@@ -608,7 +608,7 @@ impl Engine {
                 // just is not stored (the next identical query
                 // recomputes).
                 if let Ok(mut cache) = self.cache.checked_lock() {
-                    cache.store_hashed(entry.name(), query, hash, state.epoch(), value);
+                    cache.store(entry.name(), certificate, state.epoch(), value);
                 }
                 QueryOutcome::Done(EstimateOutcome {
                     value,

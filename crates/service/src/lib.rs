@@ -1,7 +1,7 @@
 //! # ceg-service
 //!
 //! A long-running, concurrent cardinality-estimation service on top of
-//! the CEG estimators. `cegcli estimate` reloads the graph and rebuilds
+//! the CEG estimators. `cegtool estimate` reloads the graph and rebuilds
 //! the catalog on every call; this crate keeps both warm and shares them:
 //!
 //! * [`registry`] — each dataset is loaded once ([`DatasetRegistry`]) and
@@ -13,9 +13,9 @@
 //!   `.cegsnap` snapshot it replays onto, boot-time recovery and the fold;
 //!   `SNAPSHOT` writes a snapshot to any other `.cegsnap` path, and
 //!   `cegcli serve --snapshot` restores one,
-//! * [`cache`] — an [`EstimateCache`] (LRU) keyed by the
-//!   renaming-invariant canonical hash ([`ceg_query::canon`]), verified
-//!   by exact isomorphism and tagged with the epoch it was computed at,
+//! * [`cache`] — an [`EstimateCache`] (LRU) keyed by each query's
+//!   canonical [`ceg_query::Certificate`], tagged with the epoch it was
+//!   computed at,
 //! * [`engine`] — the one estimate path, [`Engine::estimate_batch`]: one
 //!   cache probe per query, then per miss an admission permit (`BUSY`
 //!   past [`ServerConfig::queue_cap`]), a run slot, the catalog fill
@@ -23,7 +23,7 @@
 //!   store — all on the calling thread,
 //! * [`protocol`] / [`server`] / [`client`] — a line-delimited text
 //!   protocol over `std::net::TcpListener`, served by `cegcli serve` and
-//!   spoken by `cegcli query` ([`Client`]) or netcat. Every accepted
+//!   spoken by `cegtool query` ([`Client`]) or netcat. Every accepted
 //!   request gets exactly one typed reply, and carries an `id=<n>` that
 //!   the slow-query log and the drain report (`SHUTDOWN`: final
 //!   snapshots, exit 0) name too,

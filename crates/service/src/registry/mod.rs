@@ -288,7 +288,7 @@ impl DatasetRegistry {
     }
 
     /// Load a dataset from an edge-list file, with an optional persisted
-    /// Markov catalog (`cegcli stats` output). Without one, an empty
+    /// Markov catalog (`cegtool stats` output). Without one, an empty
     /// hop-`h` catalog is built on demand as requests arrive.
     pub fn load_files(
         &self,

@@ -14,9 +14,11 @@
 //!   by vertex domain.
 //! - [`ceg_o`]: CEG_O construction, the path choice and the server's
 //!   streamed pass make a constant number of allocator calls.
-//! - [`cache`]: a full `wide` cache is small and reports its heap
-//!   exactly, a store at capacity allocates nothing, a hit allocates
-//!   only inside `is_isomorphic`.
+//! - [`canon`]: a query's certificate allocates nothing, and its search
+//!   stays small on symmetric one-label shapes.
+//! - [`cache`]: a full `wide` cache is small, makes no per-entry
+//!   allocation and reports its heap exactly; a store at capacity and a
+//!   hit allocate nothing.
 //! - [`catalog`]: `MarkovTable::heap_bytes` is what dropping it frees.
 //! - [`snapshot`]: writing and reading a snapshot hold a buffer, not a
 //!   section.
@@ -395,15 +397,57 @@ fn ceg_o(ledger: &mut String) {
     }
 }
 
+/// `QueryGraph::certificate` on one-label shapes, where refinement alone
+/// leaves ties: no allocator call, and the number of search leaves. A
+/// star's leaves are one orbit (one leaf), K6 with both directions is all
+/// twins (one leaf), and the cyclic ones branch until a repeated leaf
+/// gives an automorphism that covers the rest of the cell.
+fn canon(ledger: &mut String) {
+    let k6 = (0..6u8)
+        .flat_map(|a| {
+            (0..6u8)
+                .filter(move |&b| b != a)
+                .map(move |b| QueryEdge::new(a, b, 0))
+        })
+        .collect();
+    let shapes = [
+        ("star-12", templates::star(12, &[0; 12])),
+        ("path-12", templates::path(12, &[0; 12])),
+        ("cycle-9", templates::cycle(9, &[0; 9])),
+        ("petal-9", templates::petal(3, 3, &[0; 9])),
+        ("flower-6", templates::flower(&[0; 6])),
+        ("clique4", templates::clique4(&[0; 6])),
+        ("two-triangles", templates::two_triangles(&[0; 6])),
+        ("k6-both-directions", QueryGraph::new(6, k6)),
+    ];
+    for (name, q) in shapes {
+        let (certificate, computed) = cost(|| q.certificate());
+        assert_eq!(computed.calls, 0, "the certificate of {name} allocated");
+        assert!(
+            certificate.leaves() <= 9,
+            "{name}: {} leaves",
+            certificate.leaves()
+        );
+        writeln!(
+            ledger,
+            "canon.certificate.{name} calls={} leaves={}",
+            computed.calls,
+            certificate.leaves()
+        )
+        .unwrap();
+    }
+}
+
 /// The estimate cache on the pool shape of the wire benchmark's `wide`
 /// workload: 6,144 distinct Job + Acyclic queries on the g10k graph
 /// (seed 1) through a 4,096-entry cache. A full cache holds at most 512
 /// KiB, exactly what `EstimateCache::heap_bytes` reports (941,648 B when
 /// every entry was three allocations behind a hash map and a recency
-/// queue). A store at capacity under a fresh key, of a query no longer
-/// than the one it evicts, overwrites the evicted slot and its edge
-/// buffer: no allocator call. A hit makes exactly the calls of the one
-/// `is_isomorphic` that verifies it.
+/// queue; 494,463 B while each slot held a `QueryGraph`), in at most 8
+/// allocator calls: each slot holds its certificate inline. A store at
+/// capacity under a fresh key overwrites the evicted slot: no allocator
+/// call. A hit, which computes the probe's certificate and compares it
+/// with the slot's, makes none either.
 fn cache(ledger: &mut String) {
     const CAPACITY: usize = 4096;
     const DATASET: &str = "default";
@@ -424,10 +468,15 @@ fn cache(ledger: &mut String) {
     assert_eq!(cache.len(), CAPACITY);
     assert_eq!(held, cache.heap_bytes(), "heap_bytes is the live heap");
     assert!(held <= 512 * 1024, "a full cache holds {held} B");
+    assert!(
+        filled.calls <= 8,
+        "{} allocator calls to fill",
+        filled.calls
+    );
     writeln!(ledger, "cache.wide.fill {filled} heap_bytes={held}").unwrap();
 
-    // A hit: the one `is_isomorphic` of the cached query against a
-    // renamed copy of it, and nothing else.
+    // A hit on a renamed copy of a cached query; beside it, what the
+    // certificate and the `is_isomorphic` oracle cost on the pair.
     let last = pool.len() - 1;
     let renamed = {
         let q = &pool[last];
@@ -441,18 +490,23 @@ fn cache(ledger: &mut String) {
     assert_eq!(renamed.canonical_hash(), hashes[last]);
     let (iso, verified) = cost(|| pool[last].is_isomorphic(&renamed));
     assert!(iso);
+    let (certificate, certified) = cost(|| renamed.certificate());
+    assert_eq!(certificate, pool[last].certificate());
     let (hit, probed) = cost(|| cache.probe_hashed(DATASET, &renamed, hashes[last], 0));
     assert_eq!(hit, ProbeOutcome::Hit(Some(1.0)));
-    assert_eq!(
-        probed.calls, verified.calls,
-        "a hit allocates only inside is_isomorphic"
-    );
+    assert_eq!(probed.calls, 0, "a hit allocated");
     writeln!(ledger, "cache.wide.is_isomorphic {verified}").unwrap();
+    writeln!(
+        ledger,
+        "cache.wide.certificate {certified} leaves={}",
+        certificate.leaves()
+    )
+    .unwrap();
     writeln!(ledger, "cache.wide.hit {probed}").unwrap();
 
     // Stores under fresh keys at capacity. Least recently used first, the
     // cache holds pool[2048..6143], then pool[6143] (just hit): storing
-    // them in that order gives each its own evicted slot's buffer back.
+    // them in that order overwrites each one's own evicted slot.
     let order = (2048..last).chain([last]);
     let ((), stored) = cost(|| {
         for (i, at) in order.enumerate() {
@@ -741,7 +795,7 @@ fn commit(ledger: &mut String) {
 /// a hit); `churn`'s 4-op commit follows, then the pool again, stale
 /// (every query a miss on a full catalog). Each pass sums the allocator
 /// calls and bytes of its estimates and gives the per-query median and
-/// maximum calls.
+/// maximum calls. A hit's median is below a cold miss's.
 fn served(ledger: &mut String) {
     const DATASET: &str = "g10k";
     let seed = 2022;
@@ -763,21 +817,26 @@ fn served(ledger: &mut String) {
             total.bytes += estimated.bytes;
         }
         per_query.sort_unstable();
+        let p50 = per_query[per_query.len() / 2];
         writeln!(
             ledger,
-            "served.{name} calls={} bytes={} p50_calls={} max_calls={} catalog_entries={} \
+            "served.{name} calls={} bytes={} p50_calls={p50} max_calls={} catalog_entries={} \
              catalog_bytes={}",
             total.calls,
             total.bytes,
-            per_query[per_query.len() / 2],
             per_query[per_query.len() - 1],
             entry.catalog_len(),
             entry.catalog_bytes()
         )
         .unwrap();
+        p50
     };
-    pass("cold", false, ledger);
-    pass("hot", true, ledger);
+    let cold = pass("cold", false, ledger);
+    let hot = pass("hot", true, ledger);
+    assert!(
+        hot < cold,
+        "a hit ({hot} calls at p50) costs a miss's ({cold})"
+    );
 
     stage_churn_commit(&entry, &graph);
     let (outcome, committed) = cost(|| engine.commit(DATASET).unwrap());
@@ -802,10 +861,11 @@ fn served(ledger: &mut String) {
 type Scenario = fn(&mut String);
 
 /// The scenarios in ledger order, by the prefix of their lines.
-pub const SCENARIOS: [(&str, Scenario); 8] = [
+pub const SCENARIOS: [(&str, Scenario); 9] = [
     ("kernel", kernel),
     ("tree_dp", tree_dp),
     ("ceg_o", ceg_o),
+    ("canon", canon),
     ("cache", cache),
     ("catalog", catalog),
     ("snapshot", snapshot),

@@ -79,7 +79,7 @@ fn concurrent_clients_get_identical_estimates_and_cache_hits() {
     server.shutdown();
 }
 
-/// The cache key is the renaming-invariant canonical hash: a client
+/// The cache key is the query's certificate, renaming-invariant: a client
 /// sending a variable-renamed version of an already-served query gets a
 /// cache hit with the identical estimate.
 #[test]
