@@ -3,16 +3,18 @@
 //! A `.cegsnap` file is a sequence of checksummed sections behind a fixed
 //! header, designed so a restart can skip text parsing and neighbour-list
 //! sorting entirely. The graph section stores each relation once,
-//! forward, as LEB128 gaps between sorted ids (`write_graph`); the
-//! decoder reads them into one relation's row ids, offsets and targets
-//! at a time, cuts those into the pages the graph keeps, and derives the
-//! backward index by one counting [`Csr::transpose`]. The catalog section
-//! (`ceg-catalog::io`) is coded with the same LEB128 varints, through the
-//! same [`ChunkedWriter`] and [`ChunkedReader`]:
+//! forward, as a bit stream of gap codes (`write_graph`): Elias-γ for
+//! the row-id gaps and degrees, Rice for the target gaps with a
+//! parameter both sides derive from the row's degree. The decoder reads
+//! them into one relation's row ids, offsets and targets at a time, cuts
+//! those into the pages the graph keeps, and derives the backward index
+//! by one counting [`Csr::transpose`]. The catalog section
+//! (`ceg-catalog::io`) and the log's records are coded as LEB128
+//! varints, through the same [`ChunkedWriter`] and [`ChunkedReader`]:
 //!
 //! ```text
 //! magic   8 bytes  b"CEGSNAP\0"
-//! version u32 LE   format version (currently 4)
+//! version u32 LE   format version (currently 5)
 //! section*:
 //!   tag      4 bytes   b"GRPH" | b"MRKV" | b"EPOC" | future tags
 //!   len      u64 LE    payload length in bytes
@@ -53,8 +55,8 @@
 //! than its section has left — each is checked before anything is
 //! allocated for it.
 //!
-//! This module owns the container, the varint codec every payload is
-//! coded with and the `GRPH`/`EPOC` payload codecs; `ceg-catalog::io`
+//! This module owns the container, the varint codec the catalog and the
+//! log are coded with and the `GRPH`/`EPOC` payload codecs; `ceg-catalog::io`
 //! adds the `MRKV` codec and the combined graph+catalog+epoch snapshot
 //! used by the service.
 
@@ -73,12 +75,20 @@ pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 
 /// Current container format version. Version 2 stored each relation's
 /// rows, offsets and targets as raw `u32`s in both directions; version 3
-/// stores each relation once, forward, as the LEB128 gaps of
-/// `write_graph` (about a quarter of the bytes); version 4 codes the
-/// `MRKV` catalog entries as LEB128 varints too, each against the
-/// leading edges it shares with the entry before it. There is no reader
-/// for versions 1 to 3: re-bootstrap from the `.edges` file.
-pub const FORMAT_VERSION: u32 = 4;
+/// stored each relation once, forward, as LEB128 gaps (about a quarter
+/// of the bytes); version 4 coded the `MRKV` catalog entries as LEB128
+/// varints too, each against the leading edges it shares with the entry
+/// before it. Version 5 codes each relation of `GRPH` as one bit stream
+/// (the layout is at `write_graph`): a row header is two Elias-γ codes,
+/// so a gap of 0 and a degree of 1 cost a bit each where a varint cost a
+/// byte, and a row's targets are Rice codes with `k = ⌊log2(num_vertices
+/// / degree)⌋`, close to the entropy of `degree` ids spread over the
+/// domain and derived, so never stored or tuned. The cost ledger's
+/// `snapshot.sections.*` lines (`tests/cost/mod.rs`) pin the bytes each
+/// section costs on the benchmark's seeded graphs and catalog.
+/// There is no reader for versions 1 to 4: rebuild from the `.edges`
+/// file.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Section tag: the rebased CSR relations of a [`LabeledGraph`].
 pub const TAG_GRAPH: [u8; 4] = *b"GRPH";
@@ -629,63 +639,244 @@ impl<'w, W: Write + ?Sized> ChunkedWriter<'w, W> {
     }
 }
 
-/// Hand `f` the varints one relation writes after its two counts, in
-/// order: per row the gap from the previous row id, the degree less one,
-/// and the gaps between its targets. A gap is the value minus the
-/// previous value minus 1, with -1 before the first row id and before
-/// each row's first target.
-fn relation_varints<E>(csr: &Csr, mut f: impl FnMut(u32) -> Result<(), E>) -> Result<(), E> {
-    // The previous value plus 1; it wraps only past the last id of a
-    // full 2^32 domain, where nothing follows.
-    let mut next_row = 0u32;
+/// One code of a relation's bit stream: `zeros` zeros, a one, then the
+/// `width` low bits of `low`. Bits go out least significant first, so a
+/// reader takes them from the low end of a little-endian word.
+#[derive(Clone, Copy)]
+struct Code {
+    zeros: u64,
+    low: u64,
+    width: u32,
+}
+
+impl Code {
+    /// Elias-γ of `x >= 1`: `⌊log2 x⌋` zeros, a one, then the bits of
+    /// `x` below its leading one.
+    fn gamma(x: u64) -> Code {
+        let n = x.ilog2();
+        Code {
+            zeros: n.into(),
+            low: x & !(u64::MAX << n),
+            width: n,
+        }
+    }
+
+    /// Rice of `v` with parameter `k`: the quotient `v >> k` in unary,
+    /// then the `k` low bits of `v`.
+    fn rice(v: u64, k: u32) -> Code {
+        Code {
+            zeros: v >> k,
+            low: v & !(u64::MAX << k),
+            width: k,
+        }
+    }
+
+    /// Bits the code takes in the stream.
+    fn bits(self) -> u64 {
+        self.zeros + 1 + u64::from(self.width)
+    }
+}
+
+/// The Rice parameter of a row of `degree` targets in a domain of
+/// `num_vertices` (`1 <= degree <= num_vertices`): `⌊log2(num_vertices /
+/// degree)⌋`, the parameter whose codes a row with evenly spread
+/// targets is shortest in. Both sides derive it, so it is never stored.
+/// It is the largest `k` with `degree << k <= num_vertices`: the
+/// difference of the two logs, or one less (no division per row).
+#[inline]
+fn rice_k(num_vertices: u64, degree: u64) -> u32 {
+    let k = num_vertices.ilog2() - degree.ilog2();
+    k - u32::from(degree << k > num_vertices)
+}
+
+/// Where [`relation_codes`] hands a relation's codes.
+trait CodeSink {
+    type Error;
+    /// Take the next code.
+    fn code(&mut self, code: Code) -> Result<(), Self::Error>;
+    /// A point between codes where a writer can pass its chunk on: after
+    /// each row, and after every [`TARGETS_PER_PAUSE`] targets of one.
+    fn pause(&mut self) -> Result<(), Self::Error>;
+}
+
+/// Most targets a row hands a [`CodeSink`] between two pauses.
+const TARGETS_PER_PAUSE: usize = 256;
+
+/// Hand `sink` the codes of one relation's bit stream, in order: per
+/// row the γ of its id's gap plus one, the γ of its degree, and the
+/// Rice codes of the gaps between its targets. A gap is the value minus
+/// the previous value minus 1, with -1 before the first row id and
+/// before each row's first target.
+fn relation_codes<S: CodeSink>(csr: &Csr, num_vertices: u64, sink: &mut S) -> Result<(), S::Error> {
+    // The previous value plus 1.
+    let mut next_row = 0u64;
     for (v, row) in csr.rows() {
-        f(v - next_row)?;
-        next_row = v.wrapping_add(1);
-        f(row.len() as u32 - 1)?;
-        let mut next = 0u32;
-        for &t in row {
-            f(t - next)?;
-            next = t.wrapping_add(1);
+        let v = u64::from(v);
+        sink.code(Code::gamma(v - next_row + 1))?;
+        next_row = v + 1;
+        let degree = row.len() as u64;
+        sink.code(Code::gamma(degree))?;
+        let k = rice_k(num_vertices, degree);
+        let mut next = 0u64;
+        for part in row.chunks(TARGETS_PER_PAUSE) {
+            for &t in part {
+                let t = u64::from(t);
+                sink.code(Code::rice(t - next, k))?;
+                next = t + 1;
+            }
+            sink.pause()?;
         }
     }
     Ok(())
 }
 
-/// Exact length in bytes of the `GRPH` payload `write_graph` writes
-/// for `graph`: one sizing pass over the varints it will write.
-pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
-    let mut len = 16;
-    for (fwd, _) in graph.csr_pairs() {
-        len += 16;
-        let Ok(()) = relation_varints::<Infallible>(fwd, |v| {
-            len += varint_len(v.into());
-            Ok(())
-        });
+/// A [`CodeSink`] that counts bits.
+struct BitCount(u64);
+
+impl CodeSink for BitCount {
+    type Error = Infallible;
+
+    fn code(&mut self, code: Code) -> Result<(), Infallible> {
+        self.0 += code.bits();
+        Ok(())
     }
-    len
+
+    fn pause(&mut self) -> Result<(), Infallible> {
+        Ok(())
+    }
 }
 
-/// Write a graph as a `GRPH` payload: each relation once, forward, its
-/// row ids and targets as LEB128 gaps — the file costs the edges and
-/// rows, never the vertex domain, and holds no backward index (the
-/// reader derives it with [`Csr::transpose`]). The rows are read in
-/// place; nothing the size of the graph is built.
+/// Bytes of one relation's bit stream, padded to a whole byte.
+fn relation_bytes(csr: &Csr, num_vertices: u64) -> u64 {
+    let mut bits = BitCount(0);
+    let Ok(()) = relation_codes(csr, num_vertices, &mut bits);
+    bits.0.div_ceil(8)
+}
+
+/// Exact length in bytes of the `GRPH` payload `write_graph` writes
+/// for `graph`: one sizing pass over the codes it will write.
+pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
+    let num_vertices = graph.num_vertices() as u64;
+    16 + graph
+        .csr_pairs()
+        .map(|(fwd, _)| 16 + relation_bytes(fwd, num_vertices))
+        .sum::<u64>()
+}
+
+/// The bits of a payload on their way into a [`ChunkedWriter`]'s chunk,
+/// least significant first, a byte as soon as it is whole.
+struct BitWriter<'c, 'w, W: ?Sized> {
+    out: &'c mut ChunkedWriter<'w, W>,
+    /// Bits not yet in the chunk, the next one lowest; fewer than 8.
+    acc: u64,
+    len: u32,
+}
+
+/// Chunk bytes past which a [`BitWriter`] writes the chunk out: what
+/// the codes of a pause's targets and row header add (at most 32 bits
+/// each, 8 bytes stored past the end) then still fits the chunk's
+/// capacity, so it is never reallocated.
+const BIT_CHUNK: usize = CHUNK - 4 * (TARGETS_PER_PAUSE + 2) - 8;
+
+impl<W: Write + ?Sized> BitWriter<'_, '_, W> {
+    /// The `n <= 32` low bits of `bits` (the bits above them are zero).
+    /// The accumulator is stored whole on every call and the chunk keeps
+    /// the bytes that are complete, so no branch waits on a full word.
+    #[inline]
+    fn put(&mut self, bits: u64, n: u32) {
+        self.acc |= bits << self.len;
+        let len = self.len + n;
+        let at = self.out.chunk.len();
+        self.out.chunk.extend_from_slice(&self.acc.to_le_bytes());
+        self.out.chunk.truncate(at + (len / 8) as usize);
+        self.acc >>= len & !7;
+        self.len = len % 8;
+    }
+
+    /// Write the chunk once it holds [`BIT_CHUNK`] bytes.
+    fn drain(&mut self) -> io::Result<()> {
+        let chunk = &mut self.out.chunk;
+        if chunk.len() >= BIT_CHUNK {
+            self.out.out.write_all(chunk)?;
+            chunk.clear();
+        }
+        Ok(())
+    }
+
+    /// A code of more than 32 bits: its zeros 32 at a time, draining the
+    /// chunk between them.
+    #[inline(never)]
+    fn long_code(&mut self, code: Code) -> io::Result<()> {
+        let mut zeros = code.zeros;
+        while zeros >= 32 {
+            self.put(0, 32);
+            self.drain()?;
+            zeros -= 32;
+        }
+        self.put(1 << zeros, zeros as u32 + 1);
+        self.put(code.low, code.width);
+        self.drain()
+    }
+
+    /// Write what is left, the last byte padded with zeros.
+    fn finish(self) {
+        if self.len > 0 {
+            self.out.chunk.push(self.acc as u8);
+        }
+    }
+}
+
+impl<W: Write + ?Sized> CodeSink for BitWriter<'_, '_, W> {
+    type Error = io::Error;
+
+    /// One code (`width <= 32`), in one `put` when it fits one.
+    #[inline]
+    fn code(&mut self, code: Code) -> io::Result<()> {
+        if code.bits() <= 32 {
+            let zeros = code.zeros as u32;
+            self.put((code.low << 1 | 1) << zeros, zeros + 1 + code.width);
+            return Ok(());
+        }
+        self.long_code(code)
+    }
+
+    fn pause(&mut self) -> io::Result<()> {
+        self.drain()
+    }
+}
+
+/// Write a graph as a `GRPH` payload: each relation once, forward, as a
+/// bit stream of gap codes — the file costs the edges and rows, never
+/// the vertex domain, and holds no backward index (the reader derives it
+/// with [`Csr::transpose`]). The rows are read in place; nothing the size
+/// of the graph is built.
 ///
 /// ```text
 /// u64 num_vertices, u64 num_labels
-/// per label: u64 num_rows, u64 num_edges, then per row, ascending:
-///   varint(row-id gap), varint(degree - 1), varint(target gap) * degree
+/// per label: u64 num_rows, u64 num_edges, then one bit stream, zero-padded
+///   to a whole byte, holding per row, ascending:
+///     γ(row-id gap + 1)  γ(degree)  rice_k(target gap) * degree
+///     k = ⌊log2(num_vertices / degree)⌋
 /// gap = value - previous value - 1 (previous = -1 before the first row
 ///       id and before each row's first target)
 /// ```
 fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
+    let num_vertices = graph.num_vertices() as u64;
     let mut w = ChunkedWriter::new(out);
-    w.u64(graph.num_vertices() as u64)?;
+    w.u64(num_vertices)?;
     w.u64(graph.num_labels() as u64)?;
     for (fwd, _) in graph.csr_pairs() {
         w.u64(fwd.num_active() as u64)?;
         w.u64(fwd.num_edges() as u64)?;
-        relation_varints(fwd, |v| w.varint(v.into()))?;
+        let mut bits = BitWriter {
+            out: &mut w,
+            acc: 0,
+            len: 0,
+        };
+        bits.drain()?;
+        relation_codes(fwd, num_vertices, &mut bits)?;
+        bits.finish();
+        w.spill()?;
     }
     w.finish()
 }
@@ -794,10 +985,9 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
         self.long_varint(what)
     }
 
-    /// [`ChunkedReader::varint`] past its one-byte case. Kept out of
-    /// line so the decode loops stay small: inlined, it made the decode
-    /// of the `g100k` graph section ~1.3x slower (2.4 ms against 1.8 on
-    /// a 2 vCPU Xeon).
+    /// [`ChunkedReader::varint`] past its one-byte case, kept out of
+    /// line so the loops that call `varint` (the `MRKV` entries, the
+    /// WAL's records) inline only the one-byte case.
     #[inline(never)]
     fn long_varint<T: TryFrom<u64>>(&mut self, what: &str) -> io::Result<T> {
         let bits = 8 * std::mem::size_of::<T>();
@@ -826,13 +1016,194 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
             bad(format!("{what}: overlong varint"))
         })
     }
+}
 
-    /// One relation: its two counts, then its rows. The counts are held
-    /// to the bytes left before anything is allocated for them — a row
-    /// costs at least its two varints, an edge at least one byte — so
-    /// what this allocates is at most 4 bytes per byte of the payload.
-    /// Every id is checked against the domain as it is decoded; strictly
-    /// increasing ids and non-empty rows hold by construction.
+/// The bits of a payload, least significant first, read a word at a
+/// time from a [`ChunkedReader`]'s buffer into a 64-bit accumulator.
+/// Every read is checked against the payload's end, and a unary run
+/// against a limit as well, so no code makes a loop run past either.
+struct BitReader<'r, R> {
+    bytes: ChunkedReader<'r, R>,
+    /// Bits taken from the payload and not yet decoded, the next one
+    /// lowest; the bits above `len` are zero.
+    acc: u64,
+    len: u32,
+}
+
+impl<R: Read> BitReader<'_, R> {
+    /// Bits of the payload not yet decoded.
+    fn remaining(&self) -> u64 {
+        u64::from(self.len) + 8 * self.bytes.remaining()
+    }
+
+    /// Top the accumulator up with whole bytes, to more than 56 bits
+    /// unless the payload ends first.
+    #[inline]
+    fn refill(&mut self) -> io::Result<()> {
+        if self.len > 56 {
+            return Ok(());
+        }
+        let len = self.len;
+        let take = (64 - len) / 8;
+        let word = match self.bytes.buf.get(self.bytes.at..self.bytes.end) {
+            Some(avail) => avail.first_chunk::<8>().copied(),
+            None => None,
+        };
+        if let Some(word) = word {
+            self.acc |= (u64::from_le_bytes(word) & (u64::MAX >> (64 - 8 * take))) << len;
+            self.bytes.at += take as usize;
+            self.len += 8 * take;
+            return Ok(());
+        }
+        self.refill_slow()
+    }
+
+    /// [`BitReader::refill`] with fewer than 8 bytes in the buffer: top
+    /// it up, then take what fits a byte at a time.
+    #[inline(never)]
+    fn refill_slow(&mut self) -> io::Result<()> {
+        let avail = self.bytes.fill(8)?;
+        let take = avail.len().min(((64 - self.len) / 8) as usize);
+        for &b in avail.iter().take(take) {
+            self.acc |= u64::from(b) << self.len;
+            self.len += 8;
+        }
+        self.bytes.at += take;
+        Ok(())
+    }
+
+    fn consume(&mut self, n: u32) {
+        self.acc = self.acc.checked_shr(n).unwrap_or(0);
+        self.len -= n;
+    }
+
+    /// [`BitReader::consume`] of `1 <= n <= 64` bits, without a branch.
+    #[inline]
+    fn consume_code(&mut self, n: u32) {
+        self.acc = self.acc >> (n - 1) >> 1;
+        self.len -= n;
+    }
+
+    /// The next `n <= 32` bits as a number, the first one lowest.
+    #[inline]
+    fn bits(&mut self, n: u32, what: &str) -> io::Result<u64> {
+        self.refill()?;
+        if self.len < n {
+            return Err(bad(format!("truncated payload: {what} ends inside a code")));
+        }
+        let v = self.acc & !(u64::MAX << n);
+        self.consume(n);
+        Ok(v)
+    }
+
+    /// The zeros before the next one, which is consumed with them. A run
+    /// of more than `limit` zeros is the error `past` makes as soon as it
+    /// has passed `limit`, and a run the payload ends inside is an error
+    /// too.
+    #[inline]
+    fn unary(&mut self, limit: u64, what: &str, past: impl Fn() -> io::Error) -> io::Result<u64> {
+        let mut zeros = 0u64;
+        loop {
+            self.refill()?;
+            if self.acc != 0 {
+                let run = self.acc.trailing_zeros();
+                zeros += u64::from(run);
+                if zeros > limit {
+                    return Err(past());
+                }
+                self.consume(run + 1);
+                return Ok(zeros);
+            }
+            if self.len == 0 {
+                return Err(bad(format!(
+                    "truncated payload: {what} has a unary run past the payload's end"
+                )));
+            }
+            zeros += u64::from(self.len);
+            self.consume(self.len);
+            if zeros > limit {
+                return Err(past());
+            }
+        }
+    }
+
+    /// A code of `zeros_limit()` zeros at most, then a one and
+    /// `width(zeros)` low bits: `(zeros, low bits)`. A code the
+    /// accumulator holds whole is taken from it in one step; its run is
+    /// not held to the limit, because a run past the limit gives a value
+    /// past the bound its caller checks (and only a run the accumulator
+    /// holds is taken).
+    #[inline]
+    fn code(
+        &mut self,
+        width: impl Fn(u32) -> u32,
+        zeros_limit: impl Fn() -> u64,
+        what: &str,
+        past: impl Fn() -> io::Error,
+    ) -> io::Result<(u64, u64)> {
+        self.refill()?;
+        // At most 63 when the accumulator holds a one.
+        let zeros = self.acc.trailing_zeros();
+        let n = width(zeros);
+        if zeros + 1 + n <= self.len {
+            let low = (self.acc >> zeros >> 1) & !(u64::MAX << n);
+            self.consume_code(zeros + 1 + n);
+            return Ok((zeros.into(), low));
+        }
+        self.code_slow(zeros_limit(), &width, what, &past)
+    }
+
+    /// [`BitReader::code`] for a code the accumulator does not hold
+    /// whole: a long unary run, or one the buffer's end cuts.
+    #[inline(never)]
+    fn code_slow(
+        &mut self,
+        zeros_limit: u64,
+        width: &dyn Fn(u32) -> u32,
+        what: &str,
+        past: &dyn Fn() -> io::Error,
+    ) -> io::Result<(u64, u64)> {
+        let zeros = self.unary(zeros_limit, what, past)?;
+        let low = self.bits(width(zeros as u32), what)?;
+        Ok((zeros, low))
+    }
+
+    /// An Elias-γ code of a value of at most `max`.
+    #[inline]
+    fn gamma(&mut self, max: u64, what: &str, past: impl Fn() -> io::Error) -> io::Result<u64> {
+        let limit = max.checked_ilog2().ok_or_else(&past)?;
+        let (n, low) = self.code(|n| n, || limit.into(), what, &past)?;
+        let x = (1 << n) | low;
+        if x > max {
+            return Err(past());
+        }
+        Ok(x)
+    }
+
+    /// A `u64`, little-endian, at a byte boundary.
+    fn u64(&mut self, what: &str) -> io::Result<u64> {
+        let low = self.bits(32, what)?;
+        Ok(low | self.bits(32, what)? << 32)
+    }
+
+    /// Skip to the next byte boundary; the bits skipped must be zero.
+    fn align(&mut self, what: &str) -> io::Result<()> {
+        let pad = self.len % 8;
+        if self.acc & !(u64::MAX << pad) != 0 {
+            return Err(bad(format!("{what}: padding bits are not zero")));
+        }
+        self.consume(pad);
+        Ok(())
+    }
+
+    /// One relation: its two counts, then its bit stream. The counts are
+    /// held to the bits left before anything is allocated for them — a
+    /// row costs at least its two γ codes of one bit, an edge at least
+    /// the one bit that ends its unary quotient — so what this allocates
+    /// is at most 4 bytes per bit of the payload. Every id is checked
+    /// against the domain as it is decoded, and every unary run stops as
+    /// soon as it could only name an id past it; strictly increasing ids
+    /// and non-empty rows hold by construction.
     fn relation(&mut self, label: usize, num_vertices: u64) -> io::Result<Relation> {
         let what = format!("label {label}");
         let num_rows = self.u64(&what)?;
@@ -844,7 +1215,7 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
         {
             return Err(bad(format!(
                 "{what}: {num_rows} rows and {num_edges} edges over {num_vertices} vertices \
-                 do not fit the {left} bytes left"
+                 do not fit the {left} bits left"
             )));
         }
         let mut rows = Vec::with_capacity(num_rows as usize);
@@ -853,25 +1224,39 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
         let mut targets = Vec::with_capacity(num_edges as usize);
         let mut next_row = 0u64;
         for _ in 0..num_rows {
-            let v = next_row + u64::from(self.varint::<u32>(&what)?);
-            if v >= num_vertices {
+            let past = || {
+                bad(format!(
+                    "{what}: a row id past the domain of {num_vertices}"
+                ))
+            };
+            let v = next_row + self.gamma(num_vertices - next_row, &what, past)? - 1;
+            let past = || bad(format!("{what}: a degree past 2^32"));
+            let degree = self.gamma(1 << 32, &what, past)?;
+            if degree > num_vertices {
                 return Err(bad(format!(
-                    "{what}: row id {v} is past the domain of {num_vertices}"
+                    "{what}: degree {degree} of row {v} is above the domain of {num_vertices}"
                 )));
             }
-            let degree = u64::from(self.varint::<u32>(&what)?) + 1;
             if targets.len() as u64 + degree > num_edges {
                 return Err(bad(format!(
                     "{what}: degree {degree} of row {v} overruns num_edges {num_edges}"
                 )));
             }
+            let k = rice_k(num_vertices, degree);
+            let past = || {
+                bad(format!(
+                    "{what}: a target of row {v} past the domain of {num_vertices}"
+                ))
+            };
             let mut next = 0u64;
             for _ in 0..degree {
-                let t = next + u64::from(self.varint::<u32>(&what)?);
+                // A Rice code; a quotient past this limit carries the
+                // target past the domain.
+                let limit = || (num_vertices - next).saturating_sub(1) >> k;
+                let (q, low) = self.code(|_| k, limit, &what, past)?;
+                let t = next + (q << k | low);
                 if t >= num_vertices {
-                    return Err(bad(format!(
-                        "{what}: target {t} is past the domain of {num_vertices}"
-                    )));
+                    return Err(past());
                 }
                 targets.push(t as VertexId);
                 next = t + 1;
@@ -886,6 +1271,7 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
                 targets.len()
             )));
         }
+        self.align(&what)?;
         Ok(Relation {
             rows,
             offsets,
@@ -894,25 +1280,29 @@ impl<'r, R: Read> ChunkedReader<'r, R> {
     }
 }
 
-/// Read a `GRPH` payload. Every count is bounded by the bytes the
-/// payload has left before anything is allocated for it (and the row
-/// count by the domain as well), so what this allocates the payload
-/// fills: a hostile count fails here, it never reaches an allocation or
-/// an overflowing multiply. Every varint, row id and target is checked
-/// as it is decoded. Nothing sized by a *value* is built — that is
+/// Read a `GRPH` payload. Every count is bounded by the bits the payload
+/// has left before anything is allocated for it (and the row count by
+/// the domain as well), so what this allocates the payload fills: a
+/// hostile count fails here, it never reaches an allocation or an
+/// overflowing multiply. Every code, row id and target is checked as it
+/// is decoded. Nothing sized by a *value* is built — that is
 /// `GraphArrays::into_graph`, after the checksum.
 fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays> {
     let num_vertices = r.count("num_vertices", VertexId::MAX as usize + 1)?;
     // Two counts: a label costs at least 16 bytes.
     let num_labels = r.count("num_labels", MAX_LABELS.min(r.room_for(16)))?;
-    let mut r = ChunkedReader::new(r);
+    let mut r = BitReader {
+        bytes: ChunkedReader::new(r),
+        acc: 0,
+        len: 0,
+    };
     let relations = (0..num_labels)
         .map(|label| r.relation(label, num_vertices as u64))
         .collect::<io::Result<Vec<_>>>()?;
     if r.remaining() != 0 {
         return Err(bad(format!(
             "graph payload has {} trailing bytes",
-            r.remaining()
+            r.remaining() / 8
         )));
     }
     Ok(GraphArrays {
@@ -974,7 +1364,11 @@ pub fn read_sections<M>(
     while r
         .next_section(|tag, body| {
             match tag {
-                TAG_GRAPH => arrays = Some(decode_graph(body)?),
+                // Held until the checksum has been compared: the codes
+                // take their Rice parameters from the declared domain, so
+                // one flipped bit there misreads every target after it,
+                // and the checksum is what names that.
+                TAG_GRAPH => arrays = Some(decode_graph(body)),
                 TAG_EPOCH => epoch = Some(decode_epoch(body)?),
                 TAG_MARKOV => catalog = Some(markov(body)?),
                 _ => {} // unknown section: skip (forward compatibility)
@@ -985,7 +1379,7 @@ pub fn read_sections<M>(
     {
         // The section has passed its checksum: its arrays may be believed.
         if let Some(arrays) = arrays.take() {
-            graph = Some(arrays.into_graph());
+            graph = Some(arrays?.into_graph());
         }
     }
     let graph = graph.ok_or_else(|| bad("snapshot has no graph section"))?;
@@ -1005,39 +1399,69 @@ mod tests {
         buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// LEB128, any width: seven bits per byte, low first.
-    fn put_leb(buf: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let low = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(low);
-                return;
-            }
-            buf.push(low | 0x80);
+    /// A bit stream built one bit at a time, each byte filled from its
+    /// lowest bit, zero-padded: the oracle the codec is held to, and how
+    /// a test spells out a payload that lies.
+    #[derive(Default, Clone)]
+    struct Bits(Vec<bool>);
+
+    impl Bits {
+        /// The `n` low bits of `v`, lowest first.
+        fn raw(mut self, v: u64, n: u32) -> Self {
+            self.0.extend((0..n).map(|i| v >> i & 1 == 1));
+            self
+        }
+
+        fn zeros(mut self, n: u64) -> Self {
+            self.0.extend((0..n).map(|_| false));
+            self
+        }
+
+        /// Elias-γ of `x >= 1`: `⌊log2 x⌋` zeros, a one, the bits below
+        /// the leading one.
+        fn gamma(self, x: u64) -> Self {
+            let n = x.ilog2();
+            self.zeros(n.into()).raw(1, 1).raw(x, n)
+        }
+
+        /// Rice of `v` with parameter `k`: the quotient in unary, then
+        /// `k` low bits.
+        fn rice(self, v: u64, k: u32) -> Self {
+            self.zeros(v >> k).raw(1, 1).raw(v, k)
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            self.0
+                .chunks(8)
+                .map(|c| c.iter().rev().fold(0u8, |b, &bit| b << 1 | u8::from(bit)))
+                .collect()
         }
     }
 
     /// The `GRPH` payload built whole, in memory, field by field as the
     /// format lists them: the oracle `write_graph` is held to.
     fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
+        let n = graph.num_vertices() as u64;
         let mut buf = Vec::new();
-        put_u64(&mut buf, graph.num_vertices() as u64);
+        put_u64(&mut buf, n);
         put_u64(&mut buf, graph.num_labels() as u64);
         for l in 0..graph.num_labels() as u16 {
             put_u64(&mut buf, graph.distinct_sources(l) as u64);
             put_u64(&mut buf, graph.label_count(l) as u64);
+            let mut bits = Bits::default();
             let mut prev_row = -1i64;
             for (v, row) in graph.rows(l, false) {
-                put_leb(&mut buf, (i64::from(v) - prev_row - 1) as u64);
-                put_leb(&mut buf, row.len() as u64 - 1);
+                bits = bits.gamma((i64::from(v) - prev_row) as u64);
+                bits = bits.gamma(row.len() as u64);
+                let k = (n / row.len() as u64).ilog2();
                 let mut prev = -1i64;
                 for &t in row {
-                    put_leb(&mut buf, (i64::from(t) - prev - 1) as u64);
+                    bits = bits.rice((i64::from(t) - prev - 1) as u64, k);
                     prev = t.into();
                 }
                 prev_row = v.into();
             }
+            buf.extend(bits.bytes());
         }
         buf
     }
@@ -1171,11 +1595,16 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_section_file_errors() {
+        let graph = sample();
         let mut file = Vec::new();
         let mut w = SnapshotWriter::new(&mut file).unwrap();
-        w.write_section(TAG_EPOCH, &7u64.to_le_bytes()).unwrap();
+        write_graph_sections(&mut w, &graph, 7).unwrap();
         w.finish().unwrap();
-        // Cuts inside the header fail at `new`; cuts inside the section
+        // Header, the `EPOC` section, then the `GRPH` frame's tag and
+        // length: every prefix of the graph payload is one of the cuts.
+        let grph = 12 + 28 + 12..file.len() - 8;
+        assert_eq!(grph.len() as u64, graph_payload_len(&graph));
+        // Cuts inside the header fail at `new`; cuts inside a section
         // fail at `next_section`. The one boundary cut (exactly the
         // 12-byte header) is a legal empty snapshot, so start past it.
         for cut in 1..12 {
@@ -1184,12 +1613,39 @@ mod tests {
                 "header truncation at {cut} bytes must error"
             );
         }
+        let epoch_end = 12 + 28;
         for cut in 13..file.len() {
-            let r = reader(&file[..cut])
-                .and_then(|mut r| next_raw(&mut r))
-                .map(|_| ());
-            assert!(r.is_err(), "truncation at {cut} bytes must error");
+            let graph = reader(&file[..cut]).and_then(|mut r| {
+                let mut graph = None;
+                while r
+                    .next_section(|tag, body| {
+                        if tag == TAG_GRAPH {
+                            graph = Some(decode_graph(body)?);
+                        }
+                        Ok(())
+                    })?
+                    .is_some()
+                {}
+                Ok(graph)
+            });
+            if cut == epoch_end {
+                // The cut after `EPOC` is a legal container without a graph.
+                assert!(
+                    matches!(graph, Ok(None)),
+                    "the cut after EPOC must read no graph"
+                );
+            } else {
+                assert!(graph.is_err(), "truncation at {cut} bytes must error");
+            }
         }
+        // And the payload alone, cut anywhere, fails to decode.
+        for cut in grph.clone() {
+            assert!(
+                decode(&file[grph.start..cut]).is_err(),
+                "payload cut at {cut}"
+            );
+        }
+        assert!(decode(&file[grph]).is_ok());
     }
 
     #[test]
@@ -1227,35 +1683,29 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(decode(&long).is_err());
-        // An out-of-range target vertex: the last byte is the gap of the
-        // sample's 4 -2-> 0 target.
-        let mut bad_target = good.clone();
-        *bad_target.last_mut().unwrap() = 0x7f;
-        assert!(decode(&bad_target).is_err());
-    }
-
-    /// LEB128 encodings of `values`, one after another.
-    fn lebs(values: &[u64]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        values.iter().for_each(|&v| put_leb(&mut buf, v));
-        buf
+        // The last byte holds the last bit of the sample's 4 -2-> 0 row
+        // (γ(5) γ(1) rice_2(0) is 9 bits) and 7 bits of padding.
+        let mut padded = good.clone();
+        *padded.last_mut().unwrap() |= 0x80;
+        let err = decode(&padded).unwrap_err();
+        assert!(err.to_string().contains("padding"), "{err}");
     }
 
     /// A one-label `GRPH` payload over `num_vertices`, field by field, so
     /// a test can lie in any of them.
-    fn one_label(num_vertices: u64, num_rows: u64, num_edges: u64, body: &[u8]) -> Vec<u8> {
+    fn one_label(num_vertices: u64, num_rows: u64, num_edges: u64, body: &Bits) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, num_vertices);
         put_u64(&mut buf, 1);
         put_u64(&mut buf, num_rows);
         put_u64(&mut buf, num_edges);
-        buf.extend_from_slice(body);
+        buf.extend(body.bytes());
         buf
     }
 
     /// Decoding must fail with `InvalidData` or `UnexpectedEof` — an
-    /// error, not a panic — naming label 0.
-    fn assert_rejected(payload: &[u8], because: &str) {
+    /// error, not a panic — naming label 0 and saying `why`.
+    fn assert_rejected(payload: &[u8], because: &str, why: &str) {
         let err = decode(payload).expect_err(because);
         assert!(
             matches!(
@@ -1265,113 +1715,181 @@ mod tests {
             "{because}: {err}"
         );
         assert!(
-            err.to_string().contains("label 0"),
-            "{because}: error must name the label: {err}"
+            err.to_string().contains("label 0") && err.to_string().contains(why),
+            "{because}: error must name the label and say {why:?}: {err}"
         );
     }
 
-    /// The honest relation {0->1, 0->2, 3->1} over five vertices: row 0
-    /// (gap 0, degree 2, targets 1 and 2), row 3 (gap 2, degree 1,
-    /// target 1).
-    const HONEST: [u64; 7] = [0, 1, 1, 0, 2, 0, 1];
+    /// The first row of the honest relation {0->1, 0->2, 3->1} over five
+    /// vertices: row 0 (gap 0, degree 2, so `k = ⌊log2 5/2⌋ = 1`, target
+    /// gaps 1 and 0).
+    fn honest_row_0() -> Bits {
+        Bits::default().gamma(1).gamma(2).rice(1, 1).rice(0, 1)
+    }
+
+    /// The whole honest relation: row 0, then row 3 (gap 2, degree 1, so
+    /// `k = ⌊log2 5⌋ = 2`, target gap 1).
+    fn honest() -> Bits {
+        honest_row_0().gamma(3).gamma(1).rice(1, 2)
+    }
 
     #[test]
     fn hostile_row_directories_are_rejected() {
-        let g = decode(&one_label(5, 2, 3, &lebs(&HONEST))).unwrap();
+        let g = decode(&one_label(5, 2, 3, &honest())).unwrap();
         assert_eq!(g.out_neighbors(0, 0), &[1, 2]);
         assert_eq!(g.out_neighbors(3, 0), &[1]);
         assert_eq!(g.in_neighbors(1, 0), &[0, 3]);
 
-        let lies: [(Vec<u8>, &str); 8] = [
+        let domain = "past the domain";
+        let lies: [(Vec<u8>, &str, &str); 12] = [
             (
-                one_label(5, 2, 3, &lebs(&[0, 1, 1, 0, 4, 0, 1])),
+                one_label(5, 2, 3, &honest_row_0().gamma(5).gamma(1).rice(1, 2)),
                 "a row gap that lands on num_vertices",
+                domain,
             ),
             (
-                one_label(5, 2, 3, &lebs(&[0, 1, 1, 0, 9, 0, 1])),
+                one_label(5, 2, 3, &honest_row_0().gamma(9).gamma(1).rice(1, 2)),
                 "a row gap that lands past num_vertices",
+                domain,
             ),
             (
-                one_label(5, 2, 3, &lebs(&[0, 1, 1, 0, 2, 0, 5])),
+                one_label(5, 2, 3, &honest_row_0().gamma(3).gamma(1).rice(5, 2)),
                 "a first target at num_vertices",
+                domain,
             ),
             (
-                one_label(5, 2, 3, &lebs(&[0, 1, 1, 3, 2, 0, 1])),
+                one_label(
+                    5,
+                    2,
+                    3,
+                    &Bits::default().gamma(1).gamma(2).rice(1, 1).rice(3, 1),
+                ),
                 "a target gap that lands on num_vertices",
+                domain,
             ),
             (
-                one_label(5, 2, 3, &lebs(&[0, 3, 1, 0, 0, 0, 1])),
+                one_label(
+                    5,
+                    1,
+                    1,
+                    &Bits::default().gamma(1).gamma(1).zeros(2).raw(1, 3),
+                ),
+                "a Rice quotient that carries a target past num_vertices",
+                domain,
+            ),
+            (
+                one_label(5, 1, 6, &Bits::default().gamma(1).gamma(6).zeros(12)),
+                "a degree above the domain",
+                "above the domain",
+            ),
+            (
+                one_label(5, 2, 3, &Bits::default().gamma(1).gamma(4).zeros(16)),
                 "a degree that overruns num_edges",
+                "overruns",
             ),
             (
-                one_label(5, 2, 4, &[lebs(&HONEST), vec![0]].concat()),
+                one_label(5, 2, 4, &honest()),
                 "degrees that sum to less than num_edges",
+                "sum to",
             ),
             (
-                one_label(2, 3, 3, &lebs(&[0; 9])),
-                "more rows than vertices",
+                // Row 0, then a gap of 2^32 - 1: an id sum that wrapped at
+                // 32 bits would land on row 0 again.
+                one_label(
+                    1 << 32,
+                    2,
+                    2,
+                    &Bits::default()
+                        .gamma(1)
+                        .gamma(1)
+                        .rice(0, 32)
+                        .gamma(1 << 32)
+                        .gamma(1)
+                        .rice(0, 32),
+                ),
+                "a row-id gap that repeats a row",
+                domain,
             ),
-            (one_label(5, 4, 3, &lebs(&[0; 12])), "more rows than edges"),
+            (
+                // Eight zeros: the row id's unary run has not reached its
+                // limit (32 zeros in a domain of 2^32) when the payload ends.
+                one_label(1 << 32, 1, 1, &Bits::default().zeros(8)),
+                "a unary run that passes the payload's end",
+                "payload's end",
+            ),
+            (
+                one_label(2, 3, 3, &Bits::default().zeros(64)),
+                "more rows than vertices",
+                "do not fit",
+            ),
+            (
+                one_label(5, 4, 3, &Bits::default().zeros(64)),
+                "more rows than edges",
+                "do not fit",
+            ),
         ];
-        for (payload, because) in &lies {
-            assert_rejected(payload, because);
+        for (payload, because, why) in &lies {
+            assert_rejected(payload, because, why);
         }
     }
 
     #[test]
-    fn hostile_varints_are_rejected() {
-        // Row 0's degree - 1 as a six-byte varint (zero, padded).
-        let six = [&[0u8][..], &[0x80; 5], &[0], &lebs(&HONEST[2..])].concat();
-        assert_rejected(&one_label(5, 2, 3, &six), "a 6-byte varint");
-        let six_past = [&[0u8][..], &[0xff; 5], &[0x0f], &lebs(&HONEST[2..])].concat();
-        assert_rejected(&one_label(5, 2, 3, &six_past), "a 6-byte varint, all ones");
-        // Five bytes, the last carrying bits 32 and up.
-        for past in [1u64 << 32, u64::from(u32::MAX) + 7, (1 << 35) - 1] {
-            let body = [lebs(&[past]), lebs(&HONEST[1..])].concat();
-            assert_eq!(body.len(), 5 + HONEST.len() - 1);
-            assert_rejected(&one_label(1 << 32, 2, 3, &body), "a value above u32::MAX");
-        }
-        // A zero in two bytes: decodable, but not the one encoding.
-        let padded = [&[0x80u8, 0x00][..], &lebs(&HONEST[1..])].concat();
-        assert_rejected(&one_label(5, 2, 3, &padded), "a non-minimal varint");
-        // A varint cut by the end of the payload.
-        let cut = [lebs(&HONEST[..6]), vec![0x81]].concat();
+    fn hostile_codes_are_rejected() {
+        // A degree's γ with 33 zeros: longer than any degree a domain of
+        // at most 2^32 vertices has.
+        let long = Bits::default().gamma(1).zeros(33).raw(1, 1).zeros(40);
+        assert_rejected(&one_label(5, 1, 1, &long), "an overlong γ", "past 2^32");
+        // The honest relation with a padding bit set: one encoding per
+        // relation.
+        let mut set = honest().bytes();
+        *set.last_mut().unwrap() |= 0x80;
+        let mut payload = one_label(5, 2, 3, &Bits::default());
+        payload.extend(set);
+        assert_rejected(&payload, "a padding bit set", "padding");
+        // A Rice code cut inside its low bits by the end of the payload.
+        let cut = Bits::default().gamma(1).gamma(1).raw(1, 1).raw(0, 5);
         assert_rejected(
-            &one_label(5, 2, 3, &cut),
-            "a varint the payload ends inside",
+            &one_label(1 << 32, 1, 1, &cut),
+            "a code the payload ends inside",
+            "ends inside a code",
         );
-        // The largest value a `u32` varint holds still decodes (the
-        // arrays only: the graph would be one page at the end of a
-        // page table of 2^20 slots per relation and direction).
-        let max = one_label(1 << 32, 1, 1, &lebs(&[u64::from(u32::MAX), 0, 0]));
-        assert!(decode_graph(&mut PayloadReader::new(&max)).is_ok());
+        // The largest id a domain of 2^32 holds still decodes (the arrays
+        // only: the graph would be one page at the end of a page table of
+        // 2^20 slots per relation and direction).
+        let max = Bits::default()
+            .gamma(1 << 32)
+            .gamma(1)
+            .rice(u64::from(u32::MAX), 32);
+        let arrays = decode_graph(&mut PayloadReader::new(&one_label(1 << 32, 1, 1, &max)));
+        assert_eq!(arrays.unwrap().relations[0].targets, [u32::MAX]);
     }
 
     #[test]
     fn hostile_row_count_cannot_force_allocation() {
         // A domain of 2^32 vertices makes every row count "in range":
-        // the bytes actually remaining must bound it instead, before
-        // anything is allocated for it. A row costs two bytes, an edge
-        // one.
+        // the bits actually remaining must bound it instead, before
+        // anything is allocated for it. A row costs two bits, an edge
+        // one, and the 7 bytes below hold 56.
         for (num_rows, num_edges) in [
             (1u64 << 31, 1u64 << 31),
             (u32::MAX as u64 + 1, u32::MAX as u64 + 1),
             (0, 1 << 31),
             (0, u64::MAX),
             (u64::MAX, u64::MAX),
-            (3, 3),
-            (0, 8),
+            (19, 19),
+            (0, 57),
         ] {
             assert_rejected(
-                &one_label(1 << 32, num_rows, num_edges, &[0; 7]),
+                &one_label(1 << 32, num_rows, num_edges, &Bits::default().zeros(56)),
                 "counts larger than the payload",
+                "bits left",
             );
         }
-        // Seven bytes hold one row of five edges, or two rows of two and
-        // one.
+        // Counts the bits hold reach the codes: an honest relation, and
+        // the one edge of a one-vertex domain in three bits.
         for fits in [
-            one_label(1 << 32, 1, 5, &lebs(&[0, 4, 0, 0, 0, 0, 0])),
-            one_label(1 << 32, 2, 3, &lebs(&HONEST)),
+            one_label(5, 2, 3, &honest()),
+            one_label(1, 1, 1, &Bits::default().gamma(1).gamma(1).rice(0, 0)),
         ] {
             assert!(decode_graph(&mut PayloadReader::new(&fits)).is_ok());
         }
@@ -1379,7 +1897,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_the_last_relation_are_rejected() {
-        let payload = [one_label(5, 2, 3, &lebs(&HONEST)), vec![0]].concat();
+        let payload = [one_label(5, 2, 3, &honest()), vec![0]].concat();
         let err = decode(&payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("1 trailing bytes"), "{err}");
@@ -1394,7 +1912,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(
             err.to_string(),
-            format!("snapshot format version {version} is not supported (this build reads 4)")
+            format!("snapshot format version {version} is not supported (this build reads 5)")
         );
     }
 
@@ -1410,8 +1928,13 @@ mod tests {
 
     #[test]
     fn version_3_header_is_refused() {
-        assert_eq!(FORMAT_VERSION, 4);
         assert_version_refused(3);
+    }
+
+    #[test]
+    fn version_4_header_is_refused() {
+        assert_eq!(FORMAT_VERSION, 5);
+        assert_version_refused(4);
     }
 
     /// Every width round-trips its extremes and the values around each

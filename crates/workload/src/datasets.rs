@@ -329,7 +329,7 @@ mod tests {
     /// The ceiling that keeps graph storage O(|E|): on the benchmark's
     /// `g100k` shape (32 labels, a relation touches ~2 % of the domain)
     /// the in-memory indexes stay within a few words per edge and the
-    /// `GRPH` payload (each relation once, gap-coded: ~2.6 B/edge) within
+    /// `GRPH` payload (each relation once, gap-coded: ~2.1 B/edge) within
     /// one. A per-label, per-direction array over the vertex domain costs
     /// ~140 B/edge here and fails both bounds; raw `u32` ids in both
     /// directions (~13.6) fail the second.

@@ -51,7 +51,9 @@ use cegraph::catalog::markov::count_patterns;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
 use cegraph::exec::{CountBudget, CountPlan, IntersectStrategy, KernelStats, VarConstraints};
-use cegraph::graph::snapshot::{graph_payload_len, varint_len};
+use cegraph::graph::snapshot::{
+    graph_payload_len, varint_len, SnapshotReader, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
+};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use cegraph::service::{DatasetEntry, DatasetRegistry, Engine, EstimateCache, ProbeOutcome};
@@ -594,7 +596,9 @@ fn catalog(ledger: &mut String) {
 /// its peak it holds what it returns plus less than one relation. A
 /// dataset entry stores the graph it is handed and its snapshot streams
 /// that graph in place, beside the one catalog clone it takes to release
-/// the catalog lock.
+/// the catalog lock. Last, the bytes of each section of a snapshot of
+/// the bench's `g10k` and `g100k` graphs and their h = 2 Job + Acyclic
+/// catalog, so a change to a section's codec shows here.
 ///
 /// The writers' bytes and peak follow the length of the temp path (its
 /// directory and the pid in its name), and a `DatasetEntry` is 8 B
@@ -605,16 +609,17 @@ fn snapshot(ledger: &mut String) {
     /// The 64 KiB file buffer, the temp file's name and the like.
     const SLACK: usize = 128 * 1024;
 
-    // A 2.2 MB graph section (450k edges, gap-coded: ids up to 150k
-    // take 3 bytes) beside a 0.2 MB catalog section (30k single-edge
-    // entries, `0 -l-> 1` of cardinality `l`: one byte each for the
-    // shared-edge count and the variables, a varint each for the
+    // A 2.3 MB graph section (900k edges: a row of one edge at every id
+    // of 150k, on six labels) beside a 0.2 MB catalog section (30k
+    // single-edge entries, `0 -l-> 1` of cardinality `l`: one byte each
+    // for the shared-edge count and the variables, a varint each for the
     // cardinality and the label).
-    let n = 150_000u32;
-    let mut b = GraphBuilder::with_labels(n as usize, 3);
+    let (n, labels) = (150_000u32, 6u32);
+    let target = |i: u32, l: u32| (i * 7 + l * 13 + 1) % n;
+    let mut b = GraphBuilder::with_labels(n as usize, labels as usize);
     for i in 0..n {
-        for l in 0..3u32 {
-            b.add_edge(i, (i * 7 + l * 13 + 1) % n, l as u16);
+        for l in 0..labels {
+            b.add_edge(i, target(i, l), l as u16);
         }
     }
     let graph = b.build();
@@ -622,7 +627,16 @@ fn snapshot(ledger: &mut String) {
     for l in 0..30_000u16 {
         table.insert(Pattern::canonical(&[QueryEdge::new(0, 1, l)]), l as u64);
     }
-    let graph_section = graph_payload_len(&graph) as usize;
+    // Each row is a γ(1) for its gap and a γ(1) for its degree, one bit
+    // each, and its target a Rice code with `k = ⌊log2 150k⌋ = 17`: a
+    // one-bit quotient below 2^17, two bits from there, then 17 bits.
+    let relation_bits =
+        |l: u32| -> u64 { (0..n).map(|i| 20 + u64::from(target(i, l) >> 17)).sum() };
+    let graph_section = 16
+        + (0..labels)
+            .map(|l| 16 + relation_bits(l).div_ceil(8))
+            .sum::<u64>() as usize;
+    assert_eq!(graph_payload_len(&graph) as usize, graph_section);
     assert!(graph_section > 2_000_000);
     let catalog_section = 16 + (0..30_000).map(|l| 2 + 2 * varint_len(l)).sum::<u64>() as usize;
     assert_eq!(catalog_section, 206_992);
@@ -656,12 +670,24 @@ fn snapshot(ledger: &mut String) {
     )
     .unwrap();
 
+    // The arrays the decoder fills as the file declares them, per
+    // relation: a row id and an offset per row, one offset more, and a
+    // target per edge.
+    let rows = |l: u32| graph.distinct_sources(l as u16);
+    let arrays: usize = (0..labels)
+        .map(|l| 8 * rows(l) + 4 + 4 * graph.label_count(l as u16))
+        .sum();
+    // No more than 4 bytes per bit of the section: the decoder holds a
+    // relation's counts to the bits left, at two bits per row and one per
+    // edge, before it reserves them.
+    assert!(arrays <= 32 * graph_section);
+
     // Reading it back holds what it returns and, while one relation's
     // row directory is built, that relation's row ids.
     let (clone, cloned) = cost(|| table.clone());
     drop(clone);
     let catalog_bytes = cloned.peak;
-    let largest_relation = graph_section / 3;
+    let largest_relation = (0..labels).map(|l| 4 * rows(l)).max().unwrap();
     let (snap, read) = cost(|| read_snapshot(&path).unwrap());
     assert_eq!(snap.epoch, 7);
     assert_eq!(snap.graph.num_edges(), graph.num_edges());
@@ -669,7 +695,7 @@ fn snapshot(ledger: &mut String) {
     assert!(
         read.peak <= graph.heap_bytes() + catalog_bytes + largest_relation + SLACK,
         "read_snapshot held {} bytes for a graph of {}, a catalog of {catalog_bytes} \
-         and a largest relation of {largest_relation}",
+         and a largest relation's row ids of {largest_relation}",
         read.peak,
         graph.heap_bytes()
     );
@@ -683,12 +709,11 @@ fn snapshot(ledger: &mut String) {
     writeln!(ledger, "snapshot.read {read}").unwrap();
 
     // Bit rot in the declared domain (1.5e5 -> 2^31 + 1.5e5 vertices;
-    // every id stays in range) is caught by the checksum before a
-    // directory — a bit per declared vertex, per relation and direction,
-    // 256 MiB each — is built for it. Before the checksum the decoder
-    // holds the forward arrays it has read, which the section's bytes
-    // bound: a row costs at least 2 bytes and 8 of arrays, an edge at
-    // least 1 byte and 4 of arrays.
+    // every id stays in range, every Rice parameter is misread) is caught
+    // by the checksum before a directory — a bit per declared vertex, per
+    // relation and direction, 256 MiB each — is built for it. Before the
+    // checksum the decoder holds at most the forward arrays the file
+    // declares.
     let mut rotten = std::fs::read(&path).unwrap();
     let num_vertices_at = 12 + 28 + 12; // header, EPOC section, GRPH tag + length
     assert_eq!(
@@ -702,14 +727,14 @@ fn snapshot(ledger: &mut String) {
     let err = refused.expect_err("a flipped bit must fail the restore");
     assert!(err.to_string().contains("checksum"), "{err}");
     assert!(
-        rot.peak <= 4 * graph_section + SLACK,
+        rot.peak <= arrays + SLACK,
         "a rotten domain reached an allocation: {} bytes held, \
-         the section's bytes fill {graph_section}",
+         the declared arrays fill {arrays}",
         rot.peak
     );
     assert!(
-        4 * graph_section + SLACK < (1 << 31) / 8,
-        "the bound tells the arrays the section fills from one directory"
+        arrays + SLACK < (1 << 31) / 8,
+        "the bound tells the arrays the section declares from one directory"
     );
     std::fs::remove_file(&path).unwrap();
     writeln!(ledger, "snapshot.read_rotten {rot}").unwrap();
@@ -739,6 +764,37 @@ fn snapshot(ledger: &mut String) {
         written.peak
     );
     writeln!(ledger, "snapshot.entry.write calls={}", written.calls).unwrap();
+    drop(entry);
+
+    // Per-section payload bytes of the bench's rungs (seed 2022) with an
+    // h = 2 catalog over Job + Acyclic queries made on `g10k`.
+    let queries = job_acyclic(2022, 12);
+    for (name, k) in [("g10k", 1), ("g100k", 10)] {
+        let graph = rung(k, 2022);
+        let table = MarkovTable::build(&graph, &queries, 2);
+        write_snapshot(&path, &graph, &table, 0).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut r = SnapshotReader::new(std::fs::File::open(&path).unwrap(), len).unwrap();
+        let mut sections = Vec::new();
+        while let Some(section) = r
+            .next_section(|tag, body| Ok((tag, body.remaining())))
+            .unwrap()
+        {
+            sections.push(section);
+        }
+        std::fs::remove_file(&path).unwrap();
+        let payload = |tag| sections.iter().find(|s| s.0 == tag).map_or(0, |s| s.1);
+        writeln!(
+            ledger,
+            "snapshot.sections.{name} edges={} entries={} GRPH={} MRKV={} EPOC={} file={len}",
+            graph.num_edges(),
+            table.len(),
+            payload(TAG_GRAPH),
+            payload(TAG_MARKOV),
+            payload(TAG_EPOCH),
+        )
+        .unwrap();
+    }
 }
 
 /// One commit on the served graph folds its delta into a successor

@@ -17,7 +17,9 @@
 //! byte for byte, the file an in-memory encoder written here from the
 //! format's description produces — for graphs with gap labels, empty
 //! relations and relations left at an older, smaller domain by a rebase,
-//! and for random catalogs, which also read back to an equal table that
+//! for the shapes the graph section's bit codes have edges at (a row as
+//! wide as the domain, a row at id 2^24 - 1, a one-vertex domain), and
+//! for random catalogs, which also read back to an equal table that
 //! writes the same bytes again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,29 +81,55 @@ fn leb128(buf: &mut Vec<u8>, value: impl Into<u64>) {
     }
 }
 
+/// Bits, least significant first in each byte, padded with zeros to a
+/// whole byte.
+fn pack(bits: &[bool]) -> Vec<u8> {
+    bits.chunks(8)
+        .map(|c| (0..c.len()).fold(0u8, |b, i| b | u8::from(c[i]) << i))
+        .collect()
+}
+
+/// `zeros` zeros, a one, then the `width` low bits of `low`, lowest first:
+/// Elias-γ of `x` is `(⌊log2 x⌋, x, ⌊log2 x⌋)`, Rice of `v` with parameter
+/// `k` is `(v >> k, v, k)`.
+fn unary_then_low(bits: &mut Vec<bool>, zeros: u64, low: u64, width: u32) {
+    bits.extend((0..zeros).map(|_| false));
+    bits.push(true);
+    bits.extend((0..width).map(|i| low >> i & 1 == 1));
+}
+
 /// The `GRPH` payload, built whole from what the graph's public
 /// accessors say: `u64 num_vertices, u64 num_labels`, then per label
-/// `u64 num_rows, u64 num_edges` (little-endian) and per forward row,
-/// ascending, the LEB128 of the row id's gap, of the degree less one
-/// and of each target's gap. A gap is the id less the one before it
-/// less one; before a relation's first row id, and before a row's first
-/// target, it is the id itself. No backward index is written.
+/// `u64 num_rows, u64 num_edges` (little-endian) and one bit stream,
+/// padded to a byte, holding per forward row, ascending, the Elias-γ of
+/// the row id's gap plus one and of the degree, and the Rice code of
+/// each target's gap with `k = ⌊log2(num_vertices / degree)⌋`. A gap is
+/// the id less the one before it less one; before a relation's first
+/// row id, and before a row's first target, it is the id itself. No
+/// backward index is written.
 fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
+    let n = g.num_vertices() as u64;
+    let gamma = |bits: &mut Vec<bool>, x: u64| unary_then_low(bits, x.ilog2().into(), x, x.ilog2());
     let mut buf = Vec::new();
-    buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    buf.extend_from_slice(&n.to_le_bytes());
     buf.extend_from_slice(&(g.num_labels() as u64).to_le_bytes());
     for l in 0..g.num_labels() as u16 {
         let rows: Vec<(u32, &[u32])> = g.rows(l, false).collect();
         buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
         buf.extend_from_slice(&(g.label_count(l) as u64).to_le_bytes());
+        let mut bits = Vec::new();
         for (i, &(v, targets)) in rows.iter().enumerate() {
             let row_gap = if i == 0 { v } else { v - rows[i - 1].0 - 1 };
-            leb128(&mut buf, row_gap);
-            leb128(&mut buf, targets.len() as u32 - 1);
+            gamma(&mut bits, u64::from(row_gap) + 1);
+            let degree = targets.len() as u64;
+            gamma(&mut bits, degree);
+            let k = (n / degree).ilog2();
             for (j, &t) in targets.iter().enumerate() {
-                leb128(&mut buf, if j == 0 { t } else { t - targets[j - 1] - 1 });
+                let gap = u64::from(if j == 0 { t } else { t - targets[j - 1] - 1 });
+                unary_then_low(&mut bits, gap >> k, gap, k);
             }
         }
+        buf.extend(pack(&bits));
     }
     buf
 }
@@ -180,6 +208,28 @@ fn committed_entry(base_edges: &[(u32, u32, u16)], ops: &[Op]) -> DatasetEntry {
     }
     entry.try_commit().unwrap();
     entry
+}
+
+/// A row longer than the writer's run between two drains of its chunk
+/// (degree == domain, 1,000 targets), and a Rice quotient longer than
+/// one 32-bit write (a row of degree 301 whose last target jumps 699
+/// ids with `k = 1`: 349 zeros), written as the oracle lays them out.
+#[test]
+fn long_rows_and_long_unary_runs_roundtrip() {
+    let mut b = GraphBuilder::with_labels(1_000, 2);
+    (0..1_000).for_each(|d| b.add_edge(7, d, 0));
+    (0..300).chain([999]).for_each(|d| b.add_edge(5, d, 1));
+    let graph = b.build();
+    let path = scratch_path("long-codes");
+    let table = MarkovTable::empty(2);
+    write_snapshot(&path, &graph, &table, 1).unwrap();
+    let written = std::fs::read(&path).unwrap();
+    let back = read_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(written, oracle_file(1, &graph, &table));
+    for l in 0..2 {
+        assert!(back.graph.rows(l, false).eq(graph.rows(l, false)));
+    }
 }
 
 proptest! {
@@ -321,4 +371,45 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 
+    /// The shapes the graph section's codes have edges at — a row whose
+    /// degree is the domain (Rice parameter 0), a row at id 2^24 - 1 (the
+    /// far vertex of `tests/domain_growth.rs`), relations with no edge,
+    /// a one-vertex domain — are written as the oracle lays them out and
+    /// read back to the same graph.
+    #[test]
+    fn edge_shapes_of_the_codes_roundtrip(
+        domain in prop_oneof![Just(1u32), 2u32..40, Just(1 << 24)],
+        full_row in 0u32..40,
+        edges in prop::collection::vec((0u32..40, 0u32..40, 0u16..3), 0..30),
+        empty_labels in 0usize..3,
+    ) {
+        let mut b = GraphBuilder::with_labels(domain as usize, 3 + empty_labels);
+        for &(s, d, l) in &edges {
+            b.add_edge(s % domain, d % domain, l);
+        }
+        if domain < 1 << 24 {
+            // A row to every vertex: degree == domain.
+            (0..domain).for_each(|d| b.add_edge(full_row % domain, d, 0));
+        } else {
+            let far = domain - 1;
+            b.add_edge(far, 0, 1);
+            b.add_edge(3, far, 1);
+            b.add_edge(far, far, 2);
+        }
+        let graph = b.build();
+        let path = scratch_path("prop-shapes");
+        let table = MarkovTable::empty(2);
+        write_snapshot(&path, &graph, &table, 3).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        let back = read_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        prop_assert_eq!(written, oracle_file(3, &graph, &table));
+        prop_assert_eq!(back.graph.num_vertices(), graph.num_vertices());
+        prop_assert_eq!(back.graph.num_labels(), graph.num_labels());
+        for l in 0..graph.num_labels() as u16 {
+            for backward in [false, true] {
+                prop_assert!(back.graph.rows(l, backward).eq(graph.rows(l, backward)));
+            }
+        }
+    }
 }

@@ -1,10 +1,10 @@
-//! The bytes a snapshot costs, pinned like bits. A fixed seeded h = 2
-//! catalog — the IMDb stand-in at the benchmark's `g10k` shape, over a
-//! small Job + Acyclic pool — is written to a `.cegsnap`, and the
-//! payload length of each section is read back from the container. The
-//! numbers repeat exactly per seed: a change to a section's layout moves
-//! them on purpose, and anything else that moves them changed the graph,
-//! the pool or the catalog.
+//! The bytes a snapshot costs. A fixed seeded h = 2 catalog — the IMDb
+//! stand-in at the benchmark's `g10k` shape, over a small Job + Acyclic
+//! pool — is written to a `.cegsnap`, and the payload length of each
+//! section is read back from the container and held against the layouts
+//! it replaced. The exact bytes of this cell repeat per seed and are
+//! pinned once, by the cost ledger's `snapshot.sections.g10k` line
+//! (`tests/cost/mod.rs`); `-- --nocapture` prints them here.
 
 use cegraph::catalog::io::write_snapshot;
 use cegraph::catalog::MarkovTable;
@@ -60,11 +60,18 @@ fn catalog_section_of_a_seeded_h2_catalog_is_pinned() {
         fixed_width as f64 / edges,
         len as f64 / edges,
     );
-    // 0.176 B/edge of catalog where the fixed-width layout took 0.628.
+    // 0.176 B/edge of catalog where the fixed-width layout took 0.628;
+    // 1.899 B/edge of graph where format version 4's LEB128 gaps took
+    // 2.517.
     assert_eq!(
-        (table.len(), graph.num_edges(), grph, mrkv),
-        (657, 18_660, 46_959, 3_282),
-        "the pinned cell moved"
+        (table.len(), graph.num_edges()),
+        (657, 18_660),
+        "the seeded graph or pool moved"
+    );
+    const V4_GRPH: u64 = 46_959;
+    assert!(
+        5 * grph <= 4 * V4_GRPH,
+        "GRPH is {grph} B, more than 80 % of format version 4's {V4_GRPH} B"
     );
     assert!(
         10 * mrkv <= 4 * fixed_width,
