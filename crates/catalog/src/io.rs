@@ -1,18 +1,19 @@
-//! Plain-text persistence for Markov tables.
-//!
-//! Statistics are expensive to build (they count patterns in the data);
-//! systems persist them alongside the database. Format: a header line
-//! `markov h=<h>`, then one entry per line:
-//!
-//! ```text
-//! <cardinality> <num_edges> <src> <dst> <label> [<src> <dst> <label> …]
-//! ```
+//! The `.cegsnap` service snapshot: graph, Markov catalog and epoch in
+//! one checksummed file. Statistics are expensive to build (they count
+//! patterns in the data), so they are persisted with the graph:
+//! `cegtool stats`, durability and the wire `SNAPSHOT` write this file,
+//! `serve --snapshot` and recovery read it, and its `MRKV` section is
+//! the one form a catalog takes on disk.
 
 use std::convert::Infallible;
-use std::io::{self, BufRead, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use ceg_graph::LabelId;
+use ceg_graph::snapshot::{
+    read_sections, varint_len, write_graph_sections, ChunkedReader, ChunkedWriter, PayloadReader,
+    SnapshotWriter, TAG_MARKOV,
+};
+use ceg_graph::{LabelId, LabeledGraph};
 use ceg_query::{Pattern, QueryEdge, VarId};
 
 use crate::markov::MarkovTable;
@@ -20,121 +21,9 @@ use crate::markov::MarkovTable;
 /// Variables a pattern may have: the ceiling of [`Pattern::canonical`].
 const MAX_VARS: usize = 8;
 
-/// Serialize a Markov table.
-pub fn write_markov<W: Write>(table: &MarkovTable, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "markov h={}", table.h())?;
-    for (p, c) in sorted_entries(table) {
-        write!(w, "{} {}", c, p.num_edges())?;
-        for e in p.edges() {
-            write!(w, " {} {} {}", e.src, e.dst, e.label)?;
-        }
-        writeln!(w)?;
-    }
-    w.flush()
-}
-
-/// Parse a Markov table written by [`write_markov`]. Patterns are
-/// canonicalized on the way in, so a hand-written entry may name its
-/// variables freely; a field that does not fit its type, an entry with
-/// no edge or more than 8 variables, and tokens after an entry's last
-/// edge are `InvalidData` errors naming the line.
-fn read_markov<R: BufRead>(reader: R) -> io::Result<MarkovTable> {
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or_else(|| bad("missing header"))??;
-    let h: usize = header
-        .strip_prefix("markov h=")
-        .ok_or_else(|| bad("bad header"))?
-        .trim()
-        .parse()
-        .map_err(|_| bad("bad h"))?;
-    if h < 2 {
-        return Err(bad("bad h: a Markov table needs h >= 2"));
-    }
-    let mut table = MarkovTable::empty(h);
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        // The header is line 1.
-        let (pattern, card) = parse_entry(i + 2, line)?;
-        table.insert(pattern, card);
-    }
-    Ok(table)
-}
-
-/// The entry on line `lineno` of a text catalog.
-fn parse_entry(lineno: usize, line: &str) -> io::Result<(Pattern, u64)> {
-    let bad_line = |why: String| bad(format!("line {lineno}: {why}"));
-    let mut it = line.split_whitespace();
-    let mut field = |what: &str, max: u64| -> io::Result<u64> {
-        let n = it
-            .next()
-            .ok_or_else(|| bad_line(format!("field `{what}` missing")))?
-            .parse::<u64>()
-            .map_err(|_| bad_line(format!("field `{what}` not an integer")))?;
-        if n > max {
-            return Err(bad_line(format!("field `{what}` out of range")));
-        }
-        Ok(n)
-    };
-    let card = field("cardinality", u64::MAX)?;
-    let m = field("num_edges", u64::MAX)?;
-    if m == 0 {
-        return Err(bad_line("zero-edge pattern".into()));
-    }
-    // Grown edge by edge: a count the line cannot back runs out of
-    // fields before it runs up an allocation.
-    let mut edges = Vec::new();
-    let mut vars: Vec<VarId> = Vec::new();
-    for _ in 0..m {
-        let src = field("src", VarId::MAX.into())? as VarId;
-        let dst = field("dst", VarId::MAX.into())? as VarId;
-        let label = field("label", LabelId::MAX.into())? as LabelId;
-        for v in [src, dst] {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        edges.push(QueryEdge::new(src, dst, label));
-    }
-    if vars.len() > MAX_VARS {
-        return Err(bad_line(format!(
-            "pattern has {} variables (limit {MAX_VARS})",
-            vars.len()
-        )));
-    }
-    if it.next().is_some() {
-        return Err(bad_line("tokens after the last edge".into()));
-    }
-    Ok((Pattern::canonical(&edges), card))
-}
-
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
-
-/// Save to a file path.
-pub fn save_markov(table: &MarkovTable, path: impl AsRef<Path>) -> io::Result<()> {
-    write_markov(table, std::fs::File::create(path)?)
-}
-
-/// Load from a file path.
-pub fn load_markov(path: impl AsRef<Path>) -> io::Result<MarkovTable> {
-    read_markov(io::BufReader::new(std::fs::File::open(path)?))
-}
-
-// ---------------------------------------------------------------------------
-// Binary snapshots: graph + catalog + epoch in one `.cegsnap` file.
-// ---------------------------------------------------------------------------
-
-use ceg_graph::snapshot::{
-    read_sections, varint_len, write_graph_sections, ChunkedReader, ChunkedWriter, PayloadReader,
-    SnapshotWriter, TAG_MARKOV,
-};
-use ceg_graph::LabeledGraph;
 
 /// Everything a service dataset needs to come back after a restart.
 #[derive(Debug, Clone)]
@@ -147,8 +36,8 @@ pub struct Snapshot {
     pub epoch: u64,
 }
 
-/// The table's entries sorted by pattern: the order both persisted forms
-/// list them in, so each is canonical. The patterns are the keys of a
+/// The table's entries sorted by pattern: the order the `MRKV` section
+/// lists them in, so its encoding is canonical. The patterns are the keys of a
 /// map, so no two are equal and the unstable sort — which, unlike the
 /// stable one, allocates nothing — has one result.
 fn sorted_entries(table: &MarkovTable) -> Vec<(&Pattern, u64)> {
@@ -201,8 +90,8 @@ fn markov_payload_len(entries: &[(&Pattern, u64)]) -> u64 {
 }
 
 /// Write a Markov table of hop bound `h` as a `MRKV` payload, entry by
-/// entry in the order given ([`sorted_entries`]: the encoding, like
-/// [`write_markov`], is canonical), each coded against the leading edges
+/// entry in the order given ([`sorted_entries`]: the encoding is
+/// canonical), each coded against the leading edges
 /// it shares with the entry before it, through the LEB128 codec of the
 /// `GRPH` section:
 ///
@@ -243,7 +132,7 @@ fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<MarkovTabl
     let mut r = ChunkedReader::new(r);
     let h = r.u64("markov h")?;
     if h < 2 {
-        return Err(bad(format!("markov h={h} out of range (h >= 2)")));
+        return Err(bad(format!("markov table h={h} out of range (h >= 2)")));
     }
     let count = r.u64("markov entry count")?;
     // Two one-byte counts and an edge of two.
@@ -315,8 +204,8 @@ fn decode_markov<R: io::Read>(r: &mut PayloadReader<R>) -> io::Result<MarkovTabl
 /// Write a full `.cegsnap` service snapshot: epoch, graph (gap-coded
 /// relations) and Markov catalog, each as a checksummed section of the
 /// versioned container (`ceg_graph::snapshot`). Restoring with
-/// [`read_snapshot`] skips text parsing and catalog construction — the
-/// cold-start cost a server pays today.
+/// [`read_snapshot`] skips edge-list parsing and catalog construction —
+/// the cold-start cost of booting from an edge list.
 ///
 /// The write is **atomic**: bytes go to a unique temp file next to the
 /// target, are synced to disk, and are renamed over `path` only once
@@ -409,105 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let t = table();
-        let mut buf = Vec::new();
-        write_markov(&t, &mut buf).unwrap();
-        let t2 = read_markov(io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(t2.h(), t.h());
-        assert_eq!(t2.len(), t.len());
-        for (p, c) in t.iter() {
-            assert_eq!(t2.card(p), Some(c), "{p}");
-        }
-    }
-
-    #[test]
-    fn bad_header_is_error() {
-        let err = read_markov(io::BufReader::new("nope\n".as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_entry_is_error() {
-        let text = "markov h=2\n5 2 0 1\n";
-        assert!(read_markov(io::BufReader::new(text.as_bytes())).is_err());
-    }
-
-    /// `read_markov` of `entry`, the one line after the header: an
-    /// `InvalidData` error reading `line 2: <why>`.
-    fn text_rejected(entry: &str, why: &str) {
-        let text = format!("markov h=2\n{entry}\n");
-        let err = read_markov(io::BufReader::new(text.as_bytes())).expect_err(entry);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{entry}");
-        assert_eq!(err.to_string(), format!("line 2: {why}"), "{entry}");
-    }
-
-    #[test]
-    fn text_ids_past_their_types_are_refused_not_truncated() {
-        // 300 as a `u8` is 44, 65537 as a `u16` is 1: each once read as
-        // another pattern.
-        text_rejected("5 1 300 0 1", "field `src` out of range");
-        text_rejected("5 1 0 300 1", "field `dst` out of range");
-        text_rejected("5 1 0 1 65537", "field `label` out of range");
-        text_rejected("5 1 0 1 -1", "field `label` not an integer");
-        // The largest ids of each type still read.
-        let text = "markov h=2\n5 1 255 0 65535\n";
-        let t = read_markov(io::BufReader::new(text.as_bytes())).unwrap();
-        let p = Pattern::canonical(&[QueryEdge::new(255, 0, 65535)]);
-        assert_eq!(t.card(&p), Some(5));
-    }
-
-    #[test]
-    fn text_edge_count_past_the_line_is_refused_not_reserved() {
-        text_rejected(&format!("5 {} 0 1 0", u64::MAX), "field `src` missing");
-    }
-
-    #[test]
-    fn text_pattern_with_nine_variables_is_refused_not_a_panic() {
-        let star: String = (1..=8).map(|v| format!(" 0 {v} 0")).collect();
-        text_rejected(&format!("5 8{star}"), "pattern has 9 variables (limit 8)");
-        // Eight variables is the ceiling, not past it.
-        let text = format!("markov h=2\n5 7{}\n", &star[..star.len() - 6]);
-        assert_eq!(
-            read_markov(io::BufReader::new(text.as_bytes()))
-                .unwrap()
-                .len(),
-            1
-        );
-    }
-
-    #[test]
-    fn text_zero_edge_entry_is_refused() {
-        text_rejected("5 0", "zero-edge pattern");
-    }
-
-    #[test]
-    fn text_tokens_after_the_last_edge_are_refused() {
-        text_rejected("5 1 0 1 0 7", "tokens after the last edge");
-        text_rejected("5 1 0 1 0 0 1 1", "tokens after the last edge");
-    }
-
-    #[test]
-    fn text_h_below_two_is_refused_not_a_panic() {
-        let err = read_markov(io::BufReader::new("markov h=1\n".as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
     fn empty_table_roundtrips() {
         let t = MarkovTable::empty(3);
-        let mut buf = Vec::new();
-        write_markov(&t, &mut buf).unwrap();
-        let t2 = read_markov(io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(t2.h(), 3);
-        assert!(t2.is_empty());
-    }
-
-    /// Canonical persisted-text form — the strictest table equality.
-    fn text_bytes(t: &MarkovTable) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_markov(t, &mut buf).unwrap();
-        buf
+        assert_eq!(decode(&encode_markov(&t)).unwrap(), t);
     }
 
     /// Entries that share leading edges, cardinalities and labels of
@@ -602,8 +395,7 @@ mod tests {
     fn markov_payload_roundtrips_byte_identically() {
         for t in [table(), wide_table()] {
             let t2 = decode(&encode_markov(&t)).unwrap();
-            assert_eq!(t2.h(), t.h());
-            assert_eq!(text_bytes(&t), text_bytes(&t2));
+            assert_eq!(t2, t);
             // And the binary encoding itself is canonical (sorted entries).
             assert_eq!(encode_markov(&t), encode_markov(&t2));
         }
@@ -629,7 +421,7 @@ mod tests {
             // h < 2 violates the MarkovTable precondition...
             let mut bad_h = good.clone();
             bad_h[0] = 1;
-            assert_rejected(&bad_h, "markov h=1 out of range");
+            assert_rejected(&bad_h, "markov table h=1 out of range");
             // ...but any h the writer could run with restores fine — the
             // reader accepts everything the writer can produce.
             bad_h[0] = 99;
@@ -775,7 +567,7 @@ mod tests {
         for e in g.all_edges() {
             assert!(snap.graph.has_edge(e.src, e.dst, e.label), "{e:?}");
         }
-        assert_eq!(text_bytes(&snap.markov), text_bytes(&t));
+        assert_eq!(snap.markov, t);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -812,7 +604,7 @@ mod tests {
         fs.reboot(usize::MAX); // forget the write's operations
         let snap = read_snapshot_with(&fs, path).unwrap();
         assert_eq!((snap.epoch, snap.graph.num_edges()), (5, 3));
-        assert_eq!(text_bytes(&snap.markov), text_bytes(&t));
+        assert_eq!(snap.markov, t);
         let read_ops = fs.op_count();
 
         let rejected = |bytes: Vec<u8>, what: String| {

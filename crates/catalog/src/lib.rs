@@ -5,7 +5,9 @@
 //! * [`MarkovTable`] — cardinalities of small joins up to size `h`
 //!   (Markov tables / graph summaries / graph catalogue, Section 4.1);
 //!   feeds the optimistic CEG_O,
-//! * [`io`] — the text form `cegtool stats` writes and the service loads.
+//! * [`io`] — the `.cegsnap` snapshot (graph, catalog, epoch) that
+//!   `cegtool stats`, durability and the wire `SNAPSHOT` write and the
+//!   service boots from.
 //!
 //! The statistics only the offline estimators read (degree stats,
 //! cycle-closing rates, CS and SumRDF summaries, sampled Markov tables)

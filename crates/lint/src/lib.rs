@@ -9,7 +9,7 @@
 //! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `vendor` — all locks carry a `ceg_graph::sync::LockRank` |
 //! | `panic-path` | no `unwrap`/`expect`/panic macros/indexing in non-test request-path code |
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
-//! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-service` — writes go through `vfs::Storage` |
+//! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-catalog`/`ceg-service` — writes go through `vfs::Storage` |
 //! | `service-closure` | `ceg-service` and the server binary `cegcli` link only the served crates (see [`closure`]) |
 //! | `unused-pub` | a served crate's `pub fn` is named by some other file of the workspace (see [`unused_pub`]) |
 //!
@@ -42,7 +42,7 @@ pub const ALLOW_FILE: &str = "ceg-lint.allow";
 ///   parsers) plus the WAL and snapshot codecs that parse on-disk
 ///   bytes;
 /// * `typed-reply` — the connection handlers in `server.rs`;
-/// * `durability-seam` — everything in `ceg-graph`/`ceg-service`.
+/// * `durability-seam` — everything in `ceg-graph`/`ceg-catalog`/`ceg-service`.
 pub fn classify(rel: &str) -> LintSet {
     if !rel.ends_with(".rs") {
         return LintSet::default();
@@ -53,7 +53,9 @@ pub fn classify(rel: &str) -> LintSet {
             || rel == "crates/graph/src/wal.rs"
             || rel == "crates/graph/src/snapshot.rs",
         typed_reply: rel == "crates/service/src/server.rs",
-        durability: rel.starts_with("crates/graph/src/") || rel.starts_with("crates/service/src/"),
+        durability: rel.starts_with("crates/graph/src/")
+            || rel.starts_with("crates/catalog/src/")
+            || rel.starts_with("crates/service/src/"),
     }
 }
 

@@ -26,12 +26,14 @@ fn expect_one(rel: &str, src: &str, want: &str) -> Diagnostic {
 }
 
 // A pretend path per lint scope (see `ceg_lint::classify`):
-// catalog = lock only; service = lock+panic+durability;
-// server.rs = all of those plus typed-reply; graph = lock+durability.
-const LOCK_ONLY: &str = "crates/catalog/src/fixture.rs";
+// core = lock only; service = lock+panic+durability;
+// server.rs = all of those plus typed-reply; graph and catalog =
+// lock+durability.
+const LOCK_ONLY: &str = "crates/core/src/fixture.rs";
 const SERVICE: &str = "crates/service/src/fixture.rs";
 const SERVER: &str = "crates/service/src/server.rs";
 const GRAPH: &str = "crates/graph/src/fixture.rs";
+const CATALOG: &str = "crates/catalog/src/fixture.rs";
 
 #[test]
 fn lock_discipline_catches_raw_imports() {
@@ -144,11 +146,13 @@ fn typed_reply_accepts_protocol_constructors() {
 
 #[test]
 fn durability_seam_catches_file_create() {
-    expect_one(
-        GRAPH,
-        include_str!("fixtures/durability_create.rs"),
-        "durability-seam",
-    );
+    for rel in [GRAPH, CATALOG] {
+        expect_one(
+            rel,
+            include_str!("fixtures/durability_create.rs"),
+            "durability-seam",
+        );
+    }
 }
 
 #[test]

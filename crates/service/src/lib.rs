@@ -2,7 +2,8 @@
 //!
 //! A long-running, concurrent cardinality-estimation service on top of
 //! the CEG estimators. `cegtool estimate` reloads the graph and rebuilds
-//! the catalog on every call; this crate keeps both warm and shares them:
+//! the catalog (or reads a `cegtool stats` snapshot) on every call; this
+//! crate keeps both warm and shares them:
 //!
 //! * [`registry`] — each dataset is loaded once ([`DatasetRegistry`]) and
 //!   served from one pinned epoch per request. Its Markov catalog grows

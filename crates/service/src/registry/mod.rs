@@ -29,9 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
-use ceg_catalog::io::load_markov;
 use ceg_catalog::MarkovTable;
-use ceg_graph::io::load_graph;
 use ceg_graph::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedRwLock};
 use ceg_graph::vfs::Storage;
 use ceg_graph::{FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
@@ -246,7 +244,8 @@ impl DatasetEntry {
 pub struct DatasetRegistry {
     map: OrderedRwLock<FxHashMap<String, Arc<DatasetEntry>>>,
     /// Catalog-growth worker threads handed to entries registered through
-    /// [`DatasetRegistry::insert_graph`] / [`DatasetRegistry::load_files`].
+    /// [`DatasetRegistry::insert_graph`], [`DatasetRegistry::load_snapshot`]
+    /// and [`DatasetRegistry::recover`].
     default_jobs: usize,
 }
 
@@ -285,24 +284,6 @@ impl DatasetRegistry {
         self.insert(
             DatasetEntry::new(name, graph, MarkovTable::empty(h)).with_jobs(self.default_jobs),
         )
-    }
-
-    /// Load a dataset from an edge-list file, with an optional persisted
-    /// Markov catalog (`cegtool stats` output). Without one, an empty
-    /// hop-`h` catalog is built on demand as requests arrive.
-    pub fn load_files(
-        &self,
-        name: impl Into<String>,
-        edges_path: impl AsRef<Path>,
-        markov_path: Option<&str>,
-        h: usize,
-    ) -> io::Result<Arc<DatasetEntry>> {
-        let graph = load_graph(edges_path)?;
-        let markov = match markov_path {
-            Some(path) => load_markov(path)?,
-            None => MarkovTable::empty(h),
-        };
-        Ok(self.insert(DatasetEntry::new(name, graph, markov).with_jobs(self.default_jobs)))
     }
 
     /// Restore a dataset from a `.cegsnap` snapshot file and register it

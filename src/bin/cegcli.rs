@@ -26,6 +26,7 @@ mod cli;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use cegraph::graph::io::load_graph;
 use cegraph::service::{DatasetRegistry, Server, ServerConfig};
 
 use cli::{arg, parse_h, take_jobs, take_opt, Bin, CmdError, CmdResult, Row};
@@ -42,9 +43,9 @@ const CEGCLI: Bin = Bin {
 
 #[rustfmt::skip]
 const COMMANDS: &[Row] = &[
-    ("serve", "<addr> [<graph.edges> [markov.file|-] [h]]",
+    ("serve", "<addr> [<graph.edges> [h]]",
      &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--jobs N", "--drain-dir <dir>"],
-     4, serve),
+     3, serve),
 ];
 
 /// SIGTERM (and nothing else) flips this; the serve loop notices and
@@ -74,19 +75,20 @@ fn install_sigterm_handler() {}
 
 /// Run the estimation server until a drain is requested (SIGTERM or the
 /// wire `SHUTDOWN` command), then exit 0 after writing one final
-/// snapshot per dataset into `--drain-dir` (if given). The graph (and
-/// optional persisted Markov catalog) is loaded once and registered as
-/// dataset `default`; without a catalog (omitted or `-`), statistics are
-/// counted on demand at hop depth `h` (default 2, like `cegtool stats`)
-/// as requests arrive and kept warm. `--jobs N` counts missing patterns
-/// on up to `N` worker threads (`--jobs 0` = all cores).
+/// snapshot per dataset into `--drain-dir` (if given). The graph is
+/// loaded once and registered as dataset `default` with an empty catalog
+/// whose statistics are counted on demand at hop depth `h` (default 2)
+/// as requests arrive and kept warm; `--snapshot` boots from a `.cegsnap`
+/// instead (a `cegtool stats` output file is one, with a pre-warmed
+/// catalog). `--jobs N` counts missing patterns on up to `N` worker
+/// threads (`--jobs 0` = all cores).
 fn serve(args: &[String]) -> CmdResult {
     let (args, jobs) = take_jobs(args)?;
     let (args, snapshot_path) = take_opt(&args, "snapshot")?;
     let (args, drain_dir) = take_opt(&args, "drain-dir")?;
     let (args, data_dir) = take_opt(&args, "data-dir")?;
     let args = &args[..];
-    let explicit_h = args.get(3).map(|s| parse_h(s)).transpose()?;
+    let h = args.get(2).map(|s| parse_h(s)).transpose()?.unwrap_or(2);
     if data_dir.is_some() && snapshot_path.is_some() {
         return Err(CmdError::usage(
             "--data-dir and --snapshot both pick the boot state; use one",
@@ -94,25 +96,12 @@ fn serve(args: &[String]) -> CmdResult {
     }
     let addr = arg(args, 0, "listen address")?;
     let registry = Arc::new(DatasetRegistry::with_jobs(jobs));
-    // Load the graph/markov/h positional arguments — the cold-boot path,
-    // shared by plain serving and the first boot of a durable data dir.
+    // Load the graph/h positional arguments — the cold-boot path, shared
+    // by plain serving and the first boot of a durable data dir.
     let load_from_files =
         |args: &[String]| -> Result<Arc<cegraph::service::DatasetEntry>, CmdError> {
-            let graph_path = arg(args, 1, "graph path")?;
-            let markov_path = args.get(2).map(String::as_str).filter(|p| *p != "-");
-            let h = explicit_h.unwrap_or(2);
-            let entry = registry
-                .load_files("default", graph_path, markov_path, h)
-                .map_err(CmdError::runtime)?;
-            // A persisted catalog carries its own hop depth; refuse a
-            // contradictory explicit h instead of silently ignoring it.
-            if explicit_h.is_some() && entry.h() != h {
-                return Err(CmdError::usage(format!(
-                    "markov file was built at h={}, which contradicts the requested h={h}",
-                    entry.h()
-                )));
-            }
-            Ok(entry)
+            let graph = load_graph(arg(args, 1, "graph path")?).map_err(CmdError::runtime)?;
+            Ok(registry.insert_graph("default", graph, h))
         };
     let mut recovery: Option<cegraph::service::RecoveryReport> = None;
     let mut boot_note = "";
@@ -170,11 +159,9 @@ fn serve(args: &[String]) -> CmdResult {
         }
     } else if let Some(snap) = &snapshot_path {
         // Boot-time restore: the snapshot carries graph, catalog and
-        // epoch, so a graph/markov/h argument would contradict it.
+        // epoch, so a graph/h argument would contradict it.
         if args.len() > 1 {
-            return Err(CmdError::usage(
-                "--snapshot replaces the graph/markov/h arguments",
-            ));
+            return Err(CmdError::usage("--snapshot replaces the graph/h arguments"));
         }
         boot_note = ", restored from snapshot";
         registry

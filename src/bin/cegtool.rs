@@ -31,7 +31,7 @@ mod cli;
 
 use std::process::ExitCode;
 
-use cegraph::catalog::io::{load_markov, save_markov};
+use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
 use cegraph::estimators::render::{ceg_o_to_dot, molp_path_to_string};
@@ -59,8 +59,9 @@ const CEGTOOL: Bin = Bin {
 const COMMANDS: &[Row] = &[
     ("generate", "<imdb|yago|dblp|watdiv|hetionet|epinions> <seed> <out.edges>", &[], 3, generate),
     ("workload", "<graph.edges> <job|acyclic|cyclic|gcare-acyclic|gcare-cyclic> <per-template> <seed> <out.wl>", &[], 5, workload),
-    ("stats", "<graph.edges> <queries.wl> <h> <out.markov>", &["--jobs N"], 4, stats),
-    ("estimate", "<graph.edges> <queries.wl> [markov.file] [heuristic]", &["--jobs N"], 4, estimate),
+    ("stats", "<graph.edges> <queries.wl> <h> <out.cegsnap>", &["--jobs N"], 4, stats),
+    // A `.cegsnap` brings its own catalog; an edge list has one built.
+    ("estimate", "(<graph.edges> | <stats.cegsnap>) <queries.wl> [heuristic]", &["--jobs N"], 3, estimate),
     ("molp", "<graph.edges> <queries.wl>", &[], 2, molp),
     // A graph file renders the query's CEG_O as DOT; a server address
     // prints the estimate and the server-side trace behind it.
@@ -169,10 +170,14 @@ fn stats(args: &[String]) -> CmdResult {
     let workload_path = arg(&args, 1, "workload path")?;
     let h = parse_h(arg(&args, 2, "h")?)?;
     let out = arg(&args, 3, "output path")?;
+    // The wire `SNAPSHOT`'s rule: what writes a snapshot writes a `.cegsnap`.
+    if !out.ends_with(".cegsnap") {
+        return Err("output path must end in .cegsnap".into());
+    }
     let g = load_graph(graph_path).map_err(CmdError::runtime)?;
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
     let table = build_markov_parallel(&g, &queries, h, jobs);
-    save_markov(&table, out).map_err(CmdError::runtime)?;
+    write_snapshot(out, &g, &table, 0).map_err(CmdError::runtime)?;
     println!(
         "markov table h={h}: {} entries ({:.1} KiB, {jobs} jobs) -> {out}",
         table.len(),
@@ -187,17 +192,18 @@ fn estimate(args: &[String]) -> CmdResult {
     // Arguments first, filesystem (and catalog building) second (see
     // `workload`) — a bad heuristic name must not cost two file loads
     // and a catalog build before it is reported.
-    let graph_path = arg(args, 0, "graph path")?;
+    let data_path = arg(args, 0, "graph or snapshot path")?;
     let workload_path = arg(args, 1, "workload path")?;
-    let heuristic = match args.get(3) {
+    let heuristic = match args.get(2) {
         Some(name) => parse_heuristic(name)?,
         None => Heuristic::RECOMMENDED,
     };
-    let g = load_graph(graph_path).map_err(CmdError::runtime)?;
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
-    let table = match args.get(2) {
-        Some(path) => load_markov(path).map_err(CmdError::runtime)?,
-        None => build_markov_parallel(&g, &queries, 2, jobs),
+    let table = if data_path.ends_with(".cegsnap") {
+        read_snapshot(data_path).map_err(CmdError::runtime)?.markov
+    } else {
+        let g = load_graph(data_path).map_err(CmdError::runtime)?;
+        build_markov_parallel(&g, &queries, 2, jobs)
     };
     let mut est = OptimisticEstimator::new(&table, heuristic);
     println!(

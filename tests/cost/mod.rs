@@ -46,7 +46,7 @@ use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cegraph::catalog::io::{load_markov, read_snapshot, save_markov, write_snapshot};
+use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::markov::count_patterns;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
@@ -532,9 +532,9 @@ fn cache(ledger: &mut String) {
 /// gauge, is exactly what dropping the table gives back to the
 /// allocator, however the table came about: built from a workload,
 /// grown by inserts past a doubling, cloned (as every commit does),
-/// recounted in place, and loaded from its text form. The catalog is
-/// `churn`'s in miniature: Job + Acyclic on the g10k graph (seed 2022),
-/// `h = 2`.
+/// recounted in place, and decoded from a snapshot's `MRKV` section.
+/// The catalog is `churn`'s in miniature: Job + Acyclic on the g10k
+/// graph (seed 2022), `h = 2`.
 fn catalog(ledger: &mut String) {
     let seed = 2022;
     let graph = rung(1, seed);
@@ -558,9 +558,9 @@ fn catalog(ledger: &mut String) {
     )
     .unwrap();
 
-    let path = std::env::temp_dir().join(format!("ceg-catalog-{}.markov", std::process::id()));
-    save_markov(&built, &path).unwrap();
-    let loaded = load_markov(&path).unwrap();
+    let path = std::env::temp_dir().join(format!("ceg-catalog-{}.cegsnap", std::process::id()));
+    write_snapshot(&path, &graph, &built, 0).unwrap();
+    let loaded = read_snapshot(&path).unwrap().markov;
     std::fs::remove_file(&path).unwrap();
 
     let empty = MarkovTable::empty(2);

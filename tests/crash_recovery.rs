@@ -14,7 +14,7 @@
 //! 3. **Estimates match a control** — a server recovered from
 //!    snapshot plus WAL answers byte-for-byte like one that executed
 //!    the same committed prefix without ever crashing: same epoch,
-//!    same edge set, same catalog bytes, same estimate.
+//!    same edge set, same catalog, same estimate.
 //!
 //! The sweep works like a record/replay fuzzer: one fault-free run
 //! against [`FaultStorage`] learns how many storage operations the
@@ -30,7 +30,6 @@ use std::io::BufRead;
 use std::path::Path;
 use std::sync::Arc;
 
-use cegraph::catalog::io::write_markov;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{Aggr, Heuristic, PathLen};
 use cegraph::estimators::{CardinalityEstimator, OptimisticEstimator};
@@ -130,12 +129,6 @@ fn control_after(k: usize) -> DatasetEntry {
     entry
 }
 
-fn table_bytes(t: &MarkovTable) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_markov(t, &mut buf).unwrap();
-    buf
-}
-
 fn estimate_path(entry: &DatasetEntry) -> Option<f64> {
     let q = templates::path(2, &[0, 1]);
     entry.with_markov(|t| {
@@ -146,7 +139,7 @@ fn estimate_path(entry: &DatasetEntry) -> Option<f64> {
 
 /// The recovered entry must be indistinguishable from the control that
 /// committed the same prefix: epoch, edge set (both directions of the
-/// CSR), catalog bytes, and an actual estimate.
+/// CSR), catalog, and an actual estimate.
 fn assert_matches_control(recovered: &DatasetEntry, k: usize) {
     let control = control_after(k);
     assert_eq!(
@@ -165,9 +158,9 @@ fn assert_matches_control(recovered: &DatasetEntry, k: usize) {
         );
     }
     assert_eq!(
-        recovered.with_markov(table_bytes),
-        control.with_markov(table_bytes),
-        "catalog bytes diverge after {k} commits"
+        recovered.with_markov(MarkovTable::clone),
+        control.with_markov(MarkovTable::clone),
+        "catalogs diverge after {k} commits"
     );
     assert_eq!(estimate_path(recovered), estimate_path(&control));
 }
@@ -397,8 +390,8 @@ fn a_log_that_revisits_an_edge_and_grows_the_domain_recovers_identically() {
     assert_eq!(report.replayed_commits, txs.len());
     assert_eq!(recovered.epoch(), live.epoch());
     assert_eq!(
-        recovered.with_markov(table_bytes),
-        live.with_markov(table_bytes)
+        recovered.with_markov(MarkovTable::clone),
+        live.with_markov(MarkovTable::clone)
     );
     let (a, b) = (recovered.materialized_graph(), live.materialized_graph());
     assert_eq!(a.num_vertices(), gone_vertex as usize + 1);

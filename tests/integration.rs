@@ -217,7 +217,7 @@ fn a_hop_depth_below_two_is_a_usage_error() {
     let tag = std::process::id();
     let edges = dir.join(format!("ceg-low-h-{tag}.edges"));
     let workload = dir.join(format!("ceg-low-h-{tag}.wl"));
-    let markov = dir.join(format!("ceg-low-h-{tag}.markov"));
+    let snap = dir.join(format!("ceg-low-h-{tag}.cegsnap"));
     std::fs::write(&edges, "0 1 0\n1 2 0\n").unwrap();
     std::fs::write(&workload, "ok 1 2 1 0 1 0\n").unwrap();
     let (edges_s, workload_s) = (edges.to_str().unwrap(), workload.to_str().unwrap());
@@ -225,11 +225,11 @@ fn a_hop_depth_below_two_is_a_usage_error() {
         let runs = [
             (
                 env!("CARGO_BIN_EXE_cegcli"),
-                vec!["serve", "127.0.0.1:0", edges_s, "-", h],
+                vec!["serve", "127.0.0.1:0", edges_s, h],
             ),
             (
                 env!("CARGO_BIN_EXE_cegtool"),
-                vec!["stats", edges_s, workload_s, h, markov.to_str().unwrap()],
+                vec!["stats", edges_s, workload_s, h, snap.to_str().unwrap()],
             ),
         ];
         for (bin, args) in runs {
@@ -243,9 +243,109 @@ fn a_hop_depth_below_two_is_a_usage_error() {
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         }
     }
-    assert!(!markov.exists(), "no table was written");
+    assert!(!snap.exists(), "no snapshot was written");
     std::fs::remove_file(&edges).unwrap();
     std::fs::remove_file(&workload).unwrap();
+}
+
+/// `cegtool stats` writes a `.cegsnap`. `cegcli serve --snapshot` boots
+/// from it with every sub-pattern of the workload already counted, and
+/// `cegtool estimate` reads its catalog to the same output as building
+/// one from the edge list. Any other suffix is refused before a file is
+/// read, as the wire `SNAPSHOT` refuses it.
+#[test]
+fn stats_writes_a_snapshot_that_serve_and_estimate_read() {
+    use cegraph::service::{Client, QueryReply};
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let dir = std::env::temp_dir().join(format!("ceg-stats-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (edges, workload, snap) = (path("g.edges"), path("w.wl"), path("out.cegsnap"));
+    let tool = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cegtool"))
+            .args(args)
+            .output()
+            .expect("run cegtool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        out.stdout
+    };
+    tool(&["generate", "hetionet", "4", &edges]);
+    tool(&["workload", &edges, "job", "1", "4", &workload]);
+    tool(&["stats", &edges, &workload, "2", &snap]);
+
+    assert_eq!(
+        String::from_utf8(tool(&["estimate", &snap, &workload])).unwrap(),
+        String::from_utf8(tool(&["estimate", &edges, &workload])).unwrap(),
+    );
+
+    /// Kills the server however the test ends, a failed assertion too.
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Reap(
+        Command::new(env!("CARGO_BIN_EXE_cegcli"))
+            .args(["serve", "127.0.0.1:0", "--snapshot", &snap])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn cegcli serve"),
+    );
+    let mut stdout = std::io::BufReader::new(server.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    while !banner.starts_with("serving `default`") {
+        banner.clear();
+        let n = stdout.read_line(&mut banner).expect("read server stdout");
+        assert!(n > 0, "server exited before printing its banner");
+    }
+    let addr = banner
+        .split(" on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("banner carries the bound address");
+    let queries = cegraph::workload::io::load_workload(&workload).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let mut misses = 0;
+    for (i, wq) in queries.iter().enumerate() {
+        let ex = client.explain("default", &wq.query, None).unwrap();
+        assert!(
+            matches!(ex.reply, QueryReply::Estimate(_)),
+            "query {i}: {:?}",
+            ex.reply
+        );
+        // A cache hit (a query isomorphic to one before) fills nothing
+        // and reports no fill counters.
+        let counted = ex
+            .counters
+            .iter()
+            .find(|(name, _)| name == "catalog_patterns_counted");
+        if let Some((_, n)) = counted {
+            assert_eq!(*n, 0, "query {i} counted patterns the snapshot holds");
+            misses += 1;
+        }
+    }
+    assert!(misses > 0, "no query of {} missed the cache", queries.len());
+    drop((client, server));
+
+    let markov = path("out.markov");
+    let out = Command::new(env!("CARGO_BIN_EXE_cegtool"))
+        .args(["stats", "/no/such/g.edges", "/no/such/w.wl", "2", &markov])
+        .output()
+        .expect("run cegtool stats");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("must end in .cegsnap"), "{stderr}");
+    assert!(
+        !std::path::Path::new(&markov).exists(),
+        "a file was written"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A workload line whose edge names a variable past `num_vars` is refused
