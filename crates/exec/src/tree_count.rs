@@ -632,13 +632,8 @@ mod tests {
     /// the wire benchmark's `g10k` graph and seed.
     #[test]
     fn f64_instance_matches_the_dense_oracle_on_the_workload_pools() {
-        use ceg_workload::{Dataset, DatasetSpec, Workload};
-        let g = DatasetSpec {
-            num_vertices: 9_000,
-            num_edges: 22_000,
-            ..Dataset::Imdb.spec()
-        }
-        .generate(2022);
+        use ceg_workload::{Rung, Workload};
+        let g = Rung { k: 1 }.graph(2022);
         let mut checked = 0;
         for w in [Workload::Job, Workload::Acyclic, Workload::GCareAcyclic] {
             for wq in w.build(&g, 20, 2022) {

@@ -58,38 +58,34 @@ pub const RANK_CHECKS_ENABLED: bool = cfg!(debug_assertions);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `DatasetRegistry::map` — the name → dataset table.
-    Registry = 0,
     /// `DatasetEntry::durability` — WAL attachment and commit mutex;
     /// held across append, fsync, building the successor state and its
     /// publication, and across snapshot rotation. Never taken by
     /// readers; `SNAPSHOT` takes it alone, to compare its path.
-    Durability = 1,
+    Durability = 0,
     /// `DatasetEntry::current` — the pointer slot publishing the
     /// dataset's immutable epoch state (held for an `Arc` clone or
     /// swap) — and each epoch state's catalog lock (held for lookups,
     /// a fill's inserts, or one clone). The two never nest.
-    DatasetState = 2,
+    DatasetState = 1,
     /// `DatasetEntry::pending` — the buffered update delta.
-    PendingDelta = 3,
+    PendingDelta = 2,
     /// `Engine`'s estimate LRU cache.
-    Cache = 4,
-    /// Metrics-adjacent state: slow-query log, admission counters,
-    /// catalog fill statistics.
-    Metrics = 5,
+    Cache = 3,
+    /// Metrics-adjacent state: `Engine`'s slow-query ring.
+    Metrics = 4,
     /// The estimate path's run gate (`Engine`'s free-slot counter) and
     /// lifecycle/drain signalling (`Lifecycle::signal`).
-    RunGate = 6,
+    RunGate = 5,
     /// `vfs::FaultStorage` interior — the simulated device. Last:
     /// storage calls happen under any of the above.
-    Wal = 7,
+    Wal = 6,
 }
 
 impl LockRank {
     /// Stable human-readable name used in diagnostics and docs.
     pub const fn name(self) -> &'static str {
         match self {
-            LockRank::Registry => "registry",
             LockRank::Durability => "durability",
             LockRank::DatasetState => "dataset-state",
             LockRank::PendingDelta => "pending-delta",
@@ -494,7 +490,7 @@ mod tests {
 
     #[test]
     fn ascending_acquisition_is_allowed() {
-        let a = OrderedMutex::new(LockRank::Registry, 1u32);
+        let a = OrderedMutex::new(LockRank::Durability, 1u32);
         let b = OrderedMutex::new(LockRank::DatasetState, 2u32);
         let c = OrderedMutex::new(LockRank::Wal, 3u32);
         let ga = a.lock();
@@ -505,7 +501,7 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_keeps_stack_consistent() {
-        let a = OrderedMutex::new(LockRank::Registry, ());
+        let a = OrderedMutex::new(LockRank::Durability, ());
         let b = OrderedMutex::new(LockRank::Cache, ());
         let c = OrderedMutex::new(LockRank::Wal, ());
         let ga = a.lock();
@@ -524,18 +520,18 @@ mod tests {
         ignore = "lock-rank checker compiles out in release builds"
     )]
     fn inverted_acquisition_in_spawned_thread_panics_with_both_sites() {
-        let low = Arc::new(OrderedMutex::new(LockRank::Registry, ()));
+        let low = Arc::new(OrderedMutex::new(LockRank::Durability, ()));
         let high = Arc::new(OrderedMutex::new(LockRank::Wal, ()));
         let (low2, high2) = (Arc::clone(&low), Arc::clone(&high));
         let handle = std::thread::spawn(move || {
-            let _wal = high2.lock(); // rank 7 first...
-            let _reg = low2.lock(); // ...then rank 0: must panic
+            let _wal = high2.lock(); // rank 6 first...
+            let _dur = low2.lock(); // ...then rank 0: must panic
         });
         let err = handle.join().expect_err("inverted order must panic");
         let msg = panic_message(err);
         assert!(msg.contains("lock-rank violation"), "missing header: {msg}");
-        assert!(msg.contains("`registry` (rank 0)"), "missing rank: {msg}");
-        assert!(msg.contains("`wal` (rank 7)"), "missing rank: {msg}");
+        assert!(msg.contains("`durability` (rank 0)"), "missing rank: {msg}");
+        assert!(msg.contains("`wal` (rank 6)"), "missing rank: {msg}");
         // Both acquisition sites are named, down to this file and line.
         assert_eq!(
             msg.matches("sync.rs:").count(),
@@ -569,7 +565,7 @@ mod tests {
         // A caught rank violation must not leave a stale rank on the
         // thread stack (guards that never existed cannot pop it).
         let high = OrderedMutex::new(LockRank::Wal, ());
-        let low = OrderedMutex::new(LockRank::Registry, ());
+        let low = OrderedMutex::new(LockRank::Durability, ());
         {
             let _g = high.lock();
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -657,7 +653,7 @@ mod tests {
         let mut m = OrderedMutex::new(LockRank::Wal, 1u32);
         // Holding a higher rank while using `&mut` access is fine: no
         // lock is taken.
-        let other = OrderedMutex::new(LockRank::Registry, ());
+        let other = OrderedMutex::new(LockRank::Durability, ());
         let _g = other.lock();
         *m.get_mut() += 1;
         assert_eq!(m.into_inner(), 2);

@@ -1,8 +1,8 @@
 //! The service's estimate cache, keyed by a query's [`Certificate`] (its
-//! canonical form up to variable renaming) and dataset. A hit is a hash
-//! probe and a byte compare of certificates: isomorphic queries share an
-//! entry, and a WL hash collision (two triangles vs a 6-cycle) is two
-//! entries under one key.
+//! canonical form up to variable renaming). A hit is a hash probe and a
+//! byte compare of certificates: isomorphic queries share an entry, and a
+//! WL hash collision (two triangles vs a 6-cycle) is two entries under
+//! one key.
 //!
 //! One slab of 80 B slots, reserved at capacity so untouched slots are
 //! never resident. A slot holds its certificate's edges inline up to 12
@@ -12,9 +12,9 @@
 //! probe that finds an entry (hit or stale) and every store move it to
 //! the front, eviction takes the back. Lookup is an open-addressing table
 //! of slot ids (2 x capacity, a power of two): linear probing,
-//! backward-shift deletion. Dataset names are interned (`u16` ids).
+//! backward-shift deletion.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::mem::size_of;
 
 use ceg_graph::hash::FxHasher;
@@ -62,7 +62,6 @@ struct Slot {
     key: u32,
     prev: u32,
     next: u32,
-    dataset: u16,
     num_vars: VarId,
     /// The certificate's edge count, with [`ANSWERED`] set if `value` is
     /// an estimate.
@@ -84,8 +83,8 @@ impl Slot {
 /// LRU over isomorphism classes of queries, with hit/miss counters (the
 /// wire exposes them). A probe presents the *current* epoch and an entry
 /// from an older one **misses instead of lying**, so a commit invalidates
-/// every prior estimate of its dataset without enumerating them; stale
-/// entries are refreshed in place by the next store or age out.
+/// every prior estimate without enumerating them; stale entries are
+/// refreshed in place by the next store or age out.
 pub struct EstimateCache {
     capacity: usize,
     /// The [`SENTINEL`], then one slot per entry.
@@ -95,17 +94,15 @@ pub struct EstimateCache {
     /// The edges of certificates longer than [`INLINE_EDGES`], by slot
     /// id; empty until the first one is stored.
     long: Vec<Option<Box<[QueryEdge]>>>,
-    names: Vec<Box<str>>,
     hits: u64,
     misses: u64,
     stale_misses: u64,
 }
 
-/// An entry's key: the top half of a hash of the dataset name and the
-/// query's hash. It picks the probe run; the certificate decides the hit.
-fn bucket_key(dataset: &str, hash: u64) -> u32 {
+/// An entry's key: the top half of the query's hash, mixed. It picks the
+/// probe run; the certificate decides the hit.
+fn bucket_key(hash: u64) -> u32 {
     let mut h = FxHasher::default();
-    dataset.hash(&mut h);
     h.write_u64(hash);
     (h.finish() >> 32) as u32
 }
@@ -121,27 +118,21 @@ impl EstimateCache {
             slots,
             index: vec![SENTINEL; (2 * capacity).next_power_of_two().max(2)],
             long: Vec::new(),
-            names: Vec::new(),
             hits: 0,
             misses: 0,
             stale_misses: 0,
         }
     }
 
-    /// Probe for an estimate of the query with `certificate` on `dataset`
-    /// at its current `epoch`, the certificate computed by the caller
+    /// Probe for an estimate of the query with `certificate` at the
+    /// dataset's current `epoch`, the certificate computed by the caller
     /// (outside the lock it holds around the cache). A
     /// [`ProbeOutcome::Hit`] is an isomorphic query **and** the same
     /// epoch, so the value is exactly what the estimator would recompute;
     /// [`ProbeOutcome::StaleMiss`] found one stranded at another epoch by
     /// a commit. Counters are updated either way.
-    pub fn probe(&mut self, dataset: &str, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
-        self.probe_keyed(
-            bucket_key(dataset, certificate.hash()),
-            dataset,
-            certificate,
-            epoch,
-        )
+    pub fn probe(&mut self, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
+        self.probe_keyed(bucket_key(certificate.hash()), certificate, epoch)
     }
 
     /// Store an estimate computed at `epoch`. An existing entry for an
@@ -149,55 +140,41 @@ impl EstimateCache {
     /// entry, which is how invalidated estimates get refreshed rather
     /// than duplicated. At capacity the least recently used entry's slot
     /// is reused.
-    pub fn store(
-        &mut self,
-        dataset: &str,
-        certificate: &Certificate,
-        epoch: u64,
-        value: Option<f64>,
-    ) {
-        let key = bucket_key(dataset, certificate.hash());
-        self.store_keyed(key, dataset, certificate, epoch, value);
+    pub fn store(&mut self, certificate: &Certificate, epoch: u64, value: Option<f64>) {
+        self.store_keyed(bucket_key(certificate.hash()), certificate, epoch, value);
     }
 
     /// [`EstimateCache::probe`] of `query` under `canonical_hash`, which
-    /// need not be the query's own: with `dataset` it picks the key, and a
-    /// hit is an isomorphic query stored under the same key.
+    /// need not be the query's own: it picks the key, and a hit is an
+    /// isomorphic query stored under the same key. The leading `&str` is
+    /// ignored; it stays only because `bench/src/layers.rs` passes a
+    /// dataset name.
     pub fn probe_hashed(
         &mut self,
-        dataset: &str,
+        _: &str,
         query: &QueryGraph,
         canonical_hash: u64,
         epoch: u64,
     ) -> ProbeOutcome {
-        let key = bucket_key(dataset, canonical_hash);
-        self.probe_keyed(key, dataset, &query.certificate(), epoch)
+        self.probe_keyed(bucket_key(canonical_hash), &query.certificate(), epoch)
     }
 
     /// [`EstimateCache::store`] of `query` under `canonical_hash` (see
-    /// [`EstimateCache::probe_hashed`]).
+    /// [`EstimateCache::probe_hashed`], also for the ignored `&str`).
     pub fn store_hashed(
         &mut self,
-        dataset: &str,
+        _: &str,
         query: &QueryGraph,
         canonical_hash: u64,
         epoch: u64,
         value: Option<f64>,
     ) {
-        let key = bucket_key(dataset, canonical_hash);
-        self.store_keyed(key, dataset, &query.certificate(), epoch, value);
+        let key = bucket_key(canonical_hash);
+        self.store_keyed(key, &query.certificate(), epoch, value);
     }
 
-    fn probe_keyed(
-        &mut self,
-        key: u32,
-        dataset: &str,
-        certificate: &Certificate,
-        epoch: u64,
-    ) -> ProbeOutcome {
-        let found = self
-            .find(key, dataset, certificate)
-            .and_then(|id| self.touch(id));
+    fn probe_keyed(&mut self, key: u32, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
+        let found = self.find(key, certificate).and_then(|id| self.touch(id));
         let Some((cached, value)) = found.map(|slot| (slot.epoch, slot.value())) else {
             self.misses += 1;
             return ProbeOutcome::ColdMiss;
@@ -211,17 +188,10 @@ impl EstimateCache {
         ProbeOutcome::StaleMiss
     }
 
-    fn store_keyed(
-        &mut self,
-        key: u32,
-        dataset: &str,
-        certificate: &Certificate,
-        epoch: u64,
-        value: Option<f64>,
-    ) {
-        let slot = match self.find(key, dataset, certificate) {
+    fn store_keyed(&mut self, key: u32, certificate: &Certificate, epoch: u64, value: Option<f64>) {
+        let slot = match self.find(key, certificate) {
             Some(id) => self.touch(id),
-            None => self.insert(key, dataset, certificate),
+            None => self.insert(key, certificate),
         };
         // A racing slow computation from a pre-commit epoch must not
         // downgrade a fresher entry.
@@ -232,11 +202,10 @@ impl EstimateCache {
 
     /// A slot for a new entry at epoch 0, most recently used: a fresh one
     /// or, at capacity, the least recently used entry's.
-    fn insert(&mut self, key: u32, dataset: &str, certificate: &Certificate) -> Option<&mut Slot> {
+    fn insert(&mut self, key: u32, certificate: &Certificate) -> Option<&mut Slot> {
         if self.capacity == 0 {
             return None;
         }
-        let ds = self.intern(dataset)?;
         let id = if self.slots.len() <= self.capacity {
             self.slots.push(Slot::default());
             self.slots.len() as u32 - 1
@@ -262,7 +231,7 @@ impl EstimateCache {
             }
             None => Some(Box::from(edges)),
         };
-        (slot.key, slot.dataset, slot.epoch) = (key, ds, 0);
+        (slot.key, slot.epoch) = (key, 0);
         (slot.num_vars, slot.len) = (certificate.num_vars(), edges.len() as u8);
         if long.is_some() && self.long.is_empty() {
             self.long.resize_with(self.capacity + 1, || None);
@@ -278,17 +247,15 @@ impl EstimateCache {
         (key >> (32 - self.index.len().trailing_zeros())) as usize
     }
 
-    /// The slot of `dataset` holding `certificate` under `key`, searched
-    /// up to the empty place that ends `key`'s run.
-    fn find(&self, key: u32, dataset: &str, certificate: &Certificate) -> Option<u32> {
+    /// The slot holding `certificate` under `key`, searched up to the
+    /// empty place that ends `key`'s run.
+    fn find(&self, key: u32, certificate: &Certificate) -> Option<u32> {
         let mask = self.index.len() - 1;
         let mut pos = self.home(key);
         loop {
             let id = *self.index.get(pos)?;
             let slot = self.slots.get(id as usize).filter(|_| id != SENTINEL)?;
-            let name = self.names.get(usize::from(slot.dataset))?;
             if slot.key == key
-                && **name == *dataset
                 && slot.num_vars == certificate.num_vars()
                 && self.edges_of(id, slot) == Some(certificate.edges())
             {
@@ -351,16 +318,6 @@ impl EstimateCache {
         Some(())
     }
 
-    /// `name`'s id, interned on first sight; `None` once 2^16 names are.
-    fn intern(&mut self, name: &str) -> Option<u16> {
-        if let Some(id) = self.names.iter().position(|n| **n == *name) {
-            return Some(id as u16);
-        }
-        let id = u16::try_from(self.names.len()).ok()?;
-        self.names.push(name.into());
-        Some(id)
-    }
-
     /// Verified hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -388,7 +345,7 @@ impl EstimateCache {
     }
 
     /// Bytes the cache holds on the heap: the slab and the index at their
-    /// reserved size, the spilled certificates, the interned names.
+    /// reserved size, and the spilled certificates.
     pub fn heap_bytes(&self) -> usize {
         let reserve = self.slots.capacity() - self.slots.len();
         self.written_bytes() + reserve * size_of::<Slot>()
@@ -396,13 +353,12 @@ impl EstimateCache {
 
     /// The part of [`EstimateCache::heap_bytes`] the cache has written:
     /// the slab's filled slots, not its untouched (and so not resident)
-    /// reserve, plus the index, the spilled certificates and the names.
+    /// reserve, plus the index and the spilled certificates.
     pub(crate) fn written_bytes(&self) -> usize {
         let long: usize = self.long.iter().flatten().map(|e| size_of_val(&**e)).sum();
         let long = long + self.long.capacity() * size_of::<Option<Box<[QueryEdge]>>>();
-        let names: usize = self.names.iter().map(|n| n.len()).sum();
         let table = self.slots.len() * size_of::<Slot>() + self.index.capacity() * 4;
-        table + self.names.capacity() * size_of::<Box<str>>() + long + names
+        table + long
     }
 }
 
@@ -412,12 +368,12 @@ mod tests {
     use ceg_query::templates;
     use ProbeOutcome::{ColdMiss, Hit, StaleMiss};
 
-    fn probe(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64) -> ProbeOutcome {
-        cache.probe(dataset, &q.certificate(), epoch)
+    fn probe(cache: &mut EstimateCache, q: &QueryGraph, epoch: u64) -> ProbeOutcome {
+        cache.probe(&q.certificate(), epoch)
     }
 
-    fn store(cache: &mut EstimateCache, dataset: &str, q: &QueryGraph, epoch: u64, v: Option<f64>) {
-        cache.store(dataset, &q.certificate(), epoch, v)
+    fn store(cache: &mut EstimateCache, q: &QueryGraph, epoch: u64, v: Option<f64>) {
+        cache.store(&q.certificate(), epoch, v)
     }
 
     /// `q` with every variable `v` renamed `n - 1 - v`.
@@ -448,21 +404,15 @@ mod tests {
         let star = |k: usize| templates::star(k, &vec![0; k]);
         let mut c = EstimateCache::new(4);
         let inline = c.heap_bytes();
-        store(&mut c, "ds", &star(16), 0, Some(16.0));
+        store(&mut c, &star(16), 0, Some(16.0));
         let spilled = c.heap_bytes();
         assert!(spilled >= inline + 16 * size_of::<QueryEdge>());
-        assert_eq!(
-            probe(&mut c, "ds", &reversed(&star(16)), 0),
-            Hit(Some(16.0))
-        );
-        assert_eq!(probe(&mut c, "ds", &star(15), 0), ColdMiss);
-        store(&mut c, "ds", &star(12), 0, Some(12.0));
+        assert_eq!(probe(&mut c, &reversed(&star(16)), 0), Hit(Some(16.0)));
+        assert_eq!(probe(&mut c, &star(15), 0), ColdMiss);
+        store(&mut c, &star(12), 0, Some(12.0));
         assert_eq!(c.heap_bytes(), spilled, "12 edges fit inline");
-        assert_eq!(
-            probe(&mut c, "ds", &reversed(&star(12)), 0),
-            Hit(Some(12.0))
-        );
-        assert_eq!(probe(&mut c, "ds", &star(16), 0), Hit(Some(16.0)));
+        assert_eq!(probe(&mut c, &reversed(&star(12)), 0), Hit(Some(12.0)));
+        assert_eq!(probe(&mut c, &star(16), 0), Hit(Some(16.0)));
     }
 
     /// Distinct (non-isomorphic) queries: paths over distinct labels.
@@ -473,30 +423,30 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = EstimateCache::new(2);
-        store(&mut c, "ds", &q(1), 0, Some(10.0));
-        store(&mut c, "ds", &q(2), 0, Some(20.0));
-        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(10.0))); // 1 is now most recent
-        store(&mut c, "ds", &q(3), 0, Some(30.0)); // evicts 2
-        assert_eq!(probe(&mut c, "ds", &q(2), 0), ColdMiss);
-        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(10.0)));
-        assert_eq!(probe(&mut c, "ds", &q(3), 0), Hit(Some(30.0)));
+        store(&mut c, &q(1), 0, Some(10.0));
+        store(&mut c, &q(2), 0, Some(20.0));
+        assert_eq!(probe(&mut c, &q(1), 0), Hit(Some(10.0))); // 1 is now most recent
+        store(&mut c, &q(3), 0, Some(30.0)); // evicts 2
+        assert_eq!(probe(&mut c, &q(2), 0), ColdMiss);
+        assert_eq!(probe(&mut c, &q(1), 0), Hit(Some(10.0)));
+        assert_eq!(probe(&mut c, &q(3), 0), Hit(Some(30.0)));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn lru_replaces_in_place() {
         let mut c = EstimateCache::new(2);
-        store(&mut c, "ds", &q(1), 0, Some(10.0));
-        store(&mut c, "ds", &q(1), 0, Some(11.0));
+        store(&mut c, &q(1), 0, Some(10.0));
+        store(&mut c, &q(1), 0, Some(11.0));
         assert_eq!(c.len(), 1);
-        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(11.0)));
+        assert_eq!(probe(&mut c, &q(1), 0), Hit(Some(11.0)));
     }
 
     #[test]
     fn lru_zero_capacity_never_stores() {
         let mut c = EstimateCache::new(0);
-        store(&mut c, "ds", &q(1), 0, Some(10.0));
-        assert_eq!(probe(&mut c, "ds", &q(1), 0), ColdMiss);
+        store(&mut c, &q(1), 0, Some(10.0));
+        assert_eq!(probe(&mut c, &q(1), 0), ColdMiss);
         assert!(c.is_empty());
         assert_eq!(c.misses(), 1);
     }
@@ -508,16 +458,16 @@ mod tests {
     fn lru_survives_many_touches() {
         let mut c = EstimateCache::new(4);
         for i in 0..4 {
-            store(&mut c, "ds", &q(i), 0, Some(f64::from(i)));
+            store(&mut c, &q(i), 0, Some(f64::from(i)));
         }
         for _ in 0..1000 {
-            assert_eq!(probe(&mut c, "ds", &q(0), 0), Hit(Some(0.0)));
+            assert_eq!(probe(&mut c, &q(0), 0), Hit(Some(0.0)));
         }
-        assert_eq!(probe(&mut c, "ds", &q(1), 1), StaleMiss);
-        store(&mut c, "ds", &q(100), 0, Some(100.0)); // evicts 2, the least recent
-        assert_eq!(probe(&mut c, "ds", &q(0), 0), Hit(Some(0.0)));
-        assert_eq!(probe(&mut c, "ds", &q(1), 0), Hit(Some(1.0)));
-        assert_eq!(probe(&mut c, "ds", &q(2), 0), ColdMiss);
+        assert_eq!(probe(&mut c, &q(1), 1), StaleMiss);
+        store(&mut c, &q(100), 0, Some(100.0)); // evicts 2, the least recent
+        assert_eq!(probe(&mut c, &q(0), 0), Hit(Some(0.0)));
+        assert_eq!(probe(&mut c, &q(1), 0), Hit(Some(1.0)));
+        assert_eq!(probe(&mut c, &q(2), 0), ColdMiss);
         assert_eq!(c.len(), 4);
     }
 
@@ -527,45 +477,36 @@ mod tests {
     #[test]
     fn colliding_keys_share_a_run_and_survive_eviction() {
         let mut c = EstimateCache::new(2);
-        c.store_hashed("ds", &q(1), 7, 0, Some(1.0));
-        c.store_hashed("ds", &q(2), 7, 0, Some(2.0));
+        c.store_hashed("", &q(1), 7, 0, Some(1.0));
+        c.store_hashed("", &q(2), 7, 0, Some(2.0));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.probe_hashed("ds", &q(2), 7, 0), Hit(Some(2.0)));
-        c.store_hashed("ds", &q(3), 8, 0, Some(3.0)); // evicts q(1)
-        assert_eq!(c.probe_hashed("ds", &q(2), 7, 0), Hit(Some(2.0)));
-        assert_eq!(c.probe_hashed("ds", &q(1), 7, 0), ColdMiss);
-        assert_eq!(c.probe_hashed("ds", &q(3), 8, 0), Hit(Some(3.0)));
+        assert_eq!(c.probe_hashed("", &q(2), 7, 0), Hit(Some(2.0)));
+        c.store_hashed("", &q(3), 8, 0, Some(3.0)); // evicts q(1)
+        assert_eq!(c.probe_hashed("", &q(2), 7, 0), Hit(Some(2.0)));
+        assert_eq!(c.probe_hashed("", &q(1), 7, 0), ColdMiss);
+        assert_eq!(c.probe_hashed("", &q(3), 8, 0), Hit(Some(3.0)));
     }
 
     #[test]
     fn estimate_cache_hits_isomorphic_queries() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(3, &[0, 1, 0]);
-        assert_eq!(probe(&mut cache, "ds", &q, 0), ColdMiss);
-        store(&mut cache, "ds", &q, 0, Some(42.0));
+        assert_eq!(probe(&mut cache, &q, 0), ColdMiss);
+        store(&mut cache, &q, 0, Some(42.0));
         // Same query: hit.
-        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(Some(42.0)));
+        assert_eq!(probe(&mut cache, &q, 0), Hit(Some(42.0)));
         // Renamed (isomorphic) query: still a hit.
-        assert_eq!(probe(&mut cache, "ds", &reversed(&q), 0), Hit(Some(42.0)));
+        assert_eq!(probe(&mut cache, &reversed(&q), 0), Hit(Some(42.0)));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn estimate_cache_separates_datasets() {
-        let mut cache = EstimateCache::new(16);
-        let q = templates::path(2, &[0, 1]);
-        store(&mut cache, "a", &q, 0, Some(1.0));
-        assert_eq!(probe(&mut cache, "b", &q, 0), ColdMiss);
-        assert_eq!(probe(&mut cache, "a", &q, 0), Hit(Some(1.0)));
     }
 
     #[test]
     fn estimate_cache_caches_failures() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        store(&mut cache, "ds", &q, 0, None);
-        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(None));
+        store(&mut cache, &q, 0, None);
+        assert_eq!(probe(&mut cache, &q, 0), Hit(None));
         assert_eq!(cache.hits(), 1);
     }
 
@@ -573,17 +514,17 @@ mod tests {
     fn stale_epoch_misses_instead_of_lying() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        store(&mut cache, "ds", &q, 0, Some(7.0));
-        assert_eq!(probe(&mut cache, "ds", &q, 0), Hit(Some(7.0)));
+        store(&mut cache, &q, 0, Some(7.0));
+        assert_eq!(probe(&mut cache, &q, 0), Hit(Some(7.0)));
         // The dataset committed an update: epoch 1 probes must miss.
-        assert_eq!(probe(&mut cache, "ds", &q, 1), StaleMiss);
+        assert_eq!(probe(&mut cache, &q, 1), StaleMiss);
         assert_eq!(cache.misses(), 1); // the stale probe is a counted miss
                                        // Recomputing at epoch 1 replaces the entry in place.
-        store(&mut cache, "ds", &q, 1, Some(9.0));
-        assert_eq!(probe(&mut cache, "ds", &q, 1), Hit(Some(9.0)));
+        store(&mut cache, &q, 1, Some(9.0));
+        assert_eq!(probe(&mut cache, &q, 1), Hit(Some(9.0)));
         assert_eq!(cache.len(), 1, "replaced, not duplicated");
         // And the old epoch can no longer hit either.
-        assert_eq!(probe(&mut cache, "ds", &q, 0), StaleMiss);
+        assert_eq!(probe(&mut cache, &q, 0), StaleMiss);
     }
 
     #[test]
@@ -591,16 +532,16 @@ mod tests {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
         let h = q.canonical_hash();
-        assert_eq!(cache.probe_hashed("ds", &q, h, 0), ProbeOutcome::ColdMiss);
-        store(&mut cache, "ds", &q, 0, Some(7.0));
+        assert_eq!(cache.probe_hashed("", &q, h, 0), ProbeOutcome::ColdMiss);
+        store(&mut cache, &q, 0, Some(7.0));
         assert_eq!(
-            cache.probe_hashed("ds", &q, h, 0),
+            cache.probe_hashed("", &q, h, 0),
             ProbeOutcome::Hit(Some(7.0))
         );
-        assert_eq!(cache.probe_hashed("ds", &q, h, 1), ProbeOutcome::StaleMiss);
+        assert_eq!(cache.probe_hashed("", &q, h, 1), ProbeOutcome::StaleMiss);
         let other = templates::path(2, &[5, 6]);
         assert_eq!(
-            cache.probe_hashed("ds", &other, other.canonical_hash(), 1),
+            cache.probe_hashed("", &other, other.canonical_hash(), 1),
             ProbeOutcome::ColdMiss
         );
         assert_eq!(cache.hits(), 1);
@@ -612,10 +553,10 @@ mod tests {
     fn late_store_from_old_epoch_cannot_downgrade() {
         let mut cache = EstimateCache::new(16);
         let q = templates::path(2, &[0, 1]);
-        store(&mut cache, "ds", &q, 2, Some(5.0));
+        store(&mut cache, &q, 2, Some(5.0));
         // A straggler that computed against epoch 1 finishes late.
-        store(&mut cache, "ds", &q, 1, Some(4.0));
-        assert_eq!(probe(&mut cache, "ds", &q, 2), Hit(Some(5.0)));
-        assert_eq!(probe(&mut cache, "ds", &q, 1), StaleMiss);
+        store(&mut cache, &q, 1, Some(4.0));
+        assert_eq!(probe(&mut cache, &q, 2), Hit(Some(5.0)));
+        assert_eq!(probe(&mut cache, &q, 1), StaleMiss);
     }
 }

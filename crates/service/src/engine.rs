@@ -1,14 +1,15 @@
 //! The transport-independent estimation core.
 //!
 //! One [`Engine`] per server: it owns the shared [`EstimateCache`], a
-//! handle to the [`DatasetRegistry`] and the overload controls, and has
-//! **one estimate path**, [`Engine::estimate_batch`], which runs start to
-//! finish on the calling thread against one pinned epoch of the dataset:
+//! handle to the [`DatasetRegistry`] (the one dataset) and the overload
+//! controls, and has **one estimate path**, [`Engine::estimate_batch`],
+//! which runs start to finish on the calling thread against one pinned
+//! epoch of the dataset:
 //!
 //! 1. hash every query once and probe the cache once — hits are answered
 //!    here, before any admission, so a hit never waits behind cold work;
-//! 2. every miss takes a per-dataset admission permit, all up front
-//!    (`QueueFull` beyond the cap);
+//! 2. every miss takes an admission permit, all up front (`QueueFull`
+//!    beyond the cap);
 //! 3. in request order, each admitted miss waits for one of a fixed
 //!    number of run slots, re-checks drain and deadline, fills its
 //!    missing catalog patterns, estimates, stores the result, releases
@@ -39,7 +40,7 @@ use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EpochState};
 /// Entries kept in the slow-query ring buffer (oldest evicted first).
 const SLOWLOG_CAP: usize = 128;
 
-/// A per-dataset gauge: what `METRICS` calls `dataset_<name>_<gauge>` and
+/// A dataset gauge: what `METRICS` calls `dataset_<name>_<gauge>` and
 /// `METRICS_PROM` calls `ceg_dataset_<gauge>{dataset="<name>"}`.
 type DatasetGauge = (&'static str, fn(&DatasetEntry) -> u64);
 
@@ -99,8 +100,8 @@ pub enum QueryOutcome {
     Done(EstimateOutcome),
     /// Abandoned: the deadline passed before the answer was ready.
     TimedOut,
-    /// Refused: a miss, and its dataset already had as many misses
-    /// admitted as the cap allows (the wire's `BUSY queue full`).
+    /// Refused: a miss, and as many misses were already admitted as the
+    /// cap allows (the wire's `BUSY queue full`).
     QueueFull,
     /// Refused: a drain began before the miss got to run (the wire's
     /// `BUSY server draining`).
@@ -155,6 +156,7 @@ pub struct EngineStats {
     pub batches: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
+    /// Registered datasets: 1, or 0 before the dataset is registered.
     pub datasets: u64,
     /// Requests rejected with `BUSY` (admission control or drain).
     pub busy: u64,
@@ -165,13 +167,14 @@ pub struct EngineStats {
     pub queued: u64,
 }
 
-/// Overload control on the estimate path: a per-dataset bound on
-/// admitted misses (counted on the [`DatasetEntry`]) and a fixed number
-/// of run slots. Both hand out RAII guards, so neither bound can leak
-/// whatever way a miss ends.
+/// Overload control on the estimate path: a bound on admitted misses and
+/// a fixed number of run slots. Both hand out RAII guards, so neither
+/// bound can leak whatever way a miss ends.
 struct Overload {
-    /// Most misses one dataset may have admitted at once.
+    /// Most misses admitted at once.
     queue_cap: usize,
+    /// Cache-missing estimates admitted and not yet answered.
+    admitted: AtomicUsize,
     /// Free run slots, of `max(2, available_parallelism)`: how many
     /// misses count and estimate at once, however many connections
     /// there are. `LockRank::RunGate`: taken with nothing else held,
@@ -187,17 +190,18 @@ impl Overload {
             .max(2);
         Overload {
             queue_cap,
+            admitted: AtomicUsize::new(0),
             free_slots: OrderedMutex::new(LockRank::RunGate, slots),
             slot_freed: Condvar::new(),
         }
     }
 
-    /// Admit one miss on `entry`; `None` means the dataset is at its cap
-    /// and the miss must be refused.
-    fn try_admit<'a>(&self, entry: &'a DatasetEntry, metrics: &'a Metrics) -> Option<Permit<'a>> {
+    /// Admit one miss; `None` means the cap is reached and the miss must
+    /// be refused.
+    fn try_admit<'a>(&'a self, metrics: &'a Metrics) -> Option<Permit<'a>> {
         // Exact bound: a compare-exchange loop never overshoots the cap,
         // unlike fetch_add-then-undo.
-        let counter = &entry.admitted;
+        let counter = &self.admitted;
         let mut cur = counter.load(Ordering::Relaxed);
         loop {
             if cur >= self.queue_cap {
@@ -228,7 +232,7 @@ impl Overload {
     }
 }
 
-/// One admitted miss; dropping it frees the dataset's admission slot.
+/// One admitted miss; dropping it frees its admission slot.
 struct Permit<'a> {
     counter: &'a AtomicUsize,
     metrics: &'a Metrics,
@@ -260,8 +264,8 @@ impl Drop for RunSlot<'_> {
 /// counters + metrics.
 pub struct Engine {
     registry: Arc<DatasetRegistry>,
-    /// `LockRank::Cache`: taken after the registry map and any dataset
-    /// locks are released, before the slowlog/metrics rank.
+    /// `LockRank::Cache`: taken after any dataset locks are released,
+    /// before the slowlog/metrics rank.
     cache: OrderedMutex<EstimateCache>,
     overload: Overload,
     /// Set once by [`Engine::begin_drain`]; misses that have not started
@@ -279,8 +283,8 @@ impl Engine {
         Engine::with_queue_cap(registry, cache_capacity, usize::MAX)
     }
 
-    /// [`Engine::new`] refusing a dataset's misses beyond `queue_cap`
-    /// admitted at once — how the server applies
+    /// [`Engine::new`] refusing misses beyond `queue_cap` admitted at
+    /// once — how the server applies
     /// [`crate::ServerConfig::queue_cap`].
     pub(crate) fn with_queue_cap(
         registry: Arc<DatasetRegistry>,
@@ -446,7 +450,7 @@ impl Engine {
         let probed: Vec<ProbeOutcome> = certificates
             .iter()
             .map(|certificate| match cache.as_mut() {
-                Some(cache) => cache.probe(dataset, certificate, epoch),
+                Some(cache) => cache.probe(certificate, epoch),
                 None => ProbeOutcome::ColdMiss,
             })
             .collect();
@@ -474,7 +478,7 @@ impl Engine {
                     value,
                     cached: true,
                 })),
-                _ => match self.overload.try_admit(&entry, &self.metrics) {
+                _ => match self.overload.try_admit(&self.metrics) {
                     Some(permit) => Slot::Admitted(permit),
                     None => {
                         self.metrics.inc(Series::Busy);
@@ -608,7 +612,7 @@ impl Engine {
                 // just is not stored (the next identical query
                 // recomputes).
                 if let Ok(mut cache) = self.cache.checked_lock() {
-                    cache.store(entry.name(), certificate, state.epoch(), value);
+                    cache.store(certificate, state.epoch(), value);
                 }
                 QueryOutcome::Done(EstimateOutcome {
                     value,
@@ -705,8 +709,8 @@ impl Engine {
     }
 
     /// Fold one boot-time recovery's [`crate::registry::RecoveryReport`]
-    /// into the metrics (`cegcli serve --data-dir` calls this per
-    /// recovered dataset).
+    /// into the metrics (`cegcli serve --data-dir` calls this once it
+    /// has recovered its dataset).
     pub fn record_recovery(&self, report: &crate::registry::RecoveryReport) {
         let replayed = report.replayed_commits as u64;
         self.metrics.add(Series::WalRecoveredCommits, replayed);
@@ -730,17 +734,16 @@ impl Engine {
         if !path.ends_with(".cegsnap") {
             return Err("snapshot path must end in .cegsnap".into());
         }
-        for entry in self.registry.entries() {
-            let owned = entry.owns_snapshot(path.as_ref());
-            if owned.map_err(|e| e.to_string())? {
-                return Err(format!(
-                    "snapshot path {path} is the durable snapshot of dataset `{}`",
-                    entry.name()
-                ));
-            }
+        let entry = self.entry(dataset)?;
+        if entry
+            .owns_snapshot(path.as_ref())
+            .map_err(|e| e.to_string())?
+        {
+            return Err(format!(
+                "snapshot path {path} is the durable snapshot of dataset `{dataset}`"
+            ));
         }
-        let (epoch, bytes) = self
-            .entry(dataset)?
+        let (epoch, bytes) = entry
             .write_snapshot(path)
             .map_err(|e| format!("snapshot failed: {e}"))?;
         Ok(SnapshotAck { epoch, bytes })
@@ -758,7 +761,7 @@ impl Engine {
             batches: self.metrics.get(Series::Batches),
             cache_hits,
             cache_misses,
-            datasets: self.registry.len() as u64,
+            datasets: self.registry.dataset().is_some() as u64,
             busy: self.metrics.get(Series::Busy),
             timeouts: self.metrics.get(Series::Timeout),
             queued: self.metrics.get(Series::Queued),
@@ -786,8 +789,8 @@ impl Engine {
         self.metrics.set(Series::CacheStaleMisses, stale);
         self.metrics.set(Series::CacheEntries, entries);
         self.metrics.set(Series::CacheBytes, bytes);
-        self.metrics
-            .set(Series::Datasets, self.registry.len() as u64);
+        let dataset = self.registry.dataset();
+        self.metrics.set(Series::Datasets, dataset.is_some() as u64);
 
         let status_bytes = |field| crate::memory::proc_status(field).map_or(0, |kb| kb * 1024);
         let anon = status_bytes("RssAnon");
@@ -799,48 +802,44 @@ impl Engine {
         self.metrics.set(Series::Threads, threads);
         // The cache's written bytes, not `cache_bytes`: the slab's
         // untouched reserve is allocated but never resident.
-        let resident = |e: &Arc<DatasetEntry>| e.graph_bytes() + e.catalog_bytes();
-        let datasets: usize = self.registry.entries().iter().map(resident).sum();
-        let accounted = written.saturating_add(datasets as u64);
+        let resident = dataset.map_or(0, |e| e.graph_bytes() + e.catalog_bytes());
+        let accounted = written.saturating_add(resident as u64);
         self.metrics
             .set(Series::UnaccountedBytes, anon.saturating_sub(accounted));
     }
 
     /// The full metrics dump behind the `METRICS` wire command: every
     /// [`Metrics::snapshot`] pair, the engine's own series (requests,
-    /// cache) and the per-dataset gauges, as stable `(key, value)` pairs.
+    /// cache) and the dataset's gauges, as stable `(key, value)` pairs.
     pub fn metrics_snapshot(&self) -> Vec<(String, u64)> {
         self.sample();
         let mut out = self.metrics.snapshot();
         let engine_rows = self.metrics.rows(true);
         out.extend(engine_rows.map(|(&(_, key, ..), v)| (key.to_string(), v)));
-        for entry in self.registry.entries() {
+        if let Some(entry) = self.registry.dataset() {
             for (gauge, get) in DATASET_GAUGES {
-                out.push((format!("dataset_{}_{gauge}", entry.name()), get(&entry)));
+                out.push((format!("dataset_{}_{gauge}", entry.name()), get(entry)));
             }
         }
         out
     }
 
     /// The Prometheus text-exposition dump behind `METRICS_PROM`: the
-    /// same series as [`Engine::metrics_snapshot`] (dataset names become
-    /// label values, so the family set is stable regardless of what is
-    /// registered).
+    /// same series as [`Engine::metrics_snapshot`] (the dataset's name
+    /// becomes a label value, so the family names do not depend on it).
     pub fn metrics_prom(&self) -> Vec<String> {
         self.sample();
         let mut out = self.metrics.prom_lines();
         self.metrics.scalar_prom(true, &mut out);
-        // Per-dataset families are omitted entirely when no dataset is
+        // The dataset families are omitted entirely before a dataset is
         // registered — a `# TYPE` line with zero samples is invalid
         // exposition (and our own checker rejects it).
-        let entries = self.registry.entries();
-        if !entries.is_empty() {
+        if let Some(entry) = self.registry.dataset() {
+            let name = entry.name();
             for (gauge, get) in DATASET_GAUGES {
                 out.push(format!("# TYPE ceg_dataset_{gauge} gauge"));
-                for entry in &entries {
-                    let (name, value) = (entry.name(), get(entry));
-                    out.push(format!("ceg_dataset_{gauge}{{dataset=\"{name}\"}} {value}"));
-                }
+                let value = get(entry);
+                out.push(format!("ceg_dataset_{gauge}{{dataset=\"{name}\"}} {value}"));
             }
         }
         out

@@ -5,10 +5,10 @@
 //! the catalog (or reads a `cegtool stats` snapshot) on every call; this
 //! crate keeps both warm and shares them:
 //!
-//! * [`registry`] — each dataset is loaded once ([`DatasetRegistry`]) and
-//!   served from one pinned epoch per request. Its Markov catalog grows
-//!   as unseen patterns arrive. `ADD_EDGE` / `DEL_EDGE` buffer a pending
-//!   delta; `COMMIT` logs its effective part, folds it into a fresh CSR,
+//! * [`registry`] — the process's one dataset, loaded once into a
+//!   [`DatasetRegistry`] and served from one pinned epoch per request.
+//!   Its Markov catalog grows as unseen patterns arrive. `ADD_EDGE` /
+//!   `DEL_EDGE` buffer a pending delta; `COMMIT` logs its effective part, folds it into a fresh CSR,
 //!   recounts the touched catalog entries and publishes the next epoch
 //!   (`registry/commit.rs`). `registry/durability.rs` owns the WAL, the
 //!   `.cegsnap` snapshot it replays onto, boot-time recovery and the fold;

@@ -172,7 +172,7 @@ pub enum Series {
     /// absent): anonymous pages (`RssAnon`), file-backed pages
     /// (`RssFile`) and the peak (`VmHWM`), in bytes; the thread count
     /// (`Threads`); then the anonymous bytes no gauge accounts for —
-    /// `RssAnon` minus every dataset's graph and catalog bytes and the
+    /// `RssAnon` minus the dataset's graph and catalog bytes and the
     /// cache's written ones, saturating at 0.
     RssAnonBytes,
     RssFileBytes,
@@ -328,7 +328,7 @@ impl Metrics {
 
     /// Everything recorded here as `(key, value)` pairs in a stable order —
     /// the first part of the `METRICS` wire reply (the engine appends its
-    /// own series and the per-dataset gauges). Keys are snake_case and
+    /// own series and the dataset's gauges). Keys are snake_case and
     /// stable across releases; latencies are in microseconds.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         let key_value = |(&(_, key, ..), v): (&Row, u64)| (key.to_string(), v);

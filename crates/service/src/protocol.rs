@@ -38,8 +38,8 @@
 //! milliseconds from the moment the server parses it; a request that
 //! cannot be answered in time gets a typed `TIMEOUT` reply, never a
 //! partial line. `BUSY` is the admission-control rejection: the
-//! dataset already has its cap of cache misses admitted (or the server
-//! is draining) and the request was refused *before* any counting or
+//! server already has its cap of cache misses admitted (or it is
+//! draining) and the request was refused *before* any counting or
 //! estimation, so it is safe to resend. `STATS batches=` counts
 //! engine calls: one per `ESTIMATE`, `EXPLAIN_ESTIMATE` or
 //! `ESTIMATE_BATCH` request, whatever it hit or missed; `queued=` is the
@@ -51,8 +51,8 @@
 //! during a drain) is that single typed line in place of the head.
 //! Tokens after a complete request are an error for every command.
 //! `SHUTDOWN` asks the server to drain: the reply `DRAINING` confirms,
-//! new work is BUSY-rejected, and the process writes final snapshots and
-//! exits once in-flight work settles (see `cegcli serve`).
+//! new work is BUSY-rejected, and the process writes its final snapshot
+//! and exits once in-flight work settles (see `cegcli serve`).
 //!
 //! A query is limited to 32 edges and 32 variables (it is analysed with
 //! `u32` masks) and to `QueryGraph::MAX_CONNECTED_SUBSETS` = 65,536

@@ -1,6 +1,6 @@
-//! The dataset registry: each dataset is loaded once into a
-//! [`DatasetEntry`], shared across connections via `Arc`, and replaced
-//! safely while serving.
+//! The dataset registry: the process's one dataset is loaded once into a
+//! [`DatasetEntry`] and shared across connections via `Arc`, and its
+//! committed state is replaced safely while serving.
 //!
 //! A dataset's committed state is one immutable epoch state (`epoch`):
 //! a CSR graph, its epoch number and the Markov catalog counted on
@@ -26,13 +26,12 @@ mod epoch;
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ceg_catalog::MarkovTable;
 use ceg_graph::sync::{LockPoisoned, LockRank, OrderedMutex, OrderedRwLock};
 use ceg_graph::vfs::Storage;
-use ceg_graph::{FxHashMap, FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
+use ceg_graph::{FxHashSet, GraphDelta, LabelId, LabeledGraph, VertexId};
 use ceg_query::{Pattern, QueryGraph};
 
 pub use commit::CommitOutcome;
@@ -59,13 +58,10 @@ pub struct DatasetEntry {
     /// the pending delta to the swap, so log order is epoch order.
     /// Readers never take it; `current` and `pending` rank above it.
     durability: OrderedMutex<Option<Durability>>,
-    /// Cache-missing estimates on this dataset that the engine has
-    /// admitted and not yet answered; its admission budget counts here.
-    pub(crate) admitted: AtomicUsize,
 }
 
-/// Default cap on buffered (uncommitted) operations per dataset: a
-/// client that never commits is refused, not given unbounded memory.
+/// Default cap on buffered (uncommitted) operations: a client that
+/// never commits is refused, not given unbounded memory.
 pub const MAX_PENDING_OPS: usize = 1 << 20;
 
 impl DatasetEntry {
@@ -83,7 +79,6 @@ impl DatasetEntry {
             current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
             pending: OrderedMutex::new(LockRank::PendingDelta, GraphDelta::new()),
             durability: OrderedMutex::new(LockRank::Durability, durability),
-            admitted: AtomicUsize::new(0),
         }
     }
 
@@ -240,38 +235,40 @@ impl DatasetEntry {
     }
 }
 
-/// Name → dataset map shared by every connection.
+/// The one dataset a process serves, shared by every connection.
+///
+/// The registry holds at most one [`DatasetEntry`]: the first
+/// [`DatasetRegistry::insert`] (or `insert_graph`, `load_snapshot`,
+/// `recover`) registers it, and every later call returns that first
+/// dataset unchanged, dropping the entry it was handed or loaded (a
+/// later `recover` still reads, and repairs, the files it is given).
 pub struct DatasetRegistry {
-    map: OrderedRwLock<FxHashMap<String, Arc<DatasetEntry>>>,
-    /// Catalog-growth worker threads handed to entries registered through
+    slot: OnceLock<Arc<DatasetEntry>>,
+    /// Catalog-growth worker threads handed to an entry registered through
     /// [`DatasetRegistry::insert_graph`], [`DatasetRegistry::load_snapshot`]
-    /// and [`DatasetRegistry::recover`].
+    /// or [`DatasetRegistry::recover`].
     default_jobs: usize,
 }
 
 impl DatasetRegistry {
-    /// An empty registry whose datasets count missing patterns serially.
+    /// An empty registry whose dataset counts missing patterns serially.
     pub fn new() -> Self {
         Self::with_jobs(1)
     }
 
-    /// An empty registry whose datasets grow their catalogs on up to
-    /// `jobs` worker threads.
+    /// An empty registry whose dataset grows its catalog on up to `jobs`
+    /// worker threads.
     pub fn with_jobs(jobs: usize) -> Self {
         DatasetRegistry {
-            map: OrderedRwLock::new(LockRank::Registry, FxHashMap::default()),
+            slot: OnceLock::new(),
             default_jobs: jobs.max(1),
         }
     }
 
-    /// Register a prepared entry, replacing any previous dataset with the
-    /// same name. Returns the shared handle.
+    /// Register a prepared entry, unless a dataset is registered already.
+    /// Returns the registered dataset: `entry`, or the first one.
     pub fn insert(&self, entry: DatasetEntry) -> Arc<DatasetEntry> {
-        let entry = Arc::new(entry);
-        self.map
-            .write()
-            .insert(entry.name().to_string(), entry.clone());
-        entry
+        self.slot.get_or_init(|| Arc::new(entry)).clone()
     }
 
     /// Register a graph with an empty hop-`h` catalog (it fills on demand).
@@ -310,26 +307,14 @@ impl DatasetRegistry {
         Ok((self.insert(entry), report))
     }
 
-    /// Shared handle to a dataset, if registered.
+    /// The registered dataset, if it is called `name`.
     pub fn get(&self, name: &str) -> Option<Arc<DatasetEntry>> {
-        self.map.read().get(name).cloned()
+        self.slot.get().filter(|e| e.name == name).cloned()
     }
 
-    /// Every registered dataset, sorted by name.
-    pub(crate) fn entries(&self) -> Vec<Arc<DatasetEntry>> {
-        let mut entries: Vec<_> = self.map.read().values().cloned().collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        entries
-    }
-
-    /// Number of registered datasets.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// True if no dataset is registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+    /// The registered dataset, whatever its name.
+    pub(crate) fn dataset(&self) -> Option<&Arc<DatasetEntry>> {
+        self.slot.get()
     }
 }
 

@@ -47,19 +47,19 @@ use crate::registry::DatasetRegistry;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// LRU estimate-cache capacity in entries, one per isomorphism class
-    /// of query and dataset (0 disables caching). Entries, not hash
-    /// buckets: the two differ only under a WL hash collision, whose two
-    /// classes take two entries.
+    /// of query (0 disables caching). Entries, not hash buckets: the two
+    /// differ only under a WL hash collision, whose two classes take two
+    /// entries.
     pub cache_capacity: usize,
     /// Admission control: maximum cache-missing estimates admitted
-    /// (waiting for a run slot or running) per dataset. Misses beyond
-    /// the cap get a typed `BUSY` instead of waiting without bound.
+    /// (waiting for a run slot or running) at once. Misses beyond the
+    /// cap get a typed `BUSY` instead of waiting without bound.
     pub queue_cap: usize,
     /// Deadline applied to estimates that don't carry their own
     /// `DEADLINE_MS`. `None` means unbounded (seed behaviour).
     pub default_deadline_ms: Option<u64>,
-    /// Where [`Server::drain`] writes one final `<dataset>.cegsnap` per
-    /// dataset. `None` skips the final snapshots.
+    /// Where [`Server::drain`] writes the dataset's final
+    /// `<dataset>.cegsnap`. `None` skips the final snapshot.
     pub drain_snapshot_dir: Option<PathBuf>,
     /// How long [`Server::drain`] waits for admitted misses to settle
     /// before abandoning them (their connection handlers still answer
@@ -144,7 +144,7 @@ impl Shared {
 /// What [`Server::drain`] did.
 #[derive(Debug)]
 pub struct DrainReport {
-    /// `(dataset, path, bytes)` for each final snapshot written.
+    /// `(dataset, path, bytes)` of the final snapshot, if one was written.
     pub snapshots: Vec<(String, PathBuf, u64)>,
     /// Misses still admitted when the grace period expired (their typed
     /// replies are their connection handlers' job; this only bounds
@@ -161,7 +161,7 @@ pub struct DrainReport {
 /// keep their handler threads, so in-flight requests are always
 /// answered. [`Server::drain`] is the graceful variant: flip the drain
 /// flag first so in-flight work resolves to typed replies, then write
-/// final snapshots.
+/// the final snapshot.
 pub struct Server {
     engine: Arc<Engine>,
     shared: Arc<Shared>,
@@ -173,7 +173,7 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// serving the datasets in `registry`.
+    /// serving the dataset in `registry`.
     pub fn start(
         registry: Arc<DatasetRegistry>,
         addr: impl std::net::ToSocketAddrs,
@@ -256,7 +256,7 @@ impl Server {
 
     /// Gracefully drain and stop: reject new work, stop accepting, wait
     /// up to the grace period for admitted misses to resolve into typed
-    /// replies, then write one final snapshot per dataset into
+    /// replies, then write the dataset's final snapshot into
     /// `drain_snapshot_dir` (if configured).
     pub fn drain(mut self) -> io::Result<DrainReport> {
         self.shared.request_drain();
@@ -270,13 +270,12 @@ impl Server {
         }
         let abandoned = metrics.get(Series::Queued);
         let mut snapshots = Vec::new();
-        if let Some(dir) = self.config.drain_snapshot_dir.clone() {
-            std::fs::create_dir_all(&dir)?;
-            for entry in self.engine.registry().entries() {
-                let path = dir.join(format!("{}.cegsnap", entry.name()));
-                let (_epoch, bytes) = entry.write_snapshot(&path)?;
-                snapshots.push((entry.name().to_string(), path, bytes));
-            }
+        let dataset = self.engine.registry().dataset();
+        if let (Some(dir), Some(entry)) = (&self.config.drain_snapshot_dir, dataset) {
+            std::fs::create_dir_all(dir)?;
+            let path = dir.join(format!("{}.cegsnap", entry.name()));
+            let (_epoch, bytes) = entry.write_snapshot(&path)?;
+            snapshots.push((entry.name().to_string(), path, bytes));
         }
         Ok(DrainReport {
             snapshots,

@@ -191,6 +191,30 @@ impl DatasetSpec {
     }
 }
 
+/// One rung of the scale ladder: the IMDb stand-in at `k` times its size,
+/// `k x 9,000` vertices and `k x 22,000` edge draws. `k = 1` is the wire
+/// benchmark's `g10k`, `k = 10` its `g100k`.
+#[derive(Debug, Clone, Copy)]
+pub struct Rung {
+    pub k: usize,
+}
+
+impl Rung {
+    /// The rung's generation parameters.
+    pub fn spec(&self) -> DatasetSpec {
+        DatasetSpec {
+            num_vertices: self.k * 9_000,
+            num_edges: self.k * 22_000,
+            ..Dataset::Imdb.spec()
+        }
+    }
+
+    /// Generate the rung's graph with a deterministic seed.
+    pub fn graph(&self, seed: u64) -> LabeledGraph {
+        self.spec().generate(seed)
+    }
+}
+
 /// Inverse-CDF Zipf sampler over `0..n` with exponent `alpha`, searched
 /// through a guide table (Chen & Asau, 1974).
 ///

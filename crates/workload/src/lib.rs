@@ -24,7 +24,7 @@ pub mod runner;
 pub mod updates;
 pub mod workloads;
 
-pub use datasets::{Dataset, DatasetSpec};
+pub use datasets::{Dataset, DatasetSpec, Rung};
 pub use qerror::{signed_log_qerror, QErrorSummary};
 pub use runner::{run_estimators, EstimatorReport};
 pub use updates::{generate_update_stream, UpdateOp};

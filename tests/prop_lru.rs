@@ -3,8 +3,8 @@
 //! The cache keeps its entries in one slab, recency as an intrusive list
 //! of slot ids and lookup as an open-addressing index with backward-shift
 //! deletion. The reference model below is the textbook LRU: a vector
-//! ordered least to most recently used, holding `(dataset, query, epoch,
-//! value)`, where a query matches by `is_isomorphic` and nothing else.
+//! ordered least to most recently used, holding `(query, epoch, value)`,
+//! where a query matches by `is_isomorphic` and nothing else.
 //! Random scripts of probes and stores drive both, and every step compares
 //! the `ProbeOutcome`, `len`, `hits`, `misses` and `stale_misses`.
 //!
@@ -64,32 +64,27 @@ fn shapes() -> Vec<(QueryGraph, u64)> {
 /// Textbook reference: a vector ordered least → most recently used.
 struct Model {
     capacity: usize,
-    entries: Vec<(u8, QueryGraph, u64, Option<f64>)>,
+    entries: Vec<(QueryGraph, u64, Option<f64>)>,
     hits: u64,
     misses: u64,
     stale_misses: u64,
 }
 
 impl Model {
-    /// Move the entry isomorphic to `query` on `dataset` to the back and
-    /// return it.
-    fn touch(
-        &mut self,
-        dataset: u8,
-        query: &QueryGraph,
-    ) -> Option<&mut (u8, QueryGraph, u64, Option<f64>)> {
+    /// Move the entry isomorphic to `query` to the back and return it.
+    fn touch(&mut self, query: &QueryGraph) -> Option<&mut (QueryGraph, u64, Option<f64>)> {
         let i = self
             .entries
             .iter()
-            .position(|(d, q, ..)| *d == dataset && q.is_isomorphic(query))?;
+            .position(|(q, ..)| q.is_isomorphic(query))?;
         let entry = self.entries.remove(i);
         self.entries.push(entry);
         self.entries.last_mut()
     }
 
-    fn probe(&mut self, dataset: u8, query: &QueryGraph, epoch: u64) -> ProbeOutcome {
-        let outcome = match self.touch(dataset, query) {
-            Some((_, _, e, value)) if *e == epoch => ProbeOutcome::Hit(*value),
+    fn probe(&mut self, query: &QueryGraph, epoch: u64) -> ProbeOutcome {
+        let outcome = match self.touch(query) {
+            Some((_, e, value)) if *e == epoch => ProbeOutcome::Hit(*value),
             Some(_) => ProbeOutcome::StaleMiss,
             None => ProbeOutcome::ColdMiss,
         };
@@ -104,38 +99,36 @@ impl Model {
         outcome
     }
 
-    fn store(&mut self, dataset: u8, query: &QueryGraph, epoch: u64, value: Option<f64>) {
+    fn store(&mut self, query: &QueryGraph, epoch: u64, value: Option<f64>) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(entry) = self.touch(dataset, query) {
-            if epoch >= entry.2 {
-                (entry.2, entry.3) = (epoch, value);
+        if let Some(entry) = self.touch(query) {
+            if epoch >= entry.1 {
+                (entry.1, entry.2) = (epoch, value);
             }
             return;
         }
-        self.entries.push((dataset, query.clone(), epoch, value));
+        self.entries.push((query.clone(), epoch, value));
         if self.entries.len() > self.capacity {
             self.entries.remove(0);
         }
     }
 }
 
-/// One scripted operation: probe or store `(dataset, shape, epoch)`.
+/// One scripted operation: probe or store `(shape, epoch)`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
     store: bool,
-    dataset: u8,
     shape: usize,
     epoch: u64,
 }
 
 fn arb_ops(shapes: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..2, 0u8..2, 0..shapes, 0u64..4), 0..200).prop_map(|raw| {
+    prop::collection::vec((0u8..2, 0..shapes, 0u64..4), 0..200).prop_map(|raw| {
         raw.into_iter()
-            .map(|(kind, dataset, shape, epoch)| Op {
+            .map(|(kind, shape, epoch)| Op {
                 store: kind == 0,
-                dataset,
                 shape,
                 epoch,
             })
@@ -153,22 +146,20 @@ proptest! {
         (capacity, ops) in (0usize..7, arb_ops(8))
     ) {
         let shapes = shapes();
-        let names = ["a", "b"];
         let mut real = EstimateCache::new(capacity);
         let mut model = Model { capacity, entries: Vec::new(), hits: 0, misses: 0, stale_misses: 0 };
         // Values are a running counter (every 5th a cached failure), so a
         // value served from the wrong entry or epoch is caught.
         for (step, op) in ops.iter().enumerate() {
             let (query, hash) = &shapes[op.shape];
-            let dataset = names[op.dataset as usize];
             if op.store {
                 let value = (step % 5 != 0).then_some(step as f64);
-                real.store_hashed(dataset, query, *hash, op.epoch, value);
-                model.store(op.dataset, query, op.epoch, value);
+                real.store_hashed("", query, *hash, op.epoch, value);
+                model.store(query, op.epoch, value);
             } else {
                 prop_assert_eq!(
-                    real.probe_hashed(dataset, query, *hash, op.epoch),
-                    model.probe(op.dataset, query, op.epoch),
+                    real.probe_hashed("", query, *hash, op.epoch),
+                    model.probe(query, op.epoch),
                     "step {}: {:?} diverged (capacity {})", step, op, capacity
                 );
             }

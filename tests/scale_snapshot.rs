@@ -10,7 +10,7 @@
 use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::MarkovTable;
 use cegraph::service::proc_status;
-use cegraph::workload::{Dataset, DatasetSpec};
+use cegraph::workload::Rung;
 
 /// A `VmHWM` / `VmRSS` line of `/proc/self/status`, in bytes.
 fn status_bytes(key: &str) -> usize {
@@ -37,12 +37,7 @@ fn peak_growth<R>(f: impl FnOnce() -> R) -> (R, usize) {
 fn million_edge_snapshot_roundtrip_holds_one_graph() {
     // The bench rungs' shape (the IMDb stand-in, 32 labels), 64 times
     // g10k: 576k vertices, 1.41M edge draws.
-    let graph = DatasetSpec {
-        num_vertices: 64 * 9_000,
-        num_edges: 64 * 22_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(2022);
+    let graph = Rung { k: 64 }.graph(2022);
     assert!(graph.num_edges() >= 1_000_000, "{}", graph.num_edges());
     assert_eq!(graph.num_labels(), 32);
     let heap = graph.heap_bytes();

@@ -10,16 +10,11 @@ use cegraph::catalog::io::write_snapshot;
 use cegraph::catalog::MarkovTable;
 use cegraph::graph::snapshot::{SnapshotReader, TAG_GRAPH, TAG_MARKOV};
 use cegraph::query::QueryGraph;
-use cegraph::workload::{Dataset, DatasetSpec, Workload};
+use cegraph::workload::{Rung, Workload};
 
 #[test]
 fn catalog_section_of_a_seeded_h2_catalog_is_pinned() {
-    let graph = DatasetSpec {
-        num_vertices: 9_000,
-        num_edges: 22_000,
-        ..Dataset::Imdb.spec()
-    }
-    .generate(2022);
+    let graph = Rung { k: 1 }.graph(2022);
     let queries: Vec<QueryGraph> = [Workload::Job, Workload::Acyclic]
         .iter()
         .flat_map(|w| w.build(&graph, 12, 2022))

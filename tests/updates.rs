@@ -192,32 +192,3 @@ fn wire_level_commit_bumps_epoch_and_invalidates_cache() {
     client.quit().unwrap();
     server.shutdown();
 }
-
-/// Epochs also separate datasets: committing on one dataset must not
-/// invalidate another's cache.
-#[test]
-fn commits_invalidate_per_dataset() {
-    let graph = |n: u32| {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 0);
-        b.add_edge(1, n, 1);
-        b.build()
-    };
-    let registry = Arc::new(DatasetRegistry::new());
-    registry.insert_graph("a", graph(2), 2);
-    registry.insert_graph("b", graph(3), 2);
-    let engine = Engine::new(registry, 64);
-    let q = templates::path(2, &[0, 1]);
-    engine.estimate("a", &q).unwrap();
-    engine.estimate("b", &q).unwrap();
-    engine.add_edge("a", 0, 3, 0).unwrap();
-    engine.commit("a").unwrap();
-    assert!(
-        !engine.estimate("a", &q).unwrap().cached,
-        "a was invalidated"
-    );
-    assert!(
-        engine.estimate("b", &q).unwrap().cached,
-        "b must stay cached"
-    );
-}
