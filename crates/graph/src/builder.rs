@@ -67,7 +67,7 @@ impl GraphBuilder {
             .map(|mut pairs| {
                 pairs.sort_unstable();
                 pairs.dedup();
-                let fwd = Csr::from_pairs(n, &pairs);
+                let fwd = Csr::from_sorted_pairs(n, &pairs);
                 let bwd = fwd.transpose();
                 (fwd, bwd)
             })
@@ -105,6 +105,30 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_labels(), 7);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The forward index built from the sorted, deduplicated pairs is
+    /// the one `Csr::from_pairs` builds from them in any order, and the
+    /// backward index its transpose.
+    #[test]
+    fn build_hands_sorted_pairs_over_unchanged() {
+        let mut b = GraphBuilder::new(0);
+        let mut pairs = Vec::new();
+        for i in 0..5_000u32 {
+            let (s, d) = ((i * 7_919) % 9_001, (i * 104_729) % 8_999);
+            b.add_edge(s, d, 1);
+            b.add_edge(s, d, 1);
+            pairs.push((s, d));
+        }
+        let g = b.build();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.reverse();
+        let (fwd, bwd) = g.csr_pairs().nth(1).unwrap();
+        let want = Csr::from_pairs(g.num_vertices(), &pairs);
+        assert_eq!(*fwd, want);
+        assert_eq!(fwd.heap_bytes(), want.heap_bytes());
+        assert_eq!(*bwd, want.transpose());
     }
 
     #[test]

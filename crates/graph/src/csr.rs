@@ -8,20 +8,25 @@
 //! Only the *active* vertices — those with at least one neighbour — own a
 //! row. The vertex domain is cut into pages of [`Csr::PAGE_SIZE`]
 //! consecutive ids, and each page that holds a row is a self-contained,
-//! `Arc`-shared mini-CSR: a presence bitmap (one bit per id of the page)
-//! with a page-local `u16` rank per 64-bit word, `u32` offsets and the
-//! targets. The page table is only as long as the last occupied page and
-//! holds `None` for an empty one. `neighbors(v)` is a page lookup, a bit
-//! test, one `count_ones` and two offset reads — O(1), and a page pointer
-//! and one word load for the common probe of a vertex the relation does
-//! not touch.
+//! `Arc`-shared mini-CSR in one `u32` array: a one-word summary of which
+//! of its 64 words of 64 ids hold a row, a six-bit index per word (the
+//! non-empty words before it), then only the non-empty words, each a
+//! presence bitmap with a page-local `u16` rank, then `u32` offsets and
+//! the targets. The page table is only as long as the last occupied page
+//! and holds `None` for an empty one. `neighbors(v)` is a page lookup, a
+//! summary bit test, the word index, a bit test in the word, one
+//! `count_ones` and two offset reads — O(1); the common probe of a
+//! vertex the relation does not touch ends at the summary, the first
+//! load into the page.
 //!
-//! A relation costs its edges and rows plus 640 B of directory per
-//! occupied page, never a bit per vertex of the domain: a vertex id far
-//! past the others costs one page and a longer page table. And
-//! [`Csr::rebase`] rebuilds only the pages its delta touches; every other
-//! page is the predecessor's allocation, shared. Everything that used to
-//! sweep the domain walks [`Csr::rows`] instead.
+//! A relation costs its edges and rows, 80 B per occupied page (the
+//! `Arc`'s counts, the summary, the word index, the word count and the
+//! largest row) and 10 B per non-empty word — never a bit per vertex of
+//! the domain: a vertex id far past the others costs one page and a
+//! longer page table. And [`Csr::rebase`] rebuilds only the pages its
+//! delta touches; every other page is the predecessor's allocation,
+//! shared. Everything that used to sweep the domain walks [`Csr::rows`]
+//! instead.
 
 use std::sync::Arc;
 
@@ -47,23 +52,44 @@ fn page_base(p: usize) -> VertexId {
 }
 
 /// The rows of [`Csr::PAGE_SIZE`] consecutive vertex ids, at least one
-/// of them non-empty: a CSR over the page alone.
-#[derive(Debug, PartialEq, Eq)]
-struct Page {
-    /// Bit `i % 64` of word `i / 64` is set iff the page's `i`-th vertex
-    /// has a row.
-    present: [u64; WORDS],
-    /// `rank[w]` = number of the page's rows owned by vertices below its
-    /// `64 * w`-th.
-    rank: [u16; WORDS],
-    /// The `rows + 1` offsets, then the concatenated, per-vertex-sorted
-    /// neighbour lists they index: the page's `r`-th row in id order is
-    /// `data[data[r]..data[r + 1]]` (so `data[0] = rows + 1`), and rows
-    /// are never empty. One allocation beside the page's own.
-    data: Box<[u32]>,
-    /// The page's largest row.
-    max_degree: u32,
-}
+/// of them non-empty: a CSR over the page alone, in one shared array.
+/// With `n` of its 64-id words non-empty, it holds
+/// - the summary, low half first: bit `w` is set iff the page's `w`-th
+///   word holds a row;
+/// - the word index: six bits per word, word `w`'s at bit `6 * w` of the
+///   `u32`s read as one little-endian string: the number of non-empty
+///   words before `w`. It is the summary's popcount below `w`, stored,
+///   because the baseline x86-64 target has no popcount instruction and
+///   a probe would otherwise pay a dozen dependent operations for it;
+/// - `n`;
+/// - the page's largest row;
+/// - the `n` non-empty words' bitmaps, ascending, each as its low and
+///   high `u32`: bit `i` of word `w`'s is set iff vertex `64 * w + i`
+///   of the page has a row;
+/// - their `u16` ranks, two to a `u32`, low half first: the `k`-th is
+///   the page's rows in the words before it;
+/// - the `rows + 1` offsets, absolute indexes into the array: row `r` in
+///   id order is `[offsets[r]..offsets[r + 1]]`;
+/// - the concatenated, per-vertex-sorted neighbour lists. Rows are never
+///   empty.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Page(Arc<[u32]>);
+
+/// Where a page's word index starts, after its summary.
+const INDEX: usize = 2;
+
+/// Where a page holds `n`, after its word index.
+const NUM_WORDS: usize = INDEX + 6 * WORDS / 32;
+
+/// Where a page holds its largest row.
+const MAX_DEGREE: usize = NUM_WORDS + 1;
+
+/// `u32`s before a page's word bitmaps: the summary, the word index, `n`
+/// and the largest row.
+const HEAD: usize = MAX_DEGREE + 1;
+
+/// The longest head and directory, all 64 words non-empty.
+const DIRECTORY_MAX: usize = HEAD + 2 * WORDS + WORDS / 2;
 
 /// The set bit positions of `word`, ascending.
 fn bits_of(mut word: u64) -> impl Iterator<Item = u32> {
@@ -76,65 +102,149 @@ fn bits_of(mut word: u64) -> impl Iterator<Item = u32> {
     })
 }
 
-/// Number of rows a presence bitmap marks.
-fn rows_in(present: &[u64; WORDS]) -> usize {
-    present.iter().map(|w| w.count_ones() as usize).sum()
+/// The `u64` whose low half is `at[0]` and high half `at[1]`.
+#[inline]
+fn u64_at(at: &[u32]) -> u64 {
+    u64::from(at[0]) | u64::from(at[1]) << 32
 }
 
-/// Page-local ranks of a presence bitmap.
-fn ranks(present: &[u64; WORDS]) -> [u16; WORDS] {
-    let mut rank = [0u16; WORDS];
-    let mut rows = 0u16;
-    for (r, w) in rank.iter_mut().zip(present) {
-        *r = rows;
-        rows += w.count_ones() as u16;
+/// Where the offsets of a page with `n` non-empty words start: after
+/// the head, two `u32` per word and the ranks at two per `u32`.
+#[inline]
+fn offsets_at(n: usize) -> usize {
+    HEAD + 2 * n + n.div_ceil(2)
+}
+
+/// The head and directory of a page whose rows `present` marks, and
+/// their length.
+fn directory(present: &[u64; WORDS], max_degree: u32) -> ([u32; DIRECTORY_MAX], usize) {
+    let mut out = [0; DIRECTORY_MAX];
+    let (mut summary, mut n) = (0u64, 0);
+    for (w, &word) in present.iter().enumerate() {
+        // The words before `w` that hold a row, at bit `6 * w`.
+        let bit = 6 * w;
+        let index = (n as u64) << (bit % 32);
+        out[INDEX + bit / 32] |= index as u32;
+        out[INDEX + bit / 32 + 1] |= (index >> 32) as u32;
+        if word != 0 {
+            summary |= 1 << w;
+            n += 1;
+        }
     }
-    rank
+    out[..INDEX].copy_from_slice(&[summary as u32, (summary >> 32) as u32]);
+    out[NUM_WORDS] = n as u32;
+    out[MAX_DEGREE] = max_degree;
+    let mut rows = 0;
+    for (k, &word) in present.iter().filter(|&&word| word != 0).enumerate() {
+        out[HEAD + 2 * k..HEAD + 2 * k + 2].copy_from_slice(&[word as u32, (word >> 32) as u32]);
+        out[HEAD + 2 * n + k / 2] |= rows << (16 * (k % 2));
+        rows += word.count_ones();
+    }
+    (out, offsets_at(n))
 }
 
 impl Page {
-    /// A page with no rows yet, for [`Csr::transpose`] to fill in place.
-    fn empty() -> Box<Page> {
-        Box::new(Page {
-            present: [0; WORDS],
-            rank: [0; WORDS],
-            data: Box::default(),
-            max_degree: 0,
-        })
+    /// A page of `len` `u32`s: `directory`, then what `fill` writes into
+    /// the rest (zeros where it writes nothing). One allocation at its
+    /// final size, written in place: no scratch array grows and is freed
+    /// beside it.
+    fn new(directory: &[u32], len: usize, fill: impl FnOnce(&mut [u32])) -> Page {
+        let mut data: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+        let out = Arc::get_mut(&mut data).expect("a new page is unique");
+        let (head, rest) = out.split_at_mut(directory.len());
+        head.copy_from_slice(directory);
+        fill(rest);
+        Page(data)
     }
 
-    /// The offsets: row `r` is `data[offsets[r]..offsets[r + 1]]`.
+    /// The summary, the word index, `n` and the largest row.
+    #[inline]
+    fn head(&self) -> &[u32; HEAD] {
+        self.0[..HEAD].try_into().expect("a page has a head")
+    }
+
+    /// Bit `w` is set iff the page's `w`-th word holds a row.
+    #[inline]
+    fn summary(&self) -> u64 {
+        u64_at(self.head())
+    }
+
+    /// The number of non-empty words before word `w`, from the word
+    /// index.
+    #[inline]
+    fn index(&self, w: usize) -> usize {
+        let bit = 6 * (w % WORDS);
+        (u64_at(&self.head()[INDEX + bit / 32..]) >> (bit % 32) & 63) as usize
+    }
+
+    /// The page's largest row.
+    fn max_degree(&self) -> u32 {
+        self.head()[MAX_DEGREE]
+    }
+
+    /// Number of non-empty words.
+    #[inline]
+    fn words(&self) -> usize {
+        self.head()[NUM_WORDS] as usize
+    }
+
+    /// The bitmap of the `k`-th non-empty word.
+    #[inline]
+    fn word(&self, k: usize) -> u64 {
+        u64_at(&self.0[HEAD + 2 * k..][..2])
+    }
+
+    /// The rank of the `k`-th non-empty word: the page's rows in the
+    /// words before it.
+    #[inline]
+    fn rank(&self, k: usize) -> usize {
+        (self.0[HEAD + 2 * self.words() + k / 2] >> (16 * (k % 2)) & 0xffff) as usize
+    }
+
+    /// The offsets: row `r` is `[offsets[r]..offsets[r + 1]]`.
     #[inline]
     fn offsets(&self) -> &[u32] {
-        &self.data[..self.data[0] as usize]
+        let at = offsets_at(self.words());
+        &self.0[at..self.0[at] as usize]
     }
 
     /// The neighbour lists, concatenated.
     #[inline]
     fn targets(&self) -> &[VertexId] {
-        &self.data[self.data[0] as usize..]
+        &self.0[self.0[offsets_at(self.words())] as usize..]
     }
 
     /// Number of rows.
     #[inline]
     fn num_rows(&self) -> usize {
-        self.data[0] as usize - 1
+        self.offsets().len() - 1
     }
 
-    /// Position of the row of the page's `i`-th vertex, if it has one.
-    #[inline]
+    /// Index of the offset of the row of the page's `i`-th vertex, if it
+    /// has one: the summary's bit test (the one load for an id in an
+    /// empty word), the word index, the word's bit test, its rank and the
+    /// popcount of the word's bits below.
+    #[inline(always)]
     fn row_index(&self, i: u32) -> Option<usize> {
-        let w = (i as usize >> 6) % WORDS;
-        let word = self.present[w];
+        let w = (i >> 6) as usize % WORDS;
+        if self.summary() >> w & 1 == 0 {
+            return None;
+        }
+        let k = self.index(w);
+        let word = self.word(k);
         let bit = 1u64 << (i & 63);
-        (word & bit != 0).then(|| self.rank[w] as usize + (word & (bit - 1)).count_ones() as usize)
+        (word & bit != 0).then(|| {
+            offsets_at(self.words()) + self.rank(k) + (word & (bit - 1)).count_ones() as usize
+        })
     }
 
-    /// Sorted neighbours of the page's `i`-th vertex.
-    #[inline]
+    /// Sorted neighbours of the page's `i`-th vertex. Always inlined, with
+    /// [`Page::row_index`]: `#[inline]` leaves them a call per probe,
+    /// which the counting kernels feel.
+    #[inline(always)]
     fn neighbors(&self, i: u32) -> &[VertexId] {
         match self.row_index(i) {
-            Some(r) => &self.data[self.data[r] as usize..self.data[r + 1] as usize],
+            Some(r) => &self.0[self.0[r] as usize..self.0[r + 1] as usize],
             None => &[],
         }
     }
@@ -147,25 +257,26 @@ impl Page {
         rows
     }
 
-    /// Bytes of the page's allocations: the `Arc` with its counts, and
-    /// the offsets with the targets.
+    /// Bytes of the page's allocation: the array and the `Arc`'s counts.
     fn heap_bytes(&self) -> usize {
-        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Page>() + self.data.len() * 4
+        2 * std::mem::size_of::<usize>() + self.0.len() * 4
     }
 }
 
-/// The rows of a run of pages, ascending: one word of a page's
+/// The rows of a run of pages, ascending: one non-empty word of a page's
 /// directory at a time, one set bit at a time, beside the page's
 /// offsets. One flat iterator rather than nested adaptors: a sweep of a
 /// relation is the tree DP's inner loop.
 struct Rows<'a> {
     /// The page slots still to walk, with their page numbers.
-    rest: std::iter::Enumerate<std::slice::Iter<'a, Option<Arc<Page>>>>,
-    /// The page being walked: its directory and first vertex id, the
-    /// directory word being walked and what is left of it.
-    present: &'a [u64; WORDS],
+    rest: std::iter::Enumerate<std::slice::Iter<'a, Option<Page>>>,
+    /// The page being walked: its first vertex id, the summary bits of
+    /// its words not yet begun, the bitmaps of those words, and the word
+    /// being walked with what is left of it.
     base: VertexId,
-    w: usize,
+    summary: u64,
+    words: &'a [u32],
+    w: u32,
     word: u64,
     /// The page's offsets from the next row's on, and the array they
     /// index.
@@ -175,12 +286,12 @@ struct Rows<'a> {
 
 impl<'a> Rows<'a> {
     /// The rows of `pages`, page `p` holding ids `p * PAGE_SIZE ..`.
-    fn new(pages: &'a [Option<Arc<Page>>]) -> Rows<'a> {
-        static NO_ROWS: [u64; WORDS] = [0; WORDS];
+    fn new(pages: &'a [Option<Page>]) -> Rows<'a> {
         Rows {
             rest: pages.iter().enumerate(),
-            present: &NO_ROWS,
             base: 0,
+            summary: 0,
+            words: &[],
             w: 0,
             word: 0,
             offsets: &[],
@@ -190,12 +301,12 @@ impl<'a> Rows<'a> {
 
     /// Start walking `page`, whose first vertex id is `base`.
     fn enter(&mut self, page: &'a Page, base: VertexId) {
-        self.present = &page.present;
         self.base = base;
-        self.w = 0;
-        self.word = page.present[0];
+        self.summary = page.summary();
+        self.words = &page.0[HEAD..HEAD + 2 * page.words()];
+        self.word = 0;
         self.offsets = page.offsets();
-        self.data = &page.data;
+        self.data = &page.0;
     }
 }
 
@@ -205,20 +316,21 @@ impl<'a> Iterator for Rows<'a> {
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         while self.offsets.len() < 2 {
-            let (p, page) = self
-                .rest
-                .find_map(|(p, page)| Some((p, page.as_deref()?)))?;
+            let (p, page) = self.rest.find_map(|(p, page)| Some((p, page.as_ref()?)))?;
             self.enter(page, page_base(p));
         }
+        // A row is left, so a word with a bit is too.
         while self.word == 0 {
-            self.w += 1;
-            self.word = self.present[self.w % WORDS];
+            self.w = self.summary.trailing_zeros();
+            self.summary &= self.summary - 1;
+            self.word = u64_at(self.words);
+            self.words = &self.words[2..];
         }
         let b = self.word.trailing_zeros();
         self.word &= self.word - 1;
         let (start, end) = (self.offsets[0] as usize, self.offsets[1] as usize);
         self.offsets = &self.offsets[1..];
-        let v = self.base + (self.w * 64) as VertexId + b;
+        let v = self.base + self.w * 64 + b;
         Some((v, &self.data[start..end]))
     }
 }
@@ -230,7 +342,7 @@ pub struct Csr {
     num_vertices: usize,
     /// Page `p` holds the rows of vertices `p * PAGE_SIZE ..`; `None`
     /// for a page without rows. Ends at the last occupied page.
-    pages: Vec<Option<Arc<Page>>>,
+    pages: Vec<Option<Page>>,
     /// `edges_before[p]` = number of edges in the pages below `p`.
     edges_before: Vec<u32>,
     /// Cached totals over the pages (the index is immutable after
@@ -247,7 +359,7 @@ pub struct Csr {
 /// can be shared from another index.
 struct Builder {
     num_vertices: usize,
-    pages: Vec<Option<Arc<Page>>>,
+    pages: Vec<Option<Page>>,
     /// The page the scratch below fills.
     open: usize,
     present: [u64; WORDS],
@@ -295,15 +407,15 @@ impl Builder {
 
     /// Put `page`, unchanged, in slot `p`, above every row appended so
     /// far.
-    fn share(&mut self, p: usize, page: &Arc<Page>) {
+    fn share(&mut self, p: usize, page: &Page) {
         self.seal();
         debug_assert!(p >= self.pages.len());
-        *self.slot(p) = Some(Arc::clone(page));
+        *self.slot(p) = Some(page.clone());
         self.open = p + 1;
     }
 
     /// Slot `p` of the page table, grown to reach it.
-    fn slot(&mut self, p: usize) -> &mut Option<Arc<Page>> {
+    fn slot(&mut self, p: usize) -> &mut Option<Page> {
         if self.pages.len() <= p {
             self.pages.resize(p + 1, None);
         }
@@ -315,15 +427,16 @@ impl Builder {
         if self.targets.is_empty() {
             return;
         }
-        let shift = self.offsets.len() as u32;
-        let offsets = self.offsets.iter().map(|&o| o + shift);
-        let page = Page {
-            present: self.present,
-            rank: ranks(&self.present),
-            data: offsets.chain(self.targets.iter().copied()).collect(),
-            max_degree: self.max_degree,
-        };
-        *self.slot(self.open) = Some(Arc::new(page));
+        let (directory, at) = directory(&self.present, self.max_degree);
+        let shift = at + self.offsets.len();
+        let page = Page::new(&directory[..at], shift + self.targets.len(), |rest| {
+            let (offsets, targets) = rest.split_at_mut(self.offsets.len());
+            for (o, &offset) in offsets.iter_mut().zip(&self.offsets) {
+                *o = offset + shift as u32;
+            }
+            targets.copy_from_slice(&self.targets);
+        });
+        *self.slot(self.open) = Some(page);
         self.present = [0; WORDS];
         self.offsets.truncate(1);
         self.targets.clear();
@@ -345,10 +458,17 @@ impl Csr {
     /// Pairs may arrive in any order; duplicates must already be removed by
     /// the caller (the [`crate::GraphBuilder`] does this).
     pub fn from_pairs(num_vertices: usize, pairs: &[(VertexId, VertexId)]) -> Self {
-        // Lexicographic order groups each source's targets, already
-        // sorted, into one run per row.
         let mut pairs = pairs.to_vec();
         pairs.sort_unstable();
+        Csr::from_sorted_pairs(num_vertices, &pairs)
+    }
+
+    /// [`Csr::from_pairs`] of pairs already sorted lexicographically and
+    /// duplicate-free, without the copy and the sort.
+    pub(crate) fn from_sorted_pairs(num_vertices: usize, pairs: &[(VertexId, VertexId)]) -> Self {
+        debug_assert!(pairs.is_sorted_by(|a, b| a < b));
+        // Lexicographic order groups each source's targets, already
+        // sorted, into one run per row.
         let mut out = Builder::new(num_vertices);
         for run in pairs.chunk_by(|a, b| a.0 == b.0) {
             out.row(run[0].0, |t| t.extend(run.iter().map(|p| p.1)));
@@ -358,7 +478,7 @@ impl Csr {
 
     /// The index over `pages`, its trailing empty slots dropped, with its
     /// totals summed once.
-    fn from_pages(num_vertices: usize, mut pages: Vec<Option<Arc<Page>>>) -> Csr {
+    fn from_pages(num_vertices: usize, mut pages: Vec<Option<Page>>) -> Csr {
         while pages.last().is_some_and(Option::is_none) {
             pages.pop();
         }
@@ -373,7 +493,7 @@ impl Csr {
             if let Some(page) = page {
                 csr.num_edges += page.targets().len();
                 csr.num_active += page.num_rows();
-                csr.max_degree = csr.max_degree.max(page.max_degree);
+                csr.max_degree = csr.max_degree.max(page.max_degree());
             }
         }
         csr.pages = pages;
@@ -381,7 +501,7 @@ impl Csr {
     }
 
     /// Page `p`, if it is occupied.
-    fn page(&self, p: usize) -> Option<&Arc<Page>> {
+    fn page(&self, p: usize) -> Option<&Page> {
         self.pages.get(p)?.as_ref()
     }
 
@@ -390,7 +510,7 @@ impl Csr {
         self.pages
             .iter()
             .enumerate()
-            .filter_map(|(p, page)| Some((page_base(p), page.as_deref()?)))
+            .filter_map(|(p, page)| Some((page_base(p), page.as_ref()?)))
     }
 
     /// Number of vertices in the domain.
@@ -472,23 +592,36 @@ impl Csr {
         // The last page starting at or below `k` holds it: an empty page
         // starts where the next one does.
         let p = self.edges_before.partition_point(|&e| e as usize <= k) - 1;
-        let page = self.pages[p].as_deref()?;
-        let k = page.data[0] as usize + k - self.edges_before[p] as usize;
-        let to = page.data[k];
+        let page = self.pages[p].as_ref()?;
+        let offsets = page.offsets();
+        let k = offsets[0] as usize + k - self.edges_before[p] as usize;
+        let to = page.0[k];
         // The row whose offset range holds `k`; its vertex is the
-        // `row`-th set bit of the page's directory.
-        let row = page.offsets().partition_point(|&o| o as usize <= k) - 1;
-        let w = page.rank.partition_point(|&r| r as usize <= row) - 1;
-        let bit = bits_of(page.present[w]).nth(row - page.rank[w] as usize)?;
-        Some((page_base(p) + (w * 64) as VertexId + bit, to))
+        // `row`-th set bit of the page's directory: in the last
+        // non-empty word whose rank is at most `row`.
+        let row = offsets.partition_point(|&o| o as usize <= k) - 1;
+        let j = (1..page.words())
+            .take_while(|&j| page.rank(j) <= row)
+            .count();
+        let w = bits_of(page.summary()).nth(j)?;
+        let bit = bits_of(page.word(j)).nth(row - page.rank(j))?;
+        Some((page_base(p) + w * 64 + bit, to))
     }
 
     /// Bytes of heap the index holds: its page table and every occupied
     /// page — a page shared with another index counts in both.
     pub fn heap_bytes(&self) -> usize {
-        self.pages.capacity() * std::mem::size_of::<Option<Arc<Page>>>()
+        self.pages.capacity() * std::mem::size_of::<Option<Page>>()
             + self.edges_before.capacity() * 4
             + self.occupied().map(|(_, p)| p.heap_bytes()).sum::<usize>()
+    }
+
+    /// The occupied pages and their non-empty directory words, the two
+    /// counts [`Csr::heap_bytes`] pays a fixed size for.
+    pub fn occupancy(&self) -> (usize, usize) {
+        self.occupied().fold((0, 0), |(pages, words), (_, p)| {
+            (pages + 1, words + p.words())
+        })
     }
 
     /// Whether page `p` is the same allocation in `self` and in `other`
@@ -497,7 +630,7 @@ impl Csr {
     #[doc(hidden)]
     pub fn shares_page(&self, other: &Csr, p: usize) -> bool {
         match (self.page(p), other.page(p)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.0, &b.0),
             (a, b) => a.is_none() && b.is_none(),
         }
     }
@@ -549,10 +682,11 @@ impl Csr {
             }
             // Every del names a base edge, so the sources to visit are
             // the page's rows and the sources of its adds.
-            let mut base = base
-                .into_iter()
-                .flat_map(|page| page.rows(page_base(p)))
-                .peekable();
+            let mut base = match base {
+                Some(page) => page.rows(page_base(p)),
+                None => Rows::new(&[]),
+            }
+            .peekable();
             let (mut ai, mut di) = (0usize, 0usize);
             while let Some(v) = match (base.peek(), adds.get(ai)) {
                 (Some(&(b, _)), Some(&(a, _))) => Some(b.min(a)),
@@ -587,14 +721,14 @@ impl Csr {
 
     /// The reverse relation over the same domain: row `t` of the result
     /// lists every `v` with `t` in `neighbors(v)`, ascending. Three passes
-    /// over the targets, each filling the result's pages in place: the
-    /// first sets their directories and counts their edges, so that each
-    /// page's array is allocated once at its size; the second counts each
-    /// row's entries into its offset slot (row `r`'s count in
-    /// `data[r + 1]`, which then becomes its write cursor and ends as its
+    /// over the targets: the first marks each target page's rows in a
+    /// bitmap and counts its edges, so that each page's array is
+    /// allocated once at its size, its directory written; the second
+    /// counts each row's entries into its offset slot (the slot after the
+    /// row's own, which then becomes its write cursor and ends as its
     /// end); the third scatters the sources — in id order, so the rows
-    /// come out sorted. The only scratch is an edge count per page and
-    /// the boxes the pages are filled in. Equal, page for page and in
+    /// come out sorted. The only scratch is an edge count and a 512 B
+    /// bitmap per occupied page. Equal, page for page and in
     /// [`Csr::heap_bytes`], to [`Csr::from_pairs`] of the reversed
     /// pairs.
     pub fn transpose(&self) -> Csr {
@@ -602,59 +736,98 @@ impl Csr {
         let Some(last) = self.rows().map(|(_, row)| row[row.len() - 1]).max() else {
             return Csr::from_pages(self.num_vertices, Vec::new());
         };
-        let mut pages: Vec<Option<Box<Page>>> = Vec::new();
-        pages.resize_with(page_of(last) + 1, || None);
-        let mut edges = vec![0u32; pages.len()];
+        /// A target page while it is filled: its rows' bitmap, the ranks
+        /// of its words, its edges and where its offsets start.
+        struct Fill {
+            present: [u64; WORDS],
+            rank: [u16; WORDS],
+            edges: u32,
+            at: usize,
+        }
+        let mut fills: Vec<Option<Box<Fill>>> = Vec::new();
+        fills.resize_with(page_of(last) + 1, || None);
         for (_, from) in self.occupied() {
             for &t in from.targets() {
-                let page = pages[page_of(t)].get_or_insert_with(Page::empty);
+                let fill = fills[page_of(t)].get_or_insert_with(|| {
+                    Box::new(Fill {
+                        present: [0; WORDS],
+                        rank: [0; WORDS],
+                        edges: 0,
+                        at: 0,
+                    })
+                });
                 let i = t as usize % Csr::PAGE_SIZE;
-                page.present[i >> 6] |= 1u64 << (i & 63);
-                edges[page_of(t)] += 1;
+                fill.present[i >> 6] |= 1u64 << (i & 63);
+                fill.edges += 1;
             }
         }
-        for (page, &edges) in pages.iter_mut().zip(&edges) {
-            if let Some(page) = page {
-                page.rank = ranks(&page.present);
-                page.data = vec![0; rows_in(&page.present) + 1 + edges as usize].into_boxed_slice();
-            }
-        }
-        /// The page of `t` and the offset slot of its row.
-        fn cursor(pages: &mut [Option<Box<Page>>], t: VertexId) -> (&mut Page, usize) {
-            let page = pages[page_of(t)]
-                .as_deref_mut()
-                .expect("every target has a page");
-            let r = page
-                .row_index(t % Csr::PAGE_SIZE as VertexId)
-                .expect("every target has a row");
-            (page, r + 1)
+        let mut pages: Vec<Option<Page>> = fills
+            .iter_mut()
+            .map(|fill| {
+                let fill = fill.as_deref_mut()?;
+                let mut rows = 0;
+                for (r, word) in fill.rank.iter_mut().zip(&fill.present) {
+                    *r = rows;
+                    rows += word.count_ones() as u16;
+                }
+                let (directory, at) = directory(&fill.present, 0);
+                fill.at = at;
+                let len = at + rows as usize + 1 + fill.edges as usize;
+                Some(Page::new(&directory[..at], len, |_| {}))
+            })
+            .collect();
+        let mut data: Vec<Option<&mut [u32]>> = pages
+            .iter_mut()
+            .map(|page| Some(Arc::get_mut(&mut page.as_mut()?.0).expect("a new page is unique")))
+            .collect();
+        /// The array of `t`'s page and the offset slot after its row's.
+        fn cursor<'a>(
+            fills: &[Option<Box<Fill>>],
+            data: &'a mut [Option<&mut [u32]>],
+            t: VertexId,
+        ) -> (&'a mut [u32], usize) {
+            let (p, i) = (page_of(t), t as usize % Csr::PAGE_SIZE);
+            let fill = fills[p].as_deref().expect("every target has a page");
+            let page = data[p].as_deref_mut().expect("every target has a page");
+            let (word, bit) = (fill.present[i >> 6], 1u64 << (i & 63));
+            let row = fill.rank[i >> 6] as usize + (word & (bit - 1)).count_ones() as usize;
+            (page, fill.at + row + 1)
         }
         for (_, from) in self.occupied() {
             for &t in from.targets() {
-                let (page, c) = cursor(&mut pages, t);
-                page.data[c] += 1;
+                let (page, c) = cursor(&fills, &mut data, t);
+                page[c] += 1;
             }
         }
-        for page in pages.iter_mut().flatten() {
-            let rows = rows_in(&page.present);
-            let mut start = rows as u32 + 1;
-            page.data[0] = start;
-            for o in &mut page.data[1..=rows] {
+        for (page, fill) in data.iter_mut().zip(&fills) {
+            let (Some(page), Some(fill)) = (page, fill) else {
+                continue;
+            };
+            let rows = fill
+                .present
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
+            let mut start = (fill.at + rows + 1) as u32;
+            page[fill.at] = start;
+            let mut max_degree = 0;
+            for o in &mut page[fill.at + 1..=fill.at + rows] {
                 let count = *o;
-                page.max_degree = page.max_degree.max(count);
+                max_degree = max_degree.max(count);
                 *o = start;
                 start += count;
             }
+            page[MAX_DEGREE] = max_degree;
         }
         for (v, row) in self.rows() {
             for &t in row {
-                let (page, c) = cursor(&mut pages, t);
-                let at = page.data[c] as usize;
-                page.data[at] = v;
-                page.data[c] += 1;
+                let (page, c) = cursor(&fills, &mut data, t);
+                let at = page[c] as usize;
+                page[at] = v;
+                page[c] += 1;
             }
         }
-        let pages = pages.into_iter().map(|p| p.map(Arc::from)).collect();
+        drop(data);
         Csr::from_pages(self.num_vertices, pages)
     }
 
@@ -902,10 +1075,10 @@ mod tests {
         let far = (1 << 24) - 1;
         let r = c.rebase(far as usize + 1, &[(far, 0)], &[]);
         assert_eq!(r.neighbors(far), &[0]);
-        // A table of 4,096 slots instead of 1, and a page of one row:
-        // two offsets and a target.
-        let slot = std::mem::size_of::<Option<Arc<Page>>>() + 4;
-        let page = Page::empty().heap_bytes() + 3 * 4;
+        // A table of 4,096 slots instead of 1, and a page of one row: a
+        // word with its rank, two offsets and a target.
+        let slot = std::mem::size_of::<Option<Page>>() + 4;
+        let page = 2 * std::mem::size_of::<usize>() + (HEAD + 3 + 3) * 4;
         assert_eq!(r.heap_bytes(), c.heap_bytes() + 4095 * slot + page);
         assert!(r.shares_page(&c, 0));
     }

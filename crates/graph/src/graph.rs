@@ -180,13 +180,21 @@ impl LabeledGraph {
     }
 
     /// Bytes of heap held by the adjacency indexes of every relation in
-    /// both directions: their pages and page tables — O(|E|) plus 640 B
-    /// of directory per occupied page, never a bit per vertex of the
-    /// domain.
+    /// both directions: their pages and page tables — O(|E|), plus 80 B
+    /// per occupied page and 10 B per 64-id word of it that holds a row
+    /// (see [`Csr`]), never a bit per vertex of the domain.
     pub fn heap_bytes(&self) -> usize {
         self.csr_pairs()
             .map(|(f, b)| f.heap_bytes() + b.heap_bytes())
             .sum()
+    }
+
+    /// The occupied pages and non-empty directory words of every
+    /// relation in both directions ([`Csr::occupancy`]).
+    pub fn occupancy(&self) -> (usize, usize) {
+        self.csr_pairs()
+            .flat_map(|(f, b)| [f.occupancy(), b.occupancy()])
+            .fold((0, 0), |(pages, words), (p, w)| (pages + p, words + w))
     }
 
     /// Build a sub-graph keeping only edges accepted by `keep`.

@@ -12,7 +12,9 @@
 //! The paged chains do the same across the index's pages of 4,096 ids:
 //! ids at 4095 / 4096 / 4097 and near the top of a 2^24 domain, empty
 //! pages between occupied ones, and a rebase must share every page its
-//! delta has no row in.
+//! delta has no row in. The directory-extreme chains start from a page
+//! with a row at each of its 4,096 ids, or with rows in its first or its
+//! last 64-id word only, and delete until a word and then the page empty.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -365,5 +367,110 @@ proptest! {
             }
             csr = next;
         }
+    }
+}
+
+/// A page at the directory's extremes: every one of its 4,096 ids with a
+/// row (all 64 words non-empty), or rows only in its word 0, or only in
+/// its word 63. `page` 0 and 1 sit in a domain of three pages, 2 is the
+/// top page of a 2^24 domain. Each row has one or two targets spread over
+/// the domain, so the transpose fills many pages.
+fn extreme_page(shape: usize, page: usize, seed: u32) -> (Model, usize) {
+    let n: usize = if page == 2 {
+        1 << 24
+    } else {
+        3 * Csr::PAGE_SIZE
+    };
+    let base = if page == 2 {
+        n - Csr::PAGE_SIZE
+    } else {
+        page * Csr::PAGE_SIZE
+    } as u32;
+    let ids: Vec<u32> = match shape {
+        0 => (0..4096).collect(),
+        // A seeded subset of one word, never fewer than two ids.
+        w => (0..64)
+            .filter(|i| (seed >> (i % 16)) & 1 == 1 || i % 31 == 0)
+            .map(|i| if w == 1 { i } else { 4032 + i })
+            .collect(),
+    };
+    let mut model = Model::new();
+    for i in ids {
+        let v = base + i;
+        let spread =
+            |k: u64| ((u64::from(v) * 2_654_435_761 + u64::from(seed) * k) % n as u64) as u32;
+        let row = model.entry(v).or_default();
+        row.insert(spread(1));
+        if (v ^ seed).is_multiple_of(3) {
+            row.insert(spread(7));
+        }
+    }
+    (model, n)
+}
+
+/// `Csr::from_pairs` of the reversed pairs of `csr`.
+fn reversed_from_pairs(csr: &Csr) -> Csr {
+    let rev: Pairs = csr.iter_edges().map(|(s, d)| (d, s)).collect();
+    Csr::from_pairs(csr.num_vertices(), &rev)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Chains of deletions from a page at the directory's extremes: first
+    /// every row of one non-empty word (with a full page, the word
+    /// empties while its page keeps rows), then the rest in seeded
+    /// chunks until the page empties and its slot is `None`. After every
+    /// link the index matches the model and equals `from_pairs` of its
+    /// edges, its transpose equals `from_pairs` of the reversed pairs —
+    /// heap bytes included — and `occupancy` counts the model's pages and
+    /// 64-id words.
+    #[test]
+    fn directory_extremes_match_the_model(
+        shape in 0usize..3,
+        page in 0usize..3,
+        seed in 0u32..1_000_000,
+    ) {
+        let (mut model, n) = extreme_page(shape, page, seed);
+        let occupancy = |model: &Model| {
+            let words: BTreeSet<u32> = model.keys().map(|v| v / 64).collect();
+            let pages: BTreeSet<u32> = words.iter().map(|w| w / 64).collect();
+            (pages.len(), words.len())
+        };
+        let mut csr = Csr::from_pairs(n, &edges_of(&model));
+        let p = model.keys().next().map(|&v| v as usize / Csr::PAGE_SIZE).unwrap();
+        let first_word = model.keys().nth(seed as usize % model.len()).map(|v| v / 64).unwrap();
+        let mut link = 0;
+        while !model.is_empty() {
+            let rows: Vec<VertexId> = if link == 0 {
+                model.keys().copied().filter(|v| v / 64 == first_word).collect()
+            } else {
+                let chunk = 1 + (seed as usize * link) % 1500;
+                model.keys().copied().take(chunk).collect()
+            };
+            let dels: Pairs = rows
+                .iter()
+                .flat_map(|v| model[v].iter().map(move |&t| (*v, t)))
+                .collect();
+            for v in &rows {
+                model.remove(v);
+            }
+            let next = csr.rebase(n, &[], &dels);
+            check(&next, &model, n)?;
+            prop_assert_eq!(&next, &Csr::from_pairs(n, &edges_of(&model)));
+            let t = next.transpose();
+            let want = reversed_from_pairs(&next);
+            prop_assert_eq!(t.heap_bytes(), want.heap_bytes());
+            prop_assert_eq!(&t, &want);
+            prop_assert_eq!(next.occupancy(), occupancy(&model));
+            if link == 0 && shape == 0 {
+                prop_assert!(!model.is_empty(), "a full page keeps rows after one word empties");
+                prop_assert!(!next.shares_page(&Csr::default(), p), "the page keeps its slot");
+            }
+            csr = next;
+            link += 1;
+        }
+        prop_assert!(csr.shares_page(&Csr::default(), p), "an emptied page is None");
+        prop_assert_eq!(csr, Csr::default().rebase(n, &[], &[]));
     }
 }

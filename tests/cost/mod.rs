@@ -20,6 +20,8 @@
 //!   allocation and reports its heap exactly; a store at capacity and a
 //!   hit allocate nothing.
 //! - [`catalog`]: `MarkovTable::heap_bytes` is what dropping it frees.
+//! - [`graph`]: `LabeledGraph::heap_bytes` is what a built graph holds,
+//!   and what its page directories cost.
 //! - [`snapshot`]: writing and reading a snapshot hold a buffer, not a
 //!   section.
 //! - [`commit`]: a commit holds its touched pages, not its touched
@@ -575,6 +577,27 @@ fn catalog(ledger: &mut String) {
     }
 }
 
+/// The resident graph of the bench's rung shape (seed 2022) at `k = 1`
+/// (`g10k`) and `k = 8`: its edges, `LabeledGraph::heap_bytes` and the
+/// two counts its page directories are paid by, over both directions of
+/// every relation: occupied pages (the `Arc`'s counts, a 64 B head and a
+/// 20 B table slot each) and non-empty 64-id words (10 B each). The
+/// bound of 15 B/edge tells these directories from a whole 64-word
+/// bitmap with its ranks per page, 18.6 B/edge on `g10k`.
+fn graph(ledger: &mut String) {
+    for k in [1, 8] {
+        let graph = Rung { k }.graph(2022);
+        let (edges, heap) = (graph.num_edges(), graph.heap_bytes());
+        assert!(heap <= 15 * edges, "{heap} heap bytes for {edges} edges");
+        let (pages, words) = graph.occupancy();
+        writeln!(
+            ledger,
+            "graph.heap.k{k} edges={edges} heap_bytes={heap} pages={pages} words={words}"
+        )
+        .unwrap();
+    }
+}
+
 /// Writing and reading a snapshot both stream. `write_snapshot` puts the
 /// graph's arrays and the table's entries into the temp file through a
 /// 64 KiB buffer under a running checksum: beyond that buffer it holds
@@ -905,13 +928,14 @@ fn served(ledger: &mut String) {
 type Scenario = fn(&mut String);
 
 /// The scenarios in ledger order, by the prefix of their lines.
-pub const SCENARIOS: [(&str, Scenario); 9] = [
+pub const SCENARIOS: [(&str, Scenario); 10] = [
     ("kernel", kernel),
     ("tree_dp", tree_dp),
     ("ceg_o", ceg_o),
     ("canon", canon),
     ("cache", cache),
     ("catalog", catalog),
+    ("graph", graph),
     ("snapshot", snapshot),
     ("commit", commit),
     ("served", served),
