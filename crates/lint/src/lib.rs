@@ -1,8 +1,8 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint` (or `cegtool lint`). Six lints, each enforcing an
-//! invariant the service's PRs established by convention:
+//! `cargo xtask lint` (or `cegtool lint`). Seven lints, each enforcing an
+//! invariant the code or its docs would otherwise keep by convention:
 //!
 //! | lint | invariant |
 //! |---|---|
@@ -12,6 +12,7 @@
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-catalog`/`ceg-service` — writes go through `vfs::Storage` |
 //! | `service-closure` | `ceg-service` and the server binary `cegcli` link only the served crates (see [`closure`]) |
 //! | `unused-pub` | a served crate's `pub fn` is named by some other file of the workspace (see [`unused_pub`]) |
+//! | `doc-refs` | every path, command, flag, ROADMAP item and ARCHITECTURE section the docs name exists, and no doc cites a PR by number (see [`doc_refs`]) |
 //!
 //! Exceptions live in `ceg-lint.allow` at the repo root; every entry
 //! needs a justification comment and entries that stop suppressing
@@ -23,6 +24,7 @@
 
 pub mod allowlist;
 pub mod closure;
+pub mod doc_refs;
 pub mod lexer;
 pub mod lints;
 pub mod unused_pub;
@@ -68,8 +70,10 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
 /// Run the whole-tree lint from `root`. Returns the surviving
 /// diagnostics (empty = clean) and the number of files scanned. The
 /// per-file lints run file by file; `unused-pub` runs once over the
-/// whole walk, and both go through the allowlist. The `service-closure`
-/// diagnostics bypass it: the boundary has no exceptions.
+/// whole walk, and `doc-refs` once over the walk plus the docs and
+/// `ROADMAP.md`; all three go through the allowlist. The
+/// `service-closure` diagnostics bypass it: the boundary has no
+/// exceptions.
 pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let allow_text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
     let allow = allowlist::parse(ALLOW_FILE, &allow_text);
@@ -85,6 +89,11 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
             .replace('\\', "/");
         sources.push((rel, std::fs::read_to_string(path)?));
     }
+    for rel in doc_refs::DOCS.iter().chain(&["ROADMAP.md"]) {
+        if let Ok(text) = std::fs::read_to_string(root.join(rel)) {
+            sources.push((rel.to_string(), text));
+        }
+    }
     let mut raw = Vec::new();
     let mut scanned = 0usize;
     for (rel, src) in &sources {
@@ -99,6 +108,7 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
     raw.extend(unused_pub::check(&pairs));
+    raw.extend(doc_refs::check(&pairs));
     let mut out = allowlist::apply(ALLOW_FILE, &allow, raw, true);
     out.extend(closure::check(root)?);
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

@@ -31,8 +31,8 @@ impl LintSet {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Lint identifier (`lock-discipline`, `panic-path`, `typed-reply`,
-    /// `durability-seam`, `service-closure`, `unused-pub`, or
-    /// `allowlist` for allowlist hygiene).
+    /// `durability-seam`, `service-closure`, `unused-pub`, `doc-refs`,
+    /// or `allowlist` for allowlist hygiene).
     pub lint: &'static str,
     /// Repo-relative path of the offending file.
     pub path: String,
@@ -64,6 +64,7 @@ pub const TYPED_REPLY: &str = "typed-reply";
 pub const DURABILITY: &str = "durability-seam";
 pub const SERVICE_CLOSURE: &str = "service-closure";
 pub const UNUSED_PUB: &str = "unused-pub";
+pub const DOC_REFS: &str = "doc-refs";
 pub const ALLOWLIST: &str = "allowlist";
 
 /// Keywords that may legally precede a `[` without it being an index

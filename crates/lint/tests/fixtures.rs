@@ -316,6 +316,56 @@ fn allowlist_wildcard_matches_whole_file() {
     assert!(out.is_empty(), "{out:#?}");
 }
 
+// ---- doc-refs ---------------------------------------------------------
+
+#[test]
+fn doc_refs_fires_once_per_bad_reference_kind() {
+    // The fixture plays the README of a tree that holds these files.
+    let roadmap = "# ROADMAP\n\n## Open items\n\n1. **Open.**\n   (a) *A part.*\n\
+                   3. *(Retired: done.)*\n\n## Recent\n";
+    let architecture = "# Architecture\n\n## The pipeline\n\n### §D.1 Datasets\n";
+    let cegtool = "const COMMANDS: &[Row] = &[\n\
+                   (\"query\", \"<addr> <queries.wl>\", &[\"--batch\", \"--deadline-ms N\"], 3, q),\n\
+                   ];\n";
+    let cegcli = "const COMMANDS: &[Row] = &[\n\
+                  (\"serve\", \"<addr>\",\n &[\"--jobs N\"],\n 3, serve),\n];\n";
+    let files = [
+        ("README.md", include_str!("fixtures/doc_refs.md")),
+        ("ROADMAP.md", roadmap),
+        ("docs/ARCHITECTURE.md", architecture),
+        ("src/bin/cegtool.rs", cegtool),
+        ("src/bin/cegcli.rs", cegcli),
+        ("crates/graph/src/snapshot.rs", "//! Two\n//! lines.\n"),
+        ("tests/snapshot.rs", "fn main() {}\n"),
+        ("tests/prop_count.rs", "fn main() {}\n"),
+    ];
+    let diags = ceg_lint::doc_refs::check(&files);
+    let kinds = [
+        "`crates/graph/src/nowhere.rs` names no file",
+        "`snapshot.rs` names 2 files",
+        "`crates/graph/src/snapshot.rs:999` is past the end",
+        "`cegtool frobnicate` is no row",
+        "`--turbo` is not a flag of `cegtool query`",
+        "ROADMAP item 3 is not an open item",
+        "`PR 12` cites history",
+        "has no section \"Nonexistent section\"",
+    ];
+    for kind in kinds {
+        let hits: Vec<&Diagnostic> = diags.iter().filter(|d| d.msg.contains(kind)).collect();
+        assert_eq!(
+            hits.len(),
+            1,
+            "`{kind}` fired {} times: {diags:#?}",
+            hits.len()
+        );
+        assert_eq!(
+            (hits[0].lint, hits[0].path.as_str()),
+            ("doc-refs", "README.md")
+        );
+    }
+    assert_eq!(diags.len(), kinds.len(), "{diags:#?}");
+}
+
 // ---- the acceptance bar ------------------------------------------------
 
 #[test]

@@ -28,6 +28,8 @@
 //!   relations.
 //! - [`served`]: the `Engine` serving a 256-query pool cold, hot and
 //!   stale across a commit.
+//! - [`sampler`]: the attempts the workload sampler spends per template
+//!   on the pools `golden_workload` pins.
 //!
 //! Every binary that includes this module holds a single `#[test]`, so
 //! no other test case allocates during a measurement. `golden_cost` runs
@@ -59,7 +61,7 @@ use cegraph::graph::snapshot::{
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use cegraph::service::{DatasetEntry, DatasetRegistry, Engine, EstimateCache, ProbeOutcome};
-use cegraph::workload::{Rung, Workload};
+use cegraph::workload::{Dataset, Rung, Workload};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -924,11 +926,49 @@ fn served(ledger: &mut String) {
     );
 }
 
+/// What the embedding sampler spent on the pools `golden_workload` pins
+/// (`generate imdb 42`, 3 per template, seeds 7 and 42, Job / Acyclic /
+/// Cyclic): per template, `Workload::build_reported`'s attempts, the
+/// attempts that found an embedding, and what the truth budget and a
+/// zero truth dropped of them. A sampler that draws differently moves
+/// these lines (and `golden_workload`'s); one that wastes fewer attempts
+/// moves only `attempts`. Counts only, so the lines are the same in
+/// every profile.
+fn sampler(ledger: &mut String) {
+    let graph = Dataset::Imdb.generate(42);
+    for workload in [Workload::Job, Workload::Acyclic, Workload::Cyclic] {
+        for seed in [7u64, 42] {
+            for r in workload.build_reported(&graph, 3, seed).1 {
+                assert_eq!(
+                    r.sampled,
+                    r.over_budget + r.empty + r.kept,
+                    "{}",
+                    r.template
+                );
+                writeln!(
+                    ledger,
+                    "sampler.{}.seed{seed}.{} want={} attempts={} sampled={} over_budget={} \
+                     empty={} kept={}",
+                    workload.name(),
+                    r.template,
+                    r.want,
+                    r.attempts,
+                    r.sampled,
+                    r.over_budget,
+                    r.empty,
+                    r.kept
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
 /// A scenario: it asserts its bounds and appends its lines to the ledger.
 type Scenario = fn(&mut String);
 
 /// The scenarios in ledger order, by the prefix of their lines.
-pub const SCENARIOS: [(&str, Scenario); 10] = [
+pub const SCENARIOS: [(&str, Scenario); 11] = [
     ("kernel", kernel),
     ("tree_dp", tree_dp),
     ("ceg_o", ceg_o),
@@ -939,6 +979,7 @@ pub const SCENARIOS: [(&str, Scenario); 10] = [
     ("snapshot", snapshot),
     ("commit", commit),
     ("served", served),
+    ("sampler", sampler),
 ];
 
 /// Run the `wanted` scenarios in ledger order and hold the lines they
