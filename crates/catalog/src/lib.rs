@@ -10,8 +10,8 @@
 //!   service boots from.
 //!
 //! The statistics only the offline estimators read (degree stats,
-//! cycle-closing rates, CS and SumRDF summaries, sampled Markov tables)
-//! live in `ceg-estimators`.
+//! cycle-closing rates, CS and SumRDF summaries) live in
+//! `ceg-estimators`.
 
 pub mod io;
 pub mod markov;

@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 
-use ceg_exec::VarConstraints;
+use ceg_exec::{CountStop, VarConstraints};
 use ceg_graph::{FxHashMap, LabelId, LabeledGraph};
 use ceg_query::{Canonicalizer, EdgeMask, Pattern, QueryGraph};
 
@@ -179,6 +179,7 @@ impl MarkovTable {
 
     /// Count `patterns` on `graph` without a budget and store (or
     /// overwrite) each one's entry; returns how many were counted.
+    /// Panics, naming the pattern, if a count overflows `u64`.
     fn recount(
         &mut self,
         graph: &LabeledGraph,
@@ -187,11 +188,12 @@ impl MarkovTable {
     ) -> usize {
         let budget = ceg_exec::CountBudget::UNLIMITED;
         let (counts, _) = count_patterns(graph, &patterns, parallelism, budget);
-        let counts = counts
-            .into_iter()
-            .map(|c| c.expect("unlimited budget cannot be exhausted"));
         let recounted = patterns.len();
-        self.entries.extend(patterns.into_iter().zip(counts));
+        let counted = patterns.into_iter().zip(counts).map(|(pat, count)| {
+            let count = count.unwrap_or_else(|stop| panic!("cannot recount {pat}: {stop}"));
+            (pat, count)
+        });
+        self.entries.extend(counted);
         recounted
     }
 
@@ -316,7 +318,7 @@ fn hash_table_bytes<T>(capacity: usize) -> usize {
 /// Dedupe the connected sub-patterns (≤ `max_edges` edges) of `queries`
 /// into a canonical work list, in first-appearance order (deterministic in
 /// the input).
-pub fn dedupe_subpatterns(queries: &[QueryGraph], max_edges: usize) -> Vec<Pattern> {
+fn dedupe_subpatterns(queries: &[QueryGraph], max_edges: usize) -> Vec<Pattern> {
     let mut seen: ceg_graph::FxHashSet<Pattern> = ceg_graph::FxHashSet::default();
     let mut work: Vec<Pattern> = Vec::new();
     let mut canon = Canonicalizer::default();
@@ -351,10 +353,11 @@ pub struct FillStats {
 
 /// Exactly count each pattern's homomorphisms in `graph` under `budget`
 /// (expansion cap and/or wall-clock deadline, applied per pattern):
-/// `counts[i]` belongs to `patterns[i]` and is `None` when that count was
-/// abandoned. The estimation service passes a deadline so a
-/// client-bounded request stops counting mid-fill instead of finishing
-/// arbitrarily late work nobody will read.
+/// `counts[i]` belongs to `patterns[i]` and says why when that count was
+/// abandoned: the budget ran out, or the count overflows `u64`. The
+/// estimation service passes a deadline so a client-bounded request
+/// stops counting mid-fill instead of finishing arbitrarily late work
+/// nobody will read.
 ///
 /// Patterns are counted through [`ceg_exec::map_ordered`] on up to
 /// `parallelism` threads, the caller's among them — cheap single-edge
@@ -368,7 +371,7 @@ pub fn count_patterns(
     patterns: &[Pattern],
     parallelism: usize,
     budget: ceg_exec::CountBudget,
-) -> (Vec<Option<u64>>, FillStats) {
+) -> (Vec<Result<u64, CountStop>>, FillStats) {
     let counted = ceg_exec::map_ordered(patterns, parallelism, |pat| {
         let pq = pat.to_query();
         let started = std::time::Instant::now();
@@ -382,7 +385,7 @@ pub fn count_patterns(
         stats.kernel.absorb(&kernel);
         stats.total_micros += micros;
         stats.max_pattern_micros = stats.max_pattern_micros.max(micros);
-        stats.patterns_counted += u64::from(count.is_some());
+        stats.patterns_counted += u64::from(count.is_ok());
         counts.push(count);
     }
     (counts, stats)
@@ -548,7 +551,7 @@ mod tests {
         let (par, _) = count_patterns(&g, &pats, 4, unlimited);
         assert_eq!(serial, par);
         for (pat, &c) in pats.iter().zip(&serial) {
-            assert_eq!(c, Some(count(&g, &pat.to_query())), "pattern {pat}");
+            assert_eq!(c, Ok(count(&g, &pat.to_query())), "pattern {pat}");
         }
     }
 
@@ -564,14 +567,14 @@ mod tests {
         for parallelism in [1, 4] {
             let (counts, stats) =
                 count_patterns(&g, &pats, parallelism, ceg_exec::CountBudget::UNLIMITED);
-            assert!(counts.iter().all(|c| c.is_some()));
+            assert!(counts.iter().all(|c| c.is_ok()));
             assert_eq!(stats.patterns_counted, pats.len() as u64);
             assert!(stats.kernel.candidates > 0, "kernel visited candidates");
             assert!(stats.max_pattern_micros <= stats.total_micros);
         }
         // An exhausted budget counts nothing but still reports the work.
         let (counts, stats) = count_patterns(&g, &pats, 1, ceg_exec::CountBudget::new(0));
-        assert!(counts.iter().all(|c| c.is_none()));
+        assert!(counts.iter().all(|c| c.is_err()));
         assert_eq!(stats.patterns_counted, 0);
     }
 
@@ -593,11 +596,11 @@ mod tests {
         let pats = vec![pat; 20_000];
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(250);
         let (counts, stats) = count_patterns(&g, &pats, 1, ceg_exec::CountBudget::until(deadline));
-        let counted = counts.iter().take_while(|c| c.is_some()).count();
+        let counted = counts.iter().take_while(|c| c.is_ok()).count();
         assert!(counted > 0, "250 ms count at least one pattern");
         assert!(counted < pats.len(), "the fill outlasts the deadline");
-        assert!(counts[..counted].iter().all(|&c| c == Some(n as u64)));
-        assert!(counts[counted..].iter().all(|c| c.is_none()));
+        assert!(counts[..counted].iter().all(|&c| c == Ok(n as u64)));
+        assert!(counts[counted..].iter().all(|c| c.is_err()));
         assert_eq!(stats.patterns_counted, counted as u64);
     }
 

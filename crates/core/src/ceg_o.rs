@@ -6,7 +6,8 @@
 //! the table; its rate is `|E| / |I|` — the average-degree (uniformity +
 //! conditional independence) assumption of the optimistic estimators.
 //!
-//! Two rules from prior work restrict the edge set:
+//! Two rules from prior work restrict the edge set, always (the paper
+//! builds CEG_O with both):
 //! 1. *size-h numerators*: `|E| = min(h, |S′|)` — formulas always condition
 //!    on the largest joins the table stores;
 //! 2. *early cycle closing*: if any extension of `S` closes a cycle, only
@@ -40,26 +41,6 @@ pub struct ExtInfo {
     pub closes_cycle: bool,
 }
 
-/// Construction options — the two path-restriction rules from prior work
-/// (Section 4.2). Both default to on; the ablation harness toggles them
-/// to quantify their effect.
-#[derive(Debug, Clone, Copy)]
-pub struct CegOOptions {
-    /// Rule 1: numerators must be the largest stored joins.
-    pub size_h_numerators: bool,
-    /// Rule 2: close cycles as early as possible.
-    pub early_cycle_closing: bool,
-}
-
-impl Default for CegOOptions {
-    fn default() -> Self {
-        CegOOptions {
-            size_h_numerators: true,
-            early_cycle_closing: true,
-        }
-    }
-}
-
 /// CEG_O of one query over one Markov table.
 #[derive(Debug, Clone)]
 pub struct CegO {
@@ -79,15 +60,6 @@ impl CegO {
         Self::build_with_weights(query, table, |_, _| None)
     }
 
-    /// Build with explicit rule toggles (ablation studies).
-    pub fn build_with_options(
-        query: &QueryGraph,
-        table: &MarkovTable,
-        options: CegOOptions,
-    ) -> Self {
-        Self::build_full(query, resolve(query, table), options, |_, _| None)
-    }
-
     /// Build with an optional per-edge weight override: `override_fn(S,
     /// info)` may replace the default `|E| / |I|` rate. CEG_OCR is exactly
     /// this CEG with cycle-closing edges overridden by closing rates
@@ -95,27 +67,14 @@ impl CegO {
     pub fn build_with_weights(
         query: &QueryGraph,
         table: &MarkovTable,
-        override_fn: impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
-    ) -> Self {
-        Self::build_full(
-            query,
-            resolve(query, table),
-            CegOOptions::default(),
-            override_fn,
-        )
-    }
-
-    fn build_full(
-        query: &QueryGraph,
-        resolved: ResolvedCards,
-        options: CegOOptions,
         mut override_fn: impl FnMut(EdgeMask, &ExtInfo) -> Option<f64>,
     ) -> Self {
+        let resolved = resolve(query, table);
         let num_nodes = resolved.nodes().len();
         let top = num_nodes - 1;
         let mut edges: Vec<CegEdge> = Vec::new();
         let mut ext_info: Vec<ExtInfo> = Vec::new();
-        let mut gen = EdgeGen::new(query, &resolved, options);
+        let mut gen = EdgeGen::new(query, &resolved);
         for si in 0..top {
             for out in gen.edges_from(si, &mut override_fn) {
                 edges.push(CegEdge {
@@ -160,7 +119,7 @@ impl CegO {
             "the streamed pass serves max and min only"
         );
         let best = extremum(heuristic.aggr == Aggr::Max, |x| x);
-        let mut gen = EdgeGen::new(query, resolved, CegOOptions::default());
+        let mut gen = EdgeGen::new(query, resolved);
         let mut slots: Vec<Option<(usize, f64)>> = vec![None; resolved.nodes().len()];
         slots[0] = Some((0, 1.0));
         // The top (the one node of `m` edges) has no edges out.
@@ -236,7 +195,6 @@ struct OutEdge {
 /// `tests/golden_ceg_o.rs` pins.
 struct EdgeGen<'r> {
     resolved: &'r ResolvedCards,
-    options: CegOOptions,
     h: usize,
     m: usize,
     /// Cyclomatic number per node; empty for an acyclic query, where no
@@ -251,7 +209,7 @@ struct EdgeGen<'r> {
 }
 
 impl<'r> EdgeGen<'r> {
-    fn new(query: &QueryGraph, resolved: &'r ResolvedCards, options: CegOOptions) -> Self {
+    fn new(query: &QueryGraph, resolved: &'r ResolvedCards) -> Self {
         let m = query.num_edges();
         assert!(m >= 1, "queries must have at least one edge");
         let nodes = resolved.nodes();
@@ -279,7 +237,6 @@ impl<'r> EdgeGen<'r> {
         }
         EdgeGen {
             resolved,
-            options,
             h: resolved.h(),
             m,
             cyc,
@@ -321,7 +278,7 @@ impl<'r> EdgeGen<'r> {
             any_closing |= e.info.closes_cycle;
         }
         // Rule 2: early cycle closing.
-        if any_closing && self.options.early_cycle_closing {
+        if any_closing {
             self.out.retain(|e| e.info.closes_cycle);
         }
         &self.out
@@ -344,7 +301,7 @@ impl<'r> EdgeGen<'r> {
         } else {
             self.h.min(s_next.len())
         };
-        if self.options.size_h_numerators && e_mask.len() != required {
+        if e_mask.len() != required {
             return None;
         }
         // E must be stored; I must be connected (a resolved node) and

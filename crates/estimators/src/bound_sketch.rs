@@ -45,7 +45,7 @@ fn buckets_per_attr(k: u32, num_attrs: u32) -> u32 {
 
 /// Partition attributes of a MOLP minimum path: join attributes whose
 /// first introduction was through an *unbound* edge (`X = ∅`).
-pub fn molp_partition_attrs(query: &QueryGraph, steps: &[crate::ceg_m::MolpStep]) -> AttrMask {
+fn molp_partition_attrs(query: &QueryGraph, steps: &[crate::ceg_m::MolpStep]) -> AttrMask {
     let mut w: AttrMask = 0;
     let mut bound_new: AttrMask = 0;
     for s in steps {
@@ -136,7 +136,7 @@ pub fn molp_sketch_bound(graph: &LabeledGraph, query: &QueryGraph, k: u32) -> f6
 /// Partition attributes of a CEG_O path: join attributes of the first
 /// (unbound) hop's pattern; later hops are conditioned (bound), so the
 /// attributes they introduce are excluded (Section 5.2.2).
-pub fn optimistic_partition_attrs(query: &QueryGraph, ceg: &CegO, path: &[u32]) -> AttrMask {
+fn optimistic_partition_attrs(query: &QueryGraph, ceg: &CegO, path: &[u32]) -> AttrMask {
     let Some(&first) = path.first() else { return 0 };
     let info = ceg.ext_info(ceg.ceg().edges()[first as usize].tag);
     join_vars_mask(query) & query.vars_of(info.ext)
@@ -203,7 +203,7 @@ pub fn optimistic_sketch_estimate(
             }
             count_budgeted(graph, &sub, &cons, CountBudget::UNLIMITED)
                 .0
-                .expect("unlimited budget cannot be exhausted")
+                .unwrap_or_else(|stop| panic!("cannot count a partition of {sub}: {stop}"))
         })
     };
 

@@ -12,7 +12,7 @@
 //! (Appendix C gives a counterexample, reproduced in our tests). Both
 //! facts are verified in this module's test suite.
 
-use ceg_query::{QueryGraph, VarId};
+use ceg_query::QueryGraph;
 
 use crate::DegreeStats;
 
@@ -50,7 +50,7 @@ impl BoundingFormula {
 ///
 /// This is the brute-force BFG/FCG of reference \[5\]: exponential in the
 /// number of attributes, fine for the paper's query sizes.
-pub fn bounding_formulas(query: &QueryGraph, stats: &DegreeStats) -> Vec<BoundingFormula> {
+fn bounding_formulas(query: &QueryGraph, stats: &DegreeStats) -> Vec<BoundingFormula> {
     let m = query.num_edges();
     assert!(m <= 16, "CBS cover enumeration limited to 16 relations");
     let mut out = Vec::new();
@@ -124,24 +124,13 @@ pub fn cbs_bound(query: &QueryGraph, stats: &DegreeStats) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// True if `var` is covered by the formula through edge `i`.
-pub fn covers_var(query: &QueryGraph, covers: &[EdgeCover], i: usize, var: VarId) -> bool {
-    let e = query.edge(i);
-    match covers[i] {
-        EdgeCover::None => false,
-        EdgeCover::Src => e.src == var,
-        EdgeCover::Dst => e.dst == var,
-        EdgeCover::Both => e.src == var || e.dst == var,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ceg_m::{molp_bound, MolpInstance};
     use ceg_exec::count;
     use ceg_graph::{GraphBuilder, LabeledGraph};
-    use ceg_query::templates;
+    use ceg_query::{templates, VarId};
 
     fn toy() -> LabeledGraph {
         let mut b = GraphBuilder::new(12);
@@ -235,6 +224,17 @@ mod tests {
         // MOLP stays safe on the same instance
         let molp = molp_bound(&MolpInstance::from_stats(&q, &stats, false));
         assert!(molp >= truth - 1e-9, "MOLP {molp} must cover truth {truth}");
+    }
+
+    /// True if `var` is covered by the formula through edge `i`.
+    fn covers_var(query: &QueryGraph, covers: &[EdgeCover], i: usize, var: VarId) -> bool {
+        let e = query.edge(i);
+        match covers[i] {
+            EdgeCover::None => false,
+            EdgeCover::Src => e.src == var,
+            EdgeCover::Dst => e.dst == var,
+            EdgeCover::Both => e.src == var || e.dst == var,
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl CcrTable {
 
     /// The CCR keys a query requires: for every simple cycle and every
     /// choice of closing edge within it.
-    pub fn keys_for_query(query: &QueryGraph) -> Vec<CcrKey> {
+    fn keys_for_query(query: &QueryGraph) -> Vec<CcrKey> {
         let mut keys = Vec::new();
         for cyc in simple_cycles(query) {
             if cyc.len() < 3 {

@@ -12,7 +12,7 @@
 //! This module materializes CEG_D explicitly (query attribute counts are
 //! tiny) and verifies both theorems.
 
-use ceg_core::ceg::{extremum, Ceg, CegEdge, PathLen};
+use ceg_core::ceg::{Ceg, CegEdge};
 use ceg_query::QueryGraph;
 
 use crate::ceg_m::AttrMask;
@@ -81,26 +81,6 @@ impl CegD {
     pub fn num_edges(&self) -> usize {
         self.ceg.num_edges()
     }
-
-    /// Weight of the longest `(∅, A)` path (ln space); `None` if the full
-    /// attribute set is unreachable under the cover.
-    pub fn longest_path_ln(&self) -> Option<f64> {
-        self.path_ln(true)
-    }
-
-    /// Weight of the shortest `(∅, A)` path (ln space).
-    pub fn shortest_path_ln(&self) -> Option<f64> {
-        self.path_ln(false)
-    }
-
-    /// The optimistic heuristics' pass, adding weights over every path.
-    fn path_ln(&self, maximize: bool) -> Option<f64> {
-        let best = extremum(maximize, |w| w);
-        let slots = self
-            .ceg
-            .fold(PathLen::AllHops, 0.0, |w, _, e| w + e.rate, best);
-        slots[self.ceg.top() as usize].map(|(_, w)| w)
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +88,20 @@ mod tests {
     use super::*;
     use crate::ceg_m::{molp_bound, MolpInstance};
     use crate::dbplp::{dbplp_bound, full_cover};
+    use ceg_core::ceg::{extremum, PathLen};
     use ceg_graph::{GraphBuilder, LabeledGraph};
     use ceg_query::templates;
+
+    /// Weight of the longest (`maximize`) or shortest `(∅, A)` path of
+    /// `ceg_d` in ln space, by the optimistic heuristics' pass; `None` if
+    /// the full attribute set is unreachable under the cover.
+    fn path_ln(ceg_d: &CegD, maximize: bool) -> Option<f64> {
+        let best = extremum(maximize, |w| w);
+        let slots = ceg_d
+            .ceg
+            .fold(PathLen::AllHops, 0.0, |w, _, e| w + e.rate, best);
+        slots[ceg_d.ceg.top() as usize].map(|(_, w)| w)
+    }
 
     fn toy() -> LabeledGraph {
         let mut b = GraphBuilder::new(12);
@@ -148,7 +140,7 @@ mod tests {
             let cover = full_cover(&q);
             let ceg_d = CegD::build(&q, &stats, &cover);
             let dbplp = dbplp_bound(&q, &stats, &cover).max(1e-12).ln();
-            let longest = ceg_d.longest_path_ln().expect("full cover reaches A");
+            let longest = path_ln(&ceg_d, true).expect("full cover reaches A");
             assert!(
                 longest <= dbplp + 1e-6,
                 "longest CEG_D path {longest} > DBPLP {dbplp} for {q}"
@@ -168,7 +160,7 @@ mod tests {
             let molp = molp_bound(&MolpInstance::from_stats(&q, &stats, false))
                 .max(1e-12)
                 .ln();
-            let shortest = ceg_d.shortest_path_ln().unwrap();
+            let shortest = path_ln(&ceg_d, false).unwrap();
             let dbplp = dbplp_bound(&q, &stats, &cover).max(1e-12).ln();
             assert!(
                 molp <= shortest + 1e-6,
@@ -188,8 +180,8 @@ mod tests {
         let q = templates::path(2, &[0, 1]);
         let ceg_d = CegD::build(&q, &stats, &full_cover(&q));
         assert!(ceg_d.num_edges() > 0);
-        assert!(ceg_d.longest_path_ln().is_some());
-        assert!(ceg_d.shortest_path_ln().unwrap() <= ceg_d.longest_path_ln().unwrap());
+        let longest = path_ln(&ceg_d, true).unwrap();
+        assert!(path_ln(&ceg_d, false).unwrap() <= longest);
     }
 
     #[test]

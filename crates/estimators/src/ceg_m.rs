@@ -14,8 +14,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use ceg_exec::VarConstraints;
-use ceg_graph::{FxHashMap, LabeledGraph};
+use ceg_graph::LabeledGraph;
 use ceg_query::{Pattern, QueryGraph, VarId};
 
 use crate::lp;
@@ -146,49 +145,6 @@ impl MolpInstance {
     /// Build directly from a graph (base statistics only).
     pub fn from_graph(graph: &LabeledGraph, query: &QueryGraph) -> Self {
         Self::from_stats(query, &DegreeStats::build_base(graph), false)
-    }
-
-    /// Build with per-variable constraints: each query edge's statistics
-    /// are computed over only the tuples whose endpoints satisfy the
-    /// constraints of the variables they bind. This is the bound-sketch
-    /// partition view of the database (Section 5.2.1).
-    pub fn from_graph_constrained(
-        graph: &LabeledGraph,
-        query: &QueryGraph,
-        cons: &VarConstraints,
-    ) -> Self {
-        let mut zero = false;
-        let mut base = Vec::with_capacity(query.num_edges());
-        for e in query.edges() {
-            let (cs, cd) = (cons.get(e.src), cons.get(e.dst));
-            let mut card = 0u64;
-            let mut out_cnt: FxHashMap<u32, u64> = FxHashMap::default();
-            let mut in_cnt: FxHashMap<u32, u64> = FxHashMap::default();
-            for (s, d) in graph.edges(e.label) {
-                if cs.admits(s) && cd.admits(d) {
-                    card += 1;
-                    *out_cnt.entry(s).or_insert(0) += 1;
-                    *in_cnt.entry(d).or_insert(0) += 1;
-                }
-            }
-            if card == 0 {
-                zero = true;
-            }
-            base.push(BaseDeg {
-                card,
-                max_out: out_cnt.values().copied().max().unwrap_or(0),
-                max_in: in_cnt.values().copied().max().unwrap_or(0),
-                proj_src: out_cnt.len() as u64,
-                proj_dst: in_cnt.len() as u64,
-            });
-        }
-        MolpInstance {
-            num_vars: query.num_vars(),
-            endpoints: query.edges().iter().map(|e| (e.src, e.dst)).collect(),
-            base,
-            joins: Vec::new(),
-            zero,
-        }
     }
 
     /// Replace the base statistics (used by partitioned sketches that
@@ -432,7 +388,6 @@ pub fn molp_lp_bound(inst: &MolpInstance, with_projections: bool) -> f64 {
 mod tests {
     use super::*;
     use ceg_exec::count;
-    use ceg_exec::VarConstraint;
     use ceg_graph::{GraphBuilder, LabeledGraph};
     use ceg_query::templates;
 
@@ -554,23 +509,6 @@ mod tests {
         let truth = count(&g, &q) as f64;
         assert!(join_bound <= base_bound + 1e-9);
         assert!(join_bound >= truth - 1e-9);
-    }
-
-    #[test]
-    fn constrained_instance_partitions_relations() {
-        let g = toy();
-        let q = templates::path(2, &[0, 1]);
-        let mut cons = VarConstraints::none(3);
-        cons.set(
-            1,
-            VarConstraint::HashBucket {
-                buckets: 2,
-                bucket: 0,
-            },
-        );
-        let inst = MolpInstance::from_graph_constrained(&g, &q, &cons);
-        let unconstrained = MolpInstance::from_graph(&g, &q);
-        assert!(molp_bound(&inst) <= molp_bound(&unconstrained) + 1e-9);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use ceg_catalog::MarkovTable;
 use ceg_core::ceg_o::CegO;
 use ceg_query::cycles::simple_cycles;
-use ceg_query::{EdgeMask, QueryGraph};
+use ceg_query::QueryGraph;
 
 use crate::CcrTable;
 
@@ -54,18 +54,6 @@ pub fn build_ceg_ocr(query: &QueryGraph, table: &MarkovTable, ccr: &CcrTable) ->
         }
         rate
     })
-}
-
-/// Convenience: which single query edges would use a CCR rate somewhere in
-/// the CEG (useful for diagnostics and tests).
-pub fn closing_edges(query: &QueryGraph, h: usize) -> EdgeMask {
-    let mut mask = EdgeMask::empty();
-    for cyc in simple_cycles(query) {
-        if cyc.len() > h {
-            mask = mask.union(cyc);
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -138,13 +126,6 @@ mod tests {
         for h in Heuristic::all() {
             assert_eq!(o.ceg().estimate(h), ocr.ceg().estimate(h), "{}", h.name());
         }
-    }
-
-    #[test]
-    fn closing_edges_of_four_cycle() {
-        let q = four_cycle();
-        assert_eq!(closing_edges(&q, 3), q.full_mask());
-        assert_eq!(closing_edges(&q, 4), EdgeMask::empty());
     }
 
     #[test]

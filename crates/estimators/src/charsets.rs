@@ -52,11 +52,6 @@ impl CharacteristicSets {
         }
     }
 
-    /// Number of distinct characteristic sets.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
     /// Domain size (used for the join-independence correction).
     pub fn num_vertices(&self) -> u64 {
         self.num_vertices
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn classes_group_by_label_set() {
         let cs = CharacteristicSets::build(&toy());
-        assert_eq!(cs.num_classes(), 2); // {0,1} and {0}
+        assert_eq!(cs.classes.len(), 2); // {0,1} and {0}
     }
 
     #[test]

@@ -197,11 +197,6 @@ impl DegreeStats {
         &self.labels[l as usize]
     }
 
-    /// Statistics of base relation `l`, if the label exists.
-    pub fn label_opt(&self, l: LabelId) -> Option<&LabelStats> {
-        self.labels.get(l as usize)
-    }
-
     /// Join statistics of a canonical 2-edge pattern, if collected.
     pub fn join(&self, pattern: &Pattern) -> Option<&JoinStats> {
         self.joins.get(pattern)

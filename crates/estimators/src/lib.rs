@@ -49,8 +49,7 @@
 //! * [`CharacteristicSets`] — per-vertex outgoing-label set statistics for
 //!   the CS baseline (Section 6.4),
 //! * [`SummaryGraph`] — a SumRDF-style bucketed summary for the summary
-//!   baseline (Section 6.4),
-//! * [`markov::build_sampled`] — Markov tables with sampled counts.
+//!   baseline (Section 6.4).
 //!
 //! And [`planner`], the join optimizer and executor of the plan-quality
 //! experiment (Section 6.6).
@@ -87,10 +86,7 @@ pub mod charsets;
 pub mod dbplp;
 pub mod degree;
 mod executor;
-pub mod jsub;
 pub mod lp;
-pub mod markov;
-pub mod max_entropy;
 pub mod optimistic;
 mod optimizer;
 pub mod oracle;
@@ -107,8 +103,6 @@ pub use ceg_m::{molp_bound, molp_lp_bound, molp_min_path, MolpInstance};
 pub use ceg_ocr::build_ceg_ocr;
 pub use charsets::CharacteristicSets;
 pub use degree::{DegreeStats, JoinStats};
-pub use jsub::JsubEstimator;
-pub use max_entropy::MaxEntEstimator;
 pub use optimistic::{pstar_estimate, OptimisticEstimator, SketchedOptimistic};
 pub use pessimistic::{CbsEstimator, MolpEstimator, SketchedMolp};
 pub use summary::SummaryGraph;

@@ -98,6 +98,8 @@ impl KernelStats {
 /// on hard queries, Section 6.4).
 #[derive(Debug, Clone, Copy)]
 pub struct CountBudget {
+    /// `u64::MAX` sets no limit: such a run stops only at its deadline,
+    /// or when the count passes `u64::MAX`.
     pub max_expansions: u64,
     /// Abandon the count once this instant passes. Checked every
     /// [`DEADLINE_CHECK_INTERVAL`] charged expansions, so a deadline adds
@@ -137,20 +139,33 @@ pub const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 /// remaining expansion allowance plus the (optional) deadline and its
 /// check countdown.
 pub(crate) struct BudgetState {
-    remaining: u64,
+    /// `None` when the budget sets no limit. Charges track the count, so
+    /// a `u64::MAX` allowance would run out just before an overflowing
+    /// count is detected, and report the wrong cause.
+    remaining: Option<u64>,
     deadline: Option<std::time::Instant>,
     until_check: u32,
+    /// Set when the kernel aborted because the count passes `u64::MAX`.
+    overflowed: bool,
     pub(crate) stats: KernelStats,
 }
 
 impl BudgetState {
     pub(crate) fn new(budget: CountBudget) -> Self {
         BudgetState {
-            remaining: budget.max_expansions,
+            remaining: (budget.max_expansions != u64::MAX).then_some(budget.max_expansions),
             deadline: budget.deadline,
             until_check: DEADLINE_CHECK_INTERVAL,
+            overflowed: false,
             stats: KernelStats::default(),
         }
+    }
+
+    /// Abort the run because the count passes `u64::MAX`; `false`, like
+    /// a failed charge.
+    fn overflow(&mut self) -> bool {
+        self.overflowed = true;
+        false
     }
 
     /// True when the deadline (if any) has already passed — callers use
@@ -166,14 +181,16 @@ impl BudgetState {
     /// `false` aborts the run.
     #[inline]
     pub(crate) fn charge_list(&mut self, n: u64) -> bool {
-        if self.remaining < n {
-            // The run aborts here: report the allowance as spent so an
-            // aborted run still accounts for the budget that stopped it.
-            self.stats.budget_consumed = self.stats.budget_consumed.saturating_add(self.remaining);
-            self.remaining = 0;
-            return false;
+        if let Some(left) = &mut self.remaining {
+            if *left < n {
+                // The run aborts here: report the allowance as spent so an
+                // aborted run still accounts for the budget that stopped it.
+                self.stats.budget_consumed = self.stats.budget_consumed.saturating_add(*left);
+                *left = 0;
+                return false;
+            }
+            *left -= n;
         }
-        self.remaining -= n;
         self.stats.candidates += n;
         self.stats.budget_consumed = self.stats.budget_consumed.saturating_add(n);
         let Some(deadline) = self.deadline else {
@@ -190,7 +207,7 @@ impl BudgetState {
         self.until_check = DEADLINE_CHECK_INTERVAL;
         if std::time::Instant::now() >= deadline {
             // Poison the allowance so every later charge fails fast.
-            self.remaining = 0;
+            self.remaining = Some(0);
             return false;
         }
         true
@@ -202,10 +219,12 @@ impl BudgetState {
     /// — a weighted leaf charges in bulk without being a shortcut.
     #[inline]
     fn charge_many(&mut self, n: u64) -> bool {
-        if self.remaining < n {
-            return false;
+        if let Some(left) = &mut self.remaining {
+            if *left < n {
+                return false;
+            }
+            *left -= n;
         }
-        self.remaining -= n;
         self.stats.budget_consumed = self.stats.budget_consumed.saturating_add(n);
         self.check_deadline()
     }
@@ -222,26 +241,50 @@ impl BudgetState {
         self.until_check = DEADLINE_CHECK_INTERVAL;
         if std::time::Instant::now() >= deadline {
             // Poison the allowance so every later charge fails fast.
-            self.remaining = 0;
+            self.remaining = Some(0);
             return false;
         }
         true
     }
 }
 
+/// Why [`count_budgeted`] gave no count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CountStop {
+    /// The [`CountBudget`] ran out: its expansions or its deadline.
+    Budget,
+    /// The count passes `u64::MAX`.
+    Overflow,
+}
+
+impl std::fmt::Display for CountStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CountStop::Budget => "the count budget ran out",
+            CountStop::Overflow => "the count overflows u64",
+        })
+    }
+}
+
 /// Count the homomorphisms of `query` in `graph` (join semantics: distinct
 /// variables may map to the same vertex). The service counts on the
 /// committed [`LabeledGraph`] of one pinned epoch.
+///
+/// # Panics
+///
+/// If the count passes `u64::MAX`.
 pub fn count(graph: &LabeledGraph, query: &QueryGraph) -> u64 {
     let cons = VarConstraints::none(query.num_vars());
-    count_budgeted(graph, query, &cons, CountBudget::UNLIMITED)
-        .0
-        .expect("unlimited budget cannot be exhausted")
+    match count_budgeted(graph, query, &cons, CountBudget::UNLIMITED).0 {
+        Ok(n) => n,
+        Err(stop) => panic!("cannot count {query}: {stop}"),
+    }
 }
 
 /// Count homomorphisms subject to per-variable constraints and a work
-/// budget: `None` when the budget is exhausted, with the profiling
-/// counters of the run either way.
+/// budget: [`CountStop::Budget`] when the budget is exhausted,
+/// [`CountStop::Overflow`] when the count passes `u64::MAX`, with the
+/// profiling counters of the run either way.
 ///
 /// Which code counts is read off the input: a connected, acyclic,
 /// unconstrained query goes to the sparse tree DP
@@ -254,7 +297,7 @@ pub fn count_budgeted(
     query: &QueryGraph,
     cons: &VarConstraints,
     budget: CountBudget,
-) -> (Option<u64>, KernelStats) {
+) -> (Result<u64, CountStop>, KernelStats) {
     if cons.is_trivial() {
         if let Some(counted) = count_tree(graph, query, budget) {
             return counted;
@@ -635,19 +678,19 @@ impl<'a> CountPlan<'a> {
         }
     }
 
-    /// Count under a work budget: `None` when it is exhausted, with the
+    /// Count under a work budget, as [`count_budgeted`] does, with the
     /// run's [`KernelStats`] either way (an aborted run reports the work
-    /// done before the budget tripped).
+    /// done before it stopped).
     ///
     /// The bindings of an independent suffix are never materialized:
     /// once the remaining variables only reference the bound prefix,
     /// their contribution is the product of candidate-set sizes (charged
     /// against the budget in one step).
-    pub fn count(&mut self, budget: CountBudget) -> (Option<u64>, KernelStats) {
+    pub fn count(&mut self, budget: CountBudget) -> (Result<u64, CountStop>, KernelStats) {
         let mut total = 0u64;
         let mut state = BudgetState::new(budget);
         if state.expired_at_entry() {
-            return (None, state.stats);
+            return (Err(CountStop::Budget), state.stats);
         }
         let complete = recurse_count(
             self.graph,
@@ -664,7 +707,12 @@ impl<'a> CountPlan<'a> {
             &mut total,
             0,
         );
-        (complete.then_some(total), state.stats)
+        let stop = if state.overflowed {
+            CountStop::Overflow
+        } else {
+            CountStop::Budget
+        };
+        (if complete { Ok(total) } else { Err(stop) }, state.stats)
     }
 }
 
@@ -672,7 +720,10 @@ impl<'a> CountPlan<'a> {
 /// independent suffix as a product of candidate-set sizes (weighted by
 /// pendant-tree weights where the plan is factorized) instead of
 /// binding by binding. `wprod` is the running product of the bound
-/// prefix's weights. Returns `false` when the budget stops the count.
+/// prefix's weights. Returns `false` when the budget stops the count,
+/// or when the count passes `u64::MAX` (`state` says which): every
+/// contribution added to `total` is exact, so a sum or product of them
+/// that overflows proves the count does.
 ///
 /// This entry point consults the depth's [`SuffixMemo`] (when the plan
 /// built one): a valid entry answers the whole suffix in O(1); a miss
@@ -695,7 +746,10 @@ fn recurse_count(
     level: u32,
 ) -> bool {
     if depths.is_empty() {
-        *total = total.saturating_add(wprod);
+        let Some(t) = total.checked_add(wprod) else {
+            return state.overflow();
+        };
+        *total = t;
         // A weighted leaf stands for `wprod` enumerated bindings; charge
         // the bulk beyond the one candidate already charged.
         if wprod > 1 && !state.charge_many(wprod - 1) {
@@ -716,8 +770,10 @@ fn recurse_count(
                 // `aval == MAX` (an out-of-domain Fixed anchor) would
                 // collide with the sentinel: skip the table.
                 Some(&s) if s.anchor == aval && aval != VertexId::MAX => {
-                    let contrib = wprod.saturating_mul(s.count);
-                    *total = total.saturating_add(contrib);
+                    let Some((contrib, t)) = add_product(*total, wprod, s.count) else {
+                        return state.overflow();
+                    };
+                    *total = t;
                     state.stats.memo_hits += 1;
                     return state.charge_many(contrib);
                 }
@@ -742,7 +798,10 @@ fn recurse_count(
             anchor: aval,
             count: sub,
         };
-        *total = total.saturating_add(wprod.saturating_mul(sub));
+        let Some((_, t)) = add_product(*total, wprod, sub) else {
+            return state.overflow();
+        };
+        *total = t;
         return true;
     }
     recurse_count_inner(
@@ -771,20 +830,18 @@ fn recurse_count_inner(
     level: u32,
 ) -> bool {
     if indep[0] {
-        // On u64 overflow of the product or the running total, fall
-        // through to plain enumeration (which matches the old kernel's
-        // behaviour of grinding within the budget).
+        // A product that overflows with a later factor of 0 proves
+        // nothing: `suffix_product` gives up, and enumeration counts.
         if let Some(prod) = suffix_product(graph, depths, bufs, caches, binding, state, strategy) {
-            if let Some(contrib) = wprod.checked_mul(prod) {
-                if let Some(t) = total.checked_add(contrib) {
-                    if !state.charge_many(contrib) {
-                        return false;
-                    }
-                    state.stats.suffix_shortcuts += 1;
-                    *total = t;
-                    return true;
-                }
+            let Some((contrib, t)) = add_product(*total, wprod, prod) else {
+                return state.overflow();
+            };
+            if !state.charge_many(contrib) {
+                return false;
             }
+            state.stats.suffix_shortcuts += 1;
+            *total = t;
+            return true;
         }
     }
     let (dp, rest_depths) = depths.split_first().expect("checked non-empty");
@@ -818,16 +875,23 @@ fn recurse_count_inner(
                     }
                 }
                 let cw = match &dp.weight {
-                    None => wprod,
+                    None => Some(wprod),
                     // Out-of-domain bindings (possible only via a Fixed
                     // constraint) have no pendant extensions: weight 0.
-                    Some(w) => wprod.saturating_mul(w.get(c as usize).copied().unwrap_or(0)),
+                    Some(w) => wprod.checked_mul(w.get(c as usize).copied().unwrap_or(0)),
                 };
-                if cw == 0 {
+                if cw == Some(0) {
                     // Every completion would contribute 0.
                     continue;
                 }
                 binding[dp.var as usize] = c;
+                // A prefix weight past u64::MAX overflows the count only
+                // if the suffix completes: count the suffix unweighted.
+                let mut sub = 0u64;
+                let (weight, into) = match cw {
+                    Some(cw) => (cw, &mut *total),
+                    None => (1, &mut sub),
+                };
                 if !recurse_count(
                     graph,
                     cons,
@@ -839,11 +903,14 @@ fn recurse_count_inner(
                     binding,
                     state,
                     strategy,
-                    cw,
-                    total,
+                    weight,
+                    into,
                     level + 1,
                 ) {
                     return false;
+                }
+                if sub > 0 {
+                    return state.overflow();
                 }
             }
             true
@@ -947,6 +1014,13 @@ fn bitset_fill(
             refine_in_place_merge(buf, l);
         }
     }
+}
+
+/// `(weight · count, total + weight · count)`, or `None` when either
+/// overflows `u64`.
+fn add_product(total: u64, weight: u64, count: u64) -> Option<(u64, u64)> {
+    let contrib = weight.checked_mul(count)?;
+    Some((contrib, total.checked_add(contrib)?))
 }
 
 /// Candidate-set size product of a fully independent suffix — with
@@ -1216,7 +1290,7 @@ mod tests {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::new(1));
-        assert!(res.is_none());
+        assert_eq!(res, Err(CountStop::Budget));
     }
 
     #[test]
@@ -1225,11 +1299,11 @@ mod tests {
         let q = templates::path(2, &[0, 0]);
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::until(past));
-        assert!(res.is_none());
+        assert_eq!(res, Err(CountStop::Budget));
         // A comfortably distant deadline changes nothing.
         let future = std::time::Instant::now() + std::time::Duration::from_secs(60);
         let (res, _) = count_budgeted(&g, &q, &VarConstraints::none(3), CountBudget::until(future));
-        assert_eq!(res, Some(2));
+        assert_eq!(res, Ok(2));
         // Deadlines compose with expansion budgets: whichever trips first
         // aborts.
         let (res, _) = count_budgeted(
@@ -1241,7 +1315,157 @@ mod tests {
                 deadline: Some(future),
             },
         );
-        assert!(res.is_none());
+        assert_eq!(res, Err(CountStop::Budget));
+    }
+
+    /// One hub with 70,000 out-edges: a 4-edge star over them has
+    /// 70,000⁴ ≈ 2.4e19 homomorphisms, past `u64::MAX`.
+    fn overflowing_star() -> (LabeledGraph, QueryGraph) {
+        let mut b = GraphBuilder::with_labels(70_001, 1);
+        for v in 1..=70_000 {
+            b.add_edge(0, v, 0);
+        }
+        (b.build(), templates::star(4, &[0; 4]))
+    }
+
+    #[test]
+    fn an_overflowing_count_is_its_own_outcome() {
+        let (g, q) = overflowing_star();
+        let cons = VarConstraints::none(q.num_vars());
+        // The tree DP overflows and hands the star to the kernel, which
+        // proves the count itself does.
+        let (res, _) = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED);
+        assert_eq!(res, Err(CountStop::Overflow));
+        let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
+        assert_eq!(
+            plan.count(CountBudget::UNLIMITED).0,
+            Err(CountStop::Overflow)
+        );
+        // A budget that runs out first is still the budget.
+        let (res, _) = count_budgeted(&g, &q, &cons, CountBudget::new(1_000));
+        assert_eq!(res, Err(CountStop::Budget));
+    }
+
+    /// Cores whose corners each carry three pendant edges into the same
+    /// 3,000 leaves: factorized, every corner weighs 3,000³ and any two
+    /// corners' product passes `u64::MAX`, so the count overflows only if
+    /// the core embeds. The triangle overflows where a memoized suffix is
+    /// scaled by its prefix; the K4, whose constrained corners leave no
+    /// independent suffix and no memo at its last depth, in the prefix
+    /// weight itself.
+    #[test]
+    fn weighted_products_overflow_only_a_completed_count() {
+        let triangle: &[(u32, u32)] = &[(0, 1), (1, 2), (2, 0)];
+        let k4: &[(u32, u32)] = &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        for (core, corners, constrained) in [(triangle, 3u32, false), (k4, 4, true)] {
+            let mut edges: Vec<QueryEdge> = core
+                .iter()
+                .map(|&(s, d)| QueryEdge::new(s as VarId, d as VarId, 1))
+                .collect();
+            for c in 0..corners {
+                for k in 0..3 {
+                    edges.push(QueryEdge::new(
+                        c as VarId,
+                        (corners + 3 * c + k) as VarId,
+                        0,
+                    ));
+                }
+            }
+            let q = QueryGraph::new((4 * corners) as VarId, edges);
+            let mut cons = VarConstraints::none(q.num_vars());
+            if constrained {
+                let all = VarConstraint::HashBucket {
+                    buckets: 1,
+                    bucket: 0,
+                };
+                for c in 0..corners {
+                    cons.set(c as VarId, all);
+                }
+            }
+            for closed in [true, false] {
+                let mut b = GraphBuilder::with_labels(corners as usize + 3_000, 2);
+                let (&(s, d), rest) = core.split_last().expect("a core has edges");
+                rest.iter().for_each(|&(s, d)| b.add_edge(s, d, 1));
+                if closed {
+                    b.add_edge(s, d, 1);
+                }
+                for c in 0..corners {
+                    (corners..corners + 3_000).for_each(|leaf| b.add_edge(c, leaf, 0));
+                }
+                let want = if closed {
+                    Err(CountStop::Overflow)
+                } else {
+                    Ok(0)
+                };
+                let (got, _) = count_budgeted(&b.build(), &q, &cons, CountBudget::UNLIMITED);
+                assert_eq!(got, want, "{q}, closed: {closed}");
+            }
+        }
+    }
+
+    /// Five pendant edges into 4,000 leaves weigh 4,000⁵ ≈ 1.0e18, so
+    /// 20 or more such completions pass `u64::MAX`. Each query below
+    /// overflows through a sum of exact contributions, not a product.
+    #[test]
+    fn a_sum_of_weighted_completions_overflows() {
+        let e = QueryEdge::new;
+        let pendants = |v: VarId, first: VarId| (0..5).map(move |k| e(v, first + k, 0));
+        let leaves = |b: &mut GraphBuilder, owners: std::ops::Range<u32>, first: u32| {
+            for v in owners {
+                (first..first + 4_000).for_each(|leaf| b.add_edge(v, leaf, 0));
+            }
+        };
+        // A triangle, every corner constrained so no depth is an
+        // independent suffix, whose middle variable takes 20 values:
+        // 20 weighted leaves of the kernel's recursion.
+        let mut edges = vec![e(0, 1, 1), e(1, 2, 1), e(2, 0, 1)];
+        edges.extend(pendants(1, 3));
+        let triangle = QueryGraph::new(8, edges);
+        let mut cons = VarConstraints::none(8);
+        for c in 0..3 {
+            let all = VarConstraint::HashBucket {
+                buckets: 1,
+                bucket: 0,
+            };
+            cons.set(c, all);
+        }
+        let mut b = GraphBuilder::with_labels(4_022, 2);
+        b.add_edge(0, 1, 1);
+        for m in 2..22 {
+            b.add_edge(1, m, 1);
+            b.add_edge(m, 0, 1);
+        }
+        leaves(&mut b, 2..22, 22);
+        let (got, _) = count_budgeted(&b.build(), &triangle, &cons, CountBudget::UNLIMITED);
+        assert_eq!(got, Err(CountStop::Overflow));
+
+        // A 4-cycle z → w → x → y → z closed 30 times through 5 weighted
+        // w: its bulk charges exhaust a `u64::MAX` allowance just before
+        // the count overflows, so the unlimited budget must set none.
+        let mut edges = vec![e(0, 1, 1), e(1, 2, 1), e(2, 3, 1), e(3, 0, 1)];
+        edges.extend(pendants(1, 4));
+        let square = QueryGraph::new(9, edges);
+        // x = 0, y = 1 and 2, z = 3..7, w = 7..12, leaves from 12.
+        let mut b = GraphBuilder::with_labels(4_012, 2);
+        for (y, zs) in [(1, 5..7), (2, 3..7)] {
+            b.add_edge(0, y, 1);
+            zs.for_each(|z| b.add_edge(y, z, 1));
+        }
+        for w in 7..12 {
+            (3..7).for_each(|z| b.add_edge(z, w, 1));
+            b.add_edge(w, 0, 1);
+        }
+        leaves(&mut b, 7..12, 12);
+        let cons = VarConstraints::none(9);
+        let (got, _) = count_budgeted(&b.build(), &square, &cons, CountBudget::UNLIMITED);
+        assert_eq!(got, Err(CountStop::Overflow));
+    }
+
+    #[test]
+    #[should_panic(expected = "the count overflows u64")]
+    fn count_panics_naming_the_overflow() {
+        let (g, q) = overflowing_star();
+        count(&g, &q);
     }
 
     #[test]
@@ -1274,11 +1498,11 @@ mod tests {
         let cons = VarConstraints::none(3);
         let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
         let first = plan.count(CountBudget::UNLIMITED).0;
-        assert_eq!(first, Some(2));
+        assert_eq!(first, Ok(2));
         for _ in 0..3 {
             assert_eq!(plan.count(CountBudget::UNLIMITED).0, first);
         }
-        assert_eq!(plan.count(CountBudget::new(1)).0, None);
+        assert_eq!(plan.count(CountBudget::new(1)).0, Err(CountStop::Budget));
         assert_eq!(plan.count(CountBudget::UNLIMITED).0, first); // budget run leaves no residue
     }
 
@@ -1315,7 +1539,7 @@ mod tests {
         let kernel =
             |g, q, budget| CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive).count(budget);
         let (count, stats) = kernel(&g, &q, CountBudget::UNLIMITED);
-        assert_eq!(count, Some(2));
+        assert_eq!(count, Ok(2));
         assert!(stats.candidates > 0, "candidates were visited");
         assert!(stats.budget_consumed >= stats.candidates);
         assert!(stats.deepest_level >= 1, "at least one variable bound");
@@ -1325,13 +1549,13 @@ mod tests {
         // shortcut must fire and charge in bulk.
         let star = templates::star(2, &[0, 0]);
         let (count, stats) = kernel(&g, &star, CountBudget::UNLIMITED);
-        assert!(count.is_some());
+        assert!(count.is_ok());
         assert!(stats.suffix_shortcuts > 0, "independent suffix shortcut");
         assert!(stats.budget_consumed >= stats.candidates);
 
         // An aborted run still reports the work done before the trip.
         let (aborted, stats) = kernel(&g, &q, CountBudget::new(1));
-        assert!(aborted.is_none());
+        assert_eq!(aborted, Err(CountStop::Budget));
         assert_eq!(stats.budget_consumed, 1);
 
         // Multi-constraint depths classify their intersections.
@@ -1342,7 +1566,7 @@ mod tests {
         b.add_edge(2, 0, 0);
         let tg = b.build();
         let (count, stats) = count_budgeted(&tg, &tri, &cons, CountBudget::UNLIMITED);
-        assert_eq!(count, Some(3));
+        assert_eq!(count, Ok(3));
         assert!(
             stats.merge_intersections + stats.gallop_intersections > 0,
             "the closing triangle edge intersects two lists"

@@ -32,7 +32,7 @@ pub mod par;
 pub mod tree_count;
 
 pub use constraints::{VarConstraint, VarConstraints};
-pub use count::{count, count_budgeted, CountBudget, CountPlan, KernelStats};
+pub use count::{count, count_budgeted, CountBudget, CountPlan, CountStop, KernelStats};
 pub use intersect::IntersectStrategy;
 pub use naive::count_naive;
 pub use par::map_ordered;

@@ -46,7 +46,7 @@ use ceg_query::cycles::is_acyclic;
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
-use crate::count::{BudgetState, CountBudget, KernelStats};
+use crate::count::{BudgetState, CountBudget, CountStop, KernelStats};
 
 /// The arithmetic a tree walk runs in.
 trait Weight: Copy + PartialEq {
@@ -83,14 +83,6 @@ impl Weight for f64 {
     fn mul(self, other: f64) -> Option<f64> {
         Some(self * other)
     }
-}
-
-/// Why a tree walk stopped without a count.
-enum Stop {
-    /// The [`CountBudget`] ran out (expansions or deadline).
-    Budget,
-    /// A sum or product left the arithmetic's range.
-    Overflow,
 }
 
 /// A sparse weight vector over the vertex domain: `vals[i]` is the
@@ -232,11 +224,11 @@ fn fold_tree<T: Weight>(
     root: VarId,
     budget: &mut BudgetState,
     scratch: &mut Vec<T>,
-) -> Result<T, Stop> {
+) -> Result<T, CountStop> {
     if let [e] = query.edges() {
         // Σ of the row lengths, without the sweep.
         if !budget.charge_list(graph.distinct_sources(e.label) as u64) {
-            return Err(Stop::Budget);
+            return Err(CountStop::Budget);
         }
         return Ok(T::of_len(graph.label_count(e.label)));
     }
@@ -273,7 +265,7 @@ fn fold_tree<T: Weight>(
             backward: e.src != parent,
         };
         if !budget.charge_list(rel.num_rows(graph) as u64) {
-            return Err(Stop::Budget);
+            return Err(CountStop::Budget);
         }
         let child = down[v as usize].take();
         let folded = fold_child(
@@ -283,7 +275,7 @@ fn fold_tree<T: Weight>(
             child.as_ref(),
             scratch,
         )
-        .ok_or(Stop::Overflow)?;
+        .ok_or(CountStop::Overflow)?;
         if folded.keys.is_empty() {
             return Ok(T::ZERO);
         }
@@ -296,7 +288,7 @@ fn fold_tree<T: Weight>(
         .vals
         .iter()
         .try_fold(T::ZERO, |a, &x| a.add(x))
-        .ok_or(Stop::Overflow)
+        .ok_or(CountStop::Overflow)
 }
 
 /// The centre of the query tree — the variable of least height as a
@@ -316,25 +308,26 @@ fn centre(query: &QueryGraph) -> VarId {
 }
 
 /// Count an unconstrained tree query in exact `u64` under `budget`:
-/// `(None, _)` when the budget stops it. The stats carry the rows swept
-/// as `candidates`. The outer `None` hands the query to the backtracking
-/// kernel: it is not a tree, or a weight overflowed `u64`.
+/// `(Err(Budget), _)` when the budget stops it. The stats carry the rows
+/// swept as `candidates`. The outer `None` hands the query to the
+/// backtracking kernel: it is not a tree, or a weight overflowed `u64` —
+/// an inner weight, which a zero elsewhere may still cancel, so only the
+/// kernel can tell whether the count itself overflows.
 pub(crate) fn count_tree(
     graph: &LabeledGraph,
     query: &QueryGraph,
     budget: CountBudget,
-) -> Option<(Option<u64>, KernelStats)> {
+) -> Option<(Result<u64, CountStop>, KernelStats)> {
     if !is_tree(query) {
         return None;
     }
     let mut state = BudgetState::new(budget);
     if state.expired_at_entry() {
-        return Some((None, state.stats));
+        return Some((Err(CountStop::Budget), state.stats));
     }
     match fold_tree::<u64>(graph, query, centre(query), &mut state, &mut Vec::new()) {
-        Ok(count) => Some((Some(count), state.stats)),
-        Err(Stop::Budget) => Some((None, state.stats)),
-        Err(Stop::Overflow) => None,
+        Err(CountStop::Overflow) => None,
+        counted => Some((counted, state.stats)),
     }
 }
 
@@ -493,7 +486,8 @@ pub(crate) fn factorize(
 }
 
 /// Exact truth for any connected query: tree DP when acyclic, otherwise
-/// backtracking with the given budget. `None` when the budget runs out.
+/// backtracking with the given budget. `None` when the budget runs out
+/// or the count overflows `u64`.
 pub fn exact_count(graph: &LabeledGraph, query: &QueryGraph, budget: CountBudget) -> Option<f64> {
     if let Some(c) = count_tree_dp(graph, query) {
         return Some(c);
@@ -501,6 +495,7 @@ pub fn exact_count(graph: &LabeledGraph, query: &QueryGraph, budget: CountBudget
     let cons = VarConstraints::none(query.num_vars());
     crate::count::count_budgeted(graph, query, &cons, budget)
         .0
+        .ok()
         .map(|c| c as f64)
 }
 
@@ -601,7 +596,7 @@ mod tests {
         g: &LabeledGraph,
         q: &QueryGraph,
         budget: CountBudget,
-    ) -> (Option<u64>, KernelStats) {
+    ) -> (Result<u64, CountStop>, KernelStats) {
         count_budgeted(g, q, &VarConstraints::none(q.num_vars()), budget)
     }
 
@@ -681,8 +676,8 @@ mod tests {
             scratch,
         ) {
             Ok(count) => format!("count {count}"),
-            Err(Stop::Budget) => "budget".to_string(),
-            Err(Stop::Overflow) => "overflow".to_string(),
+            Err(CountStop::Budget) => "budget".to_string(),
+            Err(CountStop::Overflow) => "overflow".to_string(),
         };
         // Rooted at x = 0: the inner child y = 1 holds weights on the hubs.
         let overflow = {
@@ -762,21 +757,21 @@ mod tests {
         let g = toy();
         // One edge: the sources of the relation, without the sweep.
         let (c, stats) = unconstrained(&g, &templates::path(1, &[0]), CountBudget::UNLIMITED);
-        assert_eq!(c, Some(6));
+        assert_eq!(c, Ok(6));
         assert_eq!(stats.candidates, g.distinct_sources(0) as u64);
         // a0 -0-> a1 -1-> a2 is rooted at a1: the targets of label 0 and
         // the sources of label 1.
         let path = templates::path(2, &[0, 1]);
         let rows = (g.distinct_targets(0) + g.distinct_sources(1)) as u64;
         let (c, stats) = unconstrained(&g, &path, CountBudget::UNLIMITED);
-        assert_eq!(c, Some(6));
+        assert_eq!(c, Ok(6));
         assert_eq!(stats.candidates, rows);
         assert_eq!(stats.budget_consumed, rows);
         assert_eq!((stats.memo_hits, stats.suffix_shortcuts), (0, 0));
         // The exact boundary, and one short of it.
-        assert_eq!(unconstrained(&g, &path, CountBudget::new(rows)).0, Some(6));
+        assert_eq!(unconstrained(&g, &path, CountBudget::new(rows)).0, Ok(6));
         let (c, stats) = unconstrained(&g, &path, CountBudget::new(rows - 1));
-        assert_eq!(c, None);
+        assert_eq!(c, Err(CountStop::Budget));
         assert_eq!(stats.budget_consumed, rows - 1, "the allowance is spent");
         // An empty relation sweeps nothing and counts nothing.
         let g4 = {
@@ -785,7 +780,7 @@ mod tests {
             b.build()
         };
         let (c, stats) = unconstrained(&g4, &templates::path(1, &[3]), CountBudget::UNLIMITED);
-        assert_eq!((c, stats.candidates), (Some(0), 0));
+        assert_eq!((c, stats.candidates), (Ok(0), 0));
     }
 
     #[test]
@@ -793,7 +788,7 @@ mod tests {
         let g = toy();
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let (c, stats) = unconstrained(&g, &templates::path(2, &[0, 1]), CountBudget::until(past));
-        assert_eq!(c, None);
+        assert_eq!(c, Err(CountStop::Budget));
         assert_eq!(stats, KernelStats::default());
     }
 

@@ -15,7 +15,9 @@
 //! relation row swept — that contract is pinned at the end of this file
 //! and in `tree_count`'s unit tests.
 
-use ceg_exec::{count_budgeted, CountBudget, CountPlan, IntersectStrategy, VarConstraints};
+use ceg_exec::{
+    count_budgeted, CountBudget, CountPlan, CountStop, IntersectStrategy, VarConstraints,
+};
 use ceg_graph::{GraphBuilder, LabeledGraph};
 use ceg_query::{templates, QueryEdge, QueryGraph};
 use ceg_workload::{Dataset, Workload};
@@ -25,6 +27,7 @@ fn counts(graph: &LabeledGraph, query: &QueryGraph, budget: u64) -> Option<u64> 
     CountPlan::new(graph, query, &cons, IntersectStrategy::Adaptive)
         .count(CountBudget::new(budget))
         .0
+        .ok()
 }
 
 /// Star query, hub with 4 out-edges: the two leaves form an independent
@@ -106,11 +109,11 @@ fn acyclic_queries_are_charged_the_rows_swept() {
     let g = b.build();
     let q = templates::star(2, &[0, 0]);
     let cons = VarConstraints::none(q.num_vars());
+    assert_eq!(count_budgeted(&g, &q, &cons, CountBudget::new(2)).0, Ok(16));
     assert_eq!(
-        count_budgeted(&g, &q, &cons, CountBudget::new(2)).0,
-        Some(16)
+        count_budgeted(&g, &q, &cons, CountBudget::new(1)).0,
+        Err(CountStop::Budget)
     );
-    assert_eq!(count_budgeted(&g, &q, &cons, CountBudget::new(1)).0, None);
 }
 
 /// A factorized plan's accounting, as a golden: the three petals of the
@@ -128,7 +131,7 @@ fn factorized_plan_accounting_is_pinned() {
     let flower = QueryGraph::new(6, [triangle, petals].concat());
     let cons = VarConstraints::none(6);
     let (count, stats) = count_budgeted(&g, &flower, &cons, CountBudget::UNLIMITED);
-    assert_eq!(count, Some(795_275));
+    assert_eq!(count, Ok(795_275));
     assert_eq!(stats.budget_consumed, 18_943);
     assert_eq!(stats.candidates, 458);
     assert_eq!((stats.memo_hits, stats.suffix_shortcuts), (0, 168));

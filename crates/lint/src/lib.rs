@@ -11,7 +11,7 @@
 //! | `typed-reply` | connection handlers write only through `protocol::` constructors |
 //! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-catalog`/`ceg-service` — writes go through `vfs::Storage` |
 //! | `service-closure` | `ceg-service` and the server binary `cegcli` link only the served crates (see [`closure`]) |
-//! | `unused-pub` | a served crate's `pub fn` is named by some other file of the workspace (see [`unused_pub`]) |
+//! | `unused-pub` | a `pub fn` of any crate under `crates/` is named by some other file of the workspace (see [`unused_pub`]) |
 //! | `doc-refs` | every path, command, flag, ROADMAP item and ARCHITECTURE section the docs name exists, and no doc cites a PR by number (see [`doc_refs`]) |
 //!
 //! Exceptions live in `ceg-lint.allow` at the repo root; every entry
@@ -45,7 +45,7 @@ pub const ALLOW_FILE: &str = "ceg-lint.allow";
 ///   bytes;
 /// * `typed-reply` — the connection handlers in `server.rs`;
 /// * `durability-seam` — everything in `ceg-graph`/`ceg-catalog`/`ceg-service`.
-pub fn classify(rel: &str) -> LintSet {
+fn classify(rel: &str) -> LintSet {
     if !rel.ends_with(".rs") {
         return LintSet::default();
     }

@@ -3,7 +3,7 @@
 //!
 //! Scope tracking (brace depth, enclosing function, `#[cfg(test)]` /
 //! `#[test]` exemption) is shared by all lints; which lints apply to a
-//! file is decided by [`crate::classify`] from its repo-relative path.
+//! file is decided from its repo-relative path by `classify` in the crate root.
 
 use crate::lexer::{lex, Spanned, Tok};
 

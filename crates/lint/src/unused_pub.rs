@@ -1,6 +1,7 @@
-//! `unused-pub`: the served crates export only what a caller names.
-//! Rust's `dead_code` does not fire on `pub` items, so a `pub fn` in the
-//! non-test code of a served crate's `src/` is a diagnostic when its name
+//! `unused-pub`: every crate exports only what a caller names. Rust's
+//! `dead_code` does not fire on `pub` items, so a `pub fn` in the
+//! non-test code of a `crates/<name>/src/` directory (the vendored
+//! stand-ins under `vendor/` are not ours) is a diagnostic when its name
 //! is an identifier token in no *other* walked file (`crates/`, `src/`,
 //! `tests/`, `examples/`, `bench/src/`). Comments and strings are not
 //! mentions (the lexer drops them), nor are the names inside a `use …;`
@@ -19,7 +20,6 @@ const MENTION_ROOTS: &[&str] = &["crates/", "src/", "tests/", "examples/", "benc
 /// The diagnostics of one set of `(repo-relative path, source)` pairs.
 /// `run` hands it the whole walk; the fixture tests hand it a few files.
 pub fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let served = crate::closure::served_src_dirs();
     let lexed: Vec<(&str, Vec<Spanned>)> = files
         .iter()
         .filter(|(rel, _)| MENTION_ROOTS.iter().any(|r| rel.starts_with(r)))
@@ -37,7 +37,7 @@ pub fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     }
     let mut out = Vec::new();
     for (rel, toks) in &lexed {
-        if !served.iter().any(|dir| rel.starts_with(dir.as_str())) {
+        if !in_crate_src(rel) {
             continue;
         }
         for (name, line) in pub_fns(toks) {
@@ -57,6 +57,13 @@ pub fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// Whether `rel` lies in a workspace crate's `src/`: `crates/<name>/src/…`.
+fn in_crate_src(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
 }
 
 /// The identifiers of `toks` outside `use …;` declarations.

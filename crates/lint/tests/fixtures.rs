@@ -229,9 +229,30 @@ fn unused_pub_fires_on_the_fn_no_other_file_names() {
     assert_eq!(diags[0].lint, "unused-pub");
     assert_eq!(diags[0].func, "only_in_comment", "{}", diags[0]);
     assert_eq!(diags[0].line, 8, "{}", diags[0]);
-    // Outside a served crate's `src/` the same file is not checked.
-    let unserved = [("crates/estimators/src/fixture.rs", files[0].1), files[1]];
-    assert!(ceg_lint::unused_pub::check(&unserved).is_empty());
+}
+
+#[test]
+fn unused_pub_scans_every_crate_but_not_vendor() {
+    let lib = include_str!("fixtures/unused_pub_lib.rs");
+    let caller = (
+        "tests/fixture.rs",
+        include_str!("fixtures/unused_pub_caller.rs"),
+    );
+    // An offline crate's `src/` is scanned like a served one.
+    let offline = [("crates/estimators/src/fixture.rs", lib), caller];
+    let diags = ceg_lint::unused_pub::check(&offline);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].func, "only_in_comment", "{}", diags[0]);
+    // The vendored stand-ins are not.
+    let vendored = [("vendor/rand/src/fixture.rs", lib), caller];
+    assert!(ceg_lint::unused_pub::check(&vendored).is_empty());
+    // A reproduction binary's call is a mention.
+    let binary = (
+        "crates/bench/src/bin/fixture.rs",
+        "fn main() { fixture::only_in_comment(); }",
+    );
+    let called = [("crates/estimators/src/fixture.rs", lib), caller, binary];
+    assert!(ceg_lint::unused_pub::check(&called).is_empty());
 }
 
 #[test]

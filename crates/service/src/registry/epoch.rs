@@ -148,7 +148,7 @@ impl EpochState {
         for (pat, card) in missing.iter().zip(counts) {
             // Abandoned counts insert nothing: a partial count must
             // never enter the catalog as if it were exact.
-            let Some(card) = card else { continue };
+            let Ok(card) = card else { continue };
             if table.card(pat).is_none() {
                 table.insert(pat.clone(), card);
                 outcome.added += 1;

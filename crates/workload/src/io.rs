@@ -17,7 +17,7 @@ use ceg_query::{QueryEdge, QueryGraph, VarId};
 use crate::workloads::WorkloadQuery;
 
 /// Serialize a workload.
-pub fn write_workload<W: Write>(queries: &[WorkloadQuery], writer: W) -> io::Result<()> {
+fn write_workload<W: Write>(queries: &[WorkloadQuery], writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
     writeln!(
         w,
@@ -45,7 +45,7 @@ pub fn write_workload<W: Write>(queries: &[WorkloadQuery], writer: W) -> io::Res
 /// or [`QueryGraph::MAX_EDGES`] edges, an edge naming a variable outside
 /// `0..num_vars`, and tokens after a query's last edge are `InvalidData`
 /// errors naming the line.
-pub fn read_workload<R: BufRead>(reader: R) -> io::Result<Vec<WorkloadQuery>> {
+fn read_workload<R: BufRead>(reader: R) -> io::Result<Vec<WorkloadQuery>> {
     let mut out = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let line = line?;

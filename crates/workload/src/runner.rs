@@ -299,62 +299,3 @@ mod template_tests {
         assert_eq!(grouped[1].1[0].summary.count, 1);
     }
 }
-
-/// Render reports as CSV (one row per estimator) for external plotting
-/// tools; the exact numbers behind the ASCII box plots.
-pub fn render_csv(dataset: &str, workload: &str, reports: &[EstimatorReport]) -> String {
-    let mut out = String::from(
-        "dataset,workload,estimator,count,failures,p25,median,p75,min,max,trimmed_mean,under_fraction,mean_time_us\n",
-    );
-    for r in reports {
-        let s = &r.summary;
-        out.push_str(&format!(
-            "{dataset},{workload},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3}\n",
-            r.name,
-            s.count,
-            s.failures,
-            s.p25,
-            s.median,
-            s.p75,
-            s.min,
-            s.max,
-            s.trimmed_mean,
-            s.under_fraction,
-            r.mean_time_us
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use ceg_query::QueryGraph;
-
-    struct Fixed(f64);
-    impl CardinalityEstimator for Fixed {
-        fn name(&self) -> String {
-            "fixed".into()
-        }
-        fn estimate(&mut self, _q: &QueryGraph) -> Option<f64> {
-            Some(self.0)
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let q = ceg_query::templates::path(1, &[0]);
-        let w = vec![WorkloadQuery {
-            query: q,
-            template: "t".into(),
-            truth: 10.0,
-        }];
-        let mut ests: Vec<Box<dyn CardinalityEstimator>> = vec![Box::new(Fixed(10.0))];
-        let reports = run_estimators(&w, &mut ests);
-        let csv = render_csv("imdb", "job", &reports);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("dataset,workload,estimator"));
-        assert!(lines[1].starts_with("imdb,job,fixed,1,0,"));
-    }
-}

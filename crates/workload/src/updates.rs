@@ -17,7 +17,7 @@
 //! commit
 //! ```
 
-use std::io::{self, BufRead, BufWriter, Write};
+use std::io::{self, BufRead};
 use std::path::Path;
 
 use ceg_graph::{GraphDelta, LabelId, LabeledGraph, VertexId};
@@ -108,23 +108,10 @@ pub fn final_graph(base: &LabeledGraph, stream: &[UpdateOp]) -> LabeledGraph {
     base.rebase(&delta)
 }
 
-/// Serialize a stream in the `.upd` text format.
-pub fn write_updates<W: Write>(stream: &[UpdateOp], writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "# ceg updates v1: add|del <src> <dst> <label>, commit")?;
-    for op in stream {
-        match *op {
-            UpdateOp::Add { src, dst, label } => writeln!(w, "add {src} {dst} {label}")?,
-            UpdateOp::Del { src, dst, label } => writeln!(w, "del {src} {dst} {label}")?,
-            UpdateOp::Commit => writeln!(w, "commit")?,
-        }
-    }
-    w.flush()
-}
-
-/// Parse a stream written by [`write_updates`] (or by hand; comments and
-/// blank lines are ignored).
-pub fn read_updates<R: BufRead>(reader: R) -> io::Result<Vec<UpdateOp>> {
+/// Parse a stream in the `.upd` text format: one `add|del <src> <dst>
+/// <label>` or `commit` per line; `#` comments and blank lines are
+/// ignored.
+fn read_updates<R: BufRead>(reader: R) -> io::Result<Vec<UpdateOp>> {
     let mut stream = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -179,11 +166,6 @@ fn bad(lineno: usize, msg: &str) -> io::Error {
     )
 }
 
-/// Save a stream to a file path.
-pub fn save_updates(stream: &[UpdateOp], path: impl AsRef<Path>) -> io::Result<()> {
-    write_updates(stream, std::fs::File::create(path)?)
-}
-
 /// Load a stream from a file path.
 pub fn load_updates(path: impl AsRef<Path>) -> io::Result<Vec<UpdateOp>> {
     read_updates(io::BufReader::new(std::fs::File::open(path)?))
@@ -214,16 +196,6 @@ mod tests {
         assert_eq!(a.iter().filter(|op| **op == UpdateOp::Commit).count(), 4);
         assert_eq!(a.last(), Some(&UpdateOp::Commit));
         assert_eq!(a.len(), 14);
-    }
-
-    #[test]
-    fn roundtrip_through_text_format() {
-        let g = toy();
-        let stream = generate_update_stream(&g, 17, 5, 7);
-        let mut buf = Vec::new();
-        write_updates(&stream, &mut buf).unwrap();
-        let back = read_updates(io::BufReader::new(&buf[..])).unwrap();
-        assert_eq!(stream, back);
     }
 
     #[test]

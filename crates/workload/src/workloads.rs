@@ -13,7 +13,7 @@
 
 use ceg_exec::{exact_count, map_ordered, CountBudget};
 use ceg_graph::{LabelId, LabeledGraph, VertexId};
-use ceg_query::{templates, QueryEdge, QueryGraph, VarId};
+use ceg_query::{templates, QueryGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -536,11 +536,6 @@ fn edge_walk_order(shape: &QueryGraph) -> Vec<usize> {
         order.push(next);
     }
     order
-}
-
-/// Convenience used by tests: a hand-rolled single-edge query.
-pub fn single_edge(label: LabelId) -> QueryGraph {
-    QueryGraph::new(2, vec![QueryEdge::new(0 as VarId, 1, label)])
 }
 
 #[cfg(test)]

@@ -54,7 +54,9 @@ use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::markov::count_patterns;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
-use cegraph::exec::{CountBudget, CountPlan, IntersectStrategy, KernelStats, VarConstraints};
+use cegraph::exec::{
+    CountBudget, CountPlan, CountStop, IntersectStrategy, KernelStats, VarConstraints,
+};
 use cegraph::graph::snapshot::{
     graph_payload_len, varint_len, SnapshotReader, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
 };
@@ -231,8 +233,8 @@ fn kernel(ledger: &mut String) {
         counted.calls, 0,
         "counting a 6-edge cycle allocated post-setup"
     );
-    assert_eq!(total, Some(6), "each rotation of the label-0 ring matches");
-    assert_eq!(budgeted, None, "budget of 3 must exhaust");
+    assert_eq!(total, Ok(6), "each rotation of the label-0 ring matches");
+    assert_eq!(budgeted, Err(CountStop::Budget), "budget of 3 must exhaust");
     writeln!(ledger, "kernel.cycle6.plan {planned}").unwrap();
     writeln!(
         ledger,
@@ -250,7 +252,7 @@ fn kernel(ledger: &mut String) {
         let mut stats = KernelStats::default();
         for _ in 0..3 {
             let (count, run) = bitset_plan.count(CountBudget::UNLIMITED);
-            assert_eq!(count, Some(6), "bitset path agrees with merge");
+            assert_eq!(count, Ok(6), "bitset path agrees with merge");
             stats.absorb(&run);
         }
         stats
@@ -316,7 +318,7 @@ fn tree_dp(ledger: &mut String) {
 
         let ((counts, fill), counted) =
             cost(|| count_patterns(&g, &pats, 1, CountBudget::UNLIMITED));
-        assert!(counts.iter().any(|&c| c > Some(0)));
+        assert!(counts.iter().any(|&c| c.is_ok_and(|n| n > 0)));
         let per_pattern = counted.bytes / pats.len() as u64;
         assert!(
             per_pattern <= MAX_BYTES_PER_PATTERN,

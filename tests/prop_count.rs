@@ -131,7 +131,7 @@ proptest! {
         let cons = VarConstraints::none(q.num_vars());
         let full = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED).0.unwrap();
         // None means the budget was exhausted and no count is claimed.
-        if let Some(c) = count_budgeted(&g, &q, &cons, CountBudget::new(50)).0 {
+        if let Ok(c) = count_budgeted(&g, &q, &cons, CountBudget::new(50)).0 {
             prop_assert_eq!(c, full);
         }
     }
