@@ -177,143 +177,3 @@ mod tests {
         }
     }
 }
-
-/// Left-deep-only variant of [`optimize`]: plans are chains whose right
-/// input is always a base relation — the search space of many production
-/// optimizers (and of RDF-3X's DP table in practice). Useful for
-/// quantifying how much bushy plans buy on these workloads.
-pub fn optimize_left_deep(query: &QueryGraph, est: &mut dyn CardinalityEstimator) -> (Plan, f64) {
-    let subsets = query.connected_subsets();
-    let mut card: FxHashMap<EdgeMask, f64> = FxHashMap::default();
-    for &mask in &subsets {
-        let (sub, _) = query.subquery(mask);
-        card.insert(mask, est.estimate(&sub).unwrap_or(f64::INFINITY).max(0.0));
-    }
-    let mut best: FxHashMap<EdgeMask, (f64, Plan)> = FxHashMap::default();
-    for &mask in &subsets {
-        if mask.len() == 1 {
-            let i = mask.iter().next().unwrap();
-            best.insert(mask, (0.0, Plan::Scan(i)));
-            continue;
-        }
-        let mut cheapest: Option<(f64, Plan)> = None;
-        for i in mask.iter() {
-            let rest = mask.remove(i);
-            let Some((c, p)) = best.get(&rest) else {
-                continue;
-            };
-            let cost = c + card[&mask];
-            if cheapest.as_ref().is_none_or(|(x, _)| cost < *x) {
-                cheapest = Some((
-                    cost,
-                    Plan::Join(Box::new(p.clone()), Box::new(Plan::Scan(i))),
-                ));
-            }
-        }
-        if let Some(c) = cheapest {
-            best.insert(mask, c);
-        }
-    }
-    best.remove(&query.full_mask())
-        .map(|(c, p)| (p, c))
-        .expect("connected query must have a left-deep plan")
-}
-
-/// Greedy operator ordering (GOO): repeatedly join the pair of fragments
-/// with the smallest estimated result. Linear in the number of joins;
-/// the classic cheap heuristic baseline.
-pub fn optimize_greedy(query: &QueryGraph, est: &mut dyn CardinalityEstimator) -> (Plan, f64) {
-    let mut fragments: Vec<(EdgeMask, Plan)> = (0..query.num_edges())
-        .map(|i| (EdgeMask::single(i), Plan::Scan(i)))
-        .collect();
-    let mut cache: FxHashMap<EdgeMask, f64> = FxHashMap::default();
-    let mut estimate = |mask: EdgeMask, est: &mut dyn CardinalityEstimator| -> f64 {
-        *cache.entry(mask).or_insert_with(|| {
-            let (sub, _) = query.subquery(mask);
-            est.estimate(&sub).unwrap_or(f64::INFINITY).max(0.0)
-        })
-    };
-    let mut total_cost = 0.0f64;
-    while fragments.len() > 1 {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for a in 0..fragments.len() {
-            for b in (a + 1)..fragments.len() {
-                let merged = fragments[a].0.union(fragments[b].0);
-                if !query.is_connected_mask(merged) {
-                    continue;
-                }
-                let c = estimate(merged, est);
-                if best.is_none_or(|(x, _, _)| c < x) {
-                    best = Some((c, a, b));
-                }
-            }
-        }
-        let (c, a, b) = best.expect("connected query always has a joinable pair");
-        total_cost += c;
-        let (mb, pb) = fragments.swap_remove(b);
-        let (ma, pa) = fragments.swap_remove(if a < fragments.len() { a } else { b });
-        fragments.push((ma.union(mb), Plan::Join(Box::new(pa), Box::new(pb))));
-    }
-    let (_, plan) = fragments.pop().unwrap();
-    (plan, total_cost)
-}
-
-#[cfg(test)]
-mod variant_tests {
-    use super::*;
-    use ceg_query::templates;
-
-    struct Unit;
-    impl CardinalityEstimator for Unit {
-        fn name(&self) -> String {
-            "unit".into()
-        }
-        fn estimate(&mut self, q: &QueryGraph) -> Option<f64> {
-            Some(q.num_edges() as f64)
-        }
-    }
-
-    #[test]
-    fn left_deep_plan_shape() {
-        let q = templates::path(4, &[0, 1, 2, 3]);
-        let (plan, _) = optimize_left_deep(&q, &mut Unit);
-        // right child of every join is a scan
-        fn check(p: &Plan) {
-            if let Plan::Join(l, r) = p {
-                assert!(matches!(**r, Plan::Scan(_)), "right child must be a scan");
-                check(l);
-            }
-        }
-        check(&plan);
-        assert_eq!(plan.mask(), q.full_mask());
-    }
-
-    #[test]
-    fn greedy_covers_query() {
-        for q in [
-            templates::path(3, &[0, 1, 2]),
-            templates::star(4, &[0, 1, 2, 3]),
-            templates::cycle(4, &[0, 1, 2, 3]),
-        ] {
-            let (plan, cost) = optimize_greedy(&q, &mut Unit);
-            assert_eq!(plan.mask(), q.full_mask());
-            assert!(cost.is_finite());
-        }
-    }
-
-    #[test]
-    fn bushy_dp_never_costs_more_than_left_deep() {
-        let q = templates::q5f(&[0, 1, 2, 3, 4]);
-        let (_, bushy) = optimize(&q, &mut Unit);
-        let (_, ld) = optimize_left_deep(&q, &mut Unit);
-        assert!(bushy <= ld + 1e-9, "bushy {bushy} > left-deep {ld}");
-    }
-
-    #[test]
-    fn greedy_never_beats_dp() {
-        let q = templates::tree_depth(5, 3, &[0, 1, 2, 3, 4]);
-        let (_, dp) = optimize(&q, &mut Unit);
-        let (_, greedy) = optimize_greedy(&q, &mut Unit);
-        assert!(dp <= greedy + 1e-9, "dp {dp} > greedy {greedy}");
-    }
-}

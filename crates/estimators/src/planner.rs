@@ -3,9 +3,8 @@
 //! RDF-3X's dynamic-programming join optimizer and compares plan run
 //! times; we reproduce the setup with
 //!
-//! * [`optimize`] (and the [`optimize_left_deep`] / [`optimize_greedy`]
-//!   variants) — a System-R-style DP optimizer over connected sub-queries
-//!   whose cost model (`C_out`) sums *estimated* intermediate
+//! * [`optimize`] — a System-R-style DP optimizer over connected
+//!   sub-queries whose cost model (`C_out`) sums *estimated* intermediate
 //!   cardinalities supplied by any [`CardinalityEstimator`],
 //! * [`execute_plan`] — a hash-join pipeline that executes the chosen plan
 //!   and reports *actual* intermediate tuple counts and wall time.
@@ -13,4 +12,4 @@
 //! [`CardinalityEstimator`]: crate::CardinalityEstimator
 
 pub use crate::executor::{execute_plan, ExecStats};
-pub use crate::optimizer::{optimize, optimize_greedy, optimize_left_deep, Plan};
+pub use crate::optimizer::{optimize, Plan};

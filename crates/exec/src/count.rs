@@ -6,22 +6,22 @@
 //! a per-depth *extension plan*: the edges into the already-bound prefix,
 //! the self-loop checks, and — for variables with no bound neighbour — how
 //! to seed candidates. Recursion then performs **zero allocations**: the
-//! candidate set of each variable is the k-way merge/galloping
-//! intersection ([`crate::intersect`]) of the sorted CSR neighbour slices
-//! induced by its bound neighbours, written into a reusable per-depth
-//! buffer sized at plan time from the graph's cached maximum degrees.
+//! candidate set of each variable is the k-way galloping intersection
+//! (`crate::intersect`) of the sorted CSR neighbour slices induced by
+//! its bound neighbours, written into a reusable per-depth buffer sized
+//! at plan time from the graph's cached maximum degrees, or the probe of
+//! a cached bitset where the plan's degree statistics call for one.
 //!
 //! Unconstrained root variables iterate the smallest label-restricted
 //! endpoint list (`graph.sources(l)` / `targets(l)`) instead of the whole
 //! vertex domain; truly isolated variables still scan the domain.
 
-use ceg_graph::{LabelId, LabeledGraph, VertexBitset, VertexId};
+use ceg_graph::{LabelId, LabeledGraph, VertexId};
 use ceg_query::{QueryGraph, VarId};
 
 use crate::constraints::{VarConstraint, VarConstraints};
 use crate::intersect::{
-    intersect_into_gallop, intersect_k_into_strategy, refine_in_place_gallop,
-    refine_in_place_merge, IntersectStrategy, GALLOP_RATIO,
+    gallop_count, intersect_into, intersect_k_into, refine_in_place, VertexBitset,
 };
 use crate::order::variable_order;
 use crate::tree_count::{count_tree, factorize, Factorization};
@@ -39,13 +39,11 @@ pub struct KernelStats {
     /// the kernel, relation rows swept by the tree DP (each one charged
     /// against the budget).
     pub candidates: u64,
-    /// Pairwise intersection steps that ran as a linear two-pointer merge.
-    pub merge_intersections: u64,
-    /// Pairwise intersection steps that ran as a gallop
-    /// (length ratio at least [`crate::intersect::GALLOP_RATIO`]).
+    /// Pairwise intersection steps, each a gallop of the shorter list
+    /// through the longer one.
     pub gallop_intersections: u64,
     /// Intersection steps that ran through a per-depth candidate bitset
-    /// (a word-wise AND against a cached [`ceg_graph::VertexBitset`]).
+    /// (a word-wise AND against a cached bitset of the stable list).
     pub bitset_intersections: u64,
     /// Independent-suffix products taken instead of enumerating bindings.
     pub suffix_shortcuts: u64,
@@ -64,7 +62,6 @@ impl KernelStats {
     /// maximum. Used to aggregate per-pattern runs into a fill total.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.candidates += other.candidates;
-        self.merge_intersections += other.merge_intersections;
         self.gallop_intersections += other.gallop_intersections;
         self.bitset_intersections += other.bitset_intersections;
         self.suffix_shortcuts += other.suffix_shortcuts;
@@ -75,12 +72,11 @@ impl KernelStats {
 
     /// Every field with the name it is reported under (the counter names
     /// of an `EXPLAIN_ESTIMATE` breakdown; the service's `METRICS` totals
-    /// are `<name>_total`), in declaration order: the seven sums, then
+    /// are `<name>_total`), in declaration order: the six sums, then
     /// the maximum `deepest_level`.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
         [
             ("kernel_candidates", self.candidates),
-            ("kernel_intersect_merge", self.merge_intersections),
             ("kernel_intersect_gallop", self.gallop_intersections),
             ("kernel_intersect_bitset", self.bitset_intersections),
             ("kernel_suffix_shortcuts", self.suffix_shortcuts),
@@ -303,7 +299,7 @@ pub fn count_budgeted(
             return counted;
         }
     }
-    CountPlan::new(graph, query, cons, IntersectStrategy::Adaptive).count(budget)
+    CountPlan::new(graph, query, cons).count(budget)
 }
 
 /// Upper bound on query edges (mirrors [`QueryGraph`]'s 32-edge cap); the
@@ -352,11 +348,17 @@ struct DepthPlan {
     root_weight_sum: Option<u64>,
 }
 
-/// Minimum cached max-degree of a stable edge's relation before the
-/// adaptive crossover enables the bitset path for a depth: below this the
-/// candidate sets are too sparse for word-wise probing to beat the
-/// merge/gallop primitives, and the O(len) bitset rebuilds dominate.
+/// Minimum cached max-degree of a stable edge's relation before the plan
+/// enables the bitset path for a depth: below this the candidate sets are
+/// too sparse for word-wise probing to beat galloping, and the O(len)
+/// bitset rebuilds dominate.
 const BITSET_MIN_DEGREE: usize = 32;
+
+/// Cached-set to probe length ratio from which a bitset depth gallops the
+/// probe through the stable list instead of walking it against the
+/// bitset: an O(|probe| · log) gallop then beats an O(|probe|) word walk
+/// over words far apart.
+const GALLOP_RATIO: usize = 16;
 
 /// A per-depth cached bitset over the neighbour list of the depth's
 /// *stable* edge — the planned edge whose endpoint binds earliest, so its
@@ -434,8 +436,7 @@ pub struct CountPlan<'a> {
     /// a single neighbour slice or a precomputed root list directly).
     bufs: Vec<Vec<VertexId>>,
     /// Per-depth bitset caches, populated at plan time for the depths
-    /// where the degree-stat crossover (or a forced `Bitset` strategy)
-    /// enables the bitset path.
+    /// where the degree-stat crossover enables the bitset path.
     caches: Vec<Option<BitsetCache>>,
     /// Per-depth suffix-count memo tables ([`SuffixMemo`]), populated at
     /// plan time for the depths whose suffix depends on at most a key and
@@ -443,7 +444,6 @@ pub struct CountPlan<'a> {
     memos: Vec<Option<SuffixMemo>>,
     /// Current partial binding, indexed by variable id.
     binding: Vec<VertexId>,
-    strategy: IntersectStrategy,
 }
 
 impl<'a> CountPlan<'a> {
@@ -452,15 +452,8 @@ impl<'a> CountPlan<'a> {
     /// cyclic core first ([`crate::tree_count`]), so acyclic
     /// sub-structures contribute closed-form weight products instead of
     /// being enumerated and the plan binds the core's variables only; a
-    /// query nothing peels off is planned as given. Production callers
-    /// pass [`IntersectStrategy::Adaptive`]; the differential tests force
-    /// each of the others.
-    pub fn new(
-        graph: &'a LabeledGraph,
-        query: &QueryGraph,
-        cons: &VarConstraints,
-        strategy: IntersectStrategy,
-    ) -> Self {
+    /// query nothing peels off is planned as given.
+    pub fn new(graph: &'a LabeledGraph, query: &QueryGraph, cons: &VarConstraints) -> Self {
         let Factorization {
             core,
             cons,
@@ -551,15 +544,10 @@ impl<'a> CountPlan<'a> {
 
             // Bitset eligibility: at least two constraining edges, a
             // stable edge bound at least two levels up (so the cached
-            // bitset survives whole loops of the depth above), and —
-            // unless the strategy forces the bitset path — a stable
-            // relation dense enough (by cached max degree) that word-wise
-            // probing beats the merge/gallop primitives.
-            let cache = if matches!(
-                strategy,
-                IntersectStrategy::Adaptive | IntersectStrategy::Bitset
-            ) && edges.len() >= 2
-            {
+            // bitset survives whole loops of the depth above), and a
+            // stable relation dense enough (by cached max degree) that
+            // word-wise probing beats galloping.
+            let cache = if edges.len() >= 2 {
                 let (stable_idx, stable_pos) = edges
                     .iter()
                     .enumerate()
@@ -572,12 +560,12 @@ impl<'a> CountPlan<'a> {
                 } else {
                     graph.max_in_degree(pe.label)
                 };
-                let dense_enough =
-                    strategy == IntersectStrategy::Bitset || stable_max_degree >= BITSET_MIN_DEGREE;
-                (stable_pos + 2 <= d && dense_enough).then(|| BitsetCache {
-                    edge_idx: stable_idx,
-                    bits: VertexBitset::with_domain(graph.num_vertices()),
-                    stamp: None,
+                (stable_pos + 2 <= d && stable_max_degree >= BITSET_MIN_DEGREE).then(|| {
+                    BitsetCache {
+                        edge_idx: stable_idx,
+                        bits: VertexBitset::with_domain(graph.num_vertices()),
+                        stamp: None,
+                    }
                 })
             } else {
                 None
@@ -674,7 +662,6 @@ impl<'a> CountPlan<'a> {
             caches,
             memos,
             binding: vec![0; num_vars],
-            strategy,
         }
     }
 
@@ -702,7 +689,6 @@ impl<'a> CountPlan<'a> {
             &mut self.memos,
             &mut self.binding,
             &mut state,
-            self.strategy,
             1,
             &mut total,
             0,
@@ -740,7 +726,6 @@ fn recurse_count(
     memos: &mut [Option<SuffixMemo>],
     binding: &mut [VertexId],
     state: &mut BudgetState,
-    strategy: IntersectStrategy,
     wprod: u64,
     total: &mut u64,
     level: u32,
@@ -788,8 +773,7 @@ fn recurse_count(
     if let Some((c, aval)) = pending {
         let mut sub = 0u64;
         if !recurse_count_inner(
-            graph, cons, depths, indep, bufs, caches, memos, binding, state, strategy, 1, &mut sub,
-            level,
+            graph, cons, depths, indep, bufs, caches, memos, binding, state, 1, &mut sub, level,
         ) {
             return false; // aborted subtrees must not be stored
         }
@@ -805,8 +789,7 @@ fn recurse_count(
         return true;
     }
     recurse_count_inner(
-        graph, cons, depths, indep, bufs, caches, memos, binding, state, strategy, wprod, total,
-        level,
+        graph, cons, depths, indep, bufs, caches, memos, binding, state, wprod, total, level,
     )
 }
 
@@ -824,7 +807,6 @@ fn recurse_count_inner(
     memos: &mut [Option<SuffixMemo>],
     binding: &mut [VertexId],
     state: &mut BudgetState,
-    strategy: IntersectStrategy,
     wprod: u64,
     total: &mut u64,
     level: u32,
@@ -832,7 +814,7 @@ fn recurse_count_inner(
     if indep[0] {
         // A product that overflows with a later factor of 0 proves
         // nothing: `suffix_product` gives up, and enumeration counts.
-        if let Some(prod) = suffix_product(graph, depths, bufs, caches, binding, state, strategy) {
+        if let Some(prod) = suffix_product(graph, depths, bufs, caches, binding, state) {
             let Some((contrib, t)) = add_product(*total, wprod, prod) else {
                 return state.overflow();
             };
@@ -902,7 +884,6 @@ fn recurse_count_inner(
                     rest_memos,
                     binding,
                     state,
-                    strategy,
                     weight,
                     into,
                     level + 1,
@@ -934,28 +915,44 @@ fn recurse_count_inner(
                 lists[i] = neighbor_slice(graph, pe, binding);
             }
             if let Some(cache) = cache {
-                bitset_fill(dp, cache, &lists[..k], binding, buf, state, strategy);
+                bitset_fill(dp, cache, &lists[..k], binding, buf, state);
             } else {
-                intersect_k_into_strategy(
-                    &mut lists[..k],
-                    buf,
-                    strategy,
-                    &mut state.stats.merge_intersections,
-                    &mut state.stats.gallop_intersections,
-                );
+                intersect_k_into(&mut lists[..k], buf, &mut state.stats.gallop_intersections);
             }
             extend!(buf.iter().copied(), buf.len())
         }
     }
 }
 
-/// Candidate generation through a depth's bitset cache: lazily rebuild
-/// the bitset over the stable edge's neighbour list (only when the stable
-/// binding moved), then AND the remaining lists against it. `lists` must
-/// be the neighbour slices of `dp.edges`, index-aligned. Falls back to
-/// galloping when the probe side dwarfs the cached set — the regime where
-/// an O(|probe|) word walk loses to O(|cached|·log) probing.
-#[allow(clippy::too_many_arguments)]
+/// Rebuild `cache`'s bitset over the stable edge's neighbour list when
+/// the stable binding moved since it was built, and return that list.
+/// `lists` must be the neighbour slices of `dp.edges`, index-aligned.
+#[inline]
+fn refresh_bitset<'l>(
+    dp: &DepthPlan,
+    cache: &mut BitsetCache,
+    lists: &[&'l [VertexId]],
+    binding: &[VertexId],
+) -> &'l [VertexId] {
+    let stable = lists[cache.edge_idx];
+    let anchor = binding[dp.edges[cache.edge_idx].other as usize];
+    if cache.stamp != Some(anchor) {
+        cache.bits.reset(stable);
+        cache.stamp = Some(anchor);
+    }
+    stable
+}
+
+/// Whether a probe of `probe` elements gallops through the stable list
+/// instead of walking the cached bitset of `cached` members
+/// ([`GALLOP_RATIO`]).
+#[inline]
+fn gallops_past_bitset(cached: usize, probe: usize) -> bool {
+    probe > 0 && cached / probe >= GALLOP_RATIO
+}
+
+/// Candidate generation through a depth's bitset cache
+/// ([`refresh_bitset`]), ANDing the remaining lists against it.
 fn bitset_fill(
     dp: &DepthPlan,
     cache: &mut BitsetCache,
@@ -963,14 +960,8 @@ fn bitset_fill(
     binding: &[VertexId],
     buf: &mut Vec<VertexId>,
     state: &mut BudgetState,
-    strategy: IntersectStrategy,
 ) {
-    let stable = lists[cache.edge_idx];
-    let anchor = binding[dp.edges[cache.edge_idx].other as usize];
-    if cache.stamp != Some(anchor) {
-        cache.bits.reset(stable);
-        cache.stamp = Some(anchor);
-    }
+    let stable = refresh_bitset(dp, cache, lists, binding);
     buf.clear();
     if cache.bits.is_empty() {
         return;
@@ -985,20 +976,15 @@ fn bitset_fill(
         .map(|(i, _)| i)
         .expect("bitset depths have at least two edges");
     let probe = lists[shortest];
-    if strategy == IntersectStrategy::Adaptive
-        && !probe.is_empty()
-        && cache.bits.len() / probe.len() >= GALLOP_RATIO
-    {
-        // The probe is tiny relative to the cached set: gallop it through
-        // the stable list instead of paying the word walk.
+    if gallops_past_bitset(cache.bits.len(), probe.len()) {
         state.stats.gallop_intersections += 1;
-        intersect_into_gallop(probe, stable, buf);
+        intersect_into(probe, stable, buf);
     } else {
         state.stats.bitset_intersections += 1;
         cache.bits.filter_into(probe, buf);
     }
     // Any further lists (three-plus-edge depths) refine the buffer in
-    // place under the usual length-ratio crossover.
+    // place.
     for (i, l) in lists.iter().enumerate() {
         if i == cache.edge_idx || i == shortest {
             continue;
@@ -1006,13 +992,8 @@ fn bitset_fill(
         if buf.is_empty() {
             return;
         }
-        if l.len() / buf.len() >= GALLOP_RATIO {
-            state.stats.gallop_intersections += 1;
-            refine_in_place_gallop(buf, l);
-        } else {
-            state.stats.merge_intersections += 1;
-            refine_in_place_merge(buf, l);
-        }
+        state.stats.gallop_intersections += 1;
+        refine_in_place(buf, l);
     }
 }
 
@@ -1033,7 +1014,6 @@ fn suffix_product(
     caches: &mut [Option<BitsetCache>],
     binding: &[VertexId],
     state: &mut BudgetState,
-    strategy: IntersectStrategy,
 ) -> Option<u64> {
     let mut prod = 1u64;
     for ((dp, buf), cache) in depths.iter().zip(bufs.iter_mut()).zip(caches.iter_mut()) {
@@ -1080,22 +1060,16 @@ fn suffix_product(
                     if k == 2 && dp.weight.is_none() {
                         // Counting-only fast path: pop-count the probe
                         // against the cached bitset, no buffer write.
-                        let len = bitset_count(dp, cache, &lists[..k], binding, state, strategy);
+                        let len = bitset_count(dp, cache, &lists[..k], binding, state);
                         prod = prod.checked_mul(len as u64)?;
                         if prod == 0 {
                             return Some(0);
                         }
                         continue;
                     }
-                    bitset_fill(dp, cache, &lists[..k], binding, buf, state, strategy);
+                    bitset_fill(dp, cache, &lists[..k], binding, buf, state);
                 } else {
-                    intersect_k_into_strategy(
-                        &mut lists[..k],
-                        buf,
-                        strategy,
-                        &mut state.stats.merge_intersections,
-                        &mut state.stats.gallop_intersections,
-                    );
+                    intersect_k_into(&mut lists[..k], buf, &mut state.stats.gallop_intersections);
                 }
                 &buf[..]
             }
@@ -1122,38 +1096,15 @@ fn bitset_count(
     lists: &[&[VertexId]],
     binding: &[VertexId],
     state: &mut BudgetState,
-    strategy: IntersectStrategy,
 ) -> usize {
-    let stable = lists[cache.edge_idx];
-    let anchor = binding[dp.edges[cache.edge_idx].other as usize];
-    if cache.stamp != Some(anchor) {
-        cache.bits.reset(stable);
-        cache.stamp = Some(anchor);
-    }
+    let stable = refresh_bitset(dp, cache, lists, binding);
     if cache.bits.is_empty() {
         return 0;
     }
     let probe = lists[1 - cache.edge_idx];
-    if strategy == IntersectStrategy::Adaptive
-        && !probe.is_empty()
-        && cache.bits.len() / probe.len() >= GALLOP_RATIO
-    {
+    if gallops_past_bitset(cache.bits.len(), probe.len()) {
         state.stats.gallop_intersections += 1;
-        // Gallop the probe through the stable list, counting matches via
-        // the cursor positions (gallop finds each lower bound).
-        let mut hits = 0usize;
-        let mut rest = stable;
-        for &x in probe {
-            let i = crate::intersect::gallop(rest, x);
-            if i == rest.len() {
-                break;
-            }
-            if rest[i] == x {
-                hits += 1;
-            }
-            rest = &rest[i..];
-        }
-        hits
+        gallop_count(probe, stable)
     } else {
         state.stats.bitset_intersections += 1;
         cache.bits.count_hits(probe)
@@ -1336,7 +1287,7 @@ mod tests {
         // proves the count itself does.
         let (res, _) = count_budgeted(&g, &q, &cons, CountBudget::UNLIMITED);
         assert_eq!(res, Err(CountStop::Overflow));
-        let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
+        let mut plan = CountPlan::new(&g, &q, &cons);
         assert_eq!(
             plan.count(CountBudget::UNLIMITED).0,
             Err(CountStop::Overflow)
@@ -1461,6 +1412,43 @@ mod tests {
         assert_eq!(got, Err(CountStop::Overflow));
     }
 
+    /// A memo hit that overflows: the 5-ring x0 → x1 → x2 → x3 → x4 → x0
+    /// binds x0, x4, x3, x2, x1 (a ring walk from the rare x0 → x1), so
+    /// depth 3's memo is keyed by x3 under anchor x0, and two values of
+    /// the middle variable x4 reach the slot of one x3. Five pendant
+    /// edges into 4,000 leaves weigh each x1 4,000⁵ ≈ 1.0e18, and each
+    /// x3 closes through ten x1, so one x3's suffix counts ≈ 1.0e19 and
+    /// fits. The first x4 reaches only x3 = c and stores its slot; the
+    /// second reaches c' then c, and the hit on c's slot passes
+    /// `u64::MAX`.
+    #[test]
+    fn a_memo_hit_overflows() {
+        let e = QueryEdge::new;
+        let mut edges = vec![e(0, 1, 2), e(1, 2, 1), e(2, 3, 1), e(3, 4, 1), e(4, 0, 1)];
+        edges.extend((5..10).map(|p| e(1, p, 0)));
+        let q = QueryGraph::new(10, edges);
+        // x0 = 0; x4: 1 and 2; x3: c' = 3, c = 4; x2: 5 (into c) and
+        // 6 (into c'); x1: 7..17; leaves from 17.
+        let mut b = GraphBuilder::with_labels(4_017, 3);
+        let (a, c_prime, c) = (0, 3, 4);
+        for x4 in [1, 2] {
+            b.add_edge(x4, a, 1);
+            b.add_edge(c, x4, 1);
+        }
+        b.add_edge(c_prime, 2, 1);
+        b.add_edge(5, c, 1);
+        b.add_edge(6, c_prime, 1);
+        for x1 in 7..17 {
+            b.add_edge(a, x1, 2);
+            b.add_edge(x1, 5, 1);
+            b.add_edge(x1, 6, 1);
+            (17..4_017).for_each(|leaf| b.add_edge(x1, leaf, 0));
+        }
+        let cons = VarConstraints::none(10);
+        let (got, _) = count_budgeted(&b.build(), &q, &cons, CountBudget::UNLIMITED);
+        assert_eq!(got, Err(CountStop::Overflow));
+    }
+
     #[test]
     #[should_panic(expected = "the count overflows u64")]
     fn count_panics_naming_the_overflow() {
@@ -1496,7 +1484,7 @@ mod tests {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let cons = VarConstraints::none(3);
-        let mut plan = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive);
+        let mut plan = CountPlan::new(&g, &q, &cons);
         let first = plan.count(CountBudget::UNLIMITED).0;
         assert_eq!(first, Ok(2));
         for _ in 0..3 {
@@ -1536,8 +1524,7 @@ mod tests {
         let g = sample();
         let q = templates::path(2, &[0, 0]);
         let cons = VarConstraints::none(3);
-        let kernel =
-            |g, q, budget| CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive).count(budget);
+        let kernel = |g, q, budget| CountPlan::new(g, q, &cons).count(budget);
         let (count, stats) = kernel(&g, &q, CountBudget::UNLIMITED);
         assert_eq!(count, Ok(2));
         assert!(stats.candidates > 0, "candidates were visited");
@@ -1568,7 +1555,7 @@ mod tests {
         let (count, stats) = count_budgeted(&tg, &tri, &cons, CountBudget::UNLIMITED);
         assert_eq!(count, Ok(3));
         assert!(
-            stats.merge_intersections + stats.gallop_intersections > 0,
+            stats.gallop_intersections > 0,
             "the closing triangle edge intersects two lists"
         );
     }

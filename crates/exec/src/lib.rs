@@ -14,9 +14,10 @@
 //! relations it names ([`tree_count`]). Everything else goes through a
 //! worst-case-optimal-style backtracking matcher: query
 //! variables are bound one at a time in a connectivity-aware order, and the
-//! candidate set for each new variable is the k-way merge/galloping
-//! intersection ([`intersect`]) of the sorted CSR neighbour lists induced
-//! by its already-bound neighbours. Per-depth extension plans are
+//! candidate set for each new variable is the k-way galloping intersection
+//! of the sorted CSR neighbour lists induced by its already-bound
+//! neighbours, or, where a depth's degree statistics call for it, a probe
+//! of a cached bitset of one of them. Per-depth extension plans are
 //! precomputed once per query ([`count::CountPlan`]) so the recursion is
 //! allocation-free; [`naive::count_naive`] retains the unoptimized matcher
 //! as the reference for differential testing. Counting many queries at
@@ -25,7 +26,7 @@
 
 pub mod constraints;
 pub mod count;
-pub mod intersect;
+mod intersect;
 pub mod naive;
 mod order;
 pub mod par;
@@ -33,7 +34,6 @@ pub mod tree_count;
 
 pub use constraints::{VarConstraint, VarConstraints};
 pub use count::{count, count_budgeted, CountBudget, CountPlan, CountStop, KernelStats};
-pub use intersect::IntersectStrategy;
 pub use naive::count_naive;
 pub use par::map_ordered;
 pub use tree_count::{count_tree_dp, exact_count};

@@ -503,7 +503,6 @@ pub fn exact_count(graph: &LabeledGraph, query: &QueryGraph, budget: CountBudget
 mod tests {
     use super::*;
     use crate::count::{count, count_budgeted, CountPlan};
-    use crate::intersect::IntersectStrategy;
     use ceg_graph::GraphBuilder;
     use ceg_query::templates;
 
@@ -612,8 +611,7 @@ mod tests {
             templates::tree_depth(4, 3, &[0, 1, 2, 1]),
         ] {
             let cons = VarConstraints::none(q.num_vars());
-            let (kernel, _) = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive)
-                .count(CountBudget::UNLIMITED);
+            let (kernel, _) = CountPlan::new(&g, &q, &cons).count(CountBudget::UNLIMITED);
             let kernel = kernel.expect("unlimited");
             assert_eq!(count(&g, &q), kernel, "u64 mismatch on {q}");
             let dp = count_tree_dp(&g, &q).unwrap();
@@ -745,7 +743,7 @@ mod tests {
         assert!(count_tree(&g, &q, CountBudget::UNLIMITED).is_none());
         let budget = CountBudget::new(100_000);
         let cons = VarConstraints::none(q.num_vars());
-        let kernel = CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive).count(budget);
+        let kernel = CountPlan::new(&g, &q, &cons).count(budget);
         assert_eq!(unconstrained(&g, &q, budget), kernel);
         assert_eq!(count_tree_dp(&g, &q), Some(200f64.powi(9)));
     }

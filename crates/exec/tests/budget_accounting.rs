@@ -15,16 +15,14 @@
 //! relation row swept — that contract is pinned at the end of this file
 //! and in `tree_count`'s unit tests.
 
-use ceg_exec::{
-    count_budgeted, CountBudget, CountPlan, CountStop, IntersectStrategy, VarConstraints,
-};
+use ceg_exec::{count_budgeted, CountBudget, CountPlan, CountStop, VarConstraints};
 use ceg_graph::{GraphBuilder, LabeledGraph};
 use ceg_query::{templates, QueryEdge, QueryGraph};
 use ceg_workload::{Dataset, Workload};
 
 fn counts(graph: &LabeledGraph, query: &QueryGraph, budget: u64) -> Option<u64> {
     let cons = VarConstraints::none(query.num_vars());
-    CountPlan::new(graph, query, &cons, IntersectStrategy::Adaptive)
+    CountPlan::new(graph, query, &cons)
         .count(CountBudget::new(budget))
         .0
         .ok()

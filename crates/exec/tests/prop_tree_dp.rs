@@ -16,9 +16,7 @@
 //! The `f64` instance's bit-equality with the retained dense DP is a unit
 //! test of `tree_count` (the oracle is `#[cfg(test)]` there).
 
-use ceg_exec::{
-    count, count_naive, count_tree_dp, CountBudget, CountPlan, IntersectStrategy, VarConstraints,
-};
+use ceg_exec::{count, count_naive, count_tree_dp, CountBudget, CountPlan, VarConstraints};
 use ceg_graph::{GraphBuilder, GraphDelta, LabelId, LabeledGraph, OverlayGraph};
 use ceg_query::{QueryEdge, QueryGraph};
 use proptest::prelude::*;
@@ -138,7 +136,7 @@ fn arb_spider() -> impl Strategy<Value = QueryGraph> {
 
 fn kernel(g: &LabeledGraph, q: &QueryGraph) -> u64 {
     let cons = VarConstraints::none(q.num_vars());
-    CountPlan::new(g, q, &cons, IntersectStrategy::Adaptive)
+    CountPlan::new(g, q, &cons)
         .count(CountBudget::UNLIMITED)
         .0
         .expect("unlimited budget cannot be exhausted")

@@ -3,7 +3,7 @@
 //! One [`Csr`] stores the adjacency of a single relation in a single
 //! direction: `neighbors(v)` returns the sorted list of endpoints reachable
 //! from `v` through edges of that relation. Sorted neighbour slices give
-//! O(log d) membership tests and allow merge-intersection during matching.
+//! O(log d) membership tests and galloping intersection during matching.
 //!
 //! Only the *active* vertices — those with at least one neighbour — own a
 //! row. The vertex domain is cut into pages of [`Csr::PAGE_SIZE`]

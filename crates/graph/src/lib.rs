@@ -47,7 +47,6 @@ pub mod csr;
 pub mod delta;
 pub mod graph;
 pub mod hash;
-pub mod intersect;
 pub mod io;
 pub mod overlay;
 pub mod snapshot;
@@ -61,7 +60,6 @@ pub use csr::Csr;
 pub use delta::GraphDelta;
 pub use graph::{Edge, LabeledGraph};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use intersect::{gallop, VertexBitset};
 pub use overlay::OverlayGraph;
 pub use stats::LabelStats;
 

@@ -142,7 +142,6 @@ pub enum Series {
     /// Counting-kernel totals over every catalog fill: the summed fields
     /// of [`ceg_exec::KernelStats`], in its field order.
     KernelCandidates,
-    KernelMerge,
     KernelGallop,
     KernelBitset,
     KernelSuffix,
@@ -191,7 +190,7 @@ const GAUGE: &str = "gauge";
 type Row = (Series, &'static str, Option<&'static str>, &'static str);
 
 #[rustfmt::skip]
-const SERIES: [Row; 32] = [
+const SERIES: [Row; 31] = [
     (Series::Busy, "busy_total", None, COUNTER),
     (Series::Timeout, "timeout_total", None, COUNTER),
     (Series::Error, "error_total", None, COUNTER),
@@ -199,7 +198,6 @@ const SERIES: [Row; 32] = [
     (Series::Queued, "queued", None, GAUGE),
     (Series::QueuedPeak, "queued_peak", None, GAUGE),
     (Series::KernelCandidates, "kernel_candidates_total", None, COUNTER),
-    (Series::KernelMerge, "kernel_intersect_merge_total", None, COUNTER),
     (Series::KernelGallop, "kernel_intersect_gallop_total", None, COUNTER),
     (Series::KernelBitset, "kernel_intersect_bitset_total", None, COUNTER),
     (Series::KernelSuffix, "kernel_suffix_shortcuts_total", None, COUNTER),
@@ -516,18 +514,17 @@ mod tests {
         // position; the names say it pairs them right.
         let stats = ceg_exec::KernelStats {
             candidates: 1,
-            merge_intersections: 2,
-            gallop_intersections: 3,
-            bitset_intersections: 4,
-            suffix_shortcuts: 5,
-            memo_hits: 6,
-            budget_consumed: 7,
-            deepest_level: 8,
+            gallop_intersections: 2,
+            bitset_intersections: 3,
+            suffix_shortcuts: 4,
+            memo_hits: 5,
+            budget_consumed: 6,
+            deepest_level: 7,
         };
         let m = Metrics::new();
         m.record_kernel(&stats);
         let snap = m.snapshot();
-        for (name, value) in stats.fields().into_iter().take(7) {
+        for (name, value) in stats.fields().into_iter().take(6) {
             let key = format!("{name}_total");
             assert!(snap.contains(&(key.clone(), value)), "{key} != {value}");
         }

@@ -9,7 +9,7 @@
 //! the ledger also says when it got dearer (or cheaper) while staying
 //! under it. There is no timer in the ledger.
 //!
-//! - [`kernel`]: counting runs without the allocator, merge and bitset.
+//! - [`kernel`]: counting runs without the allocator, gallop and bitset.
 //! - [`tree_dp`]: an acyclic pattern's count allocates by relation, not
 //!   by vertex domain.
 //! - [`ceg_o`]: CEG_O construction, the path choice and the server's
@@ -54,9 +54,7 @@ use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::markov::count_patterns;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
-use cegraph::exec::{
-    CountBudget, CountPlan, CountStop, IntersectStrategy, KernelStats, VarConstraints,
-};
+use cegraph::exec::{CountBudget, CountPlan, CountStop, KernelStats, VarConstraints};
 use cegraph::graph::snapshot::{
     graph_payload_len, varint_len, SnapshotReader, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
 };
@@ -211,18 +209,28 @@ fn stage_churn_commit(entry: &DatasetEntry, graph: &LabeledGraph) {
 /// 6-edge cycle query, to completion or to a budget trip.
 fn kernel(ledger: &mut String) {
     // Two 6-rings: label 0 closes six 6-cycles, label 1 is a decoy ring,
-    // plus chords so intersections see non-trivial lists.
-    let mut b = GraphBuilder::new(12);
-    for i in 0..6u32 {
-        b.add_edge(i, (i + 1) % 6, 0);
-        b.add_edge(6 + i, 6 + (i + 1) % 6, 1);
-        b.add_edge(i, 6 + i, 0);
-    }
-    let g = b.build();
+    // plus chords so intersections see non-trivial lists. `hub_fan` adds
+    // a hub with that many label-0 out-leaves and as many in-leaves,
+    // which close no cycle.
+    let rings = |hub_fan: u32| {
+        let hub = 12;
+        let mut b = GraphBuilder::new(12);
+        for i in 0..6u32 {
+            b.add_edge(i, (i + 1) % 6, 0);
+            b.add_edge(6 + i, 6 + (i + 1) % 6, 1);
+            b.add_edge(i, 6 + i, 0);
+        }
+        for leaf in 0..hub_fan {
+            b.add_edge(hub, hub + 1 + leaf, 0);
+            b.add_edge(hub + 1 + hub_fan + leaf, hub, 0);
+        }
+        b.build()
+    };
+    let g = rings(0);
     let q = templates::cycle(6, &[0; 6]);
     let cons = VarConstraints::none(q.num_vars());
 
-    let (mut plan, planned) = cost(|| CountPlan::new(&g, &q, &cons, IntersectStrategy::Adaptive));
+    let (mut plan, planned) = cost(|| CountPlan::new(&g, &q, &cons));
     let (((total, stats), (budgeted, _)), counted) = cost(|| {
         (
             plan.count(CountBudget::UNLIMITED),
@@ -243,16 +251,20 @@ fn kernel(ledger: &mut String) {
     )
     .unwrap();
 
+    assert_eq!(stats.bitset_intersections, 0, "no relation is dense");
+
     // The bitset path holds the same invariant: its per-depth bitsets
     // are plan-time allocations, lazily reset (never reallocated) as the
-    // stable binding moves, across repeated reuses of the same plan.
-    let (mut bitset_plan, planned) =
-        cost(|| CountPlan::new(&g, &q, &cons, IntersectStrategy::Bitset));
+    // stable binding moves, across repeated reuses of the same plan. A
+    // hub of 32 (`BITSET_MIN_DEGREE`) leaves each way makes the plan
+    // take it.
+    let g = rings(32);
+    let (mut bitset_plan, planned) = cost(|| CountPlan::new(&g, &q, &cons));
     let (stats, counted) = cost(|| {
         let mut stats = KernelStats::default();
         for _ in 0..3 {
             let (count, run) = bitset_plan.count(CountBudget::UNLIMITED);
-            assert_eq!(count, Ok(6), "bitset path agrees with merge");
+            assert_eq!(count, Ok(6), "the hub closes no cycle");
             stats.absorb(&run);
         }
         stats
@@ -261,6 +273,7 @@ fn kernel(ledger: &mut String) {
         counted.calls, 0,
         "the bitset intersection path allocated post-setup"
     );
+    assert!(stats.bitset_intersections > 0, "the hub enables the bitset");
     writeln!(ledger, "kernel.cycle6.bitset.plan {planned}").unwrap();
     writeln!(
         ledger,

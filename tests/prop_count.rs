@@ -1,7 +1,7 @@
 //! Differential property tests of the counting kernel.
 //!
 //! The plan-driven kernel (`cegraph::exec::count`) — per-depth extension
-//! plans, k-way merge/galloping intersection, label-restricted roots,
+//! plans, k-way galloping intersection, label-restricted roots,
 //! independent-suffix products — must return exactly the counts of the
 //! retained naive reference matcher (`cegraph::exec::count_naive`) on
 //! random graphs, random queries and random per-variable constraints.

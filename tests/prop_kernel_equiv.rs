@@ -1,32 +1,37 @@
-//! Differential kernel-equivalence suite for the intersection strategies
-//! and the factorized counter.
+//! Differential kernel-equivalence suite for the candidate paths and the
+//! factorized counter.
 //!
-//! The counting kernel has four ways to produce a candidate set —
-//! adaptive (degree-stat crossover), forced merge, forced gallop, forced
-//! bitset — and plans a query two ways, read off its input: factorized
-//! (pendant trees folded into closed-form weights) when something peels,
-//! as given when nothing does — which a constraint on the pendant
-//! variable forces. All of them are answers to the same question, so on
-//! random graphs with planted high-degree hubs (dense enough that the
-//! adaptive crossover genuinely enables the bitset path) every
-//! combination must agree exactly with the naive reference matcher — and
-//! every count must be invariant under an arbitrary renumbering of the
-//! data vertices.
+//! The counting kernel has two ways to produce a candidate set, chosen by
+//! the plan from the graph's degree statistics: gallop the neighbour
+//! lists into a buffer (the list path), or probe a cached bitset of the
+//! stable list (the bitset path, where that relation reaches the
+//! kernel's degree threshold). It plans a query two ways, read off its
+//! input: factorized (pendant trees folded into closed-form weights) when
+//! something peels, as given when nothing does — which a constraint on
+//! the pendant variable forces. All of them are answers to the same
+//! question, so on random graphs with planted high-degree hubs (dense
+//! enough that the plan takes the bitset path there, sparse elsewhere so
+//! it takes the list path) every combination must agree exactly with the
+//! naive reference matcher — and every count must be invariant under an
+//! arbitrary renumbering of the data vertices. Which path a graph takes
+//! is its shape's doing, so `the_inputs_reach_both_candidate_paths`
+//! checks that the shapes drawn here reach both.
 
 use cegraph::exec::{
-    count_naive, CountBudget, CountPlan, IntersectStrategy, VarConstraint, VarConstraints,
+    count_naive, CountBudget, CountPlan, KernelStats, VarConstraint, VarConstraints,
 };
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{QueryEdge, QueryGraph};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 const LABELS: u16 = 2;
 const VERTICES: u32 = 48;
 
 /// Random graph with 1–2 planted hubs fanning out to 33+ distinct
-/// targets (above the kernel's bitset degree crossover, so the adaptive
-/// strategy actually takes the bitset path on these graphs) plus random
-/// background edges.
+/// targets (above the kernel's bitset degree threshold of 32, so the
+/// plan takes the bitset path on these graphs) plus random background
+/// edges, whose relations stay below it.
 fn arb_hub_graph() -> impl Strategy<Value = LabeledGraph> {
     let hubs = prop::collection::vec((0u32..VERTICES, 33usize..=44, 0u16..LABELS), 1..=2);
     let background = prop::collection::vec((0u32..VERTICES, 0u32..VERTICES, 0u16..LABELS), 0..70);
@@ -125,23 +130,37 @@ fn arb_pin() -> impl Strategy<Value = VarConstraint> {
     ]
 }
 
-fn kernel(g: &LabeledGraph, q: &QueryGraph, cons: &VarConstraints, s: IntersectStrategy) -> u64 {
-    let (count, _) = CountPlan::new(g, q, cons, s).count(CountBudget::UNLIMITED);
-    count.expect("unlimited budget cannot be exhausted")
+fn kernel(g: &LabeledGraph, q: &QueryGraph, cons: &VarConstraints) -> (u64, KernelStats) {
+    let (count, stats) = CountPlan::new(g, q, cons).count(CountBudget::UNLIMITED);
+    (count.expect("the counts here fit u64"), stats)
 }
 
-const STRATEGIES: [IntersectStrategy; 4] = [
-    IntersectStrategy::Adaptive,
-    IntersectStrategy::Merge,
-    IntersectStrategy::Gallop,
-    IntersectStrategy::Bitset,
-];
+/// The inputs the properties below draw reach both candidate paths: over
+/// the same number of draws, the hubs make the bitset path run, and
+/// some count intersects lists without touching a bitset.
+#[test]
+fn the_inputs_reach_both_candidate_paths() {
+    let mut rng = TestRng::deterministic("the_inputs_reach_both_candidate_paths");
+    let (graphs, queries) = (arb_hub_graph(), arb_query());
+    let (mut bitset, mut list_only) = (0u64, 0u64);
+    for _ in 0..256 {
+        let (g, q) = (graphs.sample(&mut rng), queries.sample(&mut rng));
+        let (_, stats) = kernel(&g, &q, &VarConstraints::none(q.num_vars()));
+        bitset += stats.bitset_intersections;
+        if stats.bitset_intersections == 0 {
+            list_only += stats.gallop_intersections;
+        }
+    }
+    assert!(bitset > 0, "no hub input reached the bitset path");
+    assert!(list_only > 0, "no input reached the list path");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every intersection strategy, through the factorized plan and the
-    /// unfactorized one, returns exactly the naive reference count. The
+    /// The kernel, through the factorized plan and the unfactorized one,
+    /// on whichever candidate path each graph's degrees pick, returns
+    /// exactly the naive reference count. The
     /// last variable is the pendant tip of the cycle-with-tail shape (a
     /// leaf of the paths and stars): pinned, it may not be peeled, so the
     /// kernel binds the tail like any core variable.
@@ -155,13 +174,10 @@ proptest! {
         let mut pinned = free.clone();
         pinned.set(q.num_vars() - 1, pin);
         for cons in [&free, &pinned] {
-            let expected = count_naive(&g, &q, cons);
-            for strategy in STRATEGIES {
-                prop_assert_eq!(
-                    kernel(&g, &q, cons, strategy), expected,
-                    "{:?} diverged on {} under {:?}", strategy, q, cons
-                );
-            }
+            prop_assert_eq!(
+                kernel(&g, &q, cons).0, count_naive(&g, &q, cons),
+                "diverged on {} under {:?}", q, cons
+            );
         }
     }
 
@@ -192,12 +208,10 @@ proptest! {
         }
         let permuted = pb.build();
 
-        for strategy in [IntersectStrategy::Adaptive, IntersectStrategy::Bitset] {
-            prop_assert_eq!(
-                kernel(&permuted, &q, &cons, strategy),
-                expected,
-                "random permutation changed the count under {:?} on {}", strategy, q
-            );
-        }
+        prop_assert_eq!(
+            kernel(&permuted, &q, &cons).0,
+            expected,
+            "random permutation changed the count on {}", q
+        );
     }
 }

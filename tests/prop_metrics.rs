@@ -117,7 +117,6 @@ fn metrics_snapshot_keys_are_stable() {
         "queued",
         "queued_peak",
         "kernel_candidates_total",
-        "kernel_intersect_merge_total",
         "kernel_intersect_gallop_total",
         "kernel_intersect_bitset_total",
         "kernel_suffix_shortcuts_total",
@@ -332,7 +331,6 @@ fn metrics_prom_families_are_stable() {
         "ceg_error_total",
         "ceg_estimator_degenerate_total",
         "ceg_kernel_candidates_total",
-        "ceg_kernel_intersect_merge_total",
         "ceg_kernel_intersect_gallop_total",
         "ceg_kernel_intersect_bitset_total",
         "ceg_kernel_suffix_shortcuts_total",

@@ -222,10 +222,9 @@ fn explain_estimate_traces_cold_and_warm_paths() {
         assert_eq!(cold.counter("cache_hit"), Some(0));
         assert!(cold.counter("catalog_patterns_counted").unwrap() > 0);
         assert!(cold.counter("kernel_candidates").unwrap() > 0);
-        // The three intersection-path counters are pinned names: EXPLAIN
-        // output must always carry all of them, split by strategy.
-        let intersections = cold.counter("kernel_intersect_merge").unwrap()
-            + cold.counter("kernel_intersect_gallop").unwrap()
+        // The two intersection-path counters are pinned names: EXPLAIN
+        // output must always carry both, split by path.
+        let intersections = cold.counter("kernel_intersect_gallop").unwrap()
             + cold.counter("kernel_intersect_bitset").unwrap();
         if intersections > 0 && intersecting.is_none() {
             intersecting = Some((i, intersections, est.value));
