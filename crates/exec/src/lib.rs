@@ -21,8 +21,8 @@
 //! precomputed once per query ([`count::CountPlan`]) so the recursion is
 //! allocation-free; [`naive::count_naive`] retains the unoptimized matcher
 //! as the reference for differential testing. Counting many queries at
-//! once — a catalog fill, a workload's ground truths — shares one
-//! work loop, [`par::map_ordered`].
+//! once — a catalog fill, a workload's ground truths — and the served
+//! batch's misses share one work loop, [`par::for_each_ordered`].
 
 pub mod constraints;
 pub mod count;
@@ -35,5 +35,5 @@ pub mod tree_count;
 pub use constraints::{VarConstraint, VarConstraints};
 pub use count::{count, count_budgeted, CountBudget, CountPlan, CountStop, KernelStats};
 pub use naive::count_naive;
-pub use par::map_ordered;
+pub use par::{for_each_ordered, map_ordered, Handover};
 pub use tree_count::{count_tree_dp, exact_count};

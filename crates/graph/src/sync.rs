@@ -54,7 +54,7 @@ pub const RANK_CHECKS_ENABLED: bool = cfg!(debug_assertions);
 /// from the WAL append to the pointer swap that publishes the successor
 /// state, and snapshot rotation holds it while pinning the state and
 /// cloning its catalog, so durability must rank *below* dataset state
-/// even though the WAL device itself ranks last.
+/// even though the WAL device itself ranks above every dataset lock.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum LockRank {
@@ -77,9 +77,14 @@ pub enum LockRank {
     /// The estimate path's run gate (`Engine`'s free-slot counter) and
     /// lifecycle/drain signalling (`Lifecycle::signal`).
     RunGate = 5,
-    /// `vfs::FaultStorage` interior — the simulated device. Last:
-    /// storage calls happen under any of the above.
+    /// `vfs::FaultStorage` interior — the simulated device. Storage
+    /// calls happen under any of the above.
     Wal = 6,
+    /// `ceg_exec::for_each_ordered`'s result board: finished items
+    /// waiting for their in-order handover. Held to post or take one
+    /// result, with nothing taken under it; a commit's parallel recount
+    /// posts under `Durability`.
+    Handover = 7,
 }
 
 impl LockRank {
@@ -93,6 +98,7 @@ impl LockRank {
             LockRank::Metrics => "metrics",
             LockRank::RunGate => "run-gate",
             LockRank::Wal => "wal",
+            LockRank::Handover => "handover",
         }
     }
 }

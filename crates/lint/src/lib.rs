@@ -21,10 +21,16 @@
 //! The scanner is a token-stream pass over a purpose-built lexer
 //! ([`lexer`]) — no `syn`, no registry dependencies, so the tool builds
 //! offline with the rest of the workspace.
+//!
+//! The crate also holds `cargo xtask ab` ([`ab`]), the paired benchmark
+//! comparison of two revisions, with the small JSON reader ([`json`]) its
+//! records need.
 
+pub mod ab;
 pub mod allowlist;
 pub mod closure;
 pub mod doc_refs;
+pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod unused_pub;

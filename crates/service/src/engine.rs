@@ -3,17 +3,24 @@
 //! One [`Engine`] per server: it owns the shared [`EstimateCache`], a
 //! handle to the [`DatasetRegistry`] (the one dataset) and the overload
 //! controls, and has **one estimate path**, [`Engine::estimate_batch`],
-//! which runs start to finish on the calling thread against one pinned
-//! epoch of the dataset:
+//! which runs against one pinned epoch of the dataset:
 //!
 //! 1. hash every query once and probe the cache once — hits are answered
 //!    here, before any admission, so a hit never waits behind cold work;
 //! 2. every miss takes an admission permit, all up front (`QueueFull`
 //!    beyond the cap);
-//! 3. in request order, each admitted miss waits for one of a fixed
-//!    number of run slots, re-checks drain and deadline, fills its
-//!    missing catalog patterns, estimates, stores the result, releases
-//!    slot and permit, and only then hands its outcome to the caller.
+//! 3. the admitted misses are claimed off one cursor by the calling
+//!    thread and, when there are two or more, by `min(run slots,
+//!    misses) - 1` scoped helpers ([`ceg_exec::for_each_ordered`]); each
+//!    miss waits for one of a fixed number of run slots, re-checks
+//!    drain and deadline, fills its missing catalog patterns, estimates,
+//!    stores the result and releases its slot; it holds no slot while
+//!    the caller may write (`wait` before a fill gives the slot back
+//!    first);
+//! 4. the calling thread hands the outcomes to the caller in request
+//!    order, each ready prefix as soon as it is ready, releasing each
+//!    permit first, and tells the caller before it blocks
+//!    ([`Handover::Wait`]), so the server can flush just then.
 //!
 //! The TCP server (`ESTIMATE`, each slot of `ESTIMATE_BATCH`,
 //! `EXPLAIN_ESTIMATE`), benches and tests all drive this same function,
@@ -29,13 +36,14 @@ use std::time::{Duration, Instant};
 use ceg_core::ceg_o::DeadlinePassed;
 use ceg_core::trace::Trace;
 use ceg_core::{CegO, Heuristic};
+use ceg_exec::Handover;
 use ceg_graph::sync::{self, LockRank, OrderedMutex};
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::{Certificate, QueryGraph};
 
 use crate::cache::{EstimateCache, ProbeOutcome};
 use crate::metrics::{Metrics, Series};
-use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EpochState};
+use crate::registry::{CommitOutcome, DatasetEntry, DatasetRegistry, EnsureOutcome, EpochState};
 
 /// Entries kept in the slow-query ring buffer (oldest evicted first).
 const SLOWLOG_CAP: usize = 128;
@@ -175,10 +183,12 @@ struct Overload {
     queue_cap: usize,
     /// Cache-missing estimates admitted and not yet answered.
     admitted: AtomicUsize,
-    /// Free run slots, of `max(2, available_parallelism)`: how many
-    /// misses count and estimate at once, however many connections
-    /// there are. `LockRank::RunGate`: taken with nothing else held,
-    /// for the counter update only.
+    /// Run slots in all, `max(2, available_parallelism)`: how many
+    /// misses count and estimate at once, however many connections and
+    /// batch helpers there are.
+    run_slots: usize,
+    /// Free run slots. `LockRank::RunGate`: taken with nothing else
+    /// held, for the counter update only.
     free_slots: OrderedMutex<usize>,
     slot_freed: Condvar,
 }
@@ -191,35 +201,30 @@ impl Overload {
         Overload {
             queue_cap,
             admitted: AtomicUsize::new(0),
+            run_slots: slots,
             free_slots: OrderedMutex::new(LockRank::RunGate, slots),
             slot_freed: Condvar::new(),
         }
     }
 
-    /// Admit one miss; `None` means the cap is reached and the miss must
-    /// be refused.
-    fn try_admit<'a>(&'a self, metrics: &'a Metrics) -> Option<Permit<'a>> {
-        // Exact bound: a compare-exchange loop never overshoots the cap,
-        // unlike fetch_add-then-undo.
-        let counter = &self.admitted;
-        let mut cur = counter.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.queue_cap {
-                return None;
-            }
-            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+    /// An empty admission guard for one batch's misses.
+    fn permits<'a>(&'a self, metrics: &'a Metrics) -> Permits<'a> {
+        Permits {
+            overload: self,
+            metrics,
+            held: 0,
         }
-        metrics.job_enqueued();
-        Some(Permit { counter, metrics })
     }
 
-    /// Wait for a run slot; `None` means `deadline` passed first.
-    fn run_slot(&self, deadline: Option<Instant>) -> Option<RunSlot<'_>> {
+    /// Wait for a run slot; `None` means `deadline` passed first. When
+    /// no slot is free, `wait` runs first, with no lock held.
+    fn run_slot(&self, deadline: Option<Instant>, wait: &mut dyn FnMut()) -> Option<RunSlot<'_>> {
         let mut free = self.free_slots.lock();
+        if *free == 0 {
+            drop(free);
+            wait();
+            free = self.free_slots.lock();
+        }
         while *free == 0 {
             let wait = match deadline {
                 Some(d) => d.checked_duration_since(Instant::now())?,
@@ -232,16 +237,52 @@ impl Overload {
     }
 }
 
-/// One admitted miss; dropping it frees its admission slot.
-struct Permit<'a> {
-    counter: &'a AtomicUsize,
+/// One batch's admitted misses. Each is released as its outcome is
+/// handed on; dropping the guard releases the rest.
+struct Permits<'a> {
+    overload: &'a Overload,
     metrics: &'a Metrics,
+    held: usize,
 }
 
-impl Drop for Permit<'_> {
+impl Permits<'_> {
+    /// Admit one more miss; `false` means the cap is reached and the
+    /// miss must be refused.
+    fn try_admit(&mut self) -> bool {
+        // Exact bound: a compare-exchange loop never overshoots the cap,
+        // unlike fetch_add-then-undo.
+        let counter = &self.overload.admitted;
+        let mut cur = counter.load(Ordering::Relaxed);
+        loop {
+            if cur >= self.overload.queue_cap {
+                return false;
+            }
+            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(seen) => cur = seen,
+            }
+        }
+        self.metrics.job_enqueued();
+        self.held += 1;
+        true
+    }
+
+    /// Release one admitted miss, answered.
+    fn release_one(&mut self) {
+        if self.held > 0 {
+            self.held -= 1;
+            self.overload.admitted.fetch_sub(1, Ordering::Relaxed);
+            self.metrics.job_finished();
+        }
+    }
+}
+
+impl Drop for Permits<'_> {
     fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
-        self.metrics.job_finished();
+        while self.held > 0 {
+            self.release_one();
+        }
     }
 }
 
@@ -258,6 +299,53 @@ impl Drop for RunSlot<'_> {
         }
         self.0.slot_freed.notify_one();
     }
+}
+
+/// What one miss did, for the request's [`Trace`]. A miss may run on a
+/// batch helper, so it reports here and the connection thread records
+/// the report, in request order, when it hands the outcome on.
+struct MissReport {
+    queue_wait_us: u64,
+    /// Set when the miss got past its run-slot wait and resolved.
+    ran: Option<MissRun>,
+}
+
+struct MissRun {
+    fill_us: u64,
+    ensured: EnsureOutcome,
+    estimate_us: u64,
+    degenerate: bool,
+}
+
+impl MissReport {
+    fn record(&self, t: &mut Trace) {
+        t.record_span_micros("queue_wait", self.queue_wait_us);
+        let Some(run) = &self.ran else { return };
+        let fill = &run.ensured.fill;
+        if fill.patterns_counted > 0 {
+            t.record_span_micros("catalog_fill", run.fill_us);
+        }
+        t.counter("catalog_patterns_counted", fill.patterns_counted);
+        t.counter("catalog_patterns_added", run.ensured.added as u64);
+        t.counter("catalog_fill_max_pattern_us", fill.max_pattern_micros);
+        for (name, value) in fill.kernel.fields() {
+            t.counter(name, value);
+        }
+        t.record_span_micros("estimate", run.estimate_us);
+        t.counter("estimator_degenerate", run.degenerate as u64);
+    }
+}
+
+/// What every miss of one request shares: the dataset and its pinned
+/// epoch, the request's cache pass (charged to each miss's slow-log
+/// record), its id and its deadline.
+#[derive(Clone, Copy)]
+struct Miss<'a> {
+    entry: &'a DatasetEntry,
+    state: &'a EpochState,
+    cache_us: u64,
+    id: u64,
+    deadline: Option<Instant>,
 }
 
 /// Shared estimation core: registry + cache + overload control +
@@ -394,41 +482,55 @@ impl Engine {
         ctx: RequestCtx<'_>,
     ) -> Result<QueryOutcome, String> {
         let mut outcome = None;
-        self.estimate_batch(dataset, std::slice::from_ref(query), ctx, |o| {
-            outcome = Some(o)
+        self.estimate_batch(dataset, std::slice::from_ref(query), ctx, |step| {
+            if let Handover::Done(_, o) = step {
+                outcome = Some(o);
+            }
         })?;
         outcome.ok_or_else(|| "internal error: batch of one produced no outcome".to_string())
     }
 
     /// The one estimate path: answer `queries` against one pinned epoch
-    /// of `dataset`, handing each outcome to `reply` in request order as
-    /// soon as it is known (so a caller can stream them). `Err` means
-    /// nothing was answered (unknown dataset) and `reply` was not called.
+    /// of `dataset`, handing each outcome to `reply` as
+    /// [`Handover::Done`] in request order as soon as it is known, and
+    /// [`Handover::Wait`] before this thread blocks (on a run slot, a
+    /// catalog fill or a helper's result), so a caller can hold its
+    /// output back until then. `Err` means nothing was answered (unknown
+    /// dataset) and `reply` was not called.
     ///
     /// Every query gets one certificate (outside the cache lock) and one
     /// probe (all under one lock); hits are final there. Every miss then
     /// takes its admission permit — all of them before the first one
     /// runs, so a wide cold batch meets the cap as a whole — and the
-    /// admitted ones run one after the other on this thread (`run_miss`).
-    /// Overlapping patterns across the batch are still counted once: a
-    /// later miss finds what an earlier fill inserted in the pinned catalog.
+    /// admitted ones (`run_miss`) are claimed off one cursor by this
+    /// thread and `min(run slots, misses) - 1` scoped helpers
+    /// ([`ceg_exec::for_each_ordered`]); each still waits for a run slot
+    /// of its own. A batch with at most one miss spawns nothing. A later
+    /// miss finds what an earlier fill inserted in the pinned catalog;
+    /// two misses that run at once may count a shared pattern twice,
+    /// with the same answers.
     pub fn estimate_batch(
         &self,
         dataset: &str,
         queries: &[QueryGraph],
-        mut ctx: RequestCtx<'_>,
-        mut reply: impl FnMut(QueryOutcome),
+        ctx: RequestCtx<'_>,
+        mut reply: impl FnMut(Handover<QueryOutcome>),
     ) -> Result<(), String> {
         let entry = self.entry(dataset)?;
         self.metrics.add(Series::Requests, queries.len() as u64);
         self.metrics.inc(Series::Batches);
         if self.draining() {
-            for _ in queries {
+            for i in 0..queries.len() {
                 self.metrics.inc(Series::Busy);
-                reply(QueryOutcome::Draining);
+                reply(Handover::Done(i, QueryOutcome::Draining));
             }
             return Ok(());
         }
+        let RequestCtx {
+            id,
+            deadline,
+            mut trace,
+        } = ctx;
 
         // One estimate, one epoch: the cache tag, the catalog that is
         // filled and read, and the epoch EXPLAIN and the slow log report
@@ -456,7 +558,7 @@ impl Engine {
             .collect();
         drop(cache);
         let cache_us = cache_started.elapsed().as_micros() as u64;
-        if let Some(t) = ctx.trace.as_deref_mut() {
+        if let Some(t) = trace.as_deref_mut() {
             let count =
                 |kind: fn(&ProbeOutcome) -> bool| probed.iter().filter(|p| kind(p)).count() as u64;
             t.counter("epoch", epoch);
@@ -467,76 +569,109 @@ impl Engine {
             t.counter("cache_cold_miss", count(|p| *p == ProbeOutcome::ColdMiss));
         }
 
-        enum Slot<'a> {
+        enum Slot<'q> {
             Ready(QueryOutcome),
-            Admitted(Permit<'a>),
+            Admitted(&'q QueryGraph, &'q Certificate),
         }
+        let mut permits = self.overload.permits(&self.metrics);
         let slots: Vec<Slot<'_>> = probed
             .into_iter()
-            .map(|probe| match probe {
+            .zip(queries.iter().zip(&certificates))
+            .map(|(probe, (query, certificate))| match probe {
                 ProbeOutcome::Hit(value) => Slot::Ready(QueryOutcome::Done(EstimateOutcome {
                     value,
                     cached: true,
                 })),
-                _ => match self.overload.try_admit(&self.metrics) {
-                    Some(permit) => Slot::Admitted(permit),
-                    None => {
-                        self.metrics.inc(Series::Busy);
-                        Slot::Ready(QueryOutcome::QueueFull)
-                    }
-                },
+                _ if permits.try_admit() => Slot::Admitted(query, certificate),
+                _ => {
+                    self.metrics.inc(Series::Busy);
+                    Slot::Ready(QueryOutcome::QueueFull)
+                }
             })
             .collect();
-        for ((slot, query), certificate) in slots.into_iter().zip(queries).zip(&certificates) {
-            reply(match slot {
-                Slot::Ready(outcome) => outcome,
-                Slot::Admitted(permit) => {
-                    let outcome =
-                        self.run_miss(&entry, &state, cache_us, query, certificate, &mut ctx);
+        let workers = permits.held.min(self.overload.run_slots);
+        let miss = Miss {
+            entry: &entry,
+            state: &state,
+            cache_us,
+            id,
+            deadline,
+        };
+        let run = |slot: &Slot<'_>, wait: &mut dyn FnMut()| match *slot {
+            Slot::Ready(outcome) => (outcome, None),
+            Slot::Admitted(query, certificate) => {
+                let (outcome, report) = self.run_miss(&miss, query, certificate, wait);
+                (outcome, Some(report))
+            }
+        };
+        let hand_on = |step: Handover<(QueryOutcome, Option<MissReport>)>| match step {
+            Handover::Wait => reply(Handover::Wait),
+            Handover::Done(i, (outcome, report)) => {
+                if let Some(report) = report {
+                    if let Some(t) = trace.as_deref_mut() {
+                        report.record(t);
+                    }
                     // Released before the caller can put the answer on
                     // the wire: a client that reads it and asks for
                     // STATS next must see the gauge settled.
-                    drop(permit);
-                    outcome
+                    permits.release_one();
                 }
-            });
-        }
+                reply(Handover::Done(i, outcome));
+            }
+        };
+        ceg_exec::for_each_ordered(&slots, workers, run, hand_on);
         Ok(())
     }
 
-    /// Run one admitted miss on the calling thread: wait for a run slot
-    /// (the wait is what `queue_wait` measures), refuse it if a drain
-    /// began or its deadline passed meanwhile, else count its missing
-    /// patterns on the request's pinned `state`, estimate, and store the
-    /// result in the cache. `cache_us` is the request's cache pass,
-    /// charged to the miss's slow-log record.
+    /// What a miss that has waited for a run slot gets instead of
+    /// running, if anything: `Draining` when a drain overtook the wait,
+    /// rather than start cold work the process is trying to finish;
+    /// `TimedOut` when the wait ended without a slot or past the deadline
+    /// — the typed TIMEOUT costs nothing, running the estimate anyway
+    /// would.
+    fn refuse(&self, slotted: bool, deadline: Option<Instant>) -> Option<QueryOutcome> {
+        if self.draining() {
+            self.metrics.inc(Series::Busy);
+            Some(QueryOutcome::Draining)
+        } else if !slotted || deadline.is_some_and(|d| Instant::now() >= d) {
+            self.metrics.inc(Series::Timeout);
+            Some(QueryOutcome::TimedOut)
+        } else {
+            None
+        }
+    }
+
+    /// Run one admitted miss: wait for a run slot (the wait is what
+    /// `queue_wait` measures; `wait` runs first if no slot is free),
+    /// refuse it if a drain began or its deadline passed meanwhile, else
+    /// count its missing patterns on the request's pinned `state`,
+    /// estimate, and store the result in the cache. Before counting,
+    /// `wait` runs with the slot given back, which is then taken again
+    /// and re-checked the same way.
     fn run_miss(
         &self,
-        entry: &DatasetEntry,
-        state: &EpochState,
-        cache_us: u64,
+        miss: &Miss<'_>,
         query: &QueryGraph,
         certificate: &Certificate,
-        ctx: &mut RequestCtx<'_>,
-    ) -> QueryOutcome {
+        wait: &mut dyn FnMut(),
+    ) -> (QueryOutcome, MissReport) {
+        let Miss {
+            entry,
+            state,
+            cache_us,
+            id,
+            deadline,
+        } = *miss;
         let started = Instant::now();
-        let slot = self.overload.run_slot(ctx.deadline);
+        let mut slot = self.overload.run_slot(deadline, wait);
         let waited = started.elapsed();
         self.metrics.queue_wait.record(waited);
-        if let Some(t) = ctx.trace.as_deref_mut() {
-            t.record_span_micros("queue_wait", waited.as_micros() as u64);
-        }
-        if self.draining() {
-            // A drain overtook the wait: refuse rather than start cold
-            // work the process is trying to finish.
-            self.metrics.inc(Series::Busy);
-            return QueryOutcome::Draining;
-        }
-        if slot.is_none() || ctx.deadline.is_some_and(|d| Instant::now() >= d) {
-            // Dead before it started — the typed TIMEOUT costs nothing,
-            // running the estimate anyway would.
-            self.metrics.inc(Series::Timeout);
-            return QueryOutcome::TimedOut;
+        let mut report = MissReport {
+            queue_wait_us: waited.as_micros() as u64,
+            ran: None,
+        };
+        if let Some(refused) = self.refuse(slot.is_some(), deadline) {
+            return (refused, report);
         }
 
         // Resolve: the one pass over the query's sub-patterns. The
@@ -544,33 +679,32 @@ impl Engine {
         // the fill, the CEG build or the path choice.
         let fill_started = Instant::now();
         let Some(mut resolved) = state.catalog().resolve(query) else {
-            return QueryOutcome::TooWide;
+            return (QueryOutcome::TooWide, report);
         };
-        let ensured = state.fill(resolved.missing(), ctx.deadline, entry.jobs());
+        if !resolved.is_complete() {
+            // Kernel work ahead: let the caller send what it holds first,
+            // with the slot given back. That write can block for as long
+            // as its client does not read, and must not keep other
+            // connections' misses from every slot meanwhile. Waiting for
+            // the slot again counts in `fill_us`.
+            drop(slot);
+            wait();
+            slot = self.overload.run_slot(deadline, wait);
+            if let Some(refused) = self.refuse(slot.is_some(), deadline) {
+                return (refused, report);
+            }
+        }
+        let ensured = state.fill(resolved.missing(), deadline, entry.jobs());
         if !resolved.is_complete() {
             // Cold path: read back what the fill (or a concurrent one)
             // inserted. A fill cut short at the deadline stays incomplete.
             let Some(refreshed) = state.catalog().resolve(query) else {
-                return QueryOutcome::TooWide;
+                return (QueryOutcome::TooWide, report);
             };
             resolved = refreshed;
         }
         let fill_us = fill_started.elapsed().as_micros() as u64;
         self.metrics.record_kernel(&ensured.fill.kernel);
-        if let Some(t) = ctx.trace.as_deref_mut() {
-            if ensured.fill.patterns_counted > 0 {
-                t.record_span_micros("catalog_fill", fill_us);
-            }
-            t.counter("catalog_patterns_counted", ensured.fill.patterns_counted);
-            t.counter("catalog_patterns_added", ensured.added as u64);
-            t.counter(
-                "catalog_fill_max_pattern_us",
-                ensured.fill.max_pattern_micros,
-            );
-            for (name, value) in ensured.fill.kernel.fields() {
-                t.counter(name, value);
-            }
-        }
         let estimate_started = Instant::now();
         let mut degenerate = false;
         // `None` marks a miss abandoned at the deadline: in the fill
@@ -589,7 +723,7 @@ impl Engine {
             // other) can surface NaN/inf; that is "cannot answer", never
             // a number we put on the wire.
             let recommended = Heuristic::RECOMMENDED;
-            match CegO::estimate_resolved(query, &resolved, recommended, ctx.deadline) {
+            match CegO::estimate_resolved(query, &resolved, recommended, deadline) {
                 Err(DeadlinePassed) => None,
                 Ok(Some(v)) if !v.is_finite() => {
                     degenerate = true;
@@ -602,10 +736,12 @@ impl Engine {
         if degenerate {
             self.metrics.inc(Series::Degenerate);
         }
-        if let Some(t) = ctx.trace.as_deref_mut() {
-            t.record_span_micros("estimate", estimate_us);
-            t.counter("estimator_degenerate", degenerate as u64);
-        }
+        report.ran = Some(MissRun {
+            fill_us,
+            ensured,
+            estimate_us,
+            degenerate,
+        });
         let outcome = match value {
             Some(value) => {
                 // Poisoned cache: the fresh result is still served, it
@@ -634,7 +770,7 @@ impl Engine {
                     log.pop_front();
                 }
                 log.push_back(SlowQueryEntry {
-                    id: ctx.id,
+                    id,
                     dataset: entry.name().to_string(),
                     epoch: state.epoch(),
                     micros,
@@ -645,7 +781,7 @@ impl Engine {
                 });
             }
         }
-        outcome
+        (outcome, report)
     }
 
     /// Buffer an edge insertion on a dataset (visible after `COMMIT`).
@@ -887,9 +1023,12 @@ mod tests {
         engine.estimate("toy", &a).unwrap();
         let mut cached = Vec::new();
         engine
-            .estimate_batch("toy", &[a, b], RequestCtx::default(), |o| match o {
-                QueryOutcome::Done(outcome) => cached.push(outcome.cached),
-                refused => panic!("unbounded engine refused a query: {refused:?}"),
+            .estimate_batch("toy", &[a, b], RequestCtx::default(), |step| match step {
+                Handover::Done(_, QueryOutcome::Done(outcome)) => cached.push(outcome.cached),
+                Handover::Done(_, refused) => {
+                    panic!("unbounded engine refused a query: {refused:?}")
+                }
+                Handover::Wait => {}
             })
             .unwrap();
         assert_eq!(cached, [true, false]);

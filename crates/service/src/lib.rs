@@ -21,7 +21,8 @@
 //!   cache probe per query, then per miss an admission permit (`BUSY`
 //!   past [`ServerConfig::queue_cap`]), a run slot, the catalog fill
 //!   under the request's deadline (`TIMEOUT`), the estimate and the
-//!   store — all on the calling thread,
+//!   store — on the calling thread, and for a batch with several misses
+//!   also on scoped helpers that end with the request,
 //! * [`protocol`] / [`server`] / [`client`] — a line-delimited text
 //!   protocol over `std::net::TcpListener`, served by `cegcli serve` and
 //!   spoken by `cegtool query` ([`Client`]) or netcat. Every accepted

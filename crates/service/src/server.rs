@@ -1,6 +1,7 @@
 //! The TCP front end: accept loop, connection handlers and the drain
-//! lifecycle. There are no worker threads: the thread that reads a
-//! request runs it.
+//! lifecycle. There is no worker pool: the thread that reads a request
+//! runs it, and a batch with several misses shares them with scoped
+//! helpers that end with the request.
 //!
 //! Request lifecycle:
 //!
@@ -10,8 +11,11 @@
 //!    answered at once; a miss needs an admission permit
 //!    ([`ServerConfig::queue_cap`], else `BUSY`) and a run slot before
 //!    its deadline (else `TIMEOUT`).
-//! 3. The handler writes each reply line as its outcome arrives (a batch
-//!    streams its slots in request order). `PING`/`STATS`/`METRICS` are
+//! 3. The handler writes each reply line into its buffer as its outcome
+//!    arrives (a batch's slots in request order), and flushes at the end
+//!    of the request and whenever the engine is about to wait — on a run
+//!    slot, a catalog fill or a helper's result — so a cold batch streams
+//!    and a warm one leaves in one write. `PING`/`STATS`/`METRICS` are
 //!    answered inline too; `SHUTDOWN` flips the drain flag and answers
 //!    `DRAINING`.
 //!
@@ -33,6 +37,7 @@ use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use ceg_exec::Handover;
 use ceg_graph::sync::{self, LockRank, OrderedMutex};
 use ceg_query::QueryGraph;
 
@@ -366,12 +371,14 @@ fn effective_deadline(request_ms: Option<u64>, default_ms: Option<u64>) -> Optio
     Some((at, ms))
 }
 
-/// Write one reply and flush: the head line `response` — stamped with
-/// the request's ` id=<n>` tail — then, under a [`Response::Counted`]
-/// head, its `body` lines as they are (their grammar owns the whole
-/// line). The single funnel every byte a handler sends goes through, and
-/// so the place `ERR` is counted: every error actually sent to a client
-/// is counted exactly once here, no matter which layer produced it.
+/// Write one reply into the connection's buffer: the head line
+/// `response` — stamped with the request's ` id=<n>` tail — then, under
+/// a [`Response::Counted`] head, its `body` lines as they are (their
+/// grammar owns the whole line). The single funnel every byte a handler
+/// sends goes through, and so the place `ERR` is counted: every error
+/// actually sent to a client is counted exactly once here, no matter
+/// which layer produced it. The buffer is flushed at the end of each
+/// request and wherever the handler would otherwise wait.
 fn write_reply(
     writer: &mut BufWriter<TcpStream>,
     metrics: &Metrics,
@@ -388,7 +395,7 @@ fn write_reply(
     for line in body {
         writeln!(writer, "{line}")?;
     }
-    writer.flush()
+    Ok(())
 }
 
 /// The reply line for one estimate outcome. `deadline` is the request's
@@ -422,8 +429,9 @@ fn outcome_response(
 
 /// Answer `queries` (an `ESTIMATE`, or the slots of an `ESTIMATE_BATCH`
 /// whose header is already written) with one reply line each, written
-/// and flushed as the engine produces it — a batch streams, and a drain
-/// that overtakes it shows up in its later slots.
+/// as the engine produces it and flushed whenever the engine is about to
+/// wait — a cold batch streams, and a drain that overtakes it shows up
+/// in its later slots; a warm one leaves in one write at the end.
 fn write_estimates(
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
@@ -440,10 +448,15 @@ fn write_estimates(
         trace: None,
     };
     let mut written = Ok(());
-    let answered = engine.estimate_batch(dataset, queries, ctx, |outcome| {
+    let answered = engine.estimate_batch(dataset, queries, ctx, |step| {
         if written.is_ok() {
-            let response = outcome_response(engine, dataset, outcome, deadline);
-            written = write_reply(writer, engine.metrics(), &response, &[], id);
+            written = match step {
+                Handover::Done(_, outcome) => {
+                    let response = outcome_response(engine, dataset, outcome, deadline);
+                    write_reply(writer, engine.metrics(), &response, &[], id)
+                }
+                Handover::Wait => writer.flush(),
+            };
         }
     });
     if let Err(msg) = answered {
@@ -489,7 +502,8 @@ fn explain(
     Ok(body)
 }
 
-/// Answer one parsed request; `Ok(false)` closes the connection (`QUIT`).
+/// Answer one parsed request into `writer`'s buffer, which the caller
+/// flushes; `Ok(false)` closes the connection (`QUIT`).
 fn serve_request(
     writer: &mut BufWriter<TcpStream>,
     shared: &Shared,
@@ -528,7 +542,8 @@ fn serve_request(
             // drain request (`cegcli serve`, which then exits the
             // process) only once the DRAINING line is on the wire.
             engine.begin_drain();
-            let written = write_reply(writer, metrics, &Response::Draining, &[], id);
+            let written = write_reply(writer, metrics, &Response::Draining, &[], id)
+                .and_then(|()| writer.flush());
             shared.lifecycle.notify();
             return written.map(|()| true);
         }
@@ -537,10 +552,11 @@ fn serve_request(
             return Ok(false);
         }
         // A batch answers in request order under a BATCH header — one
-        // wire round-trip. The header goes out first and every slot is
-        // flushed as it resolves, so answers stream back; they are not
-        // held until the whole batch completes. During a drain the
-        // engine answers each slot BUSY.
+        // wire round-trip. The header is written first and every slot as
+        // it resolves; the buffer goes out whenever the engine would
+        // wait, so a cold batch's answers stream back, and a warm batch
+        // leaves in one write. During a drain the engine answers each
+        // slot BUSY.
         Request::EstimateBatch {
             dataset,
             queries,
@@ -605,6 +621,7 @@ fn serve_request(
         Request::Commit { dataset } => {
             let response = result(engine.commit(&dataset).map(Response::Committed));
             write_reply(writer, metrics, &response, &[], id)?;
+            writer.flush()?;
             // Rotation runs *after* the ack went out: the client's
             // COMMIT latency never includes the snapshot fold, and a
             // rotation failure cannot un-ack a durable commit — the
@@ -632,11 +649,12 @@ fn too_long() -> Response {
 
 /// Per-connection loop: one request in, one response out (a batch counts
 /// as one request with one multi-line response). Everything runs on this
-/// thread, estimates included.
+/// thread, estimates included, but for a batch's helpers.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    // One write syscall per response line, and no Nagle delay on it:
-    // an unbuffered `writeln!` issues several small writes per line,
-    // which interacts with delayed ACKs into ~40ms per round-trip.
+    // One write syscall per request (or per wait inside one), and no
+    // Nagle delay on it: an unbuffered `writeln!` makes several small
+    // writes per line, which interacts with delayed ACKs into ~40ms per
+    // round-trip.
     stream.set_nodelay(true)?;
     let metrics = shared.engine.metrics().clone();
     let mut writer = BufWriter::with_capacity(STREAM_BUF_BYTES, stream.try_clone()?);
@@ -650,6 +668,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                 // rest of the stream is the same unterminated line.
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
                 write_reply(&mut writer, &metrics, &too_long(), &[], id)?;
+                writer.flush()?;
                 break;
             }
             LineRead::Line => {}
@@ -673,6 +692,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             match protocol::parse_batch_header(&request_text) {
                 Err(msg) => {
                     write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?;
+                    writer.flush()?;
                     break;
                 }
                 Ok((_, n, _)) => {
@@ -681,7 +701,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                             LineRead::Eof => return Ok(()),
                             LineRead::TooLong => {
                                 write_reply(&mut writer, &metrics, &too_long(), &[], req_id)?;
-                                return Ok(());
+                                return writer.flush();
                             }
                             LineRead::Line => {
                                 if !request_text.ends_with('\n') {
@@ -703,10 +723,14 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
         let parsed = Request::parse(&request_text);
         drop(request_text);
         match parsed {
-            Err(msg) => write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?,
+            Err(msg) => {
+                write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?;
+                writer.flush()?;
+            }
             Ok(request) => {
                 let latency = metrics.latency(request.command());
                 let open = serve_request(&mut writer, shared, request, req_id)?;
+                writer.flush()?;
                 if let Some(histogram) = latency {
                     histogram.record(started.elapsed());
                 }

@@ -27,7 +27,7 @@
 //! - [`commit`]: a commit holds its touched pages, not its touched
 //!   relations.
 //! - [`served`]: the `Engine` serving a 256-query pool cold, hot and
-//!   stale across a commit.
+//!   stale across a commit, and a 32-query batch of warm misses.
 //! - [`sampler`]: the attempts the workload sampler spends per template
 //!   on the pools `golden_workload` pins.
 //!
@@ -54,13 +54,19 @@ use cegraph::catalog::io::{read_snapshot, write_snapshot};
 use cegraph::catalog::markov::count_patterns;
 use cegraph::catalog::MarkovTable;
 use cegraph::core::{CegO, Heuristic};
-use cegraph::exec::{CountBudget, CountPlan, CountStop, KernelStats, VarConstraints};
+use cegraph::exec::{
+    for_each_ordered, CountBudget, CountPlan, CountStop, Handover, KernelStats, VarConstraints,
+};
 use cegraph::graph::snapshot::{
     graph_payload_len, varint_len, SnapshotReader, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
 };
+use cegraph::graph::sync::{LockRank, OrderedMutex};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
-use cegraph::service::{DatasetEntry, DatasetRegistry, Engine, EstimateCache, ProbeOutcome};
+use cegraph::service::{
+    DatasetEntry, DatasetRegistry, Engine, EstimateCache, EstimateOutcome, ProbeOutcome,
+    QueryOutcome, RequestCtx,
+};
 use cegraph::workload::{Dataset, Rung, Workload};
 
 const FIXTURE: &str = concat!(
@@ -880,6 +886,17 @@ fn commit(ledger: &mut String) {
 /// (every query a miss on a full catalog). Each pass sums the allocator
 /// calls and bytes of its estimates and gives the per-query median and
 /// maximum calls. A hit's median is below a cold miss's.
+///
+/// Last, `served.batch`: the pool's first 32 queries as one
+/// `Engine::estimate_batch` on a second engine with an empty cache, so
+/// all 32 are misses on the warm catalog. The batch runs them on
+/// `min(run slots, 32) - 1` helpers beside the calling thread, and the run
+/// slots follow the machine's cores, so the line states that rule and
+/// gives the batch's calls and bytes less that many helpers' own: each
+/// helper's share (its spawn, its join handle and, with debug
+/// assertions, the lock checker's per-thread stack) is the marginal
+/// helper of `ceg_exec::for_each_ordered`, measured beside it. A batch
+/// that spawned another number of helpers would not match the line.
 fn served(ledger: &mut String) {
     const DATASET: &str = "g10k";
     let seed = 2022;
@@ -887,7 +904,7 @@ fn served(ledger: &mut String) {
     let pool = query_pool(&graph, 256, seed);
     let registry = Arc::new(DatasetRegistry::with_jobs(1));
     let entry = registry.insert_graph(DATASET, graph.clone(), 2);
-    let engine = Engine::new(registry, 4096);
+    let engine = Engine::new(registry.clone(), 4096);
 
     let mut per_query = Vec::with_capacity(pool.len());
     let mut pass = |name: &str, cached: bool, ledger: &mut String| {
@@ -939,6 +956,48 @@ fn served(ledger: &mut String) {
         engine.slowlog(1).is_empty(),
         "a miss passed the slow-query threshold, and its record's allocations are in the ledger"
     );
+
+    let batch = &pool[..32];
+    let fresh = Engine::new(registry, 4096);
+    let mut outcomes = Vec::with_capacity(batch.len());
+    let (answered, batched) = cost(|| {
+        let keep = |step| {
+            if let Handover::Done(_, outcome) = step {
+                outcomes.push(outcome);
+            }
+        };
+        fresh.estimate_batch(DATASET, batch, RequestCtx::default(), keep)
+    });
+    answered.unwrap();
+    let want: Vec<QueryOutcome> = batch
+        .iter()
+        .map(|q| engine.estimate(DATASET, q).unwrap().value)
+        .map(|value| {
+            QueryOutcome::Done(EstimateOutcome {
+                value,
+                cached: false,
+            })
+        })
+        .collect();
+    assert_eq!(outcomes, want, "the batch answers what the singles did");
+    let run_slots = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let helpers = (run_slots.min(batch.len()) - 1) as u64;
+    // One more helper of the shared loop, with a ranked lock taken as a
+    // miss does: its spawn, its handle and (with debug assertions) the
+    // lock checker's per-thread stack.
+    let helped = |workers| {
+        let lock = OrderedMutex::new(LockRank::Handover, ());
+        let probe = |(): &(), _: &mut dyn FnMut()| drop(lock.lock());
+        cost(|| for_each_ordered(&[(); 4], workers, probe, |_| {})).1
+    };
+    let (one, two) = (helped(2), helped(3));
+    writeln!(
+        ledger,
+        "served.batch queries=32 misses=32 calls={} bytes={} helpers=min(run_slots,32)-1",
+        batched.calls - helpers * (two.calls - one.calls),
+        batched.bytes - helpers * (two.bytes - one.bytes),
+    )
+    .unwrap();
 }
 
 /// What the embedding sampler spent on the pools `golden_workload` pins

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 use std::thread;
 
+use cegraph::query::QueryGraph;
 use cegraph::service::{Client, DatasetEntry, DatasetRegistry, QueryReply, Server, ServerConfig};
 use cegraph::workload::{Dataset, Workload, WorkloadQuery};
 
@@ -444,24 +445,281 @@ fn maximal_query_answers_on_the_connection_thread() {
     let q = templates::cycle(32, &labels);
     assert_eq!((q.num_edges(), q.num_vars()), (32, 32));
 
+    // A second maximal cycle, other labels: a batch of the two has two
+    // misses, so one of them runs on a batch helper and the other on the
+    // connection thread.
+    let other_labels: Vec<u16> = (0..32).map(|i| (i + 1) % 3).collect();
+    let q2 = templates::cycle(32, &other_labels);
+
     let single = client
         .estimate_with_deadline("default", &q, None)
+        .expect("ESTIMATE");
+    let single2 = client
+        .estimate_with_deadline("default", &q2, None)
         .expect("ESTIMATE");
     let batched = client
         .estimate_batch_with_deadline("default", std::slice::from_ref(&q), None)
         .expect("ESTIMATE_BATCH")
         .remove(0);
+    let pair = client
+        .estimate_batch_with_deadline("default", &[q.clone(), q2], None)
+        .expect("ESTIMATE_BATCH of two");
     let explained = client
         .explain("default", &q, None)
         .expect("EXPLAIN_ESTIMATE")
         .reply;
-    // Cache off, same catalog: three computations of the same value.
+    // Cache off, same catalog: every computation gives the same value.
     let value = |reply: &QueryReply| match reply {
         QueryReply::Estimate(est) => est.value.map(f64::to_bits),
         other => panic!("expected an estimate, got {other:?}"),
     };
     assert_eq!(value(&batched), value(&single));
     assert_eq!(value(&explained), value(&single));
+    assert_eq!(value(&pair[0]), value(&single));
+    assert_eq!(value(&pair[1]), value(&single2));
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+/// Distinct queries (no two isomorphic, so a warmed one makes no other
+/// a hit) over several shapes, with a server that serves them at `h` = 3.
+fn batch_fixture() -> (Vec<QueryGraph>, impl Fn(usize, usize) -> Server) {
+    let graph = Dataset::Hetionet.generate(4);
+    let mut queries: Vec<QueryGraph> = Vec::new();
+    for workload in [Workload::Job, Workload::Cyclic] {
+        for wq in workload.build(&graph, 1, 4) {
+            if !queries.iter().any(|q| q.is_isomorphic(&wq.query)) {
+                queries.push(wq.query);
+            }
+        }
+    }
+    let start = move |cache_capacity, queue_cap| {
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.insert(DatasetEntry::new(
+            "default",
+            graph.clone(),
+            cegraph::catalog::MarkovTable::empty(3),
+        ));
+        let config = ServerConfig {
+            cache_capacity,
+            queue_cap,
+            default_deadline_ms: None,
+            ..ServerConfig::default()
+        };
+        Server::start(registry, "127.0.0.1:0", config).expect("bind")
+    };
+    (queries, start)
+}
+
+/// A batch's misses run on several run slots (the connection thread and
+/// its helpers), and its replies are still what singles answer, bit for
+/// bit and in request order. The batch mixes hits (every third query is
+/// warmed first), misses and `BUSY` slots (the admission cap is smaller
+/// than the batch's misses), with the cache on and off, over the wire
+/// and through `Engine::estimate_batch`. (The cost ledger's
+/// `served.batch` line holds the number of helpers a batch spawns.)
+#[test]
+fn a_batch_on_several_run_slots_answers_what_singles_answer() {
+    use cegraph::exec::Handover;
+    use cegraph::service::{QueryOutcome, RequestCtx};
+
+    const CAP: usize = 3;
+    let (queries, start) = batch_fixture();
+    assert!(queries.len() > 2 * CAP, "{} queries", queries.len());
+    let warm = |i: usize| i.is_multiple_of(3);
+    let singles: Vec<Option<u64>> = {
+        let server = start(0, 1024);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let bits = |q| match client.estimate_with_deadline("default", q, None) {
+            Ok(QueryReply::Estimate(est)) => est.value.map(f64::to_bits),
+            other => panic!("a single estimate failed: {other:?}"),
+        };
+        queries.iter().map(bits).collect()
+    };
+
+    for cache in [0, 1024] {
+        for through_engine in [false, true] {
+            let server = start(cache, CAP);
+            let mut client = Client::connect(server.local_addr()).expect("connect");
+            for (i, q) in queries.iter().enumerate() {
+                if warm(i) {
+                    client
+                        .estimate_with_deadline("default", q, None)
+                        .expect("warm-up");
+                }
+            }
+            // Per slot: `None` for BUSY, else (value bits, cached).
+            let got: Vec<Option<(Option<u64>, bool)>> = if through_engine {
+                let mut got = Vec::new();
+                server
+                    .engine()
+                    .estimate_batch("default", &queries, RequestCtx::default(), |step| {
+                        if let Handover::Done(i, outcome) = step {
+                            assert_eq!(i, got.len(), "outcomes out of request order");
+                            got.push(match outcome {
+                                QueryOutcome::Done(est) => {
+                                    Some((est.value.map(f64::to_bits), est.cached))
+                                }
+                                QueryOutcome::QueueFull => None,
+                                other => panic!("slot {i}: {other:?}"),
+                            });
+                        }
+                    })
+                    .expect("batch");
+                got
+            } else {
+                let replies = client
+                    .estimate_batch_with_deadline("default", &queries, None)
+                    .expect("batch");
+                let slot = |reply| match reply {
+                    QueryReply::Estimate(est) => Some((est.value.map(f64::to_bits), est.cached)),
+                    QueryReply::Busy(_) => None,
+                    other => panic!("{other:?}"),
+                };
+                replies.into_iter().map(slot).collect()
+            };
+            assert_eq!(got.len(), queries.len());
+            let mut misses = 0;
+            for (i, slot) in got.iter().enumerate() {
+                let hit = cache > 0 && warm(i);
+                misses += usize::from(!hit);
+                let want = if misses > CAP && !hit {
+                    None
+                } else {
+                    Some((singles[i], hit))
+                };
+                assert_eq!(
+                    *slot, want,
+                    "slot {i}, cache {cache}, engine {through_engine}"
+                );
+            }
+            client.quit().expect("quit");
+            server.shutdown();
+        }
+    }
+}
+
+/// A miss holds no run slot while its caller writes. A client that stops
+/// reading blocks its connection thread in a write for as long as it
+/// likes, and the write before a fill (`Handover::Wait`) comes when the
+/// miss already waited for its slot. Here one caller per run slot gets
+/// a cold miss and a reply sink that blocks on its first `Wait`, as such
+/// a write would; a further caller's single miss must still be answered
+/// before its deadline.
+#[test]
+fn a_caller_blocked_in_a_write_holds_no_run_slot() {
+    use cegraph::exec::Handover;
+    use cegraph::service::{QueryOutcome, RequestCtx};
+    use std::sync::{mpsc, Barrier};
+    use std::time::{Duration, Instant};
+
+    let (queries, start) = batch_fixture();
+    // Cache off, empty catalog: every miss has patterns to count.
+    let server = start(0, 1024);
+    let engine = server.engine();
+    let run_slots = thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let release = Barrier::new(run_slots + 1);
+    let (blocked, entered) = mpsc::channel();
+    let (probe, stuck) = thread::scope(|scope| {
+        let callers: Vec<_> = (0..run_slots)
+            .map(|k| {
+                let (release, blocked) = (&release, blocked.clone());
+                let query = std::slice::from_ref(&queries[k % queries.len()]);
+                scope.spawn(move || {
+                    let (mut first, mut outcome) = (true, None);
+                    let sink = |step| match step {
+                        Handover::Wait if first => {
+                            first = false;
+                            blocked.send(()).unwrap();
+                            release.wait();
+                        }
+                        Handover::Wait => {}
+                        Handover::Done(_, o) => outcome = Some(o),
+                    };
+                    engine
+                        .estimate_batch("default", query, RequestCtx::default(), sink)
+                        .expect("blocked caller");
+                    outcome
+                })
+            })
+            .collect();
+        let all_blocked =
+            (0..run_slots).all(|_| entered.recv_timeout(Duration::from_secs(30)).is_ok());
+        let probe = all_blocked.then(|| {
+            let ctx = RequestCtx {
+                deadline: Some(Instant::now() + Duration::from_secs(5)),
+                ..RequestCtx::default()
+            };
+            let mut outcome = None;
+            let query = std::slice::from_ref(&queries[run_slots % queries.len()]);
+            engine
+                .estimate_batch("default", query, ctx, |step| {
+                    if let Handover::Done(_, o) = step {
+                        outcome = Some(o);
+                    }
+                })
+                .expect("probe");
+            outcome
+        });
+        // Let the blocked callers go before any assertion, so a failure
+        // reports instead of hanging the scope.
+        release.wait();
+        let answered = callers.into_iter().map(|c| c.join().unwrap());
+        let stuck = answered
+            .filter(|o| !matches!(o, Some(QueryOutcome::Done(_))))
+            .count();
+        (probe, stuck)
+    });
+    assert!(
+        matches!(probe, Some(Some(QueryOutcome::Done(_)))),
+        "the probe behind {run_slots} blocked callers got {probe:?}"
+    );
+    assert_eq!(stuck, 0, "a blocked caller went unanswered once released");
+    server.shutdown();
+}
+
+/// The helpers are scoped to their request: once a batch whose misses
+/// ran on several run slots has answered, the `threads` gauge is back
+/// where it was. Other tests of this binary start and stop threads
+/// meanwhile, so a try counts when the gauge is no higher after the
+/// batch than before it; a helper that outlived its request would push
+/// every try higher.
+#[test]
+fn no_batch_helper_outlives_its_request() {
+    let (queries, start) = batch_fixture();
+    let server = start(0, 1024);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut threads = || {
+        let metrics = client.metrics().expect("METRICS");
+        let gauge = metrics.iter().find(|(key, _)| key == "threads");
+        gauge.expect("a threads gauge").1
+    };
+    let mut tries = Vec::new();
+    for _ in 0..20 {
+        let before = threads();
+        let replies = Client::connect(server.local_addr())
+            .and_then(|mut batch| batch.estimate_batch_with_deadline("default", &queries, None))
+            .expect("batch");
+        assert!(replies.iter().all(|r| matches!(r, QueryReply::Estimate(_))));
+        // The batch's own connection handler exits once its client has
+        // gone; give it the moment it takes.
+        let mut after = threads();
+        for _ in 0..100 {
+            if after <= before {
+                break;
+            }
+            thread::sleep(std::time::Duration::from_millis(5));
+            after = threads();
+        }
+        tries.push((before, after));
+        if after <= before {
+            break;
+        }
+    }
+    assert!(
+        tries.iter().any(|&(before, after)| after <= before),
+        "threads before and after each batch: {tries:?}"
+    );
     client.quit().expect("quit");
     server.shutdown();
 }
