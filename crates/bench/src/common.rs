@@ -45,10 +45,9 @@ pub fn setup(ds: Dataset, wl: Workload, per_template: usize) -> (LabeledGraph, V
 /// table is identical to a serial build.
 pub fn markov_for(graph: &LabeledGraph, queries: &[WorkloadQuery], h: usize) -> MarkovTable {
     let t0 = Instant::now();
-    let jobs = ceg_catalog::default_build_parallelism();
-    let table = ceg_workload::runner::build_markov_parallel(graph, queries, h, jobs);
+    let table = ceg_workload::runner::build_markov_parallel(graph, queries, h);
     eprintln!(
-        "[setup] Markov table h={h}: {} entries, {:.2} KiB ({jobs} jobs, {:.1?})",
+        "[setup] Markov table h={h}: {} entries, {:.2} KiB ({:.1?})",
         table.len(),
         table.heap_bytes() as f64 / 1024.0,
         t0.elapsed()

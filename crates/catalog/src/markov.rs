@@ -391,9 +391,9 @@ pub fn count_patterns(
     (counts, stats)
 }
 
-/// Default worker count for catalog construction when the caller has no
-/// explicit `--jobs` knob: the machine's available parallelism, capped so
-/// a big server does not oversubscribe itself counting statistics.
+/// Default worker count for offline catalog construction: the machine's
+/// available parallelism, capped so a big machine does not oversubscribe
+/// itself counting statistics.
 pub fn default_build_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -3,13 +3,14 @@
 //!
 //! Every long-lived lock in the workspace is an [`OrderedMutex`] or
 //! [`OrderedRwLock`] constructed with a declared [`LockRank`]. Debug
-//! builds keep a thread-local stack of currently-held ranks and panic
-//! the moment any thread acquires a lock whose rank is not **strictly
-//! greater** than everything it already holds — naming both ranks and
-//! both acquisition sites. That turns the whole test suite into a
-//! continuously-running deadlock detector: an ordering bug panics the
-//! first time the *acquisition pattern* occurs, not the first time two
-//! threads actually race into the deadly embrace.
+//! builds keep a thread-local record of the ranks each thread holds (one
+//! slot per rank, so it allocates nothing) and panic the moment any
+//! thread acquires a lock whose rank is not **strictly greater** than
+//! everything it already holds — naming both ranks and both acquisition
+//! sites. That turns the whole test suite into a continuously-running
+//! deadlock detector: an ordering bug panics the first time the
+//! *acquisition pattern* occurs, not the first time two threads actually
+//! race into the deadly embrace.
 //!
 //! Release builds compile the checker out entirely: the rank field is
 //! `#[cfg(debug_assertions)]`-gated, so `OrderedMutex<T>` is exactly
@@ -82,8 +83,7 @@ pub enum LockRank {
     Wal = 6,
     /// `ceg_exec::for_each_ordered`'s result board: finished items
     /// waiting for their in-order handover. Held to post or take one
-    /// result, with nothing taken under it; a commit's parallel recount
-    /// posts under `Durability`.
+    /// result, with nothing taken under it.
     Handover = 7,
 }
 
@@ -136,57 +136,43 @@ impl std::error::Error for LockPoisoned {}
 #[cfg(debug_assertions)]
 mod checker {
     use super::LockRank;
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
     use std::panic::Location;
 
-    struct Held {
-        rank: LockRank,
-        site: &'static Location<'static>,
-        token: u64,
-    }
+    /// One slot per rank, `Handover` being the highest: ranks strictly
+    /// ascend, so a thread holds at most one lock of each.
+    const RANKS: usize = LockRank::Handover as usize + 1;
+
+    type Held = Option<(LockRank, &'static Location<'static>)>;
 
     thread_local! {
-        static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
-        static NEXT_TOKEN: Cell<u64> = const { Cell::new(0) };
+        /// The lock this thread holds at each rank and where it took it.
+        /// A fixed array, so taking a lock allocates nothing.
+        static HELD: [Cell<Held>; RANKS] = const { [const { Cell::new(None) }; RANKS] };
     }
 
     /// Record an acquisition attempt at `site`. Panics if `rank` is not
-    /// strictly above every rank this thread already holds. Returns a
-    /// token the matching guard passes back to [`release`] on drop (by
-    /// token, not stack order: guards may be dropped out of order).
-    pub(super) fn acquire(rank: LockRank, site: &'static Location<'static>) -> u64 {
+    /// strictly above every rank this thread already holds; the guard
+    /// passes `rank` back to [`release`] on drop, in any order.
+    pub(super) fn acquire(rank: LockRank, site: &'static Location<'static>) {
         HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(worst) = held.iter().max_by_key(|h| h.rank) {
-                if rank <= worst.rank {
-                    panic!(
-                        "lock-rank violation: acquiring {} at {} while \
-                         holding {} acquired at {}; locks must be taken in \
-                         strictly ascending LockRank order (ceg_graph::sync)",
-                        rank, site, worst.rank, worst.site
-                    );
-                }
+            let slot = rank as usize;
+            if let Some((worst, worst_site)) = held[slot..].iter().rev().find_map(Cell::get) {
+                panic!(
+                    "lock-rank violation: acquiring {} at {} while \
+                     holding {} acquired at {}; locks must be taken in \
+                     strictly ascending LockRank order (ceg_graph::sync)",
+                    rank, site, worst, worst_site
+                );
             }
-            let token = NEXT_TOKEN.with(|t| {
-                let v = t.get();
-                t.set(v + 1);
-                v
-            });
-            held.push(Held { rank, site, token });
-            token
-        })
+            held[slot].set(Some((rank, site)));
+        });
     }
 
-    pub(super) fn release(token: u64) {
+    pub(super) fn release(rank: LockRank) {
         // May run during unwinding from an unrelated panic; never
-        // panics itself (a missing token is simply ignored).
-        let _ = HELD.try_with(|held| {
-            if let Ok(mut held) = held.try_borrow_mut() {
-                if let Some(pos) = held.iter().position(|h| h.token == token) {
-                    held.swap_remove(pos);
-                }
-            }
-        });
+        // panics itself.
+        let _ = HELD.try_with(|held| held[rank as usize].set(None));
     }
 }
 
@@ -199,13 +185,13 @@ pub struct OrderedMutex<T> {
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`OrderedMutex`]; pops its rank off the thread's
-/// held stack on drop.
+/// RAII guard for [`OrderedMutex`]; clears its rank from the thread's
+/// held ranks on drop.
 pub struct OrderedMutexGuard<'a, T> {
     // `Option` so `wait_timeout` can move the std guard out and back.
     inner: Option<std::sync::MutexGuard<'a, T>>,
     #[cfg(debug_assertions)]
-    token: u64,
+    rank: LockRank,
 }
 
 impl<T> OrderedMutex<T> {
@@ -234,16 +220,16 @@ impl<T> OrderedMutex<T> {
     #[track_caller]
     pub fn checked_lock(&self) -> Result<OrderedMutexGuard<'_, T>, LockPoisoned> {
         #[cfg(debug_assertions)]
-        let token = checker::acquire(self.rank, Location::caller());
+        checker::acquire(self.rank, Location::caller());
         match self.inner.lock() {
             Ok(guard) => Ok(OrderedMutexGuard {
                 inner: Some(guard),
                 #[cfg(debug_assertions)]
-                token,
+                rank: self.rank,
             }),
             Err(_) => {
                 #[cfg(debug_assertions)]
-                checker::release(token);
+                checker::release(self.rank);
                 Err(LockPoisoned {
                     #[cfg(debug_assertions)]
                     rank: self.rank,
@@ -293,14 +279,14 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
 impl<T> Drop for OrderedMutexGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        checker::release(self.token);
+        checker::release(self.rank);
     }
 }
 
 /// Block on `cv` with an [`OrderedMutexGuard`], the ranked counterpart
-/// of [`Condvar::wait_timeout`]. The rank entry stays on the held
-/// stack for the duration of the wait — the thread is blocked, and on
-/// wake it holds the mutex again, so the stack is accurate throughout.
+/// of [`Condvar::wait_timeout`]. The rank stays held for the duration
+/// of the wait — the thread is blocked, and on wake it holds the mutex
+/// again, so the record is accurate throughout.
 ///
 /// Panics if the mutex was poisoned while unlocked during the wait.
 pub fn wait_timeout<'a, T>(
@@ -311,7 +297,7 @@ pub fn wait_timeout<'a, T>(
     let mut guard = guard;
     let std_guard = guard.inner.take().expect("guard taken by wait_timeout");
     #[cfg(debug_assertions)]
-    let token = guard.token;
+    let rank = guard.rank;
     // Forget the emptied guard so its Drop does not release the rank
     // entry we are about to hand to the reacquired guard.
     std::mem::forget(guard);
@@ -320,13 +306,13 @@ pub fn wait_timeout<'a, T>(
             OrderedMutexGuard {
                 inner: Some(reacquired),
                 #[cfg(debug_assertions)]
-                token,
+                rank,
             },
             result,
         ),
         Err(_) => {
             #[cfg(debug_assertions)]
-            checker::release(token);
+            checker::release(rank);
             panic!("lock poisoned during condvar wait");
         }
     }
@@ -347,14 +333,14 @@ pub struct OrderedRwLock<T> {
 pub struct OrderedReadGuard<'a, T> {
     inner: std::sync::RwLockReadGuard<'a, T>,
     #[cfg(debug_assertions)]
-    token: u64,
+    rank: LockRank,
 }
 
 /// RAII write guard for [`OrderedRwLock`].
 pub struct OrderedWriteGuard<'a, T> {
     inner: std::sync::RwLockWriteGuard<'a, T>,
     #[cfg(debug_assertions)]
-    token: u64,
+    rank: LockRank,
 }
 
 impl<T> OrderedRwLock<T> {
@@ -389,16 +375,16 @@ impl<T> OrderedRwLock<T> {
     #[track_caller]
     fn checked_read(&self) -> Result<OrderedReadGuard<'_, T>, LockPoisoned> {
         #[cfg(debug_assertions)]
-        let token = checker::acquire(self.rank, Location::caller());
+        checker::acquire(self.rank, Location::caller());
         match self.inner.read() {
             Ok(guard) => Ok(OrderedReadGuard {
                 inner: guard,
                 #[cfg(debug_assertions)]
-                token,
+                rank: self.rank,
             }),
             Err(_) => {
                 #[cfg(debug_assertions)]
-                checker::release(token);
+                checker::release(self.rank);
                 Err(LockPoisoned {
                     #[cfg(debug_assertions)]
                     rank: self.rank,
@@ -411,16 +397,16 @@ impl<T> OrderedRwLock<T> {
     #[track_caller]
     fn checked_write(&self) -> Result<OrderedWriteGuard<'_, T>, LockPoisoned> {
         #[cfg(debug_assertions)]
-        let token = checker::acquire(self.rank, Location::caller());
+        checker::acquire(self.rank, Location::caller());
         match self.inner.write() {
             Ok(guard) => Ok(OrderedWriteGuard {
                 inner: guard,
                 #[cfg(debug_assertions)]
-                token,
+                rank: self.rank,
             }),
             Err(_) => {
                 #[cfg(debug_assertions)]
-                checker::release(token);
+                checker::release(self.rank);
                 Err(LockPoisoned {
                     #[cfg(debug_assertions)]
                     rank: self.rank,
@@ -455,7 +441,7 @@ impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
 impl<T> Drop for OrderedReadGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        checker::release(self.token);
+        checker::release(self.rank);
     }
 }
 
@@ -475,7 +461,7 @@ impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
 impl<T> Drop for OrderedWriteGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        checker::release(self.token);
+        checker::release(self.rank);
     }
 }
 
@@ -512,12 +498,34 @@ mod tests {
         let c = OrderedMutex::new(LockRank::Wal, ());
         let ga = a.lock();
         let gb = b.lock();
-        drop(ga); // dropped below gb: release is by token, not LIFO
+        drop(ga); // dropped below gb: release is by rank, not LIFO
         let gc = c.lock();
         drop(gb);
         drop(gc);
         // After all guards drop, any rank is acquirable again.
         let _ = a.lock();
+    }
+
+    #[test]
+    fn every_rank_held_at_once_drops_in_any_order() {
+        let locks = [
+            LockRank::Durability,
+            LockRank::DatasetState,
+            LockRank::PendingDelta,
+            LockRank::Cache,
+            LockRank::Metrics,
+            LockRank::RunGate,
+            LockRank::Wal,
+            LockRank::Handover,
+        ]
+        .map(|rank| OrderedMutex::new(rank, ()));
+        let mut guards: Vec<_> = locks.iter().map(|lock| Some(lock.lock())).collect();
+        // Middle out, then the ends: release is by rank, not LIFO.
+        for i in [4, 2, 6, 0, 7, 1, 5, 3] {
+            guards[i] = None;
+        }
+        // Nothing is held: the lowest rank is acquirable again.
+        let _ = locks[0].lock();
     }
 
     #[test]
@@ -569,7 +577,7 @@ mod tests {
     )]
     fn violation_unwinds_clean() {
         // A caught rank violation must not leave a stale rank on the
-        // thread stack (guards that never existed cannot pop it).
+        // thread's held ranks (guards that never existed cannot clear it).
         let high = OrderedMutex::new(LockRank::Wal, ());
         let low = OrderedMutex::new(LockRank::Durability, ());
         {

@@ -479,7 +479,8 @@ fn paragraphs(rel: &str, text: &str) -> Vec<Paragraph> {
 
 /// Command rows of a binary's `const COMMANDS` table: each row's first
 /// string literal is its name, and the literals after its usage that
-/// start with `--` are its flags (`"--jobs N"` is the flag `--jobs`).
+/// start with `--` are its flags (`"--drain-dir <dir>"` is the flag
+/// `--drain-dir`).
 fn command_rows(src: &str) -> Vec<(String, Vec<String>)> {
     let mut rows: Vec<(String, Vec<String>)> = Vec::new();
     let mut lines = src.lines().skip_while(|l| !l.contains("const COMMANDS"));

@@ -1,8 +1,8 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint` (or `cegtool lint`). Seven lints, each enforcing an
-//! invariant the code or its docs would otherwise keep by convention:
+//! `cargo xtask lint`. Seven lints, each enforcing an invariant the code
+//! or its docs would otherwise keep by convention:
 //!
 //! | lint | invariant |
 //! |---|---|
@@ -165,9 +165,9 @@ pub fn find_repo_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
-/// CLI entry point shared by `cargo xtask lint` and `cegtool lint`:
-/// prints diagnostics to stderr and returns the process exit code
-/// (0 = clean, 1 = diagnostics, 2 = could not run).
+/// CLI entry point of `cargo xtask lint`: prints diagnostics to stderr
+/// and returns the process exit code (0 = clean, 1 = diagnostics, 2 =
+/// could not run).
 pub fn lint_main() -> i32 {
     let cwd = match std::env::current_dir() {
         Ok(d) => d,

@@ -12,6 +12,6 @@ use cegraph::{catalog::MarkovTable, estimators::render, graph};
 
 fn serve(path: &str) {
     let ceg_workload = "cegraph::workload::Dataset";
-    let registry = Arc::new(DatasetRegistry::with_jobs(ceg_workload.len()));
+    let registry = (Arc::new(DatasetRegistry::new()), ceg_workload.len());
     let _ = (load_graph(path), registry, MarkovTable::default(), graph::MAX);
 }

@@ -694,7 +694,7 @@ impl Engine {
                 return (refused, report);
             }
         }
-        let ensured = state.fill(resolved.missing(), deadline, entry.jobs());
+        let ensured = state.fill(resolved.missing(), deadline);
         if !resolved.is_complete() {
             // Cold path: read back what the fill (or a concurrent one)
             // inserted. A fill cut short at the deadline stays incomplete.

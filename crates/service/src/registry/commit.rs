@@ -59,7 +59,7 @@ impl DatasetEntry {
         let wal_bytes = self.log(dur.as_mut(), epoch, &effective, taken)?;
         let mut next = cur.fork();
         next.fold(&effective, epoch);
-        let recounted = next.recount(&effective.touched_labels(), self.jobs);
+        let recounted = next.recount(&effective.touched_labels());
         self.publish(next);
         Ok(CommitOutcome {
             epoch,

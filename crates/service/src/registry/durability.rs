@@ -224,12 +224,16 @@ impl DatasetEntry {
     /// over the touched labels (counts are exact, so this equals a fold
     /// and a recount per transaction) — and attach the WAL. A torn tail,
     /// by the ack protocol never acked, is truncated and reported.
+    ///
+    /// The last argument is ignored: every count runs on the calling
+    /// thread. `bench/src/layers.rs` still passes it; ROADMAP item 1(g)
+    /// deletes it.
     pub fn recover(
         name: impl Into<String>,
         storage: Arc<dyn Storage>,
         snap_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
-        jobs: usize,
+        _ignored: usize,
     ) -> io::Result<(Self, RecoveryReport)> {
         let (snap_path, wal_path) = (snap_path.into(), wal_path.into());
         let snap = ceg_catalog::io::read_snapshot_with(&*storage, &snap_path)?;
@@ -281,8 +285,8 @@ impl DatasetEntry {
             report.replayed_ops += tx.ops.len();
         }
         state.fold(&replayed, report.epoch);
-        state.recount(&replayed.touched_labels(), jobs);
-        let entry = Self::from_state(name.into(), state, Some(durability)).with_jobs(jobs);
+        state.recount(&replayed.touched_labels());
+        let entry = Self::from_state(name.into(), state, Some(durability));
         Ok((entry, report))
     }
 

@@ -114,26 +114,22 @@ impl EpochState {
         self.epoch = epoch;
     }
 
-    /// Recount, on this state's graph, every catalog entry that names a
-    /// label in `touched`. Returns how many were recounted.
-    pub(super) fn recount(&mut self, touched: &[LabelId], jobs: usize) -> usize {
+    /// Recount, on this state's graph and on the calling thread, every
+    /// catalog entry that names a label in `touched`. Returns how many
+    /// were recounted.
+    pub(super) fn recount(&mut self, touched: &[LabelId]) -> usize {
         self.markov
             .get_mut()
-            .refresh_touched(&self.graph, touched, jobs)
+            .refresh_touched(&self.graph, touched, 1)
     }
 
     /// Count `missing` — patterns a query resolved against this catalog
-    /// lacked ([`MarkovTable::resolve`]) — on up to `jobs` threads with no
+    /// lacked ([`MarkovTable::resolve`]) — on the calling thread with no
     /// lock held, into this state's catalog, so a commit landing meanwhile
     /// cannot make them stale. Counting stops at `deadline` (inside the
     /// kernel, [`ceg_exec::CountBudget`]) and only completed counts are
     /// inserted: an abandoned fill leaves its patterns missing.
-    pub(crate) fn fill(
-        &self,
-        missing: &[Pattern],
-        deadline: Option<Instant>,
-        jobs: usize,
-    ) -> EnsureOutcome {
+    pub(crate) fn fill(&self, missing: &[Pattern], deadline: Option<Instant>) -> EnsureOutcome {
         let mut outcome = EnsureOutcome::default();
         if missing.is_empty() {
             return outcome;
@@ -142,7 +138,7 @@ impl EpochState {
             Some(d) => ceg_exec::CountBudget::until(d),
             None => ceg_exec::CountBudget::UNLIMITED,
         };
-        let (counts, fill) = count_patterns(&self.graph, missing, jobs, budget);
+        let (counts, fill) = count_patterns(&self.graph, missing, 1, budget);
         outcome.fill = fill;
         let mut table = self.markov.write();
         for (pat, card) in missing.iter().zip(counts) {

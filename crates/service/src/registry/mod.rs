@@ -44,9 +44,6 @@ pub use epoch::{EnsureOutcome, MAX_UPDATE_LABEL, MAX_UPDATE_VERTEX};
 /// (uncommitted) update buffer.
 pub struct DatasetEntry {
     name: String,
-    /// Worker threads used when counting patterns (catalog growth and
-    /// commit-time recounts).
-    jobs: usize,
     /// Refuse to buffer more than this many uncommitted operations.
     pending_cap: usize,
     /// The published epoch state. The lock is held for an `Arc` clone
@@ -65,8 +62,7 @@ pub struct DatasetEntry {
 pub const MAX_PENDING_OPS: usize = 1 << 20;
 
 impl DatasetEntry {
-    /// Wrap an already-loaded graph and catalog. Catalog gaps are counted
-    /// serially; see [`DatasetEntry::with_jobs`].
+    /// Wrap an already-loaded graph and catalog.
     pub fn new(name: impl Into<String>, graph: LabeledGraph, markov: MarkovTable) -> Self {
         Self::from_state(name.into(), EpochState::new(graph, 0, markov), None)
     }
@@ -74,7 +70,6 @@ impl DatasetEntry {
     fn from_state(name: String, state: EpochState, durability: Option<Durability>) -> Self {
         DatasetEntry {
             name,
-            jobs: 1,
             pending_cap: MAX_PENDING_OPS,
             current: OrderedRwLock::new(LockRank::DatasetState, Arc::new(state)),
             pending: OrderedMutex::new(LockRank::PendingDelta, GraphDelta::new()),
@@ -82,22 +77,10 @@ impl DatasetEntry {
         }
     }
 
-    /// Set the number of worker threads used to count missing patterns
-    /// when the catalog grows (`cegcli serve --jobs` lands here).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
     /// The typed error a poisoned update-path lock funnels into: a panic
     /// under one degrades this dataset's updates, not the connection.
     fn poisoned_msg(&self, err: LockPoisoned) -> String {
         format!("dataset `{}` unavailable: {err}", self.name)
-    }
-
-    /// Worker threads used for catalog growth.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Dataset name (the wire-protocol identifier).
@@ -220,7 +203,7 @@ impl DatasetEntry {
                 }
             }
         }
-        state.fill(&missing, None, self.jobs).added
+        state.fill(&missing, None).added
     }
 
     /// Catalog size (stored patterns) right now.
@@ -244,24 +227,13 @@ impl DatasetEntry {
 /// later `recover` still reads, and repairs, the files it is given).
 pub struct DatasetRegistry {
     slot: OnceLock<Arc<DatasetEntry>>,
-    /// Catalog-growth worker threads handed to an entry registered through
-    /// [`DatasetRegistry::insert_graph`], [`DatasetRegistry::load_snapshot`]
-    /// or [`DatasetRegistry::recover`].
-    default_jobs: usize,
 }
 
 impl DatasetRegistry {
-    /// An empty registry whose dataset counts missing patterns serially.
+    /// An empty registry.
     pub fn new() -> Self {
-        Self::with_jobs(1)
-    }
-
-    /// An empty registry whose dataset grows its catalog on up to `jobs`
-    /// worker threads.
-    pub fn with_jobs(jobs: usize) -> Self {
         DatasetRegistry {
             slot: OnceLock::new(),
-            default_jobs: jobs.max(1),
         }
     }
 
@@ -278,9 +250,7 @@ impl DatasetRegistry {
         graph: LabeledGraph,
         h: usize,
     ) -> Arc<DatasetEntry> {
-        self.insert(
-            DatasetEntry::new(name, graph, MarkovTable::empty(h)).with_jobs(self.default_jobs),
-        )
+        self.insert(DatasetEntry::new(name, graph, MarkovTable::empty(h)))
     }
 
     /// Restore a dataset from a `.cegsnap` snapshot file and register it
@@ -290,7 +260,7 @@ impl DatasetRegistry {
         name: impl Into<String>,
         path: impl AsRef<Path>,
     ) -> io::Result<Arc<DatasetEntry>> {
-        Ok(self.insert(DatasetEntry::read_snapshot(name, path)?.with_jobs(self.default_jobs)))
+        Ok(self.insert(DatasetEntry::read_snapshot(name, path)?))
     }
 
     /// Recover a dataset from snapshot + WAL ([`DatasetEntry::recover`])
@@ -302,8 +272,7 @@ impl DatasetRegistry {
         snap_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
     ) -> io::Result<(Arc<DatasetEntry>, RecoveryReport)> {
-        let (entry, report) =
-            DatasetEntry::recover(name, storage, snap_path, wal_path, self.default_jobs)?;
+        let (entry, report) = DatasetEntry::recover(name, storage, snap_path, wal_path, 1)?;
         Ok((self.insert(entry), report))
     }
 

@@ -42,23 +42,6 @@ fn batch_ensure_deduplicates_across_queries() {
     assert_eq!(added, entry.catalog_len());
 }
 
-#[test]
-fn parallel_growth_matches_serial_catalog() {
-    let serial = DatasetRegistry::new();
-    let parallel = DatasetRegistry::with_jobs(4);
-    assert_eq!(serial.default_jobs, 1);
-    assert_eq!(parallel.default_jobs, 4);
-    let es = serial.insert_graph("toy", toy_graph(), 2);
-    let ep = parallel.insert_graph("toy", toy_graph(), 2);
-    assert_eq!(ep.jobs(), 4);
-    let queries = [templates::path(2, &[0, 1]), templates::star(2, &[1, 1])];
-    assert_eq!(es.ensure_patterns(&queries), ep.ensure_patterns(&queries));
-    // Collect from one catalog, then compare against the other:
-    // nesting the two read locks would trip the lock-rank checker
-    // (two dataset-state locks held at once).
-    assert_catalogs_equal(&es, &ep);
-}
-
 /// Assert two entries hold identical catalogs without ever holding
 /// both state locks at once (same rank: the checker forbids it).
 fn assert_catalogs_equal(a: &DatasetEntry, b: &DatasetEntry) {
@@ -193,7 +176,7 @@ fn add_then_del_in_one_batch_collapses() {
 fn snapshot_roundtrips_through_the_registry() {
     let path =
         std::env::temp_dir().join(format!("ceg-registry-snap-{}.cegsnap", std::process::id()));
-    let registry = DatasetRegistry::with_jobs(2);
+    let registry = DatasetRegistry::new();
     let entry = registry.insert(DatasetEntry::new("toy", toy_graph(), MarkovTable::empty(2)));
     let q = templates::path(2, &[0, 1]);
     entry.ensure_patterns(std::slice::from_ref(&q));
@@ -207,12 +190,11 @@ fn snapshot_roundtrips_through_the_registry() {
     assert_eq!(epoch, 1);
     assert!(bytes > 0);
 
-    let restored = DatasetRegistry::with_jobs(2)
+    let restored = DatasetRegistry::new()
         .load_snapshot("restored", &path)
         .unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(restored.epoch(), 1);
-    assert_eq!(restored.jobs(), 2);
     assert_eq!(restored.pending_len(), 0);
     assert_eq!(restored.graph_summary(), entry.graph_summary());
     // Catalog equal to the live one (locks taken one at a time:

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use ceg_catalog::MarkovTable;
+use ceg_catalog::{default_build_parallelism, MarkovTable};
 use ceg_estimators::CardinalityEstimator;
 use ceg_graph::LabeledGraph;
 
@@ -11,18 +11,17 @@ use crate::qerror::{signed_log_qerror, QErrorSummary};
 use crate::workloads::WorkloadQuery;
 
 /// Build the workload-specific Markov table (the paper builds statistics
-/// per workload, Section 6) on up to `parallelism` worker threads via the
-/// two-phase [`MarkovTable::build_parallel`]: sub-patterns are deduped
-/// across the whole workload first, then counted in parallel. The
-/// resulting table is identical at every `parallelism`.
+/// per workload, Section 6) on [`default_build_parallelism`] worker
+/// threads via the two-phase [`MarkovTable::build_parallel`]: sub-patterns
+/// are deduped across the whole workload first, then counted in parallel.
+/// The resulting table is identical at every parallelism.
 pub fn build_markov_parallel(
     graph: &LabeledGraph,
     workload: &[WorkloadQuery],
     h: usize,
-    parallelism: usize,
 ) -> MarkovTable {
     let qs: Vec<_> = workload.iter().map(|q| q.query.clone()).collect();
-    MarkovTable::build_parallel(graph, &qs, h, parallelism)
+    MarkovTable::build_parallel(graph, &qs, h, default_build_parallelism())
 }
 
 /// Result of one estimator over one workload.
@@ -119,37 +118,6 @@ pub fn render_table(title: &str, reports: &[EstimatorReport]) -> String {
         ));
     }
     out
-}
-
-#[cfg(test)]
-mod markov_tests {
-    use super::*;
-    use ceg_graph::GraphBuilder;
-    use ceg_query::templates;
-
-    #[test]
-    fn workload_markov_build_is_parallelism_invariant() {
-        let mut b = GraphBuilder::new(8);
-        for i in 0..6 {
-            b.add_edge(i, i + 1, (i % 2) as u16);
-        }
-        let g = b.build();
-        let wq = |q: ceg_query::QueryGraph| WorkloadQuery {
-            query: q,
-            template: "t".into(),
-            truth: 1.0,
-        };
-        let w = vec![
-            wq(templates::path(2, &[0, 1])),
-            wq(templates::path(3, &[0, 1, 0])),
-        ];
-        let serial = build_markov_parallel(&g, &w, 2, 1);
-        let parallel = build_markov_parallel(&g, &w, 2, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (p, c) in serial.iter() {
-            assert_eq!(parallel.card(p), Some(c));
-        }
-    }
 }
 
 #[cfg(test)]

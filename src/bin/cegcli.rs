@@ -1,6 +1,6 @@
 //! `cegcli` — the cegraph estimation server: `cegcli serve` and nothing
 //! else. Every other command (generating graphs and workloads, offline
-//! estimates, the wire clients, `wal`, `lint`) is in `cegtool`, so this
+//! estimates, the wire clients, `wal`) is in `cegtool`, so this
 //! image links only the served crates; `cargo xtask lint` holds it to
 //! them (`service-closure`).
 //!
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use cegraph::graph::io::load_graph;
 use cegraph::service::{DatasetRegistry, Server, ServerConfig};
 
-use cli::{arg, parse_h, take_jobs, take_opt, Bin, CmdError, CmdResult, Row};
+use cli::{arg, parse_h, take_opt, Bin, CmdError, CmdResult, Row};
 
 fn main() -> ExitCode {
     cli::main(&CEGCLI)
@@ -44,7 +44,7 @@ const CEGCLI: Bin = Bin {
 #[rustfmt::skip]
 const COMMANDS: &[Row] = &[
     ("serve", "<addr> [<graph.edges> [h]]",
-     &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--jobs N", "--drain-dir <dir>"],
+     &["--snapshot <file.cegsnap>", "--data-dir <dir>", "--drain-dir <dir>"],
      3, serve),
 ];
 
@@ -80,11 +80,10 @@ fn install_sigterm_handler() {}
 /// whose statistics are counted on demand at hop depth `h` (default 2)
 /// as requests arrive and kept warm; `--snapshot` boots from a `.cegsnap`
 /// instead (a `cegtool stats` output file is one, with a pre-warmed
-/// catalog). `--jobs N` counts missing patterns on up to `N` worker
-/// threads (`--jobs 0` = all cores).
+/// catalog). A miss counts its patterns on the thread that runs it, so
+/// the run slots bound how many count at once.
 fn serve(args: &[String]) -> CmdResult {
-    let (args, jobs) = take_jobs(args)?;
-    let (args, snapshot_path) = take_opt(&args, "snapshot")?;
+    let (args, snapshot_path) = take_opt(args, "snapshot")?;
     let (args, drain_dir) = take_opt(&args, "drain-dir")?;
     let (args, data_dir) = take_opt(&args, "data-dir")?;
     let args = &args[..];
@@ -95,7 +94,7 @@ fn serve(args: &[String]) -> CmdResult {
         ));
     }
     let addr = arg(args, 0, "listen address")?;
-    let registry = Arc::new(DatasetRegistry::with_jobs(jobs));
+    let registry = Arc::new(DatasetRegistry::new());
     // Load the graph/h positional arguments — the cold-boot path, shared
     // by plain serving and the first boot of a durable data dir.
     let load_from_files =
@@ -181,14 +180,13 @@ fn serve(args: &[String]) -> CmdResult {
     let (num_vertices, num_edges) = entry.graph_summary();
     println!(
         "serving `default` ({} vertices, {} edges, {} catalog entries, epoch {}) on {} \
-         [estimates run on their connection's thread, cache {} entries, {} catalog jobs{}]",
+         [cache {} entries{}]",
         num_vertices,
         num_edges,
         entry.catalog_len(),
         entry.epoch(),
         server.local_addr(),
         config.cache_capacity,
-        entry.jobs(),
         boot_note,
     );
     // Serve until a drain is requested: SIGTERM flips the static flag
@@ -220,7 +218,7 @@ fn serve(args: &[String]) -> CmdResult {
 
 #[cfg(test)]
 mod tests {
-    use super::cli::{self, take_flag, take_jobs, take_opt, usage_for, CmdError, ErrorKind};
+    use super::cli::{self, take_flag, take_opt, usage_for, CmdError, ErrorKind};
     use super::{CEGCLI, COMMANDS};
 
     fn strs(args: &[&str]) -> Vec<String> {
@@ -228,29 +226,6 @@ mod tests {
     }
 
     // --- the flag plumbing both binaries share ---------------------------
-
-    #[test]
-    fn take_jobs_default_is_serial() {
-        let (rest, jobs) = take_jobs(&strs(&["a", "b"])).unwrap();
-        assert_eq!(rest, strs(&["a", "b"]));
-        assert_eq!(jobs, 1);
-    }
-
-    #[test]
-    fn take_jobs_accepts_both_spellings() {
-        let (rest, jobs) = take_jobs(&strs(&["a", "--jobs", "3", "b"])).unwrap();
-        assert_eq!(rest, strs(&["a", "b"]));
-        assert_eq!(jobs, 3);
-        let (rest, jobs) = take_jobs(&strs(&["--jobs=5", "x"])).unwrap();
-        assert_eq!(rest, strs(&["x"]));
-        assert_eq!(jobs, 5);
-    }
-
-    #[test]
-    fn take_jobs_zero_means_all_cores() {
-        let (_, jobs) = take_jobs(&strs(&["--jobs", "0"])).unwrap();
-        assert!(jobs >= 1);
-    }
 
     #[test]
     fn take_flag_strips_every_occurrence() {
@@ -354,6 +329,11 @@ mod tests {
     fn bad_argument_values_are_usage_errors() {
         let err = fail(&["serve", "addr", "graph", "--snapshot", "s", "extra"]);
         assert_eq!(err.kind, ErrorKind::Usage);
+        // No worker count: served counting runs inside the run slots.
+        let err = fail(&["serve", "addr", "graph", "--jobs", "2"]);
+        assert_eq!(err.kind, ErrorKind::Usage);
+        assert_eq!(err.cmd, Some("serve"));
+        assert_eq!(err.msg, "unknown flag `--jobs`");
     }
 
     #[test]

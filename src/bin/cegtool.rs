@@ -1,13 +1,12 @@
 //! `cegtool` — every cegraph command but the server: generate graphs and
 //! workloads, build Markov tables, estimate, bound and explain queries,
-//! talk to a running `cegcli serve`, inspect a write-ahead log, lint
-//! the tree.
+//! talk to a running `cegcli serve`, inspect a write-ahead log.
 //!
 //! Run `cegtool` with no arguments for the usage block: one line per row
 //! of [`COMMANDS`], the table every subcommand is declared in. The server
 //! is `cegcli serve`, a binary of its own, so the offline crates this one
-//! links (`ceg-estimators`, `ceg-workload`, `ceg-lint`) stay out of the
-//! served image.
+//! links (`ceg-estimators`, `ceg-workload`) stay out of the served
+//! image.
 //!
 //! `explain` has two forms, told apart by the first argument: a graph
 //! file renders the query's CEG_O locally as DOT; a server address
@@ -18,8 +17,10 @@
 //! holds (committed transactions, epoch range, any torn tail) without
 //! needing a server.
 //!
-//! `workload` writes the same file for the same graph, count and seed
-//! whatever the machine; for each template that ends short of
+//! `stats`, `estimate` and `workload` count on the machine's cores
+//! (`default_build_parallelism`), and what they write or print is the
+//! same on any number of cores. `workload` writes the same file for the
+//! same graph, count and seed; for each template that ends short of
 //! `<per-template>` instances it prints `# <template> kept k of want (b
 //! over budget, e empty, a attempts)` on stderr.
 //!
@@ -43,7 +44,7 @@ use cegraph::workload::qerror::signed_log_qerror;
 use cegraph::workload::runner::build_markov_parallel;
 use cegraph::workload::{Dataset, Workload};
 
-use cli::{arg, parse_h, take_flag, take_jobs, take_opt, Bin, CmdError, CmdResult, Row};
+use cli::{arg, parse_h, take_flag, take_opt, Bin, CmdError, CmdResult, Row};
 
 fn main() -> ExitCode {
     cli::main(&CEGTOOL)
@@ -59,9 +60,9 @@ const CEGTOOL: Bin = Bin {
 const COMMANDS: &[Row] = &[
     ("generate", "<imdb|yago|dblp|watdiv|hetionet|epinions> <seed> <out.edges>", &[], 3, generate),
     ("workload", "<graph.edges> <job|acyclic|cyclic|gcare-acyclic|gcare-cyclic> <per-template> <seed> <out.wl>", &[], 5, workload),
-    ("stats", "<graph.edges> <queries.wl> <h> <out.cegsnap>", &["--jobs N"], 4, stats),
+    ("stats", "<graph.edges> <queries.wl> <h> <out.cegsnap>", &[], 4, stats),
     // A `.cegsnap` brings its own catalog; an edge list has one built.
-    ("estimate", "(<graph.edges> | <stats.cegsnap>) <queries.wl> [heuristic]", &["--jobs N"], 3, estimate),
+    ("estimate", "(<graph.edges> | <stats.cegsnap>) <queries.wl> [heuristic]", &[], 3, estimate),
     ("molp", "<graph.edges> <queries.wl>", &[], 2, molp),
     // A graph file renders the query's CEG_O as DOT; a server address
     // prints the estimate and the server-side trace behind it.
@@ -74,9 +75,6 @@ const COMMANDS: &[Row] = &[
     ("slowlog", "<addr> [n]", &[], 2, slowlog_cmd),
     ("shutdown", "<addr>", &[], 1, shutdown_cmd),
     ("wal", "<file.cegwal>", &[], 1, wal_cmd),
-    // The same pass as `cargo xtask lint`; the exit code carries the
-    // verdict (0 clean, 1 diagnostics, 2 could not run).
-    ("lint", "", &[], 0, |_| std::process::exit(ceg_lint::lint_main())),
 ];
 
 fn parse_dataset(name: &str) -> Result<Dataset, String> {
@@ -164,22 +162,21 @@ fn workload(args: &[String]) -> CmdResult {
 }
 
 fn stats(args: &[String]) -> CmdResult {
-    let (args, jobs) = take_jobs(args)?;
     // Arguments first, filesystem second (see `workload`).
-    let graph_path = arg(&args, 0, "graph path")?;
-    let workload_path = arg(&args, 1, "workload path")?;
-    let h = parse_h(arg(&args, 2, "h")?)?;
-    let out = arg(&args, 3, "output path")?;
+    let graph_path = arg(args, 0, "graph path")?;
+    let workload_path = arg(args, 1, "workload path")?;
+    let h = parse_h(arg(args, 2, "h")?)?;
+    let out = arg(args, 3, "output path")?;
     // The wire `SNAPSHOT`'s rule: what writes a snapshot writes a `.cegsnap`.
     if !out.ends_with(".cegsnap") {
         return Err("output path must end in .cegsnap".into());
     }
     let g = load_graph(graph_path).map_err(CmdError::runtime)?;
     let queries = load_workload(workload_path).map_err(CmdError::runtime)?;
-    let table = build_markov_parallel(&g, &queries, h, jobs);
+    let table = build_markov_parallel(&g, &queries, h);
     write_snapshot(out, &g, &table, 0).map_err(CmdError::runtime)?;
     println!(
-        "markov table h={h}: {} entries ({:.1} KiB, {jobs} jobs) -> {out}",
+        "markov table h={h}: {} entries ({:.1} KiB) -> {out}",
         table.len(),
         table.heap_bytes() as f64 / 1024.0
     );
@@ -187,8 +184,6 @@ fn stats(args: &[String]) -> CmdResult {
 }
 
 fn estimate(args: &[String]) -> CmdResult {
-    let (args, jobs) = take_jobs(args)?;
-    let args = &args[..];
     // Arguments first, filesystem (and catalog building) second (see
     // `workload`) — a bad heuristic name must not cost two file loads
     // and a catalog build before it is reported.
@@ -203,7 +198,7 @@ fn estimate(args: &[String]) -> CmdResult {
         read_snapshot(data_path).map_err(CmdError::runtime)?.markov
     } else {
         let g = load_graph(data_path).map_err(CmdError::runtime)?;
-        build_markov_parallel(&g, &queries, 2, jobs)
+        build_markov_parallel(&g, &queries, 2)
     };
     let mut est = OptimisticEstimator::new(&table, heuristic);
     println!(
@@ -799,8 +794,7 @@ mod tests {
 
     #[test]
     fn missing_arguments_are_usage_errors_tagged_with_the_subcommand() {
-        // `lint` takes no arguments (and exits the process).
-        for &(name, ..) in COMMANDS.iter().filter(|row| row.0 != "lint") {
+        for &(name, ..) in COMMANDS {
             let err = fail(&[name]);
             assert_eq!(err.kind, ErrorKind::Usage, "{name}: {}", err.msg);
             assert_eq!(err.cmd, Some(name));
@@ -850,8 +844,17 @@ mod tests {
     fn bad_argument_values_are_usage_errors() {
         let err = fail(&["generate", "hetionet", "not-a-seed", "/tmp/x.edges"]);
         assert_eq!(err.kind, ErrorKind::Usage);
-        let err = fail(&["stats", "g", "w", "2", "out", "--jobs", "x"]);
-        assert_eq!(err.kind, ErrorKind::Usage);
+        // No worker count: the offline commands use the machine's cores.
+        for args in [
+            vec!["stats", "g", "w", "2", "out", "--jobs", "x"],
+            vec!["stats", "g", "w", "2", "out.cegsnap", "--jobs", "2"],
+            vec!["estimate", "g", "w", "--jobs", "2"],
+        ] {
+            let err = fail(&args);
+            assert_eq!(err.kind, ErrorKind::Usage, "{args:?}: {}", err.msg);
+            assert_eq!(err.cmd, Some(args[0]), "{args:?}");
+            assert_eq!(err.msg, "unknown flag `--jobs`", "{args:?}");
+        }
     }
 
     // --- `wal` inspection --------------------------------------------------

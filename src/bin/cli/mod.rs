@@ -125,8 +125,7 @@ fn usage_line(bin: &Bin, &(name, args, flags, ..): &Row) -> String {
     for flag in flags {
         line.push_str(&format!(" [{flag}]"));
     }
-    // `lint` takes nothing.
-    line.trim_end().to_string()
+    line
 }
 
 pub fn usage_for(bin: &Bin, cmd: &str) -> Option<String> {
@@ -202,22 +201,6 @@ pub fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, Stri
         .ok_or_else(|| format!("missing {what}"))
 }
 
-/// Strip `--jobs N` (see [`take_opt`]) and return the worker count:
-/// 1 (serial) without the flag, every available core for `--jobs 0`.
-pub fn take_jobs(args: &[String]) -> Result<(Vec<String>, usize), String> {
-    let (rest, value) = take_opt(args, "jobs")?;
-    let jobs = match value {
-        None => 1,
-        Some(n) => match n.parse().map_err(|_| format!("bad --jobs value `{n}`"))? {
-            // Explicit "all cores": uncapped, unlike the conservative
-            // default_build_parallelism() used by implicit callers.
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            jobs => jobs,
-        },
-    };
-    Ok((rest, jobs))
-}
-
 /// Strip a boolean `--<name>` flag from the argument list. A repeated
 /// flag is harmless (idempotent), so it is not an error.
 pub fn take_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
@@ -229,7 +212,7 @@ pub fn take_flag(args: &[String], name: &str) -> (Vec<String>, bool) {
 
 /// Strip a valued `--<name> <value>` / `--<name>=<value>` option from the
 /// argument list. A repeated option is an error (a silent last-one-wins
-/// hides typos in scripts), and so is a flag-shaped value, so `--jobs
+/// hides typos in scripts), and so is a flag-shaped value, so `--snapshot
 /// --foo` reports the missing value instead of a confusing parse failure.
 pub fn take_opt(args: &[String], name: &str) -> Result<(Vec<String>, Option<String>), String> {
     let flag = format!("--{name}");

@@ -60,7 +60,6 @@ use cegraph::exec::{
 use cegraph::graph::snapshot::{
     graph_payload_len, varint_len, SnapshotReader, TAG_EPOCH, TAG_GRAPH, TAG_MARKOV,
 };
-use cegraph::graph::sync::{LockRank, OrderedMutex};
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use cegraph::service::{
@@ -879,7 +878,7 @@ fn commit(ledger: &mut String) {
 }
 
 /// The served path, which none of the guards above reaches: an
-/// in-process `Engine` (cache 4096, registry jobs 1) on the g10k graph
+/// in-process `Engine` (cache 4096) on the g10k graph
 /// of seed 2022 with an empty `h = 2` catalog. A 256-query Job + Acyclic
 /// pool runs cold (every miss fills the catalog), then hot (every query
 /// a hit); `churn`'s 4-op commit follows, then the pool again, stale
@@ -893,8 +892,7 @@ fn commit(ledger: &mut String) {
 /// `min(run slots, 32) - 1` helpers beside the calling thread, and the run
 /// slots follow the machine's cores, so the line states that rule and
 /// gives the batch's calls and bytes less that many helpers' own: each
-/// helper's share (its spawn, its join handle and, with debug
-/// assertions, the lock checker's per-thread stack) is the marginal
+/// helper's share (its spawn and its join handle) is the marginal
 /// helper of `ceg_exec::for_each_ordered`, measured beside it. A batch
 /// that spawned another number of helpers would not match the line.
 fn served(ledger: &mut String) {
@@ -902,7 +900,7 @@ fn served(ledger: &mut String) {
     let seed = 2022;
     let graph = Rung { k: 1 }.graph(seed);
     let pool = query_pool(&graph, 256, seed);
-    let registry = Arc::new(DatasetRegistry::with_jobs(1));
+    let registry = Arc::new(DatasetRegistry::new());
     let entry = registry.insert_graph(DATASET, graph.clone(), 2);
     let engine = Engine::new(registry.clone(), 4096);
 
@@ -982,12 +980,9 @@ fn served(ledger: &mut String) {
     assert_eq!(outcomes, want, "the batch answers what the singles did");
     let run_slots = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     let helpers = (run_slots.min(batch.len()) - 1) as u64;
-    // One more helper of the shared loop, with a ranked lock taken as a
-    // miss does: its spawn, its handle and (with debug assertions) the
-    // lock checker's per-thread stack.
+    // One more helper of the shared loop: its spawn and its handle.
     let helped = |workers| {
-        let lock = OrderedMutex::new(LockRank::Handover, ());
-        let probe = |(): &(), _: &mut dyn FnMut()| drop(lock.lock());
+        let probe = |(): &(), _: &mut dyn FnMut()| {};
         cost(|| for_each_ordered(&[(); 4], workers, probe, |_| {})).1
     };
     let (one, two) = (helped(2), helped(3));
