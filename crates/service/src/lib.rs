@@ -57,7 +57,7 @@
 //! assert!(!reply.cached);
 //! let again = client.estimate("default", &templates::path(2, &[0, 1])).unwrap();
 //! assert!(again.cached);
-//! server.shutdown();
+//! drop(server);
 //! ```
 
 // The compiler-side mirror of ceg-lint's panic-path pass: `.unwrap()`

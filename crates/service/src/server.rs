@@ -21,7 +21,9 @@
 //!
 //! Every accepted request is answered with exactly one of: an estimate,
 //! a typed `BUSY`, a typed `TIMEOUT`, or an `ERR` — nothing is silently
-//! dropped, which is what makes the overload tests assertable.
+//! dropped, which is what makes the overload tests assertable. The loop
+//! reads any [`Read`] and writes any [`Write`]: a socket is a two-line
+//! shell around it, and [`Server::serve_io`] runs it over other ends.
 //!
 //! Concurrency discipline: a request pins one immutable epoch state, the
 //! Markov catalog is behind an `RwLock` written only by fills, the cache
@@ -29,7 +31,8 @@
 //! or estimation. Admission counters and the metrics registry are plain
 //! atomics.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::borrow::Cow;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,6 +140,8 @@ struct Shared {
     /// gets the next id, echoed as the ` id=<n>` reply tail and stamped
     /// on slow-query records.
     next_request_id: AtomicU64,
+    /// Set when the server stops accepting connections.
+    stop: AtomicBool,
 }
 
 impl Shared {
@@ -161,18 +166,15 @@ pub struct DrainReport {
     pub slowlog: Vec<SlowQueryEntry>,
 }
 
-/// A running estimation server. [`Server::shutdown`] (or dropping the
-/// server) stops accepting and joins the accept thread; open connections
-/// keep their handler threads, so in-flight requests are always
-/// answered. [`Server::drain`] is the graceful variant: flip the drain
-/// flag first so in-flight work resolves to typed replies, then write
-/// the final snapshot.
+/// A running estimation server. Dropping it stops accepting and joins
+/// the accept thread; open connections keep their handler threads, so
+/// in-flight requests are always answered. [`Server::drain`] is the
+/// graceful variant: flip the drain flag first so in-flight work
+/// resolves to typed replies, then write the final snapshot.
 pub struct Server {
-    engine: Arc<Engine>,
     shared: Arc<Shared>,
     config: ServerConfig,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -193,20 +195,19 @@ impl Server {
         ));
         engine.set_slow_query_threshold_ms(config.slow_query_threshold_ms);
         let shared = Arc::new(Shared {
-            engine: engine.clone(),
+            engine,
             lifecycle: Lifecycle::new(),
             default_deadline_ms: config.default_deadline_ms,
             next_request_id: AtomicU64::new(1),
+            stop: AtomicBool::new(false),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let shared = shared.clone();
-            let stop = stop.clone();
             thread::Builder::new()
                 .name("ceg-accept".into())
                 .spawn(move || {
                     for stream in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
+                        if shared.stop.load(Ordering::SeqCst) {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
@@ -215,17 +216,15 @@ impl Server {
                             .name("ceg-conn".into())
                             .stack_size(CONN_STACK_BYTES)
                             .spawn(move || {
-                                let _ = serve_connection(stream, &shared);
+                                let _ = serve_socket(stream, &shared);
                             });
                     }
                 })?
         };
         Ok(Server {
-            engine,
             shared,
             config,
             addr,
-            stop,
             accept: Some(accept),
         })
     }
@@ -237,7 +236,7 @@ impl Server {
 
     /// The shared engine (counters, registry) — handy in tests and benches.
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        &self.shared.engine
     }
 
     /// Flip the drain flag (as the wire `SHUTDOWN` command does): new
@@ -250,7 +249,7 @@ impl Server {
     /// Has anyone (wire `SHUTDOWN`, signal handler, or
     /// [`Server::request_drain`]) asked for a drain?
     pub fn drain_requested(&self) -> bool {
-        self.engine.draining()
+        self.shared.engine.draining()
     }
 
     /// Block up to `timeout` for a drain request; `true` if one arrived.
@@ -269,13 +268,13 @@ impl Server {
         // their handler threads and with them the typed-reply guarantee.
         self.stop_accepting();
         let grace_until = Instant::now() + Duration::from_millis(self.config.drain_grace_ms);
-        let metrics = self.engine.metrics().clone();
+        let metrics = self.shared.engine.metrics().clone();
         while metrics.get(Series::Queued) > 0 && Instant::now() < grace_until {
             thread::sleep(Duration::from_millis(1));
         }
         let abandoned = metrics.get(Series::Queued);
         let mut snapshots = Vec::new();
-        let dataset = self.engine.registry().dataset();
+        let dataset = self.shared.engine.registry().dataset();
         if let (Some(dir), Some(entry)) = (&self.config.drain_snapshot_dir, dataset) {
             std::fs::create_dir_all(dir)?;
             let path = dir.join(format!("{}.cegsnap", entry.name()));
@@ -285,22 +284,24 @@ impl Server {
         Ok(DrainReport {
             snapshots,
             abandoned,
-            slowlog: self.engine.slowlog(usize::MAX),
+            slowlog: self.shared.engine.slowlog(usize::MAX),
         })
     }
 
-    /// Stop accepting new connections and join the accept thread.
-    /// Connection handlers finish the requests they are running and exit
-    /// when their clients disconnect.
-    pub fn shutdown(mut self) {
-        self.stop_accepting();
+    /// Serve one connection on the calling thread, as the accept loop
+    /// serves a socket: requests from `reader` until its end, `QUIT` or a
+    /// framing error; replies to `writer` in one write per socket send.
+    pub fn serve_io(&self, reader: impl Read, writer: impl Write) -> io::Result<()> {
+        serve_connection(reader, writer, &self.shared)
     }
 
+    /// Stop accepting and join the accept thread, once. Connection handlers
+    /// finish their requests and exit when their clients disconnect.
     fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept.take() {
+            self.shared.stop.store(true, Ordering::SeqCst);
+            // Wake the accept loop with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
         }
     }
@@ -322,7 +323,7 @@ const MAX_LINE_BYTES: u64 = 64 * 1024;
 /// connection holds exactly two of these plus a (shrunk) line buffer.
 const STREAM_BUF_BYTES: usize = 4 * 1024;
 
-/// The line buffer is shrunk back to this after any request that grew it
+/// The request buffer is shrunk back to this after any request that grew it
 /// (a big batch, an overlong-garbage line), so idle connections don't pin
 /// up to [`MAX_LINE_BYTES`] each.
 const IDLE_LINE_CAP: usize = 1024;
@@ -340,7 +341,7 @@ const CONN_STACK_BYTES: usize = 256 * 1024;
 
 /// Outcome of reading one capped request line.
 enum LineRead {
-    /// A complete line (newline stripped is up to the caller).
+    /// A line, newline included unless the input ended.
     Line,
     /// Client closed the connection.
     Eof,
@@ -348,15 +349,13 @@ enum LineRead {
     TooLong,
 }
 
-/// Read one request line into `line` (cleared first), enforcing the
-/// length cap.
-fn read_request_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<LineRead> {
-    line.clear();
-    let n = io::Read::take(reader, MAX_LINE_BYTES).read_line(line)?;
+/// Append one request line's bytes to `buf`, enforcing the length cap.
+fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    let n = io::Read::take(reader, MAX_LINE_BYTES).read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(LineRead::Eof);
     }
-    if n as u64 >= MAX_LINE_BYTES && !line.ends_with('\n') {
+    if n as u64 >= MAX_LINE_BYTES && !buf.ends_with(b"\n") {
         return Ok(LineRead::TooLong);
     }
     Ok(LineRead::Line)
@@ -380,7 +379,7 @@ fn effective_deadline(request_ms: Option<u64>, default_ms: Option<u64>) -> Optio
 /// which layer produced it. The buffer is flushed at the end of each
 /// request and wherever the handler would otherwise wait.
 fn write_reply(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     metrics: &Metrics,
     response: &Response,
     body: &[String],
@@ -433,7 +432,7 @@ fn outcome_response(
 /// wait — a cold batch streams, and a drain that overtakes it shows up
 /// in its later slots; a warm one leaves in one write at the end.
 fn write_estimates(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     shared: &Shared,
     dataset: &str,
     queries: &[QueryGraph],
@@ -505,7 +504,7 @@ fn explain(
 /// Answer one parsed request into `writer`'s buffer, which the caller
 /// flushes; `Ok(false)` closes the connection (`QUIT`).
 fn serve_request(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     shared: &Shared,
     request: Request,
     id: u64,
@@ -642,89 +641,90 @@ fn serve_request(
     Ok(true)
 }
 
-/// The refusal of a line past [`MAX_LINE_BYTES`].
-fn too_long() -> Response {
-    Response::Error("request line too long".into())
+// The refusals of a line past `MAX_LINE_BYTES` and of non-UTF-8 bytes.
+const TOO_LONG: &str = "request line too long";
+const NOT_UTF8: &str = "request is not UTF-8";
+
+/// The socket shell around [`serve_connection`]: no Nagle delay on its one
+/// write per request (or per wait), which delayed ACKs would hold ~40ms.
+fn serve_socket(stream: TcpStream, shared: &Shared) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    serve_connection(&stream, &stream, shared)
+}
+
+/// Answer `ERR <msg>` and close: the stream can no longer be framed.
+fn refuse(writer: &mut impl Write, metrics: &Metrics, msg: String, id: u64) -> io::Result<()> {
+    write_reply(writer, metrics, &Response::Error(msg), &[], id)?;
+    writer.flush()
 }
 
 /// Per-connection loop: one request in, one response out (a batch counts
 /// as one request with one multi-line response). Everything runs on this
-/// thread, estimates included, but for a batch's helpers.
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    // One write syscall per request (or per wait inside one), and no
-    // Nagle delay on it: an unbuffered `writeln!` makes several small
-    // writes per line, which interacts with delayed ACKs into ~40ms per
-    // round-trip.
-    stream.set_nodelay(true)?;
-    let metrics = shared.engine.metrics().clone();
-    let mut writer = BufWriter::with_capacity(STREAM_BUF_BYTES, stream.try_clone()?);
-    let mut reader = BufReader::with_capacity(STREAM_BUF_BYTES, stream);
-    let mut line = String::new();
+/// thread, estimates included, but for a batch's helpers. Only the buffers
+/// outlive a request; each `writer.flush()` is where a socket would send.
+fn serve_connection(reader: impl Read, writer: impl Write, shared: &Shared) -> io::Result<()> {
+    let metrics = shared.engine.metrics();
+    let mut reader = BufReader::with_capacity(STREAM_BUF_BYTES, reader);
+    let mut writer = BufWriter::with_capacity(STREAM_BUF_BYTES, writer);
+    // One request's bytes: a line, or a batch's header and query lines.
+    // Taken at its idle size up front, so it sits low in this thread's heap
+    // and pins no freed serving pages (~50 KiB of `cold`'s `server_rss_mb`).
+    let mut buf = Vec::with_capacity(IDLE_LINE_CAP);
     loop {
-        match read_request_line(&mut reader, &mut line)? {
-            LineRead::Eof => break,
+        // Give back what a big request grew (up to MAX_LINE_BYTES), so an
+        // idle connection holds only the small stream buffers.
+        buf.clear();
+        buf.shrink_to(IDLE_LINE_CAP);
+        match read_request_line(&mut reader, &mut buf)? {
+            LineRead::Eof => return Ok(()),
+            // The rest of the stream is the same unterminated line.
             LineRead::TooLong => {
-                // Overlong line: refuse and drop the connection — the
-                // rest of the stream is the same unterminated line.
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-                write_reply(&mut writer, &metrics, &too_long(), &[], id)?;
-                writer.flush()?;
-                break;
+                return refuse(&mut writer, metrics, TOO_LONG.into(), id);
             }
             LineRead::Line => {}
         }
-        if line.trim().is_empty() {
+        // Read lossily to find a blank line or a batch header; a request
+        // that is not UTF-8 is refused below, after its batch lines.
+        let head = String::from_utf8_lossy(&buf);
+        if head.trim().is_empty() {
             continue;
         }
+        let batch = (head.split_whitespace().next() == Some(Command::EstimateBatch.name()))
+            .then(|| protocol::parse_batch_header(&head));
         let started = Instant::now();
         // The per-request id: assigned the moment a request is read,
         // echoed on every reply line it produces, and stamped on any
         // slow-query record it leaves behind.
         let req_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-        // ESTIMATE_BATCH is the one multi-line request: its header says
-        // how many query lines follow. Read them (still one capped line
-        // at a time) before parsing, so the stream stays framed even
-        // when a query line is malformed. A bad *header* leaves the
-        // follow-up line count unknowable, so — like an overlong line —
-        // it closes the connection instead of desynchronizing it.
-        let mut request_text = std::mem::take(&mut line);
-        if request_text.split_whitespace().next() == Some(Command::EstimateBatch.name()) {
-            match protocol::parse_batch_header(&request_text) {
-                Err(msg) => {
-                    write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?;
-                    writer.flush()?;
-                    break;
-                }
-                Ok((_, n, _)) => {
-                    for _ in 0..n {
-                        match read_request_line(&mut reader, &mut line)? {
-                            LineRead::Eof => return Ok(()),
-                            LineRead::TooLong => {
-                                write_reply(&mut writer, &metrics, &too_long(), &[], req_id)?;
-                                return writer.flush();
-                            }
-                            LineRead::Line => {
-                                if !request_text.ends_with('\n') {
-                                    request_text.push('\n');
-                                }
-                                request_text.push_str(&line);
-                            }
+        let parsed = match batch {
+            None => match head {
+                Cow::Borrowed(text) => Request::parse(text),
+                Cow::Owned(_) => Err(NOT_UTF8.into()),
+            },
+            // ESTIMATE_BATCH is the one multi-line request: its header
+            // says how many query lines follow. Read them (still one
+            // capped line at a time) before parsing, so the stream stays
+            // framed even when a query line is malformed. A bad *header*
+            // leaves the line count unknowable, so — like an overlong
+            // line — it closes the connection instead of desynchronizing.
+            Some(Err(msg)) => return refuse(&mut writer, metrics, msg, req_id),
+            Some(Ok((_, n, _))) => {
+                for _ in 0..n {
+                    match read_request_line(&mut reader, &mut buf)? {
+                        LineRead::Eof => return Ok(()),
+                        LineRead::TooLong => {
+                            return refuse(&mut writer, metrics, TOO_LONG.into(), req_id)
                         }
+                        LineRead::Line => {}
                     }
                 }
+                std::str::from_utf8(&buf).map_or(Err(NOT_UTF8.into()), Request::parse)
             }
-        }
-        // A big request (batch lines, overlong garbage) may have grown
-        // the reusable line buffer to MAX_LINE_BYTES; give it back so an
-        // idle connection holds only the small stream buffers.
-        if line.capacity() > IDLE_LINE_CAP {
-            line.shrink_to(IDLE_LINE_CAP);
-        }
-        let parsed = Request::parse(&request_text);
-        drop(request_text);
+        };
         match parsed {
             Err(msg) => {
-                write_reply(&mut writer, &metrics, &Response::Error(msg), &[], req_id)?;
+                write_reply(&mut writer, metrics, &Response::Error(msg), &[], req_id)?;
                 writer.flush()?;
             }
             Ok(request) => {
@@ -735,10 +735,9 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
                     histogram.record(started.elapsed());
                 }
                 if !open {
-                    break;
+                    return Ok(());
                 }
             }
         }
     }
-    Ok(())
 }

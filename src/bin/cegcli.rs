@@ -23,6 +23,7 @@
 
 mod cli;
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -201,18 +202,23 @@ fn serve(args: &[String]) -> CmdResult {
             break;
         }
     }
-    println!("drain requested, shutting down...");
+    // Status lines from here on go to a reader that may have left (a
+    // closed pipe): losing them must not turn a clean drain into a panic.
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "drain requested, shutting down...");
     let report = server.drain().map_err(CmdError::runtime)?;
     for (name, path, bytes) in &report.snapshots {
-        println!(
+        let _ = writeln!(
+            out,
             "final snapshot of `{name}` -> {} ({bytes} bytes)",
             path.display()
         );
     }
     if report.abandoned > 0 {
-        println!("{} in-flight requests abandoned at drain", report.abandoned);
+        let n = report.abandoned;
+        let _ = writeln!(out, "{n} in-flight requests abandoned at drain");
     }
-    println!("drained, exiting");
+    let _ = writeln!(out, "drained, exiting");
     Ok(())
 }
 

@@ -98,5 +98,5 @@ fn commits_give_back_what_they_free() {
         grew <= BOUND_KIB,
         "24 commits left {grew} KiB of anonymous resident set (bound {BOUND_KIB} KiB)"
     );
-    server.shutdown();
+    drop(server);
 }

@@ -30,6 +30,8 @@
 //!   stale across a commit, and a 32-query batch of warm misses.
 //! - [`sampler`]: the attempts the workload sampler spends per template
 //!   on the pools `golden_workload` pins.
+//! - [`wire`]: the writes, flushes and bytes each request kind hands the
+//!   connection's far end, and what one more PING or hit allocates.
 //!
 //! Every binary that includes this module holds a single `#[test]`, so
 //! no other test case allocates during a measurement. `golden_cost` runs
@@ -63,8 +65,8 @@ use cegraph::graph::snapshot::{
 use cegraph::graph::{GraphBuilder, LabeledGraph};
 use cegraph::query::{templates, Pattern, QueryEdge, QueryGraph};
 use cegraph::service::{
-    DatasetEntry, DatasetRegistry, Engine, EstimateCache, EstimateOutcome, ProbeOutcome,
-    QueryOutcome, RequestCtx,
+    Client, DatasetEntry, DatasetRegistry, Engine, EstimateCache, EstimateOutcome, ProbeOutcome,
+    QueryOutcome, Request, RequestCtx, Server, ServerConfig,
 };
 use cegraph::workload::{Dataset, Rung, Workload};
 
@@ -1033,11 +1035,156 @@ fn sampler(ledger: &mut String) {
     }
 }
 
+/// What the connection loop hands the wire: [`Server::serve_io`] over
+/// the `served` scenario's g10k graph and pool, with a far end that
+/// counts the loop's writes (each one a send on a socket), its flushes
+/// and the bytes. A fresh server and a fixed order fix every `id=`,
+/// `hits=` and `misses=`, so every line but two pins all three:
+///
+/// - `wire.ping`, `wire.hit`: one write each, and what one more of them
+///   asks of the allocator on an open connection (`marginal_calls`).
+/// - `wire.miss`: a cold `ESTIMATE`, which flushes an empty buffer
+///   before its fill and leaves in one write.
+/// - `wire.batch_cold`: a 32-query `ESTIMATE_BATCH` of misses on the
+///   catalog the miss began. How many writes its fills split it into
+///   follows when the helpers finish, so the line pins bytes, and the
+///   scenario asserts it streams: the header leaves before the first
+///   fill, in 2 to 33 writes.
+/// - `wire.batch_warm`: the same batch again, all hits, in one write.
+/// - `wire.explain`: an `EXPLAIN_ESTIMATE`, whose span microseconds
+///   make its bytes vary, so the line pins writes and flushes.
+/// - `wire.commit`: `churn`'s 4-op commit, acked and flushed before the
+///   commit's rotation, then flushed again at the request's end.
+fn wire(ledger: &mut String) {
+    const DATASET: &str = "g10k";
+    let seed = 2022;
+    let graph = Rung { k: 1 }.graph(seed);
+    let pool = query_pool(&graph, 256, seed);
+    let registry = Arc::new(DatasetRegistry::new());
+    let entry = registry.insert_graph(DATASET, graph.clone(), 2);
+    let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    // A round trip over a socket first, so the accept thread has started
+    // and is parked in `accept`, not allocating beside a measurement.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    client.quit().unwrap();
+    // One connection from `input` to a counting far end: its counts,
+    // its reply text and what it asked of the allocator.
+    let exchange = |input: &str| {
+        let mut far = WireCount {
+            text: Vec::with_capacity(1 << 16),
+            ..WireCount::default()
+        };
+        let (ended, cost) = cost(|| server.serve_io(input.as_bytes(), &mut far));
+        ended.unwrap();
+        let text = String::from_utf8(std::mem::take(&mut far.text)).unwrap();
+        (far, text, cost)
+    };
+    // What one more `input` asks of the allocator on an open connection.
+    let marginal = |input: &str| exchange(&input.repeat(2)).2.calls - exchange(input).2.calls;
+    let line = |request: Request| request.format() + "\n";
+    let single = line(Request::Estimate {
+        dataset: DATASET.into(),
+        query: pool[32].clone(),
+        deadline_ms: None,
+    });
+    let batch = line(Request::EstimateBatch {
+        dataset: DATASET.into(),
+        queries: pool[..32].to_vec(),
+        deadline_ms: None,
+    });
+    let explain = line(Request::ExplainEstimate {
+        dataset: DATASET.into(),
+        query: pool[33].clone(),
+        deadline_ms: None,
+    });
+
+    let (ping, text, _) = exchange("PING\n");
+    assert!(text.starts_with("PONG id="), "{text:?}");
+    writeln!(
+        ledger,
+        "wire.ping {ping} marginal_calls={}",
+        marginal("PING\n")
+    )
+    .unwrap();
+
+    let (miss, text, _) = exchange(&single);
+    assert!(text.contains(" cache=miss"), "{text:?}");
+    writeln!(ledger, "wire.miss {miss}").unwrap();
+    let (hit, text, _) = exchange(&single);
+    assert!(text.contains(" cache=hit"), "{text:?}");
+    writeln!(
+        ledger,
+        "wire.hit {hit} marginal_calls={}",
+        marginal(&single)
+    )
+    .unwrap();
+
+    let (cold, text, _) = exchange(&batch);
+    assert!(text.starts_with("BATCH 32 id="), "{text:?}");
+    assert_eq!(text.matches(" cache=miss").count(), 32, "{text}");
+    assert!(
+        (2..=33).contains(&cold.writes),
+        "a cold batch streams its answers: {cold}"
+    );
+    writeln!(ledger, "wire.batch_cold bytes={}", cold.bytes).unwrap();
+    let (warm, text, _) = exchange(&batch);
+    assert_eq!(text.matches(" cache=hit").count(), 32, "{text}");
+    writeln!(ledger, "wire.batch_warm {warm}").unwrap();
+
+    let (explained, text, _) = exchange(&explain);
+    assert!(text.starts_with("EXPLAIN "), "{text:?}");
+    let (writes, flushes) = (explained.writes, explained.flushes);
+    writeln!(ledger, "wire.explain writes={writes} flushes={flushes}").unwrap();
+
+    stage_churn_commit(&entry, &graph);
+    let (committed, text, _) = exchange(&format!("COMMIT {DATASET}\n"));
+    assert!(text.starts_with("COMMITTED "), "{text:?}");
+    writeln!(ledger, "wire.commit {committed}").unwrap();
+    drop(server);
+}
+
+/// The far end of a [`wire`] connection: the writes and flushes the
+/// connection loop made, the bytes it wrote, and their text.
+#[derive(Default)]
+struct WireCount {
+    writes: u64,
+    flushes: u64,
+    bytes: u64,
+    text: Vec<u8>,
+}
+
+impl std::io::Write for WireCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes += buf.len() as u64;
+        self.text.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+impl fmt::Display for WireCount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let WireCount {
+            writes,
+            flushes,
+            bytes,
+            ..
+        } = self;
+        write!(f, "writes={writes} flushes={flushes} bytes={bytes}")
+    }
+}
+
 /// A scenario: it asserts its bounds and appends its lines to the ledger.
 type Scenario = fn(&mut String);
 
 /// The scenarios in ledger order, by the prefix of their lines.
-pub const SCENARIOS: [(&str, Scenario); 11] = [
+pub const SCENARIOS: [(&str, Scenario); 12] = [
     ("kernel", kernel),
     ("tree_dp", tree_dp),
     ("ceg_o", ceg_o),
@@ -1049,6 +1196,7 @@ pub const SCENARIOS: [(&str, Scenario); 11] = [
     ("commit", commit),
     ("served", served),
     ("sampler", sampler),
+    ("wire", wire),
 ];
 
 /// Run the `wanted` scenarios in ledger order and hold the lines they

@@ -449,7 +449,7 @@ fn a_dead_disk_refuses_commits_and_a_restart_recovers_the_acked_state() {
         .unwrap();
     assert!(reply.value.is_some());
     drop(client);
-    server.shutdown();
+    drop(server);
 
     // "Restart": reboot the storage and recover. Only the two acked
     // commits exist; the refused one left no trace.
@@ -506,7 +506,7 @@ fn the_log_folds_once_it_reaches_the_size_of_its_snapshot() {
         );
     }
     drop(client);
-    server.shutdown();
+    drop(server);
 
     fs.reboot(0);
     let (recovered, report) =

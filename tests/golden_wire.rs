@@ -311,7 +311,7 @@ fn run_script(script: &[&str], tmp: &str, out: &mut String) {
     for request in script {
         exchange(server.local_addr(), request, tmp, out);
     }
-    server.shutdown();
+    drop(server);
 }
 
 /// `(recorded on the parent, changed by PR 23)`.

@@ -136,5 +136,5 @@ fn thousand_idle_connections_do_not_pin_grown_read_buffers() {
     );
 
     drop(conns);
-    server.shutdown();
+    drop(server);
 }

@@ -208,6 +208,50 @@ fn serve_refuses_an_edge_list_with_an_id_past_its_type() {
     );
 }
 
+/// A drained server exits 0 even when whoever read its stdout has gone:
+/// the status lines after the banner are lost, not a panic (exit 101).
+#[test]
+fn serve_drains_to_exit_0_after_its_stdout_closes() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let path = std::env::temp_dir().join(format!("ceg-closed-out-{}.edges", std::process::id()));
+    std::fs::write(&path, "0 1 0\n1 2 0\n").unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cegcli"))
+        .args(["serve", "127.0.0.1:0", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cegcli serve");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("read the banner");
+    drop(stdout);
+    std::fs::remove_file(&path).unwrap();
+    let addr = banner
+        .split(" on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("banner carries the bound address: {banner:?}"));
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.write_all(b"SHUTDOWN\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&conn).read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("DRAINING"), "{reply:?}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the drained server did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0), "{status}");
+}
+
 /// A hop depth below 2 is a usage error for both commands that take one,
 /// refused before any file is read: exit 2 and a message, not the panic
 /// `MarkovTable` raises for it.

@@ -229,7 +229,7 @@ fn flood_and_trickle_do_not_starve_the_well_behaved_tenant() {
         );
     }
     tenant.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }
 
 /// One dataset, deep (`h` = 3) so cold fills stay expensive, behind a
@@ -305,7 +305,7 @@ fn explain_flood_meets_admission_control() {
     );
     assert_eq!(metric(&mut client, "queued"), 0, "queue depth must settle");
     client.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }
 
 /// Fairness inside one dataset: hits are answered before admission, so
@@ -380,7 +380,7 @@ fn warmed_client_of_a_flooded_dataset_never_sees_busy() {
         "the flood never held the dataset at its cap, so the test proved nothing"
     );
     warm.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }
 
 /// Nightly soak: the same adversarial mix for ~2 minutes. Run with
@@ -443,5 +443,5 @@ fn overload_soak_two_minutes() {
     }
     assert_eq!(metric(&mut tenant, "queued"), 0);
     tenant.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }

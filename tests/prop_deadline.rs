@@ -159,7 +159,7 @@ proptest! {
             client.ping().expect("stream must stay in sync");
         }
         client.quit().unwrap();
-        server.shutdown();
+        drop(server);
     }
 
     /// Batch mode: all slots in one `ESTIMATE_BATCH` under one deadline.
@@ -217,7 +217,7 @@ proptest! {
             }
         }
         client.quit().unwrap();
-        server.shutdown();
+        drop(server);
     }
 }
 
@@ -260,7 +260,7 @@ fn a_sixteen_edge_star_times_out_inside_the_estimate() {
         other => panic!("deadline-free retry must answer, got {other:?}"),
     }
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }
 
 /// Deterministic regression: a whole batch sent with `DEADLINE_MS=0`
@@ -315,5 +315,5 @@ fn zero_deadline_batch_times_out_cleanly() {
         }
     }
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }

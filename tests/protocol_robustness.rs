@@ -123,7 +123,7 @@ fn scripted_malformed_lines_get_err_and_connection_survives() {
     conn.send(b"ESTIMATE default 2 1 0 1 0\n");
     let reply = conn.read_line().expect("server must answer");
     assert!(reply.starts_with("EST "), "{reply:?}");
-    server.shutdown();
+    drop(server);
 }
 
 /// A query must fit the `u32` masks it is analysed with: 32 edges *and*
@@ -157,7 +157,7 @@ fn queries_that_outgrow_the_masks_get_one_typed_err() {
     conn.send(format!("ESTIMATE default 32 31{path31}\n").as_bytes());
     let reply = conn.read_line().expect("server must answer");
     assert!(reply.starts_with("EST "), "{reply:?}");
-    server.shutdown();
+    drop(server);
 }
 
 /// This process's peak resident set (`VmHWM`), in KiB.
@@ -217,7 +217,7 @@ fn a_star_too_wide_for_ceg_o_gets_one_typed_err() {
     conn.send(format!("ESTIMATE default {}\n", star(12)).as_bytes());
     let reply = conn.read_line().expect("server must answer");
     assert!(reply.starts_with("EST "), "{reply:?}");
-    server.shutdown();
+    drop(server);
 }
 
 /// Framing violations that cannot be re-synchronized — an oversized
@@ -267,7 +267,7 @@ fn unsyncable_framing_drops_the_connection_not_the_server() {
         .value
         .is_some());
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }
 
 /// Seeded fuzz: random garbage lines and random mutations of valid
@@ -335,5 +335,54 @@ fn fuzzed_lines_never_desync_or_kill_the_server() {
             "round {round}: connection desynced after {line:?}"
         );
     }
-    server.shutdown();
+    drop(server);
+}
+
+/// Run `input` as one connection through [`Server::serve_io`]: how the
+/// loop ended, and the reply lines with their `id=<n>` tails stripped.
+fn serve_bytes(server: &Server, input: &[u8]) -> (std::io::Result<()>, Vec<String>) {
+    let mut out = Vec::new();
+    let ended = server.serve_io(input, &mut out);
+    let lines = String::from_utf8(out).expect("replies are UTF-8");
+    let lines = lines.lines().map(|line| match line.rsplit_once(' ') {
+        Some((body, tail)) if tail.starts_with("id=") => body.to_string(),
+        _ => line.to_string(),
+    });
+    (ended, lines.collect())
+}
+
+/// A well-framed request that is not UTF-8 — a line, or a batch whose
+/// query line is not — earns one `ERR`, and the connection keeps serving.
+#[test]
+fn a_request_that_is_not_utf8_gets_one_err_and_the_connection_survives() {
+    let server = start_server();
+    let not_utf8 = "ERR request is not UTF-8";
+    for input in [
+        &b"PING\n\xff\xfe\nPING\n"[..],
+        b"PING\nESTIMATE_BATCH default 2\n2 1 0 1 0\n2 1 0 \xff 0\nPING\n",
+        b"PING\nESTIMATE_BATCH def\xffault 2\n2 1 0 1 0\n2 1 0 1 0\nPING\n",
+    ] {
+        let (ended, lines) = serve_bytes(&server, input);
+        assert!(ended.is_ok(), "{input:?}: {ended:?}");
+        assert_eq!(lines, ["PONG", not_utf8, "PONG"], "{input:?}");
+    }
+}
+
+/// The framing paths inside a batch body: an overlong query line answers
+/// exactly one `ERR` and closes the connection, as at top level, and end
+/// of input in the middle of a batch writes nothing.
+#[test]
+fn a_batch_body_keeps_the_framing_rules() {
+    let server = start_server();
+    let long = vec![b'A'; 80 * 1024];
+    let too_long = ["ERR request line too long"];
+    for head in [&b""[..], b"ESTIMATE_BATCH default 2\n2 1 0 1 0\n"] {
+        let input = [head, &long, b"\nPING\n"].concat();
+        let (ended, lines) = serve_bytes(&server, &input);
+        assert!(ended.is_ok(), "{ended:?}");
+        assert_eq!(lines, too_long, "the connection must close after the ERR");
+    }
+    let (ended, lines) = serve_bytes(&server, b"ESTIMATE_BATCH default 3\n2 1 0 1 0\n");
+    assert!(ended.is_ok(), "{ended:?}");
+    assert!(lines.is_empty(), "{lines:?}");
 }

@@ -77,7 +77,7 @@ fn concurrent_clients_get_identical_estimates_and_cache_hits() {
     assert_eq!(stats.cache_hits + stats.cache_misses, total_lookups);
     assert!(stats.cache_misses >= queries.len() as u64);
     assert!(stats.cache_hits >= 1);
-    server.shutdown();
+    drop(server);
 }
 
 /// The cache key is the query's certificate, renaming-invariant: a client
@@ -110,7 +110,7 @@ fn isomorphic_queries_share_cache_entries() {
     let second = client.estimate("default", &renamed).expect("estimate");
     assert!(second.cached, "isomorphic rename must hit the cache");
     assert_eq!(second.value, first.value);
-    server.shutdown();
+    drop(server);
 }
 
 /// Protocol-level errors (unknown dataset, malformed lines) come back as
@@ -164,7 +164,7 @@ fn errors_are_reported_and_connection_survives() {
         line.trim_end().starts_with("ERR request line too long"),
         "got: {line}"
     );
-    server.shutdown();
+    drop(server);
 }
 
 /// The tentpole acceptance check: `EXPLAIN_ESTIMATE` answers exactly
@@ -261,7 +261,7 @@ fn explain_estimate_traces_cold_and_warm_paths() {
         );
     }
     assert_eq!(warm.counter("kernel_candidates"), None);
-    server.shutdown();
+    drop(server);
 }
 
 /// With the slow-query threshold at zero every computed estimate lands
@@ -339,7 +339,7 @@ fn slowlog_records_misses_and_prom_exposition_is_served() {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap();
     assert!(count >= 2, "estimate latency histogram must have samples");
-    server.shutdown();
+    drop(server);
 }
 
 /// `ESTIMATE`, a slot of `ESTIMATE_BATCH` and `EXPLAIN_ESTIMATE` are one
@@ -390,7 +390,7 @@ fn one_query_through_the_three_commands_is_bit_equal() {
                 .explain("default", q, None)
                 .expect("explain");
             for server in [a, b, c] {
-                server.shutdown();
+                drop(server);
             }
             (single, batch.remove(0), explained)
         };
@@ -478,7 +478,7 @@ fn maximal_query_answers_on_the_connection_thread() {
     assert_eq!(value(&pair[0]), value(&single));
     assert_eq!(value(&pair[1]), value(&single2));
     client.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }
 
 /// Distinct queries (no two isomorphic, so a warmed one makes no other
@@ -594,7 +594,7 @@ fn a_batch_on_several_run_slots_answers_what_singles_answer() {
                 );
             }
             client.quit().expect("quit");
-            server.shutdown();
+            drop(server);
         }
     }
 }
@@ -675,7 +675,7 @@ fn a_caller_blocked_in_a_write_holds_no_run_slot() {
         "the probe behind {run_slots} blocked callers got {probe:?}"
     );
     assert_eq!(stuck, 0, "a blocked caller went unanswered once released");
-    server.shutdown();
+    drop(server);
 }
 
 /// The helpers are scoped to their request: once a batch whose misses
@@ -721,5 +721,5 @@ fn no_batch_helper_outlives_its_request() {
         "threads before and after each batch: {tries:?}"
     );
     client.quit().expect("quit");
-    server.shutdown();
+    drop(server);
 }

@@ -166,8 +166,8 @@ fn restarted_server_answers_byte_identically() {
     }
 
     std::fs::remove_file(&path).unwrap();
-    server1.shutdown();
-    server2.shutdown();
+    drop(server1);
+    drop(server2);
 }
 
 /// Batch answers must agree exactly with single-query answers, arrive in
@@ -218,7 +218,7 @@ fn batch_estimates_match_singles_in_order() {
     assert!(client.estimate_batch("nope", &queries).is_err());
     client.ping().unwrap();
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }
 
 /// SNAPSHOT failure modes over the wire: unknown dataset and unwritable
@@ -258,7 +258,7 @@ fn snapshot_errors_are_reported_and_server_survives() {
     assert_eq!(snap.graph.num_edges(), 6);
     std::fs::remove_file(&path).unwrap();
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }
 
 /// An uncommitted pending buffer is NOT captured: restore reflects the
@@ -281,5 +281,5 @@ fn snapshot_excludes_pending_updates() {
     assert_eq!(snap.epoch, 0);
     std::fs::remove_file(&path).unwrap();
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }

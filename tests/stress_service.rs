@@ -167,7 +167,7 @@ fn concurrent_mixed_workload_keeps_every_invariant() {
     let stats = client.stats().unwrap();
     assert!(stats.requests > 0);
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 
     // Every snapshot the threads wrote restores to a valid dataset at a
     // plausible (≤ final) epoch.

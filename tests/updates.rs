@@ -190,5 +190,5 @@ fn wire_level_commit_bumps_epoch_and_invalidates_cache() {
     assert!(client.add_edge("default", 50_000_000, 0, 0).is_err());
     client.ping().unwrap();
     client.quit().unwrap();
-    server.shutdown();
+    drop(server);
 }
