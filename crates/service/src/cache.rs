@@ -80,8 +80,8 @@ impl Slot {
     }
 }
 
-/// LRU over isomorphism classes of queries, with hit/miss counters (the
-/// wire exposes them). A probe presents the *current* epoch and an entry
+/// LRU over isomorphism classes of queries. A probe presents the
+/// *current* epoch and an entry
 /// from an older one **misses instead of lying**, so a commit invalidates
 /// every prior estimate without enumerating them; stale entries are
 /// refreshed in place by the next store or age out.
@@ -94,9 +94,6 @@ pub struct EstimateCache {
     /// The edges of certificates longer than [`INLINE_EDGES`], by slot
     /// id; empty until the first one is stored.
     long: Vec<Option<Box<[QueryEdge]>>>,
-    hits: u64,
-    misses: u64,
-    stale_misses: u64,
 }
 
 /// An entry's key: the top half of the query's hash, mixed. It picks the
@@ -118,9 +115,6 @@ impl EstimateCache {
             slots,
             index: vec![SENTINEL; (2 * capacity).next_power_of_two().max(2)],
             long: Vec::new(),
-            hits: 0,
-            misses: 0,
-            stale_misses: 0,
         }
     }
 
@@ -130,7 +124,7 @@ impl EstimateCache {
     /// [`ProbeOutcome::Hit`] is an isomorphic query **and** the same
     /// epoch, so the value is exactly what the estimator would recompute;
     /// [`ProbeOutcome::StaleMiss`] found one stranded at another epoch by
-    /// a commit. Counters are updated either way.
+    /// a commit.
     pub fn probe(&mut self, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
         self.probe_keyed(bucket_key(certificate.hash()), certificate, epoch)
     }
@@ -175,17 +169,11 @@ impl EstimateCache {
 
     fn probe_keyed(&mut self, key: u32, certificate: &Certificate, epoch: u64) -> ProbeOutcome {
         let found = self.find(key, certificate).and_then(|id| self.touch(id));
-        let Some((cached, value)) = found.map(|slot| (slot.epoch, slot.value())) else {
-            self.misses += 1;
-            return ProbeOutcome::ColdMiss;
-        };
-        if cached == epoch {
-            self.hits += 1;
-            return ProbeOutcome::Hit(value);
+        match found.map(|slot| (slot.epoch, slot.value())) {
+            None => ProbeOutcome::ColdMiss,
+            Some((cached, value)) if cached == epoch => ProbeOutcome::Hit(value),
+            Some(_) => ProbeOutcome::StaleMiss,
         }
-        self.misses += 1;
-        self.stale_misses += 1;
-        ProbeOutcome::StaleMiss
     }
 
     fn store_keyed(&mut self, key: u32, certificate: &Certificate, epoch: u64, value: Option<f64>) {
@@ -318,22 +306,6 @@ impl EstimateCache {
         Some(())
     }
 
-    /// Verified hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// The subset of misses caused by a stale-epoch entry (an isomorphic
-    /// query was cached, but a commit invalidated it).
-    pub fn stale_misses(&self) -> u64 {
-        self.stale_misses
-    }
-
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.slots.len() - 1
@@ -448,7 +420,6 @@ mod tests {
         store(&mut c, &q(1), 0, Some(10.0));
         assert_eq!(probe(&mut c, &q(1), 0), ColdMiss);
         assert!(c.is_empty());
-        assert_eq!(c.misses(), 1);
     }
 
     /// Far more touches than capacity, then an eviction: the touched
@@ -497,8 +468,6 @@ mod tests {
         assert_eq!(probe(&mut cache, &q, 0), Hit(Some(42.0)));
         // Renamed (isomorphic) query: still a hit.
         assert_eq!(probe(&mut cache, &reversed(&q), 0), Hit(Some(42.0)));
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]
@@ -507,7 +476,6 @@ mod tests {
         let q = templates::path(2, &[0, 1]);
         store(&mut cache, &q, 0, None);
         assert_eq!(probe(&mut cache, &q, 0), Hit(None));
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -518,8 +486,7 @@ mod tests {
         assert_eq!(probe(&mut cache, &q, 0), Hit(Some(7.0)));
         // The dataset committed an update: epoch 1 probes must miss.
         assert_eq!(probe(&mut cache, &q, 1), StaleMiss);
-        assert_eq!(cache.misses(), 1); // the stale probe is a counted miss
-                                       // Recomputing at epoch 1 replaces the entry in place.
+        // Recomputing at epoch 1 replaces the entry in place.
         store(&mut cache, &q, 1, Some(9.0));
         assert_eq!(probe(&mut cache, &q, 1), Hit(Some(9.0)));
         assert_eq!(cache.len(), 1, "replaced, not duplicated");
@@ -544,9 +511,6 @@ mod tests {
             cache.probe_hashed("", &other, other.canonical_hash(), 1),
             ProbeOutcome::ColdMiss
         );
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.stale_misses(), 1);
     }
 
     #[test]

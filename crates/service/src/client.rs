@@ -10,7 +10,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::QueryGraph;
 
-use crate::engine::{EngineStats, SlowQueryEntry, SnapshotAck, UpdateAck};
+use crate::engine::{SlowQueryEntry, SnapshotAck, UpdateAck};
 use crate::protocol::{
     parse_metric_line, parse_slowlog_entry, split_id, ExplainItem, Request, Response,
 };
@@ -372,14 +372,6 @@ impl Client {
         }
     }
 
-    /// Fetch the server's counter snapshot.
-    pub fn stats(&mut self) -> io::Result<EngineStats> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(Self::protocol_error(other)),
-        }
-    }
-
     /// Fetch the full metrics registry as `(key, value)` pairs (the
     /// `METRICS` command) — latency histogram quantiles per command,
     /// queue depths, and the BUSY/timeout/error counters.
@@ -449,7 +441,7 @@ impl Client {
     }
 
     /// Ask the server to drain and shut down (the `SHUTDOWN` command).
-    /// The connection stays usable for `PING`/`STATS`/`METRICS` while
+    /// The connection stays usable for `PING`/`METRICS` while
     /// the drain proceeds; estimates and updates get `BUSY`.
     pub fn shutdown_server(&mut self) -> io::Result<()> {
         match self.roundtrip(&Request::Shutdown)? {

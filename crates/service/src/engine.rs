@@ -28,7 +28,7 @@
 //! way.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -155,34 +155,13 @@ pub struct SnapshotAck {
     pub bytes: u64,
 }
 
-/// Counter snapshot reported over the wire by `STATS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineStats {
-    pub requests: u64,
-    /// Calls of [`Engine::estimate_batch`]: one per `ESTIMATE`,
-    /// `EXPLAIN_ESTIMATE` or `ESTIMATE_BATCH` request.
-    pub batches: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Registered datasets: 1, or 0 before the dataset is registered.
-    pub datasets: u64,
-    /// Requests rejected with `BUSY` (admission control or drain).
-    pub busy: u64,
-    /// Requests answered with `TIMEOUT`.
-    pub timeouts: u64,
-    /// Misses admitted and not yet answered (waiting for a run slot or
-    /// running).
-    pub queued: u64,
-}
-
 /// Overload control on the estimate path: a bound on admitted misses and
 /// a fixed number of run slots. Both hand out RAII guards, so neither
-/// bound can leak whatever way a miss ends.
+/// bound can leak whatever way a miss ends. The admitted misses are the
+/// [`Series::Queued`] cell itself.
 struct Overload {
     /// Most misses admitted at once.
-    queue_cap: usize,
-    /// Cache-missing estimates admitted and not yet answered.
-    admitted: AtomicUsize,
+    queue_cap: u64,
     /// Run slots in all, `max(2, available_parallelism)`: how many
     /// misses count and estimate at once, however many connections and
     /// batch helpers there are.
@@ -199,8 +178,7 @@ impl Overload {
             .map_or(2, |n| n.get())
             .max(2);
         Overload {
-            queue_cap,
-            admitted: AtomicUsize::new(0),
+            queue_cap: queue_cap as u64,
             run_slots: slots,
             free_slots: OrderedMutex::new(LockRank::RunGate, slots),
             slot_freed: Condvar::new(),
@@ -249,30 +227,17 @@ impl Permits<'_> {
     /// Admit one more miss; `false` means the cap is reached and the
     /// miss must be refused.
     fn try_admit(&mut self) -> bool {
-        // Exact bound: a compare-exchange loop never overshoots the cap,
-        // unlike fetch_add-then-undo.
-        let counter = &self.overload.admitted;
-        let mut cur = counter.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.overload.queue_cap {
-                return false;
-            }
-            match counter.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+        let admitted = self.metrics.try_enqueue(self.overload.queue_cap);
+        if admitted {
+            self.held += 1;
         }
-        self.metrics.job_enqueued();
-        self.held += 1;
-        true
+        admitted
     }
 
     /// Release one admitted miss, answered.
     fn release_one(&mut self) {
         if self.held > 0 {
             self.held -= 1;
-            self.overload.admitted.fetch_sub(1, Ordering::Relaxed);
             self.metrics.job_finished();
         }
     }
@@ -546,9 +511,10 @@ impl Engine {
         let cache_started = Instant::now();
         // A poisoned cache (a panic under the cache lock) must not take
         // estimation down with it: every query is treated as a cold miss
-        // and answered from the catalog, uncached.
+        // and answered from the catalog, uncached and uncounted.
         let mut cache = self.cache.checked_lock().ok();
         let lock_wait_us = cache_started.elapsed().as_micros() as u64;
+        let probing = cache.is_some();
         let probed: Vec<ProbeOutcome> = certificates
             .iter()
             .map(|certificate| match cache.as_mut() {
@@ -558,15 +524,23 @@ impl Engine {
             .collect();
         drop(cache);
         let cache_us = cache_started.elapsed().as_micros() as u64;
+        let count =
+            |kind: fn(&ProbeOutcome) -> bool| probed.iter().filter(|p| kind(p)).count() as u64;
+        let hits = count(|p| matches!(p, ProbeOutcome::Hit(_)));
+        let stale = count(|p| *p == ProbeOutcome::StaleMiss);
+        let cold = probed.len() as u64 - hits - stale;
+        if probing {
+            self.metrics.add(Series::CacheHits, hits);
+            self.metrics.add(Series::CacheMisses, stale + cold);
+            self.metrics.add(Series::CacheStaleMisses, stale);
+        }
         if let Some(t) = trace.as_deref_mut() {
-            let count =
-                |kind: fn(&ProbeOutcome) -> bool| probed.iter().filter(|p| kind(p)).count() as u64;
             t.counter("epoch", epoch);
             t.record_span_micros("lock_wait", lock_wait_us);
             t.record_span_micros("cache_probe", cache_us);
-            t.counter("cache_hit", count(|p| matches!(p, ProbeOutcome::Hit(_))));
-            t.counter("cache_stale_miss", count(|p| *p == ProbeOutcome::StaleMiss));
-            t.counter("cache_cold_miss", count(|p| *p == ProbeOutcome::ColdMiss));
+            t.counter("cache_hit", hits);
+            t.counter("cache_stale_miss", stale);
+            t.counter("cache_cold_miss", cold);
         }
 
         enum Slot<'q> {
@@ -613,7 +587,7 @@ impl Engine {
                     }
                     // Released before the caller can put the answer on
                     // the wire: a client that reads it and asks for
-                    // STATS next must see the gauge settled.
+                    // METRICS next must see `queued` settled.
                     permits.release_one();
                 }
                 reply(Handover::Done(i, outcome));
@@ -885,44 +859,18 @@ impl Engine {
         Ok(SnapshotAck { epoch, bytes })
     }
 
-    /// Snapshot of the engine counters. A poisoned cache reports its
-    /// counters as zero — `STATS` keeps answering on a degraded server.
-    pub fn stats(&self) -> EngineStats {
-        let (cache_hits, cache_misses) = match self.cache.checked_lock() {
-            Ok(cache) => (cache.hits(), cache.misses()),
-            Err(_) => (0, 0),
-        };
-        EngineStats {
-            requests: self.metrics.get(Series::Requests),
-            batches: self.metrics.get(Series::Batches),
-            cache_hits,
-            cache_misses,
-            datasets: self.registry.dataset().is_some() as u64,
-            busy: self.metrics.get(Series::Busy),
-            timeouts: self.metrics.get(Series::Timeout),
-            queued: self.metrics.get(Series::Queued),
-        }
-    }
-
-    /// Copy the cache's and the registry's own counts, and the process's
-    /// resident set, into their series, so a dump reads every scalar from
-    /// the one table. A poisoned cache reports zeros, as in
-    /// [`Engine::stats`].
+    /// Read the gauges — the cache's size, the registered datasets and
+    /// the process's resident set — into their series, so a dump reads
+    /// every scalar from the one table. A poisoned cache reports zeros.
     fn sample(&self) {
-        let (hits, misses, stale, entries, bytes, written) = match self.cache.checked_lock() {
+        let (entries, bytes, written) = match self.cache.checked_lock() {
             Ok(cache) => (
-                cache.hits(),
-                cache.misses(),
-                cache.stale_misses(),
                 cache.len() as u64,
                 cache.heap_bytes() as u64,
                 cache.written_bytes() as u64,
             ),
-            Err(_) => (0, 0, 0, 0, 0, 0),
+            Err(_) => (0, 0, 0),
         };
-        self.metrics.set(Series::CacheHits, hits);
-        self.metrics.set(Series::CacheMisses, misses);
-        self.metrics.set(Series::CacheStaleMisses, stale);
         self.metrics.set(Series::CacheEntries, entries);
         self.metrics.set(Series::CacheBytes, bytes);
         let dataset = self.registry.dataset();
@@ -945,13 +893,11 @@ impl Engine {
     }
 
     /// The full metrics dump behind the `METRICS` wire command: every
-    /// [`Metrics::snapshot`] pair, the engine's own series (requests,
-    /// cache) and the dataset's gauges, as stable `(key, value)` pairs.
+    /// [`Metrics::snapshot`] pair, then the dataset's gauges, as stable
+    /// `(key, value)` pairs.
     pub fn metrics_snapshot(&self) -> Vec<(String, u64)> {
         self.sample();
         let mut out = self.metrics.snapshot();
-        let engine_rows = self.metrics.rows(true);
-        out.extend(engine_rows.map(|(&(_, key, ..), v)| (key.to_string(), v)));
         if let Some(entry) = self.registry.dataset() {
             for (gauge, get) in DATASET_GAUGES {
                 out.push((format!("dataset_{}_{gauge}", entry.name()), get(entry)));
@@ -966,7 +912,6 @@ impl Engine {
     pub fn metrics_prom(&self) -> Vec<String> {
         self.sample();
         let mut out = self.metrics.prom_lines();
-        self.metrics.scalar_prom(true, &mut out);
         // The dataset families are omitted entirely before a dataset is
         // registered — a `# TYPE` line with zero samples is invalid
         // exposition (and our own checker rejects it).
@@ -1009,10 +954,10 @@ mod tests {
         let second = engine.estimate("toy", &q).unwrap();
         assert!(second.cached);
         assert_eq!(second.value, first.value);
-        let stats = engine.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
-        assert_eq!(stats.requests, 2);
+        let metrics = engine.metrics();
+        assert_eq!(metrics.get(Series::CacheHits), 1);
+        assert_eq!(metrics.get(Series::CacheMisses), 1);
+        assert_eq!(metrics.get(Series::Requests), 2);
     }
 
     #[test]

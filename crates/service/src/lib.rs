@@ -79,8 +79,8 @@ pub mod server;
 pub use cache::{EstimateCache, ProbeOutcome};
 pub use client::{Client, EstimateReply, ExplainReply, QueryReply};
 pub use engine::{
-    Engine, EngineStats, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck,
-    UpdateAck, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
+    Engine, EstimateOutcome, QueryOutcome, RequestCtx, SlowQueryEntry, SnapshotAck, UpdateAck,
+    DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
 pub use memory::proc_status;
 pub use metrics::{Histogram, Metrics, Series};

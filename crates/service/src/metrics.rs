@@ -157,13 +157,18 @@ pub enum Series {
     /// Commits replayed from WAL tails at boot; recoveries that truncated a torn tail.
     WalRecoveredCommits,
     WalTornTails,
-    /// Queries and `estimate_batch` calls. From here on the series are the
-    /// engine's: it counts these two and samples the rest before a dump.
+    /// Queries and `estimate_batch` calls.
     Requests,
     Batches,
+    /// Cache probes: verified hits, misses, and the misses whose entry a
+    /// commit left at an older epoch. A poisoned cache is not probed and
+    /// counts nothing.
     CacheHits,
     CacheMisses,
     CacheStaleMisses,
+    /// From here on the series are gauges the engine samples before a
+    /// dump: the cache's entries and heap bytes, the registered datasets,
+    /// and the process's memory and threads.
     CacheEntries,
     CacheBytes,
     Datasets,
@@ -185,8 +190,8 @@ const GAUGE: &str = "gauge";
 
 /// One row per scalar series, in [`Series`] order: the series, its
 /// `METRICS` key, its Prometheus family where that is not `ceg_<key>`, and
-/// its Prometheus type. `METRICS` lists a group of rows as they stand here,
-/// `METRICS_PROM` its counters, then its gauges; a new series is one row.
+/// its Prometheus type. `METRICS` and `METRICS_PROM` list the rows as they
+/// stand here; a new series is one row.
 type Row = (Series, &'static str, Option<&'static str>, &'static str);
 
 #[rustfmt::skip]
@@ -270,11 +275,19 @@ impl Metrics {
         self.latency.get(cmd as usize)
     }
 
-    /// One miss was admitted.
-    pub(crate) fn job_enqueued(&self) {
-        let now = self.cell(Series::Queued).fetch_add(1, Ordering::Relaxed) + 1;
+    /// Admit one miss unless `cap` misses are admitted already: the
+    /// [`Series::Queued`] cell is the admission count itself, raised by a
+    /// compare-exchange that never overshoots the cap (unlike
+    /// fetch_add-then-undo), and [`Series::QueuedPeak`] follows it.
+    pub(crate) fn try_enqueue(&self, cap: u64) -> bool {
+        let queued = self.cell(Series::Queued);
+        let bumped = queued.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < cap).then_some(n + 1)
+        });
+        let Ok(before) = bumped else { return false };
         let peak = self.cell(Series::QueuedPeak);
-        peak.fetch_max(now, Ordering::Relaxed);
+        peak.fetch_max(before + 1, Ordering::Relaxed);
+        true
     }
 
     /// One admitted miss ended (answered, refused after its wait, or
@@ -294,25 +307,10 @@ impl Metrics {
         }
     }
 
-    /// The rows of one group with their current values: the engine's
-    /// ([`Series::Requests`] on), or the ones recorded here.
-    pub(crate) fn rows(&self, engine: bool) -> impl Iterator<Item = (&'static Row, u64)> + '_ {
-        let split = Series::Requests as usize;
+    /// Every row with its current value.
+    fn rows(&self) -> impl Iterator<Item = (&'static Row, u64)> + '_ {
         let rows = SERIES.iter().zip(&self.values);
-        rows.filter(move |((series, ..), _)| (*series as usize >= split) == engine)
-            .map(|(row, cell)| (row, cell.load(Ordering::Relaxed)))
-    }
-
-    /// Append one group's Prometheus families, counters before gauges.
-    pub(crate) fn scalar_prom(&self, engine: bool, out: &mut Vec<String>) {
-        for prom_type in [COUNTER, GAUGE] {
-            let of_type = self.rows(engine).filter(|((.., t), _)| *t == prom_type);
-            for (&(_, key, family, _), v) in of_type {
-                let family = family.map_or_else(|| format!("ceg_{key}"), String::from);
-                out.push(format!("# TYPE {family} {prom_type}"));
-                out.push(format!("{family} {v}"));
-            }
-        }
+        rows.map(|(row, cell)| (row, cell.load(Ordering::Relaxed)))
     }
 
     /// Every histogram with the stem of its names: `queue_wait`, then
@@ -324,13 +322,14 @@ impl Metrics {
             .chain(latency.map(|(key, h)| (format!("latency_{key}"), h)))
     }
 
-    /// Everything recorded here as `(key, value)` pairs in a stable order —
-    /// the first part of the `METRICS` wire reply (the engine appends its
-    /// own series and the dataset's gauges). Keys are snake_case and
-    /// stable across releases; latencies are in microseconds.
+    /// Everything recorded here as `(key, value)` pairs in a stable order:
+    /// every series, then every histogram — the `METRICS` wire reply but
+    /// for the dataset's gauges, which the engine appends. Keys are
+    /// snake_case and stable across releases; latencies are in
+    /// microseconds.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         let key_value = |(&(_, key, ..), v): (&Row, u64)| (key.to_string(), v);
-        let mut out: Vec<_> = self.rows(false).map(key_value).collect();
+        let mut out: Vec<_> = self.rows().map(key_value).collect();
         for (stem, h) in self.histograms() {
             out.push((format!("{stem}_count"), h.count()));
             out.push((format!("{stem}_sum_us"), h.sum_micros()));
@@ -341,11 +340,15 @@ impl Metrics {
     }
 
     /// The same series in Prometheus text exposition format, a family per
-    /// scalar and per histogram; the engine appends its own families
-    /// (cache, datasets) for the full `METRICS_PROM` payload.
+    /// scalar and per histogram; the engine appends the dataset's
+    /// families for the full `METRICS_PROM` payload.
     pub fn prom_lines(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.scalar_prom(false, &mut out);
+        for (&(_, key, family, prom_type), v) in self.rows() {
+            let family = family.map_or_else(|| format!("ceg_{key}"), String::from);
+            out.push(format!("# TYPE {family} {prom_type}"));
+            out.push(format!("{family} {v}"));
+        }
         for (stem, h) in self.histograms() {
             h.prom_into(&format!("ceg_{stem}_micros"), &mut out);
         }
@@ -438,10 +441,11 @@ mod tests {
     #[test]
     fn queue_gauge_tracks_peak() {
         let m = Metrics::new();
-        m.job_enqueued();
-        m.job_enqueued();
+        assert!(m.try_enqueue(2));
+        assert!(m.try_enqueue(2));
+        assert!(!m.try_enqueue(2), "the cap is exact");
         m.job_finished();
-        m.job_enqueued();
+        assert!(m.try_enqueue(2));
         assert_eq!(m.get(Series::Queued), 2);
         assert_eq!(m.get(Series::QueuedPeak), 2);
         m.job_finished();
@@ -529,11 +533,9 @@ mod tests {
             assert!(snap.contains(&(key.clone(), value)), "{key} != {value}");
         }
         assert_eq!(m.get(Series::WalCommits), 0, "deepest_level has no series");
-        // The two groups partition the table.
-        assert_eq!(m.rows(false).count() + m.rows(true).count(), SERIES.len());
-        assert_eq!(
-            m.rows(true).next().map(|(row, _)| row.1),
-            Some("requests_total")
-        );
+        // The dump lists every row, in table order, before the histograms.
+        let keys: Vec<&str> = snap.iter().map(|(key, _)| key.as_str()).collect();
+        let rows: Vec<&str> = SERIES.iter().map(|row| row.1).collect();
+        assert_eq!(keys[..SERIES.len()], rows[..]);
     }
 }

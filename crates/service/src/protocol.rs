@@ -17,7 +17,6 @@
 //! DEL_EDGE <ds> <src> <dst> <lbl>                 OK epoch=<n> pending=<n>
 //! COMMIT <ds>                                     COMMITTED epoch=<n> added=<n> deleted=<n> recounted=<n> rebased=<0|1>
 //! SNAPSHOT <ds> <path>                            SNAPSHOTTED epoch=<n> bytes=<n>
-//! STATS                                           STATS requests=<n> batches=<n> hits=<n> misses=<n> datasets=<n> busy=<n> timeouts=<n> queued=<n>
 //! METRICS                                         METRICS <n>, then n lines: <key> <value>
 //! METRICS_PROM                                    METRICS_PROM <n>, then n Prometheus exposition lines
 //! EXPLAIN_ESTIMATE <ds> [DEADLINE_MS=<ms>] <query>
@@ -40,11 +39,13 @@
 //! partial line. `BUSY` is the admission-control rejection: the
 //! server already has its cap of cache misses admitted (or it is
 //! draining) and the request was refused *before* any counting or
-//! estimation, so it is safe to resend. `STATS batches=` counts
-//! engine calls: one per `ESTIMATE`, `EXPLAIN_ESTIMATE` or
-//! `ESTIMATE_BATCH` request, whatever it hit or missed; `queued=` is the
-//! number of misses admitted and not yet answered. `METRICS` dumps the
-//! whole metrics registry as `<key> <value>` lines. The `BATCH`,
+//! estimation, so it is safe to resend. `METRICS` dumps the whole
+//! metrics registry as `<key> <value>` lines: among them
+//! `batches_total` counts engine calls, one per `ESTIMATE`,
+//! `EXPLAIN_ESTIMATE` or `ESTIMATE_BATCH` request whatever it hit or
+//! missed, and `queued` is the number of misses admitted and not yet
+//! answered. An `EST` line's `hits=` and `misses=` are `METRICS`'s
+//! `cache_hits` and `cache_misses` as the line was written. The `BATCH`,
 //! `EXPLAIN`, `METRICS`, `METRICS_PROM` and `SLOWLOG` replies share one
 //! framing: a head line `<KEYWORD> <n>` ([`Response::Counted`]), then
 //! exactly `n` body lines; a request refused as a whole (`ERR`, or `BUSY`
@@ -113,7 +114,7 @@ use std::str::{FromStr, SplitWhitespace};
 use ceg_graph::{LabelId, VertexId};
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
-use crate::engine::{EngineStats, EstimateOutcome, SlowQueryEntry, SnapshotAck, UpdateAck};
+use crate::engine::{EstimateOutcome, SlowQueryEntry, SnapshotAck, UpdateAck};
 use crate::registry::CommitOutcome;
 
 /// Largest number of queries one `ESTIMATE_BATCH` may carry. Big enough
@@ -134,7 +135,6 @@ pub enum Command {
     DelEdge,
     Commit,
     Snapshot,
-    Stats,
     Metrics,
     MetricsProm,
     SlowLog,
@@ -148,7 +148,7 @@ impl Command {
     /// its position here) with its wire keyword and, for the five
     /// answered with a counted reply, the keyword of that reply's head.
     #[rustfmt::skip]
-    pub const ALL: [(Command, &'static str, Option<&'static str>); 14] = [
+    pub const ALL: [(Command, &'static str, Option<&'static str>); 13] = [
         (Command::Estimate, "ESTIMATE", None),
         (Command::EstimateBatch, "ESTIMATE_BATCH", Some("BATCH")),
         (Command::ExplainEstimate, "EXPLAIN_ESTIMATE", Some("EXPLAIN")),
@@ -156,7 +156,6 @@ impl Command {
         (Command::DelEdge, "DEL_EDGE", None),
         (Command::Commit, "COMMIT", None),
         (Command::Snapshot, "SNAPSHOT", None),
-        (Command::Stats, "STATS", None),
         (Command::Metrics, "METRICS", Some("METRICS")),
         (Command::MetricsProm, "METRICS_PROM", Some("METRICS_PROM")),
         (Command::SlowLog, "SLOWLOG", Some("SLOWLOG")),
@@ -168,7 +167,7 @@ impl Command {
     /// The leading commands of [`Command::ALL`] that are served and so
     /// have a latency histogram; `SHUTDOWN` and `QUIT` after them are
     /// lifecycle events.
-    pub const TRACKED: usize = 12;
+    pub const TRACKED: usize = 11;
 
     /// The wire keyword.
     pub fn name(self) -> &'static str {
@@ -191,8 +190,6 @@ impl Command {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Counter snapshot.
-    Stats,
     /// Full metrics-registry dump.
     Metrics,
     /// Ask the server to drain and shut down.
@@ -525,7 +522,6 @@ impl Request {
     pub(crate) fn command(&self) -> Command {
         match self {
             Request::Ping => Command::Ping,
-            Request::Stats => Command::Stats,
             Request::Metrics => Command::Metrics,
             Request::MetricsProm => Command::MetricsProm,
             Request::SlowLog { .. } => Command::SlowLog,
@@ -574,7 +570,6 @@ impl Request {
                 });
             }
             Command::Ping => Request::Ping,
-            Command::Stats => Request::Stats,
             Command::Metrics => Request::Metrics,
             Command::MetricsProm => Request::MetricsProm,
             Command::Shutdown => Request::Shutdown,
@@ -647,7 +642,6 @@ impl Request {
         let name = self.command().name();
         match self {
             Request::Ping
-            | Request::Stats
             | Request::Metrics
             | Request::MetricsProm
             | Request::Shutdown
@@ -714,7 +708,6 @@ pub enum Response {
         hits: u64,
         misses: u64,
     },
-    Stats(EngineStats),
     /// Acknowledgement of a buffered `ADD_EDGE`/`DEL_EDGE`.
     Updated(UpdateAck),
     /// Result of a `COMMIT`.
@@ -769,18 +762,6 @@ impl Response {
                 let cache = if outcome.cached { "hit" } else { "miss" };
                 format!("EST {value} cache={cache} hits={hits} misses={misses}")
             }
-            Response::Stats(s) => format!(
-                "STATS requests={} batches={} hits={} misses={} datasets={} \
-                 busy={} timeouts={} queued={}",
-                s.requests,
-                s.batches,
-                s.cache_hits,
-                s.cache_misses,
-                s.datasets,
-                s.busy,
-                s.timeouts,
-                s.queued
-            ),
             Response::Updated(ack) => {
                 format!("OK epoch={} pending={}", ack.epoch, ack.pending)
             }
@@ -850,16 +831,6 @@ impl Response {
                 epoch: cur.kv(ctx, "epoch")?,
                 bytes: cur.kv(ctx, "bytes")?,
             }),
-            "STATS" => Response::Stats(EngineStats {
-                requests: cur.kv(ctx, "requests")?,
-                batches: cur.kv(ctx, "batches")?,
-                cache_hits: cur.kv(ctx, "hits")?,
-                cache_misses: cur.kv(ctx, "misses")?,
-                datasets: cur.kv(ctx, "datasets")?,
-                busy: cur.kv(ctx, "busy")?,
-                timeouts: cur.kv(ctx, "timeouts")?,
-                queued: cur.kv(ctx, "queued")?,
-            }),
             other => {
                 let row = Command::ALL.iter().find(|(.., head)| *head == Some(other));
                 let &(kind, ..) = row.ok_or_else(|| format!("unknown response `{other}`"))?;
@@ -908,7 +879,6 @@ mod tests {
     fn simple_requests_roundtrip() {
         for req in [
             Request::Ping,
-            Request::Stats,
             Request::Metrics,
             Request::Shutdown,
             Request::Quit,
@@ -934,7 +904,6 @@ mod tests {
             "ESTIMATE ds 4 2 0 1 0 2 3 1", // disconnected
             // Tokens after a bare command are an error like any other.
             "PING x",
-            "STATS x",
             "METRICS x",
             "SHUTDOWN please-dont",
             "QUIT x",
@@ -1158,16 +1127,6 @@ mod tests {
                 hits: 0,
                 misses: 1,
             },
-            Response::Stats(EngineStats {
-                requests: 10,
-                batches: 4,
-                cache_hits: 6,
-                cache_misses: 4,
-                datasets: 2,
-                busy: 3,
-                timeouts: 1,
-                queued: 5,
-            }),
             Response::Busy("queue full for dataset `imdb`".into()),
             Response::Timeout { deadline_ms: 250 },
             Response::Draining,

@@ -15,7 +15,7 @@
 //!    arrives (a batch's slots in request order), and flushes at the end
 //!    of the request and whenever the engine is about to wait — on a run
 //!    slot, a catalog fill or a helper's result — so a cold batch streams
-//!    and a warm one leaves in one write. `PING`/`STATS`/`METRICS` are
+//!    and a warm one leaves in one write. `PING`/`METRICS` are
 //!    answered inline too; `SHUTDOWN` flips the drain flag and answers
 //!    `DRAINING`.
 //!
@@ -397,23 +397,21 @@ fn write_reply(
     Ok(())
 }
 
-/// The reply line for one estimate outcome. `deadline` is the request's
-/// effective deadline, whose millisecond value a `TIMEOUT` echoes.
+/// The reply line for one estimate outcome, with the server-wide cache
+/// counters as they stand. `deadline` is the request's effective
+/// deadline, whose millisecond value a `TIMEOUT` echoes.
 fn outcome_response(
-    engine: &Engine,
+    metrics: &Metrics,
     dataset: &str,
     outcome: QueryOutcome,
     deadline: Option<(Instant, u64)>,
 ) -> Response {
     match outcome {
-        QueryOutcome::Done(outcome) => {
-            let stats = engine.stats();
-            Response::Estimate {
-                outcome,
-                hits: stats.cache_hits,
-                misses: stats.cache_misses,
-            }
-        }
+        QueryOutcome::Done(outcome) => Response::Estimate {
+            outcome,
+            hits: metrics.get(Series::CacheHits),
+            misses: metrics.get(Series::CacheMisses),
+        },
         QueryOutcome::TimedOut => Response::Timeout {
             deadline_ms: deadline.map_or(0, |(_, ms)| ms),
         },
@@ -451,7 +449,7 @@ fn write_estimates(
         if written.is_ok() {
             written = match step {
                 Handover::Done(_, outcome) => {
-                    let response = outcome_response(engine, dataset, outcome, deadline);
+                    let response = outcome_response(engine.metrics(), dataset, outcome, deadline);
                     write_reply(writer, engine.metrics(), &response, &[], id)
                 }
                 Handover::Wait => writer.flush(),
@@ -485,7 +483,7 @@ fn explain(
     let (outcome, trace) = engine
         .explain(dataset, query, deadline.map(|(at, _)| at), id)
         .map_err(Response::Error)?;
-    let first = outcome_response(engine, dataset, outcome, deadline);
+    let first = outcome_response(engine.metrics(), dataset, outcome, deadline);
     if matches!(first, Response::Error(_)) {
         return Err(first);
     }
@@ -521,7 +519,6 @@ fn serve_request(
     };
     let response = match request {
         Request::Ping => Response::Pong,
-        Request::Stats => Response::Stats(engine.stats()),
         Request::Metrics => {
             let pairs = engine.metrics_snapshot().into_iter();
             body.extend(pairs.map(|(key, v)| protocol::format_metric_line(&key, v)));

@@ -387,10 +387,19 @@ fn query_cmd(args: &[String]) -> CmdResult {
     if busy + timeouts > 0 {
         println!("{busy} busy rejections, {timeouts} timeouts");
     }
-    let stats = client.stats().map_err(CmdError::runtime)?;
+    let metrics = client.metrics().map_err(CmdError::runtime)?;
+    let get = |key: &str| {
+        metrics
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |&(_, v)| v)
+    };
     println!(
         "server: {} requests in {} batches, cache {} hits / {} misses",
-        stats.requests, stats.batches, stats.cache_hits, stats.cache_misses
+        get("requests_total"),
+        get("batches_total"),
+        get("cache_hits"),
+        get("cache_misses")
     );
     client.quit().map_err(CmdError::runtime)?;
     Ok(())

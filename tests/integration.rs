@@ -499,3 +499,62 @@ fn a_command_of_the_other_binary_is_a_usage_error_naming_it() {
     assert!(written.is_empty(), "files were written: {written:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `cegtool query` closes with `server: <n> requests in <n> batches,
+/// cache <n> hits / <n> misses`, read from one `METRICS` call: against an
+/// in-process server, after a cold and a warm pass, its four numbers are
+/// the server's `requests_total`, `batches_total`, `cache_hits` and
+/// `cache_misses`.
+#[test]
+fn query_closes_with_the_servers_metrics() {
+    use std::process::Command;
+    use std::sync::Arc;
+
+    use cegraph::service::{Client, DatasetRegistry, Server, ServerConfig};
+
+    let graph = Dataset::Hetionet.generate(4);
+    let queries = Workload::Job.build(&graph, 1, 4);
+    let workload = std::env::temp_dir().join(format!("ceg-query-line-{}.wl", std::process::id()));
+    cegraph::workload::io::save_workload(&queries, &workload).unwrap();
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.insert_graph("default", graph, 2);
+    let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let mut last = String::new();
+    for _ in 0..2 {
+        let out = Command::new(env!("CARGO_BIN_EXE_cegtool"))
+            .args(["query", &addr, workload.to_str().unwrap()])
+            .output()
+            .expect("run cegtool query");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        last = stdout.lines().last().expect("a closing line").to_string();
+    }
+    let numbers: Vec<u64> = last
+        .split_whitespace()
+        .filter_map(|token| token.parse().ok())
+        .collect();
+    assert!(last.starts_with("server: "), "{last}");
+
+    let metrics = Client::connect(server.local_addr())
+        .unwrap()
+        .metrics()
+        .unwrap();
+    let get = |key: &str| metrics.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+    let keys = [
+        "requests_total",
+        "batches_total",
+        "cache_hits",
+        "cache_misses",
+    ];
+    let want: Vec<u64> = keys.iter().map(|key| get(key).expect(key)).collect();
+    assert_eq!(numbers, want, "{last}");
+    // Two passes, one request each per query; the second pass hits.
+    let n = 2 * queries.len() as u64;
+    assert_eq!((want[0], want[1], want[2] + want[3]), (n, n, n));
+    assert!(want[2] >= queries.len() as u64, "{last}");
+    drop(server);
+    std::fs::remove_file(&workload).unwrap();
+}

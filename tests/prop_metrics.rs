@@ -132,6 +132,19 @@ fn metrics_snapshot_keys_are_stable() {
         "wal_rotations_total",
         "wal_recovered_commits_total",
         "wal_torn_tails_total",
+        "requests_total",
+        "batches_total",
+        "cache_hits",
+        "cache_misses",
+        "cache_stale_misses",
+        "cache_entries",
+        "cache_bytes",
+        "datasets",
+        "rss_anon_bytes",
+        "rss_file_bytes",
+        "hwm_bytes",
+        "threads",
+        "unaccounted_bytes",
     ]
     .into_iter()
     .map(String::from)
@@ -144,7 +157,6 @@ fn metrics_snapshot_keys_are_stable() {
         "del_edge",
         "commit",
         "snapshot",
-        "stats",
         "metrics",
         "metrics_prom",
         "slowlog",
@@ -345,6 +357,19 @@ fn metrics_prom_families_are_stable() {
         "ceg_wal_rotations_total",
         "ceg_wal_recovered_commits_total",
         "ceg_wal_torn_tails_total",
+        "ceg_requests_total",
+        "ceg_batches_total",
+        "ceg_cache_hits_total",
+        "ceg_cache_misses_total",
+        "ceg_cache_stale_misses_total",
+        "ceg_cache_entries",
+        "ceg_cache_bytes",
+        "ceg_datasets",
+        "ceg_rss_anon_bytes",
+        "ceg_rss_file_bytes",
+        "ceg_hwm_bytes",
+        "ceg_threads",
+        "ceg_unaccounted_bytes",
     ]
     .into_iter()
     .map(String::from)
@@ -357,7 +382,6 @@ fn metrics_prom_families_are_stable() {
         "del_edge",
         "commit",
         "snapshot",
-        "stats",
         "metrics",
         "metrics_prom",
         "slowlog",

@@ -60,23 +60,28 @@ fn concurrent_clients_get_identical_estimates_and_cache_hits() {
     // repeating one must hit the LRU cache — observable through the
     // protocol's cache flag and the server-wide hit counter.
     let mut client = Client::connect(addr).expect("connect");
-    let before = client.stats().expect("stats");
+    let metric = |client: &mut Client, key: &str| {
+        let snap = client.metrics().expect("metrics");
+        snap.into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    };
+    let hits_before = metric(&mut client, "cache_hits").expect("cache_hits");
     let reply = client
         .estimate("default", &queries[0].query)
         .expect("estimate");
     assert!(reply.cached, "repeated query must be served from cache");
     assert_eq!(reply.value, per_thread[0][0]);
-    assert!(reply.hits > before.cache_hits);
+    assert!(reply.hits > hits_before);
 
     // Every lookup is accounted for. Concurrent first arrivals of the
     // same query may each miss (both compute the same deterministic
     // value), so misses is at least — not exactly — the distinct-query
     // count; everything else must have hit.
-    let stats = client.stats().expect("stats");
+    let hits = metric(&mut client, "cache_hits").expect("cache_hits");
+    let misses = metric(&mut client, "cache_misses").expect("cache_misses");
     let total_lookups = (CLIENTS * queries.len()) as u64 + 1;
-    assert_eq!(stats.cache_hits + stats.cache_misses, total_lookups);
-    assert!(stats.cache_misses >= queries.len() as u64);
-    assert!(stats.cache_hits >= 1);
+    assert_eq!(hits + misses, total_lookups);
+    assert!(misses >= queries.len() as u64);
+    assert!(hits >= 1);
     drop(server);
 }
 
@@ -721,5 +726,131 @@ fn no_batch_helper_outlives_its_request() {
         "threads before and after each batch: {tries:?}"
     );
     client.quit().expect("quit");
+    drop(server);
+}
+
+/// Every served count lives once, in `METRICS`. A scripted run through
+/// `Server::serve_io` — a cold miss, a hit, a `COMMIT`, the stale miss it
+/// causes, a batch mixing a hit with two misses, then a server with no
+/// cache — reads exact `cache_*`, `queued`, `queued_peak`,
+/// `requests_total` and `batches_total` values after each step, and every
+/// `EST` line's `hits=` / `misses=` is what `METRICS` reads right after it.
+#[test]
+fn served_counts_are_exact_and_every_est_line_reads_them() {
+    use std::collections::HashMap;
+
+    use cegraph::graph::GraphBuilder;
+
+    let start = |cache_capacity| {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 0);
+        b.add_edge(1, 2, 1);
+        b.add_edge(1, 3, 1);
+        b.add_edge(3, 4, 0);
+        let registry = Arc::new(DatasetRegistry::new());
+        registry.insert_graph("default", b.build(), 2);
+        let config = ServerConfig {
+            cache_capacity,
+            ..ServerConfig::default()
+        };
+        Server::start(registry, "127.0.0.1:0", config).expect("bind ephemeral port")
+    };
+    // One connection per request; the reply lines without their id tails.
+    let serve = |server: &Server, request: &str| -> Vec<String> {
+        let mut out = Vec::new();
+        let input = format!("{request}\n");
+        server.serve_io(input.as_bytes(), &mut out).expect("serve");
+        let text = String::from_utf8(out).expect("replies are UTF-8");
+        let strip = |line: &str| {
+            line.rsplit_once(" id=")
+                .map_or(line, |(body, _)| body)
+                .to_string()
+        };
+        text.lines().map(strip).collect()
+    };
+    let metrics = |server: &Server| -> HashMap<String, u64> {
+        let lines = serve(server, "METRICS");
+        let body = lines.iter().skip(1).map(|line| {
+            let (key, value) = line.split_once(' ').expect("`<key> <value>`");
+            (key.to_string(), value.parse().expect("a count"))
+        });
+        body.collect()
+    };
+    const KEYS: [&str; 7] = [
+        "cache_hits",
+        "cache_misses",
+        "cache_stale_misses",
+        "queued",
+        "queued_peak",
+        "requests_total",
+        "batches_total",
+    ];
+    // Send `request`, check its EST lines against METRICS read right
+    // after it, and return the seven counts in `KEYS` order.
+    let step = |server: &Server, request: &str| -> [u64; 7] {
+        let replies = serve(server, request);
+        let after = metrics(server);
+        let estimates: Vec<&String> = replies.iter().filter(|l| l.starts_with("EST ")).collect();
+        assert_eq!(
+            request.starts_with("ESTIMATE"),
+            !estimates.is_empty(),
+            "{replies:?}"
+        );
+        for line in estimates {
+            let token = |key: &str| {
+                let value = line.split(' ').find_map(|t| t.strip_prefix(key));
+                value.and_then(|v| v.parse::<u64>().ok())
+            };
+            assert_eq!(
+                token("hits="),
+                Some(after["cache_hits"]),
+                "{request:?}: {line}"
+            );
+            assert_eq!(
+                token("misses="),
+                Some(after["cache_misses"]),
+                "{request:?}: {line}"
+            );
+        }
+        KEYS.map(|key| after[key])
+    };
+    let q1 = "3 2 0 1 0 1 2 1";
+    let (q2, q3) = ("2 1 0 1 0", "2 1 0 1 1");
+
+    // hits, misses, stale, queued, peak, requests, batches
+    let server = start(64);
+    assert_eq!(
+        step(&server, &format!("ESTIMATE default {q1}")),
+        [0, 1, 0, 0, 1, 1, 1]
+    );
+    assert_eq!(
+        step(&server, &format!("ESTIMATE default {q1}")),
+        [1, 1, 0, 0, 1, 2, 2]
+    );
+    assert_eq!(
+        step(&server, "ADD_EDGE default 4 0 1"),
+        [1, 1, 0, 0, 1, 2, 2]
+    );
+    assert_eq!(step(&server, "COMMIT default"), [1, 1, 0, 0, 1, 2, 2]);
+    assert_eq!(
+        step(&server, &format!("ESTIMATE default {q1}")),
+        [1, 2, 1, 0, 1, 3, 3]
+    );
+    let batch = format!("ESTIMATE_BATCH default 3\n{q1}\n{q2}\n{q3}");
+    assert_eq!(step(&server, &batch), [2, 4, 1, 0, 2, 6, 4]);
+    drop(server);
+
+    // No cache: every probe is a cold miss, a repeat included.
+    let server = start(0);
+    assert_eq!(
+        step(&server, &format!("ESTIMATE default {q1}")),
+        [0, 1, 0, 0, 1, 1, 1]
+    );
+    assert_eq!(
+        step(&server, &format!("ESTIMATE default {q1}")),
+        [0, 2, 0, 0, 1, 2, 2]
+    );
+    let batch = format!("ESTIMATE_BATCH default 2\n{q1}\n{q2}");
+    assert_eq!(step(&server, &batch), [0, 4, 0, 0, 2, 4, 3]);
     drop(server);
 }

