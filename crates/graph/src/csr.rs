@@ -564,7 +564,12 @@ impl Csr {
     /// The matcher seeds unconstrained root variables from this list
     /// instead of scanning the whole domain.
     pub fn active_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.rows().map(|(v, _)| v)
+        // The pages' bitmaps alone: no row is sliced.
+        self.occupied().flat_map(|(base, page)| {
+            bits_of(page.summary())
+                .enumerate()
+                .flat_map(move |(k, w)| bits_of(page.word(k)).map(move |b| base + 64 * w + b))
+        })
     }
 
     /// Iterate `(vertex, neighbours)` over the active vertices, in
@@ -622,6 +627,50 @@ impl Csr {
         self.occupied().fold((0, 0), |(pages, words), (_, p)| {
             (pages + 1, words + p.words())
         })
+    }
+
+    /// Length of [`Csr::rank_table`]'s table: a word per page slot and
+    /// 128 per occupied page — 1 KiB a page, never a bit per vertex of
+    /// the domain.
+    pub(crate) fn rank_table_len(&self) -> usize {
+        self.pages.len() + 2 * WORDS * self.occupancy().0
+    }
+
+    /// Replace `out` with the table [`Csr::rank`] reads, for a pass that
+    /// ranks many vertices: per page slot, where its words start in the
+    /// table (past its end for an empty page); then, per occupied page, for
+    /// each of its 64 words the word's bitmap and the rows below the
+    /// word. Flat, so a rank is two dependent loads and a popcount where
+    /// a probe of the pages takes four.
+    pub(crate) fn rank_table(&self, out: &mut Vec<u64>) {
+        out.clear();
+        // Past any table: 2^20 slots of at most 129 words each.
+        out.resize(self.pages.len(), u64::from(u32::MAX));
+        let mut rows = 0u64;
+        for (p, page) in self.pages.iter().enumerate() {
+            let Some(page) = page else { continue };
+            let at = out.len();
+            out[p] = at as u64;
+            out.resize(at + 2 * WORDS, 0);
+            for (k, w) in bits_of(page.summary()).enumerate() {
+                let w = at + 2 * w as usize;
+                out[w] = page.word(k);
+                out[w + 1] = rows + page.rank(k) as u64;
+            }
+            rows += page.num_rows() as u64;
+        }
+    }
+
+    /// The rank of `v` among the vertices with a row — the rows below it
+    /// — or `None` if `v` has none, read from `table`, the index's
+    /// [`Csr::rank_table`].
+    #[inline]
+    pub(crate) fn rank(v: VertexId, table: &[u64]) -> Option<usize> {
+        let start = *table.get(page_of(v))?;
+        let at = usize::try_from(start).ok()? + 2 * (v as usize >> 6 & (WORDS - 1));
+        let (bits, below) = (*table.get(at)?, *table.get(at + 1)?);
+        let bit = 1u64 << (v & 63);
+        (bits & bit != 0).then(|| (below + u64::from((bits & (bit - 1)).count_ones())) as usize)
     }
 
     /// Whether page `p` is the same allocation in `self` and in `other`
@@ -954,6 +1003,36 @@ mod tests {
         }
         assert_eq!(c.nth_edge(c.num_edges()), None);
         assert_eq!(Csr::default().nth_edge(0), None);
+    }
+
+    #[test]
+    fn rank_is_the_position_among_active_vertices() {
+        // Rows in several words of three pages, the middle one empty.
+        let page = Csr::PAGE_SIZE as VertexId;
+        let pairs: Vec<(VertexId, VertexId)> =
+            [0, 1, 63, 64, 700, page - 1, 2 * page, 2 * page + 9]
+                .iter()
+                .map(|&v| (v, 0))
+                .collect();
+        let c = Csr::from_pairs(3 * page as usize, &pairs);
+        let mut table = Vec::new();
+        c.rank_table(&mut table);
+        assert_eq!(table.len(), c.rank_table_len());
+        assert_eq!(table.len(), 3 + 2 * 128);
+        for (k, v) in c.active_vertices().enumerate() {
+            assert_eq!(Csr::rank(v, &table), Some(k), "vertex {v}");
+        }
+        for v in [
+            2,
+            65,
+            page,
+            page + 100,
+            2 * page + 1,
+            3 * page,
+            VertexId::MAX,
+        ] {
+            assert_eq!(Csr::rank(v, &table), None, "vertex {v}");
+        }
     }
 
     #[test]

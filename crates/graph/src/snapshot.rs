@@ -4,9 +4,11 @@
 //! header, designed so a restart can skip text parsing and neighbour-list
 //! sorting entirely. The graph section stores each relation once,
 //! forward, as a bit stream of gap codes (`write_graph`): Elias-γ for
-//! the row-id gaps and degrees, Rice for the target gaps with a
-//! parameter both sides derive from the row's degree. The decoder reads
-//! them into one relation's row ids, offsets and targets at a time, cuts
+//! the relation's target set and for the row-id gaps and degrees, Rice
+//! for the gaps between a row's targets' ranks in that set, with a
+//! parameter both sides derive from the row's degree and the set's
+//! size. The decoder reads them into one relation's row ids, offsets and
+//! targets at a time (the set only while its relation is read), cuts
 //! those into the pages the graph keeps, and derives the backward index
 //! by one counting [`Csr::transpose`]. The catalog section
 //! (`ceg-catalog::io`) and the log's records are coded as LEB128
@@ -14,7 +16,7 @@
 //!
 //! ```text
 //! magic   8 bytes  b"CEGSNAP\0"
-//! version u32 LE   format version (currently 5)
+//! version u32 LE   format version (currently 6)
 //! section*:
 //!   tag      4 bytes   b"GRPH" | b"MRKV" | b"EPOC" | future tags
 //!   len      u64 LE    payload length in bytes
@@ -78,17 +80,21 @@ pub const MAGIC: [u8; 8] = *b"CEGSNAP\0";
 /// stored each relation once, forward, as LEB128 gaps (about a quarter
 /// of the bytes); version 4 coded the `MRKV` catalog entries as LEB128
 /// varints too, each against the leading edges it shares with the entry
-/// before it. Version 5 codes each relation of `GRPH` as one bit stream
-/// (the layout is at `write_graph`): a row header is two Elias-γ codes,
-/// so a gap of 0 and a degree of 1 cost a bit each where a varint cost a
-/// byte, and a row's targets are Rice codes with `k = ⌊log2(num_vertices
-/// / degree)⌋`, close to the entropy of `degree` ids spread over the
-/// domain and derived, so never stored or tuned. The cost ledger's
+/// before it. Version 5 coded each relation of `GRPH` as one bit stream:
+/// a row header is two Elias-γ codes, so a gap of 0 and a degree of 1
+/// cost a bit each where a varint cost a byte, and a row's targets were
+/// Rice codes with `k = ⌊log2(num_vertices / degree)⌋`, so a target paid
+/// for the whole domain. Version 6 (the layout is at `write_graph`)
+/// writes each relation's target set `π_dst R` once, as γ gaps, and
+/// codes a row's targets as Rice gaps of their ranks in that set with
+/// `k = ⌊log2(num_targets / degree)⌋`: a target pays for its own
+/// relation's set, and the set pays for where in the domain it lies.
+/// Both sides derive `k`; it is never stored or tuned. The cost ledger's
 /// `snapshot.sections.*` lines (`tests/cost/mod.rs`) pin the bytes each
 /// section costs on the benchmark's seeded graphs and catalog.
-/// There is no reader for versions 1 to 4: rebuild from the `.edges`
+/// There is no reader for versions 1 to 5: rebuild from the `.edges`
 /// file.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Section tag: the rebased CSR relations of a [`LabeledGraph`].
 pub const TAG_GRAPH: [u8; 4] = *b"GRPH";
@@ -677,16 +683,16 @@ impl Code {
     }
 }
 
-/// The Rice parameter of a row of `degree` targets in a domain of
-/// `num_vertices` (`1 <= degree <= num_vertices`): `⌊log2(num_vertices /
-/// degree)⌋`, the parameter whose codes a row with evenly spread
-/// targets is shortest in. Both sides derive it, so it is never stored.
-/// It is the largest `k` with `degree << k <= num_vertices`: the
-/// difference of the two logs, or one less (no division per row).
+/// The Rice parameter of a row of `degree` targets in a set of `n`
+/// (`1 <= degree <= n`): `⌊log2(n / degree)⌋`, the parameter whose codes
+/// a row with evenly spread targets is shortest in. Both sides derive
+/// it, so it is never stored. It is the largest `k` with `degree << k <=
+/// n`: the difference of the two logs, or one less (no division per
+/// row).
 #[inline]
-fn rice_k(num_vertices: u64, degree: u64) -> u32 {
-    let k = num_vertices.ilog2() - degree.ilog2();
-    k - u32::from(degree << k > num_vertices)
+fn rice_k(n: u64, degree: u64) -> u32 {
+    let k = n.ilog2() - degree.ilog2();
+    k - u32::from(degree << k > n)
 }
 
 /// Where [`relation_codes`] hands a relation's codes.
@@ -695,34 +701,57 @@ trait CodeSink {
     /// Take the next code.
     fn code(&mut self, code: Code) -> Result<(), Self::Error>;
     /// A point between codes where a writer can pass its chunk on: after
-    /// each row, and after every [`TARGETS_PER_PAUSE`] targets of one.
+    /// every [`TARGETS_PER_PAUSE`] ids of the target set and after the
+    /// set, after each row, and after every [`TARGETS_PER_PAUSE`] targets
+    /// of one.
     fn pause(&mut self) -> Result<(), Self::Error>;
 }
 
-/// Most targets a row hands a [`CodeSink`] between two pauses.
+/// Most target codes a [`CodeSink`] is handed between two pauses.
 const TARGETS_PER_PAUSE: usize = 256;
 
-/// Hand `sink` the codes of one relation's bit stream, in order: per
-/// row the γ of its id's gap plus one, the γ of its degree, and the
-/// Rice codes of the gaps between its targets. A gap is the value minus
-/// the previous value minus 1, with -1 before the first row id and
-/// before each row's first target.
-fn relation_codes<S: CodeSink>(csr: &Csr, num_vertices: u64, sink: &mut S) -> Result<(), S::Error> {
+/// Hand `sink` the codes of one relation's bit stream, in order: the γ
+/// of each gap plus one in its target set `π_dst R` (the rows of `bwd`,
+/// the relation's backward index), then per row of `fwd` the γ of its
+/// id's gap plus one, the γ of its degree, and the Rice codes of the
+/// gaps between its targets' ranks in that set. A gap is the value minus
+/// the previous value minus 1, with -1 before the first set id, the
+/// first row id and each row's first rank. A rank is read from `ranks`,
+/// `bwd`'s [`Csr::rank_table`]: nothing is sorted or collected.
+fn relation_codes<S: CodeSink>(
+    fwd: &Csr,
+    bwd: &Csr,
+    ranks: &[u64],
+    sink: &mut S,
+) -> Result<(), S::Error> {
     // The previous value plus 1.
+    let mut next = 0u64;
+    for (i, t) in bwd.active_vertices().enumerate() {
+        let t = u64::from(t);
+        sink.code(Code::gamma(t - next + 1))?;
+        next = t + 1;
+        if i % TARGETS_PER_PAUSE == TARGETS_PER_PAUSE - 1 {
+            sink.pause()?;
+        }
+    }
+    sink.pause()?;
+    let num_targets = bwd.num_active() as u64;
     let mut next_row = 0u64;
-    for (v, row) in csr.rows() {
+    for (v, row) in fwd.rows() {
         let v = u64::from(v);
         sink.code(Code::gamma(v - next_row + 1))?;
         next_row = v + 1;
         let degree = row.len() as u64;
         sink.code(Code::gamma(degree))?;
-        let k = rice_k(num_vertices, degree);
+        let k = rice_k(num_targets, degree);
         let mut next = 0u64;
         for part in row.chunks(TARGETS_PER_PAUSE) {
             for &t in part {
-                let t = u64::from(t);
-                sink.code(Code::rice(t - next, k))?;
-                next = t + 1;
+                let rank = Csr::rank(t, ranks);
+                debug_assert!(rank.is_some(), "target {t} has no backward row");
+                let rank = rank.unwrap_or_default() as u64;
+                sink.code(Code::rice(rank.saturating_sub(next), k))?;
+                next = rank + 1;
             }
             sink.pause()?;
         }
@@ -746,59 +775,88 @@ impl CodeSink for BitCount {
     }
 }
 
-/// Bytes of one relation's bit stream, padded to a whole byte.
-fn relation_bytes(csr: &Csr, num_vertices: u64) -> u64 {
-    let mut bits = BitCount(0);
-    let Ok(()) = relation_codes(csr, num_vertices, &mut bits);
-    bits.0.div_ceil(8)
+/// The buffer that holds one relation's [`Csr::rank_table`] at a time,
+/// reserved once for the graph's largest: the passes over a graph's
+/// relations allocate nothing else.
+fn rank_buffer(graph: &LabeledGraph) -> Vec<u64> {
+    let lens = graph.csr_pairs().map(|(_, bwd)| bwd.rank_table_len());
+    Vec::with_capacity(lens.max().unwrap_or(0))
 }
 
 /// Exact length in bytes of the `GRPH` payload `write_graph` writes
 /// for `graph`: one sizing pass over the codes it will write.
 pub fn graph_payload_len(graph: &LabeledGraph) -> u64 {
-    let num_vertices = graph.num_vertices() as u64;
-    16 + graph
-        .csr_pairs()
-        .map(|(fwd, _)| 16 + relation_bytes(fwd, num_vertices))
-        .sum::<u64>()
+    payload_len(graph, &mut rank_buffer(graph))
+}
+
+/// [`graph_payload_len`] through a [`rank_buffer`].
+fn payload_len(graph: &LabeledGraph, ranks: &mut Vec<u64>) -> u64 {
+    let relations = graph.csr_pairs().map(|(fwd, bwd)| {
+        bwd.rank_table(ranks);
+        let mut bits = BitCount(0);
+        let Ok(()) = relation_codes(fwd, bwd, ranks, &mut bits);
+        24 + bits.0.div_ceil(8)
+    });
+    16 + relations.sum::<u64>()
 }
 
 /// The bits of a payload on their way into a [`ChunkedWriter`]'s chunk,
-/// least significant first, a byte as soon as it is whole.
-struct BitWriter<'c, 'w, W: ?Sized> {
-    out: &'c mut ChunkedWriter<'w, W>,
+/// least significant first, a byte as soon as it is whole. It holds the
+/// chunk while it writes, at the chunk's capacity, with its own count of
+/// the bytes in it: a code stores into memory no field of the writer
+/// lives in, so those stay in registers.
+struct BitWriter<'w, W: ?Sized> {
+    out: &'w mut W,
+    /// `chunk[..at]` holds the bytes not yet written out.
+    chunk: Vec<u8>,
+    at: usize,
     /// Bits not yet in the chunk, the next one lowest; fewer than 8.
     acc: u64,
     len: u32,
 }
 
 /// Chunk bytes past which a [`BitWriter`] writes the chunk out: what
-/// the codes of a pause's targets and row header add (at most 32 bits
-/// each, 8 bytes stored past the end) then still fits the chunk's
-/// capacity, so it is never reallocated.
+/// the codes between two pauses add (at most 32 bits each, 8 bytes
+/// stored past the end) then still fits the chunk's capacity, so it is
+/// never reallocated.
 const BIT_CHUNK: usize = CHUNK - 4 * (TARGETS_PER_PAUSE + 2) - 8;
 
-impl<W: Write + ?Sized> BitWriter<'_, '_, W> {
+impl<'w, W: Write + ?Sized> BitWriter<'w, W> {
+    /// Continue a payload with bits, after the bytes `chunk` holds;
+    /// `finish` hands the chunk back.
+    fn new(out: &'w mut W, mut chunk: Vec<u8>) -> Self {
+        let at = chunk.len();
+        chunk.resize(CHUNK, 0);
+        BitWriter {
+            out,
+            chunk,
+            at,
+            acc: 0,
+            len: 0,
+        }
+    }
+
     /// The `n <= 32` low bits of `bits` (the bits above them are zero).
-    /// The accumulator is stored whole on every call and the chunk keeps
-    /// the bytes that are complete, so no branch waits on a full word.
+    /// The accumulator is stored whole on every call and `at` counts the
+    /// bytes that are complete, so no branch waits on a full word.
     #[inline]
     fn put(&mut self, bits: u64, n: u32) {
         self.acc |= bits << self.len;
         let len = self.len + n;
-        let at = self.out.chunk.len();
-        self.out.chunk.extend_from_slice(&self.acc.to_le_bytes());
-        self.out.chunk.truncate(at + (len / 8) as usize);
+        if let Some(word) = self.chunk.get_mut(self.at..self.at + 8) {
+            word.copy_from_slice(&self.acc.to_le_bytes());
+        }
+        self.at += (len / 8) as usize;
         self.acc >>= len & !7;
         self.len = len % 8;
     }
 
     /// Write the chunk once it holds [`BIT_CHUNK`] bytes.
     fn drain(&mut self) -> io::Result<()> {
-        let chunk = &mut self.out.chunk;
-        if chunk.len() >= BIT_CHUNK {
-            self.out.out.write_all(chunk)?;
-            chunk.clear();
+        if self.at >= BIT_CHUNK {
+            self.out
+                .write_all(self.chunk.get(..self.at).unwrap_or_default())?;
+            self.at = 0;
         }
         Ok(())
     }
@@ -818,15 +876,17 @@ impl<W: Write + ?Sized> BitWriter<'_, '_, W> {
         self.drain()
     }
 
-    /// Write what is left, the last byte padded with zeros.
-    fn finish(self) {
+    /// The chunk with what is left, the last byte padded with zeros.
+    fn finish(mut self) -> Vec<u8> {
         if self.len > 0 {
-            self.out.chunk.push(self.acc as u8);
+            self.put(0, 8 - self.len);
         }
+        self.chunk.truncate(self.at);
+        self.chunk
     }
 }
 
-impl<W: Write + ?Sized> CodeSink for BitWriter<'_, '_, W> {
+impl<W: Write + ?Sized> CodeSink for BitWriter<'_, W> {
     type Error = io::Error;
 
     /// One code (`width <= 32`), in one `put` when it fits one.
@@ -846,36 +906,38 @@ impl<W: Write + ?Sized> CodeSink for BitWriter<'_, '_, W> {
 }
 
 /// Write a graph as a `GRPH` payload: each relation once, forward, as a
-/// bit stream of gap codes — the file costs the edges and rows, never
-/// the vertex domain, and holds no backward index (the reader derives it
-/// with [`Csr::transpose`]). The rows are read in place; nothing the size
-/// of the graph is built.
+/// bit stream of gap codes — the file costs the edges, rows and target
+/// sets, never the vertex domain, and holds no backward index (the
+/// reader derives it with [`Csr::transpose`]). The rows are read in
+/// place and each target's rank from the backward index's rank table;
+/// nothing the size of a relation is built (`ranks` is a
+/// [`rank_buffer`]).
 ///
 /// ```text
 /// u64 num_vertices, u64 num_labels
-/// per label: u64 num_rows, u64 num_edges, then one bit stream, zero-padded
-///   to a whole byte, holding per row, ascending:
-///     γ(row-id gap + 1)  γ(degree)  rice_k(target gap) * degree
-///     k = ⌊log2(num_vertices / degree)⌋
-/// gap = value - previous value - 1 (previous = -1 before the first row
-///       id and before each row's first target)
+/// per label: u64 num_rows, u64 num_edges, u64 num_targets, then one bit
+///   stream, zero-padded to a whole byte, holding
+///     γ(target-set id gap + 1) * num_targets, ascending: π_dst R
+///     per row, ascending:
+///       γ(row-id gap + 1)  γ(degree)  rice_k(target-rank gap) * degree
+///       k = ⌊log2(num_targets / degree)⌋
+/// gap = value - previous value - 1 (previous = -1 before the first set
+///       id, the first row id and each row's first rank); a rank is a
+///       target's position in π_dst R
 /// ```
-fn write_graph(graph: &LabeledGraph, out: &mut impl Write) -> io::Result<()> {
-    let num_vertices = graph.num_vertices() as u64;
+fn write_graph(graph: &LabeledGraph, ranks: &mut Vec<u64>, out: &mut impl Write) -> io::Result<()> {
     let mut w = ChunkedWriter::new(out);
-    w.u64(num_vertices)?;
+    w.u64(graph.num_vertices() as u64)?;
     w.u64(graph.num_labels() as u64)?;
-    for (fwd, _) in graph.csr_pairs() {
+    for (fwd, bwd) in graph.csr_pairs() {
         w.u64(fwd.num_active() as u64)?;
         w.u64(fwd.num_edges() as u64)?;
-        let mut bits = BitWriter {
-            out: &mut w,
-            acc: 0,
-            len: 0,
-        };
+        w.u64(bwd.num_active() as u64)?;
+        bwd.rank_table(ranks);
+        let mut bits = BitWriter::new(&mut *w.out, std::mem::take(&mut w.chunk));
         bits.drain()?;
-        relation_codes(fwd, num_vertices, &mut bits)?;
-        bits.finish();
+        relation_codes(fwd, bwd, ranks, &mut bits)?;
+        w.chunk = bits.finish();
         w.spill()?;
     }
     w.finish()
@@ -889,9 +951,9 @@ pub fn write_graph_sections<W: Write>(
     epoch: u64,
 ) -> io::Result<()> {
     w.write_section(TAG_EPOCH, &epoch.to_le_bytes())?;
-    w.section(TAG_GRAPH, graph_payload_len(graph), |body| {
-        write_graph(graph, body)
-    })
+    let mut ranks = rank_buffer(graph);
+    let len = payload_len(graph, &mut ranks);
+    w.section(TAG_GRAPH, len, |body| write_graph(graph, &mut ranks, body))
 }
 
 /// Largest label count a `GRPH` payload may declare (`LabelId` is `u16`).
@@ -1196,27 +1258,44 @@ impl<R: Read> BitReader<'_, R> {
         Ok(())
     }
 
-    /// One relation: its two counts, then its bit stream. The counts are
-    /// held to the bits left before anything is allocated for them — a
-    /// row costs at least its two γ codes of one bit, an edge at least
-    /// the one bit that ends its unary quotient — so what this allocates
-    /// is at most 4 bytes per bit of the payload. Every id is checked
-    /// against the domain as it is decoded, and every unary run stops as
-    /// soon as it could only name an id past it; strictly increasing ids
-    /// and non-empty rows hold by construction.
+    /// One relation: its three counts, then its bit stream. The counts
+    /// are held to the domain and to the bits left before anything is
+    /// allocated for them — a row costs at least its two γ codes of one
+    /// bit, an edge at least the one bit that ends its unary quotient, a
+    /// target-set id its γ's one bit — so what this allocates is at most
+    /// 4 bytes per bit of the payload. Every id is checked against the
+    /// domain and every rank against the set as it is decoded, and every
+    /// unary run stops as soon as it could only name a value past its
+    /// bound; strictly increasing ids and non-empty rows hold by
+    /// construction.
     fn relation(&mut self, label: usize, num_vertices: u64) -> io::Result<Relation> {
         let what = format!("label {label}");
         let num_rows = self.u64(&what)?;
         let num_edges = self.u64(&what)?;
+        let num_targets = self.u64(&what)?;
         let left = self.remaining();
         if num_edges > u64::from(u32::MAX)
             || num_rows > num_edges.min(num_vertices)
-            || 2 * num_rows + num_edges > left
+            || num_targets > num_edges.min(num_vertices)
+            || 2 * num_rows + num_edges + num_targets > left
         {
             return Err(bad(format!(
-                "{what}: {num_rows} rows and {num_edges} edges over {num_vertices} vertices \
-                 do not fit the {left} bits left"
+                "{what}: {num_rows} rows, {num_edges} edges and {num_targets} targets over \
+                 {num_vertices} vertices do not fit the {left} bits left"
             )));
+        }
+        // The ids a rank names, ascending.
+        let mut set = Vec::with_capacity(num_targets as usize);
+        let mut next = 0u64;
+        for _ in 0..num_targets {
+            let past = || {
+                bad(format!(
+                    "{what}: a target-set id past the domain of {num_vertices}"
+                ))
+            };
+            let t = next + self.gamma(num_vertices - next, &what, past)? - 1;
+            set.push(t as VertexId);
+            next = t + 1;
         }
         let mut rows = Vec::with_capacity(num_rows as usize);
         let mut offsets = Vec::with_capacity(num_rows as usize + 1);
@@ -1232,9 +1311,9 @@ impl<R: Read> BitReader<'_, R> {
             let v = next_row + self.gamma(num_vertices - next_row, &what, past)? - 1;
             let past = || bad(format!("{what}: a degree past 2^32"));
             let degree = self.gamma(1 << 32, &what, past)?;
-            if degree > num_vertices {
+            if degree > num_targets {
                 return Err(bad(format!(
-                    "{what}: degree {degree} of row {v} is above the domain of {num_vertices}"
+                    "{what}: degree {degree} of row {v} is above the {num_targets} targets"
                 )));
             }
             if targets.len() as u64 + degree > num_edges {
@@ -1242,24 +1321,23 @@ impl<R: Read> BitReader<'_, R> {
                     "{what}: degree {degree} of row {v} overruns num_edges {num_edges}"
                 )));
             }
-            let k = rice_k(num_vertices, degree);
+            let k = rice_k(num_targets, degree);
             let past = || {
                 bad(format!(
-                    "{what}: a target of row {v} past the domain of {num_vertices}"
+                    "{what}: a rank of row {v} past the {num_targets} targets"
                 ))
             };
             let mut next = 0u64;
             for _ in 0..degree {
                 // A Rice code; a quotient past this limit carries the
-                // target past the domain.
-                let limit = || (num_vertices - next).saturating_sub(1) >> k;
+                // rank past the set.
+                let limit = || (num_targets - next).saturating_sub(1) >> k;
                 let (q, low) = self.code(|_| k, limit, &what, past)?;
-                let t = next + (q << k | low);
-                if t >= num_vertices {
-                    return Err(past());
-                }
-                targets.push(t as VertexId);
-                next = t + 1;
+                let rank = next + (q << k | low);
+                // The set holds `num_targets` ids: a rank below it names one.
+                let &t = set.get(rank as usize).ok_or_else(past)?;
+                targets.push(t);
+                next = rank + 1;
             }
             rows.push(v as VertexId);
             offsets.push(targets.len() as u32);
@@ -1365,9 +1443,9 @@ pub fn read_sections<M>(
         .next_section(|tag, body| {
             match tag {
                 // Held until the checksum has been compared: the codes
-                // take their Rice parameters from the declared domain, so
-                // one flipped bit there misreads every target after it,
-                // and the checksum is what names that.
+                // take their Rice parameters from the declared counts, so
+                // one flipped bit there misreads every rank after it, and
+                // the checksum is what names that.
                 TAG_GRAPH => arrays = Some(decode_graph(body)),
                 TAG_EPOCH => epoch = Some(decode_epoch(body)?),
                 TAG_MARKOV => catalog = Some(markov(body)?),
@@ -1439,31 +1517,50 @@ mod tests {
     }
 
     /// The `GRPH` payload built whole, in memory, field by field as the
-    /// format lists them: the oracle `write_graph` is held to.
+    /// format lists them: the oracle `write_graph` is held to. The target
+    /// set is the forward targets sorted, and a rank a binary search in
+    /// it.
     fn encode_graph(graph: &LabeledGraph) -> Vec<u8> {
-        let n = graph.num_vertices() as u64;
         let mut buf = Vec::new();
-        put_u64(&mut buf, n);
+        put_u64(&mut buf, graph.num_vertices() as u64);
         put_u64(&mut buf, graph.num_labels() as u64);
         for l in 0..graph.num_labels() as u16 {
+            let mut set: Vec<VertexId> =
+                graph.rows(l, false).flat_map(|(_, r)| r).copied().collect();
+            set.sort_unstable();
+            set.dedup();
             put_u64(&mut buf, graph.distinct_sources(l) as u64);
             put_u64(&mut buf, graph.label_count(l) as u64);
+            put_u64(&mut buf, set.len() as u64);
             let mut bits = Bits::default();
+            let mut prev = -1i64;
+            for &t in &set {
+                bits = bits.gamma((i64::from(t) - prev) as u64);
+                prev = t.into();
+            }
             let mut prev_row = -1i64;
             for (v, row) in graph.rows(l, false) {
                 bits = bits.gamma((i64::from(v) - prev_row) as u64);
                 bits = bits.gamma(row.len() as u64);
-                let k = (n / row.len() as u64).ilog2();
+                let k = (set.len() as u64 / row.len() as u64).ilog2();
                 let mut prev = -1i64;
-                for &t in row {
-                    bits = bits.rice((i64::from(t) - prev - 1) as u64, k);
-                    prev = t.into();
+                for t in row {
+                    let rank = set.binary_search(t).unwrap() as i64;
+                    bits = bits.rice((rank - prev - 1) as u64, k);
+                    prev = rank;
                 }
                 prev_row = v.into();
             }
             buf.extend(bits.bytes());
         }
         buf
+    }
+
+    /// `write_graph` into memory.
+    fn write_payload(graph: &LabeledGraph) -> Vec<u8> {
+        let mut payload = Vec::new();
+        write_graph(graph, &mut rank_buffer(graph), &mut payload).unwrap();
+        payload
     }
 
     fn decode(payload: &[u8]) -> io::Result<LabeledGraph> {
@@ -1683,22 +1780,30 @@ mod tests {
         let mut long = good.clone();
         long.push(0);
         assert!(decode(&long).is_err());
-        // The last byte holds the last bit of the sample's 4 -2-> 0 row
-        // (γ(5) γ(1) rice_2(0) is 9 bits) and 7 bits of padding.
+        // Label 0's stream (after the two graph counts and its three) is
+        // its set {1, 2} as γ(2) γ(1), then row 0 as γ(1) γ(2) rice_0(0)
+        // rice_0(0): 10 bits, so the top bit of its second byte pads.
         let mut padded = good.clone();
-        *padded.last_mut().unwrap() |= 0x80;
+        padded[16 + 24 + 1] |= 0x80;
         let err = decode(&padded).unwrap_err();
         assert!(err.to_string().contains("padding"), "{err}");
     }
 
     /// A one-label `GRPH` payload over `num_vertices`, field by field, so
     /// a test can lie in any of them.
-    fn one_label(num_vertices: u64, num_rows: u64, num_edges: u64, body: &Bits) -> Vec<u8> {
+    fn one_label(
+        num_vertices: u64,
+        num_rows: u64,
+        num_edges: u64,
+        num_targets: u64,
+        body: &Bits,
+    ) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, num_vertices);
         put_u64(&mut buf, 1);
         put_u64(&mut buf, num_rows);
         put_u64(&mut buf, num_edges);
+        put_u64(&mut buf, num_targets);
         buf.extend(body.bytes());
         buf
     }
@@ -1720,75 +1825,50 @@ mod tests {
         );
     }
 
-    /// The first row of the honest relation {0->1, 0->2, 3->1} over five
-    /// vertices: row 0 (gap 0, degree 2, so `k = ⌊log2 5/2⌋ = 1`, target
-    /// gaps 1 and 0).
+    /// The target set of the honest relation {0->1, 0->2, 3->1} over five
+    /// vertices: {1, 2}, as the gaps 1 and 0.
+    fn honest_set() -> Bits {
+        Bits::default().gamma(2).gamma(1)
+    }
+
+    /// The set, then the relation's first row: row 0 (gap 0, degree 2,
+    /// so `k = ⌊log2 2/2⌋ = 0`, the ranks 0 and 1 as gaps 0 and 0).
     fn honest_row_0() -> Bits {
-        Bits::default().gamma(1).gamma(2).rice(1, 1).rice(0, 1)
+        honest_set().gamma(1).gamma(2).rice(0, 0).rice(0, 0)
     }
 
     /// The whole honest relation: row 0, then row 3 (gap 2, degree 1, so
-    /// `k = ⌊log2 5⌋ = 2`, target gap 1).
+    /// `k = ⌊log2 2⌋ = 1`, the rank 0 of target 1).
     fn honest() -> Bits {
-        honest_row_0().gamma(3).gamma(1).rice(1, 2)
+        honest_row_0().gamma(3).gamma(1).rice(0, 1)
     }
 
     #[test]
     fn hostile_row_directories_are_rejected() {
-        let g = decode(&one_label(5, 2, 3, &honest())).unwrap();
+        let g = decode(&one_label(5, 2, 3, 2, &honest())).unwrap();
         assert_eq!(g.out_neighbors(0, 0), &[1, 2]);
         assert_eq!(g.out_neighbors(3, 0), &[1]);
         assert_eq!(g.in_neighbors(1, 0), &[0, 3]);
 
         let domain = "past the domain";
-        let lies: [(Vec<u8>, &str, &str); 12] = [
+        let lies: [(Vec<u8>, &str, &str); 8] = [
             (
-                one_label(5, 2, 3, &honest_row_0().gamma(5).gamma(1).rice(1, 2)),
+                one_label(5, 2, 3, 2, &honest_row_0().gamma(5).gamma(1).rice(0, 1)),
                 "a row gap that lands on num_vertices",
                 domain,
             ),
             (
-                one_label(5, 2, 3, &honest_row_0().gamma(9).gamma(1).rice(1, 2)),
+                one_label(5, 2, 3, 2, &honest_row_0().gamma(9).gamma(1).rice(0, 1)),
                 "a row gap that lands past num_vertices",
                 domain,
             ),
             (
-                one_label(5, 2, 3, &honest_row_0().gamma(3).gamma(1).rice(5, 2)),
-                "a first target at num_vertices",
-                domain,
-            ),
-            (
-                one_label(
-                    5,
-                    2,
-                    3,
-                    &Bits::default().gamma(1).gamma(2).rice(1, 1).rice(3, 1),
-                ),
-                "a target gap that lands on num_vertices",
-                domain,
-            ),
-            (
-                one_label(
-                    5,
-                    1,
-                    1,
-                    &Bits::default().gamma(1).gamma(1).zeros(2).raw(1, 3),
-                ),
-                "a Rice quotient that carries a target past num_vertices",
-                domain,
-            ),
-            (
-                one_label(5, 1, 6, &Bits::default().gamma(1).gamma(6).zeros(12)),
-                "a degree above the domain",
-                "above the domain",
-            ),
-            (
-                one_label(5, 2, 3, &Bits::default().gamma(1).gamma(4).zeros(16)),
+                one_label(5, 2, 3, 2, &honest_row_0().gamma(3).gamma(2).zeros(16)),
                 "a degree that overruns num_edges",
                 "overruns",
             ),
             (
-                one_label(5, 2, 4, &honest()),
+                one_label(5, 2, 4, 2, &honest()),
                 "degrees that sum to less than num_edges",
                 "sum to",
             ),
@@ -1799,31 +1879,34 @@ mod tests {
                     1 << 32,
                     2,
                     2,
+                    1,
                     &Bits::default()
                         .gamma(1)
                         .gamma(1)
-                        .rice(0, 32)
+                        .gamma(1)
+                        .rice(0, 0)
                         .gamma(1 << 32)
                         .gamma(1)
-                        .rice(0, 32),
+                        .rice(0, 0),
                 ),
                 "a row-id gap that repeats a row",
                 domain,
             ),
             (
-                // Eight zeros: the row id's unary run has not reached its
-                // limit (32 zeros in a domain of 2^32) when the payload ends.
-                one_label(1 << 32, 1, 1, &Bits::default().zeros(8)),
+                // Eight zeros: the first set id's unary run has not reached
+                // its limit (32 zeros in a domain of 2^32) when the payload
+                // ends.
+                one_label(1 << 32, 1, 1, 1, &Bits::default().zeros(8)),
                 "a unary run that passes the payload's end",
                 "payload's end",
             ),
             (
-                one_label(2, 3, 3, &Bits::default().zeros(64)),
+                one_label(2, 3, 3, 1, &Bits::default().zeros(64)),
                 "more rows than vertices",
                 "do not fit",
             ),
             (
-                one_label(5, 4, 3, &Bits::default().zeros(64)),
+                one_label(5, 4, 3, 1, &Bits::default().zeros(64)),
                 "more rows than edges",
                 "do not fit",
             ),
@@ -1833,63 +1916,179 @@ mod tests {
         }
     }
 
+    /// A target set or a rank that lies is `InvalidData`, refused before
+    /// anything is allocated for a count the bits cannot hold.
+    #[test]
+    fn hostile_target_sets_are_rejected() {
+        let domain = "past the domain";
+        let set = "past the 2 targets";
+        let lies: [(Vec<u8>, &str, &str); 9] = [
+            (
+                one_label(2, 1, 3, 3, &Bits::default().zeros(64)),
+                "more targets than vertices",
+                "do not fit",
+            ),
+            (
+                one_label(5, 1, 2, 3, &Bits::default().zeros(64)),
+                "more targets than edges",
+                "do not fit",
+            ),
+            (
+                // 2^32 - 1 targets would reserve 16 GiB.
+                one_label(
+                    1 << 32,
+                    1,
+                    u32::MAX.into(),
+                    u32::MAX.into(),
+                    &Bits::default().zeros(56),
+                ),
+                "more targets than the bits left",
+                "bits left",
+            ),
+            (
+                one_label(
+                    5,
+                    1,
+                    2,
+                    2,
+                    &Bits::default().gamma(6).gamma(1).gamma(1).gamma(2),
+                ),
+                "a first set id at num_vertices",
+                domain,
+            ),
+            (
+                one_label(
+                    5,
+                    1,
+                    2,
+                    2,
+                    &Bits::default().gamma(2).gamma(4).gamma(1).gamma(2),
+                ),
+                "a set gap that lands on num_vertices",
+                domain,
+            ),
+            (
+                one_label(5, 2, 3, 2, &honest_row_0().gamma(3).gamma(1).rice(2, 1)),
+                "a rank equal to num_targets",
+                set,
+            ),
+            (
+                one_label(5, 2, 3, 2, &honest_row_0().gamma(3).gamma(1).rice(12, 1)),
+                "a Rice quotient that carries a rank past the set",
+                set,
+            ),
+            (
+                one_label(
+                    5,
+                    2,
+                    3,
+                    2,
+                    &honest_row_0().gamma(3).gamma(1).zeros(70).raw(1, 2),
+                ),
+                "a unary run longer than any rank in the set",
+                set,
+            ),
+            (
+                one_label(5, 1, 3, 2, &honest_set().gamma(1).gamma(3).zeros(8)),
+                "a degree above num_targets",
+                "above the 2 targets",
+            ),
+        ];
+        for (payload, because, why) in &lies {
+            assert_rejected(payload, because, why);
+            let err = decode(payload).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{because}: {err}");
+        }
+    }
+
     #[test]
     fn hostile_codes_are_rejected() {
         // A degree's γ with 33 zeros: longer than any degree a domain of
         // at most 2^32 vertices has.
-        let long = Bits::default().gamma(1).zeros(33).raw(1, 1).zeros(40);
-        assert_rejected(&one_label(5, 1, 1, &long), "an overlong γ", "past 2^32");
-        // The honest relation with a padding bit set: one encoding per
-        // relation.
-        let mut set = honest().bytes();
+        let long = Bits::default()
+            .gamma(1)
+            .gamma(1)
+            .zeros(33)
+            .raw(1, 1)
+            .zeros(40);
+        assert_rejected(&one_label(5, 1, 1, 1, &long), "an overlong γ", "past 2^32");
+        // A relation of row 0 alone (10 bits) with a padding bit set: one
+        // encoding per relation.
+        let mut set = honest_row_0().bytes();
         *set.last_mut().unwrap() |= 0x80;
-        let mut payload = one_label(5, 2, 3, &Bits::default());
+        let mut payload = one_label(5, 1, 2, 2, &Bits::default());
         payload.extend(set);
         assert_rejected(&payload, "a padding bit set", "padding");
-        // A Rice code cut inside its low bits by the end of the payload.
-        let cut = Bits::default().gamma(1).gamma(1).raw(1, 1).raw(0, 5);
+        // A Rice code cut inside its low bits by the end of the payload:
+        // 64 set ids as γ(2), then row 0 of degree 1 (`k = 6`) with only
+        // five bits left after its quotient.
+        let cut = (0..64)
+            .fold(Bits::default(), |b, _| b.gamma(2))
+            .gamma(1)
+            .gamma(1)
+            .raw(1, 1)
+            .raw(0, 3);
         assert_rejected(
-            &one_label(1 << 32, 1, 1, &cut),
+            &one_label(1 << 32, 1, 64, 64, &cut),
             "a code the payload ends inside",
             "ends inside a code",
         );
-        // The largest id a domain of 2^32 holds still decodes (the arrays
-        // only: the graph would be one page at the end of a page table of
-        // 2^20 slots per relation and direction).
+        // The largest id a domain of 2^32 holds still decodes, as a set id
+        // and as a row id (the arrays only: the graph would be one page at
+        // the end of a page table of 2^20 slots per relation and
+        // direction).
         let max = Bits::default()
             .gamma(1 << 32)
+            .gamma(1 << 32)
             .gamma(1)
-            .rice(u64::from(u32::MAX), 32);
-        let arrays = decode_graph(&mut PayloadReader::new(&one_label(1 << 32, 1, 1, &max)));
-        assert_eq!(arrays.unwrap().relations[0].targets, [u32::MAX]);
+            .rice(0, 0);
+        let arrays = decode_graph(&mut PayloadReader::new(&one_label(1 << 32, 1, 1, 1, &max)));
+        let arrays = arrays.unwrap();
+        assert_eq!(arrays.relations[0].rows, [u32::MAX]);
+        assert_eq!(arrays.relations[0].targets, [u32::MAX]);
     }
 
     #[test]
     fn hostile_row_count_cannot_force_allocation() {
-        // A domain of 2^32 vertices makes every row count "in range":
-        // the bits actually remaining must bound it instead, before
-        // anything is allocated for it. A row costs two bits, an edge
-        // one, and the 7 bytes below hold 56.
-        for (num_rows, num_edges) in [
-            (1u64 << 31, 1u64 << 31),
-            (u32::MAX as u64 + 1, u32::MAX as u64 + 1),
-            (0, 1 << 31),
-            (0, u64::MAX),
-            (u64::MAX, u64::MAX),
-            (19, 19),
-            (0, 57),
+        // A domain of 2^32 vertices makes every count "in range": the
+        // bits actually remaining must bound it instead, before anything
+        // is allocated for it. A row costs two bits, an edge and a target
+        // one each, and the 7 bytes below hold 56.
+        for (num_rows, num_edges, num_targets) in [
+            (1u64 << 31, 1u64 << 31, 0),
+            (u32::MAX as u64 + 1, u32::MAX as u64 + 1, 0),
+            (0, 1 << 31, 0),
+            (0, u64::MAX, 0),
+            (u64::MAX, u64::MAX, 0),
+            (19, 19, 0),
+            (0, 57, 0),
+            (1, 1 << 31, 1 << 31),
+            (0, 1, u64::MAX),
+            (1, 28, 27),
         ] {
             assert_rejected(
-                &one_label(1 << 32, num_rows, num_edges, &Bits::default().zeros(56)),
+                &one_label(
+                    1 << 32,
+                    num_rows,
+                    num_edges,
+                    num_targets,
+                    &Bits::default().zeros(56),
+                ),
                 "counts larger than the payload",
                 "bits left",
             );
         }
         // Counts the bits hold reach the codes: an honest relation, and
-        // the one edge of a one-vertex domain in three bits.
+        // the one edge of a one-vertex domain in four bits.
         for fits in [
-            one_label(5, 2, 3, &honest()),
-            one_label(1, 1, 1, &Bits::default().gamma(1).gamma(1).rice(0, 0)),
+            one_label(5, 2, 3, 2, &honest()),
+            one_label(
+                1,
+                1,
+                1,
+                1,
+                &Bits::default().gamma(1).gamma(1).gamma(1).rice(0, 0),
+            ),
         ] {
             assert!(decode_graph(&mut PayloadReader::new(&fits)).is_ok());
         }
@@ -1897,7 +2096,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_after_the_last_relation_are_rejected() {
-        let payload = [one_label(5, 2, 3, &honest()), vec![0]].concat();
+        let payload = [one_label(5, 2, 3, 2, &honest()), vec![0]].concat();
         let err = decode(&payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("1 trailing bytes"), "{err}");
@@ -1912,7 +2111,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(
             err.to_string(),
-            format!("snapshot format version {version} is not supported (this build reads 5)")
+            format!("snapshot format version {version} is not supported (this build reads 6)")
         );
     }
 
@@ -1933,8 +2132,13 @@ mod tests {
 
     #[test]
     fn version_4_header_is_refused() {
-        assert_eq!(FORMAT_VERSION, 5);
         assert_version_refused(4);
+    }
+
+    #[test]
+    fn version_5_header_is_refused() {
+        assert_eq!(FORMAT_VERSION, 6);
+        assert_version_refused(5);
     }
 
     /// Every width round-trips its extremes and the values around each
@@ -2193,9 +2397,7 @@ mod tests {
         for g in &graphs {
             let want = encode_graph(g);
             assert_eq!(graph_payload_len(g), want.len() as u64);
-            let mut got = Vec::new();
-            write_graph(g, &mut got).unwrap();
-            assert_eq!(got, want);
+            assert_eq!(write_payload(g), want);
             // One byte per write: the chunking a writer sees is not the
             // chunking the encoder chose.
             let mut file = Vec::new();
@@ -2228,8 +2430,7 @@ mod tests {
             b.add_edge(v, (v * 131 + 7) % n, 0);
         }
         let g = b.build();
-        let mut payload = Vec::new();
-        write_graph(&g, &mut payload).unwrap();
+        let payload = write_payload(&g);
         assert!(payload.len() > 4 * CHUNK, "{} bytes", payload.len());
         assert_eq!(payload, encode_graph(&g));
         assert_eq!(graph_payload_len(&g), payload.len() as u64);

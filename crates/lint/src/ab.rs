@@ -6,12 +6,14 @@
 //!     [--pairs N] [--seed S] [--seconds T] [--trace 0|1]
 //! ```
 //!
-//! Each revision (the change defaults to `HEAD`) is checked out with
-//! `git worktree` under `target/ab/parent` and `target/ab/change` and
-//! built by its own `bench/run.sh` into its own target directory
-//! (`target/ab/<side>.target`, kept between runs so a rebuild is
-//! incremental); the worktrees are removed at the end, and the
-//! `bench/Cargo.lock` each build rewrites is restored first. The runs come
+//! Each revision (the change defaults to `HEAD`) is checked out in a
+//! `git worktree` at `target/ab/parent` or `target/ab/change` and built
+//! by its own `bench/run.sh` into its own target directory
+//! (`target/ab/<side>.target`). Both are kept between runs: a later run
+//! moves a kept worktree to its revision with a forced checkout, which
+//! rewrites only the files that differ, so the others keep their mtimes,
+//! cargo's fingerprints of them hold and the rebuild is incremental. The
+//! `bench/Cargo.lock` each build rewrites is restored after it. The runs come
 //! in blocks of two pairs, parent-change-change-parent or
 //! change-parent-parent-change, each block's order drawn from the seed, so
 //! neither side always runs second. Every run is
@@ -310,24 +312,6 @@ impl Side {
     }
 }
 
-/// Removes the worktrees however the comparison ends.
-struct Worktrees<'a> {
-    root: &'a Path,
-    trees: Vec<PathBuf>,
-}
-
-impl Drop for Worktrees<'_> {
-    fn drop(&mut self) {
-        for tree in &self.trees {
-            let _ = git(
-                self.root,
-                &["worktree", "remove", "--force", &path_str(tree)],
-            );
-        }
-        let _ = git(self.root, &["worktree", "prune"]);
-    }
-}
-
 fn path_str(path: &Path) -> String {
     path.to_string_lossy().into_owned()
 }
@@ -351,17 +335,39 @@ fn git(dir: &Path, args: &[&str]) -> Result<String, String> {
     }
 }
 
-/// Check `side` out and build it; returns what its `cegbench
-/// benchmark-json` prints.
-fn build(root: &Path, side: &Side, trees: &mut Worktrees<'_>) -> Result<String, String> {
+/// Whether `tree` is the top of a worktree of its own. A directory
+/// that is not (a leftover, or one git no longer knows) sits inside the
+/// main checkout, where git would find the root's repository instead.
+fn is_worktree(tree: &Path) -> bool {
+    let Ok(top) = git(tree, &["rev-parse", "--show-toplevel"]) else {
+        return false;
+    };
+    match (Path::new(&top).canonicalize(), tree.canonicalize()) {
+        (Ok(top), Ok(tree)) => top == tree,
+        _ => false,
+    }
+}
+
+/// Put `side`'s revision in its worktree: a kept worktree is moved with
+/// `checkout --detach --force`, which leaves a file that does not differ
+/// untouched; anything else at its path is replaced by a new worktree.
+fn checkout(root: &Path, side: &Side) -> Result<(), String> {
+    if is_worktree(&side.tree) {
+        return git(&side.tree, &["checkout", "--detach", "--force", &side.sha]).map(drop);
+    }
     let tree = path_str(&side.tree);
     if side.tree.exists() {
         let _ = git(root, &["worktree", "remove", "--force", &tree]);
         let _ = std::fs::remove_dir_all(&side.tree);
-        git(root, &["worktree", "prune"])?;
     }
-    git(root, &["worktree", "add", "--detach", &tree, &side.sha])?;
-    trees.trees.push(side.tree.clone());
+    git(root, &["worktree", "prune"])?;
+    git(root, &["worktree", "add", "--detach", &tree, &side.sha]).map(drop)
+}
+
+/// Check `side` out and build it; returns what its `cegbench
+/// benchmark-json` prints.
+fn build(root: &Path, side: &Side) -> Result<String, String> {
+    checkout(root, side)?;
     eprintln!("xtask ab: building {} ({})", side.name, &side.sha[..12]);
     let out = Command::new("bash")
         .arg(side.tree.join("bench").join("run.sh"))
@@ -460,12 +466,8 @@ fn run(root: &Path, args: &Args) -> Result<Report, String> {
         })
     };
     let (parent, change) = (side("parent", &args.parent)?, side("change", &args.change)?);
-    let mut trees = Worktrees {
-        root,
-        trees: Vec::new(),
-    };
-    build(root, &parent, &mut trees)?;
-    let declared = build(root, &change, &mut trees)?;
+    build(root, &parent)?;
+    let declared = build(root, &change)?;
     let better = declared_direction(&declared, &args.metric);
 
     let mut rng = SplitMix(args.seed);
@@ -553,6 +555,16 @@ mod tests {
             "the seed draws the order"
         );
         assert_eq!(schedule(3, &mut SplitMix(5)).len(), 3);
+    }
+
+    #[test]
+    fn only_the_top_of_a_worktree_is_one() {
+        let root = crate::find_repo_root(&std::env::current_dir().unwrap()).unwrap();
+        assert!(is_worktree(&root));
+        // Inside the main checkout git finds the root's repository: a
+        // forced checkout there would rewrite the root's files.
+        assert!(!is_worktree(&root.join("crates")));
+        assert!(!is_worktree(&root.join("target").join("no-such-worktree")));
     }
 
     #[test]

@@ -662,14 +662,16 @@ fn snapshot(ledger: &mut String) {
     for l in 0..30_000u16 {
         table.insert(Pattern::canonical(&[QueryEdge::new(0, 1, l)]), l as u64);
     }
-    // Each row is a γ(1) for its gap and a γ(1) for its degree, one bit
-    // each, and its target a Rice code with `k = ⌊log2 150k⌋ = 17`: a
-    // one-bit quotient below 2^17, two bits from there, then 17 bits.
+    // Each relation's targets are every id (7 is prime to 150k), so its
+    // target set is a γ(1) per id and a target's rank is its id. Each row
+    // is a γ(1) for its gap and a γ(1) for its degree, one bit each, and
+    // its target a Rice code with `k = ⌊log2 150k⌋ = 17`: a one-bit
+    // quotient below 2^17, two bits from there, then 17 bits.
     let relation_bits =
-        |l: u32| -> u64 { (0..n).map(|i| 20 + u64::from(target(i, l) >> 17)).sum() };
+        |l: u32| -> u64 { (0..n).map(|i| 21 + u64::from(target(i, l) >> 17)).sum() };
     let graph_section = 16
         + (0..labels)
-            .map(|l| 16 + relation_bits(l).div_ceil(8))
+            .map(|l| 24 + relation_bits(l).div_ceil(8))
             .sum::<u64>() as usize;
     assert_eq!(graph_payload_len(&graph) as usize, graph_section);
     assert!(graph_section > 2_000_000);
@@ -707,15 +709,19 @@ fn snapshot(ledger: &mut String) {
 
     // The arrays the decoder fills as the file declares them, per
     // relation: a row id and an offset per row, one offset more, and a
-    // target per edge.
+    // target per edge; and, while a relation is read, its target set.
     let rows = |l: u32| graph.distinct_sources(l as u16);
     let arrays: usize = (0..labels)
         .map(|l| 8 * rows(l) + 4 + 4 * graph.label_count(l as u16))
         .sum();
+    let largest_set = (0..labels)
+        .map(|l| 4 * graph.distinct_targets(l as u16))
+        .max()
+        .unwrap();
     // No more than 4 bytes per bit of the section: the decoder holds a
     // relation's counts to the bits left, at two bits per row and one per
-    // edge, before it reserves them.
-    assert!(arrays <= 32 * graph_section);
+    // edge and per target, before it reserves them.
+    assert!(arrays + largest_set <= 32 * graph_section);
 
     // Reading it back holds what it returns and, while one relation's
     // row directory is built, that relation's row ids.
@@ -744,11 +750,12 @@ fn snapshot(ledger: &mut String) {
     writeln!(ledger, "snapshot.read {read}").unwrap();
 
     // Bit rot in the declared domain (1.5e5 -> 2^31 + 1.5e5 vertices;
-    // every id stays in range, every Rice parameter is misread) is caught
-    // by the checksum before a directory — a bit per declared vertex, per
-    // relation and direction, 256 MiB each — is built for it. Before the
-    // checksum the decoder holds at most the forward arrays the file
-    // declares.
+    // every id stays in range and every code reads as written, since the
+    // domain only bounds the ids) is caught by the checksum before a
+    // directory — a bit per declared vertex, per relation and direction,
+    // 256 MiB each — is built for it. Before the checksum the decoder
+    // holds at most the forward arrays the file declares and the target
+    // set of the relation it is reading.
     let mut rotten = std::fs::read(&path).unwrap();
     let num_vertices_at = 12 + 28 + 12; // header, EPOC section, GRPH tag + length
     assert_eq!(
@@ -762,13 +769,13 @@ fn snapshot(ledger: &mut String) {
     let err = refused.expect_err("a flipped bit must fail the restore");
     assert!(err.to_string().contains("checksum"), "{err}");
     assert!(
-        rot.peak <= arrays + SLACK,
+        rot.peak <= arrays + largest_set + SLACK,
         "a rotten domain reached an allocation: {} bytes held, \
-         the declared arrays fill {arrays}",
+         the declared arrays fill {arrays} and a target set {largest_set}",
         rot.peak
     );
     assert!(
-        arrays + SLACK < (1 << 31) / 8,
+        arrays + largest_set + SLACK < (1 << 31) / 8,
         "the bound tells the arrays the section declares from one directory"
     );
     std::fs::remove_file(&path).unwrap();

@@ -17,7 +17,8 @@
 //! format's description produces — for graphs with gap labels, empty
 //! relations and relations left at an older, smaller domain by a rebase,
 //! for the shapes the graph section's bit codes have edges at (a row as
-//! wide as the domain, a row at id 2^24 - 1, a one-vertex domain), and
+//! wide as the domain, a row and a target at id 2^24 - 1, a one-vertex
+//! domain), and
 //! for random catalogs, which also read back to an equal table that
 //! writes the same bytes again.
 
@@ -93,13 +94,15 @@ fn unary_then_low(bits: &mut Vec<bool>, zeros: u64, low: u64, width: u32) {
 
 /// The `GRPH` payload, built whole from what the graph's public
 /// accessors say: `u64 num_vertices, u64 num_labels`, then per label
-/// `u64 num_rows, u64 num_edges` (little-endian) and one bit stream,
-/// padded to a byte, holding per forward row, ascending, the Elias-γ of
-/// the row id's gap plus one and of the degree, and the Rice code of
-/// each target's gap with `k = ⌊log2(num_vertices / degree)⌋`. A gap is
-/// the id less the one before it less one; before a relation's first
-/// row id, and before a row's first target, it is the id itself. No
-/// backward index is written.
+/// `u64 num_rows, u64 num_edges, u64 num_targets` (little-endian) and one
+/// bit stream, padded to a byte, holding the Elias-γ of each gap plus one
+/// of the relation's target set (its forward targets, sorted and
+/// deduplicated), then per forward row, ascending, the Elias-γ of the row
+/// id's gap plus one and of the degree, and the Rice code of the gap of
+/// each target's rank in the set with `k = ⌊log2(num_targets / degree)⌋`.
+/// A gap is the value less the one before it less one; before the set's
+/// first id, a relation's first row id and a row's first rank, it is the
+/// value itself. No backward index is written.
 fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
     let n = g.num_vertices() as u64;
     let gamma = |bits: &mut Vec<bool>, x: u64| unary_then_low(bits, x.ilog2().into(), x, x.ilog2());
@@ -108,17 +111,37 @@ fn oracle_graph_payload(g: &LabeledGraph) -> Vec<u8> {
     buf.extend_from_slice(&(g.num_labels() as u64).to_le_bytes());
     for l in 0..g.num_labels() as u16 {
         let rows: Vec<(u32, &[u32])> = g.rows(l, false).collect();
+        let mut set: Vec<u32> = rows
+            .iter()
+            .flat_map(|&(_, targets)| targets)
+            .copied()
+            .collect();
+        set.sort_unstable();
+        set.dedup();
         buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
         buf.extend_from_slice(&(g.label_count(l) as u64).to_le_bytes());
+        buf.extend_from_slice(&(set.len() as u64).to_le_bytes());
         let mut bits = Vec::new();
+        for (i, &t) in set.iter().enumerate() {
+            let gap = if i == 0 { t } else { t - set[i - 1] - 1 };
+            gamma(&mut bits, u64::from(gap) + 1);
+        }
         for (i, &(v, targets)) in rows.iter().enumerate() {
             let row_gap = if i == 0 { v } else { v - rows[i - 1].0 - 1 };
             gamma(&mut bits, u64::from(row_gap) + 1);
             let degree = targets.len() as u64;
             gamma(&mut bits, degree);
-            let k = (n / degree).ilog2();
-            for (j, &t) in targets.iter().enumerate() {
-                let gap = u64::from(if j == 0 { t } else { t - targets[j - 1] - 1 });
+            let k = (set.len() as u64 / degree).ilog2();
+            let ranks: Vec<u64> = targets
+                .iter()
+                .map(|t| set.binary_search(t).unwrap() as u64)
+                .collect();
+            for (j, &rank) in ranks.iter().enumerate() {
+                let gap = if j == 0 {
+                    rank
+                } else {
+                    rank - ranks[j - 1] - 1
+                };
                 unary_then_low(&mut bits, gap >> k, gap, k);
             }
         }
@@ -205,13 +228,15 @@ fn committed_entry(base_edges: &[(u32, u32, u16)], ops: &[Op]) -> DatasetEntry {
 
 /// A row longer than the writer's run between two drains of its chunk
 /// (degree == domain, 1,000 targets), and a Rice quotient longer than
-/// one 32-bit write (a row of degree 301 whose last target jumps 699
-/// ids with `k = 1`: 349 zeros), written as the oracle lays them out.
+/// one 32-bit write (beside a row to all 1,000 ids, a row of degree 301
+/// whose last target jumps 699 ranks with `k = ⌊log2 1000/301⌋ = 1`:
+/// 349 zeros), written as the oracle lays them out.
 #[test]
 fn long_rows_and_long_unary_runs_roundtrip() {
     let mut b = GraphBuilder::with_labels(1_000, 2);
     (0..1_000).for_each(|d| b.add_edge(7, d, 0));
     (0..300).chain([999]).for_each(|d| b.add_edge(5, d, 1));
+    (0..1_000).for_each(|d| b.add_edge(6, d, 1));
     let graph = b.build();
     let path = scratch_path("long-codes");
     let table = MarkovTable::empty(2);

@@ -9,8 +9,45 @@
 use cegraph::catalog::io::write_snapshot;
 use cegraph::catalog::MarkovTable;
 use cegraph::graph::snapshot::{SnapshotReader, TAG_GRAPH, TAG_MARKOV};
+use cegraph::graph::LabeledGraph;
 use cegraph::query::QueryGraph;
 use cegraph::workload::{Rung, Workload};
+
+/// Bits of the Elias-γ code of `x >= 1`.
+fn gamma_bits(x: u64) -> u64 {
+    2 * u64::from(x.ilog2()) + 1
+}
+
+/// Bits of the Rice code of `v` with parameter `k`.
+fn rice_bits(v: u64, k: u32) -> u64 {
+    (v >> k) + 1 + u64::from(k)
+}
+
+/// Bytes of `g`'s `GRPH` payload in format version 5: the two graph
+/// counts, then per label two counts and a byte-padded bit stream of,
+/// per row, the γ of its id's gap plus one and of its degree, and the
+/// Rice codes of its target-id gaps with `k = ⌊log2(num_vertices /
+/// degree)⌋`.
+fn v5_graph_payload_len(g: &LabeledGraph) -> u64 {
+    let n = g.num_vertices() as u64;
+    let relation = |l: u16| {
+        let mut bits = 0;
+        let mut next_row = 0;
+        for (v, row) in g.rows(l, false) {
+            let (v, degree) = (u64::from(v), row.len() as u64);
+            bits += gamma_bits(v - next_row + 1) + gamma_bits(degree);
+            next_row = v + 1;
+            let k = (n / degree).ilog2();
+            let mut next = 0;
+            for &t in row {
+                bits += rice_bits(u64::from(t) - next, k);
+                next = u64::from(t) + 1;
+            }
+        }
+        16 + u64::div_ceil(bits, 8)
+    };
+    16 + (0..g.num_labels() as u16).map(relation).sum::<u64>()
+}
 
 #[test]
 fn catalog_section_of_a_seeded_h2_catalog_is_pinned() {
@@ -45,28 +82,31 @@ fn catalog_section_of_a_seeded_h2_catalog_is_pinned() {
             .iter()
             .map(|(p, _)| 10 + 4 * p.num_edges() as u64)
             .sum::<u64>();
+    let v5 = v5_graph_payload_len(&graph);
     println!(
-        "{} entries over {} edges: GRPH {grph} B ({:.3} B/edge), MRKV {mrkv} B ({:.3} B/edge), \
-         fixed-width MRKV {fixed_width} B ({:.3} B/edge), file {len} B ({:.3} B/edge)",
+        "{} entries over {} edges: GRPH {grph} B ({:.3} B/edge), v5 GRPH {v5} B ({:.3} B/edge), \
+         MRKV {mrkv} B ({:.3} B/edge), fixed-width MRKV {fixed_width} B ({:.3} B/edge), \
+         file {len} B ({:.3} B/edge)",
         table.len(),
         graph.num_edges(),
         grph as f64 / edges,
+        v5 as f64 / edges,
         mrkv as f64 / edges,
         fixed_width as f64 / edges,
         len as f64 / edges,
     );
     // 0.176 B/edge of catalog where the fixed-width layout took 0.628;
-    // 1.899 B/edge of graph where format version 4's LEB128 gaps took
-    // 2.517.
+    // 1.554 B/edge of graph where format version 5's domain-wide Rice
+    // codes took 1.899 and version 4's LEB128 gaps 2.517.
     assert_eq!(
         (table.len(), graph.num_edges()),
         (657, 18_660),
         "the seeded graph or pool moved"
     );
-    const V4_GRPH: u64 = 46_959;
+    assert_eq!(v5, 35_442, "the v5 layout's length is what v5 wrote");
     assert!(
-        5 * grph <= 4 * V4_GRPH,
-        "GRPH is {grph} B, more than 80 % of format version 4's {V4_GRPH} B"
+        100 * grph <= 85 * v5,
+        "GRPH is {grph} B, more than 85 % of format version 5's {v5} B"
     );
     assert!(
         10 * mrkv <= 4 * fixed_width,
