@@ -128,7 +128,10 @@ impl GraphDelta {
     /// no entry. This is what [`LabeledGraph::rebase`] and
     /// [`crate::OverlayGraph`] consume — one scan of the delta instead of
     /// one per touched label.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "per label, the (insertions, deletions) pair its two callers destructure at once"
+    )]
     pub(crate) fn effective_by_label(
         &self,
         base: &LabeledGraph,

@@ -130,6 +130,10 @@ fn write_decimal(mut n: u32, out: &mut [u8]) -> usize {
 }
 
 /// Save a graph to a file path.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "offline `cegtool` output; the server persists only through `vfs::Storage`"
+)]
 pub fn save_graph(graph: &LabeledGraph, path: impl AsRef<Path>) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
     write_edge_list(graph, f)

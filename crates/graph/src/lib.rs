@@ -42,6 +42,9 @@
 //! assert_eq!(g.max_out_degree(0), 1);
 //! ```
 
+// Every exception to a lint says why, at its site.
+#![deny(clippy::allow_attributes_without_reason)]
+
 pub mod builder;
 pub mod csr;
 pub mod delta;

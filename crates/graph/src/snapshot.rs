@@ -62,6 +62,19 @@
 //! adds the `MRKV` codec and the combined graph+catalog+epoch snapshot
 //! used by the service.
 
+// The panic-path rule: a snapshot's bytes are untrusted, and damage is
+// an error, never a panic. Tests are exempt (the root clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::convert::Infallible;
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
@@ -1267,8 +1280,16 @@ impl<R: Read> BitReader<'_, R> {
     /// domain and every rank against the set as it is decoded, and every
     /// unary run stops as soon as it could only name a value past its
     /// bound; strictly increasing ids and non-empty rows hold by
-    /// construction.
-    fn relation(&mut self, label: usize, num_vertices: u64) -> io::Result<Relation> {
+    /// construction. `named` holds one bit per set member while the
+    /// relation is read, set as a row names it: a member no row names is
+    /// refused, so the set is exactly the relation's targets and a graph
+    /// has one encoding.
+    fn relation(
+        &mut self,
+        label: usize,
+        num_vertices: u64,
+        named: &mut Vec<u64>,
+    ) -> io::Result<Relation> {
         let what = format!("label {label}");
         let num_rows = self.u64(&what)?;
         let num_edges = self.u64(&what)?;
@@ -1297,6 +1318,8 @@ impl<R: Read> BitReader<'_, R> {
             set.push(t as VertexId);
             next = t + 1;
         }
+        named.clear();
+        named.resize(num_targets.div_ceil(64) as usize, 0);
         let mut rows = Vec::with_capacity(num_rows as usize);
         let mut offsets = Vec::with_capacity(num_rows as usize + 1);
         offsets.push(0u32);
@@ -1336,6 +1359,9 @@ impl<R: Read> BitReader<'_, R> {
                 let rank = next + (q << k | low);
                 // The set holds `num_targets` ids: a rank below it names one.
                 let &t = set.get(rank as usize).ok_or_else(past)?;
+                if let Some(word) = named.get_mut((rank / 64) as usize) {
+                    *word |= 1 << (rank % 64);
+                }
                 targets.push(t);
                 next = rank + 1;
             }
@@ -1347,6 +1373,12 @@ impl<R: Read> BitReader<'_, R> {
             return Err(bad(format!(
                 "{what}: degrees sum to {}, num_edges is {num_edges}",
                 targets.len()
+            )));
+        }
+        let unnamed = num_targets - named.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        if unnamed > 0 {
+            return Err(bad(format!(
+                "{what}: {unnamed} of the {num_targets} targets are named by no row"
             )));
         }
         self.align(&what)?;
@@ -1374,8 +1406,9 @@ fn decode_graph<R: Read>(r: &mut PayloadReader<R>) -> io::Result<GraphArrays> {
         acc: 0,
         len: 0,
     };
+    let mut named = Vec::new();
     let relations = (0..num_labels)
-        .map(|label| r.relation(label, num_vertices as u64))
+        .map(|label| r.relation(label, num_vertices as u64, &mut named))
         .collect::<io::Result<Vec<_>>>()?;
     if r.remaining() != 0 {
         return Err(bad(format!(
@@ -1922,7 +1955,7 @@ mod tests {
     fn hostile_target_sets_are_rejected() {
         let domain = "past the domain";
         let set = "past the 2 targets";
-        let lies: [(Vec<u8>, &str, &str); 9] = [
+        let lies: [(Vec<u8>, &str, &str); 10] = [
             (
                 one_label(2, 1, 3, 3, &Bits::default().zeros(64)),
                 "more targets than vertices",
@@ -1992,6 +2025,25 @@ mod tests {
                 one_label(5, 1, 3, 2, &honest_set().gamma(1).gamma(3).zeros(8)),
                 "a degree above num_targets",
                 "above the 2 targets",
+            ),
+            (
+                // Rows 0 and 3 both to rank 0: target 2 is in the set
+                // but on no row.
+                one_label(
+                    5,
+                    2,
+                    2,
+                    2,
+                    &honest_set()
+                        .gamma(1)
+                        .gamma(1)
+                        .rice(0, 1)
+                        .gamma(3)
+                        .gamma(1)
+                        .rice(0, 1),
+                ),
+                "a set member no row names",
+                "1 of the 2 targets are named by no row",
             ),
         ];
         for (payload, because, why) in &lies {

@@ -26,11 +26,13 @@
 //! (matching the `.lock().unwrap()` idiom they replace), while
 //! `OrderedMutex::checked_lock` surfaces [`LockPoisoned`] so request
 //! paths can degrade one dataset instead of killing a connection thread.
+//!
+//! The root `clippy.toml` disallows the raw std locks everywhere else.
 
-// This module is the one place allowed to name the raw std primitives
-// it wraps — mirrored by the `lock-discipline` entry for this file in
-// ceg-lint.allow.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one module that names the raw std locks: it wraps them"
+)]
 
 use std::fmt;
 #[cfg(debug_assertions)]
@@ -177,7 +179,7 @@ mod checker {
 }
 
 /// `std::sync::Mutex` carrying a declared [`LockRank`]; the only
-/// mutex the lock-discipline lint permits outside `ceg-core`.
+/// mutex the root `clippy.toml` permits (`disallowed-types`).
 #[derive(Debug)]
 pub struct OrderedMutex<T> {
     #[cfg(debug_assertions)]

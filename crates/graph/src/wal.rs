@@ -36,6 +36,19 @@
 //! A log of any other version, 1 included, is refused and left as it
 //! is: this build has no reader for it.
 
+// The panic-path rule: the log's bytes are untrusted, and damage is an
+// error, never a panic. Tests are exempt (the root clippy.toml).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 

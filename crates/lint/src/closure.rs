@@ -20,7 +20,9 @@
 use std::path::Path;
 
 use crate::lexer::{lex, Spanned, Tok};
-use crate::lints::{Diagnostic, SERVICE_CLOSURE};
+use crate::Diagnostic;
+
+const SERVICE_CLOSURE: &str = "service-closure";
 
 /// The workspace crates `ceg-service` may link.
 const SERVED: &[&str] = &[

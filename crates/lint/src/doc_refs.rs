@@ -26,7 +26,9 @@
 
 use std::collections::HashMap;
 
-use crate::lints::{Diagnostic, DOC_REFS};
+use crate::Diagnostic;
+
+const DOC_REFS: &str = "doc-refs";
 
 /// The docs whose paths, commands, ROADMAP items and history are checked.
 pub(crate) const DOCS: &[&str] = &[ARCHITECTURE, "README.md", ".claude/skills/verify/SKILL.md"];

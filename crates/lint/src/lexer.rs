@@ -2,8 +2,8 @@
 //!
 //! No syntax tree, no external crates: the lints only need identifiers
 //! and punctuation with line numbers, with string/char literals and
-//! comments reliably skipped so `"unwrap()"` inside a message or a doc
-//! example never fires a diagnostic. The grammar subset handled here is
+//! comments reliably skipped so a name inside a message or a doc
+//! example is never read as a mention. The grammar subset handled here is
 //! exactly what a lexer must get right to avoid *mis-tokenizing* real
 //! code: nested block comments, raw strings with arbitrary `#` fences,
 //! byte strings, raw identifiers, and the `'a` lifetime vs `'a'`
@@ -20,8 +20,7 @@ pub enum Tok {
     /// contents are deliberately dropped — literal text must never
     /// match a lint pattern.
     Literal,
-    /// A lifetime (`'a`) — distinct from [`Tok::Punct`] so the
-    /// indexing lint can tell `&'a [u8]` from `buf[i]`.
+    /// A lifetime (`'a`), told apart from a `'a'` char literal.
     Lifetime,
 }
 

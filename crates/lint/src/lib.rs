@@ -1,88 +1,73 @@
 //! # ceg-lint
 //!
 //! Project-specific static analysis for the CEG workspace, run as
-//! `cargo xtask lint`. Seven lints, each enforcing an invariant the code
+//! `cargo xtask lint`. Three lints, each enforcing an invariant the code
 //! or its docs would otherwise keep by convention:
 //!
 //! | lint | invariant |
 //! |---|---|
-//! | `lock-discipline` | no raw `std::sync::{Mutex,RwLock}` outside `vendor` — all locks carry a `ceg_graph::sync::LockRank` |
-//! | `panic-path` | no `unwrap`/`expect`/panic macros/indexing in non-test request-path code |
-//! | `typed-reply` | connection handlers write only through `protocol::` constructors |
-//! | `durability-seam` | no direct `File::create`/`OpenOptions` in `ceg-graph`/`ceg-catalog`/`ceg-service` — writes go through `vfs::Storage` |
 //! | `service-closure` | `ceg-service` and the server binary `cegcli` link only the served crates (see [`closure`]) |
 //! | `unused-pub` | a `pub fn` of any crate under `crates/` is named by some other file of the workspace (see [`unused_pub`]) |
 //! | `doc-refs` | every path, command, flag, ROADMAP item and ARCHITECTURE section the docs name exists, and no doc cites a PR by number (see [`doc_refs`]) |
 //!
-//! Exceptions live in `ceg-lint.allow` at the repo root; every entry
-//! needs a justification comment and entries that stop suppressing
-//! anything are reported as stale (see [`allowlist`]).
+//! The request path's own rules are clippy's, in the `-D warnings` step:
+//! ranked locks and writes through `vfs::Storage` in the root
+//! `clippy.toml`, no panics in a `#![deny(...)]` at the top of each
+//! request-path scope, and typed replies are the only thing the
+//! connection's `ReplyWriter` can send. None of the three lints here has
+//! exceptions.
 //!
-//! The scanner is a token-stream pass over a purpose-built lexer
-//! ([`lexer`]) — no `syn`, no registry dependencies, so the tool builds
-//! offline with the rest of the workspace.
+//! The scanners run over a purpose-built lexer ([`lexer`]) — no `syn`,
+//! no registry dependencies, so the tool builds offline with the rest of
+//! the workspace.
 //!
 //! The crate also holds `cargo xtask ab` ([`ab`]), the paired benchmark
 //! comparison of two revisions, with the small JSON reader ([`json`]) its
 //! records need.
 
 pub mod ab;
-pub mod allowlist;
 pub mod closure;
 pub mod doc_refs;
 pub mod json;
 pub mod lexer;
-pub mod lints;
 pub mod unused_pub;
 
 use std::path::{Path, PathBuf};
 
-pub use lints::{Diagnostic, LintSet};
+/// One finding: which lint fired, where, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Diagnostic {
+    /// Lint identifier: `service-closure`, `unused-pub` or `doc-refs`.
+    pub lint: &'static str,
+    /// Repo-relative path of the offending file.
+    pub path: String,
+    /// 1-based line.
+    pub line: u32,
+    /// The function the finding is about (`unused-pub`), else empty.
+    pub func: String,
+    pub msg: String,
+}
 
-/// Name of the allowlist file at the repo root.
-pub const ALLOW_FILE: &str = "ceg-lint.allow";
-
-/// Which lints apply to a repo-relative (forward-slash) path.
-///
-/// * `lock-discipline` — everywhere except the vendored stand-ins (the
-///   `sync` module that wraps the std primitives is allowlisted);
-/// * `panic-path` — the service crate (handlers, protocol/client
-///   parsers) plus the WAL and snapshot codecs that parse on-disk
-///   bytes;
-/// * `typed-reply` — the connection handlers in `server.rs`;
-/// * `durability-seam` — everything in `ceg-graph`/`ceg-catalog`/`ceg-service`.
-fn classify(rel: &str) -> LintSet {
-    if !rel.ends_with(".rs") {
-        return LintSet::default();
-    }
-    LintSet {
-        lock: !rel.starts_with("vendor/"),
-        panic: rel.starts_with("crates/service/src/")
-            || rel == "crates/graph/src/wal.rs"
-            || rel == "crates/graph/src/snapshot.rs",
-        typed_reply: rel == "crates/service/src/server.rs",
-        durability: rel.starts_with("crates/graph/src/")
-            || rel.starts_with("crates/catalog/src/")
-            || rel.starts_with("crates/service/src/"),
+impl std::fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.lint, self.msg
+        )?;
+        if !self.func.is_empty() {
+            write!(f, " (in fn `{}`)", self.func)?;
+        }
+        Ok(())
     }
 }
 
-/// Lint one source text as if it lived at `rel` (repo-relative path),
-/// with no allowlist. The fixture tests drive this directly.
-pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
-    lints::lint_source(rel, src, classify(rel))
-}
-
-/// Run the whole-tree lint from `root`. Returns the surviving
-/// diagnostics (empty = clean) and the number of files scanned. The
-/// per-file lints run file by file; `unused-pub` runs once over the
-/// whole walk, and `doc-refs` once over the walk plus the docs and
-/// `ROADMAP.md`; all three go through the allowlist. The
-/// `service-closure` diagnostics bypass it: the boundary has no
-/// exceptions.
+/// Run the whole-tree lint from `root`. Returns the diagnostics (empty =
+/// clean) and the number of `.rs` files walked. `unused-pub` runs once
+/// over the walk, `doc-refs` once over the walk plus the docs and
+/// `ROADMAP.md`, and `service-closure` over the service's manifests and
+/// the server binary's sources.
 pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
-    let allow_text = std::fs::read_to_string(root.join(ALLOW_FILE)).unwrap_or_default();
-    let allow = allowlist::parse(ALLOW_FILE, &allow_text);
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort();
@@ -100,25 +85,15 @@ pub fn run(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
             sources.push((rel.to_string(), text));
         }
     }
-    let mut raw = Vec::new();
-    let mut scanned = 0usize;
-    for (rel, src) in &sources {
-        let set = classify(rel);
-        if set.any() {
-            scanned += 1;
-            raw.extend(lints::lint_source(rel, src, set));
-        }
-    }
     let pairs: Vec<(&str, &str)> = sources
         .iter()
         .map(|(rel, src)| (rel.as_str(), src.as_str()))
         .collect();
-    raw.extend(unused_pub::check(&pairs));
-    raw.extend(doc_refs::check(&pairs));
-    let mut out = allowlist::apply(ALLOW_FILE, &allow, raw, true);
+    let mut out = unused_pub::check(&pairs);
+    out.extend(doc_refs::check(&pairs));
     out.extend(closure::check(root)?);
     out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok((out, scanned))
+    Ok((out, files.len()))
 }
 
 /// Directories never scanned: build output, VCS metadata, the vendored

@@ -12,7 +12,9 @@
 use std::collections::HashMap;
 
 use crate::lexer::{lex, Spanned, Tok};
-use crate::lints::{scan_attribute, Diagnostic, UNUSED_PUB};
+use crate::Diagnostic;
+
+const UNUSED_PUB: &str = "unused-pub";
 
 /// Files whose identifiers count as mentions.
 const MENTION_ROOTS: &[&str] = &["crates/", "src/", "tests/", "examples/", "bench/src/"];
@@ -148,4 +150,32 @@ fn declared_fn(after_pub: &[Spanned]) -> Option<(String, u32)> {
         } if is_fn => Some((name.clone(), *line)),
         _ => None,
     }
+}
+
+/// Consume one `[...]` attribute starting at the opening bracket.
+/// Returns the index just past the closing bracket and whether the
+/// attribute marks test-only code (`test` appears without `not`, so
+/// `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, unix))]` count and
+/// `#[cfg(not(test))]` does not).
+fn scan_attribute(toks: &[Spanned], open: usize) -> (usize, bool) {
+    let mut depth = 0i32;
+    let mut saw_test = false;
+    let mut saw_not = false;
+    let mut i = open;
+    while i < toks.len() {
+        match &toks[i].tok {
+            Tok::Punct('[') => depth += 1,
+            Tok::Punct(']') => {
+                depth -= 1;
+                if depth == 0 {
+                    return (i + 1, saw_test && !saw_not);
+                }
+            }
+            Tok::Ident(name) if name == "test" => saw_test = true,
+            Tok::Ident(name) if name == "not" => saw_not = true,
+            _ => {}
+        }
+        i += 1;
+    }
+    (i, false)
 }

@@ -1,178 +1,14 @@
 //! The lint acceptance corpus: every file in `tests/fixtures/` is a
 //! known-bad (or deliberately mixed) snippet that must fire **exactly
-//! one** diagnostic of a specific lint when scanned as if it lived at a
-//! request-path location (`unused-pub` scans a pair of files together)
-//! — plus allowlist-hygiene cases and the whole-repo clean run.
+//! one** diagnostic of a specific lint (`unused-pub` scans a group of
+//! files together) — plus the guard on the rules clippy holds and the
+//! whole-repo clean run.
 //!
 //! The fixtures are excluded from the real tree walk (see
 //! `ceg_lint::run`), so they never dirty `cargo xtask lint` itself.
 
-use ceg_lint::allowlist;
-use ceg_lint::{lint_source, Diagnostic};
-
-/// Assert `src` fires exactly one diagnostic, of lint `want`, when
-/// scanned at the pretend repo-relative path `rel`.
-fn expect_one(rel: &str, src: &str, want: &str) -> Diagnostic {
-    let diags = lint_source(rel, src);
-    assert_eq!(
-        diags.len(),
-        1,
-        "expected exactly one `{want}` diagnostic at {rel}, got {}: {:#?}",
-        diags.len(),
-        diags
-    );
-    assert_eq!(diags[0].lint, want, "wrong lint fired: {}", diags[0]);
-    diags[0].clone()
-}
-
-// A pretend path per lint scope (see `ceg_lint::classify`):
-// core = lock only; service = lock+panic+durability;
-// server.rs = all of those plus typed-reply; graph and catalog =
-// lock+durability.
-const LOCK_ONLY: &str = "crates/core/src/fixture.rs";
-const SERVICE: &str = "crates/service/src/fixture.rs";
-const SERVER: &str = "crates/service/src/server.rs";
-const GRAPH: &str = "crates/graph/src/fixture.rs";
-const CATALOG: &str = "crates/catalog/src/fixture.rs";
-
-#[test]
-fn lock_discipline_catches_raw_imports() {
-    let d = expect_one(
-        LOCK_ONLY,
-        include_str!("fixtures/lock_use.rs"),
-        "lock-discipline",
-    );
-    assert!(
-        d.msg.contains("OrderedMutex"),
-        "diagnostic names the fix: {d}"
-    );
-}
-
-#[test]
-fn lock_discipline_catches_qualified_construction() {
-    let d = expect_one(
-        LOCK_ONLY,
-        include_str!("fixtures/lock_construct.rs"),
-        "lock-discipline",
-    );
-    assert_eq!(d.func, "make", "finding is attributed to its function: {d}");
-}
-
-#[test]
-fn lock_discipline_has_no_test_exemption() {
-    expect_one(
-        LOCK_ONLY,
-        include_str!("fixtures/lock_rwlock_in_test.rs"),
-        "lock-discipline",
-    );
-}
-
-#[test]
-fn panic_path_catches_unwrap() {
-    let d = expect_one(
-        SERVICE,
-        include_str!("fixtures/panic_unwrap.rs"),
-        "panic-path",
-    );
-    assert_eq!(d.func, "handle");
-}
-
-#[test]
-fn panic_path_catches_expect_and_ignores_strings() {
-    // The expect message itself says `unwrap()`; only the call fires.
-    expect_one(
-        SERVICE,
-        include_str!("fixtures/panic_expect.rs"),
-        "panic-path",
-    );
-}
-
-#[test]
-fn panic_path_catches_panic_macros() {
-    let d = expect_one(
-        SERVICE,
-        include_str!("fixtures/panic_macro.rs"),
-        "panic-path",
-    );
-    assert!(d.msg.contains("unreachable!"), "{d}");
-}
-
-#[test]
-fn panic_path_catches_indexing_not_array_types() {
-    let d = expect_one(
-        SERVICE,
-        include_str!("fixtures/panic_index.rs"),
-        "panic-path",
-    );
-    assert!(d.msg.contains("indexing"), "{d}");
-}
-
-#[test]
-fn panic_path_exempts_cfg_test_items() {
-    // Two identical unwraps; only the non-test one fires.
-    let d = expect_one(
-        SERVICE,
-        include_str!("fixtures/panic_cfg_test.rs"),
-        "panic-path",
-    );
-    assert_eq!(
-        d.func, "lookup",
-        "the test-module unwrap must stay exempt: {d}"
-    );
-}
-
-#[test]
-fn typed_reply_catches_raw_writes() {
-    expect_one(
-        SERVER,
-        include_str!("fixtures/typed_reply.rs"),
-        "typed-reply",
-    );
-}
-
-#[test]
-fn typed_reply_accepts_protocol_constructors() {
-    // One funneled write, one raw: exactly the raw one fires.
-    let d = expect_one(
-        SERVER,
-        include_str!("fixtures/typed_reply_mixed.rs"),
-        "typed-reply",
-    );
-    assert_eq!(
-        d.line, 6,
-        "the protocol-funneled write on line 5 must pass: {d}"
-    );
-}
-
-#[test]
-fn durability_seam_catches_file_create() {
-    for rel in [GRAPH, CATALOG] {
-        expect_one(
-            rel,
-            include_str!("fixtures/durability_create.rs"),
-            "durability-seam",
-        );
-    }
-}
-
-#[test]
-fn durability_seam_catches_open_options() {
-    expect_one(
-        GRAPH,
-        include_str!("fixtures/durability_openoptions.rs"),
-        "durability-seam",
-    );
-}
-
-#[test]
-fn typed_reply_only_applies_to_connection_handlers() {
-    // The same raw write outside server.rs is not a reply; nothing fires.
-    let diags = lint_source(SERVICE, include_str!("fixtures/typed_reply.rs"));
-    assert!(
-        diags.is_empty(),
-        "typed-reply leaked outside server.rs: {diags:#?}"
-    );
-}
+use ceg_lint::lexer::{lex, Tok};
+use ceg_lint::Diagnostic;
 
 #[test]
 fn service_closure_catches_an_offline_dependency() {
@@ -275,66 +111,89 @@ fn unused_pub_does_not_count_a_use_declaration_as_a_mention() {
     assert_eq!(diags[0].path, "crates/graph/src/fixture.rs", "{}", diags[0]);
 }
 
-// ---- allowlist hygiene -------------------------------------------------
+// ---- the rules clippy holds -------------------------------------------
+
+/// The panic lints each request-path scope denies.
+const PANIC_PATH: [&str; 8] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "indexing_slicing",
+    "string_slice",
+];
+
+/// The lints of the `#![deny(...)]` inner attributes of `src`, comments
+/// dropped: `clippy::x` reads as `x`.
+fn denied(src: &str) -> Vec<String> {
+    let toks: Vec<Tok> = lex(src).into_iter().map(|s| s.tok).collect();
+    let mut out = Vec::new();
+    for (i, window) in toks.windows(5).enumerate() {
+        let head = [Tok::Punct('#'), Tok::Punct('!'), Tok::Punct('[')];
+        if window[..3] != head || window[3] != Tok::Ident("deny".into()) {
+            continue;
+        }
+        for tok in toks[i + 5..].iter().take_while(|t| **t != Tok::Punct(')')) {
+            match tok {
+                Tok::Ident(name) if name != "clippy" => out.push(name.clone()),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// The `path = "..."` entries of the `key = [...]` array of a clippy.toml.
+fn config_paths(toml: &str, key: &str) -> Vec<String> {
+    let lines: Vec<&str> = toml
+        .lines()
+        .map(|l| l.trim())
+        .filter(|l| !l.starts_with('#'))
+        .collect();
+    let body = lines
+        .iter()
+        .skip_while(|l| !l.starts_with(&format!("{key} = [")))
+        .skip(1)
+        .take_while(|l| **l != "]");
+    body.filter_map(|l| l.split('"').nth(1).map(String::from))
+        .collect()
+}
 
 #[test]
-fn allowlist_suppresses_justified_entries() {
-    let list = allowlist::parse(
-        "ceg-lint.allow",
-        "# unwrap is fine here because reasons\npanic-path fixture.rs handle\n",
-    );
-    let raw = lint_source(SERVICE, include_str!("fixtures/panic_unwrap.rs"));
-    let out = allowlist::apply("ceg-lint.allow", &list, raw, true);
+fn clippy_holds_the_lock_panic_path_and_durability_rules() {
+    // CI's clippy step passes just as well with a rule's declaration
+    // deleted, so the declarations themselves are pinned here.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    for rel in [
+        "crates/service/src/lib.rs",
+        "crates/graph/src/wal.rs",
+        "crates/graph/src/snapshot.rs",
+    ] {
+        let lints = denied(&read(rel));
+        for lint in PANIC_PATH {
+            assert!(
+                lints.iter().any(|l| l == lint),
+                "{rel} must `#![deny(clippy::{lint})]`: it denies {lints:?}"
+            );
+        }
+    }
+    let config = read("clippy.toml");
+    let types = config_paths(&config, "disallowed-types");
     assert!(
-        out.is_empty(),
-        "justified entry must suppress cleanly: {out:#?}"
+        types.contains(&"std::sync::Mutex".into()) && types.contains(&"std::sync::RwLock".into()),
+        "clippy.toml must disallow the raw std locks: {types:?}"
     );
-}
-
-#[test]
-fn allowlist_unjustified_entry_is_itself_a_diagnostic() {
-    // The suppression still applies — but the missing comment fires
-    // exactly one `allowlist` diagnostic, so the run cannot go green.
-    let list = allowlist::parse("ceg-lint.allow", "panic-path fixture.rs handle\n");
-    let raw = lint_source(SERVICE, include_str!("fixtures/panic_unwrap.rs"));
-    let out = allowlist::apply("ceg-lint.allow", &list, raw, true);
-    assert_eq!(out.len(), 1, "{out:#?}");
-    assert_eq!(out[0].lint, "allowlist");
-    assert!(out[0].msg.contains("no justification"), "{}", out[0]);
-}
-
-#[test]
-fn allowlist_stale_entry_is_reported() {
-    let list = allowlist::parse(
-        "ceg-lint.allow",
-        "# this code was fixed long ago\npanic-path nonexistent.rs gone\n",
+    let methods = config_paths(&config, "disallowed-methods");
+    assert!(
+        methods.contains(&"std::fs::File::create".into())
+            && methods.contains(&"std::fs::OpenOptions::new".into()),
+        "clippy.toml must disallow creating files outside `vfs::Storage`: {methods:?}"
     );
-    let out = allowlist::apply("ceg-lint.allow", &list, Vec::new(), true);
-    assert_eq!(out.len(), 1, "{out:#?}");
-    assert!(out[0].msg.contains("stale"), "{}", out[0]);
-}
-
-#[test]
-fn allowlist_comment_justifies_its_contiguous_block_only() {
-    let text = "# covers both lines below\n\
-                panic-path a.rs f\n\
-                panic-path b.rs g\n\
-                \n\
-                panic-path c.rs h\n";
-    let list = allowlist::parse("ceg-lint.allow", text);
-    let justified: Vec<bool> = list.entries.iter().map(|e| e.justified).collect();
-    assert_eq!(justified, [true, true, false]);
-}
-
-#[test]
-fn allowlist_wildcard_matches_whole_file() {
-    let list = allowlist::parse(
-        "ceg-lint.allow",
-        "# the whole fixture is exempt\npanic-path fixture.rs *\n",
-    );
-    let raw = lint_source(SERVICE, include_str!("fixtures/panic_cfg_test.rs"));
-    let out = allowlist::apply("ceg-lint.allow", &list, raw, true);
-    assert!(out.is_empty(), "{out:#?}");
 }
 
 // ---- doc-refs ---------------------------------------------------------

@@ -60,12 +60,20 @@
 //! drop(server);
 //! ```
 
-// The compiler-side mirror of ceg-lint's panic-path pass: `.unwrap()`
-// warns in non-test code (clippy.toml additionally *disallows* it with
-// a pointer at the typed-error idiom), while test modules may assert
-// freely.
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// The panic-path rule: a request is answered with a typed reply, never
+// a panic. Tests are exempt (the root clippy.toml's `allow-*-in-tests`);
+// any other exception is an `#[expect(.., reason = "..")]` at its site.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod cache;
 pub mod client;

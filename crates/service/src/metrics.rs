@@ -47,6 +47,10 @@ impl Histogram {
     }
 
     /// Record one latency sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bucket_of` clamps its position to the fixed bucket array"
+    )]
     pub fn record(&self, latency: Duration) {
         let micros = latency.as_micros().min(u64::MAX as u128) as u64;
         self.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
@@ -245,6 +249,11 @@ impl Metrics {
         Self::default()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `Series` discriminant indexes `[AtomicU64; SERIES.len()]`, and a unit test \
+                  holds `SERIES` to one row per variant in declaration order"
+    )]
     fn cell(&self, series: Series) -> &AtomicU64 {
         &self.values[series as usize]
     }

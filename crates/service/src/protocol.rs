@@ -108,6 +108,7 @@
 //! allowance ([`crate::registry::MAX_UPDATE_VERTEX`]) and enforces the
 //! pending-buffer cap, answering violations with `ERR`.
 
+use std::io::{self, BufWriter, Write};
 use std::iter::Peekable;
 use std::str::{FromStr, SplitWhitespace};
 
@@ -115,6 +116,7 @@ use ceg_graph::{LabelId, VertexId};
 use ceg_query::{QueryEdge, QueryGraph, VarId};
 
 use crate::engine::{EstimateOutcome, SlowQueryEntry, SnapshotAck, UpdateAck};
+use crate::metrics::{Metrics, Series};
 use crate::registry::CommitOutcome;
 
 /// Largest number of queries one `ESTIMATE_BATCH` may carry. Big enough
@@ -371,7 +373,7 @@ pub fn format_query(query: &QueryGraph) -> String {
 /// correlate replies with its requests and server-side slow-query
 /// records. Counted *body* lines (metric/span/slowlog lines under a
 /// header) are never stamped — their grammar has no id tail.
-pub(crate) fn append_id(line: &mut String, id: u64) {
+fn append_id(line: &mut String, id: u64) {
     line.push_str(&format!(" id={id}"));
 }
 
@@ -839,6 +841,49 @@ impl Response {
                 Response::Counted { kind, n }
             }
         })
+    }
+}
+
+/// The outgoing side of one connection, and the only way the server
+/// writes to a client: whole typed replies into a buffer, which goes out
+/// on [`ReplyWriter::flush`] — at the end of each request and wherever
+/// the handler would otherwise wait.
+pub(crate) struct ReplyWriter<'m, W: Write> {
+    out: BufWriter<W>,
+    metrics: &'m Metrics,
+}
+
+impl<'m, W: Write> ReplyWriter<'m, W> {
+    /// Wrap a connection's raw writer in a buffer of `capacity` bytes.
+    /// Every `ERR` sent through it is counted on `metrics`.
+    pub(crate) fn new(writer: W, capacity: usize, metrics: &'m Metrics) -> Self {
+        ReplyWriter {
+            out: BufWriter::with_capacity(capacity, writer),
+            metrics,
+        }
+    }
+
+    /// Write one reply: the head line `response` — stamped with the
+    /// request's ` id=<n>` tail — then, under a [`Response::Counted`]
+    /// head, its `body` lines as they are (their grammar owns the whole
+    /// line). Every error actually sent to a client is counted exactly
+    /// once here, no matter which layer produced it.
+    pub(crate) fn send(&mut self, response: &Response, body: &[String], id: u64) -> io::Result<()> {
+        if matches!(response, Response::Error(_)) {
+            self.metrics.inc(Series::Error);
+        }
+        let mut line = response.format();
+        append_id(&mut line, id);
+        writeln!(self.out, "{line}")?;
+        for line in body {
+            writeln!(self.out, "{line}")?;
+        }
+        Ok(())
+    }
+
+    /// Send what the buffer holds.
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
     }
 }
 

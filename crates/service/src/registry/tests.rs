@@ -280,9 +280,6 @@ fn commit_shares_untouched_relations_with_the_predecessor() {
     ));
 }
 
-// Already test-only, like this whole file; the attribute is what tells
-// ceg-lint, which scopes test code by attribute, not by file.
-#[cfg(test)]
 mod durability {
     use super::*;
     use ceg_graph::vfs::{FaultPlan, FaultStorage};

@@ -32,7 +32,7 @@
 //! atomics.
 
 use std::borrow::Cow;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,7 +48,7 @@ use crate::engine::{
     Engine, QueryOutcome, RequestCtx, SlowQueryEntry, DEFAULT_SLOW_QUERY_THRESHOLD_MS,
 };
 use crate::metrics::{Metrics, Series};
-use crate::protocol::{self, Command, ExplainItem, Request, Response};
+use crate::protocol::{self, Command, ExplainItem, ReplyWriter, Request, Response};
 use crate::registry::DatasetRegistry;
 
 /// Server tuning knobs.
@@ -370,33 +370,6 @@ fn effective_deadline(request_ms: Option<u64>, default_ms: Option<u64>) -> Optio
     Some((at, ms))
 }
 
-/// Write one reply into the connection's buffer: the head line
-/// `response` — stamped with the request's ` id=<n>` tail — then, under
-/// a [`Response::Counted`] head, its `body` lines as they are (their
-/// grammar owns the whole line). The single funnel every byte a handler
-/// sends goes through, and so the place `ERR` is counted: every error
-/// actually sent to a client is counted exactly once here, no matter
-/// which layer produced it. The buffer is flushed at the end of each
-/// request and wherever the handler would otherwise wait.
-fn write_reply(
-    writer: &mut impl Write,
-    metrics: &Metrics,
-    response: &Response,
-    body: &[String],
-    id: u64,
-) -> io::Result<()> {
-    if matches!(response, Response::Error(_)) {
-        metrics.inc(Series::Error);
-    }
-    let mut line = response.format();
-    protocol::append_id(&mut line, id);
-    writeln!(writer, "{line}")?;
-    for line in body {
-        writeln!(writer, "{line}")?;
-    }
-    Ok(())
-}
-
 /// The reply line for one estimate outcome, with the server-wide cache
 /// counters as they stand. `deadline` is the request's effective
 /// deadline, whose millisecond value a `TIMEOUT` echoes.
@@ -430,7 +403,7 @@ fn outcome_response(
 /// wait — a cold batch streams, and a drain that overtakes it shows up
 /// in its later slots; a warm one leaves in one write at the end.
 fn write_estimates(
-    writer: &mut impl Write,
+    replies: &mut ReplyWriter<'_, impl Write>,
     shared: &Shared,
     dataset: &str,
     queries: &[QueryGraph],
@@ -450,16 +423,16 @@ fn write_estimates(
             written = match step {
                 Handover::Done(_, outcome) => {
                     let response = outcome_response(engine.metrics(), dataset, outcome, deadline);
-                    write_reply(writer, engine.metrics(), &response, &[], id)
+                    replies.send(&response, &[], id)
                 }
-                Handover::Wait => writer.flush(),
+                Handover::Wait => replies.flush(),
             };
         }
     });
     if let Err(msg) = answered {
         for _ in queries {
             let err = Response::Error(msg.clone());
-            write_reply(writer, engine.metrics(), &err, &[], id)?;
+            replies.send(&err, &[], id)?;
         }
     }
     written
@@ -499,10 +472,10 @@ fn explain(
     Ok(body)
 }
 
-/// Answer one parsed request into `writer`'s buffer, which the caller
+/// Answer one parsed request into `replies`' buffer, which the caller
 /// flushes; `Ok(false)` closes the connection (`QUIT`).
 fn serve_request(
-    writer: &mut impl Write,
+    replies: &mut ReplyWriter<'_, impl Write>,
     shared: &Shared,
     request: Request,
     id: u64,
@@ -538,13 +511,14 @@ fn serve_request(
             // drain request (`cegcli serve`, which then exits the
             // process) only once the DRAINING line is on the wire.
             engine.begin_drain();
-            let written = write_reply(writer, metrics, &Response::Draining, &[], id)
-                .and_then(|()| writer.flush());
+            let written = replies
+                .send(&Response::Draining, &[], id)
+                .and_then(|()| replies.flush());
             shared.lifecycle.notify();
             return written.map(|()| true);
         }
         Request::Quit => {
-            write_reply(writer, metrics, &Response::Bye, &[], id)?;
+            replies.send(&Response::Bye, &[], id)?;
             return Ok(false);
         }
         // A batch answers in request order under a BATCH header — one
@@ -559,8 +533,8 @@ fn serve_request(
             deadline_ms,
         } => {
             let n = queries.len();
-            write_reply(writer, metrics, &Response::Counted { kind, n }, &[], id)?;
-            write_estimates(writer, shared, &dataset, &queries, deadline_ms, id)?;
+            replies.send(&Response::Counted { kind, n }, &[], id)?;
+            write_estimates(replies, shared, &dataset, &queries, deadline_ms, id)?;
             return Ok(true);
         }
         // During a drain every other state-touching command is rejected
@@ -576,7 +550,7 @@ fn serve_request(
             deadline_ms,
         } => {
             let queries = std::slice::from_ref(&query);
-            write_estimates(writer, shared, &dataset, queries, deadline_ms, id)?;
+            write_estimates(replies, shared, &dataset, queries, deadline_ms, id)?;
             return Ok(true);
         }
         Request::ExplainEstimate {
@@ -616,8 +590,8 @@ fn serve_request(
         }
         Request::Commit { dataset } => {
             let response = result(engine.commit(&dataset).map(Response::Committed));
-            write_reply(writer, metrics, &response, &[], id)?;
-            writer.flush()?;
+            replies.send(&response, &[], id)?;
+            replies.flush()?;
             // Rotation runs *after* the ack went out: the client's
             // COMMIT latency never includes the snapshot fold, and a
             // rotation failure cannot un-ack a durable commit — the
@@ -634,7 +608,7 @@ fn serve_request(
             return Ok(true);
         }
     };
-    write_reply(writer, metrics, &response, &body, id)?;
+    replies.send(&response, &body, id)?;
     Ok(true)
 }
 
@@ -650,19 +624,19 @@ fn serve_socket(stream: TcpStream, shared: &Shared) -> io::Result<()> {
 }
 
 /// Answer `ERR <msg>` and close: the stream can no longer be framed.
-fn refuse(writer: &mut impl Write, metrics: &Metrics, msg: String, id: u64) -> io::Result<()> {
-    write_reply(writer, metrics, &Response::Error(msg), &[], id)?;
-    writer.flush()
+fn refuse(replies: &mut ReplyWriter<'_, impl Write>, msg: String, id: u64) -> io::Result<()> {
+    replies.send(&Response::Error(msg), &[], id)?;
+    replies.flush()
 }
 
 /// Per-connection loop: one request in, one response out (a batch counts
 /// as one request with one multi-line response). Everything runs on this
 /// thread, estimates included, but for a batch's helpers. Only the buffers
-/// outlive a request; each `writer.flush()` is where a socket would send.
+/// outlive a request; each `replies.flush()` is where a socket would send.
 fn serve_connection(reader: impl Read, writer: impl Write, shared: &Shared) -> io::Result<()> {
     let metrics = shared.engine.metrics();
     let mut reader = BufReader::with_capacity(STREAM_BUF_BYTES, reader);
-    let mut writer = BufWriter::with_capacity(STREAM_BUF_BYTES, writer);
+    let mut replies = ReplyWriter::new(writer, STREAM_BUF_BYTES, metrics);
     // One request's bytes: a line, or a batch's header and query lines.
     // Taken at its idle size up front, so it sits low in this thread's heap
     // and pins no freed serving pages (~50 KiB of `cold`'s `server_rss_mb`).
@@ -677,7 +651,7 @@ fn serve_connection(reader: impl Read, writer: impl Write, shared: &Shared) -> i
             // The rest of the stream is the same unterminated line.
             LineRead::TooLong => {
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-                return refuse(&mut writer, metrics, TOO_LONG.into(), id);
+                return refuse(&mut replies, TOO_LONG.into(), id);
             }
             LineRead::Line => {}
         }
@@ -705,14 +679,12 @@ fn serve_connection(reader: impl Read, writer: impl Write, shared: &Shared) -> i
             // framed even when a query line is malformed. A bad *header*
             // leaves the line count unknowable, so — like an overlong
             // line — it closes the connection instead of desynchronizing.
-            Some(Err(msg)) => return refuse(&mut writer, metrics, msg, req_id),
+            Some(Err(msg)) => return refuse(&mut replies, msg, req_id),
             Some(Ok((_, n, _))) => {
                 for _ in 0..n {
                     match read_request_line(&mut reader, &mut buf)? {
                         LineRead::Eof => return Ok(()),
-                        LineRead::TooLong => {
-                            return refuse(&mut writer, metrics, TOO_LONG.into(), req_id)
-                        }
+                        LineRead::TooLong => return refuse(&mut replies, TOO_LONG.into(), req_id),
                         LineRead::Line => {}
                     }
                 }
@@ -721,13 +693,13 @@ fn serve_connection(reader: impl Read, writer: impl Write, shared: &Shared) -> i
         };
         match parsed {
             Err(msg) => {
-                write_reply(&mut writer, metrics, &Response::Error(msg), &[], req_id)?;
-                writer.flush()?;
+                replies.send(&Response::Error(msg), &[], req_id)?;
+                replies.flush()?;
             }
             Ok(request) => {
                 let latency = metrics.latency(request.command());
-                let open = serve_request(&mut writer, shared, request, req_id)?;
-                writer.flush()?;
+                let open = serve_request(&mut replies, shared, request, req_id)?;
+                replies.flush()?;
                 if let Some(histogram) = latency {
                     histogram.record(started.elapsed());
                 }

@@ -119,6 +119,10 @@ fn parse_query(lineno: usize, line: &str) -> io::Result<WorkloadQuery> {
 }
 
 /// Save to a file path.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "offline `cegtool` output; the server persists only through `vfs::Storage`"
+)]
 pub fn save_workload(queries: &[WorkloadQuery], path: impl AsRef<Path>) -> io::Result<()> {
     write_workload(queries, std::fs::File::create(path)?)
 }
